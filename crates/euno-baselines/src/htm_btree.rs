@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use euno_htm::{
     slot_for_key, Arena, BitLockVector, ConcurrentMap, Footprint, MemoryReport, RetryPolicy,
-    RetryStrategy, Runtime, ThreadCtx, Tx, TxResult, TxWord, KEY_SENTINEL, TOMBSTONE,
+    Runtime, ThreadCtx, Tx, TxResult, TxWord, KEY_SENTINEL, TOMBSTONE,
 };
 
 use crate::node::{Internal, Leaf, NodeRef, DEFAULT_FANOUT};
@@ -23,7 +23,6 @@ use crate::node::{Internal, Leaf, NodeRef, DEFAULT_FANOUT};
 pub struct HtmBTree<const F: usize = DEFAULT_FANOUT> {
     rt: Arc<Runtime>,
     ctrl: Box<euno_htm::ControlBlock>,
-    strategy: Arc<dyn RetryStrategy>,
     leaves: Arena<Leaf<F>>,
     internals: Arena<Internal<F>>,
     /// Tree-global advisory slots for the executor's middle path; `None`
@@ -47,7 +46,6 @@ impl<const F: usize> HtmBTree<F> {
         HtmBTree {
             rt,
             ctrl,
-            strategy: Arc::new(RetryPolicy::default()),
             leaves,
             internals,
             middle: None,
@@ -72,17 +70,6 @@ impl<const F: usize> HtmBTree<F> {
         self.middle
             .as_ref()
             .map(|m| Footprint::new(m, &[slot_for_key(key, Self::MIDDLE_SLOTS as u32)]))
-    }
-
-    pub fn with_policy(rt: Arc<Runtime>, policy: RetryPolicy) -> Self {
-        Self::with_strategy(rt, Arc::new(policy))
-    }
-
-    /// Select the retry strategy the executor runs this tree under.
-    pub fn with_strategy(rt: Arc<Runtime>, strategy: Arc<dyn RetryStrategy>) -> Self {
-        let mut t = Self::new(rt);
-        t.strategy = strategy;
-        t
     }
 
     pub fn runtime(&self) -> &Arc<Runtime> {
@@ -297,7 +284,7 @@ impl<const F: usize> HtmBTree<F> {
 impl<const F: usize> ConcurrentMap for HtmBTree<F> {
     fn get(&self, ctx: &mut ThreadCtx, key: u64) -> Option<u64> {
         let fp = self.middle_footprint(key);
-        ctx.htm_execute_with(&self.ctrl.fallback, &*self.strategy, fp.as_ref(), |tx| {
+        ctx.htm_execute_with(&self.ctrl.fallback, &RetryPolicy::DBX, fp.as_ref(), |tx| {
             tx.set_op_key(key);
             let leaf = self.descend(tx, key, None)?;
             match self.leaf_find(tx, leaf, key)? {
@@ -314,7 +301,7 @@ impl<const F: usize> ConcurrentMap for HtmBTree<F> {
     fn put(&self, ctx: &mut ThreadCtx, key: u64, value: u64) -> Option<u64> {
         assert!(key < KEY_SENTINEL && value != TOMBSTONE);
         let fp = self.middle_footprint(key);
-        ctx.htm_execute_with(&self.ctrl.fallback, &*self.strategy, fp.as_ref(), |tx| {
+        ctx.htm_execute_with(&self.ctrl.fallback, &RetryPolicy::DBX, fp.as_ref(), |tx| {
             tx.set_op_key(key);
             let mut path = Vec::with_capacity(8);
             let leaf = self.descend(tx, key, Some(&mut path))?;
@@ -337,7 +324,7 @@ impl<const F: usize> ConcurrentMap for HtmBTree<F> {
 
     fn delete(&self, ctx: &mut ThreadCtx, key: u64) -> Option<u64> {
         let fp = self.middle_footprint(key);
-        ctx.htm_execute_with(&self.ctrl.fallback, &*self.strategy, fp.as_ref(), |tx| {
+        ctx.htm_execute_with(&self.ctrl.fallback, &RetryPolicy::DBX, fp.as_ref(), |tx| {
             tx.set_op_key(key);
             let leaf = self.descend(tx, key, None)?;
             match self.leaf_find(tx, leaf, key)? {
@@ -363,7 +350,7 @@ impl<const F: usize> ConcurrentMap for HtmBTree<F> {
         out: &mut Vec<(u64, u64)>,
     ) -> usize {
         let collected = ctx
-            .htm_execute(&self.ctrl.fallback, &*self.strategy, |tx| {
+            .htm_execute(&self.ctrl.fallback, &RetryPolicy::DBX, |tx| {
                 tx.set_op_key(from);
                 let mut acc = Vec::with_capacity(count.min(1024));
                 let mut leaf = self.descend(tx, from, None)?;

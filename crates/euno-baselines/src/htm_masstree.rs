@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use euno_htm::{
     slot_for_key, Arena, BitLockVector, ConcurrentMap, Footprint, MemoryReport, RetryPolicy,
-    RetryStrategy, Runtime, ThreadCtx, Tx, TxCell, TxResult, TxWord, KEY_SENTINEL, TOMBSTONE,
+    Runtime, ThreadCtx, Tx, TxCell, TxResult, TxWord, KEY_SENTINEL, TOMBSTONE,
 };
 
 use crate::masstree::{
@@ -36,7 +36,6 @@ const F: usize = DEFAULT_FANOUT;
 pub struct HtmMasstree {
     rt: Arc<Runtime>,
     ctrl: Box<euno_htm::ControlBlock>,
-    strategy: Arc<dyn RetryStrategy>,
     leaves: Arena<MtLeaf>,
     internals: Arena<MtInternal>,
     /// Tree-global advisory slots for the executor's middle path; `None`
@@ -55,7 +54,6 @@ impl HtmMasstree {
         rt.register_value(&*ctrl, euno_htm::LineClass::Structure);
         HtmMasstree {
             ctrl,
-            strategy: Arc::new(RetryPolicy::default()),
             rt,
             leaves,
             internals,
@@ -81,13 +79,6 @@ impl HtmMasstree {
         self.middle
             .as_ref()
             .map(|m| Footprint::new(m, &[slot_for_key(key, Self::MIDDLE_SLOTS as u32)]))
-    }
-
-    /// Select the retry strategy the executor runs this tree under.
-    pub fn with_strategy(rt: Arc<Runtime>, strategy: Arc<dyn RetryStrategy>) -> Self {
-        let mut t = Self::new(rt);
-        t.strategy = strategy;
-        t
     }
 
     /// Read a node's version word transactionally — the lock-subsumption
@@ -320,7 +311,7 @@ impl HtmMasstree {
 impl ConcurrentMap for HtmMasstree {
     fn get(&self, ctx: &mut ThreadCtx, key: u64) -> Option<u64> {
         let fp = self.middle_footprint(key);
-        ctx.htm_execute_with(&self.ctrl.fallback, &*self.strategy, fp.as_ref(), |tx| {
+        ctx.htm_execute_with(&self.ctrl.fallback, &RetryPolicy::DBX, fp.as_ref(), |tx| {
             tx.set_op_key(key);
             let leaf = self.descend(tx, key)?;
             match self.leaf_find(tx, leaf, key)? {
@@ -337,7 +328,7 @@ impl ConcurrentMap for HtmMasstree {
     fn put(&self, ctx: &mut ThreadCtx, key: u64, value: u64) -> Option<u64> {
         assert!(key < KEY_SENTINEL && value != TOMBSTONE);
         let fp = self.middle_footprint(key);
-        ctx.htm_execute_with(&self.ctrl.fallback, &*self.strategy, fp.as_ref(), |tx| {
+        ctx.htm_execute_with(&self.ctrl.fallback, &RetryPolicy::DBX, fp.as_ref(), |tx| {
             tx.set_op_key(key);
             let leaf = self.descend(tx, key)?;
             if let Some(i) = self.leaf_find(tx, leaf, key)? {
@@ -359,7 +350,7 @@ impl ConcurrentMap for HtmMasstree {
 
     fn delete(&self, ctx: &mut ThreadCtx, key: u64) -> Option<u64> {
         let fp = self.middle_footprint(key);
-        ctx.htm_execute_with(&self.ctrl.fallback, &*self.strategy, fp.as_ref(), |tx| {
+        ctx.htm_execute_with(&self.ctrl.fallback, &RetryPolicy::DBX, fp.as_ref(), |tx| {
             tx.set_op_key(key);
             let leaf = self.descend(tx, key)?;
             match self.leaf_find(tx, leaf, key)? {
@@ -386,7 +377,7 @@ impl ConcurrentMap for HtmMasstree {
         out: &mut Vec<(u64, u64)>,
     ) -> usize {
         let collected = ctx
-            .htm_execute(&self.ctrl.fallback, &*self.strategy, |tx| {
+            .htm_execute(&self.ctrl.fallback, &RetryPolicy::DBX, |tx| {
                 tx.set_op_key(from);
                 let mut acc = Vec::with_capacity(count.min(1024));
                 let mut leaf = self.descend(tx, from)?;

@@ -35,9 +35,7 @@ use std::time::Instant;
 
 use euno_bench::common::{emit, print_table, scaled, Cli, Point, System};
 use euno_htm::{ConcurrentBackend, Mode, RetryPolicy, Runtime, ThreadCtx, TxCell};
-use euno_sim::{
-    preload, run_virtual, strategy_for, LatencyHistogram, RunConfig, RunMetrics, VirtualScheduler,
-};
+use euno_sim::{preload, run_virtual, LatencyHistogram, RunConfig, RunMetrics, VirtualScheduler};
 use euno_workloads::{Preload, WorkloadSpec};
 
 /// One counter per cache line so the `private` scenario is conflict-free.
@@ -249,7 +247,7 @@ fn run_tree_virtual(threads: usize, ops: u64, seed: u64) -> (WorkloadSpec, RunCo
         sample_capacity: 0,
     };
     let rt = Runtime::new_virtual();
-    let map = System::EunoBTree.build_with_strategy(&rt, strategy_for(spec.policy));
+    let map = System::EunoBTree.build(&rt);
     preload(map.as_ref(), &rt, &spec);
     rt.reset_dynamics();
     let t0 = Instant::now();

@@ -29,8 +29,7 @@ use euno_bench::common::{emit, fig_config, Cli, Point, System};
 use euno_htm::{CostModel, Runtime};
 use euno_metrics::{adaptation_lags, Counter, TimeSeries};
 use euno_sim::{
-    apply_op, apply_warmup_op, metrics_jsonl, preload, strategy_for, RunConfig, RunMetrics,
-    VirtualScheduler,
+    apply_op, apply_warmup_op, metrics_jsonl, preload, RunConfig, RunMetrics, VirtualScheduler,
 };
 use euno_workloads::OpStream;
 use euno_workloads::{Op, WorkloadSpec};
@@ -61,7 +60,7 @@ fn rotate_op(op: Op, offset: u64, n: u64) -> Op {
 /// `period = u64::MAX` disables rotation (the calibration run).
 fn run_rotating(system: System, spec: &WorkloadSpec, cfg: &RunConfig, period: u64) -> RunMetrics {
     let rt = Runtime::new_virtual();
-    let map = system.build_with_strategy(&rt, strategy_for(spec.policy));
+    let map = system.build(&rt);
     preload(map.as_ref(), &rt, spec);
     rt.reset_dynamics();
 

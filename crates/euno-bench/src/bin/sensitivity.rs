@@ -2,15 +2,15 @@
 //! of our calibration constants?
 //!
 //! Sweeps the two most load-bearing knobs of the virtual-time model — the
-//! hot-line transfer charge (NUMA/coherence cost) and the per-region
-//! conflict-retry budget (DBX fallback policy) — and reports the
+//! hot-line transfer charge (`line_transfer`, NUMA/coherence cost) and the
+//! retry backoff cap (`backoff_cap`) — and reports the
 //! high-contention ordering each setting produces. The claim that must
 //! survive every cell: **Euno-B+Tree > Masstree > monolithic HTM-B+Tree at
 //! θ = 0.9**, with Euno close to the baseline at θ = 0.2.
 
 use euno_bench::common::{emit, fig_config, Cli, Point, System};
 use euno_htm::{CostModel, Mode, Runtime};
-use euno_sim::{preload, run_virtual, strategy_for, RunConfig, RunMetrics};
+use euno_sim::{preload, run_virtual, RunConfig, RunMetrics};
 use euno_workloads::WorkloadSpec;
 
 fn measure_with(
@@ -21,7 +21,7 @@ fn measure_with(
     cli: &Cli,
 ) -> RunMetrics {
     let rt = Runtime::new(Mode::Virtual, cost);
-    let map = system.build_with_strategy(&rt, strategy_for(spec.policy));
+    let map = system.build(&rt);
     preload(map.as_ref(), &rt, spec);
     rt.reset_dynamics();
     let mut m = run_virtual(map.as_ref(), &rt, spec, cfg);

@@ -139,7 +139,6 @@ fn spec_for(a: &Args) -> WorkloadSpec {
             mix: OpMix::get_put(a.get_frac),
             scan_len: 16,
             preload: Preload::FirstN(a.keys / 2),
-            policy: Default::default(),
         }
     }
 }

@@ -13,21 +13,19 @@ use std::sync::Arc;
 
 use euno_bench::common::{emit, fig_config, Cli, Point, System};
 use euno_htm::{ConcurrentMap, Runtime, ThreadCtx};
-use euno_sim::{preload, strategy_for, RunConfig, VirtualScheduler};
-use euno_workloads::{Op, PolicyChoice, WorkloadSpec, YcsbOp, YcsbStream, YcsbWorkload};
+use euno_sim::{preload, RunConfig, VirtualScheduler};
+use euno_workloads::{Op, WorkloadSpec, YcsbOp, YcsbStream, YcsbWorkload};
 
 fn run_ycsb(
     system: System,
     workload: YcsbWorkload,
     theta: f64,
-    policy: PolicyChoice,
     cli: &Cli,
     cfg: &RunConfig,
 ) -> (euno_sim::RunMetrics, WorkloadSpec) {
     let rt = Runtime::new_virtual();
-    let map = system.build_with_strategy(&rt, strategy_for(policy));
+    let map = system.build(&rt);
     let mut spec = workload.spec(200_000, theta);
-    spec.base.policy = policy;
     cli.shrink(&mut spec.base);
     preload(map.as_ref(), &rt, &spec.base);
     rt.reset_dynamics();
@@ -96,13 +94,11 @@ fn run_ycsb(
 fn main() {
     let cli = Cli::parse();
     let theta = cli.theta(0.9);
-    let policy = cli.policy.unwrap_or_default();
     let mut cfg = fig_config(0x4C5B, 10_000);
     cli.apply(&mut cfg);
 
     println!(
-        "== YCSB core suite, θ={theta}, policy={}, {} virtual threads ==\n",
-        policy.label(),
+        "== YCSB core suite, θ={theta}, {} virtual threads ==\n",
         cfg.threads
     );
     let mut points = Vec::new();
@@ -113,7 +109,7 @@ fn main() {
             "system", "Mops/s", "aborts/op", "p50", "p99", "p99.9"
         );
         for system in System::MAIN_FIVE {
-            let (m, base) = run_ycsb(system, workload, theta, policy, &cli, &cfg);
+            let (m, base) = run_ycsb(system, workload, theta, &cli, &cfg);
             println!(
                 "  {:<14} {:>9.2} {:>11.4} {:>9} {:>9} {:>10}",
                 system.label(),

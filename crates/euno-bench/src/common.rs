@@ -13,12 +13,12 @@ use std::sync::Arc;
 
 use euno_baselines::{HtmBTree, HtmMasstree, Masstree};
 use euno_core::{EunoBTree, EunoBTreeDefault, EunoBTreeUnpartitioned, EunoConfig};
-use euno_htm::{ConcurrentMap, CostModel, RetryStrategy, Runtime};
+use euno_htm::{ConcurrentMap, CostModel, Runtime};
 use euno_sim::{
-    chrome_trace, folded_rollup, preload, report_path_for, run_virtual, strategy_for, RunConfig,
-    RunEntry, RunMetrics, RunReport, DEFAULT_TRACE_CAPACITY,
+    chrome_trace, folded_rollup, preload, report_path_for, run_virtual, RunConfig, RunEntry,
+    RunMetrics, RunReport, DEFAULT_TRACE_CAPACITY,
 };
-use euno_workloads::{PolicyChoice, WorkloadSpec};
+use euno_workloads::WorkloadSpec;
 
 /// The four systems of §5.1, plus the ablation variants of Figure 13.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -79,60 +79,38 @@ impl System {
         }
     }
 
-    /// Instantiate the system against a runtime with the default (DBX)
-    /// retry strategy.
+    /// Instantiate the system against a runtime.
     pub fn build(self, rt: &Arc<Runtime>) -> Box<dyn ConcurrentMap> {
-        self.build_with_strategy(rt, strategy_for(PolicyChoice::Dbx))
-    }
-
-    /// Instantiate the system with an explicit executor retry strategy.
-    /// Masstree takes no HTM regions, so the strategy does not apply
-    /// there; every other system threads it into its region executor.
-    pub fn build_with_strategy(
-        self,
-        rt: &Arc<Runtime>,
-        strategy: Arc<dyn RetryStrategy>,
-    ) -> Box<dyn ConcurrentMap> {
+        let rt = Arc::clone(rt);
         match self {
-            System::EunoBTree | System::AblationAdaptive => {
-                Box::new(EunoBTreeDefault::with_strategy(Arc::clone(rt), strategy))
-            }
-            System::EunoReadOpt => Box::new(EunoBTreeDefault::with_config_and_strategy(
-                Arc::clone(rt),
+            System::EunoBTree | System::AblationAdaptive => Box::new(EunoBTreeDefault::new(rt)),
+            System::EunoReadOpt => Box::new(EunoBTreeDefault::with_config(
+                rt,
                 EunoConfig::read_optimized(),
-                strategy,
             )),
-            System::HtmBTree => Box::new(HtmBTree::<16>::with_strategy(Arc::clone(rt), strategy)),
-            System::Masstree => Box::new(Masstree::new(Arc::clone(rt))),
-            System::HtmMasstree => Box::new(HtmMasstree::with_strategy(Arc::clone(rt), strategy)),
-            System::AblationSplitHtm => Box::new(EunoBTreeUnpartitioned::with_config_and_strategy(
-                Arc::clone(rt),
+            System::HtmBTree => Box::new(HtmBTree::<16>::new(rt)),
+            System::Masstree => Box::new(Masstree::new(rt)),
+            System::HtmMasstree => Box::new(HtmMasstree::new(rt)),
+            System::AblationSplitHtm => Box::new(EunoBTreeUnpartitioned::with_config(
+                rt,
                 EunoConfig::split_htm_only(),
-                strategy,
             )),
-            System::AblationPartLeaf => Box::new(EunoBTree::<4, 4>::with_config_and_strategy(
-                Arc::clone(rt),
-                EunoConfig::part_leaf(),
-                strategy,
-            )),
-            System::AblationCcmLockbits => Box::new(EunoBTree::<4, 4>::with_config_and_strategy(
-                Arc::clone(rt),
-                EunoConfig::ccm_lockbits(),
-                strategy,
-            )),
-            System::AblationCcmMarkbits => Box::new(EunoBTree::<4, 4>::with_config_and_strategy(
-                Arc::clone(rt),
-                EunoConfig::ccm_markbits(),
-                strategy,
-            )),
-            System::EunoTwoPath => Box::new(EunoBTreeDefault::with_config_and_strategy(
-                Arc::clone(rt),
-                EunoConfig::default().two_path(),
-                strategy,
-            )),
-            System::HtmBTreeThreePath => {
-                Box::new(HtmBTree::<16>::with_strategy(Arc::clone(rt), strategy).three_path())
+            System::AblationPartLeaf => {
+                Box::new(EunoBTree::<4, 4>::with_config(rt, EunoConfig::part_leaf()))
             }
+            System::AblationCcmLockbits => Box::new(EunoBTree::<4, 4>::with_config(
+                rt,
+                EunoConfig::ccm_lockbits(),
+            )),
+            System::AblationCcmMarkbits => Box::new(EunoBTree::<4, 4>::with_config(
+                rt,
+                EunoConfig::ccm_markbits(),
+            )),
+            System::EunoTwoPath => Box::new(EunoBTreeDefault::with_config(
+                rt,
+                EunoConfig::default().two_path(),
+            )),
+            System::HtmBTreeThreePath => Box::new(HtmBTree::<16>::new(rt).three_path()),
         }
     }
 }
@@ -177,11 +155,10 @@ impl Point {
 }
 
 /// Run one (system, workload, config) cell: fresh runtime, preload,
-/// measure. The tree is built under the retry strategy the spec's
-/// [`PolicyChoice`] selects.
+/// measure.
 pub fn measure(system: System, spec: &WorkloadSpec, cfg: &RunConfig) -> RunMetrics {
     let rt = Runtime::new_virtual();
-    let map = system.build_with_strategy(&rt, strategy_for(spec.policy));
+    let map = system.build(&rt);
     preload(map.as_ref(), &rt, spec);
     rt.reset_dynamics();
     run_virtual(map.as_ref(), &rt, spec, cfg)
@@ -215,8 +192,7 @@ pub fn fig_config(seed: u64, ops_per_thread: u64) -> RunConfig {
 
 /// Parse the flags shared by every figure binary:
 /// `--csv <path>` / `--ops <n>` / `--threads <n>` / `--theta <f>` /
-/// `--keys <n>` / `--policy dbx|aggressive|adaptive` /
-/// `--trace <path>` / `--profile`.
+/// `--keys <n>` / `--trace <path>` / `--profile`.
 pub struct Cli {
     pub csv: Option<String>,
     pub ops_override: Option<u64>,
@@ -229,7 +205,6 @@ pub struct Cli {
     /// substring (engine_bench honours it; handy for profiling one
     /// scenario without a rebuild).
     pub only: Option<String>,
-    pub policy: Option<PolicyChoice>,
     /// Export the first measured cell's event trace as Chrome trace-event
     /// JSON to this path (plus a `<path>.folded` flamegraph rollup).
     pub trace: Option<String>,
@@ -253,7 +228,6 @@ impl Cli {
             theta_override: None,
             keys_override: None,
             only: None,
-            policy: None,
             trace: None,
             profile: false,
             trace_capacity: None,
@@ -287,21 +261,10 @@ impl Cli {
                 "--trace-capacity" => {
                     cli.trace_capacity = Some(numeric("--trace-capacity", args.next()));
                 }
-                "--policy" => match args.next().as_deref().map(str::parse::<PolicyChoice>) {
-                    Some(Ok(p)) => cli.policy = Some(p),
-                    Some(Err(e)) => {
-                        eprintln!("{e}");
-                        std::process::exit(2);
-                    }
-                    None => {
-                        eprintln!("--policy needs a value (dbx|aggressive|adaptive)");
-                        std::process::exit(2);
-                    }
-                },
                 "--help" | "-h" => {
                     eprintln!(
                         "flags: --csv <path>  --ops <per-thread>  --threads <n>\n\
-                         \x20      --theta <f64>  --keys <range>  --policy dbx|aggressive|adaptive\n\
+                         \x20      --theta <f64>  --keys <range>\n\
                          \x20      --only <substr> (run only rows whose label contains it)\n\
                          \x20      --trace <path> (Chrome trace JSON of the first cell, + <path>.folded)\n\
                          \x20      --trace-capacity <events> (per-thread ring size for --trace)\n\
@@ -363,14 +326,9 @@ impl Cli {
         self.theta_override.unwrap_or(default)
     }
 
-    /// The paper-default workload at `theta`, with the `--policy` choice
-    /// (if any) threaded into the spec — the knob [`measure`] reads when
-    /// picking the executor's retry strategy.
+    /// The paper-default workload at `theta`, shrunk by `--keys` if given.
     pub fn spec(&self, theta: f64) -> WorkloadSpec {
         let mut spec = WorkloadSpec::paper_default(theta);
-        if let Some(p) = self.policy {
-            spec.policy = p;
-        }
         self.shrink(&mut spec);
         spec
     }

@@ -18,7 +18,7 @@
 //! | `sensitivity` | cost-model robustness sweep (beyond the paper) |
 //!
 //! All binaries accept `--csv <path>`, `--ops <n>`, `--threads <n>`, and
-//! honour `EUNO_BENCH_SCALE` for quick runs. Criterion microbenches live
-//! in `benches/`.
+//! honour `EUNO_BENCH_SCALE` for quick runs. Self-timed microbenches
+//! (plain `main()`, `harness = false`) live in `benches/`.
 
 pub mod common;

@@ -42,7 +42,7 @@
 
 use std::sync::atomic::Ordering;
 
-use euno_htm::{EventKind, ThreadCtx, TxWord, TOMBSTONE};
+use euno_htm::{EventKind, RetryPolicy, ThreadCtx, TxWord, TOMBSTONE};
 
 use crate::ccm::Ccm;
 use crate::node::{EunoLeaf, NodeRef};
@@ -210,32 +210,33 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             // descents first, one shared TL2 episode if the optimistic
             // window refuses to close.
             let mut early = [None; UPPER_CHUNK];
-            let (leaves, upper_conflicts) =
-                match self.resolve_chunk_optimistic(ctx, chunk, &early_ok, &mut early) {
-                    Some(leaves) => {
-                        stats.opt_chunks += 1;
-                        (leaves, 0u32)
-                    }
-                    None => {
-                        early = [None; UPPER_CHUNK];
-                        let fp = None; // CCM bits may be held between groups; keep
-                                       // the shared descent off the middle path.
-                        let upper =
-                            ctx.htm_execute_with(&self.ctrl.fallback, self.strategy(), fp, |tx| {
-                                tx.set_op_key(chunk[0].key());
-                                let mut leaves = [(0u64, 0u64); UPPER_CHUNK];
-                                for (j, op) in chunk.iter().enumerate() {
-                                    let leaf = self.descend(tx, op.key())?;
-                                    let seq = tx.read(&leaf.seqno)?;
-                                    leaves[j] = (NodeRef::of_leaf(leaf).to_word(), seq);
-                                }
-                                Ok(leaves)
-                            });
-                        stats.upper_episodes += 1;
-                        stats.conflict_aborts += u64::from(upper.conflict_aborts);
-                        (upper.value, upper.conflict_aborts)
-                    }
-                };
+            let (leaves, upper_conflicts) = match self
+                .resolve_chunk_optimistic(ctx, chunk, &early_ok, &mut early)
+            {
+                Some(leaves) => {
+                    stats.opt_chunks += 1;
+                    (leaves, 0u32)
+                }
+                None => {
+                    early = [None; UPPER_CHUNK];
+                    let fp = None; // CCM bits may be held between groups; keep
+                                   // the shared descent off the middle path.
+                    let upper =
+                        ctx.htm_execute_with(&self.ctrl.fallback, &RetryPolicy::DBX, fp, |tx| {
+                            tx.set_op_key(chunk[0].key());
+                            let mut leaves = [(0u64, 0u64); UPPER_CHUNK];
+                            for (j, op) in chunk.iter().enumerate() {
+                                let leaf = self.descend(tx, op.key())?;
+                                let seq = tx.read(&leaf.seqno)?;
+                                leaves[j] = (NodeRef::of_leaf(leaf).to_word(), seq);
+                            }
+                            Ok(leaves)
+                        });
+                    stats.upper_episodes += 1;
+                    stats.conflict_aborts += u64::from(upper.conflict_aborts);
+                    (upper.value, upper.conflict_aborts)
+                }
+            };
 
             // Early gets are finished operations: publish them before the
             // group stage (which skips their cells).
@@ -485,7 +486,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         let pending = cells[..n].iter().filter(|&&c| c == Cell::Pending).count();
         let mut lower_conflicts = 0;
         if pending > 0 {
-            let res = ctx.htm_execute_with(&self.ctrl.fallback, self.strategy(), None, |tx| {
+            let res = ctx.htm_execute_with(&self.ctrl.fallback, &RetryPolicy::DBX, None, |tx| {
                 tx.set_op_key(ops[0].key());
                 if slots_locked {
                     // Same-record contenders queue on the CCM lock bits

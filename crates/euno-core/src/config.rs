@@ -39,7 +39,7 @@ pub struct EunoConfig {
     pub middle_path: bool,
     /// Serve gets and scans on the episode-free optimistic read path:
     /// descend with direct loads under an epoch pin, validate via the
-    /// per-leaf `seqno` (plus the NOrec seqlock and the fallback cell in
+    /// per-leaf `seqno` (plus the TL2 version clock and the fallback cell in
     /// concurrent mode), retry from the root on any change. Writes keep
     /// the two-step transactional traversal. Off (the default) reproduces
     /// the paper's all-episode system.

@@ -25,7 +25,7 @@
 //! leftmost child; boundary pairs are simply skipped (they become
 //! mergeable after their parents themselves drain).
 
-use euno_htm::{EventKind, TxWord, TOMBSTONE};
+use euno_htm::{EventKind, RetryPolicy, TxWord, TOMBSTONE};
 
 use crate::node::{EunoLeaf, NodeRef};
 use crate::probe;
@@ -118,7 +118,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         // merge is abandoned (just extra false positives).
         let right_marks = right.ccm.marks_plain();
         left.ccm.or_marks(ctx, right_marks);
-        let out = ctx.htm_execute(self.fallback_cell(), self.strategy(), |tx| {
+        let out = ctx.htm_execute(self.fallback_cell(), &RetryPolicy::DBX, |tx| {
             // Both split locks are held: contending structural ops queue.
             tx.mark_serialized();
             // Re-verify adjacency under transactional protection.

@@ -5,7 +5,7 @@
 //! the next leaf via the chain pointer — re-finding the cursor's leaf from
 //! the root whenever a concurrent split invalidates the cached `seqno`.
 
-use euno_htm::{ThreadCtx, TxWord, KEY_SENTINEL, TOMBSTONE};
+use euno_htm::{RetryPolicy, ThreadCtx, TxWord, KEY_SENTINEL, TOMBSTONE};
 
 use crate::node::NodeRef;
 use crate::tree::EunoBTree;
@@ -43,7 +43,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             // §4.2.4: lock the leaf, merge segments into the sorted
             // reserved area, read an ordered run.
             leaf.split_lock.acquire(ctx);
-            let out_piece = ctx.htm_execute(&self.ctrl.fallback, self.strategy(), |tx| {
+            let out_piece = ctx.htm_execute(&self.ctrl.fallback, &RetryPolicy::DBX, |tx| {
                 tx.set_op_key(cursor);
                 if tx.read(&leaf.seqno)? != seqno {
                     return Ok(None);
@@ -197,7 +197,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
 mod tests {
     use std::sync::Arc;
 
-    use euno_htm::{ConcurrentMap, Runtime, TxWord};
+    use euno_htm::{ConcurrentMap, RetryPolicy, Runtime, TxWord};
 
     use crate::node::NodeRef;
     use crate::tree::EunoBTreeDefault;
@@ -218,7 +218,7 @@ mod tests {
         t.put(&mut ctx, 10, 100);
         let leaf = unsafe { NodeRef::from_word(t.root_bits()).as_leaf::<4, 4>() };
         // Forge a record at the top of the keyspace and a self-loop hop.
-        ctx.htm_execute(t.fallback_cell(), t.strategy(), |tx| {
+        ctx.htm_execute(t.fallback_cell(), &RetryPolicy::DBX, |tx| {
             leaf.segs[1].insert(tx, u64::MAX, 7)?;
             Ok(())
         });

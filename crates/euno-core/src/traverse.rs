@@ -12,13 +12,12 @@
 //!    if changed, a concurrent split moved records and the operation
 //!    retries from the root (the rare case).
 //!
-//! Both regions run on the layered executor in `euno_htm::exec` under the
-//! tree's [`RetryStrategy`](euno_htm::RetryStrategy); this module owns no
-//! retry loop of its own.
+//! Both regions run on the layered executor in `euno_htm::exec` under
+//! [`RetryPolicy::DBX`]; this module owns no retry loop of its own.
 
 use std::sync::atomic::Ordering;
 
-use euno_htm::{ThreadCtx, Tx, TxResult, TxWord, TOMBSTONE};
+use euno_htm::{RetryPolicy, ThreadCtx, Tx, TxResult, TxWord, TOMBSTONE};
 
 use crate::ccm::Ccm;
 use crate::node::{EunoInternal, EunoLeaf, NodeRef, INTERNAL_FANOUT};
@@ -60,7 +59,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         key: u64,
     ) -> (&EunoLeaf<SEGS, K>, u64, u32) {
         let fp = self.cfg.middle_path.then(|| self.middle_footprint(key));
-        let out = ctx.htm_execute_with(&self.ctrl.fallback, self.strategy(), fp.as_ref(), |tx| {
+        let out = ctx.htm_execute_with(&self.ctrl.fallback, &RetryPolicy::DBX, fp.as_ref(), |tx| {
             tx.set_op_key(key);
             let leaf = self.descend(tx, key)?;
             let seq = tx.read(&leaf.seqno)?;
@@ -153,8 +152,11 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                 // the CCM (whose slot bit may already be held from step 2
                 // — re-acquiring it here would self-deadlock).
                 let fp = self.cfg.middle_path.then(|| self.middle_footprint(key));
-                let out =
-                    ctx.htm_execute_with(&self.ctrl.fallback, self.strategy(), fp.as_ref(), |tx| {
+                let out = ctx.htm_execute_with(
+                    &self.ctrl.fallback,
+                    &RetryPolicy::DBX,
+                    fp.as_ref(),
+                    |tx| {
                         tx.set_op_key(key);
                         if slot_locked {
                             // Same-record contenders queue on the CCM lock bit
@@ -167,7 +169,8 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                             return Ok(Lower::Inconsistent);
                         }
                         self.lower_body(tx, leaf, req, key, newval, split_locked)
-                    });
+                    },
+                );
                 (out.value, out.conflict_aborts)
             };
 
@@ -257,7 +260,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
     /// Episode-free point lookup (the `read_opt` path): optimistic
     /// descent with direct loads under an epoch pin, bracketed by the
     /// leaf's `seqno` — read it, search the segments, re-read it — and
-    /// closed out by the engine-level snapshot check (NOrec seqlock plus
+    /// closed out by the engine-level snapshot check (TL2 version clock plus
     /// the fallback cell in concurrent mode, window overlap in virtual
     /// mode). Any change retries from the root; the seqno-bump-first
     /// discipline on splits, merges and reorganizations guarantees a

@@ -13,17 +13,16 @@
 //!   through the index (§4.2.3);
 //! * [`crate::scan`] — range scans over the leaf chain (§4.2.4).
 //!
-//! Retry policy is pluggable: the tree holds an `Arc<dyn RetryStrategy>`
-//! consulted by the layered executor for every HTM region it starts, so
-//! the same structure runs under DBX-style budgets, persistent retry, or
-//! an adaptive controller without recompiling.
+//! Every HTM region the tree starts runs under the one shared
+//! [`RetryPolicy::DBX`](euno_htm::RetryPolicy::DBX) (§4.2.1 DBX-style
+//! per-cause budgets).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use euno_htm::{
-    BitLockVector, ConcurrentMap, Footprint, MemoryReport, RetryPolicy, RetryStrategy, Runtime,
-    ThreadCtx, TransientBytes, Tx, TxCell, TxResult, TxWord, KEY_SENTINEL, TOMBSTONE,
+    BitLockVector, ConcurrentMap, Footprint, MemoryReport, Runtime, ThreadCtx, TransientBytes, Tx,
+    TxCell, TxResult, TxWord, KEY_SENTINEL, TOMBSTONE,
 };
 
 use crate::ccm::Ccm;
@@ -37,7 +36,6 @@ use crate::node::{EunoLeaf, NodeArenas, NodeRef};
 pub struct EunoBTree<const SEGS: usize = 4, const K: usize = 4> {
     pub(crate) rt: Arc<Runtime>,
     pub(crate) cfg: EunoConfig,
-    pub(crate) strategy: Arc<dyn RetryStrategy>,
     pub(crate) ctrl: Box<euno_htm::ControlBlock>,
     pub(crate) arenas: NodeArenas<SEGS, K>,
     pub(crate) reserved_bytes: TransientBytes,
@@ -72,19 +70,6 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
     }
 
     pub fn with_config(rt: Arc<Runtime>, cfg: EunoConfig) -> Self {
-        Self::with_config_and_strategy(rt, cfg, Arc::new(RetryPolicy::default()))
-    }
-
-    /// Default configuration, custom retry strategy.
-    pub fn with_strategy(rt: Arc<Runtime>, strategy: Arc<dyn RetryStrategy>) -> Self {
-        Self::with_config_and_strategy(rt, EunoConfig::default(), strategy)
-    }
-
-    pub fn with_config_and_strategy(
-        rt: Arc<Runtime>,
-        cfg: EunoConfig,
-        strategy: Arc<dyn RetryStrategy>,
-    ) -> Self {
         let arenas: NodeArenas<SEGS, K> = NodeArenas::new();
         let first = arenas.leaves.alloc(EunoLeaf::empty());
         first.register(&rt);
@@ -93,7 +78,6 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         EunoBTree {
             rt,
             cfg,
-            strategy,
             ctrl,
             arenas,
             reserved_bytes: TransientBytes::new(),
@@ -146,11 +130,6 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
 
     pub(crate) fn fallback_cell(&self) -> &TxCell<u64> {
         &self.ctrl.fallback
-    }
-
-    /// The retry strategy every HTM region of this tree runs under.
-    pub fn strategy(&self) -> &dyn RetryStrategy {
-        &*self.strategy
     }
 
     pub(crate) fn peek_all_for_merge(
@@ -540,25 +519,6 @@ mod tests {
         assert!(leaf.ccm.bypass_plain(), "calm leaf must bypass CCM");
         assert_eq!(t.get(&mut ctx, 1), Some(1));
         assert_eq!(t.get(&mut ctx, 999_999), None);
-    }
-
-    #[test]
-    fn custom_strategy_is_honored_per_tree() {
-        // A tree built with the aggressive strategy keeps answering
-        // correctly and reports the strategy it was given.
-        let rt = Runtime::new_virtual();
-        let t: EunoBTreeDefault = EunoBTree::with_strategy(
-            Arc::clone(&rt),
-            Arc::new(euno_htm::AggressivePolicy::default()),
-        );
-        assert_eq!(t.strategy().name(), "aggressive");
-        let mut ctx = rt.thread(7);
-        for k in 0..300u64 {
-            t.put(&mut ctx, k, k + 1);
-        }
-        for k in 0..300u64 {
-            assert_eq!(t.get(&mut ctx, k), Some(k + 1));
-        }
     }
 
     #[test]

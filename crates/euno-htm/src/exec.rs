@@ -10,8 +10,8 @@
 //! 2. **classify** — on abort: account the wasted cycles (with the eager
 //!    conflict-detection refund), charge the abort penalty, bump the
 //!    per-cause tallies;
-//! 3. **decide** — ask the [`RetryStrategy`] whether to retry, retry with
-//!    backoff, or give up;
+//! 3. **decide** — ask the [`RetryPolicy`] whether to retry, retry with
+//!    backoff, or give up ([`RetryPolicy::decide`]);
 //! 4. **backoff** — charge the exponential backoff between retries;
 //! 5. **fallback** — serialize on the lock and run the body directly.
 //!
@@ -24,28 +24,24 @@
 //! speculating; and only after repeated middle-path failure the global
 //! serialized fallback ([`Path::Fallback`]). Regions that declare no
 //! footprint skip the middle path entirely — byte-for-byte the classic
-//! two-path behaviour. What the split buys is the two seams:
+//! two-path behaviour.
 //!
-//! * [`RetryStrategy`] makes the decide stage pluggable — the DBX-style
-//!   per-cause budgets ([`RetryPolicy`] itself implements the trait), an
-//!   [`AggressivePolicy`] that almost never falls back, and an
-//!   [`AdaptiveBudget`] that resizes the conflict budget from the observed
-//!   fallback rate.
-//! * [`ExecObserver`] makes the accounting pluggable — the default hooks
-//!   maintain the existing [`ThreadStats`] counters (figures 2 and 9 are
-//!   derived from them), and instrumentation can layer on top without
-//!   touching the executor.
+//! The executor maintains two kinds of accounting itself: the *cycle and
+//! abort-cause* fields of [`ThreadStats`](crate::stats::ThreadStats)
+//! (figures 2 and 9 are derived from them) and the stage **counts**
+//! (attempts, commits, middles, fallbacks, backoffs) on the thread's
+//! `euno-metrics` shard.
 
-use std::sync::atomic::{AtomicI32, AtomicU32, Ordering};
+#[cfg(all(feature = "hw-rtm", target_arch = "x86_64"))]
+use std::sync::atomic::Ordering;
 
 use euno_trace::{codes, EventKind};
 
 use crate::abort::{AbortCause, ConflictInfo, TxResult};
 use crate::ctx::{trace_abort_code, EpisodeKind, ThreadCtx, Tx};
 use crate::lock::Footprint;
-use crate::policy::{RetryCounts, RetryPolicy};
+use crate::policy::{Decision, RetryCounts, RetryPolicy};
 use crate::runtime::Mode;
-use crate::stats::ThreadStats;
 use crate::word::TxCell;
 
 /// Which of the three execution paths ultimately completed a region.
@@ -92,316 +88,21 @@ impl<R> ExecOutcome<R> {
     }
 }
 
-/// Verdict of the decide stage after a classified abort.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Decision {
-    /// Try the region again, optionally after exponential backoff.
-    Retry { backoff: bool },
-    /// Escalate to the footprint-local middle path: retry speculatively
-    /// while holding the region's advisory slot locks. Regions without a
-    /// declared footprint treat this as [`Decision::Fallback`].
-    Middle,
-    /// Give up on speculation and take the serialized fallback path.
-    Fallback,
-}
-
-/// The decide stage: given the per-cause abort tallies of the current
-/// region and the cause that just fired, choose what to do next.
-///
-/// Strategies are shared across threads (trees hold them behind an `Arc`),
-/// so any adaptivity must go through interior mutability.
-pub trait RetryStrategy: Send + Sync {
-    /// Short stable name (CLI flags, figure labels).
-    fn name(&self) -> &'static str;
-
-    /// Called after every abort, *after* `counts` was bumped with `cause`.
-    fn decide(&self, counts: &RetryCounts, cause: AbortCause) -> Decision;
-
-    /// Post-region feedback for adaptive strategies: total attempts made
-    /// and the path the region ended on.
-    fn observe_region(&self, _attempts: u32, _path: Path) {}
-}
-
-/// The DBX-style per-cause budgets are themselves a strategy — every
-/// pre-existing call site that passed `&RetryPolicy` keeps working. The
-/// escalation schedule is the same for all budget-based strategies:
-/// speculate while no per-cause budget is exhausted, then grant
-/// `middle_retries` footprint-locked attempts, then serialize.
-impl RetryStrategy for RetryPolicy {
-    fn name(&self) -> &'static str {
-        "budget"
-    }
-
-    fn decide(&self, counts: &RetryCounts, _cause: AbortCause) -> Decision {
-        if !self.exhausted(counts) {
-            Decision::Retry {
-                backoff: self.backoff,
-            }
-        } else if counts.middle < self.middle_retries {
-            Decision::Middle
-        } else {
-            Decision::Fallback
-        }
-    }
-}
-
-/// The paper's default configuration (§4.2.1): DBX per-cause budgets with
-/// exponential backoff. Identical to `RetryPolicy::default()`, named so a
-/// workload spec can ask for it.
-#[derive(Clone, Debug, Default)]
-pub struct DbxPolicy {
-    pub budgets: RetryPolicy,
-}
-
-impl RetryStrategy for DbxPolicy {
-    fn name(&self) -> &'static str {
-        "dbx"
-    }
-
-    fn decide(&self, counts: &RetryCounts, cause: AbortCause) -> Decision {
-        self.budgets.decide(counts, cause)
-    }
-}
-
-/// Retry hard, fall back almost never (`RetryPolicy::persistent()`): used
-/// to isolate abort behaviour in the analysis experiments.
-#[derive(Clone, Debug)]
-pub struct AggressivePolicy {
-    pub budgets: RetryPolicy,
-}
-
-impl Default for AggressivePolicy {
-    fn default() -> Self {
-        AggressivePolicy {
-            budgets: RetryPolicy::persistent(),
-        }
-    }
-}
-
-impl RetryStrategy for AggressivePolicy {
-    fn name(&self) -> &'static str {
-        "aggressive"
-    }
-
-    fn decide(&self, counts: &RetryCounts, cause: AbortCause) -> Decision {
-        self.budgets.decide(counts, cause)
-    }
-}
-
-/// Widest the adaptive conflict budget is allowed to grow.
-const ADAPTIVE_MAX_CONFLICT_BUDGET: u32 = 64;
-
-/// Average attempts per region above which a window counts as *deep*:
-/// regions are spending their whole retry budget even when they
-/// eventually commit, so the budget should shrink.
-const ADAPTIVE_DEEP_ATTEMPTS: u32 = 6;
-
-/// Average attempts per region below which a window counts as *shallow*
-/// enough to justify growing the budget.
-const ADAPTIVE_SHALLOW_ATTEMPTS: u32 = 2;
-
-/// An adaptive wrapper around the base budgets: the conflict budget is
-/// scaled by powers of two from the recent fallback rate. When regions
-/// keep exhausting their retries anyway (high fallback rate), retrying is
-/// wasted work — shrink the budget and serialize sooner. When fallbacks
-/// are rare, speculation is winning — let regions retry longer before
-/// giving up. Non-conflict budgets (capacity, explicit, …) are not
-/// adapted: their aborts are deterministic in the footprint, so more
-/// retries cannot help.
-#[derive(Debug)]
-pub struct AdaptiveBudget {
-    base: RetryPolicy,
-    /// Regions per adaptation window.
-    window: u32,
-    /// Right-shift applied to the base conflict budget (negative =
-    /// left-shift, i.e. a larger budget).
-    scale: AtomicI32,
-    regions: AtomicU32,
-    fallbacks: AtomicU32,
-    /// Attempts summed over the current window — the budget must respond
-    /// to attempt *depth*, not just the fallback rate: a window can be
-    /// fallback-free while every region still burns its full budget.
-    attempts_acc: AtomicU32,
-}
-
-impl AdaptiveBudget {
-    pub fn new(base: RetryPolicy) -> Self {
-        AdaptiveBudget {
-            base,
-            window: 128,
-            scale: AtomicI32::new(0),
-            regions: AtomicU32::new(0),
-            fallbacks: AtomicU32::new(0),
-            attempts_acc: AtomicU32::new(0),
-        }
-    }
-
-    /// Override the adaptation window (regions between re-evaluations).
-    pub fn with_window(mut self, window: u32) -> Self {
-        assert!(window > 0, "adaptation window must be positive");
-        self.window = window;
-        self
-    }
-
-    /// The conflict budget currently in force.
-    pub fn conflict_budget(&self) -> u32 {
-        let s = self.scale.load(Ordering::Relaxed);
-        let base = self.base.conflict_retries.max(1);
-        if s >= 0 {
-            (base >> s.min(31)).max(1)
-        } else {
-            (base << (-s).min(8) as u32).min(ADAPTIVE_MAX_CONFLICT_BUDGET)
-        }
-    }
-}
-
-impl Default for AdaptiveBudget {
-    fn default() -> Self {
-        AdaptiveBudget::new(RetryPolicy::default())
-    }
-}
-
-impl RetryStrategy for AdaptiveBudget {
-    fn name(&self) -> &'static str {
-        "adaptive"
-    }
-
-    fn decide(&self, counts: &RetryCounts, cause: AbortCause) -> Decision {
-        let mut budgets = self.base.clone();
-        budgets.conflict_retries = self.conflict_budget();
-        budgets.decide(counts, cause)
-    }
-
-    fn observe_region(&self, attempts: u32, path: Path) {
-        if path == Path::Fallback {
-            self.fallbacks.fetch_add(1, Ordering::Relaxed);
-        }
-        self.attempts_acc.fetch_add(attempts, Ordering::Relaxed);
-        let n = self.regions.fetch_add(1, Ordering::Relaxed) + 1;
-        if !n.is_multiple_of(self.window) {
-            return;
-        }
-        // Window boundary: re-evaluate. The counters are only
-        // approximately windowed under real concurrency, which is fine —
-        // the controller needs a trend, not an exact rate.
-        let fb = self.fallbacks.swap(0, Ordering::Relaxed);
-        let tries = self.attempts_acc.swap(0, Ordering::Relaxed);
-        let scale = self.scale.load(Ordering::Relaxed);
-        // Attempt depth, not just fallback rate: a window whose regions
-        // average many attempts is burning its budget even when the
-        // regions eventually commit or resolve on the middle path.
-        let deep = tries > self.window.saturating_mul(ADAPTIVE_DEEP_ATTEMPTS);
-        let shallow = tries <= self.window.saturating_mul(ADAPTIVE_SHALLOW_ATTEMPTS);
-        let next = if fb * 4 > self.window || deep {
-            // >25 % of regions serialized, or budget-deep retrying:
-            // retries are being wasted.
-            (scale + 1).min(3)
-        } else if fb * 20 < self.window && shallow {
-            // <5 % fallbacks and shallow regions: speculation wins,
-            // grant a bigger budget.
-            (scale - 1).max(-2)
-        } else {
-            scale
-        };
-        self.scale.store(next, Ordering::Relaxed);
-    }
-}
-
-/// Hooks called at each executor stage transition. The default methods
-/// maintain the [`ThreadStats`] *cycle and abort-cause* accounting; the
-/// stage **counts** themselves (attempts, commits, middles, fallbacks,
-/// backoffs) are maintained by the executor directly on the thread's
-/// `euno-metrics` shard, so they are correct regardless of which observer
-/// is installed. An observer that overrides a cycle hook and still wants
-/// the figures to work must keep those updates.
-pub trait ExecObserver {
-    /// A transaction attempt is about to run (episode already open).
-    fn on_attempt(&mut self, _stats: &mut ThreadStats) {}
-
-    /// An attempt aborted; `wasted_cycles` includes the abort penalty and
-    /// is net of the eager-detection refund.
-    fn on_abort(&mut self, stats: &mut ThreadStats, cause: AbortCause, wasted_cycles: u64) {
-        stats.cycles_wasted += wasted_cycles;
-        stats.aborts.record(cause);
-    }
-
-    /// The decide stage asked for backoff before the next attempt.
-    fn on_backoff(&mut self, stats: &mut ThreadStats, cycles: u64) {
-        stats.cycles_wasted += cycles;
-        stats.cycles_backoff += cycles;
-    }
-
-    /// The thread waited `cycles` on the fallback lock — either waiting it
-    /// out before a speculative attempt or acquiring it for a serialized
-    /// run. Brown's HTM-template analysis (and §4.2.1 here) makes this the
-    /// single most diagnostic stage count: fallback convoys live in it.
-    fn on_fallback_wait(&mut self, stats: &mut ThreadStats, cycles: u64) {
-        stats.cycles_fallback_wait += cycles;
-    }
-
-    /// A middle-path attempt is about to run: the region's footprint slot
-    /// locks were just acquired (the episode is not yet open).
-    fn on_middle_attempt(&mut self, _stats: &mut ThreadStats) {}
-
-    /// The thread waited `cycles` acquiring a middle-path footprint's
-    /// slot locks.
-    fn on_middle_wait(&mut self, stats: &mut ThreadStats, cycles: u64) {
-        stats.cycles_middle_wait += cycles;
-    }
-
-    /// An attempt committed; `attempts` counts all tries including this
-    /// one, and `path` says whether it was a plain ([`Path::Htm`]) or
-    /// footprint-locked ([`Path::Middle`]) commit.
-    fn on_commit(&mut self, _stats: &mut ThreadStats, _attempts: u32, _path: Path) {}
-
-    /// The region completed on the serialized fallback path.
-    fn on_fallback(&mut self, _stats: &mut ThreadStats) {}
-}
-
-/// The default observer: exactly the default cycle/abort accounting.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct StatsObserver;
-
-impl ExecObserver for StatsObserver {}
-
 /// One region execution in flight: the stage composition over a fallback
-/// cell, a retry strategy and an observer. [`ThreadCtx::htm_execute`] is
-/// the everyday entry point; build an `Executor` directly to attach a
-/// custom observer.
-pub struct Executor<'e> {
+/// cell, a retry policy and an optional middle-path footprint.
+struct Executor<'e> {
     fb: &'e TxCell<u64>,
-    strategy: &'e dyn RetryStrategy,
-    observer: &'e mut dyn ExecObserver,
+    policy: &'e RetryPolicy,
+    /// The advisory slots a [`Decision::Middle`] attempt locks (in sorted
+    /// order) before speculating. Without one, `Decision::Middle`
+    /// escalates straight to the global fallback.
     footprint: Option<&'e Footprint<'e>>,
     attempt_start: u64,
 }
 
-impl<'e> Executor<'e> {
-    pub fn new(
-        fb: &'e TxCell<u64>,
-        strategy: &'e dyn RetryStrategy,
-        observer: &'e mut dyn ExecObserver,
-    ) -> Self {
-        Executor {
-            fb,
-            strategy,
-            observer,
-            footprint: None,
-            attempt_start: 0,
-        }
-    }
-
-    /// Declare the region's middle-path footprint: the advisory slots a
-    /// [`Decision::Middle`] attempt locks (in sorted order) before
-    /// speculating. Without one, `Decision::Middle` escalates straight to
-    /// the global fallback.
-    pub fn with_footprint(mut self, footprint: &'e Footprint<'e>) -> Self {
-        self.footprint = Some(footprint);
-        self
-    }
-
+impl Executor<'_> {
     /// Drive `body` through the stage pipeline to completion.
-    pub fn run<R>(
+    fn run<R>(
         &mut self,
         ctx: &mut ThreadCtx,
         mut body: impl FnMut(&mut Tx<'_>) -> TxResult<R>,
@@ -429,10 +130,9 @@ impl<'e> Executor<'e> {
                 let wait_before = ctx.stats.cycles_lock_wait;
                 fp.acquire_all(ctx);
                 let waited = ctx.stats.cycles_lock_wait - wait_before;
-                self.observer.on_middle_attempt(&mut ctx.stats);
                 middle_attempts += 1;
                 if waited > 0 {
-                    self.observer.on_middle_wait(&mut ctx.stats, waited);
+                    ctx.stats.cycles_middle_wait += waited;
                     ctx.trace(EventKind::MiddleWait { cycles: waited });
                 }
                 Some(fp)
@@ -447,7 +147,6 @@ impl<'e> Executor<'e> {
                         fp.release_all(ctx);
                     }
                     let path = if on_middle { Path::Middle } else { Path::Htm };
-                    self.observer.on_commit(&mut ctx.stats, attempts, path);
                     ctx.metric_commit_episode(
                         on_middle,
                         attempts,
@@ -456,7 +155,6 @@ impl<'e> Executor<'e> {
                         &ab_htm,
                         &ab_mid,
                     );
-                    self.strategy.observe_region(attempts, path);
                     return ExecOutcome {
                         value: v,
                         attempts,
@@ -471,14 +169,15 @@ impl<'e> Executor<'e> {
                     if let Some(fp) = holding {
                         fp.release_all(ctx);
                     }
-                    self.observer.on_abort(&mut ctx.stats, cause, wasted);
+                    ctx.stats.cycles_wasted += wasted;
+                    ctx.stats.aborts.record(cause);
                     let bucket = crate::ctx::abort_bucket(&cause);
                     if on_middle {
                         ab_mid[bucket] += 1;
                     } else {
                         ab_htm[bucket] += 1;
                     }
-                    match self.strategy.decide(&counts, cause) {
+                    match self.policy.decide(&counts) {
                         Decision::Retry { backoff: true } => {
                             backoffs += 1;
                             self.backoff(ctx, &counts)
@@ -504,9 +203,7 @@ impl<'e> Executor<'e> {
 
         ctx.metric_episode(attempts, middle_attempts, backoffs, &ab_htm, &ab_mid);
         let value = self.fallback(ctx, &mut body);
-        self.observer.on_fallback(&mut ctx.stats);
         ctx.metric_add(euno_metrics::Counter::Fallbacks, 1);
-        self.strategy.observe_region(attempts, Path::Fallback);
         ExecOutcome {
             value,
             attempts,
@@ -555,11 +252,10 @@ impl<'e> Executor<'e> {
         ctx.fb_wait_free(self.fb);
         let waited = ctx.stats.cycles_lock_wait - wait_before;
         if waited > 0 {
-            self.observer.on_fallback_wait(&mut ctx.stats, waited);
+            ctx.stats.cycles_fallback_wait += waited;
             ctx.trace(EventKind::FallbackWait { cycles: waited });
         }
         self.attempt_start = ctx.clock;
-        self.observer.on_attempt(&mut ctx.stats);
         let st = unsafe { hw::xbegin() };
         if st == hw::XBEGIN_STARTED {
             // Subscribe: the lock word joins the read set, so a concurrent
@@ -646,7 +342,7 @@ impl<'e> Executor<'e> {
         ctx.fb_wait_free(self.fb);
         let waited = ctx.stats.cycles_lock_wait - wait_before;
         if waited > 0 {
-            self.observer.on_fallback_wait(&mut ctx.stats, waited);
+            ctx.stats.cycles_fallback_wait += waited;
             ctx.trace(EventKind::FallbackWait { cycles: waited });
         }
         self.attempt_start = ctx.clock;
@@ -656,7 +352,6 @@ impl<'e> Executor<'e> {
         if serialized {
             ctx.set_serialized();
         }
-        self.observer.on_attempt(&mut ctx.stats);
         ctx.fb_subscribe(self.fb)?;
         let v = body(&mut Tx { ctx })?;
         let xend = ctx.runtime().cost.xend;
@@ -669,7 +364,7 @@ impl<'e> Executor<'e> {
     /// hot, close the episode, account wasted cycles (TSX detects
     /// conflicts eagerly: refund half the attempt so retry density matches
     /// mid-flight death), charge the abort penalty, tally the cause.
-    /// Returns the wasted cycles for the observer.
+    /// Returns the wasted cycles (abort penalty included, refund netted).
     fn classify(
         &mut self,
         ctx: &mut ThreadCtx,
@@ -704,7 +399,8 @@ impl<'e> Executor<'e> {
     fn backoff(&mut self, ctx: &mut ThreadCtx, counts: &RetryCounts) {
         let b = ctx.runtime().cost.backoff(counts.total_attempted());
         ctx.charge(b);
-        self.observer.on_backoff(&mut ctx.stats, b);
+        ctx.stats.cycles_wasted += b;
+        ctx.stats.cycles_backoff += b;
         ctx.trace(EventKind::Backoff { cycles: b });
     }
 
@@ -718,7 +414,7 @@ impl<'e> Executor<'e> {
         ctx.fb_acquire(self.fb);
         let waited = ctx.stats.cycles_lock_wait - wait_before;
         if waited > 0 {
-            self.observer.on_fallback_wait(&mut ctx.stats, waited);
+            ctx.stats.cycles_fallback_wait += waited;
             ctx.trace(EventKind::FallbackWait { cycles: waited });
         }
         ctx.episode_begin(EpisodeKind::Fallback);
@@ -743,7 +439,7 @@ impl<'e> Executor<'e> {
 }
 
 impl ThreadCtx {
-    /// Execute `body` as an HTM region under `strategy` with a global-lock
+    /// Execute `body` as an HTM region under `policy` with a global-lock
     /// fallback (§2.1, §4.2.1).
     ///
     /// `body` may run many times: transactionally (reads validated, writes
@@ -754,10 +450,10 @@ impl ThreadCtx {
     pub fn htm_execute<R>(
         &mut self,
         fb: &TxCell<u64>,
-        strategy: &dyn RetryStrategy,
+        policy: &RetryPolicy,
         body: impl FnMut(&mut Tx<'_>) -> TxResult<R>,
     ) -> ExecOutcome<R> {
-        self.htm_execute_with(fb, strategy, None, body)
+        self.htm_execute_with(fb, policy, None, body)
     }
 
     /// [`htm_execute`](ThreadCtx::htm_execute) with a declared middle-path
@@ -768,16 +464,17 @@ impl ThreadCtx {
     pub fn htm_execute_with<R>(
         &mut self,
         fb: &TxCell<u64>,
-        strategy: &dyn RetryStrategy,
+        policy: &RetryPolicy,
         footprint: Option<&Footprint<'_>>,
         body: impl FnMut(&mut Tx<'_>) -> TxResult<R>,
     ) -> ExecOutcome<R> {
-        let mut observer = StatsObserver;
-        let mut ex = Executor::new(fb, strategy, &mut observer);
-        if let Some(fp) = footprint {
-            ex = ex.with_footprint(fp);
+        Executor {
+            fb,
+            policy,
+            footprint,
+            attempt_start: 0,
         }
-        ex.run(self, body)
+        .run(self, body)
     }
 
     /// Run one optimistic-read section (Masstree-style before/after
@@ -1020,159 +717,6 @@ mod tests {
         assert_eq!(fb.load_plain(), 0, "fallback lock must be released");
     }
 
-    // ----- strategy-layer behaviour -----
-
-    #[test]
-    fn strategies_expose_stable_names() {
-        assert_eq!(RetryPolicy::default().name(), "budget");
-        assert_eq!(DbxPolicy::default().name(), "dbx");
-        assert_eq!(AggressivePolicy::default().name(), "aggressive");
-        assert_eq!(AdaptiveBudget::default().name(), "adaptive");
-    }
-
-    #[test]
-    fn aggressive_strategy_retries_where_default_escalates() {
-        // Bump a cause tally past the default budget but inside the
-        // persistent one: the two strategies must disagree. Exhausting
-        // the speculative budget now escalates to the middle path first;
-        // only a region that also burns its middle grants serializes.
-        let mut counts = RetryCounts::default();
-        let cause = AbortCause::Spurious;
-        for _ in 0..RetryPolicy::default().spurious_retries + 1 {
-            counts.bump(cause);
-        }
-        assert_eq!(
-            RetryPolicy::default().decide(&counts, cause),
-            Decision::Middle
-        );
-        assert_eq!(
-            AggressivePolicy::default().decide(&counts, cause),
-            Decision::Retry { backoff: true }
-        );
-        // Past the middle grants too: serialize.
-        counts.middle = RetryPolicy::default().middle_retries;
-        assert_eq!(
-            RetryPolicy::default().decide(&counts, cause),
-            Decision::Fallback
-        );
-        // `two_path()` disables the middle path entirely.
-        assert_eq!(
-            RetryPolicy::default().two_path().decide(
-                &RetryCounts {
-                    middle: 0,
-                    ..counts
-                },
-                cause
-            ),
-            Decision::Fallback
-        );
-    }
-
-    #[test]
-    fn adaptive_budget_shrinks_under_fallback_storms() {
-        let strat = AdaptiveBudget::default().with_window(16);
-        let initial = strat.conflict_budget();
-        // A full window of fallbacks: the budget must shrink.
-        for _ in 0..16 {
-            strat.observe_region(11, Path::Fallback);
-        }
-        assert!(strat.conflict_budget() < initial);
-        // Windows of clean commits: the budget recovers and then grows.
-        for _ in 0..64 {
-            strat.observe_region(1, Path::Htm);
-        }
-        assert!(strat.conflict_budget() > initial);
-        assert!(strat.conflict_budget() <= ADAPTIVE_MAX_CONFLICT_BUDGET);
-    }
-
-    /// Satellite regression: `observe_region` must respond to attempt
-    /// *depth*, not just the fallback flag. A window whose regions all
-    /// commit — but only after burning their whole retry budget — used to
-    /// read as "0 % fallbacks, grow the budget"; it must shrink it.
-    #[test]
-    fn adaptive_budget_shrinks_on_deep_but_clean_windows() {
-        let strat = AdaptiveBudget::default().with_window(16);
-        let initial = strat.conflict_budget();
-        for _ in 0..16 {
-            strat.observe_region(10, Path::Htm); // deep, yet no fallback
-        }
-        assert!(
-            strat.conflict_budget() < initial,
-            "budget-deep windows must shrink the budget even without fallbacks"
-        );
-        // Middle-path commits count toward depth the same way.
-        let strat = AdaptiveBudget::default().with_window(16);
-        for _ in 0..16 {
-            strat.observe_region(10, Path::Middle);
-        }
-        assert!(strat.conflict_budget() < initial);
-    }
-
-    #[test]
-    fn adaptive_budget_is_selectable_at_the_executor_seam() {
-        let (_rt, mut ctx) = vctx();
-        let fb = TxCell::new(0u64);
-        let cell = TxCell::new(3u64);
-        let strat = AdaptiveBudget::default();
-        let out = ctx.htm_execute(&fb, &strat, |tx| {
-            let v = tx.read(&cell)?;
-            tx.write(&cell, v * 2)?;
-            Ok(v)
-        });
-        assert_eq!(out.value, 3);
-        assert_eq!(cell.load_plain(), 6);
-    }
-
-    #[test]
-    fn custom_observer_sees_stage_transitions() {
-        #[derive(Default)]
-        struct Recorder {
-            attempts: u32,
-            aborts: u32,
-            commits: u32,
-            fallbacks: u32,
-        }
-        impl ExecObserver for Recorder {
-            fn on_attempt(&mut self, _stats: &mut ThreadStats) {
-                self.attempts += 1;
-            }
-            fn on_abort(&mut self, stats: &mut ThreadStats, cause: AbortCause, wasted: u64) {
-                self.aborts += 1;
-                stats.cycles_wasted += wasted;
-                stats.aborts.record(cause);
-            }
-            fn on_commit(&mut self, _stats: &mut ThreadStats, _attempts: u32, _path: Path) {
-                self.commits += 1;
-            }
-            fn on_fallback(&mut self, _stats: &mut ThreadStats) {
-                self.fallbacks += 1;
-            }
-        }
-
-        let (_rt, mut ctx) = vctx();
-        let fb = TxCell::new(0u64);
-        let cell = TxCell::new(0u64);
-        let mut rec = Recorder::default();
-        let policy = RetryPolicy::default();
-        let mut first = true;
-        let out = Executor::new(&fb, &policy, &mut rec).run(&mut ctx, |tx| {
-            if first {
-                first = false;
-                return tx.explicit_abort(2);
-            }
-            let v = tx.read(&cell)?;
-            tx.write(&cell, v + 1)
-        });
-        // Explicit aborts have no budget: one abort, then fallback.
-        assert!(out.used_fallback());
-        assert_eq!(rec.attempts, 1);
-        assert_eq!(rec.aborts, 1);
-        assert_eq!(rec.commits, 0);
-        assert_eq!(rec.fallbacks, 1);
-        assert_eq!(ctx.exec_stages().attempts, 1);
-        assert_eq!(ctx.exec_stages().fallbacks, 1);
-    }
-
     #[test]
     fn stage_counters_track_backoff_and_fallback_wait() {
         // Conflicting threads: the loser retries with exponential backoff,
@@ -1225,49 +769,46 @@ mod tests {
             waiter.stats.cycles_fallback_wait > 0,
             "waiting out the fallback lock must be attributed to the stage"
         );
-        assert!(waiter.stats.cycles_fallback_wait <= waiter.stats.cycles_lock_wait);
+        assert_eq!(
+            waiter.stats.cycles_fallback_wait, waiter.stats.cycles_lock_wait,
+            "the only lock waited on is the fallback lock: counted exactly once"
+        );
     }
 
-    /// Satellite audit of the split accounting contract: the default
-    /// [`StatsObserver`] hooks maintain exactly the *cycle and abort-cause*
-    /// side of [`ThreadStats`] (stage counts live on the metrics shard and
-    /// are the executor's job — see the test below), and each cycle hook
-    /// adds its contribution exactly once.
+    /// The executor's cycle accounting charges each abort and each backoff
+    /// to [`ThreadStats`](crate::stats::ThreadStats) exactly once:
+    /// everything between two attempt starts is waste, so the clock
+    /// distance between the body's first and second entry is precisely
+    /// `cycles_wasted` (abort waste + penalty + backoff), of which
+    /// `cycles_backoff` is the one backoff quantum.
     #[test]
-    fn stats_observer_covers_cycle_accounting_exactly_once() {
-        let mut stats = ThreadStats::default();
-        let mut obs = StatsObserver;
-
-        obs.on_attempt(&mut stats);
-        obs.on_abort(&mut stats, AbortCause::Spurious, 7);
-        assert_eq!(stats.aborts.total(), 1);
-        assert_eq!(stats.cycles_wasted, 7);
-
-        obs.on_backoff(&mut stats, 5);
-        assert_eq!(stats.cycles_backoff, 5);
-        assert_eq!(stats.cycles_wasted, 12, "backoff also counts as waste");
-
-        obs.on_fallback_wait(&mut stats, 9);
-        assert_eq!(stats.cycles_fallback_wait, 9);
-
-        obs.on_middle_attempt(&mut stats);
-        obs.on_middle_wait(&mut stats, 4);
-        assert_eq!(stats.cycles_middle_wait, 4);
-
-        obs.on_commit(&mut stats, 3, Path::Htm);
-        obs.on_fallback(&mut stats);
-
-        // Second round: each cycle hook must add exactly one more unit —
-        // none double-counts.
-        obs.on_abort(&mut stats, AbortCause::Capacity, 1);
-        obs.on_backoff(&mut stats, 1);
-        obs.on_fallback_wait(&mut stats, 1);
-        obs.on_middle_wait(&mut stats, 1);
-        assert_eq!(stats.aborts.total(), 2);
-        assert_eq!(stats.cycles_backoff, 6);
-        assert_eq!(stats.cycles_fallback_wait, 10);
-        assert_eq!(stats.cycles_middle_wait, 5);
-        assert_eq!(stats.cycles_wasted, 14);
+    fn executor_accounts_abort_and_backoff_cycles_exactly_once() {
+        let (rt, mut ctx) = vctx();
+        let fb = TxCell::new(0u64);
+        let policy = RetryPolicy {
+            explicit_retries: 1,
+            ..RetryPolicy::DBX
+        };
+        let mut entries = Vec::new();
+        let out = ctx.htm_execute(&fb, &policy, |tx| {
+            entries.push(tx.ctx.clock);
+            if entries.len() == 1 {
+                return tx.explicit_abort(1);
+            }
+            Ok(())
+        });
+        assert_eq!(out.path, Path::Htm);
+        assert_eq!(out.attempts, 2);
+        assert_eq!(ctx.stats.aborts.total(), 1);
+        assert_eq!(ctx.stats.aborts.explicit, 1);
+        assert_eq!(ctx.stats.cycles_backoff, rt.cost.backoff(1));
+        assert_eq!(ctx.stats.cycles_wasted, entries[1] - entries[0]);
+        assert!(
+            ctx.stats.cycles_wasted >= ctx.stats.cycles_backoff + rt.cost.abort_penalty,
+            "waste covers the backoff and the abort penalty"
+        );
+        assert_eq!(ctx.stats.cycles_fallback_wait, 0);
+        assert_eq!(ctx.stats.cycles_middle_wait, 0);
     }
 
     /// The stage counts the report is built from are maintained by the
@@ -1376,19 +917,15 @@ mod tests {
 
     /// Escalates to the middle path on the first abort and serializes
     /// after two middle grants — a compressed schedule for unit tests.
-    struct EscalateFast;
-    impl RetryStrategy for EscalateFast {
-        fn name(&self) -> &'static str {
-            "escalate-fast"
-        }
-        fn decide(&self, counts: &RetryCounts, _cause: AbortCause) -> Decision {
-            if counts.middle < 2 {
-                Decision::Middle
-            } else {
-                Decision::Fallback
-            }
-        }
-    }
+    const ESCALATE_FAST: RetryPolicy = RetryPolicy {
+        conflict_retries: 0,
+        capacity_retries: 0,
+        explicit_retries: 0,
+        spurious_retries: 0,
+        fallback_lock_retries: 0,
+        middle_retries: 2,
+        backoff: false,
+    };
 
     #[test]
     fn middle_path_commits_with_footprint_locked() {
@@ -1401,7 +938,7 @@ mod tests {
         let locks = BitLockVector::new(64);
         let fp = Footprint::new(&locks, &[7, 3]);
         let mut first = true;
-        let out = ctx.htm_execute_with(&fb, &EscalateFast, Some(&fp), |tx| {
+        let out = ctx.htm_execute_with(&fb, &ESCALATE_FAST, Some(&fp), |tx| {
             if first {
                 first = false;
                 return tx.explicit_abort(1);
@@ -1442,7 +979,7 @@ mod tests {
         let fb = TxCell::new(0u64);
         let cell = TxCell::new(0u64);
         let mut first = true;
-        let out = ctx.htm_execute(&fb, &EscalateFast, |tx| {
+        let out = ctx.htm_execute(&fb, &ESCALATE_FAST, |tx| {
             if !tx.is_fallback() && first {
                 first = false;
                 return tx.explicit_abort(1);
@@ -1467,7 +1004,7 @@ mod tests {
         let cell = TxCell::new(0u64);
         let locks = BitLockVector::new(64);
         let fp = Footprint::new(&locks, &[11]);
-        let out = ctx.htm_execute_with(&fb, &EscalateFast, Some(&fp), |tx| {
+        let out = ctx.htm_execute_with(&fb, &ESCALATE_FAST, Some(&fp), |tx| {
             if tx.is_fallback() {
                 let v = tx.read(&cell)?;
                 tx.write(&cell, v + 1)
@@ -1500,7 +1037,7 @@ mod tests {
 
         let run = |ctx: &mut ThreadCtx, cell: &TxCell<u64>| {
             let mut first = true;
-            ctx.htm_execute_with(&fb, &EscalateFast, Some(&fp), |tx| {
+            ctx.htm_execute_with(&fb, &ESCALATE_FAST, Some(&fp), |tx| {
                 if first {
                     first = false;
                     return tx.explicit_abort(1);
@@ -1521,19 +1058,25 @@ mod tests {
             b.stats.cycles_middle_wait > 0,
             "B must wait out A's virtual hold on slot 5"
         );
-        assert!(b.stats.cycles_middle_wait <= b.stats.cycles_lock_wait);
+        assert_eq!(
+            b.stats.cycles_middle_wait, b.stats.cycles_lock_wait,
+            "the only lock waited on is slot 5: counted exactly once"
+        );
     }
 
     #[test]
     fn two_path_policy_never_takes_the_middle_path() {
-        // `two_path()` on the default policy reproduces the legacy
-        // executor even when a footprint is declared.
+        // `middle_retries: 0` reproduces the legacy two-path executor
+        // even when a footprint is declared.
         let (_rt, mut ctx) = vctx();
         let fb = TxCell::new(0u64);
         let cell = TxCell::new(0u64);
         let locks = BitLockVector::new(64);
         let fp = Footprint::new(&locks, &[2]);
-        let policy = RetryPolicy::default().two_path();
+        let policy = RetryPolicy {
+            middle_retries: 0,
+            ..RetryPolicy::DBX
+        };
         let out = ctx.htm_execute_with(&fb, &policy, Some(&fp), |tx| {
             if tx.is_fallback() {
                 let v = tx.read(&cell)?;

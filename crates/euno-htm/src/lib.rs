@@ -65,10 +65,7 @@ pub use arena::{Arena, TransientBytes};
 pub use cost::CostModel;
 pub use ctx::{EpisodeKind, ThreadCtx, Tx};
 pub use epoch::{CollectOutcome, Collector, Participant, ScopedPin};
-pub use exec::{
-    AdaptiveBudget, AggressivePolicy, DbxPolicy, Decision, ExecObserver, ExecOutcome, Executor,
-    Path, RetryStrategy, StatsObserver,
-};
+pub use exec::{ExecOutcome, Path};
 pub use line::{LineClass, LineId, LineSet, CACHE_LINE_BYTES};
 pub use lock::{
     acquire_mask_blocking, release_mask, slot_for_key, AdvisoryLock, AtomicBitVector,
@@ -77,7 +74,7 @@ pub use lock::{
 };
 pub use map::{ConcurrentMap, MemoryReport, KEY_SENTINEL, TOMBSTONE};
 pub use obs::{OpKind, OpObserver, OpOutput};
-pub use policy::{RetryCounts, RetryPolicy};
+pub use policy::{Decision, RetryCounts, RetryPolicy};
 pub use runtime::{hw_rtm_available, ConcurrentBackend, Mode, Runtime};
 pub use stats::{AbortCounts, AggregateStats, ThreadStats};
 pub use word::{TxCell, TxWord};

@@ -35,38 +35,50 @@ pub struct RetryPolicy {
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy {
-            conflict_retries: 10,
-            capacity_retries: 1,
-            explicit_retries: 0,
-            spurious_retries: 4,
-            fallback_lock_retries: 2,
-            middle_retries: 4,
-            backoff: true,
-        }
+        Self::DBX
     }
 }
 
-impl RetryPolicy {
-    /// An aggressive policy that practically never falls back — used to
-    /// isolate abort behaviour in analysis experiments.
-    pub fn persistent() -> Self {
-        RetryPolicy {
-            conflict_retries: 64,
-            capacity_retries: 2,
-            explicit_retries: 0,
-            spurious_retries: 16,
-            fallback_lock_retries: 8,
-            middle_retries: 8,
-            backoff: true,
-        }
-    }
+/// Verdict of the decide stage after a classified abort.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Decision {
+    /// Try the region again, optionally after exponential backoff.
+    Retry { backoff: bool },
+    /// Escalate to the footprint-local middle path: retry speculatively
+    /// while holding the region's advisory slot locks. Regions without a
+    /// declared footprint treat this as [`Decision::Fallback`].
+    Middle,
+    /// Give up on speculation and take the serialized fallback path.
+    Fallback,
+}
 
-    /// The same budgets with the middle path disabled — the classic
-    /// two-path executor (ablation baseline).
-    pub fn two_path(mut self) -> Self {
-        self.middle_retries = 0;
-        self
+impl RetryPolicy {
+    /// The paper's configuration (§4.2.1): DBX per-cause budgets with
+    /// exponential backoff. Every tree runs its regions under this value.
+    pub const DBX: RetryPolicy = RetryPolicy {
+        conflict_retries: 10,
+        capacity_retries: 1,
+        explicit_retries: 0,
+        spurious_retries: 4,
+        fallback_lock_retries: 2,
+        middle_retries: 4,
+        backoff: true,
+    };
+
+    /// The decide stage, called after every abort once `counts` was
+    /// bumped with its cause: speculate while no per-cause budget is
+    /// exhausted, then grant `middle_retries` footprint-locked attempts,
+    /// then serialize.
+    pub fn decide(&self, counts: &RetryCounts) -> Decision {
+        if !self.exhausted(counts) {
+            Decision::Retry {
+                backoff: self.backoff,
+            }
+        } else if counts.middle < self.middle_retries {
+            Decision::Middle
+        } else {
+            Decision::Fallback
+        }
     }
 
     /// Whether the accumulated aborts exhaust any budget.

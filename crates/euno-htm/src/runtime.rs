@@ -1,5 +1,6 @@
-//! Engine-wide shared state: execution mode, the NOrec sequence lock for
-//! real-thread commits, and the virtual-time conflict bookkeeping
+//! Engine-wide shared state: execution mode, the TL2 global version clock
+//! and per-line version-lock table for real-thread commits, and the
+//! virtual-time conflict bookkeeping
 //! (committed-episode window, virtual lock table, hot-line map, line-class
 //! registry).
 

@@ -1,13 +1,12 @@
 //! Property tests for the decide stage: the per-cause retry budgets and
-//! the [`RetryStrategy`] implementations built on them.
+//! the escalation schedule [`RetryPolicy::decide`] builds on them.
 //!
 //! Offline environment — no proptest; each property is driven by a seeded
 //! [`SmallRng`] sweep over randomized budgets and abort sequences, so
 //! failures reproduce deterministically.
 
 use euno_htm::{
-    AbortCause, AdaptiveBudget, AggressivePolicy, ConflictInfo, ConflictKind, DbxPolicy, Decision,
-    LineId, Path, RetryCounts, RetryPolicy, RetryStrategy,
+    AbortCause, ConflictInfo, ConflictKind, Decision, LineId, RetryCounts, RetryPolicy,
 };
 use euno_rng::{Rng, SmallRng};
 
@@ -72,7 +71,7 @@ fn budget_exactly_exhausted_at_boundary() {
                 "case {case}: within budget must not exhaust ({c:?}, {counts:?})"
             );
             assert_eq!(
-                p.decide(&counts, c),
+                p.decide(&counts),
                 Decision::Retry { backoff: p.backoff },
                 "case {case}: decide must retry exactly at the budget"
             );
@@ -84,10 +83,10 @@ fn budget_exactly_exhausted_at_boundary() {
             // Exhaustion escalates: first through the middle grants, then
             // to the serialized fallback.
             while counts.middle < p.middle_retries {
-                assert_eq!(p.decide(&counts, c), Decision::Middle);
+                assert_eq!(p.decide(&counts), Decision::Middle);
                 counts.middle += 1;
             }
-            assert_eq!(p.decide(&counts, c), Decision::Fallback);
+            assert_eq!(p.decide(&counts), Decision::Fallback);
         }
     }
 }
@@ -170,116 +169,50 @@ fn backoff_exponent_grows_one_per_abort() {
     }
 }
 
-/// `DbxPolicy` is the named form of the raw budgets: identical decisions on
-/// every reachable (counts, cause) pair.
+/// The escalation schedule, driven the way the executor drives it (bump
+/// the cause, ask, and count a `Middle` grant against the region): over
+/// randomized budgets and abort sequences the verdicts are monotone
+/// `Retry → Middle → Fallback`, a region is granted exactly
+/// `middle_retries` middle attempts before it serializes, and
+/// `middle_retries == 0` never yields `Middle`.
 #[test]
-fn dbx_policy_matches_raw_budgets() {
-    let mut rng = SmallRng::seed_from_u64(0xDB0);
-    for _ in 0..200 {
-        let budgets = random_policy(&mut rng);
-        let dbx = DbxPolicy {
-            budgets: budgets.clone(),
-        };
-        let mut counts = RetryCounts::default();
-        for _ in 0..rng.gen_range(1..40u32) {
-            let c = cause(rng.gen_range(0..5u64));
-            counts.bump(c);
-            assert_eq!(dbx.decide(&counts, c), budgets.decide(&counts, c));
+fn escalation_schedule_is_monotone_with_exact_middle_grants() {
+    fn rank(d: Decision) -> u8 {
+        match d {
+            Decision::Retry { .. } => 0,
+            Decision::Middle => 1,
+            Decision::Fallback => 2,
         }
     }
-    assert_eq!(DbxPolicy::default().name(), "dbx");
-}
-
-/// The aggressive strategy dominates the default: wherever the default
-/// budgets still retry, so does `AggressivePolicy` — it only ever falls
-/// back strictly later.
-#[test]
-fn aggressive_retries_at_least_as_long_as_default() {
-    let mut rng = SmallRng::seed_from_u64(0xA66);
-    let default = RetryPolicy::default();
-    let aggressive = AggressivePolicy::default();
-    for _ in 0..300 {
+    let mut rng = SmallRng::seed_from_u64(0xE5CA);
+    for case in 0..300u64 {
+        let p = random_policy(&mut rng);
         let mut counts = RetryCounts::default();
-        for _ in 0..rng.gen_range(1..80u32) {
-            let c = cause(rng.gen_range(0..5u64));
-            counts.bump(c);
-            if default.decide(&counts, c) == (Decision::Retry { backoff: true }) {
-                assert_ne!(
-                    aggressive.decide(&counts, c),
-                    Decision::Fallback,
-                    "aggressive fell back where the default still retries: {counts:?}"
-                );
+        let mut last = 0u8;
+        let mut grants = 0u32;
+        loop {
+            counts.bump(cause(rng.gen_range(0..5u64)));
+            let d = p.decide(&counts);
+            assert!(
+                rank(d) >= last,
+                "case {case}: verdict went backwards to {d:?} at {counts:?}"
+            );
+            last = rank(d);
+            match d {
+                Decision::Retry { backoff } => {
+                    assert_eq!(backoff, p.backoff);
+                    assert!(!p.exhausted(&counts));
+                }
+                Decision::Middle => {
+                    counts.middle += 1;
+                    grants += 1;
+                }
+                Decision::Fallback => break,
             }
         }
-    }
-}
-
-/// The adaptive controller's conflict budget always stays within
-/// [1, 64] — whatever feedback it receives, however extreme.
-#[test]
-fn adaptive_budget_stays_in_bounds() {
-    let mut rng = SmallRng::seed_from_u64(0xADA0);
-    for _ in 0..20 {
-        let a = AdaptiveBudget::new(random_policy(&mut rng)).with_window(16);
-        for _ in 0..2_000 {
-            let fb = rng.gen_range(0..2u32) == 0;
-            a.observe_region(
-                rng.gen_range(1..8u32),
-                if fb { Path::Fallback } else { Path::Htm },
-            );
-            let b = a.conflict_budget();
-            assert!((1..=64).contains(&b), "budget {b} out of bounds");
-        }
-    }
-}
-
-/// Direction of adaptation: sustained fallback storms shrink the conflict
-/// budget; sustained clean speculation grows it (up to the cap).
-#[test]
-fn adaptive_budget_tracks_fallback_rate() {
-    let a = AdaptiveBudget::default().with_window(32);
-    let start = a.conflict_budget();
-    for _ in 0..256 {
-        a.observe_region(4, Path::Fallback); // 100 % fallback
-    }
-    let shrunk = a.conflict_budget();
-    assert!(
-        shrunk < start,
-        "all-fallback windows must shrink the budget ({start} -> {shrunk})"
-    );
-    for _ in 0..1_024 {
-        a.observe_region(1, Path::Htm); // 0 % fallback
-    }
-    let grown = a.conflict_budget();
-    assert!(
-        grown > shrunk,
-        "all-clean windows must grow the budget ({shrunk} -> {grown})"
-    );
-}
-
-/// Adaptive decisions agree with a plain budget policy configured with the
-/// controller's current conflict budget — adaptation changes *when* the
-/// decision flips, never the decision rule itself.
-#[test]
-fn adaptive_decide_equals_snapshot_of_current_budget() {
-    let mut rng = SmallRng::seed_from_u64(0xADA1);
-    let a = AdaptiveBudget::default().with_window(8);
-    for _ in 0..500 {
-        // Random feedback nudges the controller around.
-        let fb = rng.gen_range(0..3u32) == 0;
-        a.observe_region(
-            rng.gen_range(1..6u32),
-            if fb { Path::Fallback } else { Path::Htm },
+        assert_eq!(
+            grants, p.middle_retries,
+            "case {case}: middle grants before fallback"
         );
-        let snapshot = RetryPolicy {
-            conflict_retries: a.conflict_budget(),
-            ..Default::default()
-        };
-        let mut counts = RetryCounts::default();
-        for _ in 0..rng.gen_range(1..20u32) {
-            let c = cause(rng.gen_range(0..5u64));
-            counts.bump(c);
-            assert_eq!(a.decide(&counts, c), snapshot.decide(&counts, c));
-        }
     }
 }

@@ -64,6 +64,15 @@ impl ThreadShard {
         );
     }
 
+    /// Increment for counters bumped by threads that do not own the
+    /// shard (several writers may race, e.g. the clients of one serve
+    /// shard): one atomic RMW, so no update is lost. A counter must be
+    /// written through one of `add` / `add_shared` only, never both.
+    #[inline]
+    pub fn add_shared(&self, c: Counter, n: u64) {
+        self.counters[c.index()].fetch_add(n, Ordering::Relaxed);
+    }
+
     #[inline]
     pub fn get(&self, c: Counter) -> u64 {
         self.counters[c.index()].load(Ordering::Relaxed)
@@ -320,6 +329,22 @@ mod tests {
         assert_eq!(stages.commits, 2);
         assert_eq!(stages.middles, 1);
         assert_eq!(reg.total(Counter::Commits), 2);
+    }
+
+    #[test]
+    fn shared_adds_from_racing_writers_are_not_lost() {
+        let reg = Registry::new();
+        let shard = reg.register_shard().unwrap();
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..50_000 {
+                        shard.add_shared(Counter::ServeEnqueued, 1);
+                    }
+                });
+            }
+        });
+        assert_eq!(reg.total(Counter::ServeEnqueued), 200_000);
     }
 
     #[test]

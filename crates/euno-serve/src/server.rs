@@ -18,7 +18,7 @@
 //!    the server's metric registry, then either flips the slot to DONE
 //!    for its [`Ticket`] holder or (detached requests) recycles it.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -117,11 +117,11 @@ pub(crate) struct Shard {
     pub batching: AtomicBool,
     pub batch_max: AtomicUsize,
     pub batch_hist: Mutex<LogHistogram>,
-    pub shed: AtomicU64,
     pub worker: Mutex<Option<std::thread::Thread>>,
     /// This shard's slice of the *server* registry, shared by the worker
-    /// (completions, latency) and submitters (enqueue/shed counters) —
-    /// every counter is an atomic, so sharing one shard handle is fine.
+    /// (completions, latency, batch counters: single-writer `add`) and
+    /// the submitters (enqueue/shed counters: racing writers, so
+    /// `add_shared`).
     pub stats: Option<Arc<ThreadShard>>,
     pub maintain_every: u64,
     pub seed: u64,
@@ -198,7 +198,6 @@ impl EunoServer {
                 batching: AtomicBool::new(cfg.batching),
                 batch_max: AtomicUsize::new(cfg.batch_max.max(1)),
                 batch_hist: Mutex::new(LogHistogram::new()),
-                shed: AtomicU64::new(0),
                 worker: Mutex::new(None),
                 stats: registry.register_shard(),
                 maintain_every: cfg.maintain_every,
@@ -300,9 +299,8 @@ impl EunoServer {
     fn enqueue(&self, shard: usize, raw: RawReq) -> Result<(u32, u32), Shed> {
         let sh = &self.shards[shard];
         let Some(idx) = sh.pool.acquire() else {
-            sh.shed.fetch_add(1, Ordering::Relaxed);
             if let Some(st) = &sh.stats {
-                st.add(Counter::ServeShed, 1);
+                st.add_shared(Counter::ServeShed, 1);
             }
             return Err(Shed);
         };
@@ -310,14 +308,13 @@ impl EunoServer {
         sh.pool.stage(idx, raw);
         if !sh.queue.push(idx) {
             sh.pool.release(idx);
-            sh.shed.fetch_add(1, Ordering::Relaxed);
             if let Some(st) = &sh.stats {
-                st.add(Counter::ServeShed, 1);
+                st.add_shared(Counter::ServeShed, 1);
             }
             return Err(Shed);
         }
         if let Some(st) = &sh.stats {
-            st.add(Counter::ServeEnqueued, 1);
+            st.add_shared(Counter::ServeEnqueued, 1);
         }
         if sh.depth.fetch_add(1, Ordering::Relaxed) == 0 {
             if let Some(t) = sh.worker.lock().unwrap().as_ref() {
@@ -471,7 +468,6 @@ impl EunoServer {
         self.registry.reset();
         for sh in &self.shards {
             *sh.batch_hist.lock().unwrap() = LogHistogram::new();
-            sh.shed.store(0, Ordering::Relaxed);
         }
     }
 
@@ -635,6 +631,7 @@ fn worker_loop(sh: &Shard, epoch: Instant) {
                 }
             }
         } else {
+            let conflicts_before = ctx.stats.aborts.conflicts();
             for &idx in &idxs {
                 let r = sh.pool.read_req(idx);
                 match r.kind {
@@ -651,6 +648,12 @@ fn worker_loop(sh: &Shard, epoch: Instant) {
             }
             if let Some(st) = &sh.stats {
                 st.add(Counter::ServeSingleOps, idxs.len() as u64);
+            }
+            // A conflict-free width-1 drain is a clean batch: without this
+            // a shard whose width collapsed to 1 could never widen again
+            // (the batch branch above needs two requests in one drain).
+            if batching && eff < max && ctx.stats.aborts.conflicts() == conflicts_before {
+                eff += 1;
             }
         }
         if sh.maintain_every > 0 && cycles.is_multiple_of(sh.maintain_every) {

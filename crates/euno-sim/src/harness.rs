@@ -5,13 +5,10 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use euno_htm::{
-    AdaptiveBudget, AggressivePolicy, ConcurrentMap, DbxPolicy, Mode, RetryPolicy, RetryStrategy,
-    Runtime, ThreadCtx, ThreadStats,
-};
+use euno_htm::{ConcurrentMap, Mode, Runtime, ThreadCtx, ThreadStats};
 use euno_metrics::{sample_due, Counter, ExecStages, TimeSeries};
 use euno_trace::{build_profile, codes, EventKind, ThreadTrace, TraceBuf};
-use euno_workloads::{Op, OpStream, PolicyChoice, WorkloadSpec};
+use euno_workloads::{Op, OpStream, WorkloadSpec};
 
 use crate::hist::LatencyHistogram;
 use crate::metrics::RunMetrics;
@@ -67,17 +64,6 @@ impl RunConfig {
             (0, true) => Some(euno_trace::DEFAULT_CAPACITY),
             (cap, _) => Some(cap),
         }
-    }
-}
-
-/// Materialize a workload's [`PolicyChoice`] as a live retry strategy for
-/// the transaction executor. The workload crate stays dependency-free
-/// (pure data); this is the single place the name is bound to behavior.
-pub fn strategy_for(choice: PolicyChoice) -> Arc<dyn RetryStrategy> {
-    match choice {
-        PolicyChoice::Dbx => Arc::new(DbxPolicy::default()),
-        PolicyChoice::Aggressive => Arc::new(AggressivePolicy::default()),
-        PolicyChoice::Adaptive => Arc::new(AdaptiveBudget::new(RetryPolicy::default())),
     }
 }
 

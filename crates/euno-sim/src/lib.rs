@@ -16,8 +16,7 @@ pub mod report;
 pub mod sched;
 
 pub use harness::{
-    apply_op, apply_warmup_op, attach_profile, preload, run_concurrent, run_virtual, strategy_for,
-    RunConfig,
+    apply_op, apply_warmup_op, attach_profile, preload, run_concurrent, run_virtual, RunConfig,
 };
 pub use hist::LatencyHistogram;
 pub use metrics::{RunMetrics, ServeInfo};

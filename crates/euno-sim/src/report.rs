@@ -40,6 +40,12 @@ pub use euno_trace::Json;
 /// histogram from [`crate::metrics::ServeInfo`]) validated when present.
 pub const SCHEMA_VERSION: u64 = 4;
 
+/// The `policy` provenance key of every run: all regions run under the one
+/// [`RetryPolicy::DBX`](euno_htm::RetryPolicy::DBX) schedule. Kept in the
+/// document so reports recorded while the policy was selectable stay
+/// comparable under the same schema.
+const POLICY_LABEL: &str = "dbx";
+
 /// Hot-leaf rows kept in a report's `profile` section (the full table
 /// stays available in-process via [`RunMetrics::profile`]).
 pub const PROFILE_TOP_N: usize = 32;
@@ -108,7 +114,7 @@ fn spec_json(spec: &WorkloadSpec) -> Json {
         ),
         ("scan_len".into(), Json::u64(spec.scan_len as u64)),
         ("preload".into(), Json::str(format!("{:?}", spec.preload))),
-        ("policy".into(), Json::str(spec.policy.label())),
+        ("policy".into(), Json::str(POLICY_LABEL)),
     ])
 }
 
@@ -457,7 +463,7 @@ fn entry_json(e: &RunEntry) -> Json {
                 ("ops_per_thread".into(), Json::u64(e.cfg.ops_per_thread)),
                 ("warmup_ops".into(), Json::u64(e.cfg.warmup_ops)),
                 ("seed".into(), Json::u64(e.cfg.seed)),
-                ("policy".into(), Json::str(e.spec.policy.label())),
+                ("policy".into(), Json::str(POLICY_LABEL)),
             ]),
         ),
         ("spec".into(), spec_json(&e.spec)),

@@ -120,7 +120,6 @@ fn toy_spec() -> WorkloadSpec {
         mix: OpMix::get_put(0.5),
         scan_len: 4,
         preload: Preload::None,
-        policy: Default::default(),
     }
 }
 

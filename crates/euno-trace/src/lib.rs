@@ -1,6 +1,6 @@
 //! # euno-trace — structured event tracing for the Eunomia workspace
 //!
-//! Run-level aggregates (`RunReport`, `ExecObserver` counters) say *how
+//! Run-level aggregates (`RunReport`, executor stage counters) say *how
 //! much* went wrong; they cannot say *which* leaf, *which* cache line, or
 //! *which* retry path did it. This crate closes that gap with a
 //! per-thread, fixed-capacity ring buffer of cycle-timestamped structured

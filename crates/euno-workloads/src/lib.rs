@@ -24,5 +24,5 @@ pub mod ycsb;
 
 pub use arrival::PoissonArrivals;
 pub use dist::{KeyDistribution, KeySampler};
-pub use spec::{ChurnSchedule, Op, OpMix, OpStream, PolicyChoice, Preload, WorkloadSpec};
+pub use spec::{ChurnSchedule, Op, OpMix, OpStream, Preload, WorkloadSpec};
 pub use ycsb::{YcsbOp, YcsbSpec, YcsbStream, YcsbWorkload};

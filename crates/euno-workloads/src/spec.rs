@@ -86,53 +86,6 @@ pub enum Preload {
     FractionPerMille(u32),
 }
 
-/// Which retry strategy the transaction executor should run HTM regions
-/// under. Pure data — this crate stays dependency-free; mapping a choice
-/// to a live `RetryStrategy` object happens in the harness (`euno-sim`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum PolicyChoice {
-    /// DBX-style per-cause budgets (the default used by every figure).
-    #[default]
-    Dbx,
-    /// Persistent budgets: keep retrying in HTM far longer before taking
-    /// the serializing fallback.
-    Aggressive,
-    /// Runtime controller that widens/narrows the conflict budget from
-    /// observed fallback rates.
-    Adaptive,
-}
-
-impl PolicyChoice {
-    pub const ALL: [PolicyChoice; 3] = [
-        PolicyChoice::Dbx,
-        PolicyChoice::Aggressive,
-        PolicyChoice::Adaptive,
-    ];
-
-    pub fn label(self) -> &'static str {
-        match self {
-            PolicyChoice::Dbx => "dbx",
-            PolicyChoice::Aggressive => "aggressive",
-            PolicyChoice::Adaptive => "adaptive",
-        }
-    }
-}
-
-impl std::str::FromStr for PolicyChoice {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "dbx" | "default" | "budget" => Ok(PolicyChoice::Dbx),
-            "aggressive" | "persistent" => Ok(PolicyChoice::Aggressive),
-            "adaptive" => Ok(PolicyChoice::Adaptive),
-            other => Err(format!(
-                "unknown retry policy {other:?} (expected dbx|aggressive|adaptive)"
-            )),
-        }
-    }
-}
-
 /// Full workload description. Cheap to clone; build one [`KeySampler`]
 /// via [`WorkloadSpec::sampler`] and share it.
 #[derive(Clone, Debug)]
@@ -143,8 +96,6 @@ pub struct WorkloadSpec {
     /// Records returned per scan.
     pub scan_len: usize,
     pub preload: Preload,
-    /// Retry strategy the executor runs this workload's regions under.
-    pub policy: PolicyChoice,
 }
 
 impl WorkloadSpec {
@@ -160,14 +111,7 @@ impl WorkloadSpec {
             mix: OpMix::default_ycsb(),
             scan_len: 16,
             preload: Preload::EvenKeys,
-            policy: PolicyChoice::default(),
         }
-    }
-
-    /// The same spec under a different retry policy.
-    pub fn with_policy(mut self, policy: PolicyChoice) -> Self {
-        self.policy = policy;
-        self
     }
 
     /// The *churn* preset (ROADMAP 4b): delete-heavy traffic over a
@@ -187,7 +131,6 @@ impl WorkloadSpec {
             },
             scan_len: 16,
             preload: Preload::FirstN(key_range / 2),
-            policy: PolicyChoice::default(),
         }
     }
 

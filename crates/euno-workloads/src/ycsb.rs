@@ -18,7 +18,7 @@
 use euno_rng::{Rng, SmallRng};
 
 use crate::dist::{KeyDistribution, KeySampler};
-use crate::spec::{Op, OpMix, PolicyChoice, Preload, WorkloadSpec};
+use crate::spec::{Op, OpMix, Preload, WorkloadSpec};
 
 /// The YCSB core workload identifiers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -93,7 +93,6 @@ impl YcsbWorkload {
                 mix,
                 scan_len: 16,
                 preload: Preload::EvenKeys,
-                policy: PolicyChoice::default(),
             },
             read_modify_write: rmw,
         }

@@ -82,7 +82,6 @@ fn op_streams_respect_spec() {
             },
             scan_len: 9,
             preload: Preload::None,
-            policy: Default::default(),
         };
         let mut stream = OpStream::new(&spec, thread, seed);
         for _ in 0..300 {
@@ -113,7 +112,6 @@ fn preload_keys_sorted_unique() {
                 mix: OpMix::default_ycsb(),
                 scan_len: 4,
                 preload,
-                policy: Default::default(),
             };
             let keys: Vec<u64> = spec.preload_keys().collect();
             assert!(keys.windows(2).all(|w| w[0] < w[1]), "{preload:?}");

@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# Repo gate: formatting, lints, then the tier-1 test suite.
+# Repo gate: formatting, lints, the tier-1 test suite (the whole workspace:
+# the root manifest's default-members cover every crate), then smoke runs
+# of every measurement pipeline.
 # Usage: scripts/check.sh [--fix]   (--fix runs `cargo fmt` instead of --check)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -143,9 +145,10 @@ echo "phased-churn stress + linearizability check OK"
 # group-commit batching) end to end.  serve_bench --smoke runs a reduced
 # open-loop sweep in both modes and emits a schema-v4 report whose runs
 # carry `serve` sections; report_check validates it.  The front-end's
-# correctness gates — the lin-oracle tests and the steady-state
-# zero-alloc guard in euno-serve — already ran under `cargo test` above,
-# so this stage covers only the measurement pipeline.
+# correctness gates — the lin-oracle tests, the batch-width regression
+# and the steady-state zero-alloc guard in euno-serve — already ran under
+# the workspace-wide `cargo test` above, so this stage covers only the
+# measurement pipeline.
 cargo run --release -q -p euno-bench --bin serve_bench -- \
     --smoke --csv "$SMOKE/serve.csv" | tee "$SMOKE/serve.out"
 grep -q "capacity knee" "$SMOKE/serve.out" \
@@ -153,3 +156,12 @@ grep -q "capacity knee" "$SMOKE/serve.out" \
 cargo run --release -q -p euno-bench --bin report_check -- \
     "$SMOKE/BENCH_serve.json"
 echo "smoke-serve (open-loop sweep + schema v4) OK"
+
+# Repo benchmark: `benchmark/` is its own workspace, so nothing above
+# compiles it against the crate APIs it calls from outside
+# (`htm_execute`, `RetryPolicy`, `ctx.stats`, `ctx.metric`, tree
+# constructors).  Build it and run all six workloads shrunk to 1 s, twice
+# on one build: the A/A pass holds the virtual-clock workloads to the
+# BENCHMARK.json bounds.
+bash benchmark/run.sh --smoke --aa >/dev/null
+echo "benchmark smoke + A/A OK"
