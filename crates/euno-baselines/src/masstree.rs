@@ -262,14 +262,15 @@ fn version_visible(overlap: Option<euno_htm::ConflictInfo>) -> bool {
 }
 
 fn register_leaf(rt: &Runtime, l: &MtLeaf) {
+    let parts = [
+        (0, euno_htm::LineClass::Metadata),
+        (
+            std::mem::offset_of!(MtLeaf, keys),
+            euno_htm::LineClass::Record,
+        ),
+    ];
     let base = l as *const MtLeaf as usize;
-    let keys_off = std::mem::offset_of!(MtLeaf, keys);
-    rt.register_region(base, keys_off, euno_htm::LineClass::Metadata);
-    rt.register_region(
-        base + keys_off,
-        std::mem::size_of::<MtLeaf>() - keys_off,
-        euno_htm::LineClass::Record,
-    );
+    rt.register_node(base, std::mem::size_of::<MtLeaf>(), &parts, false);
 }
 
 /// Charge the cost of one permutation-word indirection: real Masstree

@@ -59,14 +59,12 @@ impl<const F: usize> Leaf<F> {
     /// Tag this node's lines for conflict classification: header ⇒
     /// metadata, key/value slots ⇒ record.
     pub fn register(&self, rt: &Runtime) {
+        let parts = [
+            (0, LineClass::Metadata),
+            (std::mem::offset_of!(Leaf<F>, keys), LineClass::Record),
+        ];
         let base = self as *const Self as usize;
-        let keys_off = std::mem::offset_of!(Leaf<F>, keys);
-        rt.register_region(base, keys_off, LineClass::Metadata);
-        rt.register_region(
-            base + keys_off,
-            std::mem::size_of::<Self>() - keys_off,
-            LineClass::Record,
-        );
+        rt.register_node(base, std::mem::size_of::<Self>(), &parts, false);
     }
 }
 

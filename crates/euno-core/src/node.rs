@@ -100,24 +100,20 @@ impl<const SEGS: usize, const K: usize> EunoLeaf<SEGS, K> {
     }
 
     pub fn register(&self, rt: &Runtime) {
+        let parts = [
+            // Header + split-lock lines.
+            (0, LineClass::Metadata),
+            // Segments: record storage (their count words live amid the
+            // records deliberately — per-segment metadata is the point).
+            (std::mem::offset_of!(Self, segs), LineClass::Record),
+            // CCM line.
+            (std::mem::offset_of!(Self, ccm), LineClass::Metadata),
+        ];
+        // Attributed: the contention profiler maps address-carrying trace
+        // events (conflict lines, lock cells, CCM words) inside the leaf
+        // to its base.
         let base = self as *const Self as usize;
-        let segs_off = std::mem::offset_of!(Self, segs);
-        let ccm_off = std::mem::offset_of!(Self, ccm);
-        // Whole-leaf range for the contention profiler: address-carrying
-        // trace events (conflict lines, lock cells, CCM words) inside the
-        // leaf attribute to this base.
-        rt.register_object(base, std::mem::size_of::<Self>());
-        // Header + split-lock lines.
-        rt.register_region(base, segs_off, LineClass::Metadata);
-        // Segments: record storage (their count words live amid the
-        // records deliberately — per-segment metadata is the point).
-        rt.register_region(base + segs_off, ccm_off - segs_off, LineClass::Record);
-        // CCM line.
-        rt.register_region(
-            base + ccm_off,
-            std::mem::size_of::<Ccm>(),
-            LineClass::Metadata,
-        );
+        rt.register_node(base, std::mem::size_of::<Self>(), &parts, true);
     }
 }
 

@@ -12,13 +12,10 @@
 //! reader pinned while the node was reachable can still hold a pointer.
 //!
 //! The byte counters feed the §5.7 memory-consumption experiment. Each
-//! node is charged its `size_of::<T>()` **plus** whatever the arena's
-//! `payload_bytes` hook reports for owned heap storage at allocation time;
-//! the charge is remembered per node so retirement releases exactly what
-//! allocation charged (an earlier revision charged only `size_of::<T>()`,
-//! making heap payloads invisible to `BENCH_mem.json`).
+//! node is charged `size_of::<T>()`: tree nodes are flat arrays of cells
+//! and own no heap storage.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -35,35 +32,15 @@ struct ArenaCounters {
     retired_pending_bytes: AtomicUsize,
     /// Bytes actually freed (cumulative).
     reclaimed_bytes: AtomicUsize,
-    /// Cumulative bytes ever retired (pending + reclaimed stays equal to
-    /// this minus nothing; kept separate so the legacy `retired_bytes`
-    /// reading survives the pending→reclaimed transition).
-    retired_cumulative_bytes: AtomicUsize,
-}
-
-impl ArenaCounters {
-    /// Saturating subtraction from `live_bytes`; returns `true` if the
-    /// subtraction had to clamp (i.e. it would have underflowed).
-    fn sub_live(&self, bytes: usize) -> bool {
-        let mut clamped = false;
-        let _ = self
-            .live_bytes
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                clamped = v < bytes;
-                Some(v.saturating_sub(bytes))
-            });
-        clamped
-    }
 }
 
 /// An allocation registry for nodes of type `T` with epoch-deferred frees.
 pub struct Arena<T> {
-    /// Address → bytes charged at allocation. Retirement removes the entry
-    /// (detecting double-retires) and releases exactly the recorded charge.
-    nodes: Mutex<HashMap<usize, usize>>,
+    /// Addresses of the nodes still linked. Retirement removes the entry
+    /// (detecting double-retires); `Drop` frees what is left.
+    nodes: Mutex<HashSet<usize>>,
     counters: Arc<ArenaCounters>,
-    /// Reports heap bytes owned by a node beyond `size_of::<T>()`.
-    payload_bytes: fn(&T) -> usize,
+    _owns: std::marker::PhantomData<T>,
 }
 
 // Safety: the raw addresses are uniquely owned by the arena (created from
@@ -81,17 +58,10 @@ impl<T> Default for Arena<T> {
 
 impl<T> Arena<T> {
     pub fn new() -> Self {
-        Self::with_payload_bytes(|_| 0)
-    }
-
-    /// An arena whose nodes own heap storage: `payload_bytes` reports the
-    /// extra bytes a node carries beyond `size_of::<T>()` so the §5.7
-    /// counters see the real footprint.
-    pub fn with_payload_bytes(payload_bytes: fn(&T) -> usize) -> Self {
         Arena {
-            nodes: Mutex::new(HashMap::new()),
+            nodes: Mutex::new(HashSet::new()),
             counters: Arc::new(ArenaCounters::default()),
-            payload_bytes,
+            _owns: std::marker::PhantomData,
         }
     }
 
@@ -100,17 +70,17 @@ impl<T> Arena<T> {
     /// epoch pin ([`Collector`] guard) while dereferencing nodes that can
     /// be unlinked concurrently.
     pub fn alloc(&self, value: T) -> &T {
-        let bytes = std::mem::size_of::<T>() + (self.payload_bytes)(&value);
+        let bytes = std::mem::size_of::<T>();
         let ptr = Box::into_raw(Box::new(value));
-        self.nodes.lock().unwrap().insert(ptr as usize, bytes);
+        self.nodes.lock().unwrap().insert(ptr as usize);
         self.counters.live_bytes.fetch_add(bytes, Ordering::Relaxed);
         // Safety: the allocation is stable until retirement, and retirement
         // defers the free past any pinned reader's lifetime.
         unsafe { &*ptr }
     }
 
-    /// Unlink-and-defer: remove `node` from the registry, move its charged
-    /// bytes from *live* to *retired-pending*, and hand the actual free to
+    /// Unlink-and-defer: remove `node` from the registry, move its bytes
+    /// from *live* to *retired-pending*, and hand the actual free to
     /// `epoch` so it runs only after two epoch advances. The caller must be
     /// pinned (the grace argument hangs on it) and must have already made
     /// the node unreachable. Returns `false` (and frees nothing) on a
@@ -120,20 +90,16 @@ impl<T> Arena<T> {
         T: Send,
     {
         let addr = node as usize;
-        let bytes = match self.nodes.lock().unwrap().remove(&addr) {
-            Some(b) => b,
-            None => {
-                debug_assert!(false, "double retire or foreign pointer: {addr:#x}");
-                return false;
-            }
-        };
-        let clamped = self.counters.sub_live(bytes);
-        debug_assert!(!clamped, "retire underflowed live_bytes");
+        if !self.nodes.lock().unwrap().remove(&addr) {
+            debug_assert!(false, "double retire or foreign pointer: {addr:#x}");
+            return false;
+        }
+        // Every address in the set was charged `size_of::<T>()` by `alloc`.
+        let bytes = std::mem::size_of::<T>();
+        let live = self.counters.live_bytes.fetch_sub(bytes, Ordering::Relaxed);
+        debug_assert!(live >= bytes, "retire underflowed live_bytes");
         self.counters
             .retired_pending_bytes
-            .fetch_add(bytes, Ordering::Relaxed);
-        self.counters
-            .retired_cumulative_bytes
             .fetch_add(bytes, Ordering::Relaxed);
         let counters = Arc::clone(&self.counters);
         epoch.retire(bytes, move || {
@@ -141,40 +107,17 @@ impl<T> Arena<T> {
             // removed from the registry above (so Drop won't free it), and
             // the collector runs each deferred free exactly once.
             unsafe { drop(Box::from_raw(addr as *mut T)) };
-            let _ = counters.retired_pending_bytes.fetch_update(
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-                |v| Some(v.saturating_sub(bytes)),
-            );
+            counters
+                .retired_pending_bytes
+                .fetch_sub(bytes, Ordering::Relaxed);
             counters.reclaimed_bytes.fetch_add(bytes, Ordering::Relaxed);
         });
         true
     }
 
-    /// Count-only retirement for callers that track unlinking themselves
-    /// (legacy §5.7 accounting): moves one node's `size_of` charge from
-    /// live to retired without freeing anything. Saturates at zero instead
-    /// of wrapping — a double fire is an accounting bug (flagged in debug
-    /// builds), not a reason to report 2^64 live bytes.
-    pub fn retire_one(&self) {
-        let sz = std::mem::size_of::<T>();
-        let clamped = self.counters.sub_live(sz);
-        debug_assert!(!clamped, "retire_one underflowed live_bytes");
-        self.counters
-            .retired_cumulative_bytes
-            .fetch_add(sz, Ordering::Relaxed);
-    }
-
     /// Bytes in nodes still linked into the structure.
     pub fn live_bytes(&self) -> usize {
         self.counters.live_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Cumulative bytes retired (both still-pending and already freed).
-    pub fn retired_bytes(&self) -> usize {
-        self.counters
-            .retired_cumulative_bytes
-            .load(Ordering::Relaxed)
     }
 
     /// Bytes unlinked but still awaiting their epoch grace period.
@@ -197,7 +140,7 @@ impl<T> Drop for Arena<T> {
         // Poison-tolerant: a panic inside `retire` (e.g. the double-retire
         // debug assertion) must not turn cleanup into an abort.
         let nodes = self.nodes.lock().unwrap_or_else(|e| e.into_inner());
-        for (&addr, _) in nodes.iter() {
+        for &addr in nodes.iter() {
             // Safety: each address came from Box::into_raw, retired nodes
             // were removed from the map, so every entry is freed exactly
             // once here.
@@ -256,68 +199,7 @@ mod tests {
         assert_eq!(y[0], 2);
         assert_eq!(a.node_count(), 2);
         assert_eq!(a.live_bytes(), 128);
-        assert_eq!(a.retired_bytes(), 0);
-    }
-
-    #[test]
-    fn retire_one_moves_bytes() {
-        let a: Arena<u64> = Arena::new();
-        a.alloc(1);
-        a.alloc(2);
-        a.retire_one();
-        assert_eq!(a.live_bytes(), 8);
-        assert_eq!(a.retired_bytes(), 8);
-        // Count-only retirement leaves the node allocated (legacy path).
-        assert_eq!(a.node_count(), 2);
-    }
-
-    /// Satellite regression: heap payloads owned by a node must be charged
-    /// to the live counter, not just `size_of::<T>()`.
-    #[test]
-    fn payload_bytes_are_charged_and_released() {
-        struct Rec {
-            data: Vec<u8>,
-        }
-        let a: Arena<Rec> = Arena::with_payload_bytes(|r| r.data.capacity());
-        let node = a.alloc(Rec {
-            data: Vec::with_capacity(1000),
-        }) as *const Rec;
-        assert_eq!(a.live_bytes(), std::mem::size_of::<Rec>() + 1000);
-
-        let epoch = Collector::new();
-        let pin = epoch.pin_scoped();
-        assert!(a.retire(&epoch, node));
-        drop(pin);
-        // The *charged* bytes (struct + payload) move to retired-pending.
-        assert_eq!(a.live_bytes(), 0);
-        assert_eq!(a.retired_pending_bytes(), std::mem::size_of::<Rec>() + 1000);
-        epoch.collect();
-        epoch.collect();
         assert_eq!(a.retired_pending_bytes(), 0);
-        assert_eq!(a.reclaimed_bytes(), std::mem::size_of::<Rec>() + 1000);
-    }
-
-    /// Satellite regression: `retire_one` saturates instead of wrapping
-    /// `live_bytes` to ~2^64 when it over-fires.
-    #[test]
-    #[cfg_attr(
-        debug_assertions,
-        ignore = "release-mode behaviour; debug builds assert instead"
-    )]
-    fn retire_one_saturates_instead_of_underflowing() {
-        let a: Arena<u64> = Arena::new();
-        a.alloc(7);
-        a.retire_one();
-        a.retire_one(); // double fire: would have wrapped before the fix
-        assert_eq!(a.live_bytes(), 0);
-    }
-
-    #[test]
-    #[cfg_attr(not(debug_assertions), ignore = "debug_assert only fires in debug")]
-    #[should_panic(expected = "retire_one underflowed")]
-    fn retire_one_underflow_asserts_in_debug() {
-        let a: Arena<u64> = Arena::new();
-        a.retire_one();
     }
 
     #[test]
@@ -339,7 +221,6 @@ mod tests {
         epoch.collect();
         assert_eq!(a.retired_pending_bytes(), 0);
         assert_eq!(a.reclaimed_bytes(), 8);
-        assert_eq!(a.retired_bytes(), 8);
         assert_eq!(a.live_bytes(), 8);
     }
 

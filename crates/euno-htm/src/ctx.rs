@@ -830,11 +830,11 @@ impl ThreadCtx {
         let transfer =
             virt.transfer_charge(ep.reads.iter(), ep.start, self.id, rt.cost.line_transfer);
         self.clock += transfer;
-        let out = if let Some((line, other_key, other_thread)) =
-            virt.check(ep.start, &ep.reads, None, &rt.classes)
+        let out = if let Some((line, class, other_key, other_thread)) =
+            virt.check(ep.start, &ep.reads, None, &rt.nodes)
         {
             drop(virt);
-            let kind = ConflictKind::classify(rt.class_of(line), ep.op_key, other_key);
+            let kind = ConflictKind::classify(class, ep.op_key, other_key);
             Some(ConflictInfo {
                 line,
                 kind,
@@ -849,11 +849,11 @@ impl ThreadCtx {
                 self.clock.saturating_sub(ep.start),
                 self.id,
                 u,
-                &rt.classes,
+                &rt.nodes,
             );
             drop(virt);
-            storm.map(|line| {
-                let kind = ConflictKind::classify(rt.class_of(line), ep.op_key, None);
+            storm.map(|(line, class)| {
+                let kind = ConflictKind::classify(class, ep.op_key, None);
                 ConflictInfo {
                     line,
                     kind,
@@ -1250,14 +1250,14 @@ impl ThreadCtx {
         let start = ep.start;
         let end = self.clock;
 
-        if let Some((line, other_key, other_thread)) =
-            virt.check(start, &ep.reads, Some(&ep.writes), &rt.classes)
+        if let Some((line, class, other_key, other_thread)) =
+            virt.check(start, &ep.reads, Some(&ep.writes), &rt.nodes)
         {
             drop(virt);
             let cause = if Some(line) == ep.fb_line {
                 AbortCause::FallbackLocked
             } else {
-                let kind = ConflictKind::classify(rt.class_of(line), ep.op_key, other_key);
+                let kind = ConflictKind::classify(class, ep.op_key, other_key);
                 AbortCause::Conflict(ConflictInfo {
                     line,
                     kind,
@@ -1277,17 +1277,17 @@ impl ThreadCtx {
         // genuinely concurrent writer).
         if !ep.serialized {
             let u: f64 = self.rng.gen();
-            if let Some(line) = virt.storm_check(
+            if let Some((line, class)) = virt.storm_check(
                 &ep.reads,
                 Some(&ep.writes),
                 start,
                 end.saturating_sub(start),
                 self.id,
                 u,
-                &rt.classes,
+                &rt.nodes,
             ) {
                 drop(virt);
-                let kind = ConflictKind::classify(rt.class_of(line), ep.op_key, None);
+                let kind = ConflictKind::classify(class, ep.op_key, None);
                 self.ep = Some(ep);
                 return Err(AbortCause::Conflict(ConflictInfo {
                     line,

@@ -68,9 +68,8 @@ pub use epoch::{CollectOutcome, Collector, Participant, ScopedPin};
 pub use exec::{ExecOutcome, Path};
 pub use line::{LineClass, LineId, LineSet, CACHE_LINE_BYTES};
 pub use lock::{
-    acquire_mask_blocking, release_mask, slot_for_key, AdvisoryLock, AtomicBitVector,
-    BitLockVector, ControlBlock, Footprint, SlotLocks, SpinBackoff, VersionTable,
-    MAX_FOOTPRINT_SLOTS,
+    acquire_mask_blocking, release_mask, slot_for_key, AdvisoryLock, BitLockVector, ControlBlock,
+    Footprint, SlotLocks, SpinBackoff, VersionTable, MAX_FOOTPRINT_SLOTS,
 };
 pub use map::{ConcurrentMap, MemoryReport, KEY_SENTINEL, TOMBSTONE};
 pub use obs::{OpKind, OpObserver, OpOutput};

@@ -1,4 +1,4 @@
-//! Advisory locks and atomic bit vectors.
+//! Advisory locks and lock-bit vectors.
 //!
 //! Eunomia throttles *true* conflicts with fine-grained advisory locks
 //! taken **outside** HTM regions (§3, §4.1): a per-leaf split lock and the
@@ -401,67 +401,6 @@ impl BitLockVector {
     }
 }
 
-/// An instrumented atomic bit vector — the CCM's *mark bits* (Bloom-filter
-/// style existence hints, §4.1).
-pub struct AtomicBitVector {
-    words: Box<[TxCell<u64>]>,
-    bits: usize,
-}
-
-impl AtomicBitVector {
-    pub fn new(bits: usize) -> Self {
-        let nwords = bits.div_ceil(64).max(1);
-        AtomicBitVector {
-            words: (0..nwords).map(|_| TxCell::new(0)).collect(),
-            bits,
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        self.bits
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.bits == 0
-    }
-
-    #[inline]
-    fn locate(&self, i: usize) -> (&TxCell<u64>, u64) {
-        assert!(i < self.bits, "bit {i} out of range {}", self.bits);
-        (&self.words[i / 64], 1u64 << (i % 64))
-    }
-
-    pub fn get(&self, ctx: &mut ThreadCtx, i: usize) -> bool {
-        let (w, m) = self.locate(i);
-        w.load_direct(ctx) & m != 0
-    }
-
-    /// Set bit `i`; returns the previous value (Algorithm 2 line 38 uses
-    /// the CAS flavour to atomically claim insertion rights).
-    pub fn set(&self, ctx: &mut ThreadCtx, i: usize) -> bool {
-        let (w, m) = self.locate(i);
-        w.fetch_or_direct(ctx, m) & m != 0
-    }
-
-    pub fn clear(&self, ctx: &mut ThreadCtx, i: usize) -> bool {
-        let (w, m) = self.locate(i);
-        w.fetch_and_direct(ctx, !m) & m != 0
-    }
-
-    /// Uninstrumented population count (tests/diagnostics).
-    pub fn count_ones_plain(&self) -> usize {
-        self.words
-            .iter()
-            .map(|w| w.load_plain().count_ones() as usize)
-            .sum()
-    }
-
-    /// Bytes occupied by the vector's words.
-    pub fn memory_bytes(&self) -> usize {
-        self.words.len() * 8
-    }
-}
-
 // ================= TL2 per-line version locks =================
 
 /// Log2 of the version-lock table size. 2^14 slots × 8 bytes = 128 KiB —
@@ -708,31 +647,6 @@ mod tests {
         for slot in 0..8 {
             assert!(!v.is_locked(&mut ctx, slot));
         }
-    }
-
-    #[test]
-    fn mark_bits_set_get_clear() {
-        let rt = Runtime::new_virtual();
-        let mut ctx = rt.thread(0);
-        let v = AtomicBitVector::new(100);
-        assert!(!v.get(&mut ctx, 77));
-        assert!(!v.set(&mut ctx, 77));
-        assert!(v.get(&mut ctx, 77));
-        assert!(v.set(&mut ctx, 77), "second set reports previous = true");
-        assert_eq!(v.count_ones_plain(), 1);
-        assert!(v.clear(&mut ctx, 77));
-        assert!(!v.get(&mut ctx, 77));
-        assert_eq!(v.count_ones_plain(), 0);
-        assert_eq!(v.memory_bytes(), 16);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn bit_vector_bounds_checked() {
-        let rt = Runtime::new_virtual();
-        let mut ctx = rt.thread(0);
-        let v = AtomicBitVector::new(10);
-        v.get(&mut ctx, 10);
     }
 
     #[test]

@@ -1,204 +1,151 @@
-//! Read-mostly snapshot registries for line classes and object ranges.
+//! The node table: one ordered map from cache line to registered node.
 //!
-//! Both registries share an access pattern the engine's hot path cares
-//! about: trees register regions in bursts (build, preload, node splits)
-//! and the engine looks them up constantly (conflict classification,
-//! trace attribution). The old implementations guarded a per-line
-//! `HashMap` and a sorted `Vec` with `RwLock`s, so every lookup paid a
-//! lock acquisition even though the data is effectively immutable between
-//! bursts.
+//! The abort taxonomy (paper §2.3) asks one question about a conflicting
+//! line — which node is it in, and is that part of the node record,
+//! metadata or structure — and the contention profiler asks the same
+//! question about an address. Both are point lookups on abort or
+//! reporting paths, so the table is a plain `RwLock<BTreeMap>` keyed by a
+//! node's first line: one entry per node, written once per node
+//! allocation, O(log n) to read, and nothing retained beyond the live
+//! entries.
 //!
-//! [`SnapshotVec`] replaces the locks with an atomic-pointer-swapped
-//! immutable snapshot: writers mutate a master copy under a mutex and
-//! set a dirty flag; the next reader republishes (clone + pointer swap)
-//! once, and every reader after that binary-searches the snapshot with
-//! no lock at all. Retired snapshots are kept until the registry drops —
-//! a reader may still hold a reference into one — which leaks at most
-//! one superseded vector per registration *burst*, not per registration.
+//! **Eviction.** Live nodes are line-aligned and never share a line, so an
+//! entry overlapping a new registration can only describe a freed node
+//! whose memory the allocator handed out again: a registration removes
+//! every entry it overlaps, whole. A stale entry therefore never answers
+//! for a line of the node that replaced it.
 
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::collections::BTreeMap;
+use std::sync::{RwLock, RwLockReadGuard};
 
 use crate::line::{LineClass, LineId, LineSet};
 
-struct Master<T> {
-    items: Vec<T>,
-    /// Superseded snapshots. Readers may still hold references into
-    /// them, so they are only freed when the registry itself drops.
-    retired: Vec<*mut Vec<T>>,
-}
+/// Most parts one node is described by (a Euno leaf: header, segments,
+/// CCM).
+const MAX_PARTS: usize = 3;
 
-// Safety: the raw pointers in `retired` are uniquely owned boxed vectors
-// (shared only as immutable snapshots), so the container is as Send/Sync
-// as the element type.
-unsafe impl<T: Send> Send for Master<T> {}
-unsafe impl<T: Send + Sync> Sync for Master<T> {}
-
-/// A sorted vector with lock-free reads and lazily republished writes.
-pub(crate) struct SnapshotVec<T: Clone> {
-    snap: AtomicPtr<Vec<T>>,
-    dirty: AtomicBool,
-    master: Mutex<Master<T>>,
-}
-
-impl<T: Clone> SnapshotVec<T> {
-    pub(crate) fn new() -> Self {
-        SnapshotVec {
-            snap: AtomicPtr::new(Box::into_raw(Box::new(Vec::new()))),
-            dirty: AtomicBool::new(false),
-            master: Mutex::new(Master {
-                items: Vec::new(),
-                retired: Vec::new(),
-            }),
-        }
-    }
-
-    /// Mutate the master copy under the lock. Readers observe the change
-    /// on their next [`SnapshotVec::read`] via the dirty flag.
-    pub(crate) fn update(&self, f: impl FnOnce(&mut Vec<T>)) {
-        let mut m = self.master.lock().unwrap();
-        f(&mut m.items);
-        self.dirty.store(true, Ordering::Release);
-    }
-
-    /// Read the master copy under the lock (cold observability paths).
-    pub(crate) fn with_master<R>(&self, f: impl FnOnce(&[T]) -> R) -> R {
-        f(&self.master.lock().unwrap().items)
-    }
-
-    /// Current snapshot. Lock-free unless a registration happened since
-    /// the last read, which triggers one clone-and-swap under the lock.
-    #[inline]
-    pub(crate) fn read(&self) -> &[T] {
-        if self.dirty.load(Ordering::Acquire) {
-            self.publish();
-        }
-        // Safety: snapshot vectors are retired, never freed, until `self`
-        // drops, so the borrow is valid for the lifetime of `&self`.
-        unsafe { &*self.snap.load(Ordering::Acquire) }
-    }
-
-    #[cold]
-    fn publish(&self) {
-        let mut m = self.master.lock().unwrap();
-        // Re-check under the lock: a concurrent reader may have already
-        // republished while we waited.
-        if !self.dirty.load(Ordering::Acquire) {
-            return;
-        }
-        let fresh = Box::into_raw(Box::new(m.items.clone()));
-        let old = self.snap.swap(fresh, Ordering::AcqRel);
-        m.retired.push(old);
-        self.dirty.store(false, Ordering::Release);
-    }
-}
-
-impl<T: Clone> Drop for SnapshotVec<T> {
-    fn drop(&mut self) {
-        let m = self.master.get_mut().unwrap();
-        for p in m.retired.drain(..) {
-            drop(unsafe { Box::from_raw(p) });
-        }
-        drop(unsafe { Box::from_raw(*self.snap.get_mut()) });
-    }
-}
-
-/// One registered line range: `[start, end)` with its class, plus the
-/// registration sequence number and the *original* range start it was
-/// registered with. The latter two give every registered line a
-/// deterministic rank (see [`ClassRegistry::rank_of`]) that survives
-/// trim-insert splitting.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct ClassRange {
-    start: u64,
-    end: u64,
-    class: LineClass,
-    reg_id: u64,
-    orig_start: u64,
-}
-
-/// A line's deterministic identity: `(registration sequence number,
-/// offset within the registered range)`. Registration order and in-node
-/// offsets are functions of the program's deterministic behaviour, not of
-/// where the allocator placed a node — so ordering lines by rank is
-/// stable across heap layouts, ASLR, and allocation-pattern changes,
-/// where ordering by raw line id (address) is not. Unregistered lines
-/// fall back to address order in the `u64::MAX` bucket.
+/// A line's deterministic identity: `(node registration id, line offset
+/// within the node)`. Registration order and in-node offsets are
+/// functions of the program's deterministic behaviour, not of where the
+/// allocator placed a node — so ordering lines by rank is stable across
+/// heap layouts, ASLR, and allocation-pattern changes, where ordering by
+/// raw line id (address) is not. Unregistered lines fall back to address
+/// order in the `u64::MAX` bucket.
 pub(crate) type LineRank = (u64, u64);
 
-/// Line-class registry: sorted, non-overlapping `[start, end)` line
-/// ranges, newest registration winning on overlap — range-compressed
-/// compared to the old per-line hash map (one entry per allocation
-/// instead of one per 64-byte line).
-pub(crate) struct ClassRegistry {
-    ranges: SnapshotVec<ClassRange>,
-    next_reg_id: AtomicU64,
+struct NodeEntry {
+    /// One past the node's last line (the map key is its first).
+    end: u64,
+    /// Registration sequence number: the major half of [`LineRank`].
+    id: u64,
+    /// Byte range, for address → node attribution.
+    base: u64,
+    len: u64,
+    /// `(first line, class)` of each part in address order; unused
+    /// trailing slots hold `u64::MAX` so no line selects them.
+    parts: [(u64, LineClass); MAX_PARTS],
+    /// Whether the contention profiler attributes addresses to this node.
+    attributed: bool,
 }
 
-impl ClassRegistry {
-    pub(crate) fn new() -> Self {
-        ClassRegistry {
-            ranges: SnapshotVec::new(),
-            next_reg_id: AtomicU64::new(0),
-        }
-    }
+#[derive(Default)]
+struct Nodes {
+    by_first_line: BTreeMap<u64, NodeEntry>,
+    next_id: u64,
+}
 
-    /// Tag lines `[first, last]` with `class`, splitting or replacing any
-    /// previously registered overlapping ranges (trim-insert). Survivors
-    /// of a split keep their original registration id and base, so their
-    /// lines' ranks don't shift.
-    pub(crate) fn register(&self, first: u64, last: u64, class: LineClass) {
-        let (s, e) = (first, last + 1);
-        let reg_id = self.next_reg_id.fetch_add(1, Ordering::Relaxed);
-        let fresh = ClassRange {
-            start: s,
-            end: e,
-            class,
-            reg_id,
-            orig_start: s,
+#[derive(Default)]
+pub(crate) struct NodeTable {
+    nodes: RwLock<Nodes>,
+}
+
+impl NodeTable {
+    /// Publish one node occupying `[base, base + len)`: `parts` lists
+    /// `(byte offset of the part's start, class)` in address order,
+    /// starting at offset 0. A line two parts share belongs to the later
+    /// one. Replaces every entry the new node's lines overlap. The whole
+    /// node becomes visible at once — a concurrent lookup sees all of it
+    /// or none of it.
+    pub(crate) fn register(
+        &self,
+        base: usize,
+        len: usize,
+        parts: &[(usize, LineClass)],
+        attributed: bool,
+    ) {
+        assert!(
+            !parts.is_empty() && parts.len() <= MAX_PARTS && parts[0].0 == 0,
+            "a node has 1..={MAX_PARTS} parts, the first at offset 0"
+        );
+        if len == 0 {
+            return;
+        }
+        let line_of = |off: usize| LineId::of_addr(base + off).0;
+        let (first, end) = (line_of(0), line_of(len - 1) + 1);
+        let mut slots = [(u64::MAX, LineClass::Unknown); MAX_PARTS];
+        for (slot, &(off, class)) in slots.iter_mut().zip(parts) {
+            debug_assert!(off < len, "part starts inside the node");
+            *slot = (line_of(off), class);
+        }
+        debug_assert!(
+            slots.windows(2).all(|w| w[0].0 <= w[1].0),
+            "parts are listed in address order"
+        );
+
+        let mut guard = self.nodes.write().expect("node table poisoned");
+        let nodes = &mut *guard;
+        // Entries are disjoint and sorted, so the overlapped ones are the
+        // run ending at the last entry that starts before `end`.
+        while let Some((&k, e)) = nodes.by_first_line.range(..end).next_back() {
+            if e.end <= first {
+                break;
+            }
+            nodes.by_first_line.remove(&k);
+        }
+        let entry = NodeEntry {
+            end,
+            id: nodes.next_id,
+            base: base as u64,
+            len: len as u64,
+            parts: slots,
+            attributed,
         };
-        self.ranges.update(|v| {
-            // First range ending after `s` — the earliest possible overlap.
-            let i = v.partition_point(|r| r.end <= s);
-            let mut j = i;
-            let mut left = None;
-            let mut right = None;
-            while j < v.len() && v[j].start < e {
-                if v[j].start < s {
-                    left = Some(ClassRange { end: s, ..v[j] });
-                }
-                if v[j].end > e {
-                    right = Some(ClassRange { start: e, ..v[j] });
-                }
-                j += 1;
-            }
-            let repl = left.into_iter().chain(std::iter::once(fresh)).chain(right);
-            v.splice(i..j, repl);
-        });
+        nodes.next_id += 1;
+        nodes.by_first_line.insert(first, entry);
     }
 
+    /// A consistent view for one or more lookups: conflict resolution
+    /// picks the line and reads its class under one.
     #[inline]
-    fn lookup(snap: &[ClassRange], line: LineId) -> Option<&ClassRange> {
-        let i = snap.partition_point(|r| r.start <= line.0);
-        if i > 0 {
-            let r = &snap[i - 1];
-            if line.0 < r.end {
-                return Some(r);
-            }
-        }
-        None
+    pub(crate) fn read(&self) -> NodeTableRead<'_> {
+        NodeTableRead(self.nodes.read().expect("node table poisoned"))
+    }
+}
+
+pub(crate) struct NodeTableRead<'a>(RwLockReadGuard<'a, Nodes>);
+
+impl NodeTableRead<'_> {
+    /// The node whose line span contains `line`, with its first line.
+    #[inline]
+    fn node_of(&self, line: LineId) -> Option<(u64, &NodeEntry)> {
+        let (&first, e) = self.0.by_first_line.range(..=line.0).next_back()?;
+        (line.0 < e.end).then_some((first, e))
     }
 
     #[inline]
     pub(crate) fn class_of(&self, line: LineId) -> LineClass {
-        Self::lookup(self.ranges.read(), line).map_or(LineClass::Unknown, |r| r.class)
+        self.node_of(line).map_or(LineClass::Unknown, |(_, e)| {
+            let part = e.parts.iter().rev().find(|p| p.0 <= line.0);
+            part.expect("a node's first part starts at its first line")
+                .1
+        })
     }
 
     /// Deterministic rank of a line (see [`LineRank`]).
     #[inline]
     pub(crate) fn rank_of(&self, line: LineId) -> LineRank {
-        match Self::lookup(self.ranges.read(), line) {
-            Some(r) => (r.reg_id, line.0 - r.orig_start),
+        match self.node_of(line) {
+            Some((first, e)) => (e.id, line.0 - first),
             None => (u64::MAX, line.0),
         }
     }
@@ -209,184 +156,138 @@ impl ClassRegistry {
     /// address order — sensitive to allocator placement), the answer is a
     /// deterministic function of the simulated schedule.
     pub(crate) fn best_common_line(&self, a: &LineSet, b: &LineSet) -> Option<LineId> {
-        let snap = self.ranges.read();
-        let mut best: Option<(LineRank, LineId)> = None;
-        for line in a.common_iter(b) {
-            let rank = match Self::lookup(snap, line) {
-                Some(r) => (r.reg_id, line.0 - r.orig_start),
-                None => (u64::MAX, line.0),
-            };
-            if best.is_none_or(|(r, _)| rank < r) {
-                best = Some((rank, line));
-            }
-        }
-        best.map(|(_, line)| line)
+        a.common_iter(b).min_by_key(|&line| self.rank_of(line))
     }
 
-    /// Number of distinct registered lines (ranges are non-overlapping,
-    /// so widths sum exactly).
-    pub(crate) fn registered_lines(&self) -> usize {
-        self.ranges
-            .with_master(|v| v.iter().map(|r| (r.end - r.start) as usize).sum())
-    }
-}
-
-/// Object registry for trace attribution: `(base, len)` pairs sorted by
-/// base. Re-registering an exact base replaces the entry (reused
-/// allocation), including shrinking its length.
-pub(crate) struct ObjectRegistry {
-    objects: SnapshotVec<(u64, u64)>,
-}
-
-impl ObjectRegistry {
-    pub(crate) fn new() -> Self {
-        ObjectRegistry {
-            objects: SnapshotVec::new(),
-        }
-    }
-
-    pub(crate) fn register(&self, base: u64, len: u64) {
-        self.objects
-            .update(|v| match v.binary_search_by_key(&base, |&(b, _)| b) {
-                Ok(i) => v[i] = (base, len),
-                Err(i) => v.insert(i, (base, len)),
-            });
-    }
-
-    /// Base address of the registered object containing `addr`, if any.
-    pub(crate) fn base_of(&self, addr: u64) -> Option<u64> {
-        let snap = self.objects.read();
-        let i = match snap.binary_search_by_key(&addr, |&(b, _)| b) {
-            Ok(i) => i,
-            Err(0) => return None,
-            Err(i) => i - 1,
-        };
-        let (base, len) = snap[i];
-        (addr < base + len).then_some(base)
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.objects.with_master(|v| v.len())
+    /// Base address of the profiler-attributed node containing `addr`.
+    pub(crate) fn object_base_of(&self, addr: u64) -> Option<u64> {
+        let (_, e) = self.node_of(LineId::of_addr(addr as usize))?;
+        (e.attributed && e.base <= addr && addr - e.base < e.len).then_some(e.base)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use LineClass::{Metadata, Record, Structure, Unknown};
 
-    #[test]
-    fn snapshot_reads_see_prior_updates() {
-        let s: SnapshotVec<u64> = SnapshotVec::new();
-        assert!(s.read().is_empty());
-        s.update(|v| v.push(3));
-        assert_eq!(s.read(), &[3]);
-        // A second read without intervening updates takes the lock-free
-        // path and sees the same snapshot.
-        assert_eq!(s.read(), &[3]);
-        s.update(|v| v.push(9));
-        assert_eq!(s.read(), &[3, 9]);
-    }
-
-    #[test]
-    fn class_trim_insert_splits_overlaps() {
-        let reg = ClassRegistry::new();
-        reg.register(10, 19, LineClass::Record);
-        // Overwrite the middle: the Record range must split around it.
-        reg.register(14, 15, LineClass::Metadata);
-        assert_eq!(reg.class_of(LineId(10)), LineClass::Record);
-        assert_eq!(reg.class_of(LineId(13)), LineClass::Record);
-        assert_eq!(reg.class_of(LineId(14)), LineClass::Metadata);
-        assert_eq!(reg.class_of(LineId(15)), LineClass::Metadata);
-        assert_eq!(reg.class_of(LineId(16)), LineClass::Record);
-        assert_eq!(reg.class_of(LineId(19)), LineClass::Record);
-        assert_eq!(reg.class_of(LineId(20)), LineClass::Unknown);
-        assert_eq!(reg.class_of(LineId(9)), LineClass::Unknown);
-        assert_eq!(reg.registered_lines(), 10);
-
-        // Overwrite spanning several existing ranges collapses them.
-        reg.register(12, 17, LineClass::Structure);
-        assert_eq!(reg.class_of(LineId(11)), LineClass::Record);
-        assert_eq!(reg.class_of(LineId(12)), LineClass::Structure);
-        assert_eq!(reg.class_of(LineId(17)), LineClass::Structure);
-        assert_eq!(reg.class_of(LineId(18)), LineClass::Record);
-        assert_eq!(reg.registered_lines(), 10);
+    fn classes(r: &NodeTableRead<'_>, lines: std::ops::Range<u64>) -> Vec<LineClass> {
+        lines.map(|l| r.class_of(LineId(l))).collect()
     }
 
     #[test]
     fn class_exact_overwrite_and_disjoint_ranges() {
-        let reg = ClassRegistry::new();
-        reg.register(5, 7, LineClass::Metadata);
-        reg.register(5, 7, LineClass::Record); // same range, new class
-        assert_eq!(reg.class_of(LineId(5)), LineClass::Record);
-        assert_eq!(reg.class_of(LineId(7)), LineClass::Record);
-        assert_eq!(reg.registered_lines(), 3);
-        reg.register(100, 100, LineClass::Structure);
-        assert_eq!(reg.class_of(LineId(100)), LineClass::Structure);
-        assert_eq!(reg.registered_lines(), 4);
+        let t = NodeTable::default();
+        t.register(5 * 64, 3 * 64, &[(0, Metadata)], false);
+        t.register(5 * 64, 3 * 64, &[(0, Record)], false); // same span, new class
+        t.register(100 * 64, 64, &[(0, Structure)], false);
+        let r = t.read();
+        let want = [Unknown, Record, Record, Record, Unknown];
+        assert_eq!(classes(&r, 4..9), want);
+        assert_eq!(r.class_of(LineId(100)), Structure);
+        assert_eq!(r.0.by_first_line.len(), 2);
+    }
+
+    #[test]
+    fn parts_split_a_node_and_rank_by_offset() {
+        let t = NodeTable::default();
+        t.register(20 * 64, 64, &[(0, Structure)], false);
+        let leaf = [(0, Metadata), (64, Record), (192, Metadata)];
+        t.register(10 * 64, 4 * 64, &leaf, true);
+        let r = t.read();
+        let want = [Unknown, Metadata, Record, Record, Metadata, Unknown];
+        assert_eq!(classes(&r, 9..15), want);
+        // Ranks follow registration order, then offset — not address.
+        assert_eq!(r.rank_of(LineId(20)), (0, 0));
+        assert_eq!(r.rank_of(LineId(10)), (1, 0));
+        assert_eq!(r.rank_of(LineId(13)), (1, 3));
+        assert_eq!(r.rank_of(LineId(14)), (u64::MAX, 14));
+        let a: LineSet = [LineId(12), LineId(14), LineId(20)].into_iter().collect();
+        let b: LineSet = [LineId(14), LineId(20), LineId(12)].into_iter().collect();
+        assert_eq!(r.best_common_line(&a, &b), Some(LineId(20)));
     }
 
     #[test]
     fn object_boundary_addresses() {
-        let reg = ObjectRegistry::new();
-        reg.register(0x1000, 256);
-        reg.register(0x2000, 64);
+        let t = NodeTable::default();
+        t.register(0x1000, 256, &[(0, Record)], true);
+        t.register(0x2000, 40, &[(0, Record)], true);
+        t.register(0x3000, 64, &[(0, Record)], false);
+        let r = t.read();
         // First and last byte of each range resolve; one past does not.
-        assert_eq!(reg.base_of(0x1000), Some(0x1000));
-        assert_eq!(reg.base_of(0x10ff), Some(0x1000));
-        assert_eq!(reg.base_of(0x1100), None);
-        assert_eq!(reg.base_of(0x0fff), None);
-        assert_eq!(reg.base_of(0x2000), Some(0x2000));
-        assert_eq!(reg.base_of(0x203f), Some(0x2000));
-        assert_eq!(reg.base_of(0x2040), None);
-        assert_eq!(reg.len(), 2);
+        assert_eq!(r.object_base_of(0x1000), Some(0x1000));
+        assert_eq!(r.object_base_of(0x10ff), Some(0x1000));
+        assert_eq!(r.object_base_of(0x1100), None);
+        assert_eq!(r.object_base_of(0x0fff), None);
+        assert_eq!(r.object_base_of(0x2027), Some(0x2000));
+        // Same line as the node, past its last byte.
+        assert_eq!(r.object_base_of(0x2028), None);
+        // Classified but not attributed.
+        assert_eq!(r.object_base_of(0x3000), None);
+        assert_eq!(r.class_of(LineId(0x3000 / 64)), Record);
     }
 
     #[test]
     fn object_reregistration_shrinks() {
-        let reg = ObjectRegistry::new();
-        reg.register(0x1000, 256);
-        assert_eq!(reg.base_of(0x10ff), Some(0x1000));
-        // Reused allocation: same base, smaller object. The old tail must
-        // stop resolving even though an older snapshot said otherwise.
-        reg.register(0x1000, 64);
-        assert_eq!(reg.len(), 1);
-        assert_eq!(reg.base_of(0x103f), Some(0x1000));
-        assert_eq!(reg.base_of(0x1040), None);
-        assert_eq!(reg.base_of(0x10ff), None);
+        let t = NodeTable::default();
+        t.register(0x1000, 256, &[(0, Record)], true);
+        assert_eq!(t.read().object_base_of(0x10ff), Some(0x1000));
+        // Reused allocation: same base, smaller node. The old tail must
+        // stop resolving.
+        t.register(0x1000, 64, &[(0, Record)], true);
+        let r = t.read();
+        assert_eq!(r.0.by_first_line.len(), 1);
+        assert_eq!(r.object_base_of(0x103f), Some(0x1000));
+        assert_eq!(r.object_base_of(0x1040), None);
+        assert_eq!(r.object_base_of(0x10ff), None);
+    }
+
+    /// Profiler mis-attribution under churn: an internal node reusing a
+    /// freed leaf's address used to leave the leaf's object entry behind.
+    #[test]
+    fn reuse_with_different_size_evicts_the_stale_node() {
+        let t = NodeTable::default();
+        let leaf = [(0, Metadata), (64, Record), (192, Metadata)];
+        t.register(0x4000, 4 * 64, &leaf, true);
+        assert_eq!(t.read().object_base_of(0x4000), Some(0x4000));
+        t.register(0x4000, 2 * 64, &[(0, Structure)], false);
+        let r = t.read();
+        assert_eq!(r.object_base_of(0x4000), None);
+        let want = [Structure, Structure, Unknown, Unknown];
+        assert_eq!(classes(&r, 0x100..0x104), want);
     }
 
     #[test]
     fn concurrent_register_and_classify() {
-        // Hammer registrations from one thread while another classifies;
-        // every lookup must see either Unknown or a class registered for
-        // that exact line — never torn or stale-beyond-retirement data.
-        let reg = std::sync::Arc::new(ClassRegistry::new());
-        let w = {
-            let reg = std::sync::Arc::clone(&reg);
-            std::thread::spawn(move || {
-                for i in 0..1_000u64 {
-                    let class = if i % 2 == 0 {
-                        LineClass::Record
+        // One thread re-registers the same base with two different
+        // layouts while another classifies. Under one read view the
+        // classifier must see a whole registration — never the record
+        // part of one with the CCM line or attribution of the other.
+        let t = NodeTable::default();
+        let leaf = [(0, Metadata), (64, Record), (192, Metadata)];
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for i in 0..2_000 {
+                    if i % 2 == 0 {
+                        t.register(0, 256, &[(0, Structure)], false);
                     } else {
-                        LineClass::Metadata
-                    };
-                    reg.register(i % 64, i % 64, class);
+                        t.register(0, 256, &leaf, true);
+                    }
                 }
-            })
-        };
-        for _ in 0..10_000 {
-            let c = reg.class_of(LineId(7));
-            assert!(
-                matches!(
-                    c,
-                    LineClass::Unknown | LineClass::Record | LineClass::Metadata
-                ),
-                "unexpected class {c:?}"
-            );
-        }
-        w.join().unwrap();
-        // After the writer finishes, line 7 was last registered on
-        // iteration 967 (odd → Metadata).
-        assert_eq!(reg.class_of(LineId(7)), LineClass::Metadata);
+            });
+            for _ in 0..20_000 {
+                let r = t.read();
+                let seen = (classes(&r, 0..4), r.object_base_of(8));
+                drop(r);
+                let whole = [
+                    (vec![Unknown; 4], None),
+                    (vec![Structure; 4], None),
+                    (vec![Metadata, Record, Record, Metadata], Some(0)),
+                ];
+                assert!(whole.contains(&seen), "torn registration: {seen:?}");
+            }
+        });
+        // The writer's last iteration (1999, odd) registered the leaf.
+        assert_eq!(t.read().class_of(LineId(3)), Metadata);
     }
 }

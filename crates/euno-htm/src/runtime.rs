@@ -1,8 +1,7 @@
 //! Engine-wide shared state: execution mode, the TL2 global version clock
 //! and per-line version-lock table for real-thread commits, and the
 //! virtual-time conflict bookkeeping
-//! (committed-episode window, virtual lock table, hot-line map, line-class
-//! registry).
+//! (committed-episode window, virtual lock table, hot-line map, node table).
 
 use std::collections::VecDeque;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -50,7 +49,7 @@ type HashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FibHashe
 use crate::abort::{ConflictInfo, ConflictKind};
 use crate::cost::CostModel;
 use crate::line::{LineClass, LineId, LineSet, CACHE_LINE_BYTES};
-use crate::registry::{ClassRegistry, ObjectRegistry};
+use crate::registry::NodeTable;
 
 /// How transactions execute.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -310,9 +309,10 @@ impl VirtState {
     /// Check an episode's footprint against committed overlapping
     /// episodes — `reads` against their writes only (optimistic reads)
     /// when `writes` is `None`, the full TSX rules otherwise. Returns the
-    /// colliding line plus the other side's op key and thread —
-    /// classification (which needs the class registry) stays with the
-    /// caller.
+    /// colliding line and its class plus the other side's op key and
+    /// thread. The node table is read only once a collision is found, so
+    /// the line and its class come from one view of it and a clean episode
+    /// never touches its lock.
     ///
     /// The conflicting record is the *newest* (largest-seq) overlapping
     /// record whose footprint intersects — exactly what the old
@@ -322,14 +322,14 @@ impl VirtState {
     /// my W ∩ their R, then my R ∩ their W; within one priority level the
     /// lowest-[`LineRank`](crate::registry::LineRank) common line wins, so
     /// the report does not depend on heap addresses (see
-    /// [`ClassRegistry::best_common_line`]).
+    /// [`NodeTableRead::best_common_line`](crate::registry::NodeTableRead::best_common_line)).
     pub(crate) fn check(
         &self,
         start: u64,
         reads: &LineSet,
         writes: Option<&LineSet>,
-        reg: &ClassRegistry,
-    ) -> Option<(LineId, Option<u64>, u32)> {
+        nodes: &NodeTable,
+    ) -> Option<(LineId, LineClass, Option<u64>, u32)> {
         // `below` excludes candidates already found to be stale (their
         // record was pruned while its index entries survive) — a case the
         // scheduler's prune invariant (`start` never precedes the cutoff)
@@ -375,6 +375,7 @@ impl VirtState {
             match self.window.binary_search_by_key(&cand, |wr| wr.seq) {
                 Ok(i) => {
                     let rec = &self.window[i].rec;
+                    let reg = nodes.read();
                     let line = if let Some(w) = writes {
                         reg.best_common_line(w, &rec.writes)
                             .or_else(|| reg.best_common_line(w, &rec.reads))
@@ -383,7 +384,7 @@ impl VirtState {
                         reg.best_common_line(reads, &rec.writes)
                     };
                     let line = line.expect("indexed record must intersect the footprint");
-                    return Some((line, rec.op_key, rec.thread));
+                    return Some((line, reg.class_of(line), rec.op_key, rec.thread));
                 }
                 // Stale index entry: the record was pruned. Skip it and
                 // look for the next-newest candidate.
@@ -516,8 +517,8 @@ impl VirtState {
         duration: u64,
         me: u32,
         u: f64,
-        reg: &ClassRegistry,
-    ) -> Option<LineId> {
+        nodes: &NodeTable,
+    ) -> Option<(LineId, LineClass)> {
         let l = duration.max(1) as f64;
         // Survival probability across all hot lines in the footprint: the
         // line's write process is modelled as Poisson with rate
@@ -526,44 +527,41 @@ impl VirtState {
         // with no rate estimate yet falls back to the single-observation
         // estimate (gap ≈ time since that write).
         let mut log_survive = 0.0f64;
-        // Most-recently-written footprint line; `heat.end` ties (lines
-        // written by the same committed episode) break on [`LineRank`],
-        // not address order, so the reported line is layout-independent.
-        let mut hottest: Option<(LineId, u64, crate::registry::LineRank)> = None;
-        let mut consider = |line: LineId, heat: Option<&LineHeat>| {
-            if let Some(heat) = heat {
-                if heat.thread != me && heat.end <= start {
-                    let since = (start - heat.end).max(1) as f64;
-                    let lambda = if heat.gap_ewma == u64::MAX {
-                        l / since
-                    } else {
-                        let gap = heat.gap_ewma.max(1) as f64;
-                        (l / gap) * (-since / (20.0 * gap)).exp()
-                    };
-                    log_survive -= lambda;
-                    if hottest.is_none_or(|(_, e, _)| heat.end >= e) {
-                        let rank = reg.rank_of(line);
-                        if hottest.is_none_or(|(_, e, r)| heat.end > e || rank < r) {
-                            hottest = Some((line, heat.end, rank));
-                        }
-                    }
-                }
-            }
+        let mut latest_write: Option<u64> = None;
+        let lines = || {
+            reads
+                .iter()
+                .chain(writes.into_iter().flat_map(LineSet::iter))
         };
-        for line in reads.iter() {
-            consider(line, self.recent_writes.get(&line.0));
-        }
-        if let Some(w) = writes {
-            for line in w.iter() {
-                consider(line, self.recent_writes.get(&line.0));
-            }
+        // A line counts if another thread last wrote it before `start`.
+        let heat_of = |line: LineId| {
+            let heat = self.recent_writes.get(&line.0)?;
+            (heat.thread != me && heat.end <= start).then_some(heat)
+        };
+        for heat in lines().filter_map(heat_of) {
+            let since = (start - heat.end).max(1) as f64;
+            let lambda = if heat.gap_ewma == u64::MAX {
+                l / since
+            } else {
+                let gap = heat.gap_ewma.max(1) as f64;
+                (l / gap) * (-since / (20.0 * gap)).exp()
+            };
+            log_survive -= lambda;
+            latest_write = latest_write.max(Some(heat.end));
         }
         let p_abort = 1.0 - log_survive.exp();
-        if p_abort > 0.0 && u < p_abort {
-            hottest.map(|(line, _, _)| line)
-        } else {
-            None
+        if !(p_abort > 0.0 && u < p_abort) {
+            return None;
         }
+        // Report the most-recently-written line; `heat.end` ties (lines
+        // written by the same committed episode) break on [`LineRank`],
+        // not address order, so the reported line is layout-independent.
+        // The node table is read only here, once the storm has fired.
+        let reg = nodes.read();
+        let line = lines()
+            .filter(|&line| heat_of(line).map(|h| h.end) == latest_write)
+            .min_by_key(|&line| reg.rank_of(line))?;
+        Some((line, reg.class_of(line)))
     }
 
     /// Heat contribution of an aborted attempt's speculative writes; see
@@ -596,6 +594,22 @@ impl VirtState {
     }
 }
 
+/// A word on a cache line of its own. Every writing commit on every
+/// thread bumps `Runtime::seq` and `Runtime::wb_active`, while every
+/// access reads `mode` and `cost`: wherever field reordering happens to
+/// put them, the write-hot words must not share a line with the
+/// read-only ones (`wall-point`, 2 threads: 1.11 M ops/s sharing a line
+/// with `mode`, 1.34 M apart).
+#[repr(align(64))]
+pub(crate) struct OwnLine<T>(T);
+
+impl<T> std::ops::Deref for OwnLine<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
 /// The engine runtime shared by all threads of one experiment.
 ///
 /// Trees hold an `Arc<Runtime>`; per-thread handles are
@@ -611,7 +625,7 @@ pub struct Runtime {
     /// (`EpisodeState::rv`) and optimistic-read snapshots are taken from
     /// it; commit write-versions are `fetch_add(1) + 1`. Invariant: no
     /// slot of `vlocks` ever carries a version above this clock.
-    pub(crate) seq: AtomicU64,
+    pub(crate) seq: OwnLine<AtomicU64>,
     /// TL2 per-line version-lock table (concurrent mode; see
     /// [`crate::lock::VersionTable`] and DESIGN.md §4.5).
     pub(crate) vlocks: crate::lock::VersionTable,
@@ -620,7 +634,7 @@ pub struct Runtime {
     /// snapshots only while this is zero, and a fallback acquirer spins it
     /// to zero before issuing direct writes — the two places that must not
     /// observe a half-applied write buffer.
-    pub(crate) wb_active: AtomicU64,
+    pub(crate) wb_active: OwnLine<AtomicU64>,
     /// Which engine executes concurrent-mode transactions (STM or real
     /// RTM); `Mode::Virtual` ignores it.
     backend: ConcurrentBackend,
@@ -628,15 +642,12 @@ pub struct Runtime {
     /// runtime CPUID support, cached at construction.
     rtm_ok: bool,
     pub(crate) virt: Mutex<VirtState>,
-    /// Line-range → data class, populated by trees at node allocation.
-    /// Snapshot structure: classification lookups are lock-free. Also the
-    /// source of deterministic line ranks for conflict-line selection,
-    /// which is why the episode-closing paths in `ctx.rs` pass it into
+    /// Line → registered node, populated by trees at node allocation:
+    /// answers conflict classification, profiler attribution and the
+    /// deterministic line ranks for conflict-line selection — which is why
+    /// the episode-closing paths in `ctx.rs` pass it into
     /// [`VirtState::check`] / [`VirtState::storm_check`].
-    pub(crate) classes: ClassRegistry,
-    /// Object registry for trace attribution: `(base, len)` of registered
-    /// objects (tree leaves), sorted by base, lock-free lookups.
-    objects: ObjectRegistry,
+    pub(crate) nodes: NodeTable,
     /// Epoch collector for deferred node reclamation: trees pin around
     /// every operation ([`crate::ctx::ThreadCtx::epoch_enter`]) and hand
     /// unlinked nodes to their [`crate::arena::Arena`], which defers the
@@ -667,17 +678,16 @@ impl Runtime {
         Arc::new(Runtime {
             mode,
             cost,
-            seq: AtomicU64::new(0),
+            seq: OwnLine(AtomicU64::new(0)),
             vlocks: crate::lock::VersionTable::new(),
-            wb_active: AtomicU64::new(0),
+            wb_active: OwnLine(AtomicU64::new(0)),
             backend,
             rtm_ok,
             virt: Mutex::new(VirtState {
                 transfer_horizon: 20_000,
                 ..VirtState::default()
             }),
-            classes: ClassRegistry::new(),
-            objects: ObjectRegistry::new(),
+            nodes: NodeTable::default(),
             epoch: crate::epoch::Collector::new(),
             metrics: euno_metrics::Registry::new(),
             next_thread: AtomicU64::new(0),
@@ -771,58 +781,49 @@ impl Runtime {
         crate::ctx::ThreadCtx::new(Arc::clone(self), id, seed)
     }
 
-    // ----- line-class registry ---------------------------------------
+    // ----- node table -------------------------------------------------
 
-    /// Tag every cache line overlapping `[addr, addr + bytes)` with `class`.
-    /// Trees call this when allocating nodes so conflicts can be attributed
-    /// to the paper's taxonomy buckets.
-    pub fn register_region(&self, addr: usize, bytes: usize, class: LineClass) {
-        if bytes == 0 {
-            return;
-        }
-        let first = LineId::of_addr(addr).0;
-        let last = LineId::of_addr(addr + bytes - 1).0;
-        self.classes.register(first, last, class);
+    /// Describe one allocated node to the engine: it occupies
+    /// `[base, base + bytes)`, and `parts` lists `(byte offset, class)`
+    /// of up to three consecutive parts in address order, the first at
+    /// offset 0. Trees call this once per node allocation so conflicts
+    /// can be attributed to the paper's taxonomy buckets; with
+    /// `attributed` the contention profiler also attributes
+    /// address-carrying trace events (conflict lines, lock cells, CCM
+    /// words) inside the node to `base`. Replaces whatever was registered
+    /// on the same lines (a freed node whose memory was reused).
+    pub fn register_node(
+        &self,
+        base: usize,
+        bytes: usize,
+        parts: &[(usize, LineClass)],
+        attributed: bool,
+    ) {
+        self.nodes.register(base, bytes, parts, attributed);
     }
 
-    /// Convenience: register the memory occupied by a value.
+    /// Convenience: register a value as a one-part, unattributed node.
     pub fn register_value<T>(&self, v: &T, class: LineClass) {
-        self.register_region(v as *const T as usize, std::mem::size_of::<T>(), class);
+        let base = v as *const T as usize;
+        self.register_node(base, std::mem::size_of::<T>(), &[(0, class)], false);
     }
 
     #[inline]
     pub fn class_of(&self, line: LineId) -> LineClass {
-        self.classes.class_of(line)
+        self.nodes.read().class_of(line)
     }
 
-    /// Number of distinct registered lines (used to bound registry growth
-    /// in tests).
-    pub fn registered_lines(&self) -> usize {
-        self.classes.registered_lines()
+    /// Deterministic rank of a line: `(registration id of its node, line
+    /// offset within the node)`, or `(u64::MAX, line id)` when
+    /// unregistered. Conflict-line selection orders by it.
+    pub fn rank_of(&self, line: LineId) -> (u64, u64) {
+        self.nodes.read().rank_of(line)
     }
 
-    // ----- object registry (trace attribution) -------------------------
-
-    /// Register an object's memory range so the contention profiler can
-    /// attribute address-carrying trace events (conflict lines, lock
-    /// cells, CCM words) to it. Trees call this for each leaf alongside
-    /// [`Runtime::register_region`].
-    pub fn register_object(&self, base: usize, bytes: usize) {
-        if bytes == 0 {
-            return;
-        }
-        self.objects.register(base as u64, bytes as u64);
-    }
-
-    /// Base address of the registered object containing `addr`, if any.
+    /// Base address of the attributed node containing `addr`, if any.
     #[inline]
     pub fn object_base_of(&self, addr: u64) -> Option<u64> {
-        self.objects.base_of(addr)
-    }
-
-    /// Number of registered objects (observability/tests).
-    pub fn registered_objects(&self) -> usize {
-        self.objects.len()
+        self.nodes.read().object_base_of(addr)
     }
 
     // ----- virtual-mode conflict window --------------------------------
@@ -843,9 +844,10 @@ impl Runtime {
         my_key: Option<u64>,
     ) -> Option<ConflictInfo> {
         let virt = self.virt.lock().unwrap();
-        let (line, other_key, other_thread) = virt.check(start, reads, writes, &self.classes)?;
+        let (line, class, other_key, other_thread) =
+            virt.check(start, reads, writes, &self.nodes)?;
         drop(virt);
-        let kind = ConflictKind::classify(self.class_of(line), my_key, other_key);
+        let kind = ConflictKind::classify(class, my_key, other_key);
         Some(ConflictInfo {
             line,
             kind,
@@ -926,8 +928,8 @@ impl Runtime {
         *slot = (*slot).max(until);
     }
 
-    /// Reset all engine state between experiment phases (keeps the class
-    /// registry — the tree nodes are still alive).
+    /// Reset all engine state between experiment phases (keeps the node
+    /// table — the tree nodes are still alive).
     pub fn reset_dynamics(&self) {
         let mut virt = self.virt.lock().unwrap();
         virt.window.clear();
@@ -968,7 +970,7 @@ mod tests {
     fn register_and_classify() {
         let rt = Runtime::new_virtual();
         let buf = vec![0u8; 256];
-        rt.register_region(buf.as_ptr() as usize, 256, LineClass::Record);
+        rt.register_node(buf.as_ptr() as usize, 256, &[(0, LineClass::Record)], false);
         let l = LineId::of_ptr(buf.as_ptr().wrapping_add(100));
         assert_eq!(rt.class_of(l), LineClass::Record);
         let unrelated = LineId(0xdead_beef);
@@ -978,18 +980,18 @@ mod tests {
     #[test]
     fn object_registry_resolves_containing_object() {
         let rt = Runtime::new_virtual();
-        rt.register_object(0x1000, 256);
-        rt.register_object(0x3000, 64);
-        assert_eq!(rt.registered_objects(), 2);
+        rt.register_node(0x1000, 256, &[(0, LineClass::Record)], true);
+        rt.register_node(0x3000, 64, &[(0, LineClass::Record)], true);
         assert_eq!(rt.object_base_of(0x1000), Some(0x1000));
         assert_eq!(rt.object_base_of(0x10ff), Some(0x1000));
         assert_eq!(rt.object_base_of(0x1100), None);
         assert_eq!(rt.object_base_of(0x3020), Some(0x3000));
         assert_eq!(rt.object_base_of(0x0fff), None);
-        // Re-registering a reused base replaces the entry.
-        rt.register_object(0x1000, 64);
-        assert_eq!(rt.registered_objects(), 2);
-        assert_eq!(rt.object_base_of(0x10ff), None);
+        // Values are classified but not attributed.
+        let v = Box::new([0u64; 8]);
+        rt.register_value(&*v, LineClass::Structure);
+        assert_eq!(rt.class_of(LineId::of_ptr(&*v)), LineClass::Structure);
+        assert_eq!(rt.object_base_of(&*v as *const _ as u64), None);
     }
 
     #[test]
@@ -1112,6 +1114,35 @@ mod tests {
         // Long after the horizon: cold again.
         let c = rt.virt_transfer_charge([LineId(3)].into_iter(), 10_000_000, 0);
         assert_eq!(c, 0);
+    }
+
+    #[test]
+    fn storm_reports_latest_write_and_breaks_ties_on_rank() {
+        let rt = Runtime::new_virtual();
+        // The higher address registers first: rank order reverses
+        // address order.
+        rt.register_node(0x2000, 64, &[(0, LineClass::Record)], false);
+        rt.register_node(0x1000, 64, &[(0, LineClass::Record)], false);
+        let (lo, hi) = (LineId(0x1000 / 64), LineId(0x2000 / 64));
+        let write = |start, end, lines: &[LineId]| {
+            rt.virt_commit(EpisodeRecord {
+                start,
+                end,
+                thread: 1,
+                op_key: None,
+                reads: LineSet::new(),
+                writes: lines.iter().copied().collect(),
+            });
+        };
+        write(0, 50, &[LineId(5)]);
+        write(60, 100, &[lo, hi]);
+        let reads: LineSet = [LineId(5), lo, hi].into_iter().collect();
+        let virt = rt.virt.lock().unwrap();
+        // `u = 0` fires whenever any footprint line is hot.
+        let storm = |me| virt.storm_check(&reads, None, 100, 1_000, me, 0.0, &rt.nodes);
+        let hit = Some((hi, LineClass::Record));
+        assert_eq!(storm(0), hit, "latest write, first-registered node");
+        assert_eq!(storm(1), None, "a thread's own writes are not a storm");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use euno_rng::{Rng, SmallRng};
 
-use euno_htm::{LineId, LineSet, RetryPolicy, Runtime, TxCell};
+use euno_htm::{LineClass, LineId, LineSet, RetryPolicy, Runtime, TxCell};
 
 /// LineSet behaves exactly like a BTreeSet of line ids.
 #[test]
@@ -157,5 +157,127 @@ fn concurrent_transfers_preserve_sum() {
             }
         });
         assert_eq!(a.load_plain() + b.load_plain(), 2_000);
+    }
+}
+
+/// One `Runtime::register_node` call, as the naive node-table model keeps
+/// it: a `Vec` in registration order, every question a linear scan.
+#[derive(Clone)]
+struct ModelNode {
+    base: usize,
+    len: usize,
+    parts: Vec<(usize, LineClass)>,
+    attributed: bool,
+}
+
+impl ModelNode {
+    fn lines(&self) -> std::ops::Range<u64> {
+        LineId::of_addr(self.base).0..LineId::of_addr(self.base + self.len - 1).0 + 1
+    }
+
+    /// The last part starting at or before `line` owns it.
+    fn class_of(&self, line: u64) -> LineClass {
+        let mut class = self.parts[0].1;
+        for &(off, c) in &self.parts {
+            if LineId::of_addr(self.base + off).0 <= line {
+                class = c;
+            }
+        }
+        class
+    }
+}
+
+/// Register `n` in both the runtime and the model (a registration evicts
+/// every node it shares a line with), then compare them on every line and
+/// boundary address of the universe.
+fn register_and_compare(rt: &Runtime, model: &mut Vec<ModelNode>, n: ModelNode, ctx: &str) {
+    const UNIVERSE_LINES: u64 = 160;
+    rt.register_node(n.base, n.len, &n.parts, n.attributed);
+    let span = n.lines();
+    model.retain(|m| m.lines().end <= span.start || span.end <= m.lines().start);
+    model.push(n);
+
+    let node_of = |line: u64| model.iter().position(|m| m.lines().contains(&line));
+    for line in 0..UNIVERSE_LINES {
+        let node = node_of(line).map(|i| &model[i]);
+        let class = node.map_or(LineClass::Unknown, |m| m.class_of(line));
+        assert_eq!(
+            rt.class_of(LineId(line)),
+            class,
+            "{ctx}: class of line {line}"
+        );
+        // Every byte of the line that can sit on a node boundary.
+        for addr in (line * 64..(line + 1) * 64).step_by(8) {
+            let inside = |m: &&ModelNode| (m.base..m.base + m.len).contains(&(addr as usize));
+            let base = node.filter(|m| m.attributed).filter(inside);
+            let base = base.map(|m| m.base as u64);
+            assert_eq!(rt.object_base_of(addr), base, "{ctx}: object of {addr:#x}");
+        }
+    }
+    // Ranks order registered lines by (registration order, address) and
+    // put every unregistered line after them, in address order.
+    let mut by_rank: Vec<u64> = (0..UNIVERSE_LINES).collect();
+    by_rank.sort_by_key(|&l| rt.rank_of(LineId(l)));
+    let mut expect: Vec<u64> = (0..UNIVERSE_LINES).collect();
+    expect.sort_by_key(|&l| (node_of(l).unwrap_or(usize::MAX), l));
+    assert_eq!(by_rank, expect, "{ctx}: rank order");
+}
+
+/// The node table agrees with the naive model on `class_of`,
+/// `object_base_of` and the ordering of `rank_of` under registration,
+/// re-registration of the same base and reuse of an address with a
+/// different size.
+#[test]
+fn node_table_matches_naive_model() {
+    use LineClass::{Metadata, Record, Structure};
+    let node = |base, len, parts: &[(usize, LineClass)], attributed| ModelNode {
+        base,
+        len,
+        parts: parts.to_vec(),
+        attributed,
+    };
+    // Scripted openers: exact overwrite with a new class, neighbours
+    // meeting at a line boundary, a node ending mid-line, and
+    // re-registration that shrinks (the evicted tail must stop resolving).
+    let scripted = [
+        node(0x400, 192, &[(0, Metadata)], false),
+        node(0x400, 192, &[(0, Record)], false),
+        node(
+            0x1000,
+            256,
+            &[(0, Metadata), (64, Record), (192, Metadata)],
+            true,
+        ),
+        node(0x1100, 64, &[(0, Structure)], true),
+        node(0x1800, 40, &[(0, Record)], true),
+        node(0x1000, 64, &[(0, Record)], true),
+    ];
+    let mut rng = SmallRng::seed_from_u64(0x7ab1e);
+    for case in 0..12 {
+        let rt = Runtime::new_virtual();
+        let mut model = Vec::new();
+        for (i, n) in scripted.iter().enumerate() {
+            register_and_compare(&rt, &mut model, n.clone(), &format!("scripted op {i}"));
+        }
+        for op in 0..80 {
+            // A fresh slot, or the base of a node already registered.
+            let base = match model.len() {
+                n if n > 0 && rng.gen_bool(0.5) => model[rng.gen_range(0..n)].base,
+                _ => 64 * rng.gen_range(8usize..140),
+            };
+            let lines = rng.gen_range(1usize..10);
+            // Whole lines, or ending part-way through the last one.
+            let len = lines * 64 - [0, 8, 24][rng.gen_range(0usize..3)];
+            let classes = [Metadata, Record, Structure];
+            let mut parts = vec![(0, classes[rng.gen_range(0usize..3)])];
+            for _ in 0..rng.gen_range(0usize..3) {
+                let off = 8 * rng.gen_range(0..len / 8);
+                if off > parts.last().unwrap().0 {
+                    parts.push((off, classes[rng.gen_range(0usize..3)]));
+                }
+            }
+            let n = node(base, len, &parts, rng.gen_bool(0.5));
+            register_and_compare(&rt, &mut model, n, &format!("case {case} op {op}"));
+        }
     }
 }

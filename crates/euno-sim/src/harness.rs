@@ -199,7 +199,7 @@ pub fn run_virtual(
 }
 
 /// Build the hot-leaf profile from a run's collected traces, resolving
-/// event addresses through the runtime's object registry (populated by
+/// event addresses through the runtime's node table (leaves attributed by
 /// `EunoLeaf::register`). Public for harnesses that drive a
 /// [`VirtualScheduler`] directly instead of going through [`run_virtual`].
 pub fn attach_profile(m: &mut RunMetrics, rt: &Arc<Runtime>, cfg: &RunConfig) {

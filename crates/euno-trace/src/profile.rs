@@ -10,7 +10,7 @@
 //! Attribution rules (DESIGN.md §13):
 //!
 //! * The caller supplies `resolve: addr → Option<object base>` — in
-//!   practice `Runtime::object_base_of`, backed by the leaf registry
+//!   practice `Runtime::object_base_of`, backed by the node table
 //!   that `EunoLeaf::register` populates. This crate never learns what
 //!   a leaf *is*, only which base address owns an event.
 //! * Events whose address resolves to no registered object (baseline
