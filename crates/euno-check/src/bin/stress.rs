@@ -2,15 +2,16 @@
 //! linearizability oracle, and structural audits over every tree.
 //!
 //! ```text
-//! stress [--storm] [--churn] [--churn-phased] [--threads N] [--ops N] [--seed N] [--keys N]
+//! stress [--storm] [--churn] [--churn-sweeps] [--churn-phased] [--threads N] [--ops N] [--seed N] [--keys N]
 //!        [--scan-len N] [--preload N] [--duration SECS] [--no-maintain]
 //!        [--tree SUBSTR] [--trace PATH] [--profile] [--dump-events N]
 //!
 //! `--storm` starts from the abort-storm preset (8 threads on 8 keys, the
 //! schedule that drives the executor onto its middle path); `--churn`
 //! starts from the delete-heavy churn preset (continuous merges retiring
-//! leaves under live readers); later flags still override individual
-//! knobs.
+//! leaves under live readers); `--churn-sweeps` is that preset with the
+//! Euno trees' rebalance threshold lowered, so foreground deletes carry
+//! sweep slices throughout; later flags still override individual knobs.
 //! ```
 //!
 //! Exits nonzero on any violation and prints the exact command line that
@@ -27,7 +28,7 @@ use euno_trace::{chrome_trace, folded_rollup};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: stress [--storm] [--churn] [--churn-phased] [--threads N] [--ops N] [--seed N] [--keys N] \
+        "usage: stress [--storm] [--churn] [--churn-sweeps] [--churn-phased] [--threads N] [--ops N] [--seed N] [--keys N] \
          [--scan-len N] [--preload N] [--duration SECS] [--no-maintain] \
          [--tree SUBSTR] [--trace PATH] [--profile] [--dump-events N]"
     );
@@ -46,28 +47,17 @@ fn main() {
                 .and_then(|v| v.parse().ok())
                 .unwrap_or_else(|| usage())
         };
+        // A preset replaces the workload knobs, not the reporting ones.
+        let preset = |cfg: &StressConfig, preset: StressConfig| StressConfig {
+            trace_capacity: cfg.trace_capacity,
+            profile: cfg.profile,
+            ..preset
+        };
         match flag.as_str() {
-            "--storm" => {
-                cfg = StressConfig {
-                    trace_capacity: cfg.trace_capacity,
-                    profile: cfg.profile,
-                    ..StressConfig::abort_storm()
-                }
-            }
-            "--churn" => {
-                cfg = StressConfig {
-                    trace_capacity: cfg.trace_capacity,
-                    profile: cfg.profile,
-                    ..StressConfig::churn()
-                }
-            }
-            "--churn-phased" => {
-                cfg = StressConfig {
-                    trace_capacity: cfg.trace_capacity,
-                    profile: cfg.profile,
-                    ..StressConfig::churn_phased()
-                }
-            }
+            "--storm" => cfg = preset(&cfg, StressConfig::abort_storm()),
+            "--churn" => cfg = preset(&cfg, StressConfig::churn()),
+            "--churn-sweeps" => cfg = preset(&cfg, StressConfig::churn_sweeps()),
+            "--churn-phased" => cfg = preset(&cfg, StressConfig::churn_phased()),
             "--threads" => cfg.threads = num(&mut args) as u32,
             "--ops" => cfg.ops_per_thread = num(&mut args),
             "--seed" => cfg.seed = num(&mut args),
@@ -187,7 +177,7 @@ fn main() {
                     use euno_metrics::Counter;
                     println!(
                         "        t={:>9}us ops={} commits={} aborts(htm/mid) \
-                         conflict={}/{} fallbacks={} flips={}",
+                         conflict={}/{} fallbacks={} flips={} sweep(slices/merges)={}/{}",
                         s.tick,
                         s.counters[Counter::Ops.index()],
                         s.counters[Counter::Commits.index()],
@@ -201,6 +191,8 @@ fn main() {
                             .sum::<u64>(),
                         s.counters[Counter::Fallbacks.index()],
                         s.flip_events,
+                        s.counters[Counter::SweepSlices.index()],
+                        s.counters[Counter::SweepMerges.index()],
                     );
                 }
             }
@@ -208,18 +200,12 @@ fn main() {
     }
 
     if failed {
+        // The presets carry knobs no flag spells (mix, rebalance
+        // threshold), so the reproducing line is the invocation itself.
+        let argv: Vec<String> = std::env::args().skip(1).collect();
         eprintln!(
-            "\nFAILED — reproduce with:\n  cargo run --release -p euno-check --bin stress -- \
-             --threads {} --ops {} --seed {} --keys {}{}",
-            cfg.threads,
-            cfg.ops_per_thread,
-            cfg.seed,
-            cfg.key_range,
-            if cfg.maintain_thread {
-                ""
-            } else {
-                " --no-maintain"
-            }
+            "\nFAILED — reproduce with:\n  cargo run --release -p euno-check --bin stress -- {}",
+            argv.join(" ")
         );
         std::process::exit(1);
     }

@@ -17,7 +17,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use euno_baselines::{HtmBTree, HtmMasstree, Masstree};
-use euno_core::EunoBTreeDefault;
+use euno_core::{EunoBTreeDefault, EunoConfig};
 use euno_htm::{ConcurrentMap, OpKind, OpOutput, Runtime, ThreadStats};
 use euno_metrics::{sample_due, ExecStages, Snapshot, TimeSeries};
 use euno_rng::{Rng, SmallRng};
@@ -61,6 +61,9 @@ pub struct StressConfig {
     /// `ChurnSchedule`, so splits and merges happen *during* the
     /// measured traffic instead of settling into a steady state.
     pub phases: Vec<(u32, u32, u32)>,
+    /// `EunoConfig::rebalance_delete_threshold` of the Euno trees under
+    /// test (the baselines have no deferred sweep).
+    pub rebalance_delete_threshold: u64,
 }
 
 impl Default for StressConfig {
@@ -81,6 +84,7 @@ impl Default for StressConfig {
             put_pct: 30,
             delete_pct: 15,
             phases: Vec::new(),
+            rebalance_delete_threshold: EunoConfig::default().rebalance_delete_threshold,
         }
     }
 }
@@ -118,6 +122,20 @@ impl StressConfig {
             put_pct: 25,
             delete_pct: 40,
             ..StressConfig::default()
+        }
+    }
+
+    /// The churn schedule with the rebalance threshold lowered until a
+    /// sweep is armed most of the time, over a chain long enough that each
+    /// takes dozens of slices: foreground deletes' slices race each other
+    /// for the token, the maintenance thread's full passes, and every
+    /// reader — the interleavings the bounded-slice sweep added.
+    pub fn churn_sweeps() -> Self {
+        StressConfig {
+            key_range: 2_048,
+            preload: 2_048,
+            rebalance_delete_threshold: 128,
+            ..StressConfig::churn()
         }
     }
 
@@ -446,9 +464,13 @@ pub fn run_all(cfg: &StressConfig, filter: Option<&str>) -> Vec<StressReport> {
     };
     let mut reports = Vec::new();
 
+    let euno_cfg = |base: EunoConfig| EunoConfig {
+        rebalance_delete_threshold: cfg.rebalance_delete_threshold,
+        ..base
+    };
     if wants("Euno-B+Tree") {
         let rt = Runtime::new_concurrent();
-        let tree = EunoBTreeDefault::new(Arc::clone(&rt));
+        let tree = EunoBTreeDefault::with_config(Arc::clone(&rt), euno_cfg(EunoConfig::default()));
         let hooks = AuditHooks {
             seqno_snapshot: Some(Box::new(|| tree.leaf_seqnos_plain())),
             quiescent: Some(Box::new(|| tree.audit_quiescent())),
@@ -458,7 +480,7 @@ pub fn run_all(cfg: &StressConfig, filter: Option<&str>) -> Vec<StressReport> {
     if wants("Euno-ReadOpt") {
         let rt = Runtime::new_concurrent();
         let tree =
-            EunoBTreeDefault::with_config(Arc::clone(&rt), euno_core::EunoConfig::read_optimized());
+            EunoBTreeDefault::with_config(Arc::clone(&rt), euno_cfg(EunoConfig::read_optimized()));
         let hooks = AuditHooks {
             seqno_snapshot: Some(Box::new(|| tree.leaf_seqnos_plain())),
             quiescent: Some(Box::new(|| tree.audit_quiescent())),
@@ -561,6 +583,36 @@ mod tests {
                 r.invariant_violations
             );
             assert!(matches!(r.verdict, Verdict::Linearizable { .. }), "{r:?}");
+        }
+    }
+
+    #[test]
+    fn churn_with_foreground_sweeps_is_linearizable_on_both_euno_variants() {
+        // The lowered-threshold preset (shrunk for test time), once with
+        // the maintenance thread racing the foreground slices and once
+        // with deletes alone carrying every sweep.
+        for maintain_thread in [true, false] {
+            let cfg = StressConfig {
+                threads: 4,
+                ops_per_thread: 1_200,
+                maintain_thread,
+                ..StressConfig::churn_sweeps()
+            };
+            let reports = run_all(&cfg, Some("euno"));
+            assert_eq!(reports.len(), 2, "both Euno variants expected");
+            for r in &reports {
+                assert!(
+                    r.passed(),
+                    "{} under sweeping churn: verdict {:?}, invariants {:?}",
+                    r.tree,
+                    r.verdict,
+                    r.invariant_violations
+                );
+                assert!(matches!(r.verdict, Verdict::Linearizable { .. }), "{r:?}");
+                let last = r.snapshots.last().expect("the sampler settles once");
+                let slices = last.counters[euno_metrics::Counter::SweepSlices.index()];
+                assert!(slices > 0, "{}: no sweep slice ever ran", r.tree);
+            }
         }
     }
 

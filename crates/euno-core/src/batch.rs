@@ -40,8 +40,6 @@
 //!   leaf is within `near_full_slack + puts_in_group` of capacity) so
 //!   shared episodes stay split-free by construction on the HTM path.
 
-use std::sync::atomic::Ordering;
-
 use euno_htm::{EventKind, RetryPolicy, ThreadCtx, TxWord, TOMBSTONE};
 
 use crate::ccm::Ccm;
@@ -553,17 +551,14 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         }
 
         // Post-episode bookkeeping, outside the locks (as in `traverse`):
-        // count applied deletes toward the rebalance trigger, and queue
-        // every op the shared episode couldn't finish.
+        // applied deletes count toward the rebalance trigger and lend an
+        // armed sweep a slice, and every op the shared episode couldn't
+        // finish is queued.
         for (j, op) in ops.iter().enumerate() {
             match cells[j] {
                 Cell::Done => {
                     if op.req() == Req::Delete && out[batch_off + j].is_some() {
-                        let n = self.deletes.fetch_add(1, Ordering::Relaxed) + 1;
-                        let thr = self.cfg.rebalance_delete_threshold;
-                        if thr > 0 && n.is_multiple_of(thr) {
-                            self.maintain(ctx);
-                        }
+                        self.after_delete(ctx);
                     }
                 }
                 Cell::Pending | Cell::Single => {
@@ -694,8 +689,15 @@ mod tests {
 
     #[test]
     fn batched_deletes_trigger_rebalance() {
+        use euno_htm::euno_metrics::Counter;
         let rt = Runtime::new_virtual();
-        let tree = EunoBTreeDefault::new(Arc::clone(&rt));
+        let tree = EunoBTreeDefault::with_config(
+            Arc::clone(&rt),
+            crate::EunoConfig {
+                rebalance_delete_threshold: 100,
+                ..crate::EunoConfig::default()
+            },
+        );
         let mut ctx = rt.thread(2);
         for key in 0..512u64 {
             tree.put(&mut ctx, key, key);
@@ -712,10 +714,14 @@ mod tests {
                 .enumerate()
                 .all(|(i, v)| *v == Some(base + i as u64)));
         }
-        // Everything gone; the delete-threshold maintain calls ran inline.
+        // Everything gone, and the batched deletes armed sweeps at every
+        // 100th and carried them to the end of the chain in slices.
         for key in (0..512u64).step_by(31) {
             assert_eq!(tree.get(&mut ctx, key), None);
         }
+        assert!(ctx.metric(Counter::SweepSlices) > 1);
+        assert!(ctx.metric(Counter::SweepMerges) > 0);
+        assert!(!tree.sweep_pending());
     }
 }
 

@@ -28,7 +28,10 @@ pub struct EunoConfig {
     /// Adaptive detector: bypass while `conflicts / ops` in the last
     /// window stayed at or below this rate.
     pub adaptive_conflict_rate: f64,
-    /// Run a deferred re-balance sweep (§4.2.4) every this many deletions;
+    /// Every this many deletions starts a deferred re-balance sweep
+    /// (§4.2.4): the crossing only arms it, and the deletes that follow
+    /// each carry a bounded slice of it (see [`crate::rebalance`]). A
+    /// crossing while a sweep is still pending is absorbed by that sweep.
     /// 0 disables the automatic trigger (call
     /// [`EunoBTree::maintain`](crate::EunoBTree::maintain) manually).
     pub rebalance_delete_threshold: u64,

@@ -5,8 +5,40 @@
 //! underfull leaves. Following the paper ("instead of re-balancing the
 //! tree on every deletion instantly, we do the re-balance when the number
 //! of delete operations exceeds a threshold", citing Sen & Tarjan's
-//! *deletion without rebalancing*), [`EunoBTree::maintain`] sweeps the
-//! leaf chain and merges adjacent underfull siblings:
+//! *deletion without rebalancing*), the tree sweeps the leaf chain and
+//! merges adjacent underfull siblings. Sen-Tarjan defers the *trigger*;
+//! nothing requires the work to land on one operation, so the sweep is
+//! resumable and the deletes that follow the trigger carry it:
+//!
+//! * crossing `rebalance_delete_threshold` only **arms** a sweep (resume
+//!   key 0); arming while one is pending is a no-op;
+//! * every applied delete that sees an armed sweep tries the tree-global
+//!   sweep token and, if it wins, runs one **slice**: re-find the leaf
+//!   covering the resume key, examine at most [`SLICE_PAIRS`] adjacent
+//!   pairs, store the key the next slice resumes at (or idle at the end
+//!   of the chain), release the token. A delete that loses the try-lock
+//!   does nothing — no foreground operation ever waits for the sweep;
+//! * [`EunoBTree::maintain`] is the same slice run from the head of the
+//!   chain with an unbounded budget.
+//!
+//! The resume cursor is a **key**, never a leaf pointer: between slices
+//! no pin is held, so the leaf may split, be merged away and be freed by
+//! the epoch collector; a key always routes to whichever leaf covers it
+//! now. The token is an instrumented [`AdvisoryLock`] taken with
+//! `try_acquire`, not a bare atomic claim. Slices are mutually exclusive,
+//! and only the instrumented lock tells the virtual clock so: its release
+//! stamp refuses a thread whose clock is still behind the previous
+//! slice's end, where a bare claim would let that thread run the next
+//! slice *overlapping* the previous one in virtual time — sweep
+//! parallelism no real execution has. (Before the pre-filter below
+//! existed, when every pair took both split locks, such a late slice
+//! also queued on the boundary leaf's split lock for the whole preceding
+//! slice: a 16-thread convoy that measured worse than the one-lump sweep.)
+//!
+//! Each pair is first judged by an episode-free **pre-filter** that
+//! counts both leaves' live records with direct loads. It is a hint: it
+//! may only skip work, and a pair that passes goes through the locked
+//! merge, which re-verifies everything and alone decides:
 //!
 //! * both leaves' split locks are taken (in chain order — deadlock-free
 //!   against splits, which take a single lock);
@@ -25,62 +57,212 @@
 //! leftmost child; boundary pairs are simply skipped (they become
 //! mergeable after their parents themselves drain).
 
-use euno_htm::{EventKind, RetryPolicy, TxWord, TOMBSTONE};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use euno_htm::euno_metrics::Counter;
+use euno_htm::{AdvisoryLock, EventKind, RetryPolicy, ThreadCtx, TxWord, KEY_SENTINEL, TOMBSTONE};
 
 use crate::node::{EunoLeaf, NodeRef};
 use crate::probe;
 use crate::tree::EunoBTree;
 
+/// Resume cursor of a sweep that is not armed (no record carries it).
+const SWEEP_IDLE: u64 = KEY_SENTINEL;
+
+/// Adjacent leaf pairs one foreground slice may examine: the bound on the
+/// maintenance work any single delete carries (a few thousand cycles).
+const SLICE_PAIRS: usize = 8;
+
+/// The armed-sweep state machine. The token has its own cache line: every
+/// delete of an armed phase CASes it, and that traffic must not invalidate
+/// the line the (far more frequent) armed check reads.
+#[repr(C, align(64))]
+pub(crate) struct Sweep {
+    /// Held by the one thread running a slice; foreground deletes only
+    /// ever try it.
+    token: AdvisoryLock,
+    _pad: [u64; 7],
+    /// Key the next slice resumes at, or [`SWEEP_IDLE`]. Written under the
+    /// token, except for arming (a CAS from idle). `Relaxed` throughout:
+    /// the word publishes nothing but itself, and the token's CAS orders
+    /// the slices.
+    resume: AtomicU64,
+    /// Merges of the sweep in flight, reported when it reaches idle.
+    merges: AtomicU64,
+}
+
+impl Sweep {
+    pub(crate) fn new() -> Self {
+        Sweep {
+            token: AdvisoryLock::new(),
+            _pad: [0; 7],
+            resume: AtomicU64::new(SWEEP_IDLE),
+            merges: AtomicU64::new(0),
+        }
+    }
+}
+
+/// What the pre-filter saw of one leaf. Every field is a hint read
+/// without locks.
+struct LeafView {
+    /// Records that are neither tombstoned nor torn.
+    live: usize,
+    /// Smallest stored key (tombstoned ones included: they still route
+    /// here); `None` for a leaf holding no record at all.
+    min_key: Option<u64>,
+    next: NodeRef,
+}
+
 impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
-    /// Sweep the leaf chain once, merging adjacent underfull siblings.
-    /// Returns the number of merges performed. Safe to run concurrently
-    /// with normal operations.
-    pub fn maintain(&self, ctx: &mut euno_htm::ThreadCtx) -> usize {
-        // Pin before the chain walk: merged-away leaves freed by the epoch
-        // collector must stay readable until this sweep lets go.
+    /// A merged leaf keeps a quarter of its slots free, so the next few
+    /// inserts do not split it straight back.
+    const fn merge_bound() -> usize {
+        Self::capacity() - Self::capacity() / 4
+    }
+
+    /// Whether an armed sweep still has leaves to visit.
+    pub fn sweep_pending(&self) -> bool {
+        self.sweep.resume.load(Ordering::Relaxed) != SWEEP_IDLE
+    }
+
+    /// Sweep the whole leaf chain once, merging adjacent underfull
+    /// siblings: the foreground slice routine run from the head of the
+    /// chain to its end. Returns the number of merges performed. Safe to
+    /// run concurrently with normal operations; waits for at most one
+    /// foreground slice, and foreground deletes skip their slices while it
+    /// runs.
+    pub fn maintain(&self, ctx: &mut ThreadCtx) -> usize {
+        self.sweep.token.acquire(ctx);
+        // A pass from the head covers whatever an armed sweep had left.
+        self.sweep.resume.store(0, Ordering::Relaxed);
+        let merges = self.sweep_slice(ctx, usize::MAX);
+        self.sweep.token.release(ctx);
+        merges
+    }
+
+    /// Bookkeeping after every applied delete: crossing the threshold arms
+    /// a sweep, and while one is armed this delete lends it one slice —
+    /// if nobody else is running one right now. The caller holds none of
+    /// the operation's locks.
+    pub(crate) fn after_delete(&self, ctx: &mut ThreadCtx) {
+        let n = self.deletes.fetch_add(1, Ordering::Relaxed) + 1;
+        // 0 disables the automatic trigger.
+        let thr = self.cfg.rebalance_delete_threshold;
+        if thr > 0 && n.is_multiple_of(thr) {
+            self.arm_sweep();
+        }
+        if self.sweep_pending() && self.sweep.token.try_acquire(ctx) {
+            self.sweep_slice(ctx, SLICE_PAIRS);
+            self.sweep.token.release(ctx);
+        }
+    }
+
+    /// Arm a sweep from the head of the chain; a no-op while one is
+    /// pending (it has the rest of the chain still ahead of it).
+    fn arm_sweep(&self) {
+        let _ =
+            self.sweep
+                .resume
+                .compare_exchange(SWEEP_IDLE, 0, Ordering::Relaxed, Ordering::Relaxed);
+    }
+
+    /// One slice of the armed sweep; the caller holds the token. Examines
+    /// adjacent pairs from the leaf covering the resume key until `budget`
+    /// pairs are spent, then stores the key the next slice resumes at — or
+    /// idle at the end of the chain. Returns the merges performed. Every
+    /// slice with a budget either merges or moves the resume key up, so a
+    /// sweep terminates.
+    fn sweep_slice(&self, ctx: &mut ThreadCtx, budget: usize) -> usize {
+        debug_assert!(self.sweep.token.is_locked_plain());
+        let from = self.sweep.resume.load(Ordering::Relaxed);
+        if from == SWEEP_IDLE {
+            // Finished between the caller's armed check and its token.
+            return 0;
+        }
+        // Pin across the chain walk: leaves merged away under it (by this
+        // slice or a racing maintainer) must stay readable until it ends.
         ctx.epoch_enter();
-        let mut merges = 0;
-        // Leftmost leaf via an uninstrumented walk (the maintenance thread
-        // races ops; all pointers stay valid under the pin).
-        let mut cur = NodeRef::from_word(self.root_bits());
-        while !cur.is_leaf() {
-            cur = NodeRef::from_word(unsafe { cur.as_internal() }.child0.load_plain());
-        }
-        loop {
-            let leaf = unsafe { cur.as_leaf::<SEGS, K>() };
-            let next = NodeRef::from_word(leaf.next.load_plain());
-            if next.is_null() {
-                break;
+        let (mut left, _, _) = self.upper_region(ctx, from);
+        let mut scratch = Vec::with_capacity(Self::capacity());
+        let mut view = self.view_leaf(ctx, left, &mut scratch);
+        let (mut pairs, mut merges) = (0usize, 0usize);
+        let resume = loop {
+            if view.next.is_null() {
+                break SWEEP_IDLE;
             }
-            if self.try_merge(ctx, leaf, unsafe { next.as_leaf::<SEGS, K>() }) {
+            if pairs >= budget {
+                // A leaf without a record has no key to come back by:
+                // step over it rather than stop on it.
+                if let Some(key) = view.min_key {
+                    break key;
+                }
+            }
+            pairs += 1;
+            let right = unsafe { view.next.as_leaf::<SEGS, K>() };
+            let right_view = self.view_leaf(ctx, right, &mut scratch);
+            if view.live + right_view.live <= Self::merge_bound()
+                && self.try_merge(ctx, left, right)
+            {
                 merges += 1;
-                // Stay on `leaf`: it may now be mergeable with its new
+                // Stay on `left`: it may now be mergeable with its new
                 // successor too.
-                continue;
+                view = self.view_leaf(ctx, left, &mut scratch);
+            } else {
+                left = right;
+                view = right_view;
             }
-            cur = next;
+        };
+        ctx.metric_add(Counter::SweepSlices, 1);
+        ctx.metric_add(Counter::SweepMerges, merges as u64);
+        let mut total = self.sweep.merges.load(Ordering::Relaxed) + merges as u64;
+        if resume == SWEEP_IDLE {
+            ctx.trace(EventKind::Maintain { merges: total });
+            total = 0;
         }
-        ctx.trace(EventKind::Maintain {
-            merges: merges as u64,
-        });
+        self.sweep.merges.store(total, Ordering::Relaxed);
+        self.sweep.resume.store(resume, Ordering::Relaxed);
         ctx.epoch_exit();
         merges
     }
 
-    /// Attempt to merge `right` into `left`. Returns whether it happened.
+    /// The pre-filter's look at one leaf: live-record count, smallest key
+    /// and chain successor, read with direct loads inside an optimistic
+    /// section so every fresh line is charged like any other plain read.
+    /// Nothing validates the section — under a racing writer the view may
+    /// be torn, which can only make the sweep skip a pair or resume a leaf
+    /// late; the locked merge never trusts it.
+    fn view_leaf(
+        &self,
+        ctx: &mut ThreadCtx,
+        leaf: &EunoLeaf<SEGS, K>,
+        scratch: &mut Vec<(u64, u64)>,
+    ) -> LeafView {
+        ctx.optimistic_execute(
+            None,
+            |_| false,
+            |ctx| {
+                scratch.clear();
+                for seg in &leaf.segs {
+                    seg.read_into_direct(ctx, scratch);
+                }
+                scratch.retain(|&(k, _)| k != KEY_SENTINEL);
+                Some(LeafView {
+                    live: scratch.iter().filter(|&&(_, v)| v != TOMBSTONE).count(),
+                    min_key: scratch.iter().map(|&(k, _)| k).min(),
+                    next: NodeRef::from_word(leaf.next.load_direct(ctx)),
+                })
+            },
+        )
+    }
+
+    /// Merge `right` into `left` under both split locks. Returns whether
+    /// it happened.
     fn try_merge(
         &self,
-        ctx: &mut euno_htm::ThreadCtx,
+        ctx: &mut ThreadCtx,
         left: &EunoLeaf<SEGS, K>,
         right: &EunoLeaf<SEGS, K>,
     ) -> bool {
-        // Note: slot occupancy counts tombstones, so it cannot serve as a
-        // pre-filter after a deletion wave — the transactional path below
-        // counts live records exactly. Only skip the obviously hopeless
-        // case of two brim-full leaves.
-        if left.occupied_direct(ctx) + right.occupied_direct(ctx) == 2 * Self::capacity() {
-            return false;
-        }
         left.split_lock.acquire(ctx);
         right.split_lock.acquire(ctx);
 
@@ -92,8 +274,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             // Hand the unlinked right leaf to the epoch collector: freed
             // only after every thread pinned at (or before) the current
             // epoch — including plain chain walkers under `pin_scoped` —
-            // has moved on. The caller (maintain) holds the pin that
-            // covers the unlink above.
+            // has moved on. The caller's pin covers the unlink above.
             debug_assert!(ctx.epoch_pinned(), "merge retirement needs a pin");
             self.arenas()
                 .leaves
@@ -108,7 +289,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
 
     fn merge_locked(
         &self,
-        ctx: &mut euno_htm::ThreadCtx,
+        ctx: &mut ThreadCtx,
         left: &EunoLeaf<SEGS, K>,
         right: &EunoLeaf<SEGS, K>,
     ) -> bool {
@@ -162,7 +343,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             self.peek_all_into(tx, right, &mut records)?;
             records.retain(|&(_, v)| v != TOMBSTONE);
             records.sort_unstable_by_key(|&(k, _)| k);
-            if records.len() > Self::capacity() - Self::capacity() / 4 {
+            if records.len() > Self::merge_bound() {
                 return Ok(false);
             }
 
@@ -208,11 +389,26 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
 #[cfg(test)]
 mod tests {
     use std::collections::BTreeMap;
+    use std::sync::atomic::Ordering;
     use std::sync::Arc;
 
-    use euno_htm::{ConcurrentMap, Runtime, TxWord};
+    use euno_htm::euno_metrics::Counter;
+    use euno_htm::{ConcurrentMap, EventKind, RetryPolicy, Runtime, ThreadCtx, TraceBuf, TxWord};
+    use euno_rng::{Rng, SmallRng};
 
+    use super::{SLICE_PAIRS, SWEEP_IDLE};
+    use crate::config::EunoConfig;
+    use crate::node::{EunoLeaf, NodeRef};
     use crate::tree::EunoBTreeDefault;
+
+    /// Head of the leaf chain (quiesced tree).
+    fn first_leaf(t: &EunoBTreeDefault) -> &EunoLeaf<4, 4> {
+        let mut cur = NodeRef::from_word(t.root_bits());
+        while !cur.is_leaf() {
+            cur = NodeRef::from_word(unsafe { cur.as_internal() }.child0.load_plain());
+        }
+        unsafe { cur.as_leaf::<4, 4>() }
+    }
 
     #[test]
     fn maintain_merges_after_mass_deletion() {
@@ -378,7 +574,6 @@ mod tests {
         // merging into the dead leaf moved the successor's records into an
         // unreachable node, silently dropping them. Reproduce the race
         // deterministically: merge A←B (unlinking B), then ask for B←C.
-        use crate::node::NodeRef;
         let rt = Runtime::new_virtual();
         let t = EunoBTreeDefault::new(Arc::clone(&rt));
         let mut ctx = rt.thread(1);
@@ -393,11 +588,7 @@ mod tests {
         let expected = t.collect_all_plain();
         assert_eq!(expected.len(), 10);
         // Three adjacent leaves under the (single) internal root.
-        let mut cur = NodeRef::from_word(t.root_bits());
-        while !cur.is_leaf() {
-            cur = NodeRef::from_word(unsafe { cur.as_internal() }.child0.load_plain());
-        }
-        let a = unsafe { cur.as_leaf::<4, 4>() };
+        let a = first_leaf(&t);
         let b = unsafe { NodeRef::from_word(a.next.load_plain()).as_leaf::<4, 4>() };
         let c = unsafe { NodeRef::from_word(b.next.load_plain()).as_leaf::<4, 4>() };
         assert_eq!(a.parent.load_plain(), b.parent.load_plain());
@@ -422,6 +613,251 @@ mod tests {
         for &(k, v) in &expected {
             assert_eq!(t.get(&mut ctx, k), Some(v), "key {k}");
         }
+    }
+
+    /// Manual arming for the slice tests: the automatic trigger is off.
+    fn manual_tree(rt: &Arc<Runtime>) -> EunoBTreeDefault {
+        EunoBTreeDefault::with_config(
+            Arc::clone(rt),
+            EunoConfig {
+                rebalance_delete_threshold: 0,
+                ..EunoConfig::default()
+            },
+        )
+    }
+
+    fn resume_of(t: &EunoBTreeDefault) -> u64 {
+        t.sweep.resume.load(Ordering::Relaxed)
+    }
+
+    /// One slice as a foreground delete would run it, with a chosen budget.
+    fn slice(t: &EunoBTreeDefault, ctx: &mut ThreadCtx, budget: usize) -> usize {
+        assert!(t.sweep.token.try_acquire(ctx), "token is free between ops");
+        let merges = t.sweep_slice(ctx, budget);
+        t.sweep.token.release(ctx);
+        merges
+    }
+
+    /// Slices until the sweep is idle; returns (slices, merges).
+    fn drain_sweep(
+        t: &EunoBTreeDefault,
+        ctx: &mut ThreadCtx,
+        rng: &mut SmallRng,
+    ) -> (usize, usize) {
+        let bound = 2 * t.leaf_count_plain() + 2;
+        let (mut slices, mut merges) = (0, 0);
+        while t.sweep_pending() {
+            let before = resume_of(t);
+            let m = slice(t, ctx, rng.gen_range(1..12usize));
+            let after = resume_of(t);
+            assert!(
+                m > 0 || after > before,
+                "a slice must merge or advance: {before} → {after}"
+            );
+            merges += m;
+            slices += 1;
+            assert!(slices <= bound, "sweep did not terminate in {bound} slices");
+        }
+        (slices, merges)
+    }
+
+    #[test]
+    fn slices_interleaved_with_traffic_terminate_and_keep_the_map() {
+        for seed in 0..6u64 {
+            let rt = Runtime::new_virtual();
+            let t = manual_tree(&rt);
+            let mut ctx = rt.thread(seed);
+            let mut rng = SmallRng::seed_from_u64(0x0051_1CE5 ^ seed);
+            let mut model = BTreeMap::new();
+            const KEYS: u64 = 3_000;
+            for k in (0..KEYS).step_by(2) {
+                t.put(&mut ctx, k, k);
+                model.insert(k, k);
+            }
+            for step in 0..4_000u64 {
+                match rng.gen_range(0..100u32) {
+                    0..=29 => {
+                        let k = rng.gen_range(0..KEYS);
+                        assert_eq!(t.put(&mut ctx, k, step), model.insert(k, step));
+                    }
+                    // Deletes cooperate on an armed sweep themselves.
+                    30..=64 => {
+                        let k = rng.gen_range(0..KEYS);
+                        assert_eq!(t.delete(&mut ctx, k), model.remove(&k));
+                    }
+                    // Splits at and around the leaf the sweep resumes at.
+                    65..=69 if t.sweep_pending() => {
+                        let base = resume_of(&t).saturating_sub(8);
+                        for k in base..(base + 40).min(KEYS) {
+                            assert_eq!(t.put(&mut ctx, k, step), model.insert(k, step));
+                        }
+                    }
+                    65..=89 => {
+                        let before = resume_of(&t);
+                        let m = slice(&t, &mut ctx, rng.gen_range(1..12usize));
+                        let after = resume_of(&t);
+                        if before == SWEEP_IDLE {
+                            assert_eq!((m, after), (0, SWEEP_IDLE), "idle stays idle");
+                        } else {
+                            assert!(m > 0 || after > before, "{before} → {after}");
+                        }
+                    }
+                    90..=95 => {
+                        let before = resume_of(&t);
+                        t.arm_sweep();
+                        let want = if before == SWEEP_IDLE { 0 } else { before };
+                        assert_eq!(resume_of(&t), want, "arming a pending sweep is a no-op");
+                    }
+                    _ => {
+                        t.maintain(&mut ctx);
+                        assert!(!t.sweep_pending(), "a full pass covers the armed sweep");
+                    }
+                }
+            }
+            t.arm_sweep();
+            drain_sweep(&t, &mut ctx, &mut rng);
+            assert_eq!(t.collect_all_plain(), model.into_iter().collect::<Vec<_>>());
+            assert_eq!(t.audit_quiescent(), Vec::<String>::new(), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn sliced_sweep_matches_one_full_pass_on_the_same_history() {
+        for seed in 0..4u64 {
+            let rt = Runtime::new_virtual();
+            let (sliced, full) = (manual_tree(&rt), manual_tree(&rt));
+            let mut ctx = rt.thread(1);
+            let mut rng = SmallRng::seed_from_u64(0xC104E ^ seed);
+            for k in 0..4_000u64 {
+                sliced.put(&mut ctx, k, k);
+                full.put(&mut ctx, k, k);
+            }
+            for _ in 0..6_000 {
+                // Clustered deletes leave runs of mergeable leaves.
+                let k = rng.gen_range(0..4_000u64) / 64 * 64 + rng.gen_range(0..48u64);
+                assert_eq!(sliced.delete(&mut ctx, k), full.delete(&mut ctx, k));
+            }
+            let buf = TraceBuf::new(ctx.id, 1 << 16);
+            ctx.set_tracer(Box::new(buf));
+            sliced.arm_sweep();
+            let (slices, merges) = drain_sweep(&sliced, &mut ctx, &mut rng);
+            let trace = ctx.take_tracer().unwrap().into_thread_trace();
+            assert!(slices > 1 && merges > 0, "{slices} slices, {merges} merges");
+            let swept: Vec<u64> = trace
+                .events
+                .iter()
+                .filter_map(|e| match e.kind {
+                    EventKind::Maintain { merges } => Some(merges),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(swept, [merges as u64], "one event per sweep, at idle");
+
+            assert_eq!(full.maintain(&mut ctx), merges);
+            assert_eq!(sliced.collect_all_plain(), full.collect_all_plain());
+            assert!(sliced.leaf_count_plain() <= full.leaf_count_plain());
+        }
+    }
+
+    #[test]
+    fn empty_resume_leaf_is_stepped_over() {
+        let rt = Runtime::new_virtual();
+        let t = manual_tree(&rt);
+        let mut ctx = rt.thread(1);
+        for k in (0..4_000u64).step_by(2) {
+            t.put(&mut ctx, k, k);
+        }
+        // P | E: the first chain neighbours under different parents, so
+        // the pair can never merge; N follows E.
+        let mut p = first_leaf(&t);
+        let e = loop {
+            let next = unsafe { NodeRef::from_word(p.next.load_plain()).as_leaf::<4, 4>() };
+            if next.parent.load_plain() != p.parent.load_plain() {
+                break next;
+            }
+            p = next;
+        };
+        let n = unsafe { NodeRef::from_word(e.next.load_plain()).as_leaf::<4, 4>() };
+        let min_key = |leaf: &EunoLeaf<4, 4>| {
+            let keys = leaf.segs.iter().filter(|s| s.count_plain() > 0);
+            keys.map(|s| s.key_cell(0).load_plain()).min().unwrap()
+        };
+        let (p_min, e_min, n_min) = (min_key(p), min_key(e), min_key(n));
+        // Fill N so the empty E cannot absorb it, then strip E of every
+        // record, tombstones included (a merge of two drained leaves
+        // leaves exactly this behind).
+        for k in n_min..n_min + 16 {
+            t.put(&mut ctx, k, k);
+        }
+        for k in e_min..n_min {
+            t.delete(&mut ctx, k);
+        }
+        ctx.htm_execute(t.fallback_cell(), &RetryPolicy::DBX, |tx| {
+            t.clear_segments(tx, e)
+        });
+        let leaves = t.leaf_count_plain();
+
+        // A budget of one pair from P would stop on E — which has no key
+        // to resume by. The slice must carry on to N instead.
+        t.sweep.resume.store(p_min, Ordering::Relaxed);
+        assert_eq!(slice(&t, &mut ctx, 1), 0);
+        assert_eq!(
+            resume_of(&t),
+            n_min,
+            "resumes at the leaf after the empty one"
+        );
+        assert_eq!(t.leaf_count_plain(), leaves, "nothing merged");
+        // And a key inside the empty leaf's range still finds its way on.
+        t.sweep.resume.store(e_min, Ordering::Relaxed);
+        assert_eq!(slice(&t, &mut ctx, 1), 0);
+        assert_eq!(resume_of(&t), n_min);
+        assert_eq!(t.audit_quiescent(), Vec::<String>::new());
+    }
+
+    #[test]
+    fn threshold_arms_and_deletes_carry_the_sweep_to_idle() {
+        let rt = Runtime::new_virtual();
+        let t = EunoBTreeDefault::with_config(
+            Arc::clone(&rt),
+            EunoConfig {
+                rebalance_delete_threshold: 500,
+                ..EunoConfig::default()
+            },
+        );
+        let mut ctx = rt.thread(1);
+        for k in 0..4_000u64 {
+            t.put(&mut ctx, k, k);
+        }
+        let leaves = t.leaf_count_plain();
+        for k in 0..499u64 {
+            t.delete(&mut ctx, k);
+        }
+        assert!(!t.sweep_pending(), "below the threshold nothing is armed");
+        assert_eq!(ctx.metric(Counter::SweepSlices), 0);
+        t.delete(&mut ctx, 499);
+        assert!(t.sweep_pending(), "the crossing arms");
+        assert_eq!(ctx.metric(Counter::SweepSlices), 1, "and carries one slice");
+        // ~500 leaves at 8 pairs a delete: the next hundred deletes finish.
+        for k in 500..700u64 {
+            t.delete(&mut ctx, k);
+        }
+        assert!(
+            !t.sweep_pending(),
+            "foreground slices reach the chain's end"
+        );
+        let slices = ctx.metric(Counter::SweepSlices);
+        assert!(
+            (leaves / SLICE_PAIRS..=leaves).contains(&(slices as usize)),
+            "{slices} slices over {leaves} leaves"
+        );
+        assert!(ctx.metric(Counter::SweepMerges) > 0);
+        assert_eq!(
+            leaves - t.leaf_count_plain(),
+            ctx.metric(Counter::SweepMerges) as usize
+        );
+        // Idle again: further deletes below the next crossing do no sweep work.
+        t.delete(&mut ctx, 700);
+        assert_eq!(ctx.metric(Counter::SweepSlices), slices);
     }
 
     #[test]

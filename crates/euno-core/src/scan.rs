@@ -50,11 +50,8 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                 }
                 // §4.2.4: gather the leaf's records into the transient
                 // sorted buffer (a merge over the per-segment sorted runs).
-                let part: Vec<(u64, u64)> = self
-                    .peek_all(tx, leaf)?
-                    .into_iter()
-                    .filter(|&(k, _)| k >= cursor)
-                    .collect();
+                let mut part = self.peek_all(tx, leaf)?;
+                part.retain(|&(k, _)| k >= cursor);
                 let next = NodeRef::from_word(tx.read(&leaf.next)?);
                 let next_seq = if next.is_null() {
                     0

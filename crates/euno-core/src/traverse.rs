@@ -15,8 +15,6 @@
 //! Both regions run on the layered executor in `euno_htm::exec` under
 //! [`RetryPolicy::DBX`]; this module owns no retry loop of its own.
 
-use std::sync::atomic::Ordering;
-
 use euno_htm::{RetryPolicy, ThreadCtx, Tx, TxResult, TxWord, TOMBSTONE};
 
 use crate::ccm::Ccm;
@@ -192,13 +190,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             match outcome {
                 Lower::Done(v) => {
                     if req == Req::Delete && v.is_some() {
-                        let n = self.deletes.fetch_add(1, Ordering::Relaxed) + 1;
-                        // §4.2.4: re-balance once deletions cross the
-                        // threshold (0 disables the automatic trigger).
-                        let thr = self.cfg.rebalance_delete_threshold;
-                        if thr > 0 && n.is_multiple_of(thr) {
-                            self.maintain(ctx);
-                        }
+                        self.after_delete(ctx);
                     }
                     return v;
                 }

@@ -28,6 +28,7 @@ use euno_htm::{
 use crate::ccm::Ccm;
 use crate::config::EunoConfig;
 use crate::node::{EunoLeaf, NodeArenas, NodeRef};
+use crate::rebalance::Sweep;
 
 /// The Euno-B+Tree. `SEGS` segments of `K` slots per leaf
 /// (fanout = `SEGS·K`; the paper's default geometry is 16 with partitioned
@@ -40,6 +41,11 @@ pub struct EunoBTree<const SEGS: usize = 4, const K: usize = 4> {
     pub(crate) arenas: NodeArenas<SEGS, K>,
     pub(crate) reserved_bytes: TransientBytes,
     pub(crate) deletes: AtomicU64,
+    /// The deferred-rebalance sweep that applied deletes cooperate on.
+    /// Boxed like the control block: the token is an instrumented cell,
+    /// and its line must not depend on where the tree struct itself lives
+    /// (a stack slot in most callers).
+    pub(crate) sweep: Box<Sweep>,
     /// Tree-global advisory slots for the executor's middle path: a point
     /// operation that exhausts its speculative budget re-runs while
     /// holding its key's slot here, serializing only same-slot contenders
@@ -82,6 +88,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             arenas,
             reserved_bytes: TransientBytes::new(),
             deletes: AtomicU64::new(0),
+            sweep: Box::new(Sweep::new()),
             middle: BitLockVector::new(Self::MIDDLE_SLOTS),
         }
     }

@@ -34,10 +34,14 @@ pub trait ConcurrentMap: Send + Sync {
         out: &mut Vec<(u64, u64)>,
     ) -> usize;
 
-    /// Run one structural-maintenance pass (deferred rebalancing, garbage
-    /// sweeps) and return how many structural changes it made. Maintenance
-    /// must be a no-op on the abstract map contents. Trees without a
-    /// maintenance concept keep the default.
+    /// Run one full structural-maintenance pass (deferred rebalancing,
+    /// garbage sweeps) to completion on the calling thread and return how
+    /// many structural changes it made. This is the call for a dedicated
+    /// maintenance thread or a quiesced tree: its cost grows with the
+    /// structure, so a tree that also maintains itself from foreground
+    /// operations must bound that work per operation rather than call
+    /// this inline. Maintenance must be a no-op on the abstract map
+    /// contents. Trees without a maintenance concept keep the default.
     fn maintain(&self, _ctx: &mut ThreadCtx) -> u64 {
         0
     }

@@ -89,6 +89,11 @@ define_metric_enum! {
         // Directional CCM flips (the sum equals `ccm_bypass_flips`).
         CcmFlipsToProtect => "ccm_flips_to_protect",
         CcmFlipsToBypass => "ccm_flips_to_bypass",
+        // Deferred re-balancing (§4.2.4): bounded slices of the armed leaf
+        // sweep and the merges they performed. `sweep_merges` is what
+        // feeds the epoch collector, so it explains `epoch_reclaimed`.
+        SweepSlices => "sweep_slices",
+        SweepMerges => "sweep_merges",
         // euno-serve front-end: request/batch lifecycle. These live in the
         // *server's* registry (one per `EunoServer`), not the per-shard
         // tree runtimes, so queue dynamics are visible in one time series

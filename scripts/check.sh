@@ -157,6 +157,20 @@ cargo run --release -q -p euno-bench --bin report_check -- \
     "$SMOKE/BENCH_serve.json"
 echo "smoke-serve (open-loop sweep + schema v4) OK"
 
+# Bounded-maintenance: the deferred re-balance sweep must stay sliced.
+# The integration test runs 16 logical threads on the virtual clock with
+# the delete threshold lowered and fails if any single op exceeds 100 000
+# cycles (an inline full sweep costs millions) or an armed sweep does not
+# reach idle on foreground deletes alone; run in --release too, where
+# debug assertions no longer hide a missing pin.  The --churn-sweeps
+# stress preset then puts the same foreground slices on real threads,
+# racing the maintenance thread's full passes and live readers, under the
+# linearizability oracle.
+cargo test -q --release -p euno-core --test bounded_maintenance
+cargo run --release -q -p euno-check --bin stress -- \
+    --churn-sweeps --ops 3000 --seed 20170204 --duration 5 --tree euno
+echo "bounded-maintenance (sliced sweep bound + churn-sweeps stress) OK"
+
 # Repo benchmark: `benchmark/` is its own workspace, so nothing above
 # compiles it against the crate APIs it calls from outside
 # (`htm_execute`, `RetryPolicy`, `ctx.stats`, `ctx.metric`, tree
