@@ -25,8 +25,9 @@ use euno_workloads::WorkloadSpec;
 pub enum System {
     EunoBTree,
     /// Euno with the episode-free optimistic read path enabled
-    /// (`EunoConfig::read_optimized`): gets and scans run as direct-load
-    /// descents validated by the leaf `seqno` bracket under an epoch pin.
+    /// (`EunoConfig::read_optimized`): gets run as direct-load descents
+    /// validated by the leaf `seqno` bracket under an epoch pin (scans
+    /// read leaves that way in every Euno configuration).
     EunoReadOpt,
     HtmBTree,
     Masstree,

@@ -177,7 +177,8 @@ fn main() {
                     use euno_metrics::Counter;
                     println!(
                         "        t={:>9}us ops={} commits={} aborts(htm/mid) \
-                         conflict={}/{} fallbacks={} flips={} sweep(slices/merges)={}/{}",
+                         conflict={}/{} fallbacks={} flips={} sweep(slices/merges)={}/{} \
+                         scan_locked_steps={}",
                         s.tick,
                         s.counters[Counter::Ops.index()],
                         s.counters[Counter::Commits.index()],
@@ -193,6 +194,7 @@ fn main() {
                         s.flip_events,
                         s.counters[Counter::SweepSlices.index()],
                         s.counters[Counter::SweepMerges.index()],
+                        s.counters[Counter::ScanLockedSteps.index()],
                     );
                 }
             }

@@ -40,12 +40,13 @@ pub struct EunoConfig {
     /// the advisory slots for its key before escalating to the global
     /// fallback lock. Off reproduces the classic two-path executor.
     pub middle_path: bool,
-    /// Serve gets and scans on the episode-free optimistic read path:
-    /// descend with direct loads under an epoch pin, validate via the
-    /// per-leaf `seqno` (plus the TL2 version clock and the fallback cell in
-    /// concurrent mode), retry from the root on any change. Writes keep
-    /// the two-step transactional traversal. Off (the default) reproduces
-    /// the paper's all-episode system.
+    /// Serve gets on the episode-free optimistic read path: descend with
+    /// direct loads under an epoch pin, validate via the per-leaf `seqno`
+    /// (plus the TL2 version clock and the fallback cell in concurrent
+    /// mode), retry from the root on any change. Writes keep the two-step
+    /// transactional traversal, and scans take the one walk in
+    /// [`crate::scan`] either way. Off (the default) reproduces the
+    /// paper's all-episode point operations.
     pub read_opt: bool,
 }
 

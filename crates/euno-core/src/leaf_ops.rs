@@ -211,7 +211,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
 
     /// Read every record sorted, tombstones dropped, WITHOUT draining the
     /// segments — the read-only counterpart of [`Self::collect_all`] used
-    /// by scans.
+    /// by merges (scans sort in place on the caller's buffer instead).
     pub(crate) fn peek_all(
         &self,
         tx: &mut Tx<'_>,

@@ -1,203 +1,264 @@
-//! Range scans over the leaf chain (§4.2.4).
+//! Range scans over the leaf chain (§4.2.4): one walk for every
+//! configuration (design in DESIGN.md §4.7).
 //!
-//! A scan locks each leaf in turn, merges its segments into the sorted
-//! reserved area inside an HTM region, emits the ordered run, and hops to
-//! the next leaf via the chain pointer — re-finding the cursor's leaf from
-//! the root whenever a concurrent split invalidates the cached `seqno`.
+//! Under one epoch pin the scan takes the chain a leaf at a time. Each
+//! *leaf step* is an episode-free optimistic section that leaves a sorted
+//! batch on the tail of the caller's buffer and returns a validated
+//! `(next, next_seq)` hint; the following step starts at the hinted leaf
+//! and re-descends from the root only when that leaf's `seqno` has moved.
+//! A step that keeps failing validation runs its leaf through the locked
+//! rung — split lock plus one HTM region — which is what bounds a scan.
 
-use euno_htm::{RetryPolicy, ThreadCtx, TxWord, KEY_SENTINEL, TOMBSTONE};
+use euno_htm::euno_metrics::Counter;
+use euno_htm::{RetryPolicy, ThreadCtx, TxWord, TOMBSTONE};
 
-use crate::node::NodeRef;
+use crate::node::{EunoLeaf, NodeRef};
 use crate::tree::EunoBTree;
+
+/// Optimistic tries per leaf step before the locked rung takes the leaf.
+/// The tail must exist — in concurrent mode the snapshot check is the
+/// *global* TL2 clock, so steady writers anywhere in the tree can fail a
+/// reader forever — but stay rare: a locked step that reaches the fallback
+/// lock parks every other thread. A cliff, not a dial — `virt-scan-churn
+/// --seed 3 --seconds 10`: 4 → 15.54 M ops/s (the tail re-creates the
+/// convoy), 8 → 20.56 M, 16 → 21.67 M, 64 → 21.75 M, unbounded → 21.75 M.
+const STEP_TRIES: u32 = 16;
+
+/// Where the next leaf step starts: the chain successor and the `seqno` it
+/// had inside the section that read it. `None` ⇒ first step / chain end.
+type Hint<'t, const SEGS: usize, const K: usize> = Option<(&'t EunoLeaf<SEGS, K>, u64)>;
 
 impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
     /// Walk the leaf chain from the leaf covering `from`, appending up to
     /// `count` live records to `out`. Returns the number collected.
-    pub(crate) fn scan_chain(
+    pub(crate) fn scan_leaves(
         &self,
         ctx: &mut ThreadCtx,
         from: u64,
         count: usize,
         out: &mut Vec<(u64, u64)>,
     ) -> usize {
-        // Pin across the whole walk: chain pointers cached between
-        // episodes must survive concurrent merge retirements.
-        ctx.epoch_enter();
-        let n = self.scan_chain_pinned(ctx, from, count, out);
-        ctx.epoch_exit();
-        n
+        self.scan_leaves_budgeted(ctx, from, count, out, STEP_TRIES)
     }
 
-    fn scan_chain_pinned(
+    /// [`Self::scan_leaves`] with the per-step try budget as an argument,
+    /// so tests can pin a rung (0 ⇒ every step takes the locked rung).
+    fn scan_leaves_budgeted(
         &self,
         ctx: &mut ThreadCtx,
         from: u64,
         count: usize,
         out: &mut Vec<(u64, u64)>,
+        tries: u32,
     ) -> usize {
-        let mut collected = 0usize;
+        let start = out.len();
         let mut cursor = from;
-        // Locate the first leaf.
-        let (mut leaf, mut seqno, _) = self.upper_region(ctx, cursor);
+        let mut hint = None;
+        // Pinned throughout: hinted leaves must outlive merge retirements.
+        ctx.epoch_enter();
+        while out.len() - start < count {
+            hint = self.leaf_step(ctx, cursor, hint, tries, out);
+            // Advance past the last delivered key. At the top of the
+            // keyspace there is no "past" (a saturating add would pin the
+            // cursor and re-deliver that key forever): stop there.
+            if let Some(&(k, _)) = out[start..].last() {
+                match k.checked_add(1) {
+                    Some(c) => cursor = c,
+                    None => break,
+                }
+            }
+            if hint.is_none() {
+                break;
+            }
+        }
+        ctx.epoch_exit();
+        out.truncate(start.saturating_add(count));
+        out.len() - start
+    }
+
+    /// One leaf step: append the live records ≥ `cursor` of the leaf that
+    /// covers `cursor` to `out`, sorted, and return the successor hint.
+    /// Nothing unvalidated survives on `out`, so retries never duplicate;
+    /// a record-less leaf is an empty batch with a hint, stepped over.
+    fn leaf_step<'t>(
+        &'t self,
+        ctx: &mut ThreadCtx,
+        cursor: u64,
+        hint: Hint<'t, SEGS, K>,
+        tries: u32,
+        out: &mut Vec<(u64, u64)>,
+    ) -> Hint<'t, SEGS, K> {
+        let base = out.len();
+        let mut left = tries;
+        // Outer `None` retries the section; `Some(None)` ⇒ budget spent.
+        let snapshot = ctx.optimistic_execute(
+            Some(cursor),
+            |overlap| overlap.is_some(),
+            |ctx| {
+                out.truncate(base);
+                if left == 0 {
+                    return Some(None);
+                }
+                left -= 1;
+                let snap = ctx.optimistic_snapshot();
+                let (leaf, s1) = match hint {
+                    Some((l, s)) if l.seqno.load_direct(ctx) == s => (l, s),
+                    // No hint, or the hinted leaf has split or been merged
+                    // away since: find the cursor's leaf again.
+                    _ => {
+                        let l = self.descend_direct(ctx, cursor)?;
+                        (l, l.seqno.load_direct(ctx))
+                    }
+                };
+                for seg in &leaf.segs {
+                    seg.read_into_direct(ctx, out);
+                }
+                let next = NodeRef::from_word(leaf.next.load_direct(ctx));
+                let next = (!next.is_null()).then(|| {
+                    let n = unsafe { next.as_leaf::<SEGS, K>() };
+                    (n, n.seqno.load_direct(ctx))
+                });
+                (leaf.seqno.load_direct(ctx) == s1
+                    && ctx.optimistic_validate(self.fallback_cell(), snap))
+                .then_some(Some(next))
+            },
+        );
+        let Some(next) = snapshot else {
+            ctx.metric_add(Counter::ScanLockedSteps, 1);
+            return self.leaf_step_locked(ctx, cursor, hint, out);
+        };
+        ctx.charge(self.rt.cost.alu * sort_batch(out, base, cursor));
+        next
+    }
+
+    /// The locked rung of [`Self::leaf_step`] (§4.2.4 as the paper has
+    /// it): split lock plus one HTM region, re-finding the cursor's leaf
+    /// while its `seqno` moves. Ends on the fallback lock at worst.
+    fn leaf_step_locked<'t>(
+        &'t self,
+        ctx: &mut ThreadCtx,
+        cursor: u64,
+        mut hint: Hint<'t, SEGS, K>,
+        out: &mut Vec<(u64, u64)>,
+    ) -> Hint<'t, SEGS, K> {
+        let base = out.len();
         loop {
-            // §4.2.4: lock the leaf, merge segments into the sorted
-            // reserved area, read an ordered run.
+            let (leaf, seqno) = hint.take().unwrap_or_else(|| {
+                let (l, s, _) = self.upper_region(ctx, cursor);
+                (l, s)
+            });
             leaf.split_lock.acquire(ctx);
-            let out_piece = ctx.htm_execute(&self.ctrl.fallback, &RetryPolicy::DBX, |tx| {
+            let piece = ctx.htm_execute(&self.ctrl.fallback, &RetryPolicy::DBX, |tx| {
                 tx.set_op_key(cursor);
+                out.truncate(base);
                 if tx.read(&leaf.seqno)? != seqno {
                     return Ok(None);
                 }
-                // §4.2.4: gather the leaf's records into the transient
-                // sorted buffer (a merge over the per-segment sorted runs).
-                let mut part = self.peek_all(tx, leaf)?;
-                part.retain(|&(k, _)| k >= cursor);
+                self.peek_all_into(tx, leaf, out)?;
+                tx.charge(self.rt.cost.alu * sort_batch(out, base, cursor));
+                // The tail of `out` is the paper's transient sorted buffer.
+                let bytes = Self::capacity() * 16;
+                self.reserved_bytes.allocated(bytes);
+                self.reserved_bytes.freed(bytes);
                 let next = NodeRef::from_word(tx.read(&leaf.next)?);
-                let next_seq = if next.is_null() {
-                    0
-                } else {
-                    tx.read(&unsafe { next.as_leaf::<SEGS, K>() }.seqno)?
-                };
-                Ok(Some((part, next, next_seq)))
+                if next.is_null() {
+                    return Ok(Some(None));
+                }
+                let n = unsafe { next.as_leaf::<SEGS, K>() };
+                Ok(Some(Some((n, tx.read(&n.seqno)?))))
             });
             leaf.split_lock.release(ctx);
-
-            match out_piece.value {
-                None => {
-                    // Version changed: re-find the leaf for the cursor.
-                    let (l, s, _) = self.upper_region(ctx, cursor);
-                    leaf = l;
-                    seqno = s;
-                }
-                Some((part, next, next_seq)) => {
-                    for (k, v) in part {
-                        if collected == count {
-                            return collected;
-                        }
-                        out.push((k, v));
-                        collected += 1;
-                        // Advance past the delivered key. At the top of
-                        // the keyspace there is no "past": a saturating
-                        // add would pin the cursor on the delivered key,
-                        // and any retry or revisit (seqno mismatch, a
-                        // chain hop into a leaf whose records moved left)
-                        // would deliver it again — or loop forever. The
-                        // keyspace is exhausted; stop here.
-                        match k.checked_add(1) {
-                            Some(c) => cursor = c,
-                            None => return collected,
-                        }
-                    }
-                    if collected == count || next.is_null() {
-                        return collected;
-                    }
-                    leaf = unsafe { next.as_leaf::<SEGS, K>() };
-                    seqno = next_seq;
-                }
+            if let Some(next) = piece.value {
+                return next;
             }
         }
     }
+}
 
-    /// Episode-free bounded scan (the `read_opt` path). Each optimistic
-    /// section re-descends to the cursor's leaf with direct loads, walks
-    /// the chain to the first leaf holding records ≥ cursor, reads one
-    /// leaf's worth into a scratch batch, and validates the whole section
-    /// (leaf `seqno` bracket + engine snapshot) before the batch is
-    /// emitted. A failed validation discards the batch and re-descends —
-    /// nothing reaches `out` unvalidated, so retries never duplicate.
-    pub(crate) fn scan_read_opt(
-        &self,
-        ctx: &mut ThreadCtx,
-        from: u64,
-        count: usize,
-        out: &mut Vec<(u64, u64)>,
-    ) -> usize {
-        if count == 0 {
-            return 0;
+/// Reduce the raw leaf read on `out[base..]` to the batch a step delivers:
+/// live records ≥ `cursor`, in key order. Returns the batch length.
+fn sort_batch(out: &mut Vec<(u64, u64)>, base: usize, cursor: u64) -> u64 {
+    let mut kept = base;
+    for i in base..out.len() {
+        if out[i].0 >= cursor && out[i].1 != TOMBSTONE {
+            out.swap(kept, i);
+            kept += 1;
         }
-        ctx.epoch_enter();
-        let mut collected = 0usize;
-        let mut cursor = from;
-        let mut scratch: Vec<(u64, u64)> = Vec::with_capacity(Self::capacity());
-        loop {
-            // `true` ⇒ chain exhausted past the cursor; otherwise scratch
-            // holds one validated, sorted, non-empty batch.
-            let exhausted = ctx.optimistic_execute(
-                Some(cursor),
-                |overlap| overlap.is_some(),
-                |ctx| {
-                    let snap = ctx.optimistic_snapshot();
-                    let mut leaf = self.descend_direct(ctx, cursor)?;
-                    let mut hops = 0;
-                    loop {
-                        let s1 = leaf.seqno.load_direct(ctx);
-                        scratch.clear();
-                        for seg in &leaf.segs {
-                            seg.read_into_direct(ctx, &mut scratch);
-                        }
-                        scratch
-                            .retain(|&(k, v)| k >= cursor && k != KEY_SENTINEL && v != TOMBSTONE);
-                        let next = NodeRef::from_word(leaf.next.load_direct(ctx));
-                        if leaf.seqno.load_direct(ctx) != s1
-                            || !ctx.optimistic_validate(self.fallback_cell(), snap)
-                        {
-                            return None;
-                        }
-                        if !scratch.is_empty() {
-                            scratch.sort_unstable_by_key(|&(k, _)| k);
-                            return Some(false);
-                        }
-                        if next.is_null() {
-                            return Some(true);
-                        }
-                        hops += 1;
-                        if hops > 64 {
-                            // Suspiciously long empty run — likely a stale
-                            // chain; re-descend rather than walk garbage.
-                            return None;
-                        }
-                        leaf = unsafe { next.as_leaf::<SEGS, K>() };
-                    }
-                },
-            );
-            if exhausted {
-                break;
-            }
-            for &(k, v) in scratch.iter() {
-                if collected == count {
-                    ctx.epoch_exit();
-                    return collected;
-                }
-                out.push((k, v));
-                collected += 1;
-                // Advance past the delivered key; at the top of the
-                // keyspace there is nothing left to deliver (see
-                // scan_chain's cursor note).
-                match k.checked_add(1) {
-                    Some(c) => cursor = c,
-                    None => {
-                        ctx.epoch_exit();
-                        return collected;
-                    }
-                }
-            }
-            if collected == count {
-                break;
-            }
-        }
-        ctx.epoch_exit();
-        collected
     }
+    out.truncate(kept);
+    out[base..].sort_unstable_by_key(|&(k, _)| k);
+    (kept - base) as u64
 }
 
 #[cfg(test)]
 mod tests {
     use std::sync::Arc;
 
-    use euno_htm::{ConcurrentMap, RetryPolicy, Runtime, TxWord};
+    use euno_htm::euno_metrics::Counter;
+    use euno_htm::{ConcurrentMap, RetryPolicy, Runtime, ThreadCtx, TxWord};
 
+    use super::STEP_TRIES;
     use crate::node::NodeRef;
     use crate::tree::EunoBTreeDefault;
+
+    /// One scan pinned to a rung: `tries` 0 is the locked rung only.
+    fn scan_on_rung(
+        t: &EunoBTreeDefault,
+        ctx: &mut ThreadCtx,
+        from: u64,
+        count: usize,
+        tries: u32,
+    ) -> Vec<(u64, u64)> {
+        let mut out = vec![(7, 7)];
+        let n = t.scan_leaves_budgeted(ctx, from, count, &mut out, tries);
+        assert_eq!(out.len(), n + 1, "appends, and reports what it appended");
+        assert_eq!(out.remove(0), (7, 7), "the caller's records are untouched");
+        out
+    }
+
+    #[test]
+    fn the_two_rungs_agree() {
+        let rt = Runtime::new_virtual();
+        let t = EunoBTreeDefault::new(Arc::clone(&rt));
+        let mut ctx = rt.thread(1);
+        for k in (0..1_200u64).rev() {
+            t.put(&mut ctx, k * 2, k);
+        }
+        t.delete(&mut ctx, 100);
+        t.delete(&mut ctx, 102);
+        // Whole tree, across the tombstones, mid-leaf cursors (between two
+        // keys and on one), into and on the last leaf, past the end, and
+        // the degenerate counts.
+        for (from, count) in [
+            (0u64, usize::MAX),
+            (95, 10),
+            (1_001, 40),
+            (1_002, 1),
+            (2_380, 64),
+            (2_398, 10),
+            (5_000, 3),
+            (u64::MAX, 10),
+            (0, 0),
+        ] {
+            let locked = scan_on_rung(&t, &mut ctx, from, count, 0);
+            let steps = ctx.metric(Counter::ScanLockedSteps);
+            assert!(count == 0 || steps > 0, "budget 0 takes the locked rung");
+            let optimistic = scan_on_rung(&t, &mut ctx, from, count, STEP_TRIES);
+            assert_eq!(
+                ctx.metric(Counter::ScanLockedSteps),
+                steps,
+                "an undisturbed scan never reaches the tail"
+            );
+            assert_eq!(locked, optimistic, "from={from} count={count}");
+            let want: Vec<_> = t
+                .collect_all_plain()
+                .into_iter()
+                .filter(|&(k, _)| k >= from)
+                .take(count)
+                .collect();
+            assert_eq!(optimistic, want, "from={from} count={count}");
+        }
+    }
 
     #[test]
     fn cursor_guarantees_progress_at_top_of_keyspace() {
@@ -206,9 +267,9 @@ mod tests {
         // corrupted input must degrade to a bounded scan, not a livelock)
         // pinned the cursor, so any revisit of a leaf after the top key
         // was delivered re-delivered it forever. Simulate the adversarial
-        // revisit by making the leaf its own chain successor: pre-fix the
-        // scan loops re-delivering u64::MAX; post-fix it terminates after
-        // delivering each record exactly once.
+        // revisit by making the leaf its own chain successor: the scan
+        // must terminate after delivering each record exactly once, on
+        // either rung.
         let rt = Runtime::new_virtual();
         let t = EunoBTreeDefault::new(Arc::clone(&rt));
         let mut ctx = rt.thread(1);
@@ -220,10 +281,10 @@ mod tests {
             Ok(())
         });
         leaf.next.store_plain(NodeRef::of_leaf(leaf).to_word());
-        let mut out = Vec::new();
-        let n = t.scan_chain(&mut ctx, 0, usize::MAX, &mut out);
-        assert_eq!(n, 2, "each record delivered exactly once: {out:?}");
-        assert_eq!(out, vec![(10, 100), (u64::MAX, 7)]);
+        for tries in [0, STEP_TRIES] {
+            let out = scan_on_rung(&t, &mut ctx, 0, usize::MAX, tries);
+            assert_eq!(out, vec![(10, 100), (u64::MAX, 7)], "tries={tries}");
+        }
         // Un-forge the chain so drop-time audits see a sane tree.
         leaf.next.store_plain(0);
     }

@@ -11,7 +11,8 @@
 //!   scheduler with reorganization (Algorithm 3);
 //! * [`crate::structural`] — leaf splits and their upward propagation
 //!   through the index (§4.2.3);
-//! * [`crate::scan`] — range scans over the leaf chain (§4.2.4).
+//! * [`crate::scan`] — range scans over the leaf chain (§4.2.4): one
+//!   walk for every configuration.
 //!
 //! Every HTM region the tree starts runs under the one shared
 //! [`RetryPolicy::DBX`](euno_htm::RetryPolicy::DBX) (§4.2.1 DBX-style
@@ -246,11 +247,7 @@ impl<const SEGS: usize, const K: usize> ConcurrentMap for EunoBTree<SEGS, K> {
         count: usize,
         out: &mut Vec<(u64, u64)>,
     ) -> usize {
-        if self.cfg.read_opt {
-            self.scan_read_opt(ctx, from, count, out)
-        } else {
-            self.scan_chain(ctx, from, count, out)
-        }
+        self.scan_leaves(ctx, from, count, out)
     }
 
     fn maintain(&self, ctx: &mut ThreadCtx) -> u64 {
@@ -636,27 +633,6 @@ mod tests {
             }
         }
         assert_eq!(t.collect_all_plain(), model.into_iter().collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn read_opt_scan_agrees_with_episode_scan() {
-        let (_rt, t, mut ctx) = read_opt_tree();
-        for k in (0..1_200u64).rev() {
-            t.put(&mut ctx, k * 2, k);
-        }
-        t.delete(&mut ctx, 100);
-        t.delete(&mut ctx, 102);
-        for (from, count) in [(0u64, usize::MAX), (95, 10), (2_398, 10), (5_000, 3)] {
-            let mut opt = Vec::new();
-            let n_opt = t.scan_read_opt(&mut ctx, from, count, &mut opt);
-            let mut epi = Vec::new();
-            let n_epi = t.scan_chain(&mut ctx, from, count, &mut epi);
-            assert_eq!(n_opt, n_epi, "from={from} count={count}");
-            assert_eq!(opt, epi, "from={from} count={count}");
-            assert!(opt.windows(2).all(|w| w[0].0 < w[1].0));
-        }
-        let mut out = Vec::new();
-        assert_eq!(t.scan(&mut ctx, u64::MAX, 10, &mut out), 0);
     }
 
     #[test]

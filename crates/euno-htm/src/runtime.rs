@@ -497,6 +497,19 @@ impl VirtState {
         }
     }
 
+    /// Forget what the simulation remembers about `lines`: a node was just
+    /// allocated there. Heat and commit history are keyed by address, and
+    /// a freed node's address comes back whenever the allocator pleases —
+    /// were the newcomer to inherit them, whether a fresh leaf starts hot
+    /// would depend on heap layout, and a run would no longer repeat under
+    /// ASLR (`virt-scan-churn` once its sweeps free leaves: ±0.1 %).
+    pub(crate) fn forget_lines(&mut self, lines: std::ops::Range<u64>) {
+        for line in lines {
+            self.recent_writes.remove(&line);
+            self.line_index.remove(&line);
+        }
+    }
+
     /// Storm extrapolation: serial virtual execution can only see
     /// conflicts with *already committed* episodes, but on real hardware a
     /// transaction also races writers that are wall-clock concurrent yet
@@ -791,7 +804,8 @@ impl Runtime {
     /// `attributed` the contention profiler also attributes
     /// address-carrying trace events (conflict lines, lock cells, CCM
     /// words) inside the node to `base`. Replaces whatever was registered
-    /// on the same lines (a freed node whose memory was reused).
+    /// on the same lines (a freed node whose memory was reused), and in
+    /// virtual mode starts those lines cold (`VirtState::forget_lines`).
     pub fn register_node(
         &self,
         base: usize,
@@ -800,6 +814,14 @@ impl Runtime {
         attributed: bool,
     ) {
         self.nodes.register(base, bytes, parts, attributed);
+        if self.mode == Mode::Virtual {
+            let line = CACHE_LINE_BYTES as u64;
+            let (lo, hi) = (base as u64, (base + bytes) as u64);
+            self.virt
+                .lock()
+                .unwrap()
+                .forget_lines(lo / line..hi.div_ceil(line));
+        }
     }
 
     /// Convenience: register a value as a one-part, unattributed node.

@@ -94,6 +94,10 @@ define_metric_enum! {
         // feeds the epoch collector, so it explains `epoch_reclaimed`.
         SweepSlices => "sweep_slices",
         SweepMerges => "sweep_merges",
+        // Range scans: leaf steps that spent their optimistic try budget
+        // and read the leaf under its split lock in an HTM region. The
+        // optimistic re-tries themselves count in `optimistic_retries`.
+        ScanLockedSteps => "scan_locked_steps",
         // euno-serve front-end: request/batch lifecycle. These live in the
         // *server's* registry (one per `EunoServer`), not the per-shard
         // tree runtimes, so queue dynamics are visible in one time series

@@ -47,10 +47,10 @@ pub struct ServeConfig {
     /// serve_bench A/B axis).
     pub batching: bool,
     /// Tree configuration for every shard. The default is the
-    /// read-optimized preset: the service tier always runs gets and
-    /// scans on the episode-free optimistic path (single-request mode
-    /// via `get_read_opt`, batches via the optimistic upper stage), so
-    /// the batching A/B compares like against like.
+    /// read-optimized preset: the service tier always runs gets on the
+    /// episode-free optimistic path (single-request mode via
+    /// `get_read_opt`, batches via the optimistic upper stage), so the
+    /// batching A/B compares like against like.
     pub tree_config: EunoConfig,
     /// Run a maintenance sweep every N drain cycles (0 = never).
     pub maintain_every: u64,

@@ -171,6 +171,21 @@ cargo run --release -q -p euno-check --bin stress -- \
     --churn-sweeps --ops 3000 --seed 20170204 --duration 5 --tree euno
 echo "bounded-maintenance (sliced sweep bound + churn-sweeps stress) OK"
 
+# Scan ladder: the range scan's two rungs (DESIGN.md §4.7).  The
+# livelock regression (a scan across > 64 record-less leaves, on a helper
+# thread with a timeout, both configs) and the virtual-scheduler run of 15
+# writers on one leaf against one scanner (exact output, bounded cycles,
+# the locked rung actually reached) in --release, then the churn preset
+# with long scans on real threads — where the global TL2 clock, not a
+# window overlap, is what fails an optimistic step — under the
+# linearizability oracle.  layout_independence rides along: the same seed
+# on two differently populated heaps must charge every op the same cycles
+# (a fresh leaf must not inherit a freed one's simulated line heat).
+cargo test -q --release -p euno-core --test scan_ladder --test layout_independence
+cargo run --release -q -p euno-check --bin stress -- \
+    --churn --scan-len 48 --ops 3000 --seed 20260929 --duration 5 --tree euno
+echo "scan-ladder (livelock regression + hot-leaf scheduler run + layout independence + churn stress) OK"
+
 # Repo benchmark: `benchmark/` is its own workspace, so nothing above
 # compiles it against the crate APIs it calls from outside
 # (`htm_execute`, `RetryPolicy`, `ctx.stats`, `ctx.metric`, tree
