@@ -5,7 +5,8 @@
 //! Paper numbers (high contention): +Split HTM 1.83×, +Part Leaf 4.58×,
 //! +CCM lockbits 9.68×, +CCM markbits 11.10×. Low-contention overheads:
 //! −3 % (split), −4 % (part leaf), −8 %/−2 % (CCM), recovered to −2 % by
-//! +Adaptive.
+//! +Adaptive. `+Walk` is this repo's rung past the paper's ladder: the
+//! library's default tree, whose upper stage opens no HTM region.
 
 use euno_bench::common::{emit, fig_config, measure, Cli, Point, System};
 
@@ -18,6 +19,7 @@ fn main() {
         System::AblationCcmLockbits,
         System::AblationCcmMarkbits,
         System::AblationAdaptive,
+        System::AblationWalk, // not in the paper: prices the upper episode
     ];
 
     let mut all = Vec::new();

@@ -23,11 +23,12 @@ use euno_workloads::WorkloadSpec;
 /// The four systems of §5.1, plus the ablation variants of Figure 13.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum System {
+    /// The paper's system (`EunoConfig::paper`): HTM upper and lower region
+    /// per point operation.
     EunoBTree,
-    /// Euno with the episode-free optimistic read path enabled
-    /// (`EunoConfig::read_optimized`): gets run as direct-load descents
-    /// validated by the leaf `seqno` bracket under an epoch pin (scans
-    /// read leaves that way in every Euno configuration).
+    /// The library's default tree (`EunoConfig::default`): no episode
+    /// above the leaf — every upper stage is a validated direct-load walk
+    /// under an epoch pin, and gets read their leaf the same way.
     EunoReadOpt,
     HtmBTree,
     Masstree,
@@ -38,6 +39,10 @@ pub enum System {
     AblationCcmLockbits,
     AblationCcmMarkbits,
     AblationAdaptive,
+    /// One rung past the paper's ladder: `+Adaptive` with the upper HTM
+    /// region replaced by the validated walk (`EunoConfig::default`) — the
+    /// row that prices the upper episode.
+    AblationWalk,
     /// Three-path ablation (fig13_threepath): Euno with the executor's
     /// footprint-local middle path disabled, and the paper's two-path
     /// HTM-B+Tree baseline with it enabled.
@@ -75,6 +80,7 @@ impl System {
             System::AblationCcmLockbits => "+CCM lockbits",
             System::AblationCcmMarkbits => "+CCM markbits",
             System::AblationAdaptive => "+Adaptive",
+            System::AblationWalk => "+Walk",
             System::EunoTwoPath => "Euno-B+Tree/2path",
             System::HtmBTreeThreePath => "HTM-B+Tree/3path",
         }
@@ -84,11 +90,10 @@ impl System {
     pub fn build(self, rt: &Arc<Runtime>) -> Box<dyn ConcurrentMap> {
         let rt = Arc::clone(rt);
         match self {
-            System::EunoBTree | System::AblationAdaptive => Box::new(EunoBTreeDefault::new(rt)),
-            System::EunoReadOpt => Box::new(EunoBTreeDefault::with_config(
-                rt,
-                EunoConfig::read_optimized(),
-            )),
+            System::EunoBTree | System::AblationAdaptive => {
+                Box::new(EunoBTreeDefault::with_config(rt, EunoConfig::paper()))
+            }
+            System::EunoReadOpt | System::AblationWalk => Box::new(EunoBTreeDefault::new(rt)),
             System::HtmBTree => Box::new(HtmBTree::<16>::new(rt)),
             System::Masstree => Box::new(Masstree::new(rt)),
             System::HtmMasstree => Box::new(HtmMasstree::new(rt)),
@@ -109,7 +114,7 @@ impl System {
             )),
             System::EunoTwoPath => Box::new(EunoBTreeDefault::with_config(
                 rt,
-                EunoConfig::default().two_path(),
+                EunoConfig::paper().two_path(),
             )),
             System::HtmBTreeThreePath => Box::new(HtmBTree::<16>::new(rt).three_path()),
         }

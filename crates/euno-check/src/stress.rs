@@ -470,7 +470,7 @@ pub fn run_all(cfg: &StressConfig, filter: Option<&str>) -> Vec<StressReport> {
     };
     if wants("Euno-B+Tree") {
         let rt = Runtime::new_concurrent();
-        let tree = EunoBTreeDefault::with_config(Arc::clone(&rt), euno_cfg(EunoConfig::default()));
+        let tree = EunoBTreeDefault::with_config(Arc::clone(&rt), euno_cfg(EunoConfig::paper()));
         let hooks = AuditHooks {
             seqno_snapshot: Some(Box::new(|| tree.leaf_seqnos_plain())),
             quiescent: Some(Box::new(|| tree.audit_quiescent())),
@@ -479,8 +479,7 @@ pub fn run_all(cfg: &StressConfig, filter: Option<&str>) -> Vec<StressReport> {
     }
     if wants("Euno-ReadOpt") {
         let rt = Runtime::new_concurrent();
-        let tree =
-            EunoBTreeDefault::with_config(Arc::clone(&rt), euno_cfg(EunoConfig::read_optimized()));
+        let tree = EunoBTreeDefault::with_config(Arc::clone(&rt), euno_cfg(EunoConfig::default()));
         let hooks = AuditHooks {
             seqno_snapshot: Some(Box::new(|| tree.leaf_seqnos_plain())),
             quiescent: Some(Box::new(|| tree.audit_quiescent())),

@@ -4,17 +4,12 @@
 //! them through shared episodes instead of one upper + one lower region
 //! per request:
 //!
-//! 1. the batch is key-sorted by the caller, then descended in *chunks*
-//!    of up to [`UPPER_CHUNK`] keys. The chunk's upper stage is
-//!    episode-free: each key descends with direct loads bracketed by the
-//!    engine snapshot check (exactly the `read_opt` point-lookup
-//!    discipline), yielding the target leaf and its `seqno` without any
-//!    transactional read instrumentation. Gets whose result cannot be
-//!    reordered against an earlier same-key op resolve outright during
-//!    this pass (`read_opt` trees only). When the optimistic window
-//!    refuses to close under write pressure, the chunk falls back to one
-//!    shared TL2 upper episode — the descent cost is amortized either
-//!    way;
+//! 1. the batch is key-sorted by the caller, then taken in *chunks* of up
+//!    to [`UPPER_CHUNK`] keys. The chunk's upper stage is the single-op
+//!    one, key by key: [`EunoBTree::locate`] yields the target leaf and
+//!    its `seqno`. On `read_opt` trees a get whose result cannot be
+//!    reordered against an earlier same-key op is answered outright by the
+//!    episode-free lookup instead (which finds the same pair on its way);
 //! 2. consecutive ops that landed on the same leaf form a *group*; the
 //!    CCM stage (slot locks, mark bits, fast-miss filtering) runs once
 //!    per group over the deduplicated slot set, and a single lower region
@@ -40,26 +35,16 @@
 //!   leaf is within `near_full_slack + puts_in_group` of capacity) so
 //!   shared episodes stay split-free by construction on the HTM path.
 
-use euno_htm::{EventKind, RetryPolicy, ThreadCtx, TxWord, TOMBSTONE};
+use euno_htm::{EventKind, RetryPolicy, ThreadCtx, TxWord};
 
 use crate::ccm::Ccm;
 use crate::node::{EunoLeaf, NodeRef};
 use crate::tree::{EunoBTree, Lower, Req};
 
-/// Max keys resolved by one upper episode. Bounds the episode's read set
-/// (a descent is ~depth lines plus the leaf `seqno`) and sizes the
+/// Max keys located before their groups run: bounds how stale a
+/// `(leaf, seqno)` pair can be when its lower episode opens, and sizes the
 /// fixed per-chunk buffers.
 pub const UPPER_CHUNK: usize = 8;
-
-/// Optimistic attempts at a chunk's upper stage before falling back to
-/// the shared TL2 episode. Each attempt re-descends every key in the
-/// chunk, so a couple of tries already rides out a transient commit.
-const UPPER_OPT_TRIES: u32 = 3;
-
-/// Per-key descent+validate retries inside one optimistic attempt. A
-/// failing bracket means a write committed mid-descent; re-descending
-/// just that key is far cheaper than restarting the chunk.
-const DESCENT_TRIES: u32 = 8;
 
 /// One point request in a batch. Scans don't batch — they have no single
 /// leaf to group on.
@@ -99,15 +84,9 @@ impl BatchOp {
 /// What one batch did — the serve worker folds these into its metrics.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BatchStats {
-    /// Chunks whose upper stage resolved on the episode-free optimistic
-    /// path.
-    pub opt_chunks: u64,
-    /// Gets answered outright during the optimistic upper stage
-    /// (`read_opt` trees only).
+    /// Gets answered outright during the upper stage (`read_opt` trees
+    /// only).
     pub opt_gets: u64,
-    /// Shared upper episodes — one per chunk that fell back from the
-    /// optimistic upper stage to the TL2 episode.
-    pub upper_episodes: u64,
     /// Shared lower episodes (one per leaf group that reached step 3).
     pub lower_episodes: u64,
     /// Same-leaf groups executed (groups fully answered by the
@@ -117,8 +96,8 @@ pub struct BatchStats {
     pub fast_misses: u64,
     /// Ops that bailed out of shared episodes and re-ran individually.
     pub singles: u64,
-    /// Conflict aborts across all shared episodes (feeds the worker's
-    /// adaptive batch sizing).
+    /// Conflict aborts across the upper stage and all shared episodes
+    /// (feeds the worker's adaptive batch sizing).
     pub conflict_aborts: u64,
 }
 
@@ -191,65 +170,36 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         while base < ops.len() {
             let chunk = &ops[base..(base + UPPER_CHUNK).min(ops.len())];
 
-            let mut early_ok = [false; UPPER_CHUNK];
+            // Step 1: the chunk's leaves, and its early gets — finished
+            // operations, published before the group stage (which skips
+            // their cells).
+            let mut leaves = [(0u64, 0u64, 0u32); UPPER_CHUNK];
+            let mut early = [None; UPPER_CHUNK];
             for (j, op) in chunk.iter().enumerate() {
                 let key = op.key();
                 let chain = match run {
                     Some((k, c)) if k == key => c,
                     _ => true,
                 };
-                let ok =
+                let early_ok =
                     self.cfg.read_opt && op.req() == Req::Get && chain && bailed_key != Some(key);
-                early_ok[j] = ok;
-                run = Some((key, ok));
-            }
-
-            // Step 1: resolve the chunk's leaves — episode-free optimistic
-            // descents first, one shared TL2 episode if the optimistic
-            // window refuses to close.
-            let mut early = [None; UPPER_CHUNK];
-            let (leaves, upper_conflicts) = match self
-                .resolve_chunk_optimistic(ctx, chunk, &early_ok, &mut early)
-            {
-                Some(leaves) => {
-                    stats.opt_chunks += 1;
-                    (leaves, 0u32)
+                let (leaf, seq, conflicts) = self.locate(ctx, key);
+                stats.conflict_aborts += u64::from(conflicts);
+                leaves[j] = (NodeRef::of_leaf(leaf).to_word(), seq, conflicts);
+                if early_ok {
+                    early[j] = self.read_leaf(ctx, leaf, seq, key);
                 }
-                None => {
-                    early = [None; UPPER_CHUNK];
-                    let fp = None; // CCM bits may be held between groups; keep
-                                   // the shared descent off the middle path.
-                    let upper =
-                        ctx.htm_execute_with(&self.ctrl.fallback, &RetryPolicy::DBX, fp, |tx| {
-                            tx.set_op_key(chunk[0].key());
-                            let mut leaves = [(0u64, 0u64); UPPER_CHUNK];
-                            for (j, op) in chunk.iter().enumerate() {
-                                let leaf = self.descend(tx, op.key())?;
-                                let seq = tx.read(&leaf.seqno)?;
-                                leaves[j] = (NodeRef::of_leaf(leaf).to_word(), seq);
-                            }
-                            Ok(leaves)
-                        });
-                    stats.upper_episodes += 1;
-                    stats.conflict_aborts += u64::from(upper.conflict_aborts);
-                    (upper.value, upper.conflict_aborts)
-                }
-            };
-
-            // Early gets are finished operations: publish them before the
-            // group stage (which skips their cells).
-            for (j, v) in early.iter().enumerate().take(chunk.len()) {
-                if let Some(v) = v {
-                    out[base + j] = *v;
+                run = Some((key, early[j].is_some()));
+                if let Some(value) = early[j] {
+                    out[base + j] = value;
                     stats.opt_gets += 1;
                 }
             }
 
             // Step 2+3: same-leaf runs become groups.
             let mut g = 0;
-            let mut first_group = true;
             while g < chunk.len() {
-                let (bits, seqno) = leaves[g];
+                let (bits, seqno, _) = leaves[g];
                 let mut h = g + 1;
                 while h < chunk.len() && leaves[h].0 == bits {
                     h += 1;
@@ -260,15 +210,13 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                     continue;
                 }
                 let leaf = unsafe { NodeRef::from_word(bits).as_leaf::<SEGS, K>() };
-                let upper_share = if first_group { upper_conflicts } else { 0 };
-                first_group = false;
                 self.exec_group(
                     ctx,
                     &chunk[g..h],
                     base + g,
                     leaf,
                     seqno,
-                    upper_share,
+                    leaves[g..h].iter().map(|l| l.2).sum(),
                     &early[g..h],
                     &mut bailed_key,
                     out,
@@ -298,87 +246,10 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         stats
     }
 
-    /// Upper stage, optimistic flavor: resolve every key in `chunk` to
-    /// its `(leaf, seqno)` pair with episode-free direct descents, each
-    /// bracketed by the engine snapshot check exactly like the `read_opt`
-    /// point lookup — and answer the gets flagged in `early_ok` outright
-    /// while the leaf is at hand (their results land in `early`). Returns
-    /// `None` when the optimistic window refuses to close under write
-    /// pressure; the caller then runs the shared TL2 chunk episode.
-    ///
-    /// Safety mirrors [`EunoBTree::get_read_opt`]: a validated bracket
-    /// proves the descent was atomic — the leaf covered the key while its
-    /// `seqno` read `s1` — so the lower episode's transactional `seqno`
-    /// re-check carries exactly the guarantee the TL2 upper episode gave.
-    /// In virtual mode the brackets are no-ops and the engine's
-    /// window-overlap check at episode close arbitrates, as it does for
-    /// every optimistic read section.
-    fn resolve_chunk_optimistic(
-        &self,
-        ctx: &mut ThreadCtx,
-        chunk: &[BatchOp],
-        early_ok: &[bool; UPPER_CHUNK],
-        early: &mut [Option<Option<u64>>; UPPER_CHUNK],
-    ) -> Option<[(u64, u64); UPPER_CHUNK]> {
-        let attempts = core::cell::Cell::new(0u32);
-        let out = ctx.optimistic_execute(
-            Some(chunk[0].key()),
-            |overlap| overlap.is_some() && attempts.get() < UPPER_OPT_TRIES,
-            |ctx| {
-                if attempts.get() >= UPPER_OPT_TRIES {
-                    // Give up cleanly: the caller takes the episode path.
-                    return Some(None);
-                }
-                attempts.set(attempts.get() + 1);
-                let mut leaves = [(0u64, 0u64); UPPER_CHUNK];
-                let mut vals: [Option<Option<u64>>; UPPER_CHUNK] = [None; UPPER_CHUNK];
-                for (j, op) in chunk.iter().enumerate() {
-                    let key = op.key();
-                    let mut tries = 0;
-                    loop {
-                        let snap = ctx.optimistic_snapshot();
-                        if let Some(leaf) = self.descend_direct(ctx, key) {
-                            let s1 = leaf.seqno.load_direct(ctx);
-                            let mut torn = false;
-                            let mut found = None;
-                            if early_ok[j] {
-                                for seg in &leaf.segs {
-                                    if let Some(v) = seg.find_direct(ctx, key) {
-                                        found = Some(v);
-                                        break;
-                                    }
-                                }
-                                // The `seqno` bracket around the segment
-                                // search, as in the single-op lookup.
-                                torn = leaf.seqno.load_direct(ctx) != s1;
-                            }
-                            if !torn && ctx.optimistic_validate(self.fallback_cell(), snap) {
-                                leaves[j] = (NodeRef::of_leaf(leaf).to_word(), s1);
-                                if early_ok[j] {
-                                    vals[j] = Some(found.filter(|&v| v != TOMBSTONE));
-                                }
-                                break;
-                            }
-                        }
-                        tries += 1;
-                        if tries >= DESCENT_TRIES {
-                            return None;
-                        }
-                    }
-                }
-                Some(Some((leaves, vals)))
-            },
-        );
-        out.map(|(leaves, vals)| {
-            *early = vals;
-            leaves
-        })
-    }
-
     /// CCM stage + one lower episode for a same-leaf group
     /// (`ops[0..n]` at batch offset `batch_off`). Cells whose `early`
-    /// entry is set were answered by the optimistic upper stage and are
-    /// skipped throughout.
+    /// entry is set were answered by the upper stage and are skipped
+    /// throughout.
     #[allow(clippy::too_many_arguments)]
     fn exec_group(
         &self,
@@ -588,11 +459,8 @@ mod tests {
     /// Seeded randomized equivalence: batches against a model map. Covers
     /// duplicates-in-batch, fast misses, near-full bail-to-singles and
     /// grouping across both virtual and concurrent runtimes.
-    fn batch_matches_serial(rt: Arc<Runtime>) {
-        batch_matches_serial_with(rt, crate::EunoConfig::default());
-    }
-
-    fn batch_matches_serial_with(rt: Arc<Runtime>, cfg: crate::EunoConfig) {
+    fn batch_matches_serial(rt: Arc<Runtime>, cfg: crate::EunoConfig) {
+        let read_opt = cfg.read_opt;
         let tree = EunoBTreeDefault::with_config(Arc::clone(&rt), cfg);
         let mut ctx = rt.thread(0xBA7C);
         let mut model: BTreeMap<u64, u64> = BTreeMap::new();
@@ -616,7 +484,7 @@ mod tests {
             }
             let ops = sorted(ops);
             let stats = tree.apply_batch(&mut ctx, &ops, &mut out, &mut scratch);
-            assert!(stats.opt_chunks + stats.upper_episodes >= 1);
+            assert!(read_opt || stats.opt_gets == 0);
             for (op, got) in ops.iter().zip(&out) {
                 let want = match *op {
                     BatchOp::Get { key } => model.get(&key).copied(),
@@ -634,29 +502,26 @@ mod tests {
 
     #[test]
     fn batch_matches_serial_virtual() {
-        batch_matches_serial(Runtime::new_virtual());
+        batch_matches_serial(Runtime::new_virtual(), crate::EunoConfig::paper());
     }
 
     #[test]
     fn batch_matches_serial_concurrent() {
-        batch_matches_serial(Runtime::new_concurrent());
+        batch_matches_serial(Runtime::new_concurrent(), crate::EunoConfig::paper());
     }
 
-    /// The read-optimized preset additionally routes eligible gets
-    /// through the episode-free early-resolution path; the model
-    /// equivalence (including put-then-get and get-then-put adjacency on
-    /// one key) must be preserved bit-for-bit.
+    /// The default tree additionally routes eligible gets through the
+    /// episode-free early-resolution path; the model equivalence
+    /// (including put-then-get and get-then-put adjacency on one key)
+    /// must be preserved bit-for-bit.
     #[test]
     fn batch_matches_serial_read_opt_virtual() {
-        batch_matches_serial_with(Runtime::new_virtual(), crate::EunoConfig::read_optimized());
+        batch_matches_serial(Runtime::new_virtual(), crate::EunoConfig::default());
     }
 
     #[test]
     fn batch_matches_serial_read_opt_concurrent() {
-        batch_matches_serial_with(
-            Runtime::new_concurrent(),
-            crate::EunoConfig::read_optimized(),
-        );
+        batch_matches_serial(Runtime::new_concurrent(), crate::EunoConfig::default());
     }
 
     #[test]
@@ -737,8 +602,8 @@ mod perf_probe {
     #[ignore = "manual perf probe: cargo test -p euno-core --release -- --ignored probe_batch"]
     fn probe_batch_vs_single() {
         for (name, cfg) in [
+            ("paper", crate::EunoConfig::paper()),
             ("default", crate::EunoConfig::default()),
-            ("read_opt", crate::EunoConfig::read_optimized()),
         ] {
             let rt = Runtime::new_concurrent();
             let tree = EunoBTreeDefault::with_config(Arc::clone(&rt), cfg);
@@ -769,9 +634,7 @@ mod perf_probe {
                 }
                 ops.sort_unstable_by_key(|o| o.key());
                 let st = tree.apply_batch(&mut ctx, &ops, &mut out, &mut scratch);
-                agg.opt_chunks += st.opt_chunks;
                 agg.opt_gets += st.opt_gets;
-                agg.upper_episodes += st.upper_episodes;
                 agg.lower_episodes += st.lower_episodes;
                 agg.groups += st.groups;
                 agg.fast_misses += st.fast_misses;
@@ -781,11 +644,9 @@ mod perf_probe {
             let batched = t0.elapsed();
             let n = (rounds * batch) as f64;
             eprintln!(
-                "[{name}] per op: {:.3} optchunk, {:.3} optget, {:.3} upper, {:.3} lower, \
+                "[{name}] per op: {:.3} optget, {:.3} lower, \
                  {:.3} groups, {:.3} fastmiss, {:.4} singles, {:.4} conflicts",
-                agg.opt_chunks as f64 / n,
                 agg.opt_gets as f64 / n,
-                agg.upper_episodes as f64 / n,
                 agg.lower_episodes as f64 / n,
                 agg.groups as f64 / n,
                 agg.fast_misses as f64 / n,
@@ -825,9 +686,7 @@ mod perf_probe {
                 }
                 ops.sort_unstable_by_key(|o| o.key());
                 let st = tree.apply_batch(&mut ctx, &ops, &mut out, &mut scratch);
-                agg.opt_chunks += st.opt_chunks;
                 agg.opt_gets += st.opt_gets;
-                agg.upper_episodes += st.upper_episodes;
                 agg.lower_episodes += st.lower_episodes;
                 agg.groups += st.groups;
                 agg.singles += st.singles;
@@ -835,11 +694,9 @@ mod perf_probe {
             }
             let batched = t0.elapsed();
             eprintln!(
-                "[{name}] mixed per op: {:.3} optchunk, {:.3} optget, {:.3} upper, \
+                "[{name}] mixed per op: {:.3} optget, \
                  {:.3} lower, {:.3} groups, {:.4} singles, {:.4} conflicts",
-                agg.opt_chunks as f64 / n,
                 agg.opt_gets as f64 / n,
-                agg.upper_episodes as f64 / n,
                 agg.lower_episodes as f64 / n,
                 agg.groups as f64 / n,
                 agg.singles as f64 / n,

@@ -40,13 +40,17 @@ pub struct EunoConfig {
     /// the advisory slots for its key before escalating to the global
     /// fallback lock. Off reproduces the classic two-path executor.
     pub middle_path: bool,
-    /// Serve gets on the episode-free optimistic read path: descend with
-    /// direct loads under an epoch pin, validate via the per-leaf `seqno`
-    /// (plus the TL2 version clock and the fallback cell in concurrent
-    /// mode), retry from the root on any change. Writes keep the two-step
-    /// transactional traversal, and scans take the one walk in
-    /// [`crate::scan`] either way. Off (the default) reproduces the
-    /// paper's all-episode point operations.
+    /// No episode above the leaf. Every operation's upper stage
+    /// ([`EunoBTree::locate`](crate::EunoBTree::locate)) is an
+    /// episode-free validated walk — direct loads under the epoch pin,
+    /// checked against the TL2 version clock and the fallback cell in
+    /// concurrent mode — and a get also reads its leaf that way, bracketed
+    /// by the leaf's `seqno`. Both are bounded: after a small private
+    /// budget of tries the walk ends on the paper's HTM upper region and
+    /// the get on an ordinary two-step get — which one get in 128 runs
+    /// outright (`GET_TWO_STEP_ONE_IN`). The lower region, the CCM and
+    /// the split lock are the same either way, and scans take the one walk
+    /// in [`crate::scan`]. On by default; off is [`EunoConfig::paper`].
     pub read_opt: bool,
 }
 
@@ -62,7 +66,7 @@ impl Default for EunoConfig {
             adaptive_conflict_rate: 0.05,
             rebalance_delete_threshold: 100_000,
             middle_path: true,
-            read_opt: false,
+            read_opt: true,
         }
     }
 }
@@ -75,17 +79,17 @@ impl EunoConfig {
         self
     }
 
-    /// The full system with the episode-free optimistic read path on
-    /// (`Euno-ReadOpt` in the benchmark tables).
-    pub fn read_optimized() -> Self {
+    /// The system as the paper has it: every point operation is an HTM
+    /// upper region plus an HTM lower region (Algorithm 2). This is what
+    /// the figure binaries and the golden-digest test build, so recorded
+    /// results do not move with [`Default`].
+    pub fn paper() -> Self {
         EunoConfig {
-            read_opt: true,
+            read_opt: false,
             ..Default::default()
         }
     }
-}
 
-impl EunoConfig {
     /// Figure 13 `+Split HTM`: region splitting only (use with one segment
     /// per leaf, e.g. `EunoBTree::<1, 16>`).
     pub fn split_htm_only() -> Self {
@@ -93,7 +97,7 @@ impl EunoConfig {
             ccm_lock_bits: false,
             ccm_mark_bits: false,
             adaptive: false,
-            ..Default::default()
+            ..Self::paper()
         }
     }
 
@@ -109,7 +113,7 @@ impl EunoConfig {
             ccm_lock_bits: true,
             ccm_mark_bits: false,
             adaptive: false,
-            ..Default::default()
+            ..Self::paper()
         }
     }
 
@@ -119,13 +123,13 @@ impl EunoConfig {
             ccm_lock_bits: true,
             ccm_mark_bits: true,
             adaptive: false,
-            ..Default::default()
+            ..Self::paper()
         }
     }
 
-    /// Figure 13 `+Adaptive` — the full system (also [`Default`]).
+    /// Figure 13 `+Adaptive` — the paper's full system.
     pub fn full() -> Self {
-        EunoConfig::default()
+        Self::paper()
     }
 }
 
@@ -153,16 +157,53 @@ mod tests {
         let c = EunoConfig::default();
         assert!(c.ccm_lock_bits && c.ccm_mark_bits && c.adaptive);
         assert!(c.adaptive_window > 0);
-        assert!(!c.read_opt, "the paper's system is all-episode by default");
+        assert!(
+            c.read_opt,
+            "the default tree opens no episode above the leaf"
+        );
     }
 
     #[test]
     fn read_optimized_keeps_the_full_write_path() {
-        let c = EunoConfig::read_optimized();
-        assert!(c.read_opt);
-        assert!(
-            c.ccm_lock_bits && c.ccm_mark_bits && c.adaptive && c.middle_path,
-            "read_opt changes only the read path"
-        );
+        // `default()` is `paper()` plus the walk, nothing else.
+        let same = EunoConfig {
+            read_opt: false,
+            ..EunoConfig::default()
+        };
+        assert_eq!(format!("{same:?}"), format!("{:?}", EunoConfig::paper()));
+        for step in [
+            EunoConfig::split_htm_only(),
+            EunoConfig::ccm_lockbits(),
+            EunoConfig::ccm_markbits(),
+            EunoConfig::full(),
+        ] {
+            assert!(!step.read_opt, "the Figure 13 ladder is the paper's");
+        }
+    }
+
+    #[test]
+    fn paper_is_the_config_the_figures_were_recorded_with() {
+        // Field for field what `default()` was when `results/` and the
+        // golden digest were recorded; exhaustive, so a new field must be
+        // given its paper value here.
+        let EunoConfig {
+            ccm_lock_bits,
+            ccm_mark_bits,
+            adaptive,
+            near_full_slack,
+            scheduler_retries,
+            adaptive_window,
+            adaptive_conflict_rate,
+            rebalance_delete_threshold,
+            middle_path,
+            read_opt,
+        } = EunoConfig::paper();
+        assert!(ccm_lock_bits && ccm_mark_bits && adaptive && middle_path);
+        assert!(!read_opt);
+        assert_eq!(near_full_slack, 4);
+        assert_eq!(scheduler_retries, 3);
+        assert_eq!(adaptive_window, 32);
+        assert_eq!(adaptive_conflict_rate, 0.05);
+        assert_eq!(rebalance_delete_threshold, 100_000);
     }
 }

@@ -121,31 +121,10 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         out
     }
 
-    /// Plain (uninstrumented) root-to-leaf descent, mirroring
-    /// `traverse::descend`'s separator arithmetic.
+    /// Plain (uninstrumented) root-to-leaf descent.
     fn plain_descend(&self, key: u64) -> NodeRef {
-        let mut cur = NodeRef::from_word(self.root_bits());
-        while !cur.is_leaf() {
-            let node = unsafe { cur.as_internal() };
-            let cnt = (node.count.load_plain() as usize).min(INTERNAL_FANOUT);
-            let mut lo = 0usize;
-            let mut hi = cnt;
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                if node.keys[mid].load_plain() <= key {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            let next = if lo == 0 {
-                node.child0.load_plain()
-            } else {
-                node.children[lo - 1].load_plain()
-            };
-            cur = NodeRef::from_word(next);
-        }
-        cur
+        let leaf = self.descend(key, |cell| Ok(cell.load_plain()));
+        NodeRef::of_leaf(leaf.ok().flatten().expect("quiescent tree"))
     }
 
     /// Live `(key, value)` records of one leaf, sorted, via plain loads.

@@ -6,19 +6,45 @@
 //! both orderings produce identical state. These probes make the write
 //! order itself assertable — structural code drops named marks at the
 //! bump and at the first record movement, and regression tests check the
-//! sequence. Everything compiles away in release builds, so the probes
-//! cost nothing on benchmark paths.
+//! sequence. A test can also *interpose*: [`once_at`] arms a one-shot
+//! action that runs the next time this thread passes a named [`point`],
+//! which is how `tests/upper_walk.rs` lands a split, a reorganization or
+//! a merge between an operation's upper stage and its lower region.
+//! Everything compiles away in release builds, so the probes cost nothing
+//! on benchmark paths.
 
 #[cfg(debug_assertions)]
 mod imp {
     use std::cell::RefCell;
 
+    type Armed = Option<(&'static str, Box<dyn FnOnce()>)>;
+
     thread_local! {
         static MARKS: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
+        static ARMED: RefCell<Armed> = const { RefCell::new(None) };
     }
 
     pub fn mark(tag: &'static str) {
         MARKS.with(|m| m.borrow_mut().push(tag));
+    }
+
+    /// A place a test may interpose at. Records nothing (points sit on
+    /// per-operation paths); runs the action armed for `tag`, if any, with
+    /// no probe state borrowed — the action is free to run tree operations.
+    pub fn point(tag: &'static str) {
+        let action = ARMED.with(|a| {
+            let mut a = a.borrow_mut();
+            a.take_if(|(t, _)| *t == tag)
+        });
+        if let Some((_, run)) = action {
+            run();
+        }
+    }
+
+    /// Arm `run` to execute once, the next time this thread passes
+    /// [`point`]`(tag)`. Replaces any action armed before.
+    pub fn once_at(tag: &'static str, run: impl FnOnce() + 'static) {
+        ARMED.with(|a| *a.borrow_mut() = Some((tag, Box::new(run))));
     }
 
     pub fn take() -> Vec<&'static str> {
@@ -27,11 +53,18 @@ mod imp {
 }
 
 #[cfg(debug_assertions)]
-pub use imp::{mark, take};
+pub use imp::{mark, once_at, point, take};
 
 #[cfg(not(debug_assertions))]
 #[inline(always)]
 pub fn mark(_tag: &'static str) {}
+
+#[cfg(not(debug_assertions))]
+#[inline(always)]
+pub fn point(_tag: &'static str) {}
+
+#[cfg(not(debug_assertions))]
+pub fn once_at(_tag: &'static str, _run: impl FnOnce() + 'static) {}
 
 #[cfg(not(debug_assertions))]
 pub fn take() -> Vec<&'static str> {
@@ -61,5 +94,17 @@ mod tests {
         assert_eq!(t, vec!["a", "b"]);
         assert_eq!(index_of(&t, "b"), 1);
         assert!(take().is_empty(), "take drains");
+    }
+
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "probes are debug-only")]
+    fn armed_action_runs_once_at_its_point_only() {
+        take();
+        once_at("here", || mark("ran"));
+        point("elsewhere");
+        assert!(take().is_empty());
+        point("here");
+        point("here");
+        assert_eq!(take(), vec!["ran"]);
     }
 }

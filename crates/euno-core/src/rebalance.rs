@@ -182,7 +182,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         // Pin across the chain walk: leaves merged away under it (by this
         // slice or a racing maintainer) must stay readable until it ends.
         ctx.epoch_enter();
-        let (mut left, _, _) = self.upper_region(ctx, from);
+        let (mut left, _, _) = self.locate(ctx, from);
         let mut scratch = Vec::with_capacity(Self::capacity());
         let mut view = self.view_leaf(ctx, left, &mut scratch);
         let (mut pairs, mut merges) = (0usize, 0usize);

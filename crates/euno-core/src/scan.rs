@@ -84,32 +84,26 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         &'t self,
         ctx: &mut ThreadCtx,
         cursor: u64,
-        hint: Hint<'t, SEGS, K>,
-        tries: u32,
+        mut hint: Hint<'t, SEGS, K>,
+        mut tries: u32,
         out: &mut Vec<(u64, u64)>,
     ) -> Hint<'t, SEGS, K> {
         let base = out.len();
-        let mut left = tries;
-        // Outer `None` retries the section; `Some(None)` ⇒ budget spent.
-        let snapshot = ctx.optimistic_execute(
-            Some(cursor),
-            |overlap| overlap.is_some(),
-            |ctx| {
+        while tries > 0 {
+            // No pair (first step, or the hinted leaf has split or been
+            // merged away): walk to the cursor's leaf — as its own stage,
+            // so a retried leaf read never re-walks the index.
+            let (leaf, s1) = hint.unwrap_or_else(|| {
+                let (l, s, _) = self.locate(ctx, cursor);
+                (l, s)
+            });
+            hint = Some((leaf, s1));
+            // `Some(None)` ⇒ the leaf's `seqno` is no longer `s1`.
+            let read = self.validated_section(ctx, cursor, &mut tries, |ctx| {
                 out.truncate(base);
-                if left == 0 {
+                if leaf.seqno.load_direct(ctx) != s1 {
                     return Some(None);
                 }
-                left -= 1;
-                let snap = ctx.optimistic_snapshot();
-                let (leaf, s1) = match hint {
-                    Some((l, s)) if l.seqno.load_direct(ctx) == s => (l, s),
-                    // No hint, or the hinted leaf has split or been merged
-                    // away since: find the cursor's leaf again.
-                    _ => {
-                        let l = self.descend_direct(ctx, cursor)?;
-                        (l, l.seqno.load_direct(ctx))
-                    }
-                };
                 for seg in &leaf.segs {
                     seg.read_into_direct(ctx, out);
                 }
@@ -118,17 +112,21 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                     let n = unsafe { next.as_leaf::<SEGS, K>() };
                     (n, n.seqno.load_direct(ctx))
                 });
-                (leaf.seqno.load_direct(ctx) == s1
-                    && ctx.optimistic_validate(self.fallback_cell(), snap))
-                .then_some(Some(next))
-            },
-        );
-        let Some(next) = snapshot else {
-            ctx.metric_add(Counter::ScanLockedSteps, 1);
-            return self.leaf_step_locked(ctx, cursor, hint, out);
-        };
-        ctx.charge(self.rt.cost.alu * sort_batch(out, base, cursor));
-        next
+                (leaf.seqno.load_direct(ctx) == s1).then_some(Some(next))
+            });
+            match read {
+                Some(Some(next)) => {
+                    ctx.charge(self.rt.cost.alu * sort_batch(out, base, cursor));
+                    return next;
+                }
+                Some(None) => hint = None,
+                None => break,
+            }
+        }
+        // The last try's unvalidated read is still on the tail.
+        out.truncate(base);
+        ctx.metric_add(Counter::ScanLockedSteps, 1);
+        self.leaf_step_locked(ctx, cursor, hint, out)
     }
 
     /// The locked rung of [`Self::leaf_step`] (§4.2.4 as the paper has
@@ -144,7 +142,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         let base = out.len();
         loop {
             let (leaf, seqno) = hint.take().unwrap_or_else(|| {
-                let (l, s, _) = self.upper_region(ctx, cursor);
+                let (l, s, _) = self.locate(ctx, cursor);
                 (l, s)
             });
             leaf.split_lock.acquire(ctx);

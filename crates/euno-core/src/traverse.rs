@@ -2,8 +2,12 @@
 //!
 //! Every point operation runs as:
 //!
-//! 1. an *upper* HTM region descends the index and reads the target leaf's
-//!    `seqno` into a local;
+//! 1. an *upper stage* ([`EunoBTree::locate`]) descends the index and reads
+//!    the target leaf's `seqno` into a local — episode-free validated walks
+//!    under `read_opt`, the paper's HTM region otherwise and as their tail.
+//!    A `read_opt` get then tries to read the leaf the same way
+//!    ([`EunoBTree::read_leaf`]) and is done if that holds (one in
+//!    [`GET_TWO_STEP_ONE_IN`] does not try);
 //! 2. the conflict-control stage (outside any region) takes the key's CCM
 //!    lock bit, consults the mark bit, and pre-acquires the split lock for
 //!    inserts into near-full leaves;
@@ -12,60 +16,176 @@
 //!    if changed, a concurrent split moved records and the operation
 //!    retries from the root (the rare case).
 //!
-//! Both regions run on the layered executor in `euno_htm::exec` under
-//! [`RetryPolicy::DBX`]; this module owns no retry loop of its own.
+//! The HTM regions run on the layered executor in `euno_htm::exec` under
+//! [`RetryPolicy::DBX`]; the episode-free sections are bounded by the two
+//! private try budgets below and end on those regions.
 
-use euno_htm::{RetryPolicy, ThreadCtx, Tx, TxResult, TxWord, TOMBSTONE};
+use euno_htm::{AbortCause, RetryPolicy, ThreadCtx, TxCell, TxResult, TxWord, TOMBSTONE};
+use euno_rng::Rng;
 
 use crate::ccm::Ccm;
-use crate::node::{EunoInternal, EunoLeaf, NodeRef, INTERNAL_FANOUT};
+use crate::node::{EunoLeaf, NodeRef, INTERNAL_FANOUT};
+use crate::probe;
 use crate::tree::{EunoBTree, Lower, Req};
 
-impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
-    /// Root-to-leaf descent inside the upper HTM region.
-    pub(crate) fn descend<'t>(
-        &'t self,
-        tx: &mut Tx<'_>,
-        key: u64,
-    ) -> TxResult<&'t EunoLeaf<SEGS, K>> {
-        let mut cur = NodeRef::from_word(tx.read(&self.ctrl.root)?);
-        while !cur.is_leaf() {
-            let node: &EunoInternal = unsafe { cur.as_internal() };
-            let cnt = tx.read(&node.count)? as usize;
-            let (mut lo, mut hi) = (0usize, cnt);
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                if tx.read(&node.keys[mid])? <= key {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            cur = if lo == 0 {
-                NodeRef::from_word(tx.read(&node.child0)?)
-            } else {
-                NodeRef::from_word(tx.read(&node.children[lo - 1])?)
-            };
+/// Episode-free walks [`EunoBTree::locate`] tries before the HTM upper
+/// region finds the leaf. The tail must exist — in concurrent mode the
+/// section check is the *global* TL2 clock, so steady writers anywhere in
+/// the tree can fail a walk forever — and a failed walk is cheap (it read
+/// the index and one leaf header), so the budget only has to ride out a
+/// burst of index writes. Sweep in DESIGN.md §4.4.
+const LOCATE_TRIES: u32 = 4;
+
+/// Episode-free leaf reads a `read_opt` get tries before it goes on to the
+/// CCM stage and the lower region like any other operation. The tail must
+/// exist for the reason above; it can wait, because a try is short (one
+/// leaf, not the index above it) and the lower region costs an episode and
+/// a turn on the key's CCM lock bit. `virt-hot --seed 1 --seconds 10`
+/// (ops/s, p99, p999): 1 → 27.42 M / 1 031 / 1 355 ns, 2 → 27.52 M /
+/// 1 023 / 1 361, 4 → 27.69 M / 947 / 1 268, 8 → 27.73 M / 930 / 1 167,
+/// 16 and unbounded → 27.73 M / 925 / 1 166 (no get of that run needs a
+/// ninth try twice over); seed 3 is flat from 4 on.
+const GET_TRIES: u32 = 8;
+
+/// One `read_opt` get in this many — drawn from the thread's own RNG —
+/// skips the episode-free leaf read and runs as the two-step get it would
+/// fall back on: lock bit, mark bit, lower region, detector. Without it an
+/// uncontended get and an uncontended put are disjoint populations (every
+/// get ≥ 90 cycles cheaper than every put, nothing between), and the pooled
+/// median of a half-get, half-put workload is whichever kind the seed gave
+/// a 0.05 % majority: `virt-flat` p50 read 514–560 ns across seeds, with
+/// the sample 561.2–562.6 — the dearer value, every time. It is also the
+/// CCM's only view of read traffic on an uncontended tree, and keeps the
+/// fallback running everywhere rather than only under contention. Costs
+/// 2 cycles per get on average (−0.06 % `virt-flat` throughput); DESIGN.md
+/// §4.4 says when it can go.
+const GET_TWO_STEP_ONE_IN: u32 = 128;
+
+/// Child index for `key` in an internal node of `count` separators: the
+/// number of separators ≤ `key` (0 ⇒ `child0`).
+fn search_internal(
+    count: usize,
+    key: u64,
+    mut key_at: impl FnMut(usize) -> TxResult<u64>,
+) -> TxResult<usize> {
+    let (mut lo, mut hi) = (0, count);
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        if key_at(mid)? <= key {
+            lo = mid + 1;
+        } else {
+            hi = mid;
         }
-        Ok(unsafe { cur.as_leaf::<SEGS, K>() })
+    }
+    Ok(lo)
+}
+
+impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
+    /// The one root-to-leaf search: every descent in the crate is this
+    /// loop over a different `load` (transactional read, direct load,
+    /// plain load). `Ok(None)` on an implausible intermediate state — a
+    /// null child word from a half-applied commit, runaway depth — which
+    /// only an unvalidated loader can meet; its caller retries. Every
+    /// child word is stored word-atomically by writers, so a sampled
+    /// pointer is always either the old or the new node, and retired nodes
+    /// stay readable under the caller's epoch pin.
+    pub(crate) fn descend(
+        &self,
+        key: u64,
+        mut load: impl FnMut(&TxCell<u64>) -> TxResult<u64>,
+    ) -> TxResult<Option<&EunoLeaf<SEGS, K>>> {
+        let mut cur = NodeRef::from_word(load(&self.ctrl.root)?);
+        let mut depth = 0;
+        while !cur.is_leaf() {
+            depth += 1;
+            if cur.is_null() || depth > 64 {
+                return Ok(None);
+            }
+            let node = unsafe { cur.as_internal() };
+            // Clamp: a stale count paired with a newer key array (or vice
+            // versa) must degrade to a wrong-leaf descent caught by
+            // validation, never an out-of-bounds index.
+            let cnt = (load(&node.count)? as usize).min(INTERNAL_FANOUT);
+            let child = match search_internal(cnt, key, |i| load(&node.keys[i]))? {
+                0 => &node.child0,
+                i => &node.children[i - 1],
+            };
+            cur = NodeRef::from_word(load(child)?);
+        }
+        Ok((cur.0 & !1 != 0).then(|| unsafe { cur.as_leaf::<SEGS, K>() }))
     }
 
-    /// Algorithm 2 lines 23-28: find the leaf, read its version.
-    pub(crate) fn upper_region(
-        &self,
-        ctx: &mut ThreadCtx,
-        key: u64,
-    ) -> (&EunoLeaf<SEGS, K>, u64, u32) {
+    /// Algorithm 2 lines 23-28 as the paper has them: one HTM region
+    /// finds the leaf and reads its version.
+    fn upper_region(&self, ctx: &mut ThreadCtx, key: u64) -> (&EunoLeaf<SEGS, K>, u64, u32) {
         let fp = self.cfg.middle_path.then(|| self.middle_footprint(key));
         let out = ctx.htm_execute_with(&self.ctrl.fallback, &RetryPolicy::DBX, fp.as_ref(), |tx| {
             tx.set_op_key(key);
-            let leaf = self.descend(tx, key)?;
+            // A transaction reads a consistent index; an attempt that did
+            // not is doomed, so abort it rather than follow the pointer.
+            let leaf = self
+                .descend(key, |cell| tx.read(cell))?
+                .ok_or(AbortCause::Explicit(0x11))?;
             let seq = tx.read(&leaf.seqno)?;
             Ok((NodeRef::of_leaf(leaf).to_word(), seq))
         });
         let (bits, seq) = out.value;
         let leaf = unsafe { NodeRef::from_word(bits).as_leaf::<SEGS, K>() };
         (leaf, seq, out.conflict_aborts)
+    }
+
+    /// Run `read` as an episode-free validated section until it holds or
+    /// `tries` runs out (each run takes one): engine snapshot, `read`
+    /// (which returns `None` when its own `seqno` bracket failed), engine
+    /// validation — the TL2 clock plus the fallback cell in concurrent
+    /// mode, the window-overlap verdict at episode close in virtual mode.
+    /// `None` ⇒ budget spent; the give-up costs one empty section.
+    pub(crate) fn validated_section<R>(
+        &self,
+        ctx: &mut ThreadCtx,
+        key: u64,
+        tries: &mut u32,
+        mut read: impl FnMut(&mut ThreadCtx) -> Option<R>,
+    ) -> Option<R> {
+        ctx.optimistic_execute(
+            Some(key),
+            |overlap| overlap.is_some(),
+            |ctx| {
+                if *tries == 0 {
+                    return Some(None);
+                }
+                *tries -= 1;
+                let snap = ctx.optimistic_snapshot();
+                let out = read(ctx)?;
+                ctx.optimistic_validate(self.fallback_cell(), snap)
+                    .then_some(Some(out))
+            },
+        )
+    }
+
+    /// The upper stage of every operation: the leaf covering `key`, the
+    /// `seqno` it had while it did, and the conflict aborts spent finding
+    /// it. The pair is a *hint* (guideline 1) — whoever acts on the leaf
+    /// re-checks `seqno` where it acts, and restarts here on a mismatch.
+    /// The caller holds an epoch pin, which is what keeps the leaf
+    /// readable if a merge retires it in between.
+    ///
+    /// Under `read_opt` this is up to [`LOCATE_TRIES`] episode-free walks
+    /// — a validated section proves the descent atomic, i.e. the leaf
+    /// covered `key` while its `seqno` read the returned value — then the
+    /// HTM upper region; without it, the HTM upper region alone.
+    pub fn locate(&self, ctx: &mut ThreadCtx, key: u64) -> (&EunoLeaf<SEGS, K>, u64, u32) {
+        debug_assert!(ctx.epoch_pinned(), "the leaf hand-over needs a pin");
+        if self.cfg.read_opt {
+            let walk = self.validated_section(ctx, key, &mut { LOCATE_TRIES }, |ctx| {
+                let leaf = self.descend(key, |cell| Ok(cell.load_direct(ctx))).ok()??;
+                Some((leaf, leaf.seqno.load_direct(ctx)))
+            });
+            if let Some((leaf, seq)) = walk {
+                return (leaf, seq, 0);
+            }
+        }
+        self.upper_region(ctx, key)
     }
 
     /// Algorithm 2: the traversal shared by get, put and delete.
@@ -95,8 +215,17 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
     ) -> Option<u64> {
         let mut force_split_lock = false;
         loop {
-            // Step 1: upper region.
-            let (leaf, seqno, upper_conflicts) = self.upper_region(ctx, key);
+            // Step 1: upper stage.
+            let (leaf, seqno, upper_conflicts) = self.locate(ctx, key);
+            probe::point("locate:done");
+            if req == Req::Get
+                && self.cfg.read_opt
+                && ctx.rng().gen_range(0..GET_TWO_STEP_ONE_IN) != 0
+            {
+                if let Some(value) = self.read_leaf(ctx, leaf, seqno, key) {
+                    return value;
+                }
+            }
 
             // Step 2: conflict control (outside any region).
             let ccm_configured = self.cfg.ccm_lock_bits || self.cfg.ccm_mark_bits;
@@ -194,94 +323,37 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                     }
                     return v;
                 }
-                Lower::Inconsistent => continue,
+                Lower::Inconsistent => probe::mark("lower:inconsistent"),
                 Lower::NeedSplitLock => {
                     force_split_lock = true;
-                    continue;
                 }
             }
         }
     }
 
-    /// Direct-load root-to-leaf descent for the episode-free read path.
-    /// Returns `None` on any implausible intermediate state (null child
-    /// words from a half-applied commit, runaway depth) — the caller's
-    /// optimistic retry loop re-descends. Every child word is stored
-    /// word-atomically by writers, so a sampled pointer is always either
-    /// the old or the new node, and retired nodes stay readable under the
-    /// caller's epoch pin; validation afterwards decides whether the
-    /// descent was consistent.
-    pub(crate) fn descend_direct<'t>(
-        &'t self,
+    /// The episode-free leaf read of a `read_opt` get: search `leaf` with
+    /// direct loads inside up to [`GET_TRIES`] validated sections, each
+    /// bracketed by `seqno` — the seqno-bump-first discipline on splits,
+    /// merges and reorganizations guarantees a reader that saw moving
+    /// records also sees a changed `seqno`. `None` ⇒ not read (budget
+    /// spent, or `seqno` has moved on): the caller runs the lower region,
+    /// which queues behind same-record writers instead of racing them and
+    /// reports a moved `seqno` itself.
+    pub(crate) fn read_leaf(
+        &self,
         ctx: &mut ThreadCtx,
+        leaf: &EunoLeaf<SEGS, K>,
+        seqno: u64,
         key: u64,
-    ) -> Option<&'t EunoLeaf<SEGS, K>> {
-        let mut cur = NodeRef::from_word(self.ctrl.root.load_direct(ctx));
-        let mut depth = 0;
-        while !cur.is_leaf() {
-            if cur.is_null() {
-                return None;
+    ) -> Option<Option<u64>> {
+        self.validated_section(ctx, key, &mut { GET_TRIES }, |ctx| {
+            if leaf.seqno.load_direct(ctx) != seqno {
+                return Some(None);
             }
-            depth += 1;
-            if depth > 64 {
-                return None;
-            }
-            let node: &EunoInternal = unsafe { cur.as_internal() };
-            // Clamp: a stale count paired with a newer key array (or vice
-            // versa) must degrade to a wrong-leaf descent caught by
-            // validation, never an out-of-bounds index.
-            let cnt = (node.count.load_direct(ctx) as usize).min(INTERNAL_FANOUT);
-            let (mut lo, mut hi) = (0usize, cnt);
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                if node.keys[mid].load_direct(ctx) <= key {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            cur = if lo == 0 {
-                NodeRef::from_word(node.child0.load_direct(ctx))
-            } else {
-                NodeRef::from_word(node.children[lo - 1].load_direct(ctx))
-            };
-        }
-        (cur.0 & !1 != 0).then(|| unsafe { cur.as_leaf::<SEGS, K>() })
-    }
-
-    /// Episode-free point lookup (the `read_opt` path): optimistic
-    /// descent with direct loads under an epoch pin, bracketed by the
-    /// leaf's `seqno` — read it, search the segments, re-read it — and
-    /// closed out by the engine-level snapshot check (TL2 version clock plus
-    /// the fallback cell in concurrent mode, window overlap in virtual
-    /// mode). Any change retries from the root; the seqno-bump-first
-    /// discipline on splits, merges and reorganizations guarantees a
-    /// reader that saw moving records also sees a changed seqno.
-    pub(crate) fn get_read_opt(&self, ctx: &mut ThreadCtx, key: u64) -> Option<u64> {
-        ctx.epoch_enter();
-        let out = ctx.optimistic_execute(
-            Some(key),
-            |overlap| overlap.is_some(),
-            |ctx| {
-                let snap = ctx.optimistic_snapshot();
-                let leaf = self.descend_direct(ctx, key)?;
-                let s1 = leaf.seqno.load_direct(ctx);
-                let mut found = None;
-                for seg in &leaf.segs {
-                    if let Some(v) = seg.find_direct(ctx, key) {
-                        found = Some(v);
-                        break;
-                    }
-                }
-                if leaf.seqno.load_direct(ctx) != s1
-                    || !ctx.optimistic_validate(self.fallback_cell(), snap)
-                {
-                    return None;
-                }
-                Some(found.filter(|&v| v != TOMBSTONE))
-            },
-        );
-        ctx.epoch_exit();
-        out
+            let found = leaf.segs.iter().find_map(|seg| seg.find_direct(ctx, key));
+            (leaf.seqno.load_direct(ctx) == seqno)
+                .then_some(Some(found.filter(|&v| v != TOMBSTONE)))
+        })
+        .flatten()
     }
 }

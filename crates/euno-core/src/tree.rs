@@ -6,7 +6,8 @@
 //! sibling modules, one per concern:
 //!
 //! * [`crate::traverse`] — the two-step transactional traversal
-//!   (Algorithm 2): upper region, conflict-control stage, lower region;
+//!   (Algorithm 2): upper stage (`locate`), conflict-control stage, lower
+//!   region;
 //! * [`crate::leaf_ops`] — intra-leaf reads and the randomized write
 //!   scheduler with reorganization (Algorithm 3);
 //! * [`crate::structural`] — leaf splits and their upward propagation
@@ -224,11 +225,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
 
 impl<const SEGS: usize, const K: usize> ConcurrentMap for EunoBTree<SEGS, K> {
     fn get(&self, ctx: &mut ThreadCtx, key: u64) -> Option<u64> {
-        if self.cfg.read_opt {
-            self.get_read_opt(ctx, key)
-        } else {
-            self.traverse(ctx, Req::Get, key, 0)
-        }
+        self.traverse(ctx, Req::Get, key, 0)
     }
 
     fn put(&self, ctx: &mut ThreadCtx, key: u64, value: u64) -> Option<u64> {
@@ -297,8 +294,18 @@ mod tests {
     use std::collections::BTreeMap;
 
     fn tree() -> (Arc<Runtime>, EunoBTreeDefault, ThreadCtx) {
+        tree_with(EunoConfig::default())
+    }
+
+    /// The all-episode tree, for tests that count what a get commits or
+    /// feeds the CCM detector (the default tree's gets do neither).
+    fn paper_tree() -> (Arc<Runtime>, EunoBTreeDefault, ThreadCtx) {
+        tree_with(EunoConfig::paper())
+    }
+
+    fn tree_with(cfg: EunoConfig) -> (Arc<Runtime>, EunoBTreeDefault, ThreadCtx) {
         let rt = Runtime::new_virtual();
-        let t = EunoBTree::new(Arc::clone(&rt));
+        let t = EunoBTree::with_config(Arc::clone(&rt), cfg);
         let ctx = rt.thread(1);
         (rt, t, ctx)
     }
@@ -315,7 +322,7 @@ mod tests {
 
     #[test]
     fn mark_bits_short_circuit_definite_misses() {
-        let (_rt, t, mut ctx) = tree();
+        let (_rt, t, mut ctx) = paper_tree();
         t.put(&mut ctx, 1, 10);
         let leaf_bits = t.ctrl.root.load_plain();
         let leaf = unsafe { NodeRef::from_word(leaf_bits).as_leaf::<4, 4>() };
@@ -375,7 +382,8 @@ mod tests {
 
     #[test]
     fn random_inserts_match_model() {
-        let (_rt, t, mut ctx) = tree();
+        // The default tree's twin is `read_opt_matches_model_under_mixed_ops`.
+        let (_rt, t, mut ctx) = paper_tree();
         let mut model = BTreeMap::new();
         let mut state = 0x243F6A8885A308D3u64;
         let mut rnd = move || {
@@ -505,7 +513,7 @@ mod tests {
 
     #[test]
     fn adaptive_bypass_lifecycle() {
-        let (_rt, t, mut ctx) = tree();
+        let (_rt, t, mut ctx) = paper_tree();
         t.put(&mut ctx, 1, 1);
         let leaf = unsafe { NodeRef::from_word(t.ctrl.root.load_plain()).as_leaf::<4, 4>() };
         // Fresh leaves start bypassed (no contention history)…
@@ -527,28 +535,30 @@ mod tests {
 
     #[test]
     fn concurrent_threads_no_lost_updates() {
-        let rt = Runtime::new_concurrent();
-        let t = EunoBTreeDefault::new(Arc::clone(&rt));
-        let per = 400u64;
-        let threads = 4u64;
-        std::thread::scope(|s| {
-            for tid in 0..threads {
-                let t = &t;
-                let mut ctx = rt.thread(tid);
-                s.spawn(move || {
-                    for i in 0..per {
-                        let key = tid * per + i;
-                        t.put(&mut ctx, key, key + 1);
-                    }
-                });
+        for cfg in [EunoConfig::paper(), EunoConfig::default()] {
+            let rt = Runtime::new_concurrent();
+            let t = EunoBTreeDefault::with_config(Arc::clone(&rt), cfg);
+            let per = 400u64;
+            let threads = 4u64;
+            std::thread::scope(|s| {
+                for tid in 0..threads {
+                    let t = &t;
+                    let mut ctx = rt.thread(tid);
+                    s.spawn(move || {
+                        for i in 0..per {
+                            let key = tid * per + i;
+                            t.put(&mut ctx, key, key + 1);
+                        }
+                    });
+                }
+            });
+            let mut ctx = rt.thread(99);
+            for key in 0..threads * per {
+                assert_eq!(t.get(&mut ctx, key), Some(key + 1), "key {key}");
             }
-        });
-        let mut ctx = rt.thread(99);
-        for key in 0..threads * per {
-            assert_eq!(t.get(&mut ctx, key), Some(key + 1), "key {key}");
+            let all = t.collect_all_plain();
+            assert_eq!(all.len(), (threads * per) as usize);
         }
-        let all = t.collect_all_plain();
-        assert_eq!(all.len(), (threads * per) as usize);
     }
 
     #[test]
@@ -598,16 +608,9 @@ mod tests {
         );
     }
 
-    fn read_opt_tree() -> (Arc<Runtime>, EunoBTreeDefault, ThreadCtx) {
-        let rt = Runtime::new_virtual();
-        let t = EunoBTree::with_config(Arc::clone(&rt), EunoConfig::read_optimized());
-        let ctx = rt.thread(1);
-        (rt, t, ctx)
-    }
-
     #[test]
     fn read_opt_matches_model_under_mixed_ops() {
-        let (_rt, t, mut ctx) = read_opt_tree();
+        let (_rt, t, mut ctx) = tree();
         assert_eq!(t.name(), "Euno-ReadOpt");
         let mut model = BTreeMap::new();
         let mut state = 0x9E3779B97F4A7C15u64;
@@ -641,8 +644,7 @@ mod tests {
         // records: every get must return a value some put wrote for that
         // key (or miss while the key is genuinely absent).
         let rt = Runtime::new_concurrent();
-        let t: EunoBTreeDefault =
-            EunoBTree::with_config(Arc::clone(&rt), EunoConfig::read_optimized());
+        let t = EunoBTreeDefault::new(Arc::clone(&rt));
         {
             let mut ctx = rt.thread(0);
             for k in 0..2_000u64 {
@@ -688,8 +690,7 @@ mod tests {
         // retire leaves mid-walk: output must stay strictly ascending and
         // every stable key must keep appearing.
         let rt = Runtime::new_concurrent();
-        let t: EunoBTreeDefault =
-            EunoBTree::with_config(Arc::clone(&rt), EunoConfig::read_optimized());
+        let t = EunoBTreeDefault::new(Arc::clone(&rt));
         {
             let mut ctx = rt.thread(0);
             for k in 0..3_000u64 {

@@ -21,7 +21,7 @@ const KEYS: u64 = 24_000;
 const OPS_PER_THREAD: u64 = 5_000;
 
 /// The cycles each op took, in schedule order.
-fn run(leaked_allocations: usize) -> Vec<u64> {
+fn run(cfg: EunoConfig, leaked_allocations: usize) -> Vec<u64> {
     for i in 0..leaked_allocations {
         std::mem::forget(vec![0u8; 40 + (i % 7) * 100]);
     }
@@ -31,7 +31,7 @@ fn run(leaked_allocations: usize) -> Vec<u64> {
         EunoConfig {
             // Low enough that several sweeps merge and free leaves.
             rebalance_delete_threshold: 4_000,
-            ..EunoConfig::default()
+            ..cfg
         },
     );
     {
@@ -82,13 +82,15 @@ fn run(leaked_allocations: usize) -> Vec<u64> {
 
 #[test]
 fn op_costs_do_not_depend_on_heap_layout() {
-    let plain = run(0);
-    let shifted = run(1_000);
-    let first = plain.iter().zip(&shifted).position(|(a, b)| a != b);
-    assert_eq!(
-        first,
-        None,
-        "op costs diverge at op {first:?} of {}",
-        plain.len()
-    );
+    for cfg in [EunoConfig::paper(), EunoConfig::default()] {
+        let plain = run(cfg.clone(), 0);
+        let shifted = run(cfg, 1_000);
+        let first = plain.iter().zip(&shifted).position(|(a, b)| a != b);
+        assert_eq!(
+            first,
+            None,
+            "op costs diverge at op {first:?} of {}",
+            plain.len()
+        );
+    }
 }

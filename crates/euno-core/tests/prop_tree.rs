@@ -67,13 +67,21 @@ fn check_against_model<const S: usize, const K: usize>(cfg: EunoConfig, ops: &[O
 
 const CASES: usize = 48;
 
-/// Default geometry, full config.
+/// The paper's full system and the library default (the same, with the
+/// validated walk as upper stage and episode-free gets).
+fn both() -> [EunoConfig; 2] {
+    [EunoConfig::full(), EunoConfig::default()]
+}
+
+/// Default geometry, full config — paper's and the library default.
 #[test]
 fn full_config_matches_model() {
     let mut rng = SmallRng::seed_from_u64(0xf411);
     for _ in 0..CASES {
         let ops = random_ops(&mut rng, 128, 400);
-        check_against_model::<4, 4>(EunoConfig::full(), &ops);
+        for cfg in both() {
+            check_against_model::<4, 4>(cfg, &ops);
+        }
     }
 }
 
@@ -103,7 +111,9 @@ fn alternate_geometry_matches_model() {
     let mut rng = SmallRng::seed_from_u64(0xa17);
     for _ in 0..CASES {
         let ops = random_ops(&mut rng, 96, 300);
-        check_against_model::<2, 8>(EunoConfig::full(), &ops);
+        for cfg in both() {
+            check_against_model::<2, 8>(cfg, &ops);
+        }
     }
 }
 
@@ -113,7 +123,9 @@ fn dense_keyspace_splits_are_sound() {
     let mut rng = SmallRng::seed_from_u64(0xde45e);
     for _ in 0..CASES {
         let ops = random_ops(&mut rng, 24, 500);
-        check_against_model::<4, 4>(EunoConfig::full(), &ops);
+        for cfg in both() {
+            check_against_model::<4, 4>(cfg, &ops);
+        }
     }
 }
 
@@ -125,29 +137,31 @@ fn maintenance_preserves_the_model() {
     for _ in 0..CASES {
         let ops = random_ops(&mut rng, 160, 400);
         let maintain_every = rng.gen_range(10usize..60);
-        let rt = Runtime::new_virtual();
-        let tree: EunoBTree<4, 4> = EunoBTree::with_config(Arc::clone(&rt), EunoConfig::full());
-        let mut ctx = rt.thread(1);
-        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
-        for (i, op) in ops.iter().enumerate() {
-            match *op {
-                Op::Put(k, v) => assert_eq!(tree.put(&mut ctx, k, v), model.insert(k, v)),
-                Op::Get(k) => assert_eq!(tree.get(&mut ctx, k), model.get(&k).copied()),
-                Op::Del(k) => assert_eq!(tree.delete(&mut ctx, k), model.remove(&k)),
-                Op::Scan(k, n) => {
-                    let mut got = Vec::new();
-                    tree.scan(&mut ctx, k, n, &mut got);
-                    let expect: Vec<(u64, u64)> =
-                        model.range(k..).take(n).map(|(&k, &v)| (k, v)).collect();
-                    assert_eq!(got, expect);
+        for cfg in both() {
+            let rt = Runtime::new_virtual();
+            let tree: EunoBTree<4, 4> = EunoBTree::with_config(Arc::clone(&rt), cfg);
+            let mut ctx = rt.thread(1);
+            let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+            for (i, op) in ops.iter().enumerate() {
+                match *op {
+                    Op::Put(k, v) => assert_eq!(tree.put(&mut ctx, k, v), model.insert(k, v)),
+                    Op::Get(k) => assert_eq!(tree.get(&mut ctx, k), model.get(&k).copied()),
+                    Op::Del(k) => assert_eq!(tree.delete(&mut ctx, k), model.remove(&k)),
+                    Op::Scan(k, n) => {
+                        let mut got = Vec::new();
+                        tree.scan(&mut ctx, k, n, &mut got);
+                        let expect: Vec<(u64, u64)> =
+                            model.range(k..).take(n).map(|(&k, &v)| (k, v)).collect();
+                        assert_eq!(got, expect);
+                    }
+                }
+                if i % maintain_every == maintain_every - 1 {
+                    tree.maintain(&mut ctx);
                 }
             }
-            if i % maintain_every == maintain_every - 1 {
-                tree.maintain(&mut ctx);
-            }
+            tree.maintain(&mut ctx);
+            let audit = tree.collect_all_plain();
+            assert_eq!(audit, model.into_iter().collect::<Vec<_>>());
         }
-        tree.maintain(&mut ctx);
-        let audit = tree.collect_all_plain();
-        assert_eq!(audit, model.into_iter().collect::<Vec<_>>());
     }
 }

@@ -19,7 +19,7 @@ use euno_sim::VirtualScheduler;
 /// helper thread so a livelock fails the test instead of hanging it.
 #[test]
 fn scan_crosses_a_long_run_of_recordless_leaves() {
-    for cfg in [EunoConfig::default(), EunoConfig::read_optimized()] {
+    for cfg in [EunoConfig::paper(), EunoConfig::default()] {
         let (tx, rx) = mpsc::channel();
         std::thread::spawn(move || {
             let rt = Runtime::new_virtual();

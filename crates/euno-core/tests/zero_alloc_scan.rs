@@ -13,7 +13,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use euno_core::EunoBTreeDefault;
+use euno_core::{EunoBTreeDefault, EunoConfig};
 use euno_htm::{ConcurrentMap, Runtime, ThreadCtx};
 
 struct CountingAlloc;
@@ -71,31 +71,33 @@ fn run_scans(
 
 #[test]
 fn steady_state_scans_do_not_allocate() {
-    let rt = Runtime::new_concurrent();
-    let tree = EunoBTreeDefault::new(Arc::clone(&rt));
-    let mut ctx = rt.thread(1);
-    for key in 0..KEYS {
-        tree.put(&mut ctx, key, key);
-    }
-    // A run of record-less leaves, so steps with an empty batch are in
-    // the measured window too.
-    for key in 5_000..6_000 {
-        tree.delete(&mut ctx, key);
-    }
-    let mut out = Vec::with_capacity(SCAN_LEN);
-    run_scans(&tree, &mut ctx, &mut out, 2_000);
+    for cfg in [EunoConfig::paper(), EunoConfig::default()] {
+        let rt = Runtime::new_concurrent();
+        let tree = EunoBTreeDefault::with_config(Arc::clone(&rt), cfg);
+        let mut ctx = rt.thread(1);
+        for key in 0..KEYS {
+            tree.put(&mut ctx, key, key);
+        }
+        // A run of record-less leaves, so steps with an empty batch are in
+        // the measured window too.
+        for key in 5_000..6_000 {
+            tree.delete(&mut ctx, key);
+        }
+        let mut out = Vec::with_capacity(SCAN_LEN);
+        run_scans(&tree, &mut ctx, &mut out, 2_000);
 
-    COUNTING.with(|c| c.set(true));
-    let before = ALLOCS.load(Ordering::SeqCst);
-    let delivered = run_scans(&tree, &mut ctx, &mut out, 10_000);
-    let after = ALLOCS.load(Ordering::SeqCst);
-    COUNTING.with(|c| c.set(false));
+        COUNTING.with(|c| c.set(true));
+        let before = ALLOCS.load(Ordering::SeqCst);
+        let delivered = run_scans(&tree, &mut ctx, &mut out, 10_000);
+        let after = ALLOCS.load(Ordering::SeqCst);
+        COUNTING.with(|c| c.set(false));
 
-    assert!(delivered > 100_000, "the scans did real work: {delivered}");
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state scans allocated {} times",
-        after - before
-    );
+        assert!(delivered > 100_000, "the scans did real work: {delivered}");
+        assert_eq!(
+            after - before,
+            0,
+            "steady-state scans allocated {} times",
+            after - before
+        );
+    }
 }

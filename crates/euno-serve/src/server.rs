@@ -46,11 +46,10 @@ pub struct ServeConfig {
     /// Group-commit batching on/off (off = per-request episodes; the
     /// serve_bench A/B axis).
     pub batching: bool,
-    /// Tree configuration for every shard. The default is the
-    /// read-optimized preset: the service tier always runs gets on the
-    /// episode-free optimistic path (single-request mode via
-    /// `get_read_opt`, batches via the optimistic upper stage), so the
-    /// batching A/B compares like against like.
+    /// Tree configuration for every shard. The default is the tree's own:
+    /// no episode above the leaf, gets episode-free, in single-request
+    /// mode and in batches alike, so the batching A/B compares like
+    /// against like.
     pub tree_config: EunoConfig,
     /// Run a maintenance sweep every N drain cycles (0 = never).
     pub maintain_every: u64,
@@ -65,7 +64,7 @@ impl Default for ServeConfig {
             queue_capacity: 1024,
             batch_max: 32,
             batching: true,
-            tree_config: EunoConfig::read_optimized(),
+            tree_config: EunoConfig::default(),
             maintain_every: 0,
             seed: 0xE05E,
         }

@@ -23,6 +23,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
+use euno_core::EunoConfig;
 use euno_serve::{EunoServer, Request, ServeConfig};
 
 struct CountingAlloc;
@@ -113,38 +114,41 @@ fn run_round(srv: &EunoServer, rounds: u64, salt: u64) {
 
 #[test]
 fn steady_state_serve_does_not_allocate() {
-    let srv = EunoServer::start(ServeConfig {
-        shards: 2,
-        queue_capacity: 256,
-        batch_max: 16,
-        batching: true,
-        ..ServeConfig::default()
-    });
-    // Preload the whole traffic range: the measured phase only updates,
-    // so no leaf splits and no fresh node allocations are legitimate.
-    srv.preload_dense(KEYS, |k| k);
+    for tree_config in [EunoConfig::paper(), EunoConfig::default()] {
+        let srv = EunoServer::start(ServeConfig {
+            shards: 2,
+            queue_capacity: 256,
+            batch_max: 16,
+            batching: true,
+            tree_config,
+            ..ServeConfig::default()
+        });
+        // Preload the whole traffic range: the measured phase only updates,
+        // so no leaf splits and no fresh node allocations are legitimate.
+        srv.preload_dense(KEYS, |k| k);
 
-    // Warmup: high-water-mark every reusable buffer on both sides of the
-    // queue, in both batch shapes (full drains under backlog, singletons
-    // as the queue empties), and let the epoch pools and the engine's
-    // episode scratch reach steady state.
-    run_round(&srv, 24, 1 << 32);
+        // Warmup: high-water-mark every reusable buffer on both sides of the
+        // queue, in both batch shapes (full drains under backlog, singletons
+        // as the queue empties), and let the epoch pools and the engine's
+        // episode scratch reach steady state.
+        run_round(&srv, 24, 1 << 32);
 
-    COUNTING.with(|c| c.set(true));
-    COUNT_WORKERS.store(true, Ordering::SeqCst);
-    let before = ALLOCS.load(Ordering::SeqCst);
+        COUNTING.with(|c| c.set(true));
+        COUNT_WORKERS.store(true, Ordering::SeqCst);
+        let before = ALLOCS.load(Ordering::SeqCst);
 
-    run_round(&srv, 8, 1 << 33);
+        run_round(&srv, 8, 1 << 33);
 
-    let after = ALLOCS.load(Ordering::SeqCst);
-    COUNT_WORKERS.store(false, Ordering::SeqCst);
-    COUNTING.with(|c| c.set(false));
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state serve traffic allocated {} times",
-        after - before
-    );
+        let after = ALLOCS.load(Ordering::SeqCst);
+        COUNT_WORKERS.store(false, Ordering::SeqCst);
+        COUNTING.with(|c| c.set(false));
+        assert_eq!(
+            after - before,
+            0,
+            "steady-state serve traffic allocated {} times",
+            after - before
+        );
 
-    srv.shutdown();
+        srv.shutdown();
+    }
 }

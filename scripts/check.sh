@@ -14,6 +14,10 @@ fi
 
 cargo clippy --workspace --all-targets -- -D warnings
 
+# The tier-1 suite.  The golden digest (euno-bench/tests/
+# golden_determinism.rs, 42530f0911227b68) runs here, and it runs
+# `EunoConfig::paper()` — `System::EunoBTree`, not the library default —
+# so it moves only when the paper-faithful tree does.
 cargo build --release
 cargo test -q
 
@@ -30,6 +34,24 @@ cargo test -q -p euno-htm --features hw-rtm
 # unit tests alone would miss.
 SMOKE="$(mktemp -d)"
 trap 'rm -rf "$SMOKE"' EXIT
+
+# The stress binary prints one row per tree; both Euno configurations
+# must be among them, each by name and clean: `Euno-B+Tree` is
+# `EunoConfig::paper()` (HTM upper region), `Euno-ReadOpt` is
+# `EunoConfig::default()` (the validated walk).
+both_euno_rows_clean() { # both_euno_rows_clean <stage name>
+    for tree in 'Euno-B\+Tree' 'Euno-ReadOpt'; do
+        grep -qE "^ +$tree .* invariants: clean" "$SMOKE/stress.out" \
+            || { echo "$1: no clean $tree row"; exit 1; }
+    done
+}
+# A stress preset over just those two (`--tree euno` selects them).
+stress_both_euno() {
+    cargo run --release -q -p euno-check --bin stress -- "$@" --tree euno \
+        | tee "$SMOKE/stress.out"
+    both_euno_rows_clean "stress $*"
+}
+
 cargo run --release -q -p euno-bench --bin fig08_throughput -- \
     --csv "$SMOKE/fig08.csv" --ops 300 --keys 20000 --threads 8 >/dev/null
 cargo run --release -q -p euno-bench --bin report_check -- \
@@ -109,36 +131,40 @@ echo "smoke-metrics (fig14 timeline + schema v3 + zero-alloc sampler) OK"
 # time-boxed (~5 s of traffic) on slow machines.  On violation the stress
 # binary exits nonzero and prints the reproducing command line.
 cargo run --release -q -p euno-check --bin stress -- \
-    --threads 4 --ops 8000 --seed 20170204 --keys 512 --duration 5
-echo "stress + linearizability check OK"
+    --threads 4 --ops 8000 --seed 20170204 --keys 512 --duration 5 \
+    | tee "$SMOKE/stress.out"
+both_euno_rows_clean "stress"
+echo "stress + linearizability check OK (Euno-B+Tree = paper(), Euno-ReadOpt = default())"
 
 # Abort-storm stress: the same oracle under the --storm schedule (8
 # threads hammering 8 keys), the interleaving that drives the executor
 # onto its middle path on real threads whenever the timing allows it.
 cargo run --release -q -p euno-check --bin stress -- \
-    --storm --ops 4000 --seed 20170204 --duration 5
-echo "storm stress + linearizability check OK"
+    --storm --ops 4000 --seed 20170204 --duration 5 \
+    | tee "$SMOKE/stress.out"
+both_euno_rows_clean "storm stress"
+echo "storm stress + linearizability check OK (Euno-B+Tree = paper(), Euno-ReadOpt = default())"
 
 # Read-path smoke: the --churn schedule (delete-heavy mix with the
 # maintenance thread merging and retiring leaves under live readers)
-# over both Euno variants, judged by the linearizability oracle — the
-# schedule that exercises epoch reclamation against the episode-free
-# optimistic read path.  Then a tiny read-mostly YCSB cell (workload B,
-# 95 % gets) confirming the Euno-ReadOpt system is wired through the
-# bench surface and emits a row.
-cargo run --release -q -p euno-check --bin stress -- \
-    --churn --ops 3000 --seed 20170204 --duration 5 --tree euno
+# over both Euno configurations — paper() and default() — judged by the
+# linearizability oracle: the schedule that exercises epoch reclamation
+# against the hand-over from the upper stage (HTM region or validated
+# walk) to the lower region and against the episode-free leaf read.  Then
+# a tiny read-mostly YCSB cell (workload B, 95 % gets) confirming both
+# rows — Euno-B+Tree (paper()) and Euno-ReadOpt (default()) — are wired
+# through the bench surface.
+stress_both_euno --churn --ops 3000 --seed 20170204 --duration 5
 EUNO_BENCH_SCALE=0.05 cargo run --release -q -p euno-bench --bin ycsb_suite -- \
     --threads 8 --csv "$SMOKE/ycsb.csv" >"$SMOKE/ycsb.out"
-grep -q "Euno-ReadOpt" "$SMOKE/ycsb.out" \
-    || { echo "read-path smoke: Euno-ReadOpt row missing"; exit 1; }
+grep -q "Euno-ReadOpt" "$SMOKE/ycsb.out" && grep -q "Euno-B+Tree" "$SMOKE/ycsb.out" \
+    || { echo "read-path smoke: Euno-B+Tree / Euno-ReadOpt row missing"; exit 1; }
 echo "smoke-readpath (churn stress + read-mostly bench) OK"
 
 # Phased-churn stress: the grow/shrink schedule matching the serve
 # harness's ChurnSchedule — split bursts then merge bursts while the
 # other phase's readers are still in flight, judged by the same oracle.
-cargo run --release -q -p euno-check --bin stress -- \
-    --churn-phased --ops 3000 --seed 20170204 --duration 5 --tree euno
+stress_both_euno --churn-phased --ops 3000 --seed 20170204 --duration 5
 echo "phased-churn stress + linearizability check OK"
 
 # Serve smoke: the sharded service front-end (router, per-shard queues,
@@ -167,8 +193,7 @@ echo "smoke-serve (open-loop sweep + schema v4) OK"
 # racing the maintenance thread's full passes and live readers, under the
 # linearizability oracle.
 cargo test -q --release -p euno-core --test bounded_maintenance
-cargo run --release -q -p euno-check --bin stress -- \
-    --churn-sweeps --ops 3000 --seed 20170204 --duration 5 --tree euno
+stress_both_euno --churn-sweeps --ops 3000 --seed 20170204 --duration 5
 echo "bounded-maintenance (sliced sweep bound + churn-sweeps stress) OK"
 
 # Scan ladder: the range scan's two rungs (DESIGN.md §4.7).  The
@@ -182,9 +207,24 @@ echo "bounded-maintenance (sliced sweep bound + churn-sweeps stress) OK"
 # on two differently populated heaps must charge every op the same cycles
 # (a fresh leaf must not inherit a freed one's simulated line heat).
 cargo test -q --release -p euno-core --test scan_ladder --test layout_independence
-cargo run --release -q -p euno-check --bin stress -- \
-    --churn --scan-len 48 --ops 3000 --seed 20260929 --duration 5 --tree euno
+stress_both_euno --churn --scan-len 48 --ops 3000 --seed 20260929 --duration 5
 echo "scan-ladder (livelock regression + hot-leaf scheduler run + layout independence + churn stress) OK"
+
+# Upper walk: every operation's upper stage (DESIGN.md §4.4).  In
+# --release: a get must finish under writers that never touch its leaf
+# (STM backend, where the walk and the leaf read validate against the
+# *global* clock; helper thread with a timeout), and the virtual-scheduler
+# run of 15 writers and one getter on one leaf (every get equals the
+# model, longest get under its stated bound — unbounded retries read
+# several times that).  The hand-over tests in the same file — a split, a
+# reorganization, and a merge with retirement landing between `locate`
+# and the lower region — need the debug-only probes and ran under
+# `cargo test` above.  tl2_stm rides along in --release: the engine's
+# disjoint-key scaling (> 1.15x at 4 threads; skipped on smaller hosts)
+# is the floor the walk's global-clock check sits on.
+cargo test -q --release -p euno-core --test upper_walk
+cargo test -q --release -p euno-htm --test tl2_stm
+echo "upper-walk (bounded gets + tl2_stm in --release) OK"
 
 # Repo benchmark: `benchmark/` is its own workspace, so nothing above
 # compiles it against the crate APIs it calls from outside

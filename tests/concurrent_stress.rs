@@ -11,6 +11,10 @@ use eunomia::prelude::*;
 fn all_trees(rt: &Arc<Runtime>) -> Vec<Box<dyn ConcurrentMap>> {
     vec![
         Box::new(EunoBTreeDefault::new(Arc::clone(rt))),
+        Box::new(EunoBTreeDefault::with_config(
+            Arc::clone(rt),
+            EunoConfig::paper(),
+        )),
         Box::new(HtmBTree::<16>::new(Arc::clone(rt))),
         Box::new(Masstree::new(Arc::clone(rt))),
         Box::new(HtmMasstree::new(Arc::clone(rt))),

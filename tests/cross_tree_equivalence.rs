@@ -11,6 +11,10 @@ use eunomia::prelude::*;
 fn systems(rt: &Arc<Runtime>) -> Vec<Box<dyn ConcurrentMap>> {
     vec![
         Box::new(EunoBTreeDefault::new(Arc::clone(rt))),
+        Box::new(EunoBTreeDefault::with_config(
+            Arc::clone(rt),
+            EunoConfig::paper(),
+        )),
         Box::new(EunoBTreeUnpartitioned::with_config(
             Arc::clone(rt),
             EunoConfig::split_htm_only(),

@@ -25,6 +25,12 @@ fn measure(map: &dyn ConcurrentMap, rt: &Arc<Runtime>, theta: f64, threads: usiz
     run_virtual(map, rt, &spec, &cfg)
 }
 
+/// The Euno-B+Tree the paper evaluates — the shapes below are the paper's,
+/// so they are asserted on its configuration, not on the library default.
+fn paper_euno(rt: Arc<Runtime>) -> EunoBTreeDefault {
+    EunoBTreeDefault::with_config(rt, EunoConfig::paper())
+}
+
 fn fresh<M>(build: impl FnOnce(Arc<Runtime>) -> M) -> (Arc<Runtime>, M) {
     let rt = Runtime::new_virtual();
     let m = build(Arc::clone(&rt));
@@ -88,7 +94,7 @@ fn abort_taxonomy_matches_paper_analysis() {
 /// high contention and nearly matches it under low contention.
 #[test]
 fn euno_wins_under_contention_and_ties_at_low_skew() {
-    let (rt, euno) = fresh(EunoBTreeDefault::new);
+    let (rt, euno) = fresh(paper_euno);
     let euno_high = measure(&euno, &rt, 0.9, 16);
     let (rt, htm) = fresh(HtmBTree::<16>::new);
     let htm_high = measure(&htm, &rt, 0.9, 16);
@@ -105,7 +111,7 @@ fn euno_wins_under_contention_and_ties_at_low_skew() {
         htm_high.aborts_per_op
     );
 
-    let (rt, euno) = fresh(EunoBTreeDefault::new);
+    let (rt, euno) = fresh(paper_euno);
     let euno_low = measure(&euno, &rt, 0.2, 16);
     let (rt, htm) = fresh(HtmBTree::<16>::new);
     let htm_low = measure(&htm, &rt, 0.2, 16);
@@ -124,7 +130,7 @@ fn euno_wins_under_contention_and_ties_at_low_skew() {
 fn masstree_instruction_overhead_and_contention_loss() {
     let (rt, mt) = fresh(Masstree::new);
     let mt_m = measure(&mt, &rt, 0.5, 16);
-    let (rt, euno) = fresh(EunoBTreeDefault::new);
+    let (rt, euno) = fresh(paper_euno);
     let euno_m = measure(&euno, &rt, 0.5, 16);
     assert!(
         mt_m.accesses_per_op > 1.2 * euno_m.accesses_per_op,
@@ -135,7 +141,7 @@ fn masstree_instruction_overhead_and_contention_loss() {
 
     let (rt, mt) = fresh(Masstree::new);
     let mt_high = measure(&mt, &rt, 0.9, 16);
-    let (rt, euno) = fresh(EunoBTreeDefault::new);
+    let (rt, euno) = fresh(paper_euno);
     let euno_high = measure(&euno, &rt, 0.9, 16);
     assert!(
         euno_high.throughput > mt_high.throughput,
@@ -165,9 +171,9 @@ fn htm_masstree_is_worse_than_masstree_under_contention() {
 /// Figure 10 (low contention): Euno scales with the thread count.
 #[test]
 fn euno_scales_at_low_contention() {
-    let (rt, euno) = fresh(EunoBTreeDefault::new);
+    let (rt, euno) = fresh(paper_euno);
     let one = measure(&euno, &rt, 0.2, 1);
-    let (rt, euno) = fresh(EunoBTreeDefault::new);
+    let (rt, euno) = fresh(paper_euno);
     let sixteen = measure(&euno, &rt, 0.2, 16);
     assert!(
         sixteen.throughput > 6.0 * one.throughput,
@@ -231,7 +237,7 @@ fn ablation_ladder_is_monotone_under_contention() {
 /// §5.7: the Eunomia auxiliaries cost little memory.
 #[test]
 fn memory_overhead_is_small() {
-    let (rt, euno) = fresh(EunoBTreeDefault::new);
+    let (rt, euno) = fresh(paper_euno);
     let _ = measure(&euno, &rt, 0.9, 16);
     let m = euno.memory();
     assert!(m.ccm_bytes > 0 && m.structural_bytes > 0);
@@ -247,7 +253,7 @@ fn memory_overhead_is_small() {
 fn virtual_runs_are_deterministic() {
     let run = || {
         let rt = Runtime::new_virtual();
-        let t = EunoBTreeDefault::new(Arc::clone(&rt));
+        let t = paper_euno(Arc::clone(&rt));
         let m = measure(&t, &rt, 0.9, 8);
         (
             m.total_ops,
