@@ -23,9 +23,10 @@
 //!
 //! * The whole batch runs under one epoch pin, so leaf pointers handed
 //!   from upper to lower episodes survive concurrent merges.
-//! * Group slot locks are acquired in ascending slot order over a
-//!   *deduplicated* set (two ops can hash to one slot; re-acquiring a
-//!   held CCM bit would self-deadlock) and released after the episode.
+//! * The group's conflict-control stage is the single-op one
+//!   ([`Ccm::enter`] … [`Ccm::leave`]) over the group's *deduplicated*
+//!   slot set (two ops can hash to one slot; re-acquiring a held CCM bit
+//!   would self-deadlock), opened before the episode and closed after it.
 //! * After every applied op the lower region re-reads the leaf `seqno`.
 //!   A split or reorganization — ours (fallback-path insert) or anyone
 //!   else's — bumps it, and the remaining ops in the group bail rather
@@ -278,8 +279,6 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         }
 
         // ---- Conflict-control stage (outside any region). ----------
-        let ccm_configured = self.cfg.ccm_lock_bits || self.cfg.ccm_mark_bits;
-        let ccm_active = ccm_configured && !(self.cfg.adaptive && leaf.ccm.bypassed(ctx));
         ctx.charge(self.rt.cost.alu * 3 * active); // slot hashes
 
         // Puts that are certain to need a split bail before the episode.
@@ -312,42 +311,28 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             prev_bailed = prev_bailed || cells[j] == Cell::Single;
         }
 
-        let mut slots_locked = false;
-        if ccm_active && self.cfg.ccm_lock_bits {
-            scratch.slots.clear();
-            for (j, op) in ops.iter().enumerate() {
-                if cells[j] == Cell::Resolved {
-                    continue;
-                }
-                scratch.slots.push(Ccm::slot(op.key(), Self::ccm_bits()));
+        // One stage for the group, over its deduplicated slot set. Puts
+        // claim existence even when they bail to singles: the mark vector
+        // must stay a superset of live keys.
+        scratch.slots.clear();
+        let mut slot_of = [0u32; UPPER_CHUNK];
+        let mut claims = 0u64;
+        for (j, op) in ops.iter().enumerate() {
+            if cells[j] != Cell::Resolved {
+                slot_of[j] = Ccm::slot(op.key(), Self::ccm_bits());
+                scratch.slots.push(slot_of[j]);
+                claims |= u64::from(op.req() == Req::Put) << slot_of[j];
             }
-            scratch.slots.sort_unstable();
-            scratch.slots.dedup();
-            for &s in &scratch.slots {
-                leaf.ccm.lock_slot(ctx, s);
-            }
-            slots_locked = true;
         }
-        if self.cfg.ccm_mark_bits {
-            for (j, op) in ops.iter().enumerate() {
-                if cells[j] == Cell::Resolved {
-                    continue;
-                }
-                let slot = Ccm::slot(op.key(), Self::ccm_bits());
-                match op.req() {
-                    // Claim existence even for puts that bail to singles:
-                    // the mark vector must stay a superset of live keys.
-                    Req::Put => {
-                        leaf.ccm.set_mark(ctx, slot);
-                    }
-                    Req::Get | Req::Delete => {
-                        if ccm_active && cells[j] == Cell::Pending && !leaf.ccm.marked(ctx, slot) {
-                            out[batch_off + j] = None;
-                            cells[j] = Cell::Resolved;
-                            stats.fast_misses += 1;
-                        }
-                    }
-                }
+        scratch.slots.sort_unstable();
+        scratch.slots.dedup();
+        let stage = leaf.ccm.enter(ctx, &self.cfg, &scratch.slots, claims);
+        for (j, op) in ops.iter().enumerate() {
+            if cells[j] == Cell::Pending && op.req() != Req::Put && stage.definite_miss(slot_of[j])
+            {
+                out[batch_off + j] = None;
+                cells[j] = Cell::Resolved;
+                stats.fast_misses += 1;
             }
         }
 
@@ -357,7 +342,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         if pending > 0 {
             let res = ctx.htm_execute_with(&self.ctrl.fallback, &RetryPolicy::DBX, None, |tx| {
                 tx.set_op_key(ops[0].key());
-                if slots_locked {
+                if stage.locked() {
                     // Same-record contenders queue on the CCM lock bits
                     // (§4.1), exactly as in the single-op path.
                     tx.mark_serialized();
@@ -407,19 +392,8 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             }
         }
 
-        if slots_locked {
-            for &s in &scratch.slots {
-                leaf.ccm.unlock_slot(ctx, s);
-            }
-        }
-        if self.cfg.adaptive {
-            leaf.ccm.record_outcome(
-                ctx,
-                upper_conflicts + lower_conflicts,
-                self.cfg.adaptive_window,
-                self.cfg.adaptive_conflict_rate,
-            );
-        }
+        leaf.ccm
+            .leave(ctx, &self.cfg, stage, upper_conflicts + lower_conflicts);
 
         // Post-episode bookkeeping, outside the locks (as in `traverse`):
         // applied deletes count toward the rebalance trigger and lend an

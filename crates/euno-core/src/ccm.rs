@@ -13,19 +13,31 @@
 //!   Bloom-filter-style filter that sends definite misses home without
 //!   touching the leaf.
 //!
-//! The same line hosts the **adaptive contention detector** (§4.1): a
-//! windowed conflict counter that flips a per-leaf `bypass` flag when the
-//! leaf has been calm, letting requests skip the CCM entirely under low
-//! contention (Figure 13's `+Adaptive` bar).
+//! The same line hosts the **adaptive contention detector** (§4.1,
+//! guideline 4): a per-leaf verdict, *protected* or *bypassed*. A protected
+//! leaf runs the stage above; a bypassed one runs none of it — no lock
+//! bit, no filter, and no write to this line at all once its key's mark
+//! is set (Figure 13's `+Adaptive` bar). The verdict is kept by the
+//! operations that pay for it: protected operations and operations that
+//! met a conflict feed the window, calm operations on a bypassed leaf feed
+//! nothing (DESIGN.md §4.8 has the state machine).
+//!
+//! The whole stage is the [`Ccm::enter`] / [`Ccm::leave`] pair; the
+//! single-op traversal and the batch's leaf group both run it through
+//! that pair and through nothing else.
 //!
 //! Mark bits here are *monotone within a leaf's lifetime*: deletion does
 //! not clear them (the paper clears; doing so can manufacture false
 //! negatives for hash-colliding live keys, which would be a correctness
 //! bug — see DESIGN.md). A split gives the new right node a freshly
-//! computed vector, so staleness decays at reorganization.
+//! computed vector, so staleness decays at reorganization. Monotone is
+//! also what lets a put *test before it sets*: a set bit stays set, so a
+//! plain load that sees it needs no read-modify-write behind it.
 
 use euno_htm::runtime::lock_key_for_bit;
-use euno_htm::{acquire_mask_blocking, release_mask, EventKind, SlotLocks, ThreadCtx, TxCell};
+use euno_htm::{acquire_mask_blocking, release_mask, AdvisoryLock, EventKind, ThreadCtx, TxCell};
+
+use crate::config::EunoConfig;
 
 /// Per-leaf conflict-control module. Fits one cache line.
 ///
@@ -55,14 +67,56 @@ pub struct Ccm {
     epoch: TxCell<u64>,
     /// 1 ⇒ requests may bypass the CCM and leaf-lock pre-acquisition.
     bypass: TxCell<u64>,
-    _pad: [u64; 1],
+    /// The leaf's split lock: serializes splits, merges and locked scan
+    /// steps on it. It lives here because it obeys this line's rule — only
+    /// ever touched from outside HTM regions, read inside none — so its
+    /// acquisition invalidates no line a transaction reads.
+    pub split_lock: AdvisoryLock,
+}
+
+/// One conflict-control stage in flight on a leaf: what [`Ccm::enter`]
+/// found and took, to be handed back to [`Ccm::leave`].
+#[must_use = "a stage that is not left keeps its lock bits"]
+pub struct Stage<'s> {
+    /// The slots the stage covers, ascending and without duplicates.
+    slots: &'s [u32],
+    /// The leaf was protected when the stage opened.
+    protected: bool,
+    /// The stage holds the lock bits of `slots`.
+    locked: bool,
+    /// Slots whose mark is clear even after this stage's own claims; zero
+    /// unless the filter is in force (mark bits on, leaf protected).
+    clear: u64,
+    /// The stage's claim found one of its mark bits clear.
+    fresh: bool,
+}
+
+impl Stage<'_> {
+    /// Same-slot contenders are queued behind this stage's lock bits, so
+    /// the region it brackets meets no true conflict on its records.
+    pub fn locked(&self) -> bool {
+        self.locked
+    }
+
+    /// Algorithm 2 line 35, for a get or delete: no key hashing to `slot`
+    /// exists, so the request need not enter the leaf.
+    pub fn definite_miss(&self, slot: u32) -> bool {
+        self.clear & (1 << slot) != 0
+    }
+
+    /// Algorithm 2 line 39, for a put: the leaf is protected and the key is
+    /// new to its filter, so the put may insert — and an insert may split.
+    pub fn may_insert(&self) -> bool {
+        self.protected && self.fresh
+    }
 }
 
 impl Ccm {
     /// A fresh module. `bypass` starts true: an untouched leaf has no
     /// contention history, and the detector re-protects it on the very
-    /// first conflict it observes (split-born nodes, which were hot a
-    /// moment ago, are explicitly protected by the split path instead).
+    /// first conflict it observes. A split-born node does not start here:
+    /// it takes over the verdict of the leaf it was split from
+    /// ([`Ccm::inherit_prepublication`]).
     pub fn new() -> Self {
         Ccm {
             marks: TxCell::new(0),
@@ -72,12 +126,22 @@ impl Ccm {
             window_base: TxCell::new(0),
             epoch: TxCell::new(0),
             bypass: TxCell::new(1),
-            _pad: [0; 1],
+            split_lock: AdvisoryLock::new(),
         }
     }
 
-    /// Force the protected state (used for nodes born from a split of a
-    /// contended leaf, before publication).
+    /// Start an unpublished split-born node on `from`'s verdict: half of a
+    /// hot leaf is hot, half of a calm one is calm. A plain load on
+    /// purpose — the split runs inside the lower region, and a
+    /// transactional read would put `from`'s CCM line into that region's
+    /// footprint, where every lock-bit CAS on the leaf would abort it.
+    /// The verdict may flip under the load; either value is one the leaf
+    /// held a moment ago, and the detector corrects both.
+    pub fn inherit_prepublication(&self, from: &Ccm) {
+        self.bypass.store_plain(from.bypass.load_plain());
+    }
+
+    /// Force the protected state, as a conflict would (tests).
     pub fn protect_prepublication(&self) {
         self.bypass.store_plain(0);
     }
@@ -89,44 +153,111 @@ impl Ccm {
         euno_htm::slot_for_key(key, nbits)
     }
 
+    // ----- the stage -----
+
+    /// Open the conflict-control stage (Algorithm 2 lines 29-40, outside
+    /// any region) for the requests hashing to `slots` — ascending, no
+    /// duplicates: two requests can share a slot, and re-acquiring a held
+    /// bit would self-deadlock. `claims` is the mark mask of the puts
+    /// among them.
+    ///
+    /// On a protected leaf: take the lock bits, in slot order (so any two
+    /// stages on one leaf agree on the order of their common bits). On any
+    /// leaf: make sure the claimed marks are set — the vector must stay a
+    /// superset of the live keys or gets would miss real records once
+    /// protection re-engages. Marks are monotone, so a load that finds
+    /// them set is the whole claim; only a clear bit costs the
+    /// read-modify-write. A bypassed leaf whose marks are set is thus
+    /// entered and left without one write to this line.
+    pub fn enter<'s>(
+        &self,
+        ctx: &mut ThreadCtx,
+        cfg: &EunoConfig,
+        slots: &'s [u32],
+        claims: u64,
+    ) -> Stage<'s> {
+        debug_assert!(slots.windows(2).all(|w| w[0] < w[1]));
+        let configured = cfg.ccm_lock_bits || cfg.ccm_mark_bits;
+        let protected = configured && !(cfg.adaptive && self.bypass.load_direct(ctx) != 0);
+        let locked = protected && cfg.ccm_lock_bits;
+        if locked {
+            for &slot in slots {
+                self.lock_slot(ctx, slot);
+            }
+        }
+        let (mut clear, mut fresh) = (0, false);
+        if cfg.ccm_mark_bits && (protected || claims != 0) {
+            let mut seen = self.marks.load_direct(ctx);
+            fresh = seen & claims != claims;
+            if fresh {
+                seen = self.marks.fetch_or_direct(ctx, claims);
+            }
+            if protected {
+                clear = !(seen | claims);
+            }
+        }
+        Stage {
+            slots,
+            protected,
+            locked,
+            clear,
+            fresh,
+        }
+    }
+
+    /// Close the stage: release its lock bits and tell the detector what
+    /// the operation met — `conflicts` is the conflict aborts of its upper
+    /// and lower regions. Protected operations and operations that met a
+    /// conflict are the detector's whole input; a calm operation on a
+    /// bypassed leaf tells it nothing it would act on, and is not charged
+    /// the counter update.
+    pub fn leave(&self, ctx: &mut ThreadCtx, cfg: &EunoConfig, stage: Stage<'_>, conflicts: u32) {
+        if stage.locked {
+            for &slot in stage.slots {
+                self.unlock_slot(ctx, slot);
+            }
+        }
+        if cfg.adaptive && (stage.protected || conflicts > 0) {
+            self.record_outcome(
+                ctx,
+                conflicts,
+                cfg.adaptive_window,
+                cfg.adaptive_conflict_rate,
+            );
+        }
+    }
+
     // ----- lock bits -----
+
+    /// The lock word's address: virtual-lock key and trace identity.
+    fn locks_addr(&self) -> usize {
+        &self.locks as *const TxCell<u64> as usize
+    }
 
     /// Acquire the slot's lock bit (Algorithm 2 lines 30-31): spin-CAS in
     /// concurrent mode, virtual-wait in virtual mode.
-    pub fn lock_slot(&self, ctx: &mut ThreadCtx, slot: u32) {
+    fn lock_slot(&self, ctx: &mut ThreadCtx, slot: u32) {
         // The shared spin/acquire core: test-and-test-and-set with bounded
         // exponential backoff in concurrent mode (the lock bits share one
         // word — and one line — with 63 other locks, so a convoying
         // fetch_or loop here would starve every operation on the leaf,
         // not just this slot), virtual-wait in virtual mode.
-        let key = lock_key_for_bit(self.locks.raw_addr(), slot);
+        let addr = self.locks_addr();
+        let key = lock_key_for_bit(addr, slot);
         let waited = acquire_mask_blocking(ctx, &self.locks, 1u64 << slot, key);
         ctx.trace(EventKind::LockAcquire {
-            addr: self.locks.raw_addr() as u64,
+            addr: addr as u64,
             wait_cycles: waited,
         });
     }
 
-    pub fn unlock_slot(&self, ctx: &mut ThreadCtx, slot: u32) {
-        let key = lock_key_for_bit(self.locks.raw_addr(), slot);
-        release_mask(ctx, &self.locks, 1u64 << slot, key);
-        ctx.trace(EventKind::LockRelease {
-            addr: self.locks.raw_addr() as u64,
-        });
+    fn unlock_slot(&self, ctx: &mut ThreadCtx, slot: u32) {
+        let addr = self.locks_addr();
+        release_mask(ctx, &self.locks, 1u64 << slot, lock_key_for_bit(addr, slot));
+        ctx.trace(EventKind::LockRelease { addr: addr as u64 });
     }
 
     // ----- mark bits -----
-
-    /// Algorithm 2 line 32: does a key hashing to `slot` possibly exist?
-    pub fn marked(&self, ctx: &mut ThreadCtx, slot: u32) -> bool {
-        self.marks.load_direct(ctx) & (1 << slot) != 0
-    }
-
-    /// Algorithm 2 line 38: claim the slot's existence bit; returns the
-    /// previous state.
-    pub fn set_mark(&self, ctx: &mut ThreadCtx, slot: u32) -> bool {
-        self.marks.fetch_or_direct(ctx, 1 << slot) & (1 << slot) != 0
-    }
 
     /// Install a freshly computed mark vector. Only safe before the owning
     /// leaf is published (split construction) — hence plain store.
@@ -152,23 +283,21 @@ impl Ccm {
 
     // ----- adaptive contention detector -----
 
-    /// Should this request bypass the CCM? (§4.1 "Adaptive concurrency
-    /// control": per-leaf decision.)
-    pub fn bypassed(&self, ctx: &mut ThreadCtx) -> bool {
-        self.bypass.load_direct(ctx) != 0
-    }
-
     /// Feed the detector with one finished operation and the number of
-    /// conflict aborts its lower region suffered. Every
-    /// `window` operations the bypass flag is re-decided: calm window ⇒
-    /// bypass on, contended window ⇒ bypass off.
+    /// conflict aborts its regions suffered. A conflict on a bypassed leaf
+    /// re-protects it at once; every `window` recorded operations the
+    /// verdict is re-decided: calm window ⇒ bypass on, contended window ⇒
+    /// bypass off. Only [`Ccm::leave`] decides what gets recorded, so a
+    /// re-protected leaf stays protected until `window` operations that ran
+    /// *with* its lock bits have closed a calm window — bypassed traffic
+    /// cannot run the window out for it.
     ///
     /// Concurrency-safe: `ops`/`conflicts` are monotone, the thread whose
     /// `fetch_add` crosses the window boundary is the unique closer, and
     /// it claims the close by CAS on `epoch` — no counter is ever reset,
     /// so concurrent recorders can neither lose conflicts nor decide the
     /// same window twice.
-    pub fn record_outcome(&self, ctx: &mut ThreadCtx, conflicts: u32, window: u64, max_rate: f64) {
+    fn record_outcome(&self, ctx: &mut ThreadCtx, conflicts: u32, window: u64, max_rate: f64) {
         if conflicts > 0 {
             self.conflicts.fetch_add_direct(ctx, conflicts as u64);
             // React immediately to contention: a bypassed leaf that starts
@@ -227,7 +356,8 @@ impl Ccm {
     }
 
     /// Bytes of CCM state per leaf (for the §5.7 accounting): the mark and
-    /// lock vectors (the detector words are counted too — they live here).
+    /// lock vectors (the detector words and the split lock are counted
+    /// too — they live here).
     pub const fn bytes() -> usize {
         std::mem::size_of::<Ccm>()
     }
@@ -239,30 +369,6 @@ impl Default for Ccm {
     }
 }
 
-/// The CCM's lock bits double as a middle-path footprint provider: a
-/// [`Footprint`](euno_htm::Footprint) over a leaf's CCM lets the executor
-/// retry a hot region while holding exactly the slots it touches.
-impl SlotLocks for Ccm {
-    fn acquire_slot(&self, ctx: &mut ThreadCtx, slot: u32) {
-        self.lock_slot(ctx, slot);
-    }
-
-    fn release_slot(&self, ctx: &mut ThreadCtx, slot: u32) {
-        self.unlock_slot(ctx, slot);
-    }
-}
-
-// Small helper used by lock_slot: expose the raw address for virtual-lock
-// key derivation without leaking the pointer type.
-trait RawAddr {
-    fn raw_addr(&self) -> usize;
-}
-impl RawAddr for TxCell<u64> {
-    fn raw_addr(&self) -> usize {
-        self as *const TxCell<u64> as usize
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,8 +376,10 @@ mod tests {
 
     #[test]
     fn ccm_is_one_cache_line() {
+        // Eight words, the split lock the last of them: no padding left.
         assert_eq!(std::mem::size_of::<Ccm>(), 64);
         assert_eq!(std::mem::align_of::<Ccm>(), 64);
+        assert_eq!(std::mem::offset_of!(Ccm, split_lock), 56);
     }
 
     #[test]
@@ -291,16 +399,115 @@ mod tests {
         assert!(same < 15, "{same} adjacent collisions out of 99");
     }
 
+    /// One single-request stage: enter, query, leave.
+    fn stage(
+        ccm: &Ccm,
+        ctx: &mut ThreadCtx,
+        cfg: &EunoConfig,
+        slot: u32,
+        put: bool,
+        conflicts: u32,
+    ) -> (bool, bool, bool) {
+        let slots = [slot];
+        let st = ccm.enter(ctx, cfg, &slots, u64::from(put) << slot);
+        let seen = (st.locked(), st.definite_miss(slot), st.may_insert());
+        ccm.leave(ctx, cfg, st, conflicts);
+        seen
+    }
+
     #[test]
     fn mark_bits_set_and_query() {
         let rt = Runtime::new_virtual();
         let mut ctx = rt.thread(0);
+        let cfg = EunoConfig::paper();
         let ccm = Ccm::new();
-        assert!(!ccm.marked(&mut ctx, 5));
-        assert!(!ccm.set_mark(&mut ctx, 5), "first set: previously clear");
-        assert!(ccm.marked(&mut ctx, 5));
-        assert!(ccm.set_mark(&mut ctx, 5), "second set: previously set");
-        assert!(!ccm.marked(&mut ctx, 6));
+        // Bypassed: no filter, no lock bit — but a put still claims.
+        assert_eq!(
+            stage(&ccm, &mut ctx, &cfg, 5, false, 0),
+            (false, false, false)
+        );
+        assert_eq!(
+            stage(&ccm, &mut ctx, &cfg, 5, true, 0),
+            (false, false, false)
+        );
+        assert_eq!(ccm.marks_plain(), 1 << 5);
+        ccm.protect_prepublication();
+        // Protected: slot 5 may exist, slot 6 is a definite miss; the first
+        // put into slot 6 may insert, the second finds its mark set.
+        assert_eq!(
+            stage(&ccm, &mut ctx, &cfg, 5, false, 0),
+            (true, false, false)
+        );
+        assert_eq!(
+            stage(&ccm, &mut ctx, &cfg, 6, false, 0),
+            (true, true, false)
+        );
+        assert_eq!(stage(&ccm, &mut ctx, &cfg, 6, true, 0), (true, false, true));
+        assert_eq!(
+            stage(&ccm, &mut ctx, &cfg, 6, true, 0),
+            (true, false, false)
+        );
+        assert_eq!(
+            stage(&ccm, &mut ctx, &cfg, 6, false, 0),
+            (true, false, false)
+        );
+        assert_eq!(ccm.locks_plain(), 0);
+        // Without mark bits nothing is filtered and nothing is claimed.
+        let ccm = Ccm::new();
+        let lockbits = EunoConfig::ccm_lockbits();
+        assert_eq!(
+            stage(&ccm, &mut ctx, &lockbits, 9, true, 0),
+            (true, false, false)
+        );
+        assert_eq!(
+            stage(&ccm, &mut ctx, &lockbits, 9, false, 0),
+            (true, false, false)
+        );
+        assert_eq!(ccm.marks_plain(), 0);
+    }
+
+    #[test]
+    fn group_stage_sees_its_own_claims() {
+        // A group holding a put and a later get on one slot: the get must
+        // not be turned around on a mark the group itself just set.
+        let rt = Runtime::new_virtual();
+        let mut ctx = rt.thread(0);
+        let cfg = EunoConfig::paper();
+        let ccm = Ccm::new();
+        ccm.protect_prepublication();
+        let slots = [2, 4, 7];
+        let st = ccm.enter(&mut ctx, &cfg, &slots, 1 << 4);
+        assert!(st.locked() && st.may_insert());
+        assert_eq!(ccm.locks_plain(), 1 << 2 | 1 << 4 | 1 << 7);
+        assert!(st.definite_miss(2) && st.definite_miss(7));
+        assert!(!st.definite_miss(4));
+        ccm.leave(&mut ctx, &cfg, st, 0);
+        assert_eq!(ccm.locks_plain(), 0);
+        assert_eq!(ccm.marks_plain(), 1 << 4);
+    }
+
+    #[test]
+    fn calm_stage_on_a_bypassed_leaf_writes_nothing() {
+        // Guideline 4 as a count: read-modify-writes outside the region.
+        let rt = Runtime::new_virtual();
+        let mut ctx = rt.thread(0);
+        let cfg = EunoConfig::paper();
+        let ccm = Ccm::new();
+        let rmw = |ctx: &mut ThreadCtx, put, conflicts| {
+            let before = ctx.stats.cas_ops;
+            stage(&ccm, ctx, &cfg, 3, put, conflicts);
+            ctx.stats.cas_ops - before
+        };
+        assert_eq!(rmw(&mut ctx, true, 0), 1, "first put claims the mark");
+        assert_eq!(rmw(&mut ctx, true, 0), 0, "bypassed, mark set");
+        assert_eq!(rmw(&mut ctx, false, 0), 0, "bypassed get or delete");
+        assert_eq!(ccm.epoch_plain(), 0);
+        // A conflict is always told: conflicts += 1, ops += 1.
+        assert_eq!(rmw(&mut ctx, true, 1), 2);
+        assert!(!ccm.bypass_plain());
+        // Protected: lock, unlock, window count — the mark costs a load.
+        assert_eq!(rmw(&mut ctx, true, 0), 3);
+        assert_eq!(rmw(&mut ctx, false, 0), 3);
     }
 
     #[test]
@@ -388,23 +595,69 @@ mod tests {
     fn adaptive_bypasses_after_calm_window_and_reverts_on_conflict() {
         let rt = Runtime::new_virtual();
         let mut ctx = rt.thread(0);
+        let cfg = EunoConfig {
+            adaptive_window: 16,
+            ..EunoConfig::paper()
+        };
         let ccm = Ccm::new();
-        let (window, rate) = (16, 0.05);
-        assert!(ccm.bypassed(&mut ctx), "fresh leaf starts bypassed");
-        ccm.protect_prepublication();
-        assert!(!ccm.bypassed(&mut ctx), "split-born leaf starts protected");
-        for _ in 0..16 {
-            ccm.record_outcome(&mut ctx, 0, window, rate);
+        assert!(ccm.bypass_plain(), "fresh leaf starts bypassed");
+        // Calm operations on a bypassed leaf are not the detector's input.
+        for _ in 0..40 {
+            stage(&ccm, &mut ctx, &cfg, 1, true, 0);
         }
-        assert!(ccm.bypassed(&mut ctx), "calm window enables bypass");
-        // A conflict immediately re-protects the leaf.
-        ccm.record_outcome(&mut ctx, 2, window, rate);
-        assert!(!ccm.bypassed(&mut ctx));
-        // A contended window keeps it protected.
-        for _ in 0..16 {
-            ccm.record_outcome(&mut ctx, 1, window, rate);
+        assert_eq!(ccm.epoch_plain(), 0, "no window closed, none opened");
+        // A conflict re-protects at once…
+        stage(&ccm, &mut ctx, &cfg, 1, true, 2);
+        assert!(!ccm.bypass_plain());
+        // …a contended window (that operation and 15 more) keeps the leaf
+        // protected…
+        for _ in 0..15 {
+            stage(&ccm, &mut ctx, &cfg, 1, true, 1);
         }
-        assert!(!ccm.bypassed(&mut ctx));
+        assert_eq!(ccm.epoch_plain(), 1);
+        assert!(!ccm.bypass_plain());
+        // …and one calm window of protected operations bypasses it again.
+        for _ in 0..16 {
+            assert!(!ccm.bypass_plain());
+            stage(&ccm, &mut ctx, &cfg, 1, true, 0);
+        }
+        assert!(ccm.bypass_plain(), "calm window enables bypass");
+        assert_eq!(ccm.epoch_plain(), 2);
+    }
+
+    #[test]
+    fn reprotection_lasts_a_full_window() {
+        // The control-loop bug: while calm operations on a bypassed leaf
+        // advanced the window, a conflict on the 31st operation re-protected
+        // the leaf and the 32nd closed a window holding 1 conflict
+        // ≤ 0.05 × 32 — bypassed again after one protected operation.
+        let rt = Runtime::new_virtual();
+        let mut ctx = rt.thread(0);
+        let cfg = EunoConfig::paper();
+        let window = cfg.adaptive_window;
+        let ccm = Ccm::new();
+        for _ in 0..window - 2 {
+            stage(&ccm, &mut ctx, &cfg, 3, true, 0);
+        }
+        stage(&ccm, &mut ctx, &cfg, 3, true, 1);
+        assert!(!ccm.bypass_plain(), "a conflict re-protects");
+        // The rest of its window runs under the lock bits, whole.
+        for i in 1..window {
+            let (locked, ..) = stage(&ccm, &mut ctx, &cfg, 3, true, 0);
+            assert!(locked, "bypassed again {i} operations after re-protecting");
+        }
+        assert!(ccm.bypass_plain(), "one conflict in a full calm window");
+    }
+
+    #[test]
+    fn split_born_leaf_inherits_the_verdict() {
+        let (hot, calm) = (Ccm::new(), Ccm::new());
+        hot.protect_prepublication();
+        let (from_hot, from_calm) = (Ccm::new(), Ccm::new());
+        from_hot.inherit_prepublication(&hot);
+        from_calm.inherit_prepublication(&calm);
+        assert!(!from_hot.bypass_plain());
+        assert!(from_calm.bypass_plain());
     }
 
     #[test]

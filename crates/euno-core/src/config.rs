@@ -15,15 +15,19 @@ pub struct EunoConfig {
     /// Enable the CCM's mark bits (Bloom-style existence filter that turns
     /// definite misses around before they touch the leaf).
     pub ccm_mark_bits: bool,
-    /// Enable per-leaf adaptive contention control: bypass the CCM and the
-    /// split-lock pre-acquisition while the observed conflict rate is low.
+    /// Enable per-leaf adaptive contention control (guideline 4): a leaf
+    /// whose observed conflict rate is low is *bypassed* — no lock bits, no
+    /// mark filter, no split-lock pre-acquisition, no detector update —
+    /// until an operation on it meets a conflict. Split-born leaves start
+    /// on the verdict of the leaf they were split from.
     pub adaptive: bool,
     /// A leaf counts as "near full" (Algorithm 2 line 39) when its live
     /// records ≥ capacity − `near_full_slack`.
     pub near_full_slack: usize,
     /// Write-scheduler retries before reorganizing (Algorithm 3 line 61).
     pub scheduler_retries: u32,
-    /// Adaptive detector: operations per decision window.
+    /// Adaptive detector: operations per decision window. Only operations
+    /// that ran protected or met a conflict count toward it.
     pub adaptive_window: u64,
     /// Adaptive detector: bypass while `conflicts / ops` in the last
     /// window stayed at or below this rate.

@@ -6,11 +6,11 @@
 //! * the leaf header (`seqno`, `next`, `parent`) has its own line — it is
 //!   read inside HTM regions, so nothing that gets CAS'd from outside
 //!   regions may share it;
-//! * the split lock has its own line — its acquisition invalidates a line,
-//!   which must not be one transactions read;
 //! * each segment is line-aligned with keys and values on separate lines
 //!   (see [`Segment`]);
-//! * the CCM is one separate line (see [`Ccm`]).
+//! * the CCM is one separate line (see [`Ccm`]), and the split lock is a
+//!   word of it — both are written only from outside regions and read
+//!   inside none, so neither invalidates a line transactions read.
 //!
 //! Records live **scattered across the segments at all times** — a
 //! reorganization or split deals the sorted record set round-robin over
@@ -21,9 +21,7 @@
 //! transient scratch, tracked for the §5.7 memory analysis but never the
 //! steady-state home of records).
 
-use euno_htm::{
-    AdvisoryLock, Arena, LineClass, Runtime, Tx, TxCell, TxResult, TxWord, KEY_SENTINEL,
-};
+use euno_htm::{Arena, LineClass, Runtime, Tx, TxCell, TxResult, TxWord, KEY_SENTINEL};
 
 use crate::ccm::Ccm;
 use crate::segment::Segment;
@@ -31,8 +29,8 @@ use crate::segment::Segment;
 /// Internal-node fanout (the paper sets node fanout to 16, §5.7).
 pub const INTERNAL_FANOUT: usize = 16;
 
-/// A scattered leaf: header, split lock, `SEGS` segments of `K` slots, and
-/// the conflict-control module.
+/// A scattered leaf: header, `SEGS` segments of `K` slots, and the
+/// conflict-control module (which hosts the split lock).
 #[repr(C, align(64))]
 pub struct EunoLeaf<const SEGS: usize, const K: usize> {
     /// Version number tracking splits (the consistency glue between the
@@ -43,9 +41,6 @@ pub struct EunoLeaf<const SEGS: usize, const K: usize> {
     /// Parent internal node (NodeRef bits; 0 at the root).
     pub parent: TxCell<u64>,
     _pad0: [u64; 5],
-    /// Serializes splits and scans on this leaf (own cache line).
-    pub split_lock: AdvisoryLock,
-    _pad1: [u64; 7],
     pub segs: [Segment<K>; SEGS],
     pub ccm: Ccm,
 }
@@ -62,8 +57,6 @@ impl<const SEGS: usize, const K: usize> EunoLeaf<SEGS, K> {
             next: TxCell::new(0),
             parent: TxCell::new(0),
             _pad0: [0; 5],
-            split_lock: AdvisoryLock::new(),
-            _pad1: [0; 7],
             segs: std::array::from_fn(|_| Segment::empty()),
             ccm: Ccm::new(),
         }
@@ -101,12 +94,12 @@ impl<const SEGS: usize, const K: usize> EunoLeaf<SEGS, K> {
 
     pub fn register(&self, rt: &Runtime) {
         let parts = [
-            // Header + split-lock lines.
+            // Header line.
             (0, LineClass::Metadata),
             // Segments: record storage (their count words live amid the
             // records deliberately — per-segment metadata is the point).
             (std::mem::offset_of!(Self, segs), LineClass::Record),
-            // CCM line.
+            // CCM line (lock bits, mark bits, detector, split lock).
             (std::mem::offset_of!(Self, ccm), LineClass::Metadata),
         ];
         // Attributed: the contention profiler maps address-carrying trace
@@ -241,20 +234,23 @@ mod tests {
     fn leaf_line_discipline() {
         let l: Box<Leaf44> = Box::new(EunoLeaf::empty());
         let header = LineId::of_ptr(&l.seqno as *const _);
-        let lock_line = LineId::of_addr(&l.split_lock as *const _ as usize);
+        let lock_line = LineId::of_addr(&l.ccm.split_lock as *const _ as usize);
         let seg0k = l.segs[0].key_cell(0).line();
         let seg0v = l.segs[0].val_cell(0).line();
         let seg1k = l.segs[1].key_cell(0).line();
         let ccm = LineId::of_addr(&l.ccm as *const _ as usize);
         // All regions on distinct lines.
-        let set: std::collections::HashSet<_> = [header, lock_line, seg0k, seg0v, seg1k, ccm]
-            .into_iter()
-            .collect();
+        let set: std::collections::HashSet<_> =
+            [header, seg0k, seg0v, seg1k, ccm].into_iter().collect();
         assert_eq!(
             set.len(),
-            6,
-            "header/lock/segment-keys/segment-vals/ccm must not share lines"
+            5,
+            "header/segment-keys/segment-vals/ccm must not share lines"
         );
+        // The split lock rides the CCM line (written outside regions only,
+        // like everything else there) and the leaf has no line to spare.
+        assert_eq!(lock_line, ccm);
+        assert_eq!(std::mem::size_of::<Leaf44>(), 640);
     }
 
     #[test]

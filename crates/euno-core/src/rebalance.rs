@@ -263,13 +263,13 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         left: &EunoLeaf<SEGS, K>,
         right: &EunoLeaf<SEGS, K>,
     ) -> bool {
-        left.split_lock.acquire(ctx);
-        right.split_lock.acquire(ctx);
+        left.ccm.split_lock.acquire(ctx);
+        right.ccm.split_lock.acquire(ctx);
 
         let merged = self.merge_locked(ctx, left, right);
 
-        right.split_lock.release(ctx);
-        left.split_lock.release(ctx);
+        right.ccm.split_lock.release(ctx);
+        left.ccm.split_lock.release(ctx);
         if merged {
             // Hand the unlinked right leaf to the epoch collector: freed
             // only after every thread pinned at (or before) the current

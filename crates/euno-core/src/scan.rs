@@ -145,7 +145,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                 let (l, s, _) = self.locate(ctx, cursor);
                 (l, s)
             });
-            leaf.split_lock.acquire(ctx);
+            leaf.ccm.split_lock.acquire(ctx);
             let piece = ctx.htm_execute(&self.ctrl.fallback, &RetryPolicy::DBX, |tx| {
                 tx.set_op_key(cursor);
                 out.truncate(base);
@@ -165,7 +165,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                 let n = unsafe { next.as_leaf::<SEGS, K>() };
                 Ok(Some(Some((n, tx.read(&n.seqno)?))))
             });
-            leaf.split_lock.release(ctx);
+            leaf.ccm.split_lock.release(ctx);
             if let Some(next) = piece.value {
                 return next;
             }

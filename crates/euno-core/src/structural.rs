@@ -58,9 +58,9 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             marks |= 1 << Ccm::slot(key, Self::ccm_bits());
         }
         right.ccm.install_marks_prepublication(marks);
-        // The right node inherits the old leaf's heat: it was just split,
-        // so it starts protected and must earn its bypass.
-        right.ccm.protect_prepublication();
+        // The right node inherits the old leaf's verdict: protected iff
+        // the leaf it was split from is.
+        right.ccm.inherit_prepublication(&leaf.ccm);
         tx.charge(self.rt.cost.alu * (records.len() - mid) as u64);
 
         let old_next = tx.read(&leaf.next)?;

@@ -8,9 +8,10 @@
 //!    A `read_opt` get then tries to read the leaf the same way
 //!    ([`EunoBTree::read_leaf`]) and is done if that holds (one in
 //!    [`GET_TWO_STEP_ONE_IN`] does not try);
-//! 2. the conflict-control stage (outside any region) takes the key's CCM
-//!    lock bit, consults the mark bit, and pre-acquires the split lock for
-//!    inserts into near-full leaves;
+//! 2. the conflict-control stage (outside any region, [`Ccm::enter`] …
+//!    [`Ccm::leave`]) — on a protected leaf — takes the key's CCM lock
+//!    bit, consults the mark bit, and pre-acquires the split lock for
+//!    inserts into near-full leaves; on a bypassed leaf it is two loads;
 //! 3. a *lower* HTM region re-reads `seqno` — if unchanged, the leaf
 //!    pointer is still the right one and the operation completes locally;
 //!    if changed, a concurrent split moved records and the operation
@@ -49,16 +50,20 @@ const GET_TRIES: u32 = 8;
 
 /// One `read_opt` get in this many — drawn from the thread's own RNG —
 /// skips the episode-free leaf read and runs as the two-step get it would
-/// fall back on: lock bit, mark bit, lower region, detector. Without it an
-/// uncontended get and an uncontended put are disjoint populations (every
-/// get ≥ 90 cycles cheaper than every put, nothing between), and the pooled
-/// median of a half-get, half-put workload is whichever kind the seed gave
-/// a 0.05 % majority: `virt-flat` p50 read 514–560 ns across seeds, with
-/// the sample 561.2–562.6 — the dearer value, every time. It is also the
-/// CCM's only view of read traffic on an uncontended tree, and keeps the
-/// fallback running everywhere rather than only under contention. Costs
-/// 2 cycles per get on average (−0.06 % `virt-flat` throughput); DESIGN.md
-/// §4.4 says when it can go.
+/// fall back on: conflict-control stage, lower region. When it was added
+/// an uncontended get and an uncontended put were disjoint populations
+/// (every get ≥ 90 cycles cheaper than every put, nothing between), and
+/// the pooled median of a half-get, half-put workload was whichever kind
+/// the seed gave a 0.05 % majority: `virt-flat` p50 read 514–560 ns across
+/// seeds, with the sample 561.2–562.6 — the dearer value, every time.
+/// Since a calm leaf runs no conflict control (DESIGN.md §4.8) a put is
+/// ≈ 110 cycles cheaper and abuts the gets (p50 513.0–513.9 ns over seeds
+/// 1…7), so the gap the sample was put on has closed; what it still does
+/// is keep the fallback running everywhere rather than only under
+/// contention. On a bypassed leaf the sampled get feeds the detector
+/// nothing, like any calm operation there. Costs 2 cycles per get on
+/// average (−0.06 % `virt-flat` throughput); DESIGN.md §4.4 says when it
+/// can go.
 const GET_TWO_STEP_ONE_IN: u32 = 128;
 
 /// Child index for `key` in an internal node of `count` separators: the
@@ -228,51 +233,22 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             }
 
             // Step 2: conflict control (outside any region).
-            let ccm_configured = self.cfg.ccm_lock_bits || self.cfg.ccm_mark_bits;
-            let ccm_active = ccm_configured && !(self.cfg.adaptive && leaf.ccm.bypassed(ctx));
             let slot = Ccm::slot(key, Self::ccm_bits());
             ctx.charge(self.rt.cost.alu * 3); // hash computation
-            let mut slot_locked = false;
-            if ccm_active && self.cfg.ccm_lock_bits {
-                leaf.ccm.lock_slot(ctx, slot);
-                slot_locked = true;
-            }
-            let mut split_locked = false;
-            let mut fast_miss = false;
-            if self.cfg.ccm_mark_bits {
-                match req {
-                    Req::Put => {
-                        // Claim existence (line 38). This runs even when
-                        // the leaf is adaptively bypassed: the mark vector
-                        // must stay a superset of the live keys or gets
-                        // would miss real records once protection
-                        // re-engages.
-                        let existed = leaf.ccm.set_mark(ctx, slot);
-                        // Pre-lock if an insert may split (lines 39-40).
-                        if ccm_active
-                            && !existed
-                            && leaf.occupied_direct(ctx) + self.cfg.near_full_slack
-                                >= Self::capacity()
-                        {
-                            leaf.split_lock.acquire(ctx);
-                            split_locked = true;
-                        }
-                    }
-                    // Definite miss: never enter the leaf (line 35).
-                    Req::Get | Req::Delete => {
-                        if ccm_active && !leaf.ccm.marked(ctx, slot) {
-                            fast_miss = true;
-                        }
-                    }
-                }
-            }
-            if force_split_lock && req == Req::Put && !split_locked {
-                leaf.split_lock.acquire(ctx);
-                split_locked = true;
+            let (slots, claim) = ([slot], u64::from(req == Req::Put) << slot);
+            let stage = leaf.ccm.enter(ctx, &self.cfg, &slots, claim);
+            // Pre-lock if an insert may split (lines 39-40).
+            let split_locked = req == Req::Put
+                && (stage.may_insert()
+                    && leaf.occupied_direct(ctx) + self.cfg.near_full_slack >= Self::capacity()
+                    || force_split_lock);
+            if split_locked {
+                leaf.ccm.split_lock.acquire(ctx);
             }
 
             // Step 3: lower region.
-            let (outcome, lower_conflicts) = if fast_miss {
+            let (outcome, lower_conflicts) = if req != Req::Put && stage.definite_miss(slot) {
+                // Never enter the leaf (line 35).
                 (Lower::Done(None), 0)
             } else {
                 // Middle-path footprint: the tree-global slot table, not
@@ -285,7 +261,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                     fp.as_ref(),
                     |tx| {
                         tx.set_op_key(key);
-                        if slot_locked {
+                        if stage.locked() {
                             // Same-record contenders queue on the CCM lock bit
                             // (§4.1): this attempt's true conflicts are
                             // serialized away, so the storm model must not
@@ -302,19 +278,10 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             };
 
             if split_locked {
-                leaf.split_lock.release(ctx);
+                leaf.ccm.split_lock.release(ctx);
             }
-            if slot_locked {
-                leaf.ccm.unlock_slot(ctx, slot);
-            }
-            if self.cfg.adaptive {
-                leaf.ccm.record_outcome(
-                    ctx,
-                    upper_conflicts + lower_conflicts,
-                    self.cfg.adaptive_window,
-                    self.cfg.adaptive_conflict_rate,
-                );
-            }
+            leaf.ccm
+                .leave(ctx, &self.cfg, stage, upper_conflicts + lower_conflicts);
 
             match outcome {
                 Lower::Done(v) => {

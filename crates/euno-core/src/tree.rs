@@ -518,16 +518,21 @@ mod tests {
         let leaf = unsafe { NodeRef::from_word(t.ctrl.root.load_plain()).as_leaf::<4, 4>() };
         // Fresh leaves start bypassed (no contention history)…
         assert!(leaf.ccm.bypass_plain());
-        // …split-born nodes start protected…
+        // …split-born nodes inherit that, so a calm load stays bypassed…
         for k in 0..100u64 {
             t.put(&mut ctx, k, k);
         }
-        // …and a calm window re-enables the bypass on a protected leaf.
+        assert_eq!(t.stats().bypassed_fraction, 1.0);
+        // …and calm traffic on a bypassed leaf opens no detector window.
+        assert_eq!(leaf.ccm.epoch_plain(), 0);
+        // A protected leaf earns its bypass back with one calm window of
+        // operations that ran under its lock bits.
         leaf.ccm.protect_prepublication();
-        assert!(!leaf.ccm.bypass_plain());
-        for _ in 0..t.config().adaptive_window + 1 {
+        for _ in 0..t.config().adaptive_window - 1 {
             t.get(&mut ctx, 1);
+            assert!(!leaf.ccm.bypass_plain());
         }
+        t.get(&mut ctx, 1);
         assert!(leaf.ccm.bypass_plain(), "calm leaf must bypass CCM");
         assert_eq!(t.get(&mut ctx, 1), Some(1));
         assert_eq!(t.get(&mut ctx, 999_999), None);

@@ -2,11 +2,25 @@
 # Repo gate: formatting, lints, the tier-1 test suite (the whole workspace:
 # the root manifest's default-members cover every crate), then smoke runs
 # of every measurement pipeline.
-# Usage: scripts/check.sh [--fix]   (--fix runs `cargo fmt` instead of --check)
+# Usage: scripts/check.sh [--fix] [--full]
+#   --fix   run `cargo fmt` instead of `cargo fmt --check`
+#   --full  also regenerate every virtual-clock result at the recorded
+#           scale and fail on any row that differs from results/
+#           (scripts/regen_results.sh --check; minutes)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-if [[ "${1:-}" == "--fix" ]]; then
+FIX=0
+FULL=0
+for arg in "$@"; do
+    case "$arg" in
+        --fix) FIX=1 ;;
+        --full) FULL=1 ;;
+        *) echo "usage: $0 [--fix] [--full]" >&2; exit 2 ;;
+    esac
+done
+
+if [[ $FIX == 1 ]]; then
     cargo fmt --all
 else
     cargo fmt --all -- --check
@@ -15,7 +29,8 @@ fi
 cargo clippy --workspace --all-targets -- -D warnings
 
 # The tier-1 suite.  The golden digest (euno-bench/tests/
-# golden_determinism.rs, 42530f0911227b68) runs here, and it runs
+# golden_determinism.rs, be238653318f4aa8 — moved from 42530f0911227b68
+# by PR 17, which changed the CCM's conflict rule) runs here, and it runs
 # `EunoConfig::paper()` — `System::EunoBTree`, not the library default —
 # so it moves only when the paper-faithful tree does.
 cargo build --release
@@ -226,6 +241,19 @@ cargo test -q --release -p euno-core --test upper_walk
 cargo test -q --release -p euno-htm --test tl2_stm
 echo "upper-walk (bounded gets + tl2_stm in --release) OK"
 
+# Adaptive: guideline 4 end to end (DESIGN.md §4.8), in --release.  A
+# sequentially preloaded tree must be bypassed, a split must hand its
+# verdict to both halves, a calm put must issue no read-modify-write
+# outside its region (exact `cas_ops`), sixteen logical threads on one
+# leaf must protect that leaf and leave the rest of the tree bypassed
+# (virtual scheduler, every get equal to the model), and puts racing one
+# mark bit without a lock bit must lose no key (STM backend).  Then the
+# figure shape it exists for: at θ = 0.2 `+Adaptive` is no slower than
+# `+CCM markbits` and within 2 % of `+Part Leaf`.
+cargo test -q --release -p euno-core --test adaptive
+cargo test -q --release -p eunomia --test figure_shapes adaptive_recovers_the_ccm_cost_at_low_skew
+echo "adaptive (bypass, inheritance, RMW count, hot-leaf scheduler run, mark race + fig13 low-skew shape) OK"
+
 # Repo benchmark: `benchmark/` is its own workspace, so nothing above
 # compiles it against the crate APIs it calls from outside
 # (`htm_execute`, `RetryPolicy`, `ctx.stats`, `ctx.metric`, tree
@@ -248,3 +276,10 @@ MEM_CEILING_KB=262144
 ( ulimit -v "$MEM_CEILING_KB"
   bash benchmark/run.sh --workload virt-scan-churn --seed 3 --seconds 10 --trace 0 >/dev/null )
 echo "mem-ceiling (virt-scan-churn under ${MEM_CEILING_KB} kB of address space) OK"
+
+# Recorded results: every virtual-clock CSV must regenerate byte for byte.
+# Minutes at the recorded scale, so only on request.
+if [[ $FULL == 1 ]]; then
+    scripts/regen_results.sh --check
+    echo "results/ regenerate byte-identically OK"
+fi

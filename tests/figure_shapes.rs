@@ -234,6 +234,32 @@ fn ablation_ladder_is_monotone_under_contention() {
     );
 }
 
+/// Figure 13 at low contention: what the CCM costs a calm tree (lock bit,
+/// mark bit, unlock, window count on every request), guideline 4 gives
+/// back — `+Adaptive` is no slower than the always-on CCM below it and
+/// within 2 % of the tree that has no CCM at all.
+#[test]
+fn adaptive_recovers_the_ccm_cost_at_low_skew() {
+    let low = |cfg: EunoConfig| {
+        let rt = Runtime::new_virtual();
+        let t = EunoBTree::<4, 4>::with_config(Arc::clone(&rt), cfg);
+        measure(&t, &rt, 0.2, 16).throughput
+    };
+    let (no_ccm, always_on, adaptive) = (
+        low(EunoConfig::part_leaf()),
+        low(EunoConfig::ccm_markbits()),
+        low(EunoConfig::full()),
+    );
+    assert!(
+        adaptive >= always_on,
+        "+Adaptive {adaptive:.0} below +CCM markbits {always_on:.0}: the bypass costs more than it saves"
+    );
+    assert!(
+        adaptive >= 0.98 * no_ccm,
+        "+Adaptive {adaptive:.0} not within 2 % of +Part Leaf {no_ccm:.0}: the CCM's cost is not recovered"
+    );
+}
+
 /// §5.7: the Eunomia auxiliaries cost little memory.
 #[test]
 fn memory_overhead_is_small() {
