@@ -27,7 +27,11 @@
 //! heat older than 1 M cycles only once the heat map holds more than
 //! 65 536 lines, so a node layout that writes a different *number* of
 //! distinct lines moves the eviction — PR 17's leaf, one line shorter,
-//! moved `virt-hot` by 0.02 % this way. This run writes ~2 000 lines.)
+//! moved `virt-hot` by 0.02 % this way. Until PR 18 the same trigger let
+//! runs that *free* nodes depend on the allocator after all: a dead
+//! leaf's entries counted towards the map's size until its address was
+//! re-issued; `Runtime::forget_node_heat` now drops them at retirement.
+//! This run writes ~2 000 lines and frees nothing.)
 
 use euno_bench::common::{measure, System};
 use euno_htm::CostModel;
@@ -45,7 +49,8 @@ use euno_workloads::WorkloadSpec;
 /// (split-born leaves inherit the verdict, marks are tested before they
 /// are set, calm operations on a bypassed leaf feed no window). The
 /// layout change and the shared enter/leave stage of the same PR, taken
-/// with the old rule, left the old digest standing.
+/// with the old rule, left the old digest standing. PR 18 (leaf hints)
+/// did not touch it: `paper()` never probes the hint table.
 const GOLDEN_DIGEST: &str = "be238653318f4aa8";
 
 fn fnv1a64(bytes: &[u8]) -> u64 {

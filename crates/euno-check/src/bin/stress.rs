@@ -178,7 +178,7 @@ fn main() {
                     println!(
                         "        t={:>9}us ops={} commits={} aborts(htm/mid) \
                          conflict={}/{} fallbacks={} flips={} sweep(slices/merges)={}/{} \
-                         scan_locked_steps={}",
+                         scan_locked_steps={} leaf_hints(hits/stale)={}/{}",
                         s.tick,
                         s.counters[Counter::Ops.index()],
                         s.counters[Counter::Commits.index()],
@@ -195,6 +195,8 @@ fn main() {
                         s.counters[Counter::SweepSlices.index()],
                         s.counters[Counter::SweepMerges.index()],
                         s.counters[Counter::ScanLockedSteps.index()],
+                        s.counters[Counter::LeafHintHits.index()],
+                        s.counters[Counter::LeafHintStale.index()],
                     );
                 }
             }

@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 use euno_baselines::{HtmBTree, HtmMasstree, Masstree};
 use euno_core::{EunoBTreeDefault, EunoConfig};
 use euno_htm::{ConcurrentMap, OpKind, OpOutput, Runtime, ThreadStats};
-use euno_metrics::{sample_due, ExecStages, Snapshot, TimeSeries};
+use euno_metrics::{sample_due, Counter, ExecStages, Snapshot, TimeSeries};
 use euno_rng::{Rng, SmallRng};
 use euno_trace::{build_profile, LeafProfile, ThreadTrace, TraceBuf};
 
@@ -468,21 +468,31 @@ pub fn run_all(cfg: &StressConfig, filter: Option<&str>) -> Vec<StressReport> {
         rebalance_delete_threshold: cfg.rebalance_delete_threshold,
         ..base
     };
-    if wants("Euno-B+Tree") {
+    // Both Euno configurations: `paper()` (HTM upper region) and
+    // `default()` (leaf hint, then the validated walk).
+    for (name, base) in [
+        ("Euno-B+Tree", EunoConfig::paper()),
+        ("Euno-ReadOpt", EunoConfig::default()),
+    ] {
+        if !wants(name) {
+            continue;
+        }
         let rt = Runtime::new_concurrent();
-        let tree = EunoBTreeDefault::with_config(Arc::clone(&rt), euno_cfg(EunoConfig::paper()));
+        let tree = EunoBTreeDefault::with_config(Arc::clone(&rt), euno_cfg(base));
         let hooks = AuditHooks {
             seqno_snapshot: Some(Box::new(|| tree.leaf_seqnos_plain())),
-            quiescent: Some(Box::new(|| tree.audit_quiescent())),
-        };
-        reports.push(run_stress(&tree, &rt, cfg, false, hooks));
-    }
-    if wants("Euno-ReadOpt") {
-        let rt = Runtime::new_concurrent();
-        let tree = EunoBTreeDefault::with_config(Arc::clone(&rt), euno_cfg(EunoConfig::default()));
-        let hooks = AuditHooks {
-            seqno_snapshot: Some(Box::new(|| tree.leaf_seqnos_plain())),
-            quiescent: Some(Box::new(|| tree.audit_quiescent())),
+            quiescent: Some(Box::new(|| {
+                let mut findings = tree.audit_quiescent();
+                // The hint rung must be what this run exercised — or, on
+                // the paper's tree, must not exist.
+                let hits = rt.metrics().total(Counter::LeafHintHits);
+                match (tree.config().read_opt, hits) {
+                    (true, 0) => findings.push("no leaf-hint hit in the whole run".into()),
+                    (false, 1..) => findings.push(format!("{hits} leaf-hint hits on paper()")),
+                    _ => {}
+                }
+                findings
+            })),
         };
         reports.push(run_stress(&tree, &rt, cfg, false, hooks));
     }

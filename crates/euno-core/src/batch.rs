@@ -6,18 +6,21 @@
 //!
 //! 1. the batch is key-sorted by the caller, then taken in *chunks* of up
 //!    to [`UPPER_CHUNK`] keys. The chunk's upper stage is the single-op
-//!    one, key by key: [`EunoBTree::locate`] yields the target leaf and
-//!    its `seqno`. On `read_opt` trees a get whose result cannot be
-//!    reordered against an earlier same-key op is answered outright by the
-//!    episode-free lookup instead (which finds the same pair on its way);
+//!    one, once per leaf: [`EunoBTree::locate`] yields the target leaf,
+//!    its `seqno` and the key range it covers, and the chunk's following
+//!    keys inside that range take the same pair. On `read_opt` trees a get
+//!    whose result cannot be reordered against an earlier same-key op is
+//!    then answered outright by the episode-free leaf read;
 //! 2. consecutive ops that landed on the same leaf form a *group*; the
 //!    CCM stage (slot locks, mark bits, fast-miss filtering) runs once
 //!    per group over the deduplicated slot set, and a single lower region
 //!    applies every remaining op in the group under one `seqno` check;
-//! 3. anything the shared episodes cannot finish safely — stale `seqno`,
-//!    an insert that would split, a structural change mid-group — *bails
-//!    to singles*: the op re-runs through the ordinary
-//!    [`traverse`](EunoBTree::traverse) path at the end of the batch.
+//! 3. anything the shared episodes cannot finish safely — stale `seqno`
+//!    (found by the group's episode, or already by an early get's leaf
+//!    read, which then keeps its cell out of the group), an insert that
+//!    would split, a structural change mid-group — *bails to singles*: the
+//!    op re-runs through the ordinary [`traverse`](EunoBTree::traverse)
+//!    path at the end of the batch.
 //!
 //! Safety notes mirroring the single-op path:
 //!
@@ -40,11 +43,14 @@ use euno_htm::{EventKind, RetryPolicy, ThreadCtx, TxWord};
 
 use crate::ccm::Ccm;
 use crate::node::{EunoLeaf, NodeRef};
+use crate::traverse::{LeafRead, Located};
 use crate::tree::{EunoBTree, Lower, Req};
 
 /// Max keys located before their groups run: bounds how stale a
-/// `(leaf, seqno)` pair can be when its lower episode opens, and sizes the
-/// fixed per-chunk buffers.
+/// `(leaf, seqno)` pair can be when its lower episode opens — a pair is
+/// shared along a leaf's keys only inside a chunk, so a group that moved
+/// its own leaf's `seqno` costs the keys behind it one re-locate, not a
+/// bail — and sizes the fixed per-chunk buffers.
 pub const UPPER_CHUNK: usize = 8;
 
 /// One point request in a batch. Scans don't batch — they have no single
@@ -112,6 +118,18 @@ pub struct BatchScratch {
     singles: Vec<u32>,
 }
 
+/// What the chunk's upper stage left of one op.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Upper {
+    /// Located; for the leaf's group to apply.
+    Group,
+    /// A get the episode-free leaf read answered: done, published.
+    Early,
+    /// A get whose leaf read found `seqno` moved: the pair is known dead,
+    /// so the op goes to the singles pass without joining a group.
+    Moved,
+}
+
 /// Per-op position within a chunk after the upper episode.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Cell {
@@ -175,7 +193,11 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             // operations, published before the group stage (which skips
             // their cells).
             let mut leaves = [(0u64, 0u64, 0u32); UPPER_CHUNK];
-            let mut early = [None; UPPER_CHUNK];
+            let mut upper = [Upper::Group; UPPER_CHUNK];
+            // Where the previous key was located, while that pair is good
+            // for reuse: a key inside its range is on the same leaf (same
+            // pin, so nothing needs re-checking before the group does).
+            let mut prev: Option<Located<'_, SEGS, K>> = None;
             for (j, op) in chunk.iter().enumerate() {
                 let key = op.key();
                 let chain = match run {
@@ -184,28 +206,55 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                 };
                 let early_ok =
                     self.cfg.read_opt && op.req() == Req::Get && chain && bailed_key != Some(key);
-                let (leaf, seq, conflicts) = self.locate(ctx, key);
-                stats.conflict_aborts += u64::from(conflicts);
-                leaves[j] = (NodeRef::of_leaf(leaf).to_word(), seq, conflicts);
+                let found = match prev.take() {
+                    // One walk's conflicts are counted once.
+                    Some(prev) if prev.covers(key) => Located {
+                        conflicts: 0,
+                        ..prev
+                    },
+                    _ => {
+                        let found = self.locate(ctx, key);
+                        stats.conflict_aborts += u64::from(found.conflicts);
+                        found
+                    }
+                };
+                leaves[j] = (
+                    NodeRef::of_leaf(found.leaf).to_word(),
+                    found.seqno,
+                    found.conflicts,
+                );
                 if early_ok {
-                    early[j] = self.read_leaf(ctx, leaf, seq, key);
+                    match self.read_leaf(ctx, found.leaf, found.seqno, key) {
+                        LeafRead::Value(value) => {
+                            out[base + j] = value;
+                            stats.opt_gets += 1;
+                            upper[j] = Upper::Early;
+                        }
+                        LeafRead::Moved => upper[j] = Upper::Moved,
+                        LeafRead::Spent => {}
+                    }
                 }
-                run = Some((key, early[j].is_some()));
-                if let Some(value) = early[j] {
-                    out[base + j] = value;
-                    stats.opt_gets += 1;
-                }
+                run = Some((key, upper[j] == Upper::Early));
+                prev = (upper[j] != Upper::Moved).then_some(found);
             }
 
             // Step 2+3: same-leaf runs become groups.
             let mut g = 0;
             while g < chunk.len() {
+                if upper[g] == Upper::Moved {
+                    // Only now, with every earlier cell's group run, may
+                    // the per-key watermark move on to this key.
+                    scratch.singles.push((base + g) as u32);
+                    bailed_key = Some(chunk[g].key());
+                    g += 1;
+                    continue;
+                }
                 let (bits, seqno, _) = leaves[g];
                 let mut h = g + 1;
-                while h < chunk.len() && leaves[h].0 == bits {
+                while h < chunk.len() && upper[h] != Upper::Moved && leaves[h].0 == bits {
                     h += 1;
                 }
-                if early[g..h].iter().all(|v| v.is_some()) {
+                if upper[g..h].iter().all(|&u| u == Upper::Early) {
                     // The whole group was answered episode-free.
                     g = h;
                     continue;
@@ -218,7 +267,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                     leaf,
                     seqno,
                     leaves[g..h].iter().map(|l| l.2).sum(),
-                    &early[g..h],
+                    &upper[g..h],
                     &mut bailed_key,
                     out,
                     scratch,
@@ -248,9 +297,9 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
     }
 
     /// CCM stage + one lower episode for a same-leaf group
-    /// (`ops[0..n]` at batch offset `batch_off`). Cells whose `early`
-    /// entry is set were answered by the upper stage and are skipped
-    /// throughout.
+    /// (`ops[0..n]` at batch offset `batch_off`). Cells the upper stage
+    /// answered ([`Upper::Early`]) are skipped throughout; cells whose pair
+    /// it found dead ([`Upper::Moved`]) never get here.
     #[allow(clippy::too_many_arguments)]
     fn exec_group(
         &self,
@@ -260,7 +309,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         leaf: &EunoLeaf<SEGS, K>,
         seqno: u64,
         upper_conflicts: u32,
-        early: &[Option<Option<u64>>],
+        upper: &[Upper],
         bailed_key: &mut Option<u64>,
         out: &mut [Option<u64>],
         scratch: &mut BatchScratch,
@@ -271,7 +320,8 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         let n = ops.len();
         let mut active = 0u64;
         for j in 0..n {
-            if early[j].is_some() {
+            debug_assert!(upper[j] != Upper::Moved);
+            if upper[j] == Upper::Early {
                 cells[j] = Cell::Resolved;
             } else {
                 active += 1;

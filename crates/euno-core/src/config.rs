@@ -45,16 +45,21 @@ pub struct EunoConfig {
     /// fallback lock. Off reproduces the classic two-path executor.
     pub middle_path: bool,
     /// No episode above the leaf. Every operation's upper stage
-    /// ([`EunoBTree::locate`](crate::EunoBTree::locate)) is an
-    /// episode-free validated walk — direct loads under the epoch pin,
-    /// checked against the TL2 version clock and the fallback cell in
-    /// concurrent mode — and a get also reads its leaf that way, bracketed
-    /// by the leaf's `seqno`. Both are bounded: after a small private
+    /// ([`EunoBTree::locate`](crate::EunoBTree::locate)) first asks the
+    /// thread's own *leaf hint* — the `(leaf, seqno, key range)` its last
+    /// walk for a neighbouring key found, good for as long as the leaf's
+    /// `seqno` and the tree's retirement generation stand still — and
+    /// otherwise takes an episode-free validated walk — direct loads
+    /// under the epoch pin, checked against the TL2 version clock and the
+    /// fallback cell in concurrent mode — whose result becomes the hint. A
+    /// get also reads its leaf episode-free, bracketed by the leaf's
+    /// `seqno`. Walk and leaf read are bounded: after a small private
     /// budget of tries the walk ends on the paper's HTM upper region and
     /// the get on an ordinary two-step get — which one get in 128 runs
     /// outright (`GET_TWO_STEP_ONE_IN`). The lower region, the CCM and
     /// the split lock are the same either way, and scans take the one walk
-    /// in [`crate::scan`]. On by default; off is [`EunoConfig::paper`].
+    /// in [`crate::scan`]. On by default; off is [`EunoConfig::paper`],
+    /// which neither probes nor records a hint.
     pub read_opt: bool,
 }
 

@@ -123,8 +123,8 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
 
     /// Plain (uninstrumented) root-to-leaf descent.
     fn plain_descend(&self, key: u64) -> NodeRef {
-        let leaf = self.descend(key, |cell| Ok(cell.load_plain()));
-        NodeRef::of_leaf(leaf.ok().flatten().expect("quiescent tree"))
+        let at = self.descend(key, |cell| Ok(cell.load_plain()));
+        NodeRef::of_leaf(at.ok().flatten().expect("quiescent tree").0)
     }
 
     /// Live `(key, value)` records of one leaf, sorted, via plain loads.
@@ -450,7 +450,7 @@ mod tests {
         assert_eq!(t.stats().bypassed_fraction, 1.0);
         // Protect one leaf: the fraction follows.
         ctx.epoch_enter();
-        t.locate(&mut ctx, 0).0.ccm.protect_prepublication();
+        t.locate(&mut ctx, 0).leaf.ccm.protect_prepublication();
         ctx.epoch_exit();
         let s = t.stats();
         assert_eq!(s.bypassed_fraction, (s.leaves - 1) as f64 / s.leaves as f64);

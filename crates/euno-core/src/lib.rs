@@ -42,4 +42,5 @@ pub use config::EunoConfig;
 pub use inspect::TreeStats;
 pub use node::{EunoInternal, EunoLeaf, NodeRef, INTERNAL_FANOUT};
 pub use segment::Segment;
+pub use traverse::Located;
 pub use tree::{EunoBTree, EunoBTreeDefault, EunoBTreeUnpartitioned};

@@ -108,6 +108,13 @@ impl<const SEGS: usize, const K: usize> EunoLeaf<SEGS, K> {
         let base = self as *const Self as usize;
         rt.register_node(base, std::mem::size_of::<Self>(), &parts, true);
     }
+
+    /// The leaf has been retired: the simulation forgets its lines' heat
+    /// here, not when the allocator re-issues the address
+    /// ([`Runtime::forget_node_heat`]).
+    pub fn forget_heat(&self, rt: &Runtime) {
+        rt.forget_node_heat(self as *const Self as usize, std::mem::size_of::<Self>());
+    }
 }
 
 /// Internal index node with parent link.

@@ -10,18 +10,32 @@
 //! action that runs the next time this thread passes a named [`point`],
 //! which is how `tests/upper_walk.rs` lands a split, a reorganization or
 //! a merge between an operation's upper stage and its lower region.
+//! And a test can *mutate*: [`mutate`] switches off one named check on this
+//! thread ([`mutated`] is asked where the check sits), so the test that
+//! exists for that check can show it fails without it.
 //! Everything compiles away in release builds, so the probes cost nothing
 //! on benchmark paths.
 
 #[cfg(debug_assertions)]
 mod imp {
-    use std::cell::RefCell;
+    use std::cell::{Cell, RefCell};
 
     type Armed = Option<(&'static str, Box<dyn FnOnce()>)>;
 
     thread_local! {
         static MARKS: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
         static ARMED: RefCell<Armed> = const { RefCell::new(None) };
+        static MUTATION: Cell<Option<&'static str>> = const { Cell::new(None) };
+    }
+
+    /// Switch the check named `tag` off on this thread (`None`: all on).
+    pub fn mutate(tag: Option<&'static str>) {
+        MUTATION.with(|m| m.set(tag));
+    }
+
+    /// Whether the check named `tag` is switched off on this thread.
+    pub fn mutated(tag: &'static str) -> bool {
+        MUTATION.with(|m| m.get() == Some(tag))
     }
 
     pub fn mark(tag: &'static str) {
@@ -53,7 +67,16 @@ mod imp {
 }
 
 #[cfg(debug_assertions)]
-pub use imp::{mark, once_at, point, take};
+pub use imp::{mark, mutate, mutated, once_at, point, take};
+
+#[cfg(not(debug_assertions))]
+pub fn mutate(_tag: Option<&'static str>) {}
+
+#[cfg(not(debug_assertions))]
+#[inline(always)]
+pub fn mutated(_tag: &'static str) -> bool {
+    false
+}
 
 #[cfg(not(debug_assertions))]
 #[inline(always)]

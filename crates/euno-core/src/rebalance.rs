@@ -89,6 +89,11 @@ pub(crate) struct Sweep {
     resume: AtomicU64,
     /// Merges of the sweep in flight, reported when it reaches idle.
     merges: AtomicU64,
+    /// Leaves this tree has handed to the epoch collector: what
+    /// [`EunoBTree::retire_generation`] reads. On this line because it is
+    /// written like its neighbours — by whoever is merging, rarely — and
+    /// read by everyone.
+    retired: AtomicU64,
 }
 
 impl Sweep {
@@ -98,6 +103,7 @@ impl Sweep {
             _pad: [0; 7],
             resume: AtomicU64::new(SWEEP_IDLE),
             merges: AtomicU64::new(0),
+            retired: AtomicU64::new(0),
         }
     }
 }
@@ -118,6 +124,31 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
     /// inserts do not split it straight back.
     const fn merge_bound() -> usize {
         Self::capacity() - Self::capacity() / 4
+    }
+
+    /// The tree's **retirement generation**: how many leaves it has handed
+    /// to the epoch collector. A leaf pointer remembered from an earlier
+    /// operation (a leaf hint, [`EunoBTree::locate`]) may be followed iff
+    /// the generation read *before the walk that found it* equals the one
+    /// read *after the current operation's pin*:
+    ///
+    /// * the walk found the leaf linked, so its unlink — and the bump in
+    ///   `try_merge` that follows the unlink and precedes the retirement —
+    ///   comes after the first read;
+    /// * if the bump precedes the second read, the two reads differ and the
+    ///   pointer is dropped;
+    /// * if it does not, then neither does the retirement's epoch stamp,
+    ///   which is taken after the bump: the stamp follows this operation's
+    ///   pin, and the collector frees nothing stamped under a live pin.
+    ///
+    /// Pin, bump, stamp and both reads are `SeqCst`, so "precedes" is one
+    /// total order. An address is re-issued only after a retirement, so
+    /// under equal generations `(address, seqno)` cannot name two leaves
+    /// either. Charged as one cache hit: the word is written once a merge.
+    pub(crate) fn retire_generation(&self, ctx: &mut ThreadCtx) -> u64 {
+        debug_assert!(ctx.epoch_pinned());
+        ctx.charge(self.rt.cost.access_hit);
+        self.sweep.retired.load(Ordering::SeqCst)
     }
 
     /// Whether an armed sweep still has leaves to visit.
@@ -182,7 +213,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         // Pin across the chain walk: leaves merged away under it (by this
         // slice or a racing maintainer) must stay readable until it ends.
         ctx.epoch_enter();
-        let (mut left, _, _) = self.locate(ctx, from);
+        let mut left = self.locate(ctx, from).leaf;
         let mut scratch = Vec::with_capacity(Self::capacity());
         let mut view = self.view_leaf(ctx, left, &mut scratch);
         let (mut pairs, mut merges) = (0usize, 0usize);
@@ -276,9 +307,13 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             // epoch — including plain chain walkers under `pin_scoped` —
             // has moved on. The caller's pin covers the unlink above.
             debug_assert!(ctx.epoch_pinned(), "merge retirement needs a pin");
+            // Before the retirement, after the unlink: see
+            // `retire_generation` for what hangs on the order.
+            self.sweep.retired.fetch_add(1, Ordering::SeqCst);
             self.arenas()
                 .leaves
                 .retire(self.rt.epoch(), right as *const EunoLeaf<SEGS, K>);
+            right.forget_heat(&self.rt);
             ctx.trace(EventKind::Merge {
                 left: left as *const EunoLeaf<SEGS, K> as u64,
                 right: right as *const EunoLeaf<SEGS, K> as u64,

@@ -94,8 +94,8 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             // merged away): walk to the cursor's leaf — as its own stage,
             // so a retried leaf read never re-walks the index.
             let (leaf, s1) = hint.unwrap_or_else(|| {
-                let (l, s, _) = self.locate(ctx, cursor);
-                (l, s)
+                let at = self.locate(ctx, cursor);
+                (at.leaf, at.seqno)
             });
             hint = Some((leaf, s1));
             // `Some(None)` ⇒ the leaf's `seqno` is no longer `s1`.
@@ -142,8 +142,8 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         let base = out.len();
         loop {
             let (leaf, seqno) = hint.take().unwrap_or_else(|| {
-                let (l, s, _) = self.locate(ctx, cursor);
-                (l, s)
+                let at = self.locate(ctx, cursor);
+                (at.leaf, at.seqno)
             });
             leaf.ccm.split_lock.acquire(ctx);
             let piece = ctx.htm_execute(&self.ctrl.fallback, &RetryPolicy::DBX, |tx| {

@@ -2,10 +2,11 @@
 //!
 //! Every point operation runs as:
 //!
-//! 1. an *upper stage* ([`EunoBTree::locate`]) descends the index and reads
-//!    the target leaf's `seqno` into a local — episode-free validated walks
-//!    under `read_opt`, the paper's HTM region otherwise and as their tail.
-//!    A `read_opt` get then tries to read the leaf the same way
+//! 1. an *upper stage* ([`EunoBTree::locate`]) finds the target leaf and
+//!    the `seqno` it had while it covered the key — under `read_opt` from
+//!    the thread's own leaf hint if it still holds, else by episode-free
+//!    validated walks; the paper's HTM region otherwise and as their tail.
+//!    A `read_opt` get then tries to read the leaf episode-free as well
 //!    ([`EunoBTree::read_leaf`]) and is done if that holds (one in
 //!    [`GET_TWO_STEP_ONE_IN`] does not try);
 //! 2. the conflict-control stage (outside any region, [`Ccm::enter`] …
@@ -21,6 +22,7 @@
 //! [`RetryPolicy::DBX`]; the episode-free sections are bounded by the two
 //! private try budgets below and end on those regions.
 
+use euno_htm::euno_metrics::Counter;
 use euno_htm::{AbortCause, RetryPolicy, ThreadCtx, TxCell, TxResult, TxWord, TOMBSTONE};
 use euno_rng::Rng;
 
@@ -66,20 +68,60 @@ const GET_TRIES: u32 = 8;
 /// can go.
 const GET_TWO_STEP_ONE_IN: u32 = 128;
 
+/// Keys per leaf-hint block: a hint is filed under `key >> 3`, so one
+/// entry serves the (up to) eight neighbouring keys its leaf covers. Swept
+/// together with the table's slot count (`euno_htm::hint`); DESIGN.md §4.4.
+const HINT_BLOCK_SHIFT: u32 = 3;
+
+/// What the upper stage hands over: a leaf, the `seqno` it had while it
+/// covered `[low, high)`, and the conflict aborts spent finding it.
+pub struct Located<'t, const SEGS: usize, const K: usize> {
+    pub leaf: &'t EunoLeaf<SEGS, K>,
+    pub seqno: u64,
+    /// The leaf's key range as the index had it: the separators that
+    /// bound the path taken (`0` / `u64::MAX` where there is none).
+    pub low: u64,
+    pub high: u64,
+    pub conflicts: u32,
+}
+
+impl<const SEGS: usize, const K: usize> Located<'_, SEGS, K> {
+    #[inline]
+    pub fn covers(&self, key: u64) -> bool {
+        (self.low..self.high).contains(&key)
+    }
+}
+
+/// What [`EunoBTree::read_leaf`] concluded.
+pub(crate) enum LeafRead {
+    /// Read under an unchanged `seqno`: the get's answer.
+    Value(Option<u64>),
+    /// `seqno` has moved on: the pair is dead, go back to `locate`.
+    Moved,
+    /// Try budget spent under writers: the pair may still be good.
+    Spent,
+}
+
 /// Child index for `key` in an internal node of `count` separators: the
-/// number of separators ≤ `key` (0 ⇒ `child0`).
+/// number of separators ≤ `key` (0 ⇒ `child0`). The probes that decide it
+/// also bound the chosen child — the last `≤` one from below, the last `>`
+/// one from above — and are folded into `range` on the way.
 fn search_internal(
     count: usize,
     key: u64,
+    range: &mut (u64, u64),
     mut key_at: impl FnMut(usize) -> TxResult<u64>,
 ) -> TxResult<usize> {
     let (mut lo, mut hi) = (0, count);
     while lo < hi {
         let mid = (lo + hi) / 2;
-        if key_at(mid)? <= key {
+        let sep = key_at(mid)?;
+        if sep <= key {
             lo = mid + 1;
+            range.0 = range.0.max(sep);
         } else {
             hi = mid;
+            range.1 = range.1.min(sep);
         }
     }
     Ok(lo)
@@ -94,13 +136,19 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
     /// child word is stored word-atomically by writers, so a sampled
     /// pointer is always either the old or the new node, and retired nodes
     /// stay readable under the caller's epoch pin.
+    ///
+    /// Beside the leaf, the `[low, high)` it covers: every level's search
+    /// narrows the range to the separators around the child it took, so
+    /// the range costs no load the search did not make (and means what the
+    /// leaf does only if the loads were consistent, like the leaf itself).
     pub(crate) fn descend(
         &self,
         key: u64,
         mut load: impl FnMut(&TxCell<u64>) -> TxResult<u64>,
-    ) -> TxResult<Option<&EunoLeaf<SEGS, K>>> {
+    ) -> TxResult<Option<(&EunoLeaf<SEGS, K>, u64, u64)>> {
         let mut cur = NodeRef::from_word(load(&self.ctrl.root)?);
         let mut depth = 0;
+        let mut range = (0, u64::MAX);
         while !cur.is_leaf() {
             depth += 1;
             if cur.is_null() || depth > 64 {
@@ -111,32 +159,37 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             // versa) must degrade to a wrong-leaf descent caught by
             // validation, never an out-of-bounds index.
             let cnt = (load(&node.count)? as usize).min(INTERNAL_FANOUT);
-            let child = match search_internal(cnt, key, |i| load(&node.keys[i]))? {
+            let child = match search_internal(cnt, key, &mut range, |i| load(&node.keys[i]))? {
                 0 => &node.child0,
                 i => &node.children[i - 1],
             };
             cur = NodeRef::from_word(load(child)?);
         }
-        Ok((cur.0 & !1 != 0).then(|| unsafe { cur.as_leaf::<SEGS, K>() }))
+        Ok((cur.0 & !1 != 0).then(|| (unsafe { cur.as_leaf::<SEGS, K>() }, range.0, range.1)))
     }
 
     /// Algorithm 2 lines 23-28 as the paper has them: one HTM region
     /// finds the leaf and reads its version.
-    fn upper_region(&self, ctx: &mut ThreadCtx, key: u64) -> (&EunoLeaf<SEGS, K>, u64, u32) {
+    fn upper_region(&self, ctx: &mut ThreadCtx, key: u64) -> Located<'_, SEGS, K> {
         let fp = self.cfg.middle_path.then(|| self.middle_footprint(key));
         let out = ctx.htm_execute_with(&self.ctrl.fallback, &RetryPolicy::DBX, fp.as_ref(), |tx| {
             tx.set_op_key(key);
             // A transaction reads a consistent index; an attempt that did
             // not is doomed, so abort it rather than follow the pointer.
-            let leaf = self
+            let (leaf, low, high) = self
                 .descend(key, |cell| tx.read(cell))?
                 .ok_or(AbortCause::Explicit(0x11))?;
             let seq = tx.read(&leaf.seqno)?;
-            Ok((NodeRef::of_leaf(leaf).to_word(), seq))
+            Ok((NodeRef::of_leaf(leaf).to_word(), seq, low, high))
         });
-        let (bits, seq) = out.value;
-        let leaf = unsafe { NodeRef::from_word(bits).as_leaf::<SEGS, K>() };
-        (leaf, seq, out.conflict_aborts)
+        let (bits, seqno, low, high) = out.value;
+        Located {
+            leaf: unsafe { NodeRef::from_word(bits).as_leaf::<SEGS, K>() },
+            seqno,
+            low,
+            high,
+            conflicts: out.conflict_aborts,
+        }
     }
 
     /// Run `read` as an episode-free validated section until it holds or
@@ -169,28 +222,81 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
     }
 
     /// The upper stage of every operation: the leaf covering `key`, the
-    /// `seqno` it had while it did, and the conflict aborts spent finding
-    /// it. The pair is a *hint* (guideline 1) — whoever acts on the leaf
-    /// re-checks `seqno` where it acts, and restarts here on a mismatch.
-    /// The caller holds an epoch pin, which is what keeps the leaf
-    /// readable if a merge retires it in between.
+    /// `seqno` it had while it did, the key range it covered then, and the
+    /// conflict aborts spent finding it. The pair is a *hint* in the sense
+    /// of guideline 1 — whoever acts on the leaf re-checks `seqno` where it
+    /// acts, and restarts here on a mismatch. The caller holds an epoch
+    /// pin, which is what keeps the leaf readable if a merge retires it in
+    /// between.
     ///
-    /// Under `read_opt` this is up to [`LOCATE_TRIES`] episode-free walks
-    /// — a validated section proves the descent atomic, i.e. the leaf
-    /// covered `key` while its `seqno` read the returned value — then the
-    /// HTM upper region; without it, the HTM upper region alone.
-    pub fn locate(&self, ctx: &mut ThreadCtx, key: u64) -> (&EunoLeaf<SEGS, K>, u64, u32) {
+    /// Without `read_opt` this is the HTM upper region. With it, three
+    /// rungs:
+    ///
+    /// 1. **the thread's leaf hint** — what this thread's last walk for a
+    ///    key of the same block found: `(leaf, seqno, low, high,
+    ///    retirement generation)`. It is handed back as it stands if it
+    ///    covers `key`, no leaf has been retired since before that walk
+    ///    (checked first: only then is the pointer safe to follow — the
+    ///    argument is at [`EunoBTree::retire_generation`]), and the leaf's
+    ///    `seqno` still reads the same — every split, reorganization and
+    ///    merge moves it, so an unmoved `seqno` means an unmoved range. No
+    ///    section, no episode, no index line;
+    /// 2. up to [`LOCATE_TRIES`] episode-free walks — a validated section
+    ///    proves the descent atomic, i.e. the leaf covered `key` while its
+    ///    `seqno` read the returned value;
+    /// 3. the HTM upper region.
+    ///
+    /// Whatever rungs 2 and 3 find replaces the hint, so a caller that
+    /// comes back because `seqno` had moved is never handed the same pair.
+    pub fn locate(&self, ctx: &mut ThreadCtx, key: u64) -> Located<'_, SEGS, K> {
         debug_assert!(ctx.epoch_pinned(), "the leaf hand-over needs a pin");
-        if self.cfg.read_opt {
-            let walk = self.validated_section(ctx, key, &mut { LOCATE_TRIES }, |ctx| {
-                let leaf = self.descend(key, |cell| Ok(cell.load_direct(ctx))).ok()??;
-                Some((leaf, leaf.seqno.load_direct(ctx)))
-            });
-            if let Some((leaf, seq)) = walk {
-                return (leaf, seq, 0);
+        if !self.cfg.read_opt {
+            return self.upper_region(ctx, key);
+        }
+        let block = key >> HINT_BLOCK_SHIFT;
+        // One load serves both ends of the generation rule: it follows this
+        // operation's pin (for the hint about to be used) and precedes the
+        // walk below (for the hint about to be recorded).
+        let generation = self.retire_generation(ctx);
+        if let Some([bits, seqno, low, high, recorded_at]) = ctx.hint_probe(self.hint_owner, block)
+        {
+            if (low..high).contains(&key) {
+                // The generation first: only a hint it vouches for names
+                // memory that is still a leaf of this tree.
+                if recorded_at == generation || probe::mutated("hint:any-generation") {
+                    let leaf = unsafe { NodeRef::from_word(bits).as_leaf::<SEGS, K>() };
+                    if leaf.seqno.load_direct(ctx) == seqno {
+                        ctx.metric_add(Counter::LeafHintHits, 1);
+                        return Located {
+                            leaf,
+                            seqno,
+                            low,
+                            high,
+                            conflicts: 0,
+                        };
+                    }
+                }
+                ctx.metric_add(Counter::LeafHintStale, 1);
             }
         }
-        self.upper_region(ctx, key)
+        let walk = self.validated_section(ctx, key, &mut { LOCATE_TRIES }, |ctx| {
+            let (leaf, low, high) = self.descend(key, |cell| Ok(cell.load_direct(ctx))).ok()??;
+            Some(Located {
+                leaf,
+                seqno: leaf.seqno.load_direct(ctx),
+                low,
+                high,
+                conflicts: 0,
+            })
+        });
+        let at = walk.unwrap_or_else(|| self.upper_region(ctx, key));
+        let bits = NodeRef::of_leaf(at.leaf).to_word();
+        ctx.hint_record(
+            self.hint_owner,
+            block,
+            [bits, at.seqno, at.low, at.high, generation],
+        );
+        at
     }
 
     /// Algorithm 2: the traversal shared by get, put and delete.
@@ -221,14 +327,26 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         let mut force_split_lock = false;
         loop {
             // Step 1: upper stage.
-            let (leaf, seqno, upper_conflicts) = self.locate(ctx, key);
+            let Located {
+                leaf,
+                seqno,
+                conflicts: upper_conflicts,
+                ..
+            } = self.locate(ctx, key);
             probe::point("locate:done");
             if req == Req::Get
                 && self.cfg.read_opt
                 && ctx.rng().gen_range(0..GET_TWO_STEP_ONE_IN) != 0
             {
-                if let Some(value) = self.read_leaf(ctx, leaf, seqno, key) {
-                    return value;
+                match self.read_leaf(ctx, leaf, seqno, key) {
+                    LeafRead::Value(value) => return value,
+                    // A dead pair has nothing to queue for: no conflict
+                    // control, no region — straight back to the upper stage.
+                    LeafRead::Moved => {
+                        probe::mark("leaf:moved");
+                        continue;
+                    }
+                    LeafRead::Spent => {}
                 }
             }
 
@@ -302,25 +420,131 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
     /// direct loads inside up to [`GET_TRIES`] validated sections, each
     /// bracketed by `seqno` — the seqno-bump-first discipline on splits,
     /// merges and reorganizations guarantees a reader that saw moving
-    /// records also sees a changed `seqno`. `None` ⇒ not read (budget
-    /// spent, or `seqno` has moved on): the caller runs the lower region,
-    /// which queues behind same-record writers instead of racing them and
-    /// reports a moved `seqno` itself.
+    /// records also sees a changed `seqno`. A get that comes back without a
+    /// value either found `seqno` moved — the pair is dead and only
+    /// `locate` can replace it — or spent its budget, in which case the
+    /// lower region takes the same pair and queues behind same-record
+    /// writers instead of racing them.
     pub(crate) fn read_leaf(
         &self,
         ctx: &mut ThreadCtx,
         leaf: &EunoLeaf<SEGS, K>,
         seqno: u64,
         key: u64,
-    ) -> Option<Option<u64>> {
+    ) -> LeafRead {
         self.validated_section(ctx, key, &mut { GET_TRIES }, |ctx| {
             if leaf.seqno.load_direct(ctx) != seqno {
-                return Some(None);
+                return Some(LeafRead::Moved);
             }
             let found = leaf.segs.iter().find_map(|seg| seg.find_direct(ctx, key));
             (leaf.seqno.load_direct(ctx) == seqno)
-                .then_some(Some(found.filter(|&v| v != TOMBSTONE)))
+                .then_some(LeafRead::Value(found.filter(|&v| v != TOMBSTONE)))
         })
-        .flatten()
+        .unwrap_or(LeafRead::Spent)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use euno_htm::{ConcurrentMap, RetryPolicy, Runtime, TxWord};
+    use euno_rng::{Rng, SmallRng};
+
+    use crate::node::{EunoLeaf, NodeRef};
+    use crate::tree::EunoBTreeDefault;
+
+    /// Every leaf with the range the index gives it, in key order: a plain
+    /// in-order traversal that hands each child the separators around it.
+    fn ranges_by_full_traversal(t: &EunoBTreeDefault) -> Vec<(usize, u64, u64)> {
+        fn visit(node: NodeRef, low: u64, high: u64, out: &mut Vec<(usize, u64, u64)>) {
+            if node.is_leaf() {
+                let leaf = unsafe { node.as_leaf::<4, 4>() };
+                out.push((leaf as *const EunoLeaf<4, 4> as usize, low, high));
+                return;
+            }
+            let n = unsafe { node.as_internal() };
+            let cnt = n.count.load_plain() as usize;
+            let seps: Vec<u64> = (0..cnt).map(|i| n.keys[i].load_plain()).collect();
+            for i in 0..=cnt {
+                let child = match i {
+                    0 => &n.child0,
+                    i => &n.children[i - 1],
+                };
+                let lo = if i == 0 { low } else { seps[i - 1] };
+                let hi = if i == cnt { high } else { seps[i] };
+                visit(NodeRef::from_word(child.load_plain()), lo, hi, out);
+            }
+        }
+        let mut out = Vec::new();
+        visit(NodeRef::from_word(t.root_bits()), 0, u64::MAX, &mut out);
+        out
+    }
+
+    /// The walk's probes bound the leaf exactly: for every key and every
+    /// loader, `descend`'s `[low, high)` is the range a full traversal
+    /// reads off the separators.
+    #[test]
+    fn descend_range_equals_the_full_traversal_range() {
+        // (records, index levels above the leaves)
+        for (records, depth) in [(10u64, 0usize), (120, 1), (1_500, 2), (24_000, 3)] {
+            let rt = Runtime::new_virtual();
+            let t = EunoBTreeDefault::new(Arc::clone(&rt));
+            let mut ctx = rt.thread(1);
+            let mut rng = SmallRng::seed_from_u64(0xF0_1D ^ records);
+            let mut keys: Vec<u64> = (0..records)
+                .map(|_| rng.gen_range(0..u64::MAX / 2))
+                .collect();
+            for &k in &keys {
+                t.put(&mut ctx, k, 1);
+            }
+            // Merges drop separators and leave underfull index nodes.
+            keys.sort_unstable();
+            for &k in keys
+                .iter()
+                .skip(records as usize / 3)
+                .take(records as usize / 3)
+            {
+                t.delete(&mut ctx, k);
+            }
+            t.maintain(&mut ctx);
+            assert_eq!(t.stats().depth, depth, "{records} records");
+
+            let truth = ranges_by_full_traversal(&t);
+            assert!(truth.windows(2).all(|w| w[0].2 == w[1].1), "ranges tile");
+            assert_eq!((truth[0].1, truth[truth.len() - 1].2), (0, u64::MAX));
+
+            ctx.epoch_enter();
+            for i in 0..10_000 {
+                let key = match i % 4 {
+                    // Both ends of the keyspace; on, just below and just
+                    // above a stored key — where the separators are — and
+                    // anywhere at all.
+                    _ if i < 2 => [0, u64::MAX][i],
+                    0 => keys[rng.gen_range(0..keys.len())],
+                    1 => keys[rng.gen_range(0..keys.len())].saturating_sub(1),
+                    2 => keys[rng.gen_range(0..keys.len())] + 1,
+                    _ => rng.gen_range(0..u64::MAX),
+                };
+                let want = truth[truth
+                    .partition_point(|&(_, _, high)| high <= key)
+                    .min(truth.len() - 1)];
+                let flat = |at: Option<(&EunoLeaf<4, 4>, u64, u64)>| {
+                    let (leaf, low, high) = at.expect("quiescent tree");
+                    (leaf as *const EunoLeaf<4, 4> as usize, low, high)
+                };
+                let plain = flat(t.descend(key, |c| Ok(c.load_plain())).unwrap());
+                let direct = flat(t.descend(key, |c| Ok(c.load_direct(&mut ctx))).unwrap());
+                let tx = ctx
+                    .htm_execute(t.fallback_cell(), &RetryPolicy::DBX, |tx| {
+                        Ok(flat(t.descend(key, |c| tx.read(c))?))
+                    })
+                    .value;
+                assert_eq!(plain, want, "plain loads, key {key}");
+                assert_eq!(direct, want, "direct loads, key {key}");
+                assert_eq!(tx, want, "transactional reads, key {key}");
+            }
+            ctx.epoch_exit();
+        }
     }
 }

@@ -16,7 +16,7 @@ const BOTH: [fn() -> EunoConfig; 2] = [EunoConfig::paper, EunoConfig::default];
 
 fn leaf_of<'t>(tree: &'t EunoBTreeDefault, ctx: &mut ThreadCtx, key: u64) -> &'t EunoLeaf<4, 4> {
     ctx.epoch_enter();
-    let (leaf, ..) = tree.locate(ctx, key);
+    let leaf = tree.locate(ctx, key).leaf;
     ctx.epoch_exit();
     leaf
 }

@@ -6,7 +6,10 @@
 //! if a fresh leaf inherited what the simulation remembered about the dead
 //! one, the same seed would read different clocks under ASLR. Two runs in
 //! one process, the second behind a few thousand leaked allocations, must
-//! charge every operation the same cycles.
+//! charge every operation the same cycles — and leave the simulator's heat
+//! map the same size after every operation: its eviction triggers on that
+//! size, and a retired leaf's entries lingering until the allocator
+//! re-issues the address (or not) move it.
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -20,8 +23,9 @@ const THREADS: u64 = 16;
 const KEYS: u64 = 24_000;
 const OPS_PER_THREAD: u64 = 5_000;
 
-/// The cycles each op took, in schedule order.
-fn run(cfg: EunoConfig, leaked_allocations: usize) -> Vec<u64> {
+/// The cycles each op took and the heat-map size it left, in schedule
+/// order.
+fn run(cfg: EunoConfig, leaked_allocations: usize) -> Vec<(u64, usize)> {
     for i in 0..leaked_allocations {
         std::mem::forget(vec![0u8; 40 + (i % 7) * 100]);
     }
@@ -66,7 +70,9 @@ fn run(cfg: EunoConfig, leaked_allocations: usize) -> Vec<u64> {
                     }
                 }
                 ctx.stats.ops += 1;
-                cycles.borrow_mut().push(ctx.clock - start);
+                cycles
+                    .borrow_mut()
+                    .push((ctx.clock - start, ctx.runtime().virt_heat_len()));
                 done += 1;
                 done < OPS_PER_THREAD
             }),
@@ -89,7 +95,7 @@ fn op_costs_do_not_depend_on_heap_layout() {
         assert_eq!(
             first,
             None,
-            "op costs diverge at op {first:?} of {}",
+            "op cost or heat-map size diverges at op {first:?} of {}",
             plain.len()
         );
     }

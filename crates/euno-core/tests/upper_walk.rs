@@ -10,6 +10,7 @@ use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use euno_core::{probe, EunoBTreeDefault, EunoConfig, EunoLeaf, NodeRef};
+use euno_htm::euno_metrics::Counter;
 use euno_htm::{ConcurrentMap, Runtime, ThreadCtx};
 use euno_rng::{Rng, SmallRng};
 use euno_sim::VirtualScheduler;
@@ -44,8 +45,8 @@ type Model = Rc<RefCell<BTreeMap<u64, u64>>>;
 /// Address and `seqno` of the leaf `locate` hands over for `key`.
 fn located(tree: &EunoBTreeDefault, ctx: &mut ThreadCtx, key: u64) -> (usize, u64) {
     ctx.epoch_enter();
-    let (leaf, seqno, _) = tree.locate(ctx, key);
-    let at = (leaf as *const EunoLeaf<4, 4> as usize, seqno);
+    let found = tree.locate(ctx, key);
+    let at = (found.leaf as *const EunoLeaf<4, 4> as usize, found.seqno);
     ctx.epoch_exit();
     at
 }
@@ -72,8 +73,13 @@ fn leaf_groups(tree: &EunoBTreeDefault, ctx: &mut ThreadCtx) -> Vec<Vec<u64>> {
 /// must notice (`Lower::Inconsistent`), the operation must restart and
 /// answer as if it had run after the change, and nothing may land in the
 /// leaf the stale pair names.
+///
+/// A `default()` get reads its leaf before any of that, and learns there
+/// that the pair is dead: it must go back to `locate` from the leaf read —
+/// without a conflict-control stage or a region on the dead pair first.
 fn handover(cfg: EunoConfig, between: Between, op: Op) {
     let what = format!("read_opt={} {between:?} {op:?}", cfg.read_opt);
+    let episode_free_get = cfg.read_opt && op == Op::Get;
     let rt = Runtime::new_virtual();
     let tree = Arc::new(EunoBTreeDefault::with_config(
         Arc::clone(&rt),
@@ -96,7 +102,7 @@ fn handover(cfg: EunoConfig, between: Between, op: Op) {
     let g = (groups.len() / 2..groups.len() - 1)
         .find(|&g| {
             ctx.epoch_enter();
-            let (leaf, _, _) = tree.locate(&mut ctx, groups[g][0]);
+            let leaf = tree.locate(&mut ctx, groups[g][0]).leaf;
             let parent = unsafe { NodeRef(leaf.parent.load_plain()).as_internal() };
             ctx.epoch_exit();
             parent.child0.load_plain() != NodeRef::of_leaf(leaf).0
@@ -106,6 +112,18 @@ fn handover(cfg: EunoConfig, between: Between, op: Op) {
     let top = *group.last().unwrap();
     let target = if op == Op::Put { top + 1 } else { top };
     let (leaf0, seqno0) = located(&tree, &mut ctx, target);
+    if episode_free_get {
+        // Protected, a conflict-control stage on the leaf is two
+        // read-modify-writes: the count below would show one.
+        unsafe { &*(leaf0 as *const EunoLeaf<4, 4>) }
+            .ccm
+            .protect_prepublication();
+    }
+    // The interrupter is a fresh thread whose clock starts at 0: keep the
+    // interrupted one ahead of everything it will commit, so what this
+    // operation retries is the hand-over and not a window overlap.
+    ctx.clock += 1 << 32;
+    let (attempts, rmws) = (ctx.metric(Counter::Attempts), ctx.stats.cas_ops);
 
     probe::take();
     probe::once_at("locate:done", {
@@ -186,14 +204,31 @@ fn handover(cfg: EunoConfig, between: Between, op: Op) {
         Op::Delete => model.borrow_mut().remove(&target),
     };
     assert_eq!(got, want, "{what}");
-    let restarts = probe::take()
-        .iter()
-        .filter(|&&m| m == "lower:inconsistent")
-        .count();
-    assert_eq!(
-        restarts, 1,
-        "{what}: the lower region must refuse the stale pair"
-    );
+    let marks = probe::take();
+    let count = |tag| marks.iter().filter(|&&m| m == tag).count();
+    if episode_free_get {
+        assert_eq!(
+            (count("leaf:moved"), count("lower:inconsistent")),
+            (1, 0),
+            "{what}: the leaf read must refuse the stale pair itself"
+        );
+        // From the interruption to the answer: no episode, and nothing
+        // written outside one (the second pass is episode-free too).
+        assert_eq!(
+            (
+                ctx.metric(Counter::Attempts) - attempts,
+                ctx.stats.cas_ops - rmws
+            ),
+            (0, 0),
+            "{what}: HTM attempts, read-modify-writes"
+        );
+    } else {
+        assert_eq!(
+            count("lower:inconsistent"),
+            1,
+            "{what}: the lower region must refuse the stale pair"
+        );
+    }
 
     // With the pin gone the merged-away leaf is freed, and later splits
     // may be handed its address: the map must not care.

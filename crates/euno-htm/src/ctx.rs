@@ -21,6 +21,7 @@ use euno_rng::{Rng, SmallRng};
 use euno_trace::{codes, EventKind, TraceBuf};
 
 use crate::abort::{AbortCause, ConflictInfo, ConflictKind, TxResult};
+use crate::hint::{Hint, HintTable};
 use crate::line::{LineId, LineSet};
 use crate::obs::{OpKind, OpObserver, OpOutput};
 use crate::runtime::{EpisodeRecord, Mode, Runtime};
@@ -147,6 +148,9 @@ pub struct ThreadCtx {
     reclaim: crate::epoch::Participant,
     /// Unpin counter driving the opportunistic collection cadence.
     reclaim_ticks: u64,
+    /// This thread's hint cache (see [`crate::hint`]): scratch like
+    /// `spare`, allocated by the first record.
+    hints: HintTable,
     /// This thread's metrics shard (see `euno-metrics`): single-writer
     /// atomic counters the sampler reads concurrently. `None` when the
     /// runtime's registry is disabled — every hook is then one branch.
@@ -244,6 +248,7 @@ impl ThreadCtx {
             tracer: None,
             reclaim,
             reclaim_ticks: 0,
+            hints: HintTable::default(),
             shard,
             backend_commit,
         }
@@ -530,6 +535,26 @@ impl ThreadCtx {
     #[inline]
     pub fn epoch_pinned(&self) -> bool {
         self.reclaim.pinned()
+    }
+
+    // ================= hint cache =================
+
+    /// Look `(owner, block)` up in this thread's hint table. The memory is
+    /// thread-private and uninstrumented, so the probe is charged by hand:
+    /// one cache hit, plus the hash and the tag compare.
+    #[inline]
+    pub fn hint_probe(&mut self, owner: u64, block: u64) -> Option<Hint> {
+        self.clock += self.rt.cost.access_hit + 2 * self.rt.cost.alu;
+        self.hints.probe(owner, block)
+    }
+
+    /// Record `words` for `(owner, block)`, replacing the slot's entry.
+    /// Charged one cache hit: the slot index was paid for by the probe
+    /// that missed. The first record of a thread allocates the table.
+    #[inline]
+    pub fn hint_record(&mut self, owner: u64, block: u64, words: Hint) {
+        self.clock += self.rt.cost.access_hit;
+        self.hints.record(owner, block, words);
     }
 
     // ================= footprint & charging =================

@@ -48,6 +48,7 @@ pub mod cost;
 pub mod ctx;
 pub mod epoch;
 pub mod exec;
+pub mod hint;
 #[cfg(all(feature = "hw-rtm", target_arch = "x86_64"))]
 pub mod hw;
 pub mod line;
@@ -66,6 +67,7 @@ pub use cost::CostModel;
 pub use ctx::{EpisodeKind, ThreadCtx, Tx};
 pub use epoch::{CollectOutcome, Collector, Participant, ScopedPin};
 pub use exec::{ExecOutcome, Path};
+pub use hint::{fresh_owner, Hint};
 pub use line::{LineClass, LineId, LineSet, CACHE_LINE_BYTES};
 pub use lock::{
     acquire_mask_blocking, release_mask, slot_for_key, AdvisoryLock, BitLockVector, ControlBlock,

@@ -814,6 +814,19 @@ impl Runtime {
         attributed: bool,
     ) {
         self.nodes.register(base, bytes, parts, attributed);
+        self.forget_node_heat(base, bytes);
+    }
+
+    /// The node at `base` has been unlinked and handed to the collector:
+    /// drop what the simulation remembers about its lines *now*, at a
+    /// point every run reaches alike, rather than whenever the allocator
+    /// re-issues the address ([`Runtime::register_node`]) or never. Stale
+    /// entries would otherwise count towards the heat map's eviction
+    /// trigger for a layout-dependent while, and what that eviction drops
+    /// decides how hot a line reads the next time it is written
+    /// (`virt-scan-churn` under ASLR: one of two values, 0.1 % apart). The
+    /// registration itself stays: pinned readers may still touch the node.
+    pub fn forget_node_heat(&self, base: usize, bytes: usize) {
         if self.mode == Mode::Virtual {
             let line = CACHE_LINE_BYTES as u64;
             let (lo, hi) = (base as u64, (base + bytes) as u64);
@@ -925,6 +938,12 @@ impl Runtime {
     /// Current number of live window entries (observability/tests).
     pub fn virt_window_len(&self) -> usize {
         self.virt.lock().unwrap().window.len()
+    }
+
+    /// Lines the heat map currently holds — what its eviction triggers on
+    /// (observability/tests).
+    pub fn virt_heat_len(&self) -> usize {
+        self.virt.lock().unwrap().recent_writes.len()
     }
 
     // ----- virtual-mode advisory locks ---------------------------------

@@ -98,6 +98,13 @@ define_metric_enum! {
         // and read the leaf under its split lock in an HTM region. The
         // optimistic re-tries themselves count in `optimistic_retries`.
         ScanLockedSteps => "scan_locked_steps",
+        // Leaf hints (the first rung of the Euno-B+Tree's upper stage):
+        // locates answered from the thread's own table, and hints that
+        // covered the key but were turned away because the leaf's `seqno`
+        // or the tree's retirement generation had moved. Misses are
+        // locates − hits.
+        LeafHintHits => "leaf_hint_hits",
+        LeafHintStale => "leaf_hint_stale",
         // euno-serve front-end: request/batch lifecycle. These live in the
         // *server's* registry (one per `EunoServer`), not the per-shard
         // tree runtimes, so queue dynamics are visible in one time series

@@ -32,7 +32,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 # golden_determinism.rs, be238653318f4aa8 — moved from 42530f0911227b68
 # by PR 17, which changed the CCM's conflict rule) runs here, and it runs
 # `EunoConfig::paper()` — `System::EunoBTree`, not the library default —
-# so it moves only when the paper-faithful tree does.
+# so it moves only when the paper-faithful tree does.  PR 18 (leaf hints)
+# left it alone: `paper()` never probes the hint table and never records.
 cargo build --release
 cargo test -q
 
@@ -253,6 +254,24 @@ echo "upper-walk (bounded gets + tl2_stm in --release) OK"
 cargo test -q --release -p euno-core --test adaptive
 cargo test -q --release -p eunomia --test figure_shapes adaptive_recovers_the_ccm_cost_at_low_skew
 echo "adaptive (bypass, inheritance, RMW count, hot-leaf scheduler run, mark race + fig13 low-skew shape) OK"
+
+# Leaf hints: the first rung of `locate` under `default()` (DESIGN.md
+# §4.4), in --release, where a missing pin or generation check is not
+# hidden by a debug assertion: a hint whose leaf split, reorganized or
+# merged (both sides) is turned away for get/put/delete/scan, a re-issued
+# address at the same `seqno` does not revive one, a hint serves exactly
+# its `[low, high)`, two trees on one thread never serve each other, and
+# fifteen logical threads on one splitting leaf stay exact, bounded and
+# ≥ 50 % hits.  (The mutation half of the ABA test and `upper_walk`'s
+# hand-over tests — where a get that finds `seqno` moved must open no
+# episode — need the debug-only probes and ran under `cargo test` above;
+# `upper_walk`'s --release half is the upper-walk stage above.)  Then merges,
+# retirements and foreground sweep slices against live hints on real
+# threads: the stress binary reports a finding — so the row is not clean —
+# unless `Euno-ReadOpt` took hint hits and `Euno-B+Tree` took none.
+cargo test -q --release -p euno-core --test leaf_hints
+stress_both_euno --churn-sweeps --ops 3000 --seed 20261004 --duration 5
+echo "leaf-hints (stale/ABA/range/two-tree/scheduler tests in --release + churn-sweeps stress with hit assertions) OK"
 
 # Repo benchmark: `benchmark/` is its own workspace, so nothing above
 # compiles it against the crate APIs it calls from outside
