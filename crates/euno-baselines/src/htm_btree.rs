@@ -13,8 +13,8 @@
 use std::sync::Arc;
 
 use euno_htm::{
-    slot_for_key, Arena, BitLockVector, ConcurrentMap, Footprint, MemoryReport, RetryPolicy,
-    Runtime, ThreadCtx, Tx, TxResult, TxWord, KEY_SENTINEL, TOMBSTONE,
+    Arena, ConcurrentMap, MemoryReport, RetryPolicy, Runtime, ThreadCtx, Tx, TxResult, TxWord,
+    KEY_SENTINEL, TOMBSTONE,
 };
 
 use crate::node::{Internal, Leaf, NodeRef, DEFAULT_FANOUT};
@@ -25,10 +25,6 @@ pub struct HtmBTree<const F: usize = DEFAULT_FANOUT> {
     ctrl: Box<euno_htm::ControlBlock>,
     leaves: Arena<Leaf<F>>,
     internals: Arena<Internal<F>>,
-    /// Tree-global advisory slots for the executor's middle path; `None`
-    /// (the default — this tree is the paper's two-path baseline)
-    /// reproduces the classic two-path escalation (the ablation baseline).
-    middle: Option<BitLockVector>,
 }
 
 impl<const F: usize> HtmBTree<F> {
@@ -48,28 +44,7 @@ impl<const F: usize> HtmBTree<F> {
             ctrl,
             leaves,
             internals,
-            middle: None,
         }
-    }
-
-    /// Middle-path advisory slots per tree.
-    const MIDDLE_SLOTS: usize = 64;
-
-    /// Enable the footprint-local middle path (§4.3): point operations
-    /// declare a slot of a tree-global advisory table and escalate onto
-    /// it before touching the global fallback. Off by default — the tree
-    /// models the paper's two-path baseline; `fig13_threepath` measures
-    /// the difference.
-    pub fn three_path(mut self) -> Self {
-        self.middle = Some(BitLockVector::new(Self::MIDDLE_SLOTS));
-        self
-    }
-
-    /// The middle-path footprint of a point operation on `key`.
-    fn middle_footprint(&self, key: u64) -> Option<Footprint<'_>> {
-        self.middle
-            .as_ref()
-            .map(|m| Footprint::new(m, &[slot_for_key(key, Self::MIDDLE_SLOTS as u32)]))
     }
 
     pub fn runtime(&self) -> &Arc<Runtime> {
@@ -283,8 +258,7 @@ impl<const F: usize> HtmBTree<F> {
 
 impl<const F: usize> ConcurrentMap for HtmBTree<F> {
     fn get(&self, ctx: &mut ThreadCtx, key: u64) -> Option<u64> {
-        let fp = self.middle_footprint(key);
-        ctx.htm_execute_with(&self.ctrl.fallback, &RetryPolicy::DBX, fp.as_ref(), |tx| {
+        ctx.htm_execute(&self.ctrl.fallback, &RetryPolicy::DBX, |tx| {
             tx.set_op_key(key);
             let leaf = self.descend(tx, key, None)?;
             match self.leaf_find(tx, leaf, key)? {
@@ -300,8 +274,7 @@ impl<const F: usize> ConcurrentMap for HtmBTree<F> {
 
     fn put(&self, ctx: &mut ThreadCtx, key: u64, value: u64) -> Option<u64> {
         assert!(key < KEY_SENTINEL && value != TOMBSTONE);
-        let fp = self.middle_footprint(key);
-        ctx.htm_execute_with(&self.ctrl.fallback, &RetryPolicy::DBX, fp.as_ref(), |tx| {
+        ctx.htm_execute(&self.ctrl.fallback, &RetryPolicy::DBX, |tx| {
             tx.set_op_key(key);
             let mut path = Vec::with_capacity(8);
             let leaf = self.descend(tx, key, Some(&mut path))?;
@@ -323,8 +296,7 @@ impl<const F: usize> ConcurrentMap for HtmBTree<F> {
     }
 
     fn delete(&self, ctx: &mut ThreadCtx, key: u64) -> Option<u64> {
-        let fp = self.middle_footprint(key);
-        ctx.htm_execute_with(&self.ctrl.fallback, &RetryPolicy::DBX, fp.as_ref(), |tx| {
+        ctx.htm_execute(&self.ctrl.fallback, &RetryPolicy::DBX, |tx| {
             tx.set_op_key(key);
             let leaf = self.descend(tx, key, None)?;
             match self.leaf_find(tx, leaf, key)? {

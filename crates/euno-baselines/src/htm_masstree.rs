@@ -20,8 +20,8 @@
 use std::sync::Arc;
 
 use euno_htm::{
-    slot_for_key, Arena, BitLockVector, ConcurrentMap, Footprint, MemoryReport, RetryPolicy,
-    Runtime, ThreadCtx, Tx, TxCell, TxResult, TxWord, KEY_SENTINEL, TOMBSTONE,
+    Arena, ConcurrentMap, MemoryReport, RetryPolicy, Runtime, ThreadCtx, Tx, TxCell, TxResult,
+    TxWord, KEY_SENTINEL, TOMBSTONE,
 };
 
 use crate::masstree::{
@@ -38,10 +38,6 @@ pub struct HtmMasstree {
     ctrl: Box<euno_htm::ControlBlock>,
     leaves: Arena<MtLeaf>,
     internals: Arena<MtInternal>,
-    /// Tree-global advisory slots for the executor's middle path; `None`
-    /// (the default — this tree is the paper's two-path baseline)
-    /// reproduces the classic two-path escalation (the ablation baseline).
-    middle: Option<BitLockVector>,
 }
 
 impl HtmMasstree {
@@ -57,28 +53,7 @@ impl HtmMasstree {
             rt,
             leaves,
             internals,
-            middle: None,
         }
-    }
-
-    /// Middle-path advisory slots per tree.
-    const MIDDLE_SLOTS: usize = 64;
-
-    /// Enable the footprint-local middle path (§4.3): point operations
-    /// declare a slot of a tree-global advisory table and escalate onto
-    /// it before touching the global fallback. Off by default — the tree
-    /// models the paper's two-path baseline; `fig13_threepath` measures
-    /// the difference.
-    pub fn three_path(mut self) -> Self {
-        self.middle = Some(BitLockVector::new(Self::MIDDLE_SLOTS));
-        self
-    }
-
-    /// The middle-path footprint of a point operation on `key`.
-    fn middle_footprint(&self, key: u64) -> Option<Footprint<'_>> {
-        self.middle
-            .as_ref()
-            .map(|m| Footprint::new(m, &[slot_for_key(key, Self::MIDDLE_SLOTS as u32)]))
     }
 
     /// Read a node's version word transactionally — the lock-subsumption
@@ -310,8 +285,7 @@ impl HtmMasstree {
 
 impl ConcurrentMap for HtmMasstree {
     fn get(&self, ctx: &mut ThreadCtx, key: u64) -> Option<u64> {
-        let fp = self.middle_footprint(key);
-        ctx.htm_execute_with(&self.ctrl.fallback, &RetryPolicy::DBX, fp.as_ref(), |tx| {
+        ctx.htm_execute(&self.ctrl.fallback, &RetryPolicy::DBX, |tx| {
             tx.set_op_key(key);
             let leaf = self.descend(tx, key)?;
             match self.leaf_find(tx, leaf, key)? {
@@ -327,8 +301,7 @@ impl ConcurrentMap for HtmMasstree {
 
     fn put(&self, ctx: &mut ThreadCtx, key: u64, value: u64) -> Option<u64> {
         assert!(key < KEY_SENTINEL && value != TOMBSTONE);
-        let fp = self.middle_footprint(key);
-        ctx.htm_execute_with(&self.ctrl.fallback, &RetryPolicy::DBX, fp.as_ref(), |tx| {
+        ctx.htm_execute(&self.ctrl.fallback, &RetryPolicy::DBX, |tx| {
             tx.set_op_key(key);
             let leaf = self.descend(tx, key)?;
             if let Some(i) = self.leaf_find(tx, leaf, key)? {
@@ -349,8 +322,7 @@ impl ConcurrentMap for HtmMasstree {
     }
 
     fn delete(&self, ctx: &mut ThreadCtx, key: u64) -> Option<u64> {
-        let fp = self.middle_footprint(key);
-        ctx.htm_execute_with(&self.ctrl.fallback, &RetryPolicy::DBX, fp.as_ref(), |tx| {
+        ctx.htm_execute(&self.ctrl.fallback, &RetryPolicy::DBX, |tx| {
             tx.set_op_key(key);
             let leaf = self.descend(tx, key)?;
             match self.leaf_find(tx, leaf, key)? {

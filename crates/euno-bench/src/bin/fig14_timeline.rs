@@ -195,11 +195,7 @@ fn main() {
             for w in ts.windows() {
                 let ops = w.counter(Counter::Ops).max(1) as f64;
                 let secs = cost.cycles_to_secs(w.span());
-                let aborts: u64 = euno_metrics::ABORTS_HTM
-                    .iter()
-                    .chain(euno_metrics::ABORTS_MIDDLE.iter())
-                    .map(|c| w.counter(*c))
-                    .sum();
+                let aborts: u64 = euno_metrics::ABORTS_HTM.iter().map(|c| w.counter(*c)).sum();
                 println!(
                     "{:>12} {:>9.2} {:>10.3} {:>10.4} {:>7}",
                     w.t1,

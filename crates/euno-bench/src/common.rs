@@ -43,11 +43,6 @@ pub enum System {
     /// region replaced by the validated walk (`EunoConfig::default`) — the
     /// row that prices the upper episode.
     AblationWalk,
-    /// Three-path ablation (fig13_threepath): Euno with the executor's
-    /// footprint-local middle path disabled, and the paper's two-path
-    /// HTM-B+Tree baseline with it enabled.
-    EunoTwoPath,
-    HtmBTreeThreePath,
 }
 
 impl System {
@@ -81,8 +76,6 @@ impl System {
             System::AblationCcmMarkbits => "+CCM markbits",
             System::AblationAdaptive => "+Adaptive",
             System::AblationWalk => "+Walk",
-            System::EunoTwoPath => "Euno-B+Tree/2path",
-            System::HtmBTreeThreePath => "HTM-B+Tree/3path",
         }
     }
 
@@ -112,11 +105,6 @@ impl System {
                 rt,
                 EunoConfig::ccm_markbits(),
             )),
-            System::EunoTwoPath => Box::new(EunoBTreeDefault::with_config(
-                rt,
-                EunoConfig::paper().two_path(),
-            )),
-            System::HtmBTreeThreePath => Box::new(HtmBTree::<16>::new(rt).three_path()),
         }
     }
 }
@@ -400,15 +388,14 @@ pub fn write_csv(path: &str, points: &[Point]) -> std::io::Result<()> {
          true_conflicts,false_record,false_metadata,false_structure,capacity,spurious,\
          fallback_locked,wasted_cycle_fraction,accesses_per_op,fallbacks_per_op,\
          optimistic_retries,lock_wait_cycles,lat_p50,lat_p99,lat_p999,lat_max,\
-         backoff_cycles,fallback_wait_cycles,ccm_bypass_flips,middles,middle_attempts,\
-         middle_wait_cycles"
+         backoff_cycles,fallback_wait_cycles,ccm_bypass_flips"
     )?;
     for p in points {
         let m = &p.metrics;
         let ops = m.total_ops.max(1) as f64;
         writeln!(
             f,
-            "{},{},{},{},{:.6},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.2},{:.5},{:.4},{},{},{},{},{},{},{},{},{},{},{}",
+            "{},{},{},{},{:.6},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.2},{:.5},{:.4},{},{},{},{},{},{},{},{}",
             p.system,
             p.x,
             m.threads,
@@ -435,9 +422,6 @@ pub fn write_csv(path: &str, points: &[Point]) -> std::io::Result<()> {
             m.stats.cycles_backoff,
             m.stats.cycles_fallback_wait,
             m.stages.ccm_bypass_flips,
-            m.stages.middles,
-            m.stages.middle_attempts,
-            m.stats.cycles_middle_wait,
         )?;
     }
     eprintln!("wrote {path}");

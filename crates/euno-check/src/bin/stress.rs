@@ -7,7 +7,7 @@
 //!        [--tree SUBSTR] [--trace PATH] [--profile] [--dump-events N]
 //!
 //! `--storm` starts from the abort-storm preset (8 threads on 8 keys, the
-//! schedule that drives the executor onto its middle path); `--churn`
+//! schedule that drives the executor past its retry budgets); `--churn`
 //! starts from the delete-heavy churn preset (continuous merges retiring
 //! leaves under live readers); `--churn-sweeps` is that preset with the
 //! Euno trees' rebalance threshold lowered, so foreground deletes carry
@@ -123,14 +123,14 @@ fn main() {
             }
             Verdict::Violation { detail } => format!("VIOLATION: {detail}"),
         };
+        let (htm, fallback) = r.path_split();
         println!(
-            "  {:<14} {:>7} ops in {:>5} ms | paths h/m/f {}/{}/{} | lin: {} | invariants: {}",
+            "  {:<14} {:>7} ops in {:>5} ms | paths h/f {}/{} | lin: {} | invariants: {}",
             r.tree,
             r.history_len,
             r.elapsed_ms,
-            r.stages.commits - r.stages.middles - r.stages.fallbacks,
-            r.stages.middles,
-            r.stages.fallbacks,
+            htm,
+            fallback,
             verdict,
             if r.invariant_violations.is_empty() {
                 "clean".to_string()
@@ -176,17 +176,13 @@ fn main() {
                 for s in &r.snapshots[skip..] {
                     use euno_metrics::Counter;
                     println!(
-                        "        t={:>9}us ops={} commits={} aborts(htm/mid) \
-                         conflict={}/{} fallbacks={} flips={} sweep(slices/merges)={}/{} \
+                        "        t={:>9}us ops={} commits={} aborts={} \
+                         fallbacks={} flips={} sweep(slices/merges)={}/{} \
                          scan_locked_steps={} leaf_hints(hits/stale)={}/{}",
                         s.tick,
                         s.counters[Counter::Ops.index()],
                         s.counters[Counter::Commits.index()],
                         euno_metrics::ABORTS_HTM
-                            .iter()
-                            .map(|c| s.counters[c.index()])
-                            .sum::<u64>(),
-                        euno_metrics::ABORTS_MIDDLE
                             .iter()
                             .map(|c| s.counters[c.index()])
                             .sum::<u64>(),

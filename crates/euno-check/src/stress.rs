@@ -92,10 +92,9 @@ impl Default for StressConfig {
 impl StressConfig {
     /// The abort-storm schedule: a handful of stubborn hot keys hammered
     /// by every worker, so HTM regions abort repeatedly and the executor
-    /// escalates onto the footprint-local middle path (§4.3). Used to
-    /// check that operations committed under advisory slot locks are
-    /// still linearizable against operations on the HTM and fallback
-    /// paths.
+    /// escalates to the global fallback (§4.3). Used to check that
+    /// operations run under the fallback lock are still linearizable
+    /// against operations that committed speculatively.
     pub fn abort_storm() -> Self {
         StressConfig {
             threads: 8,
@@ -193,7 +192,7 @@ pub struct StressReport {
     /// Engine counters merged across every worker thread.
     pub stats: ThreadStats,
     /// Executor stage counts merged across every worker thread — how the
-    /// run's commits split across the HTM / middle / fallback paths.
+    /// run's regions split across the HTM and fallback paths.
     pub stages: ExecStages,
     /// Tail of the metrics sampler's snapshot ring (wall-µs ticks). On a
     /// linearizability failure the binary dumps these next to the trace
@@ -207,6 +206,13 @@ impl StressReport {
     /// fails. `Inconclusive` passes (it is surfaced, not hidden).
     pub fn passed(&self) -> bool {
         !matches!(self.verdict, Verdict::Violation { .. }) && self.invariant_violations.is_empty()
+    }
+
+    /// Regions completed on the `(HTM, fallback)` path. Disjoint counts: a
+    /// fallback execution is not a commit, so neither is derived from the
+    /// other.
+    pub fn path_split(&self) -> (u64, u64) {
+        (self.stages.commits, self.stages.fallbacks)
     }
 }
 
@@ -519,6 +525,35 @@ mod tests {
     use super::*;
 
     #[test]
+    fn path_split_survives_more_fallbacks_than_commits() {
+        // A storm can put more regions on the fallback than commit
+        // speculatively; deriving the HTM share as `commits − fallbacks`
+        // (fallback executions were never counted as commits) wraps here.
+        let r = StressReport {
+            tree: "storm",
+            threads: 8,
+            seed: 0,
+            history_len: 8,
+            verdict: Verdict::Linearizable { states_explored: 0 },
+            invariant_violations: Vec::new(),
+            elapsed_ms: 0,
+            seqno_leaves_seen: 0,
+            seqno_violations: 0,
+            quiescent_findings: 0,
+            traces: Vec::new(),
+            profile: None,
+            stats: ThreadStats::default(),
+            stages: ExecStages {
+                commits: 3,
+                fallbacks: 5,
+                ..ExecStages::default()
+            },
+            snapshots: Vec::new(),
+        };
+        assert_eq!(r.path_split(), (3, 5));
+    }
+
+    #[test]
     fn small_stress_run_is_clean_on_every_tree() {
         let cfg = StressConfig {
             threads: 3,
@@ -546,8 +581,8 @@ mod tests {
     #[test]
     fn abort_storm_is_linearizable_under_real_threads() {
         // The storm preset (shrunk for test time): every worker hammers
-        // eight keys from real threads. Whatever mix of HTM, middle-path
-        // and fallback commits the timing produces, the recorded history
+        // eight keys from real threads. Whatever mix of HTM commits and
+        // fallback executions the timing produces, the recorded history
         // must stay linearizable and the structural audits clean.
         let cfg = StressConfig {
             threads: 4,
@@ -653,20 +688,21 @@ mod tests {
     }
 
     #[test]
-    fn virtual_abort_storm_middle_path_history_is_consistent() {
+    fn virtual_abort_storm_fallback_history_is_consistent() {
         // Real threads rarely overlap enough in a short test to drive the
-        // executor past its retry budget, so the middle path is exercised
+        // executor past its retry budget, so the escalation is exercised
         // deterministically in virtual time: eight virtual threads
         // round-robin over eight keys, where overlapping cycle intervals
         // with colliding footprints abort exactly as the simulator's
         // figures do. The recorded history must check out against the
-        // oracle, and the merged stats must prove middle-path commits
-        // actually happened — on a `three_path()` HTM-B+Tree, which has
-        // no CCM serializing hot keys before the executor sees them.
+        // oracle, and the merged stats must prove fallback executions
+        // actually interleaved with speculative commits — on an
+        // HTM-B+Tree, which has no CCM serializing hot keys before the
+        // executor sees them.
         use euno_htm::ThreadCtx;
 
         let rt = Runtime::new_virtual();
-        let tree = HtmBTree::<16>::new(Arc::clone(&rt)).three_path();
+        let tree = HtmBTree::<16>::new(Arc::clone(&rt));
         let mut model = BTreeMap::new();
         {
             let mut ctx = rt.thread(0xCAFE);
@@ -724,8 +760,8 @@ mod tests {
             stages.merge(&ctx.exec_stages());
         }
         assert!(
-            stages.middles > 0,
-            "virtual abort storm never escalated onto the middle path \
+            stages.fallbacks > 0 && stages.commits > 0,
+            "virtual abort storm never mixed the two paths \
              (commits {}, aborts {}, fallbacks {})",
             stages.commits,
             stats.aborts.total(),
@@ -736,7 +772,7 @@ mod tests {
         let verdict = check_history(&history, &model, true, DEFAULT_BUDGET);
         assert!(
             matches!(verdict, Verdict::Linearizable { .. }),
-            "middle-path history not linearizable: {verdict:?}"
+            "abort-storm history not linearizable: {verdict:?}"
         );
     }
 

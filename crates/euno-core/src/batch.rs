@@ -35,9 +35,11 @@
 //!   else's — bumps it, and the remaining ops in the group bail rather
 //!   than run against a leaf whose key range may have moved. The extra
 //!   read costs nothing: `seqno` is already in the episode's read set.
-//! * Puts that might split are filtered out *before* the episode (the
-//!   leaf is within `near_full_slack + puts_in_group` of capacity) so
-//!   shared episodes stay split-free by construction on the HTM path.
+//! * A group whose puts cannot all fit (`occupied + puts_in_group >
+//!   capacity`) sends them to the single-op path *before* the episode.
+//!   That is an economy, not the guarantee: the lower region never splits
+//!   (`lower_body` returns `NeedSplitLock` and the rest of the group
+//!   bails), so shared episodes stay split-free on the HTM path anyway.
 
 use euno_htm::{EventKind, RetryPolicy, ThreadCtx, TxWord};
 
@@ -390,7 +392,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         let pending = cells[..n].iter().filter(|&&c| c == Cell::Pending).count();
         let mut lower_conflicts = 0;
         if pending > 0 {
-            let res = ctx.htm_execute_with(&self.ctrl.fallback, &RetryPolicy::DBX, None, |tx| {
+            let res = ctx.htm_execute(&self.ctrl.fallback, &RetryPolicy::DBX, |tx| {
                 tx.set_op_key(ops[0].key());
                 if stage.locked() {
                     // Same-record contenders queue on the CCM lock bits

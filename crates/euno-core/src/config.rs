@@ -21,11 +21,6 @@ pub struct EunoConfig {
     /// until an operation on it meets a conflict. Split-born leaves start
     /// on the verdict of the leaf they were split from.
     pub adaptive: bool,
-    /// A leaf counts as "near full" (Algorithm 2 line 39) when its live
-    /// records ≥ capacity − `near_full_slack`.
-    pub near_full_slack: usize,
-    /// Write-scheduler retries before reorganizing (Algorithm 3 line 61).
-    pub scheduler_retries: u32,
     /// Adaptive detector: operations per decision window. Only operations
     /// that ran protected or met a conflict count toward it.
     pub adaptive_window: u64,
@@ -39,11 +34,6 @@ pub struct EunoConfig {
     /// 0 disables the automatic trigger (call
     /// [`EunoBTree::maintain`](crate::EunoBTree::maintain) manually).
     pub rebalance_delete_threshold: u64,
-    /// Enable the three-path executor's footprint-local middle path: a
-    /// region that exhausts its speculative budget retries while holding
-    /// the advisory slots for its key before escalating to the global
-    /// fallback lock. Off reproduces the classic two-path executor.
-    pub middle_path: bool,
     /// No episode above the leaf. Every operation's upper stage
     /// ([`EunoBTree::locate`](crate::EunoBTree::locate)) first asks the
     /// thread's own *leaf hint* — the `(leaf, seqno, key range)` its last
@@ -69,25 +59,15 @@ impl Default for EunoConfig {
             ccm_lock_bits: true,
             ccm_mark_bits: true,
             adaptive: true,
-            near_full_slack: 4,
-            scheduler_retries: 3,
             adaptive_window: 32,
             adaptive_conflict_rate: 0.05,
             rebalance_delete_threshold: 100_000,
-            middle_path: true,
             read_opt: true,
         }
     }
 }
 
 impl EunoConfig {
-    /// The classic two-path executor (HTM → global fallback), for the
-    /// three-path ablation. All other features keep their defaults.
-    pub fn two_path(mut self) -> Self {
-        self.middle_path = false;
-        self
-    }
-
     /// The system as the paper has it: every point operation is an HTM
     /// upper region plus an HTM lower region (Algorithm 2). This is what
     /// the figure binaries and the golden-digest test build, so recorded
@@ -199,18 +179,13 @@ mod tests {
             ccm_lock_bits,
             ccm_mark_bits,
             adaptive,
-            near_full_slack,
-            scheduler_retries,
             adaptive_window,
             adaptive_conflict_rate,
             rebalance_delete_threshold,
-            middle_path,
             read_opt,
         } = EunoConfig::paper();
-        assert!(ccm_lock_bits && ccm_mark_bits && adaptive && middle_path);
+        assert!(ccm_lock_bits && ccm_mark_bits && adaptive);
         assert!(!read_opt);
-        assert_eq!(near_full_slack, 4);
-        assert_eq!(scheduler_retries, 3);
         assert_eq!(adaptive_window, 32);
         assert_eq!(adaptive_conflict_rate, 0.05);
         assert_eq!(rebalance_delete_threshold, 100_000);

@@ -15,6 +15,9 @@ use crate::node::EunoLeaf;
 use crate::probe;
 use crate::tree::{EunoBTree, Lower, Req};
 
+/// Write-scheduler retries before reorganizing (Algorithm 3 line 61).
+const SCHEDULER_RETRIES: u32 = 3;
+
 impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
     /// Locate `key`'s value cell: compare each segment's first/last
     /// element, binary-searching only segments whose range brackets the
@@ -94,7 +97,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                 leaf.segs[idx].insert(tx, key, newval)?;
                 return Ok(Lower::Done(None));
             }
-            if SEGS == 1 || tries >= self.cfg.scheduler_retries {
+            if SEGS == 1 || tries >= SCHEDULER_RETRIES {
                 break;
             }
             let prev = idx;

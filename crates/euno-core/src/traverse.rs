@@ -31,6 +31,10 @@ use crate::node::{EunoLeaf, NodeRef, INTERNAL_FANOUT};
 use crate::probe;
 use crate::tree::{EunoBTree, Lower, Req};
 
+/// A leaf counts as "near full" (Algorithm 2 line 39) when its live
+/// records ≥ capacity − this: an insert there pre-acquires the split lock.
+const NEAR_FULL_SLACK: usize = 4;
+
 /// Episode-free walks [`EunoBTree::locate`] tries before the HTM upper
 /// region finds the leaf. The tail must exist — in concurrent mode the
 /// section check is the *global* TL2 clock, so steady writers anywhere in
@@ -171,8 +175,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
     /// Algorithm 2 lines 23-28 as the paper has them: one HTM region
     /// finds the leaf and reads its version.
     fn upper_region(&self, ctx: &mut ThreadCtx, key: u64) -> Located<'_, SEGS, K> {
-        let fp = self.cfg.middle_path.then(|| self.middle_footprint(key));
-        let out = ctx.htm_execute_with(&self.ctrl.fallback, &RetryPolicy::DBX, fp.as_ref(), |tx| {
+        let out = ctx.htm_execute(&self.ctrl.fallback, &RetryPolicy::DBX, |tx| {
             tx.set_op_key(key);
             // A transaction reads a consistent index; an attempt that did
             // not is doomed, so abort it rather than follow the pointer.
@@ -358,7 +361,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             // Pre-lock if an insert may split (lines 39-40).
             let split_locked = req == Req::Put
                 && (stage.may_insert()
-                    && leaf.occupied_direct(ctx) + self.cfg.near_full_slack >= Self::capacity()
+                    && leaf.occupied_direct(ctx) + NEAR_FULL_SLACK >= Self::capacity()
                     || force_split_lock);
             if split_locked {
                 leaf.ccm.split_lock.acquire(ctx);
@@ -369,29 +372,20 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                 // Never enter the leaf (line 35).
                 (Lower::Done(None), 0)
             } else {
-                // Middle-path footprint: the tree-global slot table, not
-                // the CCM (whose slot bit may already be held from step 2
-                // — re-acquiring it here would self-deadlock).
-                let fp = self.cfg.middle_path.then(|| self.middle_footprint(key));
-                let out = ctx.htm_execute_with(
-                    &self.ctrl.fallback,
-                    &RetryPolicy::DBX,
-                    fp.as_ref(),
-                    |tx| {
-                        tx.set_op_key(key);
-                        if stage.locked() {
-                            // Same-record contenders queue on the CCM lock bit
-                            // (§4.1): this attempt's true conflicts are
-                            // serialized away, so the storm model must not
-                            // re-manufacture them.
-                            tx.mark_serialized();
-                        }
-                        if tx.read(&leaf.seqno)? != seqno {
-                            return Ok(Lower::Inconsistent);
-                        }
-                        self.lower_body(tx, leaf, req, key, newval, split_locked)
-                    },
-                );
+                let out = ctx.htm_execute(&self.ctrl.fallback, &RetryPolicy::DBX, |tx| {
+                    tx.set_op_key(key);
+                    if stage.locked() {
+                        // Same-record contenders queue on the CCM lock bit
+                        // (§4.1): this attempt's true conflicts are
+                        // serialized away, so the storm model must not
+                        // re-manufacture them.
+                        tx.mark_serialized();
+                    }
+                    if tx.read(&leaf.seqno)? != seqno {
+                        return Ok(Lower::Inconsistent);
+                    }
+                    self.lower_body(tx, leaf, req, key, newval, split_locked)
+                });
                 (out.value, out.conflict_aborts)
             };
 

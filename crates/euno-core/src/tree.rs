@@ -23,8 +23,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use euno_htm::{
-    BitLockVector, ConcurrentMap, Footprint, MemoryReport, Runtime, ThreadCtx, TransientBytes, Tx,
-    TxCell, TxResult, TxWord, KEY_SENTINEL, TOMBSTONE,
+    ConcurrentMap, MemoryReport, Runtime, ThreadCtx, TransientBytes, Tx, TxCell, TxResult, TxWord,
+    KEY_SENTINEL, TOMBSTONE,
 };
 
 use crate::ccm::Ccm;
@@ -52,11 +52,6 @@ pub struct EunoBTree<const SEGS: usize = 4, const K: usize = 4> {
     /// and its line must not depend on where the tree struct itself lives
     /// (a stack slot in most callers).
     pub(crate) sweep: Box<Sweep>,
-    /// Tree-global advisory slots for the executor's middle path: a point
-    /// operation that exhausts its speculative budget re-runs while
-    /// holding its key's slot here, serializing only same-slot contenders
-    /// instead of the whole tree.
-    pub(crate) middle: BitLockVector,
 }
 
 /// What the lower region concluded.
@@ -96,18 +91,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             deletes: AtomicU64::new(0),
             hint_owner: euno_htm::fresh_owner(),
             sweep: Box::new(Sweep::new()),
-            middle: BitLockVector::new(Self::MIDDLE_SLOTS),
         }
-    }
-
-    /// Middle-path advisory slots per tree. One lock word: coarse enough
-    /// to stay cheap, fine enough that a single hot key serializes only
-    /// its own contenders.
-    pub(crate) const MIDDLE_SLOTS: usize = 64;
-
-    /// The middle-path footprint of a point operation on `key`.
-    pub(crate) fn middle_footprint(&self, key: u64) -> Footprint<'_> {
-        Footprint::new(&self.middle, &[Ccm::slot(key, Self::MIDDLE_SLOTS as u32)])
     }
 
     pub fn runtime(&self) -> &Arc<Runtime> {

@@ -191,7 +191,7 @@ pub(crate) fn trace_conflict_code(kind: ConflictKind) -> u8 {
 
 /// Map an [`AbortCause`] to its abort-bucket index — the same order as
 /// [`AbortCounts`](crate::stats::AbortCounts)'s fields and the
-/// `euno_metrics::ABORTS_HTM`/`ABORTS_MIDDLE` counter arrays.
+/// `euno_metrics::ABORTS_HTM` counter array.
 pub(crate) fn abort_bucket(cause: &AbortCause) -> usize {
     match cause {
         AbortCause::Conflict(ci) => match ci.kind {
@@ -313,7 +313,7 @@ impl ThreadCtx {
         self.shard.as_ref().map_or(0, |s| s.get(c))
     }
 
-    /// This thread's executor-stage counters (attempts/commits/middles/…)
+    /// This thread's executor-stage counters (attempts/commits/fallbacks/…)
     /// as one struct, read from the metrics shard.
     pub fn exec_stages(&self) -> euno_metrics::ExecStages {
         self.shard
@@ -364,34 +364,30 @@ impl ThreadCtx {
     }
 
     /// Flush a committed episode's batched executor counters to the shard
-    /// in a single pass: commit counters (total, per-path, per-backend)
-    /// plus the retry-loop accumulators. The retry loop counts attempts /
-    /// middle attempts / backoffs / per-cause aborts in plain executor
-    /// locals, so the per-iteration hot path costs no shard traffic at
-    /// all; only episode completion touches the atomics, and a first-try
-    /// commit — the common case — is four counter bumps behind one branch.
+    /// in a single pass: commit counters (total, per-backend) plus the
+    /// retry-loop accumulators. The retry loop counts attempts / backoffs
+    /// / per-cause aborts in plain executor locals, so the per-iteration
+    /// hot path costs no shard traffic at all; only episode completion
+    /// touches the atomics, and a first-try commit — the common case — is
+    /// three counter bumps behind one branch.
     #[inline]
     pub(crate) fn metric_commit_episode(
         &self,
-        middle: bool,
         attempts: u32,
-        middle_attempts: u32,
         backoffs: u32,
-        aborts_htm: &[u32; euno_metrics::ABORT_BUCKETS],
-        aborts_middle: &[u32; euno_metrics::ABORT_BUCKETS],
+        aborts: &[u32; euno_metrics::ABORT_BUCKETS],
     ) {
         use euno_metrics::Counter as C;
         if let Some(s) = self.shard.as_ref() {
             s.add(C::Commits, 1);
-            s.add(if middle { C::Middles } else { C::CommitsHtm }, 1);
             s.add(self.backend_commit, 1);
             s.add(C::Attempts, u64::from(attempts));
             if attempts == 1 {
-                // First-try commit: no aborts, no backoffs, no middle path
-                // (each implies a second attempt) — skip the bucket scans.
+                // First-try commit: no aborts, no backoffs (each implies
+                // a second attempt) — skip the bucket scan.
                 return;
             }
-            Self::episode_tail(s, middle_attempts, backoffs, aborts_htm, aborts_middle);
+            Self::episode_tail(s, backoffs, aborts);
         }
     }
 
@@ -401,14 +397,12 @@ impl ThreadCtx {
     pub(crate) fn metric_episode(
         &self,
         attempts: u32,
-        middle_attempts: u32,
         backoffs: u32,
-        aborts_htm: &[u32; euno_metrics::ABORT_BUCKETS],
-        aborts_middle: &[u32; euno_metrics::ABORT_BUCKETS],
+        aborts: &[u32; euno_metrics::ABORT_BUCKETS],
     ) {
         if let Some(s) = self.shard.as_ref() {
             s.add(euno_metrics::Counter::Attempts, u64::from(attempts));
-            Self::episode_tail(s, middle_attempts, backoffs, aborts_htm, aborts_middle);
+            Self::episode_tail(s, backoffs, aborts);
         }
     }
 
@@ -416,26 +410,15 @@ impl ThreadCtx {
     /// aborted-at-least-once episode may have accumulated.
     fn episode_tail(
         s: &euno_metrics::ThreadShard,
-        middle_attempts: u32,
         backoffs: u32,
-        aborts_htm: &[u32; euno_metrics::ABORT_BUCKETS],
-        aborts_middle: &[u32; euno_metrics::ABORT_BUCKETS],
+        aborts: &[u32; euno_metrics::ABORT_BUCKETS],
     ) {
-        use euno_metrics::Counter as C;
-        if middle_attempts > 0 {
-            s.add(C::MiddleAttempts, u64::from(middle_attempts));
-        }
         if backoffs > 0 {
-            s.add(C::Backoffs, u64::from(backoffs));
+            s.add(euno_metrics::Counter::Backoffs, u64::from(backoffs));
         }
-        for (i, &n) in aborts_htm.iter().enumerate() {
+        for (i, &n) in aborts.iter().enumerate() {
             if n > 0 {
                 s.add(euno_metrics::ABORTS_HTM[i], u64::from(n));
-            }
-        }
-        for (i, &n) in aborts_middle.iter().enumerate() {
-            if n > 0 {
-                s.add(euno_metrics::ABORTS_MIDDLE[i], u64::from(n));
             }
         }
     }

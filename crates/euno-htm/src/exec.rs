@@ -15,22 +15,17 @@
 //! 4. **backoff** — charge the exponential backoff between retries;
 //! 5. **fallback** — serialize on the lock and run the body directly.
 //!
-//! A region traverses up to three paths (§4.2.1 extended with Brown's
-//! HTM-template middle path): plain speculation ([`Path::Htm`]); after the
-//! speculative budgets are exhausted, a *footprint-local* middle path
-//! ([`Path::Middle`]) that re-runs the HTM episode while holding the
-//! region's declared advisory slot locks ([`Footprint`]), so only
-//! same-slot contenders wait while the rest of the tree keeps
-//! speculating; and only after repeated middle-path failure the global
-//! serialized fallback ([`Path::Fallback`]). Regions that declare no
-//! footprint skip the middle path entirely — byte-for-byte the classic
-//! two-path behaviour.
+//! A region runs on one of two paths (§4.2.1): plain speculation
+//! ([`Path::Htm`]) while no per-cause retry budget is exhausted, then the
+//! global serialized fallback ([`Path::Fallback`]). Contenders for one key
+//! are serialized *before* a region starts — by the CCM's lock bits in the
+//! Euno-B+Tree — not by the executor.
 //!
 //! The executor maintains two kinds of accounting itself: the *cycle and
 //! abort-cause* fields of [`ThreadStats`](crate::stats::ThreadStats)
 //! (figures 2 and 9 are derived from them) and the stage **counts**
-//! (attempts, commits, middles, fallbacks, backoffs) on the thread's
-//! `euno-metrics` shard.
+//! (attempts, commits, fallbacks, backoffs) on the thread's `euno-metrics`
+//! shard.
 
 #[cfg(all(feature = "hw-rtm", target_arch = "x86_64"))]
 use std::sync::atomic::Ordering;
@@ -39,34 +34,17 @@ use euno_trace::{codes, EventKind};
 
 use crate::abort::{AbortCause, ConflictInfo, TxResult};
 use crate::ctx::{trace_abort_code, EpisodeKind, ThreadCtx, Tx};
-use crate::lock::Footprint;
 use crate::policy::{Decision, RetryCounts, RetryPolicy};
 use crate::runtime::Mode;
 use crate::word::TxCell;
 
-/// Which of the three execution paths ultimately completed a region.
-/// Ordered by escalation: `Htm < Middle < Fallback`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+/// Which of the two execution paths completed a region.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Path {
     /// Plain speculation: an HTM episode with no locks held.
     Htm,
-    /// The footprint-local middle path: an HTM episode committed while
-    /// holding the region's advisory slot locks, serializing only
-    /// same-slot contenders.
-    Middle,
     /// The global serialized fallback (lock held, direct writes).
     Fallback,
-}
-
-impl Path {
-    /// Short stable label (reports, figures).
-    pub fn label(self) -> &'static str {
-        match self {
-            Path::Htm => "htm",
-            Path::Middle => "middle",
-            Path::Fallback => "fallback",
-        }
-    }
 }
 
 /// Result of executing one HTM region to completion.
@@ -89,14 +67,10 @@ impl<R> ExecOutcome<R> {
 }
 
 /// One region execution in flight: the stage composition over a fallback
-/// cell, a retry policy and an optional middle-path footprint.
+/// cell and a retry policy.
 struct Executor<'e> {
     fb: &'e TxCell<u64>,
     policy: &'e RetryPolicy,
-    /// The advisory slots a [`Decision::Middle`] attempt locks (in sorted
-    /// order) before speculating. Without one, `Decision::Middle`
-    /// escalates straight to the global fallback.
-    footprint: Option<&'e Footprint<'e>>,
     attempt_start: u64,
 }
 
@@ -110,98 +84,42 @@ impl Executor<'_> {
         let mut counts = RetryCounts::default();
         let mut attempts = 0u32;
         let mut conflict_aborts = 0u32;
-        let mut on_middle = false;
         // Metric accumulators: plain locals, flushed to the thread's shard
         // in one pass at episode completion (ThreadCtx::metric_episode) so
         // the retry loop itself never touches the shard atomics.
-        let mut middle_attempts = 0u32;
         let mut backoffs = 0u32;
-        let mut ab_htm = [0u32; euno_metrics::ABORT_BUCKETS];
-        let mut ab_mid = [0u32; euno_metrics::ABORT_BUCKETS];
+        let mut aborts = [0u32; euno_metrics::ABORT_BUCKETS];
 
         loop {
             attempts += 1;
-            // Middle path: take the footprint's slot locks *outside* the
-            // episode (sorted order — deadlock-free), so only same-slot
-            // contenders serialize behind us while disjoint regions keep
-            // speculating.
-            let holding = if on_middle {
-                let fp = self.footprint.expect("middle path requires a footprint");
-                let wait_before = ctx.stats.cycles_lock_wait;
-                fp.acquire_all(ctx);
-                let waited = ctx.stats.cycles_lock_wait - wait_before;
-                middle_attempts += 1;
-                if waited > 0 {
-                    ctx.stats.cycles_middle_wait += waited;
-                    ctx.trace(EventKind::MiddleWait { cycles: waited });
-                }
-                Some(fp)
-            } else {
-                None
-            };
-            match self.attempt_dispatch(ctx, &mut body, on_middle) {
+            match self.attempt_dispatch(ctx, &mut body) {
                 Ok(v) => {
-                    // The episode is closed (committed): slot lock words
-                    // may be touched directly again.
-                    if let Some(fp) = holding {
-                        fp.release_all(ctx);
-                    }
-                    let path = if on_middle { Path::Middle } else { Path::Htm };
-                    ctx.metric_commit_episode(
-                        on_middle,
-                        attempts,
-                        middle_attempts,
-                        backoffs,
-                        &ab_htm,
-                        &ab_mid,
-                    );
+                    ctx.metric_commit_episode(attempts, backoffs, &aborts);
                     return ExecOutcome {
                         value: v,
                         attempts,
                         conflict_aborts,
-                        path,
+                        path: Path::Htm,
                     };
                 }
                 Err(cause) => {
-                    // classify() closes the aborted episode; only then is
-                    // it legal to release the slot locks (direct access).
                     let wasted = self.classify(ctx, cause, &mut counts, &mut conflict_aborts);
-                    if let Some(fp) = holding {
-                        fp.release_all(ctx);
-                    }
                     ctx.stats.cycles_wasted += wasted;
                     ctx.stats.aborts.record(cause);
-                    let bucket = crate::ctx::abort_bucket(&cause);
-                    if on_middle {
-                        ab_mid[bucket] += 1;
-                    } else {
-                        ab_htm[bucket] += 1;
-                    }
+                    aborts[crate::ctx::abort_bucket(&cause)] += 1;
                     match self.policy.decide(&counts) {
                         Decision::Retry { backoff: true } => {
                             backoffs += 1;
                             self.backoff(ctx, &counts)
                         }
                         Decision::Retry { backoff: false } => {}
-                        Decision::Middle => {
-                            counts.middle += 1;
-                            if self.footprint.is_some() {
-                                on_middle = true;
-                            } else {
-                                // No declared footprint: nothing for the
-                                // middle path to lock — escalate straight
-                                // to the global fallback (the classic
-                                // two-path behaviour).
-                                break;
-                            }
-                        }
                         Decision::Fallback => break,
                     }
                 }
             }
         }
 
-        ctx.metric_episode(attempts, middle_attempts, backoffs, &ab_htm, &ab_mid);
+        ctx.metric_episode(attempts, backoffs, &aborts);
         let value = self.fallback(ctx, &mut body);
         ctx.metric_add(euno_metrics::Counter::Fallbacks, 1);
         ExecOutcome {
@@ -214,20 +132,17 @@ impl Executor<'_> {
 
     /// Stage 1 dispatch: route the speculative try to the software episode
     /// engine or, when the runtime was built on the RTM backend and the
-    /// CPU supports it, to a genuine hardware transaction. Middle-path
-    /// tries also elide under RTM — the advisory slot locks are taken
-    /// outside the transaction, so only same-slot contenders serialize.
+    /// CPU supports it, to a genuine hardware transaction.
     fn attempt_dispatch<R>(
         &mut self,
         ctx: &mut ThreadCtx,
         body: &mut impl FnMut(&mut Tx<'_>) -> TxResult<R>,
-        serialized: bool,
     ) -> Result<R, AbortCause> {
         #[cfg(all(feature = "hw-rtm", target_arch = "x86_64"))]
         if ctx.runtime().rtm_active() {
             return self.attempt_hw(ctx, body);
         }
-        self.attempt(ctx, body, serialized)
+        self.attempt(ctx, body)
     }
 
     /// Stage 1, hardware flavour: run the body inside a real RTM
@@ -328,15 +243,10 @@ impl Executor<'_> {
 
     /// Stage 1: one speculative try — wait out the fallback lock, open an
     /// HtmTx episode, subscribe to the lock word, run the body, commit.
-    /// A middle-path try (`serialized`) additionally declares its
-    /// same-slot contenders lock-serialized, which disables the abort
-    /// storm extrapolation (the locks invalidate its independence
-    /// assumption) while keeping the deterministic overlap check.
     fn attempt<R>(
         &mut self,
         ctx: &mut ThreadCtx,
         body: &mut impl FnMut(&mut Tx<'_>) -> TxResult<R>,
-        serialized: bool,
     ) -> Result<R, AbortCause> {
         let wait_before = ctx.stats.cycles_lock_wait;
         ctx.fb_wait_free(self.fb);
@@ -349,9 +259,6 @@ impl Executor<'_> {
         let xbegin = ctx.runtime().cost.xbegin;
         ctx.charge(xbegin);
         ctx.episode_begin(EpisodeKind::HtmTx);
-        if serialized {
-            ctx.set_serialized();
-        }
         ctx.fb_subscribe(self.fb)?;
         let v = body(&mut Tx { ctx })?;
         let xend = ctx.runtime().cost.xend;
@@ -453,25 +360,9 @@ impl ThreadCtx {
         policy: &RetryPolicy,
         body: impl FnMut(&mut Tx<'_>) -> TxResult<R>,
     ) -> ExecOutcome<R> {
-        self.htm_execute_with(fb, policy, None, body)
-    }
-
-    /// [`htm_execute`](ThreadCtx::htm_execute) with a declared middle-path
-    /// footprint: after the speculative budgets are exhausted the region
-    /// retries while holding `footprint`'s advisory slot locks
-    /// ([`Path::Middle`]) before escalating to the global fallback. With
-    /// `None` the middle path is skipped (two-path behaviour).
-    pub fn htm_execute_with<R>(
-        &mut self,
-        fb: &TxCell<u64>,
-        policy: &RetryPolicy,
-        footprint: Option<&Footprint<'_>>,
-        body: impl FnMut(&mut Tx<'_>) -> TxResult<R>,
-    ) -> ExecOutcome<R> {
         Executor {
             fb,
             policy,
-            footprint,
             attempt_start: 0,
         }
         .run(self, body)
@@ -519,6 +410,16 @@ mod tests {
     use super::*;
     use crate::runtime::Runtime;
     use std::sync::Arc;
+
+    /// No budget for any cause: the first abort escalates.
+    const NO_RETRIES: RetryPolicy = RetryPolicy {
+        conflict_retries: 0,
+        capacity_retries: 0,
+        explicit_retries: 0,
+        spurious_retries: 0,
+        fallback_lock_retries: 0,
+        backoff: false,
+    };
 
     fn vctx() -> (Arc<Runtime>, ThreadCtx) {
         let rt = Runtime::new_virtual();
@@ -693,16 +594,7 @@ mod tests {
         let (_rt, mut ctx) = vctx();
         let fb = TxCell::new(0u64);
         let cell = TxCell::new(0u64);
-        let policy = RetryPolicy {
-            conflict_retries: 0,
-            capacity_retries: 0,
-            explicit_retries: 0,
-            spurious_retries: 0,
-            fallback_lock_retries: 0,
-            middle_retries: 0,
-            backoff: false,
-        };
-        let out = ctx.htm_execute(&fb, &policy, |tx| {
+        let out = ctx.htm_execute(&fb, &NO_RETRIES, |tx| {
             if tx.is_fallback() {
                 let v = tx.read(&cell)?;
                 tx.write(&cell, v + 1)?;
@@ -746,16 +638,7 @@ mod tests {
         let mut holder = rt.thread(3);
         let fb = TxCell::new(0u64);
         let cell = TxCell::new(0u64);
-        let serialize = RetryPolicy {
-            conflict_retries: 0,
-            capacity_retries: 0,
-            explicit_retries: 0,
-            spurious_retries: 0,
-            fallback_lock_retries: 0,
-            middle_retries: 0,
-            backoff: false,
-        };
-        holder.htm_execute(&fb, &serialize, |tx| {
+        holder.htm_execute(&fb, &NO_RETRIES, |tx| {
             if tx.is_fallback() {
                 let v = tx.read(&cell)?;
                 tx.write(&cell, v + 1)
@@ -808,12 +691,12 @@ mod tests {
             "waste covers the backoff and the abort penalty"
         );
         assert_eq!(ctx.stats.cycles_fallback_wait, 0);
-        assert_eq!(ctx.stats.cycles_middle_wait, 0);
     }
 
     /// The stage counts the report is built from are maintained by the
     /// executor on the thread's metrics shard — exactly once per stage
-    /// transition, including the per-path commit and abort breakdowns.
+    /// transition, including the per-backend commit and per-cause abort
+    /// breakdowns.
     #[test]
     fn executor_maintains_shard_stage_counters_exactly_once() {
         use euno_metrics::Counter as C;
@@ -837,18 +720,16 @@ mod tests {
         assert_eq!(ctx.metric(C::Fallbacks), 1);
         assert_eq!(ctx.metric(C::Commits), 0);
 
-        // A clean commit lands in the total, the per-path and the
-        // per-backend counter exactly once.
+        // A clean commit lands in the total and the per-backend counter
+        // exactly once.
         let out = ctx.htm_execute(&fb, &RetryPolicy::default(), |tx| {
             let v = tx.read(&cell)?;
             tx.write(&cell, v + 1)
         });
         assert_eq!(out.path, Path::Htm);
         assert_eq!(ctx.metric(C::Commits), 1);
-        assert_eq!(ctx.metric(C::CommitsHtm), 1);
         assert_eq!(ctx.metric(C::CommitsVirtual), 1);
         assert_eq!(ctx.metric(C::CommitsStm), 0);
-        assert_eq!(ctx.metric(C::Middles), 0);
         assert_eq!(ctx.metric(C::Attempts), 2);
     }
 
@@ -911,75 +792,15 @@ mod tests {
             .any(|e| matches!(e.kind, EventKind::LockRelease { .. })));
     }
 
-    // ----- middle-path behaviour -----
-
-    use crate::lock::BitLockVector;
-
-    /// Escalates to the middle path on the first abort and serializes
-    /// after two middle grants — a compressed schedule for unit tests.
-    const ESCALATE_FAST: RetryPolicy = RetryPolicy {
-        conflict_retries: 0,
-        capacity_retries: 0,
-        explicit_retries: 0,
-        spurious_retries: 0,
-        fallback_lock_retries: 0,
-        middle_retries: 2,
-        backoff: false,
-    };
-
     #[test]
-    fn middle_path_commits_with_footprint_locked() {
-        let (_rt, mut ctx) = vctx();
-        ctx.set_tracer(Box::new(euno_trace::TraceBuf::with_default_capacity(
-            ctx.id,
-        )));
-        let fb = TxCell::new(0u64);
-        let cell = TxCell::new(0u64);
-        let locks = BitLockVector::new(64);
-        let fp = Footprint::new(&locks, &[7, 3]);
-        let mut first = true;
-        let out = ctx.htm_execute_with(&fb, &ESCALATE_FAST, Some(&fp), |tx| {
-            if first {
-                first = false;
-                return tx.explicit_abort(1);
-            }
-            let v = tx.read(&cell)?;
-            tx.write(&cell, v + 1)
-        });
-        assert_eq!(out.path, Path::Middle);
-        assert_eq!(out.attempts, 2);
-        assert!(!out.used_fallback());
-        assert_eq!(cell.load_plain(), 1);
-        assert_eq!(ctx.exec_stages().commits, 1);
-        assert_eq!(ctx.exec_stages().middles, 1);
-        assert_eq!(ctx.exec_stages().middle_attempts, 1);
-        assert_eq!(ctx.exec_stages().fallbacks, 0);
-        assert_eq!(fb.load_plain(), 0, "global fallback lock never taken");
-        // Both slot locks were released after the commit.
-        assert!(!locks.is_locked(&mut ctx, 3));
-        assert!(!locks.is_locked(&mut ctx, 7));
-        // The slot acquisitions were traced in sorted order.
-        let trace = ctx.take_tracer().unwrap().into_thread_trace();
-        let acquires: Vec<u64> = trace
-            .events
-            .iter()
-            .filter_map(|e| match e.kind {
-                EventKind::LockAcquire { addr, .. } => Some(addr),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(acquires.len(), 2, "one acquire per footprint slot");
-    }
-
-    #[test]
-    fn middle_decision_without_footprint_is_two_path() {
-        // A region that never declared a footprint treats Decision::Middle
-        // as Decision::Fallback — byte-for-byte the classic escalation.
+    fn exhausted_budget_escalates_to_fallback() {
+        // One abort past a zero budget: the next decision is the global
+        // fallback, after exactly one speculative attempt.
         let (_rt, mut ctx) = vctx();
         let fb = TxCell::new(0u64);
         let cell = TxCell::new(0u64);
         let mut first = true;
-        let out = ctx.htm_execute(&fb, &ESCALATE_FAST, |tx| {
+        let out = ctx.htm_execute(&fb, &NO_RETRIES, |tx| {
             if !tx.is_fallback() && first {
                 first = false;
                 return tx.explicit_abort(1);
@@ -988,115 +809,10 @@ mod tests {
             tx.write(&cell, v + 1)
         });
         assert_eq!(out.path, Path::Fallback);
-        assert_eq!(ctx.exec_stages().middle_attempts, 0);
-        assert_eq!(ctx.exec_stages().middles, 0);
-        assert_eq!(ctx.exec_stages().fallbacks, 1);
+        assert_eq!(out.attempts, 1);
+        assert_eq!(ctx.metric(euno_metrics::Counter::Fallbacks), 1);
+        assert_eq!(ctx.exec_stages().commits, 0);
         assert_eq!(cell.load_plain(), 1);
-    }
-
-    #[test]
-    fn middle_path_exhaustion_escalates_to_fallback() {
-        // A body that aborts on every speculative attempt (middle ones
-        // included) must burn the middle grants and still complete on the
-        // serialized fallback, releasing every slot lock on the way.
-        let (_rt, mut ctx) = vctx();
-        let fb = TxCell::new(0u64);
-        let cell = TxCell::new(0u64);
-        let locks = BitLockVector::new(64);
-        let fp = Footprint::new(&locks, &[11]);
-        let out = ctx.htm_execute_with(&fb, &ESCALATE_FAST, Some(&fp), |tx| {
-            if tx.is_fallback() {
-                let v = tx.read(&cell)?;
-                tx.write(&cell, v + 1)
-            } else {
-                tx.explicit_abort(1)
-            }
-        });
-        assert_eq!(out.path, Path::Fallback);
-        assert_eq!(out.attempts, 3, "1 htm + 2 middle grants");
-        assert_eq!(ctx.exec_stages().middle_attempts, 2);
-        assert_eq!(ctx.exec_stages().middles, 0, "no middle attempt committed");
-        assert_eq!(ctx.exec_stages().fallbacks, 1);
-        assert_eq!(cell.load_plain(), 1);
-        assert!(!locks.is_locked(&mut ctx, 11), "aborts must release slots");
-        assert_eq!(fb.load_plain(), 0);
-    }
-
-    #[test]
-    fn middle_path_waits_out_contended_slots_in_virtual_time() {
-        // Thread A commits a middle-path region over slot 5; thread B (at
-        // virtual time 0) then takes the same slot — the virtual lock
-        // model must charge B the wait and attribute it to the middle
-        // stage counters.
-        let rt = Runtime::new_virtual();
-        let locks = BitLockVector::new(64);
-        let fb = TxCell::new(0u64);
-        let cell_a = TxCell::new(0u64);
-        let cell_b = TxCell::new(0u64);
-        let fp = Footprint::new(&locks, &[5]);
-
-        let run = |ctx: &mut ThreadCtx, cell: &TxCell<u64>| {
-            let mut first = true;
-            ctx.htm_execute_with(&fb, &ESCALATE_FAST, Some(&fp), |tx| {
-                if first {
-                    first = false;
-                    return tx.explicit_abort(1);
-                }
-                tx.write(cell, 1)
-            })
-        };
-
-        let mut a = rt.thread(1);
-        let out_a = run(&mut a, &cell_a);
-        assert_eq!(out_a.path, Path::Middle);
-        assert_eq!(a.stats.cycles_middle_wait, 0, "slot was uncontended");
-
-        let mut b = rt.thread(2);
-        let out_b = run(&mut b, &cell_b);
-        assert_eq!(out_b.path, Path::Middle);
-        assert!(
-            b.stats.cycles_middle_wait > 0,
-            "B must wait out A's virtual hold on slot 5"
-        );
-        assert_eq!(
-            b.stats.cycles_middle_wait, b.stats.cycles_lock_wait,
-            "the only lock waited on is slot 5: counted exactly once"
-        );
-    }
-
-    #[test]
-    fn two_path_policy_never_takes_the_middle_path() {
-        // `middle_retries: 0` reproduces the legacy two-path executor
-        // even when a footprint is declared.
-        let (_rt, mut ctx) = vctx();
-        let fb = TxCell::new(0u64);
-        let cell = TxCell::new(0u64);
-        let locks = BitLockVector::new(64);
-        let fp = Footprint::new(&locks, &[2]);
-        let policy = RetryPolicy {
-            middle_retries: 0,
-            ..RetryPolicy::DBX
-        };
-        let out = ctx.htm_execute_with(&fb, &policy, Some(&fp), |tx| {
-            if tx.is_fallback() {
-                let v = tx.read(&cell)?;
-                tx.write(&cell, v + 1)
-            } else {
-                tx.explicit_abort(1)
-            }
-        });
-        assert_eq!(out.path, Path::Fallback);
-        assert_eq!(ctx.exec_stages().middle_attempts, 0);
-        assert_eq!(ctx.stats.cycles_middle_wait, 0);
-        assert_eq!(cell.load_plain(), 1);
-    }
-
-    #[test]
-    fn path_labels_and_ordering_are_stable() {
-        assert_eq!(Path::Htm.label(), "htm");
-        assert_eq!(Path::Middle.label(), "middle");
-        assert_eq!(Path::Fallback.label(), "fallback");
-        assert!(Path::Htm < Path::Middle && Path::Middle < Path::Fallback);
     }
 
     #[test]

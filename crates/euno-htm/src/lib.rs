@@ -70,8 +70,8 @@ pub use exec::{ExecOutcome, Path};
 pub use hint::{fresh_owner, Hint};
 pub use line::{LineClass, LineId, LineSet, CACHE_LINE_BYTES};
 pub use lock::{
-    acquire_mask_blocking, release_mask, slot_for_key, AdvisoryLock, BitLockVector, ControlBlock,
-    Footprint, SlotLocks, SpinBackoff, VersionTable, MAX_FOOTPRINT_SLOTS,
+    acquire_mask_blocking, release_mask, slot_for_key, AdvisoryLock, ControlBlock, SpinBackoff,
+    VersionTable,
 };
 pub use map::{ConcurrentMap, MemoryReport, KEY_SENTINEL, TOMBSTONE};
 pub use obs::{OpKind, OpObserver, OpOutput};

@@ -1,4 +1,4 @@
-//! Advisory locks and lock-bit vectors.
+//! Advisory locks and the masked-word acquire core.
 //!
 //! Eunomia throttles *true* conflicts with fine-grained advisory locks
 //! taken **outside** HTM regions (§3, §4.1): a per-leaf split lock and the
@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use euno_trace::EventKind;
 
 use crate::ctx::ThreadCtx;
-use crate::runtime::{lock_key_for_bit, Mode};
+use crate::runtime::Mode;
 use crate::word::TxCell;
 
 /// Bounded exponential backoff for concurrent-mode spin loops.
@@ -77,9 +77,8 @@ impl Default for SpinBackoff {
 }
 
 /// Blocking acquire of the bits in `mask` within `word` — the spin/acquire
-/// core shared by [`AdvisoryLock`], [`BitLockVector`] and the CCM's
-/// per-slot lock bits (which are the same mechanism at three different
-/// granularities).
+/// core shared by [`AdvisoryLock`] and the CCM's per-slot lock bits (the
+/// same mechanism at two granularities).
 ///
 /// Concurrent mode test-and-test-and-sets with a fresh bounded
 /// [`SpinBackoff`] (a *fresh* one per acquisition — see
@@ -135,97 +134,13 @@ pub fn release_mask(ctx: &mut ThreadCtx, word: &TxCell<u64>, mask: u64, vkey: u6
     word.fetch_and_direct(ctx, !mask);
 }
 
-/// Advisory slot-lock surface a middle-path [`Footprint`] locks against:
-/// anything that exposes independently acquirable numbered slots. The
-/// executor only ever acquires slots in sorted order, so any two regions
-/// locking the same surface are deadlock-free by construction.
-pub trait SlotLocks {
-    /// Blocking acquire of one slot (outside any HTM episode).
-    fn acquire_slot(&self, ctx: &mut ThreadCtx, slot: u32);
-    /// Release one slot.
-    fn release_slot(&self, ctx: &mut ThreadCtx, slot: u32);
-}
-
-impl SlotLocks for BitLockVector {
-    fn acquire_slot(&self, ctx: &mut ThreadCtx, slot: u32) {
-        self.acquire(ctx, slot as usize);
-    }
-
-    fn release_slot(&self, ctx: &mut ThreadCtx, slot: u32) {
-        self.release(ctx, slot as usize);
-    }
-}
-
-/// Most slots one region footprint may declare. Point operations need one
-/// slot; structural operations (split: leaf + sibling + parent) stay small.
-pub const MAX_FOOTPRINT_SLOTS: usize = 4;
-
 /// Fibonacci-hash a key to an advisory slot in `0..nslots` (the paper's
-/// Figure 5 hash) — shared by the CCM's slot map and the trees'
-/// middle-path footprint tables, so both surfaces agree on which slot a
-/// key contends for.
+/// Figure 5 hash) — the CCM's slot map.
 #[inline]
 pub fn slot_for_key(key: u64, nslots: u32) -> u32 {
     debug_assert!(nslots > 0);
     let h = key.wrapping_mul(0x9e37_79b9_7f4a_7c15);
     (h >> 32) as u32 % nslots
-}
-
-/// A region's declared middle-path footprint: which advisory slots of
-/// which lock surface an attempt must hold before speculating. Slots are
-/// sorted and deduplicated at construction, so acquisition order is
-/// globally consistent across threads — two overlapping footprints always
-/// take their common slots in the same order (no deadlock, no
-/// double-lock).
-pub struct Footprint<'f> {
-    locks: &'f dyn SlotLocks,
-    slots: [u32; MAX_FOOTPRINT_SLOTS],
-    len: u8,
-}
-
-impl<'f> Footprint<'f> {
-    pub fn new(locks: &'f dyn SlotLocks, slots: &[u32]) -> Self {
-        assert!(
-            slots.len() <= MAX_FOOTPRINT_SLOTS,
-            "footprint of {} slots exceeds MAX_FOOTPRINT_SLOTS",
-            slots.len()
-        );
-        let mut buf = [0u32; MAX_FOOTPRINT_SLOTS];
-        buf[..slots.len()].copy_from_slice(slots);
-        buf[..slots.len()].sort_unstable();
-        let mut len = 0usize;
-        for i in 0..slots.len() {
-            if len == 0 || buf[i] != buf[len - 1] {
-                buf[len] = buf[i];
-                len += 1;
-            }
-        }
-        Footprint {
-            locks,
-            slots: buf,
-            len: len as u8,
-        }
-    }
-
-    /// The slots in acquisition (ascending) order.
-    pub fn slots(&self) -> &[u32] {
-        &self.slots[..self.len as usize]
-    }
-
-    /// Acquire every slot in sorted order. Must be called outside any HTM
-    /// episode (the lock words are accessed directly).
-    pub fn acquire_all(&self, ctx: &mut ThreadCtx) {
-        for &s in self.slots() {
-            self.locks.acquire_slot(ctx, s);
-        }
-    }
-
-    /// Release every slot (reverse order, symmetric with acquisition).
-    pub fn release_all(&self, ctx: &mut ThreadCtx) {
-        for &s in self.slots().iter().rev() {
-            self.locks.release_slot(ctx, s);
-        }
-    }
 }
 
 /// A word-sized advisory spinlock (the paper's per-leaf "split lock").
@@ -334,70 +249,6 @@ impl ControlBlock {
             root_lock: AdvisoryLock::new(),
             _pad: [0; 5],
         })
-    }
-}
-
-/// A vector of independently acquirable one-bit spinlocks packed into
-/// words — the CCM's *lock bits* (§4.1, Figure 5).
-pub struct BitLockVector {
-    words: Box<[TxCell<u64>]>,
-    bits: usize,
-}
-
-impl BitLockVector {
-    pub fn new(bits: usize) -> Self {
-        let nwords = bits.div_ceil(64).max(1);
-        BitLockVector {
-            words: (0..nwords).map(|_| TxCell::new(0)).collect(),
-            bits,
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        self.bits
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.bits == 0
-    }
-
-    #[inline]
-    fn locate(&self, slot: usize) -> (&TxCell<u64>, u64, u64) {
-        assert!(slot < self.bits, "slot {slot} out of range {}", self.bits);
-        let word = &self.words[slot / 64];
-        let bit = (slot % 64) as u32;
-        (
-            word,
-            1u64 << bit,
-            lock_key_for_bit(word.raw_ptr() as usize, bit),
-        )
-    }
-
-    /// Blocking acquire of one slot's lock bit (Algorithm 2 lines 30-31).
-    /// Contended concurrent acquisitions back off like [`AdvisoryLock`]:
-    /// the word is re-tested before each `fetch_or` so waiters don't keep
-    /// dirtying a line shared by up to 64 independent locks.
-    pub fn acquire(&self, ctx: &mut ThreadCtx, slot: usize) {
-        let (word, mask, key) = self.locate(slot);
-        let addr = word.raw_ptr() as u64;
-        let waited = acquire_mask_blocking(ctx, word, mask, key);
-        ctx.trace(EventKind::LockAcquire {
-            addr,
-            wait_cycles: waited,
-        });
-    }
-
-    pub fn release(&self, ctx: &mut ThreadCtx, slot: usize) {
-        let (word, mask, key) = self.locate(slot);
-        release_mask(ctx, word, mask, key);
-        ctx.trace(EventKind::LockRelease {
-            addr: word.raw_ptr() as u64,
-        });
-    }
-
-    pub fn is_locked(&self, ctx: &mut ThreadCtx, slot: usize) -> bool {
-        let (word, mask, _) = self.locate(slot);
-        word.load_direct(ctx) & mask != 0
     }
 }
 
@@ -602,54 +453,6 @@ mod tests {
     }
 
     #[test]
-    fn bit_locks_are_independent() {
-        let rt = Runtime::new_virtual();
-        let mut a = rt.thread(0);
-        let mut b = rt.thread(1);
-        let v = BitLockVector::new(32);
-        v.acquire(&mut a, 3);
-        a.charge(10_000);
-        v.release(&mut a, 3);
-        // A different slot is free immediately.
-        v.acquire(&mut b, 4);
-        assert!(b.clock < 10_000);
-        v.release(&mut b, 4);
-        // The same slot would have waited.
-        let mut c = rt.thread(2);
-        v.acquire(&mut c, 3);
-        assert!(c.clock >= 10_000);
-        v.release(&mut c, 3);
-    }
-
-    #[test]
-    fn bit_lock_concurrent_mutex() {
-        let rt = Runtime::new_concurrent();
-        let v = BitLockVector::new(8);
-        let shared = std::sync::atomic::AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for t in 0..4 {
-                let mut ctx = rt.thread(t);
-                let (v, shared) = (&v, &shared);
-                s.spawn(move || {
-                    for i in 0..100usize {
-                        let slot = i % 8;
-                        v.acquire(&mut ctx, slot);
-                        let x = shared.load(std::sync::atomic::Ordering::Relaxed);
-                        shared.store(x + 1, std::sync::atomic::Ordering::Relaxed);
-                        v.release(&mut ctx, slot);
-                    }
-                });
-            }
-        });
-        // Different slots allow racing on `shared`, so we cannot assert 400
-        // here — only that all locks were released.
-        let mut ctx = rt.thread(9);
-        for slot in 0..8 {
-            assert!(!v.is_locked(&mut ctx, slot));
-        }
-    }
-
-    #[test]
     fn spin_backoff_is_bounded_and_charged() {
         let rt = Runtime::new_concurrent();
         let mut ctx = rt.thread(0);
@@ -742,35 +545,6 @@ mod tests {
     }
 
     #[test]
-    fn footprint_sorts_and_dedups_slots() {
-        let v = BitLockVector::new(64);
-        let fp = Footprint::new(&v, &[9, 3, 9, 60]);
-        assert_eq!(fp.slots(), &[3, 9, 60]);
-        let empty = Footprint::new(&v, &[]);
-        assert_eq!(empty.slots(), &[] as &[u32]);
-
-        // acquire_all takes exactly the deduped slots, in order.
-        let rt = Runtime::new_virtual();
-        let mut ctx = rt.thread(0);
-        fp.acquire_all(&mut ctx);
-        for &s in &[3usize, 9, 60] {
-            assert!(v.is_locked(&mut ctx, s));
-        }
-        assert!(!v.is_locked(&mut ctx, 10));
-        fp.release_all(&mut ctx);
-        for &s in &[3usize, 9, 60] {
-            assert!(!v.is_locked(&mut ctx, s));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "MAX_FOOTPRINT_SLOTS")]
-    fn footprint_rejects_oversized_slot_lists() {
-        let v = BitLockVector::new(64);
-        let _ = Footprint::new(&v, &[1, 2, 3, 4, 5]);
-    }
-
-    #[test]
     fn commit_release_stays_visible_past_direct_write_bumps() {
         // Regression: the old `bump_line` added +1 per direct write
         // without advancing the global clock, so a hot line could push
@@ -851,17 +625,5 @@ mod tests {
         l.acquire(&mut b);
         assert_eq!(b.stats.cas_ops, before + 2);
         l.release(&mut b);
-
-        // Bit locks follow the same rule.
-        let v = BitLockVector::new(8);
-        let mut c = rt.thread(2);
-        v.acquire(&mut a, 3);
-        a.charge(5_000);
-        v.release(&mut a, 3);
-        let before = c.stats.cas_ops;
-        v.acquire(&mut c, 3); // must wait out the virtual hold
-        assert!(c.stats.cycles_lock_wait > 0);
-        assert_eq!(c.stats.cas_ops, before + 2, "losing + winning CAS");
-        v.release(&mut c, 3);
     }
 }

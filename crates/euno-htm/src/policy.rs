@@ -23,12 +23,6 @@ pub struct RetryPolicy {
     pub spurious_retries: u32,
     /// Budget for aborts caused by the fallback lock being held.
     pub fallback_lock_retries: u32,
-    /// Middle-path attempts granted after the speculative budgets are
-    /// exhausted and before the region escalates to the global fallback.
-    /// Each one re-runs the region as an HTM episode holding the region's
-    /// advisory slot locks, so only same-slot contenders wait. Zero
-    /// reproduces the classic two-path executor exactly.
-    pub middle_retries: u32,
     /// Exponential backoff between retries.
     pub backoff: bool,
 }
@@ -44,10 +38,6 @@ impl Default for RetryPolicy {
 pub enum Decision {
     /// Try the region again, optionally after exponential backoff.
     Retry { backoff: bool },
-    /// Escalate to the footprint-local middle path: retry speculatively
-    /// while holding the region's advisory slot locks. Regions without a
-    /// declared footprint treat this as [`Decision::Fallback`].
-    Middle,
     /// Give up on speculation and take the serialized fallback path.
     Fallback,
 }
@@ -61,23 +51,19 @@ impl RetryPolicy {
         explicit_retries: 0,
         spurious_retries: 4,
         fallback_lock_retries: 2,
-        middle_retries: 4,
         backoff: true,
     };
 
     /// The decide stage, called after every abort once `counts` was
     /// bumped with its cause: speculate while no per-cause budget is
-    /// exhausted, then grant `middle_retries` footprint-locked attempts,
-    /// then serialize.
+    /// exhausted, then serialize.
     pub fn decide(&self, counts: &RetryCounts) -> Decision {
-        if !self.exhausted(counts) {
+        if self.exhausted(counts) {
+            Decision::Fallback
+        } else {
             Decision::Retry {
                 backoff: self.backoff,
             }
-        } else if counts.middle < self.middle_retries {
-            Decision::Middle
-        } else {
-            Decision::Fallback
         }
     }
 
@@ -99,10 +85,6 @@ pub struct RetryCounts {
     pub explicit: u32,
     pub spurious: u32,
     pub fallback_locked: u32,
-    /// Middle-path attempts granted to this region so far. Tracked apart
-    /// from the per-cause tallies: a middle attempt's abort still bumps
-    /// its cause above, but the escalation schedule is charged here.
-    pub middle: u32,
 }
 
 impl RetryCounts {

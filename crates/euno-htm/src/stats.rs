@@ -11,7 +11,7 @@ use crate::abort::{AbortCause, ConflictKind};
 /// Counters kept by one (virtual or OS) thread. Plain integers — each
 /// thread owns its counters; aggregation happens after the run.
 ///
-/// Stage **counts** (attempts, commits, middles, fallbacks, backoffs, CCM
+/// Stage **counts** (attempts, commits, fallbacks, backoffs, CCM
 /// flips) live in the thread's `euno-metrics` shard, not here — read them
 /// via [`ThreadCtx::exec_stages`](crate::ThreadCtx::exec_stages). This
 /// struct keeps what the shard does not: cycle accounting, the abort-cause
@@ -45,9 +45,6 @@ pub struct ThreadStats {
     /// Virtual cycles spent waiting to acquire (or waiting out) the
     /// fallback lock specifically (also counted in `cycles_lock_wait`).
     pub cycles_fallback_wait: u64,
-    /// Virtual cycles spent acquiring middle-path footprint slot locks
-    /// (also counted in `cycles_lock_wait`).
-    pub cycles_middle_wait: u64,
     /// Instrumented memory accesses (instruction-count proxy; used for the
     /// "Masstree executes ~2.1× the instructions" comparison in §5.2).
     pub mem_accesses: u64,
@@ -139,7 +136,6 @@ impl ThreadStats {
         self.cycles_lock_wait += other.cycles_lock_wait;
         self.cycles_backoff += other.cycles_backoff;
         self.cycles_fallback_wait += other.cycles_fallback_wait;
-        self.cycles_middle_wait += other.cycles_middle_wait;
         self.mem_accesses += other.mem_accesses;
         self.cas_ops += other.cas_ops;
         self.episode_pool_allocs += other.episode_pool_allocs;
@@ -266,14 +262,12 @@ mod tests {
         let b = ThreadStats {
             cycles_backoff: 120,
             cycles_fallback_wait: 55,
-            cycles_middle_wait: 17,
             ..Default::default()
         };
         a.merge(&b);
         a.merge(&b);
         assert_eq!(a.cycles_backoff, 240);
         assert_eq!(a.cycles_fallback_wait, 110);
-        assert_eq!(a.cycles_middle_wait, 34);
     }
 
     #[test]

@@ -55,7 +55,6 @@ fn fallback_lock_excludes_transactions() {
         explicit_retries: 0,
         spurious_retries: 0,
         fallback_lock_retries: 0,
-        middle_retries: 0,
         backoff: false,
     };
     let out = holder.htm_execute(&fb, &zero_retry, |tx| {

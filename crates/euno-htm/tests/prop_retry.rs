@@ -36,7 +36,6 @@ fn random_policy(rng: &mut SmallRng) -> RetryPolicy {
         explicit_retries: rng.gen_range(0..3u32),
         spurious_retries: rng.gen_range(0..8u32),
         fallback_lock_retries: rng.gen_range(0..6u32),
-        middle_retries: rng.gen_range(0..5u32),
         backoff: rng.gen_range(0..2u32) == 0,
     }
 }
@@ -80,12 +79,6 @@ fn budget_exactly_exhausted_at_boundary() {
                 p.exhausted(&counts),
                 "case {case}: budget + 1 must exhaust ({c:?})"
             );
-            // Exhaustion escalates: first through the middle grants, then
-            // to the serialized fallback.
-            while counts.middle < p.middle_retries {
-                assert_eq!(p.decide(&counts), Decision::Middle);
-                counts.middle += 1;
-            }
             assert_eq!(p.decide(&counts), Decision::Fallback);
         }
     }
@@ -170,49 +163,41 @@ fn backoff_exponent_grows_one_per_abort() {
 }
 
 /// The escalation schedule, driven the way the executor drives it (bump
-/// the cause, ask, and count a `Middle` grant against the region): over
-/// randomized budgets and abort sequences the verdicts are monotone
-/// `Retry → Middle → Fallback`, a region is granted exactly
-/// `middle_retries` middle attempts before it serializes, and
-/// `middle_retries == 0` never yields `Middle`.
+/// the cause, ask): over randomized budgets and abort sequences the
+/// verdict is `Retry` strictly before the first exhausted budget and
+/// `Fallback` at it and ever after, and the escalating abort is the one
+/// after the last in-budget abort — the executor's `attempts` at
+/// escalation is the spent budget plus one.
 #[test]
-fn escalation_schedule_is_monotone_with_exact_middle_grants() {
-    fn rank(d: Decision) -> u8 {
-        match d {
-            Decision::Retry { .. } => 0,
-            Decision::Middle => 1,
-            Decision::Fallback => 2,
-        }
-    }
+fn escalation_schedule_is_retry_then_fallback_for_good() {
     let mut rng = SmallRng::seed_from_u64(0xE5CA);
     for case in 0..300u64 {
         let p = random_policy(&mut rng);
         let mut counts = RetryCounts::default();
-        let mut last = 0u8;
-        let mut grants = 0u32;
+        let mut spent = 0u32;
         loop {
             counts.bump(cause(rng.gen_range(0..5u64)));
-            let d = p.decide(&counts);
-            assert!(
-                rank(d) >= last,
-                "case {case}: verdict went backwards to {d:?} at {counts:?}"
-            );
-            last = rank(d);
-            match d {
+            match p.decide(&counts) {
                 Decision::Retry { backoff } => {
                     assert_eq!(backoff, p.backoff);
                     assert!(!p.exhausted(&counts));
-                }
-                Decision::Middle => {
-                    counts.middle += 1;
-                    grants += 1;
+                    spent += 1;
                 }
                 Decision::Fallback => break,
             }
         }
         assert_eq!(
-            grants, p.middle_retries,
-            "case {case}: middle grants before fallback"
+            counts.total_attempted(),
+            spent + 1,
+            "case {case}: escalation must come one abort past the spent budget"
         );
+        for _ in 0..8 {
+            counts.bump(cause(rng.gen_range(0..5u64)));
+            assert_eq!(
+                p.decide(&counts),
+                Decision::Fallback,
+                "case {case}: verdict went back to speculation at {counts:?}"
+            );
+        }
     }
 }

@@ -40,7 +40,7 @@ mod hist;
 mod registry;
 mod sample;
 
-pub use counters::{Counter, ExecStages, Gauge, ABORTS_HTM, ABORTS_MIDDLE, ABORT_BUCKETS};
+pub use counters::*;
 pub use flip::{adaptation_lags, AdaptationLag, FlipEvent, FlipKind, FlipLog};
 pub use hist::{approx_quantile_from_buckets, LogHistogram};
 pub use registry::{Registry, ShardMark, ThreadShard};

@@ -322,12 +322,12 @@ mod tests {
         let s = reg.register_shard().unwrap();
         s.add(Counter::Attempts, 3);
         s.add(Counter::Commits, 2);
-        s.add(Counter::Middles, 1);
+        s.add(Counter::Fallbacks, 1);
         assert_eq!(s.get(Counter::Attempts), 3);
         let stages = s.exec_stages();
         assert_eq!(stages.attempts, 3);
         assert_eq!(stages.commits, 2);
-        assert_eq!(stages.middles, 1);
+        assert_eq!(stages.fallbacks, 1);
         assert_eq!(reg.total(Counter::Commits), 2);
     }
 

@@ -62,7 +62,7 @@ pub struct RunMetrics {
     pub fallbacks_per_op: f64,
     /// Merged raw counters.
     pub stats: ThreadStats,
-    /// Executor stage counts (attempts/commits/middles/fallbacks/...),
+    /// Executor stage counts (attempts/commits/fallbacks/...),
     /// aggregated from the run's `euno-metrics` thread shards.
     pub stages: ExecStages,
     /// Registry snapshots sampled every Δ ticks, when the run asked for

@@ -29,8 +29,8 @@ use crate::metrics::RunMetrics;
 pub use euno_trace::Json;
 
 /// Bumped whenever a required key is added, removed or renamed.
-/// v2: three-path executor — `stages` gained `middles`, `middle_attempts`
-/// and `cycles_middle_wait`; metrics gained `middle_rate`.
+/// v2: three-path executor — three `stages` keys and one rate for its
+/// footprint-locked third path.
 /// v3: `euno-metrics` — stage counts now come from the always-on metric
 /// registry ([`RunMetrics::stages`]); metrics gained an optional
 /// `timeseries` section (Δ-tick sampler windows, CCM flip events and
@@ -38,7 +38,9 @@ pub use euno_trace::Json;
 /// v4: `euno-serve` — metrics gained an optional `serve` section
 /// (router/queue/group-commit counters plus the drained-batch-size
 /// histogram from [`crate::metrics::ServeInfo`]) validated when present.
-pub const SCHEMA_VERSION: u64 = 4;
+/// v5: two-path executor — v2's four keys are gone (named in DESIGN.md
+/// §11).
+pub const SCHEMA_VERSION: u64 = 5;
 
 /// The `policy` provenance key of every run: all regions run under the one
 /// [`RetryPolicy::DBX`](euno_htm::RetryPolicy::DBX) schedule. Kept in the
@@ -203,21 +205,14 @@ pub fn metrics_json(m: &RunMetrics) -> Json {
             Json::Num(st.fallbacks as f64 / attempts),
         ),
         (
-            "middle_rate".into(),
-            Json::Num(st.middles as f64 / st.commits.max(1) as f64),
-        ),
-        (
             "stages".into(),
             Json::Obj(vec![
                 ("attempts".into(), Json::u64(st.attempts)),
                 ("commits".into(), Json::u64(st.commits)),
-                ("middles".into(), Json::u64(st.middles)),
-                ("middle_attempts".into(), Json::u64(st.middle_attempts)),
                 ("fallbacks".into(), Json::u64(st.fallbacks)),
                 ("backoffs".into(), Json::u64(st.backoffs)),
                 ("cycles_backoff".into(), Json::u64(s.cycles_backoff)),
                 ("cycles_lock_wait".into(), Json::u64(s.cycles_lock_wait)),
-                ("cycles_middle_wait".into(), Json::u64(s.cycles_middle_wait)),
                 (
                     "cycles_fallback_wait".into(),
                     Json::u64(s.cycles_fallback_wait),
@@ -561,7 +556,6 @@ const RUN_METRIC_KEYS: &[&str] = &[
     "wasted_cycle_fraction",
     "fallbacks_per_op",
     "fallback_rate",
-    "middle_rate",
     "stages",
     "latency",
 ];
@@ -582,13 +576,10 @@ const ABORT_KEYS: &[&str] = &[
 const STAGE_KEYS: &[&str] = &[
     "attempts",
     "commits",
-    "middles",
-    "middle_attempts",
     "fallbacks",
     "backoffs",
     "cycles_backoff",
     "cycles_lock_wait",
-    "cycles_middle_wait",
     "cycles_fallback_wait",
     "ccm_bypass_flips",
 ];

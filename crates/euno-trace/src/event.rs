@@ -108,11 +108,6 @@ pub enum EventKind {
     FallbackWait {
         cycles: u64,
     },
-    /// The executor waited `cycles` acquiring a middle-path footprint's
-    /// advisory slot locks before a locked speculative attempt.
-    MiddleWait {
-        cycles: u64,
-    },
     /// An advisory lock / CCM lock bit was acquired after waiting
     /// `wait_cycles` (0 = uncontended).
     LockAcquire {
@@ -213,7 +208,6 @@ impl fmt::Display for Event {
             }
             EventKind::Backoff { cycles } => write!(f, "backoff {cycles} cyc"),
             EventKind::FallbackWait { cycles } => write!(f, "fallback-wait {cycles} cyc"),
-            EventKind::MiddleWait { cycles } => write!(f, "middle-wait {cycles} cyc"),
             EventKind::LockAcquire { addr, wait_cycles } => {
                 write!(f, "lock {addr:#x} acquired (waited {wait_cycles} cyc)")
             }

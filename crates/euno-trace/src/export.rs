@@ -115,9 +115,6 @@ pub fn chrome_trace(traces: &[ThreadTrace]) -> Json {
                 EventKind::FallbackWait { cycles } => {
                     events.push(span_event("fallback_wait", ev.ts, cycles, tid));
                 }
-                EventKind::MiddleWait { cycles } => {
-                    events.push(span_event("middle_wait", ev.ts, cycles, tid));
-                }
                 EventKind::LockAcquire { addr, wait_cycles } => {
                     if wait_cycles > 0 {
                         events.push(span_event("lock_wait", ev.ts, wait_cycles, tid));
@@ -450,9 +447,6 @@ pub fn folded_rollup(traces: &[ThreadTrace]) -> String {
                 EventKind::FallbackWait { cycles } => {
                     *stacks.entry(format!("{tn};fallback_wait")).or_default() += cycles.max(1);
                 }
-                EventKind::MiddleWait { cycles } => {
-                    *stacks.entry(format!("{tn};middle_wait")).or_default() += cycles.max(1);
-                }
                 EventKind::LockAcquire { wait_cycles, .. } if wait_cycles > 0 => {
                     *stacks.entry(format!("{tn};lock_wait")).or_default() += wait_cycles;
                 }
@@ -510,7 +504,7 @@ mod tests {
         vec![ThreadTrace {
             thread: 0,
             dropped: 0,
-            total: 9,
+            total: 8,
             events: vec![
                 mk(
                     10,
@@ -553,7 +547,6 @@ mod tests {
                         wait_cycles: 20,
                     },
                 ),
-                mk(135, EventKind::MiddleWait { cycles: 4 }),
                 mk(140, EventKind::OpEnd),
             ],
         }]
@@ -671,7 +664,6 @@ mod tests {
         assert!(text.contains("thread_0;htm_tx;commit 39"), "{text}");
         assert!(text.contains("thread_0;backoff 50"), "{text}");
         assert!(text.contains("thread_0;lock_wait 20"), "{text}");
-        assert!(text.contains("thread_0;middle_wait 4"), "{text}");
         // The op span: 140-10 = 130 cycles.
         assert!(text.contains("thread_0;op_put 130"), "{text}");
     }

@@ -48,7 +48,6 @@ run fig10_scalability fig10_scalability.csv
 run fig11_getput_ratio fig11_getput_ratio.csv
 run fig12_distributions fig12_distributions.csv
 run fig13_ablation fig13_ablation.csv
-run fig13_threepath fig13_threepath.csv
 run fig14_timeline fig14_timeline.csv
 run ycsb_suite ycsb_suite.csv
 run mem_overhead mem_overhead.csv

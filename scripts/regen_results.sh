@@ -2,7 +2,7 @@
 # Regenerate every virtual-clock result at the recorded scale and compare
 # it with results/, row by row.
 #
-# The thirteen figure binaries below run on the virtual clock, so their
+# The twelve figure binaries below run on the virtual clock, so their
 # CSVs are bit-reproducible: a row that differs from the recorded one is a
 # behaviour change of the system named in its first column, not noise.
 # (engine_bench and serve_bench are wall-clock and stay with
@@ -34,7 +34,7 @@ LOG="$OUT/all_figures.log"
 FIGURES=(
     fig01_motivation fig02_abort_breakdown fig08_throughput
     fig09_abort_comparison fig10_scalability fig11_getput_ratio
-    fig12_distributions fig13_ablation fig13_threepath fig14_timeline
+    fig12_distributions fig13_ablation fig14_timeline
     ycsb_suite mem_overhead sensitivity
 )
 
