@@ -15,8 +15,17 @@
 //! decrease is only a violation when the address was continuously
 //! present — which is exactly the case where the memory is guaranteed to
 //! still be the same leaf.
+//!
+//! [`IndexWatch`] consumes index-node snapshots (from
+//! `EunoBTree::index_lows_plain`) taken at quiescent points and holds the
+//! tree to what subtree hints assume of it: an index node, once seen, is
+//! in every later snapshot, with the same lower bound. A thread may start
+//! a walk at an index node it remembers from any earlier operation,
+//! checking nothing but what the walk itself reads — so a tree that one
+//! day merges, unlinks or re-bounds index nodes must fail here, in a test,
+//! and not in a reader.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Accumulates seqno snapshots and records monotonicity violations.
 #[derive(Default)]
@@ -67,9 +76,90 @@ impl SeqnoWatch {
     }
 }
 
+/// Accumulates index-node snapshots and records nodes that disappeared
+/// or whose lower bound changed.
+#[derive(Default)]
+pub struct IndexWatch {
+    /// The latest snapshot (ordered, so that findings print in one order).
+    lows: BTreeMap<usize, u64>,
+    violations: Vec<String>,
+}
+
+impl IndexWatch {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Feed one full snapshot of a quiescent tree (order irrelevant).
+    /// Each finding is reported once: the new snapshot is the baseline
+    /// for the next.
+    pub fn observe(&mut self, snapshot: &[(usize, u64)]) {
+        let now: BTreeMap<usize, u64> = snapshot.iter().copied().collect();
+        for (addr, was) in &self.lows {
+            match now.get(addr) {
+                None => self.violations.push(format!(
+                    "index node {addr:#x} (low {was}) left the tree: subtree hints may still name it"
+                )),
+                Some(low) if low != was => self.violations.push(format!(
+                    "index node {addr:#x} changed its lower bound: {was} → {low}"
+                )),
+                Some(_) => {}
+            }
+        }
+        self.lows = now;
+    }
+
+    pub fn violations(&self) -> &[String] {
+        &self.violations
+    }
+
+    /// Number of distinct index nodes in the latest snapshot.
+    pub fn nodes_seen(&self) -> usize {
+        self.lows.len()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_growing_index_with_fixed_lows_is_clean() {
+        // A root, then its split under a new root, then a split below:
+        // nodes only ever join, and each keeps the bound it came with.
+        let mut w = IndexWatch::new();
+        w.observe(&[]);
+        w.observe(&[(0x1000, 0)]);
+        w.observe(&[(0x3000, 0), (0x1000, 0), (0x2000, 500)]);
+        w.observe(&[(0x3000, 0), (0x1000, 0), (0x4000, 250), (0x2000, 500)]);
+        assert!(w.violations().is_empty(), "{:?}", w.violations());
+        assert_eq!(w.nodes_seen(), 4);
+    }
+
+    #[test]
+    fn a_vanished_index_node_is_flagged() {
+        // What merging two index nodes would look like.
+        let mut w = IndexWatch::new();
+        w.observe(&[(0x3000, 0), (0x1000, 0), (0x2000, 500)]);
+        w.observe(&[(0x3000, 0), (0x1000, 0)]);
+        assert_eq!(w.violations().len(), 1, "{:?}", w.violations());
+        assert!(w.violations()[0].contains("0x2000"));
+        assert!(w.violations()[0].contains("left the tree"));
+        w.observe(&[(0x3000, 0), (0x1000, 0)]);
+        assert_eq!(w.violations().len(), 1, "reported once");
+    }
+
+    #[test]
+    fn a_moved_lower_bound_is_flagged() {
+        // What re-distributing children between index siblings would.
+        let mut w = IndexWatch::new();
+        w.observe(&[(0x3000, 0), (0x1000, 0), (0x2000, 500)]);
+        w.observe(&[(0x3000, 0), (0x1000, 0), (0x2000, 400)]);
+        assert_eq!(w.violations().len(), 1, "{:?}", w.violations());
+        assert!(w.violations()[0].contains("500 → 400"));
+        w.observe(&[(0x3000, 0), (0x1000, 0), (0x2000, 400)]);
+        assert_eq!(w.violations().len(), 1, "reported once");
+    }
 
     #[test]
     fn monotone_snapshots_are_clean() {

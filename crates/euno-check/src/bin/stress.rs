@@ -154,6 +154,10 @@ fn main() {
                 "      seqno watch: {} leaves observed, {} violations",
                 r.seqno_leaves_seen, r.seqno_violations
             );
+            println!(
+                "      index watch: {} index nodes, {} violations",
+                r.index_nodes_seen, r.index_violations
+            );
             println!("      quiescent audit: {} findings", r.quiescent_findings);
             if !r.traces.is_empty() && dump_events > 0 {
                 println!("      last {dump_events} events per thread:");
@@ -178,7 +182,8 @@ fn main() {
                     println!(
                         "        t={:>9}us ops={} commits={} aborts={} \
                          fallbacks={} flips={} sweep(slices/merges)={}/{} \
-                         scan_locked_steps={} leaf_hints(hits/stale)={}/{}",
+                         scan_locked_steps={} leaf_hints(hits/stale)={}/{} \
+                         subtree_hints(hits/unusable)={}/{}",
                         s.tick,
                         s.counters[Counter::Ops.index()],
                         s.counters[Counter::Commits.index()],
@@ -193,6 +198,8 @@ fn main() {
                         s.counters[Counter::ScanLockedSteps.index()],
                         s.counters[Counter::LeafHintHits.index()],
                         s.counters[Counter::LeafHintStale.index()],
+                        s.counters[Counter::SubtreeHintHits.index()],
+                        s.counters[Counter::SubtreeHintUnusable.index()],
                     );
                 }
             }

@@ -10,8 +10,9 @@
 //! * [`lin`] — a Wing–Gong-style linearizability oracle with interval
 //!   pruning and memoization, plus relaxed validation for the
 //!   deliberately non-atomic chained scans;
-//! * [`audit`] — cross-time structural checks (leaf seqno monotonicity);
-//!   the quiescent-state audit itself lives in `euno-core::inspect`;
+//! * [`audit`] — cross-time structural checks (leaf seqno monotonicity,
+//!   index nodes that never leave or re-bound); the quiescent-state audit
+//!   itself lives in `euno-core::inspect`;
 //! * [`stress`] — the trait-driven multi-threaded driver tying it all
 //!   together, also available as the `stress` binary
 //!   (`cargo run -p euno-check --bin stress -- --threads 8 --ops 20000
@@ -22,7 +23,7 @@ pub mod history;
 pub mod lin;
 pub mod stress;
 
-pub use audit::SeqnoWatch;
+pub use audit::{IndexWatch, SeqnoWatch};
 pub use history::{new_sink, CompletedOp, HistorySink, Recorder};
 pub use lin::{check_history, Verdict, DEFAULT_BUDGET};
 pub use stress::{run_all, run_stress, AuditHooks, StressConfig, StressReport};

@@ -23,7 +23,7 @@ use euno_metrics::{sample_due, Counter, ExecStages, Snapshot, TimeSeries};
 use euno_rng::{Rng, SmallRng};
 use euno_trace::{build_profile, LeafProfile, ThreadTrace, TraceBuf};
 
-use crate::audit::SeqnoWatch;
+use crate::audit::{IndexWatch, SeqnoWatch};
 use crate::history::{new_sink, Recorder};
 use crate::lin::{check_history, Verdict, DEFAULT_BUDGET};
 
@@ -155,11 +155,19 @@ impl StressConfig {
 /// A concurrently-sampleable leaf seqno snapshot source.
 pub type SeqnoSnapshotFn<'a> = Box<dyn Fn() -> Vec<(usize, u64)> + Sync + 'a>;
 
+/// An index-node `(address, lower bound)` snapshot source, for quiescent
+/// points only.
+pub type IndexSnapshotFn<'a> = Box<dyn Fn() -> Vec<(usize, u64)> + 'a>;
+
 /// Structure-specific audits a tree can contribute to the run.
 #[derive(Default)]
 pub struct AuditHooks<'a> {
     /// Sampled concurrently by a watcher thread; fed to [`SeqnoWatch`].
     pub seqno_snapshot: Option<SeqnoSnapshotFn<'a>>,
+    /// Sampled wherever the run is quiescent — after the preload, after
+    /// the workers and the maintainer have joined, after the verification
+    /// reads; fed to [`IndexWatch`].
+    pub index_snapshot: Option<IndexSnapshotFn<'a>>,
     /// Run once at quiescence; returns invariant violations.
     pub quiescent: Option<Box<dyn Fn() -> Vec<String> + 'a>>,
 }
@@ -181,6 +189,10 @@ pub struct StressReport {
     pub seqno_leaves_seen: usize,
     /// How many of `invariant_violations` came from the seqno watcher.
     pub seqno_violations: usize,
+    /// Index nodes in the index watcher's last snapshot.
+    pub index_nodes_seen: usize,
+    /// How many of `invariant_violations` came from the index watcher.
+    pub index_violations: usize,
     /// How many of `invariant_violations` came from the quiescent audit.
     pub quiescent_findings: usize,
     /// Per-thread event rings (workers, maintainer, verifier), collected
@@ -247,6 +259,13 @@ pub fn run_stress(
     if let Some(f) = &hooks.seqno_snapshot {
         seq_watch.observe(&f());
     }
+    let mut index_watch = IndexWatch::new();
+    let mut observe_index = || {
+        if let Some(f) = &hooks.index_snapshot {
+            index_watch.observe(&f());
+        }
+    };
+    observe_index();
 
     let start = Instant::now();
     let deadline = (cfg.duration_ms > 0).then(|| start + Duration::from_millis(cfg.duration_ms));
@@ -397,6 +416,7 @@ pub fn run_stress(
     if let Some(f) = &hooks.seqno_snapshot {
         seq_watch.observe(&f());
     }
+    observe_index();
 
     // ---- Post-quiescence verification reads, recorded too. --------
     // These are strictly after every worker op, so the oracle is forced
@@ -428,15 +448,19 @@ pub fn run_stress(
         traces.extend(ctx.take_tracer().map(|b| b.into_thread_trace()));
     }
 
+    observe_index();
+
     let history = std::mem::take(&mut *sink.lock().unwrap());
     let verdict = check_history(&history, &preload_model, atomic_scans, cfg.lin_budget);
 
     let mut invariant_violations: Vec<String> = seq_watch.violations().to_vec();
     let seqno_violations = invariant_violations.len();
+    invariant_violations.extend_from_slice(index_watch.violations());
+    let index_violations = index_watch.violations().len();
     if let Some(f) = &hooks.quiescent {
         invariant_violations.extend(f());
     }
-    let quiescent_findings = invariant_violations.len() - seqno_violations;
+    let quiescent_findings = invariant_violations.len() - seqno_violations - index_violations;
 
     let profile = cfg
         .profile
@@ -452,6 +476,8 @@ pub fn run_stress(
         elapsed_ms: start.elapsed().as_millis() as u64,
         seqno_leaves_seen: seq_watch.leaves_seen(),
         seqno_violations,
+        index_nodes_seen: index_watch.nodes_seen(),
+        index_violations,
         quiescent_findings,
         traces,
         profile,
@@ -475,7 +501,7 @@ pub fn run_all(cfg: &StressConfig, filter: Option<&str>) -> Vec<StressReport> {
         ..base
     };
     // Both Euno configurations: `paper()` (HTM upper region) and
-    // `default()` (leaf hint, then the validated walk).
+    // `default()` (leaf hint, subtree hint, then the validated walk).
     for (name, base) in [
         ("Euno-B+Tree", EunoConfig::paper()),
         ("Euno-ReadOpt", EunoConfig::default()),
@@ -487,15 +513,26 @@ pub fn run_all(cfg: &StressConfig, filter: Option<&str>) -> Vec<StressReport> {
         let tree = EunoBTreeDefault::with_config(Arc::clone(&rt), euno_cfg(base));
         let hooks = AuditHooks {
             seqno_snapshot: Some(Box::new(|| tree.leaf_seqnos_plain())),
+            index_snapshot: Some(Box::new(|| tree.index_lows_plain())),
             quiescent: Some(Box::new(|| {
                 let mut findings = tree.audit_quiescent();
-                // The hint rung must be what this run exercised — or, on
-                // the paper's tree, must not exist.
-                let hits = rt.metrics().total(Counter::LeafHintHits);
-                match (tree.config().read_opt, hits) {
-                    (true, 0) => findings.push("no leaf-hint hit in the whole run".into()),
-                    (false, 1..) => findings.push(format!("{hits} leaf-hint hits on paper()")),
-                    _ => {}
+                // The hint rungs must be what this run exercised — or, on
+                // the paper's tree, must not exist. (A subtree hint needs a
+                // subtree: an index node below the root.)
+                for (rung, counter, possible) in [
+                    ("leaf", Counter::LeafHintHits, true),
+                    ("subtree", Counter::SubtreeHintHits, tree.stats().depth >= 2),
+                ] {
+                    let hits = rt.metrics().total(counter);
+                    match (tree.config().read_opt, hits) {
+                        (true, 0) if possible => {
+                            findings.push(format!("no {rung}-hint hit in the whole run"))
+                        }
+                        (false, 1..) => {
+                            findings.push(format!("{hits} {rung}-hint hits on paper()"))
+                        }
+                        _ => {}
+                    }
                 }
                 findings
             })),
@@ -539,6 +576,8 @@ mod tests {
             elapsed_ms: 0,
             seqno_leaves_seen: 0,
             seqno_violations: 0,
+            index_nodes_seen: 0,
+            index_violations: 0,
             quiescent_findings: 0,
             traces: Vec::new(),
             profile: None,

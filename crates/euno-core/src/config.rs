@@ -41,8 +41,10 @@ pub struct EunoConfig {
     /// `seqno` and the tree's retirement generation stand still — and
     /// otherwise takes an episode-free validated walk — direct loads
     /// under the epoch pin, checked against the TL2 version clock and the
-    /// fallback cell in concurrent mode — whose result becomes the hint. A
-    /// get also reads its leaf episode-free, bracketed by the leaf's
+    /// fallback cell in concurrent mode — whose result becomes the hint.
+    /// The walk starts at the thread's *subtree hint* if it has one: the
+    /// index node its last walk from the root found to hold the key's
+    /// neighbourhood. A get also reads its leaf episode-free, bracketed by the leaf's
     /// `seqno`. Walk and leaf read are bounded: after a small private
     /// budget of tries the walk ends on the paper's HTM upper region and
     /// the get on an ordinary two-step get — which one get in 128 runs

@@ -121,10 +121,36 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         out
     }
 
+    /// Every index node's `(address, lower bound)` — the bound being what
+    /// the separators above the node give it (`0` down the leftmost
+    /// spine). For a **quiescent** tree. Subtree hints
+    /// ([`EunoBTree::descend`]) follow a remembered index node without a
+    /// version check, which is sound only while no node of one snapshot is
+    /// missing from a later one or has a different bound there; `euno-check`'s
+    /// `IndexWatch` compares snapshots for exactly that.
+    pub fn index_lows_plain(&self) -> Vec<(usize, u64)> {
+        let mut out = Vec::new();
+        let mut stack = vec![(NodeRef::from_word(self.root_bits()), 0)];
+        while let Some((nref, low)) = stack.pop() {
+            if nref.is_leaf() || nref.is_null() {
+                continue;
+            }
+            let node = unsafe { nref.as_internal() };
+            out.push((node as *const _ as usize, low));
+            stack.push((NodeRef::from_word(node.child0.load_plain()), low));
+            let cnt = (node.count.load_plain() as usize).min(INTERNAL_FANOUT);
+            for j in 0..cnt {
+                let child = NodeRef::from_word(node.children[j].load_plain());
+                stack.push((child, node.keys[j].load_plain()));
+            }
+        }
+        out
+    }
+
     /// Plain (uninstrumented) root-to-leaf descent.
     fn plain_descend(&self, key: u64) -> NodeRef {
-        let at = self.descend(key, |cell| Ok(cell.load_plain()));
-        NodeRef::of_leaf(at.ok().flatten().expect("quiescent tree").0)
+        let at = self.descend(key, None, |cell| Ok(cell.load_plain()));
+        NodeRef::of_leaf(at.ok().flatten().expect("quiescent tree").leaf)
     }
 
     /// Live `(key, value)` records of one leaf, sorted, via plain loads.

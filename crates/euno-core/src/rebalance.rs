@@ -402,7 +402,11 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             self.redistribute_for_merge(tx, left, &records)?;
             self.clear_segments(tx, right)?;
 
-            // Unlink and drop the separator entry.
+            // Unlink and drop the separator entry — a leaf's, never an
+            // index node's: subtree hints (`EunoBTree::descend`) rely on
+            // index nodes never being unlinked, freed or given a new lower
+            // bound, and `euno-check`'s `IndexWatch` fails `stress` on the
+            // change that merges them.
             let rnext = tx.read(&right.next)?;
             tx.write(&left.next, rnext)?;
             let mut i = j;

@@ -110,7 +110,12 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                 return Ok(());
             }
 
-            // Split the full internal node.
+            // Split the full internal node. The lower half stays where it
+            // is and the node keeps its lower bound: subtree hints
+            // (`EunoBTree::descend`) start walks at index nodes they
+            // remember, which is sound only while no index node is ever
+            // unlinked, freed or given a new lower bound — `euno-check`'s
+            // `IndexWatch` fails `stress` on the change that breaks it.
             let new_int = self.arenas.internals.alloc(EunoInternal::empty());
             new_int.register(&self.rt);
             let new_ref = NodeRef::of_internal(new_int);

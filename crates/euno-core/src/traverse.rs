@@ -5,7 +5,9 @@
 //! 1. an *upper stage* ([`EunoBTree::locate`]) finds the target leaf and
 //!    the `seqno` it had while it covered the key — under `read_opt` from
 //!    the thread's own leaf hint if it still holds, else by episode-free
-//!    validated walks; the paper's HTM region otherwise and as their tail.
+//!    validated walks (from an index node the thread remembers for the
+//!    key's neighbourhood, else from the root); the paper's HTM region
+//!    otherwise and as their tail.
 //!    A `read_opt` get then tries to read the leaf episode-free as well
 //!    ([`EunoBTree::read_leaf`]) and is done if that holds (one in
 //!    [`GET_TWO_STEP_ONE_IN`] does not try);
@@ -23,7 +25,7 @@
 //! private try budgets below and end on those regions.
 
 use euno_htm::euno_metrics::Counter;
-use euno_htm::{AbortCause, RetryPolicy, ThreadCtx, TxCell, TxResult, TxWord, TOMBSTONE};
+use euno_htm::{AbortCause, Anchor, RetryPolicy, ThreadCtx, TxCell, TxResult, TxWord, TOMBSTONE};
 use euno_rng::Rng;
 
 use crate::ccm::Ccm;
@@ -76,6 +78,34 @@ const GET_TWO_STEP_ONE_IN: u32 = 128;
 /// entry serves the (up to) eight neighbouring keys its leaf covers. Swept
 /// together with the table's slot count (`euno_htm::hint`); DESIGN.md §4.4.
 const HINT_BLOCK_SHIFT: u32 = 3;
+
+/// Keys per subtree-hint block: a walk from the root files the index node
+/// it may be started at next time under `key >> 10`, and only a node whose
+/// range holds all 1 024 keys of that block — so the entry serves every
+/// one of them, and "deepest node that does" picks the level for whatever
+/// density the keys have. Swept together with the table's slot count
+/// (`euno_htm::hint`); DESIGN.md §4.4.
+const SUBTREE_BLOCK_SHIFT: u32 = 10;
+
+/// What a [descent](EunoBTree::descend) found.
+pub(crate) struct Descent<'t, const SEGS: usize, const K: usize> {
+    pub leaf: &'t EunoLeaf<SEGS, K>,
+    /// The leaf's `[low, high)`: the separators that bound the path taken.
+    /// `high` is exact only if the descent started at the root or
+    /// `narrowed`.
+    pub low: u64,
+    pub high: u64,
+    /// Index levels read.
+    pub levels: u64,
+    /// Some level took a child other than its node's last, i.e. probed a
+    /// separator above the key.
+    pub narrowed: bool,
+    /// Of a descent from the root: where a later descent for a key of this
+    /// one's subtree-hint block may start — the deepest index node whose
+    /// range on entry held the whole block and at or below which the path
+    /// narrowed — as `[node, its lower bound]`.
+    pub anchor: Option<Anchor>,
+}
 
 /// What the upper stage hands over: a leaf, the `seqno` it had while it
 /// covered `[low, high)`, and the conflict aborts spent finding it.
@@ -132,44 +162,87 @@ fn search_internal(
 }
 
 impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
-    /// The one root-to-leaf search: every descent in the crate is this
-    /// loop over a different `load` (transactional read, direct load,
-    /// plain load). `Ok(None)` on an implausible intermediate state — a
-    /// null child word from a half-applied commit, runaway depth — which
-    /// only an unvalidated loader can meet; its caller retries. Every
-    /// child word is stored word-atomically by writers, so a sampled
-    /// pointer is always either the old or the new node, and retired nodes
-    /// stay readable under the caller's epoch pin.
+    /// The one search for a leaf: every descent in the crate is this loop
+    /// over a different `load` (transactional read, direct load, plain
+    /// load). `Ok(None)` on an implausible intermediate state — a null
+    /// child word from a half-applied commit, runaway depth — which only
+    /// an unvalidated loader can meet; its caller retries. Every child
+    /// word is stored word-atomically by writers, so a sampled pointer is
+    /// always either the old or the new node, and retired nodes stay
+    /// readable under the caller's epoch pin.
     ///
     /// Beside the leaf, the `[low, high)` it covers: every level's search
     /// narrows the range to the separators around the child it took, so
     /// the range costs no load the search did not make (and means what the
     /// leaf does only if the loads were consistent, like the leaf itself).
+    ///
+    /// `from` starts the search at an index node instead of the root: an
+    /// [`Anchor`] an earlier descent from the root returned. Three things
+    /// no writer of this tree ever does make that sound without a version
+    /// word: an index node is never unlinked or freed while the tree
+    /// lives, its lower bound never changes, and its upper bound only
+    /// shrinks — by its own split, which keeps the lower half in place. A
+    /// key the anchor was filed for is therefore never below the node's
+    /// range, and it is still inside it **iff the descent `narrowed`**:
+    /// every separator under the node lies below the node's upper bound,
+    /// so one above `key` proves `key` does too. The result is then word
+    /// for word what a descent from the root reads in the same snapshot;
+    /// without the proof it is nothing (the node may have split and the
+    /// key gone right) and the caller starts over at the root.
     pub(crate) fn descend(
         &self,
         key: u64,
+        from: Option<Anchor>,
         mut load: impl FnMut(&TxCell<u64>) -> TxResult<u64>,
-    ) -> TxResult<Option<(&EunoLeaf<SEGS, K>, u64, u64)>> {
-        let mut cur = NodeRef::from_word(load(&self.ctrl.root)?);
-        let mut depth = 0;
-        let mut range = (0, u64::MAX);
+    ) -> TxResult<Option<Descent<'_, SEGS, K>>> {
+        let (mut cur, low) = match from {
+            Some([node, low]) => (NodeRef(node), low),
+            None => (NodeRef::from_word(load(&self.ctrl.root)?), 0),
+        };
+        let mut range = (low, u64::MAX);
+        let block = (key >> SUBTREE_BLOCK_SHIFT) << SUBTREE_BLOCK_SHIFT;
+        let block_last = block | ((1 << SUBTREE_BLOCK_SHIFT) - 1);
+        let (mut levels, mut narrowed) = (0, false);
+        let (mut holds_block, mut anchor) = (None, None);
         while !cur.is_leaf() {
-            depth += 1;
-            if cur.is_null() || depth > 64 {
+            levels += 1;
+            if cur.is_null() || levels > 64 {
                 return Ok(None);
             }
             let node = unsafe { cur.as_internal() };
+            // (From an anchor the upper bound is unknown until narrowed,
+            // and nothing is filed: the thread has its entry.)
+            if from.is_none() && range.0 <= block && block_last < range.1 {
+                holds_block = Some([cur.0, range.0]);
+            }
             // Clamp: a stale count paired with a newer key array (or vice
             // versa) must degrade to a wrong-leaf descent caught by
             // validation, never an out-of-bounds index.
             let cnt = (load(&node.count)? as usize).min(INTERNAL_FANOUT);
-            let child = match search_internal(cnt, key, &mut range, |i| load(&node.keys[i]))? {
+            let taken = search_internal(cnt, key, &mut range, |i| load(&node.keys[i]))?;
+            // Not the last child: the search's last `>` probe was the
+            // separator above it. (A key that runs down the rightmost
+            // spine meets none, and an anchor filed for it would be one
+            // every later descent comes back from empty-handed: an
+            // ascending load would walk twice for every key.)
+            if taken < cnt {
+                narrowed = true;
+                anchor = holds_block;
+            }
+            let child = match taken {
                 0 => &node.child0,
                 i => &node.children[i - 1],
             };
             cur = NodeRef::from_word(load(child)?);
         }
-        Ok((cur.0 & !1 != 0).then(|| (unsafe { cur.as_leaf::<SEGS, K>() }, range.0, range.1)))
+        Ok((cur.0 & !1 != 0).then(|| Descent {
+            leaf: unsafe { cur.as_leaf::<SEGS, K>() },
+            low: range.0,
+            high: range.1,
+            levels,
+            narrowed,
+            anchor,
+        }))
     }
 
     /// Algorithm 2 lines 23-28 as the paper has them: one HTM region
@@ -179,11 +252,11 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             tx.set_op_key(key);
             // A transaction reads a consistent index; an attempt that did
             // not is doomed, so abort it rather than follow the pointer.
-            let (leaf, low, high) = self
-                .descend(key, |cell| tx.read(cell))?
+            let at = self
+                .descend(key, None, |cell| tx.read(cell))?
                 .ok_or(AbortCause::Explicit(0x11))?;
-            let seq = tx.read(&leaf.seqno)?;
-            Ok((NodeRef::of_leaf(leaf).to_word(), seq, low, high))
+            let seq = tx.read(&at.leaf.seqno)?;
+            Ok((NodeRef::of_leaf(at.leaf).to_word(), seq, at.low, at.high))
         });
         let (bits, seqno, low, high) = out.value;
         Located {
@@ -232,7 +305,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
     /// pin, which is what keeps the leaf readable if a merge retires it in
     /// between.
     ///
-    /// Without `read_opt` this is the HTM upper region. With it, three
+    /// Without `read_opt` this is the HTM upper region. With it, four
     /// rungs:
     ///
     /// 1. **the thread's leaf hint** — what this thread's last walk for a
@@ -244,13 +317,21 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
     ///    `seqno` still reads the same — every split, reorganization and
     ///    merge moves it, so an unmoved `seqno` means an unmoved range. No
     ///    section, no episode, no index line;
-    /// 2. up to [`LOCATE_TRIES`] episode-free walks — a validated section
-    ///    proves the descent atomic, i.e. the leaf covered `key` while its
-    ///    `seqno` read the returned value;
-    /// 3. the HTM upper region.
+    /// 2. **the thread's subtree hint** — the [`Anchor`] this thread's last
+    ///    walk from the root for a key of the same (wider) block returned:
+    ///    the episode-free walk of rung 3 starts there instead of at the
+    ///    root, and what it finds is taken iff the walk narrowed (the
+    ///    argument is at [`EunoBTree::descend`]); if not, the hint is
+    ///    dropped and rung 3 runs from the root;
+    /// 3. up to [`LOCATE_TRIES`] episode-free walks (rung 2's included) — a
+    ///    validated section proves the descent atomic, i.e. the leaf
+    ///    covered `key` while its `seqno` read the returned value;
+    /// 4. the HTM upper region, from the root.
     ///
-    /// Whatever rungs 2 and 3 find replaces the hint, so a caller that
-    /// comes back because `seqno` had moved is never handed the same pair.
+    /// Whatever rungs 2 to 4 find replaces the leaf hint, so a caller that
+    /// comes back because `seqno` had moved is never handed the same pair;
+    /// a walk from the root replaces the subtree hint if it has one to
+    /// give.
     pub fn locate(&self, ctx: &mut ThreadCtx, key: u64) -> Located<'_, SEGS, K> {
         debug_assert!(ctx.epoch_pinned(), "the leaf hand-over needs a pin");
         if !self.cfg.read_opt {
@@ -282,17 +363,41 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                 ctx.metric_add(Counter::LeafHintStale, 1);
             }
         }
+        let subtree_block = key >> SUBTREE_BLOCK_SHIFT;
+        let mut from = ctx.anchor_probe(self.hint_owner, subtree_block);
         let walk = self.validated_section(ctx, key, &mut { LOCATE_TRIES }, |ctx| {
-            let (leaf, low, high) = self.descend(key, |cell| Ok(cell.load_direct(ctx))).ok()??;
-            Some(Located {
-                leaf,
-                seqno: leaf.seqno.load_direct(ctx),
-                low,
-                high,
-                conflicts: 0,
-            })
+            let at = self
+                .descend(key, from, |cell| Ok(cell.load_direct(ctx)))
+                .ok()??;
+            if from.is_none() {
+                // The walk that may file an anchor pays for looking: one
+                // containment test a level.
+                ctx.charge(self.rt.cost.alu * at.levels);
+            } else if !at.narrowed && !probe::mutated("subtree:trust-unnarrowed") {
+                from = None;
+                ctx.metric_add(Counter::SubtreeHintUnusable, 1);
+                return None;
+            }
+            let seqno = at.leaf.seqno.load_direct(ctx);
+            Some((at, seqno))
         });
-        let at = walk.unwrap_or_else(|| self.upper_region(ctx, key));
+        let at = match walk {
+            Some((at, seqno)) => {
+                if from.is_some() {
+                    ctx.metric_add(Counter::SubtreeHintHits, 1);
+                } else if let Some(anchor) = at.anchor {
+                    ctx.anchor_record(self.hint_owner, subtree_block, anchor);
+                }
+                Located {
+                    leaf: at.leaf,
+                    seqno,
+                    low: at.low,
+                    high: at.high,
+                    conflicts: 0,
+                }
+            }
+            None => self.upper_region(ctx, key),
+        };
         let bits = NodeRef::of_leaf(at.leaf).to_word();
         ctx.hint_record(
             self.hint_owner,
@@ -442,9 +547,11 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
 mod tests {
     use std::sync::Arc;
 
+    use euno_htm::euno_metrics::Counter;
     use euno_htm::{ConcurrentMap, RetryPolicy, Runtime, TxWord};
     use euno_rng::{Rng, SmallRng};
 
+    use super::{Descent, SUBTREE_BLOCK_SHIFT};
     use crate::node::{EunoLeaf, NodeRef};
     use crate::tree::EunoBTreeDefault;
 
@@ -477,7 +584,9 @@ mod tests {
 
     /// The walk's probes bound the leaf exactly: for every key and every
     /// loader, `descend`'s `[low, high)` is the range a full traversal
-    /// reads off the separators.
+    /// reads off the separators — from the root, from the anchor a descent
+    /// from the root returns (for any key of the anchor's block, whenever
+    /// the descent narrowed), and out of `locate`, whichever rung answers.
     #[test]
     fn descend_range_equals_the_full_traversal_range() {
         // (records, index levels above the leaves)
@@ -486,8 +595,14 @@ mod tests {
             let t = EunoBTreeDefault::new(Arc::clone(&rt));
             let mut ctx = rt.thread(1);
             let mut rng = SmallRng::seed_from_u64(0xF0_1D ^ records);
-            let mut keys: Vec<u64> = (0..records)
+            // Clusters of some 32 keys over 2 048: a subtree-hint block
+            // (1 024 keys) then spans a leaf or three, so its deepest
+            // holder is an index node one or two levels up.
+            let clusters: Vec<u64> = (0..records / 32 + 1)
                 .map(|_| rng.gen_range(0..u64::MAX / 2))
+                .collect();
+            let mut keys: Vec<u64> = (0..records)
+                .map(|_| clusters[rng.gen_range(0..clusters.len())] + rng.gen_range(0..2_048u64))
                 .collect();
             for &k in &keys {
                 t.put(&mut ctx, k, 1);
@@ -507,8 +622,22 @@ mod tests {
             let truth = ranges_by_full_traversal(&t);
             assert!(truth.windows(2).all(|w| w[0].2 == w[1].1), "ranges tile");
             assert_eq!((truth[0].1, truth[truth.len() - 1].2), (0, u64::MAX));
+            let want = |key: u64| {
+                truth[truth
+                    .partition_point(|&(_, _, high)| high <= key)
+                    .min(truth.len() - 1)]
+            };
+            let flat = |at: Option<Descent<'_, 4, 4>>| {
+                let at = at.expect("quiescent tree");
+                (at.leaf as *const EunoLeaf<4, 4> as usize, at.low, at.high)
+            };
 
+            // A thread of its own for `locate`, so that its tables hold
+            // what its walks filed and nothing else.
+            let mut hinted = rt.thread(2);
+            let mut anchored = 0;
             ctx.epoch_enter();
+            hinted.epoch_enter();
             for i in 0..10_000 {
                 let key = match i % 4 {
                     // Both ends of the keyspace; on, just below and just
@@ -520,25 +649,70 @@ mod tests {
                     2 => keys[rng.gen_range(0..keys.len())] + 1,
                     _ => rng.gen_range(0..u64::MAX),
                 };
-                let want = truth[truth
-                    .partition_point(|&(_, _, high)| high <= key)
-                    .min(truth.len() - 1)];
-                let flat = |at: Option<(&EunoLeaf<4, 4>, u64, u64)>| {
-                    let (leaf, low, high) = at.expect("quiescent tree");
-                    (leaf as *const EunoLeaf<4, 4> as usize, low, high)
-                };
-                let plain = flat(t.descend(key, |c| Ok(c.load_plain())).unwrap());
-                let direct = flat(t.descend(key, |c| Ok(c.load_direct(&mut ctx))).unwrap());
+                let want_key = want(key);
+                let plain = t.descend(key, None, |c| Ok(c.load_plain())).unwrap();
+                let anchor = plain.as_ref().expect("quiescent tree").anchor;
+                let direct = flat(
+                    t.descend(key, None, |c| Ok(c.load_direct(&mut ctx)))
+                        .unwrap(),
+                );
                 let tx = ctx
                     .htm_execute(t.fallback_cell(), &RetryPolicy::DBX, |tx| {
-                        Ok(flat(t.descend(key, |c| tx.read(c))?))
+                        Ok(flat(t.descend(key, None, |c| tx.read(c))?))
                     })
                     .value;
-                assert_eq!(plain, want, "plain loads, key {key}");
-                assert_eq!(direct, want, "direct loads, key {key}");
-                assert_eq!(tx, want, "transactional reads, key {key}");
+                assert_eq!(flat(plain), want_key, "plain loads, key {key}");
+                assert_eq!(direct, want_key, "direct loads, key {key}");
+                assert_eq!(tx, want_key, "transactional reads, key {key}");
+
+                // From the anchor: the key it was returned for narrows
+                // (that is the rule an anchor is chosen by); any other key
+                // of its block either narrows too, and then ends where a
+                // descent from the root does, or says it did not.
+                if let Some(anchor) = anchor {
+                    anchored += 1;
+                    let block = key >> SUBTREE_BLOCK_SHIFT << SUBTREE_BLOCK_SHIFT;
+                    let last = block | ((1 << SUBTREE_BLOCK_SHIFT) - 1);
+                    for other in [key, block, last, rng.gen_range(block..last)] {
+                        let at = t
+                            .descend(other, Some(anchor), |c| Ok(c.load_plain()))
+                            .unwrap()
+                            .expect("quiescent tree");
+                        assert!(at.narrowed || other != key, "key {key}: its own anchor");
+                        if at.narrowed {
+                            assert_eq!(flat(Some(at)), want(other), "anchored, key {other}");
+                        } else {
+                            assert_eq!(at.high, u64::MAX, "an unproven bound, key {other}");
+                        }
+                    }
+                }
+
+                let at = t.locate(&mut hinted, key);
+                let got = (at.leaf as *const EunoLeaf<4, 4> as usize, at.low, at.high);
+                assert_eq!(got, want_key, "locate, key {key}");
+                assert_eq!(at.seqno, at.leaf.seqno.load_plain(), "locate, key {key}");
             }
             ctx.epoch_exit();
+            hinted.epoch_exit();
+            // All three rungs answered, or the loop above compared less
+            // than it says. (Unusable on a quiescent tree: the key sits in
+            // the rightmost leaf under an anchor filed for a neighbour.)
+            let [leaf_hits, subtree_hits, unusable] = [
+                Counter::LeafHintHits,
+                Counter::SubtreeHintHits,
+                Counter::SubtreeHintUnusable,
+            ]
+            .map(|c| hinted.metric(c));
+            let what = format!(
+                "{records} records: {anchored} anchors, hits {leaf_hits} leaf / \
+                 {subtree_hits} subtree, {unusable} unusable"
+            );
+            if depth == 0 {
+                assert_eq!((anchored, subtree_hits), (0, 0), "no index: {what}");
+            } else {
+                assert!(anchored > 5_000 && leaf_hits > 100, "{what}");
+                assert!(subtree_hits > 500 && 4 * unusable <= subtree_hits, "{what}");
+            }
         }
     }
 }

@@ -6,8 +6,8 @@
 //! sibling modules, one per concern:
 //!
 //! * [`crate::traverse`] — the two-step transactional traversal
-//!   (Algorithm 2): upper stage (`locate`: leaf hint, validated walk, HTM
-//!   region), conflict-control stage, lower region;
+//!   (Algorithm 2): upper stage (`locate`: leaf hint, subtree hint,
+//!   validated walk, HTM region), conflict-control stage, lower region;
 //! * [`crate::leaf_ops`] — intra-leaf reads and the randomized write
 //!   scheduler with reorganization (Algorithm 3);
 //! * [`crate::structural`] — leaf splits and their upward propagation
@@ -43,7 +43,7 @@ pub struct EunoBTree<const SEGS: usize = 4, const K: usize = 4> {
     pub(crate) arenas: NodeArenas<SEGS, K>,
     pub(crate) reserved_bytes: TransientBytes,
     pub(crate) deletes: AtomicU64,
-    /// This tree's owner id in every thread's leaf-hint table
+    /// This tree's owner id in every thread's two hint tables
     /// ([`EunoBTree::locate`]): process-unique, so a tree built where a
     /// dropped one lived inherits none of its hints.
     pub(crate) hint_owner: u64,

@@ -1,0 +1,226 @@
+//! What an operation's upper stage costs on each rung of `locate`, and what
+//! an uncontended get and put cost behind it — as equalities on the
+//! virtual clock, so that a rung that gets dearer fails a test instead of
+//! leaving a table in a document stale (DESIGN.md §4.4 cites these).
+//!
+//! The tree is built the same way every time: 120 000 keys in ascending
+//! order, in three regions of different density, which leaves five index
+//! levels of nodes that hold eight separators each (the root one, its
+//! second child ten) and leaves of eight records, two to a segment. A
+//! subtree-hint block (1 024 keys) is 2 leaves where keys are 64 apart,
+//! 16 leaves where they are 8 apart and 128 leaves where they are
+//! adjacent, so the deepest index node that holds a whole block — the
+//! anchor — sits one, two and three levels above the leaves.
+//!
+//! The arithmetic, from `CostModel::default()`: the first access to a line
+//! in an episode-free section costs 16 cycles, any other access 3; in an
+//! HTM region the first access to a line costs 26 (once for the read set,
+//! once for the write set). One index level of this tree is the node's
+//! count (a new line), three or four probes of its separators (one new
+//! line, then hits) and the child word (`child0` shares the count's line;
+//! any other child is on a new line).
+
+use std::sync::Arc;
+
+use euno_core::EunoBTreeDefault;
+use euno_htm::{ConcurrentMap, CostModel, Runtime, ThreadCtx};
+
+const FIRST: u64 = 16;
+const HIT: u64 = 3;
+
+/// count + 3 probes + a child other than `child0`: 3 lines, 2 hits.
+const LEVEL: u64 = 3 * FIRST + 2 * HIT; // 54
+/// The same with a fourth probe.
+const LEVEL_4_PROBES: u64 = LEVEL + HIT; // 57
+/// count + 4 probes + `child0`: 2 lines, 4 hits.
+const LEVEL_CHILD0: u64 = 2 * FIRST + 4 * HIT; // 44
+/// A node with more than eight separators, on its right-hand side: count,
+/// 3 probes on two lines, a child on the second child line: 4 lines, 1 hit.
+const LEVEL_WIDE: u64 = 4 * FIRST + HIT; // 67
+/// The root (one separator): count + 1 probe + `child0` / + its other child.
+const ROOT_LEFT: u64 = 2 * FIRST + HIT; // 35
+const ROOT_RIGHT: u64 = 3 * FIRST; // 48
+/// The root word on the way in, the leaf's `seqno` on the way out.
+const ENDS: u64 = 2 * FIRST; // 32
+/// Two walks from the root: into the sparse region (by the root's left
+/// child; 16 lines, 9 hits) and into the medium one (by its right child,
+/// which takes a fourth probe; 17 lines, 9 hits).
+const FROM_ROOT_LEFT: u64 = ROOT_LEFT + 4 * LEVEL + ENDS; // 283
+const FROM_ROOT_RIGHT: u64 = ROOT_RIGHT + LEVEL_4_PROBES + 3 * LEVEL + ENDS; // 299
+
+/// Thread-private memory, charged by hand: a table probe is a hit and two
+/// ALU operations, a record a hit; the retirement generation is one load.
+const PROBE: u64 = HIT + 2;
+const RECORD: u64 = HIT;
+const GENERATION: u64 = HIT;
+/// What every walk pays around the descent: both probes missed or were
+/// turned away, and the leaf it ends on is filed.
+const AROUND_A_WALK: u64 = PROBE + GENERATION + PROBE + RECORD; // 16
+/// A walk from the root may file an anchor: one containment test for each
+/// of the five levels (and the record, if it has one to file).
+const LOOKING: u64 = 5;
+/// A section that is run again charges one back-off quantum.
+const BACKOFF: u64 = 40;
+
+/// A leaf hit: probe, generation, the leaf's `seqno` outside any section.
+const LEAF_HIT: u64 = PROBE + GENERATION + HIT; // 11
+
+/// An episode-free read of the first key of a leaf, in a section of its
+/// own: `seqno` (a new line there), the first segment's count (a new
+/// line), its first and last key, two probes, the key again, the value (a
+/// new line), `seqno` again.
+const GET_TAIL: u64 = 3 * FIRST + 6 * HIT; // 66
+/// An overwriting put on a calm leaf: the slot hash (3 ALU), the verdict
+/// and the mark word (2 loads outside any region), then the lower region —
+/// `XBEGIN` 54, four first touches at 26 (header; segment keys; segment
+/// values for the read set, and again for the write set), five hits,
+/// `XEND` 16.
+const PUT_TAIL: u64 = 3 + 2 * HIT + 54 + 4 * 26 + 5 * HIT + 16; // 198
+
+const PER_REGION: u64 = 40_000;
+const STRIDES: [u64; 3] = [64, 8, 1];
+
+/// The tree, and a block boundary in the middle of each region.
+fn build(rt: &Arc<Runtime>) -> (EunoBTreeDefault, [u64; 3]) {
+    let cost = CostModel::default();
+    assert_eq!(
+        (cost.plain_first_touch, cost.access_hit, cost.alu),
+        (FIRST, HIT, 1)
+    );
+    assert_eq!(
+        (
+            cost.backoff_base,
+            cost.xbegin,
+            cost.line_first_touch,
+            cost.xend
+        ),
+        (BACKOFF, 54, 26, 16)
+    );
+    let tree = EunoBTreeDefault::new(Arc::clone(rt));
+    let mut ctx = rt.thread(0x10ad);
+    let (mut key, mut mid) = (0u64, [0; 3]);
+    for (region, stride) in STRIDES.into_iter().enumerate() {
+        mid[region] = (key + PER_REGION / 2 * stride).next_multiple_of(1024);
+        for _ in 0..PER_REGION {
+            tree.put(&mut ctx, key, key);
+            key += stride;
+        }
+        // The next region starts on a block boundary.
+        key = key.next_multiple_of(1024);
+    }
+    rt.virt_prune(ctx.clock);
+    rt.reset_dynamics();
+    let stats = tree.stats();
+    assert_eq!((stats.depth, stats.leaves), (5, 14_999), "{stats:?}");
+    (tree, mid)
+}
+
+fn locate(tree: &EunoBTreeDefault, ctx: &mut ThreadCtx, key: u64) -> u64 {
+    ctx.epoch_enter();
+    let start = ctx.clock;
+    tree.locate(ctx, key);
+    let cycles = ctx.clock - start;
+    ctx.epoch_exit();
+    cycles
+}
+
+fn get(tree: &EunoBTreeDefault, ctx: &mut ThreadCtx, key: u64) -> u64 {
+    let start = ctx.clock;
+    assert_eq!(tree.get(ctx, key), Some(key));
+    ctx.clock - start
+}
+
+fn put(tree: &EunoBTreeDefault, ctx: &mut ThreadCtx, key: u64) -> u64 {
+    let start = ctx.clock;
+    assert_eq!(tree.put(ctx, key, key), Some(key));
+    ctx.clock - start
+}
+
+#[test]
+fn each_rung_of_locate_costs_what_the_arithmetic_says() {
+    let rt = Runtime::new_virtual();
+    let (tree, [sparse, medium, dense]) = build(&rt);
+    let mut ctx = rt.thread(1);
+
+    // Keys 64 apart. A miss on both rungs: the walk from the root (root's
+    // left child, then levels of 3 probes each) files the leaf and, as the
+    // anchor, the leaf's parent.
+    assert_eq!(
+        locate(&tree, &mut ctx, sparse),
+        AROUND_A_WALK + FROM_ROOT_LEFT + LOOKING + RECORD // 307
+    );
+    // The same key again: a leaf hit.
+    assert_eq!(locate(&tree, &mut ctx, sparse), LEAF_HIT);
+    // The next leaf is the last under that parent — no separator there is
+    // above its keys — so the hint comes back unusable: one level walked
+    // for nothing (no `seqno` read), a back-off, the walk from the root.
+    assert_eq!(
+        locate(&tree, &mut ctx, sparse + 512),
+        PROBE + GENERATION + PROBE + LEVEL + BACKOFF + FROM_ROOT_LEFT + LOOKING + 2 * RECORD // 401
+    );
+    // Two blocks on, both leaves of the block are mid-node: the first
+    // visit files the parent, the second leaf is reached from it — one
+    // level (4 lines, 2 hits) in place of five.
+    assert_eq!(
+        locate(&tree, &mut ctx, sparse + 2_048),
+        AROUND_A_WALK + FROM_ROOT_LEFT + LOOKING + RECORD
+    );
+    assert_eq!(
+        locate(&tree, &mut ctx, sparse + 2_048 + 512),
+        AROUND_A_WALK + LEVEL + FIRST // 86
+    );
+
+    // Keys 8 apart: a block is 16 leaves and its anchor two levels up
+    // (7 lines, 4 hits).
+    assert_eq!(
+        locate(&tree, &mut ctx, medium),
+        AROUND_A_WALK + FROM_ROOT_RIGHT + LOOKING + RECORD // 323
+    );
+    assert_eq!(
+        locate(&tree, &mut ctx, medium + 64),
+        AROUND_A_WALK + 2 * LEVEL + FIRST // 140
+    );
+
+    // Adjacent keys: a block is 128 leaves and its anchor three levels up
+    // (9 lines, 8 hits), the middle one of them entered by its `child0`.
+    // (The walk from the root finds the root's right child, ten
+    // separators wide, searched on its right this time.)
+    assert_eq!(
+        locate(&tree, &mut ctx, dense),
+        AROUND_A_WALK
+            + (ROOT_RIGHT + LEVEL_WIDE + LEVEL + LEVEL_CHILD0 + LEVEL + ENDS) // 299
+            + LOOKING
+            + RECORD
+    );
+    assert_eq!(
+        locate(&tree, &mut ctx, dense + 8),
+        AROUND_A_WALK + LEVEL + LEVEL_CHILD0 + LEVEL + FIRST // 184
+    );
+
+    // Past the last key: down the rightmost spine (nodes still filling up,
+    // nine to thirteen separators each), where no level has a separator
+    // above the key. The walk looks for an anchor and has none to file.
+    assert_eq!(
+        locate(&tree, &mut ctx, u64::MAX - 1),
+        AROUND_A_WALK + (ROOT_RIGHT + 4 * LEVEL_WIDE + ENDS) + LOOKING // 369
+    );
+}
+
+#[test]
+fn an_uncontended_get_and_put_cost_their_rung_plus_a_fixed_tail() {
+    let rt = Runtime::new_virtual();
+    let (tree, [_, medium, _]) = build(&rt);
+    let mut ctx = rt.thread(1);
+    let miss = AROUND_A_WALK + FROM_ROOT_RIGHT + LOOKING + RECORD; // 323
+    let subtree_hit = AROUND_A_WALK + 2 * LEVEL + FIRST; // 140
+    let next = medium + 1024;
+
+    // Every key here is the first of its leaf.
+    assert_eq!(get(&tree, &mut ctx, medium), miss + GET_TAIL); // 389
+    assert_eq!(get(&tree, &mut ctx, medium + 64), subtree_hit + GET_TAIL); // 206
+    assert_eq!(get(&tree, &mut ctx, medium + 64), LEAF_HIT + GET_TAIL); // 77
+
+    assert_eq!(put(&tree, &mut ctx, next), miss + PUT_TAIL); // 521
+    assert_eq!(put(&tree, &mut ctx, medium + 128), subtree_hit + PUT_TAIL); // 338
+    assert_eq!(put(&tree, &mut ctx, medium + 128), LEAF_HIT + PUT_TAIL); // 209
+}

@@ -21,7 +21,7 @@ use euno_rng::{Rng, SmallRng};
 use euno_trace::{codes, EventKind, TraceBuf};
 
 use crate::abort::{AbortCause, ConflictInfo, ConflictKind, TxResult};
-use crate::hint::{Hint, HintTable};
+use crate::hint::{Anchor, Hint, HintTable, ANCHOR_WORDS, HINT_WORDS};
 use crate::line::{LineId, LineSet};
 use crate::obs::{OpKind, OpObserver, OpOutput};
 use crate::runtime::{EpisodeRecord, Mode, Runtime};
@@ -148,9 +148,10 @@ pub struct ThreadCtx {
     reclaim: crate::epoch::Participant,
     /// Unpin counter driving the opportunistic collection cadence.
     reclaim_ticks: u64,
-    /// This thread's hint cache (see [`crate::hint`]): scratch like
-    /// `spare`, allocated by the first record.
-    hints: HintTable,
+    /// This thread's hint caches (see [`crate::hint`]): scratch like
+    /// `spare`, both allocated by the first record into either.
+    hints: HintTable<HINT_WORDS>,
+    anchors: HintTable<ANCHOR_WORDS>,
     /// This thread's metrics shard (see `euno-metrics`): single-writer
     /// atomic counters the sampler reads concurrently. `None` when the
     /// runtime's registry is disabled — every hook is then one branch.
@@ -249,6 +250,7 @@ impl ThreadCtx {
             reclaim,
             reclaim_ticks: 0,
             hints: HintTable::default(),
+            anchors: HintTable::default(),
             shard,
             backend_commit,
         }
@@ -520,11 +522,11 @@ impl ThreadCtx {
         self.reclaim.pinned()
     }
 
-    // ================= hint cache =================
+    // ================= hint caches =================
 
-    /// Look `(owner, block)` up in this thread's hint table. The memory is
-    /// thread-private and uninstrumented, so the probe is charged by hand:
-    /// one cache hit, plus the hash and the tag compare.
+    /// Look `(owner, block)` up in this thread's table of [`Hint`]s. The
+    /// memory is thread-private and uninstrumented, so the probe is charged
+    /// by hand: one cache hit, plus the hash and the tag compare.
     #[inline]
     pub fn hint_probe(&mut self, owner: u64, block: u64) -> Option<Hint> {
         self.clock += self.rt.cost.access_hit + 2 * self.rt.cost.alu;
@@ -533,11 +535,30 @@ impl ThreadCtx {
 
     /// Record `words` for `(owner, block)`, replacing the slot's entry.
     /// Charged one cache hit: the slot index was paid for by the probe
-    /// that missed. The first record of a thread allocates the table.
+    /// that missed. The first record of a thread — of either kind —
+    /// allocates both tables.
     #[inline]
     pub fn hint_record(&mut self, owner: u64, block: u64, words: Hint) {
         self.clock += self.rt.cost.access_hit;
+        self.anchors.reserve();
         self.hints.record(owner, block, words);
+    }
+
+    /// [`ThreadCtx::hint_probe`] on this thread's table of [`Anchor`]s.
+    /// The two tables share nothing but their shape: an owner files under
+    /// block sizes of its own choosing in each.
+    #[inline]
+    pub fn anchor_probe(&mut self, owner: u64, block: u64) -> Option<Anchor> {
+        self.clock += self.rt.cost.access_hit + 2 * self.rt.cost.alu;
+        self.anchors.probe(owner, block)
+    }
+
+    /// [`ThreadCtx::hint_record`] on this thread's table of [`Anchor`]s.
+    #[inline]
+    pub fn anchor_record(&mut self, owner: u64, block: u64, words: Anchor) {
+        self.clock += self.rt.cost.access_hit;
+        self.hints.reserve();
+        self.anchors.record(owner, block, words);
     }
 
     // ================= footprint & charging =================

@@ -67,7 +67,7 @@ pub use cost::CostModel;
 pub use ctx::{EpisodeKind, ThreadCtx, Tx};
 pub use epoch::{CollectOutcome, Collector, Participant, ScopedPin};
 pub use exec::{ExecOutcome, Path};
-pub use hint::{fresh_owner, Hint};
+pub use hint::{fresh_owner, Anchor, Hint};
 pub use line::{LineClass, LineId, LineSet, CACHE_LINE_BYTES};
 pub use lock::{
     acquire_mask_blocking, release_mask, slot_for_key, AdvisoryLock, ControlBlock, SpinBackoff,

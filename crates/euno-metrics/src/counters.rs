@@ -108,6 +108,13 @@ define_metric_enum! {
         // locates − hits.
         LeafHintHits => "leaf_hint_hits",
         LeafHintStale => "leaf_hint_stale",
+        // Subtree hints (the second rung): leaf-hint misses whose walk
+        // started at a remembered index node and ended in the key's leaf,
+        // and such walks that came back without proof the key was still
+        // the node's and were repeated from the root. Root walks are
+        // locates − leaf hits − subtree hits.
+        SubtreeHintHits => "subtree_hint_hits",
+        SubtreeHintUnusable => "subtree_hint_unusable",
         // euno-serve front-end: request/batch lifecycle. These live in the
         // *server's* registry (one per `EunoServer`), not the per-shard
         // tree runtimes, so queue dynamics are visible in one time series

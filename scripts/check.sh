@@ -29,11 +29,11 @@ fi
 cargo clippy --workspace --all-targets -- -D warnings
 
 # The tier-1 suite.  The golden digest (euno-bench/tests/
-# golden_determinism.rs, be238653318f4aa8 — moved from 42530f0911227b68
-# by PR 17, which changed the CCM's conflict rule) runs here, and it runs
-# `EunoConfig::paper()` — `System::EunoBTree`, not the library default —
-# so it moves only when the paper-faithful tree does.  PR 18 (leaf hints)
-# left it alone: `paper()` never probes the hint table and never records.
+# golden_determinism.rs, 75d0b2a0da7a08d4; its history is on the constant)
+# runs here, and it runs `EunoConfig::paper()` — `System::EunoBTree`, not
+# the library default — so it moves only when the paper-faithful tree
+# does.  PRs 18 and 20 (leaf hints, subtree hints) left it alone:
+# `paper()` probes neither hint table and records in neither.
 cargo build --release
 cargo test -q
 
@@ -270,6 +270,28 @@ echo "adaptive (bypass, inheritance, RMW count, hot-leaf scheduler run, mark rac
 cargo test -q --release -p euno-core --test leaf_hints
 stress_both_euno --churn-sweeps --ops 3000 --seed 20261004 --duration 5
 echo "leaf-hints (stale/ABA/range/two-tree/scheduler tests in --release + churn-sweeps stress with hit assertions) OK"
+
+# Subtree hints: the second rung of `locate` under `default()` (DESIGN.md
+# §4.4), in --release: a remembered index node that has split, whose root
+# has grown, whose narrowing separator a merge has dropped, or whose
+# rightmost leaf holds the key, costs one more walk and never a wrong
+# leaf; an ascending load files no hint that comes back unusable; two
+# trees on one thread never serve each other; `paper()` probes and files
+# nothing.  (The mutation twin of the split test — the narrowing rule
+# switched off must lose a key — needs the debug-only probes and ran under
+# `cargo test` above, as did the hinted-`locate`-equals-root-walk truth
+# table in `traverse.rs`.)  `locate_cost` holds every rung, and the get
+# and put behind it, to exact cycle counts.  Then real threads on a tree
+# wide enough to have subtrees — the default 512-key rows hold one
+# 1 024-key block and never leave the root — plain and with foreground
+# sweeps merging leaves under live hints: `stress` reports a finding
+# unless `Euno-ReadOpt` took subtree hits and `Euno-B+Tree` none, and
+# feeds its `IndexWatch` at every quiescent point, which fails the row if
+# an index node ever leaves the tree or changes its lower bound.
+cargo test -q --release -p euno-core --test subtree_hints --test locate_cost
+stress_both_euno --keys 262144 --threads 4 --ops 20000 --seed 20261005 --duration 5
+stress_both_euno --churn-sweeps --keys 262144 --threads 4 --ops 20000 --seed 20261005 --duration 5
+echo "subtree-hints (split/root-growth/merge/rightmost-leaf/ascending/two-tree tests + cost equalities in --release + wide stress rows with hit assertions and the index watch) OK"
 
 # Repo benchmark: `benchmark/` is its own workspace, so nothing above
 # compiles it against the crate APIs it calls from outside
