@@ -18,10 +18,14 @@
 //!
 //! ## Non-atomic scans
 //!
-//! Euno-B+Tree and Masstree scans traverse the leaf chain one locked
-//! leaf at a time — the paper's design, and deliberately *not* atomic:
-//! records can move under a scan between leaf hops. Demanding a single
-//! linearization point for such scans would reject correct executions.
+//! Euno-B+Tree and Masstree scans traverse the leaf chain a leaf at a
+//! time — the paper's design, and deliberately *not* atomic: records can
+//! move under a scan between leaf hops. An Euno scan's optimistic step is
+//! finer still: it validates one segment (≤ K records) at a time, so what
+//! it delivers from a leaf is a snapshot per segment, not per leaf; only
+//! its locked rung (`scan.rs::leaf_step_locked`) reads a leaf atomically.
+//! Demanding a single linearization point for such scans would reject
+//! correct executions.
 //! The checker therefore classifies each scan: scans whose interval
 //! overlaps no other operation are effectively sequential and are checked
 //! exactly inside the search; overlapping scans (when the structure

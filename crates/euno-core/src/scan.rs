@@ -2,8 +2,8 @@
 //! configuration (design in DESIGN.md §4.7).
 //!
 //! Under one epoch pin the scan takes the chain a leaf at a time. Each
-//! *leaf step* is an episode-free optimistic section that leaves a sorted
-//! batch on the tail of the caller's buffer and returns a validated
+//! *leaf step* is an episode-free optimistic section per segment, leaving a
+//! sorted batch on the tail of the caller's buffer and returning a validated
 //! `(next, next_seq)` hint; the following step starts at the hinted leaf
 //! and re-descends from the root only when that leaf's `seqno` has moved.
 //! A step that keeps failing validation runs its leaf through the locked
@@ -13,15 +13,16 @@ use euno_htm::euno_metrics::Counter;
 use euno_htm::{RetryPolicy, ThreadCtx, TxWord, TOMBSTONE};
 
 use crate::node::{EunoLeaf, NodeRef};
+use crate::probe;
 use crate::tree::EunoBTree;
 
-/// Optimistic tries per leaf step before the locked rung takes the leaf.
+/// Sections a leaf step may fail before the locked rung takes the leaf.
 /// The tail must exist — in concurrent mode the snapshot check is the
 /// *global* TL2 clock, so steady writers anywhere in the tree can fail a
 /// reader forever — but stay rare: a locked step that reaches the fallback
-/// lock parks every other thread. A cliff, not a dial — `virt-scan-churn
-/// --seed 3 --seconds 10`: 4 → 15.54 M ops/s (the tail re-creates the
-/// convoy), 8 → 20.56 M, 16 → 21.67 M, 64 → 21.75 M, unbounded → 21.75 M.
+/// lock parks every other thread. `virt-scan-churn --seed 3 --seconds 10`:
+/// 4 → 27.56 M ops/s (797 locked steps, p999 × 3.4), 8 → 28.76 M (4), 16, 64
+/// and unbounded → 28.74 M (0: only `scan_ladder.rs` and TL2 reach the rung).
 const STEP_TRIES: u32 = 16;
 
 /// Where the next leaf step starts: the chain successor and the `seqno` it
@@ -80,6 +81,14 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
     /// covers `cursor` to `out`, sorted, and return the successor hint.
     /// Nothing unvalidated survives on `out`, so retries never duplicate;
     /// a record-less leaf is an empty batch with a hint, stepped over.
+    ///
+    /// One validated section per segment, so a write to the leaf voids two
+    /// lines of the read and not ten; `tries` bounds the sections that
+    /// *fail*. Only the last checks `seqno` (DESIGN.md §4.7): while it
+    /// stands a key stays in its segment — whatever moves a record bumps it
+    /// first — and it only grows under the pin, so reading `s1` in a
+    /// validated section before the step and in its last means it read
+    /// `s1` throughout: the sections are atomic images of disjoint key sets.
     fn leaf_step<'t>(
         &'t self,
         ctx: &mut ThreadCtx,
@@ -89,7 +98,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         out: &mut Vec<(u64, u64)>,
     ) -> Hint<'t, SEGS, K> {
         let base = out.len();
-        while tries > 0 {
+        'walk: while tries > 0 {
             // No pair (first step, or the hinted leaf has split or been
             // merged away): walk to the cursor's leaf — as its own stage,
             // so a retried leaf read never re-walks the index.
@@ -98,29 +107,40 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                 (at.leaf, at.seqno)
             });
             hint = Some((leaf, s1));
-            // `Some(None)` ⇒ the leaf's `seqno` is no longer `s1`.
-            let read = self.validated_section(ctx, cursor, &mut tries, |ctx| {
-                out.truncate(base);
-                if leaf.seqno.load_direct(ctx) != s1 {
-                    return Some(None);
-                }
-                for seg in &leaf.segs {
+            out.truncate(base);
+            let mut next = None;
+            for (i, seg) in leaf.segs.iter().enumerate() {
+                let (mark, last) = (out.len(), i + 1 == SEGS);
+                // `Some(false)` ⇒ the leaf's `seqno` is no longer `s1`.
+                let held = self.validated_section(ctx, cursor, &mut tries, |ctx| {
+                    out.truncate(mark);
                     seg.read_into_direct(ctx, out);
-                }
-                let next = NodeRef::from_word(leaf.next.load_direct(ctx));
-                let next = (!next.is_null()).then(|| {
-                    let n = unsafe { next.as_leaf::<SEGS, K>() };
-                    (n, n.seqno.load_direct(ctx))
+                    if !last {
+                        return Some(true);
+                    }
+                    let n = NodeRef::from_word(leaf.next.load_direct(ctx));
+                    next = (!n.is_null()).then(|| {
+                        let n = unsafe { n.as_leaf::<SEGS, K>() };
+                        (n, n.seqno.load_direct(ctx))
+                    });
+                    let stands = leaf.seqno.load_direct(ctx) == s1;
+                    Some(stands || probe::mutated("scan:skip-closing-seqno"))
                 });
-                (leaf.seqno.load_direct(ctx) == s1).then_some(Some(next))
-            });
-            match read {
-                Some(Some(next)) => {
-                    ctx.charge(self.rt.cost.alu * sort_batch(out, base, cursor));
-                    return next;
+                match held {
+                    Some(true) if last => {
+                        ctx.charge(self.rt.cost.alu * sort_batch(out, base, cursor));
+                        return next;
+                    }
+                    // A section that held gives its try back.
+                    Some(true) => tries += 1,
+                    Some(false) => {
+                        probe::mark("scan:moved");
+                        hint = None;
+                        continue 'walk;
+                    }
+                    None => break 'walk,
                 }
-                Some(None) => hint = None,
-                None => break,
+                probe::point("scan:section");
             }
         }
         // The last try's unvalidated read is still on the tail.
@@ -197,6 +217,7 @@ mod tests {
 
     use super::STEP_TRIES;
     use crate::node::NodeRef;
+    use crate::probe;
     use crate::tree::EunoBTreeDefault;
 
     /// One scan pinned to a rung: `tries` 0 is the locked rung only.
@@ -306,32 +327,62 @@ mod tests {
 
     #[test]
     fn split_during_scan_stays_sorted_and_duplicate_free() {
-        // Concurrent splits force the seqno-mismatch retry path mid-scan;
-        // the cursor must make every emitted run strictly ascending (no
-        // re-delivery after a re-find) with values from the writers' set.
+        // Concurrent splits and reorganizations force the seqno-mismatch
+        // retry path mid-scan, and puts that overwrite a tombstone land
+        // between a step's sections; the cursor and the per-section marks
+        // must make every emitted run strictly ascending (no re-delivery
+        // after a re-find, no key read in two segments).
+        use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+        // 255 unused keys between any two the writers use.
+        let key = |k: u64| k << 8;
         let rt = Runtime::new_concurrent();
         let t = EunoBTreeDefault::new(Arc::clone(&rt));
         {
             let mut ctx = rt.thread(0);
             for k in (0..4_000u64).step_by(4) {
-                t.put(&mut ctx, k, k);
+                t.put(&mut ctx, key(k), k);
             }
         }
-        let stop = std::sync::atomic::AtomicBool::new(false);
-        std::thread::scope(|s| {
+        let stop = AtomicBool::new(false);
+        let reorganizations: usize = std::thread::scope(|s| {
+            let mut writers = Vec::new();
             for w in 0..2u64 {
                 let (t, stop) = (&t, &stop);
                 let rt = Arc::clone(&rt);
-                s.spawn(move || {
+                writers.push(s.spawn(move || {
                     let mut ctx = rt.thread(10 + w);
                     let mut k = w + 1;
                     // Dense inserts into the gaps keep splitting leaves
                     // under the scanners.
-                    while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                        t.put(&mut ctx, k % 4_000, k);
+                    while !stop.load(Relaxed) {
+                        t.put(&mut ctx, key(k % 4_000), k);
                         k += if k % 4 == 3 { 2 } else { 1 };
                     }
-                });
+                    probe::take()
+                }));
+            }
+            {
+                let (t, stop) = (&t, &stop);
+                let rt = Arc::clone(&rt);
+                writers.push(s.spawn(move || {
+                    let mut ctx = rt.thread(12);
+                    let mut i = 0u64;
+                    while !stop.load(Relaxed) {
+                        // A preloaded key goes and comes back — into the
+                        // slot its tombstone kept for it.
+                        let k = key(i * 4 % 4_000);
+                        t.delete(&mut ctx, k);
+                        t.put(&mut ctx, k, k);
+                        // A key nobody puts again (another one every lap)
+                        // leaves its tombstone for good: they fill the
+                        // segments until a put has to reorganize the leaf.
+                        let once = k + 1 + i / 1_000 % 255;
+                        t.put(&mut ctx, once, k);
+                        t.delete(&mut ctx, once);
+                        i += 1;
+                    }
+                    probe::take()
+                }));
             }
             for r in 0..2u64 {
                 let t = &t;
@@ -341,7 +392,7 @@ mod tests {
                     let mut out = Vec::new();
                     for i in 0..200u64 {
                         out.clear();
-                        let from = (i * 37) % 3_000;
+                        let from = key((i * 37) % 3_000);
                         let n = t.scan(&mut ctx, from, 64, &mut out);
                         assert_eq!(n, out.len());
                         assert!(
@@ -353,7 +404,14 @@ mod tests {
                 });
             }
             std::thread::sleep(std::time::Duration::from_millis(100));
-            stop.store(true, std::sync::atomic::Ordering::Relaxed);
+            stop.store(true, Relaxed);
+            let marks = writers.into_iter().flat_map(|w| w.join().unwrap());
+            marks.filter(|&m| m == "reorg:seqno").count()
         });
+        // Probe marks exist in debug builds only.
+        assert!(
+            reorganizations > 0 || !cfg!(debug_assertions),
+            "no leaf was reorganized under the scanners"
+        );
     }
 }

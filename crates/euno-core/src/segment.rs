@@ -184,8 +184,8 @@ impl<const K: usize> Segment<K> {
     }
 
     /// Episode-free bulk read into `out`; same validation contract as
-    /// [`Segment::find_direct`]. Sentinel keys from torn states are
-    /// filtered by the caller.
+    /// [`Segment::find_direct`]: what a torn state leaves on `out` is the
+    /// caller's to discard when its validation fails.
     pub fn read_into_direct(&self, ctx: &mut ThreadCtx, out: &mut Vec<(u64, u64)>) {
         let cnt = (self.k.count.load_direct(ctx) as usize).min(K);
         for i in 0..cnt {

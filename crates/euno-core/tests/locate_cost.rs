@@ -224,3 +224,51 @@ fn an_uncontended_get_and_put_cost_their_rung_plus_a_fixed_tail() {
     assert_eq!(put(&tree, &mut ctx, medium + 128), subtree_hit + PUT_TAIL); // 338
     assert_eq!(put(&tree, &mut ctx, medium + 128), LEAF_HIT + PUT_TAIL); // 209
 }
+
+/// One leaf step of an undisturbed scan over a leaf of eight records, two
+/// to a segment. A section to a segment (count and values on new lines,
+/// keys on the count's): 2 lines, 3 hits; the last section goes on to
+/// `next` (the header, a new line *there* — the step's only touch of it,
+/// because no section before it reads `seqno`), the successor's `seqno`
+/// (a new line) and the leaf's own (a hit); one ALU operation a record
+/// delivered. 10 lines — header, eight of segments, successor's header —
+/// and 13 hits. The whole-leaf section this replaced read the same ten
+/// lines and one hit more (the opening `seqno`: 210); a step that opens
+/// its first section with `seqno` touches the header twice and reads 223,
+/// one that closes every section with it 255.
+const SCAN_SEGMENT: u64 = 2 * FIRST + 3 * HIT; // 41
+const SCAN_STEP: u64 = 4 * SCAN_SEGMENT + 2 * FIRST + HIT + 8; // 207
+
+#[test]
+fn a_quiescent_scan_costs_its_rung_plus_a_fixed_step_per_leaf() {
+    let rt = Runtime::new_virtual();
+    let (tree, [_, medium, _]) = build(&rt);
+    let mut ctx = rt.thread(1);
+    let mut out = Vec::new();
+    let mut scan = |ctx: &mut ThreadCtx, from: u64| {
+        let start = ctx.clock;
+        out.clear();
+        assert_eq!(tree.scan(ctx, from, 16, &mut out), 16);
+        assert!(out
+            .iter()
+            .map(|&(k, _)| k)
+            .eq((0..16).map(|i| from + 8 * i)));
+        ctx.clock - start
+    };
+    let miss = AROUND_A_WALK + FROM_ROOT_RIGHT + LOOKING + RECORD; // 323
+
+    // Sixteen records are two leaves: the first is located, the second
+    // comes with the first's closing section and costs no walk.
+    assert_eq!(scan(&mut ctx, medium), miss + 2 * SCAN_STEP); // 737
+    assert_eq!(scan(&mut ctx, medium), LEAF_HIT + 2 * SCAN_STEP); // 425
+
+    // From mid-leaf (another slot of the leaf-hint table: the walk starts
+    // at the subtree hint) the scan ends in a third leaf: the records
+    // below the cursor are read and not delivered (4 fewer ALU
+    // operations), the third leaf is read whole for its first four.
+    let subtree_hit = AROUND_A_WALK + 2 * LEVEL + FIRST; // 140
+    assert_eq!(
+        scan(&mut ctx, medium + 32),
+        subtree_hit + 3 * SCAN_STEP - 4 // 757
+    );
+}

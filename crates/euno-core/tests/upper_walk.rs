@@ -68,6 +68,144 @@ fn leaf_groups(tree: &EunoBTreeDefault, ctx: &mut ThreadCtx) -> Vec<Vec<u64>> {
     groups.into_iter().map(|(_, keys)| keys).collect()
 }
 
+/// A preloaded tree and the leaf an operation will be interrupted on:
+/// mid-chain and not its parent's first child, so its chain predecessor
+/// is a sibling it can be merged into.
+#[derive(Clone)]
+struct Stage {
+    rt: Arc<Runtime>,
+    tree: Arc<EunoBTreeDefault>,
+    model: Model,
+    /// The preloaded keys of the target leaf and of its chain predecessor.
+    group: Vec<u64>,
+    sibling: Vec<u64>,
+}
+
+impl Stage {
+    fn new(cfg: EunoConfig) -> (Stage, ThreadCtx) {
+        let rt = Runtime::new_virtual();
+        let tree = Arc::new(EunoBTreeDefault::with_config(
+            Arc::clone(&rt),
+            EunoConfig {
+                rebalance_delete_threshold: 0,
+                ..cfg
+            },
+        ));
+        let model: Model = Rc::default();
+        let mut ctx = rt.thread(1);
+        for key in (0..PRELOADED).map(|i| i * STEP) {
+            tree.put(&mut ctx, key, key + 1);
+            model.borrow_mut().insert(key, key + 1);
+        }
+        let groups = leaf_groups(&tree, &mut ctx);
+        let g = (groups.len() / 2..groups.len() - 1)
+            .find(|&g| {
+                ctx.epoch_enter();
+                let leaf = tree.locate(&mut ctx, groups[g][0]).leaf;
+                let parent = unsafe { NodeRef(leaf.parent.load_plain()).as_internal() };
+                ctx.epoch_exit();
+                parent.child0.load_plain() != NodeRef::of_leaf(leaf).0
+            })
+            .expect("a leaf that is not a first child");
+        let (sibling, group) = (groups[g - 1].clone(), groups[g].clone());
+        let stage = Stage {
+            rt,
+            tree,
+            model,
+            group,
+            sibling,
+        };
+        (stage, ctx)
+    }
+
+    /// The highest preloaded key of the target leaf: a split moves it to
+    /// the new sibling.
+    fn top(&self) -> u64 {
+        *self.group.last().unwrap()
+    }
+
+    /// Keys inside the target leaf's range that were not preloaded.
+    fn fillers(&self) -> impl Iterator<Item = u64> {
+        (self.group[0] + 1..self.top()).filter(|k| k % STEP != 0)
+    }
+
+    fn put(&self, ctx: &mut ThreadCtx, key: u64, value: u64) {
+        let was = self.model.borrow_mut().insert(key, value);
+        assert_eq!(self.tree.put(ctx, key, value), was);
+    }
+
+    fn delete(&self, ctx: &mut ThreadCtx, key: u64) {
+        let was = self.model.borrow_mut().remove(&key);
+        assert_eq!(self.tree.delete(ctx, key), was);
+    }
+
+    /// `between`, carried out by a fresh logical thread on the leaf that
+    /// holds `target` when it starts.
+    fn interruption(&self, between: Between, target: u64, what: &str) -> impl FnOnce() + 'static {
+        let (stage, what) = (self.clone(), what.to_owned());
+        move || {
+            let Stage {
+                rt,
+                tree,
+                group,
+                sibling,
+                ..
+            } = &stage;
+            let mut other = rt.thread(2);
+            let (leaf0, seqno0) = located(tree, &mut other, target);
+            let mut fillers = stage.fillers();
+            match between {
+                Between::Split => {
+                    // Fill the leaf from below its top key until it splits.
+                    let leaves = tree.leaf_seqnos_plain().len();
+                    while tree.leaf_seqnos_plain().len() == leaves {
+                        let key = fillers.next().expect("leaf never split");
+                        stage.put(&mut other, key, key + 1);
+                    }
+                }
+                Between::Reorg => {
+                    // Thin the leaf out, then churn distinct fillers: their
+                    // tombstones fill the segments until an insert has to
+                    // reorganize a leaf that is nowhere near full.
+                    for &key in &group[..group.len() - 1] {
+                        stage.delete(&mut other, key);
+                    }
+                    while located(tree, &mut other, target) == (leaf0, seqno0) {
+                        let key = fillers.next().expect("leaf never reorganized");
+                        stage.put(&mut other, key, key + 1);
+                        stage.delete(&mut other, key);
+                    }
+                    assert_eq!(located(tree, &mut other, target).0, leaf0, "{what}");
+                }
+                Between::Merge => {
+                    for keys in [sibling, group] {
+                        for &key in &keys[..keys.len() - 1] {
+                            stage.delete(&mut other, key);
+                        }
+                    }
+                    assert!(tree.maintain(&mut other) > 0, "{what}");
+                    assert!(!chained(tree, leaf0), "{what}: the leaf was merged away");
+                    // The interrupted operation's pin predates the unlink:
+                    // however hard the collector and the allocator are
+                    // pushed, the leaf is neither freed nor handed out again.
+                    for _ in 0..8 {
+                        rt.epoch().collect();
+                    }
+                    let mem = tree.memory();
+                    assert!(
+                        mem.retired_pending_bytes > 0 && mem.reclaimed_bytes == 0,
+                        "{what}"
+                    );
+                    for key in (PRELOADED * STEP..).take(200) {
+                        stage.put(&mut other, key, key + 1);
+                    }
+                    assert!(!chained(tree, leaf0), "{what}: a pinned leaf was reused");
+                }
+            }
+        }
+    }
+}
+
 /// `op` on a key of a mid-chain leaf, with `between` landing after the
 /// operation's upper stage and before its lower region: the lower region
 /// must notice (`Lower::Inconsistent`), the operation must restart and
@@ -80,38 +218,16 @@ fn leaf_groups(tree: &EunoBTreeDefault, ctx: &mut ThreadCtx) -> Vec<Vec<u64>> {
 fn handover(cfg: EunoConfig, between: Between, op: Op) {
     let what = format!("read_opt={} {between:?} {op:?}", cfg.read_opt);
     let episode_free_get = cfg.read_opt && op == Op::Get;
-    let rt = Runtime::new_virtual();
-    let tree = Arc::new(EunoBTreeDefault::with_config(
-        Arc::clone(&rt),
-        EunoConfig {
-            rebalance_delete_threshold: 0,
-            ..cfg
-        },
-    ));
-    let model: Model = Rc::default();
-    let mut ctx = rt.thread(1);
-    for key in (0..PRELOADED).map(|i| i * STEP) {
-        tree.put(&mut ctx, key, key + 1);
-        model.borrow_mut().insert(key, key + 1);
-    }
+    let (stage, mut ctx) = Stage::new(cfg);
+    let (rt, tree, model) = (&stage.rt, &stage.tree, &stage.model);
 
-    // The target leaf: mid-chain and not its parent's first child, so its
-    // chain predecessor is a sibling it can be merged into. The target key
-    // sits at the top of the leaf, so a split moves it to the new sibling.
-    let groups = leaf_groups(&tree, &mut ctx);
-    let g = (groups.len() / 2..groups.len() - 1)
-        .find(|&g| {
-            ctx.epoch_enter();
-            let leaf = tree.locate(&mut ctx, groups[g][0]).leaf;
-            let parent = unsafe { NodeRef(leaf.parent.load_plain()).as_internal() };
-            ctx.epoch_exit();
-            parent.child0.load_plain() != NodeRef::of_leaf(leaf).0
-        })
-        .expect("a leaf that is not a first child");
-    let (sibling, group) = (groups[g - 1].clone(), groups[g].clone());
-    let top = *group.last().unwrap();
-    let target = if op == Op::Put { top + 1 } else { top };
-    let (leaf0, seqno0) = located(&tree, &mut ctx, target);
+    // The target key sits at the top of the leaf.
+    let target = if op == Op::Put {
+        stage.top() + 1
+    } else {
+        stage.top()
+    };
+    let (leaf0, _) = located(tree, &mut ctx, target);
     if episode_free_get {
         // Protected, a conflict-control stage on the leaf is two
         // read-modify-writes: the count below would show one.
@@ -126,72 +242,7 @@ fn handover(cfg: EunoConfig, between: Between, op: Op) {
     let (attempts, rmws) = (ctx.metric(Counter::Attempts), ctx.stats.cas_ops);
 
     probe::take();
-    probe::once_at("locate:done", {
-        let (tree, rt, model, what) = (
-            Arc::clone(&tree),
-            Arc::clone(&rt),
-            Rc::clone(&model),
-            what.clone(),
-        );
-        move || {
-            let mut other = rt.thread(2);
-            let mut fillers = (group[0] + 1..top).filter(|k| k % STEP != 0);
-            let put = |other: &mut ThreadCtx, key: u64| {
-                let was = model.borrow_mut().insert(key, key + 1);
-                assert_eq!(tree.put(other, key, key + 1), was);
-            };
-            let delete = |other: &mut ThreadCtx, key: u64| {
-                let was = model.borrow_mut().remove(&key);
-                assert_eq!(tree.delete(other, key), was);
-            };
-            match between {
-                Between::Split => {
-                    // Fill the leaf from below the target until it splits.
-                    while located(&tree, &mut other, target).0 == leaf0 {
-                        put(&mut other, fillers.next().expect("leaf never split"));
-                    }
-                }
-                Between::Reorg => {
-                    // Thin the leaf out, then churn distinct fillers: their
-                    // tombstones fill the segments until an insert has to
-                    // reorganize a leaf that is nowhere near full.
-                    for &key in &group[..group.len() - 1] {
-                        delete(&mut other, key);
-                    }
-                    while located(&tree, &mut other, target) == (leaf0, seqno0) {
-                        let key = fillers.next().expect("leaf never reorganized");
-                        put(&mut other, key);
-                        delete(&mut other, key);
-                    }
-                    assert_eq!(located(&tree, &mut other, target).0, leaf0, "{what}");
-                }
-                Between::Merge => {
-                    for keys in [&sibling, &group] {
-                        for &key in &keys[..keys.len() - 1] {
-                            delete(&mut other, key);
-                        }
-                    }
-                    assert!(tree.maintain(&mut other) > 0, "{what}");
-                    assert!(!chained(&tree, leaf0), "{what}: the leaf was merged away");
-                    // The interrupted operation's pin predates the unlink:
-                    // however hard the collector and the allocator are
-                    // pushed, the leaf is neither freed nor handed out again.
-                    for _ in 0..8 {
-                        rt.epoch().collect();
-                    }
-                    let mem = tree.memory();
-                    assert!(
-                        mem.retired_pending_bytes > 0 && mem.reclaimed_bytes == 0,
-                        "{what}"
-                    );
-                    for key in (PRELOADED * STEP..).take(200) {
-                        put(&mut other, key);
-                    }
-                    assert!(!chained(&tree, leaf0), "{what}: a pinned leaf was reused");
-                }
-            }
-        }
-    });
+    probe::once_at("locate:done", stage.interruption(between, target, &what));
 
     let got = match op {
         Op::Put => tree.put(&mut ctx, target, 7),
@@ -283,6 +334,186 @@ fn reorganization_between_locate_and_lower_region_restarts_the_op() {
 #[cfg_attr(not(debug_assertions), ignore = "probes are debug-only")]
 fn merge_and_retirement_between_locate_and_lower_region_restarts_the_op() {
     handover_all(Between::Merge);
+}
+
+// ---------------------------------------------------------------------
+// The hand-over between the sections of a scan's leaf step
+// ---------------------------------------------------------------------
+
+/// What lands between two sections of a leaf step (DESIGN.md §4.7).
+#[derive(Clone, Copy, Debug)]
+enum Landing {
+    /// A new key goes into a segment the step has already read.
+    InsertBehind,
+    /// Two keys deleted before the scan — one in a segment already read,
+    /// one in a segment still to come — are put again.
+    Revive,
+    Structural(Between),
+}
+
+/// The segment of `leaf` that holds `key` (live or tombstoned).
+fn segment_of(leaf: &EunoLeaf<4, 4>, key: u64) -> Option<usize> {
+    leaf.segs
+        .iter()
+        .position(|seg| (0..seg.count_plain()).any(|i| seg.key_cell(i).load_plain() == key))
+}
+
+/// Run `landing` the `skip + 1`-th time this thread passes `tag`.
+fn at_pass(tag: &'static str, skip: usize, landing: Box<dyn FnOnce()>) {
+    if skip == 0 {
+        probe::once_at(tag, landing);
+    } else {
+        probe::once_at(tag, move || at_pass(tag, skip - 1, landing));
+    }
+}
+
+/// What a scan that overlapped one interruption may deliver: keys strictly
+/// ascending from `from`, each with a value it had before or after; every
+/// key the interruption left alone, once.
+fn overlapped_scan_is_sound(
+    out: &[(u64, u64)],
+    from: u64,
+    before: &BTreeMap<u64, u64>,
+    after: &BTreeMap<u64, u64>,
+) -> Result<(), String> {
+    if let Some(w) = out.windows(2).find(|w| w[0].0 >= w[1].0) {
+        return Err(format!("{:?} before {:?}", w[0], w[1]));
+    }
+    if let Some(forged) = out
+        .iter()
+        .find(|(k, v)| *k < from || (before.get(k) != Some(v) && after.get(k) != Some(v)))
+    {
+        return Err(format!("{forged:?} was never in the map"));
+    }
+    let delivered: BTreeMap<u64, u64> = out.iter().copied().collect();
+    match before
+        .range(from..)
+        .find(|&(k, v)| after.get(k) == Some(v) && !delivered.contains_key(k))
+    {
+        Some(dropped) => Err(format!("{dropped:?} was there throughout and is missing")),
+        None => Ok(()),
+    }
+}
+
+/// A scan to the end of the tree whose first step reads the target leaf,
+/// with `landing` between that step's sections `read - 1` and `read` (the
+/// segments below `read` are read, the rest are not). Facts 1 and 2 of
+/// `scan.rs::leaf_step`: while `seqno` stands no key changes segment, so
+/// the step finishes on what it has; once it has moved the closing
+/// section says so, and the step starts over on the cursor's leaf.
+fn scan_with_landing(landing: Landing, read: usize, mutation: Option<&'static str>) {
+    let what = format!("{landing:?} after {read} sections, mutation {mutation:?}");
+    let (stage, mut ctx) = Stage::new(EunoConfig::default());
+    let (tree, model) = (&stage.tree, &stage.model);
+    let from = stage.group[0];
+    let (leaf0, seqno0) = located(tree, &mut ctx, from);
+    let leaf = unsafe { &*(leaf0 as *const EunoLeaf<4, 4>) };
+    let in_segment = |wanted: &dyn Fn(usize) -> bool| {
+        let found = stage
+            .group
+            .iter()
+            .find(|&&k| wanted(segment_of(leaf, k).unwrap()));
+        *found.unwrap_or_else(|| panic!("{what}: no preloaded key in such a segment"))
+    };
+    let (behind, ahead) = (in_segment(&|s| s < read), in_segment(&|s| s >= read));
+    if let Landing::Revive = landing {
+        stage.delete(&mut ctx, behind);
+        stage.delete(&mut ctx, ahead);
+    }
+    let before = model.borrow().clone();
+    ctx.clock += 1 << 32;
+
+    probe::take();
+    probe::mutate(mutation);
+    let interruption: Box<dyn FnOnce()> = match landing {
+        Landing::Structural(between) => Box::new(stage.interruption(between, from, &what)),
+        Landing::InsertBehind => Box::new({
+            let (stage, what) = (stage.clone(), what.clone());
+            move || {
+                let mut other = stage.rt.thread(2);
+                let landed_behind = stage.fillers().take(6).any(|key| {
+                    stage.put(&mut other, key, key + 1);
+                    segment_of(leaf, key).is_some_and(|s| s < read)
+                });
+                assert!(landed_behind, "{what}: no insert landed in a read segment");
+            }
+        }),
+        Landing::Revive => Box::new({
+            let stage = stage.clone();
+            move || {
+                let mut other = stage.rt.thread(2);
+                stage.put(&mut other, behind, 7);
+                stage.put(&mut other, ahead, 7);
+            }
+        }),
+    };
+    at_pass("scan:section", read - 1, interruption);
+    let mut out = Vec::new();
+    tree.scan(&mut ctx, from, usize::MAX, &mut out);
+    probe::mutate(None);
+    // A step found its leaf's `seqno` moved and went back to `locate`.
+    let relocated = probe::take().contains(&"scan:moved");
+
+    let after = model.borrow().clone();
+    assert_ne!(before, after, "{what}: the interruption never ran");
+    let verdict = overlapped_scan_is_sound(&out, from, &before, &after);
+    if mutation.is_some() {
+        assert!(verdict.is_err(), "{what}: delivered a sound scan");
+        return;
+    }
+    assert_eq!(verdict, Ok(()), "{what}");
+    match landing {
+        Landing::Structural(_) => {
+            // Everything the step had read went with the leaf's `seqno`.
+            assert!(relocated, "{what}: the step went on with a moved leaf");
+            let exact: Vec<_> = after.range(from..).map(|(&k, &v)| (k, v)).collect();
+            assert_eq!(out, exact, "{what}");
+        }
+        Landing::InsertBehind | Landing::Revive => {
+            assert_eq!(located(tree, &mut ctx, from), (leaf0, seqno0), "{what}");
+            assert!(!relocated, "{what}: a standing leaf was read twice");
+            if let Landing::Revive = landing {
+                // Each came back where its tombstone was, not elsewhere.
+                let got = |key| out.iter().find(|&&(k, _)| k == key).map(|&(_, v)| v);
+                assert_eq!((got(behind), got(ahead)), (None, Some(7)), "{what}");
+            }
+        }
+    }
+    assert_eq!(tree.audit_quiescent(), Vec::<String>::new(), "{what}");
+}
+
+#[test]
+#[cfg_attr(not(debug_assertions), ignore = "probes are debug-only")]
+fn writes_between_a_scans_sections_leave_each_key_in_its_segment() {
+    for read in 1..4 {
+        scan_with_landing(Landing::InsertBehind, read, None);
+        scan_with_landing(Landing::Revive, read, None);
+    }
+}
+
+#[test]
+#[cfg_attr(not(debug_assertions), ignore = "probes are debug-only")]
+fn a_structural_change_between_a_scans_sections_restarts_the_step() {
+    for read in 1..4 {
+        for between in [Between::Reorg, Between::Split, Between::Merge] {
+            scan_with_landing(Landing::Structural(between), read, None);
+        }
+    }
+}
+
+/// The mutation twin: without the closing `seqno` check the step goes on
+/// reading a reorganized leaf, and the key that hopped from a segment
+/// still to come into one already read is lost.
+#[test]
+#[cfg_attr(not(debug_assertions), ignore = "probes are debug-only")]
+fn a_scans_sections_lose_a_key_without_the_closing_seqno_check() {
+    for read in 1..4 {
+        scan_with_landing(
+            Landing::Structural(Between::Reorg),
+            read,
+            Some("scan:skip-closing-seqno"),
+        );
+    }
 }
 
 // ---------------------------------------------------------------------

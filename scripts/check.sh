@@ -220,9 +220,16 @@ echo "bounded-maintenance (sliced sweep bound + churn-sweeps stress) OK"
 # linearizability oracle.  layout_independence rides along: the same seed
 # on two differently populated heaps must charge every op the same cycles
 # (a fresh leaf must not inherit a freed one's simulated line heat).
-cargo test -q --release -p euno-core --test scan_ladder --test layout_independence
+# scan_tail holds the scans' p99 still (≤ +1 %) while every operation
+# beside them gets 80 cycles faster, and `scan::` puts scanners on real
+# threads under splits, reorganizations and tombstones that come back —
+# a step validates a segment at a time (§4.7).  (What lands *between* two
+# sections — `upper_walk`'s scan tests and their mutation twin — needs the
+# debug-only probes and ran under `cargo test` above.)
+cargo test -q --release -p euno-core --test scan_ladder --test layout_independence --test scan_tail
+cargo test -q --release -p euno-core --lib scan::
 stress_both_euno --churn --scan-len 48 --ops 3000 --seed 20260929 --duration 5
-echo "scan-ladder (livelock regression + hot-leaf scheduler run + layout independence + churn stress) OK"
+echo "scan-ladder (livelock regression + hot-leaf scheduler run + layout independence + scan tail + real-thread scanners + churn stress) OK"
 
 # Upper walk: every operation's upper stage (DESIGN.md §4.4).  In
 # --release: a get must finish under writers that never touch its leaf
