@@ -54,8 +54,12 @@ use euno_workloads::WorkloadSpec;
 /// `75d0b2a0da7a08d4` since PR 19, for format only: the report lost the
 /// middle path's four keys, and `GOLDEN_DUMP` at the parent with its 16
 /// `middle` lines (all zero) removed equals the dump at that change byte
-/// for byte.
-const GOLDEN_DIGEST: &str = "75d0b2a0da7a08d4";
+/// for byte. `3a535ea063280e42` since PR 22, which gave every key a home
+/// segment (the leaf search reads one segment, the write scheduler draws
+/// nothing from the thread RNG) for `paper()` and `default()` alike: of
+/// the four entries only `Euno-B+Tree` moved (13.09 → 13.75 Mops/s), the
+/// three baselines' are byte for byte what they were.
+const GOLDEN_DIGEST: &str = "3a535ea063280e42";
 
 fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;

@@ -1,5 +1,10 @@
 //! Cross-time structural audits.
 //!
+//! (The single-snapshot audit — locks, chain, parents, key order, marks,
+//! and the placement of every record on its key's probe path — is
+//! `EunoBTree::audit_quiescent`; `stress` runs it at quiescence and folds
+//! its findings into the same "invariants" verdict as the watches here.)
+//!
 //! [`SeqnoWatch`] consumes address-keyed leaf seqno snapshots (from
 //! `EunoBTree::leaf_seqnos_plain`) taken before, during, and after a
 //! stress run and verifies monotonicity: a leaf's seqno is the version

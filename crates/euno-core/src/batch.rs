@@ -45,6 +45,7 @@ use euno_htm::{EventKind, RetryPolicy, ThreadCtx, TxWord};
 
 use crate::ccm::Ccm;
 use crate::node::{EunoLeaf, NodeRef};
+use crate::structural::LowerRegion;
 use crate::traverse::{LeafRead, Located};
 use crate::tree::{EunoBTree, Lower, Req};
 
@@ -392,7 +393,9 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         let pending = cells[..n].iter().filter(|&&c| c == Cell::Pending).count();
         let mut lower_conflicts = 0;
         if pending > 0 {
+            let mut region = LowerRegion::new(false);
             let res = ctx.htm_execute(&self.ctrl.fallback, &RetryPolicy::DBX, |tx| {
+                self.hand_back(&mut region);
                 tx.set_op_key(ops[0].key());
                 if stage.locked() {
                     // Same-record contenders queue on the CCM lock bits
@@ -408,7 +411,8 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                         continue;
                     }
                     tx.set_op_key(op.key());
-                    match self.lower_body(tx, leaf, op.req(), op.key(), op.newval(), false)? {
+                    let (req, key, newval) = (op.req(), op.key(), op.newval());
+                    match self.lower_body(tx, leaf, req, key, newval, &mut region)? {
                         Lower::Done(v) => {
                             applied[j] = Some(v);
                             // A structural change (our own fallback-path

@@ -1,8 +1,11 @@
 //! Tree introspection: structural statistics for experiments and
 //! diagnostics (uninstrumented; intended for quiesced trees).
 
+use std::convert::Infallible;
+
 use crate::ccm::Ccm;
 use crate::node::{EunoLeaf, NodeRef, INTERNAL_FANOUT};
+use crate::segment::home_segment;
 use crate::tree::EunoBTree;
 use euno_htm::{TxWord, TOMBSTONE};
 
@@ -182,6 +185,11 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
     /// * separator keys within each internal node are strictly ascending;
     /// * live keys are strictly ascending along the whole chain (no
     ///   duplicates within or across leaves);
+    /// * **placement** — every record, tombstones included, sits in a
+    ///   segment on its key's probe path with every segment before it on
+    ///   that path full, its segment is sorted, and the leaf's own search
+    ///   ([`EunoLeaf::find`], over plain loads) ends on it: a get or put
+    ///   reads one segment and may stop there;
     /// * if mark bits are enabled, each leaf's CCM marks are a superset of
     ///   its live keys' slots (a get must never miss a present key);
     /// * a root descent for every live key lands on the leaf that holds it
@@ -299,6 +307,37 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                     "leaf {addr:#x} CCM lock bits {:#b} held at quiescence",
                     leaf.ccm.locks_plain()
                 );
+            }
+            // Placement: what the one-segment search stands on, for every
+            // record — a tombstone holds its slot like any other.
+            for (at, seg) in leaf.segs.iter().enumerate() {
+                for i in 0..seg.count_plain().min(K) {
+                    let key = seg.key_cell(i).load_plain();
+                    if i > 0 && seg.key_cell(i - 1).load_plain() >= key {
+                        report!("leaf {addr:#x} segment {at} not ascending at slot {i}");
+                    }
+                    let home = home_segment(key, SEGS);
+                    let before = (at + SEGS - home) % SEGS;
+                    if let Some(gap) = (0..before)
+                        .map(|j| (home + j) % SEGS)
+                        .find(|&j| leaf.segs[j].count_plain() < K)
+                    {
+                        report!(
+                            "leaf {addr:#x} key {key} (home {home}) is in segment {at}, \
+                             past segment {gap} which has room"
+                        );
+                    }
+                    let Ok((found, probe)) =
+                        leaf.find(key, |cell| Ok::<_, Infallible>(cell.load_plain()));
+                    if !probe.hit || (found, probe.slot) != (at, i) {
+                        report!(
+                            "leaf {addr:#x} search for key {key} (segment {at} slot {i}) \
+                             ends at segment {found} slot {}, hit: {}",
+                            probe.slot,
+                            probe.hit
+                        );
+                    }
+                }
             }
             let recs = Self::leaf_live_plain(leaf);
             for w in recs.windows(2) {

@@ -1,40 +1,63 @@
-//! Intra-leaf operations: scattered-leaf search, the randomized write
-//! scheduler, and leaf reorganization (Algorithm 3).
+//! Intra-leaf operations: the one-segment leaf search, the deterministic
+//! write scheduler, and leaf reorganization (Algorithm 3).
 //!
-//! Inserts use the randomized **write scheduler** over the leaf's segments
-//! (Algorithm 3); overflowing leaves first *reorganize* — merge into the
-//! transient sorted buffer (the paper's *reserved keys*), drop tombstones,
-//! and deal the records round-robin back over the segments so key-adjacent
-//! records stay on different cache lines — and split only when genuinely
-//! full (the split itself lives in [`crate::structural`]).
+//! Every key has a **probe path** over the leaf's segments — its
+//! [home](home_segment), then the segments after it, cyclically — and
+//! lives in the first segment on that path that had room when it was
+//! placed. An insert takes that segment ([`EunoLeaf::find`] has just
+//! named it); a leaf whose path is full first *reorganizes* — merges into
+//! the transient sorted buffer (the paper's *reserved keys*), drops
+//! tombstones, and re-places every record by the same rule — and splits
+//! only when genuinely full (the split itself lives in
+//! [`crate::structural`]).
 
 use euno_htm::{EventKind, Tx, TxCell, TxResult, TOMBSTONE};
-use euno_rng::Rng;
 
 use crate::node::EunoLeaf;
 use crate::probe;
+use crate::segment::{home_segment, Probe, HOME_ALU};
+use crate::structural::LowerRegion;
 use crate::tree::{EunoBTree, Lower, Req};
 
-/// Write-scheduler retries before reorganizing (Algorithm 3 line 61).
-const SCHEDULER_RETRIES: u32 = 3;
+impl<const SEGS: usize, const K: usize> EunoLeaf<SEGS, K> {
+    /// The leaf's one search, over whatever `load` the caller reads with:
+    /// walk `key`'s probe path from its home segment and stop at the first
+    /// segment that holds the key or is not full. Returns that segment and
+    /// where its search ended: a hit; or, with room, where `key` is to be
+    /// inserted; or, full, the whole path was (the leaf is full).
+    ///
+    /// **The probe-path invariant** is what lets the walk stop: a record
+    /// is in a segment on its key's path, and every segment before that
+    /// one on the path is full. It holds when a record is placed, and it
+    /// keeps holding while `seqno` stands: a delete leaves a tombstone, so
+    /// a segment's count falls only in a reorganization, a split or a
+    /// merge — each of which bumps `seqno` before a record moves. A reader
+    /// that checks `seqno` around the walk (the lower region does by
+    /// reading it first, [`EunoBTree::read_leaf`] by bracketing) therefore
+    /// never stops short of a key that is there; `audit_quiescent` holds
+    /// every record of every leaf to the invariant.
+    pub(crate) fn find<E>(
+        &self,
+        key: u64,
+        mut load: impl FnMut(&TxCell<u64>) -> Result<u64, E>,
+    ) -> Result<(usize, Probe), E> {
+        let home = home_segment(key, SEGS);
+        let mut seg = home;
+        loop {
+            let at = self.segs[seg].search(key, &mut load)?;
+            let next = (seg + 1) % SEGS;
+            if at.hit || at.count < K || next == home || probe::mutated("leaf:stop-at-home") {
+                return Ok((seg, at));
+            }
+            seg = next;
+        }
+    }
+}
 
 impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
-    /// Locate `key`'s value cell: compare each segment's first/last
-    /// element, binary-searching only segments whose range brackets the
-    /// key (the paper's scattered-leaf search).
-    fn leaf_find<'t>(
-        &self,
-        tx: &mut Tx<'_>,
-        leaf: &'t EunoLeaf<SEGS, K>,
-        key: u64,
-    ) -> TxResult<Option<&'t TxCell<u64>>> {
-        for seg in &leaf.segs {
-            if let Some(i) = seg.find(tx, key)? {
-                return Ok(Some(seg.val_cell(i)));
-            }
-        }
-        Ok(None)
-    }
+    /// What finding a key's home segment is charged on the virtual clock
+    /// (nothing where there is one segment to find).
+    pub(crate) const HOME_COST: u64 = if SEGS > 1 { HOME_ALU } else { 0 };
 
     pub(crate) fn lower_body(
         &self,
@@ -43,9 +66,11 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         req: Req,
         key: u64,
         newval: u64,
-        have_split_lock: bool,
+        region: &mut LowerRegion,
     ) -> TxResult<Lower> {
-        let found = self.leaf_find(tx, leaf, key)?;
+        tx.charge(self.rt.cost.alu * Self::HOME_COST);
+        let (seg, at) = leaf.find(key, |cell| tx.read(cell))?;
+        let found = at.hit.then(|| leaf.segs[seg].val_cell(at.slot));
         match req {
             Req::Get => Ok(Lower::Done(match found {
                 Some(vc) => {
@@ -70,50 +95,31 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                     tx.write(vc, newval)?;
                     return Ok(Lower::Done((old != TOMBSTONE).then_some(old)));
                 }
-                self.insert_record(tx, leaf, key, newval, have_split_lock)
+                // The deterministic write scheduler (Algorithm 3 lines
+                // 60-66): the first segment on the key's path with room.
+                if at.count < K {
+                    leaf.segs[seg].insert_at(tx, at, key, newval)?;
+                    return Ok(Lower::Done(None));
+                }
+                self.insert_into_full(tx, leaf, key, newval, region)
             }
         }
     }
 
-    /// Algorithm 3: write-scheduler dispatch, reorganization, split.
-    fn insert_record(
+    /// Algorithm 3 lines 67-86: every segment on the key's path — every
+    /// segment — is full. Reorganize if tombstones make room, else split.
+    fn insert_into_full(
         &self,
         tx: &mut Tx<'_>,
         leaf: &EunoLeaf<SEGS, K>,
         key: u64,
         newval: u64,
-        have_split_lock: bool,
+        region: &mut LowerRegion,
     ) -> TxResult<Lower> {
-        // 1. Randomized dispatch to a non-full segment (lines 60-66). The
-        //    scheduler never repeats the previous index (line 60).
-        let mut idx = if SEGS == 1 {
-            0
-        } else {
-            tx.ctx().rng().gen_range(0..SEGS)
-        };
-        let mut tries = 0;
-        loop {
-            if !leaf.segs[idx].is_full_tx(tx)? {
-                leaf.segs[idx].insert(tx, key, newval)?;
-                return Ok(Lower::Done(None));
-            }
-            if SEGS == 1 || tries >= SCHEDULER_RETRIES {
-                break;
-            }
-            let prev = idx;
-            while idx == prev && SEGS > 1 {
-                idx = tx.ctx().rng().gen_range(0..SEGS);
-            }
-            tries += 1;
-        }
-
-        // 2. Retries exhausted: the leaf is near-full or unevenly loaded
-        //    (lines 67-86). Reorganizing or splitting rewrites shared
-        //    state, so demand the advisory split lock first when the node
-        //    may genuinely be full (the serialized fallback path is already
-        //    exclusive).
-        let occupied = leaf.occupied_tx(tx)?;
-        if occupied >= Self::capacity() && !have_split_lock && !tx.is_fallback() {
+        // Reorganizing or splitting rewrites shared state, so demand the
+        // advisory split lock first (the serialized fallback path is
+        // already exclusive).
+        if !region.split_locked && !tx.is_fallback() {
             return Ok(Lower::NeedSplitLock);
         }
 
@@ -122,17 +128,15 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         // §4.2.4 happens here too.
         let records = self.collect_all(tx, leaf)?;
 
-        if records.len() < Self::capacity() {
-            // 2a. Sufficient room after reorganization (lines 67-74): deal
-            //     the sorted records round-robin over the segments so
-            //     key-adjacent records land on different cache lines, then
-            //     place the new key in the emptiest segment.
+        let target = if records.len() < Self::capacity() {
+            // Sufficient room after reorganization (lines 67-74).
             //
             // Bump the version before any record moves, as on the split
-            // and merge paths: records hop between segments here, so an
-            // episode-free reader searching segment by segment could miss
-            // a key that moved from a not-yet-searched segment into an
-            // already-searched one unless the bump is published first.
+            // and merge paths: counts fall and records change segments
+            // here, so a reader walking a probe path could stop at a
+            // segment that has just stopped being full, short of a key
+            // that has not yet moved up, unless the bump is published
+            // first.
             probe::mark("reorg:seqno");
             let seq = tx.read(&leaf.seqno)?;
             tx.write(&leaf.seqno, seq + 1)?;
@@ -141,42 +145,25 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             tx.ctx().trace(EventKind::Reorg {
                 leaf: leaf as *const EunoLeaf<SEGS, K> as u64,
             });
-            let seg = self.emptiest_segment(tx, leaf)?;
-            leaf.segs[seg].insert(tx, key, newval)?;
-            Ok(Lower::Done(None))
+            leaf
         } else {
-            // 2b. Really full: sort, split, reorganize (lines 75-86).
-            debug_assert!(have_split_lock || tx.is_fallback());
-            let target = self.split_leaf(tx, leaf, &records, key)?;
-            let seg = self.emptiest_segment(tx, target)?;
-            target.segs[seg].insert(tx, key, newval)?;
-            Ok(Lower::Done(None))
+            // Really full: sort, split, reorganize (lines 75-86).
+            self.split_leaf(tx, leaf, &records, key, region)?
+        };
+        // The new key, by the same rule as every other record.
+        let mut seg = home_segment(key, SEGS);
+        while target.segs[seg].count_tx(tx)? == K {
+            seg = (seg + 1) % SEGS;
         }
+        target.segs[seg].insert(tx, key, newval)?;
+        Ok(Lower::Done(None))
     }
 
-    /// Index of the segment with the fewest records (guaranteed non-full
-    /// after a reorganization left total occupancy below capacity).
-    pub(crate) fn emptiest_segment(
-        &self,
-        tx: &mut Tx<'_>,
-        leaf: &EunoLeaf<SEGS, K>,
-    ) -> TxResult<usize> {
-        let mut best = 0;
-        let mut best_cnt = usize::MAX;
-        for (i, seg) in leaf.segs.iter().enumerate() {
-            let c = seg.count_tx(tx)?;
-            if c < best_cnt {
-                best = i;
-                best_cnt = c;
-            }
-        }
-        debug_assert!(best_cnt < K, "no free slot after reorganization");
-        Ok(best)
-    }
-
-    /// Deal `records` (sorted) round-robin across the segments: segment
-    /// `i` receives records `i, i+SEGS, i+2·SEGS, …` — each segment stays
-    /// sorted while adjacent keys land in different segments (and lines).
+    /// Re-place `records` (sorted) over the segments: each goes to the
+    /// first segment on its key's probe path with room, in key order — so
+    /// every segment stays sorted, the probe-path invariant holds by
+    /// construction, and adjacent keys land in different segments (and
+    /// lines) because their homes differ.
     pub(crate) fn redistribute(
         &self,
         tx: &mut Tx<'_>,
@@ -184,11 +171,21 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         records: &[(u64, u64)],
     ) -> TxResult<()> {
         debug_assert!(records.len() <= Self::capacity());
-        let mut part = Vec::with_capacity(records.len().div_ceil(SEGS));
-        for (i, seg) in leaf.segs.iter().enumerate() {
-            part.clear();
-            part.extend(records.iter().copied().skip(i).step_by(SEGS));
-            seg.write_all(tx, &part)?;
+        let (mut parts, mut lens) = ([[(0, 0); K]; SEGS], [0; SEGS]);
+        for (i, &record) in records.iter().enumerate() {
+            let mut seg = match probe::mutated("place:deal-round-robin") {
+                false => home_segment(record.0, SEGS),
+                true => i % SEGS,
+            };
+            while lens[seg] == K {
+                seg = (seg + 1) % SEGS;
+            }
+            parts[seg][lens[seg]] = record;
+            lens[seg] += 1;
+        }
+        tx.charge(self.rt.cost.alu * Self::HOME_COST * records.len() as u64);
+        for (seg, (part, len)) in leaf.segs.iter().zip(parts.iter().zip(lens)) {
+            seg.write_all(tx, &part[..len])?;
         }
         Ok(())
     }

@@ -5,8 +5,10 @@
 //! the `euno-htm` engine:
 //!
 //! * split HTM regions glued by per-leaf version numbers ([`tree`]),
-//! * scattered (segmented) leaves with a randomized write scheduler
-//!   ([`segment`]) and sorted *reserved keys* buffers ([`node`]),
+//! * segmented leaves whose write scheduler is a function of the key —
+//!   a home segment and a probe path, so a search reads one segment
+//!   ([`segment`], [`leaf_ops`]) — and sorted *reserved keys* buffers
+//!   ([`node`]),
 //! * a conflict-control module of mark/lock bit vectors ([`ccm`]),
 //! * per-leaf adaptive contention control ([`ccm`], [`config`]).
 //!

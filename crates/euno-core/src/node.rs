@@ -1,5 +1,5 @@
-//! Euno-B+Tree node types: scattered leaves (Figure 4) and internal index
-//! nodes with parent links.
+//! Euno-B+Tree node types: partitioned leaves (Figure 4) and internal
+//! index nodes with parent links.
 //!
 //! Layout is cache-line-deliberate:
 //!
@@ -12,16 +12,17 @@
 //!   word of it — both are written only from outside regions and read
 //!   inside none, so neither invalidates a line transactions read.
 //!
-//! Records live **scattered across the segments at all times** — a
-//! reorganization or split deals the sorted record set round-robin over
-//! the segments, so keys that are adjacent in key order live in different
-//! segments and therefore on different cache lines. This placement is
-//! what keeps a hot run of Zipfian keys from re-concentrating on one line
-//! after the leaf reorganizes (the *reserved keys* sort buffer of §4.1 is
-//! transient scratch, tracked for the §5.7 memory analysis but never the
-//! steady-state home of records).
+//! Records live **spread over the segments at all times**, each in the
+//! first segment on its key's probe path that had room
+//! ([`crate::segment::home_segment`]): keys that are adjacent in key order
+//! have different homes and therefore live on different cache lines, from
+//! the first insert on and again after every reorganization, split and
+//! merge, which re-place records by the same rule. This placement is what
+//! keeps a hot run of Zipfian keys off one line (the *reserved keys* sort
+//! buffer of §4.1 is transient scratch, tracked for the §5.7 memory
+//! analysis but never the steady-state home of records).
 
-use euno_htm::{Arena, LineClass, Runtime, Tx, TxCell, TxResult, TxWord, KEY_SENTINEL};
+use euno_htm::{Arena, LineClass, Runtime, TxCell, TxWord, KEY_SENTINEL};
 
 use crate::ccm::Ccm;
 use crate::segment::Segment;
@@ -29,7 +30,7 @@ use crate::segment::Segment;
 /// Internal-node fanout (the paper sets node fanout to 16, §5.7).
 pub const INTERNAL_FANOUT: usize = 16;
 
-/// A scattered leaf: header, `SEGS` segments of `K` slots, and the
+/// A partitioned leaf: header, `SEGS` segments of `K` slots, and the
 /// conflict-control module (which hosts the split lock).
 #[repr(C, align(64))]
 pub struct EunoLeaf<const SEGS: usize, const K: usize> {
@@ -70,15 +71,6 @@ impl<const SEGS: usize, const K: usize> EunoLeaf<SEGS, K> {
     /// CCM bit-vector length: 2 × fanout (§4.1).
     pub const fn ccm_bits() -> u32 {
         (2 * SEGS * K) as u32
-    }
-
-    /// Occupied slots across all segments (transactional).
-    pub fn occupied_tx(&self, tx: &mut Tx<'_>) -> TxResult<usize> {
-        let mut n = 0;
-        for s in &self.segs {
-            n += s.count_tx(tx)?;
-        }
-        Ok(n)
     }
 
     /// Approximate occupancy from outside any region (the Algorithm 2

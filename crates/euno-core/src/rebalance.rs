@@ -42,9 +42,10 @@
 //!
 //! * both leaves' split locks are taken (in chain order — deadlock-free
 //!   against splits, which take a single lock);
-//! * the merge itself runs in one HTM region: re-verify adjacency, deal
-//!   the combined records round-robin over the left leaf's segments,
-//!   unlink the right leaf and drop its separator from the shared parent;
+//! * the merge itself runs in one HTM region: re-verify adjacency,
+//!   re-place the combined records over the left leaf's segments by the
+//!   probe-path rule, unlink the right leaf and drop its separator from
+//!   the shared parent;
 //! * both leaves' `seqno`s are bumped (before any record moves) so
 //!   two-step traversals and episode-free readers holding either pointer
 //!   retry from the root, and the right node is retired to the epoch
@@ -389,15 +390,16 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             // walker that hops through the right leaf after the unlink
             // must already see the bumped seqno, or it would trust a leaf
             // whose records have moved left — and the left leaf's own
-            // records hop between segments in the redistribute below, so
-            // readers holding it need invalidating too.
+            // records are re-placed in the redistribute below (a spilled
+            // key goes home, counts fall), so readers holding it need
+            // invalidating too.
             probe::mark("merge:seqno");
             let rseq = tx.read(&right.seqno)?;
             tx.write(&right.seqno, rseq + 1)?;
             let lseq = tx.read(&left.seqno)?;
             tx.write(&left.seqno, lseq + 1)?;
 
-            // Deal into the left leaf; empty the right one.
+            // Re-place into the left leaf; empty the right one.
             probe::mark("merge:records");
             self.redistribute_for_merge(tx, left, &records)?;
             self.clear_segments(tx, right)?;

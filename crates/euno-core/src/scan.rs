@@ -370,13 +370,15 @@ mod tests {
                     while !stop.load(Relaxed) {
                         // A preloaded key goes and comes back — into the
                         // slot its tombstone kept for it.
-                        let k = key(i * 4 % 4_000);
+                        let k = key(i * 4 % 400);
                         t.delete(&mut ctx, k);
                         t.put(&mut ctx, k, k);
                         // A key nobody puts again (another one every lap)
                         // leaves its tombstone for good: they fill the
-                        // segments until a put has to reorganize the leaf.
-                        let once = k + 1 + i / 1_000 % 255;
+                        // leaf — a hundred keys' worth of leaves, so that
+                        // a lap is short — until a put finds every segment
+                        // full and has to reorganize it.
+                        let once = k + 1 + i / 100 % 255;
                         t.put(&mut ctx, once, k);
                         t.delete(&mut ctx, once);
                         i += 1;

@@ -2,8 +2,8 @@
 //!
 //! A Euno leaf splits its slots into `SEGS` segments of `K` slots. Keys
 //! are sorted *within* a segment, unordered *across* segments; each
-//! segment has its own occupancy metadata. Two layout decisions carry the
-//! design's conflict behaviour:
+//! segment has its own occupancy metadata. Three layout decisions carry
+//! the design's conflict behaviour:
 //!
 //! * every segment is a separate line-aligned block, so concurrent inserts
 //!   dispatched to different segments touch disjoint cache lines;
@@ -11,9 +11,31 @@
 //!   live on *different* lines, so a search — which reads keys only —
 //!   never collides with a concurrent value update. Under a hot Zipfian
 //!   mix of gets and updates this is what keeps the lower HTM region's
-//!   read set out of the write stream.
+//!   read set out of the write stream;
+//! * which segment a key goes to is a function of the key
+//!   ([`home_segment`]), so a search reads one segment, not all of them.
 
 use euno_htm::{ThreadCtx, Tx, TxCell, TxResult, KEY_SENTINEL};
+
+/// The segment a key is looked for first — and, while that one has room,
+/// the only one: the XOR of the key's 32 bit pairs, `mod segs`. Two keys
+/// that differ in one bit pair have different homes (for `segs` = 4; in
+/// the low bit of the pair for 2), so a run of adjacent hot keys is on
+/// different lines by construction, and any aligned run of `4^n` keys at
+/// a power-of-two stride puts the same number in every segment. Costs
+/// [`HOME_ALU`] operations.
+#[inline]
+pub fn home_segment(key: u64, segs: usize) -> usize {
+    let x = key ^ (key >> 32);
+    let x = x ^ (x >> 16);
+    let x = x ^ (x >> 8);
+    let x = x ^ (x >> 4);
+    ((x ^ (x >> 2)) & 3) as usize % segs
+}
+
+/// What [`home_segment`] is charged on the virtual clock: five
+/// shift-and-XOR steps and the reduction.
+pub const HOME_ALU: u64 = 6;
 
 /// Key half of a segment: occupancy count + sorted keys, own line(s).
 #[repr(C, align(64))]
@@ -33,6 +55,17 @@ struct SegVals<const K: usize> {
 pub struct Segment<const K: usize> {
     k: SegKeys<K>,
     v: SegVals<K>,
+}
+
+/// Where a [search](Segment::search) of one segment ended.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Probe {
+    /// Lower bound of the key: the slot it is in, or would be inserted at.
+    pub slot: usize,
+    /// The key is at `slot`.
+    pub hit: bool,
+    /// Records in the segment; `K` ⇒ full, and the key may have spilled.
+    pub count: usize,
 }
 
 impl<const K: usize> Segment<K> {
@@ -58,10 +91,6 @@ impl<const K: usize> Segment<K> {
         self.k.count.load_plain() as usize
     }
 
-    pub fn is_full_tx(&self, tx: &mut Tx<'_>) -> TxResult<bool> {
-        Ok(self.count_tx(tx)? == K)
-    }
-
     pub fn key_cell(&self, i: usize) -> &TxCell<u64> {
         &self.k.keys[i]
     }
@@ -70,66 +99,65 @@ impl<const K: usize> Segment<K> {
         &self.v.vals[i]
     }
 
-    /// Search for `key`. The paper's fast path: compare against the
-    /// segment's first and last element (keys are sorted within the
-    /// segment), then binary-search only if the key is inside the range.
-    pub fn find(&self, tx: &mut Tx<'_>, key: u64) -> TxResult<Option<usize>> {
-        let cnt = self.count_tx(tx)?;
-        if cnt == 0 {
-            return Ok(None);
-        }
-        let first = tx.read(&self.k.keys[0])?;
-        if key < first {
-            return Ok(None);
-        }
-        let last = tx.read(&self.k.keys[cnt - 1])?;
-        if key > last {
-            return Ok(None);
-        }
-        let (mut lo, mut hi) = (0usize, cnt);
+    /// The one search of a segment: lower bound of `key` among the sorted
+    /// keys, over whatever `load` the caller reads with (transactional
+    /// read, direct load, plain load) — as [`EunoBTree::descend`] is over
+    /// the index. The last probe that did not go right is the slot the
+    /// search ends on, so whether it holds `key` costs no further load.
+    /// The count is clamped to `K`: an unvalidated loader may observe a
+    /// torn, out-of-range value, and must not crash on it (its caller
+    /// validates the whole read afterwards and retries).
+    ///
+    /// [`EunoBTree::descend`]: crate::EunoBTree::descend
+    pub fn search<E>(
+        &self,
+        key: u64,
+        mut load: impl FnMut(&TxCell<u64>) -> Result<u64, E>,
+    ) -> Result<Probe, E> {
+        let count = (load(&self.k.count)? as usize).min(K);
+        let (mut lo, mut hi, mut hit) = (0usize, count, false);
         while lo < hi {
             let mid = (lo + hi) / 2;
-            if tx.read(&self.k.keys[mid])? < key {
+            let at = load(&self.k.keys[mid])?;
+            if at < key {
                 lo = mid + 1;
             } else {
                 hi = mid;
+                hit = at == key;
             }
         }
-        if lo < cnt && tx.read(&self.k.keys[lo])? == key {
-            Ok(Some(lo))
-        } else {
-            Ok(None)
-        }
+        Ok(Probe {
+            slot: lo,
+            hit,
+            count,
+        })
     }
 
-    /// Insert `key → val` keeping the segment sorted. Caller guarantees
-    /// the key is absent from the whole leaf and the segment is not full.
-    /// Shifts at most `K − 1` slots — all within this segment's lines, so
-    /// the data movement never interferes with other segments.
-    pub fn insert(&self, tx: &mut Tx<'_>, key: u64, val: u64) -> TxResult<()> {
-        let cnt = self.count_tx(tx)?;
-        debug_assert!(cnt < K, "insert into full segment");
-        let (mut lo, mut hi) = (0usize, cnt);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if tx.read(&self.k.keys[mid])? < key {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        let mut i = cnt;
-        while i > lo {
+    /// Insert `key → val` at `at`, where a [search](Segment::search) of
+    /// this segment in the same transaction ended without a hit and with
+    /// room. Shifts at most `K − 1` slots — all within this segment's
+    /// lines, so the data movement never interferes with other segments.
+    pub fn insert_at(&self, tx: &mut Tx<'_>, at: Probe, key: u64, val: u64) -> TxResult<()> {
+        debug_assert!(!at.hit && at.count < K, "insert at {at:?}");
+        let mut i = at.count;
+        while i > at.slot {
             let k = tx.read(&self.k.keys[i - 1])?;
             let v = tx.read(&self.v.vals[i - 1])?;
             tx.write(&self.k.keys[i], k)?;
             tx.write(&self.v.vals[i], v)?;
             i -= 1;
         }
-        tx.write(&self.k.keys[lo], key)?;
-        tx.write(&self.v.vals[lo], val)?;
-        tx.write(&self.k.count, (cnt + 1) as u64)?;
+        tx.write(&self.k.keys[at.slot], key)?;
+        tx.write(&self.v.vals[at.slot], val)?;
+        tx.write(&self.k.count, (at.count + 1) as u64)?;
         Ok(())
+    }
+
+    /// Insert `key → val` keeping the segment sorted. Caller guarantees
+    /// the key is absent from the whole leaf and the segment is not full.
+    pub fn insert(&self, tx: &mut Tx<'_>, key: u64, val: u64) -> TxResult<()> {
+        let at = self.search(key, |cell| tx.read(cell))?;
+        self.insert_at(tx, at, key, val)
     }
 
     /// Read this segment's records into `out` (transactionally).
@@ -153,39 +181,11 @@ impl<const K: usize> Segment<K> {
         Ok(())
     }
 
-    /// Episode-free search for `key`, returning its value. Direct loads
-    /// only: the caller validates the whole read (leaf `seqno`, seqlock,
-    /// fallback cell) afterwards and retries on any change, so this scan
-    /// tolerates — but must not crash on — torn intermediate states. The
-    /// count is clamped to `K` because a torn read may observe a transient
-    /// out-of-range value.
-    pub fn find_direct(&self, ctx: &mut ThreadCtx, key: u64) -> Option<u64> {
-        let cnt = (self.k.count.load_direct(ctx) as usize).min(K);
-        if cnt == 0 {
-            return None;
-        }
-        if key < self.k.keys[0].load_direct(ctx) || key > self.k.keys[cnt - 1].load_direct(ctx) {
-            return None;
-        }
-        let (mut lo, mut hi) = (0usize, cnt);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if self.k.keys[mid].load_direct(ctx) < key {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        if lo < cnt && self.k.keys[lo].load_direct(ctx) == key {
-            Some(self.v.vals[lo].load_direct(ctx))
-        } else {
-            None
-        }
-    }
-
-    /// Episode-free bulk read into `out`; same validation contract as
-    /// [`Segment::find_direct`]: what a torn state leaves on `out` is the
-    /// caller's to discard when its validation fails.
+    /// Episode-free bulk read into `out`. Direct loads only: the caller
+    /// validates the whole read (leaf `seqno`, engine snapshot) afterwards
+    /// and retries on any change, so what a torn state leaves on `out` is
+    /// the caller's to discard; the count is clamped to `K` as in
+    /// [`Segment::search`].
     pub fn read_into_direct(&self, ctx: &mut ThreadCtx, out: &mut Vec<(u64, u64)>) {
         let cnt = (self.k.count.load_direct(ctx) as usize).min(K);
         for i in 0..cnt {
@@ -212,6 +212,17 @@ impl<const K: usize> Segment<K> {
 mod tests {
     use super::*;
     use euno_htm::{LineId, RetryPolicy, Runtime, ThreadCtx};
+    use std::convert::Infallible;
+
+    /// The slot `key` is in, by a transactional search.
+    fn find<const K: usize>(
+        seg: &Segment<K>,
+        tx: &mut Tx<'_>,
+        key: u64,
+    ) -> TxResult<Option<usize>> {
+        let at = seg.search(key, |cell| tx.read(cell))?;
+        Ok(at.hit.then_some(at.slot))
+    }
 
     fn with_tx<R>(f: impl FnMut(&mut Tx<'_>) -> TxResult<R>) -> R {
         let rt = Runtime::new_virtual();
@@ -248,12 +259,12 @@ mod tests {
             seg.insert(tx, 30, 300)?;
             seg.insert(tx, 10, 100)?;
             seg.insert(tx, 20, 200)?;
-            assert_eq!(seg.find(tx, 10)?, Some(0));
-            assert_eq!(seg.find(tx, 20)?, Some(1));
-            assert_eq!(seg.find(tx, 30)?, Some(2));
-            assert_eq!(seg.find(tx, 15)?, None);
-            assert_eq!(seg.find(tx, 5)?, None, "below first: fast reject");
-            assert_eq!(seg.find(tx, 99)?, None, "above last: fast reject");
+            assert_eq!(find(&seg, tx, 10)?, Some(0));
+            assert_eq!(find(&seg, tx, 20)?, Some(1));
+            assert_eq!(find(&seg, tx, 30)?, Some(2));
+            assert_eq!(find(&seg, tx, 15)?, None);
+            assert_eq!(find(&seg, tx, 5)?, None, "below the first");
+            assert_eq!(find(&seg, tx, 99)?, None, "above the last");
             assert_eq!(tx.read(seg.key_cell(0))?, 10);
             assert_eq!(tx.read(seg.key_cell(1))?, 20);
             assert_eq!(tx.read(seg.key_cell(2))?, 30);
@@ -283,8 +294,8 @@ mod tests {
             seg.insert(tx, 9, 90)?;
             seg.write_all(tx, &[(1, 10), (5, 50), (7, 70)])?;
             assert_eq!(seg.count_tx(tx)?, 3);
-            assert_eq!(seg.find(tx, 9)?, None);
-            assert_eq!(seg.find(tx, 5)?, Some(1));
+            assert_eq!(find(&seg, tx, 9)?, None);
+            assert_eq!(find(&seg, tx, 5)?, Some(1));
             let mut out = Vec::new();
             seg.read_into(tx, &mut out)?;
             assert_eq!(out, vec![(1, 10), (5, 50), (7, 70)]);
@@ -304,12 +315,23 @@ mod tests {
             seg.insert(tx, 20, 200)?;
             Ok(())
         });
-        assert_eq!(seg.find_direct(&mut ctx, 10), Some(100));
-        assert_eq!(seg.find_direct(&mut ctx, 20), Some(200));
-        assert_eq!(seg.find_direct(&mut ctx, 30), Some(300));
-        assert_eq!(seg.find_direct(&mut ctx, 15), None);
-        assert_eq!(seg.find_direct(&mut ctx, 5), None);
-        assert_eq!(seg.find_direct(&mut ctx, 99), None);
+        // The same search over another loader: slot, hit and count agree.
+        for (key, slot, hit) in [
+            (10, 0, true),
+            (20, 1, true),
+            (30, 2, true),
+            (15, 1, false),
+            (5, 0, false),
+            (99, 3, false),
+        ] {
+            let Ok(at) = seg.search(key, |cell| Ok::<_, Infallible>(cell.load_direct(&mut ctx)));
+            let want = Probe {
+                slot,
+                hit,
+                count: 3,
+            };
+            assert_eq!(at, want, "key {key}");
+        }
         let mut out = Vec::new();
         seg.read_into_direct(&mut ctx, &mut out);
         assert_eq!(out, vec![(10, 100), (20, 200), (30, 300)]);
@@ -318,7 +340,35 @@ mod tests {
         let mut out = Vec::new();
         seg.read_into_direct(&mut ctx, &mut out);
         assert_eq!(out.len(), 4, "count clamped to K");
+        let Ok(at) = seg.search(99, |cell| Ok::<_, Infallible>(cell.load_plain()));
+        assert_eq!(at.count, 4, "in a search as well");
         seg.k.count.store_plain(3);
+    }
+
+    #[test]
+    fn homes_spread_aligned_runs_and_separate_neighbours() {
+        // Four keys at any power-of-two stride, aligned: one a segment.
+        for shift in 0..20 {
+            for base in [0u64, 4, 1 << 30, 0xdead_beef_0000] {
+                let base = (base >> 2 << 2) << shift;
+                let mut seen = [false; 4];
+                for i in 0..4u64 {
+                    seen[home_segment(base + (i << shift), 4)] = true;
+                }
+                assert_eq!(seen, [true; 4], "stride 2^{shift} from {base}");
+            }
+        }
+        // One bit pair apart is never the same home; one segment is one home.
+        for key in [0u64, 7, 0x1234_5678_9abc_def0, u64::MAX - 1] {
+            for pair in 0..32 {
+                for flip in 1..4u64 {
+                    let other = key ^ (flip << (2 * pair));
+                    assert_ne!(home_segment(key, 4), home_segment(other, 4));
+                }
+            }
+            assert_eq!(home_segment(key, 1), 0);
+            assert!(home_segment(key, 2) < 2);
+        }
     }
 
     #[test]
@@ -326,12 +376,12 @@ mod tests {
         let seg: Segment<4> = Segment::empty();
         with_tx(|tx| {
             for k in [4u64, 3, 2, 1] {
-                assert!(!seg.is_full_tx(tx)?);
+                assert!(seg.count_tx(tx)? < 4);
                 seg.insert(tx, k, k)?;
             }
-            assert!(seg.is_full_tx(tx)?);
+            assert_eq!(seg.count_tx(tx)?, 4);
             for k in 1..=4u64 {
-                assert!(seg.find(tx, k)?.is_some());
+                assert!(find(&seg, tx, k)?.is_some());
             }
             Ok(())
         });

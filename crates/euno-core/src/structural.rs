@@ -3,10 +3,10 @@
 //!
 //! Splits run in the *sorting-split-reorganizing* style: the caller has
 //! already drained the leaf into the sorted reserved buffer; each half is
-//! dealt round-robin back over its node's segments so both nodes keep the
-//! scattered placement with evenly distributed free slots. Splits
-//! propagate upward through parent pointers, all inside the lower region
-//! so index edits stay atomic.
+//! re-placed over its node's segments by the probe-path rule
+//! ([`EunoBTree::redistribute`]), so both nodes keep every key findable in
+//! one segment. Splits propagate upward through parent pointers, all
+//! inside the lower region so index edits stay atomic.
 
 use crate::ccm::Ccm;
 use crate::node::{EunoInternal, EunoLeaf, NodeRef, INTERNAL_FANOUT};
@@ -14,21 +14,62 @@ use crate::probe;
 use crate::tree::EunoBTree;
 use euno_htm::{EventKind, Tx, TxResult, TxWord};
 
+/// What a lower region carries from attempt to attempt: whether its
+/// caller holds the leaf's split lock, and the nodes the current attempt
+/// has allocated. An attempt that does not commit publishes nothing — its
+/// writes were buffered or are rolled back on every backend, and the
+/// fallback path, whose writes are direct, does not abort — so no other
+/// thread can have seen those nodes: the next attempt
+/// [hands them back](EunoBTree::hand_back) before it does anything else,
+/// and what is listed when the region returns is in the tree.
+pub(crate) struct LowerRegion {
+    pub split_locked: bool,
+    unpublished: Vec<NodeRef>,
+}
+
+impl LowerRegion {
+    pub fn new(split_locked: bool) -> Self {
+        LowerRegion {
+            split_locked,
+            unpublished: Vec::new(),
+        }
+    }
+}
+
 impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
+    /// A region's attempt starts here: the nodes its last attempt
+    /// allocated go back to their arenas, freed at once — they were never
+    /// reachable, so there is no reader to wait out.
+    pub(crate) fn hand_back(&self, region: &mut LowerRegion) {
+        for node in region.unpublished.drain(..) {
+            if node.is_leaf() {
+                let leaf = unsafe { node.as_leaf::<SEGS, K>() };
+                leaf.forget_heat(&self.rt);
+                self.arenas.leaves.discard(leaf);
+            } else {
+                let index = unsafe { node.as_internal() };
+                self.rt
+                    .forget_node_heat(node.0 as usize, std::mem::size_of::<EunoInternal>());
+                self.arenas.internals.discard(index);
+            }
+        }
+    }
+
     /// §4.2.3: sort → split → reorganize. `records` holds the full sorted
-    /// contents (already drained from the segments); each half is dealt
-    /// round-robin back over its node's segments, so both nodes keep the
-    /// scattered placement with evenly distributed free slots. Returns the
-    /// half that should receive `key`.
+    /// contents (already drained from the segments); each half is re-placed
+    /// over its node's segments by the probe-path rule. Returns the half
+    /// that should receive `key`.
     pub(crate) fn split_leaf<'t>(
         &'t self,
         tx: &mut Tx<'_>,
         leaf: &'t EunoLeaf<SEGS, K>,
         records: &[(u64, u64)],
         key: u64,
+        region: &mut LowerRegion,
     ) -> TxResult<&'t EunoLeaf<SEGS, K>> {
         let right: &'t EunoLeaf<SEGS, K> = self.arenas.leaves.alloc(EunoLeaf::empty());
         right.register(&self.rt);
+        region.unpublished.push(NodeRef::of_leaf(right));
         let mid = records.len() / 2;
         let sep = records[mid].0;
 
@@ -69,7 +110,13 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         let parent = tx.read(&leaf.parent)?;
         tx.write(&right.parent, parent)?;
 
-        self.insert_into_parent(tx, NodeRef::of_leaf(leaf), sep, NodeRef::of_leaf(right))?;
+        self.insert_into_parent(
+            tx,
+            NodeRef::of_leaf(leaf),
+            sep,
+            NodeRef::of_leaf(right),
+            region,
+        )?;
         tx.ctx().trace(EventKind::Split {
             left: leaf as *const EunoLeaf<SEGS, K> as u64,
             right: right as *const EunoLeaf<SEGS, K> as u64,
@@ -85,6 +132,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         mut child: NodeRef,
         mut sep: u64,
         mut right: NodeRef,
+        region: &mut LowerRegion,
     ) -> TxResult<()> {
         loop {
             let parent_bits = tx.read(unsafe { child.parent_cell::<SEGS, K>() })?;
@@ -93,6 +141,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                 let new_root = self.arenas.internals.alloc(EunoInternal::empty());
                 new_root.register(&self.rt);
                 let nr = NodeRef::of_internal(new_root);
+                region.unpublished.push(nr);
                 tx.write(&new_root.child0, child.to_word())?;
                 tx.write(&new_root.keys[0], sep)?;
                 tx.write(&new_root.children[0], right.to_word())?;
@@ -119,6 +168,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             let new_int = self.arenas.internals.alloc(EunoInternal::empty());
             new_int.register(&self.rt);
             let new_ref = NodeRef::of_internal(new_int);
+            region.unpublished.push(new_ref);
             let mid = INTERNAL_FANOUT / 2;
             let promoted = tx.read(&parent.keys[mid])?;
             let mid_child = NodeRef::from_word(tx.read(&parent.children[mid])?);
@@ -220,6 +270,37 @@ mod tests {
             }
         }
         assert!(records > 0, "workload never exercised {family}: {trace:?}");
+    }
+
+    /// A split attempt that aborts (on the virtual backend a single thread
+    /// meets the model's spurious aborts: 70 attempts of this load, a third
+    /// of them splits)
+    /// hands the nodes it allocated back: every node an arena holds is in
+    /// the tree, and the memory report is the node counts times the node
+    /// sizes, to the byte.
+    #[test]
+    fn an_aborted_split_leaks_no_node() {
+        use crate::ccm::Ccm;
+        use crate::node::{EunoInternal, EunoLeaf};
+        let rt = Runtime::new_virtual();
+        let t = EunoBTreeDefault::new(Arc::clone(&rt));
+        let mut ctx = rt.thread(1);
+        for k in 0..200_000u64 {
+            t.put(&mut ctx, k, k);
+        }
+        assert!(ctx.stats.aborts.spurious > 20, "the load met no aborts");
+        let stats = t.stats();
+        let arenas = t.arenas();
+        assert_eq!(
+            (arenas.leaves.node_count(), arenas.internals.node_count()),
+            (stats.leaves, stats.internals)
+        );
+        let leaf = std::mem::size_of::<EunoLeaf<4, 4>>() - Ccm::bytes();
+        let index = std::mem::size_of::<EunoInternal>();
+        assert_eq!(
+            t.memory().structural_bytes,
+            stats.leaves * leaf + stats.internals * index
+        );
     }
 
     #[test]

@@ -24,6 +24,8 @@
 //! [`RetryPolicy::DBX`]; the episode-free sections are bounded by the two
 //! private try budgets below and end on those regions.
 
+use std::convert::Infallible;
+
 use euno_htm::euno_metrics::Counter;
 use euno_htm::{AbortCause, Anchor, RetryPolicy, ThreadCtx, TxCell, TxResult, TxWord, TOMBSTONE};
 use euno_rng::Rng;
@@ -31,6 +33,7 @@ use euno_rng::Rng;
 use crate::ccm::Ccm;
 use crate::node::{EunoLeaf, NodeRef, INTERNAL_FANOUT};
 use crate::probe;
+use crate::structural::LowerRegion;
 use crate::tree::{EunoBTree, Lower, Req};
 
 /// A leaf counts as "near full" (Algorithm 2 line 39) when its live
@@ -477,7 +480,9 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                 // Never enter the leaf (line 35).
                 (Lower::Done(None), 0)
             } else {
+                let mut region = LowerRegion::new(split_locked);
                 let out = ctx.htm_execute(&self.ctrl.fallback, &RetryPolicy::DBX, |tx| {
+                    self.hand_back(&mut region);
                     tx.set_op_key(key);
                     if stage.locked() {
                         // Same-record contenders queue on the CCM lock bit
@@ -489,7 +494,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                     if tx.read(&leaf.seqno)? != seqno {
                         return Ok(Lower::Inconsistent);
                     }
-                    self.lower_body(tx, leaf, req, key, newval, split_locked)
+                    self.lower_body(tx, leaf, req, key, newval, &mut region)
                 });
                 (out.value, out.conflict_aborts)
             };
@@ -515,11 +520,13 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         }
     }
 
-    /// The episode-free leaf read of a `read_opt` get: search `leaf` with
-    /// direct loads inside up to [`GET_TRIES`] validated sections, each
-    /// bracketed by `seqno` — the seqno-bump-first discipline on splits,
-    /// merges and reorganizations guarantees a reader that saw moving
-    /// records also sees a changed `seqno`. A get that comes back without a
+    /// The episode-free leaf read of a `read_opt` get: search `leaf` —
+    /// the key's home segment, and on only while the one just read is full
+    /// ([`EunoLeaf::find`]) — with direct loads inside up to [`GET_TRIES`]
+    /// validated sections, each bracketed by `seqno`: the seqno-bump-first
+    /// discipline on splits, merges and reorganizations guarantees a reader
+    /// that saw moving records, or a segment that stopped being full, also
+    /// sees a changed `seqno`. A get that comes back without a
     /// value either found `seqno` moved — the pair is dead and only
     /// `locate` can replace it — or spent its budget, in which case the
     /// lower region takes the same pair and queues behind same-record
@@ -535,7 +542,11 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             if leaf.seqno.load_direct(ctx) != seqno {
                 return Some(LeafRead::Moved);
             }
-            let found = leaf.segs.iter().find_map(|seg| seg.find_direct(ctx, key));
+            ctx.charge(self.rt.cost.alu * Self::HOME_COST);
+            let Ok((seg, at)) = leaf.find(key, |cell| Ok::<_, Infallible>(cell.load_direct(ctx)));
+            let found = at
+                .hit
+                .then(|| leaf.segs[seg].val_cell(at.slot).load_direct(ctx));
             (leaf.seqno.load_direct(ctx) == seqno)
                 .then_some(LeafRead::Value(found.filter(|&v| v != TOMBSTONE)))
         })

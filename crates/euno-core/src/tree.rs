@@ -8,8 +8,8 @@
 //! * [`crate::traverse`] — the two-step transactional traversal
 //!   (Algorithm 2): upper stage (`locate`: leaf hint, subtree hint,
 //!   validated walk, HTM region), conflict-control stage, lower region;
-//! * [`crate::leaf_ops`] — intra-leaf reads and the randomized write
-//!   scheduler with reorganization (Algorithm 3);
+//! * [`crate::leaf_ops`] — the one-segment leaf search, the
+//!   deterministic write scheduler and reorganization (Algorithm 3);
 //! * [`crate::structural`] — leaf splits and their upward propagation
 //!   through the index (§4.2.3);
 //! * [`crate::scan`] — range scans over the leaf chain (§4.2.4): one

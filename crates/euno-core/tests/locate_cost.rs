@@ -22,6 +22,7 @@
 
 use std::sync::Arc;
 
+use euno_core::segment::{home_segment, HOME_ALU};
 use euno_core::EunoBTreeDefault;
 use euno_htm::{ConcurrentMap, CostModel, Runtime, ThreadCtx};
 
@@ -65,17 +66,27 @@ const BACKOFF: u64 = 40;
 /// A leaf hit: probe, generation, the leaf's `seqno` outside any section.
 const LEAF_HIT: u64 = PROBE + GENERATION + HIT; // 11
 
-/// An episode-free read of the first key of a leaf, in a section of its
-/// own: `seqno` (a new line there), the first segment's count (a new
-/// line), its first and last key, two probes, the key again, the value (a
-/// new line), `seqno` again.
-const GET_TAIL: u64 = 3 * FIRST + 6 * HIT; // 66
+/// What finding a key's home segment is charged: `segment::HOME_ALU`.
+const HOME: u64 = 6;
+/// An episode-free read of a key that is there, in a section of its own:
+/// `seqno` (a new line there), the home, the home segment's count (a new
+/// line), two probes — what a hit takes among two records, and the third
+/// of four — the value (a new line), `seqno` again. One segment, whichever
+/// it is: the walk over segments 0, 1, 2 … this replaced read a key line
+/// and four or five hits for every segment before the key's own (and
+/// first, last and the key again in that one: 66 for a key in segment 0).
+const GET_TAIL: u64 = 3 * FIRST + HOME + 3 * HIT; // 63
+/// What every full segment before a spilled key's own adds to that: its
+/// count (a new line) and two probes (four records, all below the key).
+const GET_SPILL: u64 = FIRST + 2 * HIT; // 22
 /// An overwriting put on a calm leaf: the slot hash (3 ALU), the verdict
 /// and the mark word (2 loads outside any region), then the lower region —
-/// `XBEGIN` 54, four first touches at 26 (header; segment keys; segment
-/// values for the read set, and again for the write set), five hits,
-/// `XEND` 16.
-const PUT_TAIL: u64 = 3 + 2 * HIT + 54 + 4 * 26 + 5 * HIT + 16; // 198
+/// `XBEGIN` 54, four first touches at 26 (header; the home segment's keys;
+/// its values for the read set, and again for the write set), the home,
+/// two hits, `XEND` 16.
+const PUT_TAIL: u64 = 3 + 2 * HIT + 54 + 4 * 26 + HOME + 2 * HIT + 16; // 195
+/// The same for a put: a first touch in a region is 26.
+const PUT_SPILL: u64 = 26 + 2 * HIT; // 32
 
 const PER_REGION: u64 = 40_000;
 const STRIDES: [u64; 3] = [64, 8, 1];
@@ -84,8 +95,8 @@ const STRIDES: [u64; 3] = [64, 8, 1];
 fn build(rt: &Arc<Runtime>) -> (EunoBTreeDefault, [u64; 3]) {
     let cost = CostModel::default();
     assert_eq!(
-        (cost.plain_first_touch, cost.access_hit, cost.alu),
-        (FIRST, HIT, 1)
+        (cost.plain_first_touch, cost.access_hit, cost.alu, HOME_ALU),
+        (FIRST, HIT, 1, HOME)
     );
     assert_eq!(
         (
@@ -216,13 +227,97 @@ fn an_uncontended_get_and_put_cost_their_rung_plus_a_fixed_tail() {
     let next = medium + 1024;
 
     // Every key here is the first of its leaf.
-    assert_eq!(get(&tree, &mut ctx, medium), miss + GET_TAIL); // 389
-    assert_eq!(get(&tree, &mut ctx, medium + 64), subtree_hit + GET_TAIL); // 206
-    assert_eq!(get(&tree, &mut ctx, medium + 64), LEAF_HIT + GET_TAIL); // 77
+    assert_eq!(get(&tree, &mut ctx, medium), miss + GET_TAIL); // 386
+    assert_eq!(get(&tree, &mut ctx, medium + 64), subtree_hit + GET_TAIL); // 203
+    assert_eq!(get(&tree, &mut ctx, medium + 64), LEAF_HIT + GET_TAIL); // 74
 
-    assert_eq!(put(&tree, &mut ctx, next), miss + PUT_TAIL); // 521
-    assert_eq!(put(&tree, &mut ctx, medium + 128), subtree_hit + PUT_TAIL); // 338
-    assert_eq!(put(&tree, &mut ctx, medium + 128), LEAF_HIT + PUT_TAIL); // 209
+    assert_eq!(put(&tree, &mut ctx, next), miss + PUT_TAIL); // 518
+    assert_eq!(put(&tree, &mut ctx, medium + 128), subtree_hit + PUT_TAIL); // 335
+    assert_eq!(put(&tree, &mut ctx, medium + 128), LEAF_HIT + PUT_TAIL); // 206
+}
+
+#[test]
+fn a_key_costs_one_segment_whichever_segment_holds_it() {
+    let rt = Runtime::new_virtual();
+    let (tree, [sparse, _, dense]) = build(&rt);
+    let mut ctx = rt.thread(1);
+
+    // Where keys are adjacent a leaf's eight keys are one leaf-hint block
+    // and sit two to a segment: once the leaf is found, each of them is a
+    // leaf hit and the same tail — the key in the fourth segment as the
+    // key in the first.
+    get(&tree, &mut ctx, dense);
+    let mut homes = [0; 4];
+    for key in dense..dense + 8 {
+        homes[home_segment(key, 4)] += 1;
+        assert_eq!(get(&tree, &mut ctx, key), LEAF_HIT + GET_TAIL, "get {key}"); // 74
+        assert_eq!(put(&tree, &mut ctx, key), LEAF_HIT + PUT_TAIL, "put {key}");
+        // 206
+    }
+    assert_eq!(homes, [2; 4]);
+
+    // A key that is not there costs its home segment and no other: count
+    // and two probes (both records are above the first key's successor,
+    // which has another home than the first key), no value line.
+    let absent = sparse + 1;
+    get(&tree, &mut ctx, sparse);
+    let start = ctx.clock;
+    assert_eq!(tree.get(&mut ctx, absent), None);
+    assert_eq!(ctx.clock - start, LEAF_HIT + GET_TAIL - FIRST); // 58
+}
+
+#[test]
+fn a_spilled_key_costs_one_segment_more_per_full_segment_before_it() {
+    let rt = Runtime::new_virtual();
+    let tree = EunoBTreeDefault::new(Arc::clone(&rt));
+    let mut ctx = rt.thread(1);
+    // Ten keys of one home, ascending: four fill the home segment, four
+    // the next one, the ninth is alone in the third. All in the root leaf.
+    let keys: Vec<u64> = (0..)
+        .filter(|&k| home_segment(k, 4) == 0)
+        .take(10)
+        .collect();
+    for &key in &keys[..9] {
+        tree.put(&mut ctx, key, key);
+    }
+    assert_eq!(tree.stats().leaves, 1);
+    // Each key is its own leaf-hint block: the first visit files the leaf.
+    let second = |ctx: &mut ThreadCtx, key: u64, put_it: bool| {
+        get(&tree, ctx, key);
+        match put_it {
+            false => get(&tree, ctx, key),
+            true => put(&tree, ctx, key),
+        }
+    };
+    // The third of four: two probes, as for one of two.
+    assert_eq!(second(&mut ctx, keys[2], false), LEAF_HIT + GET_TAIL);
+    assert_eq!(second(&mut ctx, keys[2], true), LEAF_HIT + PUT_TAIL);
+    assert_eq!(
+        second(&mut ctx, keys[6], false),
+        LEAF_HIT + GET_TAIL + GET_SPILL
+    );
+    assert_eq!(
+        second(&mut ctx, keys[6], true),
+        LEAF_HIT + PUT_TAIL + PUT_SPILL
+    );
+    // Alone in its segment: one probe.
+    assert_eq!(
+        second(&mut ctx, keys[8], false),
+        LEAF_HIT + GET_TAIL + 2 * GET_SPILL - HIT
+    );
+    assert_eq!(
+        second(&mut ctx, keys[8], true),
+        LEAF_HIT + PUT_TAIL + 2 * PUT_SPILL - HIT
+    );
+    // A key of that home that is not there stops where that one is: the
+    // first segment on the path with room. One probe there, no value line.
+    assert_eq!(tree.get(&mut ctx, keys[9]), None);
+    let start = ctx.clock;
+    assert_eq!(tree.get(&mut ctx, keys[9]), None);
+    assert_eq!(
+        ctx.clock - start,
+        LEAF_HIT + GET_TAIL + 2 * GET_SPILL - HIT - FIRST
+    );
 }
 
 /// One leaf step of an undisturbed scan over a leaf of eight records, two

@@ -7,6 +7,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use euno_core::segment::home_segment;
 use euno_core::{EunoBTree, EunoConfig};
 use euno_htm::{ConcurrentMap, Runtime};
 use euno_rng::{Rng, SmallRng};
@@ -59,10 +60,12 @@ fn check_against_model<const S: usize, const K: usize>(cfg: EunoConfig, ops: &[O
             }
         }
     }
-    // Terminal audit.
+    // Terminal audit: the contents, and the structure — placement of every
+    // record included.
     let audit = tree.collect_all_plain();
     let expect: Vec<(u64, u64)> = model.into_iter().collect();
     assert_eq!(audit, expect);
+    assert_eq!(tree.audit_quiescent(), Vec::<String>::new());
 }
 
 const CASES: usize = 48;
@@ -157,11 +160,78 @@ fn maintenance_preserves_the_model() {
                 }
                 if i % maintain_every == maintain_every - 1 {
                     tree.maintain(&mut ctx);
+                    assert_eq!(tree.audit_quiescent(), Vec::<String>::new());
                 }
             }
             tree.maintain(&mut ctx);
             let audit = tree.collect_all_plain();
             assert_eq!(audit, model.into_iter().collect::<Vec<_>>());
+            assert_eq!(tree.audit_quiescent(), Vec::<String>::new());
+        }
+    }
+}
+
+/// Key sets chosen against the placement rule — every key of one home,
+/// power-of-two strides, random — in ascending and in shuffled order: a
+/// leaf takes `capacity` records before anything is moved (the first
+/// overflow is a split of a full leaf), and with no tombstones to drop
+/// nothing ever reorganizes — every time a leaf's records are gathered
+/// (`reserved_cumulative_bytes`, one buffer of `capacity` records a time)
+/// a leaf is born.
+fn fills_before_it_splits<const S: usize, const K: usize>(cfg: EunoConfig, keys: &[u64]) {
+    let capacity = S * K;
+    let rt = Runtime::new_virtual();
+    let tree: EunoBTree<S, K> = EunoBTree::with_config(Arc::clone(&rt), cfg);
+    let mut ctx = rt.thread(1);
+    for (i, &key) in keys.iter().enumerate() {
+        assert_eq!(tree.put(&mut ctx, key, key ^ 1), None, "put {key}");
+        let stats = tree.stats();
+        let gathered = tree.memory().reserved_cumulative_bytes;
+        assert_eq!(gathered, (stats.leaves - 1) * capacity * 16, "key {i}");
+        if i < capacity {
+            assert_eq!(
+                (stats.leaves, gathered),
+                (1, 0),
+                "key {i} of the first leaf"
+            );
+        }
+        if i + 1 == capacity {
+            assert_eq!(stats.leaf_fill, 1.0, "{capacity} of {capacity}");
+        }
+    }
+    let mut sorted: Vec<(u64, u64)> = keys.iter().map(|&k| (k, k ^ 1)).collect();
+    sorted.sort_unstable();
+    assert_eq!(tree.collect_all_plain(), sorted);
+    assert_eq!(tree.audit_quiescent(), Vec::<String>::new());
+}
+
+#[test]
+fn adversarial_key_sets_fill_a_leaf_before_it_splits() {
+    let mut rng = SmallRng::seed_from_u64(0x401e);
+    let mut sets: Vec<Vec<u64>> = Vec::new();
+    for home in 0..4 {
+        let base = rng.gen_range(0..1u64 << 40);
+        let one_home = (base..).filter(|&k| home_segment(k, 4) == home);
+        sets.push(one_home.take(80).collect());
+    }
+    for stride in [2u64, 4, 8, 64] {
+        let base = rng.gen_range(0..1u64 << 40);
+        sets.push((0..80).map(|i| base + i * stride).collect());
+    }
+    let mut random: Vec<u64> = (0..80).map(|_| rng.gen_range(0..u64::MAX / 2)).collect();
+    random.sort_unstable();
+    random.dedup();
+    sets.push(random);
+    for ascending in sets {
+        let mut shuffled = ascending.clone();
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, rng.gen_range(0..i + 1));
+        }
+        for keys in [&ascending, &shuffled] {
+            for cfg in both() {
+                fills_before_it_splits::<4, 4>(cfg.clone(), keys);
+                fills_before_it_splits::<2, 8>(cfg, keys);
+            }
         }
     }
 }

@@ -9,6 +9,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
+use euno_core::segment::home_segment;
 use euno_core::{probe, EunoBTreeDefault, EunoConfig, EunoLeaf, NodeRef};
 use euno_htm::euno_metrics::Counter;
 use euno_htm::{ConcurrentMap, Runtime, ThreadCtx};
@@ -420,6 +421,27 @@ fn scan_with_landing(landing: Landing, read: usize, mutation: Option<&'static st
         stage.delete(&mut ctx, behind);
         stage.delete(&mut ctx, ahead);
     }
+    if let Landing::Structural(Between::Reorg) = landing {
+        // A reorganization moves a key one way only: back up its probe
+        // path. Fill the last segment the step will have read with keys
+        // it is home to (from the top of the leaf's range: the
+        // interruption churns fillers from the bottom) until one spills
+        // into the next — from where the reorganization, which drops the
+        // preloaded keys' tombstones, takes it home.
+        let home = read - 1;
+        let fillers: Vec<u64> = stage.fillers().collect();
+        let spilled = fillers
+            .into_iter()
+            .rev()
+            .filter(|&key| home_segment(key, 4) == home)
+            .find(|&key| {
+                stage.put(&mut ctx, key, key + 1);
+                segment_of(leaf, key) != Some(home)
+            });
+        let spilled = spilled.unwrap_or_else(|| panic!("{what}: nothing spilled"));
+        assert_eq!(segment_of(leaf, spilled), Some(read), "{what}");
+        assert_eq!(located(tree, &mut ctx, from), (leaf0, seqno0), "{what}");
+    }
     let before = model.borrow().clone();
     ctx.clock += 1 << 32;
 
@@ -512,6 +534,94 @@ fn a_scans_sections_lose_a_key_without_the_closing_seqno_check() {
             Landing::Structural(Between::Reorg),
             read,
             Some("scan:skip-closing-seqno"),
+        );
+    }
+}
+
+// ---------------------------------------------------------------------
+// Placement: one segment per leaf search
+// ---------------------------------------------------------------------
+
+/// A tree whose leaves have been through every way a record is placed —
+/// inserts along a probe path past full segments, splits, a merge sweep,
+/// reorganizations — compared with a model key by key and audited:
+/// `(gets that answered wrongly, audit findings)`. The mutations are those
+/// of `leaf_ops.rs`, switched on while the tree is built or only while it
+/// is read.
+fn placement_verdict(
+    cfg: EunoConfig,
+    building: Option<&'static str>,
+    reading: Option<&'static str>,
+) -> (usize, usize) {
+    let rt = Runtime::new_virtual();
+    let tree = EunoBTreeDefault::with_config(Arc::clone(&rt), cfg);
+    let mut ctx = rt.thread(1);
+    let mut model = BTreeMap::new();
+    probe::mutate(building);
+    // Keys of one home, far from the rest: the fifth spills, the ninth
+    // spills twice. Then adjacent keys, enough of them to split.
+    let one_home = (1u64 << 20..).filter(|&k| home_segment(k, 4) == 2);
+    for key in one_home.take(11).chain(0..300) {
+        tree.put(&mut ctx, key, key + 1);
+        model.insert(key, key + 1);
+    }
+    // Tombstones and a sweep that merges what they emptied; then keys that
+    // come and go for good, whose tombstones fill the merged leaves until
+    // a put of a key that stays has to reorganize one.
+    for key in (0..300).filter(|k| k % 3 != 0) {
+        tree.delete(&mut ctx, key);
+        model.remove(&key);
+    }
+    tree.maintain(&mut ctx);
+    for key in (0..300).filter(|k| k % 3 != 0) {
+        tree.put(&mut ctx, key, key + 2);
+        if key % 3 == 1 {
+            tree.delete(&mut ctx, key);
+        } else {
+            model.insert(key, key + 2);
+        }
+    }
+    probe::mutate(reading);
+    let wrong = model
+        .iter()
+        .filter(|&(&key, &value)| tree.get(&mut ctx, key) != Some(value))
+        .count();
+    let findings = tree.audit_quiescent().len();
+    probe::mutate(None);
+    (wrong, findings)
+}
+
+#[test]
+fn every_record_is_where_its_search_ends() {
+    for cfg in [EunoConfig::paper(), EunoConfig::default()] {
+        probe::take();
+        assert_eq!(placement_verdict(cfg, None, None), (0, 0));
+        // (Probe marks exist in debug builds only.)
+        let marks = probe::take();
+        for tag in ["split:records", "merge:records", "reorg:records"] {
+            assert!(marks.contains(&tag) || !cfg!(debug_assertions), "no {tag}");
+        }
+    }
+}
+
+/// The mutation twins. A search that stops at the home segment whatever
+/// its count loses every key that spilled; the round-robin deal this
+/// placement replaced, under the new search, loses every key it dealt
+/// anywhere but home. Each must fail the model comparison *and* the audit,
+/// in the tree with episodes and in the one without.
+#[test]
+#[cfg_attr(not(debug_assertions), ignore = "probes are debug-only")]
+fn a_search_that_never_follows_a_spill_and_a_deal_that_ignores_homes_are_convicted() {
+    for cfg in [EunoConfig::paper(), EunoConfig::default()] {
+        let (wrong, findings) = placement_verdict(cfg.clone(), None, Some("leaf:stop-at-home"));
+        assert!(
+            wrong > 0 && findings > 0,
+            "stop at home: {wrong}, {findings}"
+        );
+        let (wrong, findings) = placement_verdict(cfg, Some("place:deal-round-robin"), None);
+        assert!(
+            wrong > 0 && findings > 0,
+            "round-robin: {wrong}, {findings}"
         );
     }
 }

@@ -115,6 +115,26 @@ impl<T> Arena<T> {
         true
     }
 
+    /// Take back a node that was never published — allocated by a
+    /// transaction attempt that did not commit, so no other thread can
+    /// hold a pointer to it: it is freed here and now, with no grace
+    /// period, and the books read as if it had not been allocated.
+    /// Returns `false` (and frees nothing) for a pointer this arena does
+    /// not hold.
+    pub fn discard(&self, node: *const T) -> bool {
+        let addr = node as usize;
+        if !self.nodes.lock().unwrap().remove(&addr) {
+            debug_assert!(false, "discard of a retired or foreign pointer: {addr:#x}");
+            return false;
+        }
+        let bytes = std::mem::size_of::<T>();
+        self.counters.live_bytes.fetch_sub(bytes, Ordering::Relaxed);
+        // Safety: the address came from Box::into_raw in alloc and has just
+        // left the registry, so neither a retirement nor Drop frees it.
+        unsafe { drop(Box::from_raw(addr as *mut T)) };
+        true
+    }
+
     /// Bytes in nodes still linked into the structure.
     pub fn live_bytes(&self) -> usize {
         self.counters.live_bytes.load(Ordering::Relaxed)

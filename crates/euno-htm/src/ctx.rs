@@ -468,8 +468,8 @@ impl ThreadCtx {
         self.clock += self.rt.cost.cas;
     }
 
-    /// Deterministic per-thread random source (write scheduler, backoff
-    /// jitter, workload drivers).
+    /// Deterministic per-thread random source (the engine's abort-model
+    /// draws, the tree's sampled two-step get, workload drivers).
     #[inline]
     pub fn rng(&mut self) -> &mut SmallRng {
         &mut self.rng

@@ -132,8 +132,8 @@ pub enum EventKind {
         left: u64,
         right: u64,
     },
-    /// A leaf reorganized in place (tombstone compaction + round-robin
-    /// redeal) without splitting.
+    /// A leaf reorganized in place (tombstone compaction, every record
+    /// re-placed on its probe path) without splitting.
     Reorg {
         leaf: u64,
     },

@@ -240,12 +240,18 @@ echo "scan-ladder (livelock regression + hot-leaf scheduler run + layout indepen
 # several times that).  The hand-over tests in the same file — a split, a
 # reorganization, and a merge with retirement landing between `locate`
 # and the lower region — need the debug-only probes and ran under
-# `cargo test` above.  tl2_stm rides along in --release: the engine's
+# `cargo test` above, as did the two placement mutation twins (a leaf
+# search that never follows a spill, the old round-robin deal under the
+# new search: each must fail the model comparison and the audit); their
+# unmutated half — every record where its one-segment search ends, after
+# spills, splits, merges and reorganizations — runs here, and every
+# `stress` row's "invariants: clean" is the same audit on real threads.
+# tl2_stm rides along in --release: the engine's
 # disjoint-key scaling (> 1.15x at 4 threads; skipped on smaller hosts)
 # is the floor the walk's global-clock check sits on.
 cargo test -q --release -p euno-core --test upper_walk
 cargo test -q --release -p euno-htm --test tl2_stm
-echo "upper-walk (bounded gets + tl2_stm in --release) OK"
+echo "upper-walk (bounded gets + placement + tl2_stm in --release) OK"
 
 # Adaptive: guideline 4 end to end (DESIGN.md §4.8), in --release.  A
 # sequentially preloaded tree must be bypassed, a split must hand its
