@@ -12,19 +12,47 @@
 
 use std::sync::Arc;
 
+use euno_htm::bptree::{promote, upper_bound, Propagate};
 use euno_htm::{
-    Arena, ConcurrentMap, MemoryReport, RetryPolicy, Runtime, ThreadCtx, Tx, TxResult, TxWord,
-    KEY_SENTINEL, TOMBSTONE,
+    ConcurrentMap, IndexNode, MemoryReport, NodeArenas, NodeRef, RetryPolicy, Runtime, ThreadCtx,
+    Tx, TxResult, TxWord, KEY_SENTINEL, TOMBSTONE,
 };
 
-use crate::node::{Internal, Leaf, NodeRef, DEFAULT_FANOUT};
+use crate::node::{empty_tree, Leaf, DEFAULT_FANOUT};
 
 /// A B+Tree protected by one monolithic HTM region per operation.
 pub struct HtmBTree<const F: usize = DEFAULT_FANOUT> {
     rt: Arc<Runtime>,
     ctrl: Box<euno_htm::ControlBlock>,
-    leaves: Arena<Leaf<F>>,
-    internals: Arena<Internal<F>>,
+    arenas: NodeArenas<Leaf<F>, F>,
+}
+
+/// A split's way up (Algorithm 1 lines 17-19) in a tree without parent
+/// pointers: the index nodes the descent visited, root first, and the
+/// list of nodes this attempt has allocated.
+struct Climb<'a, 't, const F: usize> {
+    tree: &'t HtmBTree<F>,
+    path: &'a mut Vec<&'t IndexNode<F>>,
+    unpublished: &'a mut Vec<NodeRef>,
+}
+
+impl<'t, const F: usize> Propagate<'t, Tx<'_>, F> for Climb<'_, 't, F> {
+    fn parent_of(&mut self, _: &mut Tx<'_>, _: NodeRef) -> TxResult<Option<&'t IndexNode<F>>> {
+        Ok(self.path.pop())
+    }
+
+    fn new_index(&mut self, _: &mut Tx<'_>) -> &'t IndexNode<F> {
+        let tree = self.tree;
+        tree.arenas.alloc_index(&tree.rt, self.unpublished)
+    }
+
+    fn grow_root(&mut self, tx: &mut Tx<'_>, _: NodeRef, sep: u64, right: NodeRef) -> TxResult<()> {
+        let ctrl = &self.tree.ctrl;
+        let old_root = NodeRef(tx.read(&ctrl.root)?);
+        let root = self.new_index(tx);
+        root.init_root(tx, old_root, sep, right)?;
+        tx.write(&ctrl.root, NodeRef::of_index(root).0)
+    }
 }
 
 impl<const F: usize> HtmBTree<F> {
@@ -33,18 +61,8 @@ impl<const F: usize> HtmBTree<F> {
             F >= 4 && F.is_multiple_of(2),
             "fanout must be an even number ≥ 4"
         );
-        let leaves = Arena::new();
-        let internals = Arena::new();
-        let first: &Leaf<F> = leaves.alloc(Leaf::empty());
-        first.register(&rt);
-        let ctrl = euno_htm::ControlBlock::new(NodeRef::of_leaf(first).to_word());
-        rt.register_value(&*ctrl, euno_htm::LineClass::Structure);
-        HtmBTree {
-            rt,
-            ctrl,
-            leaves,
-            internals,
-        }
+        let (ctrl, arenas) = empty_tree(&rt);
+        HtmBTree { rt, ctrl, arenas }
     }
 
     pub fn runtime(&self) -> &Arc<Runtime> {
@@ -58,82 +76,20 @@ impl<const F: usize> HtmBTree<F> {
         &'t self,
         tx: &mut Tx<'_>,
         key: u64,
-        mut path: Option<&mut Vec<&'t Internal<F>>>,
+        mut path: Option<&mut Vec<&'t IndexNode<F>>>,
     ) -> TxResult<&'t Leaf<F>> {
-        let mut cur = NodeRef::from_word(tx.read(&self.ctrl.root)?);
+        let mut cur = NodeRef(tx.read(&self.ctrl.root)?);
         while !cur.is_leaf() {
             // Safety: nodes live as long as the tree (deferred reclamation).
-            let node: &'t Internal<F> = unsafe { cur.as_internal::<F>() };
+            let node: &'t IndexNode<F> = unsafe { cur.as_index::<F>() };
             if let Some(p) = path.as_deref_mut() {
                 p.push(node);
             }
             let cnt = tx.read(&node.count)? as usize;
-            // Number of separators ≤ key (binary search).
-            let (mut lo, mut hi) = (0usize, cnt);
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                if tx.read(&node.keys[mid])? <= key {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            cur = if lo == 0 {
-                NodeRef::from_word(tx.read(&node.child0)?)
-            } else {
-                NodeRef::from_word(tx.read(&node.children[lo - 1])?)
-            };
+            let taken = upper_bound(cnt, key, |i| tx.read(&node.keys[i]))?;
+            cur = NodeRef(tx.read(node.child(taken))?);
         }
-        Ok(unsafe { cur.as_leaf::<F>() })
-    }
-
-    /// Binary search for `key` among the leaf's occupied slots.
-    fn leaf_find(&self, tx: &mut Tx<'_>, leaf: &Leaf<F>, key: u64) -> TxResult<Option<usize>> {
-        let cnt = tx.read(&leaf.count)? as usize;
-        let (mut lo, mut hi) = (0usize, cnt);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            let k = tx.read(&leaf.keys[mid])?;
-            if k < key {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        if lo < cnt && tx.read(&leaf.keys[lo])? == key {
-            Ok(Some(lo))
-        } else {
-            Ok(None)
-        }
-    }
-
-    /// Insert `key→val` into a non-full leaf, shifting the tail right —
-    /// the consecutive-record data movement of §2.3.
-    fn leaf_insert_at(&self, tx: &mut Tx<'_>, leaf: &Leaf<F>, key: u64, val: u64) -> TxResult<()> {
-        let cnt = tx.read(&leaf.count)? as usize;
-        debug_assert!(cnt < F);
-        // Position = lower bound.
-        let (mut lo, mut hi) = (0usize, cnt);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if tx.read(&leaf.keys[mid])? < key {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        let mut i = cnt;
-        while i > lo {
-            let k = tx.read(&leaf.keys[i - 1])?;
-            let v = tx.read(&leaf.vals[i - 1])?;
-            tx.write(&leaf.keys[i], k)?;
-            tx.write(&leaf.vals[i], v)?;
-            i -= 1;
-        }
-        tx.write(&leaf.keys[lo], key)?;
-        tx.write(&leaf.vals[lo], val)?;
-        tx.write(&leaf.count, (cnt + 1) as u64)?;
-        Ok(())
+        Ok(unsafe { cur.as_leaf::<Leaf<F>>() })
     }
 
     /// Split a full leaf; returns the leaf that should receive `key`.
@@ -141,106 +97,21 @@ impl<const F: usize> HtmBTree<F> {
         &'t self,
         tx: &mut Tx<'_>,
         leaf: &'t Leaf<F>,
-        path: &[&'t Internal<F>],
+        mut climb: Climb<'_, 't, F>,
         key: u64,
     ) -> TxResult<&'t Leaf<F>> {
-        let new: &'t Leaf<F> = self.leaves.alloc(Leaf::empty());
+        let new: &'t Leaf<F> = self.arenas.leaves.alloc(Leaf::empty());
         new.register(&self.rt);
-        let mid = F / 2;
-        for i in mid..F {
-            let k = tx.read(&leaf.keys[i])?;
-            let v = tx.read(&leaf.vals[i])?;
-            tx.write(&new.keys[i - mid], k)?;
-            tx.write(&new.vals[i - mid], v)?;
-        }
-        let sep = tx.read(&leaf.keys[mid])?;
-        tx.write(&new.count, (F - mid) as u64)?;
-        tx.write(&leaf.count, mid as u64)?;
-        let old_next = tx.read(&leaf.next)?;
-        tx.write(&new.next, old_next)?;
-        tx.write(&leaf.next, NodeRef::of_leaf(new).to_word())?;
-        self.insert_into_parents(tx, path, sep, NodeRef::of_leaf(new))?;
+        let (left, right) = (NodeRef::of_leaf(leaf), NodeRef::of_leaf(new));
+        climb.unpublished.push(right);
+        let sep = leaf.split_into(tx, new)?;
+        promote(tx, &mut climb, left, sep, right)?;
         Ok(if key < sep { leaf } else { new })
     }
 
-    /// Propagate a split upward (Algorithm 1 lines 17-19).
-    fn insert_into_parents(
-        &self,
-        tx: &mut Tx<'_>,
-        path: &[&Internal<F>],
-        mut sep: u64,
-        mut right: NodeRef,
-    ) -> TxResult<()> {
-        for parent in path.iter().rev() {
-            let cnt = tx.read(&parent.count)? as usize;
-            if cnt < F {
-                self.internal_insert_at(tx, parent, cnt, sep, right)?;
-                return Ok(());
-            }
-            // Split the full internal node; promote the middle separator.
-            let new: &Internal<F> = self.internals.alloc(Internal::empty());
-            new.register(&self.rt);
-            let mid = F / 2;
-            let promoted = tx.read(&parent.keys[mid])?;
-            let mid_child = tx.read(&parent.children[mid])?;
-            tx.write(&new.child0, mid_child)?;
-            for i in mid + 1..F {
-                let k = tx.read(&parent.keys[i])?;
-                let c = tx.read(&parent.children[i])?;
-                tx.write(&new.keys[i - mid - 1], k)?;
-                tx.write(&new.children[i - mid - 1], c)?;
-            }
-            tx.write(&new.count, (F - mid - 1) as u64)?;
-            tx.write(&parent.count, mid as u64)?;
-            // Insert the pending (sep, right) into the proper half.
-            let target = if sep < promoted { *parent } else { new };
-            let tcnt = tx.read(&target.count)? as usize;
-            self.internal_insert_at(tx, target, tcnt, sep, right)?;
-            sep = promoted;
-            right = NodeRef::of_internal(new);
-        }
-        // Split reached the root: grow the tree by one level.
-        let old_root = tx.read(&self.ctrl.root)?;
-        let new_root: &Internal<F> = self.internals.alloc(Internal::empty());
-        new_root.register(&self.rt);
-        tx.write(&new_root.child0, old_root)?;
-        tx.write(&new_root.keys[0], sep)?;
-        tx.write(&new_root.children[0], right.to_word())?;
-        tx.write(&new_root.count, 1)?;
-        tx.write(&self.ctrl.root, NodeRef::of_internal(new_root).to_word())?;
-        Ok(())
-    }
-
-    fn internal_insert_at(
-        &self,
-        tx: &mut Tx<'_>,
-        node: &Internal<F>,
-        cnt: usize,
-        sep: u64,
-        right: NodeRef,
-    ) -> TxResult<()> {
-        debug_assert!(cnt < F);
-        let (mut lo, mut hi) = (0usize, cnt);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if tx.read(&node.keys[mid])? < sep {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        let mut i = cnt;
-        while i > lo {
-            let k = tx.read(&node.keys[i - 1])?;
-            let c = tx.read(&node.children[i - 1])?;
-            tx.write(&node.keys[i], k)?;
-            tx.write(&node.children[i], c)?;
-            i -= 1;
-        }
-        tx.write(&node.keys[lo], sep)?;
-        tx.write(&node.children[lo], right.to_word())?;
-        tx.write(&node.count, (cnt + 1) as u64)?;
-        Ok(())
+    /// The root, by a plain load (quiescent tree).
+    pub fn root_plain(&self) -> NodeRef {
+        NodeRef(self.ctrl.root.load_plain())
     }
 
     /// Depth of the tree (levels of internal nodes above the leaves).
@@ -248,7 +119,7 @@ impl<const F: usize> HtmBTree<F> {
         let mut d = 0;
         let mut cur = NodeRef::from_word(self.ctrl.root.load_plain());
         while !cur.is_leaf() {
-            let n = unsafe { cur.as_internal::<F>() };
+            let n = unsafe { cur.as_index::<F>() };
             cur = NodeRef::from_word(n.child0.load_plain());
             d += 1;
         }
@@ -261,7 +132,7 @@ impl<const F: usize> ConcurrentMap for HtmBTree<F> {
         ctx.htm_execute(&self.ctrl.fallback, &RetryPolicy::DBX, |tx| {
             tx.set_op_key(key);
             let leaf = self.descend(tx, key, None)?;
-            match self.leaf_find(tx, leaf, key)? {
+            match leaf.find(tx, key, |_| {})? {
                 Some(i) => {
                     let v = tx.read(&leaf.vals[i])?;
                     Ok((v != TOMBSTONE).then_some(v))
@@ -274,22 +145,31 @@ impl<const F: usize> ConcurrentMap for HtmBTree<F> {
 
     fn put(&self, ctx: &mut ThreadCtx, key: u64, value: u64) -> Option<u64> {
         assert!(key < KEY_SENTINEL && value != TOMBSTONE);
+        // Carried across the region's attempts: the path's storage, and
+        // the nodes the last attempt allocated (handed back by the next).
+        let (mut path, mut unpublished) = (Vec::with_capacity(8), Vec::new());
         ctx.htm_execute(&self.ctrl.fallback, &RetryPolicy::DBX, |tx| {
+            self.arenas.hand_back(&self.rt, &mut unpublished);
+            path.clear();
             tx.set_op_key(key);
-            let mut path = Vec::with_capacity(8);
             let leaf = self.descend(tx, key, Some(&mut path))?;
-            if let Some(i) = self.leaf_find(tx, leaf, key)? {
+            if let Some(i) = leaf.find(tx, key, |_| {})? {
                 let old = tx.read(&leaf.vals[i])?;
                 tx.write(&leaf.vals[i], value)?;
                 return Ok((old != TOMBSTONE).then_some(old));
             }
             let cnt = tx.read(&leaf.count)? as usize;
             let target = if cnt == F {
-                self.split_leaf(tx, leaf, &path, key)?
+                let climb = Climb {
+                    tree: self,
+                    path: &mut path,
+                    unpublished: &mut unpublished,
+                };
+                self.split_leaf(tx, leaf, climb, key)?
             } else {
                 leaf
             };
-            self.leaf_insert_at(tx, target, key, value)?;
+            target.insert(tx, key, value)?;
             Ok(None)
         })
         .value
@@ -299,7 +179,7 @@ impl<const F: usize> ConcurrentMap for HtmBTree<F> {
         ctx.htm_execute(&self.ctrl.fallback, &RetryPolicy::DBX, |tx| {
             tx.set_op_key(key);
             let leaf = self.descend(tx, key, None)?;
-            match self.leaf_find(tx, leaf, key)? {
+            match leaf.find(tx, key, |_| {})? {
                 Some(i) => {
                     let old = tx.read(&leaf.vals[i])?;
                     if old == TOMBSTONE {
@@ -321,39 +201,15 @@ impl<const F: usize> ConcurrentMap for HtmBTree<F> {
         count: usize,
         out: &mut Vec<(u64, u64)>,
     ) -> usize {
-        let collected = ctx
-            .htm_execute(&self.ctrl.fallback, &RetryPolicy::DBX, |tx| {
-                tx.set_op_key(from);
-                let mut acc = Vec::with_capacity(count.min(1024));
-                let mut leaf = self.descend(tx, from, None)?;
-                'outer: loop {
-                    let cnt = tx.read(&leaf.count)? as usize;
-                    for i in 0..cnt {
-                        let k = tx.read(&leaf.keys[i])?;
-                        if k < from {
-                            continue;
-                        }
-                        let v = tx.read(&leaf.vals[i])?;
-                        if v == TOMBSTONE {
-                            continue;
-                        }
-                        acc.push((k, v));
-                        if acc.len() == count {
-                            break 'outer;
-                        }
-                    }
-                    let next = NodeRef::from_word(tx.read(&leaf.next)?);
-                    if next.is_null() {
-                        break;
-                    }
-                    leaf = unsafe { next.as_leaf::<F>() };
-                }
-                Ok(acc)
-            })
-            .value;
-        let n = collected.len();
-        out.extend(collected);
-        n
+        // Each attempt starts `out` over from where the scan found it.
+        let base = out.len();
+        ctx.htm_execute(&self.ctrl.fallback, &RetryPolicy::DBX, |tx| {
+            out.truncate(base);
+            tx.set_op_key(from);
+            let leaf = self.descend(tx, from, None)?;
+            leaf.collect(tx, from, base.saturating_add(count), out)
+        });
+        out.len() - base
     }
 
     fn name(&self) -> &'static str {
@@ -362,7 +218,7 @@ impl<const F: usize> ConcurrentMap for HtmBTree<F> {
 
     fn memory(&self) -> MemoryReport {
         MemoryReport {
-            structural_bytes: self.leaves.live_bytes() + self.internals.live_bytes(),
+            structural_bytes: self.arenas.live_bytes(),
             ..MemoryReport::default()
         }
     }

@@ -19,41 +19,34 @@
 
 use std::sync::Arc;
 
+use euno_htm::bptree::{promote, upper_bound, Linked};
 use euno_htm::{
-    Arena, ConcurrentMap, MemoryReport, RetryPolicy, Runtime, ThreadCtx, Tx, TxCell, TxResult,
-    TxWord, KEY_SENTINEL, TOMBSTONE,
+    ConcurrentMap, IndexNode, MemoryReport, NodeArenas, NodeRef, RetryPolicy, Runtime, ThreadCtx,
+    Tx, TxCell, TxResult, KEY_SENTINEL, TOMBSTONE,
 };
 
 use crate::masstree::{
-    node_visit_overhead, permutation_decode, MtInternal, MtLeaf, MtRef, LOCK_BIT, VINSERT_UNIT,
+    node_visit_overhead, permutation_decode, version_of, MtLeaf, F, LOCK_BIT, VINSERT_UNIT,
     VSPLIT_UNIT,
 };
-use crate::node::DEFAULT_FANOUT;
-
-const F: usize = DEFAULT_FANOUT;
+use crate::node::{empty_tree, Leaf};
 
 /// Masstree with whole-operation HTM regions subsuming its locks.
 pub struct HtmMasstree {
     rt: Arc<Runtime>,
     ctrl: Box<euno_htm::ControlBlock>,
-    leaves: Arena<MtLeaf>,
-    internals: Arena<MtInternal>,
+    arenas: NodeArenas<MtLeaf, F>,
 }
 
 impl HtmMasstree {
     pub fn new(rt: Arc<Runtime>) -> Self {
-        let leaves = Arena::new();
-        let internals = Arena::new();
-        let first: &MtLeaf = leaves.alloc(MtLeaf::empty());
-        rt.register_value(first, euno_htm::LineClass::Record);
-        let ctrl = euno_htm::ControlBlock::new(MtRef::of_leaf(first).to_word());
-        rt.register_value(&*ctrl, euno_htm::LineClass::Structure);
-        HtmMasstree {
-            ctrl,
-            rt,
-            leaves,
-            internals,
-        }
+        let (ctrl, arenas) = empty_tree(&rt);
+        HtmMasstree { rt, ctrl, arenas }
+    }
+
+    /// The root, by a plain load (quiescent tree).
+    pub fn root_plain(&self) -> NodeRef {
+        NodeRef(self.ctrl.root.load_plain())
     }
 
     /// Read a node's version word transactionally — the lock-subsumption
@@ -69,51 +62,26 @@ impl HtmMasstree {
     }
 
     fn descend<'t>(&'t self, tx: &mut Tx<'_>, key: u64) -> TxResult<&'t MtLeaf> {
-        let mut cur = MtRef::from_word(tx.read(&self.ctrl.root)?);
+        let mut cur = NodeRef(tx.read(&self.ctrl.root)?);
         loop {
-            Self::subscribe_version(tx, unsafe { &cur.version().cell })?;
+            Self::subscribe_version(tx, unsafe { version_of(cur) })?;
             if cur.is_leaf() {
-                return Ok(unsafe { cur.leaf() });
+                return Ok(unsafe { cur.as_leaf() });
             }
-            let int: &MtInternal = unsafe { cur.internal() };
+            let int = unsafe { cur.as_index::<F>() };
             node_visit_overhead(tx.ctx());
             let cnt = tx.read(&int.count)? as usize;
-            let (mut lo, mut hi) = (0usize, cnt);
-            while lo < hi {
-                let mid = (lo + hi) / 2;
+            let taken = upper_bound(cnt, key, |i| {
                 permutation_decode(tx.ctx());
-                if tx.read(&int.keys[mid])? <= key {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            cur = if lo == 0 {
-                MtRef::from_word(tx.read(&int.child0)?)
-            } else {
-                MtRef::from_word(tx.read(&int.children[lo - 1])?)
-            };
+                tx.read(&int.keys[i])
+            })?;
+            cur = NodeRef(tx.read(int.child(taken))?);
         }
     }
 
     fn leaf_find(&self, tx: &mut Tx<'_>, leaf: &MtLeaf, key: u64) -> TxResult<Option<usize>> {
         node_visit_overhead(tx.ctx());
-        let cnt = tx.read(&leaf.count)? as usize;
-        let (mut lo, mut hi) = (0usize, cnt);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            permutation_decode(tx.ctx());
-            if tx.read(&leaf.keys[mid])? < key {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        if lo < cnt && tx.read(&leaf.keys[lo])? == key {
-            Ok(Some(lo))
-        } else {
-            Ok(None)
-        }
+        leaf.find(tx, key, |tx| permutation_decode(tx.ctx()))
     }
 
     /// Transactional version-counter bump — the shared-metadata write that
@@ -130,156 +98,34 @@ impl HtmMasstree {
         tx.write(cell, next)
     }
 
-    fn leaf_insert(&self, tx: &mut Tx<'_>, leaf: &MtLeaf, key: u64, val: u64) -> TxResult<()> {
-        let cnt = tx.read(&leaf.count)? as usize;
-        debug_assert!(cnt < F);
-        let (mut lo, mut hi) = (0usize, cnt);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if tx.read(&leaf.keys[mid])? < key {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        let mut i = cnt;
-        while i > lo {
-            let k = tx.read(&leaf.keys[i - 1])?;
-            let v = tx.read(&leaf.vals[i - 1])?;
-            tx.write(&leaf.keys[i], k)?;
-            tx.write(&leaf.vals[i], v)?;
-            i -= 1;
-        }
-        tx.write(&leaf.keys[lo], key)?;
-        tx.write(&leaf.vals[lo], val)?;
-        tx.write(&leaf.count, (cnt + 1) as u64)?;
-        Self::bump(tx, &leaf.version.cell, true, false)
-    }
-
     fn split_leaf<'t>(
         &'t self,
         tx: &mut Tx<'_>,
         leaf: &'t MtLeaf,
         key: u64,
+        unpublished: &mut Vec<NodeRef>,
     ) -> TxResult<&'t MtLeaf> {
-        let right: &MtLeaf = self.leaves.alloc(MtLeaf::empty());
-        self.rt.register_value(right, euno_htm::LineClass::Record);
-        let mid = F / 2;
-        for i in mid..F {
-            let k = tx.read(&leaf.keys[i])?;
-            let v = tx.read(&leaf.vals[i])?;
-            tx.write(&right.keys[i - mid], k)?;
-            tx.write(&right.vals[i - mid], v)?;
-        }
-        let sep = tx.read(&leaf.keys[mid])?;
-        tx.write(&right.count, (F - mid) as u64)?;
-        tx.write(&leaf.count, mid as u64)?;
-        let old_next = tx.read(&leaf.next)?;
-        tx.write(&right.next, old_next)?;
-        tx.write(&leaf.next, MtRef::of_leaf(right).to_word())?;
+        let right: &MtLeaf = self.arenas.leaves.alloc(Leaf::empty());
+        right.register(&self.rt);
+        let (left_ref, right_ref) = (NodeRef::of_leaf(leaf), NodeRef::of_leaf(right));
+        unpublished.push(right_ref);
+        let sep = leaf.split_into(tx, right)?;
         let parent_bits = tx.read(&leaf.parent)?;
         tx.write(&right.parent, parent_bits)?;
-        Self::bump(tx, &leaf.version.cell, false, true)?;
-        self.insert_into_parent(tx, MtRef::of_leaf(leaf), sep, MtRef::of_leaf(right))?;
+        Self::bump(tx, &leaf.version, false, true)?;
+        // The way up goes by parent pointer, with the version bumps the
+        // elided locks' unlocks would have made.
+        let mut climb = Linked {
+            arenas: &self.arenas,
+            rt: &self.rt,
+            root: &self.ctrl.root,
+            unpublished,
+            changed: |tx: &mut Tx<'_>, node: &IndexNode<F>, split| {
+                Self::bump(tx, &node.version, true, split)
+            },
+        };
+        promote(tx, &mut climb, left_ref, sep, right_ref)?;
         Ok(if key < sep { leaf } else { right })
-    }
-
-    fn insert_into_parent(
-        &self,
-        tx: &mut Tx<'_>,
-        mut child: MtRef,
-        mut sep: u64,
-        mut right: MtRef,
-    ) -> TxResult<()> {
-        loop {
-            let parent_bits = tx.read(unsafe { child.parent_cell() })?;
-            if parent_bits == 0 {
-                let nr: &MtInternal = self.internals.alloc(MtInternal::empty());
-                self.rt.register_value(nr, euno_htm::LineClass::Structure);
-                tx.write(&nr.child0, child.to_word())?;
-                tx.write(&nr.keys[0], sep)?;
-                tx.write(&nr.children[0], right.to_word())?;
-                tx.write(&nr.count, 1)?;
-                let nref = MtRef::of_internal(nr);
-                tx.write(unsafe { child.parent_cell() }, nref.to_word())?;
-                tx.write(unsafe { right.parent_cell() }, nref.to_word())?;
-                tx.write(&self.ctrl.root, nref.to_word())?;
-                return Ok(());
-            }
-            let parent: &MtInternal = unsafe { MtRef::from_word(parent_bits).internal() };
-            let cnt = tx.read(&parent.count)? as usize;
-            if cnt < F {
-                self.internal_insert(tx, parent, cnt, sep, right)?;
-                tx.write(unsafe { right.parent_cell() }, parent_bits)?;
-                Self::bump(tx, &parent.version.cell, true, false)?;
-                return Ok(());
-            }
-            let new_int: &MtInternal = self.internals.alloc(MtInternal::empty());
-            self.rt
-                .register_value(new_int, euno_htm::LineClass::Structure);
-            let new_ref = MtRef::of_internal(new_int);
-            let mid = F / 2;
-            let promoted = tx.read(&parent.keys[mid])?;
-            let mid_child = MtRef::from_word(tx.read(&parent.children[mid])?);
-            tx.write(&new_int.child0, mid_child.to_word())?;
-            tx.write(unsafe { mid_child.parent_cell() }, new_ref.to_word())?;
-            for i in mid + 1..F {
-                let k = tx.read(&parent.keys[i])?;
-                let c = MtRef::from_word(tx.read(&parent.children[i])?);
-                tx.write(&new_int.keys[i - mid - 1], k)?;
-                tx.write(&new_int.children[i - mid - 1], c.to_word())?;
-                tx.write(unsafe { c.parent_cell() }, new_ref.to_word())?;
-            }
-            tx.write(&new_int.count, (F - mid - 1) as u64)?;
-            tx.write(&parent.count, mid as u64)?;
-            let grandparent = tx.read(&parent.parent)?;
-            tx.write(&new_int.parent, grandparent)?;
-            Self::bump(tx, &parent.version.cell, true, true)?;
-
-            let (target, target_bits) = if sep < promoted {
-                (parent, parent_bits)
-            } else {
-                (new_int, new_ref.to_word())
-            };
-            let tcnt = tx.read(&target.count)? as usize;
-            self.internal_insert(tx, target, tcnt, sep, right)?;
-            tx.write(unsafe { right.parent_cell() }, target_bits)?;
-
-            sep = promoted;
-            right = new_ref;
-            child = MtRef::from_word(parent_bits);
-        }
-    }
-
-    fn internal_insert(
-        &self,
-        tx: &mut Tx<'_>,
-        node: &MtInternal,
-        cnt: usize,
-        sep: u64,
-        right: MtRef,
-    ) -> TxResult<()> {
-        let (mut lo, mut hi) = (0usize, cnt);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if tx.read(&node.keys[mid])? < sep {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        let mut i = cnt;
-        while i > lo {
-            let k = tx.read(&node.keys[i - 1])?;
-            let c = tx.read(&node.children[i - 1])?;
-            tx.write(&node.keys[i], k)?;
-            tx.write(&node.children[i], c)?;
-            i -= 1;
-        }
-        tx.write(&node.keys[lo], sep)?;
-        tx.write(&node.children[lo], right.to_word())?;
-        tx.write(&node.count, (cnt + 1) as u64)?;
-        Ok(())
     }
 }
 
@@ -301,7 +147,11 @@ impl ConcurrentMap for HtmMasstree {
 
     fn put(&self, ctx: &mut ThreadCtx, key: u64, value: u64) -> Option<u64> {
         assert!(key < KEY_SENTINEL && value != TOMBSTONE);
+        // The nodes the region's last attempt allocated, handed back by
+        // the next.
+        let mut unpublished = Vec::new();
         ctx.htm_execute(&self.ctrl.fallback, &RetryPolicy::DBX, |tx| {
+            self.arenas.hand_back(&self.rt, &mut unpublished);
             tx.set_op_key(key);
             let leaf = self.descend(tx, key)?;
             if let Some(i) = self.leaf_find(tx, leaf, key)? {
@@ -311,11 +161,12 @@ impl ConcurrentMap for HtmMasstree {
             }
             let cnt = tx.read(&leaf.count)? as usize;
             let target = if cnt == F {
-                self.split_leaf(tx, leaf, key)?
+                self.split_leaf(tx, leaf, key, &mut unpublished)?
             } else {
                 leaf
             };
-            self.leaf_insert(tx, target, key, value)?;
+            target.insert(tx, key, value)?;
+            Self::bump(tx, &target.version, true, false)?;
             Ok(None)
         })
         .value
@@ -332,7 +183,7 @@ impl ConcurrentMap for HtmMasstree {
                         return Ok(None);
                     }
                     tx.write(&leaf.vals[i], TOMBSTONE)?;
-                    Self::bump(tx, &leaf.version.cell, true, false)?;
+                    Self::bump(tx, &leaf.version, true, false)?;
                     Ok(Some(old))
                 }
                 None => Ok(None),
@@ -348,39 +199,15 @@ impl ConcurrentMap for HtmMasstree {
         count: usize,
         out: &mut Vec<(u64, u64)>,
     ) -> usize {
-        let collected = ctx
-            .htm_execute(&self.ctrl.fallback, &RetryPolicy::DBX, |tx| {
-                tx.set_op_key(from);
-                let mut acc = Vec::with_capacity(count.min(1024));
-                let mut leaf = self.descend(tx, from)?;
-                'outer: loop {
-                    let cnt = tx.read(&leaf.count)? as usize;
-                    for i in 0..cnt {
-                        let k = tx.read(&leaf.keys[i])?;
-                        if k < from {
-                            continue;
-                        }
-                        let v = tx.read(&leaf.vals[i])?;
-                        if v == TOMBSTONE {
-                            continue;
-                        }
-                        acc.push((k, v));
-                        if acc.len() == count {
-                            break 'outer;
-                        }
-                    }
-                    let next = MtRef::from_word(tx.read(&leaf.next)?);
-                    if next.is_null() {
-                        break;
-                    }
-                    leaf = unsafe { next.leaf() };
-                }
-                Ok(acc)
-            })
-            .value;
-        let n = collected.len();
-        out.extend(collected);
-        n
+        // Each attempt starts `out` over from where the scan found it.
+        let base = out.len();
+        ctx.htm_execute(&self.ctrl.fallback, &RetryPolicy::DBX, |tx| {
+            out.truncate(base);
+            tx.set_op_key(from);
+            let leaf = self.descend(tx, from)?;
+            leaf.collect(tx, from, base.saturating_add(count), out)
+        });
+        out.len() - base
     }
 
     fn name(&self) -> &'static str {
@@ -389,7 +216,7 @@ impl ConcurrentMap for HtmMasstree {
 
     fn memory(&self) -> MemoryReport {
         MemoryReport {
-            structural_bytes: self.leaves.live_bytes() + self.internals.live_bytes(),
+            structural_bytes: self.arenas.live_bytes(),
             ..MemoryReport::default()
         }
     }

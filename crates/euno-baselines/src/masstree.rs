@@ -23,15 +23,17 @@
 //! validation on top of the key comparisons. Those instruction counts
 //! emerge here from the same per-access charging as every other tree.
 
+use std::convert::Infallible;
 use std::sync::Arc;
 
+use euno_htm::bptree::{promote, upper_bound, Propagate};
 use euno_htm::runtime::lock_key_for_addr;
 use euno_htm::{
-    Arena, ConcurrentMap, EpisodeKind, MemoryReport, Mode, Runtime, ThreadCtx, TxCell, TxWord,
-    KEY_SENTINEL, TOMBSTONE,
+    ConcurrentMap, EpisodeKind, IndexNode, MemoryReport, Mode, NodeArenas, NodeRef, Runtime,
+    ThreadCtx, TxCell, KEY_SENTINEL, TOMBSTONE,
 };
 
-use crate::node::DEFAULT_FANOUT;
+use crate::node::{empty_tree, Leaf, DEFAULT_FANOUT};
 
 // ----- version word layout: [vsplit:31][vinsert:32][lock:1] -----
 
@@ -41,23 +43,16 @@ pub(crate) const VSPLIT_UNIT: u64 = 1 << 33;
 const VSPLIT_MASK: u64 = !0 << 33;
 
 /// A Masstree-style node version word with lock semantics in both engine
-/// modes.
-pub struct Version {
-    pub(crate) cell: TxCell<u64>,
-}
-
-impl Version {
-    pub(crate) fn new() -> Self {
-        Version {
-            cell: TxCell::new(0),
-        }
-    }
+/// modes: what the `version` cell of a [`Leaf`] or an [`IndexNode`] is to
+/// the two Masstrees.
+pub(crate) trait Version {
+    fn cell(&self) -> &TxCell<u64>;
 
     /// Spin until unlocked; return the observed stable version.
     fn stable(&self, ctx: &mut ThreadCtx) -> u64 {
         let spin = ctx.runtime().cost.spin_iter;
         loop {
-            let v = self.cell.load_direct(ctx);
+            let v = self.cell().load_direct(ctx);
             if v & LOCK_BIT == 0 {
                 return v;
             }
@@ -69,7 +64,7 @@ impl Version {
 
     /// Plain read for before/after validation.
     fn read(&self, ctx: &mut ThreadCtx) -> u64 {
-        self.cell.load_direct(ctx)
+        self.cell().load_direct(ctx)
     }
 
     /// Writer lock (CAS on the lock bit; virtual-time wait semantics in
@@ -79,8 +74,8 @@ impl Version {
             Mode::Concurrent => {
                 let spin = ctx.runtime().cost.spin_iter;
                 loop {
-                    let v = self.cell.load_direct(ctx);
-                    if v & LOCK_BIT == 0 && self.cell.cas_direct_quiet(ctx, v, v | LOCK_BIT) {
+                    let v = self.cell().load_direct(ctx);
+                    if v & LOCK_BIT == 0 && self.cell().cas_direct_quiet(ctx, v, v | LOCK_BIT) {
                         return;
                     }
                     ctx.charge(spin);
@@ -89,15 +84,15 @@ impl Version {
                 }
             }
             Mode::Virtual => {
-                let key = lock_key_for_addr(&self.cell as *const _ as usize);
+                let key = lock_key_for_addr(self.cell() as *const _ as usize);
                 let free_at = ctx.runtime().vlock_free_at(key, ctx.clock);
                 if free_at > ctx.clock {
                     ctx.stats.cycles_lock_wait += free_at - ctx.clock;
                     ctx.clock = free_at;
                 }
-                let v = self.cell.load_direct(ctx);
+                let v = self.cell().load_direct(ctx);
                 debug_assert_eq!(v & LOCK_BIT, 0);
-                let ok = self.cell.cas_direct_quiet(ctx, v, v | LOCK_BIT);
+                let ok = self.cell().cas_direct_quiet(ctx, v, v | LOCK_BIT);
                 debug_assert!(ok);
             }
         }
@@ -106,10 +101,10 @@ impl Version {
     /// Unlock, bumping the insert and/or split counters.
     fn unlock(&self, ctx: &mut ThreadCtx, inserted: bool, split: bool) {
         if ctx.mode() == Mode::Virtual {
-            let key = lock_key_for_addr(&self.cell as *const _ as usize);
+            let key = lock_key_for_addr(self.cell() as *const _ as usize);
             ctx.runtime().vlock_hold(key, ctx.clock);
         }
-        let v = self.cell.load_direct(ctx);
+        let v = self.cell().load_direct(ctx);
         debug_assert_ne!(v & LOCK_BIT, 0, "unlock of unlocked version");
         let mut next = v & !LOCK_BIT;
         if inserted {
@@ -121,129 +116,41 @@ impl Version {
         if inserted || split {
             // Counter bump: version-visible — overlapping optimistic
             // readers must observe it (published point write).
-            self.cell.store_direct(ctx, next);
+            self.cell().store_direct(ctx, next);
         } else {
             // Pure unlock: validators compare version values, and the
             // value is back to what they read before — invisible.
-            self.cell.store_direct_quiet(ctx, next);
+            self.cell().store_direct_quiet(ctx, next);
         }
     }
+}
 
-    fn vsplit_of(v: u64) -> u64 {
-        v & VSPLIT_MASK
+impl Version for TxCell<u64> {
+    fn cell(&self) -> &TxCell<u64> {
+        self
     }
+}
+
+/// The version word of whichever kind of node `node` points at.
+///
+/// Safety: arena-owned node, tree outlives use.
+pub(crate) unsafe fn version_of<'a>(node: NodeRef) -> &'a TxCell<u64> {
+    if node.is_leaf() {
+        &node.as_leaf::<MtLeaf>().version
+    } else {
+        &node.as_index::<F>().version
+    }
+}
+
+fn vsplit_of(v: u64) -> u64 {
+    v & VSPLIT_MASK
 }
 
 // ----- nodes -----
 
-/// Masstree leaf: sorted records, version word, leaf chain.
-#[repr(C, align(64))]
-pub struct MtLeaf {
-    pub(crate) version: Version,
-    pub(crate) parent: TxCell<u64>,
-    pub(crate) next: TxCell<u64>,
-    pub(crate) count: TxCell<u64>,
-    /// B-link fence: exclusive upper bound of this leaf's key range
-    /// (`KEY_SENTINEL` = +∞). A traversal that lands here *after* a
-    /// concurrent split detects the shrunken range by `key ≥ highkey`
-    /// and retries — closing the stale-child-pointer race that version
-    /// validation alone cannot see once the split has completed.
-    pub(crate) highkey: TxCell<u64>,
-    _pad: [u64; 3],
-    pub(crate) keys: [TxCell<u64>; DEFAULT_FANOUT],
-    pub(crate) vals: [TxCell<u64>; DEFAULT_FANOUT],
-}
-
-/// Masstree internal node.
-#[repr(C, align(64))]
-pub struct MtInternal {
-    pub(crate) version: Version,
-    pub(crate) parent: TxCell<u64>,
-    pub(crate) count: TxCell<u64>,
-    pub(crate) child0: TxCell<u64>,
-    _pad: [u64; 4],
-    pub(crate) keys: [TxCell<u64>; DEFAULT_FANOUT],
-    pub(crate) children: [TxCell<u64>; DEFAULT_FANOUT],
-}
-
-impl MtLeaf {
-    pub(crate) fn empty() -> Self {
-        MtLeaf {
-            version: Version::new(),
-            parent: TxCell::new(0),
-            next: TxCell::new(0),
-            count: TxCell::new(0),
-            highkey: TxCell::new(KEY_SENTINEL),
-            _pad: [0; 3],
-            keys: std::array::from_fn(|_| TxCell::new(KEY_SENTINEL)),
-            vals: std::array::from_fn(|_| TxCell::new(0)),
-        }
-    }
-}
-
-impl MtInternal {
-    pub(crate) fn empty() -> Self {
-        MtInternal {
-            version: Version::new(),
-            parent: TxCell::new(0),
-            count: TxCell::new(0),
-            child0: TxCell::new(0),
-            _pad: [0; 4],
-            keys: std::array::from_fn(|_| TxCell::new(KEY_SENTINEL)),
-            children: std::array::from_fn(|_| TxCell::new(0)),
-        }
-    }
-}
-
-/// Tagged pointer: bit 0 ⇒ leaf.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct MtRef(pub u64);
-
-impl MtRef {
-    pub const NULL: MtRef = MtRef(0);
-    pub(crate) fn of_leaf(l: &MtLeaf) -> Self {
-        MtRef(l as *const MtLeaf as u64 | 1)
-    }
-    pub(crate) fn of_internal(i: &MtInternal) -> Self {
-        MtRef(i as *const MtInternal as u64)
-    }
-    pub(crate) fn is_null(self) -> bool {
-        self.0 == 0
-    }
-    pub(crate) fn is_leaf(self) -> bool {
-        self.0 & 1 == 1
-    }
-    /// Safety: arena-owned node, tree outlives use.
-    pub(crate) unsafe fn leaf<'a>(self) -> &'a MtLeaf {
-        &*((self.0 & !1) as *const MtLeaf)
-    }
-    pub(crate) unsafe fn internal<'a>(self) -> &'a MtInternal {
-        &*(self.0 as *const MtInternal)
-    }
-    pub(crate) unsafe fn version<'a>(self) -> &'a Version {
-        if self.is_leaf() {
-            &self.leaf().version
-        } else {
-            &self.internal().version
-        }
-    }
-    pub(crate) unsafe fn parent_cell<'a>(self) -> &'a TxCell<u64> {
-        if self.is_leaf() {
-            &self.leaf().parent
-        } else {
-            &self.internal().parent
-        }
-    }
-}
-
-impl TxWord for MtRef {
-    fn to_word(self) -> u64 {
-        self.0
-    }
-    fn from_word(w: u64) -> Self {
-        MtRef(w)
-    }
-}
+/// Masstree leaf: the sorted leaf with its version word, parent link and
+/// B-link fence in use.
+pub(crate) type MtLeaf = Leaf<F>;
 
 /// Does an optimistic-read overlap force a retry? Masstree readers
 /// validate node *versions*, which writers bump only for inserts and
@@ -259,18 +166,6 @@ fn version_visible(overlap: Option<euno_htm::ConflictInfo>) -> bool {
         None => false,
         Some(ci) => matches!(ci.kind, FalseMetadata | FalseStructure | Unclassified),
     }
-}
-
-fn register_leaf(rt: &Runtime, l: &MtLeaf) {
-    let parts = [
-        (0, euno_htm::LineClass::Metadata),
-        (
-            std::mem::offset_of!(MtLeaf, keys),
-            euno_htm::LineClass::Record,
-        ),
-    ];
-    let base = l as *const MtLeaf as usize;
-    rt.register_node(base, std::mem::size_of::<MtLeaf>(), &parts, false);
 }
 
 /// Charge the cost of one permutation-word indirection: real Masstree
@@ -309,30 +204,118 @@ fn value_indirection(ctx: &mut ThreadCtx) {
 pub struct Masstree {
     rt: Arc<Runtime>,
     ctrl: Box<euno_htm::ControlBlock>,
-    leaves: Arena<MtLeaf>,
-    internals: Arena<MtInternal>,
+    arenas: NodeArenas<MtLeaf, F>,
 }
 
-const F: usize = DEFAULT_FANOUT;
+pub(crate) const F: usize = DEFAULT_FANOUT;
+
+/// Hand-over-hand upward split propagation: the child is locked; each
+/// level locks the parent (revalidating the link) before it inserts or
+/// splits, and a split level stays locked until the levels above it are
+/// done — lock order is strictly upward, so holding these locks cannot
+/// deadlock. `held` is what [`Masstree::split_leaf`] still has to unlock.
+struct HandOverHand<'t> {
+    tree: &'t Masstree,
+    /// Split index nodes with their new siblings, lowest level first.
+    held: Vec<(&'t IndexNode<F>, &'t IndexNode<F>)>,
+}
+
+impl<'t> Propagate<'t, ThreadCtx, F> for HandOverHand<'t> {
+    fn parent_of(
+        &mut self,
+        ctx: &mut ThreadCtx,
+        child: NodeRef,
+    ) -> Result<Option<&'t IndexNode<F>>, Infallible> {
+        let link = unsafe { child.parent_cell::<MtLeaf, F>() };
+        while link.load_direct(ctx) == 0 {
+            // Child is the root: serialize root replacement, and re-check
+            // (another split may have already grown the tree). The lock is
+            // held into `grow_root`.
+            let root_lock = &self.tree.ctrl.root_lock;
+            root_lock.acquire(ctx);
+            if link.load_direct(ctx) == 0 {
+                return Ok(None);
+            }
+            root_lock.release(ctx);
+        }
+        // Lock the parent, revalidating the link (the parent itself may
+        // split concurrently and move `child` to a new node).
+        loop {
+            let p = NodeRef(link.load_direct(ctx));
+            let int = unsafe { p.as_index::<F>() };
+            int.version.lock(ctx);
+            if link.load_direct(ctx) == p.0 {
+                return Ok(Some(int));
+            }
+            int.version.unlock(ctx, false, false);
+        }
+    }
+
+    fn new_index(&mut self, ctx: &mut ThreadCtx) -> &'t IndexNode<F> {
+        let new = self.tree.arenas.internals.alloc(IndexNode::empty());
+        new.register(&self.tree.rt);
+        new.version.lock(ctx);
+        new
+    }
+
+    fn adopt(
+        &mut self,
+        ctx: &mut ThreadCtx,
+        child: NodeRef,
+        parent: NodeRef,
+    ) -> Result<(), Infallible> {
+        unsafe { child.parent_cell::<MtLeaf, F>() }.store_direct(ctx, parent.0);
+        Ok(())
+    }
+
+    fn inserted(&mut self, ctx: &mut ThreadCtx, node: &'t IndexNode<F>) -> Result<(), Infallible> {
+        node.version.unlock(ctx, true, false);
+        Ok(())
+    }
+
+    fn split(
+        &mut self,
+        ctx: &mut ThreadCtx,
+        node: &'t IndexNode<F>,
+        new: &'t IndexNode<F>,
+    ) -> Result<(), Infallible> {
+        self.held.push((node, new));
+        new.inherit_parent(ctx, node)
+    }
+
+    fn grow_root(
+        &mut self,
+        ctx: &mut ThreadCtx,
+        child: NodeRef,
+        sep: u64,
+        right: NodeRef,
+    ) -> Result<(), Infallible> {
+        let tree = self.tree;
+        let root = tree.arenas.internals.alloc(IndexNode::empty());
+        root.register(&tree.rt);
+        let root_ref = NodeRef::of_index(root);
+        root.init_root(ctx, child, sep, right)?;
+        self.adopt(ctx, child, root_ref)?;
+        self.adopt(ctx, right, root_ref)?;
+        tree.ctrl.root.store_direct(ctx, root_ref.0);
+        tree.ctrl.root_lock.release(ctx);
+        Ok(())
+    }
+}
 
 impl Masstree {
     pub fn new(rt: Arc<Runtime>) -> Self {
-        let leaves = Arena::new();
-        let internals = Arena::new();
-        let first: &MtLeaf = leaves.alloc(MtLeaf::empty());
-        register_leaf(&rt, first);
-        let ctrl = euno_htm::ControlBlock::new(MtRef::of_leaf(first).to_word());
-        rt.register_value(&*ctrl, euno_htm::LineClass::Structure);
-        Masstree {
-            ctrl,
-            rt,
-            leaves,
-            internals,
-        }
+        let (ctrl, arenas) = empty_tree(&rt);
+        Masstree { rt, ctrl, arenas }
     }
 
     pub fn runtime(&self) -> &Arc<Runtime> {
         &self.rt
+    }
+
+    /// The root, by a plain load (quiescent tree).
+    pub fn root_plain(&self) -> NodeRef {
+        NodeRef(self.ctrl.root.load_plain())
     }
 
     // ----- optimistic descent (readers and writer location) -----
@@ -342,39 +325,29 @@ impl Masstree {
     /// the caller should restart. Must run inside an OptimisticRead
     /// episode.
     fn descend(&self, ctx: &mut ThreadCtx, key: u64) -> Option<(&MtLeaf, u64)> {
-        let mut node = MtRef::from_word(self.ctrl.root.load_direct(ctx));
-        let mut v = unsafe { node.version() }.stable(ctx);
+        let mut node = NodeRef(self.ctrl.root.load_direct(ctx));
+        let mut v = unsafe { version_of(node) }.stable(ctx);
         loop {
             if node.is_leaf() {
-                return Some((unsafe { node.leaf() }, v));
+                return Some((unsafe { node.as_leaf() }, v));
             }
-            let int = unsafe { node.internal() };
+            let int = unsafe { node.as_index::<F>() };
             node_visit_overhead(ctx);
             let cnt = (int.count.load_direct(ctx) as usize).min(F);
-            let (mut lo, mut hi) = (0usize, cnt);
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                // Masstree reads keys through a permutation word: one
-                // extra decoded load per comparison (§4.6 of that paper).
+            // Masstree reads keys through a permutation word: one extra
+            // decoded load per comparison (§4.6 of that paper).
+            let Ok(taken) = upper_bound(cnt, key, |i| {
                 permutation_decode(ctx);
-                if int.keys[mid].load_direct(ctx) <= key {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            let child = if lo == 0 {
-                MtRef::from_word(int.child0.load_direct(ctx))
-            } else {
-                MtRef::from_word(int.children[lo - 1].load_direct(ctx))
-            };
+                Ok::<_, Infallible>(int.keys[i].load_direct(ctx))
+            });
+            let child = NodeRef(int.child(taken).load_direct(ctx));
             // Before/after check: the child pointer is only trustworthy if
             // the node did not change while we searched it.
             if int.version.read(ctx) != v || child.is_null() {
                 return None;
             }
             node = child;
-            v = unsafe { node.version() }.stable(ctx);
+            v = unsafe { version_of(node) }.stable(ctx);
         }
     }
 
@@ -382,22 +355,8 @@ impl Masstree {
     /// (slot, value) when present.
     fn leaf_search(&self, ctx: &mut ThreadCtx, leaf: &MtLeaf, key: u64) -> Option<(usize, u64)> {
         node_visit_overhead(ctx);
-        let cnt = (leaf.count.load_direct(ctx) as usize).min(F);
-        let (mut lo, mut hi) = (0usize, cnt);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            permutation_decode(ctx);
-            if leaf.keys[mid].load_direct(ctx) < key {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        if lo < cnt && leaf.keys[lo].load_direct(ctx) == key {
-            Some((lo, leaf.vals[lo].load_direct(ctx)))
-        } else {
-            None
-        }
+        let Ok(slot) = leaf.find(ctx, key, permutation_decode);
+        slot.map(|i| (i, leaf.vals[i].load_direct(ctx)))
     }
 
     /// Full optimistic read of one key: descent + leaf search + double
@@ -431,7 +390,7 @@ impl Masstree {
             // Two staleness guards once the lock is held: the split
             // counter (split since we located it) and the B-link fence
             // (we located it after a split had already shrunk its range).
-            let split_since = Version::vsplit_of(leaf.version.read(ctx)) != Version::vsplit_of(v);
+            let split_since = vsplit_of(leaf.version.read(ctx)) != vsplit_of(v);
             let out_of_range = key >= leaf.highkey.load_direct(ctx);
             if split_since || out_of_range {
                 leaf.version.unlock(ctx, false, false);
@@ -444,52 +403,14 @@ impl Masstree {
 
     // ----- locked mutations -----
 
-    /// Insert into a locked, non-full leaf (sorted shift).
-    fn leaf_insert(&self, ctx: &mut ThreadCtx, leaf: &MtLeaf, key: u64, val: u64) {
-        let cnt = leaf.count.load_direct(ctx) as usize;
-        debug_assert!(cnt < F);
-        let (mut lo, mut hi) = (0usize, cnt);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if leaf.keys[mid].load_direct(ctx) < key {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        let mut i = cnt;
-        while i > lo {
-            let k = leaf.keys[i - 1].load_direct(ctx);
-            let v = leaf.vals[i - 1].load_direct(ctx);
-            leaf.keys[i].store_direct(ctx, k);
-            leaf.vals[i].store_direct(ctx, v);
-            i -= 1;
-        }
-        leaf.keys[lo].store_direct(ctx, key);
-        leaf.vals[lo].store_direct(ctx, val);
-        leaf.count.store_direct(ctx, (cnt + 1) as u64);
-    }
-
     /// Split a locked, full leaf; returns the (locked) leaf that should
     /// receive `key`. The sibling is returned locked too when it is the
     /// target; the non-target side is unlocked here.
     fn split_leaf<'t>(&'t self, ctx: &mut ThreadCtx, leaf: &'t MtLeaf, key: u64) -> &'t MtLeaf {
-        let right: &MtLeaf = self.leaves.alloc(MtLeaf::empty());
-        register_leaf(&self.rt, right);
+        let right: &MtLeaf = self.arenas.leaves.alloc(Leaf::empty());
+        right.register(&self.rt);
         right.version.lock(ctx);
-        let mid = F / 2;
-        for i in mid..F {
-            let k = leaf.keys[i].load_direct(ctx);
-            let v = leaf.vals[i].load_direct(ctx);
-            right.keys[i - mid].store_direct(ctx, k);
-            right.vals[i - mid].store_direct(ctx, v);
-        }
-        let sep = leaf.keys[mid].load_direct(ctx);
-        right.count.store_direct(ctx, (F - mid) as u64);
-        leaf.count.store_direct(ctx, mid as u64);
-        let old_next = leaf.next.load_direct(ctx);
-        right.next.store_direct(ctx, old_next);
-        leaf.next.store_direct(ctx, MtRef::of_leaf(right).to_word());
+        let Ok(sep) = leaf.split_into(ctx, right);
         let parent_bits = leaf.parent.load_direct(ctx);
         right.parent.store_direct(ctx, parent_bits);
         // B-link fences: the right node inherits the old bound; the old
@@ -498,7 +419,21 @@ impl Masstree {
         right.highkey.store_direct(ctx, old_high);
         leaf.highkey.store_direct(ctx, sep);
 
-        self.insert_into_parent(ctx, MtRef::of_leaf(leaf), sep, MtRef::of_leaf(right));
+        let mut climb = HandOverHand {
+            tree: self,
+            held: Vec::new(),
+        };
+        let Ok(()) = promote(
+            ctx,
+            &mut climb,
+            NodeRef::of_leaf(leaf),
+            sep,
+            NodeRef::of_leaf(right),
+        );
+        for (node, new) in climb.held.into_iter().rev() {
+            new.version.unlock(ctx, true, false);
+            node.version.unlock(ctx, true, true);
+        }
 
         // Release the non-target half. The *old* leaf must observe a
         // split-counter bump either here (when the new right node is the
@@ -511,124 +446,6 @@ impl Masstree {
             leaf.version.unlock(ctx, false, true);
             right
         }
-    }
-
-    /// Hand-over-hand upward split propagation: the child is locked; lock
-    /// the parent (revalidating the link), insert or split recursively.
-    fn insert_into_parent(&self, ctx: &mut ThreadCtx, child: MtRef, sep: u64, right: MtRef) {
-        let parent_bits = unsafe { child.parent_cell() }.load_direct(ctx);
-        if parent_bits == 0 {
-            // Child is the root: serialize root replacement.
-            self.ctrl.root_lock.acquire(ctx);
-            // Re-check: another split may have already grown the tree.
-            let still_root = unsafe { child.parent_cell() }.load_direct(ctx) == 0;
-            if still_root {
-                let nr: &MtInternal = self.internals.alloc(MtInternal::empty());
-                self.rt.register_value(nr, euno_htm::LineClass::Structure);
-                nr.child0.store_direct(ctx, child.to_word());
-                nr.keys[0].store_direct(ctx, sep);
-                nr.children[0].store_direct(ctx, right.to_word());
-                nr.count.store_direct(ctx, 1);
-                let nr_ref = MtRef::of_internal(nr);
-                unsafe { child.parent_cell() }.store_direct(ctx, nr_ref.to_word());
-                unsafe { right.parent_cell() }.store_direct(ctx, nr_ref.to_word());
-                self.ctrl.root.store_direct(ctx, nr_ref.to_word());
-                self.ctrl.root_lock.release(ctx);
-                return;
-            }
-            self.ctrl.root_lock.release(ctx);
-            // Fall through: re-read the (now non-null) parent below.
-            return self.insert_into_parent(ctx, child, sep, right);
-        }
-
-        // Lock the parent, revalidating the link (the parent itself may
-        // split concurrently and move `child` to a new node).
-        let parent: &MtInternal = loop {
-            let p = MtRef::from_word(unsafe { child.parent_cell() }.load_direct(ctx));
-            let int = unsafe { p.internal() };
-            int.version.lock(ctx);
-            if unsafe { child.parent_cell() }.load_direct(ctx) == p.to_word() {
-                break int;
-            }
-            int.version.unlock(ctx, false, false);
-        };
-
-        let cnt = parent.count.load_direct(ctx) as usize;
-        if cnt < F {
-            self.internal_insert(ctx, parent, cnt, sep, right);
-            unsafe { right.parent_cell() }.store_direct(ctx, MtRef::of_internal(parent).to_word());
-            parent.version.unlock(ctx, true, false);
-            return;
-        }
-
-        // Split the parent, then recurse upward while still holding it.
-        let new_int: &MtInternal = self.internals.alloc(MtInternal::empty());
-        self.rt
-            .register_value(new_int, euno_htm::LineClass::Structure);
-        new_int.version.lock(ctx);
-        let new_ref = MtRef::of_internal(new_int);
-        let mid = F / 2;
-        let promoted = parent.keys[mid].load_direct(ctx);
-        let mid_child = MtRef::from_word(parent.children[mid].load_direct(ctx));
-        new_int.child0.store_direct(ctx, mid_child.to_word());
-        unsafe { mid_child.parent_cell() }.store_direct(ctx, new_ref.to_word());
-        for i in mid + 1..F {
-            let k = parent.keys[i].load_direct(ctx);
-            let c = MtRef::from_word(parent.children[i].load_direct(ctx));
-            new_int.keys[i - mid - 1].store_direct(ctx, k);
-            new_int.children[i - mid - 1].store_direct(ctx, c.to_word());
-            unsafe { c.parent_cell() }.store_direct(ctx, new_ref.to_word());
-        }
-        new_int.count.store_direct(ctx, (F - mid - 1) as u64);
-        parent.count.store_direct(ctx, mid as u64);
-        let grandparent_bits = parent.parent.load_direct(ctx);
-        new_int.parent.store_direct(ctx, grandparent_bits);
-
-        let (target, target_ref) = if sep < promoted {
-            (parent, MtRef::of_internal(parent))
-        } else {
-            (new_int, new_ref)
-        };
-        let tcnt = target.count.load_direct(ctx) as usize;
-        self.internal_insert(ctx, target, tcnt, sep, right);
-        unsafe { right.parent_cell() }.store_direct(ctx, target_ref.to_word());
-
-        // Recurse upward before unlocking (lock order is strictly upward,
-        // so holding these locks cannot deadlock).
-        self.insert_into_parent(ctx, MtRef::of_internal(parent), promoted, new_ref);
-        new_int.version.unlock(ctx, true, false);
-        parent.version.unlock(ctx, true, true);
-    }
-
-    fn internal_insert(
-        &self,
-        ctx: &mut ThreadCtx,
-        node: &MtInternal,
-        cnt: usize,
-        sep: u64,
-        right: MtRef,
-    ) {
-        debug_assert!(cnt < F);
-        let (mut lo, mut hi) = (0usize, cnt);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if node.keys[mid].load_direct(ctx) < sep {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        let mut i = cnt;
-        while i > lo {
-            let k = node.keys[i - 1].load_direct(ctx);
-            let c = node.children[i - 1].load_direct(ctx);
-            node.keys[i].store_direct(ctx, k);
-            node.children[i].store_direct(ctx, c);
-            i -= 1;
-        }
-        node.keys[lo].store_direct(ctx, sep);
-        node.children[lo].store_direct(ctx, right.to_word());
-        node.count.store_direct(ctx, (cnt + 1) as u64);
     }
 }
 
@@ -658,7 +475,7 @@ impl ConcurrentMap for Masstree {
             } else {
                 (leaf, false)
             };
-            self.leaf_insert(ctx, target, key, value);
+            let Ok(()) = target.insert(ctx, key, value);
             ctx.episode_end_locked_write();
             target.version.unlock(ctx, true, old_leaf_needs_split_bump);
             return None;
@@ -696,7 +513,7 @@ impl ConcurrentMap for Masstree {
         // Walk the leaf chain directly (a `hint`); re-descend only after a
         // validation failure. Descending per leaf would loop forever on a
         // leaf that yields no records ≥ cursor (e.g. all tombstoned).
-        let mut hint: Option<MtRef> = None;
+        let mut hint: Option<NodeRef> = None;
         loop {
             // Optimistically read one leaf's run. `hint.take()` implements
             // the hint-reset on failure: a retry attempt (the hint was
@@ -704,7 +521,7 @@ impl ConcurrentMap for Masstree {
             let (part, next) = ctx.optimistic_execute(Some(cursor), version_visible, |ctx| {
                 let (leaf, v) = match hint.take() {
                     Some(r) => {
-                        let l = unsafe { r.leaf() };
+                        let l: &MtLeaf = unsafe { r.as_leaf() };
                         let v = l.version.stable(ctx);
                         (l, v)
                     }
@@ -720,7 +537,7 @@ impl ConcurrentMap for Masstree {
                     }
                 }
                 part.sort_unstable_by_key(|&(k, _)| k);
-                let next = MtRef::from_word(leaf.next.load_direct(ctx));
+                let next = NodeRef(leaf.next.load_direct(ctx));
                 if leaf.version.read(ctx) != v {
                     return None;
                 }
@@ -747,7 +564,7 @@ impl ConcurrentMap for Masstree {
 
     fn memory(&self) -> MemoryReport {
         MemoryReport {
-            structural_bytes: self.leaves.live_bytes() + self.internals.live_bytes(),
+            structural_bytes: self.arenas.live_bytes(),
             ..MemoryReport::default()
         }
     }
@@ -879,13 +696,13 @@ mod tests {
 
     #[test]
     fn version_word_arithmetic() {
-        assert_eq!(Version::vsplit_of(0), 0);
+        assert_eq!(vsplit_of(0), 0);
         let v = VSPLIT_UNIT * 3 + VINSERT_UNIT * 5;
-        assert_eq!(Version::vsplit_of(v), VSPLIT_UNIT * 3);
-        assert_eq!(Version::vsplit_of(v | LOCK_BIT), VSPLIT_UNIT * 3);
+        assert_eq!(vsplit_of(v), VSPLIT_UNIT * 3);
+        assert_eq!(vsplit_of(v | LOCK_BIT), VSPLIT_UNIT * 3);
         // Insert bumps never leak into the split counter.
         let w = VINSERT_UNIT * ((1 << 32) - 1);
-        assert_eq!(Version::vsplit_of(w), 0);
+        assert_eq!(vsplit_of(w), 0);
     }
 
     #[test]

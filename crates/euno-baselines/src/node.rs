@@ -1,5 +1,7 @@
-//! Conventional sorted B+Tree nodes — the layout the paper's §2.3 analysis
-//! blames for false conflicts.
+//! The conventional sorted B+Tree leaf — the layout the paper's §2.3
+//! analysis blames for false conflicts — shared by the three baselines.
+//! (The index node above it, the tagged pointer and the sequential phases
+//! are `euno_htm::bptree`'s, shared with Euno-B+Tree as well.)
 //!
 //! Keys in a node are stored **sorted and consecutive**: an insertion
 //! shifts every slot after the insertion point one position right, writing
@@ -13,36 +15,38 @@
 //! line, so header metadata and record storage fault on *different* lines
 //! and the abort classifier can attribute conflicts precisely.
 
-use euno_htm::{LineClass, Runtime, TxCell, TxWord, KEY_SENTINEL};
+use euno_htm::bptree::{lower_bound, sorted_insert, Access};
+use euno_htm::{ControlBlock, LineClass, NodeArenas, NodeRef, ParentLinked, Runtime};
+use euno_htm::{Tx, TxCell, TxResult};
+use euno_htm::{KEY_SENTINEL, TOMBSTONE};
 
 /// Default node fanout; §5.7 sets the paper's fanout to 16.
 pub const DEFAULT_FANOUT: usize = 16;
 
 /// A leaf node: sorted keys with co-located values, chained for scans.
+/// `parent`, `version` and `highkey` are the two Masstrees'; HTM-B+Tree
+/// never touches them.
 #[repr(C, align(64))]
 pub struct Leaf<const F: usize> {
     /// Number of occupied slots (including tombstoned records).
     pub count: TxCell<u64>,
     /// Next-leaf link (NodeRef bits; 0 = end).
     pub next: TxCell<u64>,
-    _pad: [u64; 6],
+    /// Parent index node (NodeRef bits; 0 at the root).
+    pub parent: TxCell<u64>,
+    /// Masstree's version word.
+    pub version: TxCell<u64>,
+    /// B-link fence: exclusive upper bound of this leaf's key range
+    /// (`KEY_SENTINEL` = +∞). A traversal that lands here *after* a
+    /// concurrent split detects the shrunken range by `key ≥ highkey`
+    /// and retries — closing the stale-child-pointer race that version
+    /// validation alone cannot see once the split has completed.
+    pub highkey: TxCell<u64>,
+    _pad: [u64; 3],
     /// Sorted keys; unoccupied slots hold `KEY_SENTINEL`.
     pub keys: [TxCell<u64>; F],
     /// Values parallel to `keys`; `TOMBSTONE` marks a deleted record.
     pub vals: [TxCell<u64>; F],
-}
-
-/// An internal node: sorted separator keys and child pointers.
-/// `child0` is left of `keys[0]`; `children[i]` is right of `keys[i]`.
-#[repr(C, align(64))]
-pub struct Internal<const F: usize> {
-    /// Number of separator keys.
-    pub count: TxCell<u64>,
-    /// Leftmost child.
-    pub child0: TxCell<u64>,
-    _pad: [u64; 6],
-    pub keys: [TxCell<u64>; F],
-    pub children: [TxCell<u64>; F],
 }
 
 impl<const F: usize> Leaf<F> {
@@ -50,7 +54,10 @@ impl<const F: usize> Leaf<F> {
         Leaf {
             count: TxCell::new(0),
             next: TxCell::new(0),
-            _pad: [0; 6],
+            parent: TxCell::new(0),
+            version: TxCell::new(0),
+            highkey: TxCell::new(KEY_SENTINEL),
+            _pad: [0; 3],
             keys: std::array::from_fn(|_| TxCell::new(KEY_SENTINEL)),
             vals: std::array::from_fn(|_| TxCell::new(0)),
         }
@@ -66,83 +73,113 @@ impl<const F: usize> Leaf<F> {
         let base = self as *const Self as usize;
         rt.register_node(base, std::mem::size_of::<Self>(), &parts, false);
     }
-}
 
-impl<const F: usize> Internal<F> {
-    pub fn empty() -> Self {
-        Internal {
-            count: TxCell::new(0),
-            child0: TxCell::new(0),
-            _pad: [0; 6],
-            keys: std::array::from_fn(|_| TxCell::new(KEY_SENTINEL)),
-            children: std::array::from_fn(|_| TxCell::new(0)),
+    /// Binary search for `key` among the occupied slots; `probe` runs
+    /// before each of the search's key loads (Masstree's permutation
+    /// decode). The count is clamped to `F`: an unvalidated loader may
+    /// observe a torn one, and its caller validates afterwards.
+    pub fn find<A: Access>(
+        &self,
+        a: &mut A,
+        key: u64,
+        mut probe: impl FnMut(&mut A),
+    ) -> Result<Option<usize>, A::Error> {
+        let cnt = (a.load(&self.count)? as usize).min(F);
+        let lo = lower_bound(cnt, key, |i| {
+            probe(a);
+            a.load(&self.keys[i])
+        })?;
+        Ok((lo < cnt && a.load(&self.keys[lo])? == key).then_some(lo))
+    }
+
+    /// Insert `key→val` into a non-full leaf that does not hold `key`,
+    /// shifting the tail right.
+    pub fn insert<A: Access>(&self, a: &mut A, key: u64, val: u64) -> Result<(), A::Error> {
+        let cnt = a.load(&self.count)? as usize;
+        debug_assert!(cnt < F);
+        sorted_insert(a, &self.count, &self.keys, &self.vals, cnt, key, val)
+    }
+
+    /// Split this full leaf: the upper half of its records moves to the
+    /// fresh `right`, which takes its place in the leaf chain after it.
+    /// Returns the separator — `right`'s first key.
+    pub fn split_into<A: Access>(&self, a: &mut A, right: &Self) -> Result<u64, A::Error> {
+        let mid = F / 2;
+        for i in mid..F {
+            let k = a.load(&self.keys[i])?;
+            let v = a.load(&self.vals[i])?;
+            a.store(&right.keys[i - mid], k)?;
+            a.store(&right.vals[i - mid], v)?;
+        }
+        let sep = a.load(&self.keys[mid])?;
+        a.store(&right.count, (F - mid) as u64)?;
+        a.store(&self.count, mid as u64)?;
+        let old_next = a.load(&self.next)?;
+        a.store(&right.next, old_next)?;
+        a.store(&self.next, NodeRef::of_leaf(right).0)?;
+        Ok(sep)
+    }
+
+    /// The body of a whole-scan HTM region: walk the leaf chain from this
+    /// leaf, appending live records with key `≥ from` to `out` until it
+    /// holds `upto` or the chain ends.
+    pub fn collect(
+        &self,
+        tx: &mut Tx<'_>,
+        from: u64,
+        upto: usize,
+        out: &mut Vec<(u64, u64)>,
+    ) -> TxResult<()> {
+        let mut leaf = self;
+        loop {
+            let cnt = tx.read(&leaf.count)? as usize;
+            for i in 0..cnt {
+                let k = tx.read(&leaf.keys[i])?;
+                if k < from {
+                    continue;
+                }
+                let v = tx.read(&leaf.vals[i])?;
+                if v == TOMBSTONE {
+                    continue;
+                }
+                out.push((k, v));
+                if out.len() == upto {
+                    return Ok(());
+                }
+            }
+            let next = NodeRef(tx.read(&leaf.next)?);
+            if next.is_null() {
+                return Ok(());
+            }
+            // Safety: nodes live as long as the tree (deferred reclamation).
+            leaf = unsafe { next.as_leaf::<Self>() };
         }
     }
-
-    /// Interior structure: every line is `Structure` class (conflicts here
-    /// are the rare non-leaf-level kind of §2.3).
-    pub fn register(&self, rt: &Runtime) {
-        rt.register_value(self, LineClass::Structure);
-    }
 }
 
-/// A tagged node pointer stored in cells: bit 0 set ⇒ leaf.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct NodeRef(pub u64);
-
-impl NodeRef {
-    pub const NULL: NodeRef = NodeRef(0);
-
-    pub fn of_leaf<const F: usize>(l: &Leaf<F>) -> Self {
-        NodeRef(l as *const Leaf<F> as u64 | 1)
-    }
-
-    pub fn of_internal<const F: usize>(i: &Internal<F>) -> Self {
-        NodeRef(i as *const Internal<F> as u64)
-    }
-
-    #[inline]
-    pub fn is_null(self) -> bool {
-        self.0 == 0
-    }
-
-    #[inline]
-    pub fn is_leaf(self) -> bool {
-        self.0 & 1 == 1
-    }
-
-    /// # Safety
-    /// `self` must have been created by [`NodeRef::of_leaf`] on a node from
-    /// an arena that outlives `'a` (the trees guarantee this: nodes are
-    /// only reclaimed when the tree drops).
-    #[inline]
-    pub unsafe fn as_leaf<'a, const F: usize>(self) -> &'a Leaf<F> {
-        debug_assert!(self.is_leaf() && !self.is_null());
-        &*((self.0 & !1) as *const Leaf<F>)
-    }
-
-    /// # Safety
-    /// As [`NodeRef::as_leaf`], for internal nodes.
-    #[inline]
-    pub unsafe fn as_internal<'a, const F: usize>(self) -> &'a Internal<F> {
-        debug_assert!(!self.is_leaf() && !self.is_null());
-        &*(self.0 as *const Internal<F>)
-    }
+/// What an empty baseline tree is made of: one registered leaf, and the
+/// registered control block whose root word points at it.
+pub(crate) fn empty_tree<const F: usize>(
+    rt: &Runtime,
+) -> (Box<ControlBlock>, NodeArenas<Leaf<F>, F>) {
+    let arenas = NodeArenas::default();
+    let first: &Leaf<F> = arenas.leaves.alloc(Leaf::empty());
+    first.register(rt);
+    let ctrl = ControlBlock::new(NodeRef::of_leaf(first).0);
+    rt.register_value(&*ctrl, LineClass::Structure);
+    (ctrl, arenas)
 }
 
-impl TxWord for NodeRef {
-    fn to_word(self) -> u64 {
-        self.0
-    }
-    fn from_word(w: u64) -> Self {
-        NodeRef(w)
+impl<const F: usize> ParentLinked for Leaf<F> {
+    fn parent(&self) -> &TxCell<u64> {
+        &self.parent
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use euno_htm::LineId;
+    use euno_htm::{IndexNode, LineId, TxWord};
 
     #[test]
     fn leaf_layout_separates_header_from_records() {
@@ -161,23 +198,23 @@ mod tests {
     #[test]
     fn node_sizes_are_line_multiples() {
         assert_eq!(std::mem::size_of::<Leaf<16>>() % 64, 0);
-        assert_eq!(std::mem::size_of::<Internal<16>>() % 64, 0);
+        assert_eq!(std::mem::size_of::<IndexNode<16>>() % 64, 0);
         assert_eq!(std::mem::align_of::<Leaf<16>>(), 64);
     }
 
     #[test]
     fn noderef_tagging_roundtrip() {
         let l: Leaf<16> = Leaf::empty();
-        let i: Internal<16> = Internal::empty();
+        let i: IndexNode<16> = IndexNode::empty();
         let lr = NodeRef::of_leaf(&l);
-        let ir = NodeRef::of_internal(&i);
+        let ir = NodeRef::of_index(&i);
         assert!(lr.is_leaf());
         assert!(!ir.is_leaf());
         assert!(!lr.is_null());
         assert!(NodeRef::NULL.is_null());
-        let l2 = unsafe { lr.as_leaf::<16>() };
+        let l2 = unsafe { lr.as_leaf::<Leaf<16>>() };
         assert!(std::ptr::eq(l2, &l));
-        let i2 = unsafe { ir.as_internal::<16>() };
+        let i2 = unsafe { ir.as_index::<16>() };
         assert!(std::ptr::eq(i2, &i));
         // TxWord roundtrip preserves the tag.
         let w = lr.to_word();
@@ -194,7 +231,7 @@ mod tests {
             rt.class_of(LineId::of_ptr(&l.count as *const _)),
             LineClass::Metadata
         );
-        let i: Box<Internal<16>> = Box::new(Internal::empty());
+        let i: Box<IndexNode<16>> = Box::new(IndexNode::empty());
         i.register(&rt);
         assert_eq!(rt.class_of(i.keys[0].line()), LineClass::Structure);
     }

@@ -58,8 +58,15 @@ use euno_workloads::WorkloadSpec;
 /// segment (the leaf search reads one segment, the write scheduler draws
 /// nothing from the thread RNG) for `paper()` and `default()` alike: of
 /// the four entries only `Euno-B+Tree` moved (13.09 → 13.75 Mops/s), the
-/// three baselines' are byte for byte what they were.
-const GOLDEN_DIGEST: &str = "3a535ea063280e42";
+/// three baselines' are byte for byte what they were. `4628b39987e061b5`
+/// since PR 23, for attribution only: `HtmMasstree` registers its leaf's
+/// header line `Metadata` as `Masstree` always did, and `GOLDEN_DUMP`
+/// against the parent differs in two lines of the `HTM-Masstree` entry —
+/// `false_different_record` 5990 → 5968, `false_metadata` 0 → 22. The
+/// same PR's refactor (one B+tree under the four trees, and the baselines
+/// handing back an aborted split's nodes) left `3a535ea063280e42`
+/// standing, checked before the registration change went in.
+const GOLDEN_DIGEST: &str = "4628b39987e061b5";
 
 fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;

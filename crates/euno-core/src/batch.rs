@@ -262,7 +262,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                     g = h;
                     continue;
                 }
-                let leaf = unsafe { NodeRef::from_word(bits).as_leaf::<SEGS, K>() };
+                let leaf = unsafe { NodeRef::from_word(bits).as_leaf::<EunoLeaf<SEGS, K>>() };
                 self.exec_group(
                     ctx,
                     &chunk[g..h],
@@ -395,7 +395,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         if pending > 0 {
             let mut region = LowerRegion::new(false);
             let res = ctx.htm_execute(&self.ctrl.fallback, &RetryPolicy::DBX, |tx| {
-                self.hand_back(&mut region);
+                self.arenas.hand_back(&self.rt, &mut region.unpublished);
                 tx.set_op_key(ops[0].key());
                 if stage.locked() {
                     // Same-record contenders queue on the CCM lock bits

@@ -52,7 +52,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             s.depth += 1;
             let mut next = Vec::with_capacity(frontier.len() * 8);
             for nref in frontier {
-                let node = unsafe { nref.as_internal() };
+                let node = unsafe { nref.as_index::<INTERNAL_FANOUT>() };
                 s.internals += 1;
                 let cnt = node.count.load_plain() as usize;
                 next.push(NodeRef::from_word(node.child0.load_plain()));
@@ -66,13 +66,17 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         // Leaf layer via the chain.
         let mut cur = root;
         while !cur.is_leaf() {
-            cur = NodeRef::from_word(unsafe { cur.as_internal() }.child0.load_plain());
+            cur = NodeRef::from_word(
+                unsafe { cur.as_index::<INTERNAL_FANOUT>() }
+                    .child0
+                    .load_plain(),
+            );
         }
         let capacity = EunoLeaf::<SEGS, K>::capacity();
         let mut occupied_total = 0usize;
         let mut bypassed = 0usize;
         while !cur.is_null() {
-            let leaf = unsafe { cur.as_leaf::<SEGS, K>() };
+            let leaf = unsafe { cur.as_leaf::<EunoLeaf<SEGS, K>>() };
             s.leaves += 1;
             if leaf.ccm.bypass_plain() {
                 bypassed += 1;
@@ -114,10 +118,14 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         let mut out = Vec::new();
         let mut cur = NodeRef::from_word(self.root_bits());
         while !cur.is_leaf() {
-            cur = NodeRef::from_word(unsafe { cur.as_internal() }.child0.load_plain());
+            cur = NodeRef::from_word(
+                unsafe { cur.as_index::<INTERNAL_FANOUT>() }
+                    .child0
+                    .load_plain(),
+            );
         }
         while !cur.is_null() {
-            let leaf = unsafe { cur.as_leaf::<SEGS, K>() };
+            let leaf = unsafe { cur.as_leaf::<EunoLeaf<SEGS, K>>() };
             out.push((leaf as *const _ as usize, leaf.seqno.load_plain()));
             cur = NodeRef::from_word(leaf.next.load_plain());
         }
@@ -138,7 +146,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             if nref.is_leaf() || nref.is_null() {
                 continue;
             }
-            let node = unsafe { nref.as_internal() };
+            let node = unsafe { nref.as_index::<INTERNAL_FANOUT>() };
             out.push((node as *const _ as usize, low));
             stack.push((NodeRef::from_word(node.child0.load_plain()), low));
             let cnt = (node.count.load_plain() as usize).min(INTERNAL_FANOUT);
@@ -214,7 +222,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         if self.ctrl.root_lock.is_locked_plain() {
             report!("root lock held at quiescence");
         }
-        if unsafe { root.parent_cell::<SEGS, K>() }.load_plain() != 0 {
+        if unsafe { root.parent_cell::<EunoLeaf<SEGS, K>, INTERNAL_FANOUT>() }.load_plain() != 0 {
             report!("root has a non-null parent pointer");
         }
 
@@ -230,7 +238,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                 index_leaves.push(nref);
                 continue;
             }
-            let node = unsafe { nref.as_internal() };
+            let node = unsafe { nref.as_index::<INTERNAL_FANOUT>() };
             let cnt = node.count.load_plain() as usize;
             if cnt > INTERNAL_FANOUT {
                 report!("internal {:#x} count {cnt} exceeds fanout", nref.to_word());
@@ -245,7 +253,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                     );
                 }
             }
-            let me = NodeRef::of_internal(node).to_word();
+            let me = NodeRef::of_index(node).to_word();
             let mut kids = vec![NodeRef::from_word(node.child0.load_plain())];
             for j in 0..cnt {
                 kids.push(NodeRef::from_word(node.children[j].load_plain()));
@@ -255,7 +263,8 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                     report!("internal {:#x} has a null child", me);
                     continue;
                 }
-                let back = unsafe { kid.parent_cell::<SEGS, K>() }.load_plain();
+                let back =
+                    unsafe { kid.parent_cell::<EunoLeaf<SEGS, K>, INTERNAL_FANOUT>() }.load_plain();
                 if back != me {
                     report!(
                         "child {:#x} of internal {:#x} has parent {:#x}",
@@ -276,7 +285,11 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         let mut chain_leaves: Vec<NodeRef> = Vec::new();
         let mut cur = root;
         while !cur.is_leaf() {
-            cur = NodeRef::from_word(unsafe { cur.as_internal() }.child0.load_plain());
+            cur = NodeRef::from_word(
+                unsafe { cur.as_index::<INTERNAL_FANOUT>() }
+                    .child0
+                    .load_plain(),
+            );
         }
         while !cur.is_null() {
             if chain_leaves.len() > index_leaves.len() {
@@ -284,7 +297,11 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                 break;
             }
             chain_leaves.push(cur);
-            cur = NodeRef::from_word(unsafe { cur.as_leaf::<SEGS, K>() }.next.load_plain());
+            cur = NodeRef::from_word(
+                unsafe { cur.as_leaf::<EunoLeaf<SEGS, K>>() }
+                    .next
+                    .load_plain(),
+            );
         }
         if chain_leaves != index_leaves {
             report!(
@@ -297,7 +314,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         // Per-leaf content invariants along the chain.
         let mut prev_key: Option<u64> = None;
         for &lref in &chain_leaves {
-            let leaf = unsafe { lref.as_leaf::<SEGS, K>() };
+            let leaf = unsafe { lref.as_leaf::<EunoLeaf<SEGS, K>>() };
             let addr = lref.to_word();
             if leaf.ccm.split_lock.is_locked_plain() {
                 report!("leaf {addr:#x} split lock held at quiescence");
@@ -455,7 +472,7 @@ mod tests {
 
     #[test]
     fn audit_flags_forged_violations() {
-        use crate::node::NodeRef;
+        use crate::node::{EunoLeaf, NodeRef, INTERNAL_FANOUT};
         use euno_htm::TxWord;
         let rt = Runtime::new_virtual();
         let t = EunoBTreeDefault::new(Arc::clone(&rt));
@@ -468,9 +485,13 @@ mod tests {
         // A leaked split lock is reported.
         let mut cur = NodeRef::from_word(t.root_bits());
         while !cur.is_leaf() {
-            cur = NodeRef::from_word(unsafe { cur.as_internal() }.child0.load_plain());
+            cur = NodeRef::from_word(
+                unsafe { cur.as_index::<INTERNAL_FANOUT>() }
+                    .child0
+                    .load_plain(),
+            );
         }
-        let leaf = unsafe { cur.as_leaf::<4, 4>() };
+        let leaf = unsafe { cur.as_leaf::<EunoLeaf<4, 4>>() };
         leaf.ccm.split_lock.acquire(&mut ctx);
         let viol = t.audit_quiescent();
         assert!(
@@ -491,7 +512,7 @@ mod tests {
 
         // Unlinking a leaf from the chain desynchronizes it from the index.
         let saved_next = leaf.next.load_plain();
-        let skip = unsafe { NodeRef::from_word(saved_next).as_leaf::<4, 4>() };
+        let skip = unsafe { NodeRef::from_word(saved_next).as_leaf::<EunoLeaf<4, 4>>() };
         leaf.next.store_plain(skip.next.load_plain());
         let viol = t.audit_quiescent();
         assert!(

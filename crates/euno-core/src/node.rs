@@ -1,5 +1,6 @@
-//! Euno-B+Tree node types: partitioned leaves (Figure 4) and internal
-//! index nodes with parent links.
+//! Euno-B+Tree's own node type: the partitioned leaf (Figure 4). The index
+//! nodes above it (with parent links) and the tagged pointer are the
+//! shared B+tree's, `euno_htm::bptree`.
 //!
 //! Layout is cache-line-deliberate:
 //!
@@ -22,7 +23,9 @@
 //! buffer of §4.1 is transient scratch, tracked for the §5.7 memory
 //! analysis but never the steady-state home of records).
 
-use euno_htm::{Arena, LineClass, Runtime, TxCell, TxWord, KEY_SENTINEL};
+use euno_htm::{LineClass, ParentLinked, Runtime, TxCell};
+
+pub use euno_htm::{IndexNode, NodeRef};
 
 use crate::ccm::Ccm;
 use crate::segment::Segment;
@@ -109,118 +112,15 @@ impl<const SEGS: usize, const K: usize> EunoLeaf<SEGS, K> {
     }
 }
 
-/// Internal index node with parent link.
-#[repr(C, align(64))]
-pub struct EunoInternal {
-    pub count: TxCell<u64>,
-    pub child0: TxCell<u64>,
-    pub parent: TxCell<u64>,
-    _pad: [u64; 5],
-    pub keys: [TxCell<u64>; INTERNAL_FANOUT],
-    pub children: [TxCell<u64>; INTERNAL_FANOUT],
-}
-
-impl EunoInternal {
-    pub fn empty() -> Self {
-        EunoInternal {
-            count: TxCell::new(0),
-            child0: TxCell::new(0),
-            parent: TxCell::new(0),
-            _pad: [0; 5],
-            keys: std::array::from_fn(|_| TxCell::new(KEY_SENTINEL)),
-            children: std::array::from_fn(|_| TxCell::new(0)),
-        }
-    }
-
-    pub fn register(&self, rt: &Runtime) {
-        rt.register_value(self, LineClass::Structure);
-    }
-}
-
-/// Tagged node pointer: bit 0 set ⇒ leaf.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct NodeRef(pub u64);
-
-impl NodeRef {
-    pub const NULL: NodeRef = NodeRef(0);
-
-    pub fn of_leaf<const S: usize, const K: usize>(l: &EunoLeaf<S, K>) -> Self {
-        NodeRef(l as *const EunoLeaf<S, K> as u64 | 1)
-    }
-
-    pub fn of_internal(i: &EunoInternal) -> Self {
-        NodeRef(i as *const EunoInternal as u64)
-    }
-
-    #[inline]
-    pub fn is_null(self) -> bool {
-        self.0 == 0
-    }
-
-    #[inline]
-    pub fn is_leaf(self) -> bool {
-        self.0 & 1 == 1
-    }
-
-    /// # Safety
-    /// Must originate from [`NodeRef::of_leaf`] on an arena node that
-    /// outlives `'a` (trees reclaim nodes only at drop).
-    #[inline]
-    pub unsafe fn as_leaf<'a, const S: usize, const K: usize>(self) -> &'a EunoLeaf<S, K> {
-        debug_assert!(self.is_leaf() && !self.is_null());
-        &*((self.0 & !1) as *const EunoLeaf<S, K>)
-    }
-
-    /// # Safety
-    /// As [`NodeRef::as_leaf`], for internal nodes.
-    #[inline]
-    pub unsafe fn as_internal<'a>(self) -> &'a EunoInternal {
-        debug_assert!(!self.is_leaf() && !self.is_null());
-        &*(self.0 as *const EunoInternal)
-    }
-
-    /// The node's parent-pointer cell, whatever its kind.
-    ///
-    /// # Safety
-    /// As [`NodeRef::as_leaf`].
-    pub unsafe fn parent_cell<'a, const S: usize, const K: usize>(self) -> &'a TxCell<u64> {
-        if self.is_leaf() {
-            &self.as_leaf::<S, K>().parent
-        } else {
-            &self.as_internal().parent
-        }
-    }
-}
-
-impl TxWord for NodeRef {
-    fn to_word(self) -> u64 {
-        self.0
-    }
-    fn from_word(w: u64) -> Self {
-        NodeRef(w)
+impl<const SEGS: usize, const K: usize> ParentLinked for EunoLeaf<SEGS, K> {
+    fn parent(&self) -> &TxCell<u64> {
+        &self.parent
     }
 }
 
 /// Arenas owning all of a tree's allocations.
-pub struct NodeArenas<const S: usize, const K: usize> {
-    pub leaves: Arena<EunoLeaf<S, K>>,
-    pub internals: Arena<EunoInternal>,
-}
-
-impl<const S: usize, const K: usize> NodeArenas<S, K> {
-    pub fn new() -> Self {
-        NodeArenas {
-            leaves: Arena::new(),
-            internals: Arena::new(),
-        }
-    }
-}
-
-impl<const S: usize, const K: usize> Default for NodeArenas<S, K> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+pub type NodeArenas<const S: usize, const K: usize> =
+    euno_htm::NodeArenas<EunoLeaf<S, K>, INTERNAL_FANOUT>;
 
 #[cfg(test)]
 mod tests {
@@ -263,15 +163,18 @@ mod tests {
     #[test]
     fn noderef_round_trips() {
         let l: Box<Leaf44> = Box::new(EunoLeaf::empty());
-        let i: Box<EunoInternal> = Box::new(EunoInternal::empty());
+        let i: Box<IndexNode<INTERNAL_FANOUT>> = Box::new(IndexNode::empty());
         let lr = NodeRef::of_leaf(&*l);
-        let ir = NodeRef::of_internal(&i);
+        let ir = NodeRef::of_index(&i);
         assert!(lr.is_leaf() && !ir.is_leaf());
-        assert!(std::ptr::eq(unsafe { lr.as_leaf::<4, 4>() }, &*l));
-        assert!(std::ptr::eq(unsafe { ir.as_internal() }, &*i));
-        let pl = unsafe { lr.parent_cell::<4, 4>() };
+        assert!(std::ptr::eq(unsafe { lr.as_leaf::<EunoLeaf<4, 4>>() }, &*l));
+        assert!(std::ptr::eq(
+            unsafe { ir.as_index::<INTERNAL_FANOUT>() },
+            &*i
+        ));
+        let pl = unsafe { lr.parent_cell::<EunoLeaf<4, 4>, INTERNAL_FANOUT>() };
         assert!(std::ptr::eq(pl, &l.parent));
-        let pi = unsafe { ir.parent_cell::<4, 4>() };
+        let pi = unsafe { ir.parent_cell::<EunoLeaf<4, 4>, INTERNAL_FANOUT>() };
         assert!(std::ptr::eq(pi, &i.parent));
     }
 

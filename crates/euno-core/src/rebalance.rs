@@ -63,7 +63,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use euno_htm::euno_metrics::Counter;
 use euno_htm::{AdvisoryLock, EventKind, RetryPolicy, ThreadCtx, TxWord, KEY_SENTINEL, TOMBSTONE};
 
-use crate::node::{EunoLeaf, NodeRef};
+use crate::node::{EunoLeaf, NodeRef, INTERNAL_FANOUT};
 use crate::probe;
 use crate::tree::EunoBTree;
 
@@ -230,7 +230,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                 }
             }
             pairs += 1;
-            let right = unsafe { view.next.as_leaf::<SEGS, K>() };
+            let right = unsafe { view.next.as_leaf::<EunoLeaf<SEGS, K>>() };
             let right_view = self.view_leaf(ctx, right, &mut scratch);
             if view.live + right_view.live <= Self::merge_bound()
                 && self.try_merge(ctx, left, right)
@@ -348,7 +348,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             if parent_bits == 0 || parent_bits != tx.read(&right.parent)? {
                 return Ok(false);
             }
-            let parent = unsafe { NodeRef::from_word(parent_bits).as_internal() };
+            let parent = unsafe { NodeRef::from_word(parent_bits).as_index::<INTERNAL_FANOUT>() };
             let pcnt = tx.read(&parent.count)? as usize;
             let mut slot = None;
             let mut left_linked =
@@ -439,16 +439,20 @@ mod tests {
 
     use super::{SLICE_PAIRS, SWEEP_IDLE};
     use crate::config::EunoConfig;
-    use crate::node::{EunoLeaf, NodeRef};
+    use crate::node::{EunoLeaf, NodeRef, INTERNAL_FANOUT};
     use crate::tree::EunoBTreeDefault;
 
     /// Head of the leaf chain (quiesced tree).
     fn first_leaf(t: &EunoBTreeDefault) -> &EunoLeaf<4, 4> {
         let mut cur = NodeRef::from_word(t.root_bits());
         while !cur.is_leaf() {
-            cur = NodeRef::from_word(unsafe { cur.as_internal() }.child0.load_plain());
+            cur = NodeRef::from_word(
+                unsafe { cur.as_index::<INTERNAL_FANOUT>() }
+                    .child0
+                    .load_plain(),
+            );
         }
-        unsafe { cur.as_leaf::<4, 4>() }
+        unsafe { cur.as_leaf::<EunoLeaf<4, 4>>() }
     }
 
     #[test]
@@ -630,8 +634,8 @@ mod tests {
         assert_eq!(expected.len(), 10);
         // Three adjacent leaves under the (single) internal root.
         let a = first_leaf(&t);
-        let b = unsafe { NodeRef::from_word(a.next.load_plain()).as_leaf::<4, 4>() };
-        let c = unsafe { NodeRef::from_word(b.next.load_plain()).as_leaf::<4, 4>() };
+        let b = unsafe { NodeRef::from_word(a.next.load_plain()).as_leaf::<EunoLeaf<4, 4>>() };
+        let c = unsafe { NodeRef::from_word(b.next.load_plain()).as_leaf::<EunoLeaf<4, 4>>() };
         assert_eq!(a.parent.load_plain(), b.parent.load_plain());
         assert_eq!(b.parent.load_plain(), c.parent.load_plain());
 
@@ -812,13 +816,14 @@ mod tests {
         // the pair can never merge; N follows E.
         let mut p = first_leaf(&t);
         let e = loop {
-            let next = unsafe { NodeRef::from_word(p.next.load_plain()).as_leaf::<4, 4>() };
+            let next =
+                unsafe { NodeRef::from_word(p.next.load_plain()).as_leaf::<EunoLeaf<4, 4>>() };
             if next.parent.load_plain() != p.parent.load_plain() {
                 break next;
             }
             p = next;
         };
-        let n = unsafe { NodeRef::from_word(e.next.load_plain()).as_leaf::<4, 4>() };
+        let n = unsafe { NodeRef::from_word(e.next.load_plain()).as_leaf::<EunoLeaf<4, 4>>() };
         let min_key = |leaf: &EunoLeaf<4, 4>| {
             let keys = leaf.segs.iter().filter(|s| s.count_plain() > 0);
             keys.map(|s| s.key_cell(0).load_plain()).min().unwrap()

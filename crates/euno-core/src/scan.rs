@@ -120,7 +120,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                     }
                     let n = NodeRef::from_word(leaf.next.load_direct(ctx));
                     next = (!n.is_null()).then(|| {
-                        let n = unsafe { n.as_leaf::<SEGS, K>() };
+                        let n = unsafe { n.as_leaf::<EunoLeaf<SEGS, K>>() };
                         (n, n.seqno.load_direct(ctx))
                     });
                     let stands = leaf.seqno.load_direct(ctx) == s1;
@@ -182,7 +182,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                 if next.is_null() {
                     return Ok(Some(None));
                 }
-                let n = unsafe { next.as_leaf::<SEGS, K>() };
+                let n = unsafe { next.as_leaf::<EunoLeaf<SEGS, K>>() };
                 Ok(Some(Some((n, tx.read(&n.seqno)?))))
             });
             leaf.ccm.split_lock.release(ctx);
@@ -216,7 +216,7 @@ mod tests {
     use euno_htm::{ConcurrentMap, RetryPolicy, Runtime, ThreadCtx, TxWord};
 
     use super::STEP_TRIES;
-    use crate::node::NodeRef;
+    use crate::node::{EunoLeaf, NodeRef};
     use crate::probe;
     use crate::tree::EunoBTreeDefault;
 
@@ -293,7 +293,7 @@ mod tests {
         let t = EunoBTreeDefault::new(Arc::clone(&rt));
         let mut ctx = rt.thread(1);
         t.put(&mut ctx, 10, 100);
-        let leaf = unsafe { NodeRef::from_word(t.root_bits()).as_leaf::<4, 4>() };
+        let leaf = unsafe { NodeRef::from_word(t.root_bits()).as_leaf::<EunoLeaf<4, 4>>() };
         // Forge a record at the top of the keyspace and a self-loop hop.
         ctx.htm_execute(t.fallback_cell(), &RetryPolicy::DBX, |tx| {
             leaf.segs[1].insert(tx, u64::MAX, 7)?;

@@ -15,6 +15,7 @@
 //! * which segment a key goes to is a function of the key
 //!   ([`home_segment`]), so a search reads one segment, not all of them.
 
+use euno_htm::bptree::{insert_at, lower_bound};
 use euno_htm::{ThreadCtx, Tx, TxCell, TxResult, KEY_SENTINEL};
 
 /// The segment a key is looked for first — and, while that one has room,
@@ -115,22 +116,15 @@ impl<const K: usize> Segment<K> {
         mut load: impl FnMut(&TxCell<u64>) -> Result<u64, E>,
     ) -> Result<Probe, E> {
         let count = (load(&self.k.count)? as usize).min(K);
-        let (mut lo, mut hi, mut hit) = (0usize, count, false);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            let at = load(&self.k.keys[mid])?;
-            if at < key {
-                lo = mid + 1;
-            } else {
-                hi = mid;
+        let mut hit = false;
+        let slot = lower_bound(count, key, |i| {
+            let at = load(&self.k.keys[i])?;
+            if at >= key {
                 hit = at == key;
             }
-        }
-        Ok(Probe {
-            slot: lo,
-            hit,
-            count,
-        })
+            Ok(at)
+        })?;
+        Ok(Probe { slot, hit, count })
     }
 
     /// Insert `key → val` at `at`, where a [search](Segment::search) of
@@ -139,18 +133,8 @@ impl<const K: usize> Segment<K> {
     /// lines, so the data movement never interferes with other segments.
     pub fn insert_at(&self, tx: &mut Tx<'_>, at: Probe, key: u64, val: u64) -> TxResult<()> {
         debug_assert!(!at.hit && at.count < K, "insert at {at:?}");
-        let mut i = at.count;
-        while i > at.slot {
-            let k = tx.read(&self.k.keys[i - 1])?;
-            let v = tx.read(&self.v.vals[i - 1])?;
-            tx.write(&self.k.keys[i], k)?;
-            tx.write(&self.v.vals[i], v)?;
-            i -= 1;
-        }
-        tx.write(&self.k.keys[at.slot], key)?;
-        tx.write(&self.v.vals[at.slot], val)?;
-        tx.write(&self.k.count, (at.count + 1) as u64)?;
-        Ok(())
+        let (keys, vals) = (&self.k.keys, &self.v.vals);
+        insert_at(tx, &self.k.count, keys, vals, at.count, at.slot, key, val)
     }
 
     /// Insert `key → val` keeping the segment sorted. Caller guarantees

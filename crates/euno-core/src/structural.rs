@@ -9,22 +9,20 @@
 //! inside the lower region so index edits stay atomic.
 
 use crate::ccm::Ccm;
-use crate::node::{EunoInternal, EunoLeaf, NodeRef, INTERNAL_FANOUT};
+use crate::node::{EunoLeaf, IndexNode, NodeRef, INTERNAL_FANOUT};
 use crate::probe;
 use crate::tree::EunoBTree;
+use euno_htm::bptree::{promote, Linked};
 use euno_htm::{EventKind, Tx, TxResult, TxWord};
 
 /// What a lower region carries from attempt to attempt: whether its
 /// caller holds the leaf's split lock, and the nodes the current attempt
-/// has allocated. An attempt that does not commit publishes nothing — its
-/// writes were buffered or are rolled back on every backend, and the
-/// fallback path, whose writes are direct, does not abort — so no other
-/// thread can have seen those nodes: the next attempt
-/// [hands them back](EunoBTree::hand_back) before it does anything else,
-/// and what is listed when the region returns is in the tree.
+/// has allocated, which the next attempt
+/// [hands back](euno_htm::NodeArenas::hand_back) before it does anything
+/// else — what is listed when the region returns is in the tree.
 pub(crate) struct LowerRegion {
     pub split_locked: bool,
-    unpublished: Vec<NodeRef>,
+    pub unpublished: Vec<NodeRef>,
 }
 
 impl LowerRegion {
@@ -37,24 +35,6 @@ impl LowerRegion {
 }
 
 impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
-    /// A region's attempt starts here: the nodes its last attempt
-    /// allocated go back to their arenas, freed at once — they were never
-    /// reachable, so there is no reader to wait out.
-    pub(crate) fn hand_back(&self, region: &mut LowerRegion) {
-        for node in region.unpublished.drain(..) {
-            if node.is_leaf() {
-                let leaf = unsafe { node.as_leaf::<SEGS, K>() };
-                leaf.forget_heat(&self.rt);
-                self.arenas.leaves.discard(leaf);
-            } else {
-                let index = unsafe { node.as_internal() };
-                self.rt
-                    .forget_node_heat(node.0 as usize, std::mem::size_of::<EunoInternal>());
-                self.arenas.internals.discard(index);
-            }
-        }
-    }
-
     /// §4.2.3: sort → split → reorganize. `records` holds the full sorted
     /// contents (already drained from the segments); each half is re-placed
     /// over its node's segments by the probe-path rule. Returns the half
@@ -110,131 +90,27 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         let parent = tx.read(&leaf.parent)?;
         tx.write(&right.parent, parent)?;
 
-        self.insert_into_parent(
-            tx,
-            NodeRef::of_leaf(leaf),
-            sep,
-            NodeRef::of_leaf(right),
-            region,
-        )?;
+        // The separator's way up (Algorithm 3 lines 84-86). A split index
+        // node's lower half stays where it is and the node
+        // keeps its lower bound ([`IndexNode::split_into`]): subtree hints
+        // (`EunoBTree::descend`) start walks at index nodes they remember,
+        // which is sound only while no index node is ever unlinked, freed
+        // or given a new lower bound — `euno-check`'s `IndexWatch` fails
+        // `stress` on the change that breaks it.
+        let mut climb = Linked {
+            arenas: &self.arenas,
+            rt: &self.rt,
+            root: &self.ctrl.root,
+            unpublished: &mut region.unpublished,
+            changed: |_: &mut Tx<'_>, _: &IndexNode<INTERNAL_FANOUT>, _| Ok(()),
+        };
+        let (left_ref, right_ref) = (NodeRef::of_leaf(leaf), NodeRef::of_leaf(right));
+        promote(tx, &mut climb, left_ref, sep, right_ref)?;
         tx.ctx().trace(EventKind::Split {
             left: leaf as *const EunoLeaf<SEGS, K> as u64,
             right: right as *const EunoLeaf<SEGS, K> as u64,
         });
         Ok(if key < sep { leaf } else { right })
-    }
-
-    /// Propagate `(sep, right)` upward from `child`, splitting full
-    /// internal nodes and maintaining parent pointers (lines 84-86).
-    fn insert_into_parent(
-        &self,
-        tx: &mut Tx<'_>,
-        mut child: NodeRef,
-        mut sep: u64,
-        mut right: NodeRef,
-        region: &mut LowerRegion,
-    ) -> TxResult<()> {
-        loop {
-            let parent_bits = tx.read(unsafe { child.parent_cell::<SEGS, K>() })?;
-            if parent_bits == 0 {
-                // `child` was the root: grow the tree.
-                let new_root = self.arenas.internals.alloc(EunoInternal::empty());
-                new_root.register(&self.rt);
-                let nr = NodeRef::of_internal(new_root);
-                region.unpublished.push(nr);
-                tx.write(&new_root.child0, child.to_word())?;
-                tx.write(&new_root.keys[0], sep)?;
-                tx.write(&new_root.children[0], right.to_word())?;
-                tx.write(&new_root.count, 1)?;
-                tx.write(unsafe { child.parent_cell::<SEGS, K>() }, nr.to_word())?;
-                tx.write(unsafe { right.parent_cell::<SEGS, K>() }, nr.to_word())?;
-                tx.write(&self.ctrl.root, nr.to_word())?;
-                return Ok(());
-            }
-            let parent: &EunoInternal = unsafe { NodeRef::from_word(parent_bits).as_internal() };
-            let cnt = tx.read(&parent.count)? as usize;
-            if cnt < INTERNAL_FANOUT {
-                self.internal_insert_at(tx, parent, cnt, sep, right)?;
-                tx.write(unsafe { right.parent_cell::<SEGS, K>() }, parent_bits)?;
-                return Ok(());
-            }
-
-            // Split the full internal node. The lower half stays where it
-            // is and the node keeps its lower bound: subtree hints
-            // (`EunoBTree::descend`) start walks at index nodes they
-            // remember, which is sound only while no index node is ever
-            // unlinked, freed or given a new lower bound — `euno-check`'s
-            // `IndexWatch` fails `stress` on the change that breaks it.
-            let new_int = self.arenas.internals.alloc(EunoInternal::empty());
-            new_int.register(&self.rt);
-            let new_ref = NodeRef::of_internal(new_int);
-            region.unpublished.push(new_ref);
-            let mid = INTERNAL_FANOUT / 2;
-            let promoted = tx.read(&parent.keys[mid])?;
-            let mid_child = NodeRef::from_word(tx.read(&parent.children[mid])?);
-            tx.write(&new_int.child0, mid_child.to_word())?;
-            tx.write(
-                unsafe { mid_child.parent_cell::<SEGS, K>() },
-                new_ref.to_word(),
-            )?;
-            for i in mid + 1..INTERNAL_FANOUT {
-                let k = tx.read(&parent.keys[i])?;
-                let c = NodeRef::from_word(tx.read(&parent.children[i])?);
-                tx.write(&new_int.keys[i - mid - 1], k)?;
-                tx.write(&new_int.children[i - mid - 1], c.to_word())?;
-                tx.write(unsafe { c.parent_cell::<SEGS, K>() }, new_ref.to_word())?;
-            }
-            tx.write(&new_int.count, (INTERNAL_FANOUT - mid - 1) as u64)?;
-            tx.write(&parent.count, mid as u64)?;
-            let old_grandparent = tx.read(&parent.parent)?;
-            tx.write(&new_int.parent, old_grandparent)?;
-
-            // Insert the pending (sep, right) into the proper half.
-            let (target, target_bits) = if sep < promoted {
-                (parent, parent_bits)
-            } else {
-                (new_int, new_ref.to_word())
-            };
-            let tcnt = tx.read(&target.count)? as usize;
-            self.internal_insert_at(tx, target, tcnt, sep, right)?;
-            tx.write(unsafe { right.parent_cell::<SEGS, K>() }, target_bits)?;
-
-            sep = promoted;
-            right = new_ref;
-            child = NodeRef::from_word(parent_bits);
-        }
-    }
-
-    fn internal_insert_at(
-        &self,
-        tx: &mut Tx<'_>,
-        node: &EunoInternal,
-        cnt: usize,
-        sep: u64,
-        right: NodeRef,
-    ) -> TxResult<()> {
-        debug_assert!(cnt < INTERNAL_FANOUT);
-        let (mut lo, mut hi) = (0usize, cnt);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if tx.read(&node.keys[mid])? < sep {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        let mut i = cnt;
-        while i > lo {
-            let k = tx.read(&node.keys[i - 1])?;
-            let c = tx.read(&node.children[i - 1])?;
-            tx.write(&node.keys[i], k)?;
-            tx.write(&node.children[i], c)?;
-            i -= 1;
-        }
-        tx.write(&node.keys[lo], sep)?;
-        tx.write(&node.children[lo], right.to_word())?;
-        tx.write(&node.count, (cnt + 1) as u64)?;
-        Ok(())
     }
 }
 
@@ -281,7 +157,7 @@ mod tests {
     #[test]
     fn an_aborted_split_leaks_no_node() {
         use crate::ccm::Ccm;
-        use crate::node::{EunoInternal, EunoLeaf};
+        use crate::node::{EunoLeaf, IndexNode, INTERNAL_FANOUT};
         let rt = Runtime::new_virtual();
         let t = EunoBTreeDefault::new(Arc::clone(&rt));
         let mut ctx = rt.thread(1);
@@ -296,7 +172,7 @@ mod tests {
             (stats.leaves, stats.internals)
         );
         let leaf = std::mem::size_of::<EunoLeaf<4, 4>>() - Ccm::bytes();
-        let index = std::mem::size_of::<EunoInternal>();
+        let index = std::mem::size_of::<IndexNode<INTERNAL_FANOUT>>();
         assert_eq!(
             t.memory().structural_bytes,
             stats.leaves * leaf + stats.internals * index

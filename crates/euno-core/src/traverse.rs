@@ -26,6 +26,7 @@
 
 use std::convert::Infallible;
 
+use euno_htm::bptree::upper_bound;
 use euno_htm::euno_metrics::Counter;
 use euno_htm::{AbortCause, Anchor, RetryPolicy, ThreadCtx, TxCell, TxResult, TxWord, TOMBSTONE};
 use euno_rng::Rng;
@@ -139,31 +140,6 @@ pub(crate) enum LeafRead {
     Spent,
 }
 
-/// Child index for `key` in an internal node of `count` separators: the
-/// number of separators ≤ `key` (0 ⇒ `child0`). The probes that decide it
-/// also bound the chosen child — the last `≤` one from below, the last `>`
-/// one from above — and are folded into `range` on the way.
-fn search_internal(
-    count: usize,
-    key: u64,
-    range: &mut (u64, u64),
-    mut key_at: impl FnMut(usize) -> TxResult<u64>,
-) -> TxResult<usize> {
-    let (mut lo, mut hi) = (0, count);
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        let sep = key_at(mid)?;
-        if sep <= key {
-            lo = mid + 1;
-            range.0 = range.0.max(sep);
-        } else {
-            hi = mid;
-            range.1 = range.1.min(sep);
-        }
-    }
-    Ok(lo)
-}
-
 impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
     /// The one search for a leaf: every descent in the crate is this loop
     /// over a different `load` (transactional read, direct load, plain
@@ -212,7 +188,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             if cur.is_null() || levels > 64 {
                 return Ok(None);
             }
-            let node = unsafe { cur.as_internal() };
+            let node = unsafe { cur.as_index::<INTERNAL_FANOUT>() };
             // (From an anchor the upper bound is unknown until narrowed,
             // and nothing is filed: the thread has its entry.)
             if from.is_none() && range.0 <= block && block_last < range.1 {
@@ -222,7 +198,18 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             // versa) must degrade to a wrong-leaf descent caught by
             // validation, never an out-of-bounds index.
             let cnt = (load(&node.count)? as usize).min(INTERNAL_FANOUT);
-            let taken = search_internal(cnt, key, &mut range, |i| load(&node.keys[i]))?;
+            // The probes that decide the child also bound it — the last
+            // `≤` one from below, the last `>` one from above — and are
+            // folded into `range` on the way.
+            let taken = upper_bound(cnt, key, |i| {
+                let sep = load(&node.keys[i])?;
+                if sep <= key {
+                    range.0 = range.0.max(sep);
+                } else {
+                    range.1 = range.1.min(sep);
+                }
+                Ok(sep)
+            })?;
             // Not the last child: the search's last `>` probe was the
             // separator above it. (A key that runs down the rightmost
             // spine meets none, and an anchor filed for it would be one
@@ -232,14 +219,10 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                 narrowed = true;
                 anchor = holds_block;
             }
-            let child = match taken {
-                0 => &node.child0,
-                i => &node.children[i - 1],
-            };
-            cur = NodeRef::from_word(load(child)?);
+            cur = NodeRef::from_word(load(node.child(taken))?);
         }
         Ok((cur.0 & !1 != 0).then(|| Descent {
-            leaf: unsafe { cur.as_leaf::<SEGS, K>() },
+            leaf: unsafe { cur.as_leaf::<EunoLeaf<SEGS, K>>() },
             low: range.0,
             high: range.1,
             levels,
@@ -263,7 +246,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         });
         let (bits, seqno, low, high) = out.value;
         Located {
-            leaf: unsafe { NodeRef::from_word(bits).as_leaf::<SEGS, K>() },
+            leaf: unsafe { NodeRef::from_word(bits).as_leaf::<EunoLeaf<SEGS, K>>() },
             seqno,
             low,
             high,
@@ -351,7 +334,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                 // The generation first: only a hint it vouches for names
                 // memory that is still a leaf of this tree.
                 if recorded_at == generation || probe::mutated("hint:any-generation") {
-                    let leaf = unsafe { NodeRef::from_word(bits).as_leaf::<SEGS, K>() };
+                    let leaf = unsafe { NodeRef::from_word(bits).as_leaf::<EunoLeaf<SEGS, K>>() };
                     if leaf.seqno.load_direct(ctx) == seqno {
                         ctx.metric_add(Counter::LeafHintHits, 1);
                         return Located {
@@ -482,7 +465,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             } else {
                 let mut region = LowerRegion::new(split_locked);
                 let out = ctx.htm_execute(&self.ctrl.fallback, &RetryPolicy::DBX, |tx| {
-                    self.hand_back(&mut region);
+                    self.arenas.hand_back(&self.rt, &mut region.unpublished);
                     tx.set_op_key(key);
                     if stage.locked() {
                         // Same-record contenders queue on the CCM lock bit
@@ -563,7 +546,7 @@ mod tests {
     use euno_rng::{Rng, SmallRng};
 
     use super::{Descent, SUBTREE_BLOCK_SHIFT};
-    use crate::node::{EunoLeaf, NodeRef};
+    use crate::node::{EunoLeaf, NodeRef, INTERNAL_FANOUT};
     use crate::tree::EunoBTreeDefault;
 
     /// Every leaf with the range the index gives it, in key order: a plain
@@ -571,11 +554,11 @@ mod tests {
     fn ranges_by_full_traversal(t: &EunoBTreeDefault) -> Vec<(usize, u64, u64)> {
         fn visit(node: NodeRef, low: u64, high: u64, out: &mut Vec<(usize, u64, u64)>) {
             if node.is_leaf() {
-                let leaf = unsafe { node.as_leaf::<4, 4>() };
+                let leaf = unsafe { node.as_leaf::<EunoLeaf<4, 4>>() };
                 out.push((leaf as *const EunoLeaf<4, 4> as usize, low, high));
                 return;
             }
-            let n = unsafe { node.as_internal() };
+            let n = unsafe { node.as_index::<INTERNAL_FANOUT>() };
             let cnt = n.count.load_plain() as usize;
             let seps: Vec<u64> = (0..cnt).map(|i| n.keys[i].load_plain()).collect();
             for i in 0..=cnt {

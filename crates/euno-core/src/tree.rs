@@ -29,7 +29,7 @@ use euno_htm::{
 
 use crate::ccm::Ccm;
 use crate::config::EunoConfig;
-use crate::node::{EunoLeaf, NodeArenas, NodeRef};
+use crate::node::{EunoLeaf, NodeArenas, NodeRef, INTERNAL_FANOUT};
 use crate::rebalance::Sweep;
 
 /// The Euno-B+Tree. `SEGS` segments of `K` slots per leaf
@@ -77,7 +77,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
     }
 
     pub fn with_config(rt: Arc<Runtime>, cfg: EunoConfig) -> Self {
-        let arenas: NodeArenas<SEGS, K> = NodeArenas::new();
+        let arenas: NodeArenas<SEGS, K> = NodeArenas::default();
         let first = arenas.leaves.alloc(EunoLeaf::empty());
         first.register(&rt);
         let ctrl = euno_htm::ControlBlock::new(NodeRef::of_leaf(first).to_word());
@@ -177,12 +177,20 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         let _pin = self.rt.epoch().pin_scoped();
         let mut cur = NodeRef::from_word(self.root_bits());
         while !cur.is_leaf() {
-            cur = NodeRef::from_word(unsafe { cur.as_internal() }.child0.load_plain());
+            cur = NodeRef::from_word(
+                unsafe { cur.as_index::<INTERNAL_FANOUT>() }
+                    .child0
+                    .load_plain(),
+            );
         }
         let mut n = 0;
         while !cur.is_null() {
             n += 1;
-            cur = NodeRef::from_word(unsafe { cur.as_leaf::<SEGS, K>() }.next.load_plain());
+            cur = NodeRef::from_word(
+                unsafe { cur.as_leaf::<EunoLeaf<SEGS, K>>() }
+                    .next
+                    .load_plain(),
+            );
         }
         n
     }
@@ -194,10 +202,14 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         let mut out = Vec::new();
         let mut cur = NodeRef::from_word(self.ctrl.root.load_plain());
         while !cur.is_leaf() {
-            cur = NodeRef::from_word(unsafe { cur.as_internal() }.child0.load_plain());
+            cur = NodeRef::from_word(
+                unsafe { cur.as_index::<INTERNAL_FANOUT>() }
+                    .child0
+                    .load_plain(),
+            );
         }
         while !cur.is_null() {
-            let leaf = unsafe { cur.as_leaf::<SEGS, K>() };
+            let leaf = unsafe { cur.as_leaf::<EunoLeaf<SEGS, K>>() };
             let mut recs = Vec::new();
             for seg in &leaf.segs {
                 for i in 0..seg.count_plain() {
@@ -314,7 +326,7 @@ mod tests {
         let (_rt, t, mut ctx) = paper_tree();
         t.put(&mut ctx, 1, 10);
         let leaf_bits = t.ctrl.root.load_plain();
-        let leaf = unsafe { NodeRef::from_word(leaf_bits).as_leaf::<4, 4>() };
+        let leaf = unsafe { NodeRef::from_word(leaf_bits).as_leaf::<EunoLeaf<4, 4>>() };
         // The CCM only filters while the leaf is protected (a calm fresh
         // leaf bypasses it by default).
         leaf.ccm.protect_prepublication();
@@ -504,7 +516,8 @@ mod tests {
     fn adaptive_bypass_lifecycle() {
         let (_rt, t, mut ctx) = paper_tree();
         t.put(&mut ctx, 1, 1);
-        let leaf = unsafe { NodeRef::from_word(t.ctrl.root.load_plain()).as_leaf::<4, 4>() };
+        let leaf =
+            unsafe { NodeRef::from_word(t.ctrl.root.load_plain()).as_leaf::<EunoLeaf<4, 4>>() };
         // Fresh leaves start bypassed (no contention history)…
         assert!(leaf.ccm.bypass_plain());
         // …split-born nodes inherit that, so a calm load stays bypassed…

@@ -100,7 +100,7 @@ fn fixture() -> Fixture {
     let g = (groups.len() / 2..groups.len() - 1)
         .find(|&g| {
             let leaf = unsafe { &*(groups[g].0 as *const EunoLeaf<4, 4>) };
-            let parent = unsafe { euno_core::NodeRef(leaf.parent.load_plain()).as_internal() };
+            let parent = unsafe { euno_core::NodeRef(leaf.parent.load_plain()).as_index::<16>() };
             parent.child0.load_plain() != euno_core::NodeRef::of_leaf(leaf).0
         })
         .expect("a leaf that is not a first child");

@@ -180,8 +180,8 @@ impl Fixture {
             .iter()
             .map(|&(first, len)| first + len - 2)
             .find(|&l| {
-                let node = unsafe { NodeRef(self.leaves[l].parent).as_internal() };
-                let above = unsafe { NodeRef(node.parent.load_plain()).as_internal() };
+                let node = unsafe { NodeRef(self.leaves[l].parent).as_index::<16>() };
+                let above = unsafe { NodeRef(node.parent.load_plain()).as_index::<16>() };
                 let last = above.children[above.count.load_plain() as usize - 1].load_plain();
                 self.leaves[l].keys[0].is_multiple_of(BLOCK)
                     && self.leaves[l + 1].keys[0] / BLOCK == self.leaves[l].keys[0] / BLOCK

@@ -103,7 +103,7 @@ impl Stage {
             .find(|&g| {
                 ctx.epoch_enter();
                 let leaf = tree.locate(&mut ctx, groups[g][0]).leaf;
-                let parent = unsafe { NodeRef(leaf.parent.load_plain()).as_internal() };
+                let parent = unsafe { NodeRef(leaf.parent.load_plain()).as_index::<16>() };
                 ctx.epoch_exit();
                 parent.child0.load_plain() != NodeRef::of_leaf(leaf).0
             })

@@ -44,6 +44,7 @@
 
 pub mod abort;
 pub mod arena;
+pub mod bptree;
 pub mod cost;
 pub mod ctx;
 pub mod epoch;
@@ -63,6 +64,7 @@ pub mod word;
 
 pub use abort::{AbortCause, ConflictInfo, ConflictKind, TxResult};
 pub use arena::{Arena, TransientBytes};
+pub use bptree::{Access, IndexNode, NodeArenas, NodeRef, ParentLinked};
 pub use cost::CostModel;
 pub use ctx::{EpisodeKind, ThreadCtx, Tx};
 pub use epoch::{CollectOutcome, Collector, Participant, ScopedPin};

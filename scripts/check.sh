@@ -29,11 +29,15 @@ fi
 cargo clippy --workspace --all-targets -- -D warnings
 
 # The tier-1 suite.  The golden digest (euno-bench/tests/
-# golden_determinism.rs, 75d0b2a0da7a08d4; its history is on the constant)
+# golden_determinism.rs, printed below; its history is on the constant)
 # runs here, and it runs `EunoConfig::paper()` — `System::EunoBTree`, not
 # the library default — so it moves only when the paper-faithful tree
 # does.  PRs 18 and 20 (leaf hints, subtree hints) left it alone:
 # `paper()` probes neither hint table and records in neither.
+GOLDEN="$(sed -n 's/^const GOLDEN_DIGEST: &str = "\(.*\)";$/\1/p' \
+    crates/euno-bench/tests/golden_determinism.rs)"
+[[ -n $GOLDEN ]] || { echo "golden digest constant not found"; exit 1; }
+echo "golden digest pinned at $GOLDEN"
 cargo build --release
 cargo test -q
 
@@ -120,6 +124,20 @@ HELD='Middles|ABORTS_MIDDLE'
 grep -qE "$HELD" benchmark/src/counters.rs || ! grep -qE "$HELD" crates/euno-metrics/src/counters.rs \
     || { echo "held-names: benchmark/ dropped the held names; delete them from counters.rs"; exit 1; }
 echo "held-names (vestigial counters unused, and still needed) OK"
+
+# One copy: the B+tree's sequential phases are written once, in
+# euno-htm/src/bptree.rs (DESIGN.md §4.9).  A second bisect anywhere under
+# crates/*/src is a private copy of `upper_bound` / `lower_bound` growing
+# back (both are the one `bisect` there), and a second
+# `fn internal_insert` is the index insert doing the same.
+BISECT='(lo + hi) / 2'
+bisects="$({ grep -rnF "$BISECT" crates/*/src || true; } | grep -vc '^crates/euno-htm/src/bptree.rs:' || true)"
+[[ $bisects == 0 && $(grep -cF "$BISECT" crates/euno-htm/src/bptree.rs) == 1 ]] \
+    || { echo "one-copy: a binary search outside bptree.rs's one bisect"; grep -rnF "$BISECT" crates/*/src; exit 1; }
+inserts="$(cat crates/*/src/*.rs | grep -c 'fn internal_insert' || true)"
+[[ $inserts -le 1 ]] \
+    || { echo "one-copy: $inserts index-insert routines"; exit 1; }
+echo "one-copy (one bisect under crates/*/src, in bptree.rs; no private index insert) OK"
 
 # Metrics smoke: a tiny Figure 14 run (rotating-hotspot timeline) must
 # quantify an adaptation lag for at least one programmed shift, emit a
