@@ -29,7 +29,7 @@ use std::sync::Arc;
 use euno_htm::bptree::{promote, upper_bound, Propagate};
 use euno_htm::runtime::lock_key_for_addr;
 use euno_htm::{
-    ConcurrentMap, EpisodeKind, IndexNode, MemoryReport, Mode, NodeArenas, NodeRef, Runtime,
+    ConcurrentMap, EpisodeKind, IndexNode, MemoryReport, NodeArenas, NodeRef, Runtime, SpinBackoff,
     ThreadCtx, TxCell, KEY_SENTINEL, TOMBSTONE,
 };
 
@@ -42,23 +42,31 @@ pub(crate) const VINSERT_UNIT: u64 = 1 << 1;
 pub(crate) const VSPLIT_UNIT: u64 = 1 << 33;
 const VSPLIT_MASK: u64 = !0 << 33;
 
-/// A Masstree-style node version word with lock semantics in both engine
-/// modes: what the `version` cell of a [`Leaf`] or an [`IndexNode`] is to
-/// the two Masstrees.
+/// A Masstree-style node version word with lock semantics on every engine
+/// backend: what the `version` cell of a [`Leaf`] or an [`IndexNode`] is to
+/// the two Masstrees. Written over the engine's two lock primitives — the
+/// virtual lock clock ([`ThreadCtx::vlock_wait`] / [`ThreadCtx::vlock_hold`])
+/// and the bounded [`SpinBackoff`] pause — so it holds no mode test of its
+/// own: on the virtual clock a waiter arrives after the modeled release and
+/// its first probe succeeds; on real threads the clock calls are no-ops and
+/// the probe loop backs off like every other lock in the engine.
 pub(crate) trait Version {
     fn cell(&self) -> &TxCell<u64>;
 
-    /// Spin until unlocked; return the observed stable version.
+    /// The word's virtual-lock identity.
+    fn vkey(&self) -> u64 {
+        lock_key_for_addr(self.cell() as *const _ as usize)
+    }
+
+    /// Wait until unlocked; return the observed stable version.
     fn stable(&self, ctx: &mut ThreadCtx) -> u64 {
-        let spin = ctx.runtime().cost.spin_iter;
+        let mut backoff = SpinBackoff::new();
         loop {
             let v = self.cell().load_direct(ctx);
             if v & LOCK_BIT == 0 {
                 return v;
             }
-            ctx.charge(spin);
-            ctx.stats.cycles_lock_wait += spin;
-            std::hint::spin_loop();
+            backoff.pause(ctx);
         }
     }
 
@@ -67,43 +75,23 @@ pub(crate) trait Version {
         self.cell().load_direct(ctx)
     }
 
-    /// Writer lock (CAS on the lock bit; virtual-time wait semantics in
-    /// virtual mode).
+    /// Writer lock (quiet CAS on the lock bit, after the word's virtual
+    /// hold has been waited out).
     fn lock(&self, ctx: &mut ThreadCtx) {
-        match ctx.mode() {
-            Mode::Concurrent => {
-                let spin = ctx.runtime().cost.spin_iter;
-                loop {
-                    let v = self.cell().load_direct(ctx);
-                    if v & LOCK_BIT == 0 && self.cell().cas_direct_quiet(ctx, v, v | LOCK_BIT) {
-                        return;
-                    }
-                    ctx.charge(spin);
-                    ctx.stats.cycles_lock_wait += spin;
-                    std::hint::spin_loop();
-                }
+        ctx.vlock_wait(self.vkey());
+        let mut backoff = SpinBackoff::new();
+        loop {
+            let v = self.cell().load_direct(ctx);
+            if v & LOCK_BIT == 0 && self.cell().cas_direct_quiet(ctx, v, v | LOCK_BIT) {
+                return;
             }
-            Mode::Virtual => {
-                let key = lock_key_for_addr(self.cell() as *const _ as usize);
-                let free_at = ctx.runtime().vlock_free_at(key, ctx.clock);
-                if free_at > ctx.clock {
-                    ctx.stats.cycles_lock_wait += free_at - ctx.clock;
-                    ctx.clock = free_at;
-                }
-                let v = self.cell().load_direct(ctx);
-                debug_assert_eq!(v & LOCK_BIT, 0);
-                let ok = self.cell().cas_direct_quiet(ctx, v, v | LOCK_BIT);
-                debug_assert!(ok);
-            }
+            backoff.pause(ctx);
         }
     }
 
     /// Unlock, bumping the insert and/or split counters.
     fn unlock(&self, ctx: &mut ThreadCtx, inserted: bool, split: bool) {
-        if ctx.mode() == Mode::Virtual {
-            let key = lock_key_for_addr(self.cell() as *const _ as usize);
-            ctx.runtime().vlock_hold(key, ctx.clock);
-        }
+        ctx.vlock_hold(self.vkey());
         let v = self.cell().load_direct(ctx);
         debug_assert_ne!(v & LOCK_BIT, 0, "unlock of unlocked version");
         let mut next = v & !LOCK_BIT;
@@ -692,6 +680,44 @@ mod tests {
         for k in 0..16u64 {
             assert!(t.get(&mut ctx, k).is_some());
         }
+    }
+
+    #[test]
+    fn held_version_lock_is_waited_out_with_backoff() {
+        // A long-held version lock must not cost the waiter one
+        // instrumented load per spin quantum: both of its waits — the
+        // optimistic descent's `stable` and the writer's `lock` — pause
+        // with the engine's bounded back-off, so the loads stay few while
+        // the waited cycles accumulate in `cycles_lock_wait`.
+        let rt = Runtime::new_concurrent();
+        let t = Masstree::new(Arc::clone(&rt));
+        let mut holder = rt.thread(0);
+        for k in 0..4u64 {
+            t.put(&mut holder, k, k);
+        }
+        std::thread::scope(|s| {
+            // Held before the waiter exists: it can only arrive at a
+            // locked leaf.
+            let leaf = t.locate_locked(&mut holder, 2);
+            let (t, rt2) = (&t, Arc::clone(&rt));
+            let waiter = s.spawn(move || {
+                let mut ctx = rt2.thread(1);
+                assert_eq!(t.put(&mut ctx, 2, 20), Some(2));
+                ctx.stats
+            });
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            leaf.version.unlock(&mut holder, false, false);
+            let stats = waiter.join().unwrap();
+            let quanta = stats.cycles_lock_wait / rt.cost.spin_iter.max(1);
+            assert!(quanta > 0, "wait cycles accounted");
+            // A tight spin issues one load per quantum waited; doubling
+            // pauses approach one per 2^MAX_EXPONENT quanta.
+            assert!(
+                stats.mem_accesses * 8 < quanta,
+                "mem_accesses = {}, lock-wait quanta = {quanta}",
+                stats.mem_accesses
+            );
+        });
     }
 
     #[test]

@@ -20,9 +20,8 @@
 //! The backend axis: `engine-virtual` rows drive logical threads through
 //! the deterministic scheduler and time the simulation's wall clock;
 //! `engine-stm` rows use real OS threads through the TL2-style software
-//! transactions; `engine-rtm` rows (built with `--features hw-rtm`, shown
-//! only when the CPU exposes Intel RTM) elide on genuine hardware
-//! transactions. Throughput in the emitted report is episodes (or tree
+//! transactions; `engine-rtm` rows (shown only when the CPU exposes Intel
+//! RTM) elide on genuine hardware transactions. Throughput in the emitted report is episodes (or tree
 //! ops) per *wall* second.
 //!
 //! Usage: `engine_bench [--csv results/engine.csv] [--ops <per-thread>]
@@ -34,7 +33,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use euno_bench::common::{emit, print_table, scaled, Cli, Point, System};
-use euno_htm::{ConcurrentBackend, Mode, RetryPolicy, Runtime, ThreadCtx, TxCell};
+use euno_htm::{Backend, RetryPolicy, Runtime, ThreadCtx, TxCell};
 use euno_sim::{preload, run_virtual, LatencyHistogram, RunConfig, RunMetrics, VirtualScheduler};
 use euno_workloads::{Preload, WorkloadSpec};
 
@@ -166,18 +165,17 @@ fn run_raw_virtual(
 }
 
 /// Same scenarios on real OS threads: TL2-style software transactions
-/// ([`ConcurrentBackend::Stm`]) or hardware lock elision
-/// ([`ConcurrentBackend::HwRtm`], meaningful only when
-/// `euno_htm::hw_rtm_available()`).
+/// ([`Backend::Stm`]) or hardware lock elision ([`Backend::Rtm`],
+/// meaningful only when `euno_htm::hw_rtm_available()`).
 fn run_raw_concurrent(
     scenario: Scenario,
     threads: usize,
     ops: u64,
     seed: u64,
-    backend: ConcurrentBackend,
+    backend: Backend,
     metrics_on: bool,
 ) -> RunMetrics {
-    let rt = Runtime::new_with_backend(Mode::Concurrent, euno_htm::CostModel::default(), backend);
+    let rt = Runtime::new(backend, euno_htm::CostModel::default());
     rt.metrics().set_enabled(metrics_on);
     let arena = Arc::new(Arena::new(SHARED_READ_LINES + threads));
     let barrier = std::sync::Barrier::new(threads);
@@ -301,8 +299,7 @@ fn main() {
                 raw_ops
             }
             .max(1_000);
-            let m =
-                run_raw_concurrent(scenario, threads, c_ops, seed, ConcurrentBackend::Stm, true);
+            let m = run_raw_concurrent(scenario, threads, c_ops, seed, Backend::Stm, true);
             points.push(Point {
                 system: "engine-stm",
                 x: x.clone(),
@@ -311,14 +308,7 @@ fn main() {
                 metrics: m,
                 extra: Vec::new(),
             });
-            let m = run_raw_concurrent(
-                scenario,
-                threads,
-                c_ops,
-                seed,
-                ConcurrentBackend::Stm,
-                false,
-            );
+            let m = run_raw_concurrent(scenario, threads, c_ops, seed, Backend::Stm, false);
             points.push(Point {
                 system: "engine-stm-nometrics",
                 x: x.clone(),
@@ -328,14 +318,7 @@ fn main() {
                 extra: Vec::new(),
             });
             if euno_htm::hw_rtm_available() {
-                let m = run_raw_concurrent(
-                    scenario,
-                    threads,
-                    c_ops,
-                    seed,
-                    ConcurrentBackend::HwRtm,
-                    true,
-                );
+                let m = run_raw_concurrent(scenario, threads, c_ops, seed, Backend::Rtm, true);
                 points.push(Point {
                     system: "engine-rtm",
                     x,
@@ -361,9 +344,7 @@ fn main() {
     }
 
     if !euno_htm::hw_rtm_available() {
-        eprintln!(
-            "note: engine-rtm rows skipped (build without --features hw-rtm, or CPU lacks RTM)"
-        );
+        eprintln!("note: engine-rtm rows skipped (CPU lacks RTM)");
     }
 
     print_table(

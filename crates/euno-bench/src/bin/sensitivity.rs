@@ -9,7 +9,7 @@
 //! θ = 0.9**, with Euno close to the baseline at θ = 0.2.
 
 use euno_bench::common::{emit, fig_config, Cli, Point, System};
-use euno_htm::{CostModel, Mode, Runtime};
+use euno_htm::{Backend, CostModel, Runtime};
 use euno_sim::{preload, run_virtual, RunConfig, RunMetrics};
 use euno_workloads::WorkloadSpec;
 
@@ -20,7 +20,7 @@ fn measure_with(
     cfg: &RunConfig,
     cli: &Cli,
 ) -> RunMetrics {
-    let rt = Runtime::new(Mode::Virtual, cost);
+    let rt = Runtime::new(Backend::Virtual, cost);
     let map = system.build(&rt);
     preload(map.as_ref(), &rt, spec);
     rt.reset_dynamics();

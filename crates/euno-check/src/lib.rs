@@ -26,4 +26,4 @@ pub mod stress;
 pub use audit::{IndexWatch, SeqnoWatch};
 pub use history::{new_sink, CompletedOp, HistorySink, Recorder};
 pub use lin::{check_history, Verdict, DEFAULT_BUDGET};
-pub use stress::{run_all, run_stress, AuditHooks, StressConfig, StressReport};
+pub use stress::{run_all, run_all_on, run_stress, AuditHooks, StressConfig, StressReport};

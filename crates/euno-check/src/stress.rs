@@ -491,6 +491,17 @@ pub fn run_stress(
 /// case-insensitive substring of the tree name). Euno-B+Tree additionally
 /// gets the structural audits; scan atomicity is declared per tree.
 pub fn run_all(cfg: &StressConfig, filter: Option<&str>) -> Vec<StressReport> {
+    run_all_on(cfg, filter, Runtime::new_concurrent)
+}
+
+/// [`run_all`] with each tree built on a runtime of the caller's making
+/// (a fresh one per tree) — how the same oracle and audits run on the
+/// hardware backend.
+pub fn run_all_on(
+    cfg: &StressConfig,
+    filter: Option<&str>,
+    new_rt: impl Fn() -> Arc<Runtime>,
+) -> Vec<StressReport> {
     let wants = |name: &str| {
         filter.is_none_or(|f| name.to_ascii_lowercase().contains(&f.to_ascii_lowercase()))
     };
@@ -509,7 +520,7 @@ pub fn run_all(cfg: &StressConfig, filter: Option<&str>) -> Vec<StressReport> {
         if !wants(name) {
             continue;
         }
-        let rt = Runtime::new_concurrent();
+        let rt = new_rt();
         let tree = EunoBTreeDefault::with_config(Arc::clone(&rt), euno_cfg(base));
         let hooks = AuditHooks {
             seqno_snapshot: Some(Box::new(|| tree.leaf_seqnos_plain())),
@@ -540,17 +551,17 @@ pub fn run_all(cfg: &StressConfig, filter: Option<&str>) -> Vec<StressReport> {
         reports.push(run_stress(&tree, &rt, cfg, false, hooks));
     }
     if wants("HTM-B+Tree") {
-        let rt = Runtime::new_concurrent();
+        let rt = new_rt();
         let tree = HtmBTree::<16>::new(Arc::clone(&rt));
         reports.push(run_stress(&tree, &rt, cfg, true, AuditHooks::default()));
     }
     if wants("Masstree") {
-        let rt = Runtime::new_concurrent();
+        let rt = new_rt();
         let tree = Masstree::new(Arc::clone(&rt));
         reports.push(run_stress(&tree, &rt, cfg, false, AuditHooks::default()));
     }
     if wants("HTM-Masstree") {
-        let rt = Runtime::new_concurrent();
+        let rt = new_rt();
         let tree = HtmMasstree::new(Arc::clone(&rt));
         reports.push(run_stress(&tree, &rt, cfg, true, AuditHooks::default()));
     }

@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use euno_core::EunoBTreeDefault;
-use euno_htm::{ConcurrentMap, CostModel, Mode, Runtime};
+use euno_htm::{Backend, ConcurrentMap, CostModel, Runtime};
 use euno_sim::VirtualScheduler;
 use euno_workloads::{KeyDistribution, Op, OpMix, OpStream, Preload, WorkloadSpec};
 
@@ -49,7 +49,7 @@ fn scan_tail(op_overhead: u64) -> (u64, u64) {
         op_overhead,
         ..CostModel::default()
     };
-    let rt = Runtime::new(Mode::Virtual, cost);
+    let rt = Runtime::new(Backend::Virtual, cost);
     let tree = EunoBTreeDefault::new(Arc::clone(&rt));
     let model = RefCell::new(BTreeMap::new());
     {

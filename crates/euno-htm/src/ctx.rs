@@ -17,14 +17,14 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use euno_rng::{Rng, SmallRng};
+use euno_rng::SmallRng;
 use euno_trace::{codes, EventKind, TraceBuf};
 
 use crate::abort::{AbortCause, ConflictInfo, ConflictKind, TxResult};
 use crate::hint::{Anchor, Hint, HintTable, ANCHOR_WORDS, HINT_WORDS};
 use crate::line::{LineId, LineSet};
 use crate::obs::{OpKind, OpObserver, OpOutput};
-use crate::runtime::{EpisodeRecord, Mode, Runtime};
+use crate::runtime::{Backend, Mode, Runtime};
 use crate::stats::ThreadStats;
 use crate::word::{TxCell, TxWord};
 
@@ -51,39 +51,39 @@ pub enum EpisodeKind {
 }
 
 pub(crate) struct EpisodeState {
-    kind: EpisodeKind,
-    start: u64,
-    /// TL2 read version (concurrent mode): every read observed so far is
-    /// consistent as of this point of the global clock. Extended forward
-    /// (with revalidation) when a read finds a newer line version.
-    rv: u64,
-    op_key: Option<u64>,
-    reads: LineSet,
-    writes: LineSet,
+    pub(crate) kind: EpisodeKind,
+    pub(crate) start: u64,
+    /// TL2 read version: every read observed so far is consistent as of
+    /// this point of the global clock. Sampled by `tl2_begin`, extended
+    /// forward (with revalidation) when a read finds a newer line version.
+    pub(crate) rv: u64,
+    pub(crate) op_key: Option<u64>,
+    pub(crate) reads: LineSet,
+    pub(crate) writes: LineSet,
     /// TL2 read log: each read line with the version-lock word's version
     /// at first read. Validation compares versions — never cell values —
     /// so reuse of retired memory with equal bytes cannot validate.
-    ver_log: Vec<(LineId, u64)>,
-    write_buf: Vec<(CellPtr, u64)>,
+    pub(crate) ver_log: Vec<(LineId, u64)>,
+    pub(crate) write_buf: Vec<(CellPtr, u64)>,
     /// Commit scratch: sorted, deduplicated version-table slot indices of
     /// the write footprint (kept per-episode so steady-state commits
     /// allocate nothing).
-    wslots: Vec<u32>,
+    pub(crate) wslots: Vec<u32>,
     /// Subscribed fallback lock (for abort-cause attribution).
-    fb_line: Option<LineId>,
-    fb_ptr: Option<CellPtr>,
+    pub(crate) fb_line: Option<LineId>,
+    pub(crate) fb_ptr: Option<CellPtr>,
     /// The episode runs under an advisory lock that serializes its
     /// contenders: storm extrapolation is skipped (the writers feeding the
     /// line heat are queued behind the lock, not concurrent).
-    serialized: bool,
+    pub(crate) serialized: bool,
 }
 
 impl EpisodeState {
-    fn new(kind: EpisodeKind, start: u64, rv: u64) -> Box<Self> {
+    fn new(kind: EpisodeKind, start: u64) -> Box<Self> {
         Box::new(EpisodeState {
             kind,
             start,
-            rv,
+            rv: 0,
             op_key: None,
             reads: LineSet::with_capacity(16),
             writes: LineSet::with_capacity(8),
@@ -98,10 +98,10 @@ impl EpisodeState {
 
     /// Re-arm a recycled episode. The footprints and logs were cleared by
     /// [`ThreadCtx::recycle`]; only the header fields need stamping.
-    fn reset(&mut self, kind: EpisodeKind, start: u64, rv: u64) {
+    fn reset(&mut self, kind: EpisodeKind, start: u64) {
         self.kind = kind;
         self.start = start;
-        self.rv = rv;
+        self.rv = 0;
         self.op_key = None;
         self.fb_line = None;
         self.fb_ptr = None;
@@ -119,19 +119,12 @@ pub struct ThreadCtx {
     pub clock: u64,
     pub stats: ThreadStats,
     pub(crate) rng: SmallRng,
-    /// A real hardware (RTM) transaction is executing on this thread: all
-    /// `Tx` accesses degrade to plain atomic loads/stores — the silicon
-    /// does conflict detection, buffering and rollback. Set and cleared
-    /// only by the executor's hardware attempt (`hw-rtm` feature); always
-    /// `false` otherwise. The flag itself is speculative state: set
-    /// inside the transaction, a hardware abort rolls it back.
-    pub(crate) hw_txn: bool,
-    /// The running hardware transaction issued at least one `Tx::write`.
-    /// The executor bumps `Runtime::seq` inside the transaction for
-    /// writing bodies (so episode-free optimistic readers see the
-    /// commit); speculative like `hw_txn` — rolled back on abort.
+    /// The running hardware transaction issued at least one `Tx::write`
+    /// ([`crate::rtm`]): its commit bumps `Runtime::seq` inside the
+    /// transaction, so episode-free optimistic readers see it. Speculative
+    /// state — set inside the transaction, a hardware abort rolls it back.
     pub(crate) hw_wrote: bool,
-    ep: Option<Box<EpisodeState>>,
+    pub(crate) ep: Option<Box<EpisodeState>>,
     /// Scratch pool: the one recycled episode box. Episodes are strictly
     /// non-nested, so a single slot makes every steady-state
     /// `episode_begin` allocation-free (the box, its footprint sets and
@@ -156,10 +149,6 @@ pub struct ThreadCtx {
     /// atomic counters the sampler reads concurrently. `None` when the
     /// runtime's registry is disabled — every hook is then one branch.
     shard: Option<Arc<euno_metrics::ThreadShard>>,
-    /// Per-backend commit counter, resolved once at registration: the
-    /// runtime's mode and RTM availability are fixed at construction, so
-    /// the commit hot path skips the match.
-    backend_commit: euno_metrics::Counter,
 }
 
 /// Run a reclamation pass every this many operation unpins per thread:
@@ -225,23 +214,12 @@ impl ThreadCtx {
     pub(crate) fn new(rt: Arc<Runtime>, id: u32, seed: u64) -> Self {
         let reclaim = rt.epoch().register();
         let shard = rt.metrics().register_shard();
-        let backend_commit = match rt.mode() {
-            Mode::Virtual => euno_metrics::Counter::CommitsVirtual,
-            Mode::Concurrent => {
-                if rt.rtm_active() {
-                    euno_metrics::Counter::CommitsRtm
-                } else {
-                    euno_metrics::Counter::CommitsStm
-                }
-            }
-        };
         ThreadCtx {
             rt,
             id,
             clock: 0,
             stats: ThreadStats::default(),
             rng: SmallRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15),
-            hw_txn: false,
             hw_wrote: false,
             ep: None,
             spare: None,
@@ -252,7 +230,6 @@ impl ThreadCtx {
             hints: HintTable::default(),
             anchors: HintTable::default(),
             shard,
-            backend_commit,
         }
     }
 
@@ -382,7 +359,7 @@ impl ThreadCtx {
         use euno_metrics::Counter as C;
         if let Some(s) = self.shard.as_ref() {
             s.add(C::Commits, 1);
-            s.add(self.backend_commit, 1);
+            s.add(self.rt.backend().commit_counter(), 1);
             s.add(C::Attempts, u64::from(attempts));
             if attempts == 1 {
                 // First-try commit: no aborts, no backoffs (each implies
@@ -466,6 +443,16 @@ impl ThreadCtx {
     pub fn charge_cas_miss(&mut self) {
         self.stats.cas_ops += 1;
         self.clock += self.rt.cost.cas;
+    }
+
+    /// Wait — on the clock — until `t`: if it is still ahead, advance to
+    /// it and account the gap as lock wait. Returns the cycles waited.
+    #[inline]
+    pub fn wait_until(&mut self, t: u64) -> u64 {
+        let waited = t.saturating_sub(self.clock);
+        self.stats.cycles_lock_wait += waited;
+        self.clock += waited;
+        waited
     }
 
     /// Deterministic per-thread random source (the engine's abort-model
@@ -570,16 +557,16 @@ impl ThreadCtx {
         self.stats.mem_accesses += 1;
         let cost = &self.rt.cost;
         if let Some(ep) = self.ep.as_mut() {
-            // Concurrent mode never consults an optimistic section's
-            // footprint — `episode_end_optimistic` recycles it unread;
-            // staleness is the caller's version protocol. Skip the
-            // read-set insert: big optimistic episodes (batched chunk
-            // descents) would otherwise spill the inline `LineSet` and
-            // pay a sorted-insert memmove per access. Every access is
-            // charged as a first touch — optimistic descents touch
-            // mostly fresh lines, and concurrent-mode cycle counts are
+            // Only the virtual backend consults an optimistic section's
+            // footprint — on real threads `episode_end_optimistic`
+            // recycles it unread; staleness is the caller's version
+            // protocol. Skip the read-set insert: big optimistic episodes
+            // (batched chunk descents) would otherwise spill the inline
+            // `LineSet` and pay a sorted-insert memmove per access. Every
+            // access is charged as a first touch — optimistic descents
+            // touch mostly fresh lines, and real-thread cycle counts are
             // diagnostic, not the simulation clock.
-            if ep.kind == EpisodeKind::OptimisticRead && self.rt.mode() != Mode::Virtual {
+            if ep.kind == EpisodeKind::OptimisticRead && self.rt.backend() != Backend::Virtual {
                 self.clock += cost.plain_first_touch;
                 return Ok(());
             }
@@ -613,150 +600,61 @@ impl ThreadCtx {
     // ================= direct (non-transactional) accesses =================
 
     #[inline]
-    pub(crate) fn direct_load(&mut self, ptr: *const AtomicU64) -> u64 {
+    fn debug_assert_not_transactional(&self) {
         debug_assert!(
             self.ep
                 .as_ref()
                 .is_none_or(|e| e.kind != EpisodeKind::HtmTx),
             "direct access inside an HTM transaction: use Tx::read/write"
         );
+    }
+
+    #[inline]
+    pub(crate) fn direct_load(&mut self, ptr: *const AtomicU64) -> u64 {
+        self.debug_assert_not_transactional();
         let _ = self.note_access(LineId::of_ptr(ptr), false);
         unsafe { (*ptr).load(Ordering::Acquire) }
     }
 
-    /// Concurrent-mode counterpart of [`ThreadCtx::publish_point_write`]:
-    /// make a direct (unbuffered) write visible to TL2 validation by
-    /// advancing the global clock and raising the line's version slot to
-    /// the new clock value. Applies to *every* non-quiet direct write —
-    /// in-place writes under node locks and fallback-section stores
-    /// bypass the commit protocol. Anchoring the bump to `rt.seq`
-    /// (rather than a local `+1`) is load-bearing twice over:
-    ///
-    /// * slot versions can never exceed the clock, so a committer whose
-    ///   `wv` is below a bump-inflated slot version is releasing after a
-    ///   strictly *later* clock tick than anything a pre-commit reader
-    ///   logged — the commit cannot become version-invisible
-    ///   ([`crate::lock::VersionTable::unlock_commit`]);
-    /// * any post-snapshot direct write yields `ver > rv` at the next
-    ///   `tl2_read`, forcing the extension revalidation — so even a
-    ///   read-only transaction (which has no commit-time validation)
-    ///   aborts rather than spanning a multi-line direct update.
+    /// Every direct write is this routine: account the access (and, for a
+    /// read-modify-write, the CAS), run `op` on the word, and — when `op`
+    /// says a protocol-visible value landed — publish it. `op` answers
+    /// `false` for a CAS that lost and for the *quiet* stores whose
+    /// observable value is unchanged for validating readers.
     #[inline]
-    fn bump_line_version(&self, line: LineId) {
-        if self.rt.mode() == Mode::Concurrent {
-            let ver = self.rt.seq.fetch_add(1, Ordering::SeqCst) + 1;
-            self.rt.vlocks.bump_line_to(line, ver);
+    pub(crate) fn direct_write<R>(
+        &mut self,
+        ptr: *const AtomicU64,
+        rmw: bool,
+        op: impl FnOnce(&AtomicU64) -> (R, bool),
+    ) -> R {
+        self.debug_assert_not_transactional();
+        if rmw {
+            self.stats.cas_ops += 1;
+            self.charge(self.rt.cost.cas);
         }
+        let line = LineId::of_ptr(ptr);
+        let _ = self.note_access(line, true);
+        let (out, publish) = op(unsafe { &*ptr });
+        if publish {
+            self.publish_direct_write(line);
+        }
+        out
     }
 
+    /// Make a direct (unbuffered) write visible to whoever may be
+    /// speculating on its line. On the virtual backend a write inside an
+    /// episode is published with the episode's footprint when it closes.
     #[inline]
-    pub(crate) fn direct_store(&mut self, ptr: *const AtomicU64, v: u64) {
-        debug_assert!(
-            self.ep
-                .as_ref()
-                .is_none_or(|e| e.kind != EpisodeKind::HtmTx),
-            "direct access inside an HTM transaction: use Tx::read/write"
-        );
-        let _ = self.note_access(LineId::of_ptr(ptr), true);
-        let in_episode = self.ep.is_some();
-        unsafe { (*ptr).store(v, Ordering::Release) };
-        self.bump_line_version(LineId::of_ptr(ptr));
-        if !in_episode {
-            self.publish_point_write(LineId::of_ptr(ptr));
-        }
-    }
-
-    #[inline]
-    pub(crate) fn direct_cas(&mut self, ptr: *const AtomicU64, old: u64, new: u64) -> bool {
-        self.stats.cas_ops += 1;
-        self.charge(self.rt.cost.cas);
-        let _ = self.note_access(LineId::of_ptr(ptr), true);
-        let ok = unsafe {
-            (*ptr)
-                .compare_exchange(old, new, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-        };
-        if ok {
-            self.bump_line_version(LineId::of_ptr(ptr));
-            if self.ep.is_none() {
-                self.publish_point_write(LineId::of_ptr(ptr));
+    fn publish_direct_write(&mut self, line: LineId) {
+        match self.rt.backend() {
+            Backend::Virtual => {
+                if self.ep.is_none() {
+                    self.virt_publish_point_write(line);
+                }
             }
+            Backend::Stm | Backend::Rtm => self.bump_line_version(line),
         }
-        ok
-    }
-
-    #[inline]
-    pub(crate) fn direct_store_quiet(&mut self, ptr: *const AtomicU64, v: u64) {
-        let _ = self.note_access(LineId::of_ptr(ptr), true);
-        unsafe { (*ptr).store(v, Ordering::Release) };
-    }
-
-    #[inline]
-    pub(crate) fn direct_cas_quiet(&mut self, ptr: *const AtomicU64, old: u64, new: u64) -> bool {
-        self.stats.cas_ops += 1;
-        self.charge(self.rt.cost.cas);
-        let _ = self.note_access(LineId::of_ptr(ptr), true);
-        unsafe {
-            (*ptr)
-                .compare_exchange(old, new, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-        }
-    }
-
-    pub(crate) fn direct_fetch_or(&mut self, ptr: *const AtomicU64, bits: u64) -> u64 {
-        self.stats.cas_ops += 1;
-        self.charge(self.rt.cost.cas);
-        let _ = self.note_access(LineId::of_ptr(ptr), true);
-        let prev = unsafe { (*ptr).fetch_or(bits, Ordering::AcqRel) };
-        self.bump_line_version(LineId::of_ptr(ptr));
-        if self.ep.is_none() {
-            self.publish_point_write(LineId::of_ptr(ptr));
-        }
-        prev
-    }
-
-    pub(crate) fn direct_fetch_and(&mut self, ptr: *const AtomicU64, bits: u64) -> u64 {
-        self.stats.cas_ops += 1;
-        self.charge(self.rt.cost.cas);
-        let _ = self.note_access(LineId::of_ptr(ptr), true);
-        let prev = unsafe { (*ptr).fetch_and(bits, Ordering::AcqRel) };
-        self.bump_line_version(LineId::of_ptr(ptr));
-        if self.ep.is_none() {
-            self.publish_point_write(LineId::of_ptr(ptr));
-        }
-        prev
-    }
-
-    pub(crate) fn direct_fetch_add(&mut self, ptr: *const AtomicU64, n: u64) -> u64 {
-        self.stats.cas_ops += 1;
-        self.charge(self.rt.cost.cas);
-        let _ = self.note_access(LineId::of_ptr(ptr), true);
-        let prev = unsafe { (*ptr).fetch_add(n, Ordering::AcqRel) };
-        self.bump_line_version(LineId::of_ptr(ptr));
-        if self.ep.is_none() {
-            self.publish_point_write(LineId::of_ptr(ptr));
-        }
-        prev
-    }
-
-    /// Strong atomicity in virtual mode: a bare (outside any episode)
-    /// direct write is published as a zero-width committed episode so it
-    /// aborts overlapping transactions whose footprint contains the line —
-    /// exactly what a coherence invalidation does to a TSX transaction.
-    fn publish_point_write(&mut self, line: LineId) {
-        if self.rt.mode() != Mode::Virtual {
-            return;
-        }
-        let mut writes = LineSet::with_capacity(1);
-        writes.insert(line);
-        self.rt.virt_commit(EpisodeRecord {
-            start: self.clock.saturating_sub(self.rt.cost.cas),
-            end: self.clock,
-            thread: self.id,
-            op_key: None,
-            reads: LineSet::new(),
-            writes,
-        });
     }
 
     // ================= episodes =================
@@ -765,21 +663,14 @@ impl ThreadCtx {
     /// flattens nested transactions; the engine forbids nesting outright).
     pub fn episode_begin(&mut self, kind: EpisodeKind) {
         assert!(self.ep.is_none(), "episode nesting is not supported");
-        let rv = if self.rt.mode() == Mode::Concurrent && kind == EpisodeKind::HtmTx {
-            // TL2: sample the global version clock. No waiting — in-flight
-            // commits are detected per line via the version-lock table.
-            self.rt.seq.load(Ordering::SeqCst)
-        } else {
-            0
-        };
         self.ep = Some(match self.spare.take() {
             Some(mut ep) => {
-                ep.reset(kind, self.clock, rv);
+                ep.reset(kind, self.clock);
                 ep
             }
             None => {
                 self.stats.episode_pool_allocs += 1;
-                EpisodeState::new(kind, self.clock, rv)
+                EpisodeState::new(kind, self.clock)
             }
         });
         self.trace(EventKind::EpisodeBegin {
@@ -789,7 +680,7 @@ impl ThreadCtx {
 
     /// Return a closed episode's scratch buffers to the per-thread pool so
     /// the next [`ThreadCtx::episode_begin`] is allocation-free.
-    fn recycle(&mut self, mut ep: Box<EpisodeState>) {
+    pub(crate) fn recycle(&mut self, mut ep: Box<EpisodeState>) {
         ep.reads.clear();
         ep.writes.clear();
         ep.ver_log.clear();
@@ -830,7 +721,7 @@ impl ThreadCtx {
     /// a Masstree reader would observe); in concurrent mode the caller's
     /// own version protocol detects staleness and this returns `None`.
     pub fn episode_end_optimistic(&mut self) -> Option<ConflictInfo> {
-        let out = self.episode_end_optimistic_inner();
+        let out = self.close_episode(EpisodeKind::OptimisticRead);
         match &out {
             None => self.trace(EventKind::EpisodeCommit {
                 kind: codes::EP_OPTIMISTIC_READ,
@@ -844,101 +735,42 @@ impl ThreadCtx {
         out
     }
 
-    fn episode_end_optimistic_inner(&mut self) -> Option<ConflictInfo> {
-        let rt = Arc::clone(&self.rt);
-        let ep = self.ep.take().expect("no open episode");
-        debug_assert_eq!(ep.kind, EpisodeKind::OptimisticRead);
-        if rt.mode() != Mode::Virtual {
-            self.recycle(ep);
-            return None;
-        }
-        // One `virt` acquisition covers the transfer charge, the window
-        // check and the storm draw (the episode-closing hot path used to
-        // take the mutex once per step).
-        let virt = rt.virt.lock().unwrap();
-        let transfer =
-            virt.transfer_charge(ep.reads.iter(), ep.start, self.id, rt.cost.line_transfer);
-        self.clock += transfer;
-        let out = if let Some((line, class, other_key, other_thread)) =
-            virt.check(ep.start, &ep.reads, None, &rt.nodes)
-        {
-            drop(virt);
-            let kind = ConflictKind::classify(class, ep.op_key, other_key);
-            Some(ConflictInfo {
-                line,
-                kind,
-                other_thread: Some(other_thread),
-            })
-        } else {
-            let u: f64 = self.rng.gen();
-            let storm = virt.storm_check(
-                &ep.reads,
-                None,
-                ep.start,
-                self.clock.saturating_sub(ep.start),
-                self.id,
-                u,
-                &rt.nodes,
-            );
-            drop(virt);
-            storm.map(|(line, class)| {
-                let kind = ConflictKind::classify(class, ep.op_key, None);
-                ConflictInfo {
-                    line,
-                    kind,
-                    other_thread: None,
-                }
-            })
-        };
-        self.recycle(ep);
-        out
-    }
-
     /// Close an [`EpisodeKind::LockedWrite`]: publish the writes so
     /// overlapping optimistic readers (and transactions — strong atomicity)
     /// observe them.
     pub fn episode_end_locked_write(&mut self) {
-        let rt = Arc::clone(&self.rt);
-        let mut ep = self.ep.take().expect("no open episode");
-        debug_assert_eq!(ep.kind, EpisodeKind::LockedWrite);
         self.trace(EventKind::EpisodeCommit {
             kind: codes::EP_LOCKED_WRITE,
         });
-        if rt.mode() != Mode::Virtual {
-            self.recycle(ep);
-            return;
+        self.close_episode(EpisodeKind::LockedWrite);
+    }
+
+    /// The one way a non-transactional episode ends. On real threads there
+    /// is nothing to do at the close: every direct write was published
+    /// line by line as it landed ([`ThreadCtx::direct_write`]), and an
+    /// optimistic reader validates through its own version protocol.
+    fn close_episode(&mut self, kind: EpisodeKind) -> Option<ConflictInfo> {
+        let ep = self.ep.take().expect("no open episode");
+        debug_assert_eq!(ep.kind, kind);
+        match self.rt.backend() {
+            Backend::Virtual => self.virt_close(ep),
+            Backend::Stm | Backend::Rtm => {
+                self.recycle(ep);
+                None
+            }
         }
-        let mut virt = rt.virt.lock().unwrap();
-        let transfer = virt.transfer_charge(
-            ep.reads.iter().chain(ep.writes.iter()),
-            ep.start,
-            self.id,
-            rt.cost.line_transfer,
-        );
-        self.clock += transfer;
-        virt.commit(EpisodeRecord {
-            start: ep.start,
-            end: self.clock,
-            thread: self.id,
-            op_key: ep.op_key,
-            reads: std::mem::take(&mut ep.reads),
-            writes: std::mem::take(&mut ep.writes),
-        });
-        drop(virt);
-        self.recycle(ep);
     }
 
     // ================= transactional accesses =================
 
     pub(crate) fn tx_read(&mut self, ptr: *const AtomicU64) -> Result<u64, AbortCause> {
-        // Inside a real RTM transaction the silicon buffers, detects and
-        // rolls back; instrumentation would only bloat the hardware
-        // read set (there is no open episode on this path).
-        if self.hw_txn {
-            return Ok(unsafe { (*ptr).load(Ordering::Relaxed) });
-        }
-        let kind = self.ep.as_ref().expect("Tx::read outside a region").kind;
-        match kind {
+        // No software episode inside a region: the body is running in a
+        // hardware transaction — the silicon buffers, detects and rolls
+        // back.
+        let Some(ep) = self.ep.as_ref() else {
+            return Ok(self.rtm_read(ptr));
+        };
+        match ep.kind {
             EpisodeKind::Fallback | EpisodeKind::LockedWrite | EpisodeKind::OptimisticRead => {
                 // Serialized / in-place paths read directly (still
                 // footprint-recorded and charged).
@@ -961,28 +793,24 @@ impl ThreadCtx {
                     return Ok(v);
                 }
                 self.note_access(LineId::of_ptr(ptr), false)?;
-                match self.rt.mode() {
-                    Mode::Virtual => Ok(unsafe { (*ptr).load(Ordering::Relaxed) }),
-                    Mode::Concurrent => self.tl2_read(ptr),
+                match self.rt.backend() {
+                    Backend::Virtual => Ok(unsafe { (*ptr).load(Ordering::Relaxed) }),
+                    Backend::Stm | Backend::Rtm => self.tl2_read(ptr),
                 }
             }
         }
     }
 
     pub(crate) fn tx_write(&mut self, ptr: *const AtomicU64, v: u64) -> Result<(), AbortCause> {
-        if self.hw_txn {
-            self.hw_wrote = true;
-            unsafe { (*ptr).store(v, Ordering::Relaxed) };
+        let Some(ep) = self.ep.as_ref() else {
+            self.rtm_write(ptr, v);
             return Ok(());
-        }
-        let kind = self.ep.as_ref().expect("Tx::write outside a region").kind;
-        match kind {
+        };
+        match ep.kind {
             EpisodeKind::Fallback | EpisodeKind::LockedWrite => {
-                let _ = self.note_access(LineId::of_ptr(ptr), true);
-                unsafe { (*ptr).store(v, Ordering::Release) };
-                // Direct (unbuffered) write: invalidate TL2 readers that
+                // Direct (unbuffered) write: invalidates TL2 readers that
                 // logged this line's version before it.
-                self.bump_line_version(LineId::of_ptr(ptr));
+                self.direct_write(ptr, false, |w| (w.store(v, Ordering::Release), true));
                 Ok(())
             }
             EpisodeKind::OptimisticRead => {
@@ -996,538 +824,92 @@ impl ThreadCtx {
         }
     }
 
-    /// Pauses a TL2 read tolerates before declaring the locked slot a
-    /// conflict. [`crate::lock::SpinBackoff`] doubles each pause, so the
-    /// total tolerated wait is thousands of spin quanta — enough to ride
-    /// out any writeback, bounded so a preempted committer cannot hang
-    /// readers (they abort, back off per policy, and retry).
-    const TL2_READ_MAX_PAUSES: u32 = 12;
-
-    /// TL2-style versioned read (concurrent mode only): sandwich the cell
-    /// load between two reads of the line's version-lock word; retry while
-    /// a committer holds the slot; extend the episode's read version when
-    /// the line is newer than `rv` (revalidating the whole read log);
-    /// record `(line, version)` for commit-time validation.
-    fn tl2_read(&mut self, ptr: *const AtomicU64) -> Result<u64, AbortCause> {
-        // Eager fallback-lock check — the software edition of hardware
-        // lock subscription. Fallback sections write directly, so even a
-        // read-only transaction must abort as soon as the subscribed lock
-        // is taken, not just at its next clock extension.
-        if let Some(fb) = self.ep.as_ref().unwrap().fb_ptr {
-            if unsafe { (*fb.0).load(Ordering::Acquire) } != 0 {
-                return Err(AbortCause::FallbackLocked);
-            }
-        }
-        let line = LineId::of_ptr(ptr);
-        let slot = self.rt.vlocks.slot_of(line);
-        let mut backoff = crate::lock::SpinBackoff::new();
-        let mut pauses = 0u32;
-        let (w1, v) = loop {
-            let w1 = self.rt.vlocks.load(slot);
-            if !crate::lock::VersionTable::is_locked(w1) {
-                let v = unsafe { (*ptr).load(Ordering::Acquire) };
-                if self.rt.vlocks.load(slot) == w1 {
-                    break (w1, v);
-                }
-            }
-            // Locked (a committer is writing this slot's lines back) or
-            // the word moved under the load: bounded backoff — waited
-            // cycles are charged to the clock and `cycles_lock_wait`,
-            // and a capped wait aborts as a conflict instead of spinning
-            // forever behind a preempted committer.
-            pauses += 1;
-            self.metric_add(euno_metrics::Counter::Tl2ReadWaits, 1);
-            if pauses > Self::TL2_READ_MAX_PAUSES {
-                return Err(self.line_conflict_cause(line));
-            }
-            backoff.pause(self);
-        };
-        let ver = crate::lock::VersionTable::version_of(w1);
-        if ver > self.ep.as_ref().unwrap().rv {
-            // The line committed after our snapshot point: extend the
-            // read version to now, which is sound iff everything read so
-            // far is still at its logged version.
-            self.metric_add(euno_metrics::Counter::Tl2Extensions, 1);
-            let new_rv = self.rt.seq.load(Ordering::SeqCst);
-            let bad = {
-                let ep = self.ep.as_ref().unwrap();
-                ep.ver_log
-                    .iter()
-                    .find(|&&(l, lv)| {
-                        let w = self.rt.vlocks.load(self.rt.vlocks.slot_of(l));
-                        crate::lock::VersionTable::is_locked(w)
-                            || crate::lock::VersionTable::version_of(w) != lv
-                    })
-                    .map(|&(l, _)| l)
-            };
-            if let Some(l) = bad {
-                self.metric_add(euno_metrics::Counter::Tl2ValidationFails, 1);
-                return Err(self.line_conflict_cause(l));
-            }
-            self.ep.as_mut().unwrap().rv = new_rv;
-        }
-        let consistent = {
-            let ep = self.ep.as_mut().unwrap();
-            match ep.ver_log.iter().find(|&&(l, _)| l == line) {
-                // Re-reading a logged line must see the logged version,
-                // or the two reads straddle a commit.
-                Some(&(_, lv)) => lv == ver,
-                None => {
-                    ep.ver_log.push((line, ver));
-                    true
-                }
-            }
-        };
-        if !consistent {
-            self.metric_add(euno_metrics::Counter::Tl2ValidationFails, 1);
-            return Err(self.line_conflict_cause(line));
-        }
-        Ok(v)
-    }
-
-    /// Abort cause for a TL2 validation / lock-wait failure on `line`.
-    fn line_conflict_cause(&self, line: LineId) -> AbortCause {
-        let ep = self.ep.as_ref().unwrap();
-        if ep.fb_line == Some(line) {
-            return AbortCause::FallbackLocked;
-        }
-        let kind = ConflictKind::classify(self.rt.class_of(line), ep.op_key, None);
-        AbortCause::Conflict(ConflictInfo {
-            line,
-            kind,
-            other_thread: None,
-        })
-    }
-
     // ================= HTM commit =================
 
     pub(crate) fn htm_commit(&mut self) -> Result<(), AbortCause> {
-        match self.rt.mode() {
-            Mode::Concurrent => self.commit_concurrent(),
-            Mode::Virtual => self.commit_virtual(),
+        match self.rt.backend() {
+            Backend::Virtual => self.virt_commit(),
+            Backend::Stm | Backend::Rtm => self.tl2_commit(),
         }
-    }
-
-    /// Lock attempts per write slot at commit before giving up. Commit
-    /// locks are held only across validation + writeback (no body work),
-    /// so a handful of doubling pauses rides out any live committer;
-    /// capped acquisition keeps the protocol deadlock-free even without
-    /// the sorted order (which exists to make collisions rare, not to
-    /// carry correctness).
-    const TL2_COMMIT_MAX_TRIES: u32 = 10;
-
-    /// TL2 commit (concurrent mode): lock the write footprint's version
-    /// slots in sorted order, validate the read log's line versions, bump
-    /// the global clock, write back, release at the new write version. No
-    /// global lock anywhere — disjoint commits proceed fully in parallel.
-    fn commit_concurrent(&mut self) -> Result<(), AbortCause> {
-        if self.ep.as_ref().unwrap().write_buf.is_empty() {
-            // Read-only: every read was version-validated (with rv
-            // extension) at read time, so the snapshot is consistent as
-            // of `rv`; nothing to publish, nothing to lock.
-            self.finish_episode_concurrent();
-            self.trace(EventKind::EpisodeCommit {
-                kind: codes::EP_HTM_TX,
-            });
-            return Ok(());
-        }
-        let mut ep = self.ep.take().unwrap();
-
-        // 1. Write footprint → sorted, deduplicated slot indices. Sorting
-        // by *slot* (not LineId) is what makes acquisition order globally
-        // consistent: striping does not preserve line order.
-        ep.wslots.clear();
-        for line in ep.writes.iter() {
-            ep.wslots.push(self.rt.vlocks.slot_of(line));
-        }
-        ep.wslots.sort_unstable();
-        ep.wslots.dedup();
-
-        // 2. Acquire each slot with a bounded try-lock.
-        for i in 0..ep.wslots.len() {
-            let slot = ep.wslots[i];
-            let mut backoff = crate::lock::SpinBackoff::new();
-            let mut tries = 0u32;
-            loop {
-                if self.rt.vlocks.try_lock(slot) {
-                    self.metric_add(euno_metrics::Counter::Tl2LockAcquires, 1);
-                    break;
-                }
-                tries += 1;
-                if tries > Self::TL2_COMMIT_MAX_TRIES {
-                    self.metric_add(euno_metrics::Counter::Tl2LockFails, 1);
-                    for &held in &ep.wslots[..i] {
-                        self.rt.vlocks.unlock_abort(held);
-                    }
-                    let cause = Self::slot_conflict_cause(&self.rt, &ep, slot);
-                    self.ep = Some(ep);
-                    return Err(cause);
-                }
-                backoff.pause(self);
-            }
-        }
-
-        // 3. Announce the writeback *before* validating: a fallback
-        // acquirer that wins the lock cell after our check in step 4
-        // spins on `wb_active` until our store in step 7 lands, so its
-        // direct accesses never interleave a half-applied buffer. The
-        // same counter gates episode-free optimistic snapshots.
-        self.rt.wb_active.fetch_add(1, Ordering::SeqCst);
-
-        // 4. The subscribed fallback lock must still be free.
-        if let Some(fb) = ep.fb_ptr {
-            if unsafe { (*fb.0).load(Ordering::SeqCst) } != 0 {
-                Self::abort_writeback(&self.rt, &ep);
-                self.ep = Some(ep);
-                return Err(AbortCause::FallbackLocked);
-            }
-        }
-
-        // 5. Validate the read log: every line still at its logged
-        // version, and locked only if we hold the lock (write-after-read
-        // of our own footprint).
-        for i in 0..ep.ver_log.len() {
-            let (l, lv) = ep.ver_log[i];
-            let slot = self.rt.vlocks.slot_of(l);
-            let w = self.rt.vlocks.load(slot);
-            let locked_by_other =
-                crate::lock::VersionTable::is_locked(w) && ep.wslots.binary_search(&slot).is_err();
-            if locked_by_other || crate::lock::VersionTable::version_of(w) != lv {
-                self.metric_add(euno_metrics::Counter::Tl2ValidationFails, 1);
-                Self::abort_writeback(&self.rt, &ep);
-                let cause = {
-                    self.ep = Some(ep);
-                    self.line_conflict_cause(l)
-                };
-                return Err(cause);
-            }
-        }
-
-        // 6. Serialization point: one clock tick for this commit.
-        let wv = self.rt.seq.fetch_add(1, Ordering::SeqCst) + 1;
-
-        // 7. Write back and release each slot at the new version.
-        for (p, v) in &ep.write_buf {
-            unsafe { (*p.0).store(*v, Ordering::Release) };
-        }
-        for &slot in ep.wslots.iter() {
-            self.rt.vlocks.unlock_commit(slot, wv);
-        }
-        self.rt.wb_active.fetch_sub(1, Ordering::SeqCst);
-
-        self.recycle(ep);
-        self.trace(EventKind::EpisodeCommit {
-            kind: codes::EP_HTM_TX,
-        });
-        Ok(())
-    }
-
-    /// Abort-path unwind for a commit that already announced its
-    /// writeback: release every held slot (preserving version bumps) and
-    /// retract the announcement.
-    fn abort_writeback(rt: &Runtime, ep: &EpisodeState) {
-        for &slot in ep.wslots.iter() {
-            rt.vlocks.unlock_abort(slot);
-        }
-        rt.wb_active.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Abort cause for a commit-time lock-acquisition failure on `slot`:
-    /// attribute it to the first write line mapping there.
-    fn slot_conflict_cause(rt: &Runtime, ep: &EpisodeState, slot: u32) -> AbortCause {
-        let line = ep
-            .writes
-            .iter()
-            .find(|&l| rt.vlocks.slot_of(l) == slot)
-            .unwrap_or(LineId(0));
-        if ep.fb_line == Some(line) {
-            return AbortCause::FallbackLocked;
-        }
-        let kind = ConflictKind::classify(rt.class_of(line), ep.op_key, None);
-        AbortCause::Conflict(ConflictInfo {
-            line,
-            kind,
-            other_thread: None,
-        })
-    }
-
-    fn finish_episode_concurrent(&mut self) {
-        if let Some(ep) = self.ep.take() {
-            self.recycle(ep);
-        }
-    }
-
-    fn commit_virtual(&mut self) -> Result<(), AbortCause> {
-        let rt = Arc::clone(&self.rt);
-        let mut ep = self.ep.take().unwrap();
-        // One `virt` acquisition covers the transfer charge, the window
-        // check, the storm draw and the commit publish — the commit hot
-        // path used to take the mutex once per step. On every abort path
-        // the episode goes back into `self.ep`: the executor's classify
-        // stage still needs its footprint (note_attempt_writes) before
-        // discarding it.
-        let mut virt = rt.virt.lock().unwrap();
-
-        // Cache-coherence charges for hot lines extend the interval first.
-        let transfer = virt.transfer_charge(
-            ep.reads.iter().chain(ep.writes.iter()),
-            ep.start,
-            self.id,
-            rt.cost.line_transfer,
-        );
-        self.clock += transfer;
-        let start = ep.start;
-        let end = self.clock;
-
-        if let Some((line, class, other_key, other_thread)) =
-            virt.check(start, &ep.reads, Some(&ep.writes), &rt.nodes)
-        {
-            drop(virt);
-            let cause = if Some(line) == ep.fb_line {
-                AbortCause::FallbackLocked
-            } else {
-                let kind = ConflictKind::classify(class, ep.op_key, other_key);
-                AbortCause::Conflict(ConflictInfo {
-                    line,
-                    kind,
-                    other_thread: Some(other_thread),
-                })
-            };
-            self.ep = Some(ep);
-            return Err(cause);
-        }
-
-        // Statistical collision with wall-clock-concurrent writers the
-        // serial order hides (see VirtState::storm_check). Episodes
-        // running under a contender-serializing advisory lock are exempt:
-        // the threads that generated the line heat are waiting behind the
-        // lock, so the Poisson-arrival assumption does not apply (the
-        // deterministic interval-overlap check above still catches every
-        // genuinely concurrent writer).
-        if !ep.serialized {
-            let u: f64 = self.rng.gen();
-            if let Some((line, class)) = virt.storm_check(
-                &ep.reads,
-                Some(&ep.writes),
-                start,
-                end.saturating_sub(start),
-                self.id,
-                u,
-                &rt.nodes,
-            ) {
-                drop(virt);
-                let kind = ConflictKind::classify(class, ep.op_key, None);
-                self.ep = Some(ep);
-                return Err(AbortCause::Conflict(ConflictInfo {
-                    line,
-                    kind,
-                    other_thread: None,
-                }));
-            }
-        }
-
-        let p = rt.cost.spurious_probability(end.saturating_sub(start));
-        if p > 0.0 && self.rng.gen_bool(p.min(1.0)) {
-            drop(virt);
-            self.ep = Some(ep);
-            return Err(AbortCause::Spurious);
-        }
-
-        // Commit: apply the buffer, publish the footprint. `mem::take` of
-        // an inline LineSet is a memcpy — the committed record borrows no
-        // heap unless the footprint spilled past the inline capacity.
-        for (p, v) in &ep.write_buf {
-            unsafe { (*p.0).store(*v, Ordering::Relaxed) };
-        }
-        virt.commit(EpisodeRecord {
-            start,
-            end,
-            thread: self.id,
-            op_key: ep.op_key,
-            reads: std::mem::take(&mut ep.reads),
-            writes: std::mem::take(&mut ep.writes),
-        });
-        drop(virt);
-        self.recycle(ep);
-        self.trace(EventKind::EpisodeCommit {
-            kind: codes::EP_HTM_TX,
-        });
-        Ok(())
     }
 
     // ================= fallback lock plumbing =================
 
+    /// Wait until the fallback lock is free: out its virtual hold, then —
+    /// on real threads — out the cell itself.
     pub(crate) fn fb_wait_free(&mut self, fb: &TxCell<u64>) {
-        match self.rt.mode() {
-            Mode::Concurrent => {
-                let mut backoff = crate::lock::SpinBackoff::new();
-                while fb.raw().load(Ordering::Acquire) != 0 {
-                    backoff.pause(self);
-                }
-            }
-            Mode::Virtual => {
-                let key = fb.raw_ptr() as u64;
-                let free_at = self.rt.vlock_free_at(key, self.clock);
-                if free_at > self.clock {
-                    self.stats.cycles_lock_wait += free_at - self.clock;
-                    self.clock = free_at;
-                }
-            }
+        self.vlock_wait(fb.raw_ptr() as u64);
+        let mut backoff = crate::lock::SpinBackoff::new();
+        while fb.raw().load(Ordering::Acquire) != 0 {
+            backoff.pause(self);
         }
     }
 
-    /// Subscribe the open transaction to the fallback lock: its word joins
-    /// the read set, so a fallback acquisition aborts us.
-    pub(crate) fn fb_subscribe(&mut self, fb: &TxCell<u64>) -> Result<(), AbortCause> {
+    /// Open a software transaction attempt subscribed to the fallback
+    /// lock: its word joins the read set, so a fallback acquisition aborts
+    /// us.
+    pub(crate) fn tx_begin(&mut self, fb: &TxCell<u64>) -> Result<(), AbortCause> {
+        self.episode_begin(EpisodeKind::HtmTx);
         let ptr = fb.raw_ptr();
         let line = LineId::of_ptr(ptr);
-        {
-            let ep = self.ep.as_mut().unwrap();
-            ep.fb_line = Some(line);
-            ep.fb_ptr = Some(CellPtr(ptr));
-            ep.reads.insert(line);
-        }
-        match self.rt.mode() {
-            Mode::Concurrent => {
-                // The lock cell is value-checked — not version-logged —
-                // at every subsequent TL2 read (`tl2_read`) and at commit
-                // (`commit_concurrent` step 4); here we only reject an
-                // attempt that starts while the fallback path is active.
-                let v = unsafe { (*ptr).load(Ordering::Acquire) };
-                if v != 0 {
-                    return Err(AbortCause::FallbackLocked);
-                }
-                Ok(())
-            }
-            Mode::Virtual => Ok(()),
+        let ep = self.ep.as_mut().unwrap();
+        ep.fb_line = Some(line);
+        ep.fb_ptr = Some(CellPtr(ptr));
+        ep.reads.insert(line);
+        match self.rt.backend() {
+            Backend::Virtual => Ok(()),
+            Backend::Stm | Backend::Rtm => self.tl2_begin(ptr),
         }
     }
 
     pub(crate) fn fb_acquire(&mut self, fb: &TxCell<u64>) {
         let addr = fb.raw_ptr() as u64;
-        match self.rt.mode() {
-            Mode::Concurrent => {
-                let mut backoff = crate::lock::SpinBackoff::new();
-                loop {
-                    // SeqCst CAS: the quiesce below is a total-order
-                    // argument against the committer's SeqCst fallback
-                    // check (commit step 4) and `wb_active` announcement.
-                    if fb.raw().load(Ordering::Acquire) == 0
-                        && fb
-                            .raw()
-                            .compare_exchange(0, 1, Ordering::SeqCst, Ordering::Acquire)
-                            .is_ok()
-                    {
-                        break;
-                    }
-                    backoff.pause(self);
-                }
-                // Quiesce in-flight writebacks: any committer that passed
-                // its fallback check before our CAS announced itself on
-                // `wb_active` *before* that check, so spinning the counter
-                // to zero guarantees its buffer is fully applied; every
-                // later committer fails the check and unwinds. Direct
-                // reads and writes on the fallback path are then safe.
-                let mut backoff = crate::lock::SpinBackoff::new();
-                while self.rt.wb_active.load(Ordering::SeqCst) != 0 {
-                    backoff.pause(self);
-                }
-                self.stats.cas_ops += 1;
-                self.charge(self.rt.cost.lock_acquire);
-                self.trace(EventKind::LockAcquire {
-                    addr,
-                    wait_cycles: 0,
-                });
-            }
-            Mode::Virtual => {
-                let free_at = self.rt.vlock_free_at(addr, self.clock);
-                let waited = free_at.saturating_sub(self.clock);
-                if free_at > self.clock {
-                    self.stats.cycles_lock_wait += free_at - self.clock;
-                    self.clock = free_at;
-                }
-                // The winning CAS a concurrent acquirer would issue.
-                self.stats.cas_ops += 1;
-                self.charge(self.rt.cost.lock_acquire);
-                fb.raw().store(1, Ordering::Release);
-                self.trace(EventKind::LockAcquire {
-                    addr,
-                    wait_cycles: waited,
-                });
-            }
+        let waited = self.vlock_wait(addr);
+        match self.rt.backend() {
+            Backend::Virtual => fb.raw().store(1, Ordering::Release),
+            Backend::Stm | Backend::Rtm => self.tl2_fb_lock(fb),
         }
+        // The winning CAS.
+        self.stats.cas_ops += 1;
+        self.charge(self.rt.cost.lock_acquire);
+        self.trace(EventKind::LockAcquire {
+            addr,
+            wait_cycles: waited,
+        });
     }
 
     pub(crate) fn fb_release(&mut self, fb: &TxCell<u64>) {
         self.charge(self.rt.cost.lock_release);
-        match self.rt.mode() {
-            Mode::Concurrent => {
-                // Fallback sections write *directly* (no TL2 buffer), so
-                // an episode-free optimistic reader validating against
-                // `rt.seq` cannot see them through the sequence alone. Bump
-                // the sequence while the fallback cell is still held: a
-                // reader that snapshotted before this release observes
-                // either the held cell or the moved sequence — never a
-                // torn fallback section. (Clearing the cell first would
-                // open a window where both of the reader's checks pass.)
-                // Transactions need no extra signal: every direct write in
-                // the section already bumped its line's version.
-                self.rt.seq.fetch_add(1, Ordering::SeqCst);
-                fb.raw().store(0, Ordering::Release);
-            }
-            Mode::Virtual => {
-                self.rt.vlock_hold(fb.raw_ptr() as u64, self.clock);
-                fb.raw().store(0, Ordering::Release);
-            }
+        let addr = fb.raw_ptr() as u64;
+        match self.rt.backend() {
+            Backend::Virtual => self.rt.vlock_hold(addr, self.clock),
+            Backend::Stm | Backend::Rtm => self.tl2_fb_unlock(),
         }
-        self.trace(EventKind::LockRelease {
-            addr: fb.raw_ptr() as u64,
-        });
+        fb.raw().store(0, Ordering::Release);
+        self.trace(EventKind::LockRelease { addr });
     }
 
     // ============ episode-free optimistic-read validation ============
 
-    /// Snapshot for an episode-free optimistic read: in concurrent mode,
-    /// the TL2 clock at a writeback-quiescent point (`wb_active == 0`).
-    /// The quiescence wait is bounded-backoff, not a tight spin: writers
-    /// hold `wb_active` only across validation + writeback. Virtual mode
-    /// needs no snapshot — episodes are physically serialized, and the
-    /// read set is checked against the committed window by
+    /// Snapshot for an episode-free optimistic read
+    /// ([`ThreadCtx::tl2_snapshot`]). Virtual mode needs no snapshot —
+    /// episodes are physically serialized, and the read set is checked
+    /// against the committed window by
     /// [`ThreadCtx::episode_end_optimistic`].
     pub fn optimistic_snapshot(&mut self) -> u64 {
-        match self.rt.mode() {
-            Mode::Virtual => 0,
-            Mode::Concurrent => {
-                let mut backoff = crate::lock::SpinBackoff::new();
-                loop {
-                    let s = self.rt.seq.load(Ordering::SeqCst);
-                    if self.rt.wb_active.load(Ordering::SeqCst) == 0 {
-                        break s;
-                    }
-                    backoff.pause(self);
-                }
-            }
+        match self.rt.backend() {
+            Backend::Virtual => 0,
+            Backend::Stm | Backend::Rtm => self.tl2_snapshot(),
         }
     }
 
-    /// Validate an episode-free optimistic read section against `snap`:
-    /// no writing commit has landed (`rt.seq` unchanged) and no
-    /// direct-writing fallback section is active on `fb`. This is sound
-    /// because every committer orders `wb_active += 1` → clock bump →
-    /// writeback → `wb_active -= 1`: a reader whose snapshot saw
-    /// `wb_active == 0` *after* loading `seq == snap` can only observe
-    /// writeback stores from commits that bumped the clock first — and
-    /// any such bump makes this check fail. A fallback section that
-    /// *completed* since the snapshot is caught the same way
-    /// ([`ThreadCtx::fb_release`] bumps `rt.seq` before clearing the
-    /// cell); an *active* one by the cell check. Virtual mode always
-    /// validates here — its collision detection runs at episode close.
+    /// Validate an episode-free optimistic read section against `snap`
+    /// ([`ThreadCtx::tl2_validate`]). Virtual mode always validates here —
+    /// its collision detection runs at episode close.
     pub fn optimistic_validate(&mut self, fb: &TxCell<u64>, snap: u64) -> bool {
-        match self.rt.mode() {
-            Mode::Virtual => true,
-            Mode::Concurrent => {
-                fb.raw().load(Ordering::Acquire) == 0 && self.rt.seq.load(Ordering::SeqCst) == snap
-            }
+        match self.rt.backend() {
+            Backend::Virtual => true,
+            Backend::Stm | Backend::Rtm => self.tl2_validate(fb, snap),
         }
     }
 
@@ -1537,17 +919,16 @@ impl ThreadCtx {
     // expose the episode-state manipulations its stages need without
     // leaking `EpisodeState` itself.
 
-    /// The attempt's speculative writes were coherence traffic even though
-    /// they never commit: keep their lines hot so concurrent and
-    /// subsequent attempts see the storm (virtual mode only).
-    pub(crate) fn note_attempt_writes(&mut self) {
-        if self.rt.mode() != Mode::Virtual {
-            return;
-        }
-        if let Some(ep) = self.ep.as_ref() {
-            self.rt
-                .virt_note_attempt_writes(&ep.writes, self.clock, self.id);
-        }
+    /// The attempt begun at `attempt_start` aborted with `cause`: discard
+    /// its episode and return the cycles it wasted.
+    pub(crate) fn attempt_aborted(&mut self, cause: &AbortCause, attempt_start: u64) -> u64 {
+        let wasted = self.clock - attempt_start;
+        let refund = match self.rt.backend() {
+            Backend::Virtual => self.virt_attempt_aborted(cause, wasted),
+            Backend::Stm | Backend::Rtm => 0,
+        };
+        self.episode_abort();
+        wasted - refund
     }
 
     /// Put the fallback lock's line into the open fallback episode's write
@@ -1562,18 +943,7 @@ impl ThreadCtx {
     /// Close the fallback episode: publish its section (virtual mode) so
     /// overlapping transactions abort on the subscribed lock line.
     pub(crate) fn fallback_publish(&mut self) {
-        let mut ep = self.ep.take().unwrap();
-        if self.rt.mode() == Mode::Virtual {
-            self.rt.virt_commit(EpisodeRecord {
-                start: ep.start,
-                end: self.clock,
-                thread: self.id,
-                op_key: ep.op_key,
-                reads: std::mem::take(&mut ep.reads),
-                writes: std::mem::take(&mut ep.writes),
-            });
-        }
-        self.recycle(ep);
+        self.close_episode(EpisodeKind::Fallback);
         self.trace(EventKind::EpisodeCommit {
             kind: codes::EP_FALLBACK,
         });
@@ -1664,7 +1034,7 @@ mod tests {
         let a = Aligned(TxCell::new(1u64));
         let b = Aligned(TxCell::new(1u64));
 
-        reader.episode_begin(EpisodeKind::HtmTx);
+        reader.tx_begin(&TxCell::new(0u64)).unwrap();
         assert_eq!(reader.tx_read(a.0.raw_ptr()).unwrap(), 1);
         // A two-line direct update (the shape of an in-place locked
         // write or a fallback section) lands between the reader's reads.

@@ -27,15 +27,12 @@
 //! (attempts, commits, fallbacks, backoffs) on the thread's `euno-metrics`
 //! shard.
 
-#[cfg(all(feature = "hw-rtm", target_arch = "x86_64"))]
-use std::sync::atomic::Ordering;
-
 use euno_trace::{codes, EventKind};
 
 use crate::abort::{AbortCause, ConflictInfo, TxResult};
 use crate::ctx::{trace_abort_code, EpisodeKind, ThreadCtx, Tx};
 use crate::policy::{Decision, RetryCounts, RetryPolicy};
-use crate::runtime::Mode;
+use crate::runtime::Backend;
 use crate::word::TxCell;
 
 /// Which of the two execution paths completed a region.
@@ -92,7 +89,16 @@ impl Executor<'_> {
 
         loop {
             attempts += 1;
-            match self.attempt_dispatch(ctx, &mut body) {
+            self.await_fallback(ctx, ThreadCtx::fb_wait_free);
+            self.attempt_start = ctx.clock;
+            // Stage 1 dispatch: a genuine hardware transaction where the
+            // runtime resolved to the RTM backend, the software episode
+            // engine otherwise.
+            let tried = match ctx.runtime().backend() {
+                Backend::Rtm => crate::rtm::attempt(ctx, self.fb, &mut body),
+                Backend::Virtual | Backend::Stm => self.attempt(ctx, &mut body),
+            };
+            match tried {
                 Ok(v) => {
                     ctx.metric_commit_episode(attempts, backoffs, &aborts);
                     return ExecOutcome {
@@ -130,136 +136,28 @@ impl Executor<'_> {
         }
     }
 
-    /// Stage 1 dispatch: route the speculative try to the software episode
-    /// engine or, when the runtime was built on the RTM backend and the
-    /// CPU supports it, to a genuine hardware transaction.
-    fn attempt_dispatch<R>(
-        &mut self,
-        ctx: &mut ThreadCtx,
-        body: &mut impl FnMut(&mut Tx<'_>) -> TxResult<R>,
-    ) -> Result<R, AbortCause> {
-        #[cfg(all(feature = "hw-rtm", target_arch = "x86_64"))]
-        if ctx.runtime().rtm_active() {
-            return self.attempt_hw(ctx, body);
-        }
-        self.attempt(ctx, body)
-    }
-
-    /// Stage 1, hardware flavour: run the body inside a real RTM
-    /// transaction with the fallback lock subscribed (classic lock
-    /// elision). No software episode is opened — conflict detection,
-    /// buffering and rollback are the silicon's job; `ThreadCtx::hw_txn`
-    /// makes `tx_read`/`tx_write` degrade to plain loads and stores.
-    ///
-    /// A body `Err` cannot return normally (the transaction's writes must
-    /// be rolled back), so it aborts with code 0x01; the fallback
-    /// subscription aborts with 0xff. Control for either lands back at
-    /// `xbegin` with the status word, which is translated to the engine's
-    /// [`AbortCause`] taxonomy.
-    #[cfg(all(feature = "hw-rtm", target_arch = "x86_64"))]
-    fn attempt_hw<R>(
-        &mut self,
-        ctx: &mut ThreadCtx,
-        body: &mut impl FnMut(&mut Tx<'_>) -> TxResult<R>,
-    ) -> Result<R, AbortCause> {
-        use crate::hw;
+    /// Run `lock_step` — wait out the fallback lock, or take it — and
+    /// attribute what it waited to the fallback-wait stage.
+    fn await_fallback(&self, ctx: &mut ThreadCtx, lock_step: fn(&mut ThreadCtx, &TxCell<u64>)) {
         let wait_before = ctx.stats.cycles_lock_wait;
-        ctx.fb_wait_free(self.fb);
+        lock_step(ctx, self.fb);
         let waited = ctx.stats.cycles_lock_wait - wait_before;
         if waited > 0 {
             ctx.stats.cycles_fallback_wait += waited;
             ctx.trace(EventKind::FallbackWait { cycles: waited });
         }
-        self.attempt_start = ctx.clock;
-        let st = unsafe { hw::xbegin() };
-        if st == hw::XBEGIN_STARTED {
-            // Subscribe: the lock word joins the read set, so a concurrent
-            // fallback acquisition aborts us; if already held, bail now.
-            if self.fb.raw().load(Ordering::Relaxed) != 0 {
-                unsafe { hw::xabort_ff() };
-            }
-            // Speculative — rolled back with everything else on abort.
-            ctx.hw_txn = true;
-            ctx.hw_wrote = false;
-            match body(&mut Tx { ctx }) {
-                Ok(v) => {
-                    if ctx.hw_wrote {
-                        // Writing commit: advance the TL2 clock *inside*
-                        // the transaction, so the bump publishes
-                        // atomically with the write set and episode-free
-                        // optimistic readers (`optimistic_validate`:
-                        // `seq == snap`) abort instead of accepting a
-                        // snapshot this commit landed in the middle of.
-                        // The seq word joins the hardware conflict set —
-                        // one extra line, the price of making elided
-                        // writers visible to snapshot validation.
-                        let seq = &ctx.runtime().seq;
-                        let s = seq.load(Ordering::Relaxed);
-                        seq.store(s + 1, Ordering::Relaxed);
-                    }
-                    unsafe { hw::xend() };
-                    ctx.hw_txn = false;
-                    ctx.hw_wrote = false;
-                    return Ok(v);
-                }
-                Err(_) => {
-                    unsafe { hw::xabort_01() };
-                    // Unreachable inside a transaction; defensive exit for
-                    // the no-RTM-in-flight case (xabort is a no-op there).
-                    ctx.hw_txn = false;
-                    ctx.hw_wrote = false;
-                    return Err(AbortCause::Explicit(1));
-                }
-            }
-        }
-        ctx.hw_txn = false;
-        ctx.hw_wrote = false;
-        Err(Self::hw_abort_cause(st))
     }
 
-    /// Translate an RTM status word into the engine's abort taxonomy.
-    #[cfg(all(feature = "hw-rtm", target_arch = "x86_64"))]
-    fn hw_abort_cause(st: u32) -> AbortCause {
-        use crate::hw::status;
-        use crate::line::LineId;
-        if st & status::EXPLICIT != 0 {
-            match status::xabort_code(st) {
-                0xff => AbortCause::FallbackLocked,
-                code => AbortCause::Explicit(code),
-            }
-        } else if st & status::CAPACITY != 0 {
-            AbortCause::Capacity
-        } else if st & status::CONFLICT != 0 {
-            // Hardware says only *that* a line collided, not which one.
-            AbortCause::Conflict(ConflictInfo {
-                line: LineId(0),
-                kind: crate::abort::ConflictKind::Unclassified,
-                other_thread: None,
-            })
-        } else {
-            AbortCause::Spurious
-        }
-    }
-
-    /// Stage 1: one speculative try — wait out the fallback lock, open an
-    /// HtmTx episode, subscribe to the lock word, run the body, commit.
+    /// Stage 1: one speculative try — open an HtmTx episode subscribed to
+    /// the lock word, run the body, commit.
     fn attempt<R>(
         &mut self,
         ctx: &mut ThreadCtx,
         body: &mut impl FnMut(&mut Tx<'_>) -> TxResult<R>,
     ) -> Result<R, AbortCause> {
-        let wait_before = ctx.stats.cycles_lock_wait;
-        ctx.fb_wait_free(self.fb);
-        let waited = ctx.stats.cycles_lock_wait - wait_before;
-        if waited > 0 {
-            ctx.stats.cycles_fallback_wait += waited;
-            ctx.trace(EventKind::FallbackWait { cycles: waited });
-        }
-        self.attempt_start = ctx.clock;
         let xbegin = ctx.runtime().cost.xbegin;
         ctx.charge(xbegin);
-        ctx.episode_begin(EpisodeKind::HtmTx);
-        ctx.fb_subscribe(self.fb)?;
+        ctx.tx_begin(self.fb)?;
         let v = body(&mut Tx { ctx })?;
         let xend = ctx.runtime().cost.xend;
         ctx.charge(xend);
@@ -285,14 +183,7 @@ impl Executor<'_> {
             cause: code,
             line_addr,
         });
-        ctx.note_attempt_writes();
-        ctx.episode_abort();
-        let mut wasted_attempt = ctx.clock - self.attempt_start;
-        if matches!(cause, AbortCause::Conflict(_)) && ctx.mode() == Mode::Virtual {
-            let refund = wasted_attempt / 2;
-            ctx.clock -= refund;
-            wasted_attempt -= refund;
-        }
+        let wasted_attempt = ctx.attempt_aborted(&cause, self.attempt_start);
         let penalty = ctx.runtime().cost.abort_penalty;
         ctx.charge(penalty);
         if matches!(cause, AbortCause::Conflict(_)) {
@@ -317,13 +208,7 @@ impl Executor<'_> {
         ctx: &mut ThreadCtx,
         body: &mut impl FnMut(&mut Tx<'_>) -> TxResult<R>,
     ) -> R {
-        let wait_before = ctx.stats.cycles_lock_wait;
-        ctx.fb_acquire(self.fb);
-        let waited = ctx.stats.cycles_lock_wait - wait_before;
-        if waited > 0 {
-            ctx.stats.cycles_fallback_wait += waited;
-            ctx.trace(EventKind::FallbackWait { cycles: waited });
-        }
+        self.await_fallback(ctx, ThreadCtx::fb_acquire);
         ctx.episode_begin(EpisodeKind::Fallback);
         ctx.fallback_mark(self.fb);
         let mut tries = 0;
@@ -509,7 +394,7 @@ mod tests {
     #[test]
     fn capacity_abort_falls_back() {
         let rt = Runtime::new(
-            Mode::Virtual,
+            Backend::Virtual,
             crate::cost::CostModel {
                 write_capacity_lines: 2,
                 ..Default::default()

@@ -13,15 +13,20 @@
 //! * **TSX abort semantics.** Conflict / capacity / explicit / spurious
 //!   abort codes ([`abort`]), bounded read/write sets, lock-subscribing
 //!   fallback with per-cause retry budgets ([`policy`]).
-//! * **Three engine backends.** A deterministic virtual-time mode where
-//!   transactions occupy intervals of a cycle-charged clock ([`cost`])
-//!   and conflict when overlapping intervals have colliding footprints —
-//!   the mode every figure of the paper is regenerated under (the host
-//!   has no 20-core TSX machine); real-thread software transactions
-//!   (TL2-style per-line version locks, [`lock::VersionTable`]) for
-//!   stress-testing correctness at wall-clock speed; and, with the
-//!   `hw-rtm` feature on a TSX CPU, genuine RTM lock-elision behind the
-//!   same staged executor ([`runtime::ConcurrentBackend`]).
+//! * **Three engine backends, one decision.** [`Runtime::new`] resolves
+//!   a [`Backend`] once, and each backend's protocol is one module:
+//!   [`virt`], a deterministic virtual-time mode where transactions
+//!   occupy intervals of a cycle-charged clock ([`cost`]) and conflict
+//!   when overlapping intervals have colliding footprints — the mode
+//!   every figure of the paper is regenerated under (the host has no
+//!   20-core TSX machine); [`tl2`], real-thread software transactions
+//!   (TL2-style per-line version locks, [`tl2::VersionTable`]) for
+//!   stress-testing correctness at wall-clock speed; and [`rtm`], genuine
+//!   RTM lock elision behind the same staged executor — compiled wherever
+//!   the target is x86-64, entered where CPUID reports TSX. The shared
+//!   core ([`ctx`], [`exec`], [`lock`]) owns episodes, footprints,
+//!   charging, telemetry and the retry loop, and dispatches on the
+//!   backend once per engine entry point.
 //!
 //! ## Quick example
 //!
@@ -50,16 +55,17 @@ pub mod ctx;
 pub mod epoch;
 pub mod exec;
 pub mod hint;
-#[cfg(all(feature = "hw-rtm", target_arch = "x86_64"))]
-pub mod hw;
 pub mod line;
 pub mod lock;
 pub mod map;
 pub mod obs;
 pub mod policy;
 pub(crate) mod registry;
+pub mod rtm;
 pub mod runtime;
 pub mod stats;
+pub mod tl2;
+pub mod virt;
 pub mod word;
 
 pub use abort::{AbortCause, ConflictInfo, ConflictKind, TxResult};
@@ -73,13 +79,14 @@ pub use hint::{fresh_owner, Anchor, Hint};
 pub use line::{LineClass, LineId, LineSet, CACHE_LINE_BYTES};
 pub use lock::{
     acquire_mask_blocking, release_mask, slot_for_key, AdvisoryLock, ControlBlock, SpinBackoff,
-    VersionTable,
 };
 pub use map::{ConcurrentMap, MemoryReport, KEY_SENTINEL, TOMBSTONE};
 pub use obs::{OpKind, OpObserver, OpOutput};
 pub use policy::{Decision, RetryCounts, RetryPolicy};
-pub use runtime::{hw_rtm_available, ConcurrentBackend, Mode, Runtime};
+pub use rtm::hw_rtm_available;
+pub use runtime::{Backend, Mode, Runtime};
 pub use stats::{AbortCounts, AggregateStats, ThreadStats};
+pub use tl2::VersionTable;
 pub use word::{TxCell, TxWord};
 
 // Trace-layer types, re-exported so downstream crates can install ring

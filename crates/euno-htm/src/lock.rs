@@ -5,14 +5,13 @@
 //! conflict-control module's per-slot lock bits. In concurrent mode these
 //! are plain CAS spinlocks; in virtual-time mode an acquirer arriving while
 //! the lock is virtually held is charged the wait until the holder's
-//! release time, which is how lock convoys show up in the figures.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! release time ([`ThreadCtx::vlock_free_at`]), which is how lock convoys
+//! show up in the figures.
 
 use euno_trace::EventKind;
 
 use crate::ctx::ThreadCtx;
-use crate::runtime::Mode;
+use crate::runtime::Backend;
 use crate::word::TxCell;
 
 /// Bounded exponential backoff for concurrent-mode spin loops.
@@ -24,7 +23,10 @@ use crate::word::TxCell;
 /// `spin_iter · 2^MAX_EXPONENT` cycles; once capped, the waiter also
 /// yields the OS thread so an unscheduled holder can run. All waited
 /// cycles are charged to the thread clock and `cycles_lock_wait`, exactly
-/// like the virtual-mode hold-time model.
+/// like the virtual-mode hold-time model. Every acquisition starts from a
+/// fresh one: carrying a saturated exponent from one contended region
+/// into the next would make an unrelated, possibly uncontended lock pay
+/// multi-thousand-cycle pauses on its first miss.
 pub struct SpinBackoff {
     exponent: u32,
 }
@@ -35,22 +37,6 @@ impl SpinBackoff {
 
     pub fn new() -> Self {
         SpinBackoff { exponent: 0 }
-    }
-
-    /// Current doubling level (diagnostics/tests).
-    pub fn exponent(&self) -> u32 {
-        self.exponent
-    }
-
-    /// Reset the doubling level to zero. Every acquisition must start from
-    /// a fresh (or reset) backoff: carrying a saturated exponent from one
-    /// contended region into the next would make an unrelated, possibly
-    /// uncontended lock pay multi-thousand-cycle pauses on its first miss.
-    /// The acquire cores below construct a fresh `SpinBackoff` per call,
-    /// which is equivalent; `reset` exists for callers that keep one
-    /// backoff across acquisitions.
-    pub fn reset(&mut self) {
-        self.exponent = 0;
     }
 
     /// Wait one backoff step, charging the cycles to `ctx`.
@@ -81,9 +67,9 @@ impl Default for SpinBackoff {
 /// same mechanism at two granularities).
 ///
 /// Concurrent mode test-and-test-and-sets with a fresh bounded
-/// [`SpinBackoff`] (a *fresh* one per acquisition — see
-/// [`SpinBackoff::reset`]); virtual mode charges the wait until the
-/// holder's modeled release time plus one losing CAS observation, so both
+/// [`SpinBackoff`]; virtual mode charges the wait until the
+/// holder's modeled release time plus one losing CAS observation
+/// ([`ThreadCtx::virt_acquire_mask`]), so both
 /// modes account a contended acquisition identically: one losing + one
 /// winning CAS. `vkey` is the virtual-lock identity of the bits being
 /// taken. Returns the cycles spent waiting.
@@ -91,8 +77,9 @@ pub fn acquire_mask_blocking(ctx: &mut ThreadCtx, word: &TxCell<u64>, mask: u64,
     debug_assert!(mask != 0);
     ctx.metric_add(euno_metrics::Counter::AdvisoryAcquires, 1);
     let wait_before = ctx.stats.cycles_lock_wait;
-    match ctx.mode() {
-        Mode::Concurrent => {
+    match ctx.runtime().backend() {
+        Backend::Virtual => ctx.virt_acquire_mask(word, mask, vkey),
+        Backend::Stm | Backend::Rtm => {
             let mut backoff = SpinBackoff::new();
             loop {
                 if word.load_direct(ctx) & mask == 0 {
@@ -103,19 +90,6 @@ pub fn acquire_mask_blocking(ctx: &mut ThreadCtx, word: &TxCell<u64>, mask: u64,
                 }
                 backoff.pause(ctx);
             }
-        }
-        Mode::Virtual => {
-            let free_at = ctx.runtime().vlock_free_at(vkey, ctx.clock);
-            if free_at > ctx.clock {
-                // The losing CAS advances the clock too; only the residual
-                // gap to the release time is spent waiting.
-                ctx.charge_cas_miss();
-                let wait = free_at.saturating_sub(ctx.clock);
-                ctx.stats.cycles_lock_wait += wait;
-                ctx.clock += wait;
-            }
-            let prev = word.fetch_or_direct(ctx, mask);
-            debug_assert_eq!(prev & mask, 0, "virtual lock bits must be free");
         }
     }
     let waited = ctx.stats.cycles_lock_wait - wait_before;
@@ -128,9 +102,7 @@ pub fn acquire_mask_blocking(ctx: &mut ThreadCtx, word: &TxCell<u64>, mask: u64,
 /// Release counterpart of [`acquire_mask_blocking`]: records the virtual
 /// hold time and clears the bits.
 pub fn release_mask(ctx: &mut ThreadCtx, word: &TxCell<u64>, mask: u64, vkey: u64) {
-    if ctx.mode() == Mode::Virtual {
-        ctx.runtime().vlock_hold(vkey, ctx.clock);
-    }
+    ctx.vlock_hold(vkey);
     word.fetch_and_direct(ctx, !mask);
 }
 
@@ -182,18 +154,12 @@ impl AdvisoryLock {
     /// Non-blocking acquire; returns whether the lock was taken. Both the
     /// success and the failure path cost exactly one CAS in both modes.
     pub fn try_acquire(&self, ctx: &mut ThreadCtx) -> bool {
-        let taken = match ctx.mode() {
-            Mode::Concurrent => self.cell.cas_direct(ctx, 0, 1),
-            Mode::Virtual => {
-                let free_at = ctx.runtime().vlock_free_at(self.key(), ctx.clock);
-                if free_at > ctx.clock {
-                    // The CAS a concurrent acquirer would lose.
-                    ctx.charge_cas_miss();
-                    false
-                } else {
-                    self.cell.cas_direct(ctx, 0, 1)
-                }
-            }
+        let taken = if ctx.vlock_free_at(self.key()) > ctx.clock {
+            // Virtually held: the CAS a concurrent acquirer would lose.
+            ctx.charge_cas_miss();
+            false
+        } else {
+            self.cell.cas_direct(ctx, 0, 1)
         };
         if taken {
             ctx.trace(EventKind::LockAcquire {
@@ -205,9 +171,7 @@ impl AdvisoryLock {
     }
 
     pub fn release(&self, ctx: &mut ThreadCtx) {
-        if ctx.mode() == Mode::Virtual {
-            ctx.runtime().vlock_hold(self.key(), ctx.clock);
-        }
+        ctx.vlock_hold(self.key());
         // Whole-word store, not the shared fetch_and: the word holds only
         // this lock, and the cheaper release is part of the advisory-lock
         // cost model the figures were calibrated with.
@@ -252,130 +216,6 @@ impl ControlBlock {
     }
 }
 
-// ================= TL2 per-line version locks =================
-
-/// Log2 of the version-lock table size. 2^14 slots × 8 bytes = 128 KiB —
-/// large enough that a tree footprint of tens of lines collides rarely,
-/// small enough to stay cache-resident under heavy traffic.
-const VERSION_TABLE_LOG2: u32 = 14;
-
-/// TL2-style striped table of versioned write-locks, one word per slot:
-/// `version << 1 | locked`. Concurrent-mode software transactions map each
-/// cache line ([`crate::line::LineId`]) to a slot with the same Fibonacci
-/// multiplier as [`slot_for_key`], lock their write slots at commit,
-/// validate read slots by version equality, and release with a bumped
-/// version taken from the global clock (`Runtime::seq`). *Every* version
-/// stored in a slot — commit release and direct-write bump alike — is a
-/// unique clock draw, so slot versions never outrun `Runtime::seq`.
-/// Distinct lines may share a slot; collisions only ever cause
-/// conservative aborts, never missed conflicts.
-///
-/// All operations are `SeqCst`: the commit protocol's correctness
-/// argument (writeback counter vs. fallback quiesce vs. episode-free
-/// readers, DESIGN.md §4.5) is a total-order argument, and the table is
-/// not the bottleneck — the point of striping is that disjoint commits
-/// touch disjoint slots.
-pub struct VersionTable {
-    slots: Box<[AtomicU64]>,
-}
-
-impl VersionTable {
-    pub(crate) fn new() -> Self {
-        VersionTable {
-            slots: (0..1usize << VERSION_TABLE_LOG2)
-                .map(|_| AtomicU64::new(0))
-                .collect(),
-        }
-    }
-
-    /// Slot index of a line (top bits of the Fibonacci hash, like
-    /// [`slot_for_key`] but with a power-of-two table).
-    #[inline]
-    pub fn slot_of(&self, line: crate::line::LineId) -> u32 {
-        (line.0.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - VERSION_TABLE_LOG2)) as u32
-    }
-
-    #[inline]
-    pub fn load(&self, slot: u32) -> u64 {
-        self.slots[slot as usize].load(Ordering::SeqCst)
-    }
-
-    #[inline]
-    pub fn is_locked(word: u64) -> bool {
-        word & 1 == 1
-    }
-
-    #[inline]
-    pub fn version_of(word: u64) -> u64 {
-        word >> 1
-    }
-
-    /// One lock attempt (no spin): set the lock bit, keeping the version.
-    #[inline]
-    pub(crate) fn try_lock(&self, slot: u32) -> bool {
-        let s = &self.slots[slot as usize];
-        let w = s.load(Ordering::SeqCst);
-        !Self::is_locked(w)
-            && s.compare_exchange(w, w | 1, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-    }
-
-    /// Release a held slot without publishing: clear the lock bit only, so
-    /// version bumps that landed while we held it survive.
-    #[inline]
-    pub(crate) fn unlock_abort(&self, slot: u32) {
-        self.slots[slot as usize].fetch_and(!1, Ordering::SeqCst);
-    }
-
-    /// Release a held slot at write-version `wv`. Versions are monotone:
-    /// if a concurrent direct-write bump already pushed the slot past
-    /// `wv`, keep the higher version and just drop the lock bit. The
-    /// keep-higher path is sound *because* bumps are clock-anchored
-    /// ([`VersionTable::bump_line_to`]): every version ever stored is a
-    /// unique `Runtime::seq` draw, so a slot version above `wv` was
-    /// issued *after* our own clock tick — and strictly after anything a
-    /// reader could have logged before we locked the slot (readers never
-    /// log a locked slot). Either way the released word differs from
-    /// every pre-commit observation, so revalidation always catches us.
-    #[inline]
-    pub(crate) fn unlock_commit(&self, slot: u32, wv: u64) {
-        let s = &self.slots[slot as usize];
-        let prev = s.fetch_max(wv << 1, Ordering::SeqCst);
-        if Self::version_of(prev) >= wv {
-            // fetch_max kept `prev`, which still carries our lock bit (we
-            // are the only possible holder), so clear just that bit.
-            s.fetch_and(!1, Ordering::SeqCst);
-        }
-    }
-
-    /// Version bump for a non-transactional (direct / fallback) write:
-    /// raise the slot covering `line` to `ver` — a fresh global-clock
-    /// draw the caller obtained via `Runtime::seq.fetch_add(1) + 1` —
-    /// preserving the lock bit of any in-flight committer. Anchoring the
-    /// bump to the clock (instead of a local `+1`) maintains the
-    /// invariant that a slot's version never exceeds `Runtime::seq`,
-    /// which both [`VersionTable::unlock_commit`] and the TL2 read-path
-    /// `rv`-extension rely on: a post-snapshot direct write always reads
-    /// as `ver > rv` and forces revalidation.
-    #[inline]
-    pub(crate) fn bump_line_to(&self, line: crate::line::LineId, ver: u64) {
-        let s = &self.slots[self.slot_of(line) as usize];
-        let mut cur = s.load(Ordering::SeqCst);
-        while Self::version_of(cur) < ver {
-            let new = (ver << 1) | (cur & 1);
-            match s.compare_exchange_weak(cur, new, Ordering::SeqCst, Ordering::SeqCst) {
-                Ok(_) => break,
-                Err(w) => cur = w,
-            }
-        }
-    }
-
-    /// Current version of the slot covering `line` (tests/diagnostics).
-    pub fn line_version(&self, line: crate::line::LineId) -> u64 {
-        Self::version_of(self.load(self.slot_of(line)))
-    }
-}
-
 // Test-support helper: acquire a lock and hold it for `work` cycles.
 #[cfg(test)]
 impl crate::ctx::ThreadCtx {
@@ -390,6 +230,8 @@ impl crate::ctx::ThreadCtx {
 mod tests {
     use super::*;
     use crate::runtime::Runtime;
+    use crate::tl2::VersionTable;
+    use std::sync::atomic::Ordering;
 
     #[test]
     fn advisory_lock_acquire_release_virtual() {
@@ -466,7 +308,6 @@ mod tests {
             let step = ctx.clock - before;
             expected += step;
             assert_eq!(step, unit << i.min(SpinBackoff::MAX_EXPONENT));
-            assert!(b.exponent() <= SpinBackoff::MAX_EXPONENT);
         }
         assert_eq!(ctx.stats.cycles_lock_wait, expected);
     }
@@ -510,26 +351,14 @@ mod tests {
     fn spin_backoff_resets_between_regions() {
         // Satellite audit: a fallback-heavy region must not poison the
         // next region's backoff schedule. The acquire cores construct a
-        // fresh SpinBackoff per acquisition, and `reset` restores a kept
-        // one to the fresh schedule.
+        // fresh SpinBackoff per acquisition.
         let rt = Runtime::new_concurrent();
         let mut ctx = rt.thread(0);
-        let unit = rt.cost.spin_iter.max(1);
 
         let mut b = SpinBackoff::new();
         for _ in 0..SpinBackoff::MAX_EXPONENT + 2 {
             b.pause(&mut ctx);
         }
-        assert_eq!(b.exponent(), SpinBackoff::MAX_EXPONENT, "saturated");
-        b.reset();
-        assert_eq!(b.exponent(), 0);
-        let before = ctx.clock;
-        b.pause(&mut ctx);
-        assert_eq!(
-            ctx.clock - before,
-            unit,
-            "first pause after reset is the base quantum again"
-        );
 
         // An uncontended acquisition after a heavily contended one spins
         // zero times — the saturated exponent of the earlier acquire must

@@ -1,64 +1,27 @@
-//! Engine-wide shared state: execution mode, the TL2 global version clock
-//! and per-line version-lock table for real-thread commits, and the
-//! virtual-time conflict bookkeeping
-//! (committed-episode window, virtual lock table, hot-line map, node table).
+//! Engine-wide shared state and the one backend decision: *which engine
+//! runs a transaction* is resolved once, in [`Runtime::new`], to a
+//! [`Backend`]; how each engine validates, commits and waits lives in its
+//! own module ([`crate::virt`], [`crate::tl2`], [`crate::rtm`]). What is
+//! left here is what all three share: the cost model, the node table, the
+//! epoch collector and the metric registry.
 
-use std::collections::VecDeque;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::AtomicU64;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use std::sync::Mutex;
-
-/// Multiply-based hasher for the engine's `u64`-keyed maps (line ids,
-/// lock keys). The default SipHash costs more than the lookups it guards
-/// on the episode hot path — several line-keyed probes per commit — and
-/// HashDoS resistance buys nothing against keys derived from our own
-/// allocations. One odd-constant multiply (Fibonacci hashing) spreads
-/// sequential line ids across the high bits hashbrown uses for its
-/// control tags. Deterministic, so map *behaviour* is reproducible — and
-/// nothing schedule-visible iterates these maps, so bucket order never
-/// reaches the run report either way.
-#[derive(Default)]
-struct FibHasher(u64);
-
-impl Hasher for FibHasher {
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        // 2^64 / phi, forced odd — the classic Fibonacci multiplier.
-        self.0 = n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // Not reached by u64 keys; fold bytes so any other key type still
-        // hashes sanely.
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        }
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type HashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FibHasher>>;
-
-#[cfg(test)]
-use crate::abort::{ConflictInfo, ConflictKind};
 use crate::cost::CostModel;
-use crate::line::{LineClass, LineId, LineSet, CACHE_LINE_BYTES};
+use crate::line::{LineClass, LineId, CACHE_LINE_BYTES};
 use crate::registry::NodeTable;
+use crate::virt::VirtState;
 
-/// How transactions execute.
+/// Which clock a runtime's threads run on — a view derived from its
+/// [`Backend`] ([`Backend::mode`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Mode {
     /// Real OS threads; TL2-style software transactions (per-line version
-    /// locks, read-version validation — see DESIGN.md §4.5) or, with the
-    /// `hw-rtm` feature on a TSX CPU, real hardware transactions. Used by
-    /// stress tests — genuinely concurrent and linearizable, but abort
-    /// statistics reflect the STM/RTM, not the modeled TSX.
+    /// locks, read-version validation — see DESIGN.md §4.5) or, on a TSX
+    /// CPU, real hardware transactions. Used by stress tests — genuinely
+    /// concurrent and linearizable, but abort statistics reflect the
+    /// STM/RTM, not the modeled TSX.
     Concurrent,
     /// Deterministic single-threaded virtual-time execution; conflicts
     /// derived from interval overlap × cache-line footprint intersection,
@@ -67,552 +30,49 @@ pub enum Mode {
     Virtual,
 }
 
-/// Which engine executes concurrent-mode transactions. The third axis of
-/// the engine (virtual / software TL2 / hardware RTM): all three run the
-/// same bodies behind the same staged executor ([`crate::exec`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ConcurrentBackend {
-    /// TL2-style software transactions: per-line version locks, buffered
-    /// writes, read-version validation.
-    #[default]
+/// The engine that executes a runtime's transactions. All three run the
+/// same bodies behind the same staged executor ([`crate::exec`]); shared
+/// code dispatches on this once per engine entry point.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Backend {
+    /// The deterministic virtual-time model ([`crate::virt`]).
+    Virtual,
+    /// TL2-style software transactions on real threads ([`crate::tl2`]).
     Stm,
-    /// Real Intel RTM lock-elision (`hw-rtm` feature, x86-64 with TSX).
-    /// Degrades to [`ConcurrentBackend::Stm`] when unavailable — check
-    /// [`Runtime::rtm_active`] for what actually runs.
-    HwRtm,
+    /// Real Intel RTM lock elision ([`crate::rtm`]) over the TL2
+    /// protocol's clock, fallback cell and direct-write publication.
+    /// Compiled on x86-64, entered on CPUID: requested of a host without
+    /// TSX it resolves to [`Backend::Stm`] — [`Runtime::backend`] says
+    /// what actually runs.
+    Rtm,
 }
 
-/// Does this build *and* CPU support hardware RTM? `false` whenever the
-/// `hw-rtm` feature is off, the target is not x86-64, or CPUID lacks TSX.
-pub fn hw_rtm_available() -> bool {
-    #[cfg(all(feature = "hw-rtm", target_arch = "x86_64"))]
-    {
-        crate::hw::rtm_supported()
-    }
-    #[cfg(not(all(feature = "hw-rtm", target_arch = "x86_64")))]
-    {
-        false
-    }
-}
-
-/// One committed episode visible to later overlapping episodes.
-#[derive(Clone, Debug)]
-pub struct EpisodeRecord {
-    pub start: u64,
-    pub end: u64,
-    pub thread: u32,
-    pub op_key: Option<u64>,
-    pub reads: LineSet,
-    pub writes: LineSet,
-}
-
-/// Write-recency record for one cache line.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct LineHeat {
-    pub end: u64,
-    pub thread: u32,
-    /// EWMA of the gap between consecutive writes (cycles); `u64::MAX`
-    /// until a second write establishes a rate.
-    pub gap_ewma: u64,
-}
-
-/// A committed episode in the window, stamped with its commit sequence
-/// number (the key the line index refers to).
-struct WindowRec {
-    seq: u64,
-    rec: EpisodeRecord,
-}
-
-/// One committed access to a line: the episode's commit sequence number,
-/// its end time, and the running maximum end over this entry and every
-/// older one in the same list. Commit order is *not* end order (a
-/// later-committing episode can end earlier), so a backward walk cannot
-/// stop at the first `end <= start` — but it *can* stop once the prefix
-/// maximum is `<= start`, because then no older access can overlap
-/// either. That early exit is what keeps the no-conflict case O(1) even
-/// while stale entries (records already pruned from the window) await the
-/// amortized sweep.
-#[derive(Clone, Copy)]
-struct LineAccess {
-    seq: u64,
-    end: u64,
-    max_end: u64,
-}
-
-/// Accesses kept inline before an [`AccessList`] spills to the heap. A
-/// skewed workload touches a long tail of lines once or twice per window;
-/// two inline slots mean those lines never allocate, while the few hot
-/// lines (root, fallback word) spill once and then reuse the buffer.
-const INLINE_ACCESSES: usize = 2;
-
-/// Access history of one line, in ascending-seq order (commit order), so
-/// a backward walk visits newest-first. Same inline/spill design as
-/// [`LineSet`]: elements live in `spill` iff it is non-empty.
-struct AccessList {
-    inline_len: u8,
-    inline: [LineAccess; INLINE_ACCESSES],
-    spill: Vec<LineAccess>,
-}
-
-impl Default for AccessList {
-    fn default() -> Self {
-        AccessList {
-            inline_len: 0,
-            inline: [LineAccess {
-                seq: 0,
-                end: 0,
-                max_end: 0,
-            }; INLINE_ACCESSES],
-            spill: Vec::new(),
-        }
-    }
-}
-
-impl AccessList {
+impl Backend {
     #[inline]
-    fn as_slice(&self) -> &[LineAccess] {
-        if self.spill.is_empty() {
-            &self.inline[..self.inline_len as usize]
-        } else {
-            &self.spill
+    pub fn mode(self) -> Mode {
+        match self {
+            Backend::Virtual => Mode::Virtual,
+            Backend::Stm | Backend::Rtm => Mode::Concurrent,
         }
     }
 
+    /// The per-backend commit counter.
     #[inline]
-    fn is_empty(&self) -> bool {
-        self.inline_len == 0 && self.spill.is_empty()
-    }
-
-    /// Append one access, maintaining the prefix-maximum end.
-    fn push(&mut self, seq: u64, end: u64) {
-        let max_end = self.as_slice().last().map_or(end, |a| a.max_end.max(end));
-        let a = LineAccess { seq, end, max_end };
-        if self.spill.is_empty() {
-            let n = self.inline_len as usize;
-            if n < INLINE_ACCESSES {
-                self.inline[n] = a;
-                self.inline_len += 1;
-                return;
-            }
-            self.spill.reserve(INLINE_ACCESSES + 1);
-            self.spill.extend_from_slice(&self.inline);
-            self.inline_len = 0;
+    pub(crate) fn commit_counter(self) -> euno_metrics::Counter {
+        match self {
+            Backend::Virtual => euno_metrics::Counter::CommitsVirtual,
+            Backend::Stm => euno_metrics::Counter::CommitsStm,
+            Backend::Rtm => euno_metrics::Counter::CommitsRtm,
         }
-        self.spill.push(a);
-    }
-
-    /// Drop accesses older than `min_seq`, rebuilding the prefix maxima
-    /// (the retained suffix's stored maxima still cover removed entries —
-    /// correct but loose, and tight maxima are what make the early exit
-    /// bite). Keeps the spill buffer's capacity for reuse.
-    fn sweep(&mut self, min_seq: u64) {
-        if self.spill.is_empty() {
-            let mut k = 0usize;
-            for i in 0..self.inline_len as usize {
-                if self.inline[i].seq >= min_seq {
-                    self.inline[k] = self.inline[i];
-                    k += 1;
-                }
-            }
-            self.inline_len = k as u8;
-            let mut running = 0u64;
-            for a in &mut self.inline[..k] {
-                running = running.max(a.end);
-                a.max_end = running;
-            }
-        } else {
-            self.spill.retain(|a| a.seq >= min_seq);
-            let mut running = 0u64;
-            for a in self.spill.iter_mut() {
-                running = running.max(a.end);
-                a.max_end = running;
-            }
-        }
-    }
-}
-
-/// Inverted-index entry for one cache line: which committed episodes
-/// wrote / read it.
-#[derive(Default)]
-struct LineIndexEntry {
-    writers: AccessList,
-    readers: AccessList,
-}
-
-/// Sweep the line index once this many entries refer to records already
-/// removed from the window. Amortizes the O(index) sweep across at least
-/// as many removals.
-const INDEX_SWEEP_STALE: usize = 4096;
-
-/// Virtual-mode shared state. Guarded by a mutex for `Send`/`Sync`, but in
-/// virtual mode all access is from the single scheduler thread, so the lock
-/// is never contended.
-///
-/// The conflict/storm/transfer logic lives in methods on this struct (not
-/// on [`Runtime`]) so the episode-closing paths in `ctx.rs` can take the
-/// mutex **once** per episode and run every check under the same guard —
-/// the per-episode lock traffic used to be 3-4 acquisitions. The
-/// `Runtime::virt_*` wrappers below keep the one-call-one-lock API for
-/// tests and single-shot callers.
-#[derive(Default)]
-pub(crate) struct VirtState {
-    /// Recently committed episodes, ordered by commit sequence number
-    /// (which is also start-time order under min-clock scheduling).
-    window: VecDeque<WindowRec>,
-    /// Next commit sequence number.
-    next_seq: u64,
-    /// line → committed episodes touching it. Commit-time conflict
-    /// detection probes only the episode's own footprint lines here —
-    /// O(footprint × per-line history) instead of O(window) per check.
-    line_index: HashMap<u64, LineIndexEntry>,
-    /// Upper bound on index entries referring to removed records; a sweep
-    /// runs once it passes [`INDEX_SWEEP_STALE`].
-    index_stale: usize,
-    /// Advisory-lock table: lock key → virtual time it is held until.
-    locks: HashMap<u64, u64>,
-    /// Per-line write heat: last writer end/thread plus an EWMA of the
-    /// write interarrival gap. Drives both the cross-core line-transfer
-    /// charge and the storm (write-rate) extrapolation.
-    recent_writes: HashMap<u64, LineHeat>,
-    /// Cycles of history to keep in `recent_writes` for hot-line charging.
-    transfer_horizon: u64,
-}
-
-impl LineHeat {
-    /// Fold one write at `end` by `thread` into the line's heat record.
-    #[inline]
-    fn update(prev: Option<LineHeat>, end: u64, thread: u32) -> LineHeat {
-        match prev {
-            Some(prev) => {
-                let gap = end.saturating_sub(prev.end).max(1);
-                let ewma = if prev.gap_ewma == u64::MAX {
-                    gap
-                } else {
-                    (3 * prev.gap_ewma + gap) / 4
-                };
-                LineHeat {
-                    end,
-                    thread,
-                    gap_ewma: ewma,
-                }
-            }
-            None => LineHeat {
-                end,
-                thread,
-                gap_ewma: u64::MAX,
-            },
-        }
-    }
-}
-
-impl VirtState {
-    /// Check an episode's footprint against committed overlapping
-    /// episodes — `reads` against their writes only (optimistic reads)
-    /// when `writes` is `None`, the full TSX rules otherwise. Returns the
-    /// colliding line and its class plus the other side's op key and
-    /// thread. The node table is read only once a collision is found, so
-    /// the line and its class come from one view of it and a clean episode
-    /// never touches its lock.
-    ///
-    /// The conflicting record is the *newest* (largest-seq) overlapping
-    /// record whose footprint intersects — exactly what the old
-    /// newest-first window scan returned — found here by probing the line
-    /// index with only the episode's own lines. The reported line within
-    /// that record follows the priority order my W ∩ their W, then
-    /// my W ∩ their R, then my R ∩ their W; within one priority level the
-    /// lowest-[`LineRank`](crate::registry::LineRank) common line wins, so
-    /// the report does not depend on heap addresses (see
-    /// [`NodeTableRead::best_common_line`](crate::registry::NodeTableRead::best_common_line)).
-    pub(crate) fn check(
-        &self,
-        start: u64,
-        reads: &LineSet,
-        writes: Option<&LineSet>,
-        nodes: &NodeTable,
-    ) -> Option<(LineId, LineClass, Option<u64>, u32)> {
-        // `below` excludes candidates already found to be stale (their
-        // record was pruned while its index entries survive) — a case the
-        // scheduler's prune invariant (`start` never precedes the cutoff)
-        // makes unreachable, but ad-hoc drivers can construct.
-        let mut below = u64::MAX;
-        loop {
-            let mut best: Option<u64> = None;
-            {
-                // Newest overlapping entry in one per-line history list.
-                let mut consider = |list: &[LineAccess]| {
-                    for a in list.iter().rev() {
-                        if a.max_end <= start {
-                            break; // nothing here or older can overlap
-                        }
-                        if a.seq >= below {
-                            continue;
-                        }
-                        if best.is_some_and(|b| a.seq <= b) {
-                            break; // walking descending seq: no improvement left
-                        }
-                        if a.end > start {
-                            best = Some(a.seq);
-                            break;
-                        }
-                    }
-                };
-                // Collision rules (TSX): my W ∩ their (R ∪ W), my R ∩ their W.
-                if let Some(w) = writes {
-                    for l in w.iter() {
-                        if let Some(e) = self.line_index.get(&l.0) {
-                            consider(e.writers.as_slice());
-                            consider(e.readers.as_slice());
-                        }
-                    }
-                }
-                for l in reads.iter() {
-                    if let Some(e) = self.line_index.get(&l.0) {
-                        consider(e.writers.as_slice());
-                    }
-                }
-            }
-            let cand = best?;
-            match self.window.binary_search_by_key(&cand, |wr| wr.seq) {
-                Ok(i) => {
-                    let rec = &self.window[i].rec;
-                    let reg = nodes.read();
-                    let line = if let Some(w) = writes {
-                        reg.best_common_line(w, &rec.writes)
-                            .or_else(|| reg.best_common_line(w, &rec.reads))
-                            .or_else(|| reg.best_common_line(reads, &rec.writes))
-                    } else {
-                        reg.best_common_line(reads, &rec.writes)
-                    };
-                    let line = line.expect("indexed record must intersect the footprint");
-                    return Some((line, reg.class_of(line), rec.op_key, rec.thread));
-                }
-                // Stale index entry: the record was pruned. Skip it and
-                // look for the next-newest candidate.
-                Err(_) => below = cand,
-            }
-        }
-    }
-
-    /// Publish a committed episode and refresh the hot-line map; see
-    /// [`Runtime::virt_commit`].
-    pub(crate) fn commit(&mut self, rec: EpisodeRecord) {
-        for l in rec.writes.iter() {
-            let heat = LineHeat::update(self.recent_writes.get(&l.0).copied(), rec.end, rec.thread);
-            self.recent_writes.insert(l.0, heat);
-        }
-        // Opportunistic backstop pruning for drivers that never call
-        // [`Runtime::virt_prune`] (ad-hoc tests, hand-rolled loops): any
-        // future episode in a min-clock-ordered schedule starts no earlier
-        // than this commit's start, so records ending a full safety margin
-        // before it can never collide again. The scheduler still performs
-        // exact pruning.
-        if self.window.len() >= 256 {
-            let cutoff = rec.start.saturating_sub(200_000);
-            self.drop_window_prefix(cutoff);
-            if self.window.len() >= 4096 {
-                self.drop_window_all(cutoff);
-            }
-            self.maybe_sweep_index();
-        }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        for l in rec.writes.iter() {
-            self.line_index
-                .entry(l.0)
-                .or_default()
-                .writers
-                .push(seq, rec.end);
-        }
-        for l in rec.reads.iter() {
-            self.line_index
-                .entry(l.0)
-                .or_default()
-                .readers
-                .push(seq, rec.end);
-        }
-        self.window.push_back(WindowRec { seq, rec });
-    }
-
-    /// Pop window records (oldest-first) whose end is at or before
-    /// `cutoff`, stopping at the first survivor.
-    fn drop_window_prefix(&mut self, cutoff: u64) {
-        while let Some(front) = self.window.front() {
-            if front.rec.end <= cutoff {
-                let wr = self.window.pop_front().unwrap();
-                self.index_stale += wr.rec.writes.len() + wr.rec.reads.len();
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Drop *every* window record ending at or before `cutoff` (the rare
-    /// linear pass — pop_front alone can strand long-lived records behind
-    /// a long-running front entry).
-    fn drop_window_all(&mut self, cutoff: u64) {
-        let stale = &mut self.index_stale;
-        self.window.retain(|wr| {
-            if wr.rec.end > cutoff {
-                true
-            } else {
-                *stale += wr.rec.writes.len() + wr.rec.reads.len();
-                false
-            }
-        });
-    }
-
-    /// Drop index entries whose records left the window, once enough have
-    /// accumulated. Entries are in ascending-seq order, so everything
-    /// before the oldest live seq is a removable prefix; entries for
-    /// records removed out of the middle (by [`VirtState::drop_window_all`])
-    /// linger until the live horizon passes them, which is harmless — the
-    /// checker skips candidates it cannot resolve.
-    fn maybe_sweep_index(&mut self) {
-        if self.index_stale < INDEX_SWEEP_STALE {
-            return;
-        }
-        let min_seq = self.window.front().map_or(self.next_seq, |wr| wr.seq);
-        self.line_index.retain(|_, e| {
-            e.writers.sweep(min_seq);
-            e.readers.sweep(min_seq);
-            !e.writers.is_empty() || !e.readers.is_empty()
-        });
-        self.index_stale = 0;
-    }
-
-    /// Exact pruning driven by the scheduler: drop everything that cannot
-    /// affect any episode starting at or after `before`.
-    pub(crate) fn prune(&mut self, before: u64) {
-        self.drop_window_prefix(before);
-        if self.window.len() > 4096 {
-            self.drop_window_all(before);
-        }
-        self.maybe_sweep_index();
-        if self.recent_writes.len() > 1 << 16 {
-            self.recent_writes
-                .retain(|_, heat| heat.end + 1_000_000 > before);
-        }
-        if self.locks.len() > 1 << 14 {
-            self.locks.retain(|_, &mut until| until > before);
-        }
-    }
-
-    /// Forget what the simulation remembers about `lines`: a node was just
-    /// allocated there. Heat and commit history are keyed by address, and
-    /// a freed node's address comes back whenever the allocator pleases —
-    /// were the newcomer to inherit them, whether a fresh leaf starts hot
-    /// would depend on heap layout, and a run would no longer repeat under
-    /// ASLR (`virt-scan-churn` once its sweeps free leaves: ±0.1 %).
-    pub(crate) fn forget_lines(&mut self, lines: std::ops::Range<u64>) {
-        for line in lines {
-            self.recent_writes.remove(&line);
-            self.line_index.remove(&line);
-        }
-    }
-
-    /// Storm extrapolation: serial virtual execution can only see
-    /// conflicts with *already committed* episodes, but on real hardware a
-    /// transaction also races writers that are wall-clock concurrent yet
-    /// execute later in the serial order. Model them statistically: if a
-    /// line in the footprint was last written by another thread Δ cycles
-    /// before this episode started, treat writes to it as a Poisson stream
-    /// of rate 1/Δ, so an episode of duration L collides with probability
-    /// `1 − exp(−L/Δ)`. Under a genuine storm Δ collapses and retries keep
-    /// failing — reproducing TSX's retry livelock and the fallback convoy
-    /// that drives the paper's throughput collapse; under low contention Δ
-    /// is huge and the correction vanishes.
-    #[allow(clippy::too_many_arguments)] // episode scalars, not a config bag
-    pub(crate) fn storm_check(
-        &self,
-        reads: &LineSet,
-        writes: Option<&LineSet>,
-        start: u64,
-        duration: u64,
-        me: u32,
-        u: f64,
-        nodes: &NodeTable,
-    ) -> Option<(LineId, LineClass)> {
-        let l = duration.max(1) as f64;
-        // Survival probability across all hot lines in the footprint: the
-        // line's write process is modelled as Poisson with rate
-        // 1/EWMA-gap, damped exponentially with the time since the last
-        // write so a storm that has genuinely ended stops biting. A line
-        // with no rate estimate yet falls back to the single-observation
-        // estimate (gap ≈ time since that write).
-        let mut log_survive = 0.0f64;
-        let mut latest_write: Option<u64> = None;
-        let lines = || {
-            reads
-                .iter()
-                .chain(writes.into_iter().flat_map(LineSet::iter))
-        };
-        // A line counts if another thread last wrote it before `start`.
-        let heat_of = |line: LineId| {
-            let heat = self.recent_writes.get(&line.0)?;
-            (heat.thread != me && heat.end <= start).then_some(heat)
-        };
-        for heat in lines().filter_map(heat_of) {
-            let since = (start - heat.end).max(1) as f64;
-            let lambda = if heat.gap_ewma == u64::MAX {
-                l / since
-            } else {
-                let gap = heat.gap_ewma.max(1) as f64;
-                (l / gap) * (-since / (20.0 * gap)).exp()
-            };
-            log_survive -= lambda;
-            latest_write = latest_write.max(Some(heat.end));
-        }
-        let p_abort = 1.0 - log_survive.exp();
-        if !(p_abort > 0.0 && u < p_abort) {
-            return None;
-        }
-        // Report the most-recently-written line; `heat.end` ties (lines
-        // written by the same committed episode) break on [`LineRank`],
-        // not address order, so the reported line is layout-independent.
-        // The node table is read only here, once the storm has fired.
-        let reg = nodes.read();
-        let line = lines()
-            .filter(|&line| heat_of(line).map(|h| h.end) == latest_write)
-            .min_by_key(|&line| reg.rank_of(line))?;
-        Some((line, reg.class_of(line)))
-    }
-
-    /// Heat contribution of an aborted attempt's speculative writes; see
-    /// [`Runtime::virt_note_attempt_writes`].
-    pub(crate) fn note_attempt_writes(&mut self, writes: &LineSet, end: u64, thread: u32) {
-        for l in writes.iter() {
-            let heat = LineHeat::update(self.recent_writes.get(&l.0).copied(), end, thread);
-            self.recent_writes.insert(l.0, heat);
-        }
-    }
-
-    /// Cycles charged for cache-coherence transfers of recently-written
-    /// hot lines (touched by another thread within the transfer horizon).
-    pub(crate) fn transfer_charge(
-        &self,
-        footprint: impl Iterator<Item = LineId>,
-        now: u64,
-        me: u32,
-        line_transfer_cost: u64,
-    ) -> u64 {
-        let mut hot = 0u64;
-        for l in footprint {
-            if let Some(heat) = self.recent_writes.get(&l.0) {
-                if heat.thread != me && heat.end + self.transfer_horizon > now {
-                    hot += 1;
-                }
-            }
-        }
-        hot * line_transfer_cost
     }
 }
 
 /// A word on a cache line of its own. Every writing commit on every
 /// thread bumps `Runtime::seq` and `Runtime::wb_active`, while every
-/// access reads `mode` and `cost`: wherever field reordering happens to
+/// access reads `backend` and `cost`: wherever field reordering happens to
 /// put them, the write-hot words must not share a line with the
 /// read-only ones (`wall-point`, 2 threads: 1.11 M ops/s sharing a line
-/// with `mode`, 1.34 M apart).
+/// with `backend`, 1.34 M apart).
 #[repr(align(64))]
 pub(crate) struct OwnLine<T>(T);
 
@@ -628,7 +88,9 @@ impl<T> std::ops::Deref for OwnLine<T> {
 /// Trees hold an `Arc<Runtime>`; per-thread handles are
 /// [`ThreadCtx`](crate::ctx::ThreadCtx)s created via [`Runtime::thread`].
 pub struct Runtime {
-    mode: Mode,
+    /// The engine every transaction on this runtime runs on, resolved
+    /// against the host in [`Runtime::new`] and fixed from then on.
+    backend: Backend,
     pub cost: CostModel,
     /// TL2 global version clock (concurrent mode): monotone, bumped once
     /// per writing commit (software TL2 and hardware RTM alike), once per
@@ -640,20 +102,16 @@ pub struct Runtime {
     /// slot of `vlocks` ever carries a version above this clock.
     pub(crate) seq: OwnLine<AtomicU64>,
     /// TL2 per-line version-lock table (concurrent mode; see
-    /// [`crate::lock::VersionTable`] and DESIGN.md §4.5).
-    pub(crate) vlocks: crate::lock::VersionTable,
+    /// [`crate::tl2::VersionTable`] and DESIGN.md §4.5).
+    pub(crate) vlocks: crate::tl2::VersionTable,
     /// Number of writing commits currently between their clock bump and
     /// the end of their writeback. Episode-free optimistic readers take
     /// snapshots only while this is zero, and a fallback acquirer spins it
     /// to zero before issuing direct writes — the two places that must not
     /// observe a half-applied write buffer.
     pub(crate) wb_active: OwnLine<AtomicU64>,
-    /// Which engine executes concurrent-mode transactions (STM or real
-    /// RTM); `Mode::Virtual` ignores it.
-    backend: ConcurrentBackend,
-    /// `backend == HwRtm` resolved against compile-time feature and
-    /// runtime CPUID support, cached at construction.
-    rtm_ok: bool,
+    /// The virtual backend's committed window, lock clock and line heat
+    /// (empty on the other two).
     pub(crate) virt: Mutex<VirtState>,
     /// Line → registered node, populated by trees at node allocation:
     /// answers conflict classification, profiler attribution and the
@@ -676,30 +134,22 @@ pub struct Runtime {
 }
 
 impl Runtime {
-    pub fn new(mode: Mode, cost: CostModel) -> Arc<Self> {
-        Self::new_with_backend(mode, cost, ConcurrentBackend::Stm)
-    }
-
-    /// Construct a runtime with an explicit concurrent-mode backend.
-    /// `HwRtm` requires the `hw-rtm` feature *and* CPU support; without
-    /// either, the runtime silently degrades to the software TL2 path
-    /// (the same way [`crate::hw::HwRegion`] falls back), so callers may
-    /// request it unconditionally.
-    pub fn new_with_backend(mode: Mode, cost: CostModel, backend: ConcurrentBackend) -> Arc<Self> {
-        let rtm_ok =
-            mode == Mode::Concurrent && backend == ConcurrentBackend::HwRtm && hw_rtm_available();
+    /// Construct a runtime on `backend`. This is the one place the engine
+    /// is chosen: [`Backend::Rtm`] asked of a host whose CPUID lacks TSX
+    /// is the software TL2 path, so callers may request it
+    /// unconditionally.
+    pub fn new(backend: Backend, cost: CostModel) -> Arc<Self> {
+        let backend = match backend {
+            Backend::Rtm if !crate::rtm::hw_rtm_available() => Backend::Stm,
+            b => b,
+        };
         Arc::new(Runtime {
-            mode,
+            backend,
             cost,
             seq: OwnLine(AtomicU64::new(0)),
-            vlocks: crate::lock::VersionTable::new(),
+            vlocks: crate::tl2::VersionTable::new(),
             wb_active: OwnLine(AtomicU64::new(0)),
-            backend,
-            rtm_ok,
-            virt: Mutex::new(VirtState {
-                transfer_horizon: 20_000,
-                ..VirtState::default()
-            }),
+            virt: Mutex::default(),
             nodes: NodeTable::default(),
             epoch: crate::epoch::Collector::new(),
             metrics: euno_metrics::Registry::new(),
@@ -709,47 +159,38 @@ impl Runtime {
 
     /// Convenience: virtual-time runtime with the default cost model.
     pub fn new_virtual() -> Arc<Self> {
-        Self::new(Mode::Virtual, CostModel::default())
+        Self::new(Backend::Virtual, CostModel::default())
     }
 
-    /// Convenience: real-thread runtime with the default cost model.
+    /// Convenience: real-thread runtime (TL2 software transactions) with
+    /// the default cost model.
     pub fn new_concurrent() -> Arc<Self> {
-        Self::new(Mode::Concurrent, CostModel::default())
+        Self::new(Backend::Stm, CostModel::default())
     }
 
     /// Convenience: real-thread runtime on the hardware-RTM backend (TL2
-    /// software path when the feature or the CPU is missing).
+    /// software path when the CPU has no TSX).
     pub fn new_concurrent_rtm() -> Arc<Self> {
-        Self::new_with_backend(
-            Mode::Concurrent,
-            CostModel::default(),
-            ConcurrentBackend::HwRtm,
-        )
+        Self::new(Backend::Rtm, CostModel::default())
+    }
+
+    /// The backend that actually runs — never [`Backend::Rtm`] on a host
+    /// without it.
+    #[inline]
+    pub fn backend(&self) -> Backend {
+        self.backend
     }
 
     #[inline]
     pub fn mode(&self) -> Mode {
-        self.mode
+        self.backend.mode()
     }
 
-    /// The configured concurrent-mode backend.
-    #[inline]
-    pub fn backend(&self) -> ConcurrentBackend {
-        self.backend
-    }
-
-    /// Whether transactions on this runtime actually execute as hardware
-    /// RTM transactions (feature compiled in, CPU supports it, and the
-    /// backend requested it).
+    /// Whether transactions on this runtime execute as hardware RTM
+    /// transactions.
     #[inline]
     pub fn rtm_active(&self) -> bool {
-        self.rtm_ok
-    }
-
-    /// Current version of the TL2 slot covering `addr`'s cache line
-    /// (tests/diagnostics).
-    pub fn line_version_of(&self, addr: usize) -> u64 {
-        self.vlocks.line_version(LineId::of_addr(addr))
+        self.backend == Backend::Rtm
     }
 
     /// The epoch collector governing deferred node reclamation.
@@ -827,13 +268,16 @@ impl Runtime {
     /// (`virt-scan-churn` under ASLR: one of two values, 0.1 % apart). The
     /// registration itself stays: pinned readers may still touch the node.
     pub fn forget_node_heat(&self, base: usize, bytes: usize) {
-        if self.mode == Mode::Virtual {
-            let line = CACHE_LINE_BYTES as u64;
-            let (lo, hi) = (base as u64, (base + bytes) as u64);
-            self.virt
-                .lock()
-                .unwrap()
-                .forget_lines(lo / line..hi.div_ceil(line));
+        match self.backend {
+            Backend::Virtual => {
+                let line = CACHE_LINE_BYTES as u64;
+                let (lo, hi) = (base as u64, (base + bytes) as u64);
+                self.virt
+                    .lock()
+                    .unwrap()
+                    .forget_lines(lo / line..hi.div_ceil(line));
+            }
+            Backend::Stm | Backend::Rtm => {}
         }
     }
 
@@ -861,124 +305,10 @@ impl Runtime {
         self.nodes.read().object_base_of(addr)
     }
 
-    // ----- virtual-mode conflict window --------------------------------
-
-    /// Check an episode's footprint against committed overlapping episodes.
-    /// `check_reads_against_writes` only (optimistic reads) when
-    /// `writes` is `None`.
-    ///
-    /// Returns the first collision found, classified. The episode-closing
-    /// hot paths in `ctx.rs` call [`VirtState::check`] directly under
-    /// their single lock acquisition; this wrapper serves the unit tests.
-    #[cfg(test)]
-    pub(crate) fn virt_check(
-        &self,
-        start: u64,
-        reads: &LineSet,
-        writes: Option<&LineSet>,
-        my_key: Option<u64>,
-    ) -> Option<ConflictInfo> {
-        let virt = self.virt.lock().unwrap();
-        let (line, class, other_key, other_thread) =
-            virt.check(start, reads, writes, &self.nodes)?;
-        drop(virt);
-        let kind = ConflictKind::classify(class, my_key, other_key);
-        Some(ConflictInfo {
-            line,
-            kind,
-            other_thread: Some(other_thread),
-        })
-    }
-
-    /// Publish a committed episode and refresh the hot-line map.
-    pub(crate) fn virt_commit(&self, rec: EpisodeRecord) {
-        self.virt.lock().unwrap().commit(rec);
-    }
-
-    /// Record the write footprint of an *aborted* HTM attempt. Speculative
-    /// stores issue request-for-ownership coherence traffic whether or not
-    /// the transaction later commits, so aborted attempts keep contended
-    /// lines hot — the positive feedback that turns contention into the
-    /// retry storms the paper measures (60 aborts/op at θ = 0.99).
-    pub(crate) fn virt_note_attempt_writes(&self, writes: &LineSet, end: u64, thread: u32) {
-        if writes.is_empty() {
-            return;
-        }
-        self.virt
-            .lock()
-            .unwrap()
-            .note_attempt_writes(writes, end, thread);
-    }
-
-    /// Cycles charged for cache-coherence transfers of recently-written hot
-    /// lines (touched by another thread within the transfer horizon).
-    /// The episode-closing hot paths in `ctx.rs` call
-    /// [`VirtState::transfer_charge`] directly under their single lock
-    /// acquisition; this wrapper serves the unit tests.
-    #[cfg(test)]
-    pub(crate) fn virt_transfer_charge(
-        &self,
-        footprint: impl Iterator<Item = LineId>,
-        now: u64,
-        me: u32,
-    ) -> u64 {
-        self.virt
-            .lock()
-            .unwrap()
-            .transfer_charge(footprint, now, me, self.cost.line_transfer)
-    }
-
-    /// Drop window entries and hot-line records that can no longer affect
-    /// any episode starting at or after `before`. The scheduler calls this
-    /// with the minimum pending start time.
-    pub fn virt_prune(&self, before: u64) {
-        self.virt.lock().unwrap().prune(before);
-    }
-
-    /// Current number of live window entries (observability/tests).
-    pub fn virt_window_len(&self) -> usize {
-        self.virt.lock().unwrap().window.len()
-    }
-
-    /// Lines the heat map currently holds — what its eviction triggers on
-    /// (observability/tests).
-    pub fn virt_heat_len(&self) -> usize {
-        self.virt.lock().unwrap().recent_writes.len()
-    }
-
-    // ----- virtual-mode advisory locks ---------------------------------
-
-    /// Virtual time at which the lock `key` becomes free (≥ `now`).
-    /// Public so downstream crates can build custom lock primitives (e.g.
-    /// the CCM's single-word bit locks) with virtual-wait semantics.
-    pub fn vlock_free_at(&self, key: u64, now: u64) -> u64 {
-        self.virt
-            .lock()
-            .unwrap()
-            .locks
-            .get(&key)
-            .copied()
-            .unwrap_or(0)
-            .max(now)
-    }
-
-    /// Record that `key` is held until `until`.
-    pub fn vlock_hold(&self, key: u64, until: u64) {
-        let mut virt = self.virt.lock().unwrap();
-        let slot = virt.locks.entry(key).or_insert(0);
-        *slot = (*slot).max(until);
-    }
-
     /// Reset all engine state between experiment phases (keeps the node
     /// table — the tree nodes are still alive).
     pub fn reset_dynamics(&self) {
-        let mut virt = self.virt.lock().unwrap();
-        virt.window.clear();
-        virt.line_index.clear();
-        virt.index_stale = 0;
-        virt.locks.clear();
-        virt.recent_writes.clear();
-        drop(virt);
+        self.virt.lock().unwrap().clear();
         // Preload / warmup traffic must not leak into measured metric
         // totals; registered threads keep their shard handles.
         self.metrics.reset();
@@ -1000,12 +330,58 @@ pub fn lock_key_for_bit(addr: usize, bit: u32) -> u64 {
     ((addr as u64) << 6) | (bit as u64 & 63)
 }
 
-/// Size sanity: a cache line holds 8 cells.
-pub const CELLS_PER_LINE: usize = CACHE_LINE_BYTES / 8;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::abort::{ConflictInfo, ConflictKind};
+    use crate::line::LineSet;
+    use crate::virt::EpisodeRecord;
+
+    // One-call-one-lock wrappers over [`VirtState`] for the tests below;
+    // the episode-closing paths in `virt.rs` run every step under a single
+    // acquisition of their own.
+    impl Runtime {
+        /// Check an episode's footprint against committed overlapping episodes.
+        /// `check_reads_against_writes` only (optimistic reads) when
+        /// `writes` is `None`. Returns the first collision found, classified.
+        pub(crate) fn virt_check(
+            &self,
+            start: u64,
+            reads: &LineSet,
+            writes: Option<&LineSet>,
+            my_key: Option<u64>,
+        ) -> Option<ConflictInfo> {
+            let virt = self.virt.lock().unwrap();
+            let (line, class, other_key, other_thread) =
+                virt.check(start, reads, writes, &self.nodes)?;
+            drop(virt);
+            let kind = ConflictKind::classify(class, my_key, other_key);
+            Some(ConflictInfo {
+                line,
+                kind,
+                other_thread: Some(other_thread),
+            })
+        }
+
+        /// Publish a committed episode and refresh the hot-line map.
+        pub(crate) fn virt_commit(&self, rec: EpisodeRecord) {
+            self.virt.lock().unwrap().commit(rec);
+        }
+
+        /// Cycles charged for cache-coherence transfers of recently-written hot
+        /// lines (touched by another thread within the transfer horizon).
+        pub(crate) fn virt_transfer_charge(
+            &self,
+            footprint: impl Iterator<Item = LineId>,
+            now: u64,
+            me: u32,
+        ) -> u64 {
+            self.virt
+                .lock()
+                .unwrap()
+                .transfer_charge(footprint, now, me, self.cost.line_transfer)
+        }
+    }
 
     #[test]
     fn register_and_classify() {

@@ -94,6 +94,17 @@ impl<T: TxWord> TxCell<T> {
         &self.raw
     }
 
+    #[inline]
+    fn cas(w: &AtomicU64, old: T, new: T) -> bool {
+        w.compare_exchange(
+            old.to_word(),
+            new.to_word(),
+            Ordering::AcqRel,
+            Ordering::Acquire,
+        )
+        .is_ok()
+    }
+
     /// Uninstrumented load. For single-threaded setup, assertions and
     /// statistics only — charges no cycles and records no footprint.
     #[inline]
@@ -118,13 +129,18 @@ impl<T: TxWord> TxCell<T> {
     /// running transactions.
     #[inline]
     pub fn store_direct(&self, ctx: &mut ThreadCtx, v: T) {
-        ctx.direct_store(self.raw_ptr(), v.to_word())
+        ctx.direct_write(self.raw_ptr(), false, |w| {
+            (w.store(v.to_word(), Ordering::Release), true)
+        })
     }
 
     /// Direct compare-and-swap; returns whether the swap happened.
     #[inline]
     pub fn cas_direct(&self, ctx: &mut ThreadCtx, old: T, new: T) -> bool {
-        ctx.direct_cas(self.raw_ptr(), old.to_word(), new.to_word())
+        ctx.direct_write(self.raw_ptr(), true, |w| {
+            let ok = Self::cas(w, old, new);
+            (ok, ok)
+        })
     }
 
     /// Direct store that is *protocol-invisible*: charged and recorded in
@@ -136,32 +152,40 @@ impl<T: TxWord> TxCell<T> {
     /// *value* sees nothing.
     #[inline]
     pub fn store_direct_quiet(&self, ctx: &mut ThreadCtx, v: T) {
-        ctx.direct_store_quiet(self.raw_ptr(), v.to_word())
+        ctx.direct_write(self.raw_ptr(), false, |w| {
+            (w.store(v.to_word(), Ordering::Release), false)
+        })
     }
 
     /// Quiet counterpart of [`TxCell::cas_direct`]; see
     /// [`TxCell::store_direct_quiet`].
     #[inline]
     pub fn cas_direct_quiet(&self, ctx: &mut ThreadCtx, old: T, new: T) -> bool {
-        ctx.direct_cas_quiet(self.raw_ptr(), old.to_word(), new.to_word())
+        ctx.direct_write(self.raw_ptr(), true, |w| (Self::cas(w, old, new), false))
     }
 
     /// Direct fetch-or on the underlying word (bit-vector manipulation).
     #[inline]
     pub fn fetch_or_direct(&self, ctx: &mut ThreadCtx, bits: u64) -> u64 {
-        ctx.direct_fetch_or(self.raw_ptr(), bits)
+        ctx.direct_write(self.raw_ptr(), true, |w| {
+            (w.fetch_or(bits, Ordering::AcqRel), true)
+        })
     }
 
     /// Direct fetch-and on the underlying word.
     #[inline]
     pub fn fetch_and_direct(&self, ctx: &mut ThreadCtx, bits: u64) -> u64 {
-        ctx.direct_fetch_and(self.raw_ptr(), bits)
+        ctx.direct_write(self.raw_ptr(), true, |w| {
+            (w.fetch_and(bits, Ordering::AcqRel), true)
+        })
     }
 
     /// Direct fetch-add on the underlying word.
     #[inline]
     pub fn fetch_add_direct(&self, ctx: &mut ThreadCtx, n: u64) -> u64 {
-        ctx.direct_fetch_add(self.raw_ptr(), n)
+        ctx.direct_write(self.raw_ptr(), true, |w| {
+            (w.fetch_add(n, Ordering::AcqRel), true)
+        })
     }
 }
 

@@ -1,7 +1,8 @@
 //! Scenario tests for the HTM engine: TSX semantics the trees rely on.
 
 use euno_htm::{
-    AbortCause, AdvisoryLock, CostModel, EpisodeKind, Mode, RetryPolicy, Runtime, ThreadCtx, TxCell,
+    AbortCause, AdvisoryLock, Backend, CostModel, EpisodeKind, RetryPolicy, Runtime, ThreadCtx,
+    TxCell,
 };
 
 fn min_clock_step(ctxs: &mut [ThreadCtx], mut f: impl FnMut(usize, &mut ThreadCtx)) {
@@ -87,7 +88,7 @@ fn fallback_lock_excludes_transactions() {
 #[test]
 fn capacity_threshold_is_exact() {
     let rt = Runtime::new(
-        Mode::Virtual,
+        Backend::Virtual,
         CostModel {
             write_capacity_lines: 4,
             ..CostModel::default()

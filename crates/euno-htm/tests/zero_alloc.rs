@@ -21,7 +21,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use euno_htm::{CostModel, Mode, RetryPolicy, Runtime, ThreadCtx, TxCell};
+use euno_htm::{Backend, CostModel, RetryPolicy, Runtime, ThreadCtx, TxCell};
 
 /// Forwards to the system allocator, counting every allocation and
 /// reallocation (frees are irrelevant to the property under test).
@@ -176,7 +176,7 @@ fn steady_state_episodes_do_not_allocate() {
     );
 
     // ---- concurrent mode: the NOrec software path, single thread ------
-    let rt = Runtime::new(Mode::Concurrent, CostModel::default());
+    let rt = Runtime::new(Backend::Stm, CostModel::default());
     let mut ctx = rt.thread(43);
     let fb = TxCell::new(0u64);
     let cells: Vec<Padded> = (0..CELLS).map(|_| Padded(TxCell::new(0))).collect();

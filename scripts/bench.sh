@@ -29,15 +29,6 @@ run() { # run <binary> <csv-name>
         2>&1 | tee -a "$LOG"
 }
 
-run_rtm() { # run_rtm <binary> <csv-name> — built with the hw-rtm feature
-            # so the engine backend axis gains engine-rtm rows on TSX
-            # hosts (runtime-gated: a no-op column elsewhere).
-    local bin="$1" csv="$2"
-    echo "=== $bin (hw-rtm) ===" | tee -a "$LOG"
-    cargo run --release -q -p euno-bench --features hw-rtm --bin "$bin" -- \
-        --csv "$OUT/$csv" 2>&1 | tee -a "$LOG"
-}
-
 : >"$LOG"
 echo "# EUNO_BENCH_SCALE=$SCALE  $(date -u +%Y-%m-%dT%H:%M:%SZ)" | tee -a "$LOG"
 run fig01_motivation fig01_motivation.csv
@@ -52,7 +43,7 @@ run fig14_timeline fig14_timeline.csv
 run ycsb_suite ycsb_suite.csv
 run mem_overhead mem_overhead.csv
 run sensitivity sensitivity.csv
-run_rtm engine_bench engine.csv
+run engine_bench engine.csv
 run serve_bench serve_knee.csv
 
 echo | tee -a "$LOG"

@@ -41,13 +41,6 @@ echo "golden digest pinned at $GOLDEN"
 cargo build --release
 cargo test -q
 
-# hw-rtm gate: the RTM backend is cfg'd out of the default build and
-# would bit-rot silently — build and test it explicitly.  Actual RTM
-# execution stays runtime-gated on rtm_supported(): on CPUs without TSX
-# these tests run the same assertions through the software episodes.
-cargo build --release --features hw-rtm
-cargo test -q -p euno-htm --features hw-rtm
-
 # Smoke-bench: one tiny figure run covering all four trees, then validate
 # the emitted run report against the DESIGN.md §11 schema.  Catches a
 # broken measurement pipeline (empty latency, missing report keys) that
@@ -99,20 +92,26 @@ echo "smoke-trace report + export OK"
 # (wall-clock numbers are meaningless at smoke sizes), only that every
 # scenario completes and emits a well-formed report.
 cargo run --release -q -p euno-bench --bin engine_bench -- \
-    --csv "$SMOKE/engine.csv" --ops 2000 >/dev/null
+    --csv "$SMOKE/engine.csv" --ops 2000 >/dev/null 2>"$SMOKE/engine.err"
 cargo run --release -q -p euno-bench --bin report_check -- \
     "$SMOKE/BENCH_engine.json"
 echo "smoke-engine report OK"
 
 # Smoke-stm: the TL2 software backend on real threads.  The engine bench
 # must emit its engine-stm rows (the backend axis is load-bearing for
-# EXPERIMENTS.md), and the dedicated concurrent-correctness suites — hot
-# cell, permuted commit orders, transfer invariant, commit-path ABA —
-# must pass at their checked-in sizes.
+# EXPERIMENTS.md) — and, from the same one build, its engine-rtm rows
+# wherever the binary itself says the CPU has RTM — and the dedicated
+# concurrent-correctness suites — hot cell (both backends), permuted
+# commit orders, transfer invariant, commit-path ABA — must pass at their
+# checked-in sizes.
 grep -q "engine-stm" "$SMOKE/engine.csv" \
     || { echo "smoke-stm: engine-stm rows missing from engine bench"; exit 1; }
+if ! grep -q "engine-rtm rows skipped" "$SMOKE/engine.err"; then
+    grep -q "engine-rtm" "$SMOKE/engine.csv" \
+        || { echo "smoke-stm: hw_rtm_available() but no engine-rtm rows"; exit 1; }
+fi
 cargo test -q -p euno-htm --test tl2_stm --test aba_regression
-echo "smoke-stm (TL2 backend rows + concurrent suites) OK"
+echo "smoke-stm (TL2 + RTM backend rows + concurrent suites) OK"
 
 # Held names: `Counter::Middles` and `ABORTS_MIDDLE` outlived the
 # executor's middle path only because the frozen `benchmark/` imports
@@ -138,6 +137,38 @@ inserts="$(cat crates/*/src/*.rs | grep -c 'fn internal_insert' || true)"
 [[ $inserts -le 1 ]] \
     || { echo "one-copy: $inserts index-insert routines"; exit 1; }
 echo "one-copy (one bisect under crates/*/src, in bptree.rs; no private index insert) OK"
+
+# One seam: which engine runs a transaction is decided once, in
+# `Runtime::new`, as a `Backend`; each backend's protocol is one module of
+# euno-htm (virt.rs / tl2.rs / rtm.rs; DESIGN.md §4.1).  No build option
+# selects an engine, no second lock-elision executor exists, and outside
+# those three modules nothing under crates/*/src branches on `mode()`,
+# `rtm_active()` or a per-access hardware flag (euno-sim's
+# `assert_eq!(rt.mode(), …)` is not a branch).  What shared code holds is
+# one dispatch on `backend()` per engine entry point — fourteen lines:
+#   ctx.rs   note_access (an optimistic section's footprint is kept only
+#            where it is consulted), publish_direct_write, close_episode
+#            (optimistic / locked-write / fallback), tx_begin, tx_read,
+#            htm_commit, attempt_aborted, fb_acquire, fb_release,
+#            optimistic_snapshot, optimistic_validate — and
+#            metric_commit_episode's `commit_counter()` lookup;
+#   exec.rs  the attempt (software episode or hardware transaction);
+#   lock.rs  acquire_mask_blocking.
+# Beside them: `Runtime::forget_node_heat` on the field itself, the
+# `Backend::mode` / `commit_counter` tables, and the two lock-clock
+# primitives every lock spelling is written over (`ThreadCtx::
+# vlock_free_at`, `vlock_hold`), which dispatch inside virt.rs.
+BACKENDS='^crates/euno-htm/src/(virt|tl2|rtm)\.rs:'
+! grep -rnE 'hw[-]rtm|Hw[R]egion' Cargo.toml crates/*/Cargo.toml crates examples tests scripts \
+        --include='*.toml' --include='*.rs' --include='*.sh' \
+    || { echo "one-seam: the hardware cargo feature or the second executor is back"; exit 1; }
+! grep -rnE '\b(if|match|while)\b.*(\bmode\(\)|rtm_active\(\)|hw_txn)|(\bmode\(\)|rtm_active\(\)|hw_txn) *[!=]=' crates/*/src \
+        | grep -vE "$BACKENDS" \
+    || { echo "one-seam: a branch on the mode outside the backend modules"; exit 1; }
+dispatches="$(grep -rn 'backend()' crates/*/src | grep -vcE "$BACKENDS|^crates/euno-htm/src/runtime.rs:")"
+[[ $dispatches == 14 ]] \
+    || { echo "one-seam: $dispatches backend() dispatches in shared code, 14 listed"; grep -rn 'backend()' crates/*/src | grep -vE "$BACKENDS"; exit 1; }
+echo "one-seam (no hardware feature, no second executor, no mode branch outside virt/tl2/rtm; 14 entry-point dispatches) OK"
 
 # Metrics smoke: a tiny Figure 14 run (rotating-hotspot timeline) must
 # quantify an adaptation lag for at least one programmed shift, emit a
