@@ -8,9 +8,11 @@
 //!    validated walks (from an index node the thread remembers for the
 //!    key's neighbourhood, else from the root); the paper's HTM region
 //!    otherwise and as their tail.
-//!    A `read_opt` get then tries to read the leaf episode-free as well
-//!    ([`EunoBTree::read_leaf`]) and is done if that holds (one in
-//!    [`GET_TWO_STEP_ONE_IN`] does not try);
+//!    A `read_opt` get reads the leaf episode-free as well — inside the
+//!    walk's own section when a walk found it
+//!    ([`EunoBTree::locate_then`]), in a section of its own when a hint or
+//!    the HTM region did ([`EunoBTree::read_leaf`]) — and is done if that
+//!    holds (one in [`GET_TWO_STEP_ONE_IN`] does not try);
 //! 2. the conflict-control stage (outside any region, [`Ccm::enter`] …
 //!    [`Ccm::leave`]) — on a protected leaf — takes the key's CCM lock
 //!    bit, consults the mark bit, and pre-acquires the split lock for
@@ -308,7 +310,9 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
     ///    the episode-free walk of rung 3 starts there instead of at the
     ///    root, and what it finds is taken iff the walk narrowed (the
     ///    argument is at [`EunoBTree::descend`]); if not, the hint is
-    ///    dropped and rung 3 runs from the root;
+    ///    dropped and the same section walks on from the root — a hint
+    ///    turned away is the table's miss, not a writer's doing, and costs
+    ///    no retry, no back-off and no try;
     /// 3. up to [`LOCATE_TRIES`] episode-free walks (rung 2's included) — a
     ///    validated section proves the descent atomic, i.e. the leaf
     ///    covered `key` while its `seqno` read the returned value;
@@ -319,9 +323,25 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
     /// a walk from the root replaces the subtree hint if it has one to
     /// give.
     pub fn locate(&self, ctx: &mut ThreadCtx, key: u64) -> Located<'_, SEGS, K> {
+        self.locate_then(ctx, key, |_, _| ()).0
+    }
+
+    /// [`EunoBTree::locate`], and `tail` run on the leaf inside the walk's
+    /// own validated section, right after its `seqno` load — if rung 2 or
+    /// 3 answered. What `tail` reads is then validated with the walk: it
+    /// read the leaf while the leaf covered `key` under the `seqno`
+    /// returned, with no second section and no second `seqno` load. (A
+    /// tail that runs on a rejected walk is run again on the next; its
+    /// value is only ever that of the section that held.)
+    pub(crate) fn locate_then<T>(
+        &self,
+        ctx: &mut ThreadCtx,
+        key: u64,
+        mut tail: impl FnMut(&mut ThreadCtx, &EunoLeaf<SEGS, K>) -> T,
+    ) -> (Located<'_, SEGS, K>, Option<T>) {
         debug_assert!(ctx.epoch_pinned(), "the leaf hand-over needs a pin");
         if !self.cfg.read_opt {
-            return self.upper_region(ctx, key);
+            return (self.upper_region(ctx, key), None);
         }
         let block = key >> HINT_BLOCK_SHIFT;
         // One load serves both ends of the generation rule: it follows this
@@ -337,13 +357,14 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                     let leaf = unsafe { NodeRef::from_word(bits).as_leaf::<EunoLeaf<SEGS, K>>() };
                     if leaf.seqno.load_direct(ctx) == seqno {
                         ctx.metric_add(Counter::LeafHintHits, 1);
-                        return Located {
+                        let at = Located {
                             leaf,
                             seqno,
                             low,
                             high,
                             conflicts: 0,
                         };
+                        return (at, None);
                     }
                 }
                 ctx.metric_add(Counter::LeafHintStale, 1);
@@ -351,38 +372,53 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         }
         let subtree_block = key >> SUBTREE_BLOCK_SHIFT;
         let mut from = ctx.anchor_probe(self.hint_owner, subtree_block);
+        // The mutation twin of the one-section get: the section closes
+        // before `tail` reads the leaf.
+        let tail_inside = !probe::mutated("get:leaf-read-after-section");
         let walk = self.validated_section(ctx, key, &mut { LOCATE_TRIES }, |ctx| {
-            let at = self
+            let mut at = self
                 .descend(key, from, |cell| Ok(cell.load_direct(ctx)))
                 .ok()??;
+            if from.is_some() && !at.narrowed && !probe::mutated("subtree:trust-unnarrowed") {
+                from = None;
+                ctx.metric_add(Counter::SubtreeHintUnusable, 1);
+                at = self
+                    .descend(key, None, |cell| Ok(cell.load_direct(ctx)))
+                    .ok()??;
+            }
             if from.is_none() {
                 // The walk that may file an anchor pays for looking: one
                 // containment test a level.
                 ctx.charge(self.rt.cost.alu * at.levels);
-            } else if !at.narrowed && !probe::mutated("subtree:trust-unnarrowed") {
-                from = None;
-                ctx.metric_add(Counter::SubtreeHintUnusable, 1);
-                return None;
             }
             let seqno = at.leaf.seqno.load_direct(ctx);
-            Some((at, seqno))
+            let out = tail_inside.then(|| {
+                probe::point("walk:seqno");
+                tail(ctx, at.leaf)
+            });
+            Some((at, seqno, out))
         });
-        let at = match walk {
-            Some((at, seqno)) => {
+        let (at, out) = match walk {
+            Some((at, seqno, out)) => {
+                let out = out.or_else(|| {
+                    probe::point("walk:seqno");
+                    Some(tail(ctx, at.leaf))
+                });
                 if from.is_some() {
                     ctx.metric_add(Counter::SubtreeHintHits, 1);
                 } else if let Some(anchor) = at.anchor {
                     ctx.anchor_record(self.hint_owner, subtree_block, anchor);
                 }
-                Located {
+                let at = Located {
                     leaf: at.leaf,
                     seqno,
                     low: at.low,
                     high: at.high,
                     conflicts: 0,
-                }
+                };
+                (at, out)
             }
-            None => self.upper_region(ctx, key),
+            None => (self.upper_region(ctx, key), None),
         };
         let bits = NodeRef::of_leaf(at.leaf).to_word();
         ctx.hint_record(
@@ -390,7 +426,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             block,
             [bits, at.seqno, at.low, at.high, generation],
         );
-        at
+        (at, out)
     }
 
     /// Algorithm 2: the traversal shared by get, put and delete.
@@ -420,18 +456,27 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
     ) -> Option<u64> {
         let mut force_split_lock = false;
         loop {
-            // Step 1: upper stage.
+            // Step 1: upper stage. A `read_opt` get that a walk answers
+            // reads its leaf inside the walk's section and is done there.
+            let episode_free = req == Req::Get
+                && self.cfg.read_opt
+                && ctx.rng().gen_range(0..GET_TWO_STEP_ONE_IN) != 0;
+            let (located, answer) = if episode_free {
+                self.locate_then(ctx, key, |ctx, leaf| self.read_record(ctx, leaf, key))
+            } else {
+                (self.locate(ctx, key), None)
+            };
+            if let Some(value) = answer {
+                return value;
+            }
             let Located {
                 leaf,
                 seqno,
                 conflicts: upper_conflicts,
                 ..
-            } = self.locate(ctx, key);
+            } = located;
             probe::point("locate:done");
-            if req == Req::Get
-                && self.cfg.read_opt
-                && ctx.rng().gen_range(0..GET_TWO_STEP_ONE_IN) != 0
-            {
+            if episode_free {
                 match self.read_leaf(ctx, leaf, seqno, key) {
                     LeafRead::Value(value) => return value,
                     // A dead pair has nothing to queue for: no conflict
@@ -503,17 +548,28 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         }
     }
 
-    /// The episode-free leaf read of a `read_opt` get: search `leaf` —
-    /// the key's home segment, and on only while the one just read is full
-    /// ([`EunoLeaf::find`]) — with direct loads inside up to [`GET_TRIES`]
-    /// validated sections, each bracketed by `seqno`: the seqno-bump-first
-    /// discipline on splits, merges and reorganizations guarantees a reader
-    /// that saw moving records, or a segment that stopped being full, also
-    /// sees a changed `seqno`. A get that comes back without a
-    /// value either found `seqno` moved — the pair is dead and only
-    /// `locate` can replace it — or spent its budget, in which case the
-    /// lower region takes the same pair and queues behind same-record
-    /// writers instead of racing them.
+    /// `key`'s value in `leaf`, by direct loads: the key's home segment,
+    /// and on only while the one just read is full ([`EunoLeaf::find`]).
+    /// Means what the leaf does only inside a validated section that also
+    /// vouches for `seqno`.
+    fn read_record(&self, ctx: &mut ThreadCtx, leaf: &EunoLeaf<SEGS, K>, key: u64) -> Option<u64> {
+        ctx.charge(self.rt.cost.alu * Self::HOME_COST);
+        let Ok((seg, at)) = leaf.find(key, |cell| Ok::<_, Infallible>(cell.load_direct(ctx)));
+        at.hit
+            .then(|| leaf.segs[seg].val_cell(at.slot).load_direct(ctx))
+            .filter(|&v| v != TOMBSTONE)
+    }
+
+    /// The episode-free leaf read of a `read_opt` get handed a pair by the
+    /// leaf-hint rung or the HTM rung ([`EunoBTree::read_record`]) inside
+    /// up to [`GET_TRIES`] validated sections, each bracketed by `seqno`:
+    /// the seqno-bump-first discipline on splits, merges and
+    /// reorganizations guarantees a reader that saw moving records, or a
+    /// segment that stopped being full, also sees a changed `seqno`. A get
+    /// that comes back without a value either found `seqno` moved — the
+    /// pair is dead and only `locate` can replace it — or spent its budget,
+    /// in which case the lower region takes the same pair and queues behind
+    /// same-record writers instead of racing them.
     pub(crate) fn read_leaf(
         &self,
         ctx: &mut ThreadCtx,
@@ -525,13 +581,8 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             if leaf.seqno.load_direct(ctx) != seqno {
                 return Some(LeafRead::Moved);
             }
-            ctx.charge(self.rt.cost.alu * Self::HOME_COST);
-            let Ok((seg, at)) = leaf.find(key, |cell| Ok::<_, Infallible>(cell.load_direct(ctx)));
-            let found = at
-                .hit
-                .then(|| leaf.segs[seg].val_cell(at.slot).load_direct(ctx));
-            (leaf.seqno.load_direct(ctx) == seqno)
-                .then_some(LeafRead::Value(found.filter(|&v| v != TOMBSTONE)))
+            let found = self.read_record(ctx, leaf, key);
+            (leaf.seqno.load_direct(ctx) == seqno).then_some(LeafRead::Value(found))
         })
         .unwrap_or(LeafRead::Spent)
     }

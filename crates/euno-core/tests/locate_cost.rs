@@ -15,48 +15,67 @@
 //! The arithmetic, from `CostModel::default()`: the first access to a line
 //! in an episode-free section costs 16 cycles, any other access 3; in an
 //! HTM region the first access to a line costs 26 (once for the read set,
-//! once for the write set). One index level of this tree is the node's
-//! count (a new line), three or four probes of its separators (one new
-//! line, then hits) and the child word (`child0` shares the count's line;
-//! any other child is on a new line).
+//! once for the write set). An index node is five lines: `count` and the
+//! first seven separators on line 0, the next eight on line 1, then the
+//! last separator, `child0`, `parent`, `version` and children 1 to 4 on
+//! line 2, the other children on lines 3 and 4. One index level of this
+//! tree is the node's count (a new line), three or four probes of its
+//! separators (hits on the count's line, unless the search goes past the
+//! seventh) and the child word (always on a new line).
 
 use std::sync::Arc;
 
 use euno_core::segment::{home_segment, HOME_ALU};
 use euno_core::EunoBTreeDefault;
+use euno_htm::euno_metrics::Counter;
 use euno_htm::{ConcurrentMap, CostModel, Runtime, ThreadCtx};
 
 const FIRST: u64 = 16;
 const HIT: u64 = 3;
 
-/// count + 3 probes + a child other than `child0`: 3 lines, 2 hits.
-const LEVEL: u64 = 3 * FIRST + 2 * HIT; // 54
-/// The same with a fourth probe.
-const LEVEL_4_PROBES: u64 = LEVEL + HIT; // 57
-/// count + 4 probes + `child0`: 2 lines, 4 hits.
-const LEVEL_CHILD0: u64 = 2 * FIRST + 4 * HIT; // 44
-/// A node with more than eight separators, on its right-hand side: count,
-/// 3 probes on two lines, a child on the second child line: 4 lines, 1 hit.
-const LEVEL_WIDE: u64 = 4 * FIRST + HIT; // 67
-/// The root (one separator): count + 1 probe + `child0` / + its other child.
-const ROOT_LEFT: u64 = 2 * FIRST + HIT; // 35
-const ROOT_RIGHT: u64 = 3 * FIRST; // 48
+/// count + 3 probes among the first seven separators + a child: 2 lines,
+/// 3 hits.
+const LEVEL: u64 = 2 * FIRST + 3 * HIT; // 41
+/// The same with a fourth probe: the two leftmost children of a node of
+/// eight separators (`child0` is on a child line like any other).
+const LEVEL_4_PROBES: u64 = LEVEL + HIT; // 44
+/// A search that probes the eighth separator or one past it reads the
+/// second key line as well: the two rightmost children of a node of eight
+/// separators, and the right-hand side of a wider one. 3 lines, 2 hits.
+const LEVEL_PAST_SEVEN: u64 = 3 * FIRST + 2 * HIT; // 54
+/// The root (one separator): count + 1 probe + either child.
+const ROOT: u64 = 2 * FIRST + HIT; // 35
 /// The root word on the way in, the leaf's `seqno` on the way out.
 const ENDS: u64 = 2 * FIRST; // 32
-/// Two walks from the root: into the sparse region (by the root's left
-/// child; 16 lines, 9 hits) and into the medium one (by its right child,
-/// which takes a fourth probe; 17 lines, 9 hits).
-const FROM_ROOT_LEFT: u64 = ROOT_LEFT + 4 * LEVEL + ENDS; // 283
-const FROM_ROOT_RIGHT: u64 = ROOT_RIGHT + LEVEL_4_PROBES + 3 * LEVEL + ENDS; // 299
+/// Walks from the root, by the levels each search stops at: into the sparse
+/// region (by the root's left child) at two block boundaries, into the
+/// medium one (by its right child, where the next node down takes a fourth
+/// probe) at two, into the dense one (past the seventh separator of the
+/// root's right child, ten wide, and then by a `child0`), and down the
+/// rightmost spine (nodes still filling up, nine to thirteen separators
+/// each, every search past the seventh).
+const FROM_ROOT_SPARSE: u64 = ROOT + 2 * LEVEL + 2 * LEVEL_PAST_SEVEN + ENDS; // 257
+const FROM_ROOT_SPARSE_NEXT: u64 = ROOT + 3 * LEVEL + LEVEL_PAST_SEVEN + ENDS; // 244
+const FROM_ROOT_MEDIUM: u64 = ROOT + LEVEL_4_PROBES + 3 * LEVEL + ENDS; // 234
+const FROM_ROOT_MEDIUM_NEXT: u64 = ROOT + LEVEL_4_PROBES + 2 * LEVEL + LEVEL_PAST_SEVEN + ENDS; // 247
+const FROM_ROOT_DENSE: u64 = ROOT + LEVEL_PAST_SEVEN + 2 * LEVEL + LEVEL_4_PROBES + ENDS; // 247
+const FROM_ROOT_SPINE: u64 = ROOT + 4 * LEVEL_PAST_SEVEN + ENDS; // 283
 
 /// Thread-private memory, charged by hand: a table probe is a hit and two
-/// ALU operations, a record a hit; the retirement generation is one load.
+/// ALU operations (the hash, the first tag compare), a record a hit; the
+/// retirement generation is one load.
 const PROBE: u64 = HIT + 2;
 const RECORD: u64 = HIT;
 const GENERATION: u64 = HIT;
-/// What every walk pays around the descent: both probes missed or were
-/// turned away, and the leaf it ends on is filed.
-const AROUND_A_WALK: u64 = PROBE + GENERATION + PROBE + RECORD; // 16
+/// The anchor table is two-way: a probe that compares the second way's
+/// tag — a hit there, or a miss — pays one ALU operation more, and no
+/// second hit (a set is one line).
+const SECOND_WAY: u64 = 1;
+/// What a walk pays around the descent when both probes missed, and the
+/// leaf it ends on is filed; and when the anchor probe hit in its first
+/// way.
+const AROUND_A_WALK: u64 = PROBE + GENERATION + PROBE + SECOND_WAY + RECORD; // 17
+const AROUND_A_HINTED_WALK: u64 = PROBE + GENERATION + PROBE + RECORD; // 16
 /// A walk from the root may file an anchor: one containment test for each
 /// of the five levels (and the record, if it has one to file).
 const LOOKING: u64 = 5;
@@ -68,14 +87,18 @@ const LEAF_HIT: u64 = PROBE + GENERATION + HIT; // 11
 
 /// What finding a key's home segment is charged: `segment::HOME_ALU`.
 const HOME: u64 = 6;
-/// An episode-free read of a key that is there, in a section of its own:
-/// `seqno` (a new line there), the home, the home segment's count (a new
-/// line), two probes — what a hit takes among two records, and the third
-/// of four — the value (a new line), `seqno` again. One segment, whichever
-/// it is: the walk over segments 0, 1, 2 … this replaced read a key line
-/// and four or five hits for every segment before the key's own (and
-/// first, last and the key again in that one: 66 for a key in segment 0).
+/// An episode-free read of a key that is there, in a section of its own
+/// (behind a leaf hit): `seqno` (a new line there), the home, the home
+/// segment's count (a new line), two probes — what a hit takes among two
+/// records, and the third of four — the value (a new line), `seqno` again.
+/// One segment, whichever it is: the walk over segments 0, 1, 2 … this
+/// replaced read a key line and four or five hits for every segment before
+/// the key's own (and first, last and the key again in that one: 66 for a
+/// key in segment 0).
 const GET_TAIL: u64 = 3 * FIRST + HOME + 3 * HIT; // 63
+/// The same read behind a walk, inside the walk's own section, right after
+/// the walk's `seqno`: no `seqno` load of its own at either end.
+const GET_IN_WALK: u64 = GET_TAIL - FIRST - HIT; // 44
 /// What every full segment before a spilled key's own adds to that: its
 /// count (a new line) and two probes (four records, all below the key).
 const GET_SPILL: u64 = FIRST + 2 * HIT; // 22
@@ -154,66 +177,104 @@ fn each_rung_of_locate_costs_what_the_arithmetic_says() {
     let mut ctx = rt.thread(1);
 
     // Keys 64 apart. A miss on both rungs: the walk from the root (root's
-    // left child, then levels of 3 probes each) files the leaf and, as the
-    // anchor, the leaf's parent.
+    // left child, then levels of 3 probes each, the last two past the
+    // seventh separator) files the leaf and, as the anchor, the leaf's
+    // parent.
     assert_eq!(
         locate(&tree, &mut ctx, sparse),
-        AROUND_A_WALK + FROM_ROOT_LEFT + LOOKING + RECORD // 307
+        AROUND_A_WALK + FROM_ROOT_SPARSE + LOOKING + RECORD // 282
     );
     // The same key again: a leaf hit.
     assert_eq!(locate(&tree, &mut ctx, sparse), LEAF_HIT);
     // The next leaf is the last under that parent — no separator there is
-    // above its keys — so the hint comes back unusable: one level walked
-    // for nothing (no `seqno` read), a back-off, the walk from the root.
+    // above its keys — so the hint is turned away: one level walked for
+    // nothing (no `seqno` read), then, in the same section, the walk from
+    // the root — whose last level is that one again, five hits now. No
+    // back-off: nothing was contended.
     assert_eq!(
         locate(&tree, &mut ctx, sparse + 512),
-        PROBE + GENERATION + PROBE + LEVEL + BACKOFF + FROM_ROOT_LEFT + LOOKING + 2 * RECORD // 401
+        PROBE
+            + GENERATION
+            + PROBE
+            + LEVEL_PAST_SEVEN
+            + (FROM_ROOT_SPARSE - LEVEL_PAST_SEVEN + 5 * HIT)
+            + LOOKING
+            + 2 * RECORD // 296
     );
     // Two blocks on, both leaves of the block are mid-node: the first
     // visit files the parent, the second leaf is reached from it — one
-    // level (4 lines, 2 hits) in place of five.
+    // level (2 lines, 3 hits) in place of five.
     assert_eq!(
         locate(&tree, &mut ctx, sparse + 2_048),
-        AROUND_A_WALK + FROM_ROOT_LEFT + LOOKING + RECORD
+        AROUND_A_WALK + FROM_ROOT_SPARSE_NEXT + LOOKING + RECORD // 269
     );
     assert_eq!(
         locate(&tree, &mut ctx, sparse + 2_048 + 512),
-        AROUND_A_WALK + LEVEL + FIRST // 86
+        AROUND_A_HINTED_WALK + LEVEL + FIRST // 73
     );
 
     // Keys 8 apart: a block is 16 leaves and its anchor two levels up
-    // (7 lines, 4 hits).
+    // (5 lines, 5 hits).
     assert_eq!(
         locate(&tree, &mut ctx, medium),
-        AROUND_A_WALK + FROM_ROOT_RIGHT + LOOKING + RECORD // 323
+        AROUND_A_WALK + FROM_ROOT_MEDIUM + LOOKING + RECORD // 259
     );
     assert_eq!(
         locate(&tree, &mut ctx, medium + 64),
-        AROUND_A_WALK + 2 * LEVEL + FIRST // 140
+        AROUND_A_HINTED_WALK + LEVEL + LEVEL_PAST_SEVEN + FIRST // 127
     );
 
     // Adjacent keys: a block is 128 leaves and its anchor three levels up
-    // (9 lines, 8 hits), the middle one of them entered by its `child0`.
-    // (The walk from the root finds the root's right child, ten
-    // separators wide, searched on its right this time.)
+    // (7 lines, 10 hits), the middle one of them entered by its `child0`.
     assert_eq!(
         locate(&tree, &mut ctx, dense),
-        AROUND_A_WALK
-            + (ROOT_RIGHT + LEVEL_WIDE + LEVEL + LEVEL_CHILD0 + LEVEL + ENDS) // 299
-            + LOOKING
-            + RECORD
+        AROUND_A_WALK + FROM_ROOT_DENSE + LOOKING + RECORD // 272
     );
     assert_eq!(
         locate(&tree, &mut ctx, dense + 8),
-        AROUND_A_WALK + LEVEL + LEVEL_CHILD0 + LEVEL + FIRST // 184
+        AROUND_A_HINTED_WALK + LEVEL + LEVEL_4_PROBES + LEVEL + FIRST // 158
     );
 
-    // Past the last key: down the rightmost spine (nodes still filling up,
-    // nine to thirteen separators each), where no level has a separator
-    // above the key. The walk looks for an anchor and has none to file.
+    // Past the last key: down the rightmost spine, where no level has a
+    // separator above the key. The walk looks for an anchor and has none
+    // to file.
     assert_eq!(
         locate(&tree, &mut ctx, u64::MAX - 1),
-        AROUND_A_WALK + (ROOT_RIGHT + 4 * LEVEL_WIDE + ENDS) + LOOKING // 369
+        AROUND_A_WALK + FROM_ROOT_SPINE + LOOKING // 305
+    );
+}
+
+/// The anchor table's second way: a block whose anchor was recorded before
+/// another block's of the same set is found there, one tag compare later —
+/// one ALU operation, and nothing else, dearer than the first-way hit of
+/// `each_rung_of_locate_costs_what_the_arithmetic_says`. Which blocks share
+/// a set does not depend on the tree's owner id, so the search below for
+/// those that share the medium block's comes out the same every run.
+#[test]
+fn a_second_way_anchor_hit_costs_one_alu_more_than_a_first_way_hit() {
+    let rt = Runtime::new_virtual();
+    let (tree, [_, medium, dense]) = build(&rt);
+    let first_way = AROUND_A_HINTED_WALK + LEVEL + LEVEL_PAST_SEVEN + FIRST; // 127
+    let (mut shared, mut apart) = (0, 0);
+    // Every other block of the tree: each one's walk files an anchor.
+    let others = (0..=dense >> 10).filter(|&b| b != medium >> 10);
+    for other in others.map(|b| b << 10) {
+        let mut ctx = rt.thread(2);
+        locate(&tree, &mut ctx, medium);
+        locate(&tree, &mut ctx, other);
+        let hits = ctx.metric(Counter::SubtreeHintHits);
+        let cycles = locate(&tree, &mut ctx, medium + 64);
+        assert_eq!(ctx.metric(Counter::SubtreeHintHits), hits + 1);
+        match cycles - first_way {
+            0 => apart += 1,
+            SECOND_WAY => shared += 1,
+            more => panic!("block {other}: {more} cycles over a first-way hit"),
+        }
+    }
+    // Some 2 800 blocks over 512 sets.
+    assert!(
+        shared > 0 && apart > 2_500,
+        "{shared} shared, {apart} apart"
     );
 }
 
@@ -222,17 +283,24 @@ fn an_uncontended_get_and_put_cost_their_rung_plus_a_fixed_tail() {
     let rt = Runtime::new_virtual();
     let (tree, [_, medium, _]) = build(&rt);
     let mut ctx = rt.thread(1);
-    let miss = AROUND_A_WALK + FROM_ROOT_RIGHT + LOOKING + RECORD; // 323
-    let subtree_hit = AROUND_A_WALK + 2 * LEVEL + FIRST; // 140
+    let subtree_hit = AROUND_A_HINTED_WALK + LEVEL + LEVEL_PAST_SEVEN + FIRST; // 127
     let next = medium + 1024;
 
-    // Every key here is the first of its leaf.
-    assert_eq!(get(&tree, &mut ctx, medium), miss + GET_TAIL); // 386
-    assert_eq!(get(&tree, &mut ctx, medium + 64), subtree_hit + GET_TAIL); // 203
+    // Every key here is the first of its leaf. A get that a walk answers
+    // reads the leaf in the walk's section; one behind a leaf hit, in a
+    // section of its own.
+    assert_eq!(
+        get(&tree, &mut ctx, medium),
+        AROUND_A_WALK + FROM_ROOT_MEDIUM + LOOKING + RECORD + GET_IN_WALK // 303
+    );
+    assert_eq!(get(&tree, &mut ctx, medium + 64), subtree_hit + GET_IN_WALK); // 171
     assert_eq!(get(&tree, &mut ctx, medium + 64), LEAF_HIT + GET_TAIL); // 74
 
-    assert_eq!(put(&tree, &mut ctx, next), miss + PUT_TAIL); // 518
-    assert_eq!(put(&tree, &mut ctx, medium + 128), subtree_hit + PUT_TAIL); // 335
+    assert_eq!(
+        put(&tree, &mut ctx, next),
+        AROUND_A_WALK + FROM_ROOT_MEDIUM_NEXT + LOOKING + RECORD + PUT_TAIL // 467
+    );
+    assert_eq!(put(&tree, &mut ctx, medium + 128), subtree_hit + PUT_TAIL); // 322
     assert_eq!(put(&tree, &mut ctx, medium + 128), LEAF_HIT + PUT_TAIL); // 206
 }
 
@@ -350,20 +418,20 @@ fn a_quiescent_scan_costs_its_rung_plus_a_fixed_step_per_leaf() {
             .eq((0..16).map(|i| from + 8 * i)));
         ctx.clock - start
     };
-    let miss = AROUND_A_WALK + FROM_ROOT_RIGHT + LOOKING + RECORD; // 323
+    let miss = AROUND_A_WALK + FROM_ROOT_MEDIUM + LOOKING + RECORD; // 259
 
     // Sixteen records are two leaves: the first is located, the second
     // comes with the first's closing section and costs no walk.
-    assert_eq!(scan(&mut ctx, medium), miss + 2 * SCAN_STEP); // 737
+    assert_eq!(scan(&mut ctx, medium), miss + 2 * SCAN_STEP); // 673
     assert_eq!(scan(&mut ctx, medium), LEAF_HIT + 2 * SCAN_STEP); // 425
 
     // From mid-leaf (another slot of the leaf-hint table: the walk starts
     // at the subtree hint) the scan ends in a third leaf: the records
     // below the cursor are read and not delivered (4 fewer ALU
     // operations), the third leaf is read whole for its first four.
-    let subtree_hit = AROUND_A_WALK + 2 * LEVEL + FIRST; // 140
+    let subtree_hit = AROUND_A_HINTED_WALK + 2 * LEVEL + FIRST; // 114
     assert_eq!(
         scan(&mut ctx, medium + 32),
-        subtree_hit + 3 * SCAN_STEP - 4 // 757
+        subtree_hit + 3 * SCAN_STEP - 4 // 731
     );
 }

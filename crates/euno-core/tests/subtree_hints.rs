@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use euno_core::{probe, EunoBTreeDefault, EunoConfig, EunoLeaf, NodeRef};
 use euno_htm::euno_metrics::Counter;
-use euno_htm::{ConcurrentMap, Runtime, ThreadCtx};
+use euno_htm::{Backend, ConcurrentMap, CostModel, Runtime, ThreadCtx};
 use euno_rng::{Rng, SmallRng};
 
 /// Preloaded keys are multiples of this: sixteen to a subtree-hint block,
@@ -56,7 +56,8 @@ struct LeafAt {
 /// subtree hint — every key runs down the rightmost spine — so B's tables
 /// hold none either.)
 struct Fixture {
-    tree: EunoBTreeDefault,
+    rt: Arc<Runtime>,
+    tree: Arc<EunoBTreeDefault>,
     model: Model,
     a: ThreadCtx,
     b: ThreadCtx,
@@ -64,14 +65,17 @@ struct Fixture {
 }
 
 fn fixture(preloaded: u64) -> Fixture {
-    let rt = Runtime::new_virtual();
-    let tree = EunoBTreeDefault::with_config(
+    fixture_on(Runtime::new_virtual(), preloaded)
+}
+
+fn fixture_on(rt: Arc<Runtime>, preloaded: u64) -> Fixture {
+    let tree = Arc::new(EunoBTreeDefault::with_config(
         Arc::clone(&rt),
         EunoConfig {
             rebalance_delete_threshold: 0,
             ..EunoConfig::default()
         },
-    );
+    ));
     let (mut a, mut b) = (rt.thread(1), rt.thread(2));
     let mut model = Model::new();
     for key in (0..preloaded).map(|i| i * STEP) {
@@ -105,6 +109,7 @@ fn fixture(preloaded: u64) -> Fixture {
     // B commits, so A's walks are refused by the tree and not by a window.
     a.clock += 1 << 32;
     Fixture {
+        rt,
         tree,
         model,
         a,
@@ -245,7 +250,7 @@ fn get_after_the_hinted_node_split(mutation: Option<&'static str>) -> (Option<u6
     let want = f.model.get(&keys[2]).copied();
     if got == want {
         // Turned away, walked from the root once, filed what that found.
-        assert_eq!(took, (0, 1, 1), "after the split (hits, unusable, retries)");
+        assert_eq!(took, (0, 1, 0), "after the split (hits, unusable, retries)");
         f.expect(keys[3], (1, 0, 0), "from the re-filed node");
         f.finish("hinted node split");
     }
@@ -293,7 +298,7 @@ fn the_old_root_serves_what_it_kept_when_the_root_grows() {
     assert_ne!(f.parent_of(high[0]), root, "the upper half moved");
 
     f.expect(low[2], (1, 0, 0), "from the old root");
-    f.expect(high[2], (0, 1, 1), "turned away by the old root");
+    f.expect(high[2], (0, 1, 0), "turned away by the old root");
     f.expect(high[3], (1, 0, 0), "from the re-filed node");
     f.finish("root grew");
 }
@@ -322,7 +327,7 @@ fn a_merge_that_drops_the_narrowing_separator_costs_one_walk() {
         "one leaf now"
     );
 
-    f.expect(left[2], (0, 1, 1), "turned away: the last leaf");
+    f.expect(left[2], (0, 1, 0), "turned away: the last leaf");
     f.expect(survivor, (1, 0, 0), "from the node above");
     f.expect(left[3], (1, 0, 0), "from the node above");
     f.finish("merge dropped the separator");
@@ -336,12 +341,81 @@ fn a_key_in_the_subtrees_rightmost_leaf_costs_one_walk_once() {
     let (left, right) = f.block_at_the_end_of_a_node();
     let (left, right) = (f.leaves[left].keys.clone(), f.leaves[right].keys.clone());
     f.expect(left[0], (0, 0, 0), "first visit");
-    f.expect(right[0], (0, 1, 1), "turned away: the last leaf");
+    f.expect(right[0], (0, 1, 0), "turned away: the last leaf");
     // That walk filed the node above, which holds the block too and has a
     // separator above all of it.
     f.expect(right[1], (1, 0, 0), "from the node above");
     f.expect(left[1], (1, 0, 0), "from the node above");
     f.finish("rightmost leaf");
+}
+
+/// (ii-e) A hint the walk turns away is this thread's table coming up
+/// short, not a writer's doing: the walk goes on from the root in the same
+/// section. No retry is counted and no back-off charged — the get costs
+/// the same whatever a back-off costs (`locate_cost.rs` has the cycles).
+#[test]
+fn a_turned_away_hint_is_not_charged_as_contention() {
+    let cycles = [40, 4_000].map(|backoff_base| {
+        let cost = CostModel {
+            backoff_base,
+            ..CostModel::default()
+        };
+        let mut f = fixture_on(Runtime::new(Backend::Virtual, cost), 2_000);
+        let (left, right) = f.block_at_the_end_of_a_node();
+        let (left, right) = (f.leaves[left].keys[0], f.leaves[right].keys[0]);
+        f.expect(left, (0, 0, 0), "first visit");
+        let start = f.a.clock;
+        let (got, took) = f.get(right);
+        assert_eq!(got, f.model.get(&right).copied());
+        let cycles = f.a.clock - start;
+        f.finish("turned away");
+        (cycles, took)
+    });
+    assert_eq!(cycles[0].0, cycles[1].0, "a back-off was charged");
+    for (_, took) in cycles {
+        assert_eq!(took, (0, 1, 0), "turned away (hits, unusable, retries)");
+    }
+}
+
+/// (ii-f) …and spends no try of the walk's budget: on STM threads, a hint
+/// turned away and then three writes that each fail a section leave the
+/// fourth section to answer — no HTM region. (A commit anywhere fails an
+/// STM section: the check is the global clock.)
+#[test]
+#[cfg_attr(not(debug_assertions), ignore = "probes are debug-only")]
+fn a_turned_away_hint_spends_no_try_of_the_walks_budget() {
+    /// `LOCATE_TRIES` in `traverse.rs`, less the one that must hold.
+    const FAILED_SECTIONS: u64 = 3;
+    let mut f = fixture_on(Runtime::new_concurrent(), 2_000);
+    let (left, right) = f.block_at_the_end_of_a_node();
+    let (left, right) = (f.leaves[left].keys[0], f.leaves[right].keys[0]);
+    f.expect(left, (0, 0, 0), "first visit");
+
+    fn overwrite_at_each_pass(rt: Arc<Runtime>, tree: Arc<EunoBTreeDefault>, key: u64, left: u64) {
+        probe::once_at("walk:seqno", move || {
+            tree.put(&mut rt.thread(3), key, left);
+            if left > 1 {
+                overwrite_at_each_pass(rt, tree, key, left - 1);
+            }
+        });
+    }
+    overwrite_at_each_pass(
+        Arc::clone(&f.rt),
+        Arc::clone(&f.tree),
+        right,
+        FAILED_SECTIONS,
+    );
+    f.model.insert(right, 1);
+    let attempts = f.a.metric(Counter::Attempts);
+    let (got, took) = f.get(right);
+    assert_eq!(
+        f.a.metric(Counter::Attempts),
+        attempts,
+        "the HTM region ran"
+    );
+    assert_eq!(got, Some(1));
+    assert_eq!(took, (0, 1, FAILED_SECTIONS), "(hits, unusable, retries)");
+    f.finish("turned away under writes");
 }
 
 /// (iii) An ascending load — every key runs down the rightmost spine, where

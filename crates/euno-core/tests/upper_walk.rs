@@ -5,14 +5,14 @@
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use euno_core::segment::home_segment;
 use euno_core::{probe, EunoBTreeDefault, EunoConfig, EunoLeaf, NodeRef};
 use euno_htm::euno_metrics::Counter;
-use euno_htm::{ConcurrentMap, Runtime, ThreadCtx};
+use euno_htm::{Backend, ConcurrentMap, Runtime, ThreadCtx};
 use euno_rng::{Rng, SmallRng};
 use euno_sim::VirtualScheduler;
 
@@ -84,7 +84,10 @@ struct Stage {
 
 impl Stage {
     fn new(cfg: EunoConfig) -> (Stage, ThreadCtx) {
-        let rt = Runtime::new_virtual();
+        Stage::on(Runtime::new_virtual(), cfg)
+    }
+
+    fn on(rt: Arc<Runtime>, cfg: EunoConfig) -> (Stage, ThreadCtx) {
         let tree = Arc::new(EunoBTreeDefault::with_config(
             Arc::clone(&rt),
             EunoConfig {
@@ -140,9 +143,15 @@ impl Stage {
         assert_eq!(self.tree.delete(ctx, key), was);
     }
 
-    /// `between`, carried out by a fresh logical thread on the leaf that
-    /// holds `target` when it starts.
-    fn interruption(&self, between: Between, target: u64, what: &str) -> impl FnOnce() + 'static {
+    /// `between`, carried out by a fresh logical thread whose clock starts
+    /// at `clock` on the leaf that holds `target` when it starts.
+    fn interruption(
+        &self,
+        between: Between,
+        target: u64,
+        clock: u64,
+        what: &str,
+    ) -> impl FnOnce() + 'static {
         let (stage, what) = (self.clone(), what.to_owned());
         move || {
             let Stage {
@@ -153,6 +162,7 @@ impl Stage {
                 ..
             } = &stage;
             let mut other = rt.thread(2);
+            other.clock = clock;
             let (leaf0, seqno0) = located(tree, &mut other, target);
             let mut fillers = stage.fillers();
             match between {
@@ -243,7 +253,7 @@ fn handover(cfg: EunoConfig, between: Between, op: Op) {
     let (attempts, rmws) = (ctx.metric(Counter::Attempts), ctx.stats.cas_ops);
 
     probe::take();
-    probe::once_at("locate:done", stage.interruption(between, target, &what));
+    probe::once_at("locate:done", stage.interruption(between, target, 0, &what));
 
     let got = match op {
         Op::Put => tree.put(&mut ctx, target, 7),
@@ -335,6 +345,266 @@ fn reorganization_between_locate_and_lower_region_restarts_the_op() {
 #[cfg_attr(not(debug_assertions), ignore = "probes are debug-only")]
 fn merge_and_retirement_between_locate_and_lower_region_restarts_the_op() {
     handover_all(Between::Merge);
+}
+
+// ---------------------------------------------------------------------
+// The one-section get: a change between the walk's `seqno` and the leaf read
+// ---------------------------------------------------------------------
+
+/// What lands inside a walk's section, between its `seqno` load and the
+/// get's read of the leaf it found.
+#[derive(Clone, Copy, Debug)]
+enum Change {
+    /// The key moves to a new right sibling.
+    Split,
+    /// Records move between the leaf's segments.
+    Reorg,
+    /// The leaf is merged into its left sibling and retired.
+    MergeRetired,
+    /// The leaf absorbs its right sibling.
+    MergeSurvivor,
+    /// The key's value changes, and nothing else.
+    Overwrite,
+}
+
+/// A `default()` get answered by a walk — from the root, or `anchored` from
+/// the subtree hint another key of the block filed — on a thread with no
+/// leaf hint for the key, with `change` landing at the walk's `seqno` (and
+/// the key overwritten after it, so that an answer read before the change
+/// is wrong as well). Sound: the get answers like the model, and the
+/// section the change landed in does not answer — it runs again.
+fn one_section_get(
+    rt: Arc<Runtime>,
+    change: Change,
+    anchored: bool,
+    mutation: Option<&'static str>,
+) -> Result<(), String> {
+    let what = format!(
+        "{change:?} on {:?}, anchored {anchored}, mutation {mutation:?}",
+        rt.backend()
+    );
+    let (stage, ctx) = Stage::on(rt, EunoConfig::default());
+    let (rt, tree, model) = (&stage.rt, &stage.tree, &stage.model);
+    let target = match change {
+        Change::MergeSurvivor => stage.sibling[0],
+        _ => stage.top(),
+    };
+    // A thread of its own, whose sections start after everything the
+    // preload committed (the virtual window would refuse them otherwise).
+    let mut getter = rt.thread(3);
+    getter.clock = ctx.clock;
+    if anchored {
+        let other = (0..PRELOADED)
+            .map(|i| i * STEP)
+            .find(|&k| k >> 10 == target >> 10 && k >> 3 != target >> 3)
+            .expect("another key of the block");
+        assert_eq!(
+            tree.get(&mut getter, other),
+            model.borrow().get(&other).copied()
+        );
+    }
+    let counts = |ctx: &ThreadCtx| {
+        [
+            Counter::LeafHintHits,
+            Counter::SubtreeHintHits,
+            Counter::SubtreeHintUnusable,
+        ]
+        .map(|c| ctx.metric(c))
+    };
+    let before = counts(&getter);
+
+    // The interrupter's clock starts where the get's does: its commits
+    // overlap the get's sections, as a real writer's would.
+    let structural = match change {
+        Change::Split => Some(Between::Split),
+        Change::Reorg => Some(Between::Reorg),
+        Change::MergeRetired => Some(Between::Merge),
+        Change::MergeSurvivor | Change::Overwrite => None,
+    }
+    .map(|between| stage.interruption(between, target, getter.clock, &what));
+    let interruption = {
+        let (stage, clock) = (stage.clone(), getter.clock);
+        move || {
+            if let Some(structural) = structural {
+                structural();
+            }
+            let mut other = stage.rt.thread(2);
+            other.clock = clock;
+            if let Change::MergeSurvivor = change {
+                // Thin the right leaf only: the left one stays too full for
+                // *its* left neighbour to absorb it first.
+                for &key in &stage.group[..stage.group.len() - 1] {
+                    stage.delete(&mut other, key);
+                }
+                assert_eq!(stage.tree.maintain(&mut other), 1, "one merge");
+                assert_eq!(
+                    located(&stage.tree, &mut other, stage.top()).0,
+                    located(&stage.tree, &mut other, target).0,
+                    "the left leaf absorbed the right one"
+                );
+            }
+            stage.put(&mut other, target, 0xFEED);
+        }
+    };
+
+    probe::take();
+    probe::mutate(mutation);
+    probe::once_at("walk:seqno", interruption);
+    let retries = getter.stats.optimistic_retries;
+    let got = tree.get(&mut getter, target);
+    probe::mutate(None);
+    let rerun = getter.stats.optimistic_retries > retries;
+    let want = model.borrow().get(&target).copied();
+    assert_eq!(want, Some(0xFEED), "{what}: the interruption never ran");
+    let [leaf_hits, subtree_hits, unusable] = counts(&getter);
+    assert_eq!(leaf_hits, before[0], "{what}: a leaf hint answered");
+    // (On the virtual clock every try of the walk overlaps the interrupter's
+    // commits, and the HTM region answers in the end: no hit is counted.)
+    if anchored && rt.backend() == Backend::Stm {
+        assert!(
+            subtree_hits + unusable > before[1] + before[2],
+            "{what}: no subtree hint"
+        );
+    }
+    assert_eq!(
+        tree.collect_all_plain(),
+        model
+            .borrow()
+            .iter()
+            .map(|(&k, &v)| (k, v))
+            .collect::<Vec<_>>(),
+        "{what}"
+    );
+    assert_eq!(tree.audit_quiescent(), Vec::<String>::new(), "{what}");
+    if got != want {
+        return Err(format!("{what}: answered {got:?}, the model has {want:?}"));
+    }
+    if !rerun {
+        return Err(format!("{what}: the section the change landed in answered"));
+    }
+    Ok(())
+}
+
+const CHANGES: [Change; 5] = [
+    Change::Split,
+    Change::Reorg,
+    Change::MergeRetired,
+    Change::MergeSurvivor,
+    Change::Overwrite,
+];
+
+#[test]
+#[cfg_attr(not(debug_assertions), ignore = "probes are debug-only")]
+fn a_change_inside_a_get_walks_section_reruns_the_section() {
+    for rt in [Runtime::new_virtual, Runtime::new_concurrent] {
+        for change in CHANGES {
+            for anchored in [false, true] {
+                assert_eq!(one_section_get(rt(), change, anchored, None), Ok(()));
+            }
+        }
+    }
+}
+
+/// The mutation twin: a get that closes the walk's section before it reads
+/// the leaf answers across every one of the changes — from a leaf the key
+/// has left, or with nothing to tell it that the leaf it read is not the
+/// one the walk validated.
+#[test]
+#[cfg_attr(not(debug_assertions), ignore = "probes are debug-only")]
+fn a_get_that_reads_its_leaf_after_the_section_is_convicted() {
+    for rt in [Runtime::new_virtual, Runtime::new_concurrent] {
+        for change in CHANGES {
+            for anchored in [false, true] {
+                let verdict =
+                    one_section_get(rt(), change, anchored, Some("get:leaf-read-after-section"));
+                assert!(verdict.is_err(), "{change:?}, anchored {anchored}: sound");
+            }
+        }
+    }
+}
+
+/// The same without probes, so in `--release` too: on STM threads a writer
+/// splits, reorganizes and merges leaves and flips values while a reader's
+/// gets — most of them answered inside a walk's section, the leaf-hint
+/// table being too small for the keys read — must return a key's one value,
+/// or one of its two.
+#[test]
+fn gets_answered_inside_a_walk_are_exact_under_structural_churn() {
+    const SPAN: u64 = 64;
+    const KEYS: u64 = 2_000;
+    const GETS: u64 = 40_000;
+    let rt = Runtime::new_concurrent();
+    let tree = Arc::new(EunoBTreeDefault::with_config(
+        Arc::clone(&rt),
+        EunoConfig {
+            rebalance_delete_threshold: 0,
+            ..EunoConfig::default()
+        },
+    ));
+    // Multiples of `SPAN` never change; odd multiples of half of it flip
+    // between two values; the writer's keys are everything else.
+    let flips = |key: u64| [2 * key, 2 * key + 1];
+    {
+        let mut ctx = rt.thread(0);
+        for key in (0..KEYS).map(|i| i * SPAN / 2) {
+            tree.put(&mut ctx, key, flips(key)[0]);
+        }
+    }
+    let stop = Arc::new(AtomicBool::new(false));
+    let rounds = Arc::new(AtomicU64::new(0));
+    let writer = {
+        let (tree, rt) = (Arc::clone(&tree), Arc::clone(&rt));
+        let (stop, rounds) = (Arc::clone(&stop), Arc::clone(&rounds));
+        std::thread::spawn(move || {
+            let mut ctx = rt.thread(1);
+            let mut rng = SmallRng::seed_from_u64(0x0E5E);
+            while !stop.load(Ordering::Relaxed) {
+                // Fill a run of gaps (splits), then empty it (tombstones, which
+                // later inserts reorganize away) and merge what that thinned.
+                let base = rng.gen_range(0..KEYS / 2) * SPAN;
+                let gap = (base + 1..base + 4 * SPAN).filter(|k| k % (SPAN / 2) != 0);
+                for key in gap.clone() {
+                    tree.put(&mut ctx, key, key);
+                }
+                for key in gap {
+                    tree.delete(&mut ctx, key);
+                }
+                tree.maintain(&mut ctx);
+                let flip = rng.gen_range(0..KEYS / 2) * SPAN + SPAN / 2;
+                tree.put(&mut ctx, flip, flips(flip)[rng.gen_range(0..2usize)]);
+                rounds.fetch_add(1, Ordering::Relaxed);
+            }
+        })
+    };
+    while rounds.load(Ordering::Relaxed) == 0 {
+        std::thread::yield_now();
+    }
+    // At least `GETS` gets, and for as long as the writer takes to make
+    // four rounds.
+    let first = rounds.load(Ordering::Relaxed);
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    let mut ctx = rt.thread(2);
+    let mut rng = SmallRng::seed_from_u64(0x6E75);
+    let mut gets = 0;
+    while gets < GETS || rounds.load(Ordering::Relaxed) < first + 4 {
+        assert!(std::time::Instant::now() < deadline, "the writer stalled");
+        let key = rng.gen_range(0..KEYS) * SPAN / 2;
+        let got = tree.get(&mut ctx, key);
+        if key.is_multiple_of(SPAN) {
+            assert_eq!(got, Some(flips(key)[0]), "stable key {key}");
+        } else {
+            assert!(
+                got.is_some_and(|v| flips(key).contains(&v)),
+                "flip key {key}: {got:?}"
+            );
+        }
+        gets += 1;
+    }
+    stop.store(true, Ordering::Relaxed);
+    writer.join().unwrap();
+    let walked = gets - ctx.metric(Counter::LeafHintHits);
+    assert!(2 * walked > gets, "{walked} of {gets} gets walked");
+    assert_eq!(tree.audit_quiescent(), Vec::<String>::new());
 }
 
 // ---------------------------------------------------------------------
@@ -448,7 +718,7 @@ fn scan_with_landing(landing: Landing, read: usize, mutation: Option<&'static st
     probe::take();
     probe::mutate(mutation);
     let interruption: Box<dyn FnOnce()> = match landing {
-        Landing::Structural(between) => Box::new(stage.interruption(between, from, &what)),
+        Landing::Structural(between) => Box::new(stage.interruption(between, from, 0, &what)),
         Landing::InsertBehind => Box::new({
             let (stage, what) = (stage.clone(), what.clone());
             move || {

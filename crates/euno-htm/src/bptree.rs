@@ -146,23 +146,29 @@ pub fn sorted_insert<A: Access>(
 }
 
 /// An index node: sorted separator keys and child pointers. `child0` is
-/// left of `keys[0]`; `children[i]` is right of `keys[i]`. Every header
-/// word is on line 0 and every line is `Structure` class (conflicts here
-/// are the rare non-leaf-level kind of §2.3); `parent` and `version` are
-/// for the trees that keep them and cost the others nothing, being never
-/// touched.
+/// left of `keys[0]`; `children[i]` is right of `keys[i]`. Every line is
+/// `Structure` class (conflicts here are the rare non-leaf-level kind of
+/// §2.3).
+///
+/// The fields are in the order a search reads them: `count` and the first
+/// seven separators share line 0, so a search that probes no separator
+/// past the seventh reads that line and its child's — two lines a level.
+/// At fanout 16 (320 B, five lines) `keys[7..15]` fill line 1, and
+/// `keys[15]`, `child0`, `parent`, `version` and `children[0..4]` line 2;
+/// the children go on over lines 3 and 4, and the tail pads to the line.
+/// `parent` and `version` are for the trees that keep them and cost the
+/// others nothing, being never touched. DESIGN.md §4.9.
 #[repr(C, align(64))]
 pub struct IndexNode<const F: usize> {
     /// Number of separator keys.
     pub count: TxCell<u64>,
+    pub keys: [TxCell<u64>; F],
     /// Leftmost child.
     pub child0: TxCell<u64>,
     /// Parent index node (NodeRef bits; 0 at the root).
     pub parent: TxCell<u64>,
     /// Masstree's version word.
     pub version: TxCell<u64>,
-    _pad: [u64; 4],
-    pub keys: [TxCell<u64>; F],
     pub children: [TxCell<u64>; F],
 }
 
@@ -170,11 +176,10 @@ impl<const F: usize> IndexNode<F> {
     pub fn empty() -> Self {
         IndexNode {
             count: TxCell::new(0),
+            keys: std::array::from_fn(|_| TxCell::new(KEY_SENTINEL)),
             child0: TxCell::new(0),
             parent: TxCell::new(0),
             version: TxCell::new(0),
-            _pad: [0; 4],
-            keys: std::array::from_fn(|_| TxCell::new(KEY_SENTINEL)),
             children: std::array::from_fn(|_| TxCell::new(0)),
         }
     }
@@ -524,5 +529,29 @@ impl<L, const F: usize> NodeArenas<L, F> {
     /// Bytes in nodes still linked into the structure.
     pub fn live_bytes(&self) -> usize {
         self.leaves.live_bytes() + self.internals.live_bytes()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The line map the cost arithmetic of `locate_cost.rs` stands on.
+    #[test]
+    fn an_index_node_is_searched_on_two_lines_a_level() {
+        let node: Box<IndexNode<16>> = Box::new(IndexNode::empty());
+        assert_eq!(std::mem::size_of::<IndexNode<16>>(), 320);
+        assert_eq!(std::mem::align_of::<IndexNode<16>>(), 64);
+        let line = |cell: &TxCell<u64>| cell.line().0 - node.count.line().0;
+        assert_eq!(node.count.raw_ptr() as usize % 64, 0, "count opens line 0");
+        assert!(node.keys[..7].iter().all(|k| line(k) == 0));
+        assert!(node.keys[7..15].iter().all(|k| line(k) == 1));
+        assert_eq!(line(&node.keys[15]), 2);
+        for cell in [&node.child0, &node.parent, &node.version] {
+            assert_eq!(line(cell), 2);
+        }
+        assert!(node.children[..4].iter().all(|c| line(c) == 2));
+        assert!(node.children[4..12].iter().all(|c| line(c) == 3));
+        assert!(node.children[12..].iter().all(|c| line(c) == 4));
     }
 }

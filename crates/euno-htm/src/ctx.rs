@@ -21,7 +21,7 @@ use euno_rng::SmallRng;
 use euno_trace::{codes, EventKind, TraceBuf};
 
 use crate::abort::{AbortCause, ConflictInfo, ConflictKind, TxResult};
-use crate::hint::{Anchor, Hint, HintTable, ANCHOR_WORDS, HINT_WORDS};
+use crate::hint::{Anchor, Hint, HintTable, ANCHOR_WAYS, ANCHOR_WORDS, HINT_WAYS, HINT_WORDS};
 use crate::line::{LineId, LineSet};
 use crate::obs::{OpKind, OpObserver, OpOutput};
 use crate::runtime::{Backend, Mode, Runtime};
@@ -143,8 +143,8 @@ pub struct ThreadCtx {
     reclaim_ticks: u64,
     /// This thread's hint caches (see [`crate::hint`]): scratch like
     /// `spare`, both allocated by the first record into either.
-    hints: HintTable<HINT_WORDS>,
-    anchors: HintTable<ANCHOR_WORDS>,
+    hints: HintTable<HINT_WORDS, HINT_WAYS>,
+    anchors: HintTable<ANCHOR_WORDS, ANCHOR_WAYS>,
     /// This thread's metrics shard (see `euno-metrics`): single-writer
     /// atomic counters the sampler reads concurrently. `None` when the
     /// runtime's registry is disabled — every hook is then one branch.
@@ -513,17 +513,20 @@ impl ThreadCtx {
 
     /// Look `(owner, block)` up in this thread's table of [`Hint`]s. The
     /// memory is thread-private and uninstrumented, so the probe is charged
-    /// by hand: one cache hit, plus the hash and the tag compare.
+    /// by hand: one cache hit — a set is at most one line — plus the hash
+    /// and the first tag compare, and one ALU operation for each further
+    /// way compared.
     #[inline]
     pub fn hint_probe(&mut self, owner: u64, block: u64) -> Option<Hint> {
-        self.clock += self.rt.cost.access_hit + 2 * self.rt.cost.alu;
-        self.hints.probe(owner, block)
+        let (words, compared) = self.hints.probe(owner, block);
+        self.charge_probe(compared);
+        words
     }
 
-    /// Record `words` for `(owner, block)`, replacing the slot's entry.
-    /// Charged one cache hit: the slot index was paid for by the probe
-    /// that missed. The first record of a thread — of either kind —
-    /// allocates both tables.
+    /// Record `words` for `(owner, block)`, replacing the set's entry for
+    /// it or its least recently recorded one. Charged one cache hit: the
+    /// set index was paid for by the probe that missed. The first record of
+    /// a thread — of either kind — allocates both tables.
     #[inline]
     pub fn hint_record(&mut self, owner: u64, block: u64, words: Hint) {
         self.clock += self.rt.cost.access_hit;
@@ -532,12 +535,13 @@ impl ThreadCtx {
     }
 
     /// [`ThreadCtx::hint_probe`] on this thread's table of [`Anchor`]s.
-    /// The two tables share nothing but their shape: an owner files under
-    /// block sizes of its own choosing in each.
+    /// The two tables share nothing but their implementation: an owner
+    /// files under block sizes of its own choosing in each.
     #[inline]
     pub fn anchor_probe(&mut self, owner: u64, block: u64) -> Option<Anchor> {
-        self.clock += self.rt.cost.access_hit + 2 * self.rt.cost.alu;
-        self.anchors.probe(owner, block)
+        let (words, compared) = self.anchors.probe(owner, block);
+        self.charge_probe(compared);
+        words
     }
 
     /// [`ThreadCtx::hint_record`] on this thread's table of [`Anchor`]s.
@@ -546,6 +550,12 @@ impl ThreadCtx {
         self.clock += self.rt.cost.access_hit;
         self.hints.reserve();
         self.anchors.record(owner, block, words);
+    }
+
+    #[inline]
+    fn charge_probe(&mut self, compared: usize) {
+        let cost = &self.rt.cost;
+        self.clock += cost.access_hit + (1 + compared as u64) * cost.alu;
     }
 
     // ================= footprint & charging =================
