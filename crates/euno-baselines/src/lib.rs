@@ -15,17 +15,15 @@
 //! The three are one sequential B+tree — `euno_htm::bptree`'s index node,
 //! tagged pointer, searches, sorted insert, index split and promote loop,
 //! and the sorted [`Leaf`] of [`node`] — and differ in the synchronisation
-//! each file wraps around those phases: a whole-operation HTM region over a
-//! path stack ([`htm_btree`]), version words with hand-over-hand parent
-//! locking ([`masstree`]), the same version words bumped inside an HTM
-//! region that elides the locks ([`htm_masstree`]). DESIGN.md §4.9.
+//! wrapped around those phases: one whole-operation HTM region
+//! ([`htm_tree`]), with or without Masstree's version words read and bumped
+//! inside it, and version words with hand-over-hand parent locking
+//! ([`masstree`]). DESIGN.md §4.9.
 
-pub mod htm_btree;
-pub mod htm_masstree;
+pub mod htm_tree;
 pub mod masstree;
 pub mod node;
 
-pub use htm_btree::HtmBTree;
-pub use htm_masstree::HtmMasstree;
+pub use htm_tree::{HtmBTree, HtmMasstree, HtmTree};
 pub use masstree::Masstree;
 pub use node::{Leaf, DEFAULT_FANOUT};

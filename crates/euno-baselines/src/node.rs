@@ -122,7 +122,8 @@ impl<const F: usize> Leaf<F> {
 
     /// The body of a whole-scan HTM region: walk the leaf chain from this
     /// leaf, appending live records with key `≥ from` to `out` until it
-    /// holds `upto` or the chain ends.
+    /// holds `upto` or the chain ends. An `out` that holds `upto` already
+    /// gets nothing, and no leaf is read.
     pub fn collect(
         &self,
         tx: &mut Tx<'_>,
@@ -131,7 +132,7 @@ impl<const F: usize> Leaf<F> {
         out: &mut Vec<(u64, u64)>,
     ) -> TxResult<()> {
         let mut leaf = self;
-        loop {
+        while out.len() < upto {
             let cnt = tx.read(&leaf.count)? as usize;
             for i in 0..cnt {
                 let k = tx.read(&leaf.keys[i])?;
@@ -154,6 +155,7 @@ impl<const F: usize> Leaf<F> {
             // Safety: nodes live as long as the tree (deferred reclamation).
             leaf = unsafe { next.as_leaf::<Self>() };
         }
+        Ok(())
     }
 }
 

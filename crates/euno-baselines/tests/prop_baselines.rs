@@ -23,7 +23,7 @@ fn random_ops(rng: &mut SmallRng, key_space: u64, max_len: usize) -> Vec<Op> {
             0..=3 => Op::Put(rng.gen_range(0..key_space), rng.gen_range(0u64..1_000_000)),
             4..=5 => Op::Get(rng.gen_range(0..key_space)),
             6..=7 => Op::Del(rng.gen_range(0..key_space)),
-            _ => Op::Scan(rng.gen_range(0..key_space), rng.gen_range(1usize..12)),
+            _ => Op::Scan(rng.gen_range(0..key_space), rng.gen_range(0usize..12)),
         })
         .collect()
 }

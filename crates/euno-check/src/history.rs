@@ -1,18 +1,40 @@
 //! Operation history capture.
 //!
-//! Each stress thread installs a [`Recorder`] on its `ThreadCtx`. The
-//! recorder stamps every invocation and response with a ticket from one
-//! shared atomic counter — a total order on history events that is
-//! consistent with real time (the `fetch_add` for a response happens
+//! Each stress thread drives a [`Recorder`] beside its `ThreadCtx`,
+//! bracketing every map operation with [`Recorder::invoke`] /
+//! [`Recorder::respond`]. The recorder stamps both events with a ticket
+//! from one shared atomic counter — a total order on history events that
+//! is consistent with real time (the `fetch_add` for a response happens
 //! after the operation's last memory effect, the invocation ticket before
 //! its first). Completed operations buffer locally (no cross-thread
 //! traffic on the hot path beyond the ticket counter) and flush into the
-//! shared sink when the recorder drops or the context is torn down.
+//! shared sink when the recorder drops.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use euno_htm::{OpKind, OpObserver, OpOutput};
+/// The client-level operation kinds a history can contain.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum OpKind {
+    Get,
+    Put,
+    Delete,
+    Scan,
+    /// A deferred-rebalance sweep — structurally significant but a no-op
+    /// on the abstract map (checkers verify it *preserves* the state).
+    Maintain,
+}
+
+/// The value an operation returned to the client.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum OpOutput {
+    /// `get`/`put`/`delete`: the (previous) value, if any.
+    Value(Option<u64>),
+    /// `scan`: the records delivered, in delivery order.
+    Scan(Vec<(u64, u64)>),
+    /// `maintain` and other counters (merges performed).
+    Count(u64),
+}
 
 /// One completed operation: invocation/response interval plus payload.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -41,18 +63,20 @@ pub fn new_sink() -> (HistorySink, Arc<AtomicU64>) {
     )
 }
 
-/// Per-thread [`OpObserver`] that records invocation/response pairs.
+/// One thread's recorder of invocation/response pairs.
 pub struct Recorder {
+    thread: u32,
     clock: Arc<AtomicU64>,
     sink: HistorySink,
-    /// The op announced by `on_invoke`, awaiting its response.
+    /// The op announced by `invoke`, awaiting its response.
     pending: Option<(OpKind, u64, u64, u64)>,
     done: Vec<CompletedOp>,
 }
 
 impl Recorder {
-    pub fn new(clock: Arc<AtomicU64>, sink: HistorySink) -> Self {
+    pub fn new(thread: u32, clock: Arc<AtomicU64>, sink: HistorySink) -> Self {
         Recorder {
+            thread,
             clock,
             sink,
             pending: None,
@@ -66,23 +90,25 @@ impl Recorder {
             self.sink.lock().unwrap().append(&mut self.done);
         }
     }
-}
 
-impl OpObserver for Recorder {
-    fn on_invoke(&mut self, _thread: u32, kind: OpKind, key: u64, arg: u64) {
+    /// An operation is about to start. `key` is its target key (for scans,
+    /// the range start) and `arg` its second argument (put value / scan
+    /// count), 0 otherwise.
+    pub fn invoke(&mut self, kind: OpKind, key: u64, arg: u64) {
         debug_assert!(self.pending.is_none(), "nested invocation");
         let inv = self.clock.fetch_add(1, Ordering::AcqRel);
         self.pending = Some((kind, key, arg, inv));
     }
 
-    fn on_response(&mut self, thread: u32, output: OpOutput) {
+    /// The operation the last `invoke` announced has returned `output`.
+    pub fn respond(&mut self, output: OpOutput) {
         let (kind, key, arg, inv) = self
             .pending
             .take()
             .expect("response without a matching invocation");
         let ret = self.clock.fetch_add(1, Ordering::AcqRel);
         self.done.push(CompletedOp {
-            thread,
+            thread: self.thread,
             kind,
             key,
             arg,
@@ -107,11 +133,11 @@ mod tests {
     fn recorder_stamps_and_flushes_on_drop() {
         let (sink, clock) = new_sink();
         {
-            let mut r = Recorder::new(Arc::clone(&clock), Arc::clone(&sink));
-            r.on_invoke(3, OpKind::Put, 10, 99);
-            r.on_response(3, OpOutput::Value(None));
-            r.on_invoke(3, OpKind::Get, 10, 0);
-            r.on_response(3, OpOutput::Value(Some(99)));
+            let mut r = Recorder::new(3, Arc::clone(&clock), Arc::clone(&sink));
+            r.invoke(OpKind::Put, 10, 99);
+            r.respond(OpOutput::Value(None));
+            r.invoke(OpKind::Get, 10, 0);
+            r.respond(OpOutput::Value(Some(99)));
             assert!(sink.lock().unwrap().is_empty(), "buffers until drop");
         }
         let h = sink.lock().unwrap();
@@ -132,10 +158,10 @@ mod tests {
             for t in 0..4u32 {
                 let (clock, sink) = (Arc::clone(&clock), Arc::clone(&sink));
                 s.spawn(move || {
-                    let mut r = Recorder::new(clock, sink);
+                    let mut r = Recorder::new(t, clock, sink);
                     for i in 0..500u64 {
-                        r.on_invoke(t, OpKind::Put, i, i);
-                        r.on_response(t, OpOutput::Value(None));
+                        r.invoke(OpKind::Put, i, i);
+                        r.respond(OpOutput::Value(None));
                     }
                 });
             }

@@ -5,8 +5,8 @@
 //! until this crate nothing *checked* them beyond spot assertions. This
 //! crate closes that gap:
 //!
-//! * [`history`] — per-thread invocation/response recording via the
-//!   engine's `OpObserver` hook (zero cost when not installed);
+//! * [`history`] — per-thread invocation/response recording: a stress
+//!   thread brackets each operation with its own [`Recorder`];
 //! * [`lin`] — a Wing–Gong-style linearizability oracle with interval
 //!   pruning and memoization, plus relaxed validation for the
 //!   deliberately non-atomic chained scans;
@@ -24,6 +24,6 @@ pub mod lin;
 pub mod stress;
 
 pub use audit::{IndexWatch, SeqnoWatch};
-pub use history::{new_sink, CompletedOp, HistorySink, Recorder};
+pub use history::{new_sink, CompletedOp, HistorySink, OpKind, OpOutput, Recorder};
 pub use lin::{check_history, Verdict, DEFAULT_BUDGET};
 pub use stress::{run_all, run_all_on, run_stress, AuditHooks, StressConfig, StressReport};

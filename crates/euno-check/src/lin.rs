@@ -37,9 +37,7 @@
 
 use std::collections::{BTreeMap, HashSet};
 
-use euno_htm::{OpKind, OpOutput};
-
-use crate::history::CompletedOp;
+use crate::history::{CompletedOp, OpKind, OpOutput};
 
 /// Outcome of checking one history.
 #[derive(Clone, Debug, PartialEq, Eq)]

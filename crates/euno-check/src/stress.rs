@@ -18,13 +18,13 @@ use std::time::{Duration, Instant};
 
 use euno_baselines::{HtmBTree, HtmMasstree, Masstree};
 use euno_core::{EunoBTreeDefault, EunoConfig};
-use euno_htm::{ConcurrentMap, OpKind, OpOutput, Runtime, ThreadStats};
+use euno_htm::{ConcurrentMap, Runtime, ThreadStats};
 use euno_metrics::{sample_due, Counter, ExecStages, Snapshot, TimeSeries};
 use euno_rng::{Rng, SmallRng};
 use euno_trace::{build_profile, LeafProfile, ThreadTrace, TraceBuf};
 
 use crate::audit::{IndexWatch, SeqnoWatch};
-use crate::history::{new_sink, Recorder};
+use crate::history::{new_sink, OpKind, OpOutput, Recorder};
 use crate::lin::{check_history, Verdict, DEFAULT_BUDGET};
 
 /// Knobs for one stress run (one tree).
@@ -283,7 +283,7 @@ pub fn run_stress(
             let cfg = cfg.clone();
             workers.push(s.spawn(move || {
                 let mut ctx = rt.thread(cfg.seed ^ u64::from(w));
-                ctx.set_op_observer(Box::new(Recorder::new(clock, sink)));
+                let mut rec = Recorder::new(ctx.id, clock, sink);
                 if cfg.trace_capacity > 0 {
                     ctx.set_tracer(Box::new(TraceBuf::new(ctx.id, cfg.trace_capacity)));
                 }
@@ -308,29 +308,29 @@ pub fn run_stress(
                     };
                     let roll = rng.gen_range(0..100u32);
                     if roll < get_pct {
-                        ctx.observe_invoke(OpKind::Get, key, 0);
+                        rec.invoke(OpKind::Get, key, 0);
                         let v = tree.get(&mut ctx, key);
-                        ctx.observe_response(OpOutput::Value(v));
+                        rec.respond(OpOutput::Value(v));
                     } else if roll < get_pct + put_pct {
                         // Values are unique per (worker, op) and
                         // disjoint from preload values, so every
                         // observed record has one possible writer.
                         let value = (u64::from(w) + 1) << 40 | i;
-                        ctx.observe_invoke(OpKind::Put, key, value);
+                        rec.invoke(OpKind::Put, key, value);
                         let prev = tree.put(&mut ctx, key, value);
-                        ctx.observe_response(OpOutput::Value(prev));
+                        rec.respond(OpOutput::Value(prev));
                     } else if roll < get_pct + put_pct + delete_pct {
-                        ctx.observe_invoke(OpKind::Delete, key, 0);
+                        rec.invoke(OpKind::Delete, key, 0);
                         let prev = tree.delete(&mut ctx, key);
-                        ctx.observe_response(OpOutput::Value(prev));
+                        rec.respond(OpOutput::Value(prev));
                     } else {
                         out.clear();
-                        ctx.observe_invoke(OpKind::Scan, key, cfg.scan_len);
+                        rec.invoke(OpKind::Scan, key, cfg.scan_len);
                         tree.scan(&mut ctx, key, cfg.scan_len as usize, &mut out);
-                        ctx.observe_response(OpOutput::Scan(out.clone()));
+                        rec.respond(OpOutput::Scan(out.clone()));
                     }
                 }
-                drop(ctx.take_op_observer()); // flush this thread's ops
+                drop(rec); // flush this thread's ops
                 (
                     ctx.take_tracer().map(|b| b.into_thread_trace()),
                     ctx.stats.clone(),
@@ -345,17 +345,17 @@ pub fn run_stress(
             let stop = &stop;
             s.spawn(move || {
                 let mut ctx = rt.thread(cfg.seed ^ 0xAAAA);
-                ctx.set_op_observer(Box::new(Recorder::new(clock, sink)));
+                let mut rec = Recorder::new(ctx.id, clock, sink);
                 if cfg.trace_capacity > 0 {
                     ctx.set_tracer(Box::new(TraceBuf::new(ctx.id, cfg.trace_capacity)));
                 }
                 while !stop.load(Ordering::Relaxed) {
-                    ctx.observe_invoke(OpKind::Maintain, 0, 0);
+                    rec.invoke(OpKind::Maintain, 0, 0);
                     let n = tree.maintain(&mut ctx);
-                    ctx.observe_response(OpOutput::Count(n));
+                    rec.respond(OpOutput::Count(n));
                     std::thread::sleep(Duration::from_micros(500));
                 }
-                drop(ctx.take_op_observer());
+                drop(rec);
                 ctx.take_tracer().map(|b| b.into_thread_trace())
             })
         });
@@ -425,26 +425,23 @@ pub fn run_stress(
     // exact checking even on trees with non-atomic scans.
     {
         let mut ctx = rt.thread(cfg.seed ^ 0xBBBB);
-        ctx.set_op_observer(Box::new(Recorder::new(
-            Arc::clone(&clock),
-            Arc::clone(&sink),
-        )));
+        let mut rec = Recorder::new(ctx.id, Arc::clone(&clock), Arc::clone(&sink));
         if cfg.trace_capacity > 0 {
             ctx.set_tracer(Box::new(TraceBuf::new(ctx.id, cfg.trace_capacity)));
         }
         let mut out = Vec::new();
-        ctx.observe_invoke(OpKind::Scan, 0, u64::MAX);
+        rec.invoke(OpKind::Scan, 0, u64::MAX);
         tree.scan(&mut ctx, 0, usize::MAX, &mut out);
-        ctx.observe_response(OpOutput::Scan(out));
+        rec.respond(OpOutput::Scan(out));
         let step = (cfg.key_range / 256).max(1);
         let mut key = 0;
         while key < cfg.key_range {
-            ctx.observe_invoke(OpKind::Get, key, 0);
+            rec.invoke(OpKind::Get, key, 0);
             let v = tree.get(&mut ctx, key);
-            ctx.observe_response(OpOutput::Value(v));
+            rec.respond(OpOutput::Value(v));
             key += step;
         }
-        drop(ctx.take_op_observer());
+        drop(rec);
         traces.extend(ctx.take_tracer().map(|b| b.into_thread_trace()));
     }
 
@@ -764,39 +761,34 @@ mod tests {
         }
 
         let (sink, clock) = new_sink();
-        let mut ctxs: Vec<ThreadCtx> = (0..8u64)
-            .map(|w| {
-                let mut ctx = rt.thread(w);
-                ctx.set_op_observer(Box::new(Recorder::new(
-                    Arc::clone(&clock),
-                    Arc::clone(&sink),
-                )));
-                ctx
-            })
+        let mut ctxs: Vec<ThreadCtx> = (0..8u64).map(|w| rt.thread(w)).collect();
+        let mut recs: Vec<Recorder> = ctxs
+            .iter()
+            .map(|ctx| Recorder::new(ctx.id, Arc::clone(&clock), Arc::clone(&sink)))
             .collect();
         let mut rngs: Vec<SmallRng> = (0..8u64)
             .map(|w| SmallRng::seed_from_u64(mix64(0x5708) ^ mix64(w + 1)))
             .collect();
 
         for round in 0..250u64 {
-            for (w, ctx) in ctxs.iter_mut().enumerate() {
+            for (w, (ctx, rec)) in ctxs.iter_mut().zip(&mut recs).enumerate() {
                 let key = rngs[w].gen_range(0..8u64);
                 match rngs[w].gen_range(0..100u32) {
                     0..=39 => {
-                        ctx.observe_invoke(OpKind::Get, key, 0);
+                        rec.invoke(OpKind::Get, key, 0);
                         let v = tree.get(ctx, key);
-                        ctx.observe_response(OpOutput::Value(v));
+                        rec.respond(OpOutput::Value(v));
                     }
                     40..=79 => {
                         let value = (w as u64 + 1) << 40 | round;
-                        ctx.observe_invoke(OpKind::Put, key, value);
+                        rec.invoke(OpKind::Put, key, value);
                         let prev = tree.put(ctx, key, value);
-                        ctx.observe_response(OpOutput::Value(prev));
+                        rec.respond(OpOutput::Value(prev));
                     }
                     _ => {
-                        ctx.observe_invoke(OpKind::Delete, key, 0);
+                        rec.invoke(OpKind::Delete, key, 0);
                         let prev = tree.delete(ctx, key);
-                        ctx.observe_response(OpOutput::Value(prev));
+                        rec.respond(OpOutput::Value(prev));
                     }
                 }
             }
@@ -804,8 +796,8 @@ mod tests {
 
         let mut stats = ThreadStats::default();
         let mut stages = ExecStages::default();
-        for mut ctx in ctxs {
-            drop(ctx.take_op_observer());
+        drop(recs);
+        for ctx in ctxs {
             stats.merge(&ctx.stats);
             stages.merge(&ctx.exec_stages());
         }

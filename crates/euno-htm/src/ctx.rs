@@ -23,7 +23,6 @@ use euno_trace::{codes, EventKind, TraceBuf};
 use crate::abort::{AbortCause, ConflictInfo, ConflictKind, TxResult};
 use crate::hint::{Anchor, Hint, HintTable, ANCHOR_WAYS, ANCHOR_WORDS, HINT_WAYS, HINT_WORDS};
 use crate::line::{LineId, LineSet};
-use crate::obs::{OpKind, OpObserver, OpOutput};
 use crate::runtime::{Backend, Mode, Runtime};
 use crate::stats::ThreadStats;
 use crate::word::{TxCell, TxWord};
@@ -130,10 +129,8 @@ pub struct ThreadCtx {
     /// `episode_begin` allocation-free (the box, its footprint sets and
     /// its logs are all reused with their capacities intact).
     spare: Option<Box<EpisodeState>>,
-    /// Optional operation-history observer (see [`crate::obs`]).
-    obs: Option<Box<dyn OpObserver>>,
-    /// Optional trace ring buffer (see `euno-trace`). Like `obs`, the
-    /// hot-path cost with no buffer installed is one branch.
+    /// Optional trace ring buffer (see `euno-trace`): with no buffer
+    /// installed the hot-path cost is one branch.
     tracer: Option<Box<TraceBuf>>,
     /// This thread's epoch-reclamation participant (see [`crate::epoch`]):
     /// trees pin it around every operation via
@@ -223,7 +220,6 @@ impl ThreadCtx {
             hw_wrote: false,
             ep: None,
             spare: None,
-            obs: None,
             tracer: None,
             reclaim,
             reclaim_ticks: 0,
@@ -231,17 +227,6 @@ impl ThreadCtx {
             anchors: HintTable::default(),
             shard,
         }
-    }
-
-    /// Install an operation-history observer (replacing any previous one).
-    pub fn set_op_observer(&mut self, obs: Box<dyn OpObserver>) {
-        self.obs = Some(obs);
-    }
-
-    /// Remove and return the installed observer, if any. Dropping the
-    /// context also drops (and thereby flushes) the observer.
-    pub fn take_op_observer(&mut self) -> Option<Box<dyn OpObserver>> {
-        self.obs.take()
     }
 
     /// Install a trace ring buffer (replacing any previous one). Events
@@ -265,7 +250,7 @@ impl ThreadCtx {
 
     /// Record one trace event. With no buffer installed this is a single
     /// branch — the instrumentation points stay in the hot paths
-    /// permanently, matching the `OpObserver` contract.
+    /// permanently.
     #[inline]
     pub fn trace(&mut self, kind: EventKind) {
         if let Some(t) = self.tracer.as_mut() {
@@ -399,22 +384,6 @@ impl ThreadCtx {
             if n > 0 {
                 s.add(euno_metrics::ABORTS_HTM[i], u64::from(n));
             }
-        }
-    }
-
-    /// Announce an operation invocation to the observer, if installed.
-    #[inline]
-    pub fn observe_invoke(&mut self, kind: OpKind, key: u64, arg: u64) {
-        if let Some(obs) = self.obs.as_mut() {
-            obs.on_invoke(self.id, kind, key, arg);
-        }
-    }
-
-    /// Announce the last invoked operation's response to the observer.
-    #[inline]
-    pub fn observe_response(&mut self, output: OpOutput) {
-        if let Some(obs) = self.obs.as_mut() {
-            obs.on_response(self.id, output);
         }
     }
 

@@ -58,7 +58,6 @@ pub mod hint;
 pub mod line;
 pub mod lock;
 pub mod map;
-pub mod obs;
 pub mod policy;
 pub(crate) mod registry;
 pub mod rtm;
@@ -81,7 +80,6 @@ pub use lock::{
     acquire_mask_blocking, release_mask, slot_for_key, AdvisoryLock, ControlBlock, SpinBackoff,
 };
 pub use map::{ConcurrentMap, MemoryReport, KEY_SENTINEL, TOMBSTONE};
-pub use obs::{OpKind, OpObserver, OpOutput};
 pub use policy::{Decision, RetryCounts, RetryPolicy};
 pub use rtm::hw_rtm_available;
 pub use runtime::{Backend, Mode, Runtime};

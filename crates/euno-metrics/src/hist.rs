@@ -12,10 +12,12 @@
 //! and merging two histograms is a bucket-wise add (the property the
 //! sharded registry depends on).
 //!
-//! `euno_sim::LatencyHistogram` is an alias of this type: the API below is
-//! exactly the old `hist.rs` one, including the PR-2 fix where the
-//! terminal (highest non-empty) bucket reports the *exact* observed max
-//! rather than its bucket floor.
+//! The terminal (highest non-empty) bucket reports the *exact* observed
+//! max rather than its bucket floor. The harness, the bench binaries and
+//! the metrics shards all record here; the one other histogram in the
+//! repository, `benchmark/src/hist.rs`, belongs to the benchmark, which is
+//! frozen, and is finer (128 sub-buckets an octave) because it gates on
+//! quantile bounds this one is too coarse for.
 
 /// A fixed-size logarithmic histogram of u64 samples.
 #[derive(Clone)]
@@ -252,6 +254,42 @@ mod tests {
         assert!(h.quantile(0.5) < 1000);
         assert_eq!(h.quantile(1.0), 1000);
         assert!(h.quantile(1.0) >= h.quantile(0.999));
+    }
+
+    #[test]
+    fn heavy_tail_visible_in_p999() {
+        let mut h = LogHistogram::new();
+        for _ in 0..999 {
+            h.record(100);
+        }
+        h.record(1_000_000); // one convoy victim
+        assert!(h.quantile(0.5) < 200);
+        // With exactly 1000 samples the 0.999-quantile is the 999th value
+        // (still in the bulk); the convoy victim appears from 0.9995 up —
+        // and the terminal bucket reports the *exact* observed max, not
+        // its bucket floor (which would under-report by up to √2×).
+        assert_eq!(h.quantile(0.9995), 1_000_000);
+        assert_eq!(h.quantile(1.0), 1_000_000);
+    }
+
+    #[test]
+    fn nonzero_buckets_expose_distribution() {
+        let mut h = LogHistogram::new();
+        h.record(1);
+        h.record(1);
+        h.record(1_000_000);
+        let b = h.nonzero_buckets();
+        assert_eq!(b.len(), 2);
+        assert_eq!(b[0], (1, 2));
+        assert_eq!(b.iter().map(|&(_, c)| c).sum::<u64>(), h.count());
+    }
+
+    #[test]
+    fn summary_formats() {
+        let mut h = LogHistogram::new();
+        h.record(500);
+        let s = h.summary();
+        assert!(s.contains("mean") && s.contains("p99"));
     }
 
     #[test]

@@ -15,8 +15,8 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 
+use euno_check::history::{OpKind, OpOutput};
 use euno_check::{check_history, new_sink, CompletedOp, Verdict, DEFAULT_BUDGET};
-use euno_htm::{OpKind, OpOutput};
 use euno_rng::{Rng, SmallRng};
 use euno_serve::{EunoServer, Reply, Request, ServeConfig};
 

@@ -6,11 +6,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use euno_htm::{ConcurrentMap, Mode, Runtime, ThreadCtx, ThreadStats};
-use euno_metrics::{sample_due, Counter, ExecStages, TimeSeries};
+use euno_metrics::{sample_due, Counter, ExecStages, LogHistogram, TimeSeries};
 use euno_trace::{build_profile, codes, EventKind, ThreadTrace, TraceBuf};
 use euno_workloads::{Op, OpStream, WorkloadSpec};
 
-use crate::hist::LatencyHistogram;
 use crate::metrics::RunMetrics;
 use crate::sched::VirtualScheduler;
 
@@ -235,87 +234,83 @@ pub fn run_concurrent(
     let trace_cap = cfg.effective_trace_capacity();
     let done = std::sync::atomic::AtomicBool::new(false);
     let mut series: Option<TimeSeries> = None;
-    let results: Vec<(
-        ThreadStats,
-        ExecStages,
-        LatencyHistogram,
-        Option<ThreadTrace>,
-    )> = std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for t in 0..cfg.threads {
-            let rt = Arc::clone(rt);
-            let spec = spec.clone();
-            let cfg = cfg.clone();
-            let map_ref: &dyn ConcurrentMap = map;
-            let barrier = &barrier;
-            handles.push(s.spawn(move || {
-                let mut ctx = rt.thread(cfg.seed.wrapping_add(t as u64));
-                if let Some(cap) = trace_cap {
-                    ctx.set_tracer(Box::new(TraceBuf::new(ctx.id, cap)));
-                }
-                let mut stream = OpStream::new(&spec, t as u64, cfg.seed);
-                let mut scan_buf = Vec::new();
-                let mut latency = LatencyHistogram::new();
-                for _ in 0..cfg.warmup_ops {
-                    let op = stream.next_op();
-                    apply_warmup_op(map_ref, &mut ctx, op, &mut scan_buf);
-                }
-                barrier.wait();
-                ctx.stats.measure_start_cycles = Some(ctx.clock);
-                for _ in 0..cfg.ops_per_thread {
-                    let op = stream.next_op();
-                    let before = ctx.clock;
-                    apply_op(map_ref, &mut ctx, op, &mut scan_buf);
-                    latency.record(ctx.clock - before);
-                    ctx.metric_add(Counter::Ops, 1);
-                    ctx.metric_record_latency(ctx.clock - before);
-                }
-                ctx.finish();
-                let trace = ctx.take_tracer().map(|b| b.into_thread_trace());
-                let stages = ctx.exec_stages();
-                (ctx.stats, stages, latency, trace)
-            }));
-        }
-        // Wall-clock sampler: one extra thread ticking every Δ µs from
-        // the measured-phase start. It never touches the barrier (the
-        // workers' rendezvous stays threads+1); it just snapshots the
-        // shared registry until the workers finish.
-        let sampler = sampling.then(|| {
-            let rt = Arc::clone(rt);
-            let delta = cfg.sample_every;
-            let cap = match cfg.sample_capacity {
-                0 => TimeSeries::DEFAULT_CAPACITY,
-                c => c,
-            };
-            let done = &done;
-            let barrier = &barrier;
-            s.spawn(move || {
-                let mut ts = TimeSeries::new(delta, cap);
-                barrier.wait();
-                let t0 = Instant::now();
-                while !done.load(std::sync::atomic::Ordering::Acquire) {
-                    let now = t0.elapsed().as_micros() as u64;
-                    if sample_due(&mut ts, now) {
-                        rt.publish_epoch_gauges();
-                        ts.sample(now, rt.metrics());
+    let results: Vec<(ThreadStats, ExecStages, LogHistogram, Option<ThreadTrace>)> =
+        std::thread::scope(|s| {
+            let mut handles = Vec::new();
+            for t in 0..cfg.threads {
+                let rt = Arc::clone(rt);
+                let spec = spec.clone();
+                let cfg = cfg.clone();
+                let map_ref: &dyn ConcurrentMap = map;
+                let barrier = &barrier;
+                handles.push(s.spawn(move || {
+                    let mut ctx = rt.thread(cfg.seed.wrapping_add(t as u64));
+                    if let Some(cap) = trace_cap {
+                        ctx.set_tracer(Box::new(TraceBuf::new(ctx.id, cap)));
                     }
-                    std::thread::sleep(std::time::Duration::from_micros(delta.clamp(50, 1000)));
-                }
-                // Settle snapshot: close the series on the final totals.
-                rt.publish_epoch_gauges();
-                ts.sample(t0.elapsed().as_micros() as u64, rt.metrics());
-                ts
-            })
+                    let mut stream = OpStream::new(&spec, t as u64, cfg.seed);
+                    let mut scan_buf = Vec::new();
+                    let mut latency = LogHistogram::new();
+                    for _ in 0..cfg.warmup_ops {
+                        let op = stream.next_op();
+                        apply_warmup_op(map_ref, &mut ctx, op, &mut scan_buf);
+                    }
+                    barrier.wait();
+                    ctx.stats.measure_start_cycles = Some(ctx.clock);
+                    for _ in 0..cfg.ops_per_thread {
+                        let op = stream.next_op();
+                        let before = ctx.clock;
+                        apply_op(map_ref, &mut ctx, op, &mut scan_buf);
+                        latency.record(ctx.clock - before);
+                        ctx.metric_add(Counter::Ops, 1);
+                        ctx.metric_record_latency(ctx.clock - before);
+                    }
+                    ctx.finish();
+                    let trace = ctx.take_tracer().map(|b| b.into_thread_trace());
+                    let stages = ctx.exec_stages();
+                    (ctx.stats, stages, latency, trace)
+                }));
+            }
+            // Wall-clock sampler: one extra thread ticking every Δ µs from
+            // the measured-phase start. It never touches the barrier (the
+            // workers' rendezvous stays threads+1); it just snapshots the
+            // shared registry until the workers finish.
+            let sampler = sampling.then(|| {
+                let rt = Arc::clone(rt);
+                let delta = cfg.sample_every;
+                let cap = match cfg.sample_capacity {
+                    0 => TimeSeries::DEFAULT_CAPACITY,
+                    c => c,
+                };
+                let done = &done;
+                let barrier = &barrier;
+                s.spawn(move || {
+                    let mut ts = TimeSeries::new(delta, cap);
+                    barrier.wait();
+                    let t0 = Instant::now();
+                    while !done.load(std::sync::atomic::Ordering::Acquire) {
+                        let now = t0.elapsed().as_micros() as u64;
+                        if sample_due(&mut ts, now) {
+                            rt.publish_epoch_gauges();
+                            ts.sample(now, rt.metrics());
+                        }
+                        std::thread::sleep(std::time::Duration::from_micros(delta.clamp(50, 1000)));
+                    }
+                    // Settle snapshot: close the series on the final totals.
+                    rt.publish_epoch_gauges();
+                    ts.sample(t0.elapsed().as_micros() as u64, rt.metrics());
+                    ts
+                })
+            });
+            barrier.wait();
+            *start_cell.lock().unwrap() = Instant::now();
+            let results = handles.into_iter().map(|h| h.join().unwrap()).collect();
+            done.store(true, std::sync::atomic::Ordering::Release);
+            series = sampler.map(|h| h.join().unwrap());
+            results
         });
-        barrier.wait();
-        *start_cell.lock().unwrap() = Instant::now();
-        let results = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        done.store(true, std::sync::atomic::Ordering::Release);
-        series = sampler.map(|h| h.join().unwrap());
-        results
-    });
     let elapsed = start_cell.lock().unwrap().elapsed().as_secs_f64();
-    let mut latency = LatencyHistogram::new();
+    let mut latency = LogHistogram::new();
     let mut per_thread = Vec::with_capacity(results.len());
     let mut stages = ExecStages::default();
     let mut traces = Vec::new();

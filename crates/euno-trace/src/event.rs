@@ -30,7 +30,7 @@ pub mod codes {
     pub const AB_SPURIOUS: u8 = 7;
     pub const AB_FALLBACK_LOCKED: u8 = 8;
 
-    /// Client operation kinds (`OpKind` in `euno-htm`).
+    /// Client operation kinds (`OpKind` in `euno-check`).
     pub const OP_GET: u8 = 0;
     pub const OP_PUT: u8 = 1;
     pub const OP_DELETE: u8 = 2;

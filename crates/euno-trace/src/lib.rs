@@ -9,8 +9,7 @@
 //! acquire/wait/release, CCM bypass flips, split/merge/maintain
 //! structural events, and scheduler steps.
 //!
-//! The contract mirrors `euno-htm`'s `OpObserver`: the sink is
-//! disabled by default, every instrumentation point is one
+//! The sink is disabled by default, every instrumentation point is one
 //! `if let Some(..)` branch when no buffer is installed, and emission
 //! never charges cycles, touches the RNG, or otherwise perturbs the
 //! deterministic virtual-time schedule. A [`TraceBuf`] is owned

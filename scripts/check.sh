@@ -103,18 +103,18 @@ echo "smoke-engine report OK"
 # Smoke-stm: the TL2 software backend on real threads.  The engine bench
 # must emit its engine-stm rows (the backend axis is load-bearing for
 # EXPERIMENTS.md) — and, from the same one build, its engine-rtm rows
-# wherever the binary itself says the CPU has RTM — and the dedicated
+# wherever the binary itself says the CPU has RTM.  The dedicated
 # concurrent-correctness suites — hot cell (both backends), permuted
-# commit orders, transfer invariant, commit-path ABA — must pass at their
-# checked-in sizes.
+# commit orders, transfer invariant, commit-path ABA (euno-htm's tl2_stm
+# and aba_regression) — ran at their checked-in sizes under the tier-1
+# `cargo test` above, in this same debug profile.
 grep -q "engine-stm" "$SMOKE/engine.csv" \
     || { echo "smoke-stm: engine-stm rows missing from engine bench"; exit 1; }
 if ! grep -q "engine-rtm rows skipped" "$SMOKE/engine.err"; then
     grep -q "engine-rtm" "$SMOKE/engine.csv" \
         || { echo "smoke-stm: hw_rtm_available() but no engine-rtm rows"; exit 1; }
 fi
-cargo test -q -p euno-htm --test tl2_stm --test aba_regression
-echo "smoke-stm (TL2 + RTM backend rows + concurrent suites) OK"
+echo "smoke-stm (TL2 + RTM backend rows; concurrent suites ran in tier-1) OK"
 
 # Held names: `Counter::Middles` and `ABORTS_MIDDLE` outlived the
 # executor's middle path only because the frozen `benchmark/` imports
@@ -176,10 +176,11 @@ echo "one-seam (no hardware feature, no second executor, no mode branch outside 
 # Metrics smoke: a tiny Figure 14 run (rotating-hotspot timeline) must
 # quantify an adaptation lag for at least one programmed shift, emit a
 # schema-v3 report with its timeseries sections (validated by
-# report_check) and the JSON-lines export next to the CSV; then the
-# counting-allocator harness asserts the sampling hot path stays
+# report_check) and the JSON-lines export next to the CSV.  The
+# counting-allocator harness that holds the sampling hot path
 # allocation-free (the "always-on, low-overhead" contract of DESIGN.md
-# §14).
+# §14, euno-metrics' zero_alloc_sample) ran under the tier-1 `cargo test`
+# above.
 EUNO_BENCH_SCALE=0.1 cargo run --release -q -p euno-bench --bin fig14_timeline -- \
     --csv "$SMOKE/fig14.csv" >"$SMOKE/fig14.out"
 grep -qE "answered [1-9]+/" "$SMOKE/fig14.out" \
@@ -187,8 +188,7 @@ grep -qE "answered [1-9]+/" "$SMOKE/fig14.out" \
 cargo run --release -q -p euno-bench --bin report_check -- \
     "$SMOKE/BENCH_fig14.json"
 test -s "$SMOKE/fig14.jsonl"
-cargo test -q -p euno-metrics --test zero_alloc_sample
-echo "smoke-metrics (fig14 timeline + schema v3 + zero-alloc sampler) OK"
+echo "smoke-metrics (fig14 timeline + schema v3; zero-alloc sampler ran in tier-1) OK"
 
 # Concurrent-correctness stage: real threads, recorded histories, the
 # linearizability oracle, and structural audits over all four trees.

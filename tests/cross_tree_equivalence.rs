@@ -175,6 +175,25 @@ fn deletes_are_equivalent_to_absence_everywhere() {
     }
 }
 
+/// `scan` returns up to `count` records: asked for none, every tree on
+/// every backend returns none and leaves `out` as it found it.
+#[test]
+fn a_scan_for_zero_records_returns_none() {
+    for rt in backends() {
+        for map in systems(&rt) {
+            let mut ctx = rt.thread(4);
+            for k in 0..300u64 {
+                map.put(&mut ctx, k, k + 1);
+            }
+            let mut out = vec![(7, 7)];
+            for from in [0, 150, 299, 300] {
+                assert_eq!(map.scan(&mut ctx, from, 0, &mut out), 0, "{}", map.name());
+                assert_eq!(out, [(7, 7)], "{} from {from}", map.name());
+            }
+        }
+    }
+}
+
 /// Every tree on both real-thread backends — TL2, then the hardware one —
 /// under two threads: keys are
 /// interleaved (thread `t` owns the keys ≡ `t` mod 2, so neighbours in
