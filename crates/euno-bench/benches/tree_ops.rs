@@ -1,7 +1,7 @@
 //! Microbenches: single-operation latency of each tree under a
 //! single-threaded virtual context. These measure the *implementation*
 //! cost of this reproduction (wall time per op on the host), complementing
-//! the virtual-time figure binaries which measure the *modelled* machine.
+//! the virtual-time figures, which measure the *modelled* machine.
 //!
 //! Plain self-timed harness (`harness = false`): run with
 //! `cargo bench -p euno-bench`. Each benchmark reports mean ns/op over a

@@ -1,6 +1,6 @@
 //! engine_bench — wall-clock throughput of the episode machinery itself.
 //!
-//! Every figure binary measures *virtual* time, which is deterministic by
+//! Every figure measures *virtual* time, which is deterministic by
 //! construction and therefore blind to the real cost of running the
 //! engine: allocation per attempt, registry locking per access, window
 //! scans per commit. This binary times the engine with a wall clock so
@@ -257,7 +257,7 @@ fn run_tree_virtual(threads: usize, ops: u64, seed: u64) -> (WorkloadSpec, RunCo
 }
 
 fn main() {
-    let cli = Cli::parse();
+    let cli = Cli::parse(&["--csv", "--only"], &[]);
     let seed = 0xe9_61_7e;
     let raw_ops = cli.ops_override.unwrap_or_else(|| scaled(200_000));
     let tree_ops = cli.ops_override.unwrap_or_else(|| scaled(20_000));

@@ -1,12 +1,11 @@
-//! Shared plumbing for the figure-regeneration binaries: system registry,
-//! run orchestration, table/CSV emission.
+//! Shared plumbing for the measuring binaries: system registry, run
+//! orchestration, command line, table/CSV/report emission.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper's evaluation (§5). They all follow the same recipe: build the
-//! systems against a fresh virtual-time runtime, preload the YCSB keys,
-//! run the configured workload per data point, and print the series the
-//! paper plots — as an aligned table on stdout and as CSV when
-//! `--csv <path>` is given.
+//! Every virtual-clock figure follows the same recipe (the table in
+//! [`crate::figures`]): build the systems against a fresh virtual-time
+//! runtime, preload the YCSB keys, run the configured workload per data
+//! point, and print the series the paper plots — as an aligned table on
+//! stdout, and as CSV plus a run report when asked to write them.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -20,7 +19,8 @@ use euno_sim::{
 };
 use euno_workloads::WorkloadSpec;
 
-/// The four systems of §5.1, plus the ablation variants of Figure 13.
+/// The four systems of §5.1, the library's default tree, and the rungs of
+/// Figure 13 that are not one of those.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum System {
     /// The paper's system (`EunoConfig::paper`): HTM upper and lower region
@@ -38,11 +38,6 @@ pub enum System {
     AblationPartLeaf,
     AblationCcmLockbits,
     AblationCcmMarkbits,
-    AblationAdaptive,
-    /// One rung past the paper's ladder: `+Adaptive` with the upper HTM
-    /// region replaced by the validated walk (`EunoConfig::default`) — the
-    /// row that prices the upper episode.
-    AblationWalk,
 }
 
 impl System {
@@ -63,7 +58,7 @@ impl System {
         System::HtmMasstree,
     ];
 
-    pub fn label(self) -> &'static str {
+    pub const fn label(self) -> &'static str {
         match self {
             System::EunoBTree => "Euno-B+Tree",
             System::EunoReadOpt => "Euno-ReadOpt",
@@ -74,8 +69,6 @@ impl System {
             System::AblationPartLeaf => "+Part Leaf",
             System::AblationCcmLockbits => "+CCM lockbits",
             System::AblationCcmMarkbits => "+CCM markbits",
-            System::AblationAdaptive => "+Adaptive",
-            System::AblationWalk => "+Walk",
         }
     }
 
@@ -83,10 +76,8 @@ impl System {
     pub fn build(self, rt: &Arc<Runtime>) -> Box<dyn ConcurrentMap> {
         let rt = Arc::clone(rt);
         match self {
-            System::EunoBTree | System::AblationAdaptive => {
-                Box::new(EunoBTreeDefault::with_config(rt, EunoConfig::paper()))
-            }
-            System::EunoReadOpt | System::AblationWalk => Box::new(EunoBTreeDefault::new(rt)),
+            System::EunoBTree => Box::new(EunoBTreeDefault::with_config(rt, EunoConfig::paper())),
+            System::EunoReadOpt => Box::new(EunoBTreeDefault::new(rt)),
             System::HtmBTree => Box::new(HtmBTree::<16>::new(rt)),
             System::Masstree => Box::new(Masstree::new(rt)),
             System::HtmMasstree => Box::new(HtmMasstree::new(rt)),
@@ -113,6 +104,7 @@ impl System {
 /// run report serializes next to the metrics.
 #[derive(Clone, Debug)]
 pub struct Point {
+    /// The row label: a system's, or a Figure 13 rung's.
     pub system: &'static str,
     /// The x-axis value (θ, thread count, …) as a printable string.
     pub x: String,
@@ -126,14 +118,14 @@ pub struct Point {
 
 impl Point {
     pub fn new(
-        system: System,
+        system: &'static str,
         x: impl ToString,
         spec: &WorkloadSpec,
         cfg: &RunConfig,
         metrics: RunMetrics,
     ) -> Point {
         Point {
-            system: system.label(),
+            system,
             x: x.to_string(),
             spec: spec.clone(),
             cfg: cfg.clone(),
@@ -151,11 +143,21 @@ impl Point {
 /// Run one (system, workload, config) cell: fresh runtime, preload,
 /// measure.
 pub fn measure(system: System, spec: &WorkloadSpec, cfg: &RunConfig) -> RunMetrics {
-    let rt = Runtime::new_virtual();
-    let map = system.build(&rt);
-    preload(map.as_ref(), &rt, spec);
+    measure_on(&Runtime::new_virtual(), system, spec, cfg).0
+}
+
+/// [`measure`] on a runtime of the caller's (a swept cost model), handing
+/// back the tree for what the run left in it (its memory).
+pub(crate) fn measure_on(
+    rt: &Arc<Runtime>,
+    system: System,
+    spec: &WorkloadSpec,
+    cfg: &RunConfig,
+) -> (RunMetrics, Box<dyn ConcurrentMap>) {
+    let map = system.build(rt);
+    preload(map.as_ref(), rt, spec);
     rt.reset_dynamics();
-    run_virtual(map.as_ref(), &rt, spec, cfg)
+    (run_virtual(map.as_ref(), rt, spec, cfg), map)
 }
 
 /// Global scale factor for op budgets: `EUNO_BENCH_SCALE` (default 1.0;
@@ -171,9 +173,9 @@ pub fn scaled(ops: u64) -> u64 {
     ((ops as f64 * scale()) as u64).max(200)
 }
 
-/// The standard figure run configuration every binary starts from:
+/// The standard figure run configuration every figure starts from:
 /// 16 virtual threads (§5.1), a scaled per-thread op budget, and the
-/// shared warmup sizing. Sweeping binaries override `threads` per point.
+/// shared warmup sizing. Sweeps override `threads` per point.
 pub fn fig_config(seed: u64, ops_per_thread: u64) -> RunConfig {
     RunConfig {
         threads: 16,
@@ -184,11 +186,35 @@ pub fn fig_config(seed: u64, ops_per_thread: u64) -> RunConfig {
     }
 }
 
-/// Parse the flags shared by every figure binary:
-/// `--csv <path>` / `--ops <n>` / `--threads <n>` / `--theta <f>` /
-/// `--keys <n>` / `--trace <path>` / `--profile`.
+/// The flags every measuring binary takes.
+const SHARED_FLAGS: &str = "\
+flags: --ops <n>             measured ops per thread (caps the warm-up too)
+       --threads <n>         threads (a thread sweep keeps its own)
+       --theta <f64>         Zipf skew of a figure that holds it fixed
+       --keys <n>            key range
+       --trace <path>        Chrome trace JSON of the first cell, + <path>.folded
+       --trace-capacity <n>  per-thread ring size for --trace
+       --profile             hot-leaf contention table in the run report";
+
+/// The flags a binary may take beside those; [`Cli::parse`] accepts the
+/// ones the binary names.
+const OWN_FLAGS: [&str; 4] = [
+    "--csv <path>          write the CSV, and BENCH_<id>.json beside it",
+    "--only <substr>       run only rows whose label contains it",
+    "--out <dir>           write <dir>/<stem>.csv and BENCH_<id>.json",
+    "--check               compare with --out's CSVs (default results/); exit 1 if one moved",
+];
+
+/// The command line of a measuring binary: [`SHARED_FLAGS`], and those of
+/// [`OWN_FLAGS`] the binary takes.
+#[derive(Default)]
 pub struct Cli {
     pub csv: Option<String>,
+    pub out: Option<String>,
+    pub check: bool,
+    /// Positional arguments: the figures to run.
+    pub names: Vec<String>,
+    /// Measured ops per thread; the warm-up never runs longer.
     pub ops_override: Option<u64>,
     pub threads_override: Option<usize>,
     pub theta_override: Option<f64>,
@@ -196,8 +222,7 @@ pub struct Cli {
     /// runs (scripts/check.sh) pass a small `--keys` to stay cheap.
     pub keys_override: Option<u64>,
     /// Row filter: only run measurement points whose x-label contains this
-    /// substring (engine_bench honours it; handy for profiling one
-    /// scenario without a rebuild).
+    /// substring (engine_bench).
     pub only: Option<String>,
     /// Export the first measured cell's event trace as Chrome trace-event
     /// JSON to this path (plus a `<path>.folded` flamegraph rollup).
@@ -206,76 +231,83 @@ pub struct Cli {
     /// per-run `profile` sections.
     pub profile: bool,
     /// Per-thread ring capacity override for `--trace` runs (events).
-    /// Smoke runs pass a small value to keep the export cheap.
     pub trace_capacity: Option<usize>,
     /// Whether the `--trace` file has been written (first traced cell).
     trace_exported: std::cell::Cell<bool>,
 }
 
 impl Cli {
-    pub fn parse() -> Cli {
-        let mut args = std::env::args().skip(1);
-        let mut cli = Cli {
-            csv: None,
-            ops_override: None,
-            threads_override: None,
-            theta_override: None,
-            keys_override: None,
-            only: None,
-            trace: None,
-            profile: false,
-            trace_capacity: None,
-            trace_exported: std::cell::Cell::new(false),
+    /// Parse the process arguments: the shared flags, the binary's `own`
+    /// ones, and positional arguments from `names`. Anything else exits 2
+    /// with the usage text; `--help` prints it and exits 0.
+    pub fn parse(own: &[&str], names: &[&str]) -> Cli {
+        let why = match Cli::parse_args(std::env::args().skip(1), own, names) {
+            Ok(cli) => return cli,
+            Err(why) => why,
         };
-        fn numeric<T: std::str::FromStr>(flag: &str, v: Option<String>) -> T {
-            match v.as_deref().map(str::parse) {
-                Some(Ok(n)) => n,
-                _ => {
-                    eprintln!("{flag} needs a numeric value, got {v:?}");
-                    std::process::exit(2);
-                }
-            }
+        let mut usage = SHARED_FLAGS.to_string();
+        for line in OWN_FLAGS
+            .iter()
+            .filter(|l| own.contains(&&l[..l.find(' ').unwrap()]))
+        {
+            let _ = write!(usage, "\n       {line}");
         }
+        if !names.is_empty() {
+            let _ = write!(usage, "\nnames: {} (default: all)", names.join(" "));
+        }
+        usage.push_str("\nenv:   EUNO_BENCH_SCALE=<f64> scales default op budgets");
+        eprintln!(
+            "{}{usage}",
+            why.as_deref().map_or(String::new(), |w| format!("{w}\n"))
+        );
+        std::process::exit(if why.is_some() { 2 } else { 0 });
+    }
+
+    /// [`Cli::parse`] over `args`: `Err(None)` asks for the usage text
+    /// (`--help`), `Err(Some(why))` is a bad command line.
+    fn parse_args(
+        mut args: impl Iterator<Item = String>,
+        own: &[&str],
+        names: &[&str],
+    ) -> Result<Cli, Option<String>> {
+        fn value(flag: &str, v: Option<String>) -> Result<String, Option<String>> {
+            v.ok_or_else(|| Some(format!("{flag} needs a value")))
+        }
+        fn number<T: std::str::FromStr>(
+            flag: &str,
+            v: Option<String>,
+        ) -> Result<T, Option<String>> {
+            let v = value(flag, v)?;
+            v.parse()
+                .map_err(|_| Some(format!("{flag} needs a number, got {v:?}")))
+        }
+        let mut cli = Cli::default();
         while let Some(a) = args.next() {
+            let mine = own.contains(&a.as_str());
             match a.as_str() {
-                "--csv" => cli.csv = args.next(),
-                "--ops" => cli.ops_override = Some(numeric("--ops", args.next())),
-                "--threads" => cli.threads_override = Some(numeric("--threads", args.next())),
-                "--theta" => cli.theta_override = Some(numeric("--theta", args.next())),
-                "--keys" => cli.keys_override = Some(numeric("--keys", args.next())),
-                "--only" => cli.only = args.next(),
-                "--trace" => match args.next() {
-                    Some(p) => cli.trace = Some(p),
-                    None => {
-                        eprintln!("--trace needs an output path");
-                        std::process::exit(2);
-                    }
-                },
+                "--ops" => cli.ops_override = Some(number(&a, args.next())?),
+                "--threads" => cli.threads_override = Some(number(&a, args.next())?),
+                "--theta" => cli.theta_override = Some(number(&a, args.next())?),
+                "--keys" => cli.keys_override = Some(number(&a, args.next())?),
+                "--trace-capacity" => cli.trace_capacity = Some(number(&a, args.next())?),
+                "--trace" => cli.trace = Some(value(&a, args.next())?),
                 "--profile" => cli.profile = true,
-                "--trace-capacity" => {
-                    cli.trace_capacity = Some(numeric("--trace-capacity", args.next()));
-                }
-                "--help" | "-h" => {
-                    eprintln!(
-                        "flags: --csv <path>  --ops <per-thread>  --threads <n>\n\
-                         \x20      --theta <f64>  --keys <range>\n\
-                         \x20      --only <substr> (run only rows whose label contains it)\n\
-                         \x20      --trace <path> (Chrome trace JSON of the first cell, + <path>.folded)\n\
-                         \x20      --trace-capacity <events> (per-thread ring size for --trace)\n\
-                         \x20      --profile (hot-leaf contention table in the run report)\n\
-                         env:   EUNO_BENCH_SCALE=<f64> scales default op budgets"
-                    );
-                    std::process::exit(0);
-                }
-                other => eprintln!("ignoring unknown flag {other}"),
+                "--csv" if mine => cli.csv = Some(value(&a, args.next())?),
+                "--only" if mine => cli.only = Some(value(&a, args.next())?),
+                "--out" if mine => cli.out = Some(value(&a, args.next())?),
+                "--check" if mine => cli.check = true,
+                "--help" | "-h" => return Err(None),
+                name if names.contains(&name) => cli.names.push(a.clone()),
+                other => return Err(Some(format!("unknown argument {other}"))),
             }
         }
-        cli
+        Ok(cli)
     }
 
     pub fn apply(&self, cfg: &mut RunConfig) {
         if let Some(ops) = self.ops_override {
             cfg.ops_per_thread = ops;
+            cfg.warmup_ops = cfg.warmup_ops.min(ops);
         }
         if let Some(t) = self.threads_override {
             cfg.threads = t;
@@ -298,21 +330,24 @@ impl Cli {
         let Some(traces) = m.trace.take() else {
             return;
         };
-        if self.trace_exported.replace(true) {
+        let Some(path) = self
+            .trace
+            .as_ref()
+            .filter(|_| !self.trace_exported.replace(true))
+        else {
             return;
-        }
-        if let Some(path) = &self.trace {
-            if let Err(e) = std::fs::write(path, chrome_trace(&traces).to_pretty()) {
-                eprintln!("FAIL writing {path}: {e}");
+        };
+        let folded = format!("{path}.folded");
+        for (file, text) in [
+            (path, chrome_trace(&traces).to_pretty()),
+            (&folded, folded_rollup(&traces)),
+        ] {
+            if let Err(e) = std::fs::write(file, text) {
+                eprintln!("FAIL writing {file}: {e}");
                 std::process::exit(1);
             }
-            let folded = format!("{path}.folded");
-            if let Err(e) = std::fs::write(&folded, folded_rollup(&traces)) {
-                eprintln!("FAIL writing {folded}: {e}");
-                std::process::exit(1);
-            }
-            eprintln!("wrote {path} and {folded}");
         }
+        eprintln!("wrote {path} and {folded}");
     }
 
     /// `--theta` if given, else the figure's default.
@@ -353,48 +388,36 @@ pub fn print_table(
             xs.push(&p.x);
         }
     }
-    let mut header = format!("{:>10}", "x");
-    for s in &systems {
-        let _ = write!(header, " {s:>14}");
-    }
-    println!("{header}");
-    for x in &xs {
-        let mut row = format!("{x:>10}");
-        for s in &systems {
-            let v = points
-                .iter()
-                .find(|p| &p.x == x && p.system == *s)
-                .map(|p| value_of(&p.metrics));
-            match v {
-                Some(v) => {
-                    let _ = write!(row, " {v:>14.3}");
-                }
-                None => {
-                    let _ = write!(row, " {:>14}", "-");
-                }
-            }
-        }
-        println!("{row}");
+    let header: String = systems.iter().map(|s| format!(" {s:>14}")).collect();
+    println!("{:>10}{header}", "x");
+    for x in xs {
+        let row: String = systems
+            .iter()
+            .map(
+                |&s| match points.iter().find(|p| p.x == x && p.system == s) {
+                    Some(p) => format!(" {:>14.3}", value_of(&p.metrics)),
+                    None => format!(" {:>14}", "-"),
+                },
+            )
+            .collect();
+        println!("{x:>10}{row}");
     }
 }
 
-/// Write the full per-point metric set as CSV.
-pub fn write_csv(path: &str, points: &[Point]) -> std::io::Result<()> {
-    use std::io::Write;
-    let mut f = std::fs::File::create(path)?;
-    writeln!(
-        f,
+/// The full per-point metric set as CSV text.
+pub fn csv_text(points: &[Point]) -> String {
+    let mut out = String::from(
         "system,x,threads,total_ops,elapsed_secs,throughput_mops,aborts_per_op,\
          true_conflicts,false_record,false_metadata,false_structure,capacity,spurious,\
          fallback_locked,wasted_cycle_fraction,accesses_per_op,fallbacks_per_op,\
          optimistic_retries,lock_wait_cycles,lat_p50,lat_p99,lat_p999,lat_max,\
-         backoff_cycles,fallback_wait_cycles,ccm_bypass_flips"
-    )?;
+         backoff_cycles,fallback_wait_cycles,ccm_bypass_flips\n",
+    );
     for p in points {
         let m = &p.metrics;
         let ops = m.total_ops.max(1) as f64;
-        writeln!(
-            f,
+        let _ = writeln!(
+            out,
             "{},{},{},{},{:.6},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.2},{:.5},{:.4},{},{},{},{},{},{},{},{}",
             p.system,
             p.x,
@@ -422,23 +445,22 @@ pub fn write_csv(path: &str, points: &[Point]) -> std::io::Result<()> {
             m.stats.cycles_backoff,
             m.stats.cycles_fallback_wait,
             m.stages.ccm_bypass_flips,
-        )?;
+        );
     }
+    out
+}
+
+/// Write [`csv_text`] to `path`.
+pub fn write_csv(path: &str, points: &[Point]) -> std::io::Result<()> {
+    std::fs::write(path, csv_text(points))?;
     eprintln!("wrote {path}");
     Ok(())
 }
 
-/// Write the structured JSON run report (`BENCH_<figure>.json`, next to
-/// the CSV): every point with its workload spec, run config, metrics and
-/// latency quantiles, under the default cost model's constants. The
-/// report self-validates against the DESIGN.md §11 schema before hitting
-/// disk.
-pub fn write_report(
-    figure: &str,
-    title: &str,
-    csv_path: &str,
-    points: &[Point],
-) -> std::io::Result<()> {
+/// The structured JSON run report: every point with its workload spec,
+/// run config, metrics and latency quantiles, under the default cost
+/// model's constants (DESIGN.md §11).
+pub fn report(figure: &str, title: &str, points: &[Point]) -> RunReport {
     let mut report = RunReport::new(figure, title, CostModel::default());
     report.runs = points
         .iter()
@@ -451,14 +473,24 @@ pub fn write_report(
             extra: p.extra.clone(),
         })
         .collect();
+    report
+}
+
+/// Write the [`report`] as `BENCH_<figure>.json` next to the CSV; it
+/// self-validates against the schema before hitting disk.
+pub fn write_report(
+    figure: &str,
+    title: &str,
+    csv_path: &str,
+    points: &[Point],
+) -> std::io::Result<()> {
     let path = report_path_for(csv_path, figure);
-    report.write(&path)?;
+    report(figure, title, points).write(&path)?;
     eprintln!("wrote {}", path.display());
     Ok(())
 }
 
-/// What every figure binary calls for `--csv <path>`: the CSV series plus
-/// the structured report alongside it.
+/// The CSV series plus the structured report alongside it.
 pub fn emit(figure: &str, title: &str, csv_path: &str, points: &[Point]) -> std::io::Result<()> {
     write_csv(csv_path, points)?;
     write_report(figure, title, csv_path, points)

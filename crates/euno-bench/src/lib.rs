@@ -1,24 +1,35 @@
 //! # euno-bench — the paper's evaluation, regenerated
 //!
-//! One binary per table/figure of §5 (run with `cargo run --release -p
-//! euno-bench --bin <name>`):
+//! Four binaries (`cargo run --release -p euno-bench --bin <name>`):
 //!
-//! | binary | reproduces |
+//! | binary | what it runs |
+//! |---|---|
+//! | `figures` | every virtual-clock figure and table, from one table ([`figures::FIGURES`]) |
+//! | `engine_bench` | wall-clock cost of the episode machinery itself |
+//! | `serve_bench` | open-loop SLO sweep through the `euno-serve` front-end |
+//! | `report_check` | validates `BENCH_*.json` reports and trace exports |
+//!
+//! `figures [NAME…]` runs, by CSV stem:
+//!
+//! | figure | reproduces |
 //! |---|---|
 //! | `fig01_motivation` | Fig. 1 — HTM-B+Tree collapse vs θ |
 //! | `fig02_abort_breakdown` | Fig. 2 — abort taxonomy vs θ + §2.3 stats |
-//! | `fig08_throughput` | Fig. 8 — 4 systems vs θ |
+//! | `fig08_throughput` | Fig. 8 — 4 systems (+ Euno-ReadOpt) vs θ |
 //! | `fig09_abort_comparison` | Fig. 9 — aborts/op, Euno vs HTM-B+Tree |
 //! | `fig10_scalability` | Fig. 10 — threads × 4 contention levels |
 //! | `fig11_getput_ratio` | Fig. 11 — get/put mixes at θ=0.9 |
 //! | `fig12_distributions` | Fig. 12 — Poisson/Normal/Self-similar/Zipfian |
 //! | `fig13_ablation` | Fig. 13 — design-choice ladder |
-//! | `mem_overhead` | §5.7 — memory consumption analysis |
+//! | `fig14_timeline` | adaptation timeline under a rotating hotspot (beyond the paper) |
 //! | `ycsb_suite` | YCSB core A–F with latency quantiles (beyond the paper) |
+//! | `mem_overhead` | §5.7 — memory consumption analysis |
 //! | `sensitivity` | cost-model robustness sweep (beyond the paper) |
 //!
-//! All binaries accept `--csv <path>`, `--ops <n>`, `--threads <n>`, and
-//! honour `EUNO_BENCH_SCALE` for quick runs. Self-timed microbenches
-//! (plain `main()`, `harness = false`) live in `benches/`.
+//! `--out <dir>` writes each figure's CSV and `BENCH_<id>.json`; `--check`
+//! compares the CSVs with those recorded in `results/` instead. All honour
+//! `EUNO_BENCH_SCALE` for quick runs. Self-timed microbenches (plain
+//! `main()`, `harness = false`) live in `benches/`.
 
 pub mod common;
+pub mod figures;

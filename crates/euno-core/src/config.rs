@@ -72,7 +72,7 @@ impl Default for EunoConfig {
 impl EunoConfig {
     /// The system as the paper has it: every point operation is an HTM
     /// upper region plus an HTM lower region (Algorithm 2). This is what
-    /// the figure binaries and the golden-digest test build, so recorded
+    /// every figure and the golden-digest test build, so recorded
     /// results do not move with [`Default`].
     pub fn paper() -> Self {
         EunoConfig {

@@ -117,33 +117,80 @@ pub fn apply_op(
     ctx.stats.ops += 1;
 }
 
-/// Run one unmeasured warmup operation: the clock contribution is kept
-/// (it shapes the schedule) while ops/abort statistics — and the thread's
-/// metric-shard counters — are rolled back so the measured metrics only
-/// cover steady state.
-#[inline]
-pub fn apply_warmup_op(
-    map: &dyn ConcurrentMap,
-    ctx: &mut ThreadCtx,
-    op: Op,
-    scan_buf: &mut Vec<(u64, u64)>,
-) {
-    let saved = ctx.stats.clone();
-    let mark = ctx.metrics_mark();
-    apply_op(map, ctx, op, scan_buf);
-    ctx.stats = saved;
-    ctx.metrics_restore(&mark);
+/// Where a thread's measured span opens.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SpanStart {
+    /// When its last warm-up op ends.
+    AfterWarmup,
+    /// When its last warm-up op begins, so that op's cycles (not the op)
+    /// count towards the measured span. How the YCSB suite has always
+    /// measured; kept so its recorded rows regenerate byte for byte.
+    AtLastWarmupOp,
 }
 
-/// Run a workload in **virtual-time** mode and return the figure metrics.
-///
-/// The tree must have been built against the same `rt`. Preloading happens
-/// here (single-threaded, unmeasured) unless `preloaded` is set.
-pub fn run_virtual(
-    map: &dyn ConcurrentMap,
+/// One logical thread's op budget: `cfg.warmup_ops` unmeasured operations,
+/// then `cfg.ops_per_thread` measured ones. Every driver steps its
+/// operations through this, so the warm-up rollback and the stamp that
+/// opens the measured span are written once.
+struct ThreadBudget {
+    warmup_left: u64,
+    left: u64,
+    span: SpanStart,
+}
+
+impl ThreadBudget {
+    fn new(cfg: &RunConfig, span: SpanStart) -> Self {
+        ThreadBudget {
+            warmup_left: cfg.warmup_ops,
+            left: cfg.ops_per_thread,
+            span,
+        }
+    }
+
+    /// Run this thread's next operation through `op`, which counts it in
+    /// `ctx.stats.ops`. A warm-up op keeps its clock contribution (it
+    /// shapes the schedule) while `ctx.stats` and the thread's metric
+    /// shard are rolled back, so the measured metrics only cover steady
+    /// state; the last one stamps `measure_start_cycles`. Returns `false`,
+    /// running nothing, once the budget is spent — a [`Driver`]'s answer.
+    ///
+    /// [`Driver`]: crate::sched::Driver
+    fn step(&mut self, ctx: &mut ThreadCtx, op: impl FnOnce(&mut ThreadCtx)) -> bool {
+        if self.warmup_left > 0 {
+            self.warmup_left -= 1;
+            let start = ctx.clock;
+            let saved = ctx.stats.clone();
+            let mark = ctx.metrics_mark();
+            op(ctx);
+            ctx.stats = saved;
+            ctx.metrics_restore(&mark);
+            if self.warmup_left == 0 {
+                ctx.stats.measure_start_cycles = Some(match self.span {
+                    SpanStart::AfterWarmup => ctx.clock,
+                    SpanStart::AtLastWarmupOp => start,
+                });
+            }
+            return true;
+        }
+        if self.left == 0 {
+            return false;
+        }
+        self.left -= 1;
+        op(ctx);
+        true
+    }
+}
+
+/// Drive `cfg.threads` logical threads on `rt`'s virtual clock, each
+/// stepping the op closure `thread_ops(t)` builds for it through its own
+/// [`ThreadBudget`], with the trace rings, sampler and hot-leaf profile
+/// `cfg` asks for. The driver loop under [`run_virtual`] and under every
+/// figure that composes its own operations.
+pub fn run_ops<'a, F: FnMut(&mut ThreadCtx) + 'a>(
     rt: &Arc<Runtime>,
-    spec: &WorkloadSpec,
     cfg: &RunConfig,
+    span: SpanStart,
+    mut thread_ops: impl FnMut(usize) -> F,
 ) -> RunMetrics {
     assert_eq!(rt.mode(), Mode::Virtual);
     let mut sched = VirtualScheduler::new(Arc::clone(rt));
@@ -158,31 +205,11 @@ pub fn run_virtual(
         sched.set_sampling(cfg.sample_every, cap);
     }
     for t in 0..cfg.threads {
-        let mut stream = OpStream::new(spec, t as u64, cfg.seed);
-        let mut scan_buf: Vec<(u64, u64)> = Vec::new();
-        let mut warmup_left = cfg.warmup_ops;
-        let mut left = cfg.ops_per_thread;
-        let map_ref: &dyn ConcurrentMap = map;
+        let mut op = thread_ops(t);
+        let mut budget = ThreadBudget::new(cfg, span);
         sched.add_thread(
             cfg.seed.wrapping_add(t as u64),
-            Box::new(move |ctx| {
-                if warmup_left > 0 {
-                    warmup_left -= 1;
-                    let op = stream.next_op();
-                    apply_warmup_op(map_ref, ctx, op, &mut scan_buf);
-                    if warmup_left == 0 {
-                        ctx.stats.measure_start_cycles = Some(ctx.clock);
-                    }
-                    return true;
-                }
-                if left == 0 {
-                    return false;
-                }
-                left -= 1;
-                let op = stream.next_op();
-                apply_op(map_ref, ctx, op, &mut scan_buf);
-                true
-            }),
+            Box::new(move |ctx| budget.step(ctx, &mut op)),
         );
     }
     let mut m = sched.run();
@@ -197,11 +224,25 @@ pub fn run_virtual(
     m
 }
 
+/// Run a workload in **virtual-time** mode and return the figure metrics.
+/// The tree must have been built against the same `rt`, and preloaded.
+pub fn run_virtual(
+    map: &dyn ConcurrentMap,
+    rt: &Arc<Runtime>,
+    spec: &WorkloadSpec,
+    cfg: &RunConfig,
+) -> RunMetrics {
+    run_ops(rt, cfg, SpanStart::AfterWarmup, |t| {
+        let mut stream = OpStream::new(spec, t as u64, cfg.seed);
+        let mut scan_buf = Vec::new();
+        move |ctx: &mut ThreadCtx| apply_op(map, ctx, stream.next_op(), &mut scan_buf)
+    })
+}
+
 /// Build the hot-leaf profile from a run's collected traces, resolving
 /// event addresses through the runtime's node table (leaves attributed by
-/// `EunoLeaf::register`). Public for harnesses that drive a
-/// [`VirtualScheduler`] directly instead of going through [`run_virtual`].
-pub fn attach_profile(m: &mut RunMetrics, rt: &Arc<Runtime>, cfg: &RunConfig) {
+/// `EunoLeaf::register`).
+fn attach_profile(m: &mut RunMetrics, rt: &Arc<Runtime>, cfg: &RunConfig) {
     if !cfg.profile {
         return;
     }
@@ -250,17 +291,19 @@ pub fn run_concurrent(
                     }
                     let mut stream = OpStream::new(&spec, t as u64, cfg.seed);
                     let mut scan_buf = Vec::new();
+                    let mut op = |ctx: &mut ThreadCtx| {
+                        apply_op(map_ref, ctx, stream.next_op(), &mut scan_buf)
+                    };
+                    let mut budget = ThreadBudget::new(&cfg, SpanStart::AfterWarmup);
                     let mut latency = LogHistogram::new();
                     for _ in 0..cfg.warmup_ops {
-                        let op = stream.next_op();
-                        apply_warmup_op(map_ref, &mut ctx, op, &mut scan_buf);
+                        budget.step(&mut ctx, &mut op);
                     }
                     barrier.wait();
                     ctx.stats.measure_start_cycles = Some(ctx.clock);
                     for _ in 0..cfg.ops_per_thread {
-                        let op = stream.next_op();
                         let before = ctx.clock;
-                        apply_op(map_ref, &mut ctx, op, &mut scan_buf);
+                        budget.step(&mut ctx, &mut op);
                         latency.record(ctx.clock - before);
                         ctx.metric_add(Counter::Ops, 1);
                         ctx.metric_record_latency(ctx.clock - before);

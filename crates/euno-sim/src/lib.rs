@@ -14,9 +14,7 @@ pub mod metrics;
 pub mod report;
 pub mod sched;
 
-pub use harness::{
-    apply_op, apply_warmup_op, attach_profile, preload, run_concurrent, run_virtual, RunConfig,
-};
+pub use harness::{apply_op, preload, run_concurrent, run_ops, run_virtual, RunConfig, SpanStart};
 pub use metrics::{RunMetrics, ServeInfo};
 pub use report::{profile_json, report_path_for, validate_report, Json, RunEntry, RunReport};
 pub use sched::{Driver, VirtualScheduler};

@@ -6,7 +6,7 @@
 #   --fix   run `cargo fmt` instead of `cargo fmt --check`
 #   --full  also regenerate every virtual-clock result at the recorded
 #           scale and fail on any row that differs from results/
-#           (scripts/regen_results.sh --check; minutes)
+#           (`figures --check`; minutes)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -68,8 +68,8 @@ stress_both_euno() {
     both_euno_rows_clean "stress $*"
 }
 
-cargo run --release -q -p euno-bench --bin fig08_throughput -- \
-    --csv "$SMOKE/fig08.csv" --ops 300 --keys 20000 --threads 8 >/dev/null
+figures() { cargo run --release -q -p euno-bench --bin figures -- "$@"; }
+figures fig08_throughput --out "$SMOKE" --ops 300 --keys 20000 --threads 8 >/dev/null
 cargo run --release -q -p euno-bench --bin report_check -- \
     "$SMOKE/BENCH_fig08.json"
 echo "smoke-bench report OK"
@@ -77,16 +77,21 @@ echo "smoke-bench report OK"
 # Trace smoke: the same figure with tracing + profiling on.  The report
 # must re-validate with its new per-run `profile` sections, and the
 # Chrome trace export must round-trip through the in-tree JSON parser
-# (DESIGN.md §13).  A small ring keeps the export cheap.
-cargo run --release -q -p euno-bench --bin fig08_throughput -- \
-    --csv "$SMOKE/fig08t.csv" --ops 300 --keys 20000 --threads 8 \
+# (DESIGN.md §13).  A small ring keeps the export cheap.  Then a thread
+# sweep with profiling on: every figure runs its cells under the one
+# command line, so a figure that sweeps threads keeps every other flag.
+figures fig08_throughput --out "$SMOKE" --ops 300 --keys 20000 --threads 8 \
     --profile --trace "$SMOKE/trace.json" --trace-capacity 2048 >/dev/null
 cargo run --release -q -p euno-bench --bin report_check -- \
     "$SMOKE/BENCH_fig08.json" | grep -E "profiled=[1-9]"
 cargo run --release -q -p euno-bench --bin report_check -- \
     --trace "$SMOKE/trace.json"
 test -s "$SMOKE/trace.json.folded"
-echo "smoke-trace report + export OK"
+figures fig10_scalability --out "$SMOKE" --ops 50 --keys 2000 --profile \
+    --trace-capacity 2048 >/dev/null 2>&1
+cargo run --release -q -p euno-bench --bin report_check -- \
+    "$SMOKE/BENCH_fig10.json" | grep -E "profiled=[1-9]"
+echo "smoke-trace report + export + thread-sweep profile OK"
 
 # Engine smoke: a tiny wall-clock run of the episode machinery itself
 # (raw scenarios + the tree workload, virtual and concurrent modes), then
@@ -181,13 +186,12 @@ echo "one-seam (no hardware feature, no second executor, no mode branch outside 
 # allocation-free (the "always-on, low-overhead" contract of DESIGN.md
 # §14, euno-metrics' zero_alloc_sample) ran under the tier-1 `cargo test`
 # above.
-EUNO_BENCH_SCALE=0.1 cargo run --release -q -p euno-bench --bin fig14_timeline -- \
-    --csv "$SMOKE/fig14.csv" >"$SMOKE/fig14.out"
+EUNO_BENCH_SCALE=0.1 figures fig14_timeline --out "$SMOKE" >"$SMOKE/fig14.out"
 grep -qE "answered [1-9]+/" "$SMOKE/fig14.out" \
     || { echo "smoke-metrics: no adaptation lag quantified"; exit 1; }
 cargo run --release -q -p euno-bench --bin report_check -- \
     "$SMOKE/BENCH_fig14.json"
-test -s "$SMOKE/fig14.jsonl"
+test -s "$SMOKE/fig14_timeline.jsonl"
 echo "smoke-metrics (fig14 timeline + schema v3; zero-alloc sampler ran in tier-1) OK"
 
 # Concurrent-correctness stage: real threads, recorded histories, the
@@ -221,8 +225,7 @@ echo "storm stress + linearizability check OK (Euno-B+Tree = paper(), Euno-ReadO
 # rows — Euno-B+Tree (paper()) and Euno-ReadOpt (default()) — are wired
 # through the bench surface.
 stress_both_euno --churn --ops 3000 --seed 20170204 --duration 5
-EUNO_BENCH_SCALE=0.05 cargo run --release -q -p euno-bench --bin ycsb_suite -- \
-    --threads 8 --csv "$SMOKE/ycsb.csv" >"$SMOKE/ycsb.out"
+EUNO_BENCH_SCALE=0.05 figures ycsb_suite --threads 8 --out "$SMOKE" >"$SMOKE/ycsb.out"
 grep -q "Euno-ReadOpt" "$SMOKE/ycsb.out" && grep -q "Euno-B+Tree" "$SMOKE/ycsb.out" \
     || { echo "read-path smoke: Euno-B+Tree / Euno-ReadOpt row missing"; exit 1; }
 echo "smoke-readpath (churn stress + read-mostly bench) OK"
@@ -387,9 +390,10 @@ MEM_CEILING_KB=262144
   bash benchmark/run.sh --workload virt-scan-churn --seed 3 --seconds 10 --trace 0 >/dev/null )
 echo "mem-ceiling (virt-scan-churn under ${MEM_CEILING_KB} kB of address space) OK"
 
-# Recorded results: every virtual-clock CSV must regenerate byte for byte.
-# Minutes at the recorded scale, so only on request.
+# Recorded results: every virtual-clock CSV must regenerate byte for byte,
+# all twelve figures in one process.  About 25 minutes at the recorded
+# scale, so only on request.
 if [[ $FULL == 1 ]]; then
-    scripts/regen_results.sh --check
+    EUNO_BENCH_SCALE=0.3 figures --check
     echo "results/ regenerate byte-identically OK"
 fi
