@@ -27,7 +27,6 @@ use std::convert::Infallible;
 use std::sync::Arc;
 
 use euno_htm::bptree::{promote, upper_bound, Propagate};
-use euno_htm::runtime::lock_key_for_addr;
 use euno_htm::{
     ConcurrentMap, EpisodeKind, IndexNode, MemoryReport, NodeArenas, NodeRef, Runtime, SpinBackoff,
     ThreadCtx, TxCell, KEY_SENTINEL, TOMBSTONE,
@@ -53,9 +52,9 @@ const VSPLIT_MASK: u64 = !0 << 33;
 pub(crate) trait Version {
     fn cell(&self) -> &TxCell<u64>;
 
-    /// The word's virtual-lock identity.
+    /// The word's virtual-lock identity: its address.
     fn vkey(&self) -> u64 {
-        lock_key_for_addr(self.cell() as *const _ as usize)
+        self.cell() as *const _ as u64
     }
 
     /// Wait until unlocked; return the observed stable version.

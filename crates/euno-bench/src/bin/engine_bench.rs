@@ -129,19 +129,8 @@ fn raw_config(threads: usize, ops: u64, seed: u64) -> RunConfig {
 
 /// Drive `threads` logical threads of `ops` episodes each through the
 /// deterministic scheduler; wall-clock the whole simulation.
-/// `metrics_on = false` disables the metric registry before any thread
-/// registers a shard — the baseline for the metrics-overhead gate in
-/// EXPERIMENTS.md (every hot-path hook degrades to one never-taken
-/// branch).
-fn run_raw_virtual(
-    scenario: Scenario,
-    threads: usize,
-    ops: u64,
-    seed: u64,
-    metrics_on: bool,
-) -> RunMetrics {
+fn run_raw_virtual(scenario: Scenario, threads: usize, ops: u64, seed: u64) -> RunMetrics {
     let rt = Runtime::new_virtual();
-    rt.metrics().set_enabled(metrics_on);
     let arena = Arc::new(Arena::new(SHARED_READ_LINES + threads));
     let mut sched = VirtualScheduler::new(Arc::clone(&rt));
     for t in 0..threads {
@@ -174,10 +163,8 @@ fn run_raw_concurrent(
     ops: u64,
     seed: u64,
     backend: Backend,
-    metrics_on: bool,
 ) -> RunMetrics {
     let rt = Runtime::new(backend, euno_htm::CostModel::default());
-    rt.metrics().set_enabled(metrics_on);
     let arena = Arc::new(Arena::new(SHARED_READ_LINES + threads));
     let barrier = std::sync::Barrier::new(threads);
     // Each worker stamps its own start/end around the measured loop; the
@@ -271,21 +258,9 @@ fn main() {
             if !want(&x) {
                 continue;
             }
-            let m = run_raw_virtual(scenario, threads, raw_ops, seed, true);
+            let m = run_raw_virtual(scenario, threads, raw_ops, seed);
             points.push(Point {
                 system: "engine-virtual",
-                x: x.clone(),
-                spec: raw_spec(SHARED_READ_LINES + threads),
-                cfg: raw_config(threads, raw_ops, seed),
-                metrics: m,
-                extra: Vec::new(),
-            });
-            // Metrics-overhead gate: same schedule with the registry
-            // disabled (each hot-path hook is one never-taken branch).
-            // EXPERIMENTS.md compares this row against engine-virtual.
-            let m = run_raw_virtual(scenario, threads, raw_ops, seed, false);
-            points.push(Point {
-                system: "engine-virtual-nometrics",
                 x: x.clone(),
                 spec: raw_spec(SHARED_READ_LINES + threads),
                 cfg: raw_config(threads, raw_ops, seed),
@@ -300,7 +275,7 @@ fn main() {
                 raw_ops
             }
             .max(1_000);
-            let m = run_raw_concurrent(scenario, threads, c_ops, seed, Backend::Stm, true);
+            let m = run_raw_concurrent(scenario, threads, c_ops, seed, Backend::Stm);
             points.push(Point {
                 system: "engine-stm",
                 x: x.clone(),
@@ -309,17 +284,8 @@ fn main() {
                 metrics: m,
                 extra: Vec::new(),
             });
-            let m = run_raw_concurrent(scenario, threads, c_ops, seed, Backend::Stm, false);
-            points.push(Point {
-                system: "engine-stm-nometrics",
-                x: x.clone(),
-                spec: raw_spec(SHARED_READ_LINES + threads),
-                cfg: raw_config(threads, c_ops, seed),
-                metrics: m,
-                extra: Vec::new(),
-            });
             if euno_htm::hw_rtm_available() {
-                let m = run_raw_concurrent(scenario, threads, c_ops, seed, Backend::Rtm, true);
+                let m = run_raw_concurrent(scenario, threads, c_ops, seed, Backend::Rtm);
                 points.push(Point {
                     system: "engine-rtm",
                     x,

@@ -34,8 +34,7 @@
 //! also what lets a put *test before it sets*: a set bit stays set, so a
 //! plain load that sees it needs no read-modify-write behind it.
 
-use euno_htm::runtime::lock_key_for_bit;
-use euno_htm::{acquire_mask_blocking, release_mask, AdvisoryLock, EventKind, ThreadCtx, TxCell};
+use euno_htm::{EventKind, LockWord, ThreadCtx, TxCell};
 
 use crate::config::EunoConfig;
 
@@ -54,8 +53,8 @@ use crate::config::EunoConfig;
 pub struct Ccm {
     /// Existence filter: bit per slot.
     marks: TxCell<u64>,
-    /// Fine-grained advisory locks: bit per slot.
-    locks: TxCell<u64>,
+    /// Fine-grained advisory locks: bit per slot (Algorithm 2 lines 30-31).
+    locks: LockWord,
     /// Adaptive detector: operations seen (monotone).
     ops: TxCell<u64>,
     /// Adaptive detector: conflict aborts seen (monotone).
@@ -71,7 +70,7 @@ pub struct Ccm {
     /// steps on it. It lives here because it obeys this line's rule — only
     /// ever touched from outside HTM regions, read inside none — so its
     /// acquisition invalidates no line a transaction reads.
-    pub split_lock: AdvisoryLock,
+    pub split_lock: LockWord,
 }
 
 /// One conflict-control stage in flight on a leaf: what [`Ccm::enter`]
@@ -120,13 +119,13 @@ impl Ccm {
     pub fn new() -> Self {
         Ccm {
             marks: TxCell::new(0),
-            locks: TxCell::new(0),
+            locks: LockWord::default(),
             ops: TxCell::new(0),
             conflicts: TxCell::new(0),
             window_base: TxCell::new(0),
             epoch: TxCell::new(0),
             bypass: TxCell::new(1),
-            split_lock: AdvisoryLock::new(),
+            split_lock: LockWord::default(),
         }
     }
 
@@ -182,7 +181,7 @@ impl Ccm {
         let locked = protected && cfg.ccm_lock_bits;
         if locked {
             for &slot in slots {
-                self.lock_slot(ctx, slot);
+                self.locks.acquire_bit(ctx, slot);
             }
         }
         let (mut clear, mut fresh) = (0, false);
@@ -214,7 +213,7 @@ impl Ccm {
     pub fn leave(&self, ctx: &mut ThreadCtx, cfg: &EunoConfig, stage: Stage<'_>, conflicts: u32) {
         if stage.locked {
             for &slot in stage.slots {
-                self.unlock_slot(ctx, slot);
+                self.locks.release_bit(ctx, slot);
             }
         }
         if cfg.adaptive && (stage.protected || conflicts > 0) {
@@ -225,36 +224,6 @@ impl Ccm {
                 cfg.adaptive_conflict_rate,
             );
         }
-    }
-
-    // ----- lock bits -----
-
-    /// The lock word's address: virtual-lock key and trace identity.
-    fn locks_addr(&self) -> usize {
-        &self.locks as *const TxCell<u64> as usize
-    }
-
-    /// Acquire the slot's lock bit (Algorithm 2 lines 30-31): spin-CAS in
-    /// concurrent mode, virtual-wait in virtual mode.
-    fn lock_slot(&self, ctx: &mut ThreadCtx, slot: u32) {
-        // The shared spin/acquire core: test-and-test-and-set with bounded
-        // exponential backoff in concurrent mode (the lock bits share one
-        // word — and one line — with 63 other locks, so a convoying
-        // fetch_or loop here would starve every operation on the leaf,
-        // not just this slot), virtual-wait in virtual mode.
-        let addr = self.locks_addr();
-        let key = lock_key_for_bit(addr, slot);
-        let waited = acquire_mask_blocking(ctx, &self.locks, 1u64 << slot, key);
-        ctx.trace(EventKind::LockAcquire {
-            addr: addr as u64,
-            wait_cycles: waited,
-        });
-    }
-
-    fn unlock_slot(&self, ctx: &mut ThreadCtx, slot: u32) {
-        let addr = self.locks_addr();
-        release_mask(ctx, &self.locks, 1u64 << slot, lock_key_for_bit(addr, slot));
-        ctx.trace(EventKind::LockRelease { addr: addr as u64 });
     }
 
     // ----- mark bits -----
@@ -278,7 +247,7 @@ impl Ccm {
     }
 
     pub fn locks_plain(&self) -> u64 {
-        self.locks.load_plain()
+        self.locks.held_plain()
     }
 
     // ----- adaptive contention detector -----
@@ -516,18 +485,18 @@ mod tests {
         let mut a = rt.thread(0);
         let mut b = rt.thread(1);
         let ccm = Ccm::new();
-        ccm.lock_slot(&mut a, 7);
+        ccm.locks.acquire_bit(&mut a, 7);
         a.charge(5_000);
-        ccm.unlock_slot(&mut a, 7);
+        ccm.locks.release_bit(&mut a, 7);
         // Same slot: b is delayed past a's release.
-        ccm.lock_slot(&mut b, 7);
+        ccm.locks.acquire_bit(&mut b, 7);
         assert!(b.clock >= 5_000);
-        ccm.unlock_slot(&mut b, 7);
+        ccm.locks.release_bit(&mut b, 7);
         // Different slot: free immediately.
         let mut c = rt.thread(2);
-        ccm.lock_slot(&mut c, 8);
+        ccm.locks.acquire_bit(&mut c, 8);
         assert!(c.clock < 5_000);
-        ccm.unlock_slot(&mut c, 8);
+        ccm.locks.release_bit(&mut c, 8);
     }
 
     #[test]
@@ -541,10 +510,10 @@ mod tests {
                 let (ccm, shared) = (&ccm, &shared);
                 s.spawn(move || {
                     for _ in 0..300 {
-                        ccm.lock_slot(&mut ctx, 3);
+                        ccm.locks.acquire_bit(&mut ctx, 3);
                         let v = shared.load(std::sync::atomic::Ordering::Relaxed);
                         shared.store(v + 1, std::sync::atomic::Ordering::Relaxed);
-                        ccm.unlock_slot(&mut ctx, 3);
+                        ccm.locks.release_bit(&mut ctx, 3);
                     }
                 });
             }

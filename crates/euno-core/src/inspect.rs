@@ -219,7 +219,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         if self.fallback_cell().load_plain() != 0 {
             report!("fallback lock held at quiescence");
         }
-        if self.ctrl.root_lock.is_locked_plain() {
+        if self.ctrl.root_lock.held_plain() != 0 {
             report!("root lock held at quiescence");
         }
         if unsafe { root.parent_cell::<EunoLeaf<SEGS, K>, INTERNAL_FANOUT>() }.load_plain() != 0 {
@@ -316,7 +316,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         for &lref in &chain_leaves {
             let leaf = unsafe { lref.as_leaf::<EunoLeaf<SEGS, K>>() };
             let addr = lref.to_word();
-            if leaf.ccm.split_lock.is_locked_plain() {
+            if leaf.ccm.split_lock.held_plain() != 0 {
                 report!("leaf {addr:#x} split lock held at quiescence");
             }
             if leaf.ccm.locks_plain() != 0 {

@@ -24,7 +24,7 @@
 //! The resume cursor is a **key**, never a leaf pointer: between slices
 //! no pin is held, so the leaf may split, be merged away and be freed by
 //! the epoch collector; a key always routes to whichever leaf covers it
-//! now. The token is an instrumented [`AdvisoryLock`] taken with
+//! now. The token is an instrumented [`LockWord`] taken with
 //! `try_acquire`, not a bare atomic claim. Slices are mutually exclusive,
 //! and only the instrumented lock tells the virtual clock so: its release
 //! stamp refuses a thread whose clock is still behind the previous
@@ -61,7 +61,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use euno_htm::euno_metrics::Counter;
-use euno_htm::{AdvisoryLock, EventKind, RetryPolicy, ThreadCtx, TxWord, KEY_SENTINEL, TOMBSTONE};
+use euno_htm::{
+    EventKind, LockWord, OwnLine, RetryPolicy, ThreadCtx, TxWord, KEY_SENTINEL, TOMBSTONE,
+};
 
 use crate::node::{EunoLeaf, NodeRef, INTERNAL_FANOUT};
 use crate::probe;
@@ -77,12 +79,11 @@ const SLICE_PAIRS: usize = 8;
 /// The armed-sweep state machine. The token has its own cache line: every
 /// delete of an armed phase CASes it, and that traffic must not invalidate
 /// the line the (far more frequent) armed check reads.
-#[repr(C, align(64))]
+#[repr(C)]
 pub(crate) struct Sweep {
     /// Held by the one thread running a slice; foreground deletes only
     /// ever try it.
-    token: AdvisoryLock,
-    _pad: [u64; 7],
+    token: OwnLine<LockWord>,
     /// Key the next slice resumes at, or [`SWEEP_IDLE`]. Written under the
     /// token, except for arming (a CAS from idle). `Relaxed` throughout:
     /// the word publishes nothing but itself, and the token's CAS orders
@@ -100,8 +101,7 @@ pub(crate) struct Sweep {
 impl Sweep {
     pub(crate) fn new() -> Self {
         Sweep {
-            token: AdvisoryLock::new(),
-            _pad: [0; 7],
+            token: OwnLine(LockWord::default()),
             resume: AtomicU64::new(SWEEP_IDLE),
             merges: AtomicU64::new(0),
             retired: AtomicU64::new(0),
@@ -205,7 +205,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
     /// slice with a budget either merges or moves the resume key up, so a
     /// sweep terminates.
     fn sweep_slice(&self, ctx: &mut ThreadCtx, budget: usize) -> usize {
-        debug_assert!(self.sweep.token.is_locked_plain());
+        debug_assert_ne!(self.sweep.token.held_plain(), 0);
         let from = self.sweep.resume.load(Ordering::Relaxed);
         if from == SWEEP_IDLE {
             // Finished between the caller's armed check and its token.
@@ -375,7 +375,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             };
 
             // Gather both leaves' live records; verify they fit.
-            let mut records = self.peek_all_for_merge(tx, left)?;
+            let mut records = self.peek_all(tx, left)?;
             self.peek_all_into(tx, right, &mut records)?;
             records.retain(|&(_, v)| v != TOMBSTONE);
             records.sort_unstable_by_key(|&(k, _)| k);
@@ -401,7 +401,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
 
             // Re-place into the left leaf; empty the right one.
             probe::mark("merge:records");
-            self.redistribute_for_merge(tx, left, &records)?;
+            self.redistribute(tx, left, &records)?;
             self.clear_segments(tx, right)?;
 
             // Unlink and drop the separator entry — a leaf's, never an

@@ -130,14 +130,6 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         &self.ctrl.fallback
     }
 
-    pub(crate) fn peek_all_for_merge(
-        &self,
-        tx: &mut Tx<'_>,
-        leaf: &EunoLeaf<SEGS, K>,
-    ) -> TxResult<Vec<(u64, u64)>> {
-        self.peek_all(tx, leaf)
-    }
-
     /// Append `leaf`'s raw records (including tombstones) to `out`.
     pub(crate) fn peek_all_into(
         &self,
@@ -149,15 +141,6 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             seg.read_into(tx, out)?;
         }
         Ok(())
-    }
-
-    pub(crate) fn redistribute_for_merge(
-        &self,
-        tx: &mut Tx<'_>,
-        leaf: &EunoLeaf<SEGS, K>,
-        records: &[(u64, u64)],
-    ) -> TxResult<()> {
-        self.redistribute(tx, leaf, records)
     }
 
     pub(crate) fn clear_segments(&self, tx: &mut Tx<'_>, leaf: &EunoLeaf<SEGS, K>) -> TxResult<()> {

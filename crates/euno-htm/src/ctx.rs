@@ -143,9 +143,8 @@ pub struct ThreadCtx {
     hints: HintTable<HINT_WORDS, HINT_WAYS>,
     anchors: HintTable<ANCHOR_WORDS, ANCHOR_WAYS>,
     /// This thread's metrics shard (see `euno-metrics`): single-writer
-    /// atomic counters the sampler reads concurrently. `None` when the
-    /// runtime's registry is disabled — every hook is then one branch.
-    shard: Option<Arc<euno_metrics::ThreadShard>>,
+    /// atomic counters the sampler reads concurrently.
+    shard: Arc<euno_metrics::ThreadShard>,
 }
 
 /// Run a reclamation pass every this many operation unpins per thread:
@@ -260,71 +259,58 @@ impl ThreadCtx {
 
     // ================= always-on metrics (euno-metrics) =================
 
-    /// Bump one metrics counter on this thread's shard. With the registry
-    /// disabled this is a single branch — the instrumentation points stay
-    /// in the hot paths permanently, like `trace`. Metrics never charge
-    /// cycles and never touch the RNG, so they are schedule-neutral.
+    /// Bump one metrics counter on this thread's shard. Metrics never
+    /// charge cycles and never touch the RNG, so they are schedule-neutral.
     #[inline]
     pub fn metric_add(&self, c: euno_metrics::Counter, n: u64) {
-        if let Some(s) = self.shard.as_ref() {
-            s.add(c, n);
-        }
+        self.shard.add(c, n);
     }
 
     /// Read one counter back from this thread's shard (tests, drivers).
     #[inline]
     pub fn metric(&self, c: euno_metrics::Counter) -> u64 {
-        self.shard.as_ref().map_or(0, |s| s.get(c))
+        self.shard.get(c)
     }
 
     /// This thread's executor-stage counters (attempts/commits/fallbacks/…)
     /// as one struct, read from the metrics shard.
     pub fn exec_stages(&self) -> euno_metrics::ExecStages {
-        self.shard
-            .as_ref()
-            .map(|s| s.exec_stages())
-            .unwrap_or_default()
+        self.shard.exec_stages()
     }
 
     /// Record one operation latency (virtual cycles or wall µs) into this
     /// thread's shard histogram.
     #[inline]
     pub fn metric_record_latency(&self, v: u64) {
-        if let Some(s) = self.shard.as_ref() {
-            s.record_latency(v);
-        }
+        self.shard.record_latency(v);
     }
 
     /// Snapshot this shard's counters so a warmup span can be rolled back
     /// (paired with [`ThreadCtx::metrics_restore`]); symmetric with the
     /// `ThreadStats` clone/restore the harness already does.
-    pub fn metrics_mark(&self) -> Option<euno_metrics::ShardMark> {
-        self.shard.as_ref().map(|s| s.mark())
+    pub fn metrics_mark(&self) -> euno_metrics::ShardMark {
+        self.shard.mark()
     }
 
     /// Roll the shard's counters back to a [`ThreadCtx::metrics_mark`].
-    pub fn metrics_restore(&self, mark: &Option<euno_metrics::ShardMark>) {
-        if let (Some(s), Some(m)) = (self.shard.as_ref(), mark.as_ref()) {
-            s.restore(m);
-        }
+    pub fn metrics_restore(&self, mark: &euno_metrics::ShardMark) {
+        self.shard.restore(mark);
     }
 
     /// Record one CCM bypass-state flip: directional counters on the shard
     /// plus a timestamped event in the registry's flip log (from which the
     /// sampler derives the adaptation-lag metric).
     pub fn metric_flip(&self, addr: u64, bypass: bool) {
-        if let Some(s) = self.shard.as_ref() {
-            s.add(euno_metrics::Counter::CcmBypassFlips, 1);
-            s.add(
-                if bypass {
-                    euno_metrics::Counter::CcmFlipsToBypass
-                } else {
-                    euno_metrics::Counter::CcmFlipsToProtect
-                },
-                1,
-            );
-            self.rt.metrics().record_flip(self.clock, addr, bypass);
-        }
+        self.shard.add(euno_metrics::Counter::CcmBypassFlips, 1);
+        self.shard.add(
+            if bypass {
+                euno_metrics::Counter::CcmFlipsToBypass
+            } else {
+                euno_metrics::Counter::CcmFlipsToProtect
+            },
+            1,
+        );
+        self.rt.metrics().record_flip(self.clock, addr, bypass);
     }
 
     /// Flush a committed episode's batched executor counters to the shard
@@ -333,7 +319,7 @@ impl ThreadCtx {
     /// / per-cause aborts in plain executor locals, so the per-iteration
     /// hot path costs no shard traffic at all; only episode completion
     /// touches the atomics, and a first-try commit — the common case — is
-    /// three counter bumps behind one branch.
+    /// three counter bumps.
     #[inline]
     pub(crate) fn metric_commit_episode(
         &self,
@@ -342,17 +328,16 @@ impl ThreadCtx {
         aborts: &[u32; euno_metrics::ABORT_BUCKETS],
     ) {
         use euno_metrics::Counter as C;
-        if let Some(s) = self.shard.as_ref() {
-            s.add(C::Commits, 1);
-            s.add(self.rt.backend().commit_counter(), 1);
-            s.add(C::Attempts, u64::from(attempts));
-            if attempts == 1 {
-                // First-try commit: no aborts, no backoffs (each implies
-                // a second attempt) — skip the bucket scan.
-                return;
-            }
-            Self::episode_tail(s, backoffs, aborts);
+        let s = &self.shard;
+        s.add(C::Commits, 1);
+        s.add(self.rt.backend().commit_counter(), 1);
+        s.add(C::Attempts, u64::from(attempts));
+        if attempts == 1 {
+            // First-try commit: no aborts, no backoffs (each implies a
+            // second attempt) — skip the bucket scan.
+            return;
         }
+        Self::episode_tail(s, backoffs, aborts);
     }
 
     /// Flush an episode that escalated to the fallback path (no commit
@@ -364,10 +349,9 @@ impl ThreadCtx {
         backoffs: u32,
         aborts: &[u32; euno_metrics::ABORT_BUCKETS],
     ) {
-        if let Some(s) = self.shard.as_ref() {
-            s.add(euno_metrics::Counter::Attempts, u64::from(attempts));
-            Self::episode_tail(s, backoffs, aborts);
-        }
+        self.shard
+            .add(euno_metrics::Counter::Attempts, u64::from(attempts));
+        Self::episode_tail(&self.shard, backoffs, aborts);
     }
 
     /// Shared slow tail of the episode flush: the conditional counters an

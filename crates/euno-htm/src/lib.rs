@@ -76,13 +76,11 @@ pub use epoch::{CollectOutcome, Collector, Participant, ScopedPin};
 pub use exec::{ExecOutcome, Path};
 pub use hint::{fresh_owner, Anchor, Hint};
 pub use line::{LineClass, LineId, LineSet, CACHE_LINE_BYTES};
-pub use lock::{
-    acquire_mask_blocking, release_mask, slot_for_key, AdvisoryLock, ControlBlock, SpinBackoff,
-};
+pub use lock::{slot_for_key, ControlBlock, LockWord, SpinBackoff};
 pub use map::{ConcurrentMap, MemoryReport, KEY_SENTINEL, TOMBSTONE};
 pub use policy::{Decision, RetryCounts, RetryPolicy};
 pub use rtm::hw_rtm_available;
-pub use runtime::{Backend, Mode, Runtime};
+pub use runtime::{Backend, Mode, OwnLine, Runtime};
 pub use stats::{AbortCounts, AggregateStats, ThreadStats};
 pub use tl2::VersionTable;
 pub use word::{TxCell, TxWord};

@@ -1,13 +1,21 @@
-//! Advisory locks and the masked-word acquire core.
+//! Advisory locks and the backoff their waiters pause with.
 //!
 //! Eunomia throttles *true* conflicts with fine-grained advisory locks
 //! taken **outside** HTM regions (§3, §4.1): a per-leaf split lock and the
-//! conflict-control module's per-slot lock bits. In concurrent mode these
-//! are plain CAS spinlocks; in virtual-time mode an acquirer arriving while
-//! the lock is virtually held is charged the wait until the holder's
-//! release time ([`ThreadCtx::vlock_free_at`]), which is how lock convoys
-//! show up in the figures.
+//! conflict-control module's per-slot lock bits. Both, the rebalance
+//! sweep's token and a tree's root lock are one [`LockWord`]: a CAS
+//! spinlock on real threads; on the virtual clock an acquirer arriving
+//! while the lock is held is charged the wait until the holder's release
+//! time ([`ThreadCtx::vlock_free_at`]), which is how lock convoys show up.
+//!
+//! The global fallback lock keeps its own spelling beside the executor
+//! (`ThreadCtx::fb_acquire`): every attempt subscribes to it, on TL2 its
+//! acquire waits out the write-backs under way, and it is charged
+//! `lock_acquire` / `lock_release` rather than a CAS. Masstree's version
+//! word keeps its own too: a seqlock whose acquire is a quiet CAS and
+//! whose release bumps its counters, written over the virtual lock clock.
 
+use euno_metrics::Counter;
 use euno_trace::EventKind;
 
 use crate::ctx::ThreadCtx;
@@ -27,6 +35,7 @@ use crate::word::TxCell;
 /// fresh one: carrying a saturated exponent from one contended region
 /// into the next would make an unrelated, possibly uncontended lock pay
 /// multi-thousand-cycle pauses on its first miss.
+#[derive(Default)]
 pub struct SpinBackoff {
     exponent: u32,
 }
@@ -36,7 +45,7 @@ impl SpinBackoff {
     pub const MAX_EXPONENT: u32 = 6;
 
     pub fn new() -> Self {
-        SpinBackoff { exponent: 0 }
+        Self::default()
     }
 
     /// Wait one backoff step, charging the cycles to `ctx`.
@@ -56,56 +65,6 @@ impl SpinBackoff {
     }
 }
 
-impl Default for SpinBackoff {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Blocking acquire of the bits in `mask` within `word` — the spin/acquire
-/// core shared by [`AdvisoryLock`] and the CCM's per-slot lock bits (the
-/// same mechanism at two granularities).
-///
-/// Concurrent mode test-and-test-and-sets with a fresh bounded
-/// [`SpinBackoff`]; virtual mode charges the wait until the
-/// holder's modeled release time plus one losing CAS observation
-/// ([`ThreadCtx::virt_acquire_mask`]), so both
-/// modes account a contended acquisition identically: one losing + one
-/// winning CAS. `vkey` is the virtual-lock identity of the bits being
-/// taken. Returns the cycles spent waiting.
-pub fn acquire_mask_blocking(ctx: &mut ThreadCtx, word: &TxCell<u64>, mask: u64, vkey: u64) -> u64 {
-    debug_assert!(mask != 0);
-    ctx.metric_add(euno_metrics::Counter::AdvisoryAcquires, 1);
-    let wait_before = ctx.stats.cycles_lock_wait;
-    match ctx.runtime().backend() {
-        Backend::Virtual => ctx.virt_acquire_mask(word, mask, vkey),
-        Backend::Stm | Backend::Rtm => {
-            let mut backoff = SpinBackoff::new();
-            loop {
-                if word.load_direct(ctx) & mask == 0 {
-                    let prev = word.fetch_or_direct(ctx, mask);
-                    if prev & mask == 0 {
-                        break;
-                    }
-                }
-                backoff.pause(ctx);
-            }
-        }
-    }
-    let waited = ctx.stats.cycles_lock_wait - wait_before;
-    if waited > 0 {
-        ctx.metric_add(euno_metrics::Counter::AdvisoryWaits, 1);
-    }
-    waited
-}
-
-/// Release counterpart of [`acquire_mask_blocking`]: records the virtual
-/// hold time and clears the bits.
-pub fn release_mask(ctx: &mut ThreadCtx, word: &TxCell<u64>, mask: u64, vkey: u64) {
-    ctx.vlock_hold(vkey);
-    word.fetch_and_direct(ctx, !mask);
-}
-
 /// Fibonacci-hash a key to an advisory slot in `0..nslots` (the paper's
 /// Figure 5 hash) — the CCM's slot map.
 #[inline]
@@ -115,78 +74,111 @@ pub fn slot_for_key(key: u64, nslots: u32) -> u32 {
     (h >> 32) as u32 % nslots
 }
 
-/// A word-sized advisory spinlock (the paper's per-leaf "split lock").
-pub struct AdvisoryLock {
-    cell: TxCell<u64>,
-}
+/// One advisory lock word, at one of two widths: a single lock (the split
+/// lock, the sweep token, a root lock), keyed on the virtual clock by its
+/// address and released by a plain store; or a vector of 64 (the CCM's
+/// lock bits), bit `b` keyed by `(address << 6) | b` — word addresses are
+/// 8-byte aligned, so no two bits' keys collide — and released by a
+/// `fetch_and`. Every acquisition counts `AdvisoryAcquires` (and
+/// `AdvisoryWaits` if it waited) and traces `LockAcquire` at the word's
+/// address.
+#[repr(transparent)]
+#[derive(Default)]
+pub struct LockWord(TxCell<u64>);
 
-impl Default for AdvisoryLock {
-    fn default() -> Self {
-        Self::new()
+impl LockWord {
+    fn addr(&self) -> u64 {
+        self.0.raw_ptr() as u64
     }
-}
 
-impl AdvisoryLock {
-    pub fn new() -> Self {
-        AdvisoryLock {
-            cell: TxCell::new(0),
+    /// Virtual-lock key and mask of the single lock (`None`) or of `bit`.
+    fn key_mask(&self, bit: Option<u32>) -> (u64, u64) {
+        bit.map_or((self.addr(), 1), |b| {
+            ((self.addr() << 6) | u64::from(b & 63), 1 << b)
+        })
+    }
+
+    fn trace_acquire(&self, ctx: &mut ThreadCtx, wait_cycles: u64) {
+        let addr = self.addr();
+        ctx.trace(EventKind::LockAcquire { addr, wait_cycles });
+    }
+
+    /// The one blocking acquire. Real threads test-and-test-and-set
+    /// behind a fresh [`SpinBackoff`] (a bit vector shares its word with
+    /// 63 other locks, so a convoying `fetch_or` loop would starve every
+    /// one of them); the virtual clock charges the wait
+    /// until the holder's modeled release plus one losing CAS
+    /// ([`ThreadCtx::virt_acquire_mask`]) — one losing and one winning CAS
+    /// either way.
+    fn lock(&self, ctx: &mut ThreadCtx, bit: Option<u32>) {
+        let (vkey, mask) = self.key_mask(bit);
+        ctx.metric_add(Counter::AdvisoryAcquires, 1);
+        let wait_before = ctx.stats.cycles_lock_wait;
+        match ctx.runtime().backend() {
+            Backend::Virtual => ctx.virt_acquire_mask(&self.0, mask, vkey),
+            Backend::Stm | Backend::Rtm => {
+                let mut backoff = SpinBackoff::new();
+                while self.0.load_direct(ctx) & mask != 0
+                    || self.0.fetch_or_direct(ctx, mask) & mask != 0
+                {
+                    backoff.pause(ctx);
+                }
+            }
         }
+        let waited = ctx.stats.cycles_lock_wait - wait_before;
+        if waited > 0 {
+            ctx.metric_add(Counter::AdvisoryWaits, 1);
+        }
+        self.trace_acquire(ctx, waited);
     }
 
-    #[inline]
-    fn key(&self) -> u64 {
-        self.cell.raw_ptr() as u64
+    /// The one release: the single lock by a whole-word store (cheaper
+    /// than the vector's `fetch_and`, and part of the cost model the
+    /// figures were calibrated with), a bit by clearing it alone.
+    fn unlock(&self, ctx: &mut ThreadCtx, bit: Option<u32>) {
+        let (vkey, mask) = self.key_mask(bit);
+        ctx.vlock_hold(vkey);
+        match bit {
+            None => self.0.store_direct(ctx, 0),
+            Some(_) => _ = self.0.fetch_and_direct(ctx, !mask),
+        }
+        ctx.trace(EventKind::LockRelease { addr: self.addr() });
     }
 
-    /// Blocking acquire. Concurrent mode test-and-test-and-sets with
-    /// bounded exponential backoff ([`SpinBackoff`]); virtual mode charges
-    /// the wait until the holder's modeled release time plus one losing
-    /// CAS observation, so both modes account a contended acquisition the
-    /// same way.
     pub fn acquire(&self, ctx: &mut ThreadCtx) {
-        let waited = acquire_mask_blocking(ctx, &self.cell, 1, self.key());
-        ctx.trace(EventKind::LockAcquire {
-            addr: self.key(),
-            wait_cycles: waited,
-        });
+        self.lock(ctx, None);
     }
 
-    /// Non-blocking acquire; returns whether the lock was taken. Both the
-    /// success and the failure path cost exactly one CAS in both modes.
+    pub fn release(&self, ctx: &mut ThreadCtx) {
+        self.unlock(ctx, None);
+    }
+
+    pub fn acquire_bit(&self, ctx: &mut ThreadCtx, bit: u32) {
+        self.lock(ctx, Some(bit));
+    }
+
+    pub fn release_bit(&self, ctx: &mut ThreadCtx, bit: u32) {
+        self.unlock(ctx, Some(bit));
+    }
+
+    /// Non-blocking acquire of the single lock: one CAS, won or lost.
     pub fn try_acquire(&self, ctx: &mut ThreadCtx) -> bool {
-        let taken = if ctx.vlock_free_at(self.key()) > ctx.clock {
+        let taken = if ctx.vlock_free_at(self.addr()) > ctx.clock {
             // Virtually held: the CAS a concurrent acquirer would lose.
             ctx.charge_cas_miss();
             false
         } else {
-            self.cell.cas_direct(ctx, 0, 1)
+            self.0.cas_direct(ctx, 0, 1)
         };
         if taken {
-            ctx.trace(EventKind::LockAcquire {
-                addr: self.key(),
-                wait_cycles: 0,
-            });
+            self.trace_acquire(ctx, 0);
         }
         taken
     }
 
-    pub fn release(&self, ctx: &mut ThreadCtx) {
-        ctx.vlock_hold(self.key());
-        // Whole-word store, not the shared fetch_and: the word holds only
-        // this lock, and the cheaper release is part of the advisory-lock
-        // cost model the figures were calibrated with.
-        self.cell.store_direct(ctx, 0);
-        ctx.trace(EventKind::LockRelease { addr: self.key() });
-    }
-
-    /// Instrumented check (Algorithm 2 line 52: `leaf.isLocked()`).
-    pub fn is_locked(&self, ctx: &mut ThreadCtx) -> bool {
-        self.cell.load_direct(ctx) != 0
-    }
-
-    /// Uninstrumented check for assertions.
-    pub fn is_locked_plain(&self) -> bool {
-        self.cell.load_plain() != 0
+    /// The held bits, uninstrumented (assertions and audits).
+    pub fn held_plain(&self) -> u64 {
+        self.0.load_plain()
     }
 }
 
@@ -201,8 +193,7 @@ pub struct ControlBlock {
     /// Global fallback lock for HTM regions.
     pub fallback: TxCell<u64>,
     /// Serializes root replacement in lock-based trees.
-    pub root_lock: AdvisoryLock,
-    _pad: [u64; 5],
+    pub root_lock: LockWord,
 }
 
 impl ControlBlock {
@@ -210,8 +201,7 @@ impl ControlBlock {
         Box::new(ControlBlock {
             root: TxCell::new(root_bits),
             fallback: TxCell::new(0),
-            root_lock: AdvisoryLock::new(),
-            _pad: [0; 5],
+            root_lock: LockWord::default(),
         })
     }
 }
@@ -219,7 +209,7 @@ impl ControlBlock {
 // Test-support helper: acquire a lock and hold it for `work` cycles.
 #[cfg(test)]
 impl crate::ctx::ThreadCtx {
-    fn acquire_and_work(&mut self, l: &AdvisoryLock, work: u64) {
+    fn acquire_and_work(&mut self, l: &LockWord, work: u64) {
         l.acquire(self);
         self.charge(work);
         l.release(self);
@@ -237,12 +227,23 @@ mod tests {
     fn advisory_lock_acquire_release_virtual() {
         let rt = Runtime::new_virtual();
         let mut ctx = rt.thread(0);
-        let l = AdvisoryLock::new();
-        assert!(!l.is_locked_plain());
+        let l = LockWord::default();
+        assert_eq!(l.held_plain(), 0);
         l.acquire(&mut ctx);
-        assert!(l.is_locked_plain());
+        assert_eq!(l.held_plain(), 1);
         l.release(&mut ctx);
-        assert!(!l.is_locked_plain());
+        assert_eq!(l.held_plain(), 0);
+    }
+
+    #[test]
+    fn bit_lock_keys_are_distinct() {
+        let words = [LockWord::default(), LockWord::default()];
+        let mut keys = std::collections::HashSet::new();
+        for b in 0..64 {
+            keys.insert(words[0].key_mask(Some(b)).0);
+        }
+        assert_eq!(keys.len(), 64);
+        assert!(!keys.contains(&words[1].key_mask(Some(0)).0));
     }
 
     #[test]
@@ -250,7 +251,7 @@ mod tests {
         let rt = Runtime::new_virtual();
         let mut a = rt.thread(0);
         let mut b = rt.thread(1);
-        let l = AdvisoryLock::new();
+        let l = LockWord::default();
         a.acquire_and_work(&l, 1_000);
         // b starts at clock 0; must be pushed past a's release time.
         l.acquire(&mut b);
@@ -264,7 +265,7 @@ mod tests {
         let rt = Runtime::new_virtual();
         let mut a = rt.thread(0);
         let mut b = rt.thread(1);
-        let l = AdvisoryLock::new();
+        let l = LockWord::default();
         a.acquire_and_work(&l, 5_000);
         assert!(!l.try_acquire(&mut b));
         b.charge(10_000);
@@ -275,7 +276,7 @@ mod tests {
     #[test]
     fn advisory_lock_mutual_exclusion_concurrent() {
         let rt = Runtime::new_concurrent();
-        let l = AdvisoryLock::new();
+        let l = LockWord::default();
         let counter = std::sync::atomic::AtomicU64::new(0);
         std::thread::scope(|s| {
             for t in 0..4 {
@@ -319,7 +320,7 @@ mod tests {
         // CAS attempts stays tiny while the waited cycles accumulate in
         // cycles_lock_wait.
         let rt = Runtime::new_concurrent();
-        let l = AdvisoryLock::new();
+        let l = LockWord::default();
         std::thread::scope(|s| {
             let mut holder = rt.thread(0);
             l.acquire(&mut holder);
@@ -363,7 +364,7 @@ mod tests {
         // An uncontended acquisition after a heavily contended one spins
         // zero times — the saturated exponent of the earlier acquire must
         // not leak in (fresh backoff per acquire call).
-        let l = AdvisoryLock::new();
+        let l = LockWord::default();
         let wait_before = ctx.stats.cycles_lock_wait;
         l.acquire(&mut ctx);
         l.release(&mut ctx);
@@ -436,7 +437,7 @@ mod tests {
         let rt = Runtime::new_virtual();
         let mut a = rt.thread(0);
         let mut b = rt.thread(1);
-        let l = AdvisoryLock::new();
+        let l = LockWord::default();
 
         // Uncontended try_acquire: exactly one CAS.
         assert!(l.try_acquire(&mut a));

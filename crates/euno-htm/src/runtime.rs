@@ -74,7 +74,7 @@ impl Backend {
 /// read-only ones (`wall-point`, 2 threads: 1.11 M ops/s sharing a line
 /// with `backend`, 1.34 M apart).
 #[repr(align(64))]
-pub(crate) struct OwnLine<T>(T);
+pub struct OwnLine<T>(pub T);
 
 impl<T> std::ops::Deref for OwnLine<T> {
     type Target = T;
@@ -200,9 +200,7 @@ impl Runtime {
     }
 
     /// The metric registry: per-thread counter shards, epoch gauges and
-    /// the CCM flip log. Disable *before* creating threads (e.g. for an
-    /// overhead baseline) with `rt.metrics().set_enabled(false)` — threads
-    /// registered while disabled carry no shard.
+    /// the CCM flip log.
     #[inline]
     pub fn metrics(&self) -> &euno_metrics::Registry {
         &self.metrics
@@ -313,21 +311,6 @@ impl Runtime {
         // totals; registered threads keep their shard handles.
         self.metrics.reset();
     }
-}
-
-/// Derive a virtual-lock key from a cell address (one key per word).
-#[inline]
-pub fn lock_key_for_addr(addr: usize) -> u64 {
-    addr as u64
-}
-
-/// Derive a virtual-lock key for a single bit of a bit-vector word, so the
-/// CCM's per-slot lock bits are independent locks.
-#[inline]
-pub fn lock_key_for_bit(addr: usize, bit: u32) -> u64 {
-    // Word addresses are 8-byte aligned, so the low 3 bits are free; bits
-    // run 0..64, needing 6 bits. Shift the address up to make room.
-    ((addr as u64) << 6) | (bit as u64 & 63)
 }
 
 #[cfg(test)]
@@ -560,16 +543,5 @@ mod tests {
         let hit = Some((hi, LineClass::Record));
         assert_eq!(storm(0), hit, "latest write, first-registered node");
         assert_eq!(storm(1), None, "a thread's own writes are not a storm");
-    }
-
-    #[test]
-    fn bit_lock_keys_are_distinct() {
-        let addr = 0x1000usize;
-        let mut keys = std::collections::HashSet::new();
-        for b in 0..64 {
-            keys.insert(lock_key_for_bit(addr, b));
-        }
-        assert_eq!(keys.len(), 64);
-        assert!(!keys.contains(&lock_key_for_bit(0x1008, 0)));
     }
 }

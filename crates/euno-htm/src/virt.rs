@@ -653,7 +653,7 @@ impl ThreadCtx {
         }
     }
 
-    /// [`crate::lock::acquire_mask_blocking`] on the virtual backend: the
+    /// [`crate::lock::LockWord`]'s blocking acquire on the virtual backend: the
     /// wait until the holder's modeled release time plus one losing CAS
     /// observation, so a contended acquisition is accounted as on real
     /// threads — one losing + one winning CAS.

@@ -1,8 +1,7 @@
 //! Scenario tests for the HTM engine: TSX semantics the trees rely on.
 
 use euno_htm::{
-    AbortCause, AdvisoryLock, Backend, CostModel, EpisodeKind, RetryPolicy, Runtime, ThreadCtx,
-    TxCell,
+    AbortCause, Backend, CostModel, EpisodeKind, LockWord, RetryPolicy, Runtime, ThreadCtx, TxCell,
 };
 
 fn min_clock_step(ctxs: &mut [ThreadCtx], mut f: impl FnMut(usize, &mut ThreadCtx)) {
@@ -160,7 +159,7 @@ fn storm_heat_raises_abort_probability() {
 fn advisory_locks_and_transactions_compose() {
     let rt = Runtime::new_virtual();
     let fb = TxCell::new(0u64);
-    let lock = AdvisoryLock::new();
+    let lock = LockWord::default();
     let cell = TxCell::new(0u64);
     let mut ctxs: Vec<ThreadCtx> = (0..4).map(|i| rt.thread(i)).collect();
     for round in 0..800 {

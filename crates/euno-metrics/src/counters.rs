@@ -86,7 +86,7 @@ define_metric_enum! {
         Tl2ValidationFails => "tl2_validation_fails",
         Tl2Extensions => "tl2_extensions",
         Tl2ReadWaits => "tl2_read_waits",
-        // Every `acquire_mask_blocking`: CCM lock bits and `AdvisoryLock`s.
+        // Every blocking `LockWord` acquire (`try_acquire` is not one).
         AdvisoryAcquires => "advisory_lock_acquires",
         AdvisoryWaits => "advisory_lock_waits",
         // Directional CCM flips (the sum equals `ccm_bypass_flips`).

@@ -16,7 +16,7 @@
 //! the symmetric treatment via [`ThreadShard::mark`] /
 //! [`ThreadShard::restore`] — a fixed-size copy, no allocation.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::counters::{Counter, ExecStages, Gauge};
@@ -135,7 +135,6 @@ impl ThreadShard {
 
 /// The per-runtime metric registry.
 pub struct Registry {
-    enabled: AtomicBool,
     shards: Mutex<Vec<Arc<ThreadShard>>>,
     gauges: [AtomicU64; Gauge::COUNT],
     flips: FlipLog,
@@ -144,33 +143,18 @@ pub struct Registry {
 impl Registry {
     pub fn new() -> Self {
         Registry {
-            enabled: AtomicBool::new(true),
             shards: Mutex::new(Vec::new()),
             gauges: std::array::from_fn(|_| AtomicU64::new(0)),
             flips: FlipLog::default(),
         }
     }
 
-    /// Disable (or re-enable) metering. Threads registered while disabled
-    /// get no shard, so every hot-path hook reduces to one branch — the
-    /// metrics-off engine_bench row measures exactly this.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Register a new thread. Returns `None` when metering is disabled.
-    /// Allocates (thread creation time — never on the op hot path).
-    pub fn register_shard(&self) -> Option<Arc<ThreadShard>> {
-        if !self.enabled() {
-            return None;
-        }
+    /// Register a new thread. Allocates (thread creation time — never on
+    /// the op hot path).
+    pub fn register_shard(&self) -> Arc<ThreadShard> {
         let shard = Arc::new(ThreadShard::new());
         self.shards.lock().unwrap().push(shard.clone());
-        Some(shard)
+        shard
     }
 
     /// Zero every shard, gauge and the flip log. Called by
@@ -293,13 +277,7 @@ impl Default for Registry {
 impl std::fmt::Debug for Registry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let shards = self.shards.lock().unwrap().len();
-        write!(
-            f,
-            "Registry(enabled={}, shards={}, flips={})",
-            self.enabled(),
-            shards,
-            self.flips.len()
-        )
+        write!(f, "Registry(shards={}, flips={})", shards, self.flips.len())
     }
 }
 
@@ -319,7 +297,7 @@ mod tests {
     #[test]
     fn shard_add_and_stage_view() {
         let reg = Registry::new();
-        let s = reg.register_shard().unwrap();
+        let s = reg.register_shard();
         s.add(Counter::Attempts, 3);
         s.add(Counter::Commits, 2);
         s.add(Counter::Fallbacks, 1);
@@ -334,7 +312,7 @@ mod tests {
     #[test]
     fn shared_adds_from_racing_writers_are_not_lost() {
         let reg = Registry::new();
-        let shard = reg.register_shard().unwrap();
+        let shard = reg.register_shard();
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
@@ -350,8 +328,8 @@ mod tests {
     #[test]
     fn totals_sum_across_shards() {
         let reg = Registry::new();
-        let a = reg.register_shard().unwrap();
-        let b = reg.register_shard().unwrap();
+        let a = reg.register_shard();
+        let b = reg.register_shard();
         a.add(Counter::Ops, 10);
         b.add(Counter::Ops, 5);
         assert_eq!(reg.total(Counter::Ops), 15);
@@ -364,18 +342,9 @@ mod tests {
     }
 
     #[test]
-    fn disabled_registry_hands_out_no_shards() {
-        let reg = Registry::new();
-        reg.set_enabled(false);
-        assert!(reg.register_shard().is_none());
-        reg.set_enabled(true);
-        assert!(reg.register_shard().is_some());
-    }
-
-    #[test]
     fn mark_restore_rolls_back_counters() {
         let reg = Registry::new();
-        let s = reg.register_shard().unwrap();
+        let s = reg.register_shard();
         s.add(Counter::Commits, 5);
         let mark = s.mark();
         s.add(Counter::Commits, 7);
@@ -396,8 +365,8 @@ mod tests {
     #[test]
     fn merged_histogram_keeps_exact_max() {
         let reg = Registry::new();
-        let a = reg.register_shard().unwrap();
-        let b = reg.register_shard().unwrap();
+        let a = reg.register_shard();
+        let b = reg.register_shard();
         a.record_latency(100);
         a.record_latency(1000);
         b.record_latency(999_937);

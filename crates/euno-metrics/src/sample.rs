@@ -207,7 +207,7 @@ mod tests {
     #[test]
     fn samples_accumulate_and_window() {
         let reg = Registry::new();
-        let shard = reg.register_shard().unwrap();
+        let shard = reg.register_shard();
         let mut ts = TimeSeries::new(100, 8);
 
         shard.add(Counter::Ops, 5);
@@ -229,7 +229,7 @@ mod tests {
     #[test]
     fn ring_overwrites_oldest() {
         let reg = Registry::new();
-        let shard = reg.register_shard().unwrap();
+        let shard = reg.register_shard();
         let mut ts = TimeSeries::new(1, 4);
         for t in 0..10u64 {
             shard.add(Counter::Ops, 1);
@@ -262,7 +262,7 @@ mod tests {
     #[test]
     fn gauges_report_levels_not_deltas() {
         let reg = Registry::new();
-        let _shard = reg.register_shard().unwrap();
+        let _shard = reg.register_shard();
         let mut ts = TimeSeries::new(10, 4);
         reg.set_gauge(Gauge::EpochRetiredPending, 40);
         ts.sample(10, &reg);
@@ -275,7 +275,7 @@ mod tests {
     #[test]
     fn histogram_windows_carry_bucket_deltas() {
         let reg = Registry::new();
-        let shard = reg.register_shard().unwrap();
+        let shard = reg.register_shard();
         let mut ts = TimeSeries::new(10, 4);
         shard.record_latency(100);
         ts.sample(10, &reg);

@@ -55,7 +55,7 @@ fn sampling_hot_path_does_not_allocate() {
     // Setup phase: registry, four shards, the ring — all allocation
     // happens here, before the measured window.
     let reg = Registry::new();
-    let shards: Vec<_> = (0..4).map(|_| reg.register_shard().unwrap()).collect();
+    let shards: Vec<_> = (0..4).map(|_| reg.register_shard()).collect();
     let mut ts = TimeSeries::new(10, 128);
 
     // Warm the ring through a full wrap so overwrite paths are exercised

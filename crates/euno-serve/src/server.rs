@@ -121,7 +121,7 @@ pub(crate) struct Shard {
     /// (completions, latency, batch counters: single-writer `add`) and
     /// the submitters (enqueue/shed counters: racing writers, so
     /// `add_shared`).
-    pub stats: Option<Arc<ThreadShard>>,
+    pub stats: Arc<ThreadShard>,
     pub maintain_every: u64,
     pub seed: u64,
 }
@@ -298,23 +298,17 @@ impl EunoServer {
     fn enqueue(&self, shard: usize, raw: RawReq) -> Result<(u32, u32), Shed> {
         let sh = &self.shards[shard];
         let Some(idx) = sh.pool.acquire() else {
-            if let Some(st) = &sh.stats {
-                st.add_shared(Counter::ServeShed, 1);
-            }
+            sh.stats.add_shared(Counter::ServeShed, 1);
             return Err(Shed);
         };
         let gen = sh.pool.gen(idx);
         sh.pool.stage(idx, raw);
         if !sh.queue.push(idx) {
             sh.pool.release(idx);
-            if let Some(st) = &sh.stats {
-                st.add_shared(Counter::ServeShed, 1);
-            }
+            sh.stats.add_shared(Counter::ServeShed, 1);
             return Err(Shed);
         }
-        if let Some(st) = &sh.stats {
-            st.add_shared(Counter::ServeEnqueued, 1);
-        }
+        sh.stats.add_shared(Counter::ServeEnqueued, 1);
         if sh.depth.fetch_add(1, Ordering::Relaxed) == 0 {
             if let Some(t) = sh.worker.lock().unwrap().as_ref() {
                 t.unpark();
@@ -525,10 +519,9 @@ fn to_batch_op(r: &RawReq) -> BatchOp {
 
 fn finish_point(sh: &Shard, idx: u32, value: Option<u64>, now_ns: u64) {
     let req = sh.pool.read_req(idx);
-    if let Some(st) = &sh.stats {
-        st.record_latency(now_ns.saturating_sub(req.issued_ns));
-        st.add(Counter::ServeCompleted, 1);
-    }
+    sh.stats
+        .record_latency(now_ns.saturating_sub(req.issued_ns));
+    sh.stats.add(Counter::ServeCompleted, 1);
     if req.detached {
         sh.pool.release(idx);
     } else {
@@ -599,13 +592,13 @@ fn worker_loop(sh: &Shard, epoch: Instant) {
                 for (&(_, idx, _), &value) in sorted.iter().zip(results.iter()) {
                     finish_point(sh, idx, value, now);
                 }
-                if let Some(st) = &sh.stats {
-                    st.add(Counter::ServeBatches, 1);
-                    st.add(Counter::ServeBatchedOps, ops.len() as u64 - bstats.singles);
-                    st.add(Counter::ServeSingleOps, bstats.singles + scan_singles);
-                    if bstats.singles > 0 {
-                        st.add(Counter::ServeBatchBails, bstats.singles);
-                    }
+                sh.stats.add(Counter::ServeBatches, 1);
+                sh.stats
+                    .add(Counter::ServeBatchedOps, ops.len() as u64 - bstats.singles);
+                sh.stats
+                    .add(Counter::ServeSingleOps, bstats.singles + scan_singles);
+                if bstats.singles > 0 {
+                    sh.stats.add(Counter::ServeBatchBails, bstats.singles);
                 }
                 sh.batch_hist.lock().unwrap().record(ops.len() as u64);
                 // Adaptive width: a batch that conflict-aborts more than
@@ -617,17 +610,13 @@ fn worker_loop(sh: &Shard, epoch: Instant) {
                 if thrashed {
                     if eff > 1 {
                         eff = (eff / 2).max(1);
-                        if let Some(st) = &sh.stats {
-                            st.add(Counter::ServeBatchShrinks, 1);
-                        }
+                        sh.stats.add(Counter::ServeBatchShrinks, 1);
                     }
                 } else if bstats.conflict_aborts == 0 && eff < max {
                     eff += 1;
                 }
             } else if scan_singles > 0 {
-                if let Some(st) = &sh.stats {
-                    st.add(Counter::ServeSingleOps, scan_singles);
-                }
+                sh.stats.add(Counter::ServeSingleOps, scan_singles);
             }
         } else {
             let conflicts_before = ctx.stats.aborts.conflicts();
@@ -645,9 +634,7 @@ fn worker_loop(sh: &Shard, epoch: Instant) {
                     }
                 }
             }
-            if let Some(st) = &sh.stats {
-                st.add(Counter::ServeSingleOps, idxs.len() as u64);
-            }
+            sh.stats.add(Counter::ServeSingleOps, idxs.len() as u64);
             // A conflict-free width-1 drain is a clean batch: without this
             // a shard whose width collapsed to 1 could never widen again
             // (the batch branch above needs two requests in one drain).

@@ -970,7 +970,7 @@ mod tests {
         let mut report = sample_report();
         // Two sampled snapshots with activity in between → one window.
         let reg = Registry::new();
-        let shard = reg.register_shard().unwrap();
+        let shard = reg.register_shard();
         let mut ts = TimeSeries::new(100, 8);
         shard.add(Counter::Ops, 3);
         shard.record_latency(500);
@@ -1068,7 +1068,7 @@ mod tests {
     fn nonmonotone_timeseries_ticks_are_rejected() {
         let mut report = sample_report();
         let reg = Registry::new();
-        let _shard = reg.register_shard().unwrap();
+        let _shard = reg.register_shard();
         let mut ts = TimeSeries::new(10, 8);
         ts.sample(10, &reg);
         ts.sample(20, &reg);

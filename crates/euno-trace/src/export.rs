@@ -588,7 +588,7 @@ mod tests {
     fn metrics_jsonl_roundtrips_and_validates() {
         use euno_metrics::Registry;
         let reg = Registry::new();
-        let shard = reg.register_shard().expect("registry enabled");
+        let shard = reg.register_shard();
         let mut ts = TimeSeries::new(100, 16);
         ts.sample(0, &reg);
         shard.add(Counter::Ops, 5);

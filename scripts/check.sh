@@ -161,7 +161,7 @@ echo "one-copy (one bisect under crates/*/src, in bptree.rs; no private index in
 #            optimistic_snapshot, optimistic_validate — and
 #            metric_commit_episode's `commit_counter()` lookup;
 #   exec.rs  the attempt (software episode or hardware transaction);
-#   lock.rs  acquire_mask_blocking.
+#   lock.rs  LockWord's one blocking acquire.
 # Beside them: `Runtime::forget_node_heat` on the field itself, the
 # `Backend::mode` / `commit_counter` tables, and the two lock-clock
 # primitives every lock spelling is written over (`ThreadCtx::
