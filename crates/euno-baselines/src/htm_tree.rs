@@ -39,9 +39,9 @@ use euno_htm::{
 };
 
 use crate::masstree::{
-    node_visit_overhead, permutation_decode, version_of, LOCK_BIT, VINSERT_UNIT, VSPLIT_UNIT,
+    node_visit_overhead, permutation_decode, LOCK_BIT, VINSERT_UNIT, VSPLIT_UNIT,
 };
-use crate::node::{empty_tree, Leaf, DEFAULT_FANOUT};
+use crate::node::{empty_tree, Guard, Leaf, DEFAULT_FANOUT};
 
 /// The conventional HTM-B+Tree.
 pub type HtmBTree<const F: usize = DEFAULT_FANOUT> = HtmTree<NoVersions, F>;
@@ -66,10 +66,10 @@ pub trait Versions<const F: usize>: Sized {
     /// What the tree reports as its name.
     const NAME: &'static str;
 
-    /// The region steps onto `node` on the way down, and searches its
-    /// keys next iff `search` (every index node, and the leaf of a point
-    /// operation).
-    fn enter(_: &mut Tx<'_>, _node: NodeRef, _search: bool) -> TxResult<()> {
+    /// The region steps onto the node whose version word is `version` on
+    /// the way down, and searches its keys next iff `search` (every index
+    /// node, and the leaf of a point operation).
+    fn enter(_: &mut Tx<'_>, _version: &TxCell<u64>, _search: bool) -> TxResult<()> {
         Ok(())
     }
 
@@ -146,10 +146,8 @@ impl Versions<DEFAULT_FANOUT> for MasstreeVersions {
     /// fallback-path writer) forces an explicit abort, like hardware lock
     /// elision checking the elided lock. Then, before a search, the work
     /// of entering a Masstree node.
-    fn enter(tx: &mut Tx<'_>, node: NodeRef, search: bool) -> TxResult<()> {
-        // SAFETY: `node` is this tree's, read from its root word or a child
-        // cell, and nodes live as long as the tree (deferred reclamation).
-        if tx.read(unsafe { version_of(node) })? & LOCK_BIT != 0 {
+    fn enter(tx: &mut Tx<'_>, version: &TxCell<u64>, search: bool) -> TxResult<()> {
+        if tx.read(version)? & LOCK_BIT != 0 {
             return tx.explicit_abort(0x10);
         }
         if search {
@@ -184,6 +182,7 @@ impl Versions<DEFAULT_FANOUT> for MasstreeVersions {
         tx.write(&right.parent, parent)?;
         Self::bump(tx, &leaf.version, false, true)?;
         let mut climb = Linked {
+            nodes: tree.nodes(),
             arenas: &tree.arenas,
             rt: &tree.rt,
             root: &tree.ctrl.root,
@@ -222,11 +221,11 @@ impl<V: Versions<F>, const F: usize> HtmTree<V, F> {
         search: bool,
         mut path: Option<&mut Vec<&'t IndexNode<F>>>,
     ) -> TxResult<(&'t Leaf<F>, Option<usize>)> {
+        let nodes = self.nodes();
         let mut cur = NodeRef(tx.read(&self.ctrl.root)?);
         while !cur.is_leaf() {
-            V::enter(tx, cur, true)?;
-            // SAFETY: nodes live as long as the tree (deferred reclamation).
-            let node: &'t IndexNode<F> = unsafe { cur.as_index::<F>() };
+            let node = nodes.index_node(cur);
+            V::enter(tx, &node.version, true)?;
             if let Some(p) = path.as_deref_mut() {
                 p.push(node);
             }
@@ -237,9 +236,8 @@ impl<V: Versions<F>, const F: usize> HtmTree<V, F> {
             })?;
             cur = NodeRef(tx.read(node.child(taken))?);
         }
-        V::enter(tx, cur, search)?;
-        // SAFETY: as above; the loop ends on a leaf of this tree's type.
-        let leaf = unsafe { cur.as_leaf::<Leaf<F>>() };
+        let leaf = nodes.leaf(cur);
+        V::enter(tx, &leaf.version, search)?;
         let slot = if search {
             leaf.find(tx, key, V::probe)?
         } else {
@@ -276,6 +274,11 @@ impl<V: Versions<F>, const F: usize> HtmTree<V, F> {
     /// The root, by a plain load (quiescent tree).
     pub fn root_plain(&self) -> NodeRef {
         NodeRef(self.ctrl.root.load_plain())
+    }
+
+    /// The guard this tree's nodes are read through, as long as it lives.
+    pub fn nodes(&self) -> Guard<'_, F> {
+        self.arenas.until_drop()
     }
 }
 
@@ -354,7 +357,7 @@ impl<V: Versions<F>, const F: usize> ConcurrentMap for HtmTree<V, F> {
             out.truncate(base);
             tx.set_op_key(from);
             let (leaf, _) = self.descend(tx, from, false, None)?;
-            leaf.collect(tx, from, base.saturating_add(count), out)
+            leaf.collect(self.nodes(), tx, from, base.saturating_add(count), out)
         });
         out.len() - base
     }
@@ -445,8 +448,7 @@ mod tests {
             let mut depth = 0;
             let mut cur = t.root_plain();
             while !cur.is_leaf() {
-                // SAFETY: a quiescent tree's index node, kept by the tree.
-                cur = NodeRef(unsafe { cur.as_index::<16>() }.child0.load_plain());
+                cur = NodeRef(t.nodes().index_node(cur).child0.load_plain());
                 depth += 1;
             }
             assert!(depth >= 2, "tree must have grown levels");

@@ -26,4 +26,4 @@ pub mod node;
 
 pub use htm_tree::{HtmBTree, HtmMasstree, HtmTree};
 pub use masstree::Masstree;
-pub use node::{Leaf, DEFAULT_FANOUT};
+pub use node::{Guard, Leaf, DEFAULT_FANOUT};

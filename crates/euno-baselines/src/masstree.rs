@@ -32,7 +32,7 @@ use euno_htm::{
     ThreadCtx, TxCell, KEY_SENTINEL, TOMBSTONE,
 };
 
-use crate::node::{empty_tree, Leaf, DEFAULT_FANOUT};
+use crate::node::{empty_tree, Guard, Leaf, DEFAULT_FANOUT};
 
 // ----- version word layout: [vsplit:31][vinsert:32][lock:1] -----
 
@@ -119,13 +119,10 @@ impl Version for TxCell<u64> {
 }
 
 /// The version word of whichever kind of node `node` points at.
-///
-/// Safety: arena-owned node, tree outlives use.
-pub(crate) unsafe fn version_of<'a>(node: NodeRef) -> &'a TxCell<u64> {
-    if node.is_leaf() {
-        &node.as_leaf::<MtLeaf>().version
-    } else {
-        &node.as_index::<F>().version
+fn version_of(nodes: Guard<'_, F>, node: NodeRef) -> &TxCell<u64> {
+    match node.is_leaf() {
+        true => &nodes.leaf(node).version,
+        false => &nodes.index_node(node).version,
     }
 }
 
@@ -213,7 +210,8 @@ impl<'t> Propagate<'t, ThreadCtx, F> for HandOverHand<'t> {
         ctx: &mut ThreadCtx,
         child: NodeRef,
     ) -> Result<Option<&'t IndexNode<F>>, Infallible> {
-        let link = unsafe { child.parent_cell::<MtLeaf, F>() };
+        let nodes = self.tree.nodes();
+        let link = nodes.parent_cell(child);
         while link.load_direct(ctx) == 0 {
             // Child is the root: serialize root replacement, and re-check
             // (another split may have already grown the tree). The lock is
@@ -229,7 +227,7 @@ impl<'t> Propagate<'t, ThreadCtx, F> for HandOverHand<'t> {
         // split concurrently and move `child` to a new node).
         loop {
             let p = NodeRef(link.load_direct(ctx));
-            let int = unsafe { p.as_index::<F>() };
+            let int = nodes.index_node(p);
             int.version.lock(ctx);
             if link.load_direct(ctx) == p.0 {
                 return Ok(Some(int));
@@ -251,7 +249,10 @@ impl<'t> Propagate<'t, ThreadCtx, F> for HandOverHand<'t> {
         child: NodeRef,
         parent: NodeRef,
     ) -> Result<(), Infallible> {
-        unsafe { child.parent_cell::<MtLeaf, F>() }.store_direct(ctx, parent.0);
+        self.tree
+            .nodes()
+            .parent_cell(child)
+            .store_direct(ctx, parent.0);
         Ok(())
     }
 
@@ -305,6 +306,11 @@ impl Masstree {
         NodeRef(self.ctrl.root.load_plain())
     }
 
+    /// The guard this tree's nodes are read through, as long as it lives.
+    pub fn nodes(&self) -> Guard<'_, F> {
+        self.arenas.until_drop()
+    }
+
     // ----- optimistic descent (readers and writer location) -----
 
     /// Optimistically walk to the leaf for `key`. Returns the leaf and the
@@ -312,13 +318,14 @@ impl Masstree {
     /// the caller should restart. Must run inside an OptimisticRead
     /// episode.
     fn descend(&self, ctx: &mut ThreadCtx, key: u64) -> Option<(&MtLeaf, u64)> {
+        let nodes = self.nodes();
         let mut node = NodeRef(self.ctrl.root.load_direct(ctx));
-        let mut v = unsafe { version_of(node) }.stable(ctx);
+        let mut v = version_of(nodes, node).stable(ctx);
         loop {
             if node.is_leaf() {
-                return Some((unsafe { node.as_leaf() }, v));
+                return Some((nodes.leaf(node), v));
             }
-            let int = unsafe { node.as_index::<F>() };
+            let int = nodes.index_node(node);
             node_visit_overhead(ctx);
             let cnt = (int.count.load_direct(ctx) as usize).min(F);
             // Masstree reads keys through a permutation word: one extra
@@ -334,7 +341,7 @@ impl Masstree {
                 return None;
             }
             node = child;
-            v = unsafe { version_of(node) }.stable(ctx);
+            v = version_of(nodes, node).stable(ctx);
         }
     }
 
@@ -369,10 +376,8 @@ impl Masstree {
     /// split moved the key range while we were locking.
     fn locate_locked(&self, ctx: &mut ThreadCtx, key: u64) -> &MtLeaf {
         loop {
-            let (leaf_ptr, v) = ctx.optimistic_execute(None, version_visible, |ctx| {
-                self.descend(ctx, key).map(|(l, v)| (l as *const MtLeaf, v))
-            });
-            let leaf = unsafe { &*leaf_ptr };
+            let (leaf, v) =
+                ctx.optimistic_execute(None, version_visible, |ctx| self.descend(ctx, key));
             leaf.version.lock(ctx);
             // Two staleness guards once the lock is held: the split
             // counter (split since we located it) and the B-link fence
@@ -508,7 +513,7 @@ impl ConcurrentMap for Masstree {
             let (part, next) = ctx.optimistic_execute(Some(cursor), version_visible, |ctx| {
                 let (leaf, v) = match hint.take() {
                     Some(r) => {
-                        let l: &MtLeaf = unsafe { r.as_leaf() };
+                        let l = self.nodes().leaf(r);
                         let v = l.version.stable(ctx);
                         (l, v)
                     }

@@ -23,6 +23,10 @@ use euno_htm::{KEY_SENTINEL, TOMBSTONE};
 /// Default node fanout; §5.7 sets the paper's fanout to 16.
 pub const DEFAULT_FANOUT: usize = 16;
 
+/// What a baseline reads its nodes through, in HTM regions too: it frees no
+/// node before it drops, so a borrow of it is enough ([`NodeArenas::until_drop`]).
+pub type Guard<'t, const F: usize> = euno_htm::Guard<'t, Leaf<F>, F>;
+
 /// A leaf node: sorted keys with co-located values, chained for scans.
 /// `parent`, `version` and `highkey` are the two Masstrees'; HTM-B+Tree
 /// never touches them.
@@ -124,8 +128,9 @@ impl<const F: usize> Leaf<F> {
     /// leaf, appending live records with key `≥ from` to `out` until it
     /// holds `upto` or the chain ends. An `out` that holds `upto` already
     /// gets nothing, and no leaf is read.
-    pub fn collect(
-        &self,
+    pub fn collect<'t>(
+        &'t self,
+        g: Guard<'t, F>,
         tx: &mut Tx<'_>,
         from: u64,
         upto: usize,
@@ -152,8 +157,7 @@ impl<const F: usize> Leaf<F> {
             if next.is_null() {
                 return Ok(());
             }
-            // Safety: nodes live as long as the tree (deferred reclamation).
-            leaf = unsafe { next.as_leaf::<Self>() };
+            leaf = g.leaf(next);
         }
         Ok(())
     }
@@ -214,10 +218,10 @@ mod tests {
         assert!(!ir.is_leaf());
         assert!(!lr.is_null());
         assert!(NodeRef::NULL.is_null());
-        let l2 = unsafe { lr.as_leaf::<Leaf<16>>() };
-        assert!(std::ptr::eq(l2, &l));
-        let i2 = unsafe { ir.as_index::<16>() };
-        assert!(std::ptr::eq(i2, &i));
+        euno_htm::Collector::new().pinned(|g: Guard<16>| {
+            assert!(std::ptr::eq(g.leaf(lr), &l));
+            assert!(std::ptr::eq(g.index_node(ir), &i));
+        });
         // TxWord roundtrip preserves the tag.
         let w = lr.to_word();
         assert_eq!(NodeRef::from_word(w), lr);

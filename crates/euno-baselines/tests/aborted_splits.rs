@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use euno_baselines::{HtmBTree, HtmMasstree, Leaf, Masstree};
+use euno_baselines::{Guard, HtmBTree, HtmMasstree, Leaf, Masstree};
 use euno_htm::{ConcurrentMap, IndexNode, NodeRef, Runtime, ThreadCtx};
 
 const THREADS: u64 = 16;
@@ -40,14 +40,14 @@ fn race_ascending_puts(rt: &Arc<Runtime>, tree: &dyn ConcurrentMap) -> u64 {
 
 /// Nodes of a quiescent tree reachable from `root` by a plain walk, index
 /// nodes and leaves alike — what `memory()` must account for, no more.
-fn reachable_nodes(root: NodeRef) -> usize {
+fn reachable_nodes(nodes: Guard<16>, root: NodeRef) -> usize {
     if root.is_leaf() {
         return 1;
     }
-    let node = unsafe { root.as_index::<16>() };
+    let node = nodes.index_node(root);
     let children = node.count.load_plain() as usize + 1;
     1 + (0..children)
-        .map(|i| reachable_nodes(NodeRef(node.child(i).load_plain())))
+        .map(|i| reachable_nodes(nodes, NodeRef(node.child(i).load_plain())))
         .sum::<usize>()
 }
 
@@ -68,7 +68,7 @@ fn htm_btree_accounts_for_reachable_nodes_only() {
     assert!(aborts > 10_000, "the load met {aborts} aborts");
     assert_eq!(
         tree.memory().structural_bytes,
-        reachable_nodes(tree.root_plain()) * NODE_BYTES
+        reachable_nodes(tree.nodes(), tree.root_plain()) * NODE_BYTES
     );
 }
 
@@ -80,7 +80,7 @@ fn htm_masstree_accounts_for_reachable_nodes_only() {
     assert!(aborts > 10_000, "the load met {aborts} aborts");
     assert_eq!(
         tree.memory().structural_bytes,
-        reachable_nodes(tree.root_plain()) * NODE_BYTES
+        reachable_nodes(tree.nodes(), tree.root_plain()) * NODE_BYTES
     );
 }
 
@@ -91,6 +91,6 @@ fn masstree_accounts_for_reachable_nodes_only() {
     race_ascending_puts(&rt, &tree);
     assert_eq!(
         tree.memory().structural_bytes,
-        reachable_nodes(tree.root_plain()) * NODE_BYTES
+        reachable_nodes(tree.nodes(), tree.root_plain()) * NODE_BYTES
     );
 }

@@ -16,7 +16,7 @@
 
 use std::sync::Arc;
 
-use euno_baselines::{HtmBTree, HtmMasstree, Leaf};
+use euno_baselines::{Guard, HtmBTree, HtmMasstree, Leaf};
 use euno_htm::{ConcurrentMap, NodeRef, Runtime, ThreadCtx};
 
 const PRELOAD: u64 = 300;
@@ -33,18 +33,16 @@ fn delta(ctx: &mut ThreadCtx, op: impl FnOnce(&mut ThreadCtx)) -> (u64, u64) {
 
 /// The counts along a quiescent tree's rightmost spine, root first, the
 /// leaf's last.
-fn spine<const F: usize>(root: NodeRef) -> Vec<usize> {
+fn spine<const F: usize>(nodes: Guard<F>, root: NodeRef) -> Vec<usize> {
     let mut counts = Vec::new();
     let mut cur = root;
-    // SAFETY: every node of the quiescent tree is kept by the tree, which
-    // outlives the walk, and a leaf pointer is to a `Leaf<F>`.
     while !cur.is_leaf() {
-        let node = unsafe { cur.as_index::<F>() };
+        let node = nodes.index_node(cur);
         let n = node.count.load_plain() as usize;
         counts.push(n);
         cur = NodeRef(node.child(n).load_plain());
     }
-    counts.push(unsafe { cur.as_leaf::<Leaf<F>>() }.count.load_plain() as usize);
+    counts.push(nodes.leaf(cur).count.load_plain() as usize);
     counts
 }
 
@@ -53,6 +51,7 @@ fn spine<const F: usize>(root: NodeRef) -> Vec<usize> {
 fn costs<T: ConcurrentMap, const F: usize>(
     new: fn(Arc<Runtime>) -> T,
     root: fn(&T) -> NodeRef,
+    nodes: fn(&T) -> Guard<'_, F>,
 ) -> Costs {
     let rt = Runtime::new_virtual();
     let tree = new(Arc::clone(&rt));
@@ -79,7 +78,7 @@ fn costs<T: ConcurrentMap, const F: usize>(
 
     let mut next = 2 * PRELOAD;
     let mut ascend_until = |ctx: &mut ThreadCtx, ready: &dyn Fn(&[usize]) -> bool| {
-        while !ready(&spine::<F>(root(&tree))) {
+        while !ready(&spine::<F>(nodes(&tree), root(&tree))) {
             tree.put(ctx, next, next + 1);
             next += 2;
         }
@@ -104,7 +103,7 @@ fn costs<T: ConcurrentMap, const F: usize>(
 
 #[test]
 fn htm_btree_16_costs() {
-    let got = costs::<_, 16>(HtmBTree::<16>::new, HtmBTree::root_plain);
+    let got = costs::<_, 16>(HtmBTree::<16>::new, HtmBTree::root_plain, HtmBTree::nodes);
     #[rustfmt::skip]
     let want = [
         (279, 16), (253, 15),   // get hit, miss
@@ -118,7 +117,7 @@ fn htm_btree_16_costs() {
 
 #[test]
 fn htm_btree_4_costs() {
-    let got = costs::<_, 4>(HtmBTree::<4>::new, HtmBTree::root_plain);
+    let got = costs::<_, 4>(HtmBTree::<4>::new, HtmBTree::root_plain, HtmBTree::nodes);
     #[rustfmt::skip]
     let want = [
         (363, 21), (360, 20),
@@ -134,7 +133,11 @@ fn htm_btree_4_costs() {
 /// bumps on top of `htm_btree_16_costs`' descent over the same shape.
 #[test]
 fn htm_masstree_costs() {
-    let got = costs::<_, 16>(HtmMasstree::new, HtmMasstree::root_plain);
+    let got = costs::<_, 16>(
+        HtmMasstree::new,
+        HtmMasstree::root_plain,
+        HtmMasstree::nodes,
+    );
     #[rustfmt::skip]
     let want = [
         (435, 38), (409, 37),

@@ -44,7 +44,7 @@
 use euno_htm::{EventKind, RetryPolicy, ThreadCtx, TxWord};
 
 use crate::ccm::Ccm;
-use crate::node::{EunoLeaf, NodeRef};
+use crate::node::{EunoLeaf, Guard, NodeRef};
 use crate::structural::LowerRegion;
 use crate::traverse::{LeafRead, Located};
 use crate::tree::{EunoBTree, Lower, Req};
@@ -175,120 +175,123 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         out.resize(ops.len(), None);
         scratch.singles.clear();
 
-        ctx.epoch_enter();
-        // Per-key program order across the batch: once any op on a key
-        // bails to the (deferred) singles pass, every later op on that
-        // key must bail too. The slice is key-sorted, so duplicates of a
-        // key are adjacent and a single watermark carries across group
-        // and chunk boundaries.
-        let mut bailed_key: Option<u64> = None;
-        // Carried across chunks: `(key, chain)` for the last op seen,
-        // where `chain` holds while every op so far on that key was an
-        // early-resolved get — the condition under which the next get on
-        // the key may also resolve during the upper stage without
-        // reordering against a pending write or a deferred single.
-        let mut run: Option<(u64, bool)> = None;
-        let mut base = 0;
-        while base < ops.len() {
-            let chunk = &ops[base..(base + UPPER_CHUNK).min(ops.len())];
+        ctx.pinned(|ctx, nodes| {
+            // Per-key program order across the batch: once any op on a key
+            // bails to the (deferred) singles pass, every later op on that
+            // key must bail too. The slice is key-sorted, so duplicates of a
+            // key are adjacent and a single watermark carries across group
+            // and chunk boundaries.
+            let mut bailed_key: Option<u64> = None;
+            // Carried across chunks: `(key, chain)` for the last op seen,
+            // where `chain` holds while every op so far on that key was an
+            // early-resolved get — the condition under which the next get on
+            // the key may also resolve during the upper stage without
+            // reordering against a pending write or a deferred single.
+            let mut run: Option<(u64, bool)> = None;
+            let mut base = 0;
+            while base < ops.len() {
+                let chunk = &ops[base..(base + UPPER_CHUNK).min(ops.len())];
 
-            // Step 1: the chunk's leaves, and its early gets — finished
-            // operations, published before the group stage (which skips
-            // their cells).
-            let mut leaves = [(0u64, 0u64, 0u32); UPPER_CHUNK];
-            let mut upper = [Upper::Group; UPPER_CHUNK];
-            // Where the previous key was located, while that pair is good
-            // for reuse: a key inside its range is on the same leaf (same
-            // pin, so nothing needs re-checking before the group does).
-            let mut prev: Option<Located<'_, SEGS, K>> = None;
-            for (j, op) in chunk.iter().enumerate() {
-                let key = op.key();
-                let chain = match run {
-                    Some((k, c)) if k == key => c,
-                    _ => true,
-                };
-                let early_ok =
-                    self.cfg.read_opt && op.req() == Req::Get && chain && bailed_key != Some(key);
-                let found = match prev.take() {
-                    // One walk's conflicts are counted once.
-                    Some(prev) if prev.covers(key) => Located {
-                        conflicts: 0,
-                        ..prev
-                    },
-                    _ => {
-                        let found = self.locate(ctx, key);
-                        stats.conflict_aborts += u64::from(found.conflicts);
-                        found
-                    }
-                };
-                leaves[j] = (
-                    NodeRef::of_leaf(found.leaf).to_word(),
-                    found.seqno,
-                    found.conflicts,
-                );
-                if early_ok {
-                    match self.read_leaf(ctx, found.leaf, found.seqno, key) {
-                        LeafRead::Value(value) => {
-                            out[base + j] = value;
-                            stats.opt_gets += 1;
-                            upper[j] = Upper::Early;
+                // Step 1: the chunk's leaves, and its early gets — finished
+                // operations, published before the group stage (which skips
+                // their cells).
+                let mut leaves = [(0u64, 0u64, 0u32); UPPER_CHUNK];
+                let mut upper = [Upper::Group; UPPER_CHUNK];
+                // Where the previous key was located, while that pair is good
+                // for reuse: a key inside its range is on the same leaf (same
+                // pin, so nothing needs re-checking before the group does).
+                let mut prev: Option<Located<'_, SEGS, K>> = None;
+                for (j, op) in chunk.iter().enumerate() {
+                    let key = op.key();
+                    let chain = match run {
+                        Some((k, c)) if k == key => c,
+                        _ => true,
+                    };
+                    let early_ok = self.cfg.read_opt
+                        && op.req() == Req::Get
+                        && chain
+                        && bailed_key != Some(key);
+                    let found = match prev.take() {
+                        // One walk's conflicts are counted once.
+                        Some(prev) if prev.covers(key) => Located {
+                            conflicts: 0,
+                            ..prev
+                        },
+                        _ => {
+                            let found = self.locate(ctx, nodes, key);
+                            stats.conflict_aborts += u64::from(found.conflicts);
+                            found
                         }
-                        LeafRead::Moved => upper[j] = Upper::Moved,
-                        LeafRead::Spent => {}
+                    };
+                    leaves[j] = (
+                        NodeRef::of_leaf(found.leaf).to_word(),
+                        found.seqno,
+                        found.conflicts,
+                    );
+                    if early_ok {
+                        match self.read_leaf(ctx, found.leaf, found.seqno, key) {
+                            LeafRead::Value(value) => {
+                                out[base + j] = value;
+                                stats.opt_gets += 1;
+                                upper[j] = Upper::Early;
+                            }
+                            LeafRead::Moved => upper[j] = Upper::Moved,
+                            LeafRead::Spent => {}
+                        }
                     }
+                    run = Some((key, upper[j] == Upper::Early));
+                    prev = (upper[j] != Upper::Moved).then_some(found);
                 }
-                run = Some((key, upper[j] == Upper::Early));
-                prev = (upper[j] != Upper::Moved).then_some(found);
-            }
 
-            // Step 2+3: same-leaf runs become groups.
-            let mut g = 0;
-            while g < chunk.len() {
-                if upper[g] == Upper::Moved {
-                    // Only now, with every earlier cell's group run, may
-                    // the per-key watermark move on to this key.
-                    scratch.singles.push((base + g) as u32);
-                    bailed_key = Some(chunk[g].key());
-                    g += 1;
-                    continue;
-                }
-                let (bits, seqno, _) = leaves[g];
-                let mut h = g + 1;
-                while h < chunk.len() && upper[h] != Upper::Moved && leaves[h].0 == bits {
-                    h += 1;
-                }
-                if upper[g..h].iter().all(|&u| u == Upper::Early) {
-                    // The whole group was answered episode-free.
+                // Step 2+3: same-leaf runs become groups.
+                let mut g = 0;
+                while g < chunk.len() {
+                    if upper[g] == Upper::Moved {
+                        // Only now, with every earlier cell's group run, may
+                        // the per-key watermark move on to this key.
+                        scratch.singles.push((base + g) as u32);
+                        bailed_key = Some(chunk[g].key());
+                        g += 1;
+                        continue;
+                    }
+                    let (bits, seqno, _) = leaves[g];
+                    let mut h = g + 1;
+                    while h < chunk.len() && upper[h] != Upper::Moved && leaves[h].0 == bits {
+                        h += 1;
+                    }
+                    if upper[g..h].iter().all(|&u| u == Upper::Early) {
+                        // The whole group was answered episode-free.
+                        g = h;
+                        continue;
+                    }
+                    self.exec_group(
+                        ctx,
+                        nodes,
+                        &chunk[g..h],
+                        base + g,
+                        nodes.leaf(NodeRef::from_word(bits)),
+                        seqno,
+                        leaves[g..h].iter().map(|l| l.2).sum(),
+                        &upper[g..h],
+                        &mut bailed_key,
+                        out,
+                        scratch,
+                        &mut stats,
+                    );
                     g = h;
-                    continue;
                 }
-                let leaf = unsafe { NodeRef::from_word(bits).as_leaf::<EunoLeaf<SEGS, K>>() };
-                self.exec_group(
-                    ctx,
-                    &chunk[g..h],
-                    base + g,
-                    leaf,
-                    seqno,
-                    leaves[g..h].iter().map(|l| l.2).sum(),
-                    &upper[g..h],
-                    &mut bailed_key,
-                    out,
-                    scratch,
-                    &mut stats,
-                );
-                g = h;
+                base += chunk.len();
             }
-            base += chunk.len();
-        }
 
-        // Bailed ops re-run through the ordinary single-op path (still
-        // under the batch's epoch pin, like `traverse` would pin itself).
-        stats.singles = scratch.singles.len() as u64;
-        for &idx in &scratch.singles {
-            let op = &ops[idx as usize];
-            out[idx as usize] = self.traverse_pinned(ctx, op.req(), op.key(), op.newval());
-        }
-        ctx.epoch_exit();
+            // Bailed ops re-run through the ordinary single-op path (still
+            // under the batch's epoch pin, like `traverse` would pin itself).
+            stats.singles = scratch.singles.len() as u64;
+            for &idx in &scratch.singles {
+                let op = &ops[idx as usize];
+                out[idx as usize] =
+                    self.traverse_pinned(ctx, nodes, op.req(), op.key(), op.newval());
+            }
+        });
 
         if ctx.tracing() {
             ctx.trace(EventKind::BatchExec {
@@ -307,6 +310,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
     fn exec_group(
         &self,
         ctx: &mut ThreadCtx,
+        g: Guard<'_, SEGS, K>,
         ops: &[BatchOp],
         batch_off: usize,
         leaf: &EunoLeaf<SEGS, K>,
@@ -412,7 +416,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                     }
                     tx.set_op_key(op.key());
                     let (req, key, newval) = (op.req(), op.key(), op.newval());
-                    match self.lower_body(tx, leaf, req, key, newval, &mut region)? {
+                    match self.lower_body(tx, g, leaf, req, key, newval, &mut region)? {
                         Lower::Done(v) => {
                             applied[j] = Some(v);
                             // A structural change (our own fallback-path

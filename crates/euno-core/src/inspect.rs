@@ -4,8 +4,8 @@
 use std::convert::Infallible;
 
 use crate::ccm::Ccm;
-use crate::node::{EunoLeaf, NodeRef, INTERNAL_FANOUT};
-use crate::segment::home_segment;
+use crate::node::{EunoLeaf, Guard, NodeRef, INTERNAL_FANOUT};
+use crate::segment::{home_segment, Segment};
 use crate::tree::EunoBTree;
 use euno_htm::{TxWord, TOMBSTONE};
 
@@ -39,71 +39,41 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
     /// but never unsound — the walk holds an epoch pin, so nodes a
     /// concurrent merge retires stay readable until it finishes.
     pub fn stats(&self) -> TreeStats {
-        let _pin = self.rt.epoch().pin_scoped();
-        let mut s = TreeStats::default();
+        self.pinned(|g| {
+            let mut s = TreeStats::default();
 
-        // Depth + internal count via a queue walk from the root.
-        let root = NodeRef::from_word(self.root_bits());
-        let mut frontier = vec![root];
-        while let Some(&first) = frontier.first() {
-            if first.is_leaf() {
-                break;
+            // Depth down the leftmost spine (every leaf is that deep), and
+            // every index node.
+            let mut cur = NodeRef::from_word(self.root_bits());
+            while !cur.is_leaf() {
+                s.depth += 1;
+                cur = NodeRef::from_word(g.index_node(cur).child0.load_plain());
             }
-            s.depth += 1;
-            let mut next = Vec::with_capacity(frontier.len() * 8);
-            for nref in frontier {
-                let node = unsafe { nref.as_index::<INTERNAL_FANOUT>() };
-                s.internals += 1;
-                let cnt = node.count.load_plain() as usize;
-                next.push(NodeRef::from_word(node.child0.load_plain()));
-                for j in 0..cnt {
-                    next.push(NodeRef::from_word(node.children[j].load_plain()));
-                }
-            }
-            frontier = next;
-        }
+            s.internals = self.index_lows_plain().len();
 
-        // Leaf layer via the chain.
-        let mut cur = root;
-        while !cur.is_leaf() {
-            cur = NodeRef::from_word(
-                unsafe { cur.as_index::<INTERNAL_FANOUT>() }
-                    .child0
-                    .load_plain(),
-            );
-        }
-        let capacity = EunoLeaf::<SEGS, K>::capacity();
-        let mut occupied_total = 0usize;
-        let mut bypassed = 0usize;
-        while !cur.is_null() {
-            let leaf = unsafe { cur.as_leaf::<EunoLeaf<SEGS, K>>() };
-            s.leaves += 1;
-            if leaf.ccm.bypass_plain() {
-                bypassed += 1;
-            }
-            let mut live = 0usize;
-            let mut occupied = 0usize;
-            for seg in &leaf.segs {
-                let cnt = seg.count_plain();
-                occupied += cnt;
-                for i in 0..cnt {
-                    if seg.val_cell(i).load_plain() != TOMBSTONE {
-                        live += 1;
-                    }
+            // Leaf layer via the chain.
+            let capacity = EunoLeaf::<SEGS, K>::capacity();
+            let mut occupied_total = 0usize;
+            let mut bypassed = 0usize;
+            for leaf in self.chain_plain(g) {
+                s.leaves += 1;
+                if leaf.ccm.bypass_plain() {
+                    bypassed += 1;
                 }
+                let live = Self::leaf_live_plain(leaf).len();
+                let occupied: usize = leaf.segs.iter().map(|seg| seg.count_plain()).sum();
+                occupied_total += occupied;
+                s.live_records += live;
+                s.tombstones += occupied - live;
+                let quarter = ((4 * live) / capacity.max(1)).min(3);
+                s.occupancy_quarters[quarter] += 1;
             }
-            occupied_total += occupied;
-            s.live_records += live;
-            s.tombstones += occupied - live;
-            let quarter = ((4 * live) / capacity.max(1)).min(3);
-            s.occupancy_quarters[quarter] += 1;
-            cur = NodeRef::from_word(leaf.next.load_plain());
-        }
-        if s.leaves > 0 {
-            s.leaf_fill = occupied_total as f64 / (s.leaves * capacity) as f64;
-            s.bypassed_fraction = bypassed as f64 / s.leaves as f64;
-        }
-        s
+            if s.leaves > 0 {
+                s.leaf_fill = occupied_total as f64 / (s.leaves * capacity) as f64;
+                s.bypassed_fraction = bypassed as f64 / s.leaves as f64;
+            }
+            s
+        })
     }
 
     /// Per-leaf `(address, seqno)` snapshot of the live chain, taken under
@@ -114,22 +84,11 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
     /// treat an address that left the chain and came back as a fresh
     /// identity (see `euno-check`'s `SeqnoWatch`).
     pub fn leaf_seqnos_plain(&self) -> Vec<(usize, u64)> {
-        let _pin = self.rt.epoch().pin_scoped();
-        let mut out = Vec::new();
-        let mut cur = NodeRef::from_word(self.root_bits());
-        while !cur.is_leaf() {
-            cur = NodeRef::from_word(
-                unsafe { cur.as_index::<INTERNAL_FANOUT>() }
-                    .child0
-                    .load_plain(),
-            );
-        }
-        while !cur.is_null() {
-            let leaf = unsafe { cur.as_leaf::<EunoLeaf<SEGS, K>>() };
-            out.push((leaf as *const _ as usize, leaf.seqno.load_plain()));
-            cur = NodeRef::from_word(leaf.next.load_plain());
-        }
-        out
+        self.pinned(|g| {
+            let seqno =
+                |leaf: &EunoLeaf<SEGS, K>| (leaf as *const _ as usize, leaf.seqno.load_plain());
+            self.chain_plain(g).map(seqno).collect()
+        })
     }
 
     /// Every index node's `(address, lower bound)` — the bound being what
@@ -140,42 +99,40 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
     /// missing from a later one or has a different bound there; `euno-check`'s
     /// `IndexWatch` compares snapshots for exactly that.
     pub fn index_lows_plain(&self) -> Vec<(usize, u64)> {
-        let mut out = Vec::new();
-        let mut stack = vec![(NodeRef::from_word(self.root_bits()), 0)];
-        while let Some((nref, low)) = stack.pop() {
-            if nref.is_leaf() || nref.is_null() {
-                continue;
+        self.pinned(|g| {
+            let mut out = Vec::new();
+            let mut stack = vec![(NodeRef::from_word(self.root_bits()), 0)];
+            while let Some((nref, low)) = stack.pop() {
+                if nref.is_leaf() || nref.is_null() {
+                    continue;
+                }
+                let node = g.index_node(nref);
+                out.push((node as *const _ as usize, low));
+                stack.push((NodeRef::from_word(node.child0.load_plain()), low));
+                let cnt = (node.count.load_plain() as usize).min(INTERNAL_FANOUT);
+                for j in 0..cnt {
+                    let child = NodeRef::from_word(node.children[j].load_plain());
+                    stack.push((child, node.keys[j].load_plain()));
+                }
             }
-            let node = unsafe { nref.as_index::<INTERNAL_FANOUT>() };
-            out.push((node as *const _ as usize, low));
-            stack.push((NodeRef::from_word(node.child0.load_plain()), low));
-            let cnt = (node.count.load_plain() as usize).min(INTERNAL_FANOUT);
-            for j in 0..cnt {
-                let child = NodeRef::from_word(node.children[j].load_plain());
-                stack.push((child, node.keys[j].load_plain()));
-            }
-        }
-        out
+            out
+        })
     }
 
     /// Plain (uninstrumented) root-to-leaf descent.
-    fn plain_descend(&self, key: u64) -> NodeRef {
-        let at = self.descend(key, None, |cell| Ok(cell.load_plain()));
+    fn plain_descend(&self, g: Guard<'_, SEGS, K>, key: u64) -> NodeRef {
+        let at = self.descend(g, key, None, |cell| Ok(cell.load_plain()));
         NodeRef::of_leaf(at.ok().flatten().expect("quiescent tree").leaf)
     }
 
     /// Live `(key, value)` records of one leaf, sorted, via plain loads.
-    fn leaf_live_plain(leaf: &EunoLeaf<SEGS, K>) -> Vec<(u64, u64)> {
-        let mut recs = Vec::new();
-        for seg in &leaf.segs {
-            let cnt = seg.count_plain();
-            for i in 0..cnt {
-                let v = seg.val_cell(i).load_plain();
-                if v != TOMBSTONE {
-                    recs.push((seg.key_cell(i).load_plain(), v));
-                }
-            }
-        }
+    pub(crate) fn leaf_live_plain(leaf: &EunoLeaf<SEGS, K>) -> Vec<(u64, u64)> {
+        let record =
+            |seg: &Segment<K>, i| (seg.key_cell(i).load_plain(), seg.val_cell(i).load_plain());
+        let mut recs: Vec<(u64, u64)> = (leaf.segs.iter())
+            .flat_map(|seg| (0..seg.count_plain()).map(move |i| record(seg, i)))
+            .filter(|&(_, v)| v != TOMBSTONE)
+            .collect();
         recs.sort_unstable_by_key(|&(k, _)| k);
         recs
     }
@@ -203,196 +160,176 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
     /// * a root descent for every live key lands on the leaf that holds it
     ///   (separator arithmetic agrees with record placement).
     pub fn audit_quiescent(&self) -> Vec<String> {
-        let _pin = self.rt.epoch().pin_scoped();
-        let mut viol = Vec::new();
-        macro_rules! report {
-            ($($arg:tt)*) => {
-                if viol.len() < MAX_VIOLATIONS {
-                    viol.push(format!($($arg)*));
-                } else {
-                    return viol;
-                }
-            };
-        }
-        let root = NodeRef::from_word(self.root_bits());
+        self.pinned(|g| {
+            let mut viol = Vec::new();
+            macro_rules! report {
+                ($($arg:tt)*) => {
+                    if viol.len() < MAX_VIOLATIONS {
+                        viol.push(format!($($arg)*));
+                    } else {
+                        return viol;
+                    }
+                };
+            }
+            let root = NodeRef::from_word(self.root_bits());
 
-        if self.fallback_cell().load_plain() != 0 {
-            report!("fallback lock held at quiescence");
-        }
-        if self.ctrl.root_lock.held_plain() != 0 {
-            report!("root lock held at quiescence");
-        }
-        if unsafe { root.parent_cell::<EunoLeaf<SEGS, K>, INTERNAL_FANOUT>() }.load_plain() != 0 {
-            report!("root has a non-null parent pointer");
-        }
+            if self.fallback_cell().load_plain() != 0 {
+                report!("fallback lock held at quiescence");
+            }
+            if self.ctrl.root_lock.held_plain() != 0 {
+                report!("root lock held at quiescence");
+            }
+            if g.parent_cell(root).load_plain() != 0 {
+                report!("root has a non-null parent pointer");
+            }
 
-        // In-order walk of the index. Children pop in left-to-right order.
-        let mut index_leaves: Vec<NodeRef> = Vec::new();
-        let mut stack = vec![root];
-        while let Some(nref) = stack.pop() {
-            if nref.is_null() {
-                report!("null child reachable from the index");
-                continue;
-            }
-            if nref.is_leaf() {
-                index_leaves.push(nref);
-                continue;
-            }
-            let node = unsafe { nref.as_index::<INTERNAL_FANOUT>() };
-            let cnt = node.count.load_plain() as usize;
-            if cnt > INTERNAL_FANOUT {
-                report!("internal {:#x} count {cnt} exceeds fanout", nref.to_word());
-                continue;
-            }
-            for j in 1..cnt {
-                let (a, b) = (node.keys[j - 1].load_plain(), node.keys[j].load_plain());
-                if a >= b {
-                    report!(
-                        "internal {:#x} separators not ascending at {j}: {a} ≥ {b}",
-                        nref.to_word()
-                    );
-                }
-            }
-            let me = NodeRef::of_index(node).to_word();
-            let mut kids = vec![NodeRef::from_word(node.child0.load_plain())];
-            for j in 0..cnt {
-                kids.push(NodeRef::from_word(node.children[j].load_plain()));
-            }
-            for &kid in &kids {
-                if kid.is_null() {
-                    report!("internal {:#x} has a null child", me);
+            // In-order walk of the index. Children pop in left-to-right order.
+            let mut index_leaves: Vec<NodeRef> = Vec::new();
+            let mut stack = vec![root];
+            while let Some(nref) = stack.pop() {
+                if nref.is_null() {
+                    report!("null child reachable from the index");
                     continue;
                 }
-                let back =
-                    unsafe { kid.parent_cell::<EunoLeaf<SEGS, K>, INTERNAL_FANOUT>() }.load_plain();
-                if back != me {
-                    report!(
-                        "child {:#x} of internal {:#x} has parent {:#x}",
-                        kid.to_word(),
-                        me,
-                        back
-                    );
+                if nref.is_leaf() {
+                    index_leaves.push(nref);
+                    continue;
                 }
-            }
-            for &kid in kids.iter().rev() {
-                if !kid.is_null() {
-                    stack.push(kid);
+                let node = g.index_node(nref);
+                let cnt = node.count.load_plain() as usize;
+                if cnt > INTERNAL_FANOUT {
+                    report!("internal {:#x} count {cnt} exceeds fanout", nref.to_word());
+                    continue;
                 }
+                for j in 1..cnt {
+                    let (a, b) = (node.keys[j - 1].load_plain(), node.keys[j].load_plain());
+                    if a >= b {
+                        report!(
+                            "internal {:#x} separators not ascending at {j}: {a} ≥ {b}",
+                            nref.to_word()
+                        );
+                    }
+                }
+                let me = NodeRef::of_index(node).to_word();
+                let mut kids = vec![NodeRef::from_word(node.child0.load_plain())];
+                for j in 0..cnt {
+                    kids.push(NodeRef::from_word(node.children[j].load_plain()));
+                }
+                for &kid in &kids {
+                    if kid.is_null() {
+                        report!("internal {:#x} has a null child", me);
+                        continue;
+                    }
+                    let back = g.parent_cell(kid).load_plain();
+                    if back != me {
+                        report!(
+                            "child {:#x} of internal {:#x} has parent {:#x}",
+                            kid.to_word(),
+                            me,
+                            back
+                        );
+                    }
+                }
+                stack.extend(kids.iter().rev().filter(|kid| !kid.is_null()));
             }
-        }
 
-        // Leaf chain, with cycle detection bounded by the index count.
-        let mut chain_leaves: Vec<NodeRef> = Vec::new();
-        let mut cur = root;
-        while !cur.is_leaf() {
-            cur = NodeRef::from_word(
-                unsafe { cur.as_index::<INTERNAL_FANOUT>() }
-                    .child0
-                    .load_plain(),
-            );
-        }
-        while !cur.is_null() {
+            // Leaf chain, with cycle detection bounded by the index count.
+            let chain = self.chain_plain(g).take(index_leaves.len() + 1);
+            let chain_leaves: Vec<NodeRef> = chain.map(NodeRef::of_leaf).collect();
             if chain_leaves.len() > index_leaves.len() {
                 report!("leaf chain longer than the index: cycle or leaked leaf");
-                break;
             }
-            chain_leaves.push(cur);
-            cur = NodeRef::from_word(
-                unsafe { cur.as_leaf::<EunoLeaf<SEGS, K>>() }
-                    .next
-                    .load_plain(),
-            );
-        }
-        if chain_leaves != index_leaves {
-            report!(
-                "index-reachable leaves ≠ chain sequence ({} vs {} leaves)",
-                index_leaves.len(),
-                chain_leaves.len()
-            );
-        }
-
-        // Per-leaf content invariants along the chain.
-        let mut prev_key: Option<u64> = None;
-        for &lref in &chain_leaves {
-            let leaf = unsafe { lref.as_leaf::<EunoLeaf<SEGS, K>>() };
-            let addr = lref.to_word();
-            if leaf.ccm.split_lock.held_plain() != 0 {
-                report!("leaf {addr:#x} split lock held at quiescence");
-            }
-            if leaf.ccm.locks_plain() != 0 {
+            if chain_leaves != index_leaves {
                 report!(
-                    "leaf {addr:#x} CCM lock bits {:#b} held at quiescence",
-                    leaf.ccm.locks_plain()
+                    "index-reachable leaves ≠ chain sequence ({} vs {} leaves)",
+                    index_leaves.len(),
+                    chain_leaves.len()
                 );
             }
-            // Placement: what the one-segment search stands on, for every
-            // record — a tombstone holds its slot like any other.
-            for (at, seg) in leaf.segs.iter().enumerate() {
-                for i in 0..seg.count_plain().min(K) {
-                    let key = seg.key_cell(i).load_plain();
-                    if i > 0 && seg.key_cell(i - 1).load_plain() >= key {
-                        report!("leaf {addr:#x} segment {at} not ascending at slot {i}");
-                    }
-                    let home = home_segment(key, SEGS);
-                    let before = (at + SEGS - home) % SEGS;
-                    if let Some(gap) = (0..before)
-                        .map(|j| (home + j) % SEGS)
-                        .find(|&j| leaf.segs[j].count_plain() < K)
-                    {
-                        report!(
-                            "leaf {addr:#x} key {key} (home {home}) is in segment {at}, \
+
+            // Per-leaf content invariants along the chain.
+            let mut prev_key: Option<u64> = None;
+            for &lref in &chain_leaves {
+                let leaf = g.leaf(lref);
+                let addr = lref.to_word();
+                if leaf.ccm.split_lock.held_plain() != 0 {
+                    report!("leaf {addr:#x} split lock held at quiescence");
+                }
+                if leaf.ccm.locks_plain() != 0 {
+                    report!(
+                        "leaf {addr:#x} CCM lock bits {:#b} held at quiescence",
+                        leaf.ccm.locks_plain()
+                    );
+                }
+                // Placement: what the one-segment search stands on, for every
+                // record — a tombstone holds its slot like any other.
+                for (at, seg) in leaf.segs.iter().enumerate() {
+                    for i in 0..seg.count_plain().min(K) {
+                        let key = seg.key_cell(i).load_plain();
+                        if i > 0 && seg.key_cell(i - 1).load_plain() >= key {
+                            report!("leaf {addr:#x} segment {at} not ascending at slot {i}");
+                        }
+                        let home = home_segment(key, SEGS);
+                        let before = (at + SEGS - home) % SEGS;
+                        if let Some(gap) = (0..before)
+                            .map(|j| (home + j) % SEGS)
+                            .find(|&j| leaf.segs[j].count_plain() < K)
+                        {
+                            report!(
+                                "leaf {addr:#x} key {key} (home {home}) is in segment {at}, \
                              past segment {gap} which has room"
-                        );
-                    }
-                    let Ok((found, probe)) =
-                        leaf.find(key, |cell| Ok::<_, Infallible>(cell.load_plain()));
-                    if !probe.hit || (found, probe.slot) != (at, i) {
-                        report!(
-                            "leaf {addr:#x} search for key {key} (segment {at} slot {i}) \
+                            );
+                        }
+                        let Ok((found, probe)) =
+                            leaf.find(key, |cell| Ok::<_, Infallible>(cell.load_plain()));
+                        if !probe.hit || (found, probe.slot) != (at, i) {
+                            report!(
+                                "leaf {addr:#x} search for key {key} (segment {at} slot {i}) \
                              ends at segment {found} slot {}, hit: {}",
-                            probe.slot,
-                            probe.hit
+                                probe.slot,
+                                probe.hit
+                            );
+                        }
+                    }
+                }
+                let recs = Self::leaf_live_plain(leaf);
+                for w in recs.windows(2) {
+                    if w[0].0 >= w[1].0 {
+                        report!(
+                            "leaf {addr:#x} keys not strictly ascending: {} ≥ {}",
+                            w[0].0,
+                            w[1].0
                         );
                     }
                 }
-            }
-            let recs = Self::leaf_live_plain(leaf);
-            for w in recs.windows(2) {
-                if w[0].0 >= w[1].0 {
-                    report!(
-                        "leaf {addr:#x} keys not strictly ascending: {} ≥ {}",
-                        w[0].0,
-                        w[1].0
-                    );
-                }
-            }
-            let marks = leaf.ccm.marks_plain();
-            for &(k, _) in &recs {
-                if let Some(p) = prev_key {
-                    if k <= p {
-                        report!("chain order violated: key {k} after {p}");
+                let marks = leaf.ccm.marks_plain();
+                for &(k, _) in &recs {
+                    if let Some(p) = prev_key {
+                        if k <= p {
+                            report!("chain order violated: key {k} after {p}");
+                        }
+                    }
+                    prev_key = Some(k);
+                    if self.cfg.ccm_mark_bits {
+                        let slot = Ccm::slot(k, Self::ccm_bits());
+                        if marks & (1u64 << slot) == 0 {
+                            report!("leaf {addr:#x} mark bits miss live key {k} (slot {slot})");
+                        }
+                    }
+                    let found = self.plain_descend(g, k);
+                    if found != lref {
+                        report!(
+                            "descent for key {k} lands on leaf {:#x}, but it lives in {addr:#x}",
+                            found.to_word()
+                        );
                     }
                 }
-                prev_key = Some(k);
-                if self.cfg.ccm_mark_bits {
-                    let slot = Ccm::slot(k, Self::ccm_bits());
-                    if marks & (1u64 << slot) == 0 {
-                        report!("leaf {addr:#x} mark bits miss live key {k} (slot {slot})");
-                    }
-                }
-                let found = self.plain_descend(k);
-                if found != lref {
-                    report!(
-                        "descent for key {k} lands on leaf {:#x}, but it lives in {addr:#x}",
-                        found.to_word()
-                    );
+                if viol.len() >= MAX_VIOLATIONS {
+                    return viol;
                 }
             }
-            if viol.len() >= MAX_VIOLATIONS {
-                return viol;
-            }
-        }
-        viol
+            viol
+        })
     }
 }
 
@@ -472,7 +409,7 @@ mod tests {
 
     #[test]
     fn audit_flags_forged_violations() {
-        use crate::node::{EunoLeaf, NodeRef, INTERNAL_FANOUT};
+        use crate::node::NodeRef;
         use euno_htm::TxWord;
         let rt = Runtime::new_virtual();
         let t = EunoBTreeDefault::new(Arc::clone(&rt));
@@ -483,43 +420,37 @@ mod tests {
         assert!(t.audit_quiescent().is_empty());
 
         // A leaked split lock is reported.
-        let mut cur = NodeRef::from_word(t.root_bits());
-        while !cur.is_leaf() {
-            cur = NodeRef::from_word(
-                unsafe { cur.as_index::<INTERNAL_FANOUT>() }
-                    .child0
-                    .load_plain(),
+        t.pinned(|g| {
+            let leaf = t.chain_plain(g).next().unwrap();
+            leaf.ccm.split_lock.acquire(&mut ctx);
+            let viol = t.audit_quiescent();
+            assert!(
+                viol.iter().any(|v| v.contains("split lock held")),
+                "{viol:?}"
             );
-        }
-        let leaf = unsafe { cur.as_leaf::<EunoLeaf<4, 4>>() };
-        leaf.ccm.split_lock.acquire(&mut ctx);
-        let viol = t.audit_quiescent();
-        assert!(
-            viol.iter().any(|v| v.contains("split lock held")),
-            "{viol:?}"
-        );
-        leaf.ccm.split_lock.release(&mut ctx);
+            leaf.ccm.split_lock.release(&mut ctx);
 
-        // Dropping a mark bit under a live key breaks the superset rule.
-        let saved = leaf.ccm.marks_plain();
-        leaf.ccm.install_marks_prepublication(0);
-        let viol = t.audit_quiescent();
-        assert!(
-            viol.iter().any(|v| v.contains("mark bits miss live key")),
-            "{viol:?}"
-        );
-        leaf.ccm.install_marks_prepublication(saved);
+            // Dropping a mark bit under a live key breaks the superset rule.
+            let saved = leaf.ccm.marks_plain();
+            leaf.ccm.install_marks_prepublication(0);
+            let viol = t.audit_quiescent();
+            assert!(
+                viol.iter().any(|v| v.contains("mark bits miss live key")),
+                "{viol:?}"
+            );
+            leaf.ccm.install_marks_prepublication(saved);
 
-        // Unlinking a leaf from the chain desynchronizes it from the index.
-        let saved_next = leaf.next.load_plain();
-        let skip = unsafe { NodeRef::from_word(saved_next).as_leaf::<EunoLeaf<4, 4>>() };
-        leaf.next.store_plain(skip.next.load_plain());
-        let viol = t.audit_quiescent();
-        assert!(
-            viol.iter().any(|v| v.contains("chain sequence")),
-            "{viol:?}"
-        );
-        leaf.next.store_plain(saved_next);
+            // Unlinking a leaf from the chain desynchronizes it from the index.
+            let saved_next = leaf.next.load_plain();
+            let skip = g.leaf(NodeRef::from_word(saved_next));
+            leaf.next.store_plain(skip.next.load_plain());
+            let viol = t.audit_quiescent();
+            assert!(
+                viol.iter().any(|v| v.contains("chain sequence")),
+                "{viol:?}"
+            );
+            leaf.next.store_plain(saved_next);
+        });
         assert!(t.audit_quiescent().is_empty());
     }
 
@@ -535,9 +466,7 @@ mod tests {
         // conflicts: the whole tree is calm.
         assert_eq!(t.stats().bypassed_fraction, 1.0);
         // Protect one leaf: the fraction follows.
-        ctx.epoch_enter();
-        t.locate(&mut ctx, 0).leaf.ccm.protect_prepublication();
-        ctx.epoch_exit();
+        ctx.pinned(|ctx, g| t.locate(ctx, g, 0).leaf.ccm.protect_prepublication());
         let s = t.stats();
         assert_eq!(s.bypassed_fraction, (s.leaves - 1) as f64 / s.leaves as f64);
     }

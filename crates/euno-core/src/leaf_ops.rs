@@ -13,7 +13,7 @@
 
 use euno_htm::{EventKind, Tx, TxCell, TxResult, TOMBSTONE};
 
-use crate::node::EunoLeaf;
+use crate::node::{EunoLeaf, Guard};
 use crate::probe;
 use crate::segment::{home_segment, Probe, HOME_ALU};
 use crate::structural::LowerRegion;
@@ -59,9 +59,11 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
     /// (nothing where there is one segment to find).
     pub(crate) const HOME_COST: u64 = if SEGS > 1 { HOME_ALU } else { 0 };
 
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn lower_body(
         &self,
         tx: &mut Tx<'_>,
+        g: Guard<'_, SEGS, K>,
         leaf: &EunoLeaf<SEGS, K>,
         req: Req,
         key: u64,
@@ -101,7 +103,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                     leaf.segs[seg].insert_at(tx, at, key, newval)?;
                     return Ok(Lower::Done(None));
                 }
-                self.insert_into_full(tx, leaf, key, newval, region)
+                self.insert_into_full(tx, g, leaf, key, newval, region)
             }
         }
     }
@@ -111,6 +113,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
     fn insert_into_full(
         &self,
         tx: &mut Tx<'_>,
+        g: Guard<'_, SEGS, K>,
         leaf: &EunoLeaf<SEGS, K>,
         key: u64,
         newval: u64,
@@ -148,7 +151,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             leaf
         } else {
             // Really full: sort, split, reorganize (lines 75-86).
-            self.split_leaf(tx, leaf, &records, key, region)?
+            self.split_leaf(tx, g, leaf, &records, key, region)?
         };
         // The new key, by the same rule as every other record.
         let mut seg = home_segment(key, SEGS);

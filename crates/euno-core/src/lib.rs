@@ -42,7 +42,7 @@ pub use batch::{BatchOp, BatchScratch, BatchStats, UPPER_CHUNK};
 pub use ccm::Ccm;
 pub use config::EunoConfig;
 pub use inspect::TreeStats;
-pub use node::{EunoLeaf, IndexNode, NodeRef, INTERNAL_FANOUT};
+pub use node::{EunoLeaf, Guard, IndexNode, NodeRef, INTERNAL_FANOUT};
 pub use segment::Segment;
 pub use traverse::Located;
 pub use tree::{EunoBTree, EunoBTreeDefault, EunoBTreeUnpartitioned};

@@ -122,6 +122,11 @@ impl<const SEGS: usize, const K: usize> ParentLinked for EunoLeaf<SEGS, K> {
 pub type NodeArenas<const S: usize, const K: usize> =
     euno_htm::NodeArenas<EunoLeaf<S, K>, INTERNAL_FANOUT>;
 
+/// What a tree of this geometry reads its nodes through, while the epoch
+/// pin that handed it out holds ([`euno_htm::Guard`]).
+pub type Guard<'g, const S: usize, const K: usize> =
+    euno_htm::Guard<'g, EunoLeaf<S, K>, INTERNAL_FANOUT>;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,15 +172,21 @@ mod tests {
         let lr = NodeRef::of_leaf(&*l);
         let ir = NodeRef::of_index(&i);
         assert!(lr.is_leaf() && !ir.is_leaf());
-        assert!(std::ptr::eq(unsafe { lr.as_leaf::<EunoLeaf<4, 4>>() }, &*l));
-        assert!(std::ptr::eq(
-            unsafe { ir.as_index::<INTERNAL_FANOUT>() },
-            &*i
-        ));
-        let pl = unsafe { lr.parent_cell::<EunoLeaf<4, 4>, INTERNAL_FANOUT>() };
-        assert!(std::ptr::eq(pl, &l.parent));
-        let pi = unsafe { ir.parent_cell::<EunoLeaf<4, 4>, INTERNAL_FANOUT>() };
-        assert!(std::ptr::eq(pi, &i.parent));
+        euno_htm::Collector::new().pinned(|g: Guard<4, 4>| {
+            assert!(std::ptr::eq(g.leaf(lr), &*l));
+            assert!(std::ptr::eq(g.index_node(ir), &*i));
+            assert!(std::ptr::eq(g.parent_cell(lr), &l.parent));
+            assert!(std::ptr::eq(g.parent_cell(ir), &i.parent));
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "is no node of that kind")]
+    fn a_guard_checks_the_kind() {
+        let i: Box<IndexNode<INTERNAL_FANOUT>> = Box::new(IndexNode::empty());
+        euno_htm::Collector::new().pinned(|g: Guard<4, 4>| {
+            g.leaf(NodeRef::of_index(&i));
+        });
     }
 
     #[test]

@@ -65,7 +65,7 @@ use euno_htm::{
     EventKind, LockWord, OwnLine, RetryPolicy, ThreadCtx, TxWord, KEY_SENTINEL, TOMBSTONE,
 };
 
-use crate::node::{EunoLeaf, NodeRef, INTERNAL_FANOUT};
+use crate::node::{EunoLeaf, Guard, NodeRef};
 use crate::probe;
 use crate::tree::EunoBTree;
 
@@ -213,48 +213,48 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         }
         // Pin across the chain walk: leaves merged away under it (by this
         // slice or a racing maintainer) must stay readable until it ends.
-        ctx.epoch_enter();
-        let mut left = self.locate(ctx, from).leaf;
-        let mut scratch = Vec::with_capacity(Self::capacity());
-        let mut view = self.view_leaf(ctx, left, &mut scratch);
-        let (mut pairs, mut merges) = (0usize, 0usize);
-        let resume = loop {
-            if view.next.is_null() {
-                break SWEEP_IDLE;
-            }
-            if pairs >= budget {
-                // A leaf without a record has no key to come back by:
-                // step over it rather than stop on it.
-                if let Some(key) = view.min_key {
-                    break key;
+        ctx.pinned(|ctx, g| {
+            let mut left = self.locate(ctx, g, from).leaf;
+            let mut scratch = Vec::with_capacity(Self::capacity());
+            let mut view = self.view_leaf(ctx, left, &mut scratch);
+            let (mut pairs, mut merges) = (0usize, 0usize);
+            let resume = loop {
+                if view.next.is_null() {
+                    break SWEEP_IDLE;
                 }
+                if pairs >= budget {
+                    // A leaf without a record has no key to come back by:
+                    // step over it rather than stop on it.
+                    if let Some(key) = view.min_key {
+                        break key;
+                    }
+                }
+                pairs += 1;
+                let right = g.leaf(view.next);
+                let right_view = self.view_leaf(ctx, right, &mut scratch);
+                if view.live + right_view.live <= Self::merge_bound()
+                    && self.try_merge(ctx, g, left, right)
+                {
+                    merges += 1;
+                    // Stay on `left`: it may now be mergeable with its new
+                    // successor too.
+                    view = self.view_leaf(ctx, left, &mut scratch);
+                } else {
+                    left = right;
+                    view = right_view;
+                }
+            };
+            ctx.metric_add(Counter::SweepSlices, 1);
+            ctx.metric_add(Counter::SweepMerges, merges as u64);
+            let mut total = self.sweep.merges.load(Ordering::Relaxed) + merges as u64;
+            if resume == SWEEP_IDLE {
+                ctx.trace(EventKind::Maintain { merges: total });
+                total = 0;
             }
-            pairs += 1;
-            let right = unsafe { view.next.as_leaf::<EunoLeaf<SEGS, K>>() };
-            let right_view = self.view_leaf(ctx, right, &mut scratch);
-            if view.live + right_view.live <= Self::merge_bound()
-                && self.try_merge(ctx, left, right)
-            {
-                merges += 1;
-                // Stay on `left`: it may now be mergeable with its new
-                // successor too.
-                view = self.view_leaf(ctx, left, &mut scratch);
-            } else {
-                left = right;
-                view = right_view;
-            }
-        };
-        ctx.metric_add(Counter::SweepSlices, 1);
-        ctx.metric_add(Counter::SweepMerges, merges as u64);
-        let mut total = self.sweep.merges.load(Ordering::Relaxed) + merges as u64;
-        if resume == SWEEP_IDLE {
-            ctx.trace(EventKind::Maintain { merges: total });
-            total = 0;
-        }
-        self.sweep.merges.store(total, Ordering::Relaxed);
-        self.sweep.resume.store(resume, Ordering::Relaxed);
-        ctx.epoch_exit();
-        merges
+            self.sweep.merges.store(total, Ordering::Relaxed);
+            self.sweep.resume.store(resume, Ordering::Relaxed);
+            merges
+        })
     }
 
     /// The pre-filter's look at one leaf: live-record count, smallest key
@@ -292,26 +292,27 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
     fn try_merge(
         &self,
         ctx: &mut ThreadCtx,
+        g: Guard<'_, SEGS, K>,
         left: &EunoLeaf<SEGS, K>,
         right: &EunoLeaf<SEGS, K>,
     ) -> bool {
         left.ccm.split_lock.acquire(ctx);
         right.ccm.split_lock.acquire(ctx);
 
-        let merged = self.merge_locked(ctx, left, right);
+        let merged = self.merge_locked(ctx, g, left, right);
 
         right.ccm.split_lock.release(ctx);
         left.ccm.split_lock.release(ctx);
         if merged {
             // Hand the unlinked right leaf to the epoch collector: freed
             // only after every thread pinned at (or before) the current
-            // epoch — including plain chain walkers under `pin_scoped` —
+            // epoch — including plain chain walkers under `pinned` —
             // has moved on. The caller's pin covers the unlink above.
             debug_assert!(ctx.epoch_pinned(), "merge retirement needs a pin");
             // Before the retirement, after the unlink: see
             // `retire_generation` for what hangs on the order.
             self.sweep.retired.fetch_add(1, Ordering::SeqCst);
-            self.arenas()
+            self.arenas
                 .leaves
                 .retire(self.rt.epoch(), right as *const EunoLeaf<SEGS, K>);
             right.forget_heat(&self.rt);
@@ -326,6 +327,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
     fn merge_locked(
         &self,
         ctx: &mut ThreadCtx,
+        g: Guard<'_, SEGS, K>,
         left: &EunoLeaf<SEGS, K>,
         right: &EunoLeaf<SEGS, K>,
     ) -> bool {
@@ -348,7 +350,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             if parent_bits == 0 || parent_bits != tx.read(&right.parent)? {
                 return Ok(false);
             }
-            let parent = unsafe { NodeRef::from_word(parent_bits).as_index::<INTERNAL_FANOUT>() };
+            let parent = g.index_node(NodeRef::from_word(parent_bits));
             let pcnt = tx.read(&parent.count)? as usize;
             let mut slot = None;
             let mut left_linked =
@@ -439,20 +441,17 @@ mod tests {
 
     use super::{SLICE_PAIRS, SWEEP_IDLE};
     use crate::config::EunoConfig;
-    use crate::node::{EunoLeaf, NodeRef, INTERNAL_FANOUT};
+    use crate::node::{EunoLeaf, Guard, NodeRef};
     use crate::tree::EunoBTreeDefault;
 
     /// Head of the leaf chain (quiesced tree).
-    fn first_leaf(t: &EunoBTreeDefault) -> &EunoLeaf<4, 4> {
-        let mut cur = NodeRef::from_word(t.root_bits());
-        while !cur.is_leaf() {
-            cur = NodeRef::from_word(
-                unsafe { cur.as_index::<INTERNAL_FANOUT>() }
-                    .child0
-                    .load_plain(),
-            );
-        }
-        unsafe { cur.as_leaf::<EunoLeaf<4, 4>>() }
+    fn first_leaf<'g>(t: &EunoBTreeDefault, g: Guard<'g, 4, 4>) -> &'g EunoLeaf<4, 4> {
+        t.chain_plain(g).next().unwrap()
+    }
+
+    /// The leaf after `leaf` on the chain.
+    fn next_leaf<'g>(g: Guard<'g, 4, 4>, leaf: &EunoLeaf<4, 4>) -> &'g EunoLeaf<4, 4> {
+        g.leaf(NodeRef::from_word(leaf.next.load_plain()))
     }
 
     #[test]
@@ -633,23 +632,22 @@ mod tests {
         let expected = t.collect_all_plain();
         assert_eq!(expected.len(), 10);
         // Three adjacent leaves under the (single) internal root.
-        let a = first_leaf(&t);
-        let b = unsafe { NodeRef::from_word(a.next.load_plain()).as_leaf::<EunoLeaf<4, 4>>() };
-        let c = unsafe { NodeRef::from_word(b.next.load_plain()).as_leaf::<EunoLeaf<4, 4>>() };
-        assert_eq!(a.parent.load_plain(), b.parent.load_plain());
-        assert_eq!(b.parent.load_plain(), c.parent.load_plain());
-
         // Calling try_merge directly stands in for maintain's inner loop,
         // so hold the epoch pin maintain would hold around it.
-        ctx.epoch_enter();
-        assert!(t.try_merge(&mut ctx, a, b), "setup merge must succeed");
-        // B is now unlinked, but B.next still points at C and B.parent is
-        // stale-valid: exactly what the racing walker would hold.
-        assert!(
-            !t.try_merge(&mut ctx, b, c),
-            "must refuse to merge into an unlinked leaf"
-        );
-        ctx.epoch_exit();
+        ctx.pinned(|ctx, g| {
+            let a = first_leaf(&t, g);
+            let b = next_leaf(g, a);
+            let c = next_leaf(g, b);
+            assert_eq!(a.parent.load_plain(), b.parent.load_plain());
+            assert_eq!(b.parent.load_plain(), c.parent.load_plain());
+            assert!(t.try_merge(ctx, g, a, b), "setup merge must succeed");
+            // B is now unlinked, but B.next still points at C and B.parent
+            // is stale-valid: exactly what the racing walker would hold.
+            assert!(
+                !t.try_merge(ctx, g, b, c),
+                "must refuse to merge into an unlinked leaf"
+            );
+        });
         assert_eq!(
             t.collect_all_plain(),
             expected,
@@ -814,32 +812,34 @@ mod tests {
         }
         // P | E: the first chain neighbours under different parents, so
         // the pair can never merge; N follows E.
-        let mut p = first_leaf(&t);
-        let e = loop {
-            let next =
-                unsafe { NodeRef::from_word(p.next.load_plain()).as_leaf::<EunoLeaf<4, 4>>() };
-            if next.parent.load_plain() != p.parent.load_plain() {
-                break next;
+        let (p_min, e_min, n_min) = t.pinned(|g| {
+            let mut p = first_leaf(&t, g);
+            let e = loop {
+                let next = next_leaf(g, p);
+                if next.parent.load_plain() != p.parent.load_plain() {
+                    break next;
+                }
+                p = next;
+            };
+            let n = next_leaf(g, e);
+            let min_key = |leaf: &EunoLeaf<4, 4>| {
+                let keys = leaf.segs.iter().filter(|s| s.count_plain() > 0);
+                keys.map(|s| s.key_cell(0).load_plain()).min().unwrap()
+            };
+            let (p_min, e_min, n_min) = (min_key(p), min_key(e), min_key(n));
+            // Fill N so the empty E cannot absorb it, then strip E of every
+            // record, tombstones included (a merge of two drained leaves
+            // leaves exactly this behind).
+            for k in n_min..n_min + 16 {
+                t.put(&mut ctx, k, k);
             }
-            p = next;
-        };
-        let n = unsafe { NodeRef::from_word(e.next.load_plain()).as_leaf::<EunoLeaf<4, 4>>() };
-        let min_key = |leaf: &EunoLeaf<4, 4>| {
-            let keys = leaf.segs.iter().filter(|s| s.count_plain() > 0);
-            keys.map(|s| s.key_cell(0).load_plain()).min().unwrap()
-        };
-        let (p_min, e_min, n_min) = (min_key(p), min_key(e), min_key(n));
-        // Fill N so the empty E cannot absorb it, then strip E of every
-        // record, tombstones included (a merge of two drained leaves
-        // leaves exactly this behind).
-        for k in n_min..n_min + 16 {
-            t.put(&mut ctx, k, k);
-        }
-        for k in e_min..n_min {
-            t.delete(&mut ctx, k);
-        }
-        ctx.htm_execute(t.fallback_cell(), &RetryPolicy::DBX, |tx| {
-            t.clear_segments(tx, e)
+            for k in e_min..n_min {
+                t.delete(&mut ctx, k);
+            }
+            ctx.htm_execute(t.fallback_cell(), &RetryPolicy::DBX, |tx| {
+                t.clear_segments(tx, e)
+            });
+            (p_min, e_min, n_min)
         });
         let leaves = t.leaf_count_plain();
 

@@ -12,7 +12,7 @@
 use euno_htm::euno_metrics::Counter;
 use euno_htm::{RetryPolicy, ThreadCtx, TxWord, TOMBSTONE};
 
-use crate::node::{EunoLeaf, NodeRef};
+use crate::node::{EunoLeaf, Guard, NodeRef};
 use crate::probe;
 use crate::tree::EunoBTree;
 
@@ -27,7 +27,7 @@ const STEP_TRIES: u32 = 16;
 
 /// Where the next leaf step starts: the chain successor and the `seqno` it
 /// had inside the section that read it. `None` ⇒ first step / chain end.
-type Hint<'t, const SEGS: usize, const K: usize> = Option<(&'t EunoLeaf<SEGS, K>, u64)>;
+type Hint<'g, const SEGS: usize, const K: usize> = Option<(&'g EunoLeaf<SEGS, K>, u64)>;
 
 impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
     /// Walk the leaf chain from the leaf covering `from`, appending up to
@@ -54,25 +54,25 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
     ) -> usize {
         let start = out.len();
         let mut cursor = from;
-        let mut hint = None;
         // Pinned throughout: hinted leaves must outlive merge retirements.
-        ctx.epoch_enter();
-        while out.len() - start < count {
-            hint = self.leaf_step(ctx, cursor, hint, tries, out);
-            // Advance past the last delivered key. At the top of the
-            // keyspace there is no "past" (a saturating add would pin the
-            // cursor and re-deliver that key forever): stop there.
-            if let Some(&(k, _)) = out[start..].last() {
-                match k.checked_add(1) {
-                    Some(c) => cursor = c,
-                    None => break,
+        ctx.pinned(|ctx, g| {
+            let mut hint = None;
+            while out.len() - start < count {
+                hint = self.leaf_step(ctx, g, cursor, hint, tries, out);
+                // Advance past the last delivered key. At the top of the
+                // keyspace there is no "past" (a saturating add would pin the
+                // cursor and re-deliver that key forever): stop there.
+                if let Some(&(k, _)) = out[start..].last() {
+                    match k.checked_add(1) {
+                        Some(c) => cursor = c,
+                        None => break,
+                    }
+                }
+                if hint.is_none() {
+                    break;
                 }
             }
-            if hint.is_none() {
-                break;
-            }
-        }
-        ctx.epoch_exit();
+        });
         out.truncate(start.saturating_add(count));
         out.len() - start
     }
@@ -89,21 +89,22 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
     /// first — and it only grows under the pin, so reading `s1` in a
     /// validated section before the step and in its last means it read
     /// `s1` throughout: the sections are atomic images of disjoint key sets.
-    fn leaf_step<'t>(
-        &'t self,
+    fn leaf_step<'g>(
+        &self,
         ctx: &mut ThreadCtx,
+        g: Guard<'g, SEGS, K>,
         cursor: u64,
-        mut hint: Hint<'t, SEGS, K>,
+        mut hint: Hint<'g, SEGS, K>,
         mut tries: u32,
         out: &mut Vec<(u64, u64)>,
-    ) -> Hint<'t, SEGS, K> {
+    ) -> Hint<'g, SEGS, K> {
         let base = out.len();
         'walk: while tries > 0 {
             // No pair (first step, or the hinted leaf has split or been
             // merged away): walk to the cursor's leaf — as its own stage,
             // so a retried leaf read never re-walks the index.
             let (leaf, s1) = hint.unwrap_or_else(|| {
-                let at = self.locate(ctx, cursor);
+                let at = self.locate(ctx, g, cursor);
                 (at.leaf, at.seqno)
             });
             hint = Some((leaf, s1));
@@ -120,7 +121,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                     }
                     let n = NodeRef::from_word(leaf.next.load_direct(ctx));
                     next = (!n.is_null()).then(|| {
-                        let n = unsafe { n.as_leaf::<EunoLeaf<SEGS, K>>() };
+                        let n = g.leaf(n);
                         (n, n.seqno.load_direct(ctx))
                     });
                     let stands = leaf.seqno.load_direct(ctx) == s1;
@@ -146,23 +147,24 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         // The last try's unvalidated read is still on the tail.
         out.truncate(base);
         ctx.metric_add(Counter::ScanLockedSteps, 1);
-        self.leaf_step_locked(ctx, cursor, hint, out)
+        self.leaf_step_locked(ctx, g, cursor, hint, out)
     }
 
     /// The locked rung of [`Self::leaf_step`] (§4.2.4 as the paper has
     /// it): split lock plus one HTM region, re-finding the cursor's leaf
     /// while its `seqno` moves. Ends on the fallback lock at worst.
-    fn leaf_step_locked<'t>(
-        &'t self,
+    fn leaf_step_locked<'g>(
+        &self,
         ctx: &mut ThreadCtx,
+        g: Guard<'g, SEGS, K>,
         cursor: u64,
-        mut hint: Hint<'t, SEGS, K>,
+        mut hint: Hint<'g, SEGS, K>,
         out: &mut Vec<(u64, u64)>,
-    ) -> Hint<'t, SEGS, K> {
+    ) -> Hint<'g, SEGS, K> {
         let base = out.len();
         loop {
             let (leaf, seqno) = hint.take().unwrap_or_else(|| {
-                let at = self.locate(ctx, cursor);
+                let at = self.locate(ctx, g, cursor);
                 (at.leaf, at.seqno)
             });
             leaf.ccm.split_lock.acquire(ctx);
@@ -182,7 +184,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                 if next.is_null() {
                     return Ok(Some(None));
                 }
-                let n = unsafe { next.as_leaf::<EunoLeaf<SEGS, K>>() };
+                let n = g.leaf(next);
                 Ok(Some(Some((n, tx.read(&n.seqno)?))))
             });
             leaf.ccm.split_lock.release(ctx);
@@ -216,7 +218,7 @@ mod tests {
     use euno_htm::{ConcurrentMap, RetryPolicy, Runtime, ThreadCtx, TxWord};
 
     use super::STEP_TRIES;
-    use crate::node::{EunoLeaf, NodeRef};
+    use crate::node::NodeRef;
     use crate::probe;
     use crate::tree::EunoBTreeDefault;
 
@@ -293,19 +295,21 @@ mod tests {
         let t = EunoBTreeDefault::new(Arc::clone(&rt));
         let mut ctx = rt.thread(1);
         t.put(&mut ctx, 10, 100);
-        let leaf = unsafe { NodeRef::from_word(t.root_bits()).as_leaf::<EunoLeaf<4, 4>>() };
-        // Forge a record at the top of the keyspace and a self-loop hop.
-        ctx.htm_execute(t.fallback_cell(), &RetryPolicy::DBX, |tx| {
-            leaf.segs[1].insert(tx, u64::MAX, 7)?;
-            Ok(())
+        t.pinned(|g| {
+            let leaf = g.leaf(NodeRef::from_word(t.root_bits()));
+            // Forge a record at the top of the keyspace and a self-loop hop.
+            ctx.htm_execute(t.fallback_cell(), &RetryPolicy::DBX, |tx| {
+                leaf.segs[1].insert(tx, u64::MAX, 7)?;
+                Ok(())
+            });
+            leaf.next.store_plain(NodeRef::of_leaf(leaf).to_word());
+            for tries in [0, STEP_TRIES] {
+                let out = scan_on_rung(&t, &mut ctx, 0, usize::MAX, tries);
+                assert_eq!(out, vec![(10, 100), (u64::MAX, 7)], "tries={tries}");
+            }
+            // Un-forge the chain so drop-time audits see a sane tree.
+            leaf.next.store_plain(0);
         });
-        leaf.next.store_plain(NodeRef::of_leaf(leaf).to_word());
-        for tries in [0, STEP_TRIES] {
-            let out = scan_on_rung(&t, &mut ctx, 0, usize::MAX, tries);
-            assert_eq!(out, vec![(10, 100), (u64::MAX, 7)], "tries={tries}");
-        }
-        // Un-forge the chain so drop-time audits see a sane tree.
-        leaf.next.store_plain(0);
     }
 
     #[test]

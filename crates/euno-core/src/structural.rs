@@ -9,7 +9,7 @@
 //! inside the lower region so index edits stay atomic.
 
 use crate::ccm::Ccm;
-use crate::node::{EunoLeaf, IndexNode, NodeRef, INTERNAL_FANOUT};
+use crate::node::{EunoLeaf, Guard, IndexNode, NodeRef, INTERNAL_FANOUT};
 use crate::probe;
 use crate::tree::EunoBTree;
 use euno_htm::bptree::{promote, Linked};
@@ -39,15 +39,16 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
     /// contents (already drained from the segments); each half is re-placed
     /// over its node's segments by the probe-path rule. Returns the half
     /// that should receive `key`.
-    pub(crate) fn split_leaf<'t>(
-        &'t self,
+    pub(crate) fn split_leaf<'g>(
+        &'g self,
         tx: &mut Tx<'_>,
-        leaf: &'t EunoLeaf<SEGS, K>,
+        g: Guard<'g, SEGS, K>,
+        leaf: &'g EunoLeaf<SEGS, K>,
         records: &[(u64, u64)],
         key: u64,
         region: &mut LowerRegion,
-    ) -> TxResult<&'t EunoLeaf<SEGS, K>> {
-        let right: &'t EunoLeaf<SEGS, K> = self.arenas.leaves.alloc(EunoLeaf::empty());
+    ) -> TxResult<&'g EunoLeaf<SEGS, K>> {
+        let right: &EunoLeaf<SEGS, K> = self.arenas.leaves.alloc(EunoLeaf::empty());
         right.register(&self.rt);
         region.unpublished.push(NodeRef::of_leaf(right));
         let mid = records.len() / 2;
@@ -98,6 +99,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         // or given a new lower bound — `euno-check`'s `IndexWatch` fails
         // `stress` on the change that breaks it.
         let mut climb = Linked {
+            nodes: g,
             arenas: &self.arenas,
             rt: &self.rt,
             root: &self.ctrl.root,
@@ -166,7 +168,7 @@ mod tests {
         }
         assert!(ctx.stats.aborts.spurious > 20, "the load met no aborts");
         let stats = t.stats();
-        let arenas = t.arenas();
+        let arenas = &t.arenas;
         assert_eq!(
             (arenas.leaves.node_count(), arenas.internals.node_count()),
             (stats.leaves, stats.internals)

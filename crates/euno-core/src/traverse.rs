@@ -34,7 +34,7 @@ use euno_htm::{AbortCause, Anchor, RetryPolicy, ThreadCtx, TxCell, TxResult, TxW
 use euno_rng::Rng;
 
 use crate::ccm::Ccm;
-use crate::node::{EunoLeaf, NodeRef, INTERNAL_FANOUT};
+use crate::node::{EunoLeaf, Guard, NodeRef, INTERNAL_FANOUT};
 use crate::probe;
 use crate::structural::LowerRegion;
 use crate::tree::{EunoBTree, Lower, Req};
@@ -94,8 +94,8 @@ const HINT_BLOCK_SHIFT: u32 = 3;
 const SUBTREE_BLOCK_SHIFT: u32 = 10;
 
 /// What a [descent](EunoBTree::descend) found.
-pub(crate) struct Descent<'t, const SEGS: usize, const K: usize> {
-    pub leaf: &'t EunoLeaf<SEGS, K>,
+pub(crate) struct Descent<'g, const SEGS: usize, const K: usize> {
+    pub leaf: &'g EunoLeaf<SEGS, K>,
     /// The leaf's `[low, high)`: the separators that bound the path taken.
     /// `high` is exact only if the descent started at the root or
     /// `narrowed`.
@@ -115,8 +115,8 @@ pub(crate) struct Descent<'t, const SEGS: usize, const K: usize> {
 
 /// What the upper stage hands over: a leaf, the `seqno` it had while it
 /// covered `[low, high)`, and the conflict aborts spent finding it.
-pub struct Located<'t, const SEGS: usize, const K: usize> {
-    pub leaf: &'t EunoLeaf<SEGS, K>,
+pub struct Located<'g, const SEGS: usize, const K: usize> {
+    pub leaf: &'g EunoLeaf<SEGS, K>,
     pub seqno: u64,
     /// The leaf's key range as the index had it: the separators that
     /// bound the path taken (`0` / `u64::MAX` where there is none).
@@ -150,7 +150,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
     /// an unvalidated loader can meet; its caller retries. Every child
     /// word is stored word-atomically by writers, so a sampled pointer is
     /// always either the old or the new node, and retired nodes stay
-    /// readable under the caller's epoch pin.
+    /// readable under the pin `g` stands for.
     ///
     /// Beside the leaf, the `[low, high)` it covers: every level's search
     /// narrows the range to the separators around the child it took, so
@@ -170,12 +170,13 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
     /// for word what a descent from the root reads in the same snapshot;
     /// without the proof it is nothing (the node may have split and the
     /// key gone right) and the caller starts over at the root.
-    pub(crate) fn descend(
+    pub(crate) fn descend<'g>(
         &self,
+        g: Guard<'g, SEGS, K>,
         key: u64,
         from: Option<Anchor>,
         mut load: impl FnMut(&TxCell<u64>) -> TxResult<u64>,
-    ) -> TxResult<Option<Descent<'_, SEGS, K>>> {
+    ) -> TxResult<Option<Descent<'g, SEGS, K>>> {
         let (mut cur, low) = match from {
             Some([node, low]) => (NodeRef(node), low),
             None => (NodeRef::from_word(load(&self.ctrl.root)?), 0),
@@ -190,7 +191,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             if cur.is_null() || levels > 64 {
                 return Ok(None);
             }
-            let node = unsafe { cur.as_index::<INTERNAL_FANOUT>() };
+            let node = g.index_node(cur);
             // (From an anchor the upper bound is unknown until narrowed,
             // and nothing is filed: the thread has its entry.)
             if from.is_none() && range.0 <= block && block_last < range.1 {
@@ -224,7 +225,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             cur = NodeRef::from_word(load(node.child(taken))?);
         }
         Ok((cur.0 & !1 != 0).then(|| Descent {
-            leaf: unsafe { cur.as_leaf::<EunoLeaf<SEGS, K>>() },
+            leaf: g.leaf(cur),
             low: range.0,
             high: range.1,
             levels,
@@ -235,20 +236,24 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
 
     /// Algorithm 2 lines 23-28 as the paper has them: one HTM region
     /// finds the leaf and reads its version.
-    fn upper_region(&self, ctx: &mut ThreadCtx, key: u64) -> Located<'_, SEGS, K> {
+    fn upper_region<'g>(
+        &self,
+        ctx: &mut ThreadCtx,
+        g: Guard<'g, SEGS, K>,
+        key: u64,
+    ) -> Located<'g, SEGS, K> {
         let out = ctx.htm_execute(&self.ctrl.fallback, &RetryPolicy::DBX, |tx| {
             tx.set_op_key(key);
             // A transaction reads a consistent index; an attempt that did
             // not is doomed, so abort it rather than follow the pointer.
             let at = self
-                .descend(key, None, |cell| tx.read(cell))?
+                .descend(g, key, None, |cell| tx.read(cell))?
                 .ok_or(AbortCause::Explicit(0x11))?;
-            let seq = tx.read(&at.leaf.seqno)?;
-            Ok((NodeRef::of_leaf(at.leaf).to_word(), seq, at.low, at.high))
+            Ok((at.leaf, tx.read(&at.leaf.seqno)?, at.low, at.high))
         });
-        let (bits, seqno, low, high) = out.value;
+        let (leaf, seqno, low, high) = out.value;
         Located {
-            leaf: unsafe { NodeRef::from_word(bits).as_leaf::<EunoLeaf<SEGS, K>>() },
+            leaf,
             seqno,
             low,
             high,
@@ -322,8 +327,13 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
     /// comes back because `seqno` had moved is never handed the same pair;
     /// a walk from the root replaces the subtree hint if it has one to
     /// give.
-    pub fn locate(&self, ctx: &mut ThreadCtx, key: u64) -> Located<'_, SEGS, K> {
-        self.locate_then(ctx, key, |_, _| ()).0
+    pub fn locate<'g>(
+        &self,
+        ctx: &mut ThreadCtx,
+        g: Guard<'g, SEGS, K>,
+        key: u64,
+    ) -> Located<'g, SEGS, K> {
+        self.locate_then(ctx, g, key, |_, _| ()).0
     }
 
     /// [`EunoBTree::locate`], and `tail` run on the leaf inside the walk's
@@ -333,15 +343,15 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
     /// returned, with no second section and no second `seqno` load. (A
     /// tail that runs on a rejected walk is run again on the next; its
     /// value is only ever that of the section that held.)
-    pub(crate) fn locate_then<T>(
+    pub(crate) fn locate_then<'g, T>(
         &self,
         ctx: &mut ThreadCtx,
+        g: Guard<'g, SEGS, K>,
         key: u64,
         mut tail: impl FnMut(&mut ThreadCtx, &EunoLeaf<SEGS, K>) -> T,
-    ) -> (Located<'_, SEGS, K>, Option<T>) {
-        debug_assert!(ctx.epoch_pinned(), "the leaf hand-over needs a pin");
+    ) -> (Located<'g, SEGS, K>, Option<T>) {
         if !self.cfg.read_opt {
-            return (self.upper_region(ctx, key), None);
+            return (self.upper_region(ctx, g, key), None);
         }
         let block = key >> HINT_BLOCK_SHIFT;
         // One load serves both ends of the generation rule: it follows this
@@ -354,7 +364,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                 // The generation first: only a hint it vouches for names
                 // memory that is still a leaf of this tree.
                 if recorded_at == generation || probe::mutated("hint:any-generation") {
-                    let leaf = unsafe { NodeRef::from_word(bits).as_leaf::<EunoLeaf<SEGS, K>>() };
+                    let leaf = g.leaf(NodeRef::from_word(bits));
                     if leaf.seqno.load_direct(ctx) == seqno {
                         ctx.metric_add(Counter::LeafHintHits, 1);
                         let at = Located {
@@ -377,13 +387,13 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         let tail_inside = !probe::mutated("get:leaf-read-after-section");
         let walk = self.validated_section(ctx, key, &mut { LOCATE_TRIES }, |ctx| {
             let mut at = self
-                .descend(key, from, |cell| Ok(cell.load_direct(ctx)))
+                .descend(g, key, from, |cell| Ok(cell.load_direct(ctx)))
                 .ok()??;
             if from.is_some() && !at.narrowed && !probe::mutated("subtree:trust-unnarrowed") {
                 from = None;
                 ctx.metric_add(Counter::SubtreeHintUnusable, 1);
                 at = self
-                    .descend(key, None, |cell| Ok(cell.load_direct(ctx)))
+                    .descend(g, key, None, |cell| Ok(cell.load_direct(ctx)))
                     .ok()??;
             }
             if from.is_none() {
@@ -418,7 +428,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                 };
                 (at, out)
             }
-            None => (self.upper_region(ctx, key), None),
+            None => (self.upper_region(ctx, g, key), None),
         };
         let bits = NodeRef::of_leaf(at.leaf).to_word();
         ctx.hint_record(
@@ -441,15 +451,13 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         // upper to the lower region must survive a concurrent merge's
         // retirement (the epoch collector frees it only after this pin —
         // which predates the unlink — is released).
-        ctx.epoch_enter();
-        let out = self.traverse_pinned(ctx, req, key, newval);
-        ctx.epoch_exit();
-        out
+        ctx.pinned(|ctx, g| self.traverse_pinned(ctx, g, req, key, newval))
     }
 
     pub(crate) fn traverse_pinned(
         &self,
         ctx: &mut ThreadCtx,
+        g: Guard<'_, SEGS, K>,
         req: Req,
         key: u64,
         newval: u64,
@@ -462,9 +470,9 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                 && self.cfg.read_opt
                 && ctx.rng().gen_range(0..GET_TWO_STEP_ONE_IN) != 0;
             let (located, answer) = if episode_free {
-                self.locate_then(ctx, key, |ctx, leaf| self.read_record(ctx, leaf, key))
+                self.locate_then(ctx, g, key, |ctx, leaf| self.read_record(ctx, leaf, key))
             } else {
-                (self.locate(ctx, key), None)
+                (self.locate(ctx, g, key), None)
             };
             if let Some(value) = answer {
                 return value;
@@ -522,7 +530,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                     if tx.read(&leaf.seqno)? != seqno {
                         return Ok(Lower::Inconsistent);
                     }
-                    self.lower_body(tx, leaf, req, key, newval, &mut region)
+                    self.lower_body(tx, g, leaf, req, key, newval, &mut region)
                 });
                 (out.value, out.conflict_aborts)
             };
@@ -597,19 +605,19 @@ mod tests {
     use euno_rng::{Rng, SmallRng};
 
     use super::{Descent, SUBTREE_BLOCK_SHIFT};
-    use crate::node::{EunoLeaf, NodeRef, INTERNAL_FANOUT};
+    use crate::node::{EunoLeaf, Guard, NodeRef};
     use crate::tree::EunoBTreeDefault;
 
     /// Every leaf with the range the index gives it, in key order: a plain
     /// in-order traversal that hands each child the separators around it.
     fn ranges_by_full_traversal(t: &EunoBTreeDefault) -> Vec<(usize, u64, u64)> {
-        fn visit(node: NodeRef, low: u64, high: u64, out: &mut Vec<(usize, u64, u64)>) {
+        type Out = Vec<(usize, u64, u64)>;
+        fn visit(g: Guard<4, 4>, node: NodeRef, low: u64, high: u64, out: &mut Out) {
             if node.is_leaf() {
-                let leaf = unsafe { node.as_leaf::<EunoLeaf<4, 4>>() };
-                out.push((leaf as *const EunoLeaf<4, 4> as usize, low, high));
+                out.push((g.leaf(node) as *const EunoLeaf<4, 4> as usize, low, high));
                 return;
             }
-            let n = unsafe { node.as_index::<INTERNAL_FANOUT>() };
+            let n = g.index_node(node);
             let cnt = n.count.load_plain() as usize;
             let seps: Vec<u64> = (0..cnt).map(|i| n.keys[i].load_plain()).collect();
             for i in 0..=cnt {
@@ -619,11 +627,12 @@ mod tests {
                 };
                 let lo = if i == 0 { low } else { seps[i - 1] };
                 let hi = if i == cnt { high } else { seps[i] };
-                visit(NodeRef::from_word(child.load_plain()), lo, hi, out);
+                visit(g, NodeRef::from_word(child.load_plain()), lo, hi, out);
             }
         }
         let mut out = Vec::new();
-        visit(NodeRef::from_word(t.root_bits()), 0, u64::MAX, &mut out);
+        let root = NodeRef::from_word(t.root_bits());
+        t.pinned(|g| visit(g, root, 0, u64::MAX, &mut out));
         out
     }
 
@@ -681,64 +690,66 @@ mod tests {
             // what its walks filed and nothing else.
             let mut hinted = rt.thread(2);
             let mut anchored = 0;
-            ctx.epoch_enter();
-            hinted.epoch_enter();
-            for i in 0..10_000 {
-                let key = match i % 4 {
-                    // Both ends of the keyspace; on, just below and just
-                    // above a stored key — where the separators are — and
-                    // anywhere at all.
-                    _ if i < 2 => [0, u64::MAX][i],
-                    0 => keys[rng.gen_range(0..keys.len())],
-                    1 => keys[rng.gen_range(0..keys.len())].saturating_sub(1),
-                    2 => keys[rng.gen_range(0..keys.len())] + 1,
-                    _ => rng.gen_range(0..u64::MAX),
-                };
-                let want_key = want(key);
-                let plain = t.descend(key, None, |c| Ok(c.load_plain())).unwrap();
-                let anchor = plain.as_ref().expect("quiescent tree").anchor;
-                let direct = flat(
-                    t.descend(key, None, |c| Ok(c.load_direct(&mut ctx)))
-                        .unwrap(),
-                );
-                let tx = ctx
-                    .htm_execute(t.fallback_cell(), &RetryPolicy::DBX, |tx| {
-                        Ok(flat(t.descend(key, None, |c| tx.read(c))?))
-                    })
-                    .value;
-                assert_eq!(flat(plain), want_key, "plain loads, key {key}");
-                assert_eq!(direct, want_key, "direct loads, key {key}");
-                assert_eq!(tx, want_key, "transactional reads, key {key}");
+            ctx.pinned(|ctx, g| {
+                hinted.pinned(|hinted, _: Guard<4, 4>| {
+                    for i in 0..10_000 {
+                        let key = match i % 4 {
+                            // Both ends of the keyspace; on, just below and just
+                            // above a stored key — where the separators are — and
+                            // anywhere at all.
+                            _ if i < 2 => [0, u64::MAX][i],
+                            0 => keys[rng.gen_range(0..keys.len())],
+                            1 => keys[rng.gen_range(0..keys.len())].saturating_sub(1),
+                            2 => keys[rng.gen_range(0..keys.len())] + 1,
+                            _ => rng.gen_range(0..u64::MAX),
+                        };
+                        let want_key = want(key);
+                        let plain = t.descend(g, key, None, |c| Ok(c.load_plain())).unwrap();
+                        let anchor = plain.as_ref().expect("quiescent tree").anchor;
+                        let direct =
+                            flat(t.descend(g, key, None, |c| Ok(c.load_direct(ctx))).unwrap());
+                        let tx = ctx
+                            .htm_execute(t.fallback_cell(), &RetryPolicy::DBX, |tx| {
+                                Ok(flat(t.descend(g, key, None, |c| tx.read(c))?))
+                            })
+                            .value;
+                        assert_eq!(flat(plain), want_key, "plain loads, key {key}");
+                        assert_eq!(direct, want_key, "direct loads, key {key}");
+                        assert_eq!(tx, want_key, "transactional reads, key {key}");
 
-                // From the anchor: the key it was returned for narrows
-                // (that is the rule an anchor is chosen by); any other key
-                // of its block either narrows too, and then ends where a
-                // descent from the root does, or says it did not.
-                if let Some(anchor) = anchor {
-                    anchored += 1;
-                    let block = key >> SUBTREE_BLOCK_SHIFT << SUBTREE_BLOCK_SHIFT;
-                    let last = block | ((1 << SUBTREE_BLOCK_SHIFT) - 1);
-                    for other in [key, block, last, rng.gen_range(block..last)] {
-                        let at = t
-                            .descend(other, Some(anchor), |c| Ok(c.load_plain()))
-                            .unwrap()
-                            .expect("quiescent tree");
-                        assert!(at.narrowed || other != key, "key {key}: its own anchor");
-                        if at.narrowed {
-                            assert_eq!(flat(Some(at)), want(other), "anchored, key {other}");
-                        } else {
-                            assert_eq!(at.high, u64::MAX, "an unproven bound, key {other}");
+                        // From the anchor: the key it was returned for narrows
+                        // (that is the rule an anchor is chosen by); any other key
+                        // of its block either narrows too, and then ends where a
+                        // descent from the root does, or says it did not.
+                        if let Some(anchor) = anchor {
+                            anchored += 1;
+                            let block = key >> SUBTREE_BLOCK_SHIFT << SUBTREE_BLOCK_SHIFT;
+                            let last = block | ((1 << SUBTREE_BLOCK_SHIFT) - 1);
+                            for other in [key, block, last, rng.gen_range(block..last)] {
+                                let at = t
+                                    .descend(g, other, Some(anchor), |c| Ok(c.load_plain()))
+                                    .unwrap()
+                                    .expect("quiescent tree");
+                                assert!(at.narrowed || other != key, "key {key}: its own anchor");
+                                if at.narrowed {
+                                    assert_eq!(
+                                        flat(Some(at)),
+                                        want(other),
+                                        "anchored, key {other}"
+                                    );
+                                } else {
+                                    assert_eq!(at.high, u64::MAX, "an unproven bound, key {other}");
+                                }
+                            }
                         }
-                    }
-                }
 
-                let at = t.locate(&mut hinted, key);
-                let got = (at.leaf as *const EunoLeaf<4, 4> as usize, at.low, at.high);
-                assert_eq!(got, want_key, "locate, key {key}");
-                assert_eq!(at.seqno, at.leaf.seqno.load_plain(), "locate, key {key}");
-            }
-            ctx.epoch_exit();
-            hinted.epoch_exit();
+                        let at = t.locate(hinted, g, key);
+                        let got = (at.leaf as *const EunoLeaf<4, 4> as usize, at.low, at.high);
+                        assert_eq!(got, want_key, "locate, key {key}");
+                        assert_eq!(at.seqno, at.leaf.seqno.load_plain(), "locate, key {key}");
+                    }
+                })
+            });
             // All three rungs answered, or the loop above compared less
             // than it says. (Unusable on a quiescent tree: the key sits in
             // the rightmost leaf under an anchor filed for a neighbour.)

@@ -29,7 +29,7 @@ use euno_htm::{
 
 use crate::ccm::Ccm;
 use crate::config::EunoConfig;
-use crate::node::{EunoLeaf, NodeArenas, NodeRef, INTERNAL_FANOUT};
+use crate::node::{EunoLeaf, Guard, NodeArenas, NodeRef};
 use crate::rebalance::Sweep;
 
 /// The Euno-B+Tree. `SEGS` segments of `K` slots per leaf
@@ -122,10 +122,6 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         self.ctrl.root.load_plain()
     }
 
-    pub(crate) fn arenas(&self) -> &NodeArenas<SEGS, K> {
-        &self.arenas
-    }
-
     pub(crate) fn fallback_cell(&self) -> &TxCell<u64> {
         &self.ctrl.fallback
     }
@@ -152,58 +148,42 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         Ok(())
     }
 
+    /// Run `f` with a guard over this tree's nodes, pinned through a
+    /// temporary participant: for the plain walkers, which have no
+    /// `ThreadCtx`. A leaf a merge retires meanwhile stays readable.
+    pub fn pinned<R>(&self, f: impl for<'g> FnOnce(Guard<'g, SEGS, K>) -> R) -> R {
+        self.rt.epoch().pinned(f)
+    }
+
+    /// The leaf chain, head first, by plain loads.
+    pub(crate) fn chain_plain<'g>(
+        &self,
+        g: Guard<'g, SEGS, K>,
+    ) -> impl Iterator<Item = &'g EunoLeaf<SEGS, K>> {
+        let mut head = NodeRef::from_word(self.root_bits());
+        while !head.is_leaf() {
+            head = NodeRef::from_word(g.index_node(head).child0.load_plain());
+        }
+        std::iter::successors(Some(g.leaf(head)), move |leaf| {
+            let next = NodeRef::from_word(leaf.next.load_plain());
+            (!next.is_null()).then(|| g.leaf(next))
+        })
+    }
+
     /// Number of leaves currently linked into the chain (uninstrumented
     /// diagnostic).
     pub fn leaf_count_plain(&self) -> usize {
-        // Pin: concurrent maintenance retires merged-away leaves to the
-        // epoch collector; the chain hop through one must stay readable.
-        let _pin = self.rt.epoch().pin_scoped();
-        let mut cur = NodeRef::from_word(self.root_bits());
-        while !cur.is_leaf() {
-            cur = NodeRef::from_word(
-                unsafe { cur.as_index::<INTERNAL_FANOUT>() }
-                    .child0
-                    .load_plain(),
-            );
-        }
-        let mut n = 0;
-        while !cur.is_null() {
-            n += 1;
-            cur = NodeRef::from_word(
-                unsafe { cur.as_leaf::<EunoLeaf<SEGS, K>>() }
-                    .next
-                    .load_plain(),
-            );
-        }
-        n
+        self.pinned(|g| self.chain_plain(g).count())
     }
 
     /// Uninstrumented whole-tree audit: every live record in key order.
     /// Test/diagnostic helper — not concurrency safe.
     pub fn collect_all_plain(&self) -> Vec<(u64, u64)> {
-        let _pin = self.rt.epoch().pin_scoped();
-        let mut out = Vec::new();
-        let mut cur = NodeRef::from_word(self.ctrl.root.load_plain());
-        while !cur.is_leaf() {
-            cur = NodeRef::from_word(
-                unsafe { cur.as_index::<INTERNAL_FANOUT>() }
-                    .child0
-                    .load_plain(),
-            );
-        }
-        while !cur.is_null() {
-            let leaf = unsafe { cur.as_leaf::<EunoLeaf<SEGS, K>>() };
-            let mut recs = Vec::new();
-            for seg in &leaf.segs {
-                for i in 0..seg.count_plain() {
-                    recs.push((seg.key_cell(i).load_plain(), seg.val_cell(i).load_plain()));
-                }
-            }
-            recs.sort_unstable_by_key(|&(k, _)| k);
-            out.extend(recs.into_iter().filter(|&(_, v)| v != TOMBSTONE));
-            cur = NodeRef::from_word(leaf.next.load_plain());
-        }
-        out
+        self.pinned(|g| {
+            self.chain_plain(g)
+                .flat_map(Self::leaf_live_plain)
+                .collect()
+        })
     }
 }
 
@@ -308,16 +288,18 @@ mod tests {
     fn mark_bits_short_circuit_definite_misses() {
         let (_rt, t, mut ctx) = paper_tree();
         t.put(&mut ctx, 1, 10);
-        let leaf_bits = t.ctrl.root.load_plain();
-        let leaf = unsafe { NodeRef::from_word(leaf_bits).as_leaf::<EunoLeaf<4, 4>>() };
         // The CCM only filters while the leaf is protected (a calm fresh
         // leaf bypasses it by default).
-        leaf.ccm.protect_prepublication();
+        let marks = t.pinned(|g| {
+            let leaf = t.chain_plain(g).next().unwrap();
+            leaf.ccm.protect_prepublication();
+            leaf.ccm.marks_plain()
+        });
         // A key hashing to an unmarked slot must be answered without
         // entering the lower region: count commits before/after.
         let commits_before = ctx.metric(euno_htm::euno_metrics::Counter::Commits);
         let mut probe = 1000u64;
-        while leaf.ccm.marks_plain() & (1 << Ccm::slot(probe, 32)) != 0 {
+        while marks & (1 << Ccm::slot(probe, 32)) != 0 {
             probe += 1;
         }
         assert_eq!(t.get(&mut ctx, probe), None);
@@ -499,28 +481,30 @@ mod tests {
     fn adaptive_bypass_lifecycle() {
         let (_rt, t, mut ctx) = paper_tree();
         t.put(&mut ctx, 1, 1);
-        let leaf =
-            unsafe { NodeRef::from_word(t.ctrl.root.load_plain()).as_leaf::<EunoLeaf<4, 4>>() };
-        // Fresh leaves start bypassed (no contention history)…
-        assert!(leaf.ccm.bypass_plain());
-        // …split-born nodes inherit that, so a calm load stays bypassed…
-        for k in 0..100u64 {
-            t.put(&mut ctx, k, k);
-        }
-        assert_eq!(t.stats().bypassed_fraction, 1.0);
-        // …and calm traffic on a bypassed leaf opens no detector window.
-        assert_eq!(leaf.ccm.epoch_plain(), 0);
-        // A protected leaf earns its bypass back with one calm window of
-        // operations that ran under its lock bits.
-        leaf.ccm.protect_prepublication();
-        for _ in 0..t.config().adaptive_window - 1 {
+        // The first leaf: the root now, the head of the chain after splits.
+        t.pinned(|g| {
+            let leaf = t.chain_plain(g).next().unwrap();
+            // Fresh leaves start bypassed (no contention history)…
+            assert!(leaf.ccm.bypass_plain());
+            // …split-born nodes inherit that, so a calm load stays bypassed…
+            for k in 0..100u64 {
+                t.put(&mut ctx, k, k);
+            }
+            assert_eq!(t.stats().bypassed_fraction, 1.0);
+            // …and calm traffic on a bypassed leaf opens no detector window.
+            assert_eq!(leaf.ccm.epoch_plain(), 0);
+            // A protected leaf earns its bypass back with one calm window of
+            // operations that ran under its lock bits.
+            leaf.ccm.protect_prepublication();
+            for _ in 0..t.config().adaptive_window - 1 {
+                t.get(&mut ctx, 1);
+                assert!(!leaf.ccm.bypass_plain());
+            }
             t.get(&mut ctx, 1);
-            assert!(!leaf.ccm.bypass_plain());
-        }
-        t.get(&mut ctx, 1);
-        assert!(leaf.ccm.bypass_plain(), "calm leaf must bypass CCM");
-        assert_eq!(t.get(&mut ctx, 1), Some(1));
-        assert_eq!(t.get(&mut ctx, 999_999), None);
+            assert!(leaf.ccm.bypass_plain(), "calm leaf must bypass CCM");
+            assert_eq!(t.get(&mut ctx, 1), Some(1));
+            assert_eq!(t.get(&mut ctx, 999_999), None);
+        });
     }
 
     #[test]

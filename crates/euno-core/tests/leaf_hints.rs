@@ -6,7 +6,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use euno_core::{probe, EunoBTreeDefault, EunoConfig, EunoLeaf};
+use euno_core::{probe, EunoBTreeDefault, EunoConfig, EunoLeaf, NodeRef};
 use euno_htm::euno_metrics::Counter;
 use euno_htm::{ConcurrentMap, Runtime, ThreadCtx};
 use euno_rng::{Rng, SmallRng};
@@ -21,16 +21,11 @@ type Model = BTreeMap<u64, u64>;
 
 /// Address, `seqno` and key range of the leaf `locate` hands over.
 fn located(tree: &EunoBTreeDefault, ctx: &mut ThreadCtx, key: u64) -> (usize, u64, u64, u64) {
-    ctx.epoch_enter();
-    let at = tree.locate(ctx, key);
-    let out = (
-        at.leaf as *const EunoLeaf<4, 4> as usize,
-        at.seqno,
-        at.low,
-        at.high,
-    );
-    ctx.epoch_exit();
-    out
+    ctx.pinned(|ctx, g| {
+        let at = tree.locate(ctx, g, key);
+        let leaf = at.leaf as *const EunoLeaf<4, 4> as usize;
+        (leaf, at.seqno, at.low, at.high)
+    })
 }
 
 /// `seqno` of the chained leaf at `addr`, if one lives there.
@@ -99,9 +94,11 @@ fn fixture() -> Fixture {
     // parent, i.e. not be a first child.
     let g = (groups.len() / 2..groups.len() - 1)
         .find(|&g| {
-            let leaf = unsafe { &*(groups[g].0 as *const EunoLeaf<4, 4>) };
-            let parent = unsafe { euno_core::NodeRef(leaf.parent.load_plain()).as_index::<16>() };
-            parent.child0.load_plain() != euno_core::NodeRef::of_leaf(leaf).0
+            let leaf = NodeRef(groups[g].0 as u64 | 1);
+            tree.pinned(|nodes| {
+                let parent = nodes.index_node(NodeRef(nodes.leaf(leaf).parent.load_plain()));
+                parent.child0.load_plain() != leaf.0
+            })
         })
         .expect("a leaf that is not a first child");
     let (left, right) = (groups[g - 1].1.clone(), groups[g].1.clone());

@@ -150,12 +150,11 @@ fn build(rt: &Arc<Runtime>) -> (EunoBTreeDefault, [u64; 3]) {
 }
 
 fn locate(tree: &EunoBTreeDefault, ctx: &mut ThreadCtx, key: u64) -> u64 {
-    ctx.epoch_enter();
-    let start = ctx.clock;
-    tree.locate(ctx, key);
-    let cycles = ctx.clock - start;
-    ctx.epoch_exit();
-    cycles
+    ctx.pinned(|ctx, g| {
+        let start = ctx.clock;
+        tree.locate(ctx, g, key);
+        ctx.clock - start
+    })
 }
 
 fn get(tree: &EunoBTreeDefault, ctx: &mut ThreadCtx, key: u64) -> u64 {

@@ -28,11 +28,10 @@ type Model = BTreeMap<u64, u64>;
 
 /// Address and key range of the leaf `locate` hands over.
 fn located(tree: &EunoBTreeDefault, ctx: &mut ThreadCtx, key: u64) -> (usize, u64, u64) {
-    ctx.epoch_enter();
-    let at = tree.locate(ctx, key);
-    let out = (at.leaf as *const EunoLeaf<4, 4> as usize, at.low, at.high);
-    ctx.epoch_exit();
-    out
+    ctx.pinned(|ctx, g| {
+        let at = tree.locate(ctx, g, key);
+        (at.leaf as *const EunoLeaf<4, 4> as usize, at.low, at.high)
+    })
 }
 
 fn hits(ctx: &ThreadCtx) -> u64 {
@@ -92,9 +91,7 @@ fn fixture_on(rt: Arc<Runtime>, preloaded: u64) -> Fixture {
         match leaves.last_mut() {
             Some((leaf, group)) if *leaf == at => group.keys.push(key),
             _ => {
-                let parent = unsafe { &*(at as *const EunoLeaf<4, 4>) }
-                    .parent
-                    .load_plain();
+                let parent = tree.pinned(|g| g.leaf(NodeRef(at as u64 | 1)).parent.load_plain());
                 leaves.push((
                     at,
                     LeafAt {
@@ -159,9 +156,8 @@ impl Fixture {
     /// The index node above the leaf that covers `key` now.
     fn parent_of(&mut self, key: u64) -> u64 {
         let leaf = located(&self.tree, &mut self.b, key).0;
-        unsafe { &*(leaf as *const EunoLeaf<4, 4>) }
-            .parent
-            .load_plain()
+        let leaf = NodeRef(leaf as u64 | 1);
+        self.tree.pinned(|g| g.leaf(leaf).parent.load_plain())
     }
 
     /// Runs of chain-adjacent leaves under one index node: `(first, len)`.
@@ -185,9 +181,11 @@ impl Fixture {
             .iter()
             .map(|&(first, len)| first + len - 2)
             .find(|&l| {
-                let node = unsafe { NodeRef(self.leaves[l].parent).as_index::<16>() };
-                let above = unsafe { NodeRef(node.parent.load_plain()).as_index::<16>() };
-                let last = above.children[above.count.load_plain() as usize - 1].load_plain();
+                let last = self.tree.pinned(|g| {
+                    let node = g.index_node(NodeRef(self.leaves[l].parent));
+                    let above = g.index_node(NodeRef(node.parent.load_plain()));
+                    above.children[above.count.load_plain() as usize - 1].load_plain()
+                });
                 self.leaves[l].keys[0].is_multiple_of(BLOCK)
                     && self.leaves[l + 1].keys[0] / BLOCK == self.leaves[l].keys[0] / BLOCK
                     && last != self.leaves[l].parent

@@ -45,11 +45,10 @@ type Model = Rc<RefCell<BTreeMap<u64, u64>>>;
 
 /// Address and `seqno` of the leaf `locate` hands over for `key`.
 fn located(tree: &EunoBTreeDefault, ctx: &mut ThreadCtx, key: u64) -> (usize, u64) {
-    ctx.epoch_enter();
-    let found = tree.locate(ctx, key);
-    let at = (found.leaf as *const EunoLeaf<4, 4> as usize, found.seqno);
-    ctx.epoch_exit();
-    at
+    ctx.pinned(|ctx, g| {
+        let found = tree.locate(ctx, g, key);
+        (found.leaf as *const EunoLeaf<4, 4> as usize, found.seqno)
+    })
 }
 
 fn chained(tree: &EunoBTreeDefault, leaf: usize) -> bool {
@@ -104,11 +103,11 @@ impl Stage {
         let groups = leaf_groups(&tree, &mut ctx);
         let g = (groups.len() / 2..groups.len() - 1)
             .find(|&g| {
-                ctx.epoch_enter();
-                let leaf = tree.locate(&mut ctx, groups[g][0]).leaf;
-                let parent = unsafe { NodeRef(leaf.parent.load_plain()).as_index::<16>() };
-                ctx.epoch_exit();
-                parent.child0.load_plain() != NodeRef::of_leaf(leaf).0
+                ctx.pinned(|ctx, nodes| {
+                    let leaf = tree.locate(ctx, nodes, groups[g][0]).leaf;
+                    let parent = nodes.index_node(NodeRef(leaf.parent.load_plain()));
+                    parent.child0.load_plain() != NodeRef::of_leaf(leaf).0
+                })
             })
             .expect("a leaf that is not a first child");
         let (sibling, group) = (groups[g - 1].clone(), groups[g].clone());
@@ -242,9 +241,8 @@ fn handover(cfg: EunoConfig, between: Between, op: Op) {
     if episode_free_get {
         // Protected, a conflict-control stage on the leaf is two
         // read-modify-writes: the count below would show one.
-        unsafe { &*(leaf0 as *const EunoLeaf<4, 4>) }
-            .ccm
-            .protect_prepublication();
+        let leaf0 = NodeRef(leaf0 as u64 | 1);
+        tree.pinned(|g| g.leaf(leaf0).ccm.protect_prepublication());
     }
     // The interrupter is a fresh thread whose clock starts at 0: keep the
     // interrupted one ahead of everything it will commit, so what this
@@ -623,10 +621,14 @@ enum Landing {
 }
 
 /// The segment of `leaf` that holds `key` (live or tombstoned).
-fn segment_of(leaf: &EunoLeaf<4, 4>, key: u64) -> Option<usize> {
-    leaf.segs
-        .iter()
-        .position(|seg| (0..seg.count_plain()).any(|i| seg.key_cell(i).load_plain() == key))
+/// The segment of the leaf at `leaf` (an address `located` returned)
+/// that holds `key`, if any does.
+fn segment_of(tree: &EunoBTreeDefault, leaf: usize, key: u64) -> Option<usize> {
+    tree.pinned(|g| {
+        let segs = &g.leaf(NodeRef(leaf as u64 | 1)).segs;
+        segs.iter()
+            .position(|seg| (0..seg.count_plain()).any(|i| seg.key_cell(i).load_plain() == key))
+    })
 }
 
 /// Run `landing` the `skip + 1`-th time this thread passes `tag`.
@@ -678,12 +680,11 @@ fn scan_with_landing(landing: Landing, read: usize, mutation: Option<&'static st
     let (tree, model) = (&stage.tree, &stage.model);
     let from = stage.group[0];
     let (leaf0, seqno0) = located(tree, &mut ctx, from);
-    let leaf = unsafe { &*(leaf0 as *const EunoLeaf<4, 4>) };
     let in_segment = |wanted: &dyn Fn(usize) -> bool| {
         let found = stage
             .group
             .iter()
-            .find(|&&k| wanted(segment_of(leaf, k).unwrap()));
+            .find(|&&k| wanted(segment_of(tree, leaf0, k).unwrap()));
         *found.unwrap_or_else(|| panic!("{what}: no preloaded key in such a segment"))
     };
     let (behind, ahead) = (in_segment(&|s| s < read), in_segment(&|s| s >= read));
@@ -706,10 +707,10 @@ fn scan_with_landing(landing: Landing, read: usize, mutation: Option<&'static st
             .filter(|&key| home_segment(key, 4) == home)
             .find(|&key| {
                 stage.put(&mut ctx, key, key + 1);
-                segment_of(leaf, key) != Some(home)
+                segment_of(tree, leaf0, key) != Some(home)
             });
         let spilled = spilled.unwrap_or_else(|| panic!("{what}: nothing spilled"));
-        assert_eq!(segment_of(leaf, spilled), Some(read), "{what}");
+        assert_eq!(segment_of(tree, leaf0, spilled), Some(read), "{what}");
         assert_eq!(located(tree, &mut ctx, from), (leaf0, seqno0), "{what}");
     }
     let before = model.borrow().clone();
@@ -725,7 +726,7 @@ fn scan_with_landing(landing: Landing, read: usize, mutation: Option<&'static st
                 let mut other = stage.rt.thread(2);
                 let landed_behind = stage.fillers().take(6).any(|key| {
                     stage.put(&mut other, key, key + 1);
-                    segment_of(leaf, key).is_some_and(|s| s < read)
+                    segment_of(&stage.tree, leaf0, key).is_some_and(|s| s < read)
                 });
                 assert!(landed_behind, "{what}: no insert landed in a read segment");
             }

@@ -209,6 +209,7 @@ impl TransientBytes {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Guard;
 
     #[test]
     fn alloc_counts_bytes_and_nodes() {
@@ -229,13 +230,13 @@ mod tests {
         a.alloc(1);
         let second = a.alloc(2) as *const u64;
 
-        let pin = epoch.pin_scoped();
-        assert!(a.retire(&epoch, second));
-        assert_eq!(a.node_count(), 1);
-        assert_eq!(a.live_bytes(), 8);
-        assert_eq!(a.retired_pending_bytes(), 8);
-        assert_eq!(a.reclaimed_bytes(), 0);
-        drop(pin);
+        epoch.pinned(|_: Guard<u64, 0>| {
+            assert!(a.retire(&epoch, second));
+            assert_eq!(a.node_count(), 1);
+            assert_eq!(a.live_bytes(), 8);
+            assert_eq!(a.retired_pending_bytes(), 8);
+            assert_eq!(a.reclaimed_bytes(), 0);
+        });
 
         epoch.collect();
         epoch.collect();
@@ -251,9 +252,10 @@ mod tests {
         let a: Arena<u64> = Arena::new();
         let epoch = Collector::new();
         let node = a.alloc(1) as *const u64;
-        let _pin = epoch.pin_scoped();
-        assert!(a.retire(&epoch, node));
-        a.retire(&epoch, node);
+        epoch.pinned(|_: Guard<u64, 0>| {
+            assert!(a.retire(&epoch, node));
+            a.retire(&epoch, node);
+        });
     }
 
     #[test]

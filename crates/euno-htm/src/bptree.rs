@@ -17,6 +17,7 @@
 //! DESIGN.md §4.9.
 
 use std::convert::Infallible;
+use std::marker::PhantomData;
 
 use crate::abort::{AbortCause, TxResult};
 use crate::arena::Arena;
@@ -287,38 +288,6 @@ impl NodeRef {
     pub fn is_leaf(self) -> bool {
         self.0 & 1 == 1
     }
-
-    /// # Safety
-    /// `self` must have been created by [`NodeRef::of_leaf`] on an `L` from
-    /// an arena that outlives `'a` (a tree reclaims a node when it drops,
-    /// or after the grace period of a retirement its readers are pinned
-    /// against).
-    #[inline]
-    pub unsafe fn as_leaf<'a, L>(self) -> &'a L {
-        debug_assert!(self.is_leaf() && !self.is_null());
-        &*((self.0 & !1) as *const L)
-    }
-
-    /// # Safety
-    /// As [`NodeRef::as_leaf`], for index nodes of fanout `F`.
-    #[inline]
-    pub unsafe fn as_index<'a, const F: usize>(self) -> &'a IndexNode<F> {
-        debug_assert!(!self.is_leaf() && !self.is_null());
-        &*(self.0 as *const IndexNode<F>)
-    }
-
-    /// The node's parent-pointer cell, whatever its kind.
-    ///
-    /// # Safety
-    /// As [`NodeRef::as_leaf`] and [`NodeRef::as_index`].
-    #[inline]
-    pub unsafe fn parent_cell<'a, L: ParentLinked + 'a, const F: usize>(self) -> &'a TxCell<u64> {
-        if self.is_leaf() {
-            self.as_leaf::<L>().parent()
-        } else {
-            &self.as_index::<F>().parent
-        }
-    }
 }
 
 impl TxWord for NodeRef {
@@ -327,6 +296,79 @@ impl TxWord for NodeRef {
     }
     fn from_word(w: u64) -> Self {
         NodeRef(w)
+    }
+}
+
+/// The one way from a [`NodeRef`] to a node: read access to a tree's nodes
+/// for `'g`, handed out by what keeps them alive — an epoch pin
+/// ([`ThreadCtx::pinned`], [`Collector::pinned`](crate::Collector::pinned))
+/// or, for a tree that frees no node before it drops, its arenas
+/// ([`NodeArenas::until_drop`]) — for a scope `'g` cannot leave. `L` and
+/// `F` are the tree's, by type; the words resolved are its own links, and
+/// each resolution checks the kind against the tag bit (a register test,
+/// not charged on the virtual clock). DESIGN.md §4.4.
+///
+/// ```
+/// use euno_htm::{Guard, NodeArenas, NodeRef, Runtime};
+/// let arenas: NodeArenas<u64, 4> = NodeArenas::default();
+/// let seven = NodeRef::of_leaf(arenas.leaves.alloc(7u64));
+/// let mut ctx = Runtime::new_virtual().thread(0);
+/// assert_eq!(ctx.pinned(|_, g: Guard<u64, 4>| *g.leaf(seven)), 7);
+/// ```
+///
+/// Nothing it resolves can be returned out of the scope:
+/// ```compile_fail
+/// use euno_htm::{Guard, NodeArenas, NodeRef, Runtime};
+/// let arenas: NodeArenas<u64, 4> = NodeArenas::default();
+/// let seven = NodeRef::of_leaf(arenas.leaves.alloc(7u64));
+/// let mut ctx = Runtime::new_virtual().thread(0);
+/// let escaped: &u64 = ctx.pinned(|_, g: Guard<u64, 4>| g.leaf(seven));
+/// ```
+pub struct Guard<'g, L, const F: usize> {
+    nodes: PhantomData<fn() -> (&'g L, &'g IndexNode<F>)>,
+}
+
+impl<L, const F: usize> Clone for Guard<'_, L, F> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<L, const F: usize> Copy for Guard<'_, L, F> {}
+
+impl<'g, L, const F: usize> Guard<'g, L, F> {
+    /// For what keeps the nodes alive for `'g`, and nothing else.
+    pub(crate) fn new() -> Self {
+        Guard { nodes: PhantomData }
+    }
+
+    pub fn leaf(self, node: NodeRef) -> &'g L {
+        self.resolve(node, true)
+    }
+
+    pub fn index_node(self, node: NodeRef) -> &'g IndexNode<F> {
+        self.resolve(node, false)
+    }
+
+    fn resolve<T>(self, node: NodeRef, leaf: bool) -> &'g T {
+        assert!(
+            node.is_leaf() == leaf && node.0 > 1,
+            "{node:?} is no node of that kind"
+        );
+        // SAFETY: the tag says `T`; the word is the tree's, so it names a
+        // node its arenas allocated; and whatever handed out `self` keeps
+        // that node allocated for `'g` (see the type's documentation).
+        unsafe { &*((node.0 & !1) as *const T) }
+    }
+}
+
+impl<'g, L: ParentLinked, const F: usize> Guard<'g, L, F> {
+    /// The node's parent-pointer cell, whatever its kind.
+    pub fn parent_cell(self, node: NodeRef) -> &'g TxCell<u64> {
+        match node.is_leaf() {
+            true => self.leaf(node).parent(),
+            false => &self.index_node(node).parent,
+        }
     }
 }
 
@@ -421,6 +463,7 @@ pub fn promote<'t, A: Access, const F: usize>(
 /// [`Propagate`] for a tree that climbs by parent pointer inside an HTM
 /// region and lists what it allocates as unpublished.
 pub struct Linked<'a, 't, L, const F: usize, V> {
+    pub nodes: Guard<'t, L, F>,
     pub arenas: &'t NodeArenas<L, F>,
     pub rt: &'t Runtime,
     /// The tree's root word.
@@ -438,8 +481,8 @@ where
     V: FnMut(&mut Tx<'_>, &IndexNode<F>, bool) -> TxResult<()>,
 {
     fn parent_of(&mut self, tx: &mut Tx<'_>, child: NodeRef) -> TxResult<Option<&'t IndexNode<F>>> {
-        let above = NodeRef(tx.read(unsafe { child.parent_cell::<L, F>() })?);
-        Ok((!above.is_null()).then(|| unsafe { above.as_index() }))
+        let above = NodeRef(tx.read(self.nodes.parent_cell(child))?);
+        Ok((!above.is_null()).then(|| self.nodes.index_node(above)))
     }
 
     fn new_index(&mut self, _: &mut Tx<'_>) -> &'t IndexNode<F> {
@@ -447,7 +490,7 @@ where
     }
 
     fn adopt(&mut self, tx: &mut Tx<'_>, child: NodeRef, parent: NodeRef) -> TxResult<()> {
-        tx.write(unsafe { child.parent_cell::<L, F>() }, parent.0)
+        tx.write(self.nodes.parent_cell(child), parent.0)
     }
 
     fn inserted(&mut self, tx: &mut Tx<'_>, node: &'t IndexNode<F>) -> TxResult<()> {
@@ -497,6 +540,14 @@ impl<L, const F: usize> Default for NodeArenas<L, F> {
 }
 
 impl<L, const F: usize> NodeArenas<L, F> {
+    /// The tree-lifetime [`Guard`], for a tree that frees no node before it
+    /// drops (an aborted attempt's nodes, never published, aside): its
+    /// nodes live as long as these arenas. A tree that retires nodes while
+    /// it lives reads them under an epoch pin instead.
+    pub fn until_drop(&self) -> Guard<'_, L, F> {
+        Guard::new()
+    }
+
     /// A fresh registered index node, listed as `unpublished` until the
     /// attempt that allocated it commits.
     pub fn alloc_index(&self, rt: &Runtime, unpublished: &mut Vec<NodeRef>) -> &IndexNode<F> {

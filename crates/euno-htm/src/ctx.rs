@@ -21,6 +21,7 @@ use euno_rng::SmallRng;
 use euno_trace::{codes, EventKind, TraceBuf};
 
 use crate::abort::{AbortCause, ConflictInfo, ConflictKind, TxResult};
+use crate::bptree::Guard;
 use crate::hint::{Anchor, Hint, HintTable, ANCHOR_WAYS, ANCHOR_WORDS, HINT_WAYS, HINT_WORDS};
 use crate::line::{LineId, LineSet};
 use crate::runtime::{Backend, Mode, Runtime};
@@ -133,8 +134,7 @@ pub struct ThreadCtx {
     /// installed the hot-path cost is one branch.
     tracer: Option<Box<TraceBuf>>,
     /// This thread's epoch-reclamation participant (see [`crate::epoch`]):
-    /// trees pin it around every operation via
-    /// [`ThreadCtx::epoch_enter`]/[`ThreadCtx::epoch_exit`].
+    /// trees pin it around every operation via [`ThreadCtx::pinned`].
     reclaim: crate::epoch::Participant,
     /// Unpin counter driving the opportunistic collection cadence.
     reclaim_ticks: u64,
@@ -422,38 +422,35 @@ impl ThreadCtx {
 
     // ================= epoch reclamation =================
 
-    /// Pin this thread to the current epoch. Trees call this at the top of
-    /// every `ConcurrentMap` operation so any node reachable during the
-    /// operation survives until the matching [`ThreadCtx::epoch_exit`].
-    /// Re-entrant (an operation that triggers maintenance pins again);
-    /// charges no cycles and draws no randomness, so the virtual-time
-    /// schedule is unaffected.
-    #[inline]
-    pub fn epoch_enter(&mut self) {
+    /// Run `f` pinned to the current epoch, with the [`Guard`] a tree that
+    /// retires nodes to this runtime's collector reads them through: every
+    /// node reachable during `f` survives it, and nothing the guard
+    /// resolves can leave it. Re-entrant; charges no cycles and draws no
+    /// randomness. The outermost unpin, on a fixed cadence, runs a
+    /// collection pass, so reclamation needs no background thread.
+    pub fn pinned<L, const F: usize, R>(
+        &mut self,
+        f: impl for<'g> FnOnce(&mut ThreadCtx, Guard<'g, L, F>) -> R,
+    ) -> R {
         self.reclaim.enter(self.rt.epoch());
-    }
-
-    /// Undo one [`ThreadCtx::epoch_enter`]. The outermost exit unpins and,
-    /// on a fixed cadence, runs a collection pass — advancing the global
-    /// epoch and freeing matured garbage — so reclamation needs no
-    /// background thread.
-    pub fn epoch_exit(&mut self) {
+        let out = f(self, Guard::new());
         self.reclaim.exit();
         if !self.reclaim.pinned() {
             self.reclaim_ticks += 1;
             if self.reclaim_ticks.is_multiple_of(EPOCH_COLLECT_EVERY) {
-                let out = self.rt.epoch().collect();
-                if let Some(epoch) = out.advanced_to {
+                let done = self.rt.epoch().collect();
+                if let Some(epoch) = done.advanced_to {
                     self.trace(EventKind::EpochAdvance { epoch });
                 }
-                if out.freed > 0 {
+                if done.freed > 0 {
                     self.trace(EventKind::EpochReclaim {
-                        nodes: out.freed as u64,
-                        bytes: out.freed_bytes as u64,
+                        nodes: done.freed as u64,
+                        bytes: done.freed_bytes as u64,
                     });
                 }
             }
         }
+        out
     }
 
     /// Whether this thread currently holds an epoch pin.

@@ -21,14 +21,21 @@
 //! predates the stamp" argument. Tree operations satisfy this by pinning
 //! around every `ConcurrentMap` call.
 //!
+//! A pin is a closure's scope ([`Collector::pinned`],
+//! `ThreadCtx::pinned`), handed the [`Guard`] nodes are read through;
+//! nothing the guard resolves can leave it. A closure that panics leaves
+//! its pin held: the epoch stops advancing, and nothing is freed early.
+//!
 //! Reclamation runs no background thread: [`Collector::collect`] is called
 //! opportunistically from unpinning threads (see
-//! `ThreadCtx::epoch_exit`) and drains whatever has matured. The collector
+//! `ThreadCtx::pinned`) and drains whatever has matured. The collector
 //! performs no cycle charges and draws no engine randomness, so wiring it
 //! into the virtual-time mode leaves the simulated schedule untouched.
 
 use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+
+use crate::bptree::Guard;
 
 /// One participant's published state: `0` when not pinned, else
 /// `(epoch << 1) | 1`.
@@ -185,15 +192,16 @@ impl Collector {
         out
     }
 
-    /// Pin through a temporary anonymous participant — for chain walkers
-    /// that have no `ThreadCtx` (audits, seqno snapshots).
-    pub fn pin_scoped(&self) -> ScopedPin<'_> {
+    /// Run `f` pinned through a temporary anonymous participant, with a
+    /// [`Guard`] that cannot leave it — for chain walkers that have no
+    /// `ThreadCtx` (audits, seqno snapshots).
+    pub fn pinned<L, const F: usize, R>(&self, f: impl for<'g> FnOnce(Guard<'g, L, F>) -> R) -> R {
         let mut participant = self.register();
         participant.enter(self);
-        ScopedPin {
-            collector: self,
-            participant,
-        }
+        let out = f(Guard::new());
+        participant.exit();
+        self.unregister(&participant);
+        out
     }
 }
 
@@ -254,19 +262,6 @@ impl Participant {
     /// Whether this participant currently holds a pin.
     pub fn pinned(&self) -> bool {
         self.depth > 0
-    }
-}
-
-/// RAII pin for ctx-less callers; unregisters its temporary slot on drop.
-pub struct ScopedPin<'a> {
-    collector: &'a Collector,
-    participant: Participant,
-}
-
-impl Drop for ScopedPin<'_> {
-    fn drop(&mut self) {
-        self.participant.exit();
-        self.collector.unregister(&self.participant);
     }
 }
 
@@ -373,8 +368,7 @@ mod tests {
     fn scoped_pin_blocks_and_unblocks() {
         let c = Collector::new();
         let freed = Arc::new(AtomicU32::new(0));
-        {
-            let _pin = c.pin_scoped();
+        c.pinned(|_: Guard<(), 0>| {
             let mut w = c.register();
             w.enter(&c);
             flag_retire(&c, &freed);
@@ -383,7 +377,7 @@ mod tests {
                 c.collect();
             }
             assert_eq!(freed.load(Ordering::SeqCst), 0);
-        }
+        });
         c.collect();
         c.collect();
         assert_eq!(freed.load(Ordering::SeqCst), 1);

@@ -69,10 +69,10 @@ pub mod word;
 
 pub use abort::{AbortCause, ConflictInfo, ConflictKind, TxResult};
 pub use arena::{Arena, TransientBytes};
-pub use bptree::{Access, IndexNode, NodeArenas, NodeRef, ParentLinked};
+pub use bptree::{Access, Guard, IndexNode, NodeArenas, NodeRef, ParentLinked};
 pub use cost::CostModel;
 pub use ctx::{EpisodeKind, ThreadCtx, Tx};
-pub use epoch::{CollectOutcome, Collector, Participant, ScopedPin};
+pub use epoch::{CollectOutcome, Collector, Participant};
 pub use exec::{ExecOutcome, Path};
 pub use hint::{fresh_owner, Anchor, Hint};
 pub use line::{LineClass, LineId, LineSet, CACHE_LINE_BYTES};

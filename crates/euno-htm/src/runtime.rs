@@ -120,7 +120,7 @@ pub struct Runtime {
     /// [`VirtState::check`] / [`VirtState::storm_check`].
     pub(crate) nodes: NodeTable,
     /// Epoch collector for deferred node reclamation: trees pin around
-    /// every operation ([`crate::ctx::ThreadCtx::epoch_enter`]) and hand
+    /// every operation ([`crate::ctx::ThreadCtx::pinned`]) and hand
     /// unlinked nodes to their [`crate::arena::Arena`], which defers the
     /// free here. Charges no cycles and draws no engine randomness, so it
     /// is invisible to the virtual-time schedule.

@@ -32,7 +32,7 @@
 
 use std::sync::mpsc;
 
-use euno_htm::{Arena, RetryPolicy, Runtime, TxCell};
+use euno_htm::{Arena, Guard, RetryPolicy, Runtime, TxCell};
 
 /// The reclaimed-and-reused payload. Plain `TxCell` so the reallocation
 /// has the same size class as the retired node (the allocator reuses the
@@ -75,9 +75,9 @@ fn reader_aborts_on_reused_line_with_equal_bytes() {
             // drain the collector until the deferred free has run. The
             // reader holds no pin — its open transaction is exactly the
             // hazard window the version table must cover.
-            ctx.epoch_enter();
-            assert!(arena.retire(rt.epoch(), node_addr as *const Node));
-            ctx.epoch_exit();
+            ctx.pinned(|_, _: Guard<Node, 0>| {
+                assert!(arena.retire(rt.epoch(), node_addr as *const Node));
+            });
             let mut spins = 0;
             while rt.epoch().reclaimed() == 0 {
                 rt.epoch().collect();

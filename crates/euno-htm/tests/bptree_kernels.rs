@@ -11,7 +11,7 @@ use std::convert::Infallible;
 use euno_htm::bptree::{
     insert_at, lower_bound, promote, sorted_insert, upper_bound, Access, Propagate,
 };
-use euno_htm::{Arena, IndexNode, NodeRef, TxCell};
+use euno_htm::{Guard, IndexNode, NodeArenas, NodeRef, TxCell};
 use euno_rng::{Rng, SmallRng};
 
 /// Plain loads and stores, counted.
@@ -236,7 +236,7 @@ fn an_index_split_promotes_the_middle_key_and_reports_every_moved_child() {
 
 /// The hooks of a tree without parent pointers or locks: a path stack.
 struct PathStack<'t, const F: usize> {
-    nodes: &'t Arena<IndexNode<F>>,
+    nodes: &'t NodeArenas<u64, F>,
     root: &'t TxCell<u64>,
     path: Vec<&'t IndexNode<F>>,
     grown: usize,
@@ -252,7 +252,7 @@ impl<'t, const F: usize> Propagate<'t, Counting, F> for PathStack<'t, F> {
         Ok(self.path.pop())
     }
     fn new_index(&mut self, _: &mut Counting) -> &'t IndexNode<F> {
-        self.nodes.alloc(IndexNode::empty())
+        self.nodes.internals.alloc(IndexNode::empty())
     }
     fn split(
         &mut self,
@@ -278,16 +278,23 @@ impl<'t, const F: usize> Propagate<'t, Counting, F> for PathStack<'t, F> {
 }
 
 /// In-order walk: every separator, and the depth of every leaf word.
-fn walk<const F: usize>(node: NodeRef, depth: usize, seps: &mut Vec<u64>, leaves: &mut Vec<usize>) {
+fn walk<const F: usize>(
+    g: Guard<u64, F>,
+    node: NodeRef,
+    depth: usize,
+    seps: &mut Vec<u64>,
+    leaves: &mut Vec<usize>,
+) {
     if node.is_leaf() {
         leaves.push(depth);
         return;
     }
-    let index = unsafe { node.as_index::<F>() };
+    let index = g.index_node(node);
     let n = index.count.load_plain() as usize;
     assert!((1..=F).contains(&n), "index node of {n} separators");
     for i in 0..=n {
         walk::<F>(
+            g,
             NodeRef(index.child(i).load_plain()),
             depth + 1,
             seps,
@@ -306,7 +313,8 @@ fn walk<const F: usize>(node: NodeRef, depth: usize, seps: &mut Vec<u64>, leaves
 /// path was full.
 fn promote_against_a_model<const F: usize>(seed: u64, steps: usize) {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let nodes = Arena::new();
+    let nodes: NodeArenas<u64, F> = NodeArenas::default();
+    let g = nodes.until_drop();
     let root = TxCell::new(c(0));
     let mut model = std::collections::BTreeSet::new();
     let (mut grown_total, mut depth) = (0, 0);
@@ -319,7 +327,7 @@ fn promote_against_a_model<const F: usize>(seed: u64, steps: usize) {
         };
         let (mut path, mut cur) = (Vec::new(), NodeRef(root.load_plain()));
         while !cur.is_leaf() {
-            let node = unsafe { cur.as_index::<F>() };
+            let node = g.index_node(cur);
             path.push(node);
             let n = node.count.load_plain() as usize;
             let Ok(taken) = upper_bound(n, sep, |i| Ok::<_, Infallible>(node.keys[i].load_plain()));
@@ -350,7 +358,7 @@ fn promote_against_a_model<const F: usize>(seed: u64, steps: usize) {
         grown_total += sync.grown;
 
         let (mut seps, mut leaves) = (Vec::new(), Vec::new());
-        walk::<F>(NodeRef(root.load_plain()), 0, &mut seps, &mut leaves);
+        walk::<F>(g, NodeRef(root.load_plain()), 0, &mut seps, &mut leaves);
         assert_eq!(
             seps,
             model.iter().copied().collect::<Vec<_>>(),

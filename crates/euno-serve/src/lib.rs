@@ -21,6 +21,7 @@
 //! See DESIGN.md §15 for the architecture and the fallback-to-singles
 //! batching policy, and `serve_bench` in euno-bench for the SLO harness.
 
+pub mod fault;
 mod queue;
 mod router;
 mod server;

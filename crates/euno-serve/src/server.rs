@@ -17,8 +17,14 @@
 //!    against the tail instead of being coordinated-omitted away — into
 //!    the server's metric registry, then either flips the slot to DONE
 //!    for its [`Ticket`] holder or (detached requests) recycles it.
+//!
+//! A worker that panics poisons its shard: the request it was running,
+//! the rest of its drain, and everything queued there then or later
+//! resolve to [`Reply::Failed`] (a detached one is counted in
+//! [`ServeSnapshot::failed`]), and the other shards serve on.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -27,9 +33,10 @@ use euno_core::{BatchOp, BatchScratch, EunoBTreeDefault, EunoConfig};
 use euno_htm::{ConcurrentMap, Runtime, KEY_SENTINEL, TOMBSTONE};
 use euno_metrics::{Counter, Gauge, LogHistogram, Registry, ThreadShard};
 
+use crate::fault;
 use crate::queue::Queue;
 use crate::router::{merge_scans, shard_of};
-use crate::slot::{RawReq, SlotPool, DONE, K_DELETE, K_GET, K_PUT, K_SCAN};
+use crate::slot::{RawReq, SlotPool, DONE, FAILED, K_DELETE, K_GET, K_PUT, K_SCAN, RUNNING};
 
 /// Server shape. `Default` is the smallest production-flavoured setup:
 /// 4 shards, 1024-deep queues, batches of up to 32.
@@ -98,6 +105,11 @@ pub enum Reply {
     /// Previous value (put/delete) or current value (get).
     Value(Option<u64>),
     Scan(Vec<(u64, u64)>),
+    /// The worker of shard `shard` panicked: the shard is poisoned and
+    /// runs nothing more. A request it had started may have been applied.
+    Failed {
+        shard: usize,
+    },
 }
 
 /// The server refused the request: its shard's queue or slot pool is
@@ -107,6 +119,7 @@ pub enum Reply {
 pub struct Shed;
 
 pub(crate) struct Shard {
+    pub id: usize,
     pub rt: Arc<Runtime>,
     pub tree: EunoBTreeDefault,
     pub queue: Queue,
@@ -117,6 +130,10 @@ pub(crate) struct Shard {
     pub batch_max: AtomicUsize,
     pub batch_hist: Mutex<LogHistogram>,
     pub worker: Mutex<Option<std::thread::Thread>>,
+    /// The worker panicked; it now fails every request it pops.
+    pub poisoned: AtomicBool,
+    /// Requests resolved to [`Reply::Failed`].
+    pub failed: AtomicU64,
     /// This shard's slice of the *server* registry, shared by the worker
     /// (completions, latency, batch counters: single-writer `add`) and
     /// the submitters (enqueue/shed counters: racing writers, so
@@ -139,7 +156,8 @@ pub struct Ticket<'s> {
 impl Ticket<'_> {
     /// True once the result is ready (and this ticket still owns it).
     pub fn poll(&self) -> bool {
-        self.shard.pool.gen(self.idx) == self.gen && self.shard.pool.state(self.idx) == DONE
+        self.shard.pool.gen(self.idx) == self.gen
+            && matches!(self.shard.pool.state(self.idx), DONE | FAILED)
     }
 
     /// Spin-then-yield until completion. On a loaded box the worker needs
@@ -153,6 +171,12 @@ impl Ticket<'_> {
             } else {
                 std::thread::yield_now();
             }
+        }
+        if self.shard.pool.state(self.idx) == FAILED {
+            self.shard.pool.release(self.idx);
+            return Reply::Failed {
+                shard: self.shard.id,
+            };
         }
         let (value, scan) = self.shard.pool.take_result(self.idx);
         if self.scan {
@@ -188,6 +212,7 @@ impl EunoServer {
             // one entry per pool slot.
             assert!(queue.capacity() >= pool.capacity());
             shards.push(Arc::new(Shard {
+                id: i,
                 rt,
                 tree,
                 queue,
@@ -198,6 +223,8 @@ impl EunoServer {
                 batch_max: AtomicUsize::new(cfg.batch_max.max(1)),
                 batch_hist: Mutex::new(LogHistogram::new()),
                 worker: Mutex::new(None),
+                poisoned: AtomicBool::new(false),
+                failed: AtomicU64::new(0),
                 stats: registry.register_shard(),
                 maintain_every: cfg.maintain_every,
                 seed: cfg.seed ^ (i as u64).wrapping_mul(0x9e37_79b9),
@@ -268,7 +295,7 @@ impl EunoServer {
             .set_gauge(Gauge::ServeQueueDepth, self.queue_depth() as u64);
     }
 
-    fn raw_of(req: Request, detached: bool, issued_ns: u64) -> (usize, RawReq) {
+    fn raw_of(req: Request, detached: bool, issued_ns: u64) -> RawReq {
         let (kind, key, arg) = match req {
             Request::Get { key } => (K_GET, key, 0),
             Request::Put { key, value } => {
@@ -283,16 +310,13 @@ impl EunoServer {
                 panic!("cross-shard scans go through EunoServer::scan")
             }
         };
-        (
-            0, // shard decided by caller
-            RawReq {
-                kind,
-                detached,
-                key,
-                arg,
-                issued_ns,
-            },
-        )
+        RawReq {
+            kind,
+            detached,
+            key,
+            arg,
+            issued_ns,
+        }
     }
 
     fn enqueue(&self, shard: usize, raw: RawReq) -> Result<(u32, u32), Shed> {
@@ -323,7 +347,7 @@ impl EunoServer {
             // A single-shard scan fragment is still expressible.
             return self.submit_scan_fragment(shard_of(from, self.shards.len()), from, len);
         }
-        let (_, raw) = Self::raw_of(req, false, self.now_ns());
+        let raw = Self::raw_of(req, false, self.now_ns());
         let shard = shard_of(raw.key, self.shards.len());
         let (idx, gen) = self.enqueue(shard, raw)?;
         Ok(Ticket {
@@ -338,7 +362,7 @@ impl EunoServer {
     /// waits, the worker records the latency from `issued_ns` (intended
     /// arrival, in [`EunoServer::now_ns`] units) and recycles the slot.
     pub fn submit_detached(&self, req: Request, issued_ns: u64) -> Result<(), Shed> {
-        let (_, raw) = Self::raw_of(req, true, issued_ns);
+        let raw = Self::raw_of(req, true, issued_ns);
         let shard = shard_of(raw.key, self.shards.len());
         self.enqueue(shard, raw).map(|_| ())
     }
@@ -360,7 +384,8 @@ impl EunoServer {
         })
     }
 
-    /// Blocking get (retries on shed).
+    /// Blocking get (retries on shed; panics, naming the shard, if that
+    /// shard is poisoned — as do `put`, `delete` and `scan`).
     pub fn get(&self, key: u64) -> Option<u64> {
         self.point(Request::Get { key })
     }
@@ -381,6 +406,7 @@ impl EunoServer {
                 Ok(t) => match t.wait() {
                     Reply::Value(v) => return v,
                     Reply::Scan(_) => unreachable!("point request"),
+                    Reply::Failed { shard } => poisoned(shard),
                 },
                 Err(Shed) => std::thread::yield_now(),
             }
@@ -408,6 +434,7 @@ impl EunoServer {
             .map(|t| match t.wait() {
                 Reply::Scan(v) => v,
                 Reply::Value(_) => unreachable!("scan request"),
+                Reply::Failed { shard } => poisoned(shard),
             })
             .collect();
         merge_scans(&mut frags, len, out);
@@ -452,6 +479,16 @@ impl EunoServer {
             batch_shrinks: self.registry.total(Counter::ServeBatchShrinks),
             batch_hist,
             latency_ns: self.registry.merged_histogram(),
+            failed: self
+                .shards
+                .iter()
+                .map(|s| s.failed.load(Ordering::Relaxed))
+                .sum(),
+            poisoned: self
+                .shards
+                .iter()
+                .filter(|s| s.poisoned.load(Ordering::Acquire))
+                .count(),
         }
     }
 
@@ -503,6 +540,14 @@ pub struct ServeSnapshot {
     pub batch_hist: LogHistogram,
     /// Request latency in nanoseconds, from intended issue to completion.
     pub latency_ns: LogHistogram,
+    /// Requests resolved to [`Reply::Failed`], detached ones included.
+    pub failed: u64,
+    /// Shards whose worker panicked.
+    pub poisoned: usize,
+}
+
+fn poisoned(shard: usize) -> ! {
+    panic!("euno-serve shard {shard} is poisoned: its worker panicked")
 }
 
 fn to_batch_op(r: &RawReq) -> BatchOp {
@@ -529,9 +574,78 @@ fn finish_point(sh: &Shard, idx: u32, value: Option<u64>, now_ns: u64) {
     }
 }
 
+/// A shard's worker: serve until shutdown. A panic poisons the shard: the
+/// requests the drain had started and not finished fail, and so does
+/// every request queued then or later, until shutdown.
 fn worker_loop(sh: &Shard, epoch: Instant) {
-    let mut ctx = sh.rt.thread(sh.seed);
     let mut idxs: Vec<u32> = Vec::with_capacity(sh.batch_max.load(Ordering::Relaxed).max(1));
+    if catch_unwind(AssertUnwindSafe(|| serve(sh, epoch, &mut idxs))).is_ok() {
+        return;
+    }
+    sh.poisoned.store(true, Ordering::Release);
+    idxs.retain(|&idx| sh.pool.state(idx) == RUNNING);
+    let mut idle = 0;
+    loop {
+        for &idx in &idxs {
+            fail(sh, idx);
+        }
+        while !pop(sh, usize::MAX, &mut idxs) {
+            if !pause(sh, &mut idle) {
+                return;
+            }
+        }
+    }
+}
+
+/// A poisoned shard's answer to a request it will not run.
+fn fail(sh: &Shard, idx: u32) {
+    sh.failed.fetch_add(1, Ordering::Relaxed);
+    if sh.pool.read_req(idx).detached {
+        sh.pool.release(idx);
+    } else {
+        sh.pool.fail(idx);
+    }
+}
+
+/// Pop up to `cap` queued requests into `idxs`, marking each running.
+/// Whether there was any.
+fn pop(sh: &Shard, cap: usize, idxs: &mut Vec<u32>) -> bool {
+    idxs.clear();
+    while idxs.len() < cap {
+        let Some(idx) = sh.queue.pop() else { break };
+        sh.pool.start(idx);
+        idxs.push(idx);
+    }
+    if idxs.is_empty() {
+        return false;
+    }
+    sh.depth.fetch_sub(idxs.len(), Ordering::Relaxed);
+    true
+}
+
+/// An idle worker's wait for work: `false` once the server is stopping.
+fn pause(sh: &Shard, idle: &mut u32) -> bool {
+    if sh.stop.load(Ordering::Acquire) {
+        return false;
+    }
+    *idle += 1;
+    if *idle < 64 {
+        std::thread::yield_now();
+    } else {
+        std::thread::park_timeout(Duration::from_micros(200));
+    }
+    true
+}
+
+/// The request in slot `idx`, as the worker takes it.
+fn take(sh: &Shard, idx: u32) -> RawReq {
+    let r = sh.pool.read_req(idx);
+    fault::take(r.key);
+    r
+}
+
+fn serve(sh: &Shard, epoch: Instant, idxs: &mut Vec<u32>) {
+    let mut ctx = sh.rt.thread(sh.seed);
     // (op, slot index, arrival position) — the position makes the
     // unstable sort stable, which keeps same-key requests in submission
     // order without the allocating stable sort.
@@ -546,35 +660,21 @@ fn worker_loop(sh: &Shard, epoch: Instant) {
         let batching = sh.batching.load(Ordering::Relaxed);
         let max = sh.batch_max.load(Ordering::Relaxed).max(1);
         let cap = if batching { eff.min(max) } else { 1 };
-        idxs.clear();
-        while idxs.len() < cap {
-            match sh.queue.pop() {
-                Some(i) => idxs.push(i),
-                None => break,
-            }
-        }
-        if idxs.is_empty() {
-            if sh.stop.load(Ordering::Acquire) {
+        if !pop(sh, cap, idxs) {
+            if !pause(sh, &mut idle) {
                 break;
-            }
-            idle += 1;
-            if idle < 64 {
-                std::thread::yield_now();
-            } else {
-                std::thread::park_timeout(Duration::from_micros(200));
             }
             continue;
         }
         idle = 0;
-        sh.depth.fetch_sub(idxs.len(), Ordering::Relaxed);
         cycles += 1;
 
         if batching && idxs.len() > 1 {
             sorted.clear();
             ops.clear();
             let mut scan_singles = 0u64;
-            for &idx in &idxs {
-                let r = sh.pool.read_req(idx);
+            for &idx in idxs.iter() {
+                let r = take(sh, idx);
                 if r.kind == K_SCAN {
                     exec_scan(sh, &mut ctx, idx, &r, epoch);
                     scan_singles += 1;
@@ -620,8 +720,8 @@ fn worker_loop(sh: &Shard, epoch: Instant) {
             }
         } else {
             let conflicts_before = ctx.stats.aborts.conflicts();
-            for &idx in &idxs {
-                let r = sh.pool.read_req(idx);
+            for &idx in idxs.iter() {
+                let r = take(sh, idx);
                 match r.kind {
                     K_SCAN => exec_scan(sh, &mut ctx, idx, &r, epoch),
                     _ => {
@@ -649,8 +749,7 @@ fn worker_loop(sh: &Shard, epoch: Instant) {
 }
 
 fn exec_scan(sh: &Shard, ctx: &mut euno_htm::ThreadCtx, idx: u32, r: &RawReq, epoch: Instant) {
-    // Safety: the worker owns the slot between queue pop and completion.
-    let buf = unsafe { sh.pool.scan_buf(idx) };
+    let buf = sh.pool.scan_buf(idx);
     buf.clear();
     sh.tree.scan(ctx, r.key, r.arg as usize, buf);
     finish_point(sh, idx, None, epoch.elapsed().as_nanos() as u64);

@@ -20,6 +20,10 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 pub(crate) const FREE: u32 = 0;
 pub(crate) const PENDING: u32 = 1;
 pub(crate) const DONE: u32 = 2;
+/// Popped by the worker and not finished yet.
+pub(crate) const RUNNING: u32 = 3;
+/// Its shard's worker panicked before or while running it.
+pub(crate) const FAILED: u32 = 4;
 
 /// Request kinds as stored in a slot.
 pub(crate) const K_GET: u8 = 0;
@@ -154,9 +158,17 @@ impl SlotPool {
         unsafe { *self.slots[idx as usize].req.get() }
     }
 
-    /// Worker side: exclusive access to the slot's reusable scan buffer.
+    /// Worker side: the slot was popped from the queue.
+    pub fn start(&self, idx: u32) {
+        self.slots[idx as usize]
+            .state
+            .store(RUNNING, Ordering::Relaxed);
+    }
+
+    /// Worker side: exclusive access to the slot's reusable scan buffer
+    /// (the worker owns the slot between queue pop and completion).
     #[allow(clippy::mut_from_ref)]
-    pub unsafe fn scan_buf(&self, idx: u32) -> &mut Vec<(u64, u64)> {
+    pub fn scan_buf(&self, idx: u32) -> &mut Vec<(u64, u64)> {
         unsafe { &mut *self.slots[idx as usize].scan_buf.get() }
     }
 
@@ -165,6 +177,14 @@ impl SlotPool {
         let slot = &self.slots[idx as usize];
         unsafe { *slot.result.get() = value };
         slot.state.store(DONE, Ordering::Release);
+    }
+
+    /// A poisoned shard's side: the request will not run; its waiter
+    /// recycles the slot.
+    pub fn fail(&self, idx: u32) {
+        self.slots[idx as usize]
+            .state
+            .store(FAILED, Ordering::Release);
     }
 
     pub fn state(&self, idx: u32) -> u32 {

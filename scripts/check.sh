@@ -146,6 +146,18 @@ inserts="$(cat crates/*/src/*.rs | grep -c 'fn internal_insert' || true)"
     || { echo "one-copy: $inserts index-insert routines"; exit 1; }
 echo "one-copy (one bisect under crates/*/src, in bptree.rs; no private index insert) OK"
 
+# Unsafe confined (DESIGN.md §4.4): nodes are read through bptree.rs's Guard,
+# so no tree crate says `unsafe`. Only the files that own memory may:
+OWNS='crates/euno-htm/src/(ctx|virt|tl2|rtm)'         # the backends' raw line loads
+OWNS+='|crates/euno-htm/src/(arena|word)'             # node allocation; a cell's atomic view
+OWNS+='|crates/euno-htm/src/bptree'                   # Guard's one checked cast
+OWNS+='|crates/euno-serve/src/(slot|queue)'           # the slot pool's hand-off; the ring
+! grep -rlw unsafe crates/*/src | grep -vxE "($OWNS)\.rs" \
+    || { echo "unsafe-confined: unsafe outside the files that own memory"; exit 1; }
+[[ $(grep -cw unsafe crates/euno-htm/src/bptree.rs) == 1 ]] \
+    || { echo "unsafe-confined: bptree.rs keeps one cast"; exit 1; }
+echo "unsafe-confined (no unsafe in euno-core, euno-baselines or euno-serve's server) OK"
+
 # One seam: which engine runs a transaction is decided once, in
 # `Runtime::new`, as a `Backend`; each backend's protocol is one module of
 # euno-htm (virt.rs / tl2.rs / rtm.rs; DESIGN.md §4.1).  No build option
