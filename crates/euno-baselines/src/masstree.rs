@@ -145,10 +145,13 @@ pub(crate) type MtLeaf = Leaf<F>;
 /// correspond to observable version changes.
 #[inline]
 fn version_visible(overlap: Option<euno_htm::ConflictInfo>) -> bool {
-    use euno_htm::ConflictKind::*;
+    use euno_htm::AbortClass::*;
     match overlap {
         None => false,
-        Some(ci) => matches!(ci.kind, FalseMetadata | FalseStructure | Unclassified),
+        Some(ci) => matches!(
+            ci.kind,
+            FalseMetadata | FalseStructure | UnclassifiedConflict
+        ),
     }
 }
 

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use euno_baselines::HtmMasstree;
-use euno_htm::{ConcurrentMap, Runtime, ThreadCtx};
+use euno_htm::{AbortClass, ConcurrentMap, Runtime, ThreadCtx};
 
 #[test]
 fn a_version_word_collision_on_different_keys_is_false_metadata() {
@@ -46,10 +46,16 @@ fn a_version_word_collision_on_different_keys_is_false_metadata() {
         }
     }
     let readers: Vec<_> = ctxs.iter().skip(1).step_by(2).collect();
-    let on_header: u64 = readers.iter().map(|c| c.stats.aborts.false_metadata).sum();
+    let on_header: u64 = readers
+        .iter()
+        .map(|c| c.stats.aborts[AbortClass::FalseMetadata])
+        .sum();
     let on_records: u64 = readers
         .iter()
-        .map(|c| c.stats.aborts.false_different_record + c.stats.aborts.true_same_record)
+        .map(|c| {
+            c.stats.aborts[AbortClass::FalseDifferentRecord]
+                + c.stats.aborts[AbortClass::TrueSameRecord]
+        })
         .sum();
     assert!(on_header > 0, "no reader met a version bump");
     assert_eq!(

@@ -151,7 +151,7 @@ fn run_raw_virtual(scenario: Scenario, threads: usize, ops: u64, seed: u64) -> R
     let t0 = Instant::now();
     let m = sched.run();
     let wall = t0.elapsed().as_secs_f64();
-    RunMetrics::from_wall(m.per_thread.clone(), m.stages, wall, m.latency.clone())
+    RunMetrics::from_wall(m.stats, m.threads, m.stages, wall, m.latency)
 }
 
 /// Same scenarios on real OS threads: TL2-style software transactions
@@ -207,14 +207,14 @@ fn run_raw_concurrent(
     let end = results.iter().map(|r| r.4).max().expect("threads >= 1");
     let wall = (end - start).as_secs_f64();
     let mut latency = LogHistogram::new();
-    let mut per_thread = Vec::with_capacity(results.len());
+    let mut stats = euno_htm::ThreadStats::default();
     let mut stages = euno_metrics::ExecStages::default();
-    for (stats, st, hist, _, _) in results {
+    for (s, st, hist, _, _) in results {
         latency.merge(&hist);
-        per_thread.push(stats);
+        stats.merge(&s);
         stages.merge(&st);
     }
-    RunMetrics::from_wall(per_thread, stages, wall, latency)
+    RunMetrics::from_wall(stats, threads, stages, wall, latency)
 }
 
 /// The full engine under a real tree and the paper's skewed workload,
@@ -239,7 +239,7 @@ fn run_tree_virtual(threads: usize, ops: u64, seed: u64) -> (WorkloadSpec, RunCo
     let t0 = Instant::now();
     let m = run_virtual(map.as_ref(), &rt, &spec, &cfg);
     let wall = t0.elapsed().as_secs_f64();
-    let metrics = RunMetrics::from_wall(m.per_thread.clone(), m.stages, wall, m.latency.clone());
+    let metrics = RunMetrics::from_wall(m.stats, m.threads, m.stages, wall, m.latency);
     (spec, cfg, metrics)
 }
 

@@ -474,11 +474,13 @@ fn build_metrics(r: &LevelResult, shards: usize) -> RunMetrics {
     // Executor stage counts come from the shard runtimes' registries;
     // op/latency accounting from the serve snapshot. Abort breakdowns
     // stay zero — the per-thread contexts live inside the workers.
-    let mut per_thread = vec![ThreadStats::default(); shards.max(1)];
-    per_thread[0].ops = r.snap.completed;
+    let stats = ThreadStats {
+        ops: r.snap.completed,
+        ..Default::default()
+    };
     let mut lat = LogHistogram::new();
     lat.merge(&r.snap.latency_ns);
-    RunMetrics::from_wall(per_thread, r.stages, r.elapsed_secs, lat)
+    RunMetrics::from_wall(stats, shards.max(1), r.stages, r.elapsed_secs, lat)
 }
 
 fn serve_info(a: &Args, batching: bool, rate: f64, snap: &ServeSnapshot) -> ServeInfo {

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use euno_baselines::{HtmBTree, HtmMasstree, Masstree};
 use euno_core::{EunoBTree, EunoBTreeDefault, EunoBTreeUnpartitioned, EunoConfig};
-use euno_htm::{ConcurrentMap, CostModel, Runtime};
+use euno_htm::{AbortClass, ConcurrentMap, CostModel, Runtime};
 use euno_sim::{
     chrome_trace, folded_rollup, preload, report_path_for, run_virtual, RunConfig, RunEntry,
     RunMetrics, RunReport, DEFAULT_TRACE_CAPACITY,
@@ -416,9 +416,9 @@ pub fn csv_text(points: &[Point]) -> String {
     for p in points {
         let m = &p.metrics;
         let ops = m.total_ops.max(1) as f64;
-        let _ = writeln!(
+        let _ = write!(
             out,
-            "{},{},{},{},{:.6},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.2},{:.5},{:.4},{},{},{},{},{},{},{},{}",
+            "{},{},{},{},{:.6},{:.4},{:.4}",
             p.system,
             p.x,
             m.threads,
@@ -426,13 +426,20 @@ pub fn csv_text(points: &[Point]) -> String {
             m.elapsed_secs,
             m.mops(),
             m.aborts_per_op,
-            m.aborts.true_same_record as f64 / ops,
-            m.aborts.false_different_record as f64 / ops,
-            m.aborts.false_metadata as f64 / ops,
-            m.aborts.false_structure as f64 / ops,
-            m.aborts.capacity as f64 / ops,
-            m.aborts.spurious as f64 / ops,
-            m.aborts.fallback_locked as f64 / ops,
+        );
+        // One column per class (`true_conflicts` … `fallback_locked`),
+        // but none for unclassified conflicts or explicit aborts.
+        for class in AbortClass::ALL {
+            if !matches!(
+                class,
+                AbortClass::UnclassifiedConflict | AbortClass::Explicit
+            ) {
+                let _ = write!(out, ",{:.4}", m.stats.aborts[class] as f64 / ops);
+            }
+        }
+        let _ = writeln!(
+            out,
+            ",{:.4},{:.2},{:.5},{:.4},{},{},{},{},{},{},{},{}",
             m.wasted_cycle_fraction,
             m.accesses_per_op,
             m.fallbacks_per_op,

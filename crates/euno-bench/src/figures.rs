@@ -9,7 +9,7 @@
 use std::cell::Cell;
 
 use euno_htm::{Backend, CostModel, Runtime, ThreadCtx};
-use euno_metrics::{adaptation_lags, Counter, ABORTS_HTM};
+use euno_metrics::{adaptation_lags, AbortClass, Counter, ABORTS_HTM};
 use euno_sim::{apply_op, preload, run_ops, run_virtual, RunConfig, RunMetrics, SpanStart};
 use euno_workloads::{
     KeyDistribution, Op, OpMix, OpStream, WorkloadSpec, YcsbOp, YcsbStream, YcsbWorkload,
@@ -325,17 +325,17 @@ impl Sweep {
             for &(system, label) in self.systems {
                 let mut m = measure(system, &spec, &cfg);
                 cli.post_cell(&mut m);
-                let a = &m.aborts;
+                let a = &m.stats.aborts;
                 let pct = |n: u64| 100.0 * n as f64 / a.conflicts().max(1) as f64;
                 eprintln!(
                     "{x:<16} {label:<14} {:>6.2} Mops/s {:>7.3} aborts/op (true {:.0}%, \
                      record {:.0}%, meta {:.0}%, struct {:.0}%; leaf {:.0}%) {:.1}% wasted",
                     m.mops(),
                     m.aborts_per_op,
-                    pct(a.true_same_record),
-                    pct(a.false_different_record),
-                    pct(a.false_metadata),
-                    pct(a.false_structure),
+                    pct(a[AbortClass::TrueSameRecord]),
+                    pct(a[AbortClass::FalseDifferentRecord]),
+                    pct(a[AbortClass::FalseMetadata]),
+                    pct(a[AbortClass::FalseStructure]),
                     pct(a.leaf_level_conflicts()),
                     100.0 * m.wasted_cycle_fraction,
                 );

@@ -176,6 +176,6 @@ fn fixed_seed_run_reports_are_byte_identical_to_golden_digest() {
     let b = measure(System::EunoBTree, &spec, &cfg);
     assert_eq!(a.total_ops, b.total_ops);
     assert_eq!(a.stats.cycles_total, b.stats.cycles_total);
-    assert_eq!(a.aborts.total(), b.aborts.total());
+    assert_eq!(a.stats.aborts.total(), b.stats.aborts.total());
     assert_eq!(a.elapsed_secs, b.elapsed_secs);
 }

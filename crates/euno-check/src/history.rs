@@ -13,17 +13,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// The client-level operation kinds a history can contain.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OpKind {
-    Get,
-    Put,
-    Delete,
-    Scan,
-    /// A deferred-rebalance sweep — structurally significant but a no-op
-    /// on the abstract map (checkers verify it *preserves* the state).
-    Maintain,
-}
+pub use euno_trace::OpKind;
 
 /// The value an operation returned to the client.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -38,11 +38,19 @@ use euno_htm::{EventKind, LockWord, ThreadCtx, TxCell};
 
 use crate::config::EunoConfig;
 
+/// Adaptive detector: operations per decision window. Only operations
+/// that ran protected or met a conflict count toward it.
+pub const ADAPTIVE_WINDOW: u64 = 32;
+
+/// Adaptive detector: bypass while `conflicts / ops` in the last window
+/// stayed at or below this rate.
+pub const ADAPTIVE_CONFLICT_RATE: f64 = 0.05;
+
 /// Per-leaf conflict-control module. Fits one cache line.
 ///
 /// The adaptive detector's counters are **monotone**: `ops` and
 /// `conflicts` only ever grow, and a window is the span between two
-/// multiples of the configured window size. The previous design reset
+/// multiples of [`ADAPTIVE_WINDOW`]. The previous design reset
 /// both counters at each window boundary, which raced in concurrent
 /// mode — two threads crossing the boundary together could each
 /// read-then-reset, losing conflicts and double-deciding `bypass`.
@@ -217,12 +225,7 @@ impl Ccm {
             }
         }
         if cfg.adaptive && (stage.protected || conflicts > 0) {
-            self.record_outcome(
-                ctx,
-                conflicts,
-                cfg.adaptive_window,
-                cfg.adaptive_conflict_rate,
-            );
+            self.record_outcome(ctx, conflicts);
         }
     }
 
@@ -254,10 +257,10 @@ impl Ccm {
 
     /// Feed the detector with one finished operation and the number of
     /// conflict aborts its regions suffered. A conflict on a bypassed leaf
-    /// re-protects it at once; every `window` recorded operations the
+    /// re-protects it at once; every [`ADAPTIVE_WINDOW`] recorded operations the
     /// verdict is re-decided: calm window ⇒ bypass on, contended window ⇒
     /// bypass off. Only [`Ccm::leave`] decides what gets recorded, so a
-    /// re-protected leaf stays protected until `window` operations that ran
+    /// re-protected leaf stays protected until a window of operations that ran
     /// *with* its lock bits have closed a calm window — bypassed traffic
     /// cannot run the window out for it.
     ///
@@ -266,7 +269,7 @@ impl Ccm {
     /// it claims the close by CAS on `epoch` — no counter is ever reset,
     /// so concurrent recorders can neither lose conflicts nor decide the
     /// same window twice.
-    fn record_outcome(&self, ctx: &mut ThreadCtx, conflicts: u32, window: u64, max_rate: f64) {
+    fn record_outcome(&self, ctx: &mut ThreadCtx, conflicts: u32) {
         if conflicts > 0 {
             self.conflicts.fetch_add_direct(ctx, conflicts as u64);
             // React immediately to contention: a bypassed leaf that starts
@@ -281,7 +284,7 @@ impl Ccm {
             }
         }
         let ops = self.ops.fetch_add_direct(ctx, 1) + 1;
-        if !ops.is_multiple_of(window) {
+        if !ops.is_multiple_of(ADAPTIVE_WINDOW) {
             return;
         }
         // Unique closer for this window (exactly one fetch_add returns the
@@ -297,7 +300,7 @@ impl Ccm {
         // Conflicts recorded between our loads land in the next window's
         // delta instead of vanishing.
         self.window_base.store_direct(ctx, confl);
-        let calm = (in_window as f64) <= max_rate * (window as f64);
+        let calm = (in_window as f64) <= ADAPTIVE_CONFLICT_RATE * (ADAPTIVE_WINDOW as f64);
         if self.bypass.load_direct(ctx) != u64::from(calm) {
             self.bypass.store_direct(ctx, u64::from(calm));
             ctx.metric_flip(self as *const Self as u64, calm);
@@ -531,7 +534,7 @@ mod tests {
         // closed exactly once.
         let rt = Runtime::new_concurrent();
         let ccm = Ccm::new();
-        let (threads, per_thread, window) = (4u64, 4_000u64, 64u64);
+        let (threads, per_thread, window) = (4u64, 4_000u64, ADAPTIVE_WINDOW);
         std::thread::scope(|s| {
             for t in 0..threads {
                 let mut ctx = rt.thread(t);
@@ -540,7 +543,7 @@ mod tests {
                     for i in 0..per_thread {
                         // Every op reports one conflict: the leaf must
                         // never be judged calm.
-                        ccm.record_outcome(&mut ctx, 1, window, 0.05);
+                        ccm.record_outcome(&mut ctx, 1);
                         std::hint::black_box(i);
                     }
                 });
@@ -564,10 +567,7 @@ mod tests {
     fn adaptive_bypasses_after_calm_window_and_reverts_on_conflict() {
         let rt = Runtime::new_virtual();
         let mut ctx = rt.thread(0);
-        let cfg = EunoConfig {
-            adaptive_window: 16,
-            ..EunoConfig::paper()
-        };
+        let cfg = EunoConfig::paper();
         let ccm = Ccm::new();
         assert!(ccm.bypass_plain(), "fresh leaf starts bypassed");
         // Calm operations on a bypassed leaf are not the detector's input.
@@ -578,15 +578,15 @@ mod tests {
         // A conflict re-protects at once…
         stage(&ccm, &mut ctx, &cfg, 1, true, 2);
         assert!(!ccm.bypass_plain());
-        // …a contended window (that operation and 15 more) keeps the leaf
-        // protected…
-        for _ in 0..15 {
+        // …a contended window (that operation and the rest of its window)
+        // keeps the leaf protected…
+        for _ in 1..ADAPTIVE_WINDOW {
             stage(&ccm, &mut ctx, &cfg, 1, true, 1);
         }
         assert_eq!(ccm.epoch_plain(), 1);
         assert!(!ccm.bypass_plain());
         // …and one calm window of protected operations bypasses it again.
-        for _ in 0..16 {
+        for _ in 0..ADAPTIVE_WINDOW {
             assert!(!ccm.bypass_plain());
             stage(&ccm, &mut ctx, &cfg, 1, true, 0);
         }
@@ -603,7 +603,7 @@ mod tests {
         let rt = Runtime::new_virtual();
         let mut ctx = rt.thread(0);
         let cfg = EunoConfig::paper();
-        let window = cfg.adaptive_window;
+        let window = ADAPTIVE_WINDOW;
         let ccm = Ccm::new();
         for _ in 0..window - 2 {
             stage(&ccm, &mut ctx, &cfg, 3, true, 0);

@@ -20,13 +20,9 @@ pub struct EunoConfig {
     /// mark filter, no split-lock pre-acquisition, no detector update —
     /// until an operation on it meets a conflict. Split-born leaves start
     /// on the verdict of the leaf they were split from.
+    /// The detector's window and rate are [`crate::ccm::ADAPTIVE_WINDOW`]
+    /// and [`crate::ccm::ADAPTIVE_CONFLICT_RATE`].
     pub adaptive: bool,
-    /// Adaptive detector: operations per decision window. Only operations
-    /// that ran protected or met a conflict count toward it.
-    pub adaptive_window: u64,
-    /// Adaptive detector: bypass while `conflicts / ops` in the last
-    /// window stayed at or below this rate.
-    pub adaptive_conflict_rate: f64,
     /// Every this many deletions starts a deferred re-balance sweep
     /// (§4.2.4): the crossing only arms it, and the deletes that follow
     /// each carry a bounded slice of it (see [`crate::rebalance`]). A
@@ -61,8 +57,6 @@ impl Default for EunoConfig {
             ccm_lock_bits: true,
             ccm_mark_bits: true,
             adaptive: true,
-            adaptive_window: 32,
-            adaptive_conflict_rate: 0.05,
             rebalance_delete_threshold: 100_000,
             read_opt: true,
         }
@@ -147,7 +141,6 @@ mod tests {
     fn default_enables_everything() {
         let c = EunoConfig::default();
         assert!(c.ccm_lock_bits && c.ccm_mark_bits && c.adaptive);
-        assert!(c.adaptive_window > 0);
         assert!(
             c.read_opt,
             "the default tree opens no episode above the leaf"
@@ -181,15 +174,13 @@ mod tests {
             ccm_lock_bits,
             ccm_mark_bits,
             adaptive,
-            adaptive_window,
-            adaptive_conflict_rate,
             rebalance_delete_threshold,
             read_opt,
         } = EunoConfig::paper();
         assert!(ccm_lock_bits && ccm_mark_bits && adaptive);
         assert!(!read_opt);
-        assert_eq!(adaptive_window, 32);
-        assert_eq!(adaptive_conflict_rate, 0.05);
+        assert_eq!(crate::ccm::ADAPTIVE_WINDOW, 32);
+        assert_eq!(crate::ccm::ADAPTIVE_CONFLICT_RATE, 0.05);
         assert_eq!(rebalance_delete_threshold, 100_000);
     }
 }

@@ -120,7 +120,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
 mod tests {
     use std::sync::Arc;
 
-    use euno_htm::{ConcurrentMap, Runtime};
+    use euno_htm::{AbortClass, ConcurrentMap, Runtime};
 
     use crate::probe;
     use crate::tree::EunoBTreeDefault;
@@ -166,7 +166,10 @@ mod tests {
         for k in 0..200_000u64 {
             t.put(&mut ctx, k, k);
         }
-        assert!(ctx.stats.aborts.spurious > 20, "the load met no aborts");
+        assert!(
+            ctx.stats.aborts[AbortClass::Spurious] > 20,
+            "the load met no aborts"
+        );
         let stats = t.stats();
         let arenas = &t.arenas;
         assert_eq!(

@@ -496,7 +496,7 @@ mod tests {
             // A protected leaf earns its bypass back with one calm window of
             // operations that ran under its lock bits.
             leaf.ccm.protect_prepublication();
-            for _ in 0..t.config().adaptive_window - 1 {
+            for _ in 0..crate::ccm::ADAPTIVE_WINDOW - 1 {
                 t.get(&mut ctx, 1);
                 assert!(!leaf.ccm.bypass_plain());
             }

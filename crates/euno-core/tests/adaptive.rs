@@ -131,7 +131,7 @@ const PRELOADED: u64 = 16_000;
 fn a_hot_leaf_is_protected_and_the_rest_of_the_tree_is_not() {
     for cfg in BOTH {
         let cfg = cfg();
-        let window = cfg.adaptive_window;
+        let window = euno_core::ccm::ADAPTIVE_WINDOW;
         let rt = Runtime::new_virtual();
         let tree = EunoBTreeDefault::with_config(Arc::clone(&rt), cfg);
         let model = RefCell::new(BTreeMap::new());

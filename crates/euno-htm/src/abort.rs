@@ -8,6 +8,8 @@
 //! to the same record), *false* conflicts from different records sharing a
 //! cache line, and *false* conflicts on shared metadata.
 
+use euno_metrics::AbortClass;
+
 use crate::line::{LineClass, LineId};
 
 /// Why a transaction attempt failed.
@@ -37,43 +39,37 @@ impl AbortCause {
             AbortCause::Conflict(_) | AbortCause::Spurious | AbortCause::FallbackLocked
         )
     }
-}
 
-/// The paper's abort taxonomy (§2.3, Figures 2 and 9).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum ConflictKind {
-    /// Both requests targeted exactly the same record.
-    TrueSameRecord,
-    /// Different records that share a cache line (consecutive layout).
-    FalseDifferentRecord,
-    /// Collision on shared per-node metadata (counts, versions, locks).
-    FalseMetadata,
-    /// Collision inside the interior index (internal-node keys/children).
-    FalseStructure,
-    /// The colliding line was never registered with a class.
-    Unclassified,
-}
-
-impl ConflictKind {
-    /// Derive the taxonomy bucket from the colliding line's class and the
-    /// two operations' target keys (when both are known).
-    pub fn classify(class: LineClass, my_key: Option<u64>, other_key: Option<u64>) -> Self {
-        match class {
-            LineClass::Record => match (my_key, other_key) {
-                (Some(a), Some(b)) if a == b => ConflictKind::TrueSameRecord,
-                _ => ConflictKind::FalseDifferentRecord,
-            },
-            LineClass::Metadata => ConflictKind::FalseMetadata,
-            LineClass::Structure => ConflictKind::FalseStructure,
-            LineClass::Unknown => ConflictKind::Unclassified,
+    /// The cause's bucket in the paper's taxonomy: the one mapping behind
+    /// `AbortCounts`, the `ABORTS_HTM` counters, the run report's `aborts`
+    /// keys and the trace's abort events.
+    pub fn class(self) -> AbortClass {
+        match self {
+            AbortCause::Conflict(ci) => ci.kind,
+            AbortCause::Capacity => AbortClass::Capacity,
+            AbortCause::Explicit(_) => AbortClass::Explicit,
+            AbortCause::Spurious => AbortClass::Spurious,
+            AbortCause::FallbackLocked => AbortClass::FallbackLocked,
         }
     }
+}
 
-    /// Whether the conflict happened at the leaf level of a tree (record or
-    /// leaf metadata) as opposed to the interior index — the paper reports
-    /// >90 % of conflicts at the leaf level (§2.3).
-    pub fn is_leaf_level(self) -> bool {
-        !matches!(self, ConflictKind::FalseStructure)
+/// Derive a conflict's class — one of the five conflict classes of
+/// [`AbortClass`] — from the colliding line's class and the two
+/// operations' target keys (when both are known).
+pub fn classify_conflict(
+    line: LineClass,
+    my_key: Option<u64>,
+    other_key: Option<u64>,
+) -> AbortClass {
+    match line {
+        LineClass::Record => match (my_key, other_key) {
+            (Some(a), Some(b)) if a == b => AbortClass::TrueSameRecord,
+            _ => AbortClass::FalseDifferentRecord,
+        },
+        LineClass::Metadata => AbortClass::FalseMetadata,
+        LineClass::Structure => AbortClass::FalseStructure,
+        LineClass::Unknown => AbortClass::UnclassifiedConflict,
     }
 }
 
@@ -82,8 +78,8 @@ impl ConflictKind {
 pub struct ConflictInfo {
     /// The first colliding cache line found.
     pub line: LineId,
-    /// Taxonomy bucket.
-    pub kind: ConflictKind,
+    /// Taxonomy bucket: one of the conflict classes.
+    pub kind: AbortClass,
     /// Virtual-thread id of the transaction we collided with, when known.
     pub other_thread: Option<u32>,
 }
@@ -97,42 +93,55 @@ mod tests {
 
     #[test]
     fn classify_same_record_is_true_conflict() {
-        let k = ConflictKind::classify(LineClass::Record, Some(42), Some(42));
-        assert_eq!(k, ConflictKind::TrueSameRecord);
+        let k = classify_conflict(LineClass::Record, Some(42), Some(42));
+        assert_eq!(k, AbortClass::TrueSameRecord);
     }
 
     #[test]
     fn classify_adjacent_records_is_false_conflict() {
-        let k = ConflictKind::classify(LineClass::Record, Some(42), Some(43));
-        assert_eq!(k, ConflictKind::FalseDifferentRecord);
+        let k = classify_conflict(LineClass::Record, Some(42), Some(43));
+        assert_eq!(k, AbortClass::FalseDifferentRecord);
         // Unknown counterpart key can't be proven equal → false conflict.
-        let k = ConflictKind::classify(LineClass::Record, Some(42), None);
-        assert_eq!(k, ConflictKind::FalseDifferentRecord);
+        let k = classify_conflict(LineClass::Record, Some(42), None);
+        assert_eq!(k, AbortClass::FalseDifferentRecord);
     }
 
     #[test]
     fn classify_metadata_and_structure() {
         assert_eq!(
-            ConflictKind::classify(LineClass::Metadata, Some(1), Some(1)),
-            ConflictKind::FalseMetadata,
+            classify_conflict(LineClass::Metadata, Some(1), Some(1)),
+            AbortClass::FalseMetadata,
             "metadata collisions are false conflicts even on equal keys"
         );
         assert_eq!(
-            ConflictKind::classify(LineClass::Structure, None, None),
-            ConflictKind::FalseStructure
+            classify_conflict(LineClass::Structure, None, None),
+            AbortClass::FalseStructure
         );
         assert_eq!(
-            ConflictKind::classify(LineClass::Unknown, None, None),
-            ConflictKind::Unclassified
+            classify_conflict(LineClass::Unknown, None, None),
+            AbortClass::UnclassifiedConflict
         );
     }
 
     #[test]
     fn leaf_level_attribution() {
-        assert!(ConflictKind::TrueSameRecord.is_leaf_level());
-        assert!(ConflictKind::FalseDifferentRecord.is_leaf_level());
-        assert!(ConflictKind::FalseMetadata.is_leaf_level());
-        assert!(!ConflictKind::FalseStructure.is_leaf_level());
+        // Every conflict but one on the interior index is at the leaf
+        // level (the paper reports >90 % there, §2.3).
+        let mut counts = crate::stats::AbortCounts::default();
+        for kind in [
+            AbortClass::TrueSameRecord,
+            AbortClass::FalseDifferentRecord,
+            AbortClass::FalseMetadata,
+            AbortClass::FalseStructure,
+            AbortClass::UnclassifiedConflict,
+        ] {
+            counts.record(AbortCause::Conflict(ConflictInfo {
+                line: LineId(1),
+                kind,
+                other_thread: None,
+            }));
+        }
+        assert_eq!((counts.conflicts(), counts.leaf_level_conflicts()), (5, 4));
     }
 
     #[test]
@@ -142,7 +151,7 @@ mod tests {
         assert!(!AbortCause::Explicit(7).may_retry());
         let ci = ConflictInfo {
             line: LineId(1),
-            kind: ConflictKind::TrueSameRecord,
+            kind: AbortClass::TrueSameRecord,
             other_thread: None,
         };
         assert!(AbortCause::Conflict(ci).may_retry());

@@ -17,10 +17,11 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use euno_metrics::AbortClass;
 use euno_rng::SmallRng;
-use euno_trace::{codes, EventKind, TraceBuf};
+use euno_trace::{EpisodeKind, EventKind, TraceBuf};
 
-use crate::abort::{AbortCause, ConflictInfo, ConflictKind, TxResult};
+use crate::abort::{AbortCause, ConflictInfo, TxResult};
 use crate::bptree::Guard;
 use crate::hint::{Anchor, Hint, HintTable, ANCHOR_WAYS, ANCHOR_WORDS, HINT_WAYS, HINT_WORDS};
 use crate::line::{LineId, LineSet};
@@ -36,19 +37,6 @@ pub(crate) struct CellPtr(pub *const AtomicU64);
 // only after a grace period covering any operation that could have logged
 // their cells — see `crate::epoch`).
 unsafe impl Send for CellPtr {}
-
-/// What kind of instrumented span is running.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EpisodeKind {
-    /// A hardware-transaction attempt: write-buffered, abortable.
-    HtmTx,
-    /// The serialized fallback path of an HTM region (lock held).
-    Fallback,
-    /// A version-validated optimistic read section (Masstree §4.6).
-    OptimisticRead,
-    /// An in-place write section under a per-node lock.
-    LockedWrite,
-}
 
 pub(crate) struct EpisodeState {
     pub(crate) kind: EpisodeKind,
@@ -109,6 +97,12 @@ impl EpisodeState {
     }
 }
 
+/// A thread's telemetry at one instant (see [`ThreadCtx::metrics_mark`]).
+pub struct MetricsMark {
+    stats: ThreadStats,
+    shard: euno_metrics::ShardMark,
+}
+
 /// Per-thread execution handle. Create via [`Runtime::thread`].
 pub struct ThreadCtx {
     pub(crate) rt: Arc<Runtime>,
@@ -151,60 +145,6 @@ pub struct ThreadCtx {
 /// frequent enough that garbage drains within a few hundred operations,
 /// rare enough that the (mutex-protected) slot scan stays off the hot path.
 const EPOCH_COLLECT_EVERY: u64 = 64;
-
-/// Map an [`EpisodeKind`] to its `euno-trace` code point.
-#[inline]
-pub(crate) fn trace_episode_code(kind: EpisodeKind) -> u8 {
-    match kind {
-        EpisodeKind::HtmTx => codes::EP_HTM_TX,
-        EpisodeKind::Fallback => codes::EP_FALLBACK,
-        EpisodeKind::OptimisticRead => codes::EP_OPTIMISTIC_READ,
-        EpisodeKind::LockedWrite => codes::EP_LOCKED_WRITE,
-    }
-}
-
-/// Map a [`ConflictKind`] to its `euno-trace` abort-cause code point.
-#[inline]
-pub(crate) fn trace_conflict_code(kind: ConflictKind) -> u8 {
-    match kind {
-        ConflictKind::TrueSameRecord => codes::AB_CONFLICT_TRUE,
-        ConflictKind::FalseDifferentRecord => codes::AB_CONFLICT_FALSE_RECORD,
-        ConflictKind::FalseMetadata => codes::AB_CONFLICT_FALSE_METADATA,
-        ConflictKind::FalseStructure => codes::AB_CONFLICT_FALSE_STRUCTURE,
-        ConflictKind::Unclassified => codes::AB_CONFLICT_UNCLASSIFIED,
-    }
-}
-
-/// Map an [`AbortCause`] to its abort-bucket index — the same order as
-/// [`AbortCounts`](crate::stats::AbortCounts)'s fields and the
-/// `euno_metrics::ABORTS_HTM` counter array.
-pub(crate) fn abort_bucket(cause: &AbortCause) -> usize {
-    match cause {
-        AbortCause::Conflict(ci) => match ci.kind {
-            ConflictKind::TrueSameRecord => 0,
-            ConflictKind::FalseDifferentRecord => 1,
-            ConflictKind::FalseMetadata => 2,
-            ConflictKind::FalseStructure => 3,
-            ConflictKind::Unclassified => 4,
-        },
-        AbortCause::Capacity => 5,
-        AbortCause::Explicit(_) => 6,
-        AbortCause::Spurious => 7,
-        AbortCause::FallbackLocked => 8,
-    }
-}
-
-/// Map an [`AbortCause`] to its `euno-trace` code point plus the
-/// conflicting line's base address (0 when the cause carries none).
-pub(crate) fn trace_abort_code(cause: &AbortCause) -> (u8, u64) {
-    match cause {
-        AbortCause::Conflict(ci) => (trace_conflict_code(ci.kind), ci.line.base_addr()),
-        AbortCause::Capacity => (codes::AB_CAPACITY, 0),
-        AbortCause::Explicit(_) => (codes::AB_EXPLICIT, 0),
-        AbortCause::Spurious => (codes::AB_SPURIOUS, 0),
-        AbortCause::FallbackLocked => (codes::AB_FALLBACK_LOCKED, 0),
-    }
-}
 
 impl ThreadCtx {
     pub(crate) fn new(rt: Arc<Runtime>, id: u32, seed: u64) -> Self {
@@ -285,16 +225,21 @@ impl ThreadCtx {
         self.shard.record_latency(v);
     }
 
-    /// Snapshot this shard's counters so a warmup span can be rolled back
-    /// (paired with [`ThreadCtx::metrics_restore`]); symmetric with the
-    /// `ThreadStats` clone/restore the harness already does.
-    pub fn metrics_mark(&self) -> euno_metrics::ShardMark {
-        self.shard.mark()
+    /// Snapshot this thread's telemetry — its [`ThreadStats`] and its
+    /// shard's counters together — so a warm-up span can be rolled back
+    /// with [`ThreadCtx::metrics_restore`].
+    pub fn metrics_mark(&self) -> MetricsMark {
+        MetricsMark {
+            stats: self.stats.clone(),
+            shard: self.shard.mark(),
+        }
     }
 
-    /// Roll the shard's counters back to a [`ThreadCtx::metrics_mark`].
-    pub fn metrics_restore(&self, mark: &euno_metrics::ShardMark) {
-        self.shard.restore(mark);
+    /// Roll `stats` and the shard's counters back to a
+    /// [`ThreadCtx::metrics_mark`].
+    pub fn metrics_restore(&mut self, mark: MetricsMark) {
+        self.stats = mark.stats;
+        self.shard.restore(&mark.shard);
     }
 
     /// Record one CCM bypass-state flip: directional counters on the shard
@@ -325,7 +270,7 @@ impl ThreadCtx {
         &self,
         attempts: u32,
         backoffs: u32,
-        aborts: &[u32; euno_metrics::ABORT_BUCKETS],
+        aborts: &[u32; AbortClass::COUNT],
     ) {
         use euno_metrics::Counter as C;
         let s = &self.shard;
@@ -347,7 +292,7 @@ impl ThreadCtx {
         &self,
         attempts: u32,
         backoffs: u32,
-        aborts: &[u32; euno_metrics::ABORT_BUCKETS],
+        aborts: &[u32; AbortClass::COUNT],
     ) {
         self.shard
             .add(euno_metrics::Counter::Attempts, u64::from(attempts));
@@ -359,14 +304,14 @@ impl ThreadCtx {
     fn episode_tail(
         s: &euno_metrics::ThreadShard,
         backoffs: u32,
-        aborts: &[u32; euno_metrics::ABORT_BUCKETS],
+        aborts: &[u32; AbortClass::COUNT],
     ) {
         if backoffs > 0 {
             s.add(euno_metrics::Counter::Backoffs, u64::from(backoffs));
         }
-        for (i, &n) in aborts.iter().enumerate() {
+        for (&counter, &n) in euno_metrics::ABORTS_HTM.iter().zip(aborts) {
             if n > 0 {
-                s.add(euno_metrics::ABORTS_HTM[i], u64::from(n));
+                s.add(counter, u64::from(n));
             }
         }
     }
@@ -633,9 +578,7 @@ impl ThreadCtx {
                 EpisodeState::new(kind, self.clock)
             }
         });
-        self.trace(EventKind::EpisodeBegin {
-            kind: trace_episode_code(kind),
-        });
+        self.trace(EventKind::EpisodeBegin { kind });
     }
 
     /// Return a closed episode's scratch buffers to the per-thread pool so
@@ -684,11 +627,11 @@ impl ThreadCtx {
         let out = self.close_episode(EpisodeKind::OptimisticRead);
         match &out {
             None => self.trace(EventKind::EpisodeCommit {
-                kind: codes::EP_OPTIMISTIC_READ,
+                kind: EpisodeKind::OptimisticRead,
             }),
             Some(ci) => self.trace(EventKind::EpisodeAbort {
-                kind: codes::EP_OPTIMISTIC_READ,
-                cause: trace_conflict_code(ci.kind),
+                kind: EpisodeKind::OptimisticRead,
+                cause: AbortCause::Conflict(*ci).class(),
                 line_addr: ci.line.base_addr(),
             }),
         }
@@ -700,7 +643,7 @@ impl ThreadCtx {
     /// observe them.
     pub fn episode_end_locked_write(&mut self) {
         self.trace(EventKind::EpisodeCommit {
-            kind: codes::EP_LOCKED_WRITE,
+            kind: EpisodeKind::LockedWrite,
         });
         self.close_episode(EpisodeKind::LockedWrite);
     }
@@ -905,7 +848,7 @@ impl ThreadCtx {
     pub(crate) fn fallback_publish(&mut self) {
         self.close_episode(EpisodeKind::Fallback);
         self.trace(EventKind::EpisodeCommit {
-            kind: codes::EP_FALLBACK,
+            kind: EpisodeKind::Fallback,
         });
     }
 }

@@ -27,10 +27,11 @@
 //! (attempts, commits, fallbacks, backoffs) on the thread's `euno-metrics`
 //! shard.
 
-use euno_trace::{codes, EventKind};
+use euno_metrics::AbortClass;
+use euno_trace::{EpisodeKind, EventKind};
 
 use crate::abort::{AbortCause, ConflictInfo, TxResult};
-use crate::ctx::{trace_abort_code, EpisodeKind, ThreadCtx, Tx};
+use crate::ctx::{ThreadCtx, Tx};
 use crate::policy::{Decision, RetryCounts, RetryPolicy};
 use crate::runtime::Backend;
 use crate::word::TxCell;
@@ -85,7 +86,7 @@ impl Executor<'_> {
         // in one pass at episode completion (ThreadCtx::metric_episode) so
         // the retry loop itself never touches the shard atomics.
         let mut backoffs = 0u32;
-        let mut aborts = [0u32; euno_metrics::ABORT_BUCKETS];
+        let mut aborts = [0u32; AbortClass::COUNT];
 
         loop {
             attempts += 1;
@@ -112,7 +113,7 @@ impl Executor<'_> {
                     let wasted = self.classify(ctx, cause, &mut counts, &mut conflict_aborts);
                     ctx.stats.cycles_wasted += wasted;
                     ctx.stats.aborts.record(cause);
-                    aborts[crate::ctx::abort_bucket(&cause)] += 1;
+                    aborts[cause.class().index()] += 1;
                     match self.policy.decide(&counts) {
                         Decision::Retry { backoff: true } => {
                             backoffs += 1;
@@ -177,10 +178,13 @@ impl Executor<'_> {
         counts: &mut RetryCounts,
         conflict_aborts: &mut u32,
     ) -> u64 {
-        let (code, line_addr) = trace_abort_code(&cause);
+        let line_addr = match cause {
+            AbortCause::Conflict(ci) => ci.line.base_addr(),
+            _ => 0,
+        };
         ctx.trace(EventKind::EpisodeAbort {
-            kind: codes::EP_HTM_TX,
-            cause: code,
+            kind: EpisodeKind::HtmTx,
+            cause: cause.class(),
             line_addr,
         });
         let wasted_attempt = ctx.attempt_aborted(&cause, self.attempt_start);
@@ -412,7 +416,7 @@ mod tests {
             Ok(())
         });
         assert!(out.used_fallback(), "capacity overflow must reach fallback");
-        assert!(ctx.stats.aborts.capacity >= 1);
+        assert!(ctx.stats.aborts[AbortClass::Capacity] >= 1);
         // Fallback applied the writes directly.
         assert!(cells.iter().all(|c| c.load_plain() == 7));
     }
@@ -430,7 +434,7 @@ mod tests {
             Ok(42)
         });
         assert_eq!(out.value, 42);
-        assert_eq!(ctx.stats.aborts.explicit, 1);
+        assert_eq!(ctx.stats.aborts[AbortClass::Explicit], 1);
     }
 
     #[test]
@@ -568,7 +572,7 @@ mod tests {
         assert_eq!(out.path, Path::Htm);
         assert_eq!(out.attempts, 2);
         assert_eq!(ctx.stats.aborts.total(), 1);
-        assert_eq!(ctx.stats.aborts.explicit, 1);
+        assert_eq!(ctx.stats.aborts[AbortClass::Explicit], 1);
         assert_eq!(ctx.stats.cycles_backoff, rt.cost.backoff(1));
         assert_eq!(ctx.stats.cycles_wasted, entries[1] - entries[0]);
         assert!(
@@ -649,13 +653,13 @@ mod tests {
                 EventKind::EpisodeBegin { .. } => begins += 1,
                 EventKind::EpisodeCommit { kind } => {
                     ends += 1;
-                    if kind == codes::EP_FALLBACK {
+                    if kind == EpisodeKind::Fallback {
                         fallback_commits += 1;
                     }
                 }
                 EventKind::EpisodeAbort { cause, .. } => {
                     ends += 1;
-                    if cause == codes::AB_EXPLICIT {
+                    if cause == AbortClass::Explicit {
                         explicit_aborts += 1;
                     }
                 }

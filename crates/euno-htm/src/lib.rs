@@ -67,12 +67,13 @@ pub mod tl2;
 pub mod virt;
 pub mod word;
 
-pub use abort::{AbortCause, ConflictInfo, ConflictKind, TxResult};
+pub use abort::{classify_conflict, AbortCause, ConflictInfo, TxResult};
 pub use arena::{Arena, TransientBytes};
 pub use bptree::{Access, Guard, IndexNode, NodeArenas, NodeRef, ParentLinked};
 pub use cost::CostModel;
-pub use ctx::{EpisodeKind, ThreadCtx, Tx};
+pub use ctx::{MetricsMark, ThreadCtx, Tx};
 pub use epoch::{CollectOutcome, Collector, Participant};
+pub use euno_metrics::AbortClass;
 pub use exec::{ExecOutcome, Path};
 pub use hint::{fresh_owner, Anchor, Hint};
 pub use line::{LineClass, LineId, LineSet, CACHE_LINE_BYTES};
@@ -81,13 +82,13 @@ pub use map::{ConcurrentMap, MemoryReport, KEY_SENTINEL, TOMBSTONE};
 pub use policy::{Decision, RetryCounts, RetryPolicy};
 pub use rtm::hw_rtm_available;
 pub use runtime::{Backend, Mode, OwnLine, Runtime};
-pub use stats::{AbortCounts, AggregateStats, ThreadStats};
+pub use stats::{AbortCounts, ThreadStats};
 pub use tl2::VersionTable;
 pub use word::{TxCell, TxWord};
 
 // Trace-layer types, re-exported so downstream crates can install ring
 // buffers and build profiles without depending on euno-trace directly.
-pub use euno_trace::{codes as trace_codes, Event, EventKind, ThreadTrace, TraceBuf};
+pub use euno_trace::{EpisodeKind, Event, EventKind, OpKind, ThreadTrace, TraceBuf};
 
 /// The metrics crate, re-exported whole so engine consumers can name
 /// counters ([`euno_metrics::Counter`]) without a direct dependency.

@@ -7,6 +7,8 @@
 //! retries (the other transaction will finish), capacity aborts almost none
 //! (the footprint won't shrink), explicit aborts none by default.
 
+use euno_metrics::AbortClass;
+
 use crate::abort::AbortCause;
 
 /// Per-cause retry budgets. A region falls back to the serialized path as
@@ -89,12 +91,15 @@ pub struct RetryCounts {
 
 impl RetryCounts {
     pub fn bump(&mut self, cause: AbortCause) {
-        match cause {
-            AbortCause::Conflict(_) => self.conflict += 1,
-            AbortCause::Capacity => self.capacity += 1,
-            AbortCause::Explicit(_) => self.explicit += 1,
-            AbortCause::Spurious => self.spurious += 1,
-            AbortCause::FallbackLocked => self.fallback_locked += 1,
+        match cause.class() {
+            AbortClass::Capacity => self.capacity += 1,
+            AbortClass::Explicit => self.explicit += 1,
+            AbortClass::Spurious => self.spurious += 1,
+            AbortClass::FallbackLocked => self.fallback_locked += 1,
+            class => {
+                debug_assert!(class.is_conflict());
+                self.conflict += 1;
+            }
         }
     }
 
@@ -107,13 +112,13 @@ impl RetryCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::abort::{ConflictInfo, ConflictKind};
+    use crate::abort::ConflictInfo;
     use crate::line::LineId;
 
     fn conflict() -> AbortCause {
         AbortCause::Conflict(ConflictInfo {
             line: LineId(0),
-            kind: ConflictKind::Unclassified,
+            kind: AbortClass::UnclassifiedConflict,
             other_thread: None,
         })
     }

@@ -23,7 +23,9 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::abort::{AbortCause, ConflictInfo, ConflictKind, TxResult};
+use euno_metrics::AbortClass;
+
+use crate::abort::{AbortCause, ConflictInfo, TxResult};
 use crate::ctx::{ThreadCtx, Tx};
 use crate::line::LineId;
 use crate::runtime::Backend;
@@ -127,7 +129,7 @@ fn abort_cause(st: u32) -> AbortCause {
         // Hardware says only *that* a line collided, not which one.
         AbortCause::Conflict(ConflictInfo {
             line: LineId(0),
-            kind: ConflictKind::Unclassified,
+            kind: AbortClass::UnclassifiedConflict,
             other_thread: None,
         })
     } else {

@@ -316,7 +316,7 @@ impl Runtime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::abort::{ConflictInfo, ConflictKind};
+    use crate::abort::{classify_conflict, ConflictInfo};
     use crate::line::LineSet;
     use crate::virt::EpisodeRecord;
 
@@ -338,7 +338,7 @@ mod tests {
             let (line, class, other_key, other_thread) =
                 virt.check(start, reads, writes, &self.nodes)?;
             drop(virt);
-            let kind = ConflictKind::classify(class, my_key, other_key);
+            let kind = classify_conflict(class, my_key, other_key);
             Some(ConflictInfo {
                 line,
                 kind,

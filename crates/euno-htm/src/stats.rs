@@ -4,9 +4,13 @@
 //! down by cause*, and §2.3 quotes the fraction of CPU cycles wasted in
 //! aborted attempts (">94 % of total CPU cycles when θ = 0.9"). Each
 //! [`ThreadStats`](ThreadStats) tracks exactly those quantities; the
-//! simulator merges them into an [`AggregateStats`] per run.
+//! simulator merges them into one per run.
 
-use crate::abort::{AbortCause, ConflictKind};
+use std::ops::{Index, IndexMut};
+
+use euno_metrics::AbortClass;
+
+use crate::abort::AbortCause;
 
 /// Counters kept by one (virtual or OS) thread. Plain integers — each
 /// thread owns its counters; aggregation happens after the run.
@@ -56,66 +60,51 @@ pub struct ThreadStats {
     pub episode_pool_allocs: u64,
 }
 
-/// Abort tallies following the paper's taxonomy.
+/// Abort tallies following the paper's taxonomy, one per [`AbortClass`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct AbortCounts {
-    pub true_same_record: u64,
-    pub false_different_record: u64,
-    pub false_metadata: u64,
-    pub false_structure: u64,
-    pub unclassified_conflict: u64,
-    pub capacity: u64,
-    pub explicit: u64,
-    pub spurious: u64,
-    pub fallback_locked: u64,
-}
+pub struct AbortCounts([u64; AbortClass::COUNT]);
 
 impl AbortCounts {
     pub fn record(&mut self, cause: AbortCause) {
-        match cause {
-            AbortCause::Conflict(info) => match info.kind {
-                ConflictKind::TrueSameRecord => self.true_same_record += 1,
-                ConflictKind::FalseDifferentRecord => self.false_different_record += 1,
-                ConflictKind::FalseMetadata => self.false_metadata += 1,
-                ConflictKind::FalseStructure => self.false_structure += 1,
-                ConflictKind::Unclassified => self.unclassified_conflict += 1,
-            },
-            AbortCause::Capacity => self.capacity += 1,
-            AbortCause::Explicit(_) => self.explicit += 1,
-            AbortCause::Spurious => self.spurious += 1,
-            AbortCause::FallbackLocked => self.fallback_locked += 1,
-        }
+        self[cause.class()] += 1;
     }
 
     /// All conflict-caused aborts (the taxonomy of Figure 2).
     pub fn conflicts(&self) -> u64 {
-        self.true_same_record
-            + self.false_different_record
-            + self.false_metadata
-            + self.false_structure
-            + self.unclassified_conflict
+        AbortClass::ALL
+            .iter()
+            .filter(|c| c.is_conflict())
+            .map(|&c| self[c])
+            .sum()
     }
 
     /// Conflicts attributable to the leaf level (record + metadata), as in
     /// the ">90 % of conflicts occur in the leaf level" measurement.
     pub fn leaf_level_conflicts(&self) -> u64 {
-        self.conflicts() - self.false_structure
+        self.conflicts() - self[AbortClass::FalseStructure]
     }
 
     pub fn total(&self) -> u64 {
-        self.conflicts() + self.capacity + self.explicit + self.spurious + self.fallback_locked
+        self.0.iter().sum()
     }
 
     pub fn merge(&mut self, other: &AbortCounts) {
-        self.true_same_record += other.true_same_record;
-        self.false_different_record += other.false_different_record;
-        self.false_metadata += other.false_metadata;
-        self.false_structure += other.false_structure;
-        self.unclassified_conflict += other.unclassified_conflict;
-        self.capacity += other.capacity;
-        self.explicit += other.explicit;
-        self.spurious += other.spurious;
-        self.fallback_locked += other.fallback_locked;
+        for (a, b) in self.0.iter_mut().zip(other.0) {
+            *a += b;
+        }
+    }
+}
+
+impl Index<AbortClass> for AbortCounts {
+    type Output = u64;
+    fn index(&self, class: AbortClass) -> &u64 {
+        &self.0[class.index()]
+    }
+}
+
+impl IndexMut<AbortClass> for AbortCounts {
+    fn index_mut(&mut self, class: AbortClass) -> &mut u64 {
+        &mut self.0[class.index()]
     }
 }
 
@@ -160,31 +149,13 @@ impl ThreadStats {
     }
 }
 
-/// Statistics merged across all threads of one run.
-#[derive(Clone, Debug, Default)]
-pub struct AggregateStats {
-    pub per_run: ThreadStats,
-    pub threads: usize,
-}
-
-impl AggregateStats {
-    pub fn from_threads<'a>(stats: impl IntoIterator<Item = &'a ThreadStats>) -> Self {
-        let mut agg = AggregateStats::default();
-        for s in stats {
-            agg.per_run.merge(s);
-            agg.threads += 1;
-        }
-        agg
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::abort::{ConflictInfo, ConflictKind};
+    use crate::abort::ConflictInfo;
     use crate::line::LineId;
 
-    fn conflict(kind: ConflictKind) -> AbortCause {
+    fn conflict(kind: AbortClass) -> AbortCause {
         AbortCause::Conflict(ConflictInfo {
             line: LineId(1),
             kind,
@@ -195,17 +166,17 @@ mod tests {
     #[test]
     fn record_routes_to_buckets() {
         let mut a = AbortCounts::default();
-        a.record(conflict(ConflictKind::TrueSameRecord));
-        a.record(conflict(ConflictKind::FalseDifferentRecord));
-        a.record(conflict(ConflictKind::FalseDifferentRecord));
-        a.record(conflict(ConflictKind::FalseMetadata));
-        a.record(conflict(ConflictKind::FalseStructure));
+        a.record(conflict(AbortClass::TrueSameRecord));
+        a.record(conflict(AbortClass::FalseDifferentRecord));
+        a.record(conflict(AbortClass::FalseDifferentRecord));
+        a.record(conflict(AbortClass::FalseMetadata));
+        a.record(conflict(AbortClass::FalseStructure));
         a.record(AbortCause::Capacity);
         a.record(AbortCause::Explicit(3));
         a.record(AbortCause::Spurious);
         a.record(AbortCause::FallbackLocked);
-        assert_eq!(a.true_same_record, 1);
-        assert_eq!(a.false_different_record, 2);
+        assert_eq!(a[AbortClass::TrueSameRecord], 1);
+        assert_eq!(a[AbortClass::FalseDifferentRecord], 2);
         assert_eq!(a.conflicts(), 5);
         assert_eq!(a.leaf_level_conflicts(), 4);
         assert_eq!(a.total(), 9);
@@ -228,7 +199,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.ops, 15);
         assert_eq!(a.cycles_total, 1500);
-        assert_eq!(a.aborts.capacity, 1);
+        assert_eq!(a.aborts[AbortClass::Capacity], 1);
     }
 
     #[test]
@@ -282,20 +253,5 @@ mod tests {
         s.cycles_wasted = 94;
         assert!((s.aborts_per_op() - 0.5).abs() < 1e-12);
         assert!((s.wasted_cycle_fraction() - 0.94).abs() < 1e-12);
-    }
-
-    #[test]
-    fn aggregate_from_threads() {
-        let a = ThreadStats {
-            ops: 3,
-            ..Default::default()
-        };
-        let b = ThreadStats {
-            ops: 7,
-            ..Default::default()
-        };
-        let agg = AggregateStats::from_threads([&a, &b]);
-        assert_eq!(agg.threads, 2);
-        assert_eq!(agg.per_run.ops, 10);
     }
 }

@@ -14,9 +14,9 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use euno_trace::{codes, EventKind};
+use euno_trace::{EpisodeKind, EventKind};
 
-use crate::abort::{AbortCause, ConflictInfo, ConflictKind};
+use crate::abort::{classify_conflict, AbortCause, ConflictInfo};
 use crate::ctx::{EpisodeState, ThreadCtx};
 use crate::line::LineId;
 use crate::lock::SpinBackoff;
@@ -256,7 +256,7 @@ impl ThreadCtx {
         if ep.fb_line == Some(line) {
             return AbortCause::FallbackLocked;
         }
-        let kind = ConflictKind::classify(self.rt.class_of(line), ep.op_key, None);
+        let kind = classify_conflict(self.rt.class_of(line), ep.op_key, None);
         AbortCause::Conflict(ConflictInfo {
             line,
             kind,
@@ -284,7 +284,7 @@ impl ThreadCtx {
             // of `rv`; nothing to publish, nothing to lock.
             self.recycle(ep);
             self.trace(EventKind::EpisodeCommit {
-                kind: codes::EP_HTM_TX,
+                kind: EpisodeKind::HtmTx,
             });
             return Ok(());
         }
@@ -375,7 +375,7 @@ impl ThreadCtx {
 
         self.recycle(ep);
         self.trace(EventKind::EpisodeCommit {
-            kind: codes::EP_HTM_TX,
+            kind: EpisodeKind::HtmTx,
         });
         Ok(())
     }

@@ -18,10 +18,10 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use euno_rng::Rng;
-use euno_trace::{codes, EventKind};
+use euno_trace::{EpisodeKind, EventKind};
 
-use crate::abort::{AbortCause, ConflictInfo, ConflictKind};
-use crate::ctx::{EpisodeKind, EpisodeState, ThreadCtx};
+use crate::abort::{classify_conflict, AbortCause, ConflictInfo};
+use crate::ctx::{EpisodeState, ThreadCtx};
 use crate::line::{LineClass, LineId, LineSet};
 use crate::registry::NodeTable;
 use crate::runtime::{Backend, Runtime};
@@ -730,7 +730,7 @@ impl ThreadCtx {
             virt.check(ep.start, &ep.reads, writes, &self.rt.nodes)?;
         Some(ConflictInfo {
             line,
-            kind: ConflictKind::classify(class, ep.op_key, other_key),
+            kind: classify_conflict(class, ep.op_key, other_key),
             other_thread: Some(other_thread),
         })
     }
@@ -757,7 +757,7 @@ impl ThreadCtx {
         )?;
         Some(ConflictInfo {
             line,
-            kind: ConflictKind::classify(class, ep.op_key, None),
+            kind: classify_conflict(class, ep.op_key, None),
             other_thread: None,
         })
     }
@@ -857,7 +857,7 @@ impl ThreadCtx {
         drop(virt);
         self.recycle(ep);
         self.trace(EventKind::EpisodeCommit {
-            kind: codes::EP_HTM_TX,
+            kind: EpisodeKind::HtmTx,
         });
         Ok(())
     }

@@ -1,7 +1,8 @@
 //! Scenario tests for the HTM engine: TSX semantics the trees rely on.
 
 use euno_htm::{
-    AbortCause, Backend, CostModel, EpisodeKind, LockWord, RetryPolicy, Runtime, ThreadCtx, TxCell,
+    AbortCause, AbortClass, Backend, CostModel, EpisodeKind, LockWord, RetryPolicy, Runtime,
+    ThreadCtx, TxCell,
 };
 
 fn min_clock_step(ctxs: &mut [ThreadCtx], mut f: impl FnMut(usize, &mut ThreadCtx)) {
@@ -108,7 +109,7 @@ fn capacity_threshold_is_exact() {
         Ok(())
     });
     assert!(!out.used_fallback());
-    assert_eq!(ctx.stats.aborts.capacity, 0);
+    assert_eq!(ctx.stats.aborts[AbortClass::Capacity], 0);
 
     // …writing 5 aborts with Capacity and lands on the fallback.
     let out = ctx.htm_execute(&fb, &RetryPolicy::default(), |tx| {
@@ -118,7 +119,7 @@ fn capacity_threshold_is_exact() {
         Ok(())
     });
     assert!(out.used_fallback());
-    assert!(ctx.stats.aborts.capacity >= 1);
+    assert!(ctx.stats.aborts[AbortClass::Capacity] >= 1);
 }
 
 /// Retry storms: once a line is written at a steady rate, later
@@ -218,7 +219,7 @@ fn explicit_abort_codes_surface_in_stats() {
         Ok(1)
     });
     assert_eq!(saw_code, Some(0x2a));
-    assert_eq!(ctx.stats.aborts.explicit, 1);
+    assert_eq!(ctx.stats.aborts[AbortClass::Explicit], 1);
 }
 
 /// Two identical runtimes with identical seeds produce bit-identical

@@ -5,15 +5,13 @@
 //! [`SmallRng`] sweep over randomized budgets and abort sequences, so
 //! failures reproduce deterministically.
 
-use euno_htm::{
-    AbortCause, ConflictInfo, ConflictKind, Decision, LineId, RetryCounts, RetryPolicy,
-};
+use euno_htm::{AbortCause, AbortClass, ConflictInfo, Decision, LineId, RetryCounts, RetryPolicy};
 use euno_rng::{Rng, SmallRng};
 
 fn conflict() -> AbortCause {
     AbortCause::Conflict(ConflictInfo {
         line: LineId(0),
-        kind: ConflictKind::Unclassified,
+        kind: AbortClass::UnclassifiedConflict,
         other_thread: None,
     })
 }

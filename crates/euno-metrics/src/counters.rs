@@ -1,17 +1,24 @@
-//! The fixed metric vocabulary: counters, gauges and the executor-stage
-//! aggregate the run report serializes.
+//! The fixed metric vocabulary: counters, gauges, the abort taxonomy and
+//! the executor-stage aggregate the run report serializes.
 //!
-//! Names returned by [`Counter::name`] / [`Gauge::name`] are *canonical*:
-//! the run-report stage section, the JSONL exporter and the fig14 CSV all
-//! spell metrics exactly this way, which is what kills the naming drift
-//! the old hand-rolled observer counters had accumulated.
+//! Names returned by [`Counter::name`] / [`Gauge::name`] /
+//! [`AbortClass::name`] are *canonical*: the run-report sections, the
+//! JSONL exporter, the trace exporters and the fig14 CSV all spell them
+//! exactly this way, which is what kills the naming drift the old
+//! hand-rolled observer counters had accumulated.
 
+/// A closed vocabulary: a fieldless enum with a dense `index()`, its
+/// variants in index order (`ALL`) and one canonical `name()` each.
+/// `euno-trace` builds its episode and operation kinds with it too.
+#[macro_export]
 macro_rules! define_metric_enum {
-    ($(#[$meta:meta])* $enum_name:ident { $( $variant:ident => $name:literal, )* }) => {
+    ($(#[$meta:meta])* $enum_name:ident {
+        $( $(#[$vmeta:meta])* $variant:ident => $name:literal, )*
+    }) => {
         $(#[$meta])*
         #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-        #[repr(usize)]
-        pub enum $enum_name { $( $variant, )* }
+        #[repr(u8)]
+        pub enum $enum_name { $( $(#[$vmeta])* $variant, )* }
 
         impl $enum_name {
             /// Number of variants (array dimension for shards/snapshots).
@@ -52,8 +59,7 @@ define_metric_enum! {
         CommitsVirtual => "commits_virtual",
         CommitsStm => "commits_stm",
         CommitsRtm => "commits_rtm",
-        // Aborts by cause (bucket order matches `AbortCounts` field
-        // order; see `ABORTS_HTM`).
+        // Aborts by cause, in `AbortClass` order (see `ABORTS_HTM`).
         AbortsHtmTrueSameRecord => "aborts_htm_true_same_record",
         AbortsHtmFalseDifferentRecord => "aborts_htm_false_different_record",
         AbortsHtmFalseMetadata => "aborts_htm_false_metadata",
@@ -143,13 +149,36 @@ define_metric_enum! {
     }
 }
 
-/// Number of abort-cause buckets (the paper's taxonomy, Figure 2).
-pub const ABORT_BUCKETS: usize = 9;
+define_metric_enum! {
+    /// Why an HTM attempt aborted: the paper's taxonomy (§2.3, Figures 2
+    /// and 9) — five conflict classes (`euno_htm::classify_conflict`),
+    /// then the other causes. Each name is the class's key in the run
+    /// report's `aborts` section and its `cause` in the trace exporters;
+    /// [`ABORTS_HTM`] holds its shard counter at [`AbortClass::index`].
+    AbortClass {
+        TrueSameRecord => "true_same_record",
+        FalseDifferentRecord => "false_different_record",
+        FalseMetadata => "false_metadata",
+        FalseStructure => "false_structure",
+        UnclassifiedConflict => "unclassified_conflict",
+        Capacity => "capacity",
+        Explicit => "explicit",
+        Spurious => "spurious",
+        FallbackLocked => "fallback_locked",
+    }
+}
 
-/// Abort counters in `AbortCounts` field order:
-/// `true_same_record, false_different_record, false_metadata,
-/// false_structure, unclassified_conflict, capacity, explicit, spurious,
-/// fallback_locked`.
+impl AbortClass {
+    /// A data conflict: the abort then names the colliding line.
+    pub const fn is_conflict(self) -> bool {
+        self.index() <= AbortClass::UnclassifiedConflict.index()
+    }
+}
+
+/// Number of abort classes (the paper's taxonomy, Figure 2).
+pub const ABORT_BUCKETS: usize = AbortClass::COUNT;
+
+/// The abort counters, indexed by [`AbortClass::index`].
 pub const ABORTS_HTM: [Counter; ABORT_BUCKETS] = [
     Counter::AbortsHtmTrueSameRecord,
     Counter::AbortsHtmFalseDifferentRecord,

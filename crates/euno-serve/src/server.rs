@@ -15,14 +15,16 @@
 //! 3. completion: the worker stamps the latency — measured from the
 //!    request's **intended issue time**, so a backed-up queue counts
 //!    against the tail instead of being coordinated-omitted away — into
-//!    the server's metric registry, then either flips the slot to DONE
-//!    for its [`Ticket`] holder or (detached requests) recycles it.
+//!    the server's metric registry, then flips the slot to DONE for its
+//!    [`Ticket`] holder, or recycles it when nobody will read it (a
+//!    detached request, or a ticket dropped unwaited).
 //!
 //! A worker that panics poisons its shard: the request it was running,
 //! the rest of its drain, and everything queued there then or later
 //! resolve to [`Reply::Failed`] (a detached one is counted in
 //! [`ServeSnapshot::failed`]), and the other shards serve on.
 
+use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -36,7 +38,9 @@ use euno_metrics::{Counter, Gauge, LogHistogram, Registry, ThreadShard};
 use crate::fault;
 use crate::queue::Queue;
 use crate::router::{merge_scans, shard_of};
-use crate::slot::{RawReq, SlotPool, DONE, FAILED, K_DELETE, K_GET, K_PUT, K_SCAN, RUNNING};
+use crate::slot::{
+    RawReq, SlotPool, ABANDONED, DONE, FAILED, K_DELETE, K_GET, K_PUT, K_SCAN, RUNNING,
+};
 
 /// Server shape. `Default` is the smallest production-flavoured setup:
 /// 4 shards, 1024-deep queues, batches of up to 32.
@@ -143,21 +147,43 @@ pub(crate) struct Shard {
     pub seed: u64,
 }
 
-/// Handle to one in-flight request. Dropping it without waiting leaks
-/// the slot until shutdown; prefer [`Ticket::wait`].
+/// Handle to one in-flight request. Dropping it unwaited gives the reply
+/// up: the request still runs, and its slot is recycled when it
+/// finishes. Using a ticket borrows its server, so the server cannot shut
+/// down under a waiter:
+///
+/// ```compile_fail,E0505
+/// use euno_serve::{EunoServer, Request, ServeConfig};
+/// let srv = EunoServer::start(ServeConfig::default());
+/// let ticket = srv.submit(Request::Get { key: 1 }).unwrap();
+/// srv.shutdown();
+/// ticket.wait();
+/// ```
 #[must_use]
 pub struct Ticket<'s> {
-    shard: &'s Shard,
+    slot: Leased,
+    server: PhantomData<&'s EunoServer>,
+}
+
+/// A client's lease on a slot, given back when dropped. It holds its
+/// shard by `Arc`, not by the ticket's borrow, so a ticket left alive past
+/// `shutdown` (unused, as a drained `Vec` of them is) can still be
+/// dropped.
+struct Leased {
+    shard: Arc<Shard>,
     idx: u32,
-    gen: u32,
-    scan: bool,
+}
+
+impl Drop for Leased {
+    fn drop(&mut self) {
+        self.shard.pool.abandon(self.idx);
+    }
 }
 
 impl Ticket<'_> {
-    /// True once the result is ready (and this ticket still owns it).
+    /// True once the result is ready.
     pub fn poll(&self) -> bool {
-        self.shard.pool.gen(self.idx) == self.gen
-            && matches!(self.shard.pool.state(self.idx), DONE | FAILED)
+        matches!(self.slot.shard.pool.state(self.slot.idx), DONE | FAILED)
     }
 
     /// Spin-then-yield until completion. On a loaded box the worker needs
@@ -172,14 +198,12 @@ impl Ticket<'_> {
                 std::thread::yield_now();
             }
         }
-        if self.shard.pool.state(self.idx) == FAILED {
-            self.shard.pool.release(self.idx);
-            return Reply::Failed {
-                shard: self.shard.id,
-            };
+        let Leased { shard, idx } = &self.slot;
+        if shard.pool.state(*idx) == FAILED {
+            return Reply::Failed { shard: shard.id };
         }
-        let (value, scan) = self.shard.pool.take_result(self.idx);
-        if self.scan {
+        let (value, scan) = shard.pool.take_result(*idx);
+        if shard.pool.read_req(*idx).kind == K_SCAN {
             Reply::Scan(scan)
         } else {
             Reply::Value(value)
@@ -295,7 +319,7 @@ impl EunoServer {
             .set_gauge(Gauge::ServeQueueDepth, self.queue_depth() as u64);
     }
 
-    fn raw_of(req: Request, detached: bool, issued_ns: u64) -> RawReq {
+    fn raw_of(req: Request, issued_ns: u64) -> RawReq {
         let (kind, key, arg) = match req {
             Request::Get { key } => (K_GET, key, 0),
             Request::Put { key, value } => {
@@ -312,21 +336,19 @@ impl EunoServer {
         };
         RawReq {
             kind,
-            detached,
             key,
             arg,
             issued_ns,
         }
     }
 
-    fn enqueue(&self, shard: usize, raw: RawReq) -> Result<(u32, u32), Shed> {
+    fn enqueue(&self, shard: usize, raw: RawReq, detached: bool) -> Result<u32, Shed> {
         let sh = &self.shards[shard];
         let Some(idx) = sh.pool.acquire() else {
             sh.stats.add_shared(Counter::ServeShed, 1);
             return Err(Shed);
         };
-        let gen = sh.pool.gen(idx);
-        sh.pool.stage(idx, raw);
+        sh.pool.stage(idx, raw, detached);
         if !sh.queue.push(idx) {
             sh.pool.release(idx);
             sh.stats.add_shared(Counter::ServeShed, 1);
@@ -338,7 +360,7 @@ impl EunoServer {
                 t.unpark();
             }
         }
-        Ok((idx, gen))
+        Ok(idx)
     }
 
     /// Submit a point request; the [`Ticket`] resolves to its [`Reply`].
@@ -347,40 +369,38 @@ impl EunoServer {
             // A single-shard scan fragment is still expressible.
             return self.submit_scan_fragment(shard_of(from, self.shards.len()), from, len);
         }
-        let raw = Self::raw_of(req, false, self.now_ns());
+        let raw = Self::raw_of(req, self.now_ns());
         let shard = shard_of(raw.key, self.shards.len());
-        let (idx, gen) = self.enqueue(shard, raw)?;
-        Ok(Ticket {
-            shard: &self.shards[shard],
-            idx,
-            gen,
-            scan: false,
-        })
+        self.ticket(shard, raw)
     }
 
     /// Fire-and-forget submission for the open-loop harness: nobody
     /// waits, the worker records the latency from `issued_ns` (intended
     /// arrival, in [`EunoServer::now_ns`] units) and recycles the slot.
     pub fn submit_detached(&self, req: Request, issued_ns: u64) -> Result<(), Shed> {
-        let raw = Self::raw_of(req, true, issued_ns);
+        let raw = Self::raw_of(req, issued_ns);
         let shard = shard_of(raw.key, self.shards.len());
-        self.enqueue(shard, raw).map(|_| ())
+        self.enqueue(shard, raw, true).map(|_| ())
     }
 
     fn submit_scan_fragment(&self, shard: usize, from: u64, len: u32) -> Result<Ticket<'_>, Shed> {
         let raw = RawReq {
             kind: K_SCAN,
-            detached: false,
             key: from,
             arg: u64::from(len),
             issued_ns: self.now_ns(),
         };
-        let (idx, gen) = self.enqueue(shard, raw)?;
+        self.ticket(shard, raw)
+    }
+
+    fn ticket(&self, shard: usize, raw: RawReq) -> Result<Ticket<'_>, Shed> {
+        let idx = self.enqueue(shard, raw, false)?;
         Ok(Ticket {
-            shard: &self.shards[shard],
-            idx,
-            gen,
-            scan: true,
+            slot: Leased {
+                shard: Arc::clone(&self.shards[shard]),
+                idx,
+            },
+            server: PhantomData,
         })
     }
 
@@ -567,11 +587,7 @@ fn finish_point(sh: &Shard, idx: u32, value: Option<u64>, now_ns: u64) {
     sh.stats
         .record_latency(now_ns.saturating_sub(req.issued_ns));
     sh.stats.add(Counter::ServeCompleted, 1);
-    if req.detached {
-        sh.pool.release(idx);
-    } else {
-        sh.pool.complete(idx, value);
-    }
+    sh.pool.complete(idx, value);
 }
 
 /// A shard's worker: serve until shutdown. A panic poisons the shard: the
@@ -583,7 +599,7 @@ fn worker_loop(sh: &Shard, epoch: Instant) {
         return;
     }
     sh.poisoned.store(true, Ordering::Release);
-    idxs.retain(|&idx| sh.pool.state(idx) == RUNNING);
+    idxs.retain(|&idx| sh.pool.state(idx) & !ABANDONED == RUNNING);
     let mut idle = 0;
     loop {
         for &idx in &idxs {
@@ -600,11 +616,7 @@ fn worker_loop(sh: &Shard, epoch: Instant) {
 /// A poisoned shard's answer to a request it will not run.
 fn fail(sh: &Shard, idx: u32) {
     sh.failed.fetch_add(1, Ordering::Relaxed);
-    if sh.pool.read_req(idx).detached {
-        sh.pool.release(idx);
-    } else {
-        sh.pool.fail(idx);
-    }
+    sh.pool.fail(idx);
 }
 
 /// Pop up to `cap` queued requests into `idxs`, marking each running.

@@ -6,8 +6,10 @@
 //! and enqueues the slot *index*; the worker executes and writes the
 //! result back. Completion is observed either by the caller (blocking or
 //! polling on a [`Ticket`](crate::Ticket)) or not at all (*detached*
-//! requests — the open-loop harness's mode — where the worker records
-//! the latency itself and recycles the slot immediately).
+//! requests — the open-loop harness's mode — and tickets dropped
+//! unwaited). Such a slot is flagged [`ABANDONED`]; the worker's finish
+//! and the ticket's drop each change the state word in one atomic step,
+//! so exactly one of them sees the other's mark and recycles the slot.
 //!
 //! The pool is sized at construction and never grows: running out of
 //! slots is the overload signal (the server sheds the request). Nothing
@@ -24,6 +26,9 @@ pub(crate) const DONE: u32 = 2;
 pub(crate) const RUNNING: u32 = 3;
 /// Its shard's worker panicked before or while running it.
 pub(crate) const FAILED: u32 = 4;
+/// Flag on a `PENDING` / `RUNNING` state: nobody will read the result,
+/// so finishing the slot recycles it.
+pub(crate) const ABANDONED: u32 = 8;
 
 /// Request kinds as stored in a slot.
 pub(crate) const K_GET: u8 = 0;
@@ -35,8 +40,6 @@ pub(crate) const K_SCAN: u8 = 3;
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct RawReq {
     pub kind: u8,
-    /// Nobody will wait: the worker records latency and recycles.
-    pub detached: bool,
     pub key: u64,
     /// Put value / scan length.
     pub arg: u64,
@@ -46,7 +49,6 @@ pub(crate) struct RawReq {
 
 pub(crate) struct Slot {
     state: AtomicU32,
-    gen: AtomicU32,
     /// Free-list link, `index + 1` (0 = end of list).
     next_free: AtomicU32,
     req: UnsafeCell<RawReq>,
@@ -73,12 +75,10 @@ impl SlotPool {
         let slots: Box<[Slot]> = (0..n)
             .map(|i| Slot {
                 state: AtomicU32::new(FREE),
-                gen: AtomicU32::new(0),
                 // Initial free list threads straight through the array.
                 next_free: AtomicU32::new(if i + 1 < n { i as u32 + 2 } else { 0 }),
                 req: UnsafeCell::new(RawReq {
                     kind: K_GET,
-                    detached: false,
                     key: 0,
                     arg: 0,
                     issued_ns: 0,
@@ -122,7 +122,6 @@ impl SlotPool {
     /// Return a slot to the free list (caller must own it).
     pub fn release(&self, idx: u32) {
         let slot = &self.slots[idx as usize];
-        slot.gen.fetch_add(1, Ordering::Relaxed);
         slot.state.store(FREE, Ordering::Release);
         let mut head = self.head.load(Ordering::Acquire);
         loop {
@@ -140,17 +139,19 @@ impl SlotPool {
         }
     }
 
-    pub fn gen(&self, idx: u32) -> u32 {
-        self.slots[idx as usize].gen.load(Ordering::Relaxed)
-    }
-
-    /// Fill the payload and mark the slot pending. Caller owns the slot
-    /// (just acquired); ordering against the worker comes from the
-    /// queue's release/acquire edge on publish.
-    pub fn stage(&self, idx: u32, req: RawReq) {
+    /// Fill the payload and mark the slot pending — abandoned from the
+    /// start when `detached`. Caller owns the slot (just acquired);
+    /// ordering against the worker comes from the queue's release/acquire
+    /// edge on publish.
+    pub fn stage(&self, idx: u32, req: RawReq, detached: bool) {
         let slot = &self.slots[idx as usize];
         unsafe { *slot.req.get() = req };
-        slot.state.store(PENDING, Ordering::Release);
+        let state = if detached {
+            PENDING | ABANDONED
+        } else {
+            PENDING
+        };
+        slot.state.store(state, Ordering::Release);
     }
 
     /// Worker side: read the payload of a slot popped from the queue.
@@ -160,9 +161,11 @@ impl SlotPool {
 
     /// Worker side: the slot was popped from the queue.
     pub fn start(&self, idx: u32) {
-        self.slots[idx as usize]
-            .state
-            .store(RUNNING, Ordering::Relaxed);
+        let _ = self.slots[idx as usize].state.fetch_update(
+            Ordering::Relaxed,
+            Ordering::Relaxed,
+            |s| Some((s & ABANDONED) | RUNNING),
+        );
     }
 
     /// Worker side: exclusive access to the slot's reusable scan buffer
@@ -174,17 +177,37 @@ impl SlotPool {
 
     /// Worker side: publish the result and flip the slot to DONE.
     pub fn complete(&self, idx: u32, value: Option<u64>) {
-        let slot = &self.slots[idx as usize];
-        unsafe { *slot.result.get() = value };
-        slot.state.store(DONE, Ordering::Release);
+        unsafe { *self.slots[idx as usize].result.get() = value };
+        self.finish(idx, DONE);
     }
 
-    /// A poisoned shard's side: the request will not run; its waiter
-    /// recycles the slot.
+    /// A poisoned shard's side: the request will not run.
     pub fn fail(&self, idx: u32) {
-        self.slots[idx as usize]
-            .state
-            .store(FAILED, Ordering::Release);
+        self.finish(idx, FAILED);
+    }
+
+    /// Move a popped slot to its final state; an abandoned one is
+    /// recycled instead, since nobody will read it.
+    fn finish(&self, idx: u32, state: u32) {
+        let before = self.slots[idx as usize].state.swap(state, Ordering::AcqRel);
+        if before & ABANDONED != 0 {
+            self.release(idx);
+        }
+    }
+
+    /// Waiter side: the ticket is gone. A finished slot is recycled now;
+    /// an unfinished one is flagged, and its finish recycles it.
+    pub fn abandon(&self, idx: u32) {
+        let state = &self.slots[idx as usize].state;
+        let mut s = state.load(Ordering::Acquire);
+        while !matches!(s, DONE | FAILED) {
+            match state.compare_exchange_weak(s, s | ABANDONED, Ordering::AcqRel, Ordering::Acquire)
+            {
+                Ok(_) => return,
+                Err(now) => s = now,
+            }
+        }
+        self.release(idx);
     }
 
     pub fn state(&self, idx: u32) -> u32 {
@@ -192,13 +215,13 @@ impl SlotPool {
     }
 
     /// Waiter side: consume the result of a DONE slot (point value plus
-    /// the scan buffer contents, if any) and recycle the slot.
+    /// the scan buffer contents, if any). The slot stays the waiter's
+    /// until it [`abandon`](SlotPool::abandon)s it.
     pub fn take_result(&self, idx: u32) -> (Option<u64>, Vec<(u64, u64)>) {
         debug_assert_eq!(self.state(idx), DONE);
         let slot = &self.slots[idx as usize];
         let value = unsafe { *slot.result.get() };
         let scan = unsafe { std::mem::take(&mut *slot.scan_buf.get()) };
-        self.release(idx);
         (value, scan)
     }
 }
@@ -229,16 +252,15 @@ mod tests {
     fn lifecycle_roundtrip() {
         let pool = SlotPool::new(2);
         let idx = pool.acquire().unwrap();
-        let g0 = pool.gen(idx);
         pool.stage(
             idx,
             RawReq {
                 kind: K_PUT,
-                detached: false,
                 key: 7,
                 arg: 42,
                 issued_ns: 5,
             },
+            false,
         );
         assert_eq!(pool.state(idx), PENDING);
         let req = pool.read_req(idx);
@@ -248,8 +270,39 @@ mod tests {
         let (v, scan) = pool.take_result(idx);
         assert_eq!(v, Some(41));
         assert!(scan.is_empty());
+        pool.abandon(idx);
         assert_eq!(pool.state(idx), FREE);
-        assert_ne!(pool.gen(idx), g0, "release must bump the generation");
+    }
+
+    #[test]
+    fn an_abandoned_slot_is_recycled_by_whoever_finishes_second() {
+        let pool = SlotPool::new(1);
+        let req = RawReq {
+            kind: K_GET,
+            key: 1,
+            arg: 0,
+            issued_ns: 0,
+        };
+        // Worker first, then the ticket's drop.
+        let idx = pool.acquire().unwrap();
+        pool.stage(idx, req, false);
+        pool.start(idx);
+        pool.complete(idx, None);
+        assert_eq!(pool.state(idx), DONE);
+        pool.abandon(idx);
+        assert_eq!(pool.state(idx), FREE);
+        // The drop first, then the worker; and detached from the start.
+        for detached in [false, true] {
+            let idx = pool.acquire().unwrap();
+            pool.stage(idx, req, detached);
+            if !detached {
+                pool.abandon(idx);
+            }
+            pool.start(idx);
+            assert_eq!(pool.state(idx) & !ABANDONED, RUNNING);
+            pool.complete(idx, None);
+            assert_eq!(pool.state(idx), FREE);
+        }
     }
 
     #[test]
@@ -266,11 +319,11 @@ mod tests {
                                 idx,
                                 RawReq {
                                     kind: K_GET,
-                                    detached: false,
                                     key: u64::from(idx),
                                     arg: 0,
                                     issued_ns: 0,
                                 },
+                                false,
                             );
                             assert_eq!(pool.read_req(idx).key, u64::from(idx));
                             pool.release(idx);

@@ -7,7 +7,7 @@ use std::time::Instant;
 
 use euno_htm::{ConcurrentMap, Mode, Runtime, ThreadCtx, ThreadStats};
 use euno_metrics::{sample_due, Counter, ExecStages, LogHistogram, TimeSeries};
-use euno_trace::{build_profile, codes, EventKind, ThreadTrace, TraceBuf};
+use euno_trace::{build_profile, EventKind, OpKind, ThreadTrace, TraceBuf};
 use euno_workloads::{Op, OpStream, WorkloadSpec};
 
 use crate::metrics::RunMetrics;
@@ -91,10 +91,10 @@ pub fn apply_op(
     ctx.charge(overhead);
     if ctx.tracing() {
         let (kind, key) = match op {
-            Op::Get { key } => (codes::OP_GET, key),
-            Op::Put { key, .. } => (codes::OP_PUT, key),
-            Op::Delete { key } => (codes::OP_DELETE, key),
-            Op::Scan { from, .. } => (codes::OP_SCAN, from),
+            Op::Get { key } => (OpKind::Get, key),
+            Op::Put { key, .. } => (OpKind::Put, key),
+            Op::Delete { key } => (OpKind::Delete, key),
+            Op::Scan { from, .. } => (OpKind::Scan, from),
         };
         ctx.trace(EventKind::OpBegin { kind, key });
     }
@@ -159,11 +159,9 @@ impl ThreadBudget {
         if self.warmup_left > 0 {
             self.warmup_left -= 1;
             let start = ctx.clock;
-            let saved = ctx.stats.clone();
             let mark = ctx.metrics_mark();
             op(ctx);
-            ctx.stats = saved;
-            ctx.metrics_restore(&mark);
+            ctx.metrics_restore(mark);
             if self.warmup_left == 0 {
                 ctx.stats.measure_start_cycles = Some(match self.span {
                     SpanStart::AfterWarmup => ctx.clock,
@@ -354,16 +352,16 @@ pub fn run_concurrent(
         });
     let elapsed = start_cell.lock().unwrap().elapsed().as_secs_f64();
     let mut latency = LogHistogram::new();
-    let mut per_thread = Vec::with_capacity(results.len());
+    let mut stats = ThreadStats::default();
     let mut stages = ExecStages::default();
     let mut traces = Vec::new();
-    for (stats, st, hist, trace) in results {
+    for (s, st, hist, trace) in results {
         latency.merge(&hist);
-        per_thread.push(stats);
+        stats.merge(&s);
         stages.merge(&st);
         traces.extend(trace);
     }
-    let mut m = RunMetrics::from_wall(per_thread, stages, elapsed, latency);
+    let mut m = RunMetrics::from_wall(stats, cfg.threads, stages, elapsed, latency);
     m.timeseries = series;
     m.flips = rt.metrics().flips().events();
     if trace_cap.is_some() {

@@ -1,6 +1,6 @@
 //! Run-level metrics: what each paper figure plots.
 
-use euno_htm::{AbortCounts, CostModel, ThreadStats};
+use euno_htm::{CostModel, ThreadStats};
 use euno_metrics::{ExecStages, FlipEvent, LogHistogram, TimeSeries};
 use euno_trace::{LeafProfile, ThreadTrace};
 
@@ -49,8 +49,8 @@ pub struct RunMetrics {
     pub elapsed_secs: f64,
     /// `total_ops / elapsed_secs` — the y-axis of Figures 1, 8, 10-12.
     pub throughput: f64,
-    /// Aborts per operation by cause — Figures 2 and 9.
-    pub aborts: AbortCounts,
+    /// `stats.aborts.total() / total_ops`; `stats.aborts` breaks it down
+    /// by cause — Figures 2 and 9.
     pub aborts_per_op: f64,
     /// Fraction of cycles burnt in aborted attempts (§2.3).
     pub wasted_cycle_fraction: f64,
@@ -58,7 +58,7 @@ pub struct RunMetrics {
     pub accesses_per_op: f64,
     /// Fallback-path executions per op.
     pub fallbacks_per_op: f64,
-    /// Merged raw counters.
+    /// The run's threads' raw counters, merged.
     pub stats: ThreadStats,
     /// Executor stage counts (attempts/commits/fallbacks/...),
     /// aggregated from the run's `euno-metrics` thread shards.
@@ -72,8 +72,6 @@ pub struct RunMetrics {
     /// CCM bypass flips and programmed shift marks recorded during the
     /// run, decoded from the registry's flip log.
     pub flips: Vec<FlipEvent>,
-    /// Per-thread raw counters (scalability diagnostics).
-    pub per_thread: Vec<ThreadStats>,
     /// Per-operation virtual-cycle latency distribution (merged).
     pub latency: LogHistogram,
     /// Collected per-thread event traces, when the run had tracing on
@@ -87,83 +85,60 @@ pub struct RunMetrics {
 }
 
 impl RunMetrics {
-    /// Build from per-thread stats plus the makespan in cycles
-    /// (virtual mode).
+    /// Build from a run's merged stats, its thread count and its makespan
+    /// in cycles (virtual mode). The measured span is the makespan minus
+    /// the earliest warm-up mark (cycle 0 when no thread warmed up), so
+    /// warm-up cycles never dilute throughput.
     pub fn from_virtual(
-        per_thread: Vec<ThreadStats>,
-        stages: ExecStages,
-        makespan_cycles: u64,
-        cost: &CostModel,
-    ) -> Self {
-        Self::from_virtual_with_latency(
-            per_thread,
-            stages,
-            makespan_cycles,
-            cost,
-            LogHistogram::new(),
-        )
-    }
-
-    /// As [`RunMetrics::from_virtual`], with a latency histogram. The
-    /// measured span is the makespan minus the earliest post-warmup clock,
-    /// so warmup cycles never dilute throughput.
-    pub fn from_virtual_with_latency(
-        per_thread: Vec<ThreadStats>,
+        stats: ThreadStats,
+        threads: usize,
         stages: ExecStages,
         makespan_cycles: u64,
         cost: &CostModel,
         latency: LogHistogram,
     ) -> Self {
-        // Threads that never finished warmup (None) measured from cycle 0.
-        let measure_start = per_thread
-            .iter()
-            .map(|s| s.measure_start_cycles.unwrap_or(0))
-            .min()
-            .unwrap_or(0);
+        let measure_start = stats.measure_start_cycles.unwrap_or(0);
         let span = makespan_cycles.saturating_sub(measure_start).max(1);
         let elapsed = cost.cycles_to_secs(span);
-        Self::build(per_thread, stages, elapsed, latency)
+        Self::build(stats, threads, stages, elapsed, latency)
     }
 
-    /// Build from per-thread stats plus measured wall time and the merged
-    /// per-operation latency histogram (concurrent mode). Pass
-    /// `LogHistogram::new()` only when the harness genuinely recorded
-    /// no latencies — reports distinguish "no samples" from "not wired".
+    /// Build from a run's merged stats, its thread count, measured wall
+    /// time and the merged per-operation latency histogram (concurrent
+    /// mode). Pass `LogHistogram::new()` only when the harness genuinely
+    /// recorded no latencies — reports distinguish "no samples" from "not
+    /// wired".
     pub fn from_wall(
-        per_thread: Vec<ThreadStats>,
+        stats: ThreadStats,
+        threads: usize,
         stages: ExecStages,
         elapsed_secs: f64,
         latency: LogHistogram,
     ) -> Self {
-        let mut m = Self::build(per_thread, stages, elapsed_secs.max(1e-9), latency);
+        let mut m = Self::build(stats, threads, stages, elapsed_secs.max(1e-9), latency);
         m.tick_unit = "us";
         m
     }
 
     fn build(
-        per_thread: Vec<ThreadStats>,
+        stats: ThreadStats,
+        threads: usize,
         stages: ExecStages,
         elapsed_secs: f64,
         latency: LogHistogram,
     ) -> Self {
-        let mut merged = ThreadStats::default();
-        for s in &per_thread {
-            merged.merge(s);
-        }
-        let ops = merged.ops.max(1);
+        let ops = stats.ops.max(1);
         RunMetrics {
-            threads: per_thread.len(),
-            total_ops: merged.ops,
+            threads,
+            total_ops: stats.ops,
             elapsed_secs,
-            throughput: merged.ops as f64 / elapsed_secs,
-            aborts: merged.aborts.clone(),
-            aborts_per_op: merged.aborts.total() as f64 / ops as f64,
-            wasted_cycle_fraction: merged.wasted_cycle_fraction(),
-            accesses_per_op: merged.mem_accesses as f64 / ops as f64,
+            throughput: stats.ops as f64 / elapsed_secs,
+            aborts_per_op: stats.aborts_per_op(),
+            wasted_cycle_fraction: stats.wasted_cycle_fraction(),
+            accesses_per_op: stats.mem_accesses as f64 / ops as f64,
             fallbacks_per_op: stages.fallbacks as f64 / ops as f64,
-            stats: merged,
+            stats,
             stages,
-            per_thread,
             latency,
             timeseries: None,
             tick_unit: "cycles",
@@ -183,6 +158,15 @@ impl RunMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use euno_htm::AbortClass;
+
+    fn merged(threads: &[ThreadStats]) -> ThreadStats {
+        let mut stats = ThreadStats::default();
+        for s in threads {
+            stats.merge(s);
+        }
+        stats
+    }
 
     #[test]
     fn metrics_aggregate_two_threads() {
@@ -198,9 +182,16 @@ mod tests {
             cycles_total: 1000,
             ..Default::default()
         };
-        b.aborts.capacity = 10;
+        b.aborts[AbortClass::Capacity] = 10;
         let cost = CostModel::default();
-        let m = RunMetrics::from_virtual(vec![a, b], ExecStages::default(), 2_300_000, &cost);
+        let m = RunMetrics::from_virtual(
+            merged(&[a, b]),
+            2,
+            ExecStages::default(),
+            2_300_000,
+            &cost,
+            LogHistogram::new(),
+        );
         assert_eq!(m.threads, 2);
         assert_eq!(m.total_ops, 200);
         // 2.3e6 cycles at 2.3 GHz = 1 ms → 200 ops / 1 ms = 200 kops/s.
@@ -213,7 +204,8 @@ mod tests {
     #[test]
     fn zero_ops_does_not_divide_by_zero() {
         let m = RunMetrics::from_wall(
-            vec![ThreadStats::default()],
+            ThreadStats::default(),
+            1,
             ExecStages::default(),
             0.0,
             LogHistogram::new(),
@@ -229,7 +221,7 @@ mod tests {
             ops: 5_000_000,
             ..Default::default()
         };
-        let m = RunMetrics::from_wall(vec![a], ExecStages::default(), 1.0, LogHistogram::new());
+        let m = RunMetrics::from_wall(a, 1, ExecStages::default(), 1.0, LogHistogram::new());
         assert!((m.mops() - 5.0).abs() < 1e-9);
     }
 
@@ -243,7 +235,7 @@ mod tests {
             ops: 4,
             ..Default::default()
         };
-        let m = RunMetrics::from_wall(vec![a], ExecStages::default(), 0.5, h);
+        let m = RunMetrics::from_wall(a, 1, ExecStages::default(), 0.5, h);
         assert_eq!(m.latency.count(), 4);
         let (p50, p99, p999) = (
             m.latency.quantile(0.5),
@@ -265,24 +257,22 @@ mod tests {
             measure_start_cycles: Some(start),
             ..Default::default()
         };
-        let warmed = RunMetrics::from_virtual(
-            vec![mk(400_000), mk(500_000)],
-            ExecStages::default(),
-            2_300_000,
-            &cost,
-        );
-        let naive = RunMetrics::from_virtual(
-            vec![
-                ThreadStats {
-                    ops: 1_000,
-                    ..Default::default()
-                };
-                2
-            ],
-            ExecStages::default(),
-            2_300_000,
-            &cost,
-        );
+        let run = |threads: &[ThreadStats]| {
+            RunMetrics::from_virtual(
+                merged(threads),
+                threads.len(),
+                ExecStages::default(),
+                2_300_000,
+                &cost,
+                LogHistogram::new(),
+            )
+        };
+        let warmed = run(&[mk(400_000), mk(500_000)]);
+        let unwarmed = ThreadStats {
+            ops: 1_000,
+            ..Default::default()
+        };
+        let naive = run(&[unwarmed.clone(), unwarmed]);
         assert_eq!(
             warmed.stats.measure_start_cycles,
             Some(400_000),

@@ -18,8 +18,10 @@
 
 use std::path::{Path, PathBuf};
 
-use euno_htm::{AbortCounts, CostModel};
-use euno_metrics::{adaptation_lags, approx_quantile_from_buckets, Counter, Gauge, TimeSeries};
+use euno_htm::{AbortClass, AbortCounts, CostModel};
+use euno_metrics::{
+    adaptation_lags, approx_quantile_from_buckets, Counter, Gauge, LogHistogram, TimeSeries,
+};
 use euno_trace::{LeafCounters, LeafProfile};
 use euno_workloads::{KeyDistribution, WorkloadSpec};
 
@@ -154,29 +156,23 @@ fn cost_json(c: &CostModel) -> Json {
 
 fn aborts_json(a: &AbortCounts, ops: u64) -> Json {
     let ops = ops.max(1) as f64;
-    Json::Obj(vec![
-        ("true_same_record".into(), Json::u64(a.true_same_record)),
-        (
-            "false_different_record".into(),
-            Json::u64(a.false_different_record),
-        ),
-        ("false_metadata".into(), Json::u64(a.false_metadata)),
-        ("false_structure".into(), Json::u64(a.false_structure)),
-        (
-            "unclassified_conflict".into(),
-            Json::u64(a.unclassified_conflict),
-        ),
-        ("capacity".into(), Json::u64(a.capacity)),
-        ("explicit".into(), Json::u64(a.explicit)),
-        ("spurious".into(), Json::u64(a.spurious)),
-        ("fallback_locked".into(), Json::u64(a.fallback_locked)),
+    let by_class = AbortClass::ALL.map(|c| (c.name().into(), Json::u64(a[c])));
+    let mut fields = Vec::from(by_class);
+    fields.extend([
         ("total".into(), Json::u64(a.total())),
         ("per_op".into(), Json::Num(a.total() as f64 / ops)),
         (
             "leaf_level_conflicts".into(),
             Json::u64(a.leaf_level_conflicts()),
         ),
-    ])
+    ]);
+    Json::Obj(fields)
+}
+
+/// A histogram's nonzero buckets as `[floor, count]` pairs.
+fn buckets_json(h: &LogHistogram) -> Json {
+    let pair = |(floor, count)| Json::Arr(vec![Json::u64(floor), Json::u64(count)]);
+    Json::Arr(h.nonzero_buckets().into_iter().map(pair).collect())
 }
 
 /// The metrics block of one run entry. Public so bespoke binaries (e.g.
@@ -192,7 +188,7 @@ pub fn metrics_json(m: &RunMetrics) -> Json {
         ("elapsed_secs".into(), Json::Num(m.elapsed_secs)),
         ("throughput".into(), Json::Num(m.throughput)),
         ("throughput_mops".into(), Json::Num(m.mops())),
-        ("aborts".into(), aborts_json(&m.aborts, m.total_ops)),
+        ("aborts".into(), aborts_json(&m.stats.aborts, m.total_ops)),
         ("aborts_per_op".into(), Json::Num(m.aborts_per_op)),
         (
             "wasted_cycle_fraction".into(),
@@ -242,17 +238,7 @@ pub fn metrics_json(m: &RunMetrics) -> Json {
                 ("p99".into(), Json::u64(lat.quantile(0.99))),
                 ("p999".into(), Json::u64(lat.quantile(0.999))),
                 ("max".into(), Json::u64(lat.max())),
-                (
-                    "buckets".into(),
-                    Json::Arr(
-                        lat.nonzero_buckets()
-                            .into_iter()
-                            .map(|(floor, count)| {
-                                Json::Arr(vec![Json::u64(floor), Json::u64(count)])
-                            })
-                            .collect(),
-                    ),
-                ),
+                ("buckets".into(), buckets_json(lat)),
             ]),
         ),
     ];
@@ -291,17 +277,7 @@ pub fn serve_json(sv: &crate::metrics::ServeInfo) -> Json {
                 ("mean".into(), Json::Num(h.mean())),
                 ("p50".into(), Json::u64(h.quantile(0.50))),
                 ("max".into(), Json::u64(h.max())),
-                (
-                    "buckets".into(),
-                    Json::Arr(
-                        h.nonzero_buckets()
-                            .into_iter()
-                            .map(|(floor, count)| {
-                                Json::Arr(vec![Json::u64(floor), Json::u64(count)])
-                            })
-                            .collect(),
-                    ),
-                ),
+                ("buckets".into(), buckets_json(h)),
             ]),
         ),
     ])
@@ -841,7 +817,7 @@ mod tests {
             backoffs: 2,
             ..Default::default()
         };
-        RunMetrics::from_wall(vec![t], stages, 0.001, hist)
+        RunMetrics::from_wall(t, 1, stages, 0.001, hist)
     }
 
     fn sample_report() -> RunReport {

@@ -145,26 +145,24 @@ impl<'a> VirtualScheduler<'a> {
         // registry totals, which could include contexts other callers
         // registered on the same runtime).
         let mut stages = ExecStages::default();
-        let per_thread: Vec<ThreadStats> = self
-            .threads
-            .iter_mut()
-            .map(|(ctx, _)| {
-                ctx.finish();
-                if let Some(buf) = ctx.take_tracer() {
-                    traces.push(buf.into_thread_trace());
-                }
-                stages.merge(&ctx.exec_stages());
-                ctx.stats.clone()
-            })
-            .collect();
+        let mut stats = ThreadStats::default();
+        for (ctx, _) in &mut self.threads {
+            ctx.finish();
+            if let Some(buf) = ctx.take_tracer() {
+                traces.push(buf.into_thread_trace());
+            }
+            stages.merge(&ctx.exec_stages());
+            stats.merge(&ctx.stats);
+        }
         if let Some(ts) = series.as_mut() {
             // Settle snapshot at the makespan so the series always closes
             // with the final totals.
             self.rt.publish_epoch_gauges();
             ts.sample(makespan, self.rt.metrics());
         }
-        let mut m = RunMetrics::from_virtual_with_latency(
-            per_thread,
+        let mut m = RunMetrics::from_virtual(
+            stats,
+            self.threads.len(),
             stages,
             makespan,
             &self.rt.cost,
@@ -269,7 +267,7 @@ mod tests {
         assert_eq!(va, vb);
         assert_eq!(a.total_ops, b.total_ops);
         assert_eq!(a.stats.cycles_total, b.stats.cycles_total);
-        assert_eq!(a.aborts.total(), b.aborts.total());
+        assert_eq!(a.stats.aborts.total(), b.stats.aborts.total());
         assert_eq!(a.elapsed_secs, b.elapsed_secs);
     }
 
@@ -298,7 +296,7 @@ mod tests {
                 );
             }
             let m = sched.run();
-            m.stats.cycles_total ^ m.aborts.total()
+            m.stats.cycles_total ^ m.stats.aborts.total()
         }
         assert_ne!(run_rng(7), run_rng(8));
     }

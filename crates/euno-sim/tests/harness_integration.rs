@@ -2,8 +2,9 @@
 //! metrics plumbing, latency collection and end-to-end determinism over a
 //! minimal `ConcurrentMap`.
 
+use euno_htm::euno_metrics::{ABORTS_HTM, ABORT_BUCKETS};
 use euno_htm::{ConcurrentMap, RetryPolicy, Runtime, ThreadCtx, TxCell};
-use euno_sim::{preload, run_concurrent, run_virtual, RunConfig};
+use euno_sim::{preload, run_concurrent, run_ops, run_virtual, RunConfig, SpanStart};
 use euno_workloads::{KeyDistribution, OpMix, Preload, WorkloadSpec};
 
 /// One cache line of slots. Conflict footprints derive from *real heap
@@ -166,7 +167,7 @@ fn virtual_harness_is_deterministic_end_to_end() {
         (
             m.total_ops,
             m.stats.cycles_total,
-            m.aborts.total(),
+            m.stats.aborts.total(),
             m.latency.quantile(0.99),
             m.elapsed_secs.to_bits(),
         )
@@ -189,7 +190,7 @@ fn hot_zipfian_produces_contention_in_the_toy() {
     };
     let m = run_virtual(&map, &rt, &toy_spec(), &cfg);
     assert!(
-        m.aborts.total() > 0,
+        m.stats.aborts.total() > 0,
         "16 threads on 512 hot keys in one table must conflict"
     );
     // Tail latency shows the convoys the mean hides.
@@ -259,7 +260,7 @@ fn tracing_does_not_perturb_the_virtual_schedule() {
     let traced = run(4096);
     assert_eq!(plain.total_ops, traced.total_ops);
     assert_eq!(plain.stats.cycles_total, traced.stats.cycles_total);
-    assert_eq!(plain.aborts.total(), traced.aborts.total());
+    assert_eq!(plain.stats.aborts.total(), traced.stats.aborts.total());
     assert_eq!(plain.elapsed_secs.to_bits(), traced.elapsed_secs.to_bits());
     assert_eq!(
         plain.latency.quantile(0.999),
@@ -301,4 +302,33 @@ fn concurrent_tracing_collects_per_thread_rings() {
             assert!(w[0].ts <= w[1].ts);
         }
     }
+}
+
+#[test]
+fn an_aborting_warm_up_op_leaves_no_abort_behind() {
+    // Warm-up is rolled back through one mark that covers both stores: the
+    // thread's `ThreadStats` and its metric shard.
+    let rt = Runtime::new_virtual();
+    let (fb, cell) = (TxCell::new(0u64), TxCell::new(0u64));
+    let cfg = RunConfig {
+        threads: 2,
+        ops_per_thread: 0,
+        warmup_ops: 3,
+        ..RunConfig::default()
+    };
+    let m = run_ops(&rt, &cfg, SpanStart::AfterWarmup, |_| {
+        |ctx: &mut ThreadCtx| {
+            ctx.htm_execute(&fb, &RetryPolicy::default(), |tx| {
+                if !tx.is_fallback() {
+                    return tx.explicit_abort(1);
+                }
+                let v = tx.read(&cell)?;
+                tx.write(&cell, v + 1)
+            });
+        }
+    });
+    assert_eq!(cell.load_plain(), 6, "every warm-up op ran");
+    assert_eq!(m.stats.aborts.total(), 0);
+    let totals = rt.metrics().totals();
+    assert_eq!(ABORTS_HTM.map(|c| totals[c.index()]), [0; ABORT_BUCKETS]);
 }

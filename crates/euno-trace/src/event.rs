@@ -1,82 +1,41 @@
 //! The event schema (DESIGN.md §13).
 //!
 //! Events are small `Copy` records: a cycle timestamp, the emitting
-//! thread, and a kind-specific payload. Payloads use raw `u64` addresses
-//! and `u8` code points rather than engine types — this crate sits below
-//! `euno-htm` in the dependency graph, so the engine maps its own enums
-//! (episode kinds, abort causes) onto the [`codes`] constants at the
-//! emission site.
+//! thread, and a kind-specific payload. Payloads carry raw `u64`
+//! addresses and the workspace's one vocabulary for what ran and why it
+//! ended: [`EpisodeKind`] and [`OpKind`], defined here, and
+//! [`AbortClass`], defined in `euno-metrics`. The exporters print their
+//! canonical names.
 
 use std::fmt;
 
-/// Stable code points for episode kinds and abort causes. The engine
-/// translates its richer enums into these at emission time; exporters
-/// translate them back into names.
-pub mod codes {
-    /// Episode kinds (`EpisodeKind` in `euno-htm`).
-    pub const EP_HTM_TX: u8 = 0;
-    pub const EP_FALLBACK: u8 = 1;
-    pub const EP_OPTIMISTIC_READ: u8 = 2;
-    pub const EP_LOCKED_WRITE: u8 = 3;
+use euno_metrics::{define_metric_enum, AbortClass};
 
-    /// Abort causes (`AbortCause` + `ConflictKind` in `euno-htm`).
-    pub const AB_CONFLICT_TRUE: u8 = 0;
-    pub const AB_CONFLICT_FALSE_RECORD: u8 = 1;
-    pub const AB_CONFLICT_FALSE_METADATA: u8 = 2;
-    pub const AB_CONFLICT_FALSE_STRUCTURE: u8 = 3;
-    pub const AB_CONFLICT_UNCLASSIFIED: u8 = 4;
-    pub const AB_CAPACITY: u8 = 5;
-    pub const AB_EXPLICIT: u8 = 6;
-    pub const AB_SPURIOUS: u8 = 7;
-    pub const AB_FALLBACK_LOCKED: u8 = 8;
-
-    /// Client operation kinds (`OpKind` in `euno-check`).
-    pub const OP_GET: u8 = 0;
-    pub const OP_PUT: u8 = 1;
-    pub const OP_DELETE: u8 = 2;
-    pub const OP_SCAN: u8 = 3;
-    pub const OP_MAINTAIN: u8 = 4;
-
-    pub fn episode_name(kind: u8) -> &'static str {
-        match kind {
-            EP_HTM_TX => "htm_tx",
-            EP_FALLBACK => "fallback",
-            EP_OPTIMISTIC_READ => "optimistic_read",
-            EP_LOCKED_WRITE => "locked_write",
-            _ => "episode?",
-        }
+define_metric_enum! {
+    /// What kind of instrumented span is running (`euno-htm`'s episodes).
+    EpisodeKind {
+        /// A hardware-transaction attempt: write-buffered, abortable.
+        HtmTx => "htm_tx",
+        /// The serialized fallback path of an HTM region (lock held).
+        Fallback => "fallback",
+        /// A version-validated optimistic read section (Masstree §4.6).
+        OptimisticRead => "optimistic_read",
+        /// An in-place write section under a per-node lock.
+        LockedWrite => "locked_write",
     }
+}
 
-    pub fn cause_name(cause: u8) -> &'static str {
-        match cause {
-            AB_CONFLICT_TRUE => "conflict_true_same_record",
-            AB_CONFLICT_FALSE_RECORD => "conflict_false_different_record",
-            AB_CONFLICT_FALSE_METADATA => "conflict_false_metadata",
-            AB_CONFLICT_FALSE_STRUCTURE => "conflict_false_structure",
-            AB_CONFLICT_UNCLASSIFIED => "conflict_unclassified",
-            AB_CAPACITY => "capacity",
-            AB_EXPLICIT => "explicit",
-            AB_SPURIOUS => "spurious",
-            AB_FALLBACK_LOCKED => "fallback_locked",
-            _ => "abort?",
-        }
-    }
-
-    /// Whether a cause code denotes a data conflict (it then carries a
-    /// meaningful conflicting-line address).
-    pub fn is_conflict(cause: u8) -> bool {
-        cause <= AB_CONFLICT_UNCLASSIFIED
-    }
-
-    pub fn op_name(kind: u8) -> &'static str {
-        match kind {
-            OP_GET => "get",
-            OP_PUT => "put",
-            OP_DELETE => "delete",
-            OP_SCAN => "scan",
-            OP_MAINTAIN => "maintain",
-            _ => "op?",
-        }
+define_metric_enum! {
+    /// The client-level operation kinds a trace or a history can contain.
+    OpKind {
+        Get => "get",
+        Put => "put",
+        Delete => "delete",
+        Scan => "scan",
+        /// A deferred-rebalance sweep — structurally significant but a
+        /// no-op on the abstract map (checkers verify it *preserves* the
+        /// state).
+        Maintain => "maintain",
     }
 }
 
@@ -87,17 +46,17 @@ pub enum EventKind {
     /// An episode (HTM attempt, fallback, optimistic read, locked write)
     /// started.
     EpisodeBegin {
-        kind: u8,
+        kind: EpisodeKind,
     },
     /// The episode committed / finished successfully.
     EpisodeCommit {
-        kind: u8,
+        kind: EpisodeKind,
     },
     /// The episode aborted. `line_addr` is the base address of the
     /// conflicting cache line for conflict causes, else 0.
     EpisodeAbort {
-        kind: u8,
-        cause: u8,
+        kind: EpisodeKind,
+        cause: AbortClass,
         line_addr: u64,
     },
     /// The executor backed off for `cycles` before retrying.
@@ -143,7 +102,7 @@ pub enum EventKind {
     },
     /// A client-level operation started / ended (emitted by harnesses).
     OpBegin {
-        kind: u8,
+        kind: OpKind,
         key: u64,
     },
     OpEnd,
@@ -188,19 +147,14 @@ impl fmt::Display for Event {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[t{} @{}] ", self.thread, self.ts)?;
         match self.kind {
-            EventKind::EpisodeBegin { kind } => write!(f, "{} begin", codes::episode_name(kind)),
-            EventKind::EpisodeCommit { kind } => write!(f, "{} commit", codes::episode_name(kind)),
+            EventKind::EpisodeBegin { kind } => write!(f, "{} begin", kind.name()),
+            EventKind::EpisodeCommit { kind } => write!(f, "{} commit", kind.name()),
             EventKind::EpisodeAbort {
                 kind,
                 cause,
                 line_addr,
             } => {
-                write!(
-                    f,
-                    "{} abort: {}",
-                    codes::episode_name(kind),
-                    codes::cause_name(cause)
-                )?;
+                write!(f, "{} abort: {}", kind.name(), cause.name())?;
                 if line_addr != 0 {
                     write!(f, " line {line_addr:#x}")?;
                 }
@@ -224,7 +178,7 @@ impl fmt::Display for Event {
             EventKind::Reorg { leaf } => write!(f, "reorg {leaf:#x}"),
             EventKind::Maintain { merges } => write!(f, "maintain sweep: {merges} merges"),
             EventKind::OpBegin { kind, key } => {
-                write!(f, "op {} key {key}", codes::op_name(kind))
+                write!(f, "op {} key {key}", kind.name())
             }
             EventKind::OpEnd => write!(f, "op end"),
             EventKind::SchedStep { clock } => write!(f, "sched step @{clock}"),
@@ -264,26 +218,25 @@ mod tests {
             ts: 1234,
             thread: 3,
             kind: EventKind::EpisodeAbort {
-                kind: codes::EP_HTM_TX,
-                cause: codes::AB_CONFLICT_FALSE_METADATA,
+                kind: EpisodeKind::HtmTx,
+                cause: AbortClass::FalseMetadata,
                 line_addr: 0x1000,
             },
         };
         let s = e.to_string();
         assert!(s.contains("htm_tx abort"), "{s}");
-        assert!(s.contains("conflict_false_metadata"), "{s}");
+        assert!(s.contains("false_metadata"), "{s}");
         assert!(s.contains("0x1000"), "{s}");
     }
 
     #[test]
-    fn code_names_cover_all_codes() {
-        for k in 0..4 {
-            assert!(!codes::episode_name(k).contains('?'));
+    fn vocabulary_names_are_unique() {
+        let mut seen = std::collections::HashSet::new();
+        let names = EpisodeKind::ALL.iter().map(|k| k.name());
+        for name in names.chain(OpKind::ALL.iter().map(|k| k.name())) {
+            assert!(!name.is_empty() && seen.insert(name), "{name}");
         }
-        for c in 0..9 {
-            assert!(!codes::cause_name(c).contains('?'));
-        }
-        assert!(codes::is_conflict(codes::AB_CONFLICT_UNCLASSIFIED));
-        assert!(!codes::is_conflict(codes::AB_CAPACITY));
+        assert!(AbortClass::UnclassifiedConflict.is_conflict());
+        assert!(!AbortClass::Capacity.is_conflict());
     }
 }

@@ -21,7 +21,7 @@ use std::collections::BTreeMap;
 
 use euno_metrics::{Counter, FlipEvent, Gauge, TimeSeries};
 
-use crate::event::{codes, EventKind};
+use crate::event::{EpisodeKind, EventKind, OpKind};
 use crate::json::Json;
 use crate::ring::ThreadTrace;
 
@@ -74,17 +74,11 @@ pub fn chrome_trace(traces: &[ThreadTrace]) -> Json {
             let tid = t.thread;
             match ev.kind {
                 EventKind::EpisodeBegin { kind } => {
-                    events.push(chrome_event(
-                        codes::episode_name(kind),
-                        "B",
-                        ev.ts,
-                        tid,
-                        vec![],
-                    ));
+                    events.push(chrome_event(kind.name(), "B", ev.ts, tid, vec![]));
                 }
                 EventKind::EpisodeCommit { kind } => {
                     events.push(chrome_event(
-                        codes::episode_name(kind),
+                        kind.name(),
                         "E",
                         ev.ts,
                         tid,
@@ -97,13 +91,13 @@ pub fn chrome_trace(traces: &[ThreadTrace]) -> Json {
                     line_addr,
                 } => {
                     events.push(chrome_event(
-                        codes::episode_name(kind),
+                        kind.name(),
                         "E",
                         ev.ts,
                         tid,
                         vec![field("outcome", Json::str("abort"))],
                     ));
-                    let mut args = vec![field("cause", Json::str(codes::cause_name(cause)))];
+                    let mut args = vec![field("cause", Json::str(cause.name()))];
                     if line_addr != 0 {
                         args.push(field("line", hex(line_addr)));
                     }
@@ -183,7 +177,7 @@ pub fn chrome_trace(traces: &[ThreadTrace]) -> Json {
                 }
                 EventKind::OpBegin { kind, key } => {
                     events.push(chrome_event(
-                        &format!("op:{}", codes::op_name(kind)),
+                        &format!("op:{}", kind.name()),
                         "B",
                         ev.ts,
                         tid,
@@ -419,17 +413,15 @@ pub fn folded_rollup(traces: &[ThreadTrace]) -> String {
         let tn = format!("thread_{}", t.thread);
         // Reconstruct episode spans: per-thread events are ordered, and
         // episodes do not nest within a thread.
-        let mut open_episode: Option<(u8, u64)> = None;
-        let mut open_op: Option<(u8, u64)> = None;
+        let mut open_episode: Option<(EpisodeKind, u64)> = None;
+        let mut open_op: Option<(OpKind, u64)> = None;
         for ev in &t.events {
             match ev.kind {
                 EventKind::EpisodeBegin { kind } => open_episode = Some((kind, ev.ts)),
                 EventKind::EpisodeCommit { kind } | EventKind::EpisodeAbort { kind, .. } => {
                     let outcome = match ev.kind {
                         EventKind::EpisodeCommit { .. } => "commit".to_string(),
-                        EventKind::EpisodeAbort { cause, .. } => {
-                            codes::cause_name(cause).to_string()
-                        }
+                        EventKind::EpisodeAbort { cause, .. } => cause.name().to_string(),
                         _ => unreachable!(),
                     };
                     // Tolerate a begin lost to ring overwrite: weight 1.
@@ -438,7 +430,7 @@ pub fn folded_rollup(traces: &[ThreadTrace]) -> String {
                         _ => 1,
                     };
                     *stacks
-                        .entry(format!("{tn};{};{outcome}", codes::episode_name(kind)))
+                        .entry(format!("{tn};{};{outcome}", kind.name()))
                         .or_default() += dur;
                 }
                 EventKind::Backoff { cycles } => {
@@ -472,7 +464,7 @@ pub fn folded_rollup(traces: &[ThreadTrace]) -> String {
                 EventKind::OpEnd => {
                     if let Some((kind, begin)) = open_op.take() {
                         *stacks
-                            .entry(format!("{tn};op_{}", codes::op_name(kind)))
+                            .entry(format!("{tn};op_{}", kind.name()))
                             .or_default() += ev.ts.saturating_sub(begin).max(1);
                     }
                 }
@@ -494,6 +486,7 @@ pub fn folded_rollup(traces: &[ThreadTrace]) -> String {
 mod tests {
     use super::*;
     use crate::event::Event;
+    use euno_metrics::AbortClass;
 
     fn sample_traces() -> Vec<ThreadTrace> {
         let mk = |ts, kind| Event {
@@ -509,21 +502,21 @@ mod tests {
                 mk(
                     10,
                     EventKind::OpBegin {
-                        kind: codes::OP_PUT,
+                        kind: OpKind::Put,
                         key: 42,
                     },
                 ),
                 mk(
                     11,
                     EventKind::EpisodeBegin {
-                        kind: codes::EP_HTM_TX,
+                        kind: EpisodeKind::HtmTx,
                     },
                 ),
                 mk(
                     40,
                     EventKind::EpisodeAbort {
-                        kind: codes::EP_HTM_TX,
-                        cause: codes::AB_CONFLICT_TRUE,
+                        kind: EpisodeKind::HtmTx,
+                        cause: AbortClass::TrueSameRecord,
                         line_addr: 0x4040,
                     },
                 ),
@@ -531,13 +524,13 @@ mod tests {
                 mk(
                     91,
                     EventKind::EpisodeBegin {
-                        kind: codes::EP_HTM_TX,
+                        kind: EpisodeKind::HtmTx,
                     },
                 ),
                 mk(
                     130,
                     EventKind::EpisodeCommit {
-                        kind: codes::EP_HTM_TX,
+                        kind: EpisodeKind::HtmTx,
                     },
                 ),
                 mk(
@@ -657,7 +650,7 @@ mod tests {
         let text = folded_rollup(&sample_traces());
         // Aborted episode: 40-11 = 29 cycles under the cause name.
         assert!(
-            text.contains("thread_0;htm_tx;conflict_true_same_record 29"),
+            text.contains("thread_0;htm_tx;true_same_record 29"),
             "{text}"
         );
         // Committed episode: 130-91 = 39 cycles.

@@ -40,7 +40,7 @@ pub mod json;
 pub mod profile;
 pub mod ring;
 
-pub use event::{codes, Event, EventKind};
+pub use event::{EpisodeKind, Event, EventKind, OpKind};
 pub use export::{
     chrome_trace, folded_rollup, metrics_jsonl, validate_chrome_trace, validate_metrics_jsonl,
 };

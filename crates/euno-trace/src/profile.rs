@@ -24,7 +24,7 @@
 
 use std::collections::HashMap;
 
-use crate::event::{codes, Event, EventKind};
+use crate::event::{Event, EventKind};
 use crate::ring::ThreadTrace;
 
 /// Contention charged to one leaf (or to the unattributed pool).
@@ -156,11 +156,7 @@ fn apply_event(ev: &Event, charge: &mut impl FnMut(u64, &dyn Fn(&mut LeafCounter
         EventKind::EpisodeAbort {
             cause, line_addr, ..
         } => {
-            let addr = if codes::is_conflict(cause) {
-                line_addr
-            } else {
-                0
-            };
+            let addr = if cause.is_conflict() { line_addr } else { 0 };
             charge(addr, &|c| c.aborts += 1);
         }
         EventKind::LockAcquire { addr, wait_cycles } => {
@@ -179,6 +175,8 @@ fn apply_event(ev: &Event, charge: &mut impl FnMut(u64, &dyn Fn(&mut LeafCounter
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::EpisodeKind;
+    use euno_metrics::AbortClass;
 
     fn trace(events: Vec<Event>) -> ThreadTrace {
         ThreadTrace {
@@ -209,18 +207,18 @@ mod tests {
     fn attributes_and_ranks_by_aborts() {
         let t = trace(vec![
             ev(EventKind::EpisodeAbort {
-                kind: codes::EP_HTM_TX,
-                cause: codes::AB_CONFLICT_TRUE,
+                kind: EpisodeKind::HtmTx,
+                cause: AbortClass::TrueSameRecord,
                 line_addr: 0x2040, // leaf 2
             }),
             ev(EventKind::EpisodeAbort {
-                kind: codes::EP_HTM_TX,
-                cause: codes::AB_CONFLICT_FALSE_METADATA,
+                kind: EpisodeKind::HtmTx,
+                cause: AbortClass::FalseMetadata,
                 line_addr: 0x2080, // leaf 2 again
             }),
             ev(EventKind::EpisodeAbort {
-                kind: codes::EP_HTM_TX,
-                cause: codes::AB_CONFLICT_FALSE_RECORD,
+                kind: EpisodeKind::HtmTx,
+                cause: AbortClass::FalseDifferentRecord,
                 line_addr: 0x1010, // leaf 1
             }),
             ev(EventKind::LockAcquire {
@@ -251,14 +249,14 @@ mod tests {
         let t = trace(vec![
             // Address outside both leaves.
             ev(EventKind::EpisodeAbort {
-                kind: codes::EP_HTM_TX,
-                cause: codes::AB_CONFLICT_TRUE,
+                kind: EpisodeKind::HtmTx,
+                cause: AbortClass::TrueSameRecord,
                 line_addr: 0x9000,
             }),
             // Capacity abort: no meaningful address.
             ev(EventKind::EpisodeAbort {
-                kind: codes::EP_HTM_TX,
-                cause: codes::AB_CAPACITY,
+                kind: EpisodeKind::HtmTx,
+                cause: AbortClass::Capacity,
                 line_addr: 0x1010, // must be ignored: not a conflict
             }),
             ev(EventKind::LockAcquire {

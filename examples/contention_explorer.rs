@@ -9,6 +9,7 @@
 
 use std::sync::Arc;
 
+use eunomia::htm::AbortClass;
 use eunomia::prelude::*;
 
 struct Args {
@@ -98,18 +99,30 @@ fn main() {
         a.threads
     );
     println!("aborts/op       {:.4}", m.aborts_per_op);
-    println!("  true same-record    {:>10}", m.aborts.true_same_record);
+    println!(
+        "  true same-record    {:>10}",
+        m.stats.aborts[AbortClass::TrueSameRecord]
+    );
     println!(
         "  false diff-record   {:>10}",
-        m.aborts.false_different_record
+        m.stats.aborts[AbortClass::FalseDifferentRecord]
     );
-    println!("  false metadata      {:>10}", m.aborts.false_metadata);
-    println!("  false structure     {:>10}", m.aborts.false_structure);
+    println!(
+        "  false metadata      {:>10}",
+        m.stats.aborts[AbortClass::FalseMetadata]
+    );
+    println!(
+        "  false structure     {:>10}",
+        m.stats.aborts[AbortClass::FalseStructure]
+    );
     println!(
         "  capacity/spurious   {:>10}",
-        m.aborts.capacity + m.aborts.spurious
+        m.stats.aborts[AbortClass::Capacity] + m.stats.aborts[AbortClass::Spurious]
     );
-    println!("  fallback-locked     {:>10}", m.aborts.fallback_locked);
+    println!(
+        "  fallback-locked     {:>10}",
+        m.stats.aborts[AbortClass::FallbackLocked]
+    );
     println!("wasted cycles   {:.1}%", 100.0 * m.wasted_cycle_fraction);
     println!("accesses/op     {:.1}", m.accesses_per_op);
     println!("fallbacks/op    {:.5}", m.fallbacks_per_op);

@@ -19,7 +19,7 @@
 
 use std::sync::Arc;
 
-use eunomia::htm::euno_metrics::{Counter, ABORTS_HTM};
+use eunomia::htm::euno_metrics::{AbortClass, Counter, ABORTS_HTM};
 use eunomia::htm::{RetryPolicy, TxCell};
 use eunomia::prelude::*;
 
@@ -155,7 +155,11 @@ fn disjoint_ranges(rt: &Arc<Runtime>, tree: &dyn ConcurrentMap, put_pct: u64) ->
     });
     let secs = t0.elapsed().as_secs_f64();
     let m = rt.metrics();
-    let conflicts: u64 = ABORTS_HTM[..5].iter().map(|&c| m.total(c)).sum();
+    let conflicts: u64 = AbortClass::ALL
+        .iter()
+        .filter(|c| c.is_conflict())
+        .map(|c| m.total(ABORTS_HTM[c.index()]))
+        .sum();
     let ops = (THREADS * OPS) as f64;
     (conflicts as f64 / ops, ops / secs / 1e6)
 }

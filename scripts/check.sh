@@ -136,7 +136,8 @@ echo "held-names (vestigial counters unused, and still needed) OK"
 # euno-htm/src/bptree.rs (DESIGN.md §4.9).  A second bisect anywhere under
 # crates/*/src is a private copy of `upper_bound` / `lower_bound` growing
 # back (both are the one `bisect` there), and a second
-# `fn internal_insert` is the index insert doing the same.
+# `fn internal_insert` is the index insert doing the same.  So is the
+# abort taxonomy (DESIGN.md §13): one `AbortCause::class`, no trace codes.
 BISECT='(lo + hi) / 2'
 bisects="$({ grep -rnF "$BISECT" crates/*/src || true; } | grep -vc '^crates/euno-htm/src/bptree.rs:' || true)"
 [[ $bisects == 0 && $(grep -cF "$BISECT" crates/euno-htm/src/bptree.rs) == 1 ]] \
@@ -144,7 +145,10 @@ bisects="$({ grep -rnF "$BISECT" crates/*/src || true; } | grep -vc '^crates/eun
 inserts="$(cat crates/*/src/*.rs | grep -c 'fn internal_insert' || true)"
 [[ $inserts -le 1 ]] \
     || { echo "one-copy: $inserts index-insert routines"; exit 1; }
-echo "one-copy (one bisect under crates/*/src, in bptree.rs; no private index insert) OK"
+! grep -rn 'codes::' crates/*/src || { echo "one-copy: trace code points are back"; exit 1; }
+[[ $(grep -rlF 'AbortCause::Capacity =>' crates/*/src) == crates/euno-htm/src/abort.rs ]] \
+    || { echo "one-copy: an AbortCause mapping outside abort.rs"; exit 1; }
+echo "one-copy (one bisect, in bptree.rs; no private index insert; one abort mapping) OK"
 
 # Unsafe confined (DESIGN.md §4.4): nodes are read through bptree.rs's Guard,
 # so no tree crate says `unsafe`. Only the files that own memory may:

@@ -6,6 +6,7 @@
 
 use std::sync::Arc;
 
+use eunomia::htm::AbortClass;
 use eunomia::prelude::*;
 
 fn measure(map: &dyn ConcurrentMap, rt: &Arc<Runtime>, theta: f64, threads: usize) -> RunMetrics {
@@ -64,9 +65,11 @@ fn htm_btree_collapses_past_theta_06() {
 fn abort_taxonomy_matches_paper_analysis() {
     let (rt, tree) = fresh(HtmBTree::<16>::new);
     let m = measure(&tree, &rt, 0.9, 16);
-    let conflicts = m.aborts.conflicts().max(1) as f64;
-    let false_frac = (m.aborts.false_different_record + m.aborts.false_metadata) as f64 / conflicts;
-    let leaf_frac = m.aborts.leaf_level_conflicts() as f64 / conflicts;
+    let conflicts = m.stats.aborts.conflicts().max(1) as f64;
+    let false_frac = (m.stats.aborts[AbortClass::FalseDifferentRecord]
+        + m.stats.aborts[AbortClass::FalseMetadata]) as f64
+        / conflicts;
+    let leaf_frac = m.stats.aborts.leaf_level_conflicts() as f64 / conflicts;
     assert!(
         false_frac > 0.5,
         "false conflicts must dominate, got {false_frac:.2}"
@@ -85,7 +88,7 @@ fn abort_taxonomy_matches_paper_analysis() {
         "contention must burn a large cycle share under θ=0.9, got {lost:.2}"
     );
     assert!(
-        m.aborts.true_same_record > 0,
+        m.stats.aborts[AbortClass::TrueSameRecord] > 0,
         "true conflicts must exist under a hot zipfian"
     );
 }
@@ -284,7 +287,7 @@ fn virtual_runs_are_deterministic() {
         (
             m.total_ops,
             m.stats.cycles_total,
-            m.aborts.total(),
+            m.stats.aborts.total(),
             m.stats.mem_accesses,
         )
     };
