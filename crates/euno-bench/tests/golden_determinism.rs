@@ -70,7 +70,12 @@ use euno_workloads::WorkloadSpec;
 /// of the first seven separators (a level is two lines, not three): all
 /// four entries moved — `Euno-B+Tree` 13.75 → 13.88, `HTM-B+Tree` 10.35 →
 /// 9.90, `Masstree` 12.75 → 12.71, `HTM-Masstree` 7.66 → 7.17 Mops/s.
-const GOLDEN_DIGEST: &str = "81ecc19001df312c";
+/// `57664f53bcd30bee` (was `81ecc19001df312c`) since the Euno leaf lost its
+/// header line: `seqno` rides every segment's key line and `next` /
+/// `parent` the last one's, and a key's home is charged once an operation.
+/// Of the four entries only `Euno-B+Tree` moved (13.88 → 14.09 Mops/s);
+/// `GOLDEN_DUMP` against the parent differs in that entry's lines only.
+const GOLDEN_DIGEST: &str = "57664f53bcd30bee";
 
 fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;

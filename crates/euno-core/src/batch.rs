@@ -14,7 +14,9 @@
 //! 2. consecutive ops that landed on the same leaf form a *group*; the
 //!    CCM stage (slot locks, mark bits, fast-miss filtering) runs once
 //!    per group over the deduplicated slot set, and a single lower region
-//!    applies every remaining op in the group under one `seqno` check;
+//!    applies every remaining op in the group under one `seqno` check (on
+//!    the copy of the group's first key's home segment: every op's home
+//!    is computed once, in step 1);
 //! 3. anything the shared episodes cannot finish safely — stale `seqno`
 //!    (found by the group's episode, or already by an early get's leaf
 //!    read, which then keeps its cell out of the group), an insert that
@@ -196,6 +198,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                 // operations, published before the group stage (which skips
                 // their cells).
                 let mut leaves = [(0u64, 0u64, 0u32); UPPER_CHUNK];
+                let mut homes = [0usize; UPPER_CHUNK];
                 let mut upper = [Upper::Group; UPPER_CHUNK];
                 // Where the previous key was located, while that pair is good
                 // for reuse: a key inside its range is on the same leaf (same
@@ -203,6 +206,8 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                 let mut prev: Option<Located<'_, SEGS, K>> = None;
                 for (j, op) in chunk.iter().enumerate() {
                     let key = op.key();
+                    let home = self.home(ctx, key);
+                    homes[j] = home;
                     let chain = match run {
                         Some((k, c)) if k == key => c,
                         _ => true,
@@ -218,7 +223,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                             ..prev
                         },
                         _ => {
-                            let found = self.locate(ctx, nodes, key);
+                            let found = self.locate_then(ctx, nodes, key, home, |_, _| ()).0;
                             stats.conflict_aborts += u64::from(found.conflicts);
                             found
                         }
@@ -229,7 +234,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                         found.conflicts,
                     );
                     if early_ok {
-                        match self.read_leaf(ctx, found.leaf, found.seqno, key) {
+                        match self.read_leaf(ctx, found.leaf, found.seqno, key, home) {
                             LeafRead::Value(value) => {
                                 out[base + j] = value;
                                 stats.opt_gets += 1;
@@ -268,6 +273,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                         ctx,
                         nodes,
                         &chunk[g..h],
+                        &homes[g..h],
                         base + g,
                         nodes.leaf(NodeRef::from_word(bits)),
                         seqno,
@@ -312,6 +318,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         ctx: &mut ThreadCtx,
         g: Guard<'_, SEGS, K>,
         ops: &[BatchOp],
+        homes: &[usize],
         batch_off: usize,
         leaf: &EunoLeaf<SEGS, K>,
         seqno: u64,
@@ -406,7 +413,8 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                     // (§4.1), exactly as in the single-op path.
                     tx.mark_serialized();
                 }
-                if tx.read(&leaf.seqno)? != seqno {
+                let copy = leaf.seqno(homes[0]);
+                if tx.read(copy)? != seqno {
                     return Ok(GroupRes::Stale);
                 }
                 let mut applied: [Option<Option<u64>>; UPPER_CHUNK] = [None; UPPER_CHUNK];
@@ -416,14 +424,14 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                     }
                     tx.set_op_key(op.key());
                     let (req, key, newval) = (op.req(), op.key(), op.newval());
-                    match self.lower_body(tx, g, leaf, req, key, newval, &mut region)? {
+                    match self.lower_body(tx, g, leaf, req, key, homes[j], newval, &mut region)? {
                         Lower::Done(v) => {
                             applied[j] = Some(v);
                             // A structural change (our own fallback-path
                             // split/reorg, or a concurrent one the engine
                             // serialized before us) bumps `seqno`; the
                             // rest of the group must not trust this leaf.
-                            if tx.read(&leaf.seqno)? != seqno {
+                            if tx.read(copy)? != seqno {
                                 break;
                             }
                         }

@@ -2,8 +2,10 @@
 //! adaptive contention detector (§4.1, Figure 5).
 //!
 //! One CCM sits "above" each leaf node, on its own cache line so its CAS
-//! traffic never invalidates lines the HTM regions read. A request hashes
-//! its key to one of `2 × fanout` slots:
+//! traffic never invalidates lines the HTM regions read — the leaf's
+//! segment lines, whose key lines also carry `seqno`, `next` and `parent`
+//! ([`crate::EunoLeaf`]): the CCM line is the one line of a leaf that holds
+//! no key. A request hashes its key to one of `2 × fanout` slots:
 //!
 //! * the slot's **lock bit** is a fine-grained advisory lock taken
 //!   *outside* the HTM region, serializing concurrent requests to the same

@@ -76,7 +76,8 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         })
     }
 
-    /// Per-leaf `(address, seqno)` snapshot of the live chain, taken under
+    /// Per-leaf `(address, seqno)` snapshot of the live chain (the copy
+    /// beside `next`, which a chain walker reads), taken under
     /// an epoch pin so concurrently retired leaves stay readable. An
     /// address identifies one leaf only while it stays on the chain:
     /// merged leaves are reclaimed after a grace period and the allocator
@@ -85,8 +86,12 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
     /// identity (see `euno-check`'s `SeqnoWatch`).
     pub fn leaf_seqnos_plain(&self) -> Vec<(usize, u64)> {
         self.pinned(|g| {
-            let seqno =
-                |leaf: &EunoLeaf<SEGS, K>| (leaf as *const _ as usize, leaf.seqno.load_plain());
+            let seqno = |leaf: &EunoLeaf<SEGS, K>| {
+                (
+                    leaf as *const _ as usize,
+                    leaf.seqno_beside_next().load_plain(),
+                )
+            };
             self.chain_plain(g).map(seqno).collect()
         })
     }
@@ -150,6 +155,9 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
     /// * separator keys within each internal node are strictly ascending;
     /// * live keys are strictly ascending along the whole chain (no
     ///   duplicates within or across leaves);
+    /// * every segment's copy of a leaf's `seqno` reads the same (a writer
+    ///   that bumps fewer than all of them leaves a reader checking another
+    ///   copy trusting a leaf whose records moved);
     /// * **placement** — every record, tombstones included, sits in a
     ///   segment on its key's probe path with every segment before it on
     ///   that path full, its segment is sorted, and the leaf's own search
@@ -255,6 +263,10 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                 if leaf.ccm.split_lock.held_plain() != 0 {
                     report!("leaf {addr:#x} split lock held at quiescence");
                 }
+                let copies: Vec<u64> = (0..SEGS).map(|s| leaf.seqno(s).load_plain()).collect();
+                if copies.iter().any(|&c| c != copies[0]) {
+                    report!("leaf {addr:#x} seqno copies disagree: {copies:?}");
+                }
                 if leaf.ccm.locks_plain() != 0 {
                     report!(
                         "leaf {addr:#x} CCM lock bits {:#b} held at quiescence",
@@ -281,7 +293,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                             );
                         }
                         let Ok((found, probe)) =
-                            leaf.find(key, |cell| Ok::<_, Infallible>(cell.load_plain()));
+                            leaf.find(home, key, |cell| Ok::<_, Infallible>(cell.load_plain()));
                         if !probe.hit || (found, probe.slot) != (at, i) {
                             report!(
                                 "leaf {addr:#x} search for key {key} (segment {at} slot {i}) \
@@ -441,15 +453,15 @@ mod tests {
             leaf.ccm.install_marks_prepublication(saved);
 
             // Unlinking a leaf from the chain desynchronizes it from the index.
-            let saved_next = leaf.next.load_plain();
+            let saved_next = leaf.next().load_plain();
             let skip = g.leaf(NodeRef::from_word(saved_next));
-            leaf.next.store_plain(skip.next.load_plain());
+            leaf.next().store_plain(skip.next().load_plain());
             let viol = t.audit_quiescent();
             assert!(
                 viol.iter().any(|v| v.contains("chain sequence")),
                 "{viol:?}"
             );
-            leaf.next.store_plain(saved_next);
+            leaf.next().store_plain(saved_next);
         });
         assert!(t.audit_quiescent().is_empty());
     }

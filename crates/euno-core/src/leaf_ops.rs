@@ -11,7 +11,7 @@
 //! only when genuinely full (the split itself lives in
 //! [`crate::structural`]).
 
-use euno_htm::{EventKind, Tx, TxCell, TxResult, TOMBSTONE};
+use euno_htm::{EventKind, ThreadCtx, Tx, TxCell, TxResult, TOMBSTONE};
 
 use crate::node::{EunoLeaf, Guard};
 use crate::probe;
@@ -21,7 +21,8 @@ use crate::tree::{EunoBTree, Lower, Req};
 
 impl<const SEGS: usize, const K: usize> EunoLeaf<SEGS, K> {
     /// The leaf's one search, over whatever `load` the caller reads with:
-    /// walk `key`'s probe path from its home segment and stop at the first
+    /// walk `key`'s probe path from its home segment (`home`, which the
+    /// caller has computed once for the operation) and stop at the first
     /// segment that holds the key or is not full. Returns that segment and
     /// where its search ended: a hit; or, with room, where `key` is to be
     /// inserted; or, full, the whole path was (the leaf is full).
@@ -31,17 +32,17 @@ impl<const SEGS: usize, const K: usize> EunoLeaf<SEGS, K> {
     /// one on the path is full. It holds when a record is placed, and it
     /// keeps holding while `seqno` stands: a delete leaves a tombstone, so
     /// a segment's count falls only in a reorganization, a split or a
-    /// merge — each of which bumps `seqno` before a record moves. A reader
-    /// that checks `seqno` around the walk (the lower region does by
-    /// reading it first, [`EunoBTree::read_leaf`] by bracketing) therefore
-    /// never stops short of a key that is there; `audit_quiescent` holds
-    /// every record of every leaf to the invariant.
+    /// merge — each of which bumps every copy of `seqno` before a record
+    /// moves. A reader that checks the home segment's copy around the walk
+    /// (the lower region does by reading it first, [`EunoBTree::read_leaf`]
+    /// by bracketing) therefore never stops short of a key that is there;
+    /// `audit_quiescent` holds every record of every leaf to the invariant.
     pub(crate) fn find<E>(
         &self,
+        home: usize,
         key: u64,
         mut load: impl FnMut(&TxCell<u64>) -> Result<u64, E>,
     ) -> Result<(usize, Probe), E> {
-        let home = home_segment(key, SEGS);
         let mut seg = home;
         loop {
             let at = self.segs[seg].search(key, &mut load)?;
@@ -59,6 +60,17 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
     /// (nothing where there is one segment to find).
     pub(crate) const HOME_COST: u64 = if SEGS > 1 { HOME_ALU } else { 0 };
 
+    /// `key`'s home segment, charged [`Self::HOME_COST`]. An operation
+    /// computes it once, before its upper stage: the `seqno` copy every
+    /// stage checks is the home segment's, and the leaf search starts
+    /// there.
+    pub(crate) fn home(&self, ctx: &mut ThreadCtx, key: u64) -> usize {
+        ctx.charge(self.rt.cost.alu * Self::HOME_COST);
+        home_segment(key, SEGS)
+    }
+
+    /// The lower region's work on `leaf`, whose `seqno` the caller has
+    /// checked: `req` on `key`, whose home segment is `home`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn lower_body(
         &self,
@@ -67,11 +79,11 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         leaf: &EunoLeaf<SEGS, K>,
         req: Req,
         key: u64,
+        home: usize,
         newval: u64,
         region: &mut LowerRegion,
     ) -> TxResult<Lower> {
-        tx.charge(self.rt.cost.alu * Self::HOME_COST);
-        let (seg, at) = leaf.find(key, |cell| tx.read(cell))?;
+        let (seg, at) = leaf.find(home, key, |cell| tx.read(cell))?;
         let found = at.hit.then(|| leaf.segs[seg].val_cell(at.slot));
         match req {
             Req::Get => Ok(Lower::Done(match found {
@@ -103,19 +115,21 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                     leaf.segs[seg].insert_at(tx, at, key, newval)?;
                     return Ok(Lower::Done(None));
                 }
-                self.insert_into_full(tx, g, leaf, key, newval, region)
+                self.insert_into_full(tx, g, leaf, key, home, newval, region)
             }
         }
     }
 
     /// Algorithm 3 lines 67-86: every segment on the key's path — every
     /// segment — is full. Reorganize if tombstones make room, else split.
+    #[allow(clippy::too_many_arguments)]
     fn insert_into_full(
         &self,
         tx: &mut Tx<'_>,
         g: Guard<'_, SEGS, K>,
         leaf: &EunoLeaf<SEGS, K>,
         key: u64,
+        home: usize,
         newval: u64,
         region: &mut LowerRegion,
     ) -> TxResult<Lower> {
@@ -139,10 +153,9 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             // here, so a reader walking a probe path could stop at a
             // segment that has just stopped being full, short of a key
             // that has not yet moved up, unless the bump is published
-            // first.
+            // first — on every copy, since a reader checks its key's.
             probe::mark("reorg:seqno");
-            let seq = tx.read(&leaf.seqno)?;
-            tx.write(&leaf.seqno, seq + 1)?;
+            leaf.bump_seqno(tx)?;
             probe::mark("reorg:records");
             self.redistribute(tx, leaf, &records)?;
             tx.ctx().trace(EventKind::Reorg {
@@ -154,7 +167,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             self.split_leaf(tx, g, leaf, &records, key, region)?
         };
         // The new key, by the same rule as every other record.
-        let mut seg = home_segment(key, SEGS);
+        let mut seg = home;
         while target.segs[seg].count_tx(tx)? == K {
             seg = (seg + 1) % SEGS;
         }

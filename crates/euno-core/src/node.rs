@@ -2,13 +2,20 @@
 //! nodes above it (with parent links) and the tagged pointer are the
 //! shared B+tree's, `euno_htm::bptree`.
 //!
-//! Layout is cache-line-deliberate:
+//! Layout is cache-line-deliberate — eight segment lines and the CCM
+//! line, 576 B at the paper's geometry, with no header line:
 //!
-//! * the leaf header (`seqno`, `next`, `parent`) has its own line — it is
-//!   read inside HTM regions, so nothing that gets CAS'd from outside
-//!   regions may share it;
 //! * each segment is line-aligned with keys and values on separate lines
 //!   (see [`Segment`]);
+//! * the leaf's words ride the segments' key lines, where operations look
+//!   anyway: every segment carries a copy of `seqno` beside its `count`, so
+//!   an operation checks the copy on its key's home segment; the last
+//!   segment's two spare words are `next` and `parent`, which a scan's
+//!   closing section reads beside that segment's copy. Split,
+//!   reorganization and merge bump every copy at once
+//!   ([`EunoLeaf::bump_seqno`]), before any record moves, so the copies
+//!   are equal at every commit and whichever one a reader brackets with
+//!   moves before a record does;
 //! * the CCM is one separate line (see [`Ccm`]), and the split lock is a
 //!   word of it — both are written only from outside regions and read
 //!   inside none, so neither invalidates a line transactions read.
@@ -23,28 +30,22 @@
 //! buffer of §4.1 is transient scratch, tracked for the §5.7 memory
 //! analysis but never the steady-state home of records).
 
-use euno_htm::{LineClass, ParentLinked, Runtime, TxCell};
+use euno_htm::{LineClass, ParentLinked, Runtime, Tx, TxCell, TxResult};
 
 pub use euno_htm::{IndexNode, NodeRef};
 
 use crate::ccm::Ccm;
+use crate::probe;
 use crate::segment::Segment;
 
 /// Internal-node fanout (the paper sets node fanout to 16, §5.7).
 pub const INTERNAL_FANOUT: usize = 16;
 
-/// A partitioned leaf: header, `SEGS` segments of `K` slots, and the
-/// conflict-control module (which hosts the split lock).
+/// A partitioned leaf: `SEGS` segments of `K` slots, which also carry the
+/// leaf's `seqno`, `next` and `parent`, and the conflict-control module
+/// (which hosts the split lock).
 #[repr(C, align(64))]
 pub struct EunoLeaf<const SEGS: usize, const K: usize> {
-    /// Version number tracking splits (the consistency glue between the
-    /// upper and lower HTM regions, §4.1/Figure 4).
-    pub seqno: TxCell<u64>,
-    /// Next-leaf chain for range scans (NodeRef bits).
-    pub next: TxCell<u64>,
-    /// Parent internal node (NodeRef bits; 0 at the root).
-    pub parent: TxCell<u64>,
-    _pad0: [u64; 5],
     pub segs: [Segment<K>; SEGS],
     pub ccm: Ccm,
 }
@@ -57,13 +58,52 @@ impl<const SEGS: usize, const K: usize> EunoLeaf<SEGS, K> {
             "CCM bit vectors are single words: 2·fanout ≤ 64"
         );
         EunoLeaf {
-            seqno: TxCell::new(0),
-            next: TxCell::new(0),
-            parent: TxCell::new(0),
-            _pad0: [0; 5],
             segs: std::array::from_fn(|_| Segment::empty()),
             ccm: Ccm::new(),
         }
+    }
+
+    /// The segment whose key line carries `next` and `parent`.
+    const LAST: usize = SEGS - 1;
+
+    /// Segment `seg`'s copy of the version number tracking splits (the
+    /// consistency glue between the upper and lower HTM regions,
+    /// §4.1/Figure 4). An operation reads its key's home segment's copy;
+    /// a scan step, [`Self::seqno_beside_next`].
+    pub fn seqno(&self, seg: usize) -> &TxCell<u64> {
+        self.segs[seg].seqno_cell()
+    }
+
+    /// The copy of `seqno` a chain walker reads: the last segment's,
+    /// beside `next`.
+    pub fn seqno_beside_next(&self) -> &TxCell<u64> {
+        self.seqno(Self::LAST)
+    }
+
+    /// Next-leaf chain for range scans (NodeRef bits).
+    pub fn next(&self) -> &TxCell<u64> {
+        self.segs[Self::LAST].link_cell(0)
+    }
+
+    /// Parent internal node (NodeRef bits; 0 at the root).
+    pub fn parent(&self) -> &TxCell<u64> {
+        self.segs[Self::LAST].link_cell(1)
+    }
+
+    /// The one writer of `seqno`: every segment's copy goes up by one.
+    /// Split, reorganization and merge call it before any record moves,
+    /// so the copies are equal at every commit and a reader bracketing
+    /// with any one of them sees it move first. (Its mutation twin bumps
+    /// copy 0 alone: `tests/upper_walk.rs` convicts it.)
+    pub(crate) fn bump_seqno(&self, tx: &mut Tx<'_>) -> TxResult<()> {
+        let seq = tx.read(self.seqno(0))? + 1;
+        for seg in &self.segs {
+            tx.write(seg.seqno_cell(), seq)?;
+            if probe::mutated("seqno:bump-one-copy") {
+                break;
+            }
+        }
+        Ok(())
     }
 
     /// Total record slots (the paper's leaf fanout).
@@ -89,10 +129,9 @@ impl<const SEGS: usize, const K: usize> EunoLeaf<SEGS, K> {
 
     pub fn register(&self, rt: &Runtime) {
         let parts = [
-            // Header line.
-            (0, LineClass::Metadata),
-            // Segments: record storage (their count words live amid the
-            // records deliberately — per-segment metadata is the point).
+            // Segments: record storage (their count and `seqno` words, and
+            // the last one's links, live amid the records deliberately —
+            // per-segment metadata is the point).
             (std::mem::offset_of!(Self, segs), LineClass::Record),
             // CCM line (lock bits, mark bits, detector, split lock).
             (std::mem::offset_of!(Self, ccm), LineClass::Metadata),
@@ -114,7 +153,7 @@ impl<const SEGS: usize, const K: usize> EunoLeaf<SEGS, K> {
 
 impl<const SEGS: usize, const K: usize> ParentLinked for EunoLeaf<SEGS, K> {
     fn parent(&self) -> &TxCell<u64> {
-        &self.parent
+        EunoLeaf::parent(self)
     }
 }
 
@@ -134,27 +173,39 @@ mod tests {
 
     type Leaf44 = EunoLeaf<4, 4>;
 
+    /// The line facts of the layout, at both geometries the crate builds:
+    /// every segment's `seqno` copy on that segment's (first) key line,
+    /// `next` and `parent` on the last segment's last key line, and the
+    /// CCM line — carrying the split lock — shared with no key line.
+    fn line_facts<const SEGS: usize, const K: usize>() {
+        let l: Box<EunoLeaf<SEGS, K>> = Box::new(EunoLeaf::empty());
+        let line = |cell: &TxCell<u64>| cell.line();
+        let ccm = LineId::of_addr(&l.ccm as *const _ as usize);
+        let lock_line = LineId::of_addr(&l.ccm.split_lock as *const _ as usize);
+        let mut key_lines = std::collections::HashSet::new();
+        for (i, seg) in l.segs.iter().enumerate() {
+            assert_eq!(line(l.seqno(i)), seg.key_cell(0).line(), "segment {i}");
+            key_lines.extend((0..K).map(|j| seg.key_cell(j).line()));
+            assert_ne!(seg.key_cell(0).line(), seg.val_cell(0).line());
+        }
+        let last_key = l.segs[EunoLeaf::<SEGS, K>::LAST].key_cell(K - 1).line();
+        assert_eq!(line(l.next()), last_key, "next on the last key line");
+        assert_eq!(line(l.parent()), last_key, "parent on the last key line");
+        assert!(!key_lines.contains(&ccm), "the CCM line holds no key");
+        // The split lock rides the CCM line (written outside regions only,
+        // like everything else there).
+        assert_eq!(lock_line, ccm);
+    }
+
     #[test]
     fn leaf_line_discipline() {
-        let l: Box<Leaf44> = Box::new(EunoLeaf::empty());
-        let header = LineId::of_ptr(&l.seqno as *const _);
-        let lock_line = LineId::of_addr(&l.ccm.split_lock as *const _ as usize);
-        let seg0k = l.segs[0].key_cell(0).line();
-        let seg0v = l.segs[0].val_cell(0).line();
-        let seg1k = l.segs[1].key_cell(0).line();
-        let ccm = LineId::of_addr(&l.ccm as *const _ as usize);
-        // All regions on distinct lines.
-        let set: std::collections::HashSet<_> =
-            [header, seg0k, seg0v, seg1k, ccm].into_iter().collect();
-        assert_eq!(
-            set.len(),
-            5,
-            "header/segment-keys/segment-vals/ccm must not share lines"
-        );
-        // The split lock rides the CCM line (written outside regions only,
-        // like everything else there) and the leaf has no line to spare.
-        assert_eq!(lock_line, ccm);
-        assert_eq!(std::mem::size_of::<Leaf44>(), 640);
+        line_facts::<4, 4>();
+        line_facts::<1, 16>();
+        // Eight segment lines and the CCM line: no line to spare. The
+        // unpartitioned leaf's key area stays three lines (count, `seqno`,
+        // sixteen keys and the links are twenty words).
+        assert_eq!(std::mem::size_of::<Leaf44>(), 576);
+        assert_eq!(std::mem::size_of::<EunoLeaf<1, 16>>(), 384);
     }
 
     #[test]
@@ -175,7 +226,7 @@ mod tests {
         euno_htm::Collector::new().pinned(|g: Guard<4, 4>| {
             assert!(std::ptr::eq(g.leaf(lr), &*l));
             assert!(std::ptr::eq(g.index_node(ir), &*i));
-            assert!(std::ptr::eq(g.parent_cell(lr), &l.parent));
+            assert!(std::ptr::eq(g.parent_cell(lr), l.parent()));
             assert!(std::ptr::eq(g.parent_cell(ir), &i.parent));
         });
     }

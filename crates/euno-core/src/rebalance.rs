@@ -281,7 +281,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                 Some(LeafView {
                     live: scratch.iter().filter(|&&(_, v)| v != TOMBSTONE).count(),
                     min_key: scratch.iter().map(|&(k, _)| k).min(),
-                    next: NodeRef::from_word(leaf.next.load_direct(ctx)),
+                    next: NodeRef::from_word(leaf.next().load_direct(ctx)),
                 })
             },
         )
@@ -341,13 +341,13 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             // Both split locks are held: contending structural ops queue.
             tx.mark_serialized();
             // Re-verify adjacency under transactional protection.
-            if NodeRef::from_word(tx.read(&left.next)?) != NodeRef::of_leaf(right) {
+            if NodeRef::from_word(tx.read(left.next())?) != NodeRef::of_leaf(right) {
                 return Ok(false);
             }
             // Both leaves must share a parent, and the right leaf must
             // have a separator entry (not be a leftmost child).
-            let parent_bits = tx.read(&left.parent)?;
-            if parent_bits == 0 || parent_bits != tx.read(&right.parent)? {
+            let parent_bits = tx.read(left.parent())?;
+            if parent_bits == 0 || parent_bits != tx.read(right.parent())? {
                 return Ok(false);
             }
             let parent = g.index_node(NodeRef::from_word(parent_bits));
@@ -394,12 +394,11 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             // whose records have moved left — and the left leaf's own
             // records are re-placed in the redistribute below (a spilled
             // key goes home, counts fall), so readers holding it need
-            // invalidating too.
+            // invalidating too. Every copy of each: a reader checks the
+            // one on its key's home segment.
             probe::mark("merge:seqno");
-            let rseq = tx.read(&right.seqno)?;
-            tx.write(&right.seqno, rseq + 1)?;
-            let lseq = tx.read(&left.seqno)?;
-            tx.write(&left.seqno, lseq + 1)?;
+            right.bump_seqno(tx)?;
+            left.bump_seqno(tx)?;
 
             // Re-place into the left leaf; empty the right one.
             probe::mark("merge:records");
@@ -411,8 +410,8 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             // index nodes never being unlinked, freed or given a new lower
             // bound, and `euno-check`'s `IndexWatch` fails `stress` on the
             // change that merges them.
-            let rnext = tx.read(&right.next)?;
-            tx.write(&left.next, rnext)?;
+            let rnext = tx.read(right.next())?;
+            tx.write(left.next(), rnext)?;
             let mut i = j;
             while i + 1 < pcnt {
                 let k = tx.read(&parent.keys[i + 1])?;
@@ -451,7 +450,7 @@ mod tests {
 
     /// The leaf after `leaf` on the chain.
     fn next_leaf<'g>(g: Guard<'g, 4, 4>, leaf: &EunoLeaf<4, 4>) -> &'g EunoLeaf<4, 4> {
-        g.leaf(NodeRef::from_word(leaf.next.load_plain()))
+        g.leaf(NodeRef::from_word(leaf.next().load_plain()))
     }
 
     #[test]
@@ -638,8 +637,8 @@ mod tests {
             let a = first_leaf(&t, g);
             let b = next_leaf(g, a);
             let c = next_leaf(g, b);
-            assert_eq!(a.parent.load_plain(), b.parent.load_plain());
-            assert_eq!(b.parent.load_plain(), c.parent.load_plain());
+            assert_eq!(a.parent().load_plain(), b.parent().load_plain());
+            assert_eq!(b.parent().load_plain(), c.parent().load_plain());
             assert!(t.try_merge(ctx, g, a, b), "setup merge must succeed");
             // B is now unlinked, but B.next still points at C and B.parent
             // is stale-valid: exactly what the racing walker would hold.
@@ -816,7 +815,7 @@ mod tests {
             let mut p = first_leaf(&t, g);
             let e = loop {
                 let next = next_leaf(g, p);
-                if next.parent.load_plain() != p.parent.load_plain() {
+                if next.parent().load_plain() != p.parent().load_plain() {
                     break next;
                 }
                 p = next;

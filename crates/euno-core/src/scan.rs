@@ -26,7 +26,9 @@ use crate::tree::EunoBTree;
 const STEP_TRIES: u32 = 16;
 
 /// Where the next leaf step starts: the chain successor and the `seqno` it
-/// had inside the section that read it. `None` ⇒ first step / chain end.
+/// had inside the section that read it (its last segment's copy, or the
+/// cursor's home copy where `locate` found it — the copies are equal at
+/// every commit). `None` ⇒ first step / chain end.
 type Hint<'g, const SEGS: usize, const K: usize> = Option<(&'g EunoLeaf<SEGS, K>, u64)>;
 
 impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
@@ -84,11 +86,13 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
     ///
     /// One validated section per segment, so a write to the leaf voids two
     /// lines of the read and not ten; `tries` bounds the sections that
-    /// *fail*. Only the last checks `seqno` (DESIGN.md §4.7): while it
-    /// stands a key stays in its segment — whatever moves a record bumps it
-    /// first — and it only grows under the pin, so reading `s1` in a
-    /// validated section before the step and in its last means it read
-    /// `s1` throughout: the sections are atomic images of disjoint key sets.
+    /// *fail*. Only the last checks `seqno` (DESIGN.md §4.7), on the copy
+    /// beside `next` on the key line that section reads anyway: while it
+    /// stands a key stays in its segment — whatever moves a record bumps
+    /// every copy first — and it only grows under the pin, so reading `s1`
+    /// in a validated section before the step and in its last means it
+    /// read `s1` throughout: the sections are atomic images of disjoint key
+    /// sets.
     fn leaf_step<'g>(
         &self,
         ctx: &mut ThreadCtx,
@@ -119,12 +123,12 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                     if !last {
                         return Some(true);
                     }
-                    let n = NodeRef::from_word(leaf.next.load_direct(ctx));
+                    let n = NodeRef::from_word(leaf.next().load_direct(ctx));
                     next = (!n.is_null()).then(|| {
                         let n = g.leaf(n);
-                        (n, n.seqno.load_direct(ctx))
+                        (n, n.seqno_beside_next().load_direct(ctx))
                     });
-                    let stands = leaf.seqno.load_direct(ctx) == s1;
+                    let stands = leaf.seqno_beside_next().load_direct(ctx) == s1;
                     Some(stands || probe::mutated("scan:skip-closing-seqno"))
                 });
                 match held {
@@ -171,7 +175,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             let piece = ctx.htm_execute(&self.ctrl.fallback, &RetryPolicy::DBX, |tx| {
                 tx.set_op_key(cursor);
                 out.truncate(base);
-                if tx.read(&leaf.seqno)? != seqno {
+                if tx.read(leaf.seqno_beside_next())? != seqno {
                     return Ok(None);
                 }
                 self.peek_all_into(tx, leaf, out)?;
@@ -180,12 +184,12 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                 let bytes = Self::capacity() * 16;
                 self.reserved_bytes.allocated(bytes);
                 self.reserved_bytes.freed(bytes);
-                let next = NodeRef::from_word(tx.read(&leaf.next)?);
+                let next = NodeRef::from_word(tx.read(leaf.next())?);
                 if next.is_null() {
                     return Ok(Some(None));
                 }
                 let n = g.leaf(next);
-                Ok(Some(Some((n, tx.read(&n.seqno)?))))
+                Ok(Some(Some((n, tx.read(n.seqno_beside_next())?))))
             });
             leaf.ccm.split_lock.release(ctx);
             if let Some(next) = piece.value {
@@ -302,13 +306,13 @@ mod tests {
                 leaf.segs[1].insert(tx, u64::MAX, 7)?;
                 Ok(())
             });
-            leaf.next.store_plain(NodeRef::of_leaf(leaf).to_word());
+            leaf.next().store_plain(NodeRef::of_leaf(leaf).to_word());
             for tries in [0, STEP_TRIES] {
                 let out = scan_on_rung(&t, &mut ctx, 0, usize::MAX, tries);
                 assert_eq!(out, vec![(10, 100), (u64::MAX, 7)], "tries={tries}");
             }
             // Un-forge the chain so drop-time audits see a sane tree.
-            leaf.next.store_plain(0);
+            leaf.next().store_plain(0);
         });
     }
 

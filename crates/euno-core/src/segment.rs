@@ -7,11 +7,16 @@
 //!
 //! * every segment is a separate line-aligned block, so concurrent inserts
 //!   dispatched to different segments touch disjoint cache lines;
-//! * within a segment, the key area (with the count) and the value area
-//!   live on *different* lines, so a search — which reads keys only —
-//!   never collides with a concurrent value update. Under a hot Zipfian
-//!   mix of gets and updates this is what keeps the lower HTM region's
-//!   read set out of the write stream;
+//! * within a segment, the key area and the value area live on
+//!   *different* lines, so a search — which reads keys only — never
+//!   collides with a concurrent value update. Under a hot Zipfian mix of
+//!   gets and updates this is what keeps the lower HTM region's read set
+//!   out of the write stream. The key line holds `count`, the segment's
+//!   copy of the leaf's `seqno`, the keys and two link words — at `K` = 4
+//!   exactly its eight words — so an operation that checks `seqno` on its
+//!   key's home segment reads no line it would not read anyway; the last
+//!   segment's link words are the leaf's `next` and `parent`
+//!   ([`crate::EunoLeaf`]);
 //! * which segment a key goes to is a function of the key
 //!   ([`home_segment`]), so a search reads one segment, not all of them.
 
@@ -38,11 +43,15 @@ pub fn home_segment(key: u64, segs: usize) -> usize {
 /// shift-and-XOR steps and the reduction.
 pub const HOME_ALU: u64 = 6;
 
-/// Key half of a segment: occupancy count + sorted keys, own line(s).
+/// Key half of a segment, own line(s): occupancy count, this segment's
+/// copy of the leaf's `seqno`, sorted keys, and two link words (used in
+/// the leaf's last segment only: `next` and `parent`).
 #[repr(C, align(64))]
 struct SegKeys<const K: usize> {
     count: TxCell<u64>,
+    seqno: TxCell<u64>,
     keys: [TxCell<u64>; K],
+    links: [TxCell<u64>; 2],
 }
 
 /// Value half of a segment: parallel to the keys, own line(s).
@@ -74,7 +83,9 @@ impl<const K: usize> Segment<K> {
         Segment {
             k: SegKeys {
                 count: TxCell::new(0),
+                seqno: TxCell::new(0),
                 keys: std::array::from_fn(|_| TxCell::new(KEY_SENTINEL)),
+                links: [TxCell::new(0), TxCell::new(0)],
             },
             v: SegVals {
                 vals: std::array::from_fn(|_| TxCell::new(0)),
@@ -98,6 +109,17 @@ impl<const K: usize> Segment<K> {
 
     pub fn val_cell(&self, i: usize) -> &TxCell<u64> {
         &self.v.vals[i]
+    }
+
+    /// This segment's copy of the leaf's `seqno` ([`crate::EunoLeaf::seqno`]).
+    pub(crate) fn seqno_cell(&self) -> &TxCell<u64> {
+        &self.k.seqno
+    }
+
+    /// Link word `i` of the key line ([`crate::EunoLeaf::next`],
+    /// [`crate::EunoLeaf::parent`]).
+    pub(crate) fn link_cell(&self, i: usize) -> &TxCell<u64> {
+        &self.k.links[i]
     }
 
     /// The one search of a segment: lower bound of `key` among the sorted
@@ -225,11 +247,14 @@ mod tests {
         let key_line = seg.key_cell(0).line();
         let val_line = seg.val_cell(0).line();
         assert_ne!(key_line, val_line, "keys and values must not share a line");
-        assert_eq!(
-            LineId::of_ptr(&seg.k.count as *const _),
-            key_line,
-            "count lives with the keys"
-        );
+        for (cell, what) in [
+            (&seg.k.count, "count"),
+            (&seg.k.seqno, "the seqno copy"),
+            (&seg.k.links[1], "the links"),
+        ] {
+            let line = LineId::of_ptr(cell as *const _);
+            assert_eq!(line, key_line, "{what} lives with the keys");
+        }
         // Segments in an array start on distinct lines.
         let arr: [Segment<4>; 2] = [Segment::empty(), Segment::empty()];
         assert_ne!(arr[0].key_cell(0).line(), arr[1].key_cell(0).line());

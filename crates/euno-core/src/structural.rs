@@ -58,11 +58,11 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         // moves (Algorithm 3 line 80, same discipline as the merge path):
         // writes become visible in program order on the fallback path, so
         // an episode-free reader — or a plain chain walker — that samples
-        // the leaf mid-split must already see the bumped seqno, or it
-        // would trust a record set whose upper half has moved right.
+        // the leaf mid-split must already see the bumped seqno, whichever
+        // copy it reads, or it would trust a record set whose upper half
+        // has moved right.
         probe::mark("split:seqno");
-        let seq = tx.read(&leaf.seqno)?;
-        tx.write(&leaf.seqno, seq + 1)?;
+        leaf.bump_seqno(tx)?;
 
         probe::mark("split:records");
         self.redistribute(tx, leaf, &records[..mid])?;
@@ -85,11 +85,11 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         right.ccm.inherit_prepublication(&leaf.ccm);
         tx.charge(self.rt.cost.alu * (records.len() - mid) as u64);
 
-        let old_next = tx.read(&leaf.next)?;
-        tx.write(&right.next, old_next)?;
-        tx.write(&leaf.next, NodeRef::of_leaf(right).to_word())?;
-        let parent = tx.read(&leaf.parent)?;
-        tx.write(&right.parent, parent)?;
+        let old_next = tx.read(leaf.next())?;
+        tx.write(right.next(), old_next)?;
+        tx.write(leaf.next(), NodeRef::of_leaf(right).to_word())?;
+        let parent = tx.read(leaf.parent())?;
+        tx.write(right.parent(), parent)?;
 
         // The separator's way up (Algorithm 3 lines 84-86). A split index
         // node's lower half stays where it is and the node

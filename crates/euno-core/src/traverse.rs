@@ -22,6 +22,10 @@
 //!    if changed, a concurrent split moved records and the operation
 //!    retries from the root (the rare case).
 //!
+//! Every `seqno` an operation reads is its key's home segment's copy
+//! ([`EunoLeaf::seqno`]), on the key line the leaf search reads first; the
+//! home is computed once, before step 1.
+//!
 //! The HTM regions run on the layered executor in `euno_htm::exec` under
 //! [`RetryPolicy::DBX`]; the episode-free sections are bounded by the two
 //! private try budgets below and end on those regions.
@@ -47,7 +51,7 @@ const NEAR_FULL_SLACK: usize = 4;
 /// region finds the leaf. The tail must exist — in concurrent mode the
 /// section check is the *global* TL2 clock, so steady writers anywhere in
 /// the tree can fail a walk forever — and a failed walk is cheap (it read
-/// the index and one leaf header), so the budget only has to ride out a
+/// the index and one leaf key line), so the budget only has to ride out a
 /// burst of index writes. Sweep in DESIGN.md §4.4.
 const LOCATE_TRIES: u32 = 4;
 
@@ -235,12 +239,13 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
     }
 
     /// Algorithm 2 lines 23-28 as the paper has them: one HTM region
-    /// finds the leaf and reads its version.
+    /// finds the leaf and reads its version (the `home` segment's copy).
     fn upper_region<'g>(
         &self,
         ctx: &mut ThreadCtx,
         g: Guard<'g, SEGS, K>,
         key: u64,
+        home: usize,
     ) -> Located<'g, SEGS, K> {
         let out = ctx.htm_execute(&self.ctrl.fallback, &RetryPolicy::DBX, |tx| {
             tx.set_op_key(key);
@@ -249,7 +254,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             let at = self
                 .descend(g, key, None, |cell| tx.read(cell))?
                 .ok_or(AbortCause::Explicit(0x11))?;
-            Ok((at.leaf, tx.read(&at.leaf.seqno)?, at.low, at.high))
+            Ok((at.leaf, tx.read(at.leaf.seqno(home))?, at.low, at.high))
         });
         let (leaf, seqno, low, high) = out.value;
         Located {
@@ -291,7 +296,8 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
     }
 
     /// The upper stage of every operation: the leaf covering `key`, the
-    /// `seqno` it had while it did, the key range it covered then, and the
+    /// `seqno` it had while it did (the copy on `key`'s home segment, whose
+    /// home this charges), the key range it covered then, and the
     /// conflict aborts spent finding it. The pair is a *hint* in the sense
     /// of guideline 1 — whoever acts on the leaf re-checks `seqno` where it
     /// acts, and restarts here on a mismatch. The caller holds an epoch
@@ -333,14 +339,16 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         g: Guard<'g, SEGS, K>,
         key: u64,
     ) -> Located<'g, SEGS, K> {
-        self.locate_then(ctx, g, key, |_, _| ()).0
+        let home = self.home(ctx, key);
+        self.locate_then(ctx, g, key, home, |_, _| ()).0
     }
 
-    /// [`EunoBTree::locate`], and `tail` run on the leaf inside the walk's
-    /// own validated section, right after its `seqno` load — if rung 2 or
-    /// 3 answered. What `tail` reads is then validated with the walk: it
-    /// read the leaf while the leaf covered `key` under the `seqno`
-    /// returned, with no second section and no second `seqno` load. (A
+    /// [`EunoBTree::locate`] for a key whose home segment the caller has
+    /// computed, and `tail` run on the leaf inside the walk's own validated
+    /// section, right after its `seqno` load — if rung 2 or 3 answered.
+    /// What `tail` reads is then validated with the walk: it read the leaf
+    /// while the leaf covered `key` under the `seqno` returned, with no
+    /// second section and no second `seqno` load. (A
     /// tail that runs on a rejected walk is run again on the next; its
     /// value is only ever that of the section that held.)
     pub(crate) fn locate_then<'g, T>(
@@ -348,10 +356,11 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         ctx: &mut ThreadCtx,
         g: Guard<'g, SEGS, K>,
         key: u64,
+        home: usize,
         mut tail: impl FnMut(&mut ThreadCtx, &EunoLeaf<SEGS, K>) -> T,
     ) -> (Located<'g, SEGS, K>, Option<T>) {
         if !self.cfg.read_opt {
-            return (self.upper_region(ctx, g, key), None);
+            return (self.upper_region(ctx, g, key, home), None);
         }
         let block = key >> HINT_BLOCK_SHIFT;
         // One load serves both ends of the generation rule: it follows this
@@ -365,7 +374,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                 // memory that is still a leaf of this tree.
                 if recorded_at == generation || probe::mutated("hint:any-generation") {
                     let leaf = g.leaf(NodeRef::from_word(bits));
-                    if leaf.seqno.load_direct(ctx) == seqno {
+                    if leaf.seqno(home).load_direct(ctx) == seqno {
                         ctx.metric_add(Counter::LeafHintHits, 1);
                         let at = Located {
                             leaf,
@@ -401,7 +410,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                 // containment test a level.
                 ctx.charge(self.rt.cost.alu * at.levels);
             }
-            let seqno = at.leaf.seqno.load_direct(ctx);
+            let seqno = at.leaf.seqno(home).load_direct(ctx);
             let out = tail_inside.then(|| {
                 probe::point("walk:seqno");
                 tail(ctx, at.leaf)
@@ -428,7 +437,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                 };
                 (at, out)
             }
-            None => (self.upper_region(ctx, g, key), None),
+            None => (self.upper_region(ctx, g, key, home), None),
         };
         let bits = NodeRef::of_leaf(at.leaf).to_word();
         ctx.hint_record(
@@ -462,6 +471,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         key: u64,
         newval: u64,
     ) -> Option<u64> {
+        let home = self.home(ctx, key);
         let mut force_split_lock = false;
         loop {
             // Step 1: upper stage. A `read_opt` get that a walk answers
@@ -470,9 +480,11 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                 && self.cfg.read_opt
                 && ctx.rng().gen_range(0..GET_TWO_STEP_ONE_IN) != 0;
             let (located, answer) = if episode_free {
-                self.locate_then(ctx, g, key, |ctx, leaf| self.read_record(ctx, leaf, key))
+                self.locate_then(ctx, g, key, home, |ctx, leaf| {
+                    self.read_record(ctx, leaf, key, home)
+                })
             } else {
-                (self.locate(ctx, g, key), None)
+                (self.locate_then(ctx, g, key, home, |_, _| ()).0, None)
             };
             if let Some(value) = answer {
                 return value;
@@ -485,7 +497,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             } = located;
             probe::point("locate:done");
             if episode_free {
-                match self.read_leaf(ctx, leaf, seqno, key) {
+                match self.read_leaf(ctx, leaf, seqno, key, home) {
                     LeafRead::Value(value) => return value,
                     // A dead pair has nothing to queue for: no conflict
                     // control, no region — straight back to the upper stage.
@@ -527,10 +539,10 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                         // re-manufacture them.
                         tx.mark_serialized();
                     }
-                    if tx.read(&leaf.seqno)? != seqno {
+                    if tx.read(leaf.seqno(home))? != seqno {
                         return Ok(Lower::Inconsistent);
                     }
-                    self.lower_body(tx, g, leaf, req, key, newval, &mut region)
+                    self.lower_body(tx, g, leaf, req, key, home, newval, &mut region)
                 });
                 (out.value, out.conflict_aborts)
             };
@@ -556,13 +568,18 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         }
     }
 
-    /// `key`'s value in `leaf`, by direct loads: the key's home segment,
+    /// `key`'s value in `leaf`, by direct loads: the key's `home` segment,
     /// and on only while the one just read is full ([`EunoLeaf::find`]).
     /// Means what the leaf does only inside a validated section that also
     /// vouches for `seqno`.
-    fn read_record(&self, ctx: &mut ThreadCtx, leaf: &EunoLeaf<SEGS, K>, key: u64) -> Option<u64> {
-        ctx.charge(self.rt.cost.alu * Self::HOME_COST);
-        let Ok((seg, at)) = leaf.find(key, |cell| Ok::<_, Infallible>(cell.load_direct(ctx)));
+    fn read_record(
+        &self,
+        ctx: &mut ThreadCtx,
+        leaf: &EunoLeaf<SEGS, K>,
+        key: u64,
+        home: usize,
+    ) -> Option<u64> {
+        let Ok((seg, at)) = leaf.find(home, key, |cell| Ok::<_, Infallible>(cell.load_direct(ctx)));
         at.hit
             .then(|| leaf.segs[seg].val_cell(at.slot).load_direct(ctx))
             .filter(|&v| v != TOMBSTONE)
@@ -570,8 +587,9 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
 
     /// The episode-free leaf read of a `read_opt` get handed a pair by the
     /// leaf-hint rung or the HTM rung ([`EunoBTree::read_record`]) inside
-    /// up to [`GET_TRIES`] validated sections, each bracketed by `seqno`:
-    /// the seqno-bump-first discipline on splits, merges and
+    /// up to [`GET_TRIES`] validated sections, each bracketed by the `home`
+    /// segment's copy of `seqno`: the seqno-bump-first discipline on
+    /// splits, merges and
     /// reorganizations guarantees a reader that saw moving records, or a
     /// segment that stopped being full, also sees a changed `seqno`. A get
     /// that comes back without a value either found `seqno` moved — the
@@ -584,13 +602,15 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         leaf: &EunoLeaf<SEGS, K>,
         seqno: u64,
         key: u64,
+        home: usize,
     ) -> LeafRead {
+        let copy = leaf.seqno(home);
         self.validated_section(ctx, key, &mut { GET_TRIES }, |ctx| {
-            if leaf.seqno.load_direct(ctx) != seqno {
+            if copy.load_direct(ctx) != seqno {
                 return Some(LeafRead::Moved);
             }
-            let found = self.read_record(ctx, leaf, key);
-            (leaf.seqno.load_direct(ctx) == seqno).then_some(LeafRead::Value(found))
+            let found = self.read_record(ctx, leaf, key, home);
+            (copy.load_direct(ctx) == seqno).then_some(LeafRead::Value(found))
         })
         .unwrap_or(LeafRead::Spent)
     }
@@ -746,7 +766,7 @@ mod tests {
                         let at = t.locate(hinted, g, key);
                         let got = (at.leaf as *const EunoLeaf<4, 4> as usize, at.low, at.high);
                         assert_eq!(got, want_key, "locate, key {key}");
-                        assert_eq!(at.seqno, at.leaf.seqno.load_plain(), "locate, key {key}");
+                        assert_eq!(at.seqno, at.leaf.seqno(0).load_plain(), "locate, key {key}");
                     }
                 })
             });

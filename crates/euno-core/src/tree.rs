@@ -165,7 +165,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             head = NodeRef::from_word(g.index_node(head).child0.load_plain());
         }
         std::iter::successors(Some(g.leaf(head)), move |leaf| {
-            let next = NodeRef::from_word(leaf.next.load_plain());
+            let next = NodeRef::from_word(leaf.next().load_plain());
             (!next.is_null()).then(|| g.leaf(next))
         })
     }

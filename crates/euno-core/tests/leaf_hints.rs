@@ -96,7 +96,7 @@ fn fixture() -> Fixture {
         .find(|&g| {
             let leaf = NodeRef(groups[g].0 as u64 | 1);
             tree.pinned(|nodes| {
-                let parent = nodes.index_node(NodeRef(nodes.leaf(leaf).parent.load_plain()));
+                let parent = nodes.index_node(NodeRef(nodes.leaf(leaf).parent().load_plain()));
                 parent.child0.load_plain() != leaf.0
             })
         })

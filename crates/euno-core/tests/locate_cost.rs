@@ -45,7 +45,9 @@ const LEVEL_4_PROBES: u64 = LEVEL + HIT; // 44
 const LEVEL_PAST_SEVEN: u64 = 3 * FIRST + 2 * HIT; // 54
 /// The root (one separator): count + 1 probe + either child.
 const ROOT: u64 = 2 * FIRST + HIT; // 35
-/// The root word on the way in, the leaf's `seqno` on the way out.
+/// The root word on the way in, the leaf's `seqno` on the way out: the
+/// copy on the key's home segment, whose key line is a new line as the
+/// header line it replaced was.
 const ENDS: u64 = 2 * FIRST; // 32
 /// Walks from the root, by the levels each search stops at: into the sparse
 /// region (by the root's left child) at two block boundaries, into the
@@ -61,6 +63,11 @@ const FROM_ROOT_MEDIUM_NEXT: u64 = ROOT + LEVEL_4_PROBES + 2 * LEVEL + LEVEL_PAS
 const FROM_ROOT_DENSE: u64 = ROOT + LEVEL_PAST_SEVEN + 2 * LEVEL + LEVEL_4_PROBES + ENDS; // 247
 const FROM_ROOT_SPINE: u64 = ROOT + 4 * LEVEL_PAST_SEVEN + ENDS; // 283
 
+/// What finding a key's home segment is charged: `segment::HOME_ALU`.
+/// `locate` computes the home first, whichever rung answers: every rung
+/// reads the home segment's copy of `seqno`.
+const HOME: u64 = 6;
+
 /// Thread-private memory, charged by hand: a table probe is a hit and two
 /// ALU operations (the hash, the first tag compare), a record a hit; the
 /// retirement generation is one load.
@@ -74,40 +81,42 @@ const SECOND_WAY: u64 = 1;
 /// What a walk pays around the descent when both probes missed, and the
 /// leaf it ends on is filed; and when the anchor probe hit in its first
 /// way.
-const AROUND_A_WALK: u64 = PROBE + GENERATION + PROBE + SECOND_WAY + RECORD; // 17
-const AROUND_A_HINTED_WALK: u64 = PROBE + GENERATION + PROBE + RECORD; // 16
+const AROUND_A_WALK: u64 = HOME + PROBE + GENERATION + PROBE + SECOND_WAY + RECORD; // 23
+const AROUND_A_HINTED_WALK: u64 = HOME + PROBE + GENERATION + PROBE + RECORD; // 22
 /// A walk from the root may file an anchor: one containment test for each
 /// of the five levels (and the record, if it has one to file).
 const LOOKING: u64 = 5;
 /// A section that is run again charges one back-off quantum.
 const BACKOFF: u64 = 40;
 
-/// A leaf hit: probe, generation, the leaf's `seqno` outside any section.
-const LEAF_HIT: u64 = PROBE + GENERATION + HIT; // 11
+/// A leaf hit: the home, probe, generation, the leaf's `seqno` outside any
+/// section.
+const LEAF_HIT: u64 = HOME + PROBE + GENERATION + HIT; // 17
 
-/// What finding a key's home segment is charged: `segment::HOME_ALU`.
-const HOME: u64 = 6;
 /// An episode-free read of a key that is there, in a section of its own
-/// (behind a leaf hit): `seqno` (a new line there), the home, the home
-/// segment's count (a new line), two probes — what a hit takes among two
-/// records, and the third of four — the value (a new line), `seqno` again.
-/// One segment, whichever it is: the walk over segments 0, 1, 2 … this
-/// replaced read a key line and four or five hits for every segment before
-/// the key's own (and first, last and the key again in that one: 66 for a
-/// key in segment 0).
-const GET_TAIL: u64 = 3 * FIRST + HOME + 3 * HIT; // 63
+/// (behind a leaf hit): `seqno` (the home segment's copy: a new line
+/// there), the home segment's count (a hit: the same key line), two probes
+/// — what a hit takes among two records, and the third of four — the value
+/// (a new line), `seqno` again. The line that went is the header's: the
+/// count was the key line's first touch, and 13 cycles dearer (63), until
+/// `seqno` moved onto it. One segment, whichever it is: the walk over
+/// segments 0, 1, 2 … that the home search replaced read a key line and
+/// four or five hits for every segment before the key's own.
+const GET_TAIL: u64 = 2 * FIRST + 4 * HIT; // 44
 /// The same read behind a walk, inside the walk's own section, right after
 /// the walk's `seqno`: no `seqno` load of its own at either end.
-const GET_IN_WALK: u64 = GET_TAIL - FIRST - HIT; // 44
+const GET_IN_WALK: u64 = GET_TAIL - FIRST - HIT; // 25
 /// What every full segment before a spilled key's own adds to that: its
 /// count (a new line) and two probes (four records, all below the key).
 const GET_SPILL: u64 = FIRST + 2 * HIT; // 22
 /// An overwriting put on a calm leaf: the slot hash (3 ALU), the verdict
 /// and the mark word (2 loads outside any region), then the lower region —
-/// `XBEGIN` 54, four first touches at 26 (header; the home segment's keys;
-/// its values for the read set, and again for the write set), the home,
-/// two hits, `XEND` 16.
-const PUT_TAIL: u64 = 3 + 2 * HIT + 54 + 4 * 26 + HOME + 2 * HIT + 16; // 195
+/// `XBEGIN` 54, three first touches at 26 (the home segment's key line,
+/// for `seqno`; its values for the read set, and again for the write set),
+/// three hits (the count and two probes), `XEND` 16. The line that went is
+/// the header's, a fourth first touch (195 with the home, which `locate`
+/// now pays).
+const PUT_TAIL: u64 = 3 + 2 * HIT + 54 + 3 * 26 + 3 * HIT + 16; // 166
 /// The same for a put: a first touch in a region is 26.
 const PUT_SPILL: u64 = 26 + 2 * HIT; // 32
 
@@ -181,7 +190,7 @@ fn each_rung_of_locate_costs_what_the_arithmetic_says() {
     // parent.
     assert_eq!(
         locate(&tree, &mut ctx, sparse),
-        AROUND_A_WALK + FROM_ROOT_SPARSE + LOOKING + RECORD // 282
+        AROUND_A_WALK + FROM_ROOT_SPARSE + LOOKING + RECORD // 288
     );
     // The same key again: a leaf hit.
     assert_eq!(locate(&tree, &mut ctx, sparse), LEAF_HIT);
@@ -192,46 +201,46 @@ fn each_rung_of_locate_costs_what_the_arithmetic_says() {
     // back-off: nothing was contended.
     assert_eq!(
         locate(&tree, &mut ctx, sparse + 512),
-        PROBE
+        HOME + PROBE
             + GENERATION
             + PROBE
             + LEVEL_PAST_SEVEN
             + (FROM_ROOT_SPARSE - LEVEL_PAST_SEVEN + 5 * HIT)
             + LOOKING
-            + 2 * RECORD // 296
+            + 2 * RECORD // 302
     );
     // Two blocks on, both leaves of the block are mid-node: the first
     // visit files the parent, the second leaf is reached from it — one
     // level (2 lines, 3 hits) in place of five.
     assert_eq!(
         locate(&tree, &mut ctx, sparse + 2_048),
-        AROUND_A_WALK + FROM_ROOT_SPARSE_NEXT + LOOKING + RECORD // 269
+        AROUND_A_WALK + FROM_ROOT_SPARSE_NEXT + LOOKING + RECORD // 275
     );
     assert_eq!(
         locate(&tree, &mut ctx, sparse + 2_048 + 512),
-        AROUND_A_HINTED_WALK + LEVEL + FIRST // 73
+        AROUND_A_HINTED_WALK + LEVEL + FIRST // 79
     );
 
     // Keys 8 apart: a block is 16 leaves and its anchor two levels up
     // (5 lines, 5 hits).
     assert_eq!(
         locate(&tree, &mut ctx, medium),
-        AROUND_A_WALK + FROM_ROOT_MEDIUM + LOOKING + RECORD // 259
+        AROUND_A_WALK + FROM_ROOT_MEDIUM + LOOKING + RECORD // 265
     );
     assert_eq!(
         locate(&tree, &mut ctx, medium + 64),
-        AROUND_A_HINTED_WALK + LEVEL + LEVEL_PAST_SEVEN + FIRST // 127
+        AROUND_A_HINTED_WALK + LEVEL + LEVEL_PAST_SEVEN + FIRST // 133
     );
 
     // Adjacent keys: a block is 128 leaves and its anchor three levels up
     // (7 lines, 10 hits), the middle one of them entered by its `child0`.
     assert_eq!(
         locate(&tree, &mut ctx, dense),
-        AROUND_A_WALK + FROM_ROOT_DENSE + LOOKING + RECORD // 272
+        AROUND_A_WALK + FROM_ROOT_DENSE + LOOKING + RECORD // 278
     );
     assert_eq!(
         locate(&tree, &mut ctx, dense + 8),
-        AROUND_A_HINTED_WALK + LEVEL + LEVEL_4_PROBES + LEVEL + FIRST // 158
+        AROUND_A_HINTED_WALK + LEVEL + LEVEL_4_PROBES + LEVEL + FIRST // 164
     );
 
     // Past the last key: down the rightmost spine, where no level has a
@@ -239,7 +248,7 @@ fn each_rung_of_locate_costs_what_the_arithmetic_says() {
     // to file.
     assert_eq!(
         locate(&tree, &mut ctx, u64::MAX - 1),
-        AROUND_A_WALK + FROM_ROOT_SPINE + LOOKING // 305
+        AROUND_A_WALK + FROM_ROOT_SPINE + LOOKING // 311
     );
 }
 
@@ -253,7 +262,7 @@ fn each_rung_of_locate_costs_what_the_arithmetic_says() {
 fn a_second_way_anchor_hit_costs_one_alu_more_than_a_first_way_hit() {
     let rt = Runtime::new_virtual();
     let (tree, [_, medium, dense]) = build(&rt);
-    let first_way = AROUND_A_HINTED_WALK + LEVEL + LEVEL_PAST_SEVEN + FIRST; // 127
+    let first_way = AROUND_A_HINTED_WALK + LEVEL + LEVEL_PAST_SEVEN + FIRST; // 133
     let (mut shared, mut apart) = (0, 0);
     // Every other block of the tree: each one's walk files an anchor.
     let others = (0..=dense >> 10).filter(|&b| b != medium >> 10);
@@ -282,7 +291,7 @@ fn an_uncontended_get_and_put_cost_their_rung_plus_a_fixed_tail() {
     let rt = Runtime::new_virtual();
     let (tree, [_, medium, _]) = build(&rt);
     let mut ctx = rt.thread(1);
-    let subtree_hit = AROUND_A_HINTED_WALK + LEVEL + LEVEL_PAST_SEVEN + FIRST; // 127
+    let subtree_hit = AROUND_A_HINTED_WALK + LEVEL + LEVEL_PAST_SEVEN + FIRST; // 133
     let next = medium + 1024;
 
     // Every key here is the first of its leaf. A get that a walk answers
@@ -290,17 +299,17 @@ fn an_uncontended_get_and_put_cost_their_rung_plus_a_fixed_tail() {
     // section of its own.
     assert_eq!(
         get(&tree, &mut ctx, medium),
-        AROUND_A_WALK + FROM_ROOT_MEDIUM + LOOKING + RECORD + GET_IN_WALK // 303
+        AROUND_A_WALK + FROM_ROOT_MEDIUM + LOOKING + RECORD + GET_IN_WALK // 290
     );
-    assert_eq!(get(&tree, &mut ctx, medium + 64), subtree_hit + GET_IN_WALK); // 171
-    assert_eq!(get(&tree, &mut ctx, medium + 64), LEAF_HIT + GET_TAIL); // 74
+    assert_eq!(get(&tree, &mut ctx, medium + 64), subtree_hit + GET_IN_WALK); // 158
+    assert_eq!(get(&tree, &mut ctx, medium + 64), LEAF_HIT + GET_TAIL); // 61
 
     assert_eq!(
         put(&tree, &mut ctx, next),
-        AROUND_A_WALK + FROM_ROOT_MEDIUM_NEXT + LOOKING + RECORD + PUT_TAIL // 467
+        AROUND_A_WALK + FROM_ROOT_MEDIUM_NEXT + LOOKING + RECORD + PUT_TAIL // 444
     );
-    assert_eq!(put(&tree, &mut ctx, medium + 128), subtree_hit + PUT_TAIL); // 322
-    assert_eq!(put(&tree, &mut ctx, medium + 128), LEAF_HIT + PUT_TAIL); // 206
+    assert_eq!(put(&tree, &mut ctx, medium + 128), subtree_hit + PUT_TAIL); // 299
+    assert_eq!(put(&tree, &mut ctx, medium + 128), LEAF_HIT + PUT_TAIL); // 183
 }
 
 #[test]
@@ -317,9 +326,9 @@ fn a_key_costs_one_segment_whichever_segment_holds_it() {
     let mut homes = [0; 4];
     for key in dense..dense + 8 {
         homes[home_segment(key, 4)] += 1;
-        assert_eq!(get(&tree, &mut ctx, key), LEAF_HIT + GET_TAIL, "get {key}"); // 74
+        assert_eq!(get(&tree, &mut ctx, key), LEAF_HIT + GET_TAIL, "get {key}"); // 61
         assert_eq!(put(&tree, &mut ctx, key), LEAF_HIT + PUT_TAIL, "put {key}");
-        // 206
+        // 183
     }
     assert_eq!(homes, [2; 4]);
 
@@ -330,7 +339,7 @@ fn a_key_costs_one_segment_whichever_segment_holds_it() {
     get(&tree, &mut ctx, sparse);
     let start = ctx.clock;
     assert_eq!(tree.get(&mut ctx, absent), None);
-    assert_eq!(ctx.clock - start, LEAF_HIT + GET_TAIL - FIRST); // 58
+    assert_eq!(ctx.clock - start, LEAF_HIT + GET_TAIL - FIRST); // 45
 }
 
 #[test]
@@ -390,16 +399,14 @@ fn a_spilled_key_costs_one_segment_more_per_full_segment_before_it() {
 /// One leaf step of an undisturbed scan over a leaf of eight records, two
 /// to a segment. A section to a segment (count and values on new lines,
 /// keys on the count's): 2 lines, 3 hits; the last section goes on to
-/// `next` (the header, a new line *there* — the step's only touch of it,
-/// because no section before it reads `seqno`), the successor's `seqno`
-/// (a new line) and the leaf's own (a hit); one ALU operation a record
-/// delivered. 10 lines — header, eight of segments, successor's header —
-/// and 13 hits. The whole-leaf section this replaced read the same ten
-/// lines and one hit more (the opening `seqno`: 210); a step that opens
-/// its first section with `seqno` touches the header twice and reads 223,
-/// one that closes every section with it 255.
+/// `next` (a hit: the last segment's key line, which that section has
+/// just read), the successor's `seqno` (the copy beside its `next`: a new
+/// line) and the leaf's own (the copy beside `next`: a hit); one ALU
+/// operation a record delivered. 9 lines — eight of segments, the
+/// successor's last key line — and 14 hits. The line that went is the
+/// leaf's header, where `next` and `seqno` were a first touch (207).
 const SCAN_SEGMENT: u64 = 2 * FIRST + 3 * HIT; // 41
-const SCAN_STEP: u64 = 4 * SCAN_SEGMENT + 2 * FIRST + HIT + 8; // 207
+const SCAN_STEP: u64 = 4 * SCAN_SEGMENT + FIRST + 2 * HIT + 8; // 194
 
 #[test]
 fn a_quiescent_scan_costs_its_rung_plus_a_fixed_step_per_leaf() {
@@ -417,20 +424,20 @@ fn a_quiescent_scan_costs_its_rung_plus_a_fixed_step_per_leaf() {
             .eq((0..16).map(|i| from + 8 * i)));
         ctx.clock - start
     };
-    let miss = AROUND_A_WALK + FROM_ROOT_MEDIUM + LOOKING + RECORD; // 259
+    let miss = AROUND_A_WALK + FROM_ROOT_MEDIUM + LOOKING + RECORD; // 265
 
     // Sixteen records are two leaves: the first is located, the second
     // comes with the first's closing section and costs no walk.
-    assert_eq!(scan(&mut ctx, medium), miss + 2 * SCAN_STEP); // 673
-    assert_eq!(scan(&mut ctx, medium), LEAF_HIT + 2 * SCAN_STEP); // 425
+    assert_eq!(scan(&mut ctx, medium), miss + 2 * SCAN_STEP); // 653
+    assert_eq!(scan(&mut ctx, medium), LEAF_HIT + 2 * SCAN_STEP); // 405
 
     // From mid-leaf (another slot of the leaf-hint table: the walk starts
     // at the subtree hint) the scan ends in a third leaf: the records
     // below the cursor are read and not delivered (4 fewer ALU
     // operations), the third leaf is read whole for its first four.
-    let subtree_hit = AROUND_A_HINTED_WALK + 2 * LEVEL + FIRST; // 114
+    let subtree_hit = AROUND_A_HINTED_WALK + 2 * LEVEL + FIRST; // 120
     assert_eq!(
         scan(&mut ctx, medium + 32),
-        subtree_hit + 3 * SCAN_STEP - 4 // 731
+        subtree_hit + 3 * SCAN_STEP - 4 // 698
     );
 }

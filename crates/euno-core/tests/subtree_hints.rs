@@ -91,7 +91,7 @@ fn fixture_on(rt: Arc<Runtime>, preloaded: u64) -> Fixture {
         match leaves.last_mut() {
             Some((leaf, group)) if *leaf == at => group.keys.push(key),
             _ => {
-                let parent = tree.pinned(|g| g.leaf(NodeRef(at as u64 | 1)).parent.load_plain());
+                let parent = tree.pinned(|g| g.leaf(NodeRef(at as u64 | 1)).parent().load_plain());
                 leaves.push((
                     at,
                     LeafAt {
@@ -157,7 +157,7 @@ impl Fixture {
     fn parent_of(&mut self, key: u64) -> u64 {
         let leaf = located(&self.tree, &mut self.b, key).0;
         let leaf = NodeRef(leaf as u64 | 1);
-        self.tree.pinned(|g| g.leaf(leaf).parent.load_plain())
+        self.tree.pinned(|g| g.leaf(leaf).parent().load_plain())
     }
 
     /// Runs of chain-adjacent leaves under one index node: `(first, len)`.

@@ -105,7 +105,7 @@ impl Stage {
             .find(|&g| {
                 ctx.pinned(|ctx, nodes| {
                     let leaf = tree.locate(ctx, nodes, groups[g][0]).leaf;
-                    let parent = nodes.index_node(NodeRef(leaf.parent.load_plain()));
+                    let parent = nodes.index_node(NodeRef(leaf.parent().load_plain()));
                     parent.child0.load_plain() != NodeRef::of_leaf(leaf).0
                 })
             })
@@ -343,6 +343,94 @@ fn reorganization_between_locate_and_lower_region_restarts_the_op() {
 #[cfg_attr(not(debug_assertions), ignore = "probes are debug-only")]
 fn merge_and_retirement_between_locate_and_lower_region_restarts_the_op() {
     handover_all(Between::Merge);
+}
+
+// ---------------------------------------------------------------------
+// The replicas: a structural change moves every copy of `seqno`
+// ---------------------------------------------------------------------
+
+/// `op` on a key of the target leaf whose home segment is not segment 0,
+/// with `between` landing after the upper stage as in [`handover`], and
+/// `mutation` switched on while the operation and the interruption run.
+/// The interrupter finds its leaf by a key homed in segment 0, whose copy
+/// moves under the mutation too (a reorganization runs until it sees its
+/// key's `seqno` move). `Ok` iff the operation refused the stale pair,
+/// answered like the model and left the audit clean; `Err` says which
+/// failed.
+fn replicas(
+    cfg: EunoConfig,
+    between: Between,
+    op: Op,
+    mutation: Option<&'static str>,
+) -> Result<(), String> {
+    let what = format!(
+        "read_opt={} {between:?} {op:?}, mutation {mutation:?}",
+        cfg.read_opt
+    );
+    let (stage, mut ctx) = Stage::new(cfg);
+    let (tree, model) = (&stage.tree, &stage.model);
+    let homed_away = |key: &u64| home_segment(*key, 4) != 0;
+    // The highest such key of the leaf (a split moves it right), or for a
+    // put a new key above the top one.
+    let target = match op {
+        Op::Put => (stage.top() + 1..stage.top() + STEP).find(homed_away),
+        _ => stage.group.iter().copied().rev().find(homed_away),
+    }
+    .unwrap_or_else(|| panic!("{what}: no key homed outside segment 0"));
+    let by = *stage
+        .group
+        .iter()
+        .find(|k| !homed_away(k))
+        .expect("a key homed in 0");
+    ctx.clock += 1 << 32;
+
+    probe::take();
+    probe::mutate(mutation);
+    probe::once_at("locate:done", stage.interruption(between, by, 0, &what));
+    let got = match op {
+        Op::Put => tree.put(&mut ctx, target, 7),
+        _ => tree.get(&mut ctx, target),
+    };
+    probe::mutate(None);
+    let want = match op {
+        Op::Put => model.borrow_mut().insert(target, 7),
+        _ => model.borrow().get(&target).copied(),
+    };
+    let marks = probe::take();
+    let refused = marks.contains(&"leaf:moved") || marks.contains(&"lower:inconsistent");
+    let mut faults = tree.audit_quiescent();
+    if got != want {
+        faults.insert(0, format!("answered {got:?}, the model has {want:?}"));
+    }
+    match (refused, faults.first()) {
+        (true, None) => Ok(()),
+        (true, Some(fault)) => Err(format!("{what}: refused the stale pair, yet {fault}")),
+        (false, None) => Err(format!(
+            "{what}: trusted the stale pair, and nothing showed"
+        )),
+        (false, Some(fault)) => Err(format!("{what}: trusted the stale pair: {fault}")),
+    }
+}
+
+/// The twin of the hand-over tests above for the replicas: with every
+/// copy bumped, an operation homed away from segment 0 refuses a pair a
+/// split or reorganization made stale, and answers right; with only copy
+/// 0 bumped, the copy it checks has not moved, it trusts the leaf, and a
+/// get of a key the split moved right answers `None`, a put lands left of
+/// its separator, and the audit finds the copies apart.
+#[test]
+#[cfg_attr(not(debug_assertions), ignore = "probes are debug-only")]
+fn a_writer_that_bumps_one_seqno_copy_is_convicted() {
+    for cfg in [EunoConfig::paper(), EunoConfig::default()] {
+        for between in [Between::Split, Between::Reorg] {
+            for op in [Op::Get, Op::Put] {
+                assert_eq!(replicas(cfg.clone(), between, op, None), Ok(()));
+                let verdict = replicas(cfg.clone(), between, op, Some("seqno:bump-one-copy"))
+                    .expect_err("sound with one copy bumped");
+                assert!(verdict.contains("trusted the stale pair: "), "{verdict}");
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -148,7 +148,15 @@ inserts="$(cat crates/*/src/*.rs | grep -c 'fn internal_insert' || true)"
 ! grep -rn 'codes::' crates/*/src || { echo "one-copy: trace code points are back"; exit 1; }
 [[ $(grep -rlF 'AbortCause::Capacity =>' crates/*/src) == crates/euno-htm/src/abort.rs ]] \
     || { echo "one-copy: an AbortCause mapping outside abort.rs"; exit 1; }
-echo "one-copy (one bisect, in bptree.rs; no private index insert; one abort mapping) OK"
+# One seqno writer (DESIGN.md §4.8): every segment carries a copy of its
+# leaf's `seqno`, and readers check whichever copy is on their line, so a
+# writer that bumped fewer than all of them would be trusted by the rest.
+# Every copy is written in `EunoLeaf::bump_seqno` and nowhere else.
+seqno_writes="$(grep -rnE '(write|store[a-z_]*)\(.*seqno' crates/euno-core/src || true)"
+bumps="$(awk '/fn bump_seqno/,/^    }$/' crates/euno-core/src/node.rs | grep -cE '(write|store[a-z_]*)\(.*seqno')"
+[[ $(grep -c . <<<"$seqno_writes") == 1 && $bumps == 1 ]] \
+    || { echo "one-copy: a seqno copy written outside EunoLeaf::bump_seqno"; echo "$seqno_writes"; exit 1; }
+echo "one-copy (one bisect, in bptree.rs; no private index insert; one abort mapping; one seqno writer) OK"
 
 # Unsafe confined (DESIGN.md §4.4): nodes are read through bptree.rs's Guard,
 # so no tree crate says `unsafe`. Only the files that own memory may:
