@@ -75,7 +75,13 @@ use euno_workloads::WorkloadSpec;
 /// `parent` the last one's, and a key's home is charged once an operation.
 /// Of the four entries only `Euno-B+Tree` moved (13.88 → 14.09 Mops/s);
 /// `GOLDEN_DUMP` against the parent differs in that entry's lines only.
-const GOLDEN_DIGEST: &str = "57664f53bcd30bee";
+/// `d0d9b3bc156a6d86` (was `57664f53bcd30bee`) since the CCM left the
+/// leaf: a leaf's conflict-control block is allocated at its first
+/// conflict, with every mark set, and a leaf without one claims no mark.
+/// Of the four entries only `Euno-B+Tree` moved (14.09 → 14.02 Mops/s,
+/// 87 → 104 verdict flips); `GOLDEN_DUMP` against the parent differs in
+/// that entry's lines only.
+const GOLDEN_DIGEST: &str = "d0d9b3bc156a6d86";
 
 fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;

@@ -29,9 +29,10 @@
 //! * The whole batch runs under one epoch pin, so leaf pointers handed
 //!   from upper to lower episodes survive concurrent merges.
 //! * The group's conflict-control stage is the single-op one
-//!   ([`Ccm::enter`] … [`Ccm::leave`]) over the group's *deduplicated*
-//!   slot set (two ops can hash to one slot; re-acquiring a held CCM bit
-//!   would self-deadlock), opened before the episode and closed after it.
+//!   ([`EunoBTree::ccm_enter`] … [`EunoBTree::ccm_leave`]) over the
+//!   group's *deduplicated* slot set (two ops can hash to one slot;
+//!   re-acquiring a held CCM bit would self-deadlock), opened before the
+//!   episode and closed after it.
 //! * After every applied op the lower region re-reads the leaf `seqno`.
 //!   A split or reorganization — ours (fallback-path insert) or anyone
 //!   else's — bumps it, and the remaining ops in the group bail rather
@@ -47,6 +48,7 @@ use euno_htm::{EventKind, RetryPolicy, ThreadCtx, TxWord};
 
 use crate::ccm::Ccm;
 use crate::node::{EunoLeaf, Guard, NodeRef};
+use crate::segment::{KeyPad, Keys};
 use crate::structural::LowerRegion;
 use crate::traverse::{LeafRead, Located};
 use crate::tree::{EunoBTree, Lower, Req};
@@ -156,7 +158,10 @@ enum GroupRes {
     Applied([Option<Option<u64>>; UPPER_CHUNK]),
 }
 
-impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
+impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K>
+where
+    Keys<K>: KeyPad,
+{
     /// Execute `ops` — **sorted by key** (stable for duplicates) — as
     /// shared group-commit episodes, writing each op's result (the
     /// previous value, `None` for misses) to the same index of `out`.
@@ -390,7 +395,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         }
         scratch.slots.sort_unstable();
         scratch.slots.dedup();
-        let stage = leaf.ccm.enter(ctx, &self.cfg, &scratch.slots, claims);
+        let stage = self.ccm_enter(ctx, g, leaf, &scratch.slots, claims);
         for (j, op) in ops.iter().enumerate() {
             if cells[j] == Cell::Pending && op.req() != Req::Put && stage.definite_miss(slot_of[j])
             {
@@ -406,7 +411,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         if pending > 0 {
             let mut region = LowerRegion::new(false);
             let res = ctx.htm_execute(&self.ctrl.fallback, &RetryPolicy::DBX, |tx| {
-                self.arenas.hand_back(&self.rt, &mut region.unpublished);
+                self.hand_back(g, &mut region.unpublished);
                 tx.set_op_key(ops[0].key());
                 if stage.locked() {
                     // Same-record contenders queue on the CCM lock bits
@@ -460,8 +465,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             }
         }
 
-        leaf.ccm
-            .leave(ctx, &self.cfg, stage, upper_conflicts + lower_conflicts);
+        self.ccm_leave(ctx, g, leaf, stage, upper_conflicts + lower_conflicts);
 
         // Post-episode bookkeeping, outside the locks (as in `traverse`):
         // applied deletes count toward the rebalance trigger and lend an

@@ -1,11 +1,28 @@
 //! The conflict-control module (CCM): mark bits, lock bits and the
 //! adaptive contention detector (§4.1, Figure 5).
 //!
-//! One CCM sits "above" each leaf node, on its own cache line so its CAS
-//! traffic never invalidates lines the HTM regions read — the leaf's
-//! segment lines, whose key lines also carry `seqno`, `next` and `parent`
-//! ([`crate::EunoLeaf`]): the CCM line is the one line of a leaf that holds
-//! no key. A request hashes its key to one of `2 × fanout` slots:
+//! A leaf's CCM is a **block** of its own — one cache line, allocated
+//! apart from the leaf — that the leaf names by its *block word*, a word
+//! of one of its key lines ([`crate::EunoLeaf`]). Contention machinery is
+//! paid for only where contention is seen: a leaf has no block until it
+//! needs one, and most leaves never do. Its life:
+//!
+//! * **birth** — installed by CAS, at most once per leaf: under the
+//!   adaptive detector at the leaf's first recorded conflict
+//!   ([`EunoBTree::ccm_leave`]), with every mark set (the leaf may hold
+//!   records that bypassed inserters put there without a mark, and some may
+//!   be landing as the block goes in); under a CCM config without the
+//!   detector with the leaf itself; under a config with no CCM bits never.
+//!   A split-born leaf of a leaf that has a block gets its own, with marks
+//!   computed from the records it starts with, before it is published;
+//! * **life** — never replaced while its leaf lives;
+//! * **retirement** — with its leaf, through the epoch collector. A merge
+//!   seals the retired leaf's block word, so a birth racing the merge loses
+//!   and frees its block rather than leak it.
+//!
+//! The block sits on its own line, so its CAS traffic never invalidates a
+//! line the HTM regions read. A request hashes its key to one of
+//! `2 × fanout` slots:
 //!
 //! * the slot's **lock bit** is a fine-grained advisory lock taken
 //!   *outside* the HTM region, serializing concurrent requests to the same
@@ -15,20 +32,22 @@
 //!   Bloom-filter-style filter that sends definite misses home without
 //!   touching the leaf.
 //!
-//! The same line hosts the **adaptive contention detector** (§4.1,
-//! guideline 4): a per-leaf verdict, *protected* or *bypassed*. A protected
-//! leaf runs the stage above; a bypassed one runs none of it — no lock
-//! bit, no filter, and no write to this line at all once its key's mark
-//! is set (Figure 13's `+Adaptive` bar). The verdict is kept by the
-//! operations that pay for it: protected operations and operations that
-//! met a conflict feed the window, calm operations on a bypassed leaf feed
-//! nothing (DESIGN.md §4.8 has the state machine).
+//! The block also hosts the **adaptive contention detector** (§4.1,
+//! guideline 4): a per-leaf verdict, *protected* or *bypassed*. A leaf
+//! without a block is bypassed. A protected leaf runs the stage above; a
+//! bypassed one runs none of it — no lock bit, no filter, and no write to
+//! the block at all once its key's mark is set; a blockless leaf keeps no
+//! marks, so a put there loads one word and writes nothing (Figure 13's
+//! `+Adaptive` bar). The verdict is kept by the operations that pay for
+//! it: protected operations and operations that met a conflict feed the
+//! window, calm operations on a bypassed leaf feed nothing (DESIGN.md §4.8
+//! has the state machine).
 //!
-//! The whole stage is the [`Ccm::enter`] / [`Ccm::leave`] pair; the
-//! single-op traversal and the batch's leaf group both run it through
-//! that pair and through nothing else.
+//! The whole stage is the [`EunoBTree::ccm_enter`] /
+//! [`EunoBTree::ccm_leave`] pair; the single-op traversal and the batch's
+//! leaf group both run it through that pair and through nothing else.
 //!
-//! Mark bits here are *monotone within a leaf's lifetime*: deletion does
+//! Mark bits here are *monotone within a block's lifetime*: deletion does
 //! not clear them (the paper clears; doing so can manufacture false
 //! negatives for hash-colliding live keys, which would be a correctness
 //! bug — see DESIGN.md). A split gives the new right node a freshly
@@ -36,9 +55,13 @@
 //! also what lets a put *test before it sets*: a set bit stays set, so a
 //! plain load that sees it needs no read-modify-write behind it.
 
-use euno_htm::{EventKind, LockWord, ThreadCtx, TxCell};
+use euno_htm::{EventKind, LineClass, LockWord, ThreadCtx, TxCell};
 
 use crate::config::EunoConfig;
+use crate::node::{EunoLeaf, Guard};
+use crate::probe;
+use crate::segment::{KeyPad, Keys};
+use crate::tree::EunoBTree;
 
 /// Adaptive detector: operations per decision window. Only operations
 /// that ran protected or met a conflict count toward it.
@@ -48,7 +71,7 @@ pub const ADAPTIVE_WINDOW: u64 = 32;
 /// stayed at or below this rate.
 pub const ADAPTIVE_CONFLICT_RATE: f64 = 0.05;
 
-/// Per-leaf conflict-control module. Fits one cache line.
+/// A leaf's conflict-control block. One cache line.
 ///
 /// The adaptive detector's counters are **monotone**: `ops` and
 /// `conflicts` only ever grow, and a window is the span between two
@@ -76,17 +99,15 @@ pub struct Ccm {
     epoch: TxCell<u64>,
     /// 1 ⇒ requests may bypass the CCM and leaf-lock pre-acquisition.
     bypass: TxCell<u64>,
-    /// The leaf's split lock: serializes splits, merges and locked scan
-    /// steps on it. It lives here because it obeys this line's rule — only
-    /// ever touched from outside HTM regions, read inside none — so its
-    /// acquisition invalidates no line a transaction reads.
-    pub split_lock: LockWord,
 }
 
-/// One conflict-control stage in flight on a leaf: what [`Ccm::enter`]
-/// found and took, to be handed back to [`Ccm::leave`].
+/// One conflict-control stage in flight on a leaf: what
+/// [`EunoBTree::ccm_enter`] found and took, to be handed back to
+/// [`EunoBTree::ccm_leave`].
 #[must_use = "a stage that is not left keeps its lock bits"]
-pub struct Stage<'s> {
+pub struct Stage<'s, 'g> {
+    /// The leaf's block when the stage opened; `None` ⇒ bypassed.
+    block: Option<&'g Ccm>,
     /// The slots the stage covers, ascending and without duplicates.
     slots: &'s [u32],
     /// The leaf was protected when the stage opened.
@@ -100,7 +121,7 @@ pub struct Stage<'s> {
     fresh: bool,
 }
 
-impl Stage<'_> {
+impl Stage<'_, '_> {
     /// Same-slot contenders are queued behind this stage's lock bits, so
     /// the region it brackets meets no true conflict on its records.
     pub fn locked(&self) -> bool {
@@ -121,38 +142,39 @@ impl Stage<'_> {
 }
 
 impl Ccm {
-    /// A fresh module. `bypass` starts true: an untouched leaf has no
-    /// contention history, and the detector re-protects it on the very
-    /// first conflict it observes. A split-born node does not start here:
-    /// it takes over the verdict of the leaf it was split from
-    /// ([`Ccm::inherit_prepublication`]).
-    pub fn new() -> Self {
+    /// Bytes of one block (for the §5.7 accounting): the mark and lock
+    /// vectors and the detector's words, on one line.
+    pub const BYTES: usize = std::mem::size_of::<Ccm>();
+
+    /// A block for a leaf no other thread can reach yet: `marks` are the
+    /// slots of the records it starts with, `bypass` the verdict it starts
+    /// on (a split-born leaf's is its left half's: half of a hot leaf is
+    /// hot, half of a calm one calm).
+    pub fn new(marks: u64, bypass: bool) -> Self {
         Ccm {
-            marks: TxCell::new(0),
+            marks: TxCell::new(marks),
             locks: LockWord::default(),
             ops: TxCell::new(0),
             conflicts: TxCell::new(0),
             window_base: TxCell::new(0),
             epoch: TxCell::new(0),
-            bypass: TxCell::new(1),
-            split_lock: LockWord::default(),
+            bypass: TxCell::new(u64::from(bypass)),
         }
     }
 
-    /// Start an unpublished split-born node on `from`'s verdict: half of a
-    /// hot leaf is hot, half of a calm one is calm. A plain load on
-    /// purpose — the split runs inside the lower region, and a
-    /// transactional read would put `from`'s CCM line into that region's
-    /// footprint, where every lock-bit CAS on the leaf would abort it.
-    /// The verdict may flip under the load; either value is one the leaf
-    /// held a moment ago, and the detector corrects both.
-    pub fn inherit_prepublication(&self, from: &Ccm) {
-        self.bypass.store_plain(from.bypass.load_plain());
-    }
-
-    /// Force the protected state, as a conflict would (tests).
-    pub fn protect_prepublication(&self) {
-        self.bypass.store_plain(0);
+    /// The block a published leaf earns at its first recorded conflict:
+    /// protected at once, that operation and its conflicts counted, and
+    /// every mark set — the leaf may hold records bypassed inserters put
+    /// there without one, and some may be landing while the block goes in.
+    fn at_first_conflict(conflicts: u32) -> Self {
+        let marks = match probe::mutated("ccm:block-marks-empty") {
+            false => u64::MAX,
+            true => 0,
+        };
+        let ccm = Ccm::new(marks, false);
+        ccm.ops.store_plain(1);
+        ccm.conflicts.store_plain(u64::from(conflicts));
+        ccm
     }
 
     /// Hash a key to a slot in `0..nbits` (Figure 5's hash function).
@@ -162,32 +184,37 @@ impl Ccm {
         euno_htm::slot_for_key(key, nbits)
     }
 
+    /// The block's address: what the block word of the leaf it belongs
+    /// to holds.
+    pub(crate) fn addr(&self) -> u64 {
+        self as *const Ccm as u64
+    }
+
     // ----- the stage -----
 
-    /// Open the conflict-control stage (Algorithm 2 lines 29-40, outside
-    /// any region) for the requests hashing to `slots` — ascending, no
-    /// duplicates: two requests can share a slot, and re-acquiring a held
-    /// bit would self-deadlock. `claims` is the mark mask of the puts
-    /// among them.
+    /// Open the conflict-control stage on this block (Algorithm 2 lines
+    /// 29-40, outside any region) for the requests hashing to `slots` —
+    /// ascending, no duplicates: two requests can share a slot, and
+    /// re-acquiring a held bit would self-deadlock. `claims` is the mark
+    /// mask of the puts among them.
     ///
     /// On a protected leaf: take the lock bits, in slot order (so any two
     /// stages on one leaf agree on the order of their common bits). On any
-    /// leaf: make sure the claimed marks are set — the vector must stay a
-    /// superset of the live keys or gets would miss real records once
-    /// protection re-engages. Marks are monotone, so a load that finds
-    /// them set is the whole claim; only a clear bit costs the
+    /// leaf with a block: make sure the claimed marks are set — the vector
+    /// must stay a superset of the live keys or gets would miss real
+    /// records once protection re-engages. Marks are monotone, so a load
+    /// that finds them set is the whole claim; only a clear bit costs the
     /// read-modify-write. A bypassed leaf whose marks are set is thus
     /// entered and left without one write to this line.
-    pub fn enter<'s>(
+    fn enter<'s>(
         &self,
         ctx: &mut ThreadCtx,
         cfg: &EunoConfig,
         slots: &'s [u32],
         claims: u64,
-    ) -> Stage<'s> {
+    ) -> Stage<'s, '_> {
         debug_assert!(slots.windows(2).all(|w| w[0] < w[1]));
-        let configured = cfg.ccm_lock_bits || cfg.ccm_mark_bits;
-        let protected = configured && !(cfg.adaptive && self.bypass.load_direct(ctx) != 0);
+        let protected = !(cfg.adaptive && self.bypass.load_direct(ctx) != 0);
         let locked = protected && cfg.ccm_lock_bits;
         if locked {
             for &slot in slots {
@@ -206,6 +233,7 @@ impl Ccm {
             }
         }
         Stage {
+            block: Some(self),
             slots,
             protected,
             locked,
@@ -214,13 +242,12 @@ impl Ccm {
         }
     }
 
-    /// Close the stage: release its lock bits and tell the detector what
-    /// the operation met — `conflicts` is the conflict aborts of its upper
-    /// and lower regions. Protected operations and operations that met a
+    /// Close a stage opened on this block: release its lock bits and feed
+    /// the detector. Protected operations and operations that met a
     /// conflict are the detector's whole input; a calm operation on a
     /// bypassed leaf tells it nothing it would act on, and is not charged
     /// the counter update.
-    pub fn leave(&self, ctx: &mut ThreadCtx, cfg: &EunoConfig, stage: Stage<'_>, conflicts: u32) {
+    fn leave(&self, ctx: &mut ThreadCtx, cfg: &EunoConfig, stage: Stage<'_, '_>, conflicts: u32) {
         if stage.locked {
             for &slot in stage.slots {
                 self.locks.release_bit(ctx, slot);
@@ -232,12 +259,6 @@ impl Ccm {
     }
 
     // ----- mark bits -----
-
-    /// Install a freshly computed mark vector. Only safe before the owning
-    /// leaf is published (split construction) — hence plain store.
-    pub fn install_marks_prepublication(&self, bits: u64) {
-        self.marks.store_plain(bits);
-    }
 
     /// OR a whole mark vector in (leaf merges adopt the right sibling's
     /// marks — monotone, so concurrent readers stay conservative).
@@ -257,14 +278,24 @@ impl Ccm {
 
     // ----- adaptive contention detector -----
 
+    /// Count one verdict change (metric and trace, at the block's address).
+    fn flipped(&self, ctx: &mut ThreadCtx, bypass: bool) {
+        ctx.metric_flip(self.addr(), bypass);
+        ctx.trace(EventKind::CcmFlip {
+            addr: self.addr(),
+            bypass,
+        });
+    }
+
     /// Feed the detector with one finished operation and the number of
     /// conflict aborts its regions suffered. A conflict on a bypassed leaf
-    /// re-protects it at once; every [`ADAPTIVE_WINDOW`] recorded operations the
-    /// verdict is re-decided: calm window ⇒ bypass on, contended window ⇒
-    /// bypass off. Only [`Ccm::leave`] decides what gets recorded, so a
-    /// re-protected leaf stays protected until a window of operations that ran
-    /// *with* its lock bits have closed a calm window — bypassed traffic
-    /// cannot run the window out for it.
+    /// re-protects it at once; every [`ADAPTIVE_WINDOW`] recorded
+    /// operations the verdict is re-decided: calm window ⇒ bypass on,
+    /// contended window ⇒ bypass off. Only [`EunoBTree::ccm_leave`]
+    /// decides what gets recorded, so a re-protected leaf stays protected
+    /// until a window of operations that ran *with* its lock bits have
+    /// closed a calm window — bypassed traffic cannot run the window out
+    /// for it.
     ///
     /// Concurrency-safe: `ops`/`conflicts` are monotone, the thread whose
     /// `fetch_add` crosses the window boundary is the unique closer, and
@@ -278,11 +309,7 @@ impl Ccm {
             // aborting re-enables its CCM without waiting out the window.
             if self.bypass.load_direct(ctx) != 0 {
                 self.bypass.store_direct(ctx, 0);
-                ctx.metric_flip(self as *const Self as u64, false);
-                ctx.trace(EventKind::CcmFlip {
-                    addr: self as *const Self as u64,
-                    bypass: false,
-                });
+                self.flipped(ctx, false);
             }
         }
         let ops = self.ops.fetch_add_direct(ctx, 1) + 1;
@@ -305,11 +332,7 @@ impl Ccm {
         let calm = (in_window as f64) <= ADAPTIVE_CONFLICT_RATE * (ADAPTIVE_WINDOW as f64);
         if self.bypass.load_direct(ctx) != u64::from(calm) {
             self.bypass.store_direct(ctx, u64::from(calm));
-            ctx.metric_flip(self as *const Self as u64, calm);
-            ctx.trace(EventKind::CcmFlip {
-                addr: self as *const Self as u64,
-                bypass: calm,
-            });
+            self.flipped(ctx, calm);
         }
     }
 
@@ -319,7 +342,7 @@ impl Ccm {
         self.epoch.load_plain()
     }
 
-    /// Conflict aborts fed to the detector over the module's lifetime
+    /// Conflict aborts fed to the detector over the block's lifetime
     /// (monotone; diagnostics).
     pub fn conflicts_plain(&self) -> u64 {
         self.conflicts.load_plain()
@@ -329,31 +352,163 @@ impl Ccm {
         self.bypass.load_plain() != 0
     }
 
-    /// Bytes of CCM state per leaf (for the §5.7 accounting): the mark and
-    /// lock vectors (the detector words and the split lock are counted
-    /// too — they live here).
-    pub const fn bytes() -> usize {
-        std::mem::size_of::<Ccm>()
+    /// Replace the mark vector (tests forging a broken filter).
+    #[cfg(test)]
+    pub(crate) fn forge_marks_plain(&self, bits: u64) {
+        self.marks.store_plain(bits);
     }
 }
 
-impl Default for Ccm {
-    fn default() -> Self {
-        Self::new()
+impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K>
+where
+    Keys<K>: KeyPad,
+{
+    /// Open the conflict-control stage on `leaf` ([`Ccm::enter`] on its
+    /// block). A leaf without a block is bypassed: one load of its block
+    /// word, nothing claimed, nothing filtered. A config with no CCM bits
+    /// loads nothing at all.
+    pub(crate) fn ccm_enter<'s, 'g>(
+        &self,
+        ctx: &mut ThreadCtx,
+        g: Guard<'g, SEGS, K>,
+        leaf: &'g EunoLeaf<SEGS, K>,
+        slots: &'s [u32],
+        claims: u64,
+    ) -> Stage<'s, 'g> {
+        let cfg = &self.cfg;
+        let block = match cfg.conflict_control() {
+            true => leaf.ccm_block(g, leaf.block_word_direct(ctx)),
+            false => None,
+        };
+        debug_assert!(
+            block.is_some() || cfg.adaptive || !cfg.conflict_control(),
+            "a CCM config without the detector gives every leaf a block at birth"
+        );
+        match block {
+            Some(ccm) => ccm.enter(ctx, cfg, slots, claims),
+            None => Stage {
+                block: None,
+                slots,
+                protected: false,
+                locked: false,
+                clear: 0,
+                fresh: false,
+            },
+        }
+    }
+
+    /// Close the stage ([`Ccm::leave`] on the block it opened on) and tell
+    /// the detector what the operation met — `conflicts` is the conflict
+    /// aborts of its upper and lower regions. A conflict on a leaf without
+    /// a block gives it one ([`Self::first_conflict`]) under the detector.
+    pub(crate) fn ccm_leave(
+        &self,
+        ctx: &mut ThreadCtx,
+        g: Guard<'_, SEGS, K>,
+        leaf: &EunoLeaf<SEGS, K>,
+        stage: Stage<'_, '_>,
+        conflicts: u32,
+    ) {
+        let cfg = &self.cfg;
+        match stage.block {
+            Some(ccm) => ccm.leave(ctx, cfg, stage, conflicts),
+            None if cfg.adaptive && cfg.conflict_control() && conflicts > 0 => {
+                self.first_conflict(ctx, g, leaf, conflicts)
+            }
+            None => {}
+        }
+    }
+
+    /// A leaf without a block has met its first conflict: give it one,
+    /// protected, by CAS on its block word. A racing birth that lost frees
+    /// its block and records the operation on the winner's; one that lost
+    /// to a merge's seal records nothing — the leaf is retired.
+    fn first_conflict(
+        &self,
+        ctx: &mut ThreadCtx,
+        g: Guard<'_, SEGS, K>,
+        leaf: &EunoLeaf<SEGS, K>,
+        conflicts: u32,
+    ) {
+        let block = self.alloc_block(leaf, Ccm::at_first_conflict(conflicts));
+        match leaf.install_block(Some(ctx), block.addr()) {
+            Ok(()) => block.flipped(ctx, false),
+            Err(word) => {
+                self.discard_block(block);
+                if let Some(winner) = leaf.ccm_block(g, word) {
+                    winner.record_outcome(ctx, conflicts);
+                }
+            }
+        }
+    }
+
+    /// A fresh block for `leaf` from the tree's block arena, registered
+    /// with the engine: a metadata line the profiler attributes to `leaf`.
+    pub(crate) fn alloc_block(&self, leaf: &EunoLeaf<SEGS, K>, ccm: Ccm) -> &Ccm {
+        let block = self.blocks.alloc(ccm);
+        let owner = leaf as *const EunoLeaf<SEGS, K> as usize;
+        self.rt.register_side_block(
+            block.addr() as usize,
+            Ccm::BYTES,
+            LineClass::Metadata,
+            owner,
+        );
+        block
+    }
+
+    /// Take back a block no leaf ever published.
+    pub(crate) fn discard_block(&self, block: &Ccm) {
+        self.rt.forget_node_heat(block.addr() as usize, Ccm::BYTES);
+        self.blocks.discard(block);
+    }
+
+    /// Retire a block with the leaf it belonged to (the caller is pinned
+    /// and has unlinked the leaf).
+    pub(crate) fn retire_block(&self, block: &Ccm) {
+        self.blocks.retire(self.rt.epoch(), block);
+        self.rt.forget_node_heat(block.addr() as usize, Ccm::BYTES);
+    }
+
+    /// Force `leaf` protected, as a conflict would: give it a block — every
+    /// mark set — if it has none, else put its block back on protection.
+    /// Uninstrumented (tests, on a quiescent tree).
+    pub fn protect_plain(&self, leaf: &EunoLeaf<SEGS, K>) {
+        self.pinned(|g| match leaf.ccm(g) {
+            Some(ccm) => ccm.bypass.store_plain(0),
+            None => {
+                let block = self.alloc_block(leaf, Ccm::new(u64::MAX, false));
+                let _ = leaf.install_block(None, block.addr());
+            }
+        })
+    }
+
+    /// Give a blockless, empty `leaf` a calm block with no marks: the state
+    /// a block whose verdict went back to bypass leaves its leaf in —
+    /// bypassed, yet claiming marks, each put by test-before-set with no
+    /// lock bit. Uninstrumented (tests, on a quiescent tree).
+    pub fn calm_block_plain(&self, leaf: &EunoLeaf<SEGS, K>) {
+        self.pinned(|g| {
+            assert!(leaf.ccm(g).is_none(), "the leaf already has a block");
+            let block = self.alloc_block(leaf, Ccm::new(0, true));
+            let _ = leaf.install_block(None, block.addr());
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
-    use euno_htm::Runtime;
+    use crate::tree::EunoBTreeDefault;
+    use euno_htm::{ConcurrentMap, Runtime};
 
     #[test]
     fn ccm_is_one_cache_line() {
-        // Eight words, the split lock the last of them: no padding left.
+        // Seven words: one to spare.
         assert_eq!(std::mem::size_of::<Ccm>(), 64);
         assert_eq!(std::mem::align_of::<Ccm>(), 64);
-        assert_eq!(std::mem::offset_of!(Ccm, split_lock), 56);
+        assert_eq!(std::mem::offset_of!(Ccm, bypass), 48);
     }
 
     #[test]
@@ -373,7 +528,7 @@ mod tests {
         assert!(same < 15, "{same} adjacent collisions out of 99");
     }
 
-    /// One single-request stage: enter, query, leave.
+    /// One single-request stage on a block: enter, query, leave.
     fn stage(
         ccm: &Ccm,
         ctx: &mut ThreadCtx,
@@ -389,12 +544,18 @@ mod tests {
         seen
     }
 
+    /// A block on a calm leaf, as a split of a block-holding calm leaf
+    /// makes one.
+    fn calm() -> Ccm {
+        Ccm::new(0, true)
+    }
+
     #[test]
     fn mark_bits_set_and_query() {
         let rt = Runtime::new_virtual();
         let mut ctx = rt.thread(0);
         let cfg = EunoConfig::paper();
-        let ccm = Ccm::new();
+        let ccm = calm();
         // Bypassed: no filter, no lock bit — but a put still claims.
         assert_eq!(
             stage(&ccm, &mut ctx, &cfg, 5, false, 0),
@@ -405,7 +566,7 @@ mod tests {
             (false, false, false)
         );
         assert_eq!(ccm.marks_plain(), 1 << 5);
-        ccm.protect_prepublication();
+        ccm.bypass.store_plain(0);
         // Protected: slot 5 may exist, slot 6 is a definite miss; the first
         // put into slot 6 may insert, the second finds its mark set.
         assert_eq!(
@@ -427,7 +588,7 @@ mod tests {
         );
         assert_eq!(ccm.locks_plain(), 0);
         // Without mark bits nothing is filtered and nothing is claimed.
-        let ccm = Ccm::new();
+        let ccm = Ccm::new(0, false);
         let lockbits = EunoConfig::ccm_lockbits();
         assert_eq!(
             stage(&ccm, &mut ctx, &lockbits, 9, true, 0),
@@ -447,8 +608,7 @@ mod tests {
         let rt = Runtime::new_virtual();
         let mut ctx = rt.thread(0);
         let cfg = EunoConfig::paper();
-        let ccm = Ccm::new();
-        ccm.protect_prepublication();
+        let ccm = Ccm::new(0, false);
         let slots = [2, 4, 7];
         let st = ccm.enter(&mut ctx, &cfg, &slots, 1 << 4);
         assert!(st.locked() && st.may_insert());
@@ -466,7 +626,7 @@ mod tests {
         let rt = Runtime::new_virtual();
         let mut ctx = rt.thread(0);
         let cfg = EunoConfig::paper();
-        let ccm = Ccm::new();
+        let ccm = calm();
         let rmw = |ctx: &mut ThreadCtx, put, conflicts| {
             let before = ctx.stats.cas_ops;
             stage(&ccm, ctx, &cfg, 3, put, conflicts);
@@ -489,7 +649,7 @@ mod tests {
         let rt = Runtime::new_virtual();
         let mut a = rt.thread(0);
         let mut b = rt.thread(1);
-        let ccm = Ccm::new();
+        let ccm = calm();
         ccm.locks.acquire_bit(&mut a, 7);
         a.charge(5_000);
         ccm.locks.release_bit(&mut a, 7);
@@ -507,7 +667,7 @@ mod tests {
     #[test]
     fn lock_bits_mutual_exclusion_concurrent() {
         let rt = Runtime::new_concurrent();
-        let ccm = Ccm::new();
+        let ccm = calm();
         let shared = std::sync::atomic::AtomicU64::new(0);
         std::thread::scope(|s| {
             for t in 0..4 {
@@ -535,7 +695,7 @@ mod tests {
         // and the epoch CAS, every conflict is counted and every window is
         // closed exactly once.
         let rt = Runtime::new_concurrent();
-        let ccm = Ccm::new();
+        let ccm = calm();
         let (threads, per_thread, window) = (4u64, 4_000u64, ADAPTIVE_WINDOW);
         std::thread::scope(|s| {
             for t in 0..threads {
@@ -570,8 +730,7 @@ mod tests {
         let rt = Runtime::new_virtual();
         let mut ctx = rt.thread(0);
         let cfg = EunoConfig::paper();
-        let ccm = Ccm::new();
-        assert!(ccm.bypass_plain(), "fresh leaf starts bypassed");
+        let ccm = calm();
         // Calm operations on a bypassed leaf are not the detector's input.
         for _ in 0..40 {
             stage(&ccm, &mut ctx, &cfg, 1, true, 0);
@@ -606,7 +765,7 @@ mod tests {
         let mut ctx = rt.thread(0);
         let cfg = EunoConfig::paper();
         let window = ADAPTIVE_WINDOW;
-        let ccm = Ccm::new();
+        let ccm = calm();
         for _ in 0..window - 2 {
             stage(&ccm, &mut ctx, &cfg, 3, true, 0);
         }
@@ -621,20 +780,148 @@ mod tests {
     }
 
     #[test]
+    fn prepublication_mark_install() {
+        // A block for a leaf no thread can reach yet starts on the marks
+        // and the verdict it is given.
+        let ccm = Ccm::new(0b1010, true);
+        assert_eq!(ccm.marks_plain(), 0b1010);
+        assert!(ccm.bypass_plain());
+        assert_eq!((ccm.epoch_plain(), ccm.conflicts_plain()), (0, 0));
+    }
+
+    /// A split hands a leaf's block on: the right half of a protected leaf
+    /// gets a block of its own, protected, with exactly its records'
+    /// marks; the right half of a calm leaf without one gets none.
+    #[test]
     fn split_born_leaf_inherits_the_verdict() {
-        let (hot, calm) = (Ccm::new(), Ccm::new());
-        hot.protect_prepublication();
-        let (from_hot, from_calm) = (Ccm::new(), Ccm::new());
-        from_hot.inherit_prepublication(&hot);
-        from_calm.inherit_prepublication(&calm);
-        assert!(!from_hot.bypass_plain());
-        assert!(from_calm.bypass_plain());
+        for protected in [true, false] {
+            let rt = Runtime::new_virtual();
+            let tree = EunoBTreeDefault::with_config(Arc::clone(&rt), EunoConfig::paper());
+            let mut ctx = rt.thread(1);
+            if protected {
+                tree.pinned(|g| tree.protect_plain(tree.chain_plain(g).next().unwrap()));
+            }
+            for k in 0..17u64 {
+                tree.put(&mut ctx, k, k);
+            }
+            tree.pinned(|g| {
+                let right = tree.chain_plain(g).nth(1).expect("the leaf split");
+                let Some(block) = right.ccm(g) else {
+                    assert!(!protected, "a protected leaf hands on a block");
+                    return;
+                };
+                assert!(protected, "a calm leaf hands on none");
+                assert!(!block.bypass_plain());
+                let exact = EunoBTreeDefault::leaf_live_plain(right)
+                    .iter()
+                    .fold(0, |m, &(k, _)| m | 1 << Ccm::slot(k, 32));
+                assert_eq!(block.marks_plain(), exact, "fresh marks, not every mark");
+            });
+            assert_eq!(
+                tree.memory().ccm_bytes,
+                usize::from(protected) * 2 * Ccm::BYTES
+            );
+        }
+    }
+
+    /// A block born at a leaf's first conflict: protected, that operation
+    /// counted, and a filter that cannot turn away a key the leaf took
+    /// while it had no block.
+    #[test]
+    fn a_block_born_at_a_conflict_is_protected_and_marks_everything() {
+        let ccm = Ccm::at_first_conflict(2);
+        assert!(!ccm.bypass_plain());
+        assert_eq!((ccm.ops.load_plain(), ccm.conflicts_plain()), (1, 2));
+        assert_eq!(ccm.marks_plain(), u64::MAX);
+    }
+
+    /// Keys a leaf took while it had no block, then a conflict gives it
+    /// one: every key is still found, and deleted — a two-step delete
+    /// consults the filter — in both configurations. Its mutation twin
+    /// births the block with empty marks, and the filter turns the keys
+    /// away.
+    fn keys_survive_a_block_birth(mutation: Option<&'static str>) -> Result<(), String> {
+        for cfg in [EunoConfig::paper(), EunoConfig::default()] {
+            let rt = Runtime::new_virtual();
+            let tree = EunoBTreeDefault::with_config(Arc::clone(&rt), cfg);
+            let mut ctx = rt.thread(1);
+            for k in 0..12u64 {
+                tree.put(&mut ctx, k, k + 100);
+            }
+            ctx.pinned(|ctx, g| {
+                let leaf = tree.locate(ctx, g, 0).leaf;
+                assert!(leaf.ccm(g).is_none(), "a calm leaf has no block");
+                // An operation that met a conflict: the detector's input.
+                let stage = tree.ccm_enter(ctx, g, leaf, &[], 0);
+                probe::mutate(mutation);
+                tree.ccm_leave(ctx, g, leaf, stage, 1);
+                probe::mutate(None);
+                let block = leaf.ccm(g).expect("the conflict gave the leaf a block");
+                assert!(!block.bypass_plain());
+            });
+            for k in 0..12u64 {
+                if tree.get(&mut ctx, k) != Some(k + 100) {
+                    return Err(format!("get {k} after the birth"));
+                }
+                if tree.delete(&mut ctx, k) != Some(k + 100) {
+                    return Err(format!("delete {k} after the birth"));
+                }
+            }
+            assert_eq!(tree.audit_quiescent(), Vec::<String>::new());
+        }
+        Ok(())
     }
 
     #[test]
-    fn prepublication_mark_install() {
-        let ccm = Ccm::new();
-        ccm.install_marks_prepublication(0b1010);
-        assert_eq!(ccm.marks_plain(), 0b1010);
+    fn keys_a_bypassed_leaf_took_survive_its_block_birth() {
+        keys_survive_a_block_birth(None).unwrap();
+    }
+
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "probes are debug-only")]
+    fn a_block_born_with_empty_marks_turns_keys_away() {
+        let err = keys_survive_a_block_birth(Some("ccm:block-marks-empty"));
+        assert!(err.is_err(), "the mutation went unnoticed");
+    }
+
+    /// Two threads meet their first conflict on one leaf together: one
+    /// block wins, the other's is freed, and both operations are counted
+    /// on the winner.
+    #[test]
+    fn racing_births_install_one_block_and_free_the_other() {
+        for round in 0..50 {
+            let rt = Runtime::new_concurrent();
+            let tree = EunoBTreeDefault::with_config(Arc::clone(&rt), EunoConfig::paper());
+            let mut ctx = rt.thread(9);
+            tree.put(&mut ctx, 1, 1);
+            let start = std::sync::Barrier::new(2);
+            std::thread::scope(|s| {
+                for t in 0..2 {
+                    let (tree, start) = (&tree, &start);
+                    let mut ctx = rt.thread(t);
+                    s.spawn(move || {
+                        ctx.pinned(|ctx, g| {
+                            let leaf = tree.locate(ctx, g, 1).leaf;
+                            let stage = tree.ccm_enter(ctx, g, leaf, &[], 0);
+                            start.wait();
+                            tree.ccm_leave(ctx, g, leaf, stage, 1);
+                        });
+                    });
+                }
+            });
+            assert_eq!(tree.blocks.node_count(), 1, "round {round}");
+            assert_eq!(tree.memory().ccm_bytes, Ccm::BYTES, "round {round}");
+            tree.pinned(|g| {
+                let leaf = tree.chain_plain(g).next().unwrap();
+                let block = leaf.ccm(g).expect("one birth won");
+                assert_eq!(block.ops.load_plain(), 2, "round {round}");
+                assert_eq!(block.conflicts_plain(), 2, "round {round}");
+            });
+            assert_eq!(
+                tree.audit_quiescent(),
+                Vec::<String>::new(),
+                "round {round}"
+            );
+        }
     }
 }

@@ -64,6 +64,12 @@ impl Default for EunoConfig {
 }
 
 impl EunoConfig {
+    /// Either CCM bit vector is on: a leaf runs a conflict-control stage,
+    /// and may carry a CCM block ([`crate::ccm`]).
+    pub fn conflict_control(&self) -> bool {
+        self.ccm_lock_bits || self.ccm_mark_bits
+    }
+
     /// The system as the paper has it: every point operation is an HTM
     /// upper region plus an HTM lower region (Algorithm 2). This is what
     /// every figure and the golden-digest test build, so recorded

@@ -5,7 +5,7 @@ use std::convert::Infallible;
 
 use crate::ccm::Ccm;
 use crate::node::{EunoLeaf, Guard, NodeRef, INTERNAL_FANOUT};
-use crate::segment::{home_segment, Segment};
+use crate::segment::{home_segment, KeyPad, Keys, Segment};
 use crate::tree::EunoBTree;
 use euno_htm::{TxWord, TOMBSTONE};
 
@@ -26,14 +26,20 @@ pub struct TreeStats {
     pub tombstones: usize,
     /// Occupied slots ÷ total slots across all leaves.
     pub leaf_fill: f64,
-    /// Fraction of leaves currently in adaptive bypass.
+    /// Fraction of leaves currently in adaptive bypass (a leaf without a
+    /// CCM block is bypassed).
     pub bypassed_fraction: f64,
+    /// Leaves that have a CCM block.
+    pub ccm_blocks: usize,
     /// Histogram of live records per leaf, bucketed by occupancy quarter
     /// (0–25 %, 25–50 %, 50–75 %, 75–100 %).
     pub occupancy_quarters: [usize; 4],
 }
 
-impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
+impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K>
+where
+    Keys<K>: KeyPad,
+{
     /// Walk the whole structure and summarize it. Not concurrency-safe in
     /// the linearizable sense (counts may be slightly stale under traffic)
     /// but never unsound — the walk holds an epoch pin, so nodes a
@@ -57,7 +63,9 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             let mut bypassed = 0usize;
             for leaf in self.chain_plain(g) {
                 s.leaves += 1;
-                if leaf.ccm.bypass_plain() {
+                let block = leaf.ccm(g);
+                s.ccm_blocks += usize::from(block.is_some());
+                if block.is_none_or(|c| c.bypass_plain()) {
                     bypassed += 1;
                 }
                 let live = Self::leaf_live_plain(leaf).len();
@@ -163,8 +171,14 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
     ///   that path full, its segment is sorted, and the leaf's own search
     ///   ([`EunoLeaf::find`], over plain loads) ends on it: a get or put
     ///   reads one segment and may stop there;
-    /// * if mark bits are enabled, each leaf's CCM marks are a superset of
-    ///   its live keys' slots (a get must never miss a present key);
+    /// * if mark bits are enabled, each CCM block's marks are a superset
+    ///   of its leaf's live keys' slots (a get must never miss a present
+    ///   key);
+    /// * **CCM blocks** — no block is shared by two leaves, every leaf's
+    ///   block is live in the tree's block arena, and the arena holds no
+    ///   other (a retired leaf's block is retired too, an aborted split's
+    ///   handed back); a CCM config without the detector gives every leaf
+    ///   a block, a config with no CCM bits none;
     /// * a root descent for every live key lands on the leaf that holds it
     ///   (separator arithmetic agrees with record placement).
     pub fn audit_quiescent(&self) -> Vec<String> {
@@ -257,21 +271,35 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
 
             // Per-leaf content invariants along the chain.
             let mut prev_key: Option<u64> = None;
+            let mut blocks = std::collections::HashSet::new();
             for &lref in &chain_leaves {
                 let leaf = g.leaf(lref);
                 let addr = lref.to_word();
-                if leaf.ccm.split_lock.held_plain() != 0 {
+                if leaf.split_lock().held_plain() != 0 {
                     report!("leaf {addr:#x} split lock held at quiescence");
                 }
                 let copies: Vec<u64> = (0..SEGS).map(|s| leaf.seqno(s).load_plain()).collect();
                 if copies.iter().any(|&c| c != copies[0]) {
                     report!("leaf {addr:#x} seqno copies disagree: {copies:?}");
                 }
-                if leaf.ccm.locks_plain() != 0 {
-                    report!(
-                        "leaf {addr:#x} CCM lock bits {:#b} held at quiescence",
-                        leaf.ccm.locks_plain()
-                    );
+                let block = leaf.ccm(g);
+                if let Some(locks) = block.map(Ccm::locks_plain).filter(|&l| l != 0) {
+                    report!("leaf {addr:#x} CCM lock bits {locks:#b} held at quiescence");
+                }
+                match block {
+                    Some(b) if !blocks.insert(b as *const Ccm) => {
+                        report!("leaf {addr:#x} shares its CCM block {:#x}", b as *const Ccm as u64)
+                    }
+                    Some(b) if !self.blocks.holds(b) => {
+                        report!("leaf {addr:#x} CCM block {:#x} is not live", b as *const Ccm as u64)
+                    }
+                    None if self.cfg.conflict_control() && !self.cfg.adaptive => {
+                        report!("leaf {addr:#x} has no CCM block under a CCM config without the detector")
+                    }
+                    Some(_) if !self.cfg.conflict_control() => {
+                        report!("leaf {addr:#x} has a CCM block under a config with no CCM bits")
+                    }
+                    _ => {}
                 }
                 // Placement: what the one-segment search stands on, for every
                 // record — a tombstone holds its slot like any other.
@@ -314,7 +342,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                         );
                     }
                 }
-                let marks = leaf.ccm.marks_plain();
+                let marks = block.map_or(u64::MAX, Ccm::marks_plain);
                 for &(k, _) in &recs {
                     if let Some(p) = prev_key {
                         if k <= p {
@@ -339,6 +367,15 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                 if viol.len() >= MAX_VIOLATIONS {
                     return viol;
                 }
+            }
+            // Every live block is a chain leaf's: a retired leaf's block
+            // was retired with it, an aborted split's handed back.
+            if self.blocks.node_count() != blocks.len() {
+                report!(
+                    "{} CCM blocks live, {} held by the chain's leaves",
+                    self.blocks.node_count(),
+                    blocks.len()
+                );
             }
             viol
         })
@@ -421,6 +458,7 @@ mod tests {
 
     #[test]
     fn audit_flags_forged_violations() {
+        use crate::ccm::Ccm;
         use crate::node::NodeRef;
         use euno_htm::TxWord;
         let rt = Runtime::new_virtual();
@@ -434,23 +472,35 @@ mod tests {
         // A leaked split lock is reported.
         t.pinned(|g| {
             let leaf = t.chain_plain(g).next().unwrap();
-            leaf.ccm.split_lock.acquire(&mut ctx);
+            leaf.split_lock().acquire(&mut ctx);
             let viol = t.audit_quiescent();
             assert!(
                 viol.iter().any(|v| v.contains("split lock held")),
                 "{viol:?}"
             );
-            leaf.ccm.split_lock.release(&mut ctx);
+            leaf.split_lock().release(&mut ctx);
 
             // Dropping a mark bit under a live key breaks the superset rule.
-            let saved = leaf.ccm.marks_plain();
-            leaf.ccm.install_marks_prepublication(0);
+            t.protect_plain(leaf);
+            let block = leaf.ccm(g).unwrap();
+            let saved = block.marks_plain();
+            block.forge_marks_plain(0);
             let viol = t.audit_quiescent();
             assert!(
                 viol.iter().any(|v| v.contains("mark bits miss live key")),
                 "{viol:?}"
             );
-            leaf.ccm.install_marks_prepublication(saved);
+            block.forge_marks_plain(saved);
+
+            // A block no chain leaf holds — a retired leaf's that stayed
+            // behind — is reported.
+            let stray = t.alloc_block(leaf, Ccm::new(0, true));
+            let viol = t.audit_quiescent();
+            assert!(
+                viol.iter().any(|v| v.contains("CCM blocks live, 1 held")),
+                "{viol:?}"
+            );
+            t.discard_block(stray);
 
             // Unlinking a leaf from the chain desynchronizes it from the index.
             let saved_next = leaf.next().load_plain();
@@ -478,7 +528,7 @@ mod tests {
         // conflicts: the whole tree is calm.
         assert_eq!(t.stats().bypassed_fraction, 1.0);
         // Protect one leaf: the fraction follows.
-        ctx.pinned(|ctx, g| t.locate(ctx, g, 0).leaf.ccm.protect_prepublication());
+        ctx.pinned(|ctx, g| t.protect_plain(t.locate(ctx, g, 0).leaf));
         let s = t.stats();
         assert_eq!(s.bypassed_fraction, (s.leaves - 1) as f64 / s.leaves as f64);
     }

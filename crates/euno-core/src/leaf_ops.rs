@@ -15,11 +15,14 @@ use euno_htm::{EventKind, ThreadCtx, Tx, TxCell, TxResult, TOMBSTONE};
 
 use crate::node::{EunoLeaf, Guard};
 use crate::probe;
-use crate::segment::{home_segment, Probe, HOME_ALU};
+use crate::segment::{home_segment, KeyPad, Keys, Probe, HOME_ALU};
 use crate::structural::LowerRegion;
 use crate::tree::{EunoBTree, Lower, Req};
 
-impl<const SEGS: usize, const K: usize> EunoLeaf<SEGS, K> {
+impl<const SEGS: usize, const K: usize> EunoLeaf<SEGS, K>
+where
+    Keys<K>: KeyPad,
+{
     /// The leaf's one search, over whatever `load` the caller reads with:
     /// walk `key`'s probe path from its home segment (`home`, which the
     /// caller has computed once for the operation) and stop at the first
@@ -55,7 +58,10 @@ impl<const SEGS: usize, const K: usize> EunoLeaf<SEGS, K> {
     }
 }
 
-impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
+impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K>
+where
+    Keys<K>: KeyPad,
+{
     /// What finding a key's home segment is charged on the virtual clock
     /// (nothing where there is one segment to find).
     pub(crate) const HOME_COST: u64 = if SEGS > 1 { HOME_ALU } else { 0 };

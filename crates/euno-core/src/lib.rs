@@ -9,7 +9,8 @@
 //!   a home segment and a probe path, so a search reads one segment
 //!   ([`segment`], [`leaf_ops`]) — and sorted *reserved keys* buffers
 //!   ([`node`]),
-//! * a conflict-control module of mark/lock bit vectors ([`ccm`]),
+//! * a conflict-control block of mark/lock bit vectors, allocated for a
+//!   leaf when it first needs one ([`ccm`]),
 //! * per-leaf adaptive contention control ([`ccm`], [`config`]).
 //!
 //! ```
@@ -43,6 +44,6 @@ pub use ccm::Ccm;
 pub use config::EunoConfig;
 pub use inspect::TreeStats;
 pub use node::{EunoLeaf, Guard, IndexNode, NodeRef, INTERNAL_FANOUT};
-pub use segment::Segment;
+pub use segment::{KeyPad, Keys, Segment};
 pub use traverse::Located;
 pub use tree::{EunoBTree, EunoBTreeDefault, EunoBTreeUnpartitioned};

@@ -2,8 +2,8 @@
 //! nodes above it (with parent links) and the tagged pointer are the
 //! shared B+tree's, `euno_htm::bptree`.
 //!
-//! Layout is cache-line-deliberate — eight segment lines and the CCM
-//! line, 576 B at the paper's geometry, with no header line:
+//! Layout is cache-line-deliberate — eight segment lines, 512 B at the
+//! paper's geometry, with no header line and no CCM line:
 //!
 //! * each segment is line-aligned with keys and values on separate lines
 //!   (see [`Segment`]);
@@ -16,9 +16,18 @@
 //!   ([`EunoLeaf::bump_seqno`]), before any record moves, so the copies
 //!   are equal at every commit and whichever one a reader brackets with
 //!   moves before a record does;
-//! * the CCM is one separate line (see [`Ccm`]), and the split lock is a
-//!   word of it — both are written only from outside regions and read
-//!   inside none, so neither invalidates a line transactions read.
+//! * the split lock and the *block word* — which names the leaf's CCM
+//!   block, allocated apart from it when the leaf first needs one (see
+//!   [`Ccm`]) — are segment 0's two link words, or in a leaf of one
+//!   segment its key block's spare words ([`KeyPad`]). Both are written
+//!   only from outside regions; the block word is written once in the
+//!   leaf's life ([`EunoLeaf::install_block`]), by a quiet CAS, and read
+//!   inside a region only by a split, plainly, on a line that region
+//!   writes anyway. The split lock is not quiet: it shares a line that
+//!   every region and scan section over segment 0 reads, so each acquire
+//!   and release publishes a point write that aborts such a region
+//!   overlapping it — false sharing the CCM line used to spare it
+//!   (DESIGN.md §4.8, "Layout", has the measured cost).
 //!
 //! Records live **spread over the segments at all times**, each in the
 //! first segment on its key's probe path that had room
@@ -30,41 +39,55 @@
 //! buffer of §4.1 is transient scratch, tracked for the §5.7 memory
 //! analysis but never the steady-state home of records).
 
-use euno_htm::{LineClass, ParentLinked, Runtime, Tx, TxCell, TxResult};
+use euno_htm::{
+    LineClass, LockWord, ParentLinked, Runtime, SideBlock, ThreadCtx, Tx, TxCell, TxResult,
+};
 
 pub use euno_htm::{IndexNode, NodeRef};
 
 use crate::ccm::Ccm;
 use crate::probe;
-use crate::segment::Segment;
+use crate::segment::{KeyPad, Keys, Segment};
 
 /// Internal-node fanout (the paper sets node fanout to 16, §5.7).
 pub const INTERNAL_FANOUT: usize = 16;
 
 /// A partitioned leaf: `SEGS` segments of `K` slots, which also carry the
-/// leaf's `seqno`, `next` and `parent`, and the conflict-control module
-/// (which hosts the split lock).
+/// leaf's `seqno`, `next`, `parent`, split lock and block word.
 #[repr(C, align(64))]
-pub struct EunoLeaf<const SEGS: usize, const K: usize> {
+pub struct EunoLeaf<const SEGS: usize, const K: usize>
+where
+    Keys<K>: KeyPad,
+{
     pub segs: [Segment<K>; SEGS],
-    pub ccm: Ccm,
 }
 
-impl<const SEGS: usize, const K: usize> EunoLeaf<SEGS, K> {
+impl<const SEGS: usize, const K: usize> EunoLeaf<SEGS, K>
+where
+    Keys<K>: KeyPad,
+{
     pub fn empty() -> Self {
         assert!(SEGS >= 1 && K >= 2, "need at least one segment of ≥2 slots");
         assert!(
             2 * SEGS * K <= 64,
             "CCM bit vectors are single words: 2·fanout ≤ 64"
         );
-        EunoLeaf {
+        let leaf = EunoLeaf {
             segs: std::array::from_fn(|_| Segment::empty()),
-            ccm: Ccm::new(),
-        }
+        };
+        assert!(
+            leaf.own_words().len() >= 2,
+            "no key line has two words to spare"
+        );
+        leaf
     }
 
     /// The segment whose key line carries `next` and `parent`.
     const LAST: usize = SEGS - 1;
+
+    /// The block word of a leaf a merge has retired: no block may be
+    /// installed on it any more (a birth that finds it frees its block).
+    const SEALED: u64 = 1;
 
     /// Segment `seg`'s copy of the version number tracking splits (the
     /// consistency glue between the upper and lower HTM regions,
@@ -82,12 +105,87 @@ impl<const SEGS: usize, const K: usize> EunoLeaf<SEGS, K> {
 
     /// Next-leaf chain for range scans (NodeRef bits).
     pub fn next(&self) -> &TxCell<u64> {
-        self.segs[Self::LAST].link_cell(0)
+        &self.segs[Self::LAST].links()[0]
     }
 
     /// Parent internal node (NodeRef bits; 0 at the root).
     pub fn parent(&self) -> &TxCell<u64> {
-        self.segs[Self::LAST].link_cell(1)
+        &self.segs[Self::LAST].links()[1]
+    }
+
+    /// Where the split lock and the block word live: segment 0's link
+    /// words where another segment carries the chain, else its key block's
+    /// spare words — a key line either way.
+    fn own_words(&self) -> &[TxCell<u64>] {
+        match SEGS > 1 {
+            true => self.segs[0].links(),
+            false => self.segs[0].spare(),
+        }
+    }
+
+    /// Serializes splits, merges and locked scan steps on this leaf.
+    /// Written only from outside regions, on segment 0's key line: each
+    /// write aborts an overlapping region that reads that line.
+    pub fn split_lock(&self) -> &LockWord {
+        self.own_words()[0].as_lock()
+    }
+
+    /// The block word: 0 while the leaf has no CCM block, the block's
+    /// address once [`Self::install_block`] has given it one.
+    fn block_cell(&self) -> &TxCell<u64> {
+        &self.own_words()[1]
+    }
+
+    /// The block word, by a direct (charged) load.
+    pub(crate) fn block_word_direct(&self, ctx: &mut ThreadCtx) -> u64 {
+        self.block_cell().load_direct(ctx)
+    }
+
+    /// The block word, uninstrumented.
+    pub(crate) fn block_word_plain(&self) -> u64 {
+        self.block_cell().load_plain()
+    }
+
+    /// The block a block word of this leaf names, if any.
+    pub(crate) fn ccm_block<'g>(&self, g: Guard<'g, SEGS, K>, word: u64) -> Option<&'g Ccm> {
+        match word {
+            Self::SEALED => None,
+            _ => g.block(word),
+        }
+    }
+
+    /// The leaf's CCM block, if it has one (uninstrumented).
+    pub fn ccm<'g>(&self, g: Guard<'g, SEGS, K>) -> Option<&'g Ccm> {
+        self.ccm_block(g, self.block_word_plain())
+    }
+
+    /// The one writer of the block word: `word` — a block's address, or
+    /// the seal a merge leaves on the leaf it retires — goes in if the
+    /// leaf has neither. On a leaf other threads can reach (`ctx` given),
+    /// by CAS from 0, a loser getting back the word that won; on one they
+    /// cannot yet (a split-born leaf, before its region commits), by plain
+    /// store. The CAS is quiet: no reader validates against the word.
+    pub(crate) fn install_block(&self, ctx: Option<&mut ThreadCtx>, word: u64) -> Result<(), u64> {
+        match ctx {
+            Some(ctx) => match self.block_cell().cas_direct_quiet(ctx, 0, word) {
+                true => Ok(()),
+                false => Err(self.block_word_direct(ctx)),
+            },
+            None => {
+                debug_assert_eq!(self.block_word_plain(), 0, "a block is installed once");
+                self.block_cell().store_plain(word);
+                Ok(())
+            }
+        }
+    }
+
+    /// Seal a leaf a merge has just unlinked and return the block it had,
+    /// to be retired with it: a birth that loses to the seal frees its own.
+    pub(crate) fn seal<'g>(&self, ctx: &mut ThreadCtx, g: Guard<'g, SEGS, K>) -> Option<&'g Ccm> {
+        match self.install_block(Some(ctx), Self::SEALED) {
+            Ok(()) => None,
+            Err(word) => self.ccm_block(g, word),
+        }
     }
 
     /// The one writer of `seqno`: every segment's copy goes up by one.
@@ -128,18 +226,14 @@ impl<const SEGS: usize, const K: usize> EunoLeaf<SEGS, K> {
     }
 
     pub fn register(&self, rt: &Runtime) {
-        let parts = [
-            // Segments: record storage (their count and `seqno` words, and
-            // the last one's links, live amid the records deliberately —
-            // per-segment metadata is the point).
-            (std::mem::offset_of!(Self, segs), LineClass::Record),
-            // CCM line (lock bits, mark bits, detector, split lock).
-            (std::mem::offset_of!(Self, ccm), LineClass::Metadata),
-        ];
+        // Segments: record storage (their count and `seqno` words, the
+        // last one's links and the split lock and block word live amid
+        // the records deliberately — per-segment metadata is the point).
         // Attributed: the contention profiler maps address-carrying trace
-        // events (conflict lines, lock cells, CCM words) inside the leaf
-        // to its base.
+        // events (conflict lines, lock cells) inside the leaf — and in its
+        // CCM block ([`Runtime::register_side_block`]) — to its base.
         let base = self as *const Self as usize;
+        let parts = [(0, LineClass::Record)];
         rt.register_node(base, std::mem::size_of::<Self>(), &parts, true);
     }
 
@@ -151,13 +245,23 @@ impl<const SEGS: usize, const K: usize> EunoLeaf<SEGS, K> {
     }
 }
 
-impl<const SEGS: usize, const K: usize> ParentLinked for EunoLeaf<SEGS, K> {
+impl<const SEGS: usize, const K: usize> ParentLinked for EunoLeaf<SEGS, K>
+where
+    Keys<K>: KeyPad,
+{
     fn parent(&self) -> &TxCell<u64> {
         EunoLeaf::parent(self)
     }
 }
 
-/// Arenas owning all of a tree's allocations.
+impl<const SEGS: usize, const K: usize> SideBlock for EunoLeaf<SEGS, K>
+where
+    Keys<K>: KeyPad,
+{
+    type Block = Ccm;
+}
+
+/// Arenas owning all of a tree's nodes (its CCM blocks have their own).
 pub type NodeArenas<const S: usize, const K: usize> =
     euno_htm::NodeArenas<EunoLeaf<S, K>, INTERNAL_FANOUT>;
 
@@ -176,36 +280,51 @@ mod tests {
     /// The line facts of the layout, at both geometries the crate builds:
     /// every segment's `seqno` copy on that segment's (first) key line,
     /// `next` and `parent` on the last segment's last key line, and the
-    /// CCM line — carrying the split lock — shared with no key line.
-    fn line_facts<const SEGS: usize, const K: usize>() {
+    /// split lock and the block word on a key line of segment 0 — its
+    /// last, beside keys; `key_lines` key lines a segment, as before they
+    /// moved in.
+    fn line_facts<const SEGS: usize, const K: usize>(key_lines: usize)
+    where
+        Keys<K>: KeyPad,
+    {
         let l: Box<EunoLeaf<SEGS, K>> = Box::new(EunoLeaf::empty());
         let line = |cell: &TxCell<u64>| cell.line();
-        let ccm = LineId::of_addr(&l.ccm as *const _ as usize);
-        let lock_line = LineId::of_addr(&l.ccm.split_lock as *const _ as usize);
-        let mut key_lines = std::collections::HashSet::new();
         for (i, seg) in l.segs.iter().enumerate() {
             assert_eq!(line(l.seqno(i)), seg.key_cell(0).line(), "segment {i}");
-            key_lines.extend((0..K).map(|j| seg.key_cell(j).line()));
-            assert_ne!(seg.key_cell(0).line(), seg.val_cell(0).line());
+            let lines: std::collections::HashSet<LineId> =
+                (0..K).map(|j| seg.key_cell(j).line()).collect();
+            assert_eq!(lines.len(), key_lines, "segment {i}'s key lines");
+            assert!(!lines.contains(&seg.val_cell(0).line()));
         }
         let last_key = l.segs[EunoLeaf::<SEGS, K>::LAST].key_cell(K - 1).line();
         assert_eq!(line(l.next()), last_key, "next on the last key line");
         assert_eq!(line(l.parent()), last_key, "parent on the last key line");
-        assert!(!key_lines.contains(&ccm), "the CCM line holds no key");
-        // The split lock rides the CCM line (written outside regions only,
-        // like everything else there).
-        assert_eq!(lock_line, ccm);
+        let first_key = l.segs[0].key_cell(K - 1).line();
+        let lock = LineId::of_addr(l.split_lock() as *const LockWord as usize);
+        assert_eq!(lock, first_key, "the split lock on segment 0's key line");
+        assert_eq!(line(l.block_cell()), first_key, "the block word too");
+        let at = |cell: &TxCell<u64>| cell as *const TxCell<u64> as usize;
+        let words = [
+            l.split_lock() as *const LockWord as usize,
+            at(l.block_cell()),
+        ];
+        assert!(words[0] != words[1], "two words");
+        assert!(words
+            .iter()
+            .all(|&w| w != at(l.next()) && w != at(l.parent())));
     }
 
     #[test]
     fn leaf_line_discipline() {
-        line_facts::<4, 4>();
-        line_facts::<1, 16>();
-        // Eight segment lines and the CCM line: no line to spare. The
+        line_facts::<4, 4>(1);
+        line_facts::<1, 16>(3);
+        // Eight segment lines, no line to spare, and nothing else. The
         // unpartitioned leaf's key area stays three lines (count, `seqno`,
-        // sixteen keys and the links are twenty words).
-        assert_eq!(std::mem::size_of::<Leaf44>(), 576);
-        assert_eq!(std::mem::size_of::<EunoLeaf<1, 16>>(), 384);
+        // sixteen keys, the links, the split lock and the block word are
+        // twenty-two words of twenty-four).
+        assert_eq!(std::mem::size_of::<Leaf44>(), 512);
+        assert_eq!(std::mem::size_of::<EunoLeaf<1, 16>>(), 320);
+        assert_eq!(std::mem::size_of::<EunoLeaf<2, 8>>(), 384);
     }
 
     #[test]

@@ -67,6 +67,7 @@ use euno_htm::{
 
 use crate::node::{EunoLeaf, Guard, NodeRef};
 use crate::probe;
+use crate::segment::{KeyPad, Keys};
 use crate::tree::EunoBTree;
 
 /// Resume cursor of a sweep that is not armed (no record carries it).
@@ -120,7 +121,10 @@ struct LeafView {
     next: NodeRef,
 }
 
-impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
+impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K>
+where
+    Keys<K>: KeyPad,
+{
     /// A merged leaf keeps a quarter of its slots free, so the next few
     /// inserts do not split it straight back.
     const fn merge_bound() -> usize {
@@ -275,7 +279,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             |ctx| {
                 scratch.clear();
                 for seg in &leaf.segs {
-                    seg.read_into_direct(ctx, scratch);
+                    seg.read_into_direct(ctx, 0, scratch);
                 }
                 scratch.retain(|&(k, _)| k != KEY_SENTINEL);
                 Some(LeafView {
@@ -296,13 +300,13 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         left: &EunoLeaf<SEGS, K>,
         right: &EunoLeaf<SEGS, K>,
     ) -> bool {
-        left.ccm.split_lock.acquire(ctx);
-        right.ccm.split_lock.acquire(ctx);
+        left.split_lock().acquire(ctx);
+        right.split_lock().acquire(ctx);
 
         let merged = self.merge_locked(ctx, g, left, right);
 
-        right.ccm.split_lock.release(ctx);
-        left.ccm.split_lock.release(ctx);
+        right.split_lock().release(ctx);
+        left.split_lock().release(ctx);
         if merged {
             // Hand the unlinked right leaf to the epoch collector: freed
             // only after every thread pinned at (or before) the current
@@ -316,6 +320,10 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                 .leaves
                 .retire(self.rt.epoch(), right as *const EunoLeaf<SEGS, K>);
             right.forget_heat(&self.rt);
+            // Its CCM block goes with it, and no birth may follow it.
+            if let Some(block) = right.seal(ctx, g) {
+                self.retire_block(block);
+            }
             ctx.trace(EventKind::Merge {
                 left: left as *const EunoLeaf<SEGS, K> as u64,
                 right: right as *const EunoLeaf<SEGS, K> as u64,
@@ -334,9 +342,12 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         // Union the mark bits BEFORE the merge becomes visible: a get for
         // an adopted key must never find the left leaf unmarked. Marks are
         // a monotone superset, so setting them early is safe even if the
-        // merge is abandoned (just extra false positives).
-        let right_marks = right.ccm.marks_plain();
-        left.ccm.or_marks(ctx, right_marks);
+        // merge is abandoned (just extra false positives). A right leaf
+        // without a block keeps no marks, and bypassed puts may be landing
+        // in it: every mark, then.
+        if let Some(into) = left.ccm(g) {
+            into.or_marks(ctx, right.ccm(g).map_or(u64::MAX, |c| c.marks_plain()));
+        }
         let out = ctx.htm_execute(self.fallback_cell(), &RetryPolicy::DBX, |tx| {
             // Both split locks are held: contending structural ops queue.
             tx.mark_serialized();

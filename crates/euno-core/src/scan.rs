@@ -14,6 +14,7 @@ use euno_htm::{RetryPolicy, ThreadCtx, TxWord, TOMBSTONE};
 
 use crate::node::{EunoLeaf, Guard, NodeRef};
 use crate::probe;
+use crate::segment::{KeyPad, Keys};
 use crate::tree::EunoBTree;
 
 /// Sections a leaf step may fail before the locked rung takes the leaf.
@@ -31,7 +32,10 @@ const STEP_TRIES: u32 = 16;
 /// every commit). `None` ⇒ first step / chain end.
 type Hint<'g, const SEGS: usize, const K: usize> = Option<(&'g EunoLeaf<SEGS, K>, u64)>;
 
-impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
+impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K>
+where
+    Keys<K>: KeyPad,
+{
     /// Walk the leaf chain from the leaf covering `from`, appending up to
     /// `count` live records to `out`. Returns the number collected.
     pub(crate) fn scan_leaves(
@@ -119,7 +123,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                 // `Some(false)` ⇒ the leaf's `seqno` is no longer `s1`.
                 let held = self.validated_section(ctx, cursor, &mut tries, |ctx| {
                     out.truncate(mark);
-                    seg.read_into_direct(ctx, out);
+                    seg.read_into_direct(ctx, cursor, out);
                     if !last {
                         return Some(true);
                     }
@@ -171,7 +175,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                 let at = self.locate(ctx, g, cursor);
                 (at.leaf, at.seqno)
             });
-            leaf.ccm.split_lock.acquire(ctx);
+            leaf.split_lock().acquire(ctx);
             let piece = ctx.htm_execute(&self.ctrl.fallback, &RetryPolicy::DBX, |tx| {
                 tx.set_op_key(cursor);
                 out.truncate(base);
@@ -191,7 +195,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
                 let n = g.leaf(next);
                 Ok(Some(Some((n, tx.read(n.seqno_beside_next())?))))
             });
-            leaf.ccm.split_lock.release(ctx);
+            leaf.split_lock().release(ctx);
             if let Some(next) = piece.value {
                 return next;
             }

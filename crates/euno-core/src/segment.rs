@@ -15,8 +15,10 @@
 //!   copy of the leaf's `seqno`, the keys and two link words — at `K` = 4
 //!   exactly its eight words — so an operation that checks `seqno` on its
 //!   key's home segment reads no line it would not read anyway; the last
-//!   segment's link words are the leaf's `next` and `parent`
-//!   ([`crate::EunoLeaf`]);
+//!   segment's link words are the leaf's `next` and `parent`, and the
+//!   leaf's split lock and block word ride segment 0's — or, in a leaf of
+//!   one segment, the key block's spare words ([`KeyPad`],
+//!   [`crate::EunoLeaf`]);
 //! * which segment a key goes to is a function of the key
 //!   ([`home_segment`]), so a search reads one segment, not all of them.
 
@@ -43,15 +45,45 @@ pub fn home_segment(key: u64, segs: usize) -> usize {
 /// shift-and-XOR steps and the reduction.
 pub const HOME_ALU: u64 = 6;
 
+/// A key block of `K` keys, as a type: what [`KeyPad`] is implemented
+/// for.
+pub struct Keys<const K: usize>;
+
+/// What a key block leaves spare on its last line past `count`, `seqno`,
+/// the keys and the two link words — nothing at `K` = 4 (eight words, one
+/// line), four words at `K` = 8 and 16 (twelve of sixteen, twenty of
+/// twenty-four) — named so that a leaf with no link words to spare can put
+/// its own words there ([`crate::EunoLeaf::split_lock`]).
+pub trait KeyPad {
+    type Spare: AsRef<[TxCell<u64>]> + Default + Send + Sync;
+}
+
+impl KeyPad for Keys<4> {
+    type Spare = [TxCell<u64>; 0];
+}
+
+impl KeyPad for Keys<8> {
+    type Spare = [TxCell<u64>; 4];
+}
+
+impl KeyPad for Keys<16> {
+    type Spare = [TxCell<u64>; 4];
+}
+
 /// Key half of a segment, own line(s): occupancy count, this segment's
-/// copy of the leaf's `seqno`, sorted keys, and two link words (used in
-/// the leaf's last segment only: `next` and `parent`).
+/// copy of the leaf's `seqno`, sorted keys, two link words (the leaf's
+/// `next` and `parent` in its last segment; its split lock and block word
+/// in segment 0 of a partitioned leaf) and the key block's spare words.
 #[repr(C, align(64))]
-struct SegKeys<const K: usize> {
+struct SegKeys<const K: usize>
+where
+    Keys<K>: KeyPad,
+{
     count: TxCell<u64>,
     seqno: TxCell<u64>,
     keys: [TxCell<u64>; K],
     links: [TxCell<u64>; 2],
+    spare: <Keys<K> as KeyPad>::Spare,
 }
 
 /// Value half of a segment: parallel to the keys, own line(s).
@@ -62,7 +94,10 @@ struct SegVals<const K: usize> {
 
 /// One line-aligned segment.
 #[repr(C, align(64))]
-pub struct Segment<const K: usize> {
+pub struct Segment<const K: usize>
+where
+    Keys<K>: KeyPad,
+{
     k: SegKeys<K>,
     v: SegVals<K>,
 }
@@ -78,7 +113,10 @@ pub struct Probe {
     pub count: usize,
 }
 
-impl<const K: usize> Segment<K> {
+impl<const K: usize> Segment<K>
+where
+    Keys<K>: KeyPad,
+{
     pub fn empty() -> Self {
         Segment {
             k: SegKeys {
@@ -86,6 +124,7 @@ impl<const K: usize> Segment<K> {
                 seqno: TxCell::new(0),
                 keys: std::array::from_fn(|_| TxCell::new(KEY_SENTINEL)),
                 links: [TxCell::new(0), TxCell::new(0)],
+                spare: Default::default(),
             },
             v: SegVals {
                 vals: std::array::from_fn(|_| TxCell::new(0)),
@@ -116,10 +155,15 @@ impl<const K: usize> Segment<K> {
         &self.k.seqno
     }
 
-    /// Link word `i` of the key line ([`crate::EunoLeaf::next`],
-    /// [`crate::EunoLeaf::parent`]).
-    pub(crate) fn link_cell(&self, i: usize) -> &TxCell<u64> {
-        &self.k.links[i]
+    /// The key line's two link words ([`crate::EunoLeaf::next`] and
+    /// [`crate::EunoLeaf::parent`] in the last segment).
+    pub(crate) fn links(&self) -> &[TxCell<u64>; 2] {
+        &self.k.links
+    }
+
+    /// The key block's spare words ([`KeyPad`]).
+    pub(crate) fn spare(&self) -> &[TxCell<u64>] {
+        self.k.spare.as_ref()
     }
 
     /// The one search of a segment: lower bound of `key` among the sorted
@@ -187,17 +231,21 @@ impl<const K: usize> Segment<K> {
         Ok(())
     }
 
-    /// Episode-free bulk read into `out`. Direct loads only: the caller
-    /// validates the whole read (leaf `seqno`, engine snapshot) afterwards
-    /// and retries on any change, so what a torn state leaves on `out` is
-    /// the caller's to discard; the count is clamped to `K` as in
-    /// [`Segment::search`].
-    pub fn read_into_direct(&self, ctx: &mut ThreadCtx, out: &mut Vec<(u64, u64)>) {
+    /// Episode-free bulk read into `out` of the records whose key is at
+    /// least `from`: every key is loaded, a value only beside a key that
+    /// is kept — a scan step has no use for the records below its cursor,
+    /// and a value line none of whose records it delivers is a line its
+    /// section need not read. Direct loads only: the caller validates the
+    /// whole read (leaf `seqno`, engine snapshot) afterwards and retries on
+    /// any change, so what a torn state leaves on `out` is the caller's to
+    /// discard; the count is clamped to `K` as in [`Segment::search`].
+    pub fn read_into_direct(&self, ctx: &mut ThreadCtx, from: u64, out: &mut Vec<(u64, u64)>) {
         let cnt = (self.k.count.load_direct(ctx) as usize).min(K);
         for i in 0..cnt {
             let k = self.k.keys[i].load_direct(ctx);
-            let v = self.v.vals[i].load_direct(ctx);
-            out.push((k, v));
+            if k >= from {
+                out.push((k, self.v.vals[i].load_direct(ctx)));
+            }
         }
     }
 
@@ -221,11 +269,10 @@ mod tests {
     use std::convert::Infallible;
 
     /// The slot `key` is in, by a transactional search.
-    fn find<const K: usize>(
-        seg: &Segment<K>,
-        tx: &mut Tx<'_>,
-        key: u64,
-    ) -> TxResult<Option<usize>> {
+    fn find<const K: usize>(seg: &Segment<K>, tx: &mut Tx<'_>, key: u64) -> TxResult<Option<usize>>
+    where
+        Keys<K>: KeyPad,
+    {
         let at = seg.search(key, |cell| tx.read(cell))?;
         Ok(at.hit.then_some(at.slot))
     }
@@ -342,12 +389,18 @@ mod tests {
             assert_eq!(at, want, "key {key}");
         }
         let mut out = Vec::new();
-        seg.read_into_direct(&mut ctx, &mut out);
+        seg.read_into_direct(&mut ctx, 0, &mut out);
         assert_eq!(out, vec![(10, 100), (20, 200), (30, 300)]);
+        // From a key on, only the records at or above it — and only their
+        // values are loaded: one key line, one value per record kept.
+        let (mut out, before) = (Vec::new(), ctx.stats.mem_accesses);
+        seg.read_into_direct(&mut ctx, 15, &mut out);
+        assert_eq!(out, vec![(20, 200), (30, 300)]);
+        assert_eq!(ctx.stats.mem_accesses - before, 1 + 3 + 2);
         // A torn out-of-range count is clamped, never read past K.
         seg.k.count.store_plain(77);
         let mut out = Vec::new();
-        seg.read_into_direct(&mut ctx, &mut out);
+        seg.read_into_direct(&mut ctx, 0, &mut out);
         assert_eq!(out.len(), 4, "count clamped to K");
         let Ok(at) = seg.search(99, |cell| Ok::<_, Infallible>(cell.load_plain()));
         assert_eq!(at.count, 4, "in a search as well");

@@ -11,6 +11,7 @@
 use crate::ccm::Ccm;
 use crate::node::{EunoLeaf, Guard, IndexNode, NodeRef, INTERNAL_FANOUT};
 use crate::probe;
+use crate::segment::{KeyPad, Keys};
 use crate::tree::EunoBTree;
 use euno_htm::bptree::{promote, Linked};
 use euno_htm::{EventKind, Tx, TxResult, TxWord};
@@ -34,7 +35,23 @@ impl LowerRegion {
     }
 }
 
-impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
+impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K>
+where
+    Keys<K>: KeyPad,
+{
+    /// A lower region's attempt starts here: the nodes the last attempt
+    /// allocated go back to their arenas
+    /// ([`euno_htm::NodeArenas::hand_back`]), and a split-born leaf's CCM
+    /// block with its leaf.
+    pub(crate) fn hand_back(&self, g: Guard<'_, SEGS, K>, unpublished: &mut Vec<NodeRef>) {
+        for &node in unpublished.iter().filter(|n| n.is_leaf()) {
+            if let Some(block) = g.leaf(node).ccm(g) {
+                self.discard_block(block);
+            }
+        }
+        self.arenas.hand_back(&self.rt, unpublished);
+    }
+
     /// §4.2.3: sort → split → reorganize. `records` holds the full sorted
     /// contents (already drained from the segments); each half is re-placed
     /// over its node's segments by the probe-path rule. Returns the half
@@ -68,22 +85,29 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         self.redistribute(tx, leaf, &records[..mid])?;
         self.redistribute(tx, right, &records[mid..])?;
 
-        // Fresh exact mark bits for the unpublished right node; the left
-        // node keeps its (superset) bits. The pending key the caller will
-        // insert after the split must be included when it lands right of
-        // the separator — its CCM-stage mark was set on the *old* leaf.
-        let mut marks = 0u64;
-        for &(k, _) in &records[mid..] {
-            marks |= 1 << Ccm::slot(k, Self::ccm_bits());
+        // A leaf with a CCM block hands the unpublished right node one of
+        // its own: fresh exact mark bits (the left node keeps its superset
+        // bits) and the old leaf's verdict — half of a hot leaf is hot,
+        // half of a calm one calm. The pending key the caller will insert
+        // after the split must be included when it lands right of the
+        // separator — its CCM-stage mark was set on the *old* leaf. Plain
+        // loads on purpose: a transactional read would put the old block's
+        // line into this region's footprint, where every lock-bit CAS on
+        // the leaf would abort it. The verdict may flip under the load;
+        // either value is one the leaf held a moment ago, and the detector
+        // corrects both. A leaf without a block hands none on.
+        if let Some(from) = leaf.ccm(g) {
+            let mut marks = 0u64;
+            for &(k, _) in &records[mid..] {
+                marks |= 1 << Ccm::slot(k, Self::ccm_bits());
+            }
+            if key >= sep {
+                marks |= 1 << Ccm::slot(key, Self::ccm_bits());
+            }
+            let block = self.alloc_block(right, Ccm::new(marks, from.bypass_plain()));
+            let _ = right.install_block(None, block.addr());
+            tx.charge(self.rt.cost.alu * (records.len() - mid) as u64);
         }
-        if key >= sep {
-            marks |= 1 << Ccm::slot(key, Self::ccm_bits());
-        }
-        right.ccm.install_marks_prepublication(marks);
-        // The right node inherits the old leaf's verdict: protected iff
-        // the leaf it was split from is.
-        right.ccm.inherit_prepublication(&leaf.ccm);
-        tx.charge(self.rt.cost.alu * (records.len() - mid) as u64);
 
         let old_next = tx.read(leaf.next())?;
         tx.write(right.next(), old_next)?;
@@ -153,35 +177,44 @@ mod tests {
     /// A split attempt that aborts (on the virtual backend a single thread
     /// meets the model's spurious aborts: 70 attempts of this load, a third
     /// of them splits)
-    /// hands the nodes it allocated back: every node an arena holds is in
-    /// the tree, and the memory report is the node counts times the node
-    /// sizes, to the byte.
+    /// hands the nodes it allocated back, and a split-born leaf's CCM block
+    /// with it: every node an arena holds is in the tree, every block a
+    /// leaf's, and the memory report is the node counts times the node
+    /// sizes, to the byte — with no block under the detector (a
+    /// single-threaded load meets no conflict), one a leaf without it.
     #[test]
     fn an_aborted_split_leaks_no_node() {
         use crate::ccm::Ccm;
+        use crate::config::EunoConfig;
         use crate::node::{EunoLeaf, IndexNode, INTERNAL_FANOUT};
-        let rt = Runtime::new_virtual();
-        let t = EunoBTreeDefault::new(Arc::clone(&rt));
-        let mut ctx = rt.thread(1);
-        for k in 0..200_000u64 {
-            t.put(&mut ctx, k, k);
+        for (cfg, blocks_a_leaf) in [(EunoConfig::default(), 0), (EunoConfig::ccm_markbits(), 1)] {
+            let rt = Runtime::new_virtual();
+            let t = EunoBTreeDefault::with_config(Arc::clone(&rt), cfg);
+            let mut ctx = rt.thread(1);
+            for k in 0..200_000u64 {
+                t.put(&mut ctx, k, k);
+            }
+            assert!(
+                ctx.stats.aborts[AbortClass::Spurious] > 20,
+                "the load met no aborts"
+            );
+            let stats = t.stats();
+            let arenas = &t.arenas;
+            assert_eq!(
+                (arenas.leaves.node_count(), arenas.internals.node_count()),
+                (stats.leaves, stats.internals)
+            );
+            assert_eq!(t.blocks.node_count(), stats.leaves * blocks_a_leaf);
+            let leaf = std::mem::size_of::<EunoLeaf<4, 4>>();
+            let index = std::mem::size_of::<IndexNode<INTERNAL_FANOUT>>();
+            let mem = t.memory();
+            assert_eq!(
+                mem.structural_bytes,
+                stats.leaves * leaf + stats.internals * index
+            );
+            assert_eq!(mem.ccm_bytes, stats.leaves * blocks_a_leaf * Ccm::BYTES);
+            assert_eq!(t.audit_quiescent(), Vec::<String>::new());
         }
-        assert!(
-            ctx.stats.aborts[AbortClass::Spurious] > 20,
-            "the load met no aborts"
-        );
-        let stats = t.stats();
-        let arenas = &t.arenas;
-        assert_eq!(
-            (arenas.leaves.node_count(), arenas.internals.node_count()),
-            (stats.leaves, stats.internals)
-        );
-        let leaf = std::mem::size_of::<EunoLeaf<4, 4>>() - Ccm::bytes();
-        let index = std::mem::size_of::<IndexNode<INTERNAL_FANOUT>>();
-        assert_eq!(
-            t.memory().structural_bytes,
-            stats.leaves * leaf + stats.internals * index
-        );
     }
 
     #[test]

@@ -13,10 +13,12 @@
 //!    ([`EunoBTree::locate_then`]), in a section of its own when a hint or
 //!    the HTM region did ([`EunoBTree::read_leaf`]) — and is done if that
 //!    holds (one in [`GET_TWO_STEP_ONE_IN`] does not try);
-//! 2. the conflict-control stage (outside any region, [`Ccm::enter`] …
-//!    [`Ccm::leave`]) — on a protected leaf — takes the key's CCM lock
-//!    bit, consults the mark bit, and pre-acquires the split lock for
-//!    inserts into near-full leaves; on a bypassed leaf it is two loads;
+//! 2. the conflict-control stage (outside any region,
+//!    [`EunoBTree::ccm_enter`] … [`EunoBTree::ccm_leave`]) — on a
+//!    protected leaf — takes the key's CCM lock bit, consults the mark
+//!    bit, and pre-acquires the split lock for inserts into near-full
+//!    leaves; on a leaf without a CCM block it is one load, on a bypassed
+//!    one with a block two;
 //! 3. a *lower* HTM region re-reads `seqno` — if unchanged, the leaf
 //!    pointer is still the right one and the operation completes locally;
 //!    if changed, a concurrent split moved records and the operation
@@ -40,6 +42,7 @@ use euno_rng::Rng;
 use crate::ccm::Ccm;
 use crate::node::{EunoLeaf, Guard, NodeRef, INTERNAL_FANOUT};
 use crate::probe;
+use crate::segment::{KeyPad, Keys};
 use crate::structural::LowerRegion;
 use crate::tree::{EunoBTree, Lower, Req};
 
@@ -98,7 +101,10 @@ const HINT_BLOCK_SHIFT: u32 = 3;
 const SUBTREE_BLOCK_SHIFT: u32 = 10;
 
 /// What a [descent](EunoBTree::descend) found.
-pub(crate) struct Descent<'g, const SEGS: usize, const K: usize> {
+pub(crate) struct Descent<'g, const SEGS: usize, const K: usize>
+where
+    Keys<K>: KeyPad,
+{
     pub leaf: &'g EunoLeaf<SEGS, K>,
     /// The leaf's `[low, high)`: the separators that bound the path taken.
     /// `high` is exact only if the descent started at the root or
@@ -119,7 +125,10 @@ pub(crate) struct Descent<'g, const SEGS: usize, const K: usize> {
 
 /// What the upper stage hands over: a leaf, the `seqno` it had while it
 /// covered `[low, high)`, and the conflict aborts spent finding it.
-pub struct Located<'g, const SEGS: usize, const K: usize> {
+pub struct Located<'g, const SEGS: usize, const K: usize>
+where
+    Keys<K>: KeyPad,
+{
     pub leaf: &'g EunoLeaf<SEGS, K>,
     pub seqno: u64,
     /// The leaf's key range as the index had it: the separators that
@@ -129,7 +138,10 @@ pub struct Located<'g, const SEGS: usize, const K: usize> {
     pub conflicts: u32,
 }
 
-impl<const SEGS: usize, const K: usize> Located<'_, SEGS, K> {
+impl<const SEGS: usize, const K: usize> Located<'_, SEGS, K>
+where
+    Keys<K>: KeyPad,
+{
     #[inline]
     pub fn covers(&self, key: u64) -> bool {
         (self.low..self.high).contains(&key)
@@ -146,7 +158,10 @@ pub(crate) enum LeafRead {
     Spent,
 }
 
-impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
+impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K>
+where
+    Keys<K>: KeyPad,
+{
     /// The one search for a leaf: every descent in the crate is this loop
     /// over a different `load` (transactional read, direct load, plain
     /// load). `Ok(None)` on an implausible intermediate state — a null
@@ -513,14 +528,14 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             let slot = Ccm::slot(key, Self::ccm_bits());
             ctx.charge(self.rt.cost.alu * 3); // hash computation
             let (slots, claim) = ([slot], u64::from(req == Req::Put) << slot);
-            let stage = leaf.ccm.enter(ctx, &self.cfg, &slots, claim);
+            let stage = self.ccm_enter(ctx, g, leaf, &slots, claim);
             // Pre-lock if an insert may split (lines 39-40).
             let split_locked = req == Req::Put
                 && (stage.may_insert()
                     && leaf.occupied_direct(ctx) + NEAR_FULL_SLACK >= Self::capacity()
                     || force_split_lock);
             if split_locked {
-                leaf.ccm.split_lock.acquire(ctx);
+                leaf.split_lock().acquire(ctx);
             }
 
             // Step 3: lower region.
@@ -530,7 +545,7 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             } else {
                 let mut region = LowerRegion::new(split_locked);
                 let out = ctx.htm_execute(&self.ctrl.fallback, &RetryPolicy::DBX, |tx| {
-                    self.arenas.hand_back(&self.rt, &mut region.unpublished);
+                    self.hand_back(g, &mut region.unpublished);
                     tx.set_op_key(key);
                     if stage.locked() {
                         // Same-record contenders queue on the CCM lock bit
@@ -548,10 +563,9 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
             };
 
             if split_locked {
-                leaf.ccm.split_lock.release(ctx);
+                leaf.split_lock().release(ctx);
             }
-            leaf.ccm
-                .leave(ctx, &self.cfg, stage, upper_conflicts + lower_conflicts);
+            self.ccm_leave(ctx, g, leaf, stage, upper_conflicts + lower_conflicts);
 
             match outcome {
                 Lower::Done(v) => {

@@ -23,24 +23,30 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use euno_htm::{
-    ConcurrentMap, MemoryReport, Runtime, ThreadCtx, TransientBytes, Tx, TxCell, TxResult, TxWord,
-    KEY_SENTINEL, TOMBSTONE,
+    Arena, ConcurrentMap, MemoryReport, Runtime, ThreadCtx, TransientBytes, Tx, TxCell, TxResult,
+    TxWord, KEY_SENTINEL, TOMBSTONE,
 };
 
 use crate::ccm::Ccm;
 use crate::config::EunoConfig;
 use crate::node::{EunoLeaf, Guard, NodeArenas, NodeRef};
 use crate::rebalance::Sweep;
+use crate::segment::{KeyPad, Keys};
 
 /// The Euno-B+Tree. `SEGS` segments of `K` slots per leaf
 /// (fanout = `SEGS·K`; the paper's default geometry is 16 with partitioned
 /// leaves — `EunoBTree<4, 4>`; `EunoBTree<1, 16>` is the unpartitioned
 /// `+Split HTM` ablation variant).
-pub struct EunoBTree<const SEGS: usize = 4, const K: usize = 4> {
+pub struct EunoBTree<const SEGS: usize = 4, const K: usize = 4>
+where
+    Keys<K>: KeyPad,
+{
     pub(crate) rt: Arc<Runtime>,
     pub(crate) cfg: EunoConfig,
     pub(crate) ctrl: Box<euno_htm::ControlBlock>,
     pub(crate) arenas: NodeArenas<SEGS, K>,
+    /// The leaves' CCM blocks, one per leaf that has one ([`Ccm`]).
+    pub(crate) blocks: Arena<Ccm>,
     pub(crate) reserved_bytes: TransientBytes,
     pub(crate) deletes: AtomicU64,
     /// This tree's owner id in every thread's two hint tables
@@ -71,7 +77,10 @@ pub(crate) enum Req {
     Delete,
 }
 
-impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
+impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K>
+where
+    Keys<K>: KeyPad,
+{
     pub fn new(rt: Arc<Runtime>) -> Self {
         Self::with_config(rt, EunoConfig::default())
     }
@@ -80,18 +89,29 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
         let arenas: NodeArenas<SEGS, K> = NodeArenas::default();
         let first = arenas.leaves.alloc(EunoLeaf::empty());
         first.register(&rt);
-        let ctrl = euno_htm::ControlBlock::new(NodeRef::of_leaf(first).to_word());
+        let first = NodeRef::of_leaf(first);
+        let ctrl = euno_htm::ControlBlock::new(first.to_word());
         rt.register_value(&*ctrl, euno_htm::LineClass::Structure);
-        EunoBTree {
+        let tree = EunoBTree {
             rt,
             cfg,
             ctrl,
             arenas,
+            blocks: Arena::new(),
             reserved_bytes: TransientBytes::new(),
             deletes: AtomicU64::new(0),
             hint_owner: euno_htm::fresh_owner(),
             sweep: Box::new(Sweep::new()),
+        };
+        // Without the detector a CCM config protects every leaf from its
+        // birth on, this one included; every other leaf is split-born and
+        // takes its block from the leaf it was split from.
+        if tree.cfg.conflict_control() && !tree.cfg.adaptive {
+            let first = tree.arenas.until_drop().leaf(first);
+            let block = tree.alloc_block(first, Ccm::new(0, false));
+            let _ = first.install_block(None, block.addr());
         }
+        tree
     }
 
     pub fn runtime(&self) -> &Arc<Runtime> {
@@ -187,7 +207,10 @@ impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K> {
     }
 }
 
-impl<const SEGS: usize, const K: usize> ConcurrentMap for EunoBTree<SEGS, K> {
+impl<const SEGS: usize, const K: usize> ConcurrentMap for EunoBTree<SEGS, K>
+where
+    Keys<K>: KeyPad,
+{
     fn get(&self, ctx: &mut ThreadCtx, key: u64) -> Option<u64> {
         self.traverse(ctx, Req::Get, key, 0)
     }
@@ -226,13 +249,9 @@ impl<const SEGS: usize, const K: usize> ConcurrentMap for EunoBTree<SEGS, K> {
     }
 
     fn memory(&self) -> MemoryReport {
-        let leaf_sz = std::mem::size_of::<EunoLeaf<SEGS, K>>();
-        let live_leaves = self.arenas.leaves.live_bytes() / leaf_sz.max(1);
-        let ccm_bytes = live_leaves * Ccm::bytes();
         MemoryReport {
-            structural_bytes: self.arenas.leaves.live_bytes() - ccm_bytes
-                + self.arenas.internals.live_bytes(),
-            ccm_bytes,
+            structural_bytes: self.arenas.live_bytes(),
+            ccm_bytes: self.blocks.live_bytes(),
             reserved_live_bytes: self.reserved_bytes.live(),
             // Transient sort buffers: allocated per reorganization/scan,
             // freed immediately (§4.1 "the memory space is freed after the
@@ -240,9 +259,11 @@ impl<const SEGS: usize, const K: usize> ConcurrentMap for EunoBTree<SEGS, K> {
             reserved_peak_bytes: self.reserved_bytes.peak(),
             reserved_cumulative_bytes: self.reserved_bytes.cumulative(),
             retired_pending_bytes: self.arenas.leaves.retired_pending_bytes()
-                + self.arenas.internals.retired_pending_bytes(),
+                + self.arenas.internals.retired_pending_bytes()
+                + self.blocks.retired_pending_bytes(),
             reclaimed_bytes: self.arenas.leaves.reclaimed_bytes()
-                + self.arenas.internals.reclaimed_bytes(),
+                + self.arenas.internals.reclaimed_bytes()
+                + self.blocks.reclaimed_bytes(),
         }
     }
 }
@@ -286,15 +307,19 @@ mod tests {
 
     #[test]
     fn mark_bits_short_circuit_definite_misses() {
-        let (_rt, t, mut ctx) = paper_tree();
+        // The CCM only filters while the leaf is protected: without the
+        // detector, every leaf is, with a block of exact marks from birth.
+        let (_rt, t, mut ctx) = tree_with(EunoConfig::ccm_markbits());
         t.put(&mut ctx, 1, 10);
-        // The CCM only filters while the leaf is protected (a calm fresh
-        // leaf bypasses it by default).
         let marks = t.pinned(|g| {
-            let leaf = t.chain_plain(g).next().unwrap();
-            leaf.ccm.protect_prepublication();
-            leaf.ccm.marks_plain()
+            t.chain_plain(g)
+                .next()
+                .unwrap()
+                .ccm(g)
+                .unwrap()
+                .marks_plain()
         });
+        assert_eq!(marks, 1 << Ccm::slot(1, 32), "the put claimed its mark");
         // A key hashing to an unmarked slot must be answered without
         // entering the lower region: count commits before/after.
         let commits_before = ctx.metric(euno_htm::euno_metrics::Counter::Commits);
@@ -484,24 +509,28 @@ mod tests {
         // The first leaf: the root now, the head of the chain after splits.
         t.pinned(|g| {
             let leaf = t.chain_plain(g).next().unwrap();
-            // Fresh leaves start bypassed (no contention history)…
-            assert!(leaf.ccm.bypass_plain());
+            // Fresh leaves start bypassed (no contention history, no CCM
+            // block)…
+            assert!(leaf.ccm(g).is_none());
             // …split-born nodes inherit that, so a calm load stays bypassed…
             for k in 0..100u64 {
                 t.put(&mut ctx, k, k);
             }
             assert_eq!(t.stats().bypassed_fraction, 1.0);
-            // …and calm traffic on a bypassed leaf opens no detector window.
-            assert_eq!(leaf.ccm.epoch_plain(), 0);
+            // …and calm traffic on a bypassed leaf gives it no block, so
+            // opens no detector window.
+            assert_eq!(t.memory().ccm_bytes, 0);
             // A protected leaf earns its bypass back with one calm window of
             // operations that ran under its lock bits.
-            leaf.ccm.protect_prepublication();
+            t.protect_plain(leaf);
+            let block = leaf.ccm(g).unwrap();
             for _ in 0..crate::ccm::ADAPTIVE_WINDOW - 1 {
                 t.get(&mut ctx, 1);
-                assert!(!leaf.ccm.bypass_plain());
+                assert!(!block.bypass_plain());
             }
             t.get(&mut ctx, 1);
-            assert!(leaf.ccm.bypass_plain(), "calm leaf must bypass CCM");
+            assert!(block.bypass_plain(), "calm leaf must bypass CCM");
+            assert_eq!(block.epoch_plain(), 1);
             assert_eq!(t.get(&mut ctx, 1), Some(1));
             assert_eq!(t.get(&mut ctx, 999_999), None);
         });
@@ -732,13 +761,18 @@ mod tests {
 
     #[test]
     fn memory_report_accounts_ccm_and_reserved() {
-        let (_rt, t, mut ctx) = tree();
+        // Without the detector every leaf carries a block: one line each.
+        let (_rt, t, mut ctx) = tree_with(EunoConfig::ccm_markbits());
         for k in 0..2_000u64 {
             t.put(&mut ctx, k, k);
         }
         let m = t.memory();
         assert!(m.structural_bytes > 0);
-        assert!(m.ccm_bytes > 0, "CCM bytes counted");
+        assert_eq!(
+            m.ccm_bytes,
+            t.stats().leaves * Ccm::BYTES,
+            "CCM bytes counted"
+        );
         assert!(m.reserved_peak_bytes > 0, "splits allocate reserved bufs");
         assert!(
             m.ccm_bytes < m.structural_bytes / 4,
@@ -746,5 +780,11 @@ mod tests {
             m.ccm_bytes,
             m.structural_bytes
         );
+        // With it, a calm load earns none.
+        let (_rt, t, mut ctx) = tree();
+        for k in 0..2_000u64 {
+            t.put(&mut ctx, k, k);
+        }
+        assert_eq!(t.memory().ccm_bytes, 0);
     }
 }

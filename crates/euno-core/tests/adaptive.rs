@@ -24,6 +24,12 @@ fn leaf_of<'g>(
     ctx.pinned(|ctx, _: Guard<4, 4>| tree.locate(ctx, g, key).leaf)
 }
 
+/// The leaf runs no conflict control: it has no CCM block, or its block
+/// says bypass.
+fn bypassed(leaf: &EunoLeaf<4, 4>, g: Guard<'_, 4, 4>) -> bool {
+    leaf.ccm(g).is_none_or(|c| c.bypass_plain())
+}
+
 /// Read-modify-writes one operation issued outside its HTM regions.
 fn rmws(ctx: &mut ThreadCtx, op: impl FnOnce(&mut ThreadCtx)) -> u64 {
     let before = ctx.stats.cas_ops;
@@ -62,7 +68,7 @@ fn a_split_hands_its_verdict_to_both_halves() {
             let tree = EunoBTreeDefault::with_config(Arc::clone(&rt), cfg());
             let mut ctx = rt.thread(1);
             if protected {
-                tree.pinned(|g| leaf_of(&tree, &mut ctx, g, 0).ccm.protect_prepublication());
+                tree.pinned(|g| tree.protect_plain(leaf_of(&tree, &mut ctx, g, 0)));
             }
             // 17 inserts split the 16-slot root leaf — fewer operations
             // than one detector window, so no verdict is re-decided.
@@ -73,8 +79,11 @@ fn a_split_hands_its_verdict_to_both_halves() {
                 let left = leaf_of(&tree, &mut ctx, g, 0);
                 let right = leaf_of(&tree, &mut ctx, g, 16);
                 assert!(!std::ptr::eq(left, right), "the leaf split");
-                assert_eq!(left.ccm.bypass_plain(), !protected);
-                assert_eq!(right.ccm.bypass_plain(), !protected);
+                assert_eq!(bypassed(left, g), !protected);
+                assert_eq!(bypassed(right, g), !protected);
+                // A calm leaf hands on no block; a protected one, its own.
+                assert_eq!(left.ccm(g).is_some(), protected);
+                assert_eq!(right.ccm(g).is_some(), protected);
             });
         }
     }
@@ -82,7 +91,8 @@ fn a_split_hands_its_verdict_to_both_halves() {
 
 /// The saving as a count: what a put or a two-step get on a depth-2 tree
 /// writes outside its regions. The parent paid 2 on a bypassed leaf
-/// (`set_mark`, `record_outcome`) and 4 on a protected one.
+/// (`set_mark`, `record_outcome`) and 4 on a protected one; a leaf without
+/// a CCM block keeps no marks, so even a key new to it costs nothing.
 #[test]
 fn a_calm_leaf_costs_no_read_modify_write() {
     let rt = Runtime::new_virtual();
@@ -91,26 +101,27 @@ fn a_calm_leaf_costs_no_read_modify_write() {
     for key in (0..400u64).step_by(2) {
         tree.put(&mut ctx, key, key);
     }
-    // An absent key whose slot its leaf's filter has not seen yet (most
-    // odd keys share a slot with an even neighbour), next to a present one.
-    let marks =
-        |ctx: &mut ThreadCtx, k| tree.pinned(|g| leaf_of(&tree, ctx, g, k).ccm.marks_plain());
-    let fresh = (1..400u64)
-        .step_by(2)
-        .find(|&k| marks(&mut ctx, k) & (1 << Ccm::slot(k, 32)) == 0)
-        .expect("an unmarked slot somewhere in the tree");
+    // An absent key next to a present one, on one leaf.
     tree.pinned(|g| {
+        let fresh = (1..400u64)
+            .step_by(2)
+            .find(|&k| {
+                std::ptr::eq(
+                    leaf_of(&tree, &mut ctx, g, k),
+                    leaf_of(&tree, &mut ctx, g, k - 1),
+                )
+            })
+            .expect("an odd key beside an even one");
         let (leaf, present) = (leaf_of(&tree, &mut ctx, g, fresh), fresh - 1);
-        assert!(std::ptr::eq(leaf_of(&tree, &mut ctx, g, present), leaf));
-        assert!(leaf.ccm.bypass_plain());
+        assert!(leaf.ccm(g).is_none(), "a calm leaf has no CCM block");
         assert_eq!(rmws(&mut ctx, |ctx| _ = tree.put(ctx, present, 1)), 0);
         assert_eq!(rmws(&mut ctx, |ctx| _ = tree.get(ctx, present)), 0);
         assert_eq!(rmws(&mut ctx, |ctx| _ = tree.delete(ctx, fresh)), 0);
-        // A key new to the leaf's filter claims its mark: once.
-        assert_eq!(rmws(&mut ctx, |ctx| _ = tree.put(ctx, fresh, 1)), 1);
+        // A key new to the leaf claims no mark: there is none to claim.
+        assert_eq!(rmws(&mut ctx, |ctx| _ = tree.put(ctx, fresh, 1)), 0);
         assert_eq!(rmws(&mut ctx, |ctx| _ = tree.put(ctx, fresh, 2)), 0);
         // Protected: lock bit, unlock, window count; the mark is a load.
-        leaf.ccm.protect_prepublication();
+        tree.protect_plain(leaf);
         assert_eq!(rmws(&mut ctx, |ctx| _ = tree.put(ctx, present, 3)), 3);
         assert_eq!(rmws(&mut ctx, |ctx| _ = tree.get(ctx, present)), 3);
         assert_eq!(tree.get(&mut ctx, present), Some(3));
@@ -149,7 +160,7 @@ fn a_hot_leaf_is_protected_and_the_rest_of_the_tree_is_not() {
                 .filter(|&k| std::ptr::eq(leaf_of(&tree, &mut ctx, g, k), hot_leaf))
                 .collect();
             assert!(hot_keys.len() >= 4, "{hot_keys:?}");
-            assert!(hot_leaf.ccm.bypass_plain(), "calm after the preload");
+            assert!(hot_leaf.ccm(g).is_none(), "calm after the preload");
 
             let hot_done = Cell::new(0u64);
             let protected_ops = Cell::new(0u64);
@@ -172,7 +183,7 @@ fn a_hot_leaf_is_protected_and_the_rest_of_the_tree_is_not() {
                         };
                         if hot {
                             protected_ops
-                                .set(protected_ops.get() + u64::from(!hot_leaf.ccm.bypass_plain()));
+                                .set(protected_ops.get() + u64::from(!bypassed(hot_leaf, g)));
                         }
                         if rng.gen_range(0..2u32) == 0 {
                             seq += 1;
@@ -197,7 +208,7 @@ fn a_hot_leaf_is_protected_and_the_rest_of_the_tree_is_not() {
             sched.run();
 
             let hot_ops = hot_done.get();
-            assert!(!hot_leaf.ccm.bypass_plain(), "the hot leaf ends protected");
+            assert!(!bypassed(hot_leaf, g), "the hot leaf ends protected");
             assert!(
                 protected_ops.get() * 10 >= hot_ops * 9,
                 "{} of {hot_ops} hot operations found the leaf protected",
@@ -206,7 +217,7 @@ fn a_hot_leaf_is_protected_and_the_rest_of_the_tree_is_not() {
             // A flip to bypass takes a closed window, and a window takes
             // `window` operations that ran protected or met a conflict; a flip
             // to protect takes a flip to bypass before it.
-            let at = &hot_leaf.ccm as *const Ccm as u64;
+            let at = hot_leaf.ccm(g).unwrap() as *const Ccm as u64;
             let flips = rt.metrics().flips().events();
             let hot_flips = flips.iter().filter(|f| f.addr == at).count() as u64;
             assert!(hot_flips >= 1, "the first conflict protects");
@@ -230,15 +241,17 @@ fn a_hot_leaf_is_protected_and_the_rest_of_the_tree_is_not() {
     }
 }
 
-/// Test-before-set on real threads (STM backend): puts on a bypassed leaf
-/// hold no lock bit, so several race one mark bit — some set it, some
-/// find it set and write nothing. Whatever the interleaving, the filter
-/// must cover every key that landed once the leaf is protected again.
-#[test]
-fn racing_unlocked_claims_lose_no_key() {
-    const THREADS: u64 = 4;
-    const KEYS_EACH: u64 = 3;
-    // Keys of one mark slot, few enough to share the root leaf.
+/// Keys of one mark slot, few enough to share the root leaf, that
+/// `THREADS` threads put concurrently.
+const THREADS: u64 = 4;
+const KEYS_EACH: u64 = 3;
+
+/// Race the keys of one mark slot into an empty tree's root leaf — after
+/// `prepare` has had its say on that leaf — then hand the tree to `check`.
+fn race_one_slot(
+    prepare: impl Fn(&EunoBTreeDefault, &mut ThreadCtx),
+    check: impl Fn(&EunoBTreeDefault, &mut ThreadCtx, u32, u64),
+) {
     let slot = Ccm::slot(0, 32);
     let keys: Vec<u64> = (0..u64::MAX)
         .filter(|&k| Ccm::slot(k, 32) == slot)
@@ -248,6 +261,8 @@ fn racing_unlocked_claims_lose_no_key() {
         for round in 0..100 {
             let rt = Runtime::new_concurrent();
             let tree = EunoBTreeDefault::with_config(Arc::clone(&rt), cfg());
+            let mut ctx = rt.thread(99);
+            prepare(&tree, &mut ctx);
             let start = Barrier::new(THREADS as usize);
             std::thread::scope(|s| {
                 for t in 0..THREADS {
@@ -261,12 +276,8 @@ fn racing_unlocked_claims_lose_no_key() {
                     });
                 }
             });
-            let mut ctx = rt.thread(99);
-            tree.pinned(|g| {
-                let leaf = leaf_of(&tree, &mut ctx, g, keys[0]);
-                assert_eq!(leaf.ccm.marks_plain(), 1 << slot, "round {round}");
-                leaf.ccm.protect_prepublication();
-            });
+            check(&tree, &mut ctx, slot, round);
+            tree.pinned(|g| tree.protect_plain(leaf_of(&tree, &mut ctx, g, keys[0])));
             assert_eq!(
                 tree.audit_quiescent(),
                 Vec::<String>::new(),
@@ -281,4 +292,30 @@ fn racing_unlocked_claims_lose_no_key() {
             }
         }
     }
+}
+
+/// Test-before-set on real threads (STM backend): puts on a bypassed leaf
+/// that has a CCM block hold no lock bit, so several race one mark bit —
+/// some set it, some find it set and write nothing. Whatever the
+/// interleaving, the bit ends set, and the filter covers every key that
+/// landed once the leaf is protected again.
+#[test]
+fn racing_unlocked_claims_lose_no_key() {
+    race_one_slot(
+        |tree, ctx| tree.pinned(|g| tree.calm_block_plain(leaf_of(tree, ctx, g, 0))),
+        |tree, ctx, slot, round| {
+            tree.pinned(|g| {
+                let block = leaf_of(tree, ctx, g, 0).ccm(g).expect("the block stays");
+                assert_eq!(block.marks_plain(), 1 << slot, "round {round}");
+            })
+        },
+    );
+}
+
+/// The same race on a leaf without a CCM block: its puts claim no mark at
+/// all, so the filter must cover every key that landed once a conflict —
+/// in the race or after it — gives the leaf a block.
+#[test]
+fn racing_blockless_puts_lose_no_key() {
+    race_one_slot(|_, _| {}, |_, _, _, _| {});
 }

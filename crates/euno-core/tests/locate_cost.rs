@@ -109,14 +109,16 @@ const GET_IN_WALK: u64 = GET_TAIL - FIRST - HIT; // 25
 /// What every full segment before a spilled key's own adds to that: its
 /// count (a new line) and two probes (four records, all below the key).
 const GET_SPILL: u64 = FIRST + 2 * HIT; // 22
-/// An overwriting put on a calm leaf: the slot hash (3 ALU), the verdict
-/// and the mark word (2 loads outside any region), then the lower region —
-/// `XBEGIN` 54, three first touches at 26 (the home segment's key line,
-/// for `seqno`; its values for the read set, and again for the write set),
-/// three hits (the count and two probes), `XEND` 16. The line that went is
-/// the header's, a fourth first touch (195 with the home, which `locate`
-/// now pays).
-const PUT_TAIL: u64 = 3 + 2 * HIT + 54 + 3 * 26 + 3 * HIT + 16; // 166
+/// An overwriting put on a calm leaf: the slot hash (3 ALU), the block word
+/// (1 load outside any region: a calm leaf has no CCM block, and claims no
+/// mark), then the lower region — `XBEGIN` 54, three first touches at 26
+/// (the home segment's key line, for `seqno`; its values for the read
+/// set, and again for the write set), three hits (the count and two
+/// probes), `XEND` 16. The load that went is the mark word's, which a
+/// calm put tested while every leaf carried its CCM (166); the line that
+/// went before it is the header's, a fourth first touch (195 with the
+/// home, which `locate` now pays).
+const PUT_TAIL: u64 = 3 + HIT + 54 + 3 * 26 + 3 * HIT + 16; // 163
 /// The same for a put: a first touch in a region is 26.
 const PUT_SPILL: u64 = 26 + 2 * HIT; // 32
 
@@ -306,10 +308,10 @@ fn an_uncontended_get_and_put_cost_their_rung_plus_a_fixed_tail() {
 
     assert_eq!(
         put(&tree, &mut ctx, next),
-        AROUND_A_WALK + FROM_ROOT_MEDIUM_NEXT + LOOKING + RECORD + PUT_TAIL // 444
+        AROUND_A_WALK + FROM_ROOT_MEDIUM_NEXT + LOOKING + RECORD + PUT_TAIL // 441
     );
-    assert_eq!(put(&tree, &mut ctx, medium + 128), subtree_hit + PUT_TAIL); // 299
-    assert_eq!(put(&tree, &mut ctx, medium + 128), LEAF_HIT + PUT_TAIL); // 183
+    assert_eq!(put(&tree, &mut ctx, medium + 128), subtree_hit + PUT_TAIL); // 296
+    assert_eq!(put(&tree, &mut ctx, medium + 128), LEAF_HIT + PUT_TAIL); // 180
 }
 
 #[test]
@@ -328,7 +330,7 @@ fn a_key_costs_one_segment_whichever_segment_holds_it() {
         homes[home_segment(key, 4)] += 1;
         assert_eq!(get(&tree, &mut ctx, key), LEAF_HIT + GET_TAIL, "get {key}"); // 61
         assert_eq!(put(&tree, &mut ctx, key), LEAF_HIT + PUT_TAIL, "put {key}");
-        // 183
+        // 180
     }
     assert_eq!(homes, [2; 4]);
 
@@ -432,12 +434,15 @@ fn a_quiescent_scan_costs_its_rung_plus_a_fixed_step_per_leaf() {
     assert_eq!(scan(&mut ctx, medium), LEAF_HIT + 2 * SCAN_STEP); // 405
 
     // From mid-leaf (another slot of the leaf-hint table: the walk starts
-    // at the subtree hint) the scan ends in a third leaf: the records
-    // below the cursor are read and not delivered (4 fewer ALU
-    // operations), the third leaf is read whole for its first four.
+    // at the subtree hint) the scan ends in a third leaf: of the records
+    // below the cursor the keys are read and the values not, and none is
+    // delivered (4 fewer hits, 4 fewer ALU operations — one record of
+    // each segment, so every value line is still read; 698 while their
+    // values were loaded), the third leaf is read whole for its first
+    // four.
     let subtree_hit = AROUND_A_HINTED_WALK + 2 * LEVEL + FIRST; // 120
     assert_eq!(
         scan(&mut ctx, medium + 32),
-        subtree_hit + 3 * SCAN_STEP - 4 // 698
+        subtree_hit + 3 * SCAN_STEP - 4 * HIT - 4 // 686
     );
 }

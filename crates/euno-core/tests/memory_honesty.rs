@@ -1,15 +1,16 @@
 //! What `memory()` reports is what the tree holds: after a preload, the
-//! structural and CCM bytes are the live leaves times the leaf's size plus
-//! the index nodes times theirs, to the byte — and what a thread keeps
-//! beside the tree, its two hint tables, is a fixed footprint outside the
-//! report. A smaller leaf therefore shows as bytes that left the program,
-//! not bytes moved off the books.
+//! structural bytes are the live leaves times the leaf's size plus the
+//! index nodes times theirs, and the CCM bytes the live CCM blocks times
+//! one line, to the byte — and what a thread keeps beside the tree, its
+//! two hint tables, is a fixed footprint outside the report. A smaller
+//! leaf, or a leaf with no block, therefore shows as bytes that left the
+//! program, not bytes moved off the books.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use euno_core::{EunoBTree, EunoLeaf, IndexNode, INTERNAL_FANOUT};
+use euno_core::{Ccm, EunoBTree, EunoConfig, EunoLeaf, IndexNode, KeyPad, Keys, INTERNAL_FANOUT};
 use euno_htm::{fresh_owner, ConcurrentMap, Runtime};
 use euno_rng::{Rng, SmallRng};
 
@@ -41,12 +42,18 @@ static COUNTER: CountingAlloc = CountingAlloc;
 
 /// An index node: five lines (DESIGN.md §4.4).
 const INDEX_BYTES: usize = 320;
+/// A CCM block: one line.
+const BLOCK_BYTES: usize = 64;
 
-/// Preload `keys` random keys; the report's structural and CCM bytes
-/// against the node counts.
-fn accounted<const S: usize, const K: usize>(keys: u64) {
+/// Preload `keys` random keys on one thread under `cfg`; the report's
+/// structural and CCM bytes against the node and block counts. Returns
+/// the leaves and the blocks.
+fn accounted<const S: usize, const K: usize>(cfg: EunoConfig, keys: u64) -> (usize, usize)
+where
+    Keys<K>: KeyPad,
+{
     let rt = Runtime::new_virtual();
-    let tree: EunoBTree<S, K> = EunoBTree::new(Arc::clone(&rt));
+    let tree: EunoBTree<S, K> = EunoBTree::with_config(Arc::clone(&rt), cfg);
     let mut ctx = rt.thread(1);
     let mut rng = SmallRng::seed_from_u64(0x3e3 ^ keys);
     for _ in 0..keys {
@@ -56,11 +63,17 @@ fn accounted<const S: usize, const K: usize>(keys: u64) {
     let (stats, mem) = (tree.stats(), tree.memory());
     assert!(stats.leaves > 1_000 && stats.internals > 50, "{stats:?}");
     assert_eq!(
-        mem.structural_bytes + mem.ccm_bytes,
+        mem.structural_bytes,
         stats.leaves * std::mem::size_of::<EunoLeaf<S, K>>() + stats.internals * INDEX_BYTES,
         "<{S}, {K}>: {mem:?}"
     );
+    assert_eq!(
+        mem.ccm_bytes,
+        stats.ccm_blocks * BLOCK_BYTES,
+        "<{S}, {K}>: {mem:?}"
+    );
     assert_eq!(mem.retired_pending_bytes, 0, "a preload retires nothing");
+    (stats.leaves, stats.ccm_blocks)
 }
 
 #[test]
@@ -69,12 +82,28 @@ fn structural_and_ccm_bytes_are_the_nodes_the_tree_holds() {
         std::mem::size_of::<IndexNode<INTERNAL_FANOUT>>(),
         INDEX_BYTES
     );
-    // Eight segment lines and the CCM line; the unpartitioned leaf's key
-    // area is three lines, its values two.
-    assert_eq!(std::mem::size_of::<EunoLeaf<4, 4>>(), 576);
-    assert_eq!(std::mem::size_of::<EunoLeaf<1, 16>>(), 384);
-    accounted::<4, 4>(40_000);
-    accounted::<1, 16>(40_000);
+    assert_eq!(std::mem::size_of::<Ccm>(), BLOCK_BYTES);
+    // Eight segment lines; the unpartitioned leaf's key area is three
+    // lines, its values two. Neither carries a CCM line.
+    assert_eq!(std::mem::size_of::<EunoLeaf<4, 4>>(), 512);
+    assert_eq!(std::mem::size_of::<EunoLeaf<1, 16>>(), 320);
+    // A single-threaded preload meets no conflict, so no leaf earns a
+    // block…
+    assert_eq!(accounted::<4, 4>(EunoConfig::default(), 40_000).1, 0);
+    assert_eq!(accounted::<4, 4>(EunoConfig::paper(), 40_000).1, 0);
+    assert_eq!(accounted::<1, 16>(EunoConfig::paper(), 40_000).1, 0);
+    // …without the detector every leaf has one from birth (Figure 13's
+    // lock-bit and mark-bit rungs)…
+    for cfg in [EunoConfig::ccm_lockbits(), EunoConfig::ccm_markbits()] {
+        let (leaves, blocks) = accounted::<4, 4>(cfg, 40_000);
+        assert_eq!(blocks, leaves);
+    }
+    // …and with no CCM bits no leaf ever has one.
+    assert_eq!(
+        accounted::<1, 16>(EunoConfig::split_htm_only(), 40_000).1,
+        0
+    );
+    assert_eq!(accounted::<4, 4>(EunoConfig::part_leaf(), 40_000).1, 0);
 }
 
 /// A thread's first hint record allocates both tables — 1 024 leaf hints

@@ -4,6 +4,7 @@
 //! are drawn from seeded `euno-rng` streams, so every run replays the
 //! same deterministic sample.
 
+use euno_core::{KeyPad, Keys};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -35,7 +36,10 @@ fn random_ops(rng: &mut SmallRng, key_space: u64, max_len: usize) -> Vec<Op> {
     (0..n).map(|_| random_op(rng, key_space)).collect()
 }
 
-fn check_against_model<const S: usize, const K: usize>(cfg: EunoConfig, ops: &[Op]) {
+fn check_against_model<const S: usize, const K: usize>(cfg: EunoConfig, ops: &[Op])
+where
+    Keys<K>: KeyPad,
+{
     let rt = Runtime::new_virtual();
     let tree: EunoBTree<S, K> = EunoBTree::with_config(Arc::clone(&rt), cfg);
     let mut ctx = rt.thread(1);
@@ -178,7 +182,10 @@ fn maintenance_preserves_the_model() {
 /// nothing ever reorganizes — every time a leaf's records are gathered
 /// (`reserved_cumulative_bytes`, one buffer of `capacity` records a time)
 /// a leaf is born.
-fn fills_before_it_splits<const S: usize, const K: usize>(cfg: EunoConfig, keys: &[u64]) {
+fn fills_before_it_splits<const S: usize, const K: usize>(cfg: EunoConfig, keys: &[u64])
+where
+    Keys<K>: KeyPad,
+{
     let capacity = S * K;
     let rt = Runtime::new_virtual();
     let tree: EunoBTree<S, K> = EunoBTree::with_config(Arc::clone(&rt), cfg);

@@ -242,7 +242,7 @@ fn handover(cfg: EunoConfig, between: Between, op: Op) {
         // Protected, a conflict-control stage on the leaf is two
         // read-modify-writes: the count below would show one.
         let leaf0 = NodeRef(leaf0 as u64 | 1);
-        tree.pinned(|g| g.leaf(leaf0).ccm.protect_prepublication());
+        tree.pinned(|g| tree.protect_plain(g.leaf(leaf0)));
     }
     // The interrupter is a fresh thread whose clock starts at 0: keep the
     // interrupted one ahead of everything it will commit, so what this

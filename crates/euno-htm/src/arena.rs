@@ -150,6 +150,12 @@ impl<T> Arena<T> {
         self.counters.reclaimed_bytes.load(Ordering::Relaxed)
     }
 
+    /// Whether `node` is one of this arena's live (allocated, not yet
+    /// retired or discarded) nodes.
+    pub fn holds(&self, node: *const T) -> bool {
+        self.nodes.lock().unwrap().contains(&(node as usize))
+    }
+
     pub fn node_count(&self) -> usize {
         self.nodes.lock().unwrap().len()
     }

@@ -355,10 +355,34 @@ impl<'g, L, const F: usize> Guard<'g, L, F> {
             node.is_leaf() == leaf && node.0 > 1,
             "{node:?} is no node of that kind"
         );
-        // SAFETY: the tag says `T`; the word is the tree's, so it names a
-        // node its arenas allocated; and whatever handed out `self` keeps
-        // that node allocated for `'g` (see the type's documentation).
-        unsafe { &*((node.0 & !1) as *const T) }
+        self.at(node.0 & !1)
+    }
+
+    /// The one cast. `addr` is a word of the tree's that names a `T`: a
+    /// node whose kind its tag checked ([`Guard::resolve`]), or the side
+    /// block its leaf's block word names ([`Guard::block`]).
+    fn at<T>(self, addr: u64) -> &'g T {
+        debug_assert!(addr.is_multiple_of(std::mem::align_of::<T>() as u64));
+        // SAFETY: the word is the tree's, so it names a node — or a side
+        // block — its arenas allocated; and whatever handed out `self`
+        // keeps that allocated for `'g` (see the type's documentation; a
+        // side block is retired with its leaf, never before).
+        unsafe { &*(addr as *const T) }
+    }
+}
+
+/// A leaf that may own one side block, allocated apart from it and named
+/// by one word of the leaf: 0 while it has none, the block's address once
+/// the tree has installed one — for good, until the two are retired
+/// together. Euno's leaf keeps its conflict-control block this way.
+pub trait SideBlock {
+    type Block;
+}
+
+impl<'g, L: SideBlock, const F: usize> Guard<'g, L, F> {
+    /// The side block a leaf's block word names, if it names one.
+    pub fn block(self, word: u64) -> Option<&'g L::Block> {
+        (word != 0).then(|| self.at(word))
     }
 }
 

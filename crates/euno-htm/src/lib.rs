@@ -69,7 +69,7 @@ pub mod word;
 
 pub use abort::{classify_conflict, AbortCause, ConflictInfo, TxResult};
 pub use arena::{Arena, TransientBytes};
-pub use bptree::{Access, Guard, IndexNode, NodeArenas, NodeRef, ParentLinked};
+pub use bptree::{Access, Guard, IndexNode, NodeArenas, NodeRef, ParentLinked, SideBlock};
 pub use cost::CostModel;
 pub use ctx::{MetricsMark, ThreadCtx, Tx};
 pub use epoch::{CollectOutcome, Collector, Participant};

@@ -20,8 +20,8 @@ use std::sync::{RwLock, RwLockReadGuard};
 
 use crate::line::{LineClass, LineId, LineSet};
 
-/// Most parts one node is described by (a Euno leaf: header, segments,
-/// CCM).
+/// Most parts one node is described by (a header, its records and a
+/// trailer).
 const MAX_PARTS: usize = 3;
 
 /// A line's deterministic identity: `(node registration id, line offset
@@ -44,8 +44,10 @@ struct NodeEntry {
     /// `(first line, class)` of each part in address order; unused
     /// trailing slots hold `u64::MAX` so no line selects them.
     parts: [(u64, LineClass); MAX_PARTS],
-    /// Whether the contention profiler attributes addresses to this node.
-    attributed: bool,
+    /// The node the contention profiler attributes addresses here to:
+    /// this one's base, another's (a side block attributed to its leaf),
+    /// or none.
+    owner: Option<u64>,
 }
 
 #[derive(Default)]
@@ -63,15 +65,16 @@ impl NodeTable {
     /// Publish one node occupying `[base, base + len)`: `parts` lists
     /// `(byte offset of the part's start, class)` in address order,
     /// starting at offset 0. A line two parts share belongs to the later
-    /// one. Replaces every entry the new node's lines overlap. The whole
-    /// node becomes visible at once — a concurrent lookup sees all of it
-    /// or none of it.
+    /// one. `owner` is the base the profiler attributes the node's
+    /// addresses to, if any. Replaces every entry the new node's lines
+    /// overlap. The whole node becomes visible at once — a concurrent
+    /// lookup sees all of it or none of it.
     pub(crate) fn register(
         &self,
         base: usize,
         len: usize,
         parts: &[(usize, LineClass)],
-        attributed: bool,
+        owner: Option<usize>,
     ) {
         assert!(
             !parts.is_empty() && parts.len() <= MAX_PARTS && parts[0].0 == 0,
@@ -108,7 +111,7 @@ impl NodeTable {
             base: base as u64,
             len: len as u64,
             parts: slots,
-            attributed,
+            owner: owner.map(|o| o as u64),
         };
         nodes.next_id += 1;
         nodes.by_first_line.insert(first, entry);
@@ -159,10 +162,10 @@ impl NodeTableRead<'_> {
         a.common_iter(b).min_by_key(|&line| self.rank_of(line))
     }
 
-    /// Base address of the profiler-attributed node containing `addr`.
+    /// Base address of the node the profiler attributes `addr` to.
     pub(crate) fn object_base_of(&self, addr: u64) -> Option<u64> {
         let (_, e) = self.node_of(LineId::of_addr(addr as usize))?;
-        (e.attributed && e.base <= addr && addr - e.base < e.len).then_some(e.base)
+        e.owner.filter(|_| e.base <= addr && addr - e.base < e.len)
     }
 }
 
@@ -178,9 +181,9 @@ mod tests {
     #[test]
     fn class_exact_overwrite_and_disjoint_ranges() {
         let t = NodeTable::default();
-        t.register(5 * 64, 3 * 64, &[(0, Metadata)], false);
-        t.register(5 * 64, 3 * 64, &[(0, Record)], false); // same span, new class
-        t.register(100 * 64, 64, &[(0, Structure)], false);
+        t.register(5 * 64, 3 * 64, &[(0, Metadata)], None);
+        t.register(5 * 64, 3 * 64, &[(0, Record)], None); // same span, new class
+        t.register(100 * 64, 64, &[(0, Structure)], None);
         let r = t.read();
         let want = [Unknown, Record, Record, Record, Unknown];
         assert_eq!(classes(&r, 4..9), want);
@@ -191,9 +194,9 @@ mod tests {
     #[test]
     fn parts_split_a_node_and_rank_by_offset() {
         let t = NodeTable::default();
-        t.register(20 * 64, 64, &[(0, Structure)], false);
+        t.register(20 * 64, 64, &[(0, Structure)], None);
         let leaf = [(0, Metadata), (64, Record), (192, Metadata)];
-        t.register(10 * 64, 4 * 64, &leaf, true);
+        t.register(10 * 64, 4 * 64, &leaf, Some(10 * 64));
         let r = t.read();
         let want = [Unknown, Metadata, Record, Record, Metadata, Unknown];
         assert_eq!(classes(&r, 9..15), want);
@@ -210,9 +213,11 @@ mod tests {
     #[test]
     fn object_boundary_addresses() {
         let t = NodeTable::default();
-        t.register(0x1000, 256, &[(0, Record)], true);
-        t.register(0x2000, 40, &[(0, Record)], true);
-        t.register(0x3000, 64, &[(0, Record)], false);
+        t.register(0x1000, 256, &[(0, Record)], Some(0x1000));
+        t.register(0x2000, 40, &[(0, Record)], Some(0x2000));
+        t.register(0x3000, 64, &[(0, Record)], None);
+        // A side block, attributed to the node that owns it.
+        t.register(0x4000, 64, &[(0, Metadata)], Some(0x1000));
         let r = t.read();
         // First and last byte of each range resolve; one past does not.
         assert_eq!(r.object_base_of(0x1000), Some(0x1000));
@@ -225,16 +230,19 @@ mod tests {
         // Classified but not attributed.
         assert_eq!(r.object_base_of(0x3000), None);
         assert_eq!(r.class_of(LineId(0x3000 / 64)), Record);
+        assert_eq!(r.object_base_of(0x4008), Some(0x1000));
+        assert_eq!(r.object_base_of(0x4040), None);
+        assert_eq!(r.class_of(LineId(0x4000 / 64)), Metadata);
     }
 
     #[test]
     fn object_reregistration_shrinks() {
         let t = NodeTable::default();
-        t.register(0x1000, 256, &[(0, Record)], true);
+        t.register(0x1000, 256, &[(0, Record)], Some(0x1000));
         assert_eq!(t.read().object_base_of(0x10ff), Some(0x1000));
         // Reused allocation: same base, smaller node. The old tail must
         // stop resolving.
-        t.register(0x1000, 64, &[(0, Record)], true);
+        t.register(0x1000, 64, &[(0, Record)], Some(0x1000));
         let r = t.read();
         assert_eq!(r.0.by_first_line.len(), 1);
         assert_eq!(r.object_base_of(0x103f), Some(0x1000));
@@ -248,9 +256,9 @@ mod tests {
     fn reuse_with_different_size_evicts_the_stale_node() {
         let t = NodeTable::default();
         let leaf = [(0, Metadata), (64, Record), (192, Metadata)];
-        t.register(0x4000, 4 * 64, &leaf, true);
+        t.register(0x4000, 4 * 64, &leaf, Some(0x4000));
         assert_eq!(t.read().object_base_of(0x4000), Some(0x4000));
-        t.register(0x4000, 2 * 64, &[(0, Structure)], false);
+        t.register(0x4000, 2 * 64, &[(0, Structure)], None);
         let r = t.read();
         assert_eq!(r.object_base_of(0x4000), None);
         let want = [Structure, Structure, Unknown, Unknown];
@@ -269,9 +277,9 @@ mod tests {
             s.spawn(|| {
                 for i in 0..2_000 {
                     if i % 2 == 0 {
-                        t.register(0, 256, &[(0, Structure)], false);
+                        t.register(0, 256, &[(0, Structure)], None);
                     } else {
-                        t.register(0, 256, &leaf, true);
+                        t.register(0, 256, &leaf, Some(0));
                     }
                 }
             });

@@ -252,7 +252,16 @@ impl Runtime {
         parts: &[(usize, LineClass)],
         attributed: bool,
     ) {
-        self.nodes.register(base, bytes, parts, attributed);
+        self.nodes
+            .register(base, bytes, parts, attributed.then_some(base));
+        self.forget_node_heat(base, bytes);
+    }
+
+    /// [`Runtime::register_node`] for a one-part side block whose
+    /// addresses the contention profiler attributes to the node at `owner`
+    /// (a Euno leaf's conflict-control block, to its leaf).
+    pub fn register_side_block(&self, base: usize, bytes: usize, class: LineClass, owner: usize) {
+        self.nodes.register(base, bytes, &[(0, class)], Some(owner));
         self.forget_node_heat(base, bytes);
     }
 

@@ -32,6 +32,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::ctx::ThreadCtx;
 use crate::line::LineId;
+use crate::lock::LockWord;
 
 /// Types storable in a [`TxCell`]: anything losslessly convertible to a
 /// 64-bit word.
@@ -186,6 +187,17 @@ impl<T: TxWord> TxCell<T> {
         ctx.direct_write(self.raw_ptr(), true, |w| {
             (w.fetch_add(n, Ordering::AcqRel), true)
         })
+    }
+}
+
+impl TxCell<u64> {
+    /// This word as an advisory lock: for a lock that lives among a node's
+    /// other words rather than in a field of its own (a Euno leaf's split
+    /// lock rides a key line's spare words).
+    #[inline]
+    pub fn as_lock(&self) -> &LockWord {
+        // Safety: `LockWord` is `repr(transparent)` over `TxCell<u64>`.
+        unsafe { &*(self as *const TxCell<u64> as *const LockWord) }
     }
 }
 

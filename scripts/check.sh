@@ -156,7 +156,23 @@ seqno_writes="$(grep -rnE '(write|store[a-z_]*)\(.*seqno' crates/euno-core/src |
 bumps="$(awk '/fn bump_seqno/,/^    }$/' crates/euno-core/src/node.rs | grep -cE '(write|store[a-z_]*)\(.*seqno')"
 [[ $(grep -c . <<<"$seqno_writes") == 1 && $bumps == 1 ]] \
     || { echo "one-copy: a seqno copy written outside EunoLeaf::bump_seqno"; echo "$seqno_writes"; exit 1; }
-echo "one-copy (one bisect, in bptree.rs; no private index insert; one abort mapping; one seqno writer) OK"
+# One block-word writer (DESIGN.md §4.8): a leaf's CCM block is a line of
+# its own, installed once — by CAS at the leaf's first conflict, by plain
+# store on a leaf no thread can reach yet — and never replaced, so the
+# word that names it is written in `EunoLeaf::install_block` and nowhere
+# else, and the words it shares a key line with are reached through
+# node.rs alone.  The leaf holds no `Ccm` by value: the block is the CCM.
+NODE=crates/euno-core/src/node.rs
+BLOCK_WRITE='block_cell\(\)\.(store|cas|fetch|swap)[a-z_]*\(|write\([^;]*block_cell\(\)'
+block_writes="$(grep -rnE "$BLOCK_WRITE" crates/euno-core/src || true)"
+installs="$(awk '/fn install_block/,/^    }$/' "$NODE" | grep -cE "$BLOCK_WRITE" || true)"
+strays="$(grep -rnE 'block_cell\(\)|own_words\(\)|\.(links|spare)\(\)' crates/euno-core/src \
+    | grep -vE "^$NODE:|^crates/euno-core/src/segment.rs:" || true)"
+[[ $installs -ge 1 && $(grep -c . <<<"$block_writes") == "$installs" && -z $strays ]] \
+    || { echo "one-copy: the block word written outside EunoLeaf::install_block"; echo "$block_writes"; echo "$strays"; exit 1; }
+! awk '/^pub struct EunoLeaf/,/^}$/' "$NODE" | grep -qw Ccm \
+    || { echo "one-copy: EunoLeaf holds a Ccm by value"; exit 1; }
+echo "one-copy (one bisect, in bptree.rs; no private index insert; one abort mapping; one seqno writer; one block-word writer, no Ccm in the leaf) OK"
 
 # Unsafe confined (DESIGN.md §4.4): nodes are read through bptree.rs's Guard,
 # so no tree crate says `unsafe`. Only the files that own memory may:
