@@ -11,7 +11,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use euno_baselines::{HtmBTree, HtmMasstree, Masstree};
-use euno_core::{EunoBTree, EunoBTreeDefault, EunoBTreeUnpartitioned, EunoConfig};
+use euno_core::{EunoBTreeDefault, EunoBTreeUnpartitioned, EunoConfig};
 use euno_htm::{AbortClass, ConcurrentMap, CostModel, Runtime};
 use euno_sim::{
     chrome_trace, folded_rollup, preload, report_path_for, run_virtual, RunConfig, RunEntry,
@@ -86,13 +86,13 @@ impl System {
                 EunoConfig::split_htm_only(),
             )),
             System::AblationPartLeaf => {
-                Box::new(EunoBTree::<4, 4>::with_config(rt, EunoConfig::part_leaf()))
+                Box::new(EunoBTreeDefault::with_config(rt, EunoConfig::part_leaf()))
             }
-            System::AblationCcmLockbits => Box::new(EunoBTree::<4, 4>::with_config(
+            System::AblationCcmLockbits => Box::new(EunoBTreeDefault::with_config(
                 rt,
                 EunoConfig::ccm_lockbits(),
             )),
-            System::AblationCcmMarkbits => Box::new(EunoBTree::<4, 4>::with_config(
+            System::AblationCcmMarkbits => Box::new(EunoBTreeDefault::with_config(
                 rt,
                 EunoConfig::ccm_markbits(),
             )),

@@ -81,7 +81,14 @@ use euno_workloads::WorkloadSpec;
 /// Of the four entries only `Euno-B+Tree` moved (14.09 → 14.02 Mops/s,
 /// 87 → 104 verdict flips); `GOLDEN_DUMP` against the parent differs in
 /// that entry's lines only.
-const GOLDEN_DIGEST: &str = "d0d9b3bc156a6d86";
+/// `4e1118d0d9fd14fb` (was `d0d9b3bc156a6d86`) since a segment became one
+/// line — its `seqno` copy, keys and values — and the leaf six of them
+/// (`EunoBTree<6, 3>`), the HTM upper region reading the leaf's fence and
+/// the `seqno` copy beside it in a section after the region. Of the four
+/// entries only `Euno-B+Tree` moved (14.02 → 14.19 Mops/s, aborts 172 →
+/// 127, `cas_ops` 9 720 → 7 963); `GOLDEN_DUMP` against the parent differs
+/// in that entry's lines only.
+const GOLDEN_DIGEST: &str = "4e1118d0d9fd14fb";
 
 fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;

@@ -51,7 +51,7 @@ use crate::node::{EunoLeaf, Guard, NodeRef};
 use crate::segment::{KeyPad, Keys};
 use crate::structural::LowerRegion;
 use crate::traverse::{LeafRead, Located};
-use crate::tree::{EunoBTree, Lower, Req};
+use crate::tree::{assert_storable, EunoBTree, Lower, Req};
 
 /// Max keys located before their groups run: bounds how stale a
 /// `(leaf, seqno)` pair can be when its lower episode opens — a pair is
@@ -177,6 +177,11 @@ where
         scratch: &mut BatchScratch,
     ) -> BatchStats {
         debug_assert!(ops.windows(2).all(|w| w[0].key() <= w[1].key()));
+        for op in ops {
+            if let BatchOp::Put { key, value } = *op {
+                assert_storable(key, value);
+            }
+        }
         let mut stats = BatchStats::default();
         out.clear();
         out.resize(ops.len(), None);
@@ -568,6 +573,43 @@ mod tests {
     #[test]
     fn batch_matches_serial_read_opt_concurrent() {
         batch_matches_serial(Runtime::new_concurrent(), crate::EunoConfig::default());
+    }
+
+    /// A batch refuses the puts `put` refuses: a value that reads as a
+    /// tombstone (stored, it would make `get` answer `None`) and a key
+    /// that reads as a free slot (stored, it would hide every record after
+    /// it in its segment).
+    #[test]
+    #[should_panic(expected = "the value not TOMBSTONE")]
+    fn batch_rejects_a_tombstone_value() {
+        use euno_htm::TOMBSTONE;
+        let rt = Runtime::new_virtual();
+        let tree = EunoBTreeDefault::new(Arc::clone(&rt));
+        let mut ctx = rt.thread(1);
+        let ops = [BatchOp::Put {
+            key: 5,
+            value: TOMBSTONE,
+        }];
+        let (mut out, mut scratch) = (Vec::new(), BatchScratch::default());
+        tree.apply_batch(&mut ctx, &ops, &mut out, &mut scratch);
+    }
+
+    #[test]
+    #[should_panic(expected = "the key must be below KEY_SENTINEL")]
+    fn batch_rejects_the_sentinel_key() {
+        use euno_htm::KEY_SENTINEL;
+        let rt = Runtime::new_virtual();
+        let tree = EunoBTreeDefault::new(Arc::clone(&rt));
+        let mut ctx = rt.thread(1);
+        let ops = [
+            BatchOp::Get { key: 3 },
+            BatchOp::Put {
+                key: KEY_SENTINEL,
+                value: 9,
+            },
+        ];
+        let (mut out, mut scratch) = (Vec::new(), BatchScratch::default());
+        tree.apply_batch(&mut ctx, &ops, &mut out, &mut scratch);
     }
 
     #[test]

@@ -500,7 +500,7 @@ mod tests {
     use std::sync::Arc;
 
     use super::*;
-    use crate::tree::EunoBTreeDefault;
+    use crate::tree::{DefaultLeaf, EunoBTreeDefault};
     use euno_htm::{ConcurrentMap, Runtime};
 
     #[test]
@@ -801,7 +801,7 @@ mod tests {
             if protected {
                 tree.pinned(|g| tree.protect_plain(tree.chain_plain(g).next().unwrap()));
             }
-            for k in 0..17u64 {
+            for k in 0..19u64 {
                 tree.put(&mut ctx, k, k);
             }
             tree.pinned(|g| {
@@ -814,7 +814,9 @@ mod tests {
                 assert!(!block.bypass_plain());
                 let exact = EunoBTreeDefault::leaf_live_plain(right)
                     .iter()
-                    .fold(0, |m, &(k, _)| m | 1 << Ccm::slot(k, 32));
+                    .fold(0, |m, &(k, _)| {
+                        m | 1 << Ccm::slot(k, DefaultLeaf::ccm_bits())
+                    });
                 assert_eq!(block.marks_plain(), exact, "fresh marks, not every mark");
             });
             assert_eq!(

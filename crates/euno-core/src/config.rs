@@ -82,7 +82,7 @@ impl EunoConfig {
     }
 
     /// Figure 13 `+Split HTM`: region splitting only (use with one segment
-    /// per leaf, e.g. `EunoBTree::<1, 16>`).
+    /// per leaf, e.g. `EunoBTreeUnpartitioned`).
     pub fn split_htm_only() -> Self {
         EunoConfig {
             ccm_lock_bits: false,
@@ -93,7 +93,7 @@ impl EunoConfig {
     }
 
     /// Figure 13 `+Part Leaf`: region splitting + partitioned leaves
-    /// (use with the default `EunoBTree::<4, 4>`).
+    /// (use with `EunoBTreeDefault`).
     pub fn part_leaf() -> Self {
         Self::split_htm_only()
     }

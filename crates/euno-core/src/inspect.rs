@@ -7,7 +7,7 @@ use crate::ccm::Ccm;
 use crate::node::{EunoLeaf, Guard, NodeRef, INTERNAL_FANOUT};
 use crate::segment::{home_segment, KeyPad, Keys, Segment};
 use crate::tree::EunoBTree;
-use euno_htm::{TxWord, TOMBSTONE};
+use euno_htm::{TxWord, KEY_SENTINEL, TOMBSTONE};
 
 /// Stop collecting violations past this many — one is already a failed
 /// audit, and a structurally broken big tree could otherwise flood.
@@ -163,6 +163,8 @@ where
     /// * separator keys within each internal node are strictly ascending;
     /// * live keys are strictly ascending along the whole chain (no
     ///   duplicates within or across leaves);
+    /// * every leaf's fence is its upper bound in the index: the separator
+    ///   above it, `KEY_SENTINEL` at the end of the chain;
     /// * every segment's copy of a leaf's `seqno` reads the same (a writer
     ///   that bumps fewer than all of them leaves a reader checking another
     ///   copy trusting a leaf whose records moved);
@@ -272,9 +274,22 @@ where
             // Per-leaf content invariants along the chain.
             let mut prev_key: Option<u64> = None;
             let mut blocks = std::collections::HashSet::new();
-            for &lref in &chain_leaves {
+            for (at, &lref) in chain_leaves.iter().enumerate() {
                 let leaf = g.leaf(lref);
                 let addr = lref.to_word();
+                // The fence is the separator the index puts above the leaf.
+                let fence = leaf.fence().load_plain();
+                let holds = match chain_leaves.get(at + 1) {
+                    Some(&next) => {
+                        fence > 0
+                            && self.plain_descend(g, fence - 1) == lref
+                            && self.plain_descend(g, fence) == next
+                    }
+                    None => fence == KEY_SENTINEL,
+                };
+                if !holds {
+                    report!("leaf {addr:#x} fence {fence:#x} is not its upper bound in the index");
+                }
                 if leaf.split_lock().held_plain() != 0 {
                     report!("leaf {addr:#x} split lock held at quiescence");
                 }
@@ -301,14 +316,32 @@ where
                     }
                     _ => {}
                 }
+                // Slots: every segment's keys strictly ascending up to its
+                // first free slot, and every slot after that free — what a
+                // bisection over the slots and a count taken as the first
+                // free slot stand on.
+                for (at, seg) in leaf.segs.iter().enumerate() {
+                    let count = seg.count_plain();
+                    for i in 1..count {
+                        if seg.key_cell(i - 1).load_plain() >= seg.key_cell(i).load_plain() {
+                            report!("leaf {addr:#x} segment {at} not ascending at slot {i}");
+                        }
+                    }
+                    for i in count + 1..K {
+                        let key = seg.key_cell(i).load_plain();
+                        if key != KEY_SENTINEL {
+                            report!(
+                                "leaf {addr:#x} segment {at} holds key {key} at slot {i}, \
+                             past its free slot {count}"
+                            );
+                        }
+                    }
+                }
                 // Placement: what the one-segment search stands on, for every
                 // record — a tombstone holds its slot like any other.
                 for (at, seg) in leaf.segs.iter().enumerate() {
-                    for i in 0..seg.count_plain().min(K) {
+                    for i in 0..seg.count_plain() {
                         let key = seg.key_cell(i).load_plain();
-                        if i > 0 && seg.key_cell(i - 1).load_plain() >= key {
-                            report!("leaf {addr:#x} segment {at} not ascending at slot {i}");
-                        }
                         let home = home_segment(key, SEGS);
                         let before = (at + SEGS - home) % SEGS;
                         if let Some(gap) = (0..before)
@@ -412,8 +445,8 @@ mod tests {
         let s = t.stats();
         assert_eq!(s.live_records, 3_000);
         assert_eq!(s.tombstones, 0);
-        assert!(s.depth >= 2, "3000 records at fanout 16 need depth ≥ 2");
-        assert!(s.leaves >= 3_000 / 16);
+        assert!(s.depth >= 2, "3000 records at fanout 18 need depth ≥ 2");
+        assert!(s.leaves >= 3_000 / 18);
         assert_eq!(s.leaves, t.leaf_count_plain());
         assert!(s.leaf_fill > 0.3 && s.leaf_fill <= 1.0);
         let total_q: usize = s.occupancy_quarters.iter().sum();
@@ -460,7 +493,8 @@ mod tests {
     fn audit_flags_forged_violations() {
         use crate::ccm::Ccm;
         use crate::node::NodeRef;
-        use euno_htm::TxWord;
+        use crate::tree::DEFAULT_K as K;
+        use euno_htm::{TxWord, KEY_SENTINEL};
         let rt = Runtime::new_virtual();
         let t = EunoBTreeDefault::new(Arc::clone(&rt));
         let mut ctx = rt.thread(1);
@@ -501,6 +535,27 @@ mod tests {
                 "{viol:?}"
             );
             t.discard_block(stray);
+
+            // A key past a segment's first free slot is one no search
+            // finds.
+            let seg = leaf.segs.iter().find(|s| s.count_plain() + 1 < K).unwrap();
+            seg.key_cell(K - 1).store_plain(1_000_000);
+            let viol = t.audit_quiescent();
+            assert!(
+                viol.iter().any(|v| v.contains("past its free slot")),
+                "{viol:?}"
+            );
+            seg.key_cell(K - 1).store_plain(KEY_SENTINEL);
+
+            // A fence that is not the leaf's upper bound.
+            let saved_fence = leaf.fence().load_plain();
+            leaf.fence().store_plain(saved_fence - 1);
+            let viol = t.audit_quiescent();
+            assert!(
+                viol.iter().any(|v| v.contains("not its upper bound")),
+                "{viol:?}"
+            );
+            leaf.fence().store_plain(saved_fence);
 
             // Unlinking a leaf from the chain desynchronizes it from the index.
             let saved_next = leaf.next().load_plain();

@@ -34,7 +34,7 @@ where
     /// is in a segment on its key's path, and every segment before that
     /// one on the path is full. It holds when a record is placed, and it
     /// keeps holding while `seqno` stands: a delete leaves a tombstone, so
-    /// a segment's count falls only in a reorganization, a split or a
+    /// a slot is freed only in a reorganization, a split or a
     /// merge — each of which bumps every copy of `seqno` before a record
     /// moves. A reader that checks the home segment's copy around the walk
     /// (the lower region does by reading it first, [`EunoBTree::read_leaf`]
@@ -50,7 +50,7 @@ where
         loop {
             let at = self.segs[seg].search(key, &mut load)?;
             let next = (seg + 1) % SEGS;
-            if at.hit || at.count < K || next == home || probe::mutated("leaf:stop-at-home") {
+            if at.hit || at.room || next == home || probe::mutated("leaf:stop-at-home") {
                 return Ok((seg, at));
             }
             seg = next;
@@ -117,7 +117,7 @@ where
                 }
                 // The deterministic write scheduler (Algorithm 3 lines
                 // 60-66): the first segment on the key's path with room.
-                if at.count < K {
+                if at.room {
                     leaf.segs[seg].insert_at(tx, at, key, newval)?;
                     return Ok(Lower::Done(None));
                 }
@@ -148,14 +148,15 @@ where
 
         // moveToReserved: merge every segment into the (transient) sorted
         // buffer, compacting tombstones — the deferred deletion cleanup of
-        // §4.2.4 happens here too.
-        let records = self.collect_all(tx, leaf)?;
+        // §4.2.4 happens here too. The segments are rewritten whole below,
+        // so nothing needs draining first.
+        let records = self.peek_all(tx, leaf)?;
 
         let target = if records.len() < Self::capacity() {
             // Sufficient room after reorganization (lines 67-74).
             //
             // Bump the version before any record moves, as on the split
-            // and merge paths: counts fall and records change segments
+            // and merge paths: slots are freed and records change segments
             // here, so a reader walking a probe path could stop at a
             // segment that has just stopped being full, short of a key
             // that has not yet moved up, unless the bump is published
@@ -173,11 +174,8 @@ where
             self.split_leaf(tx, g, leaf, &records, key, region)?
         };
         // The new key, by the same rule as every other record.
-        let mut seg = home;
-        while target.segs[seg].count_tx(tx)? == K {
-            seg = (seg + 1) % SEGS;
-        }
-        target.segs[seg].insert(tx, key, newval)?;
+        let (seg, at) = target.find(home, key, |cell| tx.read(cell))?;
+        target.segs[seg].insert_at(tx, at, key, newval)?;
         Ok(Lower::Done(None))
     }
 
@@ -212,28 +210,12 @@ where
         Ok(())
     }
 
-    /// `moveToReserved`: drain every segment into one sorted transient
-    /// buffer, dropping tombstones. The buffer is the paper's *reserved
+    /// `moveToReserved`: every record of `leaf` in one sorted transient
+    /// buffer, tombstones dropped — for a reorganization, a split or a
+    /// merge, which rewrite the segments from it (scans sort in place on
+    /// the caller's buffer instead). The buffer is the paper's *reserved
     /// keys* — allocated for the reorganization and released right after
     /// (its footprint is charged to the §5.7 transient accounting).
-    fn collect_all(&self, tx: &mut Tx<'_>, leaf: &EunoLeaf<SEGS, K>) -> TxResult<Vec<(u64, u64)>> {
-        let mut records = Vec::with_capacity(Self::capacity());
-        for seg in &leaf.segs {
-            seg.drain_into(tx, &mut records)?;
-        }
-        records.retain(|&(_, v)| v != TOMBSTONE);
-        records.sort_unstable_by_key(|&(k, _)| k);
-        // Merge-sort cost beyond the per-cell charges.
-        tx.charge(self.rt.cost.alu * records.len() as u64);
-        let bytes = records.capacity() * 16;
-        self.reserved_bytes.allocated(bytes);
-        self.reserved_bytes.freed(bytes);
-        Ok(records)
-    }
-
-    /// Read every record sorted, tombstones dropped, WITHOUT draining the
-    /// segments — the read-only counterpart of [`Self::collect_all`] used
-    /// by merges (scans sort in place on the caller's buffer instead).
     pub(crate) fn peek_all(
         &self,
         tx: &mut Tx<'_>,
@@ -245,6 +227,7 @@ where
         }
         records.retain(|&(_, v)| v != TOMBSTONE);
         records.sort_unstable_by_key(|&(k, _)| k);
+        // Merge-sort cost beyond the per-cell charges.
         tx.charge(self.rt.cost.alu * records.len() as u64);
         let bytes = records.capacity() * 16;
         self.reserved_bytes.allocated(bytes);

@@ -46,4 +46,7 @@ pub use inspect::TreeStats;
 pub use node::{EunoLeaf, Guard, IndexNode, NodeRef, INTERNAL_FANOUT};
 pub use segment::{KeyPad, Keys, Segment};
 pub use traverse::Located;
-pub use tree::{EunoBTree, EunoBTreeDefault, EunoBTreeUnpartitioned};
+pub use tree::{
+    DefaultGuard, DefaultLeaf, EunoBTree, EunoBTreeDefault, EunoBTreeUnpartitioned, DEFAULT_K,
+    DEFAULT_SEGS,
+};

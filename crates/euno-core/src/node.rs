@@ -2,32 +2,37 @@
 //! nodes above it (with parent links) and the tagged pointer are the
 //! shared B+tree's, `euno_htm::bptree`.
 //!
-//! Layout is cache-line-deliberate — eight segment lines, 512 B at the
-//! paper's geometry, with no header line and no CCM line:
+//! Layout is cache-line-deliberate — six segment lines, 384 B at the
+//! default geometry, with no header line, no CCM line and no value line:
 //!
-//! * each segment is line-aligned with keys and values on separate lines
-//!   (see [`Segment`]);
-//! * the leaf's words ride the segments' key lines, where operations look
-//!   anyway: every segment carries a copy of `seqno` beside its `count`, so
-//!   an operation checks the copy on its key's home segment; the last
-//!   segment's two spare words are `next` and `parent`, which a scan's
-//!   closing section reads beside that segment's copy. Split,
-//!   reorganization and merge bump every copy at once
+//! * each segment is one line: its copy of `seqno`, one link word, its
+//!   keys and their values (see [`Segment`]). An operation checks the copy
+//!   on its key's home segment, searches that segment's keys and reads or
+//!   writes a value there — one line, where the previous layout touched a
+//!   key line and a value line;
+//! * the leaf's own words ride the segments' link words, dealt out from
+//!   the last segment down: `next` on the last segment's line, which a
+//!   scan's closing section reads beside that segment's copy of `seqno`;
+//!   `parent` on the one before; the split lock and the *block word* —
+//!   which names the leaf's CCM block, allocated apart from it when the
+//!   leaf first needs one (see [`Ccm`]) — on the two before that, and the
+//!   *fence*, the leaf's upper bound ([`EunoLeaf::fence`]), on the one
+//!   before those. A geometry with fewer than five segments puts the rest
+//!   on segment 0's spare words ([`KeyPad`]). Every line of the leaf
+//!   carries records, and so value writes: an HTM region that read one
+//!   would abort under every put to that segment, which is why the upper
+//!   region reads the fence, and the copy of `seqno` on its line, after
+//!   the region, not in it ([`crate::EunoBTree::locate`]). The block word
+//!   is written once in the leaf's life ([`EunoLeaf::install_block`]), by
+//!   a quiet CAS, and read inside a region only by a split, plainly, on a
+//!   line that region writes anyway. The split lock is not quiet: it shares a line that
+//!   every region and scan section over its segment reads, so each
+//!   acquire and release publishes a point write that aborts such a region
+//!   overlapping it (DESIGN.md §4.8, "Layout", has the measured cost);
+//! * split, reorganization and merge bump every copy of `seqno` at once
 //!   ([`EunoLeaf::bump_seqno`]), before any record moves, so the copies
 //!   are equal at every commit and whichever one a reader brackets with
-//!   moves before a record does;
-//! * the split lock and the *block word* — which names the leaf's CCM
-//!   block, allocated apart from it when the leaf first needs one (see
-//!   [`Ccm`]) — are segment 0's two link words, or in a leaf of one
-//!   segment its key block's spare words ([`KeyPad`]). Both are written
-//!   only from outside regions; the block word is written once in the
-//!   leaf's life ([`EunoLeaf::install_block`]), by a quiet CAS, and read
-//!   inside a region only by a split, plainly, on a line that region
-//!   writes anyway. The split lock is not quiet: it shares a line that
-//!   every region and scan section over segment 0 reads, so each acquire
-//!   and release publishes a point write that aborts such a region
-//!   overlapping it — false sharing the CCM line used to spare it
-//!   (DESIGN.md §4.8, "Layout", has the measured cost).
+//!   moves before a record does.
 //!
 //! Records live **spread over the segments at all times**, each in the
 //! first segment on its key's probe path that had room
@@ -41,6 +46,7 @@
 
 use euno_htm::{
     LineClass, LockWord, ParentLinked, Runtime, SideBlock, ThreadCtx, Tx, TxCell, TxResult,
+    KEY_SENTINEL,
 };
 
 pub use euno_htm::{IndexNode, NodeRef};
@@ -76,23 +82,38 @@ where
             segs: std::array::from_fn(|_| Segment::empty()),
         };
         assert!(
-            leaf.own_words().len() >= 2,
-            "no key line has two words to spare"
+            SEGS + leaf.segs[0].spare().len() >= Self::OWN_WORDS,
+            "the segments have no five words to spare"
         );
+        leaf.fence().store_plain(KEY_SENTINEL);
         leaf
     }
 
-    /// The segment whose key line carries `next` and `parent`.
+    /// The segment whose line carries `next`.
     const LAST: usize = SEGS - 1;
+
+    /// `next`, `parent`, the split lock, the block word and the fence.
+    const OWN_WORDS: usize = 5;
 
     /// The block word of a leaf a merge has retired: no block may be
     /// installed on it any more (a birth that finds it frees its block).
     const SEALED: u64 = 1;
 
+    /// The leaf's own word `i` of [`Self::OWN_WORDS`]: the link word of
+    /// segment `SEGS − 1 − i` while there is one, else one of segment 0's
+    /// spare words.
+    fn own_word(&self, i: usize) -> &TxCell<u64> {
+        match Self::LAST.checked_sub(i) {
+            Some(seg) => self.segs[seg].link(),
+            None => &self.segs[0].spare()[i - SEGS],
+        }
+    }
+
     /// Segment `seg`'s copy of the version number tracking splits (the
     /// consistency glue between the upper and lower HTM regions,
-    /// §4.1/Figure 4). An operation reads its key's home segment's copy;
-    /// a scan step, [`Self::seqno_beside_next`].
+    /// §4.1/Figure 4). An operation checks its key's home segment's copy;
+    /// a scan step, [`Self::seqno_beside_next`]; the HTM upper region
+    /// hands over [`Self::seqno_beside_fence`].
     pub fn seqno(&self, seg: usize) -> &TxCell<u64> {
         self.segs[seg].seqno_cell()
     }
@@ -103,39 +124,48 @@ where
         self.seqno(Self::LAST)
     }
 
+    /// The copy of `seqno` the HTM upper region's section reads with the
+    /// fence ([`crate::EunoBTree::locate`]): the fence's segment's, on the
+    /// fence's line wherever the fence rides a link word.
+    pub fn seqno_beside_fence(&self) -> &TxCell<u64> {
+        self.seqno(Self::LAST.saturating_sub(4))
+    }
+
     /// Next-leaf chain for range scans (NodeRef bits).
     pub fn next(&self) -> &TxCell<u64> {
-        &self.segs[Self::LAST].links()[0]
+        self.own_word(0)
     }
 
     /// Parent internal node (NodeRef bits; 0 at the root).
     pub fn parent(&self) -> &TxCell<u64> {
-        &self.segs[Self::LAST].links()[1]
-    }
-
-    /// Where the split lock and the block word live: segment 0's link
-    /// words where another segment carries the chain, else its key block's
-    /// spare words — a key line either way.
-    fn own_words(&self) -> &[TxCell<u64>] {
-        match SEGS > 1 {
-            true => self.segs[0].links(),
-            false => self.segs[0].spare(),
-        }
+        self.own_word(1)
     }
 
     /// Serializes splits, merges and locked scan steps on this leaf.
-    /// Written only from outside regions, on segment 0's key line: each
-    /// write aborts an overlapping region that reads that line.
+    /// Written only from outside regions, on a segment's line: each write
+    /// aborts an overlapping region that reads that line.
     pub fn split_lock(&self) -> &LockWord {
-        self.own_words()[0].as_lock()
+        self.own_word(2).as_lock()
     }
 
     /// The block word: 0 while the leaf has no CCM block, the block's
     /// address once [`Self::install_block`] has given it one.
     fn block_cell(&self) -> &TxCell<u64> {
-        &self.own_words()[1]
+        self.own_word(3)
     }
 
+    /// The *fence*: the upper bound of the keys the leaf covers —
+    /// `KEY_SENTINEL` at the end of the chain, the separator a split put
+    /// above it, its right neighbour's fence once a merge has taken that
+    /// neighbour in — and 0 once a merge has retired it. A leaf's lower
+    /// bound never changes while it lives (a split keeps the lower half, a
+    /// merge the left leaf), so a leaf covers `key` exactly while `key` is
+    /// below its fence: what the pair an HTM upper region hands over is
+    /// read against ([`crate::EunoBTree::locate`]). Written by splits and
+    /// merges, inside their regions, after the `seqno` bump.
+    pub fn fence(&self) -> &TxCell<u64> {
+        self.own_word(4)
+    }
     /// The block word, by a direct (charged) load.
     pub(crate) fn block_word_direct(&self, ctx: &mut ThreadCtx) -> u64 {
         self.block_cell().load_direct(ctx)
@@ -226,9 +256,9 @@ where
     }
 
     pub fn register(&self, rt: &Runtime) {
-        // Segments: record storage (their count and `seqno` words, the
-        // last one's links and the split lock and block word live amid
-        // the records deliberately — per-segment metadata is the point).
+        // Segments: record storage (their `seqno` copies and the leaf's
+        // own words live amid the records deliberately — per-segment
+        // metadata is the point).
         // Attributed: the contention profiler maps address-carrying trace
         // events (conflict lines, lock cells) inside the leaf — and in its
         // CCM block ([`Runtime::register_side_block`]) — to its base.
@@ -273,76 +303,81 @@ pub type Guard<'g, const S: usize, const K: usize> =
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tree::{DefaultGuard, DefaultLeaf};
     use euno_htm::LineId;
 
-    type Leaf44 = EunoLeaf<4, 4>;
-
-    /// The line facts of the layout, at both geometries the crate builds:
-    /// every segment's `seqno` copy on that segment's (first) key line,
-    /// `next` and `parent` on the last segment's last key line, and the
-    /// split lock and the block word on a key line of segment 0 — its
-    /// last, beside keys; `key_lines` key lines a segment, as before they
-    /// moved in.
-    fn line_facts<const SEGS: usize, const K: usize>(key_lines: usize)
+    /// The line facts of the layout, at every geometry the crate builds:
+    /// every segment's `seqno` copy, link word, keys and values on that
+    /// segment's `lines` lines and on no other segment's; `next` beside
+    /// the last segment's copy of `seqno`, the fence beside the copy the
+    /// upper region reads with it where the fence rides a link word; and
+    /// the leaf's five own words apart.
+    fn line_facts<const SEGS: usize, const K: usize>(lines: usize)
     where
         Keys<K>: KeyPad,
     {
         let l: Box<EunoLeaf<SEGS, K>> = Box::new(EunoLeaf::empty());
         let line = |cell: &TxCell<u64>| cell.line();
+        let mut seen = std::collections::HashSet::new();
         for (i, seg) in l.segs.iter().enumerate() {
-            assert_eq!(line(l.seqno(i)), seg.key_cell(0).line(), "segment {i}");
-            let lines: std::collections::HashSet<LineId> =
-                (0..K).map(|j| seg.key_cell(j).line()).collect();
-            assert_eq!(lines.len(), key_lines, "segment {i}'s key lines");
-            assert!(!lines.contains(&seg.val_cell(0).line()));
+            let mine: std::collections::HashSet<LineId> = (0..K)
+                .flat_map(|j| [line(seg.key_cell(j)), line(seg.val_cell(j))])
+                .chain([line(l.seqno(i)), line(seg.link())])
+                .collect();
+            assert_eq!(mine.len(), lines, "segment {i}'s lines");
+            assert!(mine.iter().all(|&at| seen.insert(at)), "segment {i}");
+            assert_eq!(line(l.seqno(i)), line(seg.key_cell(0)), "segment {i}");
         }
-        let last_key = l.segs[EunoLeaf::<SEGS, K>::LAST].key_cell(K - 1).line();
-        assert_eq!(line(l.next()), last_key, "next on the last key line");
-        assert_eq!(line(l.parent()), last_key, "parent on the last key line");
-        let first_key = l.segs[0].key_cell(K - 1).line();
-        let lock = LineId::of_addr(l.split_lock() as *const LockWord as usize);
-        assert_eq!(lock, first_key, "the split lock on segment 0's key line");
-        assert_eq!(line(l.block_cell()), first_key, "the block word too");
+        let last = EunoLeaf::<SEGS, K>::LAST;
+        assert_eq!(line(l.next()), line(l.seqno_beside_next()));
+        assert_eq!(line(l.next()), line(l.segs[last].key_cell(0)));
+        if SEGS >= EunoLeaf::<SEGS, K>::OWN_WORDS {
+            assert_eq!(line(l.fence()), line(l.seqno_beside_fence()));
+        }
         let at = |cell: &TxCell<u64>| cell as *const TxCell<u64> as usize;
         let words = [
+            at(l.next()),
+            at(l.parent()),
             l.split_lock() as *const LockWord as usize,
             at(l.block_cell()),
+            at(l.fence()),
         ];
-        assert!(words[0] != words[1], "two words");
-        assert!(words
-            .iter()
-            .all(|&w| w != at(l.next()) && w != at(l.parent())));
+        let distinct: std::collections::HashSet<usize> = words.into_iter().collect();
+        assert_eq!(distinct.len(), 5, "five words");
     }
 
     #[test]
     fn leaf_line_discipline() {
-        line_facts::<4, 4>(1);
-        line_facts::<1, 16>(3);
-        // Eight segment lines, no line to spare, and nothing else. The
-        // unpartitioned leaf's key area stays three lines (count, `seqno`,
-        // sixteen keys, the links, the split lock and the block word are
-        // twenty-two words of twenty-four).
-        assert_eq!(std::mem::size_of::<Leaf44>(), 512);
-        assert_eq!(std::mem::size_of::<EunoLeaf<1, 16>>(), 320);
-        assert_eq!(std::mem::size_of::<EunoLeaf<2, 8>>(), 384);
+        line_facts::<6, 3>(1);
+        line_facts::<3, 6>(2);
+        // (Five of the unpartitioned segment's lines hold its `seqno`, link
+        // word, keys and values; its spare words reach into a sixth.)
+        line_facts::<1, 18>(5);
+        // Six segment lines and nothing else; the unpartitioned leaf's one
+        // segment is the same 384 B (`seqno`, `next`, eighteen keys,
+        // eighteen values, `parent`, the split lock and the block word are
+        // forty-one words of forty-eight).
+        assert_eq!(std::mem::size_of::<DefaultLeaf>(), 384);
+        assert_eq!(std::mem::size_of::<EunoLeaf<1, 18>>(), 384);
+        assert_eq!(std::mem::size_of::<EunoLeaf<3, 6>>(), 384);
     }
 
     #[test]
     fn capacity_and_bits() {
-        assert_eq!(Leaf44::capacity(), 16);
-        assert_eq!(Leaf44::ccm_bits(), 32);
-        assert_eq!(EunoLeaf::<1, 16>::capacity(), 16);
-        assert_eq!(EunoLeaf::<2, 8>::ccm_bits(), 32);
+        assert_eq!(DefaultLeaf::capacity(), 18);
+        assert_eq!(DefaultLeaf::ccm_bits(), 36);
+        assert_eq!(EunoLeaf::<1, 18>::capacity(), 18);
+        assert_eq!(EunoLeaf::<3, 6>::ccm_bits(), 36);
     }
 
     #[test]
     fn noderef_round_trips() {
-        let l: Box<Leaf44> = Box::new(EunoLeaf::empty());
+        let l: Box<DefaultLeaf> = Box::new(EunoLeaf::empty());
         let i: Box<IndexNode<INTERNAL_FANOUT>> = Box::new(IndexNode::empty());
         let lr = NodeRef::of_leaf(&*l);
         let ir = NodeRef::of_index(&i);
         assert!(lr.is_leaf() && !ir.is_leaf());
-        euno_htm::Collector::new().pinned(|g: Guard<4, 4>| {
+        euno_htm::Collector::new().pinned(|g: DefaultGuard| {
             assert!(std::ptr::eq(g.leaf(lr), &*l));
             assert!(std::ptr::eq(g.index_node(ir), &*i));
             assert!(std::ptr::eq(g.parent_cell(lr), l.parent()));
@@ -354,7 +389,7 @@ mod tests {
     #[should_panic(expected = "is no node of that kind")]
     fn a_guard_checks_the_kind() {
         let i: Box<IndexNode<INTERNAL_FANOUT>> = Box::new(IndexNode::empty());
-        euno_htm::Collector::new().pinned(|g: Guard<4, 4>| {
+        euno_htm::Collector::new().pinned(|g: DefaultGuard| {
             g.leaf(NodeRef::of_index(&i));
         });
     }
@@ -362,6 +397,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "2·fanout ≤ 64")]
     fn oversized_ccm_rejected() {
-        let _l: EunoLeaf<8, 8> = EunoLeaf::empty();
+        let _l: EunoLeaf<12, 3> = EunoLeaf::empty();
     }
 }

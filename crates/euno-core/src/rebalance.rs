@@ -279,9 +279,8 @@ where
             |ctx| {
                 scratch.clear();
                 for seg in &leaf.segs {
-                    seg.read_into_direct(ctx, 0, scratch);
+                    seg.read_direct(ctx, 0, |r| scratch.push(r));
                 }
-                scratch.retain(|&(k, _)| k != KEY_SENTINEL);
                 Some(LeafView {
                     live: scratch.iter().filter(|&&(_, v)| v != TOMBSTONE).count(),
                     min_key: scratch.iter().map(|&(k, _)| k).min(),
@@ -415,6 +414,9 @@ where
             probe::mark("merge:records");
             self.redistribute(tx, left, &records)?;
             self.clear_segments(tx, right)?;
+            let high = tx.read(right.fence())?;
+            tx.write(left.fence(), high)?;
+            tx.write(right.fence(), 0)?;
 
             // Unlink and drop the separator entry — a leaf's, never an
             // index node's: subtree hints (`EunoBTree::descend`) rely on
@@ -451,16 +453,16 @@ mod tests {
 
     use super::{SLICE_PAIRS, SWEEP_IDLE};
     use crate::config::EunoConfig;
-    use crate::node::{EunoLeaf, Guard, NodeRef};
-    use crate::tree::EunoBTreeDefault;
+    use crate::node::NodeRef;
+    use crate::tree::{DefaultGuard, DefaultLeaf, EunoBTreeDefault};
 
     /// Head of the leaf chain (quiesced tree).
-    fn first_leaf<'g>(t: &EunoBTreeDefault, g: Guard<'g, 4, 4>) -> &'g EunoLeaf<4, 4> {
+    fn first_leaf<'g>(t: &EunoBTreeDefault, g: DefaultGuard<'g>) -> &'g DefaultLeaf {
         t.chain_plain(g).next().unwrap()
     }
 
     /// The leaf after `leaf` on the chain.
-    fn next_leaf<'g>(g: Guard<'g, 4, 4>, leaf: &EunoLeaf<4, 4>) -> &'g EunoLeaf<4, 4> {
+    fn next_leaf<'g>(g: DefaultGuard<'g>, leaf: &DefaultLeaf) -> &'g DefaultLeaf {
         g.leaf(NodeRef::from_word(leaf.next().load_plain()))
     }
 
@@ -832,7 +834,7 @@ mod tests {
                 p = next;
             };
             let n = next_leaf(g, e);
-            let min_key = |leaf: &EunoLeaf<4, 4>| {
+            let min_key = |leaf: &DefaultLeaf| {
                 let keys = leaf.segs.iter().filter(|s| s.count_plain() > 0);
                 keys.map(|s| s.key_cell(0).load_plain()).min().unwrap()
             };

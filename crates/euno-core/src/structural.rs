@@ -84,6 +84,9 @@ where
         probe::mark("split:records");
         self.redistribute(tx, leaf, &records[..mid])?;
         self.redistribute(tx, right, &records[mid..])?;
+        let high = tx.read(leaf.fence())?;
+        tx.write(right.fence(), high)?;
+        tx.write(leaf.fence(), sep)?;
 
         // A leaf with a CCM block hands the unpublished right node one of
         // its own: fresh exact mark bits (the left node keeps its superset
@@ -186,7 +189,8 @@ mod tests {
     fn an_aborted_split_leaks_no_node() {
         use crate::ccm::Ccm;
         use crate::config::EunoConfig;
-        use crate::node::{EunoLeaf, IndexNode, INTERNAL_FANOUT};
+        use crate::node::{IndexNode, INTERNAL_FANOUT};
+        use crate::tree::DefaultLeaf;
         for (cfg, blocks_a_leaf) in [(EunoConfig::default(), 0), (EunoConfig::ccm_markbits(), 1)] {
             let rt = Runtime::new_virtual();
             let t = EunoBTreeDefault::with_config(Arc::clone(&rt), cfg);
@@ -205,7 +209,7 @@ mod tests {
                 (stats.leaves, stats.internals)
             );
             assert_eq!(t.blocks.node_count(), stats.leaves * blocks_a_leaf);
-            let leaf = std::mem::size_of::<EunoLeaf<4, 4>>();
+            let leaf = std::mem::size_of::<DefaultLeaf>();
             let index = std::mem::size_of::<IndexNode<INTERNAL_FANOUT>>();
             let mem = t.memory();
             assert_eq!(
@@ -239,10 +243,10 @@ mod tests {
         let mut ctx = rt.thread(1);
         // Fill one leaf, tombstone half, insert again: the overflow path
         // finds enough garbage to reorganize in place instead of split.
-        for k in 0..16u64 {
+        for k in 0..18u64 {
             t.put(&mut ctx, k, k);
         }
-        for k in 0..8u64 {
+        for k in 0..9u64 {
             t.delete(&mut ctx, k);
         }
         probe::take();

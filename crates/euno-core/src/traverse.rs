@@ -24,9 +24,11 @@
 //!    if changed, a concurrent split moved records and the operation
 //!    retries from the root (the rare case).
 //!
-//! Every `seqno` an operation reads is its key's home segment's copy
-//! ([`EunoLeaf::seqno`]), on the key line the leaf search reads first; the
-//! home is computed once, before step 1.
+//! Every `seqno` an operation checks is its key's home segment's copy
+//! ([`EunoLeaf::seqno`]), on the line the leaf search reads first; the
+//! home is computed once, before step 1. (The HTM upper region alone hands
+//! over another copy, the one beside the leaf's fence: the copies are equal
+//! at every commit.)
 //!
 //! The HTM regions run on the layered executor in `euno_htm::exec` under
 //! [`RetryPolicy::DBX`]; the episode-free sections are bounded by the two
@@ -36,7 +38,9 @@ use std::convert::Infallible;
 
 use euno_htm::bptree::upper_bound;
 use euno_htm::euno_metrics::Counter;
-use euno_htm::{AbortCause, Anchor, RetryPolicy, ThreadCtx, TxCell, TxResult, TxWord, TOMBSTONE};
+use euno_htm::{
+    AbortCause, Anchor, RetryPolicy, ThreadCtx, TxCell, TxResult, TxWord, KEY_SENTINEL, TOMBSTONE,
+};
 use euno_rng::Rng;
 
 use crate::ccm::Ccm;
@@ -57,6 +61,22 @@ const NEAR_FULL_SLACK: usize = 4;
 /// the index and one leaf key line), so the budget only has to ride out a
 /// burst of index writes. Sweep in DESIGN.md §4.4.
 const LOCATE_TRIES: u32 = 4;
+
+/// Rounds of the HTM upper region whose pair section may fail before the
+/// region reads the key's home copy of `seqno` itself
+/// ([`EunoBTree::locate`]'s last rung). The tail must exist for the reason
+/// above, and it aborts under every write to the home line, so it has to
+/// stay rare. Swept (`EUNO_BENCH_SCALE=0.3`) on the `paper()` cells with
+/// the most contention — Figure 12 Self-Similar at 12 and 20 threads,
+/// Figure 10 θ = 0.99 at 20, Figure 8 and Figure 13's `+Adaptive` at
+/// θ = 0.99 and 0.9: 4, 8, 16 and 32 rounds read the same to the last
+/// digit (no operation went that far), 1 round 0.1–1.8 % less, and 0 — the
+/// region always reads the pair — 8–68 % less. The floor is set by
+/// `tests/adaptive.rs`'s sixteen threads on one leaf, where a section
+/// fails in long streaks: with 4 rounds the fallback lock's storms left
+/// 0.938 of the calm leaves bypassed (the test wants 0.95); 8 and more
+/// pass.
+const PAIR_ROUNDS: u32 = 16;
 
 /// Episode-free leaf reads a `read_opt` get tries before it goes on to the
 /// CCM stage and the lower region like any other operation. The tail must
@@ -253,32 +273,74 @@ where
         }))
     }
 
-    /// Algorithm 2 lines 23-28 as the paper has them: one HTM region
-    /// finds the leaf and reads its version (the `home` segment's copy).
+    /// Algorithm 2 lines 23-28: one HTM region finds the leaf — and only
+    /// the leaf. Every line of a leaf carries records, and so value writes:
+    /// a region that read one would abort under every put to that segment,
+    /// same-record writers queued on the CCM lock bit included. The
+    /// version is read after the region instead, in a validated section of
+    /// one line: the leaf's fence ([`EunoLeaf::fence`]) and the copy of
+    /// `seqno` beside it ([`EunoLeaf::seqno_beside_fence`]; the copies are
+    /// equal at every commit, so the lower region checks it against the
+    /// key's home copy). A leaf's lower bound never moves while it lives,
+    /// so a fence above `key` proves the leaf covered `key` while its
+    /// `seqno` read what the section read — the pair the lower region
+    /// checks. A fence at or below `key` — the leaf split, or was merged
+    /// away, since the region — sends the search round again; so does a
+    /// section that keeps failing, up to [`PAIR_ROUNDS`] rounds, after
+    /// which the region reads the key's home copy itself, as the paper has
+    /// it — and so does every round if `home_copy`, which an operation
+    /// asks for once the lower region has refused a pair. (What the
+    /// section costs under contention is in DESIGN.md §8.)
     fn upper_region<'g>(
         &self,
         ctx: &mut ThreadCtx,
         g: Guard<'g, SEGS, K>,
         key: u64,
         home: usize,
+        home_copy: bool,
     ) -> Located<'g, SEGS, K> {
-        let out = ctx.htm_execute(&self.ctrl.fallback, &RetryPolicy::DBX, |tx| {
-            tx.set_op_key(key);
-            // A transaction reads a consistent index; an attempt that did
-            // not is doomed, so abort it rather than follow the pointer.
-            let at = self
-                .descend(g, key, None, |cell| tx.read(cell))?
-                .ok_or(AbortCause::Explicit(0x11))?;
-            Ok((at.leaf, tx.read(at.leaf.seqno(home))?, at.low, at.high))
-        });
-        let (leaf, seqno, low, high) = out.value;
-        Located {
-            leaf,
-            seqno,
-            low,
-            high,
-            conflicts: out.conflict_aborts,
+        let mut conflicts = 0;
+        for round in 0.. {
+            // Read inside the region, the home copy always holds: the
+            // region ends on the fallback lock at worst.
+            let inside = home_copy || round >= PAIR_ROUNDS;
+            let out = ctx.htm_execute(&self.ctrl.fallback, &RetryPolicy::DBX, |tx| {
+                tx.set_op_key(key);
+                // A transaction reads a consistent index; an attempt that
+                // did not is doomed, so abort it rather than follow the
+                // pointer.
+                let at = self
+                    .descend(g, key, None, |cell| tx.read(cell))?
+                    .ok_or(AbortCause::Explicit(0x11))?;
+                let seqno = match inside {
+                    true => Some(tx.read(at.leaf.seqno(home))?),
+                    false => None,
+                };
+                Ok((at.leaf, at.low, at.high, seqno))
+            });
+            conflicts += out.conflict_aborts;
+            let (leaf, low, high, seqno) = out.value;
+            let located = |seqno, high| Located {
+                leaf,
+                seqno,
+                low,
+                high,
+                conflicts,
+            };
+            if let Some(seqno) = seqno {
+                return located(seqno, high);
+            }
+            let pair = self.validated_section(ctx, key, &mut { LOCATE_TRIES }, |ctx| {
+                let seqno = leaf.seqno_beside_fence().load_direct(ctx);
+                Some((seqno, leaf.fence().load_direct(ctx)))
+            });
+            // (The last leaf's fence, `KEY_SENTINEL`, covers that key too.)
+            let covers = |&(_, fence): &(u64, u64)| key < fence || fence == KEY_SENTINEL;
+            if let Some((seqno, fence)) = pair.filter(covers) {
+                return located(seqno, high.min(fence));
+            }
         }
+        unreachable!("the round that reads inside the region returns")
     }
 
     /// Run `read` as an episode-free validated section until it holds or
@@ -312,7 +374,8 @@ where
 
     /// The upper stage of every operation: the leaf covering `key`, the
     /// `seqno` it had while it did (the copy on `key`'s home segment, whose
-    /// home this charges), the key range it covered then, and the
+    /// home this charges — or, from the HTM region, the copy beside the
+    /// fence), the key range it covered then, and the
     /// conflict aborts spent finding it. The pair is a *hint* in the sense
     /// of guideline 1 — whoever acts on the leaf re-checks `seqno` where it
     /// acts, and restarts here on a mismatch. The caller holds an epoch
@@ -375,7 +438,7 @@ where
         mut tail: impl FnMut(&mut ThreadCtx, &EunoLeaf<SEGS, K>) -> T,
     ) -> (Located<'g, SEGS, K>, Option<T>) {
         if !self.cfg.read_opt {
-            return (self.upper_region(ctx, g, key, home), None);
+            return (self.upper_region(ctx, g, key, home, false), None);
         }
         let block = key >> HINT_BLOCK_SHIFT;
         // One load serves both ends of the generation rule: it follows this
@@ -452,7 +515,7 @@ where
                 };
                 (at, out)
             }
-            None => (self.upper_region(ctx, g, key, home), None),
+            None => (self.upper_region(ctx, g, key, home, false), None),
         };
         let bits = NodeRef::of_leaf(at.leaf).to_word();
         ctx.hint_record(
@@ -487,7 +550,7 @@ where
         newval: u64,
     ) -> Option<u64> {
         let home = self.home(ctx, key);
-        let mut force_split_lock = false;
+        let (mut force_split_lock, mut refused) = (false, false);
         loop {
             // Step 1: upper stage. A `read_opt` get that a walk answers
             // reads its leaf inside the walk's section and is done there.
@@ -498,6 +561,12 @@ where
                 self.locate_then(ctx, g, key, home, |ctx, leaf| {
                     self.read_record(ctx, leaf, key, home)
                 })
+            } else if refused && !self.cfg.read_opt {
+                // The refused pair was read beside the fence; the next one
+                // is read from the home copy the lower region checks, so
+                // that no operation can loop on two copies that disagree
+                // (`bump_seqno`'s mutation twin is convicted, not hung).
+                (self.upper_region(ctx, g, key, home, true), None)
             } else {
                 (self.locate_then(ctx, g, key, home, |_, _| ()).0, None)
             };
@@ -574,7 +643,10 @@ where
                     }
                     return v;
                 }
-                Lower::Inconsistent => probe::mark("lower:inconsistent"),
+                Lower::Inconsistent => {
+                    probe::mark("lower:inconsistent");
+                    refused = true;
+                }
                 Lower::NeedSplitLock => {
                     force_split_lock = true;
                 }
@@ -639,16 +711,16 @@ mod tests {
     use euno_rng::{Rng, SmallRng};
 
     use super::{Descent, SUBTREE_BLOCK_SHIFT};
-    use crate::node::{EunoLeaf, Guard, NodeRef};
-    use crate::tree::EunoBTreeDefault;
+    use crate::node::NodeRef;
+    use crate::tree::{DefaultGuard, DefaultLeaf, EunoBTreeDefault, DEFAULT_K, DEFAULT_SEGS};
 
     /// Every leaf with the range the index gives it, in key order: a plain
     /// in-order traversal that hands each child the separators around it.
     fn ranges_by_full_traversal(t: &EunoBTreeDefault) -> Vec<(usize, u64, u64)> {
         type Out = Vec<(usize, u64, u64)>;
-        fn visit(g: Guard<4, 4>, node: NodeRef, low: u64, high: u64, out: &mut Out) {
+        fn visit(g: DefaultGuard, node: NodeRef, low: u64, high: u64, out: &mut Out) {
             if node.is_leaf() {
-                out.push((g.leaf(node) as *const EunoLeaf<4, 4> as usize, low, high));
+                out.push((g.leaf(node) as *const DefaultLeaf as usize, low, high));
                 return;
             }
             let n = g.index_node(node);
@@ -715,9 +787,9 @@ mod tests {
                     .partition_point(|&(_, _, high)| high <= key)
                     .min(truth.len() - 1)]
             };
-            let flat = |at: Option<Descent<'_, 4, 4>>| {
+            let flat = |at: Option<Descent<'_, DEFAULT_SEGS, DEFAULT_K>>| {
                 let at = at.expect("quiescent tree");
-                (at.leaf as *const EunoLeaf<4, 4> as usize, at.low, at.high)
+                (at.leaf as *const DefaultLeaf as usize, at.low, at.high)
             };
 
             // A thread of its own for `locate`, so that its tables hold
@@ -725,7 +797,7 @@ mod tests {
             let mut hinted = rt.thread(2);
             let mut anchored = 0;
             ctx.pinned(|ctx, g| {
-                hinted.pinned(|hinted, _: Guard<4, 4>| {
+                hinted.pinned(|hinted, _: DefaultGuard| {
                     for i in 0..10_000 {
                         let key = match i % 4 {
                             // Both ends of the keyspace; on, just below and just
@@ -778,7 +850,7 @@ mod tests {
                         }
 
                         let at = t.locate(hinted, g, key);
-                        let got = (at.leaf as *const EunoLeaf<4, 4> as usize, at.low, at.high);
+                        let got = (at.leaf as *const DefaultLeaf as usize, at.low, at.high);
                         assert_eq!(got, want_key, "locate, key {key}");
                         assert_eq!(at.seqno, at.leaf.seqno(0).load_plain(), "locate, key {key}");
                     }

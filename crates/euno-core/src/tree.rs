@@ -33,11 +33,17 @@ use crate::node::{EunoLeaf, Guard, NodeArenas, NodeRef};
 use crate::rebalance::Sweep;
 use crate::segment::{KeyPad, Keys};
 
-/// The Euno-B+Tree. `SEGS` segments of `K` slots per leaf
-/// (fanout = `SEGS·K`; the paper's default geometry is 16 with partitioned
-/// leaves — `EunoBTree<4, 4>`; `EunoBTree<1, 16>` is the unpartitioned
-/// `+Split HTM` ablation variant).
-pub struct EunoBTree<const SEGS: usize = 4, const K: usize = 4>
+/// Segments a leaf of the default geometry has ([`EunoBTreeDefault`]).
+pub const DEFAULT_SEGS: usize = 6;
+/// Slots a segment of the default geometry has: three keys and their
+/// values, the segment's `seqno` copy and its link word fill one line.
+pub const DEFAULT_K: usize = 3;
+
+/// The Euno-B+Tree. `SEGS` segments of `K` slots per leaf (fanout =
+/// `SEGS·K`): 18 at the default geometry, [`EunoBTreeDefault`], and in
+/// the unpartitioned `+Split HTM` ablation variant,
+/// [`EunoBTreeUnpartitioned`].
+pub struct EunoBTree<const SEGS: usize = DEFAULT_SEGS, const K: usize = DEFAULT_K>
 where
     Keys<K>: KeyPad,
 {
@@ -160,10 +166,8 @@ where
     }
 
     pub(crate) fn clear_segments(&self, tx: &mut Tx<'_>, leaf: &EunoLeaf<SEGS, K>) -> TxResult<()> {
-        let mut sink = Vec::new();
         for seg in &leaf.segs {
-            sink.clear();
-            seg.drain_into(tx, &mut sink)?;
+            seg.write_all(tx, &[])?;
         }
         Ok(())
     }
@@ -216,7 +220,7 @@ where
     }
 
     fn put(&self, ctx: &mut ThreadCtx, key: u64, value: u64) -> Option<u64> {
-        assert!(key < KEY_SENTINEL && value != TOMBSTONE);
+        assert_storable(key, value);
         self.traverse(ctx, Req::Put, key, value)
     }
 
@@ -268,10 +272,26 @@ where
     }
 }
 
-/// The paper's default geometry: 4 segments × 4 slots (fanout 16).
-pub type EunoBTreeDefault = EunoBTree<4, 4>;
-/// The `+Split HTM` ablation variant: one conventional sorted leaf.
-pub type EunoBTreeUnpartitioned = EunoBTree<1, 16>;
+/// What every put checks, single or batched: a key below `KEY_SENTINEL`,
+/// which marks a free slot, and a value other than `TOMBSTONE`, which marks
+/// a deleted record.
+pub(crate) fn assert_storable(key: u64, value: u64) {
+    assert!(
+        key < KEY_SENTINEL && value != TOMBSTONE,
+        "put({key:#x}, {value:#x}): the key must be below KEY_SENTINEL and the value not TOMBSTONE"
+    );
+}
+
+/// The default geometry: six segments of three slots (fanout 18), a
+/// segment a line — 384 B a leaf.
+pub type EunoBTreeDefault = EunoBTree<DEFAULT_SEGS, DEFAULT_K>;
+/// A leaf of the default geometry.
+pub type DefaultLeaf = EunoLeaf<DEFAULT_SEGS, DEFAULT_K>;
+/// What a tree of the default geometry reads its nodes through.
+pub type DefaultGuard<'g> = Guard<'g, DEFAULT_SEGS, DEFAULT_K>;
+/// The `+Split HTM` ablation variant: one conventional sorted leaf of the
+/// default geometry's eighteen slots, in the same 384 B.
+pub type EunoBTreeUnpartitioned = EunoBTree<1, { DEFAULT_SEGS * DEFAULT_K }>;
 
 #[cfg(test)]
 mod tests {
@@ -319,12 +339,16 @@ mod tests {
                 .unwrap()
                 .marks_plain()
         });
-        assert_eq!(marks, 1 << Ccm::slot(1, 32), "the put claimed its mark");
+        assert_eq!(
+            marks,
+            1 << Ccm::slot(1, DefaultLeaf::ccm_bits()),
+            "the put claimed its mark"
+        );
         // A key hashing to an unmarked slot must be answered without
         // entering the lower region: count commits before/after.
         let commits_before = ctx.metric(euno_htm::euno_metrics::Counter::Commits);
         let mut probe = 1000u64;
-        while marks & (1 << Ccm::slot(probe, 32)) != 0 {
+        while marks & (1 << Ccm::slot(probe, DefaultLeaf::ccm_bits())) != 0 {
             probe += 1;
         }
         assert_eq!(t.get(&mut ctx, probe), None);

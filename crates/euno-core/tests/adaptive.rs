@@ -7,7 +7,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Barrier};
 
-use euno_core::{Ccm, EunoBTreeDefault, EunoConfig, EunoLeaf, Guard};
+use euno_core::{Ccm, DefaultGuard, DefaultLeaf, EunoBTreeDefault, EunoConfig};
 use euno_htm::{ConcurrentMap, Runtime, ThreadCtx};
 use euno_rng::{Rng, SmallRng};
 use euno_sim::VirtualScheduler;
@@ -18,15 +18,15 @@ const BOTH: [fn() -> EunoConfig; 2] = [EunoConfig::paper, EunoConfig::default];
 fn leaf_of<'g>(
     tree: &EunoBTreeDefault,
     ctx: &mut ThreadCtx,
-    g: Guard<'g, 4, 4>,
+    g: DefaultGuard<'g>,
     key: u64,
-) -> &'g EunoLeaf<4, 4> {
-    ctx.pinned(|ctx, _: Guard<4, 4>| tree.locate(ctx, g, key).leaf)
+) -> &'g DefaultLeaf {
+    ctx.pinned(|ctx, _: DefaultGuard| tree.locate(ctx, g, key).leaf)
 }
 
 /// The leaf runs no conflict control: it has no CCM block, or its block
 /// says bypass.
-fn bypassed(leaf: &EunoLeaf<4, 4>, g: Guard<'_, 4, 4>) -> bool {
+fn bypassed(leaf: &DefaultLeaf, g: DefaultGuard<'_>) -> bool {
     leaf.ccm(g).is_none_or(|c| c.bypass_plain())
 }
 
@@ -70,14 +70,14 @@ fn a_split_hands_its_verdict_to_both_halves() {
             if protected {
                 tree.pinned(|g| tree.protect_plain(leaf_of(&tree, &mut ctx, g, 0)));
             }
-            // 17 inserts split the 16-slot root leaf — fewer operations
+            // 19 inserts split the 18-slot root leaf — fewer operations
             // than one detector window, so no verdict is re-decided.
-            for key in 0..17u64 {
+            for key in 0..19u64 {
                 tree.put(&mut ctx, key, key);
             }
             tree.pinned(|g| {
                 let left = leaf_of(&tree, &mut ctx, g, 0);
-                let right = leaf_of(&tree, &mut ctx, g, 16);
+                let right = leaf_of(&tree, &mut ctx, g, 18);
                 assert!(!std::ptr::eq(left, right), "the leaf split");
                 assert_eq!(bypassed(left, g), !protected);
                 assert_eq!(bypassed(right, g), !protected);
@@ -252,9 +252,9 @@ fn race_one_slot(
     prepare: impl Fn(&EunoBTreeDefault, &mut ThreadCtx),
     check: impl Fn(&EunoBTreeDefault, &mut ThreadCtx, u32, u64),
 ) {
-    let slot = Ccm::slot(0, 32);
+    let slot = Ccm::slot(0, DefaultLeaf::ccm_bits());
     let keys: Vec<u64> = (0..u64::MAX)
-        .filter(|&k| Ccm::slot(k, 32) == slot)
+        .filter(|&k| Ccm::slot(k, DefaultLeaf::ccm_bits()) == slot)
         .take((THREADS * KEYS_EACH) as usize)
         .collect();
     for cfg in BOTH {

@@ -6,7 +6,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use euno_core::{probe, EunoBTreeDefault, EunoConfig, EunoLeaf, NodeRef};
+use euno_core::{probe, DefaultLeaf, EunoBTreeDefault, EunoConfig, NodeRef};
 use euno_htm::euno_metrics::Counter;
 use euno_htm::{ConcurrentMap, Runtime, ThreadCtx};
 use euno_rng::{Rng, SmallRng};
@@ -23,7 +23,7 @@ type Model = BTreeMap<u64, u64>;
 fn located(tree: &EunoBTreeDefault, ctx: &mut ThreadCtx, key: u64) -> (usize, u64, u64, u64) {
     ctx.pinned(|ctx, g| {
         let at = tree.locate(ctx, g, key);
-        let leaf = at.leaf as *const EunoLeaf<4, 4> as usize;
+        let leaf = at.leaf as *const DefaultLeaf as usize;
         (leaf, at.seqno, at.low, at.high)
     })
 }
@@ -353,7 +353,7 @@ fn a_hint_serves_its_range_and_nothing_else() {
     let mut model = Model::new();
 
     // A root that is a leaf: one range, the whole keyspace.
-    for key in 4..20u64 {
+    for key in 4..22u64 {
         put(&tree, &mut ctx, &mut model, key, key + 1);
     }
     let (root, _, low, high) = located(&tree, &mut ctx, 9);
@@ -366,20 +366,20 @@ fn a_hint_serves_its_range_and_nothing_else() {
     );
     assert_eq!(hits(&ctx) - before, 1);
 
-    // The seventeenth key splits it at 12: block 8..16 straddles the cut.
-    put(&tree, &mut ctx, &mut model, 20, 21);
+    // The nineteenth key splits it at 13: block 8..16 straddles the cut.
+    put(&tree, &mut ctx, &mut model, 22, 23);
     let (left, _, low, cut) = located(&tree, &mut ctx, 9);
-    assert_eq!((low, cut), (0, 12));
+    assert_eq!((low, cut), (0, 13));
     let before = hits(&ctx);
     assert_eq!(located(&tree, &mut ctx, 11), located(&tree, &mut ctx, 9));
     assert_eq!(hits(&ctx) - before, 2, "inside the range: served");
     // The left half's hint must not serve `key ≥ high`…
-    let (right, _, low, high) = located(&tree, &mut ctx, 13);
+    let (right, _, low, high) = located(&tree, &mut ctx, 14);
     assert_ne!(right, left);
-    assert_eq!((low, high), (12, u64::MAX));
+    assert_eq!((low, high), (13, u64::MAX));
     // …nor the right half's `key < low`.
     assert_eq!(located(&tree, &mut ctx, 11).0, left);
-    assert_eq!(located(&tree, &mut ctx, 12).0, right, "the cut itself");
+    assert_eq!(located(&tree, &mut ctx, 13).0, right, "the cut itself");
     assert_eq!(hits(&ctx) - before, 2, "across the cut: walked, every time");
     for key in 0..24u64 {
         assert_eq!(
@@ -407,12 +407,16 @@ fn a_hint_serves_its_range_and_nothing_else() {
 /// addresses a new one may have been given.
 #[test]
 fn no_tree_is_served_another_trees_hint() {
-    const KEYS: u64 = 600;
+    const KEYS: u64 = 75;
+    // One key a hint block (`key >> 3`) — a leaf holds nine keys, so
+    // adjacent ones would put some blocks astride two leaves — and as
+    // many blocks as 600 adjacent keys fill.
+    let keys = || (0..KEYS).map(|k| k << 3);
     let rt = Runtime::new_virtual();
     let mut ctx = rt.thread(1);
     let build = |ctx: &mut ThreadCtx, tag: u64| {
         let tree = EunoBTreeDefault::new(Arc::clone(&rt));
-        for key in 0..KEYS {
+        for key in keys() {
             tree.put(ctx, key, key << 8 | tag);
         }
         tree
@@ -423,7 +427,7 @@ fn no_tree_is_served_another_trees_hint() {
     let (one, two) = (build(&mut ctx, 1), build(&mut ctx, 2));
     for round in 0..3 {
         let before = hits(&ctx);
-        for key in 0..KEYS {
+        for key in keys() {
             assert_eq!(one.get(&mut ctx, key), Some(key << 8 | 1));
             assert_eq!(two.get(&mut ctx, key), Some(key << 8 | 2));
             assert!(owns(&one, &mut ctx, key) && owns(&two, &mut ctx, key));
@@ -437,7 +441,7 @@ fn no_tree_is_served_another_trees_hint() {
 
     drop(one);
     let three = build(&mut ctx, 3);
-    for key in 0..KEYS {
+    for key in keys() {
         assert_eq!(three.get(&mut ctx, key), Some(key << 8 | 3));
         assert_eq!(two.get(&mut ctx, key), Some(key << 8 | 2));
         assert!(owns(&three, &mut ctx, key) && owns(&two, &mut ctx, key));
@@ -447,16 +451,17 @@ fn no_tree_is_served_another_trees_hint() {
 const HOT_THREADS: u64 = 15;
 const OPS_PER_THREAD: u64 = 3_000;
 /// What the hot threads fight over: one preloaded leaf's keys and the gaps
-/// between them, which their inserts fill until the leaf splits.
+/// between them, which their inserts fill and their deletes empty again —
+/// reorganizing the leaf, which holds every key of its range.
 const HOT: std::ops::Range<u64> = 1_000..1_032;
 /// `upper_walk.rs`'s bound on a get from a write-hot leaf; here it holds
 /// every kind of point operation (a scan's is `scan_ladder.rs`'s).
 const MAX_OP_CYCLES: u64 = 20_000;
 
 /// (e) Sixteen logical threads on the virtual clock — fifteen on one
-/// leaf's keys, splitting and reorganizing it under each other's hints,
-/// one uniform. The scheduler runs one op at a time, so a `BTreeMap` is an
-/// exact model of every reply.
+/// leaf's keys, reorganizing it under each other's hints, one uniform,
+/// whose inserts split the chain's last leaf. The scheduler runs one op at
+/// a time, so a `BTreeMap` is an exact model of every reply.
 #[test]
 fn hot_leaf_under_the_scheduler_is_exact_bounded_and_mostly_hits() {
     let rt = Runtime::new_virtual();
@@ -464,7 +469,10 @@ fn hot_leaf_under_the_scheduler_is_exact_bounded_and_mostly_hits() {
     let model = RefCell::new(Model::new());
     {
         let mut ctx = rt.thread(0x10ad);
-        for key in (0..2_000u64).step_by(2) {
+        // 999 keys: the chain's last leaf is full, so the uniform thread's
+        // inserts above it split it (a leaf of nine even keys holds every
+        // key of its range, and only reorganizes).
+        for key in (0..1_998u64).step_by(2) {
             tree.put(&mut ctx, key, key);
             model.borrow_mut().insert(key, key);
         }
@@ -497,7 +505,7 @@ fn hot_leaf_under_the_scheduler_is_exact_bounded_and_mostly_hits() {
                         let value = t << 32 | done;
                         assert_eq!(tree.put(ctx, key, value), model.insert(key, value));
                     }
-                    // The preloaded (even) keys stay.
+                    // The preloaded keys (multiples of four) stay.
                     _ => assert_eq!(tree.delete(ctx, key | 1), model.remove(&(key | 1))),
                 }
                 ctx.stats.ops += 1;
@@ -513,7 +521,7 @@ fn hot_leaf_under_the_scheduler_is_exact_bounded_and_mostly_hits() {
     }
     sched.run();
 
-    assert!(tree.leaf_count_plain() > leaves, "the hot leaf never split");
+    assert!(tree.leaf_count_plain() > leaves, "no leaf split");
     let rate = hot_hits.get() as f64 / hot_ops.get() as f64;
     assert!(
         rate >= 0.5,

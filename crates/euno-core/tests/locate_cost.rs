@@ -5,10 +5,10 @@
 //!
 //! The tree is built the same way every time: 120 000 keys in ascending
 //! order, in three regions of different density, which leaves five index
-//! levels of nodes that hold eight separators each (the root one, its
-//! second child ten) and leaves of eight records, two to a segment. A
-//! subtree-hint block (1 024 keys) is 2 leaves where keys are 64 apart,
-//! 16 leaves where they are 8 apart and 128 leaves where they are
+//! levels of nodes that hold eight separators each (the root one, the
+//! rightmost spine more) and leaves of nine records over six segments of
+//! three. A subtree-hint block (1 024 keys) is two leaves where keys are
+//! 64 apart, fourteen where they are 8 apart and 114 where they are
 //! adjacent, so the deepest index node that holds a whole block — the
 //! anchor — sits one, two and three levels above the leaves.
 //!
@@ -21,12 +21,16 @@
 //! line 2, the other children on lines 3 and 4. One index level of this
 //! tree is the node's count (a new line), three or four probes of its
 //! separators (hits on the count's line, unless the search goes past the
-//! seventh) and the child word (always on a new line).
+//! seventh) and the child word (always on a new line). A leaf segment is
+//! one line — its `seqno` copy, link word, three keys and three values —
+//! and a search of it bisects the three slots: two probes, the first of
+//! which is the line's first touch unless the segment's `seqno` copy was.
 
 use std::sync::Arc;
 
 use euno_core::segment::{home_segment, HOME_ALU};
-use euno_core::EunoBTreeDefault;
+use euno_core::Segment;
+use euno_core::{DefaultGuard, EunoBTreeDefault, DEFAULT_K, DEFAULT_SEGS};
 use euno_htm::euno_metrics::Counter;
 use euno_htm::{ConcurrentMap, CostModel, Runtime, ThreadCtx};
 
@@ -40,33 +44,38 @@ const LEVEL: u64 = 2 * FIRST + 3 * HIT; // 41
 /// eight separators (`child0` is on a child line like any other).
 const LEVEL_4_PROBES: u64 = LEVEL + HIT; // 44
 /// A search that probes the eighth separator or one past it reads the
-/// second key line as well: the two rightmost children of a node of eight
+/// second key line as well: the rightmost child of a node of eight
 /// separators, and the right-hand side of a wider one. 3 lines, 2 hits.
 const LEVEL_PAST_SEVEN: u64 = 3 * FIRST + 2 * HIT; // 54
 /// The root (one separator): count + 1 probe + either child.
 const ROOT: u64 = 2 * FIRST + HIT; // 35
 /// The root word on the way in, the leaf's `seqno` on the way out: the
-/// copy on the key's home segment, whose key line is a new line as the
-/// header line it replaced was.
+/// copy on the key's home segment, whose line is a new line.
 const ENDS: u64 = 2 * FIRST; // 32
-/// Walks from the root, by the levels each search stops at: into the sparse
-/// region (by the root's left child) at two block boundaries, into the
-/// medium one (by its right child, where the next node down takes a fourth
-/// probe) at two, into the dense one (past the seventh separator of the
-/// root's right child, ten wide, and then by a `child0`), and down the
-/// rightmost spine (nodes still filling up, nine to thirteen separators
-/// each, every search past the seventh).
-const FROM_ROOT_SPARSE: u64 = ROOT + 2 * LEVEL + 2 * LEVEL_PAST_SEVEN + ENDS; // 257
-const FROM_ROOT_SPARSE_NEXT: u64 = ROOT + 3 * LEVEL + LEVEL_PAST_SEVEN + ENDS; // 244
-const FROM_ROOT_MEDIUM: u64 = ROOT + LEVEL_4_PROBES + 3 * LEVEL + ENDS; // 234
-const FROM_ROOT_MEDIUM_NEXT: u64 = ROOT + LEVEL_4_PROBES + 2 * LEVEL + LEVEL_PAST_SEVEN + ENDS; // 247
-const FROM_ROOT_DENSE: u64 = ROOT + LEVEL_PAST_SEVEN + 2 * LEVEL + LEVEL_4_PROBES + ENDS; // 247
+/// Walks from the root, by the levels each search stops at (probes in
+/// search order): into the sparse region at two block boundaries — [4 2 3]
+/// [4 2 1 0] [4 2 3] [4 6 7], and [4 2 3] [4 2 1 0] [4 2 3] [4 2 1] two
+/// blocks on; into the medium one, by the root's right child — [4 2 1 0]
+/// [4 2 1 0] [4 2 3] [4 6 7], and [4 2 1 0] [4 2 1 0] [4 6 5] [4 2 3] a
+/// block on; into the dense one — [4 6 5] [4 2 1] [4 6 7] [4 2 3]; and down
+/// the rightmost spine (nodes of eight to thirteen separators, every search
+/// past the seventh).
+const FROM_ROOT_SPARSE: u64 = ROOT + 2 * LEVEL + LEVEL_4_PROBES + LEVEL_PAST_SEVEN + ENDS; // 247
+const FROM_ROOT_SPARSE_NEXT: u64 = ROOT + 3 * LEVEL + LEVEL_4_PROBES + ENDS; // 234
+const FROM_ROOT_MEDIUM: u64 = ROOT + 2 * LEVEL_4_PROBES + LEVEL + LEVEL_PAST_SEVEN + ENDS; // 250
+const FROM_ROOT_MEDIUM_NEXT: u64 = ROOT + 2 * LEVEL_4_PROBES + 2 * LEVEL + ENDS; // 237
+/// The leaf after the one at the medium key — its index node's last
+/// child — is the next index node's first: the same two levels, a search
+/// of three probes, then four to the leftmost child.
+const FROM_ROOT_MEDIUM_AFTER: u64 = ROOT + 3 * LEVEL_4_PROBES + LEVEL + ENDS; // 240
+const FROM_ROOT_DENSE: u64 = ROOT + 3 * LEVEL + LEVEL_PAST_SEVEN + ENDS; // 244
 const FROM_ROOT_SPINE: u64 = ROOT + 4 * LEVEL_PAST_SEVEN + ENDS; // 283
 
-/// What finding a key's home segment is charged: `segment::HOME_ALU`.
-/// `locate` computes the home first, whichever rung answers: every rung
-/// reads the home segment's copy of `seqno`.
-const HOME: u64 = 6;
+/// What finding a key's home segment is charged: `segment::HOME_ALU` — a
+/// multiply, a shift, a multiply and a shift. `locate` computes the home
+/// first, whichever rung answers: every rung reads the home segment's copy
+/// of `seqno`.
+const HOME: u64 = 4;
 
 /// Thread-private memory, charged by hand: a table probe is a hit and two
 /// ALU operations (the hash, the first tag compare), a record a hit; the
@@ -81,8 +90,8 @@ const SECOND_WAY: u64 = 1;
 /// What a walk pays around the descent when both probes missed, and the
 /// leaf it ends on is filed; and when the anchor probe hit in its first
 /// way.
-const AROUND_A_WALK: u64 = HOME + PROBE + GENERATION + PROBE + SECOND_WAY + RECORD; // 23
-const AROUND_A_HINTED_WALK: u64 = HOME + PROBE + GENERATION + PROBE + RECORD; // 22
+const AROUND_A_WALK: u64 = HOME + PROBE + GENERATION + PROBE + SECOND_WAY + RECORD; // 21
+const AROUND_A_HINTED_WALK: u64 = HOME + PROBE + GENERATION + PROBE + RECORD; // 20
 /// A walk from the root may file an anchor: one containment test for each
 /// of the five levels (and the record, if it has one to file).
 const LOOKING: u64 = 5;
@@ -91,36 +100,30 @@ const BACKOFF: u64 = 40;
 
 /// A leaf hit: the home, probe, generation, the leaf's `seqno` outside any
 /// section.
-const LEAF_HIT: u64 = HOME + PROBE + GENERATION + HIT; // 17
+const LEAF_HIT: u64 = HOME + PROBE + GENERATION + HIT; // 15
 
 /// An episode-free read of a key that is there, in a section of its own
-/// (behind a leaf hit): `seqno` (the home segment's copy: a new line
-/// there), the home segment's count (a hit: the same key line), two probes
-/// — what a hit takes among two records, and the third of four — the value
-/// (a new line), `seqno` again. The line that went is the header's: the
-/// count was the key line's first touch, and 13 cycles dearer (63), until
-/// `seqno` moved onto it. One segment, whichever it is: the walk over
-/// segments 0, 1, 2 … that the home search replaced read a key line and
-/// four or five hits for every segment before the key's own.
-const GET_TAIL: u64 = 2 * FIRST + 4 * HIT; // 44
+/// (behind a leaf hit): `seqno` (the home segment's copy: its line's first
+/// touch), two probes and the value (hits: the same line), `seqno` again.
+/// The line that went is the value line, a first touch until keys and
+/// values shared a segment's line (44).
+const GET_TAIL: u64 = FIRST + 4 * HIT; // 28
 /// The same read behind a walk, inside the walk's own section, right after
 /// the walk's `seqno`: no `seqno` load of its own at either end.
-const GET_IN_WALK: u64 = GET_TAIL - FIRST - HIT; // 25
-/// What every full segment before a spilled key's own adds to that: its
-/// count (a new line) and two probes (four records, all below the key).
-const GET_SPILL: u64 = FIRST + 2 * HIT; // 22
+const GET_IN_WALK: u64 = GET_TAIL - FIRST - HIT; // 9
+/// What every full segment before a spilled key's own adds to that: two
+/// probes, the first its line's first touch (all three records are below
+/// the key).
+const GET_SPILL: u64 = FIRST + HIT; // 19
 /// An overwriting put on a calm leaf: the slot hash (3 ALU), the block word
 /// (1 load outside any region: a calm leaf has no CCM block, and claims no
-/// mark), then the lower region — `XBEGIN` 54, three first touches at 26
-/// (the home segment's key line, for `seqno`; its values for the read
-/// set, and again for the write set), three hits (the count and two
-/// probes), `XEND` 16. The load that went is the mark word's, which a
-/// calm put tested while every leaf carried its CCM (166); the line that
-/// went before it is the header's, a fourth first touch (195 with the
-/// home, which `locate` now pays).
-const PUT_TAIL: u64 = 3 + HIT + 54 + 3 * 26 + 3 * HIT + 16; // 163
+/// mark), then the lower region — `XBEGIN` 54, two first touches at 26
+/// (the home segment's line, for `seqno`, the read set; and again for the
+/// write set), three hits (two probes and the old value), `XEND` 16. The
+/// first touch that went is the value line's read (163).
+const PUT_TAIL: u64 = 3 + HIT + 54 + 2 * 26 + 3 * HIT + 16; // 137
 /// The same for a put: a first touch in a region is 26.
-const PUT_SPILL: u64 = 26 + 2 * HIT; // 32
+const PUT_SPILL: u64 = 26 + HIT; // 29
 
 const PER_REGION: u64 = 40_000;
 const STRIDES: [u64; 3] = [64, 8, 1];
@@ -156,7 +159,7 @@ fn build(rt: &Arc<Runtime>) -> (EunoBTreeDefault, [u64; 3]) {
     rt.virt_prune(ctx.clock);
     rt.reset_dynamics();
     let stats = tree.stats();
-    assert_eq!((stats.depth, stats.leaves), (5, 14_999), "{stats:?}");
+    assert_eq!((stats.depth, stats.leaves), (5, 13_333), "{stats:?}");
     (tree, mid)
 }
 
@@ -186,63 +189,54 @@ fn each_rung_of_locate_costs_what_the_arithmetic_says() {
     let (tree, [sparse, medium, dense]) = build(&rt);
     let mut ctx = rt.thread(1);
 
-    // Keys 64 apart. A miss on both rungs: the walk from the root (root's
-    // left child, then levels of 3 probes each, the last two past the
-    // seventh separator) files the leaf and, as the anchor, the leaf's
-    // parent.
+    // Keys 64 apart. A miss on both rungs: the walk from the root files the
+    // leaf and, as the anchor, the node two levels up — the deepest that
+    // holds the key's whole block, the leaf being its parent's last child.
     assert_eq!(
         locate(&tree, &mut ctx, sparse),
-        AROUND_A_WALK + FROM_ROOT_SPARSE + LOOKING + RECORD // 288
+        AROUND_A_WALK + FROM_ROOT_SPARSE + LOOKING + RECORD // 276
     );
     // The same key again: a leaf hit.
     assert_eq!(locate(&tree, &mut ctx, sparse), LEAF_HIT);
-    // The next leaf is the last under that parent — no separator there is
-    // above its keys — so the hint is turned away: one level walked for
-    // nothing (no `seqno` read), then, in the same section, the walk from
-    // the root — whose last level is that one again, five hits now. No
-    // back-off: nothing was contended.
+    // Eight keys on is another leaf-hint block, and another leaf: the
+    // walk starts at the anchor — two levels (4 lines, 6 hits) in place of
+    // five.
     assert_eq!(
         locate(&tree, &mut ctx, sparse + 512),
-        HOME + PROBE
-            + GENERATION
-            + PROBE
-            + LEVEL_PAST_SEVEN
-            + (FROM_ROOT_SPARSE - LEVEL_PAST_SEVEN + 5 * HIT)
-            + LOOKING
-            + 2 * RECORD // 302
+        AROUND_A_HINTED_WALK + LEVEL + LEVEL_4_PROBES + FIRST // 121
     );
     // Two blocks on, both leaves of the block are mid-node: the first
     // visit files the parent, the second leaf is reached from it — one
-    // level (2 lines, 3 hits) in place of five.
+    // level (2 lines, 3 hits).
     assert_eq!(
         locate(&tree, &mut ctx, sparse + 2_048),
-        AROUND_A_WALK + FROM_ROOT_SPARSE_NEXT + LOOKING + RECORD // 275
+        AROUND_A_WALK + FROM_ROOT_SPARSE_NEXT + LOOKING + RECORD // 263
     );
     assert_eq!(
         locate(&tree, &mut ctx, sparse + 2_048 + 512),
-        AROUND_A_HINTED_WALK + LEVEL + FIRST // 79
+        AROUND_A_HINTED_WALK + LEVEL + FIRST // 77
     );
 
-    // Keys 8 apart: a block is 16 leaves and its anchor two levels up
-    // (5 lines, 5 hits).
+    // Keys 8 apart: a block is fourteen leaves and its anchor two levels up
+    // (4 lines, 7 hits).
     assert_eq!(
         locate(&tree, &mut ctx, medium),
-        AROUND_A_WALK + FROM_ROOT_MEDIUM + LOOKING + RECORD // 265
+        AROUND_A_WALK + FROM_ROOT_MEDIUM + LOOKING + RECORD // 279
     );
     assert_eq!(
         locate(&tree, &mut ctx, medium + 64),
-        AROUND_A_HINTED_WALK + LEVEL + LEVEL_PAST_SEVEN + FIRST // 133
+        AROUND_A_HINTED_WALK + LEVEL + LEVEL_4_PROBES + FIRST // 121
     );
 
-    // Adjacent keys: a block is 128 leaves and its anchor three levels up
-    // (7 lines, 10 hits), the middle one of them entered by its `child0`.
+    // Adjacent keys: a block is 114 leaves and its anchor three levels up
+    // (7 lines, 8 hits).
     assert_eq!(
         locate(&tree, &mut ctx, dense),
-        AROUND_A_WALK + FROM_ROOT_DENSE + LOOKING + RECORD // 278
+        AROUND_A_WALK + FROM_ROOT_DENSE + LOOKING + RECORD // 273
     );
     assert_eq!(
         locate(&tree, &mut ctx, dense + 8),
-        AROUND_A_HINTED_WALK + LEVEL + LEVEL_4_PROBES + LEVEL + FIRST // 164
+        AROUND_A_HINTED_WALK + LEVEL + LEVEL_PAST_SEVEN + LEVEL + FIRST // 172
     );
 
     // Past the last key: down the rightmost spine, where no level has a
@@ -250,7 +244,7 @@ fn each_rung_of_locate_costs_what_the_arithmetic_says() {
     // to file.
     assert_eq!(
         locate(&tree, &mut ctx, u64::MAX - 1),
-        AROUND_A_WALK + FROM_ROOT_SPINE + LOOKING // 311
+        AROUND_A_WALK + FROM_ROOT_SPINE + LOOKING // 309
     );
 }
 
@@ -264,7 +258,7 @@ fn each_rung_of_locate_costs_what_the_arithmetic_says() {
 fn a_second_way_anchor_hit_costs_one_alu_more_than_a_first_way_hit() {
     let rt = Runtime::new_virtual();
     let (tree, [_, medium, dense]) = build(&rt);
-    let first_way = AROUND_A_HINTED_WALK + LEVEL + LEVEL_PAST_SEVEN + FIRST; // 133
+    let first_way = AROUND_A_HINTED_WALK + LEVEL + LEVEL_4_PROBES + FIRST; // 121
     let (mut shared, mut apart) = (0, 0);
     // Every other block of the tree: each one's walk files an anchor.
     let others = (0..=dense >> 10).filter(|&b| b != medium >> 10);
@@ -293,25 +287,24 @@ fn an_uncontended_get_and_put_cost_their_rung_plus_a_fixed_tail() {
     let rt = Runtime::new_virtual();
     let (tree, [_, medium, _]) = build(&rt);
     let mut ctx = rt.thread(1);
-    let subtree_hit = AROUND_A_HINTED_WALK + LEVEL + LEVEL_PAST_SEVEN + FIRST; // 133
+    let subtree_hit = AROUND_A_HINTED_WALK + LEVEL + LEVEL_4_PROBES + FIRST; // 121
     let next = medium + 1024;
 
-    // Every key here is the first of its leaf. A get that a walk answers
-    // reads the leaf in the walk's section; one behind a leaf hit, in a
-    // section of its own.
+    // A get that a walk answers reads the leaf in the walk's section; one
+    // behind a leaf hit, in a section of its own.
     assert_eq!(
         get(&tree, &mut ctx, medium),
-        AROUND_A_WALK + FROM_ROOT_MEDIUM + LOOKING + RECORD + GET_IN_WALK // 290
+        AROUND_A_WALK + FROM_ROOT_MEDIUM + LOOKING + RECORD + GET_IN_WALK // 288
     );
-    assert_eq!(get(&tree, &mut ctx, medium + 64), subtree_hit + GET_IN_WALK); // 158
-    assert_eq!(get(&tree, &mut ctx, medium + 64), LEAF_HIT + GET_TAIL); // 61
+    assert_eq!(get(&tree, &mut ctx, medium + 64), subtree_hit + GET_IN_WALK); // 130
+    assert_eq!(get(&tree, &mut ctx, medium + 64), LEAF_HIT + GET_TAIL); // 43
 
     assert_eq!(
         put(&tree, &mut ctx, next),
-        AROUND_A_WALK + FROM_ROOT_MEDIUM_NEXT + LOOKING + RECORD + PUT_TAIL // 441
+        AROUND_A_WALK + FROM_ROOT_MEDIUM_NEXT + LOOKING + RECORD + PUT_TAIL // 403
     );
-    assert_eq!(put(&tree, &mut ctx, medium + 128), subtree_hit + PUT_TAIL); // 296
-    assert_eq!(put(&tree, &mut ctx, medium + 128), LEAF_HIT + PUT_TAIL); // 180
+    assert_eq!(put(&tree, &mut ctx, medium + 128), subtree_hit + PUT_TAIL); // 258
+    assert_eq!(put(&tree, &mut ctx, medium + 128), LEAF_HIT + PUT_TAIL); // 152
 }
 
 #[test]
@@ -320,28 +313,39 @@ fn a_key_costs_one_segment_whichever_segment_holds_it() {
     let (tree, [sparse, _, dense]) = build(&rt);
     let mut ctx = rt.thread(1);
 
-    // Where keys are adjacent a leaf's eight keys are one leaf-hint block
-    // and sit two to a segment: once the leaf is found, each of them is a
-    // leaf hit and the same tail — the key in the fourth segment as the
-    // key in the first.
-    get(&tree, &mut ctx, dense);
-    let mut homes = [0; 4];
-    for key in dense..dense + 8 {
-        homes[home_segment(key, 4)] += 1;
-        assert_eq!(get(&tree, &mut ctx, key), LEAF_HIT + GET_TAIL, "get {key}"); // 61
+    // Where keys are adjacent a leaf's nine keys are one leaf-hint block
+    // (eight keys) and a key more, one or two to a segment: once the leaf
+    // is found, each key of the block is a leaf hit and the same tail —
+    // the key in the sixth segment as the key in the first. (A thread of
+    // its own finds a block that lies in one leaf.)
+    let block = (dense..dense + 64)
+        .step_by(8)
+        .find(|&block| {
+            let mut scout = rt.thread(2);
+            scout.pinned(|scout, g| {
+                let at = tree.locate(scout, g, block);
+                at.low <= block && block + 8 <= at.high
+            })
+        })
+        .expect("a leaf-hint block inside one leaf");
+    get(&tree, &mut ctx, block);
+    let mut homes = [0; DEFAULT_SEGS];
+    for key in block..block + 8 {
+        homes[home_segment(key, DEFAULT_SEGS)] += 1;
+        assert_eq!(get(&tree, &mut ctx, key), LEAF_HIT + GET_TAIL, "get {key}"); // 43
         assert_eq!(put(&tree, &mut ctx, key), LEAF_HIT + PUT_TAIL, "put {key}");
-        // 180
+        // 152
     }
-    assert_eq!(homes, [2; 4]);
+    assert!(homes.iter().all(|&n| (1..=2).contains(&n)), "{homes:?}");
 
-    // A key that is not there costs its home segment and no other: count
-    // and two probes (both records are above the first key's successor,
-    // which has another home than the first key), no value line.
+    // A key that is not there costs its home segment and no other: two
+    // probes, then the last slot (free: the segment has room) where a hit
+    // loaded the value — the same count.
     let absent = sparse + 1;
     get(&tree, &mut ctx, sparse);
     let start = ctx.clock;
     assert_eq!(tree.get(&mut ctx, absent), None);
-    assert_eq!(ctx.clock - start, LEAF_HIT + GET_TAIL - FIRST); // 45
+    assert_eq!(ctx.clock - start, LEAF_HIT + GET_TAIL); // 43
 }
 
 #[test]
@@ -349,10 +353,10 @@ fn a_spilled_key_costs_one_segment_more_per_full_segment_before_it() {
     let rt = Runtime::new_virtual();
     let tree = EunoBTreeDefault::new(Arc::clone(&rt));
     let mut ctx = rt.thread(1);
-    // Ten keys of one home, ascending: four fill the home segment, four
-    // the next one, the ninth is alone in the third. All in the root leaf.
+    // Ten keys of one home, ascending: three fill the home segment, three
+    // the next one, three the one after. All in the root leaf.
     let keys: Vec<u64> = (0..)
-        .filter(|&k| home_segment(k, 4) == 0)
+        .filter(|&k| home_segment(k, DEFAULT_SEGS) == 0)
         .take(10)
         .collect();
     for &key in &keys[..9] {
@@ -367,54 +371,107 @@ fn a_spilled_key_costs_one_segment_more_per_full_segment_before_it() {
             true => put(&tree, ctx, key),
         }
     };
-    // The third of four: two probes, as for one of two.
     assert_eq!(second(&mut ctx, keys[2], false), LEAF_HIT + GET_TAIL);
     assert_eq!(second(&mut ctx, keys[2], true), LEAF_HIT + PUT_TAIL);
-    assert_eq!(
-        second(&mut ctx, keys[6], false),
-        LEAF_HIT + GET_TAIL + GET_SPILL
-    );
-    assert_eq!(
-        second(&mut ctx, keys[6], true),
-        LEAF_HIT + PUT_TAIL + PUT_SPILL
-    );
-    // Alone in its segment: one probe.
-    assert_eq!(
-        second(&mut ctx, keys[8], false),
-        LEAF_HIT + GET_TAIL + 2 * GET_SPILL - HIT
-    );
-    assert_eq!(
-        second(&mut ctx, keys[8], true),
-        LEAF_HIT + PUT_TAIL + 2 * PUT_SPILL - HIT
-    );
-    // A key of that home that is not there stops where that one is: the
-    // first segment on the path with room. One probe there, no value line.
+    // Two full segments before it, first or last of its own.
+    for key in [keys[6], keys[8]] {
+        assert_eq!(
+            second(&mut ctx, key, false),
+            LEAF_HIT + GET_TAIL + 2 * GET_SPILL // 81
+        );
+        assert_eq!(
+            second(&mut ctx, key, true),
+            LEAF_HIT + PUT_TAIL + 2 * PUT_SPILL // 210
+        );
+    }
+    // A key of that home that is not there stops where it would go: the
+    // first segment on the path with room — three segments on, a line and
+    // a probe, then its last slot where a hit loads the value.
     assert_eq!(tree.get(&mut ctx, keys[9]), None);
     let start = ctx.clock;
     assert_eq!(tree.get(&mut ctx, keys[9]), None);
-    assert_eq!(
-        ctx.clock - start,
-        LEAF_HIT + GET_TAIL + 2 * GET_SPILL - HIT - FIRST
-    );
+    assert_eq!(ctx.clock - start, LEAF_HIT + GET_TAIL + 3 * GET_SPILL); // 100
 }
 
-/// One leaf step of an undisturbed scan over a leaf of eight records, two
-/// to a segment. A section to a segment (count and values on new lines,
-/// keys on the count's): 2 lines, 3 hits; the last section goes on to
-/// `next` (a hit: the last segment's key line, which that section has
-/// just read), the successor's `seqno` (the copy beside its `next`: a new
-/// line) and the leaf's own (the copy beside `next`: a hit); one ALU
-/// operation a record delivered. 9 lines — eight of segments, the
-/// successor's last key line — and 14 hits. The line that went is the
-/// leaf's header, where `next` and `seqno` were a first touch (207).
-const SCAN_SEGMENT: u64 = 2 * FIRST + 3 * HIT; // 41
-const SCAN_STEP: u64 = 4 * SCAN_SEGMENT + FIRST + 2 * HIT + 8; // 194
+/// The keys of one leaf, segment by segment.
+type LeafKeys = Vec<Vec<u64>>;
+
+/// The records of `keys` a read with its cursor at `from` keeps.
+fn kept(keys: &[u64], from: u64) -> usize {
+    keys.iter().filter(|&&k| k >= from).count()
+}
+
+/// The loads that read a segment holding `keys` with the cursor at `from`:
+/// every key, the free slot's sentinel if it has one, and a value only
+/// beside a key at or above the cursor.
+fn loads(keys: &[u64], from: u64) -> u64 {
+    (keys.len() + usize::from(keys.len() < DEFAULT_K) + kept(keys, from)) as u64
+}
+
+/// One section of a leaf step over such a segment: the first load is its
+/// line's first touch.
+fn section(keys: &[u64], from: u64) -> u64 {
+    FIRST + HIT * (loads(keys, from) - 1)
+}
+
+/// A leaf step with the cursor at `from`: a section a segment — but
+/// `carried`, which the section that found the leaf read — and in the
+/// closing one `next` and the leaf's own `seqno` (hits: the last segment's
+/// line); one ALU operation a record kept and sorted. `successor` is what
+/// the closing section reads of the leaf after, where the scan goes on:
+/// its `seqno` (a first touch) and its segment 0, which the next step is
+/// handed.
+fn step(leaf: &LeafKeys, from: u64, carried: Option<usize>, successor: Option<&[u64]>) -> u64 {
+    let read = (leaf.iter().enumerate()).filter(|&(i, _)| Some(i) != carried);
+    let sections: u64 = read.map(|(_, keys)| section(keys, from)).sum();
+    let records: usize = leaf.iter().map(|keys| kept(keys, from)).sum();
+    let next = successor.map_or(0, |seg0| FIRST + HIT * loads(seg0, from));
+    sections + 2 * HIT + next + records as u64
+}
+
+/// What a walk that found a leaf reads of it inside its own section, after
+/// the `seqno` copy on `home`: that segment's records at or above the
+/// cursor (hits), unless `home` is the last segment, which the closing
+/// section reads.
+fn carried_by_walk(leaf: &LeafKeys, from: u64, home: usize) -> (Option<usize>, u64) {
+    match home + 1 < DEFAULT_SEGS {
+        true => (Some(home), HIT * loads(&leaf[home], from)),
+        false => (None, 0),
+    }
+}
 
 #[test]
 fn a_quiescent_scan_costs_its_rung_plus_a_fixed_step_per_leaf() {
     let rt = Runtime::new_virtual();
     let (tree, [_, medium, _]) = build(&rt);
     let mut ctx = rt.thread(1);
+    // The first key of the leaf after the one at `medium` — which starts
+    // below `medium`, in the subtree-hint block before — and the keys of it
+    // and of the two leaves after it, segment by segment.
+    let (from, leaves) = tree.pinned(|g| {
+        let mut scout = rt.thread(2);
+        scout.pinned(|scout, _: DefaultGuard| {
+            let low = tree.locate(scout, g, medium + 72).low;
+            let mut keys = |key: u64| -> LeafKeys {
+                let leaf = tree.locate(scout, g, key).leaf;
+                let seg = |s: &Segment<DEFAULT_K>| {
+                    (0..s.count_plain())
+                        .map(|i| s.key_cell(i).load_plain())
+                        .collect()
+                };
+                leaf.segs.iter().map(seg).collect()
+            };
+            (low, [keys(low), keys(low + 72), keys(low + 144)])
+        })
+    });
+    for (i, leaf) in leaves.iter().enumerate() {
+        let mut all: Vec<u64> = leaf.concat();
+        all.sort_unstable();
+        assert!(all
+            .iter()
+            .copied()
+            .eq((0..9).map(|j| from + 72 * i as u64 + 8 * j)));
+    }
     let mut out = Vec::new();
     let mut scan = |ctx: &mut ThreadCtx, from: u64| {
         let start = ctx.clock;
@@ -426,23 +483,41 @@ fn a_quiescent_scan_costs_its_rung_plus_a_fixed_step_per_leaf() {
             .eq((0..16).map(|i| from + 8 * i)));
         ctx.clock - start
     };
-    let miss = AROUND_A_WALK + FROM_ROOT_MEDIUM + LOOKING + RECORD; // 265
+    let walk = AROUND_A_WALK + FROM_ROOT_MEDIUM_AFTER + LOOKING + RECORD; // 269
 
     // Sixteen records are two leaves: the first is located, the second
-    // comes with the first's closing section and costs no walk.
-    assert_eq!(scan(&mut ctx, medium), miss + 2 * SCAN_STEP); // 653
-    assert_eq!(scan(&mut ctx, medium), LEAF_HIT + 2 * SCAN_STEP); // 405
+    // comes with the first's closing section, its segment 0 carried, and —
+    // holding the seven records the scan still wants — reads no successor.
+    // The walk that locates the first reads the key's home segment inside
+    // its own section, after the `seqno` copy there, and the step skips
+    // it. The step the line went from (194, two leaves of eight) read a
+    // key line and a value line a segment, and its successor's `seqno` on
+    // a line no record was on.
+    let (carried, in_walk) = carried_by_walk(&leaves[0], from, home_segment(from, DEFAULT_SEGS));
+    let second = step(&leaves[1], from, Some(0), None); // 128
+    let first = step(&leaves[0], from, carried, Some(&leaves[1][0])); // 165
+    assert_eq!(scan(&mut ctx, from), walk + in_walk + first + second); // 577
+                                                                       // Behind a leaf hit the first step reads every segment itself.
+    let first = step(&leaves[0], from, None, Some(&leaves[1][0])); // 193
+    assert_eq!(scan(&mut ctx, from), LEAF_HIT + first + second); // 336
 
-    // From mid-leaf (another slot of the leaf-hint table: the walk starts
-    // at the subtree hint) the scan ends in a third leaf: of the records
-    // below the cursor the keys are read and the values not, and none is
-    // delivered (4 fewer hits, 4 fewer ALU operations — one record of
-    // each segment, so every value line is still read; 698 while their
-    // values were loaded), the third leaf is read whole for its first
-    // four.
-    let subtree_hit = AROUND_A_HINTED_WALK + 2 * LEVEL + FIRST; // 120
+    // From mid-leaf, four records in (another slot of the leaf-hint
+    // table, the same subtree-hint block: the walk starts at the anchor
+    // the first scan filed, two levels up) the scan ends in a third leaf.
+    // Of the records below the cursor the keys are read and the values
+    // not, and none is delivered or sorted — in the segment the walk
+    // carries as well; the second leaf's closing section reads the third's
+    // segment 0, and the third is read whole for its first two records.
+    // The line went from three leaves of eight at a fixed step (686).
+    let mid = from + 32;
+    assert_eq!(mid >> 10, from >> 10);
+    let (carried, in_walk) = carried_by_walk(&leaves[0], mid, home_segment(mid, DEFAULT_SEGS));
+    let subtree_hit = AROUND_A_HINTED_WALK + LEVEL + LEVEL_4_PROBES + FIRST; // 121
+    let first = step(&leaves[0], mid, carried, Some(&leaves[1][0])); // 152
+    let second = step(&leaves[1], mid, Some(0), Some(&leaves[2][0])); // 147
+    let third = step(&leaves[2], mid, Some(0), None); // 143
     assert_eq!(
-        scan(&mut ctx, medium + 32),
-        subtree_hit + 3 * SCAN_STEP - 4 * HIT - 4 // 686
+        scan(&mut ctx, mid),
+        subtree_hit + in_walk + first + second + third // 575
     );
 }

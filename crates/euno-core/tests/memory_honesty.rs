@@ -10,7 +10,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use euno_core::{Ccm, EunoBTree, EunoConfig, EunoLeaf, IndexNode, KeyPad, Keys, INTERNAL_FANOUT};
+use euno_core::{
+    Ccm, DefaultLeaf, EunoBTree, EunoConfig, EunoLeaf, IndexNode, KeyPad, Keys, DEFAULT_K,
+    DEFAULT_SEGS, INTERNAL_FANOUT,
+};
 use euno_htm::{fresh_owner, ConcurrentMap, Runtime};
 use euno_rng::{Rng, SmallRng};
 
@@ -40,6 +43,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
+/// A leaf: six segment lines at the default geometry, and one segment of
+/// six lines unpartitioned (DESIGN.md §8).
+const LEAF_BYTES: usize = 384;
 /// An index node: five lines (DESIGN.md §4.4).
 const INDEX_BYTES: usize = 320;
 /// A CCM block: one line.
@@ -64,7 +70,7 @@ where
     assert!(stats.leaves > 1_000 && stats.internals > 50, "{stats:?}");
     assert_eq!(
         mem.structural_bytes,
-        stats.leaves * std::mem::size_of::<EunoLeaf<S, K>>() + stats.internals * INDEX_BYTES,
+        stats.leaves * LEAF_BYTES + stats.internals * INDEX_BYTES,
         "<{S}, {K}>: {mem:?}"
     );
     assert_eq!(
@@ -83,27 +89,37 @@ fn structural_and_ccm_bytes_are_the_nodes_the_tree_holds() {
         INDEX_BYTES
     );
     assert_eq!(std::mem::size_of::<Ccm>(), BLOCK_BYTES);
-    // Eight segment lines; the unpartitioned leaf's key area is three
-    // lines, its values two. Neither carries a CCM line.
-    assert_eq!(std::mem::size_of::<EunoLeaf<4, 4>>(), 512);
-    assert_eq!(std::mem::size_of::<EunoLeaf<1, 16>>(), 320);
+    // Six segment lines, each a segment's `seqno` copy, link word, keys
+    // and values; the unpartitioned leaf's one segment is the same six
+    // lines. Neither carries a CCM line.
+    assert_eq!(std::mem::size_of::<DefaultLeaf>(), LEAF_BYTES);
+    assert_eq!(std::mem::size_of::<EunoLeaf<1, 18>>(), LEAF_BYTES);
     // A single-threaded preload meets no conflict, so no leaf earns a
     // block…
-    assert_eq!(accounted::<4, 4>(EunoConfig::default(), 40_000).1, 0);
-    assert_eq!(accounted::<4, 4>(EunoConfig::paper(), 40_000).1, 0);
-    assert_eq!(accounted::<1, 16>(EunoConfig::paper(), 40_000).1, 0);
+    assert_eq!(
+        accounted::<DEFAULT_SEGS, DEFAULT_K>(EunoConfig::default(), 40_000).1,
+        0
+    );
+    assert_eq!(
+        accounted::<DEFAULT_SEGS, DEFAULT_K>(EunoConfig::paper(), 40_000).1,
+        0
+    );
+    assert_eq!(accounted::<1, 18>(EunoConfig::paper(), 40_000).1, 0);
     // …without the detector every leaf has one from birth (Figure 13's
     // lock-bit and mark-bit rungs)…
     for cfg in [EunoConfig::ccm_lockbits(), EunoConfig::ccm_markbits()] {
-        let (leaves, blocks) = accounted::<4, 4>(cfg, 40_000);
+        let (leaves, blocks) = accounted::<DEFAULT_SEGS, DEFAULT_K>(cfg, 40_000);
         assert_eq!(blocks, leaves);
     }
     // …and with no CCM bits no leaf ever has one.
     assert_eq!(
-        accounted::<1, 16>(EunoConfig::split_htm_only(), 40_000).1,
+        accounted::<1, 18>(EunoConfig::split_htm_only(), 40_000).1,
         0
     );
-    assert_eq!(accounted::<4, 4>(EunoConfig::part_leaf(), 40_000).1, 0);
+    assert_eq!(
+        accounted::<DEFAULT_SEGS, DEFAULT_K>(EunoConfig::part_leaf(), 40_000).1,
+        0
+    );
 }
 
 /// A thread's first hint record allocates both tables — 1 024 leaf hints

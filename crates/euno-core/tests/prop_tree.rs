@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use euno_core::segment::home_segment;
-use euno_core::{EunoBTree, EunoConfig};
+use euno_core::{EunoBTree, EunoBTreeDefault, EunoConfig, DEFAULT_K, DEFAULT_SEGS};
 use euno_htm::{ConcurrentMap, Runtime};
 use euno_rng::{Rng, SmallRng};
 
@@ -87,7 +87,7 @@ fn full_config_matches_model() {
     for _ in 0..CASES {
         let ops = random_ops(&mut rng, 128, 400);
         for cfg in both() {
-            check_against_model::<4, 4>(cfg, &ops);
+            check_against_model::<DEFAULT_SEGS, DEFAULT_K>(cfg, &ops);
         }
     }
 }
@@ -98,7 +98,7 @@ fn split_only_matches_model() {
     let mut rng = SmallRng::seed_from_u64(0x5911);
     for _ in 0..CASES {
         let ops = random_ops(&mut rng, 128, 400);
-        check_against_model::<1, 16>(EunoConfig::split_htm_only(), &ops);
+        check_against_model::<1, 18>(EunoConfig::split_htm_only(), &ops);
     }
 }
 
@@ -108,18 +108,19 @@ fn ccm_markbits_matches_model() {
     let mut rng = SmallRng::seed_from_u64(0xcc3b);
     for _ in 0..CASES {
         let ops = random_ops(&mut rng, 128, 400);
-        check_against_model::<4, 4>(EunoConfig::ccm_markbits(), &ops);
+        check_against_model::<DEFAULT_SEGS, DEFAULT_K>(EunoConfig::ccm_markbits(), &ops);
     }
 }
 
-/// An unusual leaf geometry (2 segments × 8 slots).
+/// An unusual leaf geometry (3 segments × 6 slots, two lines each: the
+/// block word on segment 0's spare words).
 #[test]
 fn alternate_geometry_matches_model() {
     let mut rng = SmallRng::seed_from_u64(0xa17);
     for _ in 0..CASES {
         let ops = random_ops(&mut rng, 96, 300);
         for cfg in both() {
-            check_against_model::<2, 8>(cfg, &ops);
+            check_against_model::<3, 6>(cfg, &ops);
         }
     }
 }
@@ -131,7 +132,7 @@ fn dense_keyspace_splits_are_sound() {
     for _ in 0..CASES {
         let ops = random_ops(&mut rng, 24, 500);
         for cfg in both() {
-            check_against_model::<4, 4>(cfg, &ops);
+            check_against_model::<DEFAULT_SEGS, DEFAULT_K>(cfg, &ops);
         }
     }
 }
@@ -146,7 +147,7 @@ fn maintenance_preserves_the_model() {
         let maintain_every = rng.gen_range(10usize..60);
         for cfg in both() {
             let rt = Runtime::new_virtual();
-            let tree: EunoBTree<4, 4> = EunoBTree::with_config(Arc::clone(&rt), cfg);
+            let tree = EunoBTreeDefault::with_config(Arc::clone(&rt), cfg);
             let mut ctx = rt.thread(1);
             let mut model: BTreeMap<u64, u64> = BTreeMap::new();
             for (i, op) in ops.iter().enumerate() {
@@ -216,9 +217,9 @@ where
 fn adversarial_key_sets_fill_a_leaf_before_it_splits() {
     let mut rng = SmallRng::seed_from_u64(0x401e);
     let mut sets: Vec<Vec<u64>> = Vec::new();
-    for home in 0..4 {
+    for home in 0..DEFAULT_SEGS {
         let base = rng.gen_range(0..1u64 << 40);
-        let one_home = (base..).filter(|&k| home_segment(k, 4) == home);
+        let one_home = (base..).filter(|&k| home_segment(k, DEFAULT_SEGS) == home);
         sets.push(one_home.take(80).collect());
     }
     for stride in [2u64, 4, 8, 64] {
@@ -236,8 +237,8 @@ fn adversarial_key_sets_fill_a_leaf_before_it_splits() {
         }
         for keys in [&ascending, &shuffled] {
             for cfg in both() {
-                fills_before_it_splits::<4, 4>(cfg.clone(), keys);
-                fills_before_it_splits::<2, 8>(cfg, keys);
+                fills_before_it_splits::<DEFAULT_SEGS, DEFAULT_K>(cfg.clone(), keys);
+                fills_before_it_splits::<3, 6>(cfg, keys);
             }
         }
     }

@@ -12,15 +12,16 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use euno_core::{probe, EunoBTreeDefault, EunoConfig, EunoLeaf, NodeRef};
+use euno_core::{probe, DefaultLeaf, EunoBTreeDefault, EunoConfig, NodeRef};
 use euno_htm::euno_metrics::Counter;
 use euno_htm::{Backend, ConcurrentMap, CostModel, Runtime, ThreadCtx};
 use euno_rng::{Rng, SmallRng};
 
 /// Preloaded keys are multiples of this: sixteen to a subtree-hint block,
-/// eight to a leaf once an ascending load has split it, so a block is two
-/// leaves and every key is a leaf-hint block of its own — a second key of
-/// the same leaf misses the first rung and lands on the second.
+/// nine to a leaf once an ascending load has split it, so a block is two
+/// leaves or parts of three, and every key is a leaf-hint block of its own
+/// — a second key of the same leaf misses the first rung and lands on the
+/// second.
 const STEP: u64 = 64;
 const BLOCK: u64 = 1024;
 
@@ -30,7 +31,7 @@ type Model = BTreeMap<u64, u64>;
 fn located(tree: &EunoBTreeDefault, ctx: &mut ThreadCtx, key: u64) -> (usize, u64, u64) {
     ctx.pinned(|ctx, g| {
         let at = tree.locate(ctx, g, key);
-        (at.leaf as *const EunoLeaf<4, 4> as usize, at.low, at.high)
+        (at.leaf as *const DefaultLeaf as usize, at.low, at.high)
     })
 }
 
@@ -230,7 +231,7 @@ fn get_after_the_hinted_node_split(mutation: Option<&'static str>) -> (Option<u6
     let index_nodes = f.tree.stats().internals;
     for leaf in first..first + len {
         let low = f.leaves[leaf].keys[0];
-        for filler in low + 1..low + 10 {
+        for filler in low + 1..low + 11 {
             f.put(filler);
         }
         if f.tree.stats().internals > index_nodes {
@@ -280,8 +281,9 @@ fn the_old_root_serves_what_it_kept_when_the_root_grows() {
     let mut f = fixture(100);
     assert_eq!(f.tree.stats().depth, 1);
     let root = f.leaves[0].parent;
-    let (low, high) = (f.leaves[2].keys.clone(), f.leaves[10].keys.clone());
-    assert_eq!((low[0] % BLOCK, high[0] % BLOCK), (0, 0));
+    let (low, high) = (f.leaves[2].keys.clone(), f.leaves[9].keys.clone());
+    let one_block = |keys: &[u64]| keys[0] / BLOCK == keys[3] / BLOCK;
+    assert!(one_block(&low) && one_block(&high));
     for keys in [&low, &high] {
         f.expect(keys[0], (0, 0, 0), "first visit");
         f.expect(keys[1], (1, 0, 0), "from the root");
@@ -313,12 +315,13 @@ fn a_merge_that_drops_the_narrowing_separator_costs_one_walk() {
     f.expect(left[1], (1, 0, 0), "from the node");
 
     // Thin the right leaf only: the left one stays too full for *its*
-    // left neighbour to absorb it first.
-    for &key in &right[..right.len() - 1] {
+    // left neighbour to absorb it first. Its first key, which is in the
+    // block, survives.
+    for &key in &right[1..] {
         f.delete(key);
     }
     assert_eq!(f.tree.maintain(&mut f.b), 1);
-    let survivor = *right.last().unwrap();
+    let survivor = right[0];
     assert_eq!(
         located(&f.tree, &mut f.b, survivor),
         located(&f.tree, &mut f.b, left[0]),

@@ -10,7 +10,7 @@ use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use euno_core::segment::home_segment;
-use euno_core::{probe, EunoBTreeDefault, EunoConfig, EunoLeaf, NodeRef};
+use euno_core::{probe, DefaultLeaf, EunoBTreeDefault, EunoConfig, NodeRef, DEFAULT_SEGS};
 use euno_htm::euno_metrics::Counter;
 use euno_htm::{Backend, ConcurrentMap, Runtime, ThreadCtx};
 use euno_rng::{Rng, SmallRng};
@@ -43,11 +43,16 @@ enum Op {
 
 type Model = Rc<RefCell<BTreeMap<u64, u64>>>;
 
-/// Address and `seqno` of the leaf `locate` hands over for `key`.
+/// Address of the leaf `locate` hands over for `key`, and that leaf's copy
+/// of `seqno` on `key`'s home segment. (`paper()`'s upper region hands
+/// over the copy beside the fence; the copies are equal at every commit,
+/// unless a writer breaks the one-copy rule, and then the home copy is
+/// the one `key`'s lower region checks.)
 fn located(tree: &EunoBTreeDefault, ctx: &mut ThreadCtx, key: u64) -> (usize, u64) {
     ctx.pinned(|ctx, g| {
         let found = tree.locate(ctx, g, key);
-        (found.leaf as *const EunoLeaf<4, 4> as usize, found.seqno)
+        let home = found.leaf.seqno(home_segment(key, DEFAULT_SEGS));
+        (found.leaf as *const DefaultLeaf as usize, home.load_plain())
     })
 }
 
@@ -143,7 +148,9 @@ impl Stage {
     }
 
     /// `between`, carried out by a fresh logical thread whose clock starts
-    /// at `clock` on the leaf that holds `target` when it starts.
+    /// at `clock` on the leaf that holds `target` when it starts. Its own
+    /// operations leave no probe marks: the marks a test counts are the
+    /// interrupted operation's.
     fn interruption(
         &self,
         between: Between,
@@ -153,6 +160,7 @@ impl Stage {
     ) -> impl FnOnce() + 'static {
         let (stage, what) = (self.clone(), what.to_owned());
         move || {
+            let before = probe::take();
             let Stage {
                 rt,
                 tree,
@@ -212,6 +220,8 @@ impl Stage {
                     assert!(!chained(tree, leaf0), "{what}: a pinned leaf was reused");
                 }
             }
+            probe::take();
+            before.into_iter().for_each(probe::mark);
         }
     }
 }
@@ -369,7 +379,7 @@ fn replicas(
     );
     let (stage, mut ctx) = Stage::new(cfg);
     let (tree, model) = (&stage.tree, &stage.model);
-    let homed_away = |key: &u64| home_segment(*key, 4) != 0;
+    let homed_away = |key: &u64| home_segment(*key, DEFAULT_SEGS) != 0;
     // The highest such key of the leaf (a split moves it right), or for a
     // put a new key above the top one.
     let target = match op {
@@ -792,7 +802,7 @@ fn scan_with_landing(landing: Landing, read: usize, mutation: Option<&'static st
         let spilled = fillers
             .into_iter()
             .rev()
-            .filter(|&key| home_segment(key, 4) == home)
+            .filter(|&key| home_segment(key, DEFAULT_SEGS) == home)
             .find(|&key| {
                 stage.put(&mut ctx, key, key + 1);
                 segment_of(tree, leaf0, key) != Some(home)
@@ -917,9 +927,9 @@ fn placement_verdict(
     let mut ctx = rt.thread(1);
     let mut model = BTreeMap::new();
     probe::mutate(building);
-    // Keys of one home, far from the rest: the fifth spills, the ninth
+    // Keys of one home, far from the rest: the fourth spills, the seventh
     // spills twice. Then adjacent keys, enough of them to split.
-    let one_home = (1u64 << 20..).filter(|&k| home_segment(k, 4) == 2);
+    let one_home = (1u64 << 20..).filter(|&k| home_segment(k, DEFAULT_SEGS) == 2);
     for key in one_home.take(11).chain(0..300) {
         tree.put(&mut ctx, key, key + 1);
         model.insert(key, key + 1);

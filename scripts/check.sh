@@ -160,19 +160,29 @@ bumps="$(awk '/fn bump_seqno/,/^    }$/' crates/euno-core/src/node.rs | grep -cE
 # its own, installed once — by CAS at the leaf's first conflict, by plain
 # store on a leaf no thread can reach yet — and never replaced, so the
 # word that names it is written in `EunoLeaf::install_block` and nowhere
-# else, and the words it shares a key line with are reached through
-# node.rs alone.  The leaf holds no `Ccm` by value: the block is the CCM.
+# else, and the leaf's own words — on the segments' link words, or segment
+# 0's spare ones — are reached through node.rs alone.  The leaf holds no
+# `Ccm` by value: the block is the CCM.
 NODE=crates/euno-core/src/node.rs
 BLOCK_WRITE='block_cell\(\)\.(store|cas|fetch|swap)[a-z_]*\(|write\([^;]*block_cell\(\)'
 block_writes="$(grep -rnE "$BLOCK_WRITE" crates/euno-core/src || true)"
 installs="$(awk '/fn install_block/,/^    }$/' "$NODE" | grep -cE "$BLOCK_WRITE" || true)"
-strays="$(grep -rnE 'block_cell\(\)|own_words\(\)|\.(links|spare)\(\)' crates/euno-core/src \
+strays="$(grep -rnE 'block_cell\(\)|own_word\(|\.(link|spare)\(\)' crates/euno-core/src \
     | grep -vE "^$NODE:|^crates/euno-core/src/segment.rs:" || true)"
 [[ $installs -ge 1 && $(grep -c . <<<"$block_writes") == "$installs" && -z $strays ]] \
     || { echo "one-copy: the block word written outside EunoLeaf::install_block"; echo "$block_writes"; echo "$strays"; exit 1; }
 ! awk '/^pub struct EunoLeaf/,/^}$/' "$NODE" | grep -qw Ccm \
     || { echo "one-copy: EunoLeaf holds a Ccm by value"; exit 1; }
-echo "one-copy (one bisect, in bptree.rs; no private index insert; one abort mapping; one seqno writer; one block-word writer, no Ccm in the leaf) OK"
+# One segment layout (DESIGN.md §8): a segment is one line-aligned struct
+# — its `seqno` copy, a link word, the keys and the values — for every
+# geometry, and it keeps no count: a free slot holds KEY_SENTINEL, and the
+# count is the index of the first one.
+SEG=crates/euno-core/src/segment.rs
+[[ $(grep -c 'align(64)' "$SEG") == 1 ]] \
+    || { echo "one-copy: segment.rs lays out a second segment struct"; grep -n 'align(64)' "$SEG"; exit 1; }
+! grep -nE '^\s*(pub(\([a-z]+\))? )?count\s*:' "$SEG" \
+    || { echo "one-copy: a segment keeps a count word"; exit 1; }
+echo "one-copy (one bisect, in bptree.rs; no private index insert; one abort mapping; one seqno writer; one block-word writer, no Ccm in the leaf; one segment struct, no count word) OK"
 
 # Unsafe confined (DESIGN.md §4.4): nodes are read through bptree.rs's Guard,
 # so no tree crate says `unsafe`. Only the files that own memory may:

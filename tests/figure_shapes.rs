@@ -201,17 +201,17 @@ fn ablation_ladder_is_monotone_under_contention() {
         },
         {
             let rt = Runtime::new_virtual();
-            let t = EunoBTree::<4, 4>::with_config(Arc::clone(&rt), EunoConfig::part_leaf());
+            let t = EunoBTreeDefault::with_config(Arc::clone(&rt), EunoConfig::part_leaf());
             measure(&t, &rt, 0.9, 16).throughput
         },
         {
             let rt = Runtime::new_virtual();
-            let t = EunoBTree::<4, 4>::with_config(Arc::clone(&rt), EunoConfig::ccm_lockbits());
+            let t = EunoBTreeDefault::with_config(Arc::clone(&rt), EunoConfig::ccm_lockbits());
             measure(&t, &rt, 0.9, 16).throughput
         },
         {
             let rt = Runtime::new_virtual();
-            let t = EunoBTree::<4, 4>::with_config(Arc::clone(&rt), EunoConfig::ccm_markbits());
+            let t = EunoBTreeDefault::with_config(Arc::clone(&rt), EunoConfig::ccm_markbits());
             measure(&t, &rt, 0.9, 16).throughput
         },
     ];
@@ -245,7 +245,7 @@ fn ablation_ladder_is_monotone_under_contention() {
 fn adaptive_recovers_the_ccm_cost_at_low_skew() {
     let low = |cfg: EunoConfig| {
         let rt = Runtime::new_virtual();
-        let t = EunoBTree::<4, 4>::with_config(Arc::clone(&rt), cfg);
+        let t = EunoBTreeDefault::with_config(Arc::clone(&rt), cfg);
         measure(&t, &rt, 0.2, 16).throughput
     };
     let (no_ccm, always_on, adaptive) = (
