@@ -4,7 +4,7 @@
 //! ```text
 //! stress [--storm] [--churn] [--churn-sweeps] [--churn-phased] [--threads N] [--ops N] [--seed N] [--keys N]
 //!        [--scan-len N] [--preload N] [--duration SECS] [--no-maintain]
-//!        [--tree SUBSTR] [--trace PATH] [--profile] [--dump-events N]
+//!        [--tree SUBSTR] [--trace PATH] [--profile] [--dump-events N] [--mutate TAG]
 //!
 //! `--storm` starts from the abort-storm preset (8 threads on 8 keys, the
 //! schedule that drives the executor past its retry budgets); `--churn`
@@ -21,7 +21,10 @@
 //!
 //! `--trace PATH` additionally exports the first run's rings as a Chrome
 //! trace-event file (plus `PATH.folded` flamegraph rollup); `--profile`
-//! prints the hot-leaf contention table per tree.
+//! prints the hot-leaf contention table per tree. `--mutate TAG` switches
+//! the Euno trees' check named `TAG` off on every worker thread (a debug
+//! build only: release builds compile the checks in and refuse the flag),
+//! so that a row shows the oracle convicts its mutation twin.
 
 use euno_check::{run_all, StressConfig, Verdict};
 use euno_trace::{chrome_trace, folded_rollup};
@@ -30,7 +33,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: stress [--storm] [--churn] [--churn-sweeps] [--churn-phased] [--threads N] [--ops N] [--seed N] [--keys N] \
          [--scan-len N] [--preload N] [--duration SECS] [--no-maintain] \
-         [--tree SUBSTR] [--trace PATH] [--profile] [--dump-events N]"
+         [--tree SUBSTR] [--trace PATH] [--profile] [--dump-events N] [--mutate TAG]"
     );
     std::process::exit(2);
 }
@@ -70,6 +73,14 @@ fn main() {
             "--trace" => trace_path = Some(args.next().unwrap_or_else(|| usage())),
             "--profile" => cfg.profile = true,
             "--dump-events" => dump_events = num(&mut args) as usize,
+            "--mutate" if cfg!(debug_assertions) => {
+                let tag = args.next().unwrap_or_else(|| usage());
+                cfg.mutation = Some(Box::leak(tag.into_boxed_str()));
+            }
+            "--mutate" => {
+                eprintln!("--mutate needs a debug build (drop --release)");
+                std::process::exit(2);
+            }
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown flag: {other}");
@@ -210,8 +221,13 @@ fn main() {
         // The presets carry knobs no flag spells (mix, rebalance
         // threshold), so the reproducing line is the invocation itself.
         let argv: Vec<String> = std::env::args().skip(1).collect();
+        let release = if cfg.mutation.is_some() {
+            ""
+        } else {
+            "--release "
+        };
         eprintln!(
-            "\nFAILED — reproduce with:\n  cargo run --release -p euno-check --bin stress -- {}",
+            "\nFAILED — reproduce with:\n  cargo run {release}-p euno-check --bin stress -- {}",
             argv.join(" ")
         );
         std::process::exit(1);

@@ -32,7 +32,15 @@
 //! declares non-atomic scans) are validated against relaxed guarantees —
 //! strictly ascending keys from the requested start, bounded length, and
 //! every delivered record traceable to the preload or an actual put that
-//! began before the scan returned. Trees whose scan runs in one HTM
+//! began before the scan returned — and against **regularity**, which is
+//! what makes an omission visible. A scan that delivered all it was asked
+//! for covers `[start, last delivered]`; a short one covers `[start, ∞)`.
+//! A key in that range none of whose writes (puts and deletes) overlaps the
+//! scan — each ended before the scan began or began after it returned —
+//! and whose writes before the scan have a real-time-last one must be
+//! delivered with that write's value, or left out if it was a delete (with
+//! no write before the scan, the preload decides). A key written during
+//! the scan may be delivered or missed. Trees whose scan runs in one HTM
 //! region (HTM-B+Tree, HTM-Masstree) keep full atomic checking.
 
 use std::collections::{BTreeMap, HashSet};
@@ -193,12 +201,66 @@ fn undo(model: &mut Model, u: Undo) {
     }
 }
 
-/// Relaxed validation for a non-atomic scan that overlapped other ops.
+/// One write to a key: its interval, and the value it left (`None`: a
+/// delete).
+#[derive(Clone, Copy, Debug)]
+struct Write {
+    inv: u64,
+    ret: u64,
+    value: Option<u64>,
+}
+
+/// Every put and delete of `history`, by key.
+fn writes_by_key(history: &[CompletedOp]) -> BTreeMap<u64, Vec<Write>> {
+    let mut writes: BTreeMap<u64, Vec<Write>> = BTreeMap::new();
+    for op in history {
+        let value = match op.kind {
+            OpKind::Put => Some(op.arg),
+            OpKind::Delete => None,
+            _ => continue,
+        };
+        writes.entry(op.key).or_default().push(Write {
+            inv: op.inv,
+            ret: op.ret,
+            value,
+        });
+    }
+    writes
+}
+
+/// What a scan over `[inv, ret]` must have delivered for a key with
+/// `writes` and `preload` value: `Some(value)` — `Some(None)` for "left
+/// out" — if no write overlaps the scan and the writes before it have a
+/// real-time-last one; `None` if the key was written during the scan, or
+/// its writes before it were concurrent with each other.
+fn regular_value(
+    inv: u64,
+    ret: u64,
+    writes: &[Write],
+    preload: Option<u64>,
+) -> Option<Option<u64>> {
+    if writes.iter().any(|w| w.inv <= ret && w.ret >= inv) {
+        return None;
+    }
+    let before: Vec<&Write> = writes.iter().filter(|w| w.ret < inv).collect();
+    let Some(last) = before.iter().max_by_key(|w| w.inv) else {
+        return Some(preload);
+    };
+    before
+        .iter()
+        .all(|w| std::ptr::eq(*w, *last) || w.ret < last.inv)
+        .then_some(last.value)
+}
+
+/// Relaxed validation for a non-atomic scan that overlapped other ops:
+/// soundness of what it delivered, then regularity over the range it
+/// covers (module docs).
 fn check_relaxed_scan(
     scan: &CompletedOp,
     preload: &BTreeMap<u64, u64>,
     put_index: &HashSet<(u64, u64)>,
     put_earliest_inv: &std::collections::HashMap<(u64, u64), u64>,
+    writes: &BTreeMap<u64, Vec<Write>>,
 ) -> Result<(), String> {
     let OpOutput::Scan(out) = &scan.output else {
         return Err(format!("scan returned non-scan output {:?}", scan.output));
@@ -229,6 +291,38 @@ fn check_relaxed_scan(
         if !from_preload && !from_put {
             return Err(format!(
                 "scan delivered ({k}, {v}) which no preload or preceding put produced"
+            ));
+        }
+    }
+    // Regularity: the range the scan covers, and every key there that
+    // could have been read at all.
+    let covered = match out.last() {
+        _ if out.len() < scan.arg as usize => Some(u64::MAX),
+        Some(&(last, _)) => Some(last),
+        None => None,
+    };
+    let Some(last) = covered else {
+        return Ok(());
+    };
+    let keys = (preload.range(scan.key..=last).map(|(&k, _)| k))
+        .chain(writes.range(scan.key..=last).map(|(&k, _)| k))
+        .collect::<std::collections::BTreeSet<u64>>();
+    for k in keys {
+        let none = Vec::new();
+        let key_writes = writes.get(&k).unwrap_or(&none);
+        let Some(want) = regular_value(scan.inv, scan.ret, key_writes, preload.get(&k).copied())
+        else {
+            continue;
+        };
+        let got = out
+            .binary_search_by_key(&k, |&(k, _)| k)
+            .ok()
+            .map(|i| out[i].1);
+        if got != want {
+            return Err(format!(
+                "scan over [{}, {last}] missed the last write of key {k}, which no write \
+                 overlapped: wanted {want:?}, delivered {got:?}",
+                scan.key
             ));
         }
     }
@@ -279,6 +373,7 @@ pub fn check_history(
 
     // ---- Relaxed scans. -------------------------------------------
     if !relaxed.is_empty() {
+        let writes = writes_by_key(history);
         let mut put_index = HashSet::new();
         let mut put_earliest_inv = std::collections::HashMap::new();
         for op in history {
@@ -291,7 +386,9 @@ pub fn check_history(
             }
         }
         for scan in &relaxed {
-            if let Err(detail) = check_relaxed_scan(scan, preload, &put_index, &put_earliest_inv) {
+            if let Err(detail) =
+                check_relaxed_scan(scan, preload, &put_index, &put_earliest_inv, &writes)
+            {
                 return Verdict::Violation {
                     detail: format!(
                         "relaxed scan (thread {}, from {}): {detail}",
@@ -527,10 +624,12 @@ mod tests {
     fn relaxed_scan_allows_split_brain_but_not_forgery() {
         let pre = BTreeMap::from([(1, 10), (2, 20)]);
         let put = op(0, OpKind::Put, 3, 30, 0, 9, OpOutput::Value(None));
-        // Non-atomic scans may miss intermediate keys while seeing later
-        // ones (no single instant) — accepted under relaxed rules.
+        // Non-atomic scans may miss an intermediate key written during the
+        // scan while seeing later ones (no single instant: key 2 is there
+        // throughout, as 20 or 21) — accepted under relaxed rules.
         let h = vec![
             put.clone(),
+            op(2, OpKind::Put, 2, 21, 1, 8, OpOutput::Value(Some(20))),
             op(
                 1,
                 OpKind::Scan,
@@ -570,6 +669,117 @@ mod tests {
             ),
         ];
         assert!(!check_history(&h, &pre, false, DEFAULT_BUDGET).is_ok());
+    }
+
+    /// An overlapping scan of `count` from `from` over `[3, 6]`, beside
+    /// `others`, checked relaxed.
+    fn relaxed(
+        pre: &BTreeMap<u64, u64>,
+        from: u64,
+        count: u64,
+        out: Vec<(u64, u64)>,
+        others: Vec<CompletedOp>,
+    ) -> Verdict {
+        let mut h = others;
+        h.push(op(1, OpKind::Scan, from, count, 3, 6, OpOutput::Scan(out)));
+        check_history(&h, pre, false, DEFAULT_BUDGET)
+    }
+
+    /// A get of a key no history here writes or preloads, overlapping the
+    /// scan: what makes the scan a relaxed one.
+    fn unrelated_get() -> CompletedOp {
+        op(3, OpKind::Get, 50, 0, 2, 7, OpOutput::Value(None))
+    }
+
+    #[test]
+    fn a_relaxed_scan_must_not_miss_a_key_no_one_touched() {
+        // Preloaded 1..=10, a full scan of 10 that delivers 1 and 10 only,
+        // beside an unrelated get: the keys between were there throughout.
+        let pre: BTreeMap<u64, u64> = (1..=10).map(|k| (k, k * 10)).collect();
+        let v = relaxed(&pre, 1, 10, vec![(1, 10), (10, 100)], vec![unrelated_get()]);
+        assert!(
+            matches!(&v, Verdict::Violation { detail } if detail.contains("key 2")),
+            "{v:?}"
+        );
+        // The whole range is fine; a value nobody wrote is refused.
+        let all: Vec<(u64, u64)> = pre.iter().map(|(&k, &v)| (k, v)).collect();
+        assert!(relaxed(&pre, 1, 10, all.clone(), vec![unrelated_get()]).is_ok());
+        let mut stale = all;
+        stale[4].1 = 7;
+        assert!(!relaxed(&pre, 1, 10, stale, vec![unrelated_get()]).is_ok());
+    }
+
+    #[test]
+    fn a_full_scan_covers_up_to_its_last_record_and_a_short_one_to_the_end() {
+        let pre = BTreeMap::from([(1, 10), (2, 20), (3, 30)]);
+        // Two asked for, two delivered: key 3 is past the range covered.
+        assert!(relaxed(&pre, 1, 2, vec![(1, 10), (2, 20)], vec![unrelated_get()]).is_ok());
+        // Ten asked for, two delivered: the scan says the map ends there.
+        let v = relaxed(&pre, 1, 10, vec![(1, 10), (2, 20)], vec![unrelated_get()]);
+        assert!(
+            matches!(&v, Verdict::Violation { detail } if detail.contains("key 3")),
+            "{v:?}"
+        );
+        // Nothing asked for covers nothing.
+        assert!(relaxed(&pre, 1, 0, vec![], vec![unrelated_get()]).is_ok());
+    }
+
+    #[test]
+    fn a_key_written_during_the_scan_may_be_missing_or_either_value() {
+        let pre = BTreeMap::from([(1, 10), (2, 20), (3, 30)]);
+        for write in [
+            op(0, OpKind::Put, 2, 21, 2, 4, OpOutput::Value(Some(20))),
+            op(0, OpKind::Delete, 2, 0, 5, 9, OpOutput::Value(Some(20))),
+            // Begun before the scan, ended inside it.
+            op(0, OpKind::Put, 2, 21, 0, 4, OpOutput::Value(Some(20))),
+        ] {
+            let write = vec![write, unrelated_get()];
+            let value = match write[0].kind {
+                OpKind::Put => write[0].arg,
+                _ => 20,
+            };
+            for out in [
+                vec![(1, 10), (3, 30)],
+                vec![(1, 10), (2, 20), (3, 30)],
+                vec![(1, 10), (2, value), (3, 30)],
+            ] {
+                let v = relaxed(&pre, 1, 10, out.clone(), write.clone());
+                assert!(v.is_ok(), "{write:?}: {out:?} {v:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_key_written_only_before_or_after_the_scan_is_its_last_write_before() {
+        let pre = BTreeMap::from([(1, 10), (2, 20), (3, 30)]);
+        let before = |kind, arg| op(0, kind, 2, arg, 0, 1, OpOutput::Value(Some(20)));
+        let after = op(2, OpKind::Put, 2, 29, 7, 8, OpOutput::Value(Some(22)));
+        // Overwritten before: the new value, not the preloaded one.
+        let put = before(OpKind::Put, 22);
+        let others = || vec![put.clone(), after.clone(), unrelated_get()];
+        assert!(relaxed(&pre, 1, 10, vec![(1, 10), (2, 22), (3, 30)], others()).is_ok());
+        assert!(!relaxed(&pre, 1, 10, vec![(1, 10), (2, 20), (3, 30)], others()).is_ok());
+        assert!(!relaxed(&pre, 1, 10, vec![(1, 10), (3, 30)], others()).is_ok());
+        // Deleted before: left out.
+        let del = before(OpKind::Delete, 0);
+        let others = || vec![del.clone(), unrelated_get()];
+        let v = relaxed(&pre, 1, 10, vec![(1, 10), (2, 20), (3, 30)], others());
+        assert!(
+            matches!(&v, Verdict::Violation { detail } if detail.contains("key 2")),
+            "{v:?}"
+        );
+        assert!(relaxed(&pre, 1, 10, vec![(1, 10), (3, 30)], others()).is_ok());
+        // Two writes before the scan, concurrent with each other: either
+        // may be the last, so neither value is required.
+        let twins = vec![
+            op(0, OpKind::Put, 2, 22, 0, 2, OpOutput::Value(Some(20))),
+            op(2, OpKind::Delete, 2, 0, 1, 2, OpOutput::Value(Some(22))),
+            unrelated_get(),
+        ];
+        for out in [vec![(1, 10), (3, 30)], vec![(1, 10), (2, 22), (3, 30)]] {
+            let v = relaxed(&pre, 1, 10, out.clone(), twins.clone());
+            assert!(v.is_ok(), "{out:?}: {v:?}");
+        }
     }
 
     #[test]

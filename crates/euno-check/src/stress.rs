@@ -64,6 +64,10 @@ pub struct StressConfig {
     /// `EunoConfig::rebalance_delete_threshold` of the Euno trees under
     /// test (the baselines have no deferred sweep).
     pub rebalance_delete_threshold: u64,
+    /// A named check of the Euno trees switched off on every worker thread
+    /// (`euno_core::probe::mutate`): how a stress row convicts a mutation
+    /// twin. Debug builds only — a release build compiles the checks in.
+    pub mutation: Option<&'static str>,
 }
 
 impl Default for StressConfig {
@@ -85,6 +89,7 @@ impl Default for StressConfig {
             delete_pct: 15,
             phases: Vec::new(),
             rebalance_delete_threshold: EunoConfig::default().rebalance_delete_threshold,
+            mutation: None,
         }
     }
 }
@@ -283,6 +288,7 @@ pub fn run_stress(
             let cfg = cfg.clone();
             workers.push(s.spawn(move || {
                 let mut ctx = rt.thread(cfg.seed ^ u64::from(w));
+                euno_core::probe::mutate(cfg.mutation);
                 let mut rec = Recorder::new(ctx.id, clock, sink);
                 if cfg.trace_capacity > 0 {
                     ctx.set_tracer(Box::new(TraceBuf::new(ctx.id, cfg.trace_capacity)));
@@ -646,6 +652,36 @@ mod tests {
                 r.verdict,
                 r.invariant_violations
             );
+        }
+    }
+
+    /// The regularity rule convicts a scan step that drops a segment
+    /// (`scan:skip-segment`) in a plain stress row — the churn preset with
+    /// long scans, a fixed seed, no script — on both Euno variants, and
+    /// passes the same row without the mutation.
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "mutations are debug-only")]
+    fn a_scan_step_that_drops_a_segment_is_convicted_by_a_stress_row() {
+        for mutation in [None, Some("scan:skip-segment")] {
+            let cfg = StressConfig {
+                threads: 4,
+                ops_per_thread: 600,
+                scan_len: 48,
+                seed: 3,
+                mutation,
+                ..StressConfig::churn()
+            };
+            for r in run_all(&cfg, Some("euno")) {
+                match mutation {
+                    None => assert!(r.passed(), "{}: {:?}", r.tree, r.verdict),
+                    Some(_) => assert!(
+                        matches!(&r.verdict, Verdict::Violation { detail } if detail.contains("missed")),
+                        "{}: {:?}",
+                        r.tree,
+                        r.verdict
+                    ),
+                }
+            }
         }
     }
 

@@ -6,21 +6,21 @@
 //!
 //! 1. the batch is key-sorted by the caller, then taken in *chunks* of up
 //!    to [`UPPER_CHUNK`] keys. The chunk's upper stage is the single-op
-//!    one, once per leaf: [`EunoBTree::locate`] yields the target leaf,
-//!    its `seqno` and the key range it covers, and the chunk's following
-//!    keys inside that range take the same pair. On `read_opt` trees a get
+//!    one, once per leaf: [`EunoBTree::locate`] yields the target leaf and
+//!    the key range it covers, and the chunk's following keys inside that
+//!    range take the same leaf. On `read_opt` trees a get
 //!    whose result cannot be reordered against an earlier same-key op is
 //!    then answered outright by the episode-free leaf read;
 //! 2. consecutive ops that landed on the same leaf form a *group*; the
 //!    CCM stage (slot locks, mark bits, fast-miss filtering) runs once
 //!    per group over the deduplicated slot set, and a single lower region
-//!    applies every remaining op in the group under one `seqno` check (on
-//!    the copy of the group's first key's home segment: every op's home
-//!    is computed once, in step 1);
-//! 3. anything the shared episodes cannot finish safely — stale `seqno`
-//!    (found by the group's episode, or already by an early get's leaf
-//!    read, which then keeps its cell out of the group), an insert that
-//!    would split, a structural change mid-group — *bails to singles*: the
+//!    applies every remaining op in the group, each checking its key
+//!    against the leaf's fence on its home segment, as a single op's lower
+//!    region does (every op's home is computed once, in step 1);
+//! 3. anything the shared episodes cannot finish safely — a key at or
+//!    above the fence (found by the group's episode, or already by an
+//!    early get's leaf read, which then keeps its cell out of the group),
+//!    an insert that would split — *bails to singles*: the
 //!    op re-runs through the ordinary [`traverse`](EunoBTree::traverse)
 //!    path at the end of the batch.
 //!
@@ -33,11 +33,12 @@
 //!   group's *deduplicated* slot set (two ops can hash to one slot;
 //!   re-acquiring a held CCM bit would self-deadlock), opened before the
 //!   episode and closed after it.
-//! * After every applied op the lower region re-reads the leaf `seqno`.
-//!   A split or reorganization — ours (fallback-path insert) or anyone
-//!   else's — bumps it, and the remaining ops in the group bail rather
-//!   than run against a leaf whose key range may have moved. The extra
-//!   read costs nothing: `seqno` is already in the episode's read set.
+//! * Every op's fence check runs inside the episode, after the ops before
+//!   it: a split of our own (a fallback-path insert) lowers the fence, and
+//!   the ops it took the range of bail rather than run against a leaf
+//!   that no longer covers them. A reorganization moves records, not the
+//!   range, and the ops after it run on the reorganized leaf. The check
+//!   reads the line the op's search reads first.
 //! * A group whose puts cannot all fit (`occupied + puts_in_group >
 //!   capacity`) sends them to the single-op path *before* the episode.
 //!   That is an economy, not the guarantee: the lower region never splits
@@ -53,11 +54,11 @@ use crate::structural::LowerRegion;
 use crate::traverse::{LeafRead, Located};
 use crate::tree::{assert_storable, EunoBTree, Lower, Req};
 
-/// Max keys located before their groups run: bounds how stale a
-/// `(leaf, seqno)` pair can be when its lower episode opens — a pair is
-/// shared along a leaf's keys only inside a chunk, so a group that moved
-/// its own leaf's `seqno` costs the keys behind it one re-locate, not a
-/// bail — and sizes the fixed per-chunk buffers.
+/// Max keys located before their groups run: bounds how stale a located
+/// leaf can be when its lower episode opens — a leaf is shared along its
+/// keys only inside a chunk, so a group that split its own leaf costs the
+/// keys behind it one re-locate, not a bail — and sizes the fixed
+/// per-chunk buffers.
 pub const UPPER_CHUNK: usize = 8;
 
 /// One point request in a batch. Scans don't batch — they have no single
@@ -132,8 +133,9 @@ enum Upper {
     Group,
     /// A get the episode-free leaf read answered: done, published.
     Early,
-    /// A get whose leaf read found `seqno` moved: the pair is known dead,
-    /// so the op goes to the singles pass without joining a group.
+    /// A get whose leaf read found the key at or above the fence: the
+    /// leaf is known not to cover it, so the op goes to the singles pass
+    /// without joining a group.
     Moved,
 }
 
@@ -148,14 +150,6 @@ enum Cell {
     Done,
     /// Must re-run through the single-op path.
     Single,
-}
-
-/// Result of one group's lower episode.
-enum GroupRes {
-    /// `seqno` moved between upper and lower: every pending op bails.
-    Stale,
-    /// Per-op outcomes, aligned with the group's chunk positions.
-    Applied([Option<Option<u64>>; UPPER_CHUNK]),
 }
 
 impl<const SEGS: usize, const K: usize> EunoBTree<SEGS, K>
@@ -207,10 +201,10 @@ where
                 // Step 1: the chunk's leaves, and its early gets — finished
                 // operations, published before the group stage (which skips
                 // their cells).
-                let mut leaves = [(0u64, 0u64, 0u32); UPPER_CHUNK];
+                let mut leaves = [(0u64, 0u32); UPPER_CHUNK];
                 let mut homes = [0usize; UPPER_CHUNK];
                 let mut upper = [Upper::Group; UPPER_CHUNK];
-                // Where the previous key was located, while that pair is good
+                // Where the previous key was located, while that leaf is good
                 // for reuse: a key inside its range is on the same leaf (same
                 // pin, so nothing needs re-checking before the group does).
                 let mut prev: Option<Located<'_, SEGS, K>> = None;
@@ -238,13 +232,9 @@ where
                             found
                         }
                     };
-                    leaves[j] = (
-                        NodeRef::of_leaf(found.leaf).to_word(),
-                        found.seqno,
-                        found.conflicts,
-                    );
+                    leaves[j] = (NodeRef::of_leaf(found.leaf).to_word(), found.conflicts);
                     if early_ok {
-                        match self.read_leaf(ctx, found.leaf, found.seqno, key, home) {
+                        match self.read_leaf(ctx, found.leaf, key, home) {
                             LeafRead::Value(value) => {
                                 out[base + j] = value;
                                 stats.opt_gets += 1;
@@ -269,7 +259,7 @@ where
                         g += 1;
                         continue;
                     }
-                    let (bits, seqno, _) = leaves[g];
+                    let bits = leaves[g].0;
                     let mut h = g + 1;
                     while h < chunk.len() && upper[h] != Upper::Moved && leaves[h].0 == bits {
                         h += 1;
@@ -286,8 +276,7 @@ where
                         &homes[g..h],
                         base + g,
                         nodes.leaf(NodeRef::from_word(bits)),
-                        seqno,
-                        leaves[g..h].iter().map(|l| l.2).sum(),
+                        leaves[g..h].iter().map(|l| l.1).sum(),
                         &upper[g..h],
                         &mut bailed_key,
                         out,
@@ -320,8 +309,8 @@ where
 
     /// CCM stage + one lower episode for a same-leaf group
     /// (`ops[0..n]` at batch offset `batch_off`). Cells the upper stage
-    /// answered ([`Upper::Early`]) are skipped throughout; cells whose pair
-    /// it found dead ([`Upper::Moved`]) never get here.
+    /// answered ([`Upper::Early`]) are skipped throughout; cells whose leaf
+    /// it found moved away ([`Upper::Moved`]) never get here.
     #[allow(clippy::too_many_arguments)]
     fn exec_group(
         &self,
@@ -331,7 +320,6 @@ where
         homes: &[usize],
         batch_off: usize,
         leaf: &EunoLeaf<SEGS, K>,
-        seqno: u64,
         upper_conflicts: u32,
         upper: &[Upper],
         bailed_key: &mut Option<u64>,
@@ -423,10 +411,6 @@ where
                     // (§4.1), exactly as in the single-op path.
                     tx.mark_serialized();
                 }
-                let copy = leaf.seqno(homes[0]);
-                if tx.read(copy)? != seqno {
-                    return Ok(GroupRes::Stale);
-                }
                 let mut applied: [Option<Option<u64>>; UPPER_CHUNK] = [None; UPPER_CHUNK];
                 for (j, op) in ops.iter().enumerate() {
                     if cells[j] != Cell::Pending {
@@ -435,37 +419,21 @@ where
                     tx.set_op_key(op.key());
                     let (req, key, newval) = (op.req(), op.key(), op.newval());
                     match self.lower_body(tx, g, leaf, req, key, homes[j], newval, &mut region)? {
-                        Lower::Done(v) => {
-                            applied[j] = Some(v);
-                            // A structural change (our own fallback-path
-                            // split/reorg, or a concurrent one the engine
-                            // serialized before us) bumps `seqno`; the
-                            // rest of the group must not trust this leaf.
-                            if tx.read(copy)? != seqno {
-                                break;
-                            }
-                        }
+                        Lower::Done(v) => applied[j] = Some(v),
                         // Reads only up to this point; this op and the
                         // rest of the group retry as singles.
                         Lower::NeedSplitLock | Lower::Inconsistent => break,
                     }
                 }
-                Ok(GroupRes::Applied(applied))
+                Ok(applied)
             });
             stats.lower_episodes += 1;
             stats.conflict_aborts += u64::from(res.conflict_aborts);
             lower_conflicts = res.conflict_aborts;
-            match res.value {
-                GroupRes::Stale => {}
-                GroupRes::Applied(applied) => {
-                    for j in 0..n {
-                        if cells[j] == Cell::Pending {
-                            if let Some(v) = applied[j] {
-                                out[batch_off + j] = v;
-                                cells[j] = Cell::Done;
-                            }
-                        }
-                    }
+            for j in 0..n {
+                if let (Cell::Pending, Some(v)) = (cells[j], res.value[j]) {
+                    out[batch_off + j] = v;
+                    cells[j] = Cell::Done;
                 }
             }
         }

@@ -11,8 +11,11 @@
 //!   adaptive detector at the leaf's first recorded conflict
 //!   ([`EunoBTree::ccm_leave`]), with every mark set (the leaf may hold
 //!   records that bypassed inserters put there without a mark, and some may
-//!   be landing as the block goes in); under a CCM config without the
-//!   detector with the leaf itself; under a config with no CCM bits never.
+//!   be landing as the block goes in), protected if that operation met two
+//!   conflicts or more and bypassed otherwise — one conflict is below the
+//!   detector's rate, and the next one re-protects a bypassed block at
+//!   once; under a CCM config without the detector with the leaf itself;
+//!   under a config with no CCM bits never.
 //!   A split-born leaf of a leaf that has a block gets its own, with marks
 //!   computed from the records it starts with, before it is published;
 //! * **life** — never replaced while its leaf lives;
@@ -163,15 +166,20 @@ impl Ccm {
     }
 
     /// The block a published leaf earns at its first recorded conflict:
-    /// protected at once, that operation and its conflicts counted, and
-    /// every mark set — the leaf may hold records bypassed inserters put
-    /// there without one, and some may be landing while the block goes in.
+    /// that operation and its conflicts counted, every mark set — the leaf
+    /// may hold records bypassed inserters put there without one, and some
+    /// may be landing while the block goes in — and protected if the
+    /// operation met `conflicts` ≥ 2. A lone conflict leaves the block
+    /// bypassed: it is under the rate a window flips on
+    /// ([`ADAPTIVE_CONFLICT_RATE`] of [`ADAPTIVE_WINDOW`]), and on a calm
+    /// leaf it is mostly the noise of writers elsewhere; the leaf's next
+    /// conflict protects it ([`Ccm::record_outcome`]).
     fn at_first_conflict(conflicts: u32) -> Self {
         let marks = match probe::mutated("ccm:block-marks-empty") {
             false => u64::MAX,
             true => 0,
         };
-        let ccm = Ccm::new(marks, false);
+        let ccm = Ccm::new(marks, conflicts < 2);
         ccm.ops.store_plain(1);
         ccm.conflicts.store_plain(u64::from(conflicts));
         ccm
@@ -419,10 +427,11 @@ where
         }
     }
 
-    /// A leaf without a block has met its first conflict: give it one,
-    /// protected, by CAS on its block word. A racing birth that lost frees
-    /// its block and records the operation on the winner's; one that lost
-    /// to a merge's seal records nothing — the leaf is retired.
+    /// A leaf without a block has met its first conflict: give it one
+    /// ([`Ccm::at_first_conflict`]) by CAS on its block word. A racing
+    /// birth that lost frees its block and records the operation on the
+    /// winner's; one that lost to a merge's seal records nothing — the
+    /// leaf is retired.
     fn first_conflict(
         &self,
         ctx: &mut ThreadCtx,
@@ -432,7 +441,11 @@ where
     ) {
         let block = self.alloc_block(leaf, Ccm::at_first_conflict(conflicts));
         match leaf.install_block(Some(ctx), block.addr()) {
-            Ok(()) => block.flipped(ctx, false),
+            Ok(()) => {
+                if !block.bypass_plain() {
+                    block.flipped(ctx, false)
+                }
+            }
             Err(word) => {
                 self.discard_block(block);
                 if let Some(winner) = leaf.ccm_block(g, word) {
@@ -837,6 +850,30 @@ mod tests {
         assert_eq!(ccm.marks_plain(), u64::MAX);
     }
 
+    /// An operation that met one conflict gives a calm leaf a block that
+    /// stays bypassed; the leaf's next conflict protects it.
+    #[test]
+    fn a_lone_conflict_births_a_bypassed_block_and_the_next_protects_it() {
+        let rt = Runtime::new_virtual();
+        let tree = EunoBTreeDefault::new(Arc::clone(&rt));
+        let mut ctx = rt.thread(1);
+        tree.put(&mut ctx, 1, 1);
+        ctx.pinned(|ctx, g| {
+            let leaf = tree.locate(ctx, g, 1).leaf;
+            let stage = tree.ccm_enter(ctx, g, leaf, &[], 0);
+            tree.ccm_leave(ctx, g, leaf, stage, 1);
+            let block = leaf.ccm(g).expect("the conflict gave the leaf a block");
+            assert!(block.bypass_plain(), "one conflict protects nothing");
+            assert_eq!((block.ops.load_plain(), block.conflicts_plain()), (1, 1));
+            assert_eq!(block.marks_plain(), u64::MAX);
+            let stage = tree.ccm_enter(ctx, g, leaf, &[], 0);
+            tree.ccm_leave(ctx, g, leaf, stage, 1);
+            assert!(!block.bypass_plain(), "the second conflict protects");
+        });
+        let flips = rt.metrics().flips().events();
+        assert_eq!(flips.len(), 1, "one flip, to protect: {flips:?}");
+    }
+
     /// Keys a leaf took while it had no block, then a conflict gives it
     /// one: every key is still found, and deleted — a two-step delete
     /// consults the filter — in both configurations. Its mutation twin
@@ -853,10 +890,11 @@ mod tests {
             ctx.pinned(|ctx, g| {
                 let leaf = tree.locate(ctx, g, 0).leaf;
                 assert!(leaf.ccm(g).is_none(), "a calm leaf has no block");
-                // An operation that met a conflict: the detector's input.
+                // An operation that met two conflicts: the detector's
+                // input, and enough to birth the block protected.
                 let stage = tree.ccm_enter(ctx, g, leaf, &[], 0);
                 probe::mutate(mutation);
-                tree.ccm_leave(ctx, g, leaf, stage, 1);
+                tree.ccm_leave(ctx, g, leaf, stage, 2);
                 probe::mutate(None);
                 let block = leaf.ccm(g).expect("the conflict gave the leaf a block");
                 assert!(!block.bypass_plain());

@@ -84,8 +84,8 @@ where
         })
     }
 
-    /// Per-leaf `(address, seqno)` snapshot of the live chain (the copy
-    /// beside `next`, which a chain walker reads), taken under
+    /// Per-leaf `(address, seqno)` snapshot of the live chain (the copy a
+    /// scan step's closing section checks, near `next`), taken under
     /// an epoch pin so concurrently retired leaves stay readable. An
     /// address identifies one leaf only while it stays on the chain:
     /// merged leaves are reclaimed after a grace period and the allocator
@@ -95,10 +95,7 @@ where
     pub fn leaf_seqnos_plain(&self) -> Vec<(usize, u64)> {
         self.pinned(|g| {
             let seqno = |leaf: &EunoLeaf<SEGS, K>| {
-                (
-                    leaf as *const _ as usize,
-                    leaf.seqno_beside_next().load_plain(),
-                )
+                (leaf as *const _ as usize, leaf.seqno_closing().load_plain())
             };
             self.chain_plain(g).map(seqno).collect()
         })
@@ -163,11 +160,14 @@ where
     /// * separator keys within each internal node are strictly ascending;
     /// * live keys are strictly ascending along the whole chain (no
     ///   duplicates within or across leaves);
-    /// * every leaf's fence is its upper bound in the index: the separator
-    ///   above it, `KEY_SENTINEL` at the end of the chain;
-    /// * every segment's copy of a leaf's `seqno` reads the same (a writer
-    ///   that bumps fewer than all of them leaves a reader checking another
-    ///   copy trusting a leaf whose records moved);
+    /// * every segment's copy of a leaf's fence reads the same (a writer
+    ///   that sets fewer than all of them leaves an operation checking
+    ///   another copy trusting a leaf that lost its key's range), and it is
+    ///   the leaf's upper bound in the index: the separator above it,
+    ///   `KEY_SENTINEL` at the end of the chain;
+    /// * a leaf's two copies of `seqno` read the same (a writer that bumps
+    ///   one leaves a scan step bracketing with both trusting a leaf whose
+    ///   records moved);
     /// * **placement** — every record, tombstones included, sits in a
     ///   segment on its key's probe path with every segment before it on
     ///   that path full, its segment is sorted, and the leaf's own search
@@ -277,8 +277,13 @@ where
             for (at, &lref) in chain_leaves.iter().enumerate() {
                 let leaf = g.leaf(lref);
                 let addr = lref.to_word();
-                // The fence is the separator the index puts above the leaf.
-                let fence = leaf.fence().load_plain();
+                // The fence is the separator the index puts above the leaf,
+                // on every segment.
+                let fences: Vec<u64> = (0..SEGS).map(|s| leaf.fence(s).load_plain()).collect();
+                if fences.iter().any(|&f| f != fences[0]) {
+                    report!("leaf {addr:#x} fence copies disagree: {fences:?}");
+                }
+                let fence = fences[0];
                 let holds = match chain_leaves.get(at + 1) {
                     Some(&next) => {
                         fence > 0
@@ -293,8 +298,8 @@ where
                 if leaf.split_lock().held_plain() != 0 {
                     report!("leaf {addr:#x} split lock held at quiescence");
                 }
-                let copies: Vec<u64> = (0..SEGS).map(|s| leaf.seqno(s).load_plain()).collect();
-                if copies.iter().any(|&c| c != copies[0]) {
+                let copies = [leaf.seqno_carried(), leaf.seqno_closing()].map(|c| c.load_plain());
+                if copies[0] != copies[1] {
                     report!("leaf {addr:#x} seqno copies disagree: {copies:?}");
                 }
                 let block = leaf.ccm(g);
@@ -493,7 +498,7 @@ mod tests {
     fn audit_flags_forged_violations() {
         use crate::ccm::Ccm;
         use crate::node::NodeRef;
-        use crate::tree::DEFAULT_K as K;
+        use crate::tree::{DEFAULT_K as K, DEFAULT_SEGS};
         use euno_htm::{TxWord, KEY_SENTINEL};
         let rt = Runtime::new_virtual();
         let t = EunoBTreeDefault::new(Arc::clone(&rt));
@@ -547,15 +552,37 @@ mod tests {
             );
             seg.key_cell(K - 1).store_plain(KEY_SENTINEL);
 
-            // A fence that is not the leaf's upper bound.
-            let saved_fence = leaf.fence().load_plain();
-            leaf.fence().store_plain(saved_fence - 1);
+            // A fence that is not the leaf's upper bound, on every copy.
+            let saved_fence = leaf.fence(0).load_plain();
+            let forge = |fence: u64, copies: std::ops::Range<usize>| {
+                copies.for_each(|s| leaf.fence(s).store_plain(fence))
+            };
+            forge(saved_fence - 1, 0..DEFAULT_SEGS);
             let viol = t.audit_quiescent();
             assert!(
-                viol.iter().any(|v| v.contains("not its upper bound")),
+                viol.iter().any(|v| v.contains("not its upper bound"))
+                    && !viol.iter().any(|v| v.contains("fence copies disagree")),
                 "{viol:?}"
             );
-            leaf.fence().store_plain(saved_fence);
+            // One copy that another writer forgot.
+            forge(saved_fence, 0..DEFAULT_SEGS);
+            forge(saved_fence - 1, 3..4);
+            let viol = t.audit_quiescent();
+            assert!(
+                viol.iter().any(|v| v.contains("fence copies disagree")),
+                "{viol:?}"
+            );
+            forge(saved_fence, 3..4);
+
+            // One copy of `seqno` bumped without the other.
+            let seqno = leaf.seqno_closing().load_plain();
+            leaf.seqno_closing().store_plain(seqno + 1);
+            let viol = t.audit_quiescent();
+            assert!(
+                viol.iter().any(|v| v.contains("seqno copies disagree")),
+                "{viol:?}"
+            );
+            leaf.seqno_closing().store_plain(seqno);
 
             // Unlinking a leaf from the chain desynchronizes it from the index.
             let saved_next = leaf.next().load_plain();

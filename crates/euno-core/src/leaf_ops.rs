@@ -13,7 +13,7 @@
 
 use euno_htm::{EventKind, ThreadCtx, Tx, TxCell, TxResult, TOMBSTONE};
 
-use crate::node::{EunoLeaf, Guard};
+use crate::node::{covers, EunoLeaf, Guard};
 use crate::probe;
 use crate::segment::{home_segment, KeyPad, Keys, Probe, HOME_ALU};
 use crate::structural::LowerRegion;
@@ -33,12 +33,13 @@ where
     /// **The probe-path invariant** is what lets the walk stop: a record
     /// is in a segment on its key's path, and every segment before that
     /// one on the path is full. It holds when a record is placed, and it
-    /// keeps holding while `seqno` stands: a delete leaves a tombstone, so
-    /// a slot is freed only in a reorganization, a split or a
-    /// merge — each of which bumps every copy of `seqno` before a record
-    /// moves. A reader that checks the home segment's copy around the walk
-    /// (the lower region does by reading it first, [`EunoBTree::read_leaf`]
-    /// by bracketing) therefore never stops short of a key that is there;
+    /// keeps holding between structural changes: a delete leaves a
+    /// tombstone, so a slot is freed only in a reorganization, a split or a
+    /// merge, each one atomic. A reader whose walk is atomic too — the
+    /// lower region, a validated section ([`EunoBTree::read_leaf`]) —
+    /// therefore never stops short of a key that is there; a scan step,
+    /// whose sections each read one segment, brackets them with `seqno`,
+    /// which each of those changes bumps before a record moves.
     /// `audit_quiescent` holds every record of every leaf to the invariant.
     pub(crate) fn find<E>(
         &self,
@@ -67,16 +68,18 @@ where
     pub(crate) const HOME_COST: u64 = if SEGS > 1 { HOME_ALU } else { 0 };
 
     /// `key`'s home segment, charged [`Self::HOME_COST`]. An operation
-    /// computes it once, before its upper stage: the `seqno` copy every
-    /// stage checks is the home segment's, and the leaf search starts
-    /// there.
+    /// computes it once, before its upper stage: the fence copy every stage
+    /// checks is the home segment's, and the leaf search starts there.
     pub(crate) fn home(&self, ctx: &mut ThreadCtx, key: u64) -> usize {
         ctx.charge(self.rt.cost.alu * Self::HOME_COST);
         home_segment(key, SEGS)
     }
 
-    /// The lower region's work on `leaf`, whose `seqno` the caller has
-    /// checked: `req` on `key`, whose home segment is `home`.
+    /// The lower region's work on `leaf`: `req` on `key`, whose home
+    /// segment is `home` — if `key` is below the fence on that segment's
+    /// line, the first the search reads (the upper stage handed over a
+    /// leaf whose lower bound is at or below `key`, and that bound has not
+    /// moved), else [`Lower::Inconsistent`].
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn lower_body(
         &self,
@@ -89,6 +92,9 @@ where
         newval: u64,
         region: &mut LowerRegion,
     ) -> TxResult<Lower> {
+        if !covers(tx.read(leaf.fence(home))?, key) {
+            return Ok(Lower::Inconsistent);
+        }
         let (seg, at) = leaf.find(home, key, |cell| tx.read(cell))?;
         let found = at.hit.then(|| leaf.segs[seg].val_cell(at.slot));
         match req {
@@ -157,10 +163,10 @@ where
             //
             // Bump the version before any record moves, as on the split
             // and merge paths: slots are freed and records change segments
-            // here, so a reader walking a probe path could stop at a
-            // segment that has just stopped being full, short of a key
-            // that has not yet moved up, unless the bump is published
-            // first — on every copy, since a reader checks its key's.
+            // here, so a scan step whose sections straddle this could read
+            // a key's new segment before and its old one after, unless the
+            // bump is published first. The range does not change: no
+            // point operation's hand-over is voided.
             probe::mark("reorg:seqno");
             leaf.bump_seqno(tx)?;
             probe::mark("reorg:records");

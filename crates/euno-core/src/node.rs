@@ -5,34 +5,40 @@
 //! Layout is cache-line-deliberate — six segment lines, 384 B at the
 //! default geometry, with no header line, no CCM line and no value line:
 //!
-//! * each segment is one line: its copy of `seqno`, one link word, its
-//!   keys and their values (see [`Segment`]). An operation checks the copy
-//!   on its key's home segment, searches that segment's keys and reads or
-//!   writes a value there — one line, where the previous layout touched a
-//!   key line and a value line;
+//! * each segment is one line: its copy of the leaf's *fence* — the upper
+//!   bound of the keys the leaf covers ([`EunoLeaf::fence`]) — one link
+//!   word, its keys and their values (see [`Segment`]). A point operation
+//!   checks `key < fence` on its key's home segment, searches that
+//!   segment's keys and reads or writes a value there — one line. The
+//!   fence is what the upper stage's hand-over is checked against: a live
+//!   leaf's lower bound never changes, so a leaf an upper stage found for
+//!   `key` still covers it exactly while `key` is below its fence;
 //! * the leaf's own words ride the segments' link words, dealt out from
-//!   the last segment down: `next` on the last segment's line, which a
-//!   scan's closing section reads beside that segment's copy of `seqno`;
-//!   `parent` on the one before; the split lock and the *block word* —
-//!   which names the leaf's CCM block, allocated apart from it when the
-//!   leaf first needs one (see [`Ccm`]) — on the two before that, and the
-//!   *fence*, the leaf's upper bound ([`EunoLeaf::fence`]), on the one
-//!   before those. A geometry with fewer than five segments puts the rest
-//!   on segment 0's spare words ([`KeyPad`]). Every line of the leaf
-//!   carries records, and so value writes: an HTM region that read one
-//!   would abort under every put to that segment, which is why the upper
-//!   region reads the fence, and the copy of `seqno` on its line, after
-//!   the region, not in it ([`crate::EunoBTree::locate`]). The block word
-//!   is written once in the leaf's life ([`EunoLeaf::install_block`]), by
-//!   a quiet CAS, and read inside a region only by a split, plainly, on a
-//!   line that region writes anyway. The split lock is not quiet: it shares a line that
-//!   every region and scan section over its segment reads, so each
-//!   acquire and release publishes a point write that aborts such a region
+//!   the last segment down: `next` on the last segment's line; the copy of
+//!   `seqno` a scan step's closing section checks on the one before; the
+//!   split lock and the *block word* — which names the leaf's CCM block,
+//!   allocated apart from it when the leaf first needs one (see [`Ccm`])
+//!   — on the two before that, and `parent` on the one before those.
+//!   Segment 0's link word holds the other copy of `seqno`, which a scan
+//!   step reads with segment 0's records before its other sections. A
+//!   geometry with fewer than six segments puts the rest on its segments'
+//!   spare words ([`KeyPad`]). Every line of the leaf carries records, and so value
+//!   writes: an HTM region that read one would abort under every put to
+//!   that segment, which is why the upper region reads no leaf word at all
+//!   ([`crate::EunoBTree::locate`]). The block word is written once in the
+//!   leaf's life ([`EunoLeaf::install_block`]), by a quiet CAS, and read
+//!   inside a region only by a split, plainly, on a line that region
+//!   writes anyway. The split lock is not quiet: it shares a line that
+//!   every region and scan section over its segment reads, so each acquire
+//!   and release publishes a point write that aborts such a region
 //!   overlapping it (DESIGN.md §4.8, "Layout", has the measured cost);
-//! * split, reorganization and merge bump every copy of `seqno` at once
-//!   ([`EunoLeaf::bump_seqno`]), before any record moves, so the copies
-//!   are equal at every commit and whichever one a reader brackets with
-//!   moves before a record does.
+//! * `seqno` is for scans alone, and only splits, reorganizations and
+//!   merges write it: they bump both copies at once
+//!   ([`EunoLeaf::bump_seqno`]) before any record moves, so the copies are
+//!   equal at every commit and a step that read one copy before its
+//!   sections and the other after them knows whether any record of the
+//!   leaf changed segment in between. Splits and merges write all six
+//!   fence copies at once ([`EunoLeaf::set_fence`]), the same way.
 //!
 //! Records live **spread over the segments at all times**, each in the
 //! first segment on its key's probe path that had room
@@ -59,13 +65,22 @@ use crate::segment::{KeyPad, Keys, Segment};
 pub const INTERNAL_FANOUT: usize = 16;
 
 /// A partitioned leaf: `SEGS` segments of `K` slots, which also carry the
-/// leaf's `seqno`, `next`, `parent`, split lock and block word.
+/// leaf's fence, `seqno`, `next`, `parent`, split lock and block word.
 #[repr(C, align(64))]
 pub struct EunoLeaf<const SEGS: usize, const K: usize>
 where
     Keys<K>: KeyPad,
 {
     pub segs: [Segment<K>; SEGS],
+}
+
+/// Whether a leaf whose fence reads `fence` covers `key`, for a key at or
+/// above the leaf's lower bound: `key` is below the fence, or the leaf is
+/// the last one, whose fence is `KEY_SENTINEL` (a get or delete may ask
+/// for that key too). A retired leaf's fence is 0 and covers nothing.
+#[inline]
+pub(crate) fn covers(fence: u64, key: u64) -> bool {
+    key < fence || fence == KEY_SENTINEL
 }
 
 impl<const SEGS: usize, const K: usize> EunoLeaf<SEGS, K>
@@ -82,53 +97,83 @@ where
             segs: std::array::from_fn(|_| Segment::empty()),
         };
         assert!(
-            SEGS + leaf.segs[0].spare().len() >= Self::OWN_WORDS,
+            Self::LAST + SEGS * leaf.segs[0].spare().len() >= Self::OWN_WORDS,
             "the segments have no five words to spare"
         );
-        leaf.fence().store_plain(KEY_SENTINEL);
         leaf
     }
 
     /// The segment whose line carries `next`.
     const LAST: usize = SEGS - 1;
 
-    /// `next`, `parent`, the split lock, the block word and the fence.
+    /// `next`, the closing copy of `seqno`, the split lock, the block word
+    /// and `parent`.
     const OWN_WORDS: usize = 5;
+
+    /// The first segment a scan step's closing section reads: the one that
+    /// carries the closing copy of `seqno` — the last two segments, where
+    /// there are more than two ([`Self::seqno_closing`]).
+    pub(crate) const CLOSING: usize = SEGS.saturating_sub(2);
 
     /// The block word of a leaf a merge has retired: no block may be
     /// installed on it any more (a birth that finds it frees its block).
     const SEALED: u64 = 1;
 
     /// The leaf's own word `i` of [`Self::OWN_WORDS`]: the link word of
-    /// segment `SEGS − 1 − i` while there is one, else one of segment 0's
-    /// spare words.
+    /// segment `SEGS − 1 − i` while that is not segment 0 (whose link word
+    /// is [`Self::seqno_carried`]), else a spare word, segment 0's first.
     fn own_word(&self, i: usize) -> &TxCell<u64> {
-        match Self::LAST.checked_sub(i) {
+        match Self::LAST.checked_sub(i).filter(|&seg| seg > 0) {
             Some(seg) => self.segs[seg].link(),
-            None => &self.segs[0].spare()[i - SEGS],
+            None => {
+                let (j, per) = (i - Self::LAST, self.segs[0].spare().len());
+                &self.segs[j / per].spare()[j % per]
+            }
         }
     }
 
-    /// Segment `seg`'s copy of the version number tracking splits (the
-    /// consistency glue between the upper and lower HTM regions,
-    /// §4.1/Figure 4). An operation checks its key's home segment's copy;
-    /// a scan step, [`Self::seqno_beside_next`]; the HTM upper region
-    /// hands over [`Self::seqno_beside_fence`].
-    pub fn seqno(&self, seg: usize) -> &TxCell<u64> {
-        self.segs[seg].seqno_cell()
+    /// Segment `seg`'s copy of the *fence*: the upper bound of the keys the
+    /// leaf covers — `KEY_SENTINEL` at the end of the chain, the separator
+    /// a split put above it, its right neighbour's fence once a merge has
+    /// taken that neighbour in — and 0 once a merge has retired it. A
+    /// leaf's lower bound never changes while it lives (a split keeps the
+    /// lower half, a merge the left leaf), so a leaf an upper stage found
+    /// for `key` covers it exactly while `key` is below its fence
+    /// ([`covers`]): what the lower region, the episode-free get, the leaf
+    /// hint and a group of `apply_batch` check, each on its key's home
+    /// segment, the line it reads anyway. Written by splits and merges,
+    /// inside their regions, all copies at once ([`Self::set_fence`]).
+    pub fn fence(&self, seg: usize) -> &TxCell<u64> {
+        self.segs[seg].fence_cell()
     }
 
-    /// The copy of `seqno` a chain walker reads: the last segment's,
-    /// beside `next`.
-    pub fn seqno_beside_next(&self) -> &TxCell<u64> {
-        self.seqno(Self::LAST)
+    /// The one writer of the fence: every segment's copy becomes `fence`,
+    /// so the copies are equal at every commit and an operation checking
+    /// its key's home copy sees the leaf's range. (Its mutation twin writes
+    /// copy 0 alone: `tests/upper_walk.rs` convicts it.)
+    pub(crate) fn set_fence(&self, tx: &mut Tx<'_>, fence: u64) -> TxResult<()> {
+        for seg in &self.segs {
+            tx.write(seg.fence_cell(), fence)?;
+            if probe::mutated("fence:write-one-copy") {
+                break;
+            }
+        }
+        Ok(())
     }
 
-    /// The copy of `seqno` the HTM upper region's section reads with the
-    /// fence ([`crate::EunoBTree::locate`]): the fence's segment's, on the
-    /// fence's line wherever the fence rides a link word.
-    pub fn seqno_beside_fence(&self) -> &TxCell<u64> {
-        self.seqno(Self::LAST.saturating_sub(4))
+    /// The copy of `seqno` — the version that moves at every split,
+    /// reorganization and merge — on segment 0's line: what the section
+    /// that reads segment 0 for a scan step reads with it (the walk that
+    /// found the leaf, or the step's opening section).
+    pub fn seqno_carried(&self) -> &TxCell<u64> {
+        self.segs[0].link()
+    }
+
+    /// The copy of `seqno` a scan step's closing section checks, beside
+    /// `next` (one line before it where the leaf has more than two
+    /// segments).
+    pub fn seqno_closing(&self) -> &TxCell<u64> {
+        self.own_word(1)
     }
 
     /// Next-leaf chain for range scans (NodeRef bits).
@@ -138,7 +183,7 @@ where
 
     /// Parent internal node (NodeRef bits; 0 at the root).
     pub fn parent(&self) -> &TxCell<u64> {
-        self.own_word(1)
+        self.own_word(4)
     }
 
     /// Serializes splits, merges and locked scan steps on this leaf.
@@ -154,18 +199,6 @@ where
         self.own_word(3)
     }
 
-    /// The *fence*: the upper bound of the keys the leaf covers —
-    /// `KEY_SENTINEL` at the end of the chain, the separator a split put
-    /// above it, its right neighbour's fence once a merge has taken that
-    /// neighbour in — and 0 once a merge has retired it. A leaf's lower
-    /// bound never changes while it lives (a split keeps the lower half, a
-    /// merge the left leaf), so a leaf covers `key` exactly while `key` is
-    /// below its fence: what the pair an HTM upper region hands over is
-    /// read against ([`crate::EunoBTree::locate`]). Written by splits and
-    /// merges, inside their regions, after the `seqno` bump.
-    pub fn fence(&self) -> &TxCell<u64> {
-        self.own_word(4)
-    }
     /// The block word, by a direct (charged) load.
     pub(crate) fn block_word_direct(&self, ctx: &mut ThreadCtx) -> u64 {
         self.block_cell().load_direct(ctx)
@@ -218,18 +251,17 @@ where
         }
     }
 
-    /// The one writer of `seqno`: every segment's copy goes up by one.
-    /// Split, reorganization and merge call it before any record moves,
-    /// so the copies are equal at every commit and a reader bracketing
-    /// with any one of them sees it move first. (Its mutation twin bumps
-    /// copy 0 alone: `tests/upper_walk.rs` convicts it.)
+    /// The one writer of `seqno`: both copies go up by one. Split,
+    /// reorganization and merge call it before any record moves, so the
+    /// copies are equal at every commit and a scan step bracketing its
+    /// sections with the two sees it move first. (Its mutation twin bumps
+    /// the carried copy alone: `tests/upper_walk.rs` convicts it with a
+    /// scan.)
     pub(crate) fn bump_seqno(&self, tx: &mut Tx<'_>) -> TxResult<()> {
-        let seq = tx.read(self.seqno(0))? + 1;
-        for seg in &self.segs {
-            tx.write(seg.seqno_cell(), seq)?;
-            if probe::mutated("seqno:bump-one-copy") {
-                break;
-            }
+        let seq = tx.read(self.seqno_carried())? + 1;
+        tx.write(self.seqno_carried(), seq)?;
+        if !probe::mutated("seqno:bump-one-copy") {
+            tx.write(self.seqno_closing(), seq)?;
         }
         Ok(())
     }
@@ -256,9 +288,9 @@ where
     }
 
     pub fn register(&self, rt: &Runtime) {
-        // Segments: record storage (their `seqno` copies and the leaf's
-        // own words live amid the records deliberately — per-segment
-        // metadata is the point).
+        // Segments: record storage (their fence copies and the leaf's own
+        // words live amid the records deliberately — per-segment metadata
+        // is the point).
         // Attributed: the contention profiler maps address-carrying trace
         // events (conflict lines, lock cells) inside the leaf — and in its
         // CCM block ([`Runtime::register_side_block`]) — to its base.
@@ -307,56 +339,71 @@ mod tests {
     use euno_htm::LineId;
 
     /// The line facts of the layout, at every geometry the crate builds:
-    /// every segment's `seqno` copy, link word, keys and values on that
-    /// segment's `lines` lines and on no other segment's; `next` beside
-    /// the last segment's copy of `seqno`, the fence beside the copy the
-    /// upper region reads with it where the fence rides a link word; and
-    /// the leaf's five own words apart.
+    /// every segment's fence copy, link word, keys and values on that
+    /// segment's `lines` lines and on no other segment's, the fence copy on
+    /// the line of the segment's first key; the carried copy of `seqno` on
+    /// segment 0's lines, the closing copy and `next` on the lines a scan
+    /// step's closing section reads (the last two segments'); and the
+    /// leaf's six own words apart.
     fn line_facts<const SEGS: usize, const K: usize>(lines: usize)
     where
         Keys<K>: KeyPad,
     {
         let l: Box<EunoLeaf<SEGS, K>> = Box::new(EunoLeaf::empty());
         let line = |cell: &TxCell<u64>| cell.line();
+        let lines_of = |seg: &Segment<K>| -> std::collections::HashSet<LineId> {
+            (0..K)
+                .flat_map(|j| [line(seg.key_cell(j)), line(seg.val_cell(j))])
+                .chain([line(seg.fence_cell()), line(seg.link())])
+                .collect()
+        };
         let mut seen = std::collections::HashSet::new();
         for (i, seg) in l.segs.iter().enumerate() {
-            let mine: std::collections::HashSet<LineId> = (0..K)
-                .flat_map(|j| [line(seg.key_cell(j)), line(seg.val_cell(j))])
-                .chain([line(l.seqno(i)), line(seg.link())])
-                .collect();
+            let mine = lines_of(seg);
             assert_eq!(mine.len(), lines, "segment {i}'s lines");
             assert!(mine.iter().all(|&at| seen.insert(at)), "segment {i}");
-            assert_eq!(line(l.seqno(i)), line(seg.key_cell(0)), "segment {i}");
+            assert_eq!(line(l.fence(i)), line(seg.key_cell(0)), "segment {i}");
+            assert_eq!(l.fence(i).load_plain(), KEY_SENTINEL, "segment {i}");
         }
-        let last = EunoLeaf::<SEGS, K>::LAST;
-        assert_eq!(line(l.next()), line(l.seqno_beside_next()));
-        assert_eq!(line(l.next()), line(l.segs[last].key_cell(0)));
-        if SEGS >= EunoLeaf::<SEGS, K>::OWN_WORDS {
-            assert_eq!(line(l.fence()), line(l.seqno_beside_fence()));
-        }
+        assert!(lines_of(&l.segs[0]).contains(&line(l.seqno_carried())));
+        let closing = EunoLeaf::<SEGS, K>::CLOSING;
+        let closing_lines: std::collections::HashSet<LineId> =
+            l.segs[closing..].iter().flat_map(lines_of).collect();
+        assert!(closing_lines.contains(&line(l.seqno_closing())));
+        assert!(closing_lines.contains(&line(l.next())));
         let at = |cell: &TxCell<u64>| cell as *const TxCell<u64> as usize;
         let words = [
             at(l.next()),
             at(l.parent()),
             l.split_lock() as *const LockWord as usize,
             at(l.block_cell()),
-            at(l.fence()),
+            at(l.seqno_carried()),
+            at(l.seqno_closing()),
         ];
         let distinct: std::collections::HashSet<usize> = words.into_iter().collect();
-        assert_eq!(distinct.len(), 5, "five words");
+        assert_eq!(distinct.len(), 6, "six words");
     }
 
     #[test]
     fn leaf_line_discipline() {
         line_facts::<6, 3>(1);
         line_facts::<3, 6>(2);
-        // (Five of the unpartitioned segment's lines hold its `seqno`, link
-        // word, keys and values; its spare words reach into a sixth.)
+        // (Five of the unpartitioned segment's lines hold its fence copy,
+        // link word, keys and values; its spare words reach into a sixth.)
         line_facts::<1, 18>(5);
+        // The default geometry, line by line: the carried copy of `seqno`
+        // beside segment 0's records, the closing copy beside segment 4's
+        // and `next` beside segment 5's — each read with those records.
+        let l: Box<DefaultLeaf> = Box::new(EunoLeaf::empty());
+        let line = |cell: &TxCell<u64>| cell.line();
+        assert_eq!(line(l.seqno_carried()), line(l.segs[0].key_cell(0)));
+        assert_eq!(line(l.seqno_closing()), line(l.segs[4].key_cell(0)));
+        assert_eq!(line(l.next()), line(l.segs[5].key_cell(0)));
+        assert_eq!(DefaultLeaf::CLOSING, 4);
         // Six segment lines and nothing else; the unpartitioned leaf's one
-        // segment is the same 384 B (`seqno`, `next`, eighteen keys,
-        // eighteen values, `parent`, the split lock and the block word are
-        // forty-one words of forty-eight).
+        // segment is the same 384 B (the fence, two copies of `seqno`,
+        // `next`, eighteen keys, eighteen values, `parent`, the split lock
+        // and the block word are forty-three words of forty-eight).
         assert_eq!(std::mem::size_of::<DefaultLeaf>(), 384);
         assert_eq!(std::mem::size_of::<EunoLeaf<1, 18>>(), 384);
         assert_eq!(std::mem::size_of::<EunoLeaf<3, 6>>(), 384);

@@ -46,9 +46,11 @@
 //!   re-place the combined records over the left leaf's segments by the
 //!   probe-path rule, unlink the right leaf and drop its separator from
 //!   the shared parent;
-//! * both leaves' `seqno`s are bumped (before any record moves) so
-//!   two-step traversals and episode-free readers holding either pointer
-//!   retry from the root, and the right node is retired to the epoch
+//! * both leaves' `seqno`s are bumped and the right leaf's fence set to 0
+//!   (before any record moves) so scan steps holding either pointer, and
+//!   operations holding the right one, retry from the root; the left
+//!   leaf, which keeps its lower bound, takes the right one's fence; and
+//!   the right node is retired to the epoch
 //!   collector (freed after a two-epoch grace period, once no pinned
 //!   thread can still hold a reference).
 //!
@@ -148,8 +150,9 @@ where
     ///
     /// Pin, bump, stamp and both reads are `SeqCst`, so "precedes" is one
     /// total order. An address is re-issued only after a retirement, so
-    /// under equal generations `(address, seqno)` cannot name two leaves
-    /// either. Charged as one cache hit: the word is written once a merge.
+    /// under equal generations an address cannot name two leaves either,
+    /// and the hint's lower bound is still the leaf's. Charged as one cache
+    /// hit: the word is written once a merge.
     pub(crate) fn retire_generation(&self, ctx: &mut ThreadCtx) -> u64 {
         debug_assert!(ctx.epoch_pinned());
         ctx.charge(self.rt.cost.access_hit);
@@ -395,28 +398,30 @@ where
                 return Ok(false);
             }
 
-            // Invalidate two-step traversals (and plain chain walkers)
-            // holding either leaf BEFORE any structural edit. Writes
-            // become visible in program order on the fallback path and in
-            // buffer order at commit, so the seqno bumps must be first: a
+            // Invalidate scan steps (and plain chain walkers) holding
+            // either leaf, and operations holding the right one, BEFORE
+            // any structural edit. Writes become visible in program order
+            // on the fallback path and in buffer order at commit, so the
+            // seqno bumps and the right leaf's fence must be first: a
             // walker that hops through the right leaf after the unlink
-            // must already see the bumped seqno, or it would trust a leaf
-            // whose records have moved left — and the left leaf's own
-            // records are re-placed in the redistribute below (a spilled
-            // key goes home, counts fall), so readers holding it need
-            // invalidating too. Every copy of each: a reader checks the
-            // one on its key's home segment.
+            // must already see the bumped seqno, and an operation the
+            // retired fence 0, or it would trust a leaf whose records have
+            // moved left — and the left leaf's own records are re-placed
+            // in the redistribute below (a spilled key goes home, counts
+            // fall), so scan steps holding it need invalidating too. The
+            // left leaf keeps its lower bound and takes the right one's
+            // fence once the records are in.
             probe::mark("merge:seqno");
             right.bump_seqno(tx)?;
             left.bump_seqno(tx)?;
+            let high = tx.read(right.fence(0))?;
+            right.set_fence(tx, 0)?;
 
             // Re-place into the left leaf; empty the right one.
             probe::mark("merge:records");
             self.redistribute(tx, left, &records)?;
             self.clear_segments(tx, right)?;
-            let high = tx.read(right.fence())?;
-            tx.write(left.fence(), high)?;
-            tx.write(right.fence(), 0)?;
+            left.set_fence(tx, high)?;
 
             // Unlink and drop the separator entry — a leaf's, never an
             // index node's: subtree hints (`EunoBTree::descend`) rely on

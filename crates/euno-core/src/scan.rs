@@ -2,19 +2,28 @@
 //! configuration (design in DESIGN.md §4.7).
 //!
 //! Under one epoch pin the scan takes the chain a leaf at a time. Each
-//! *leaf step* is an episode-free optimistic section per segment, leaving a
-//! sorted batch on the tail of the caller's buffer and returning a validated
-//! hint: the successor, its `seqno` and its segment 0's records, read in
-//! the step's closing section; the following step starts at the hinted
-//! leaf, past its segment 0, and re-descends from the root only when that
-//! leaf's `seqno` has moved.
+//! *leaf step* is an episode-free optimistic section per segment — the
+//! last two share the closing section — leaving a sorted batch on the tail
+//! of the caller's buffer and returning the successor it read in its
+//! closing section; the following step starts there without touching the
+//! index, and re-descends from the root only when that leaf has split or
+//! been merged away.
+//!
+//! The scan is the one reader of `seqno` ([`EunoLeaf::seqno_carried`],
+//! [`EunoLeaf::seqno_closing`]): a step reads one copy with segment 0,
+//! before its other sections, and the other in its closing section, so
+//! each of its six lines is read once. A walk that finds the step's leaf
+//! reads segment 0 and the first copy inside its own section; otherwise —
+//! a leaf hint, the HTM region, the step before — the step reads them in an
+//! *opening* section that first checks the cursor against the fence there,
+//! as a point operation does.
 //! A step that keeps failing validation runs its leaf through the locked
 //! rung — split lock plus one HTM region — which is what bounds a scan.
 
 use euno_htm::euno_metrics::Counter;
 use euno_htm::{RetryPolicy, ThreadCtx, TxWord, KEY_SENTINEL, TOMBSTONE};
 
-use crate::node::{EunoLeaf, Guard, NodeRef};
+use crate::node::{covers, EunoLeaf, Guard, NodeRef};
 use crate::probe;
 use crate::segment::{KeyPad, Keys};
 use crate::tree::EunoBTree;
@@ -28,57 +37,46 @@ use crate::tree::EunoBTree;
 /// and unbounded → 28.74 M (0: only `scan_ladder.rs` and TL2 reach the rung).
 const STEP_TRIES: u32 = 16;
 
-/// A leaf and the `seqno` it had inside a validated section that read it
-/// (any copy: the copies are equal at every commit).
-type Pair<'g, const SEGS: usize, const K: usize> = (&'g EunoLeaf<SEGS, K>, u64);
-
-/// Where the next leaf step starts: the chain successor and its `seqno`,
-/// read beside `next` in the closing section of the step before — and,
-/// where that was an optimistic step of a leaf of more than one segment,
-/// the successor's segment 0's records ([`Carried`]), read in the same
-/// section.
+/// Where a leaf step starts: the leaf, and what the walk that found it
+/// read of it in its own section ([`Carried`]), if a walk did.
 struct Hint<'g, const SEGS: usize, const K: usize>
 where
     Keys<K>: KeyPad,
 {
-    pair: Pair<'g, SEGS, K>,
-    first: Option<Carried<K>>,
+    leaf: &'g EunoLeaf<SEGS, K>,
+    carried: Option<Carried<K>>,
 }
 
-/// The records, at or above the cursor, of one segment of a step's leaf,
-/// read beside the leaf's `seqno` in the section that found the leaf — the
-/// step before's closing section (segment 0), or the walk that located it
-/// (the cursor's home segment): the step skips that segment, whose line —
-/// every segment line carries records, and so takes value writes — is then
-/// read once, not twice (DESIGN.md §4.7 has what the second read cost).
-/// Never the last segment, which the closing section reads for `next`.
+/// What a walk reads of the leaf it found for a scan, inside its validated
+/// section: the carried copy of `seqno` — the step's bracket opens there —
+/// and, where the step reads segment 0 apart from its closing section
+/// ([`EunoLeaf::CLOSING`] > 0), that segment's records at or above the
+/// cursor. The step skips that segment, whose line — every segment line
+/// carries records, and so takes value writes — is then read once, not
+/// twice (DESIGN.md §4.7 has what the second read cost).
 struct Carried<const K: usize> {
-    seg: usize,
+    seqno: u64,
     records: [(u64, u64); K],
     len: usize,
 }
 
 impl<const K: usize> Carried<K> {
-    /// The records of `seg` at or above `from`, by direct loads.
-    fn read<const SEGS: usize>(
-        ctx: &mut ThreadCtx,
-        leaf: &EunoLeaf<SEGS, K>,
-        seg: usize,
-        from: u64,
-    ) -> Self
+    /// Segment 0 of `leaf` from `from` on, by direct loads.
+    fn read<const SEGS: usize>(ctx: &mut ThreadCtx, leaf: &EunoLeaf<SEGS, K>, from: u64) -> Self
     where
         Keys<K>: KeyPad,
     {
-        debug_assert!(seg + 1 < SEGS, "the closing segment is never carried");
         let mut carried = Carried {
-            seg,
+            seqno: leaf.seqno_carried().load_direct(ctx),
             records: [(0, 0); K],
             len: 0,
         };
-        leaf.segs[seg].read_direct(ctx, from, |r| {
-            carried.records[carried.len] = r;
-            carried.len += 1;
-        });
+        if EunoLeaf::<SEGS, K>::CLOSING > 0 {
+            leaf.segs[0].read_direct(ctx, from, |r| {
+                carried.records[carried.len] = r;
+                carried.len += 1;
+            });
+        }
         carried
     }
 }
@@ -134,22 +132,23 @@ where
     }
 
     /// One leaf step: append the live records ≥ `cursor` of the leaf that
-    /// covers `cursor` to `out`, sorted, and return the successor hint —
-    /// `None` at the chain's end, or where the leaf alone gives the scan
-    /// the `want` records it still needs: the successor's line is then not
-    /// read at all.
+    /// covers `cursor` to `out`, sorted, and return the successor — `None`
+    /// at the chain's end, or where the leaf alone gives the scan the
+    /// `want` records it still needs.
     /// Nothing unvalidated survives on `out`, so retries never duplicate;
-    /// a record-less leaf is an empty batch with a hint, stepped over.
+    /// a record-less leaf is an empty batch with a successor, stepped over.
     ///
-    /// One validated section per segment, so a write to the leaf voids one
-    /// line of the read and not seven; `tries` bounds the sections that
-    /// *fail*. Only the last checks `seqno` (DESIGN.md §4.7), on the copy
-    /// beside `next` on the segment line that section reads anyway: while it
-    /// stands a key stays in its segment — whatever moves a record bumps
-    /// every copy first — and it only grows under the pin, so reading `s1`
-    /// in a validated section before the step and in its last means it
-    /// read `s1` throughout: the sections are atomic images of disjoint key
-    /// sets.
+    /// One validated section per segment below [`EunoLeaf::CLOSING`] and
+    /// one for the rest, so a write to the leaf voids one line of the read
+    /// and not six; `tries` bounds the sections that *fail*. The first
+    /// reads `s1`, the carried copy of `seqno`, with segment 0 — in the
+    /// walk's section, or in an opening section that checks `cursor <
+    /// fence` first; only the closing section checks the closing copy
+    /// against it (DESIGN.md §4.7): while `seqno` stands a key stays in its
+    /// segment — whatever moves a record bumps both copies first — and it
+    /// only grows under the pin, so reading `s1` in a validated section
+    /// before the others and in the last means it read `s1` throughout: the
+    /// sections are atomic images of disjoint key sets.
     #[allow(clippy::too_many_arguments)]
     fn leaf_step<'g>(
         &self,
@@ -162,105 +161,119 @@ where
         out: &mut Vec<(u64, u64)>,
     ) -> Option<Hint<'g, SEGS, K>> {
         let base = out.len();
-        let mut pair = None;
+        let closing = EunoLeaf::<SEGS, K>::CLOSING;
+        let mut current = None;
         'walk: while tries > 0 {
-            // No hint (first step, or the hinted leaf has split or been
-            // merged away): walk to the cursor's leaf — as its own stage,
-            // so a retried leaf read never re-walks the index — and read
-            // every segment of it.
+            // No hint (first step, or the leaf has split or been merged
+            // away): walk to the cursor's leaf — as its own stage, so a
+            // retried leaf read never re-walks the index.
             out.truncate(base);
-            let ((leaf, s1), first) = match hint.take() {
-                Some(Hint { pair, first }) => (pair, first),
-                // A walk that finds the leaf reads the cursor's home
-                // segment in its own section, after the `seqno` copy there.
-                None => {
-                    let home = self.home(ctx, cursor);
-                    let (at, first) = self.locate_then(ctx, g, cursor, home, |ctx, leaf| {
-                        (home + 1 < SEGS).then(|| Carried::read(ctx, leaf, home, cursor))
-                    });
-                    ((at.leaf, at.seqno), first.flatten())
+            let Hint { leaf, carried } = hint.take().unwrap_or_else(|| {
+                let home = self.home(ctx, cursor);
+                let (at, carried) = self.locate_then(ctx, g, cursor, home, |ctx, leaf| {
+                    Carried::read(ctx, leaf, cursor)
+                });
+                Hint {
+                    leaf: at.leaf,
+                    carried,
                 }
-            };
-            if let Some(first) = &first {
-                out.extend_from_slice(&first.records[..first.len]);
+            });
+            current = Some(leaf);
+            let mut seqno = carried.as_ref().map(|c| c.seqno);
+            if let Some(c) = &carried {
+                out.extend_from_slice(&c.records[..c.len]);
             }
-            pair = Some((leaf, s1));
             let mut next = None;
-            let skip = first.as_ref().map(|first| first.seg);
-            for (i, seg) in leaf.segs.iter().enumerate() {
-                if Some(i) == skip {
+            let first = usize::from(seqno.is_some() && closing > 0);
+            for i in first..=closing {
+                if i == 1 && probe::mutated("scan:skip-segment") {
                     continue;
                 }
-                let (mark, last) = (out.len(), i + 1 == SEGS);
-                // `Some(false)` ⇒ the leaf's `seqno` is no longer `s1`.
+                let mark = out.len();
+                let segs = match i == closing {
+                    true => &leaf.segs[closing..],
+                    false => std::slice::from_ref(&leaf.segs[i]),
+                };
+                // `Some(false)` ⇒ the leaf no longer covers the cursor
+                // (opening), or its `seqno` is no longer `s1` (closing).
                 let held = self.validated_section(ctx, cursor, &mut tries, |ctx| {
                     out.truncate(mark);
-                    seg.read_direct(ctx, cursor, |r| out.push(r));
-                    if !last {
+                    if i == 0 && carried.is_none() {
+                        // The opening section: what a point operation
+                        // checks, and the version the step brackets with.
+                        if !covers(leaf.fence(0).load_direct(ctx), cursor) {
+                            return Some(false);
+                        }
+                        seqno = Some(leaf.seqno_carried().load_direct(ctx));
+                    }
+                    for seg in segs {
+                        seg.read_direct(ctx, cursor, |r| out.push(r));
+                    }
+                    if i < closing {
                         return Some(true);
                     }
                     let n = NodeRef::from_word(leaf.next().load_direct(ctx));
                     let live = out[base..]
                         .iter()
                         .filter(|&&(k, v)| k >= cursor && v != TOMBSTONE);
-                    next = (!n.is_null() && live.count() < want).then(|| {
-                        let n = g.leaf(n);
-                        let seqno = n.seqno(0).load_direct(ctx);
-                        let first = (SEGS > 1).then(|| Carried::read(ctx, n, 0, cursor));
-                        Hint {
-                            pair: (n, seqno),
-                            first,
-                        }
+                    next = (!n.is_null() && live.count() < want).then(|| Hint {
+                        leaf: g.leaf(n),
+                        carried: None,
                     });
-                    let stands = leaf.seqno_beside_next().load_direct(ctx) == s1;
+                    let stands = Some(leaf.seqno_closing().load_direct(ctx)) == seqno;
                     Some(stands || probe::mutated("scan:skip-closing-seqno"))
                 });
                 match held {
-                    Some(true) if last => {
+                    Some(true) if i == closing => {
                         ctx.charge(self.rt.cost.alu * sort_batch(out, base, cursor));
                         return next;
                     }
                     // A section that held gives its try back.
-                    Some(true) => tries += 1,
+                    Some(true) => {
+                        tries += 1;
+                        probe::point("scan:section");
+                    }
                     Some(false) => {
                         probe::mark("scan:moved");
-                        pair = None;
+                        current = None;
                         continue 'walk;
                     }
                     None => break 'walk,
                 }
-                probe::point("scan:section");
             }
         }
         // The last try's unvalidated read is still on the tail.
         out.truncate(base);
         ctx.metric_add(Counter::ScanLockedSteps, 1);
-        let pair = pair.or(hint.map(|h| h.pair));
-        self.leaf_step_locked(ctx, g, cursor, pair, out)
+        let leaf = current.or(hint.map(|h| h.leaf));
+        self.leaf_step_locked(ctx, g, cursor, leaf, out)
     }
 
     /// The locked rung of [`Self::leaf_step`] (§4.2.4 as the paper has
     /// it): split lock plus one HTM region, re-finding the cursor's leaf
-    /// while its `seqno` moves. Ends on the fallback lock at worst.
+    /// while the cursor is at or above its fence. The leaf's lower bound is
+    /// at or below the cursor — `locate` found it for the cursor — or it is
+    /// a successor the cursor has not passed, so the fence check is the
+    /// point operations' one, and the one a step's opening section makes.
+    /// Ends on the fallback lock at worst.
     fn leaf_step_locked<'g>(
         &self,
         ctx: &mut ThreadCtx,
         g: Guard<'g, SEGS, K>,
         cursor: u64,
-        mut pair: Option<Pair<'g, SEGS, K>>,
+        mut leaf: Option<&'g EunoLeaf<SEGS, K>>,
         out: &mut Vec<(u64, u64)>,
     ) -> Option<Hint<'g, SEGS, K>> {
         let base = out.len();
         loop {
-            let (leaf, seqno) = pair.take().unwrap_or_else(|| {
-                let at = self.locate(ctx, g, cursor);
-                (at.leaf, at.seqno)
-            });
+            let leaf = leaf
+                .take()
+                .unwrap_or_else(|| self.locate(ctx, g, cursor).leaf);
             leaf.split_lock().acquire(ctx);
             let piece = ctx.htm_execute(&self.ctrl.fallback, &RetryPolicy::DBX, |tx| {
                 tx.set_op_key(cursor);
                 out.truncate(base);
-                if tx.read(leaf.seqno_beside_next())? != seqno {
+                if !covers(tx.read(leaf.fence(0))?, cursor) {
                     return Ok(None);
                 }
                 self.peek_all_into(tx, leaf, out)?;
@@ -270,12 +283,10 @@ where
                 self.reserved_bytes.allocated(bytes);
                 self.reserved_bytes.freed(bytes);
                 let next = NodeRef::from_word(tx.read(leaf.next())?);
-                if next.is_null() {
-                    return Ok(Some(None));
-                }
-                let n = g.leaf(next);
-                let pair = (n, tx.read(n.seqno_beside_next())?);
-                Ok(Some(Some(Hint { pair, first: None })))
+                Ok(Some((!next.is_null()).then(|| Hint {
+                    leaf: g.leaf(next),
+                    carried: None,
+                })))
             });
             leaf.split_lock().release(ctx);
             if let Some(next) = piece.value {

@@ -7,8 +7,8 @@
 //! * a segment is **one line-aligned block**, so concurrent operations
 //!   dispatched to different segments touch disjoint cache lines. At
 //!   `K` = 3 the block is exactly one line — eight words: the segment's
-//!   copy of the leaf's `seqno`, one link word, three keys and their three
-//!   values — so an operation that checks `seqno` on its key's home
+//!   copy of the leaf's fence, one link word, three keys and their three
+//!   values — so an operation that checks the fence on its key's home
 //!   segment, searches its keys and reads or writes a value touches that
 //!   one line and no other. Keys and values used to sit on two lines, so
 //!   that a search would not collide with a value update; but a get that
@@ -26,8 +26,8 @@
 //!
 //! The link word and any spare words a segment has past its values carry
 //! the leaf's own words — `next`, `parent`, the split lock, the block word
-//! and the fence ([`crate::EunoLeaf`]); a geometry with fewer than five
-//! segments lends its segment 0's spare words ([`KeyPad`]).
+//! and the two copies of `seqno` ([`crate::EunoLeaf`]); a geometry with
+//! fewer than six segments lends its segments' spare words ([`KeyPad`]).
 
 use euno_htm::bptree::lower_bound;
 use euno_htm::{ThreadCtx, Tx, TxCell, TxResult, KEY_SENTINEL};
@@ -52,11 +52,11 @@ pub const HOME_ALU: u64 = 4;
 /// A segment of `K` slots, as a type: what [`KeyPad`] is implemented for.
 pub struct Keys<const K: usize>;
 
-/// The words a segment carries past its `seqno` copy, its link word, its
+/// The words a segment carries past its fence copy, its link word, its
 /// keys and its values: none at `K` = 3 (eight words, one line), two at
-/// `K` = 6 (sixteen words, two lines), four at `K` = 18 (forty-two words
-/// of forty-eight, six lines) — named so that a leaf with fewer than five
-/// segments, and so fewer than five link words, can put its own words
+/// `K` = 6 (sixteen words, two lines), five at `K` = 18 (forty-three words
+/// of forty-eight, six lines) — named so that a leaf with fewer than six
+/// segments, and so fewer than six link words, can put its own words
 /// there ([`crate::EunoLeaf::split_lock`]).
 pub trait KeyPad {
     type Spare: AsRef<[TxCell<u64>]> + Default + Send + Sync;
@@ -71,11 +71,11 @@ impl KeyPad for Keys<6> {
 }
 
 impl KeyPad for Keys<18> {
-    type Spare = [TxCell<u64>; 4];
+    type Spare = [TxCell<u64>; 5];
 }
 
-/// One line-aligned segment: this segment's copy of the leaf's `seqno`,
-/// one link word (one of the leaf's own words, or unused), `K` sorted keys
+/// One line-aligned segment: this segment's copy of the leaf's fence, one
+/// link word (one of the leaf's own words), `K` sorted keys
 /// with free slots at [`KEY_SENTINEL`] after them, the `K` values parallel
 /// to the keys, and the spare words ([`KeyPad`]).
 #[repr(C, align(64))]
@@ -83,7 +83,7 @@ pub struct Segment<const K: usize>
 where
     Keys<K>: KeyPad,
 {
-    seqno: TxCell<u64>,
+    fence: TxCell<u64>,
     link: TxCell<u64>,
     keys: [TxCell<u64>; K],
     vals: [TxCell<u64>; K],
@@ -110,7 +110,7 @@ where
 {
     pub fn empty() -> Self {
         Segment {
-            seqno: TxCell::new(0),
+            fence: TxCell::new(KEY_SENTINEL),
             link: TxCell::new(0),
             keys: std::array::from_fn(|_| TxCell::new(KEY_SENTINEL)),
             vals: std::array::from_fn(|_| TxCell::new(0)),
@@ -134,9 +134,10 @@ where
         &self.vals[i]
     }
 
-    /// This segment's copy of the leaf's `seqno` ([`crate::EunoLeaf::seqno`]).
-    pub(crate) fn seqno_cell(&self) -> &TxCell<u64> {
-        &self.seqno
+    /// This segment's copy of the leaf's fence ([`crate::EunoLeaf::fence`]):
+    /// `KEY_SENTINEL` until a split lowers it.
+    pub(crate) fn fence_cell(&self) -> &TxCell<u64> {
+        &self.fence
     }
 
     /// The link word: one of the leaf's own words ([`crate::EunoLeaf`]).
@@ -226,7 +227,8 @@ where
     /// least `from`: keys up to the first free slot, a value only beside a
     /// key that is kept — a scan step has no use for the records below its
     /// cursor. At most `K` records. Direct loads only: the caller validates
-    /// the whole read (leaf `seqno`, engine snapshot) afterwards and
+    /// the whole read (engine snapshot, and the leaf's `seqno` around the
+    /// step) afterwards and
     /// retries on any change, so what a torn state hands `out` is the
     /// caller's to discard.
     pub fn read_direct(&self, ctx: &mut ThreadCtx, from: u64, mut out: impl FnMut((u64, u64))) {
@@ -300,10 +302,10 @@ mod tests {
         assert_eq!(std::mem::size_of::<Segment<18>>(), 384);
         let seg: Segment<3> = Segment::empty();
         // The search path (keys), the update path (values) and the
-        // `seqno` copy an operation checks share the segment's one line.
+        // fence copy an operation checks share the segment's one line.
         let line = seg.key_cell(0).line();
         for (cell, what) in [
-            (seg.seqno_cell(), "the seqno copy"),
+            (seg.fence_cell(), "the fence copy"),
             (seg.link(), "the link word"),
             (seg.key_cell(2), "the last key"),
             (seg.val_cell(0), "the first value"),

@@ -74,19 +74,20 @@ where
         // Invalidate concurrent readers of this leaf BEFORE any record
         // moves (Algorithm 3 line 80, same discipline as the merge path):
         // writes become visible in program order on the fallback path, so
-        // an episode-free reader — or a plain chain walker — that samples
-        // the leaf mid-split must already see the bumped seqno, whichever
-        // copy it reads, or it would trust a record set whose upper half
-        // has moved right.
+        // a scan step — or a plain chain walker — that samples the leaf
+        // mid-split must already see the bumped `seqno`, and an operation
+        // holding the leaf for a key of the upper half the lowered fence,
+        // or it would trust a record set whose upper half has moved right.
+        // The leaf keeps its lower bound: the right half is the new node.
         probe::mark("split:seqno");
         leaf.bump_seqno(tx)?;
+        let high = tx.read(leaf.fence(0))?;
+        leaf.set_fence(tx, sep)?;
 
         probe::mark("split:records");
         self.redistribute(tx, leaf, &records[..mid])?;
         self.redistribute(tx, right, &records[mid..])?;
-        let high = tx.read(leaf.fence())?;
-        tx.write(right.fence(), high)?;
-        tx.write(leaf.fence(), sep)?;
+        right.set_fence(tx, high)?;
 
         // A leaf with a CCM block hands the unpublished right node one of
         // its own: fresh exact mark bits (the left node keeps its superset

@@ -3,11 +3,12 @@
 //! Every point operation runs as:
 //!
 //! 1. an *upper stage* ([`EunoBTree::locate`]) finds the target leaf and
-//!    the `seqno` it had while it covered the key — under `read_opt` from
-//!    the thread's own leaf hint if it still holds, else by episode-free
+//!    the lower bound of the range it covered — under `read_opt` from the
+//!    thread's own leaf hint if it still holds, else by episode-free
 //!    validated walks (from an index node the thread remembers for the
 //!    key's neighbourhood, else from the root); the paper's HTM region
-//!    otherwise and as their tail.
+//!    otherwise and as their tail. None of them reads a leaf line to hand
+//!    the leaf over (a hint checks the fence it is trusted on).
 //!    A `read_opt` get reads the leaf episode-free as well — inside the
 //!    walk's own section when a walk found it
 //!    ([`EunoBTree::locate_then`]), in a section of its own when a hint or
@@ -19,16 +20,24 @@
 //!    bit, and pre-acquires the split lock for inserts into near-full
 //!    leaves; on a leaf without a CCM block it is one load, on a bypassed
 //!    one with a block two;
-//! 3. a *lower* HTM region re-reads `seqno` — if unchanged, the leaf
-//!    pointer is still the right one and the operation completes locally;
-//!    if changed, a concurrent split moved records and the operation
-//!    retries from the root (the rare case).
+//! 3. a *lower* HTM region reads the leaf's fence on the key's home
+//!    segment — if the key is below it, the leaf still covers the key and
+//!    the operation completes locally; if not, a concurrent split or merge
+//!    took the key's range away and the operation goes back to step 1 (the
+//!    rare case).
 //!
-//! Every `seqno` an operation checks is its key's home segment's copy
-//! ([`EunoLeaf::seqno`]), on the line the leaf search reads first; the
-//! home is computed once, before step 1. (The HTM upper region alone hands
-//! over another copy, the one beside the leaf's fence: the copies are equal
-//! at every commit.)
+//! The paper validates the hand-over with a per-leaf version (guideline 1,
+//! Figure 4); here the witness is the leaf's range. A live leaf's lower
+//! bound never changes — a split keeps the left half in place, a merge
+//! folds the right leaf into the left — and the upper stage handed over a
+//! leaf whose lower bound is at or below the key, so `key < fence`, read
+//! where the operation acts, proves the leaf covers the key then. A
+//! reorganization moves records but not the range, so it voids no
+//! hand-over. A retired leaf's fence reads 0, and the operation's epoch
+//! pin keeps its address from being re-used (DESIGN.md §4.4 has the
+//! argument). The fence an operation checks is its key's home segment's
+//! copy ([`EunoLeaf::fence`]), on the line the leaf search reads first; the
+//! home is computed once, before step 1.
 //!
 //! The HTM regions run on the layered executor in `euno_htm::exec` under
 //! [`RetryPolicy::DBX`]; the episode-free sections are bounded by the two
@@ -38,13 +47,11 @@ use std::convert::Infallible;
 
 use euno_htm::bptree::upper_bound;
 use euno_htm::euno_metrics::Counter;
-use euno_htm::{
-    AbortCause, Anchor, RetryPolicy, ThreadCtx, TxCell, TxResult, TxWord, KEY_SENTINEL, TOMBSTONE,
-};
+use euno_htm::{AbortCause, Anchor, RetryPolicy, ThreadCtx, TxCell, TxResult, TxWord, TOMBSTONE};
 use euno_rng::Rng;
 
 use crate::ccm::Ccm;
-use crate::node::{EunoLeaf, Guard, NodeRef, INTERNAL_FANOUT};
+use crate::node::{covers, EunoLeaf, Guard, NodeRef, INTERNAL_FANOUT};
 use crate::probe;
 use crate::segment::{KeyPad, Keys};
 use crate::structural::LowerRegion;
@@ -58,25 +65,9 @@ const NEAR_FULL_SLACK: usize = 4;
 /// region finds the leaf. The tail must exist — in concurrent mode the
 /// section check is the *global* TL2 clock, so steady writers anywhere in
 /// the tree can fail a walk forever — and a failed walk is cheap (it read
-/// the index and one leaf key line), so the budget only has to ride out a
-/// burst of index writes. Sweep in DESIGN.md §4.4.
+/// the index and no leaf line), so the budget only has to ride out a burst
+/// of index writes. Sweep in DESIGN.md §4.4.
 const LOCATE_TRIES: u32 = 4;
-
-/// Rounds of the HTM upper region whose pair section may fail before the
-/// region reads the key's home copy of `seqno` itself
-/// ([`EunoBTree::locate`]'s last rung). The tail must exist for the reason
-/// above, and it aborts under every write to the home line, so it has to
-/// stay rare. Swept (`EUNO_BENCH_SCALE=0.3`) on the `paper()` cells with
-/// the most contention — Figure 12 Self-Similar at 12 and 20 threads,
-/// Figure 10 θ = 0.99 at 20, Figure 8 and Figure 13's `+Adaptive` at
-/// θ = 0.99 and 0.9: 4, 8, 16 and 32 rounds read the same to the last
-/// digit (no operation went that far), 1 round 0.1–1.8 % less, and 0 — the
-/// region always reads the pair — 8–68 % less. The floor is set by
-/// `tests/adaptive.rs`'s sixteen threads on one leaf, where a section
-/// fails in long streaks: with 4 rounds the fallback lock's storms left
-/// 0.938 of the calm leaves bypassed (the test wants 0.95); 8 and more
-/// pass.
-const PAIR_ROUNDS: u32 = 16;
 
 /// Episode-free leaf reads a `read_opt` get tries before it goes on to the
 /// CCM stage and the lower region like any other operation. The tail must
@@ -143,16 +134,20 @@ where
     pub anchor: Option<Anchor>,
 }
 
-/// What the upper stage hands over: a leaf, the `seqno` it had while it
-/// covered `[low, high)`, and the conflict aborts spent finding it.
+/// What the upper stage hands over: a leaf, the key range it covered
+/// when the stage found it, and the conflict aborts spent finding it.
+/// `low` is the leaf's lower bound, which stays its lower bound while it
+/// lives; `high` is what the stage knew of its upper bound (the fence a
+/// hint was trusted on, the separator above the walk's path) — and what
+/// the leaf's fence, checked where the operation acts, may since have
+/// lowered.
 pub struct Located<'g, const SEGS: usize, const K: usize>
 where
     Keys<K>: KeyPad,
 {
     pub leaf: &'g EunoLeaf<SEGS, K>,
-    pub seqno: u64,
-    /// The leaf's key range as the index had it: the separators that
-    /// bound the path taken (`0` / `u64::MAX` where there is none).
+    /// The leaf's key range as the stage saw it (`0` / `u64::MAX` where
+    /// the path had no separator).
     pub low: u64,
     pub high: u64,
     pub conflicts: u32,
@@ -170,11 +165,12 @@ where
 
 /// What [`EunoBTree::read_leaf`] concluded.
 pub(crate) enum LeafRead {
-    /// Read under an unchanged `seqno`: the get's answer.
+    /// Read while the leaf covered the key: the get's answer.
     Value(Option<u64>),
-    /// `seqno` has moved on: the pair is dead, go back to `locate`.
+    /// The key is at or above the leaf's fence: the leaf split or was
+    /// merged away, go back to `locate`.
     Moved,
-    /// Try budget spent under writers: the pair may still be good.
+    /// Try budget spent under writers: the leaf may still cover the key.
     Spent,
 }
 
@@ -276,76 +272,37 @@ where
     /// Algorithm 2 lines 23-28: one HTM region finds the leaf — and only
     /// the leaf. Every line of a leaf carries records, and so value writes:
     /// a region that read one would abort under every put to that segment,
-    /// same-record writers queued on the CCM lock bit included. The
-    /// version is read after the region instead, in a validated section of
-    /// one line: the leaf's fence ([`EunoLeaf::fence`]) and the copy of
-    /// `seqno` beside it ([`EunoLeaf::seqno_beside_fence`]; the copies are
-    /// equal at every commit, so the lower region checks it against the
-    /// key's home copy). A leaf's lower bound never moves while it lives,
-    /// so a fence above `key` proves the leaf covered `key` while its
-    /// `seqno` read what the section read — the pair the lower region
-    /// checks. A fence at or below `key` — the leaf split, or was merged
-    /// away, since the region — sends the search round again; so does a
-    /// section that keeps failing, up to [`PAIR_ROUNDS`] rounds, after
-    /// which the region reads the key's home copy itself, as the paper has
-    /// it — and so does every round if `home_copy`, which an operation
-    /// asks for once the lower region has refused a pair. (What the
-    /// section costs under contention is in DESIGN.md §8.)
+    /// same-record writers queued on the CCM lock bit included. The region
+    /// reads the index alone and hands over the leaf with the range its
+    /// path gave it; whoever acts on the leaf checks the fence on the line
+    /// it acts on.
     fn upper_region<'g>(
         &self,
         ctx: &mut ThreadCtx,
         g: Guard<'g, SEGS, K>,
         key: u64,
-        home: usize,
-        home_copy: bool,
     ) -> Located<'g, SEGS, K> {
-        let mut conflicts = 0;
-        for round in 0.. {
-            // Read inside the region, the home copy always holds: the
-            // region ends on the fallback lock at worst.
-            let inside = home_copy || round >= PAIR_ROUNDS;
-            let out = ctx.htm_execute(&self.ctrl.fallback, &RetryPolicy::DBX, |tx| {
-                tx.set_op_key(key);
-                // A transaction reads a consistent index; an attempt that
-                // did not is doomed, so abort it rather than follow the
-                // pointer.
-                let at = self
-                    .descend(g, key, None, |cell| tx.read(cell))?
-                    .ok_or(AbortCause::Explicit(0x11))?;
-                let seqno = match inside {
-                    true => Some(tx.read(at.leaf.seqno(home))?),
-                    false => None,
-                };
-                Ok((at.leaf, at.low, at.high, seqno))
-            });
-            conflicts += out.conflict_aborts;
-            let (leaf, low, high, seqno) = out.value;
-            let located = |seqno, high| Located {
-                leaf,
-                seqno,
-                low,
-                high,
-                conflicts,
-            };
-            if let Some(seqno) = seqno {
-                return located(seqno, high);
-            }
-            let pair = self.validated_section(ctx, key, &mut { LOCATE_TRIES }, |ctx| {
-                let seqno = leaf.seqno_beside_fence().load_direct(ctx);
-                Some((seqno, leaf.fence().load_direct(ctx)))
-            });
-            // (The last leaf's fence, `KEY_SENTINEL`, covers that key too.)
-            let covers = |&(_, fence): &(u64, u64)| key < fence || fence == KEY_SENTINEL;
-            if let Some((seqno, fence)) = pair.filter(covers) {
-                return located(seqno, high.min(fence));
-            }
+        let out = ctx.htm_execute(&self.ctrl.fallback, &RetryPolicy::DBX, |tx| {
+            tx.set_op_key(key);
+            // A transaction reads a consistent index; an attempt that did
+            // not is doomed, so abort it rather than follow the pointer.
+            let at = self
+                .descend(g, key, None, |cell| tx.read(cell))?
+                .ok_or(AbortCause::Explicit(0x11))?;
+            Ok((at.leaf, at.low, at.high))
+        });
+        let (leaf, low, high) = out.value;
+        Located {
+            leaf,
+            low,
+            high,
+            conflicts: out.conflict_aborts,
         }
-        unreachable!("the round that reads inside the region returns")
     }
 
     /// Run `read` as an episode-free validated section until it holds or
     /// `tries` runs out (each run takes one): engine snapshot, `read`
-    /// (which returns `None` when its own `seqno` bracket failed), engine
+    /// (which returns `None` when a check of its own failed), engine
     /// validation — the TL2 clock plus the fallback cell in concurrent
     /// mode, the window-overlap verdict at episode close in virtual mode.
     /// `None` ⇒ budget spent; the give-up costs one empty section.
@@ -373,27 +330,24 @@ where
     }
 
     /// The upper stage of every operation: the leaf covering `key`, the
-    /// `seqno` it had while it did (the copy on `key`'s home segment, whose
-    /// home this charges — or, from the HTM region, the copy beside the
-    /// fence), the key range it covered then, and the
-    /// conflict aborts spent finding it. The pair is a *hint* in the sense
-    /// of guideline 1 — whoever acts on the leaf re-checks `seqno` where it
-    /// acts, and restarts here on a mismatch. The caller holds an epoch
-    /// pin, which is what keeps the leaf readable if a merge retires it in
-    /// between.
+    /// key range it covered then, and the conflict aborts spent finding it.
+    /// The leaf is a *hint* in the sense of guideline 1 — whoever acts on
+    /// it checks `key` against the fence on `key`'s home segment (whose
+    /// home this charges) where it acts, and restarts here if the key is
+    /// not below it. The caller holds an epoch pin, which is what keeps
+    /// the leaf readable if a merge retires it in between.
     ///
     /// Without `read_opt` this is the HTM upper region. With it, four
     /// rungs:
     ///
     /// 1. **the thread's leaf hint** — what this thread's last walk for a
-    ///    key of the same block found: `(leaf, seqno, low, high,
-    ///    retirement generation)`. It is handed back as it stands if it
-    ///    covers `key`, no leaf has been retired since before that walk
-    ///    (checked first: only then is the pointer safe to follow — the
-    ///    argument is at [`EunoBTree::retire_generation`]), and the leaf's
-    ///    `seqno` still reads the same — every split, reorganization and
-    ///    merge moves it, so an unmoved `seqno` means an unmoved range. No
-    ///    section, no episode, no index line;
+    ///    key of the same block found: `(leaf, low, retirement
+    ///    generation)`. It is handed back if `key` is at or above `low`, no
+    ///    leaf has been retired since before that walk (checked first:
+    ///    only then is the pointer safe to follow — the argument is at
+    ///    [`EunoBTree::retire_generation`]), and `key` is below the leaf's
+    ///    fence on the home segment: the leaf's lower bound has not moved,
+    ///    so the leaf covers `key`. No section, no episode, no index line;
     /// 2. **the thread's subtree hint** — the [`Anchor`] this thread's last
     ///    walk from the root for a key of the same (wider) block returned:
     ///    the episode-free walk of rung 3 starts there instead of at the
@@ -404,13 +358,14 @@ where
     ///    no retry, no back-off and no try;
     /// 3. up to [`LOCATE_TRIES`] episode-free walks (rung 2's included) — a
     ///    validated section proves the descent atomic, i.e. the leaf
-    ///    covered `key` while its `seqno` read the returned value;
+    ///    covered `key` when the walk read the pointer to it. The walk
+    ///    reads no line of the leaf;
     /// 4. the HTM upper region, from the root.
     ///
     /// Whatever rungs 2 to 4 find replaces the leaf hint, so a caller that
-    /// comes back because `seqno` had moved is never handed the same pair;
-    /// a walk from the root replaces the subtree hint if it has one to
-    /// give.
+    /// comes back because the fence had moved below its key is never
+    /// handed the same leaf by it; a walk from the root replaces the
+    /// subtree hint if it has one to give.
     pub fn locate<'g>(
         &self,
         ctx: &mut ThreadCtx,
@@ -423,12 +378,11 @@ where
 
     /// [`EunoBTree::locate`] for a key whose home segment the caller has
     /// computed, and `tail` run on the leaf inside the walk's own validated
-    /// section, right after its `seqno` load — if rung 2 or 3 answered.
-    /// What `tail` reads is then validated with the walk: it read the leaf
-    /// while the leaf covered `key` under the `seqno` returned, with no
-    /// second section and no second `seqno` load. (A
-    /// tail that runs on a rejected walk is run again on the next; its
-    /// value is only ever that of the section that held.)
+    /// section, right after the descent — if rung 2 or 3 answered. What
+    /// `tail` reads is then validated with the walk: it read the leaf
+    /// while the leaf covered `key`, with no second section and no fence
+    /// check. (A tail that runs on a rejected walk is run again on the
+    /// next; its value is only ever that of the section that held.)
     pub(crate) fn locate_then<'g, T>(
         &self,
         ctx: &mut ThreadCtx,
@@ -438,27 +392,26 @@ where
         mut tail: impl FnMut(&mut ThreadCtx, &EunoLeaf<SEGS, K>) -> T,
     ) -> (Located<'g, SEGS, K>, Option<T>) {
         if !self.cfg.read_opt {
-            return (self.upper_region(ctx, g, key, home, false), None);
+            return (self.upper_region(ctx, g, key), None);
         }
         let block = key >> HINT_BLOCK_SHIFT;
         // One load serves both ends of the generation rule: it follows this
         // operation's pin (for the hint about to be used) and precedes the
         // walk below (for the hint about to be recorded).
         let generation = self.retire_generation(ctx);
-        if let Some([bits, seqno, low, high, recorded_at]) = ctx.hint_probe(self.hint_owner, block)
-        {
-            if (low..high).contains(&key) {
+        if let Some([bits, low, recorded_at]) = ctx.hint_probe(self.hint_owner, block) {
+            if low <= key {
                 // The generation first: only a hint it vouches for names
                 // memory that is still a leaf of this tree.
                 if recorded_at == generation || probe::mutated("hint:any-generation") {
                     let leaf = g.leaf(NodeRef::from_word(bits));
-                    if leaf.seqno(home).load_direct(ctx) == seqno {
+                    let fence = leaf.fence(home).load_direct(ctx);
+                    if covers(fence, key) {
                         ctx.metric_add(Counter::LeafHintHits, 1);
                         let at = Located {
                             leaf,
-                            seqno,
                             low,
-                            high,
+                            high: fence,
                             conflicts: 0,
                         };
                         return (at, None);
@@ -488,17 +441,16 @@ where
                 // containment test a level.
                 ctx.charge(self.rt.cost.alu * at.levels);
             }
-            let seqno = at.leaf.seqno(home).load_direct(ctx);
             let out = tail_inside.then(|| {
-                probe::point("walk:seqno");
+                probe::point("walk:leaf");
                 tail(ctx, at.leaf)
             });
-            Some((at, seqno, out))
+            Some((at, out))
         });
         let (at, out) = match walk {
-            Some((at, seqno, out)) => {
+            Some((at, out)) => {
                 let out = out.or_else(|| {
-                    probe::point("walk:seqno");
+                    probe::point("walk:leaf");
                     Some(tail(ctx, at.leaf))
                 });
                 if from.is_some() {
@@ -508,21 +460,16 @@ where
                 }
                 let at = Located {
                     leaf: at.leaf,
-                    seqno,
                     low: at.low,
                     high: at.high,
                     conflicts: 0,
                 };
                 (at, out)
             }
-            None => (self.upper_region(ctx, g, key, home, false), None),
+            None => (self.upper_region(ctx, g, key), None),
         };
         let bits = NodeRef::of_leaf(at.leaf).to_word();
-        ctx.hint_record(
-            self.hint_owner,
-            block,
-            [bits, at.seqno, at.low, at.high, generation],
-        );
+        ctx.hint_record(self.hint_owner, block, [bits, at.low, generation]);
         (at, out)
     }
 
@@ -550,41 +497,34 @@ where
         newval: u64,
     ) -> Option<u64> {
         let home = self.home(ctx, key);
-        let (mut force_split_lock, mut refused) = (false, false);
+        let mut force_split_lock = false;
         loop {
             // Step 1: upper stage. A `read_opt` get that a walk answers
             // reads its leaf inside the walk's section and is done there.
             let episode_free = req == Req::Get
                 && self.cfg.read_opt
                 && ctx.rng().gen_range(0..GET_TWO_STEP_ONE_IN) != 0;
-            let (located, answer) = if episode_free {
-                self.locate_then(ctx, g, key, home, |ctx, leaf| {
+            let (located, answer) = match episode_free {
+                true => self.locate_then(ctx, g, key, home, |ctx, leaf| {
                     self.read_record(ctx, leaf, key, home)
-                })
-            } else if refused && !self.cfg.read_opt {
-                // The refused pair was read beside the fence; the next one
-                // is read from the home copy the lower region checks, so
-                // that no operation can loop on two copies that disagree
-                // (`bump_seqno`'s mutation twin is convicted, not hung).
-                (self.upper_region(ctx, g, key, home, true), None)
-            } else {
-                (self.locate_then(ctx, g, key, home, |_, _| ()).0, None)
+                }),
+                false => (self.locate_then(ctx, g, key, home, |_, _| ()).0, None),
             };
             if let Some(value) = answer {
                 return value;
             }
             let Located {
                 leaf,
-                seqno,
                 conflicts: upper_conflicts,
                 ..
             } = located;
             probe::point("locate:done");
             if episode_free {
-                match self.read_leaf(ctx, leaf, seqno, key, home) {
+                match self.read_leaf(ctx, leaf, key, home) {
                     LeafRead::Value(value) => return value,
-                    // A dead pair has nothing to queue for: no conflict
-                    // control, no region — straight back to the upper stage.
+                    // A leaf that lost the key has nothing to queue for: no
+                    // conflict control, no region — straight back to the
+                    // upper stage.
                     LeafRead::Moved => {
                         probe::mark("leaf:moved");
                         continue;
@@ -623,9 +563,6 @@ where
                         // re-manufacture them.
                         tx.mark_serialized();
                     }
-                    if tx.read(leaf.seqno(home))? != seqno {
-                        return Ok(Lower::Inconsistent);
-                    }
                     self.lower_body(tx, g, leaf, req, key, home, newval, &mut region)
                 });
                 (out.value, out.conflict_aborts)
@@ -643,10 +580,7 @@ where
                     }
                     return v;
                 }
-                Lower::Inconsistent => {
-                    probe::mark("lower:inconsistent");
-                    refused = true;
-                }
+                Lower::Inconsistent => probe::mark("lower:inconsistent"),
                 Lower::NeedSplitLock => {
                     force_split_lock = true;
                 }
@@ -657,7 +591,7 @@ where
     /// `key`'s value in `leaf`, by direct loads: the key's `home` segment,
     /// and on only while the one just read is full ([`EunoLeaf::find`]).
     /// Means what the leaf does only inside a validated section that also
-    /// vouches for `seqno`.
+    /// vouches for the leaf covering `key`.
     fn read_record(
         &self,
         ctx: &mut ThreadCtx,
@@ -671,32 +605,30 @@ where
             .filter(|&v| v != TOMBSTONE)
     }
 
-    /// The episode-free leaf read of a `read_opt` get handed a pair by the
+    /// The episode-free leaf read of a `read_opt` get handed a leaf by the
     /// leaf-hint rung or the HTM rung ([`EunoBTree::read_record`]) inside
-    /// up to [`GET_TRIES`] validated sections, each bracketed by the `home`
-    /// segment's copy of `seqno`: the seqno-bump-first discipline on
-    /// splits, merges and
-    /// reorganizations guarantees a reader that saw moving records, or a
-    /// segment that stopped being full, also sees a changed `seqno`. A get
-    /// that comes back without a value either found `seqno` moved — the
-    /// pair is dead and only `locate` can replace it — or spent its budget,
-    /// in which case the lower region takes the same pair and queues behind
-    /// same-record writers instead of racing them.
+    /// up to [`GET_TRIES`] validated sections, each of which first reads
+    /// the fence on the `home` segment: the section is atomic, so a key
+    /// below the fence is in the leaf's range throughout the read, and a
+    /// reorganization, which moves records but not the range, can only
+    /// fail the section, not fool it. A get that comes back without a
+    /// value either found the key at or above the fence — the leaf split
+    /// or was merged away, and only `locate` can replace it — or spent its
+    /// budget, in which case the lower region takes the same leaf and
+    /// queues behind same-record writers instead of racing them.
     pub(crate) fn read_leaf(
         &self,
         ctx: &mut ThreadCtx,
         leaf: &EunoLeaf<SEGS, K>,
-        seqno: u64,
         key: u64,
         home: usize,
     ) -> LeafRead {
-        let copy = leaf.seqno(home);
+        let fence = leaf.fence(home);
         self.validated_section(ctx, key, &mut { GET_TRIES }, |ctx| {
-            if copy.load_direct(ctx) != seqno {
-                return Some(LeafRead::Moved);
-            }
-            let found = self.read_record(ctx, leaf, key, home);
-            (copy.load_direct(ctx) == seqno).then_some(LeafRead::Value(found))
+            Some(match covers(fence.load_direct(ctx), key) {
+                true => LeafRead::Value(self.read_record(ctx, leaf, key, home)),
+                false => LeafRead::Moved,
+            })
         })
         .unwrap_or(LeafRead::Spent)
     }
@@ -852,7 +784,6 @@ mod tests {
                         let at = t.locate(hinted, g, key);
                         let got = (at.leaf as *const DefaultLeaf as usize, at.low, at.high);
                         assert_eq!(got, want_key, "locate, key {key}");
-                        assert_eq!(at.seqno, at.leaf.seqno(0).load_plain(), "locate, key {key}");
                     }
                 })
             });

@@ -69,7 +69,8 @@ where
 /// What the lower region concluded.
 pub(crate) enum Lower {
     Done(Option<u64>),
-    /// `seqno` changed: the leaf split concurrently; retry from the root.
+    /// The key is at or above the leaf's fence: a split or merge took its
+    /// range away since the upper stage; go back to the upper stage.
     Inconsistent,
     /// The insert needs a split but the split lock is not held; retry the
     /// operation acquiring it up front.

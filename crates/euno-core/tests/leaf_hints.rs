@@ -1,6 +1,6 @@
-//! Leaf hints (DESIGN.md §4.4): `locate` hands a thread back the pair its
-//! own last walk found — and every way that pair can have gone bad since
-//! must end in a fresh walk, never in a wrong leaf.
+//! Leaf hints (DESIGN.md §4.4): `locate` hands a thread back the leaf its
+//! own last walk found — and every way that leaf can have stopped covering
+//! the key since must end in a fresh walk, never in a wrong leaf.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -19,12 +19,13 @@ const PRELOADED: u64 = 240;
 
 type Model = BTreeMap<u64, u64>;
 
-/// Address, `seqno` and key range of the leaf `locate` hands over.
+/// Address, `seqno` (which every split, reorganization and merge moves)
+/// and key range of the leaf `locate` hands over.
 fn located(tree: &EunoBTreeDefault, ctx: &mut ThreadCtx, key: u64) -> (usize, u64, u64, u64) {
     ctx.pinned(|ctx, g| {
         let at = tree.locate(ctx, g, key);
         let leaf = at.leaf as *const DefaultLeaf as usize;
-        (leaf, at.seqno, at.low, at.high)
+        (leaf, at.leaf.seqno_carried().load_plain(), at.low, at.high)
     })
 }
 
@@ -135,8 +136,10 @@ enum Op {
 }
 
 /// (a) A holds hints for every key of a leaf; B changes the leaf under
-/// them; A's next operations on the old range answer like the model, and
-/// the hints were turned away rather than followed.
+/// them; A's next operations on the old range answer like the model. A
+/// split or a merge — which also retires a leaf — turns the hints away
+/// rather than have them followed; a reorganization moves records but not
+/// the leaf's range, and the hints keep serving it.
 fn stale_hint_is_turned_away(cause: Cause, op: Op) {
     let what = format!("{cause:?} {op:?}");
     let Fixture {
@@ -208,7 +211,7 @@ fn stale_hint_is_turned_away(cause: Cause, op: Op) {
         }
     }
 
-    let turned_away = stale(&a);
+    let (turned_away, served) = (stale(&a), hits(&a));
     let old_range: Vec<u64> = (hinted[0]..=top).step_by(STEP as usize / 2).collect();
     for &key in &old_range {
         match op {
@@ -223,7 +226,13 @@ fn stale_hint_is_turned_away(cause: Cause, op: Op) {
             }
         }
     }
-    assert!(stale(&a) > turned_away, "{what}: no hint was turned away");
+    match cause {
+        Cause::Reorg => assert!(
+            stale(&a) == turned_away && hits(&a) > served,
+            "{what}: a hint was turned away from a leaf that kept its range"
+        ),
+        _ => assert!(stale(&a) > turned_away, "{what}: no hint was turned away"),
+    }
     assert_eq!(
         tree.collect_all_plain(),
         model.into_iter().collect::<Vec<_>>(),
@@ -233,24 +242,28 @@ fn stale_hint_is_turned_away(cause: Cause, op: Op) {
 }
 
 #[test]
-fn a_hint_whose_leaf_split_reorganized_or_merged_is_turned_away() {
-    for cause in [
-        Cause::Split,
-        Cause::Reorg,
-        Cause::MergeSurvivor,
-        Cause::MergeRetired,
-    ] {
+fn a_hint_whose_leaf_split_or_merged_is_turned_away() {
+    for cause in [Cause::Split, Cause::MergeSurvivor, Cause::MergeRetired] {
         for op in [Op::Get, Op::Put, Op::Delete, Op::Scan] {
             stale_hint_is_turned_away(cause, op);
         }
     }
 }
 
+#[test]
+fn a_hint_whose_leaf_reorganized_keeps_serving() {
+    for op in [Op::Get, Op::Put, Op::Delete, Op::Scan] {
+        stale_hint_is_turned_away(Cause::Reorg, op);
+    }
+}
+
 /// (b) The ABA the retirement generation exists for. A hints every leaf of
 /// a tree; most of them are merged away and freed, and splits elsewhere in
-/// the keyspace are handed their addresses — for leaves that cover *other*
-/// keys and, having split once like the dead ones had, read the same
-/// `seqno`. Returns, for every key A holds such a hint for, what A's get
+/// the keyspace are handed their addresses — for leaves that cover *other*,
+/// higher keys, so that the hint's lower bound is below A's key and the
+/// new leaf's fence above it, and that, having split once like the dead
+/// ones had, read the same `seqno`. Returns, for every key A holds such a
+/// hint for, what A's get
 /// answers and what it should (empty if the allocator re-issued nothing:
 /// it owes us no address, and then there is nothing to test).
 fn gets_after_address_reuse() -> Vec<(Option<u64>, Option<u64>)> {
@@ -328,8 +341,9 @@ fn a_reissued_address_at_the_same_seqno_does_not_revive_a_hint() {
 }
 
 /// The same scenario with the generation comparison switched off must go
-/// wrong, or the test above proves nothing: address and `seqno` match, so
-/// the dead hint is followed into a leaf that never held the key.
+/// wrong, or the test above proves nothing: the address is a leaf again
+/// and its fence is above the key, so the dead hint is followed into a
+/// leaf that never held the key.
 #[test]
 #[cfg_attr(not(debug_assertions), ignore = "probes are debug-only")]
 fn without_the_generation_the_reissued_address_is_believed() {
@@ -342,9 +356,10 @@ fn without_the_generation_the_reissued_address_is_believed() {
     }
 }
 
-/// (c) A hint serves exactly `[low, high)`: a key block that straddles a
-/// split point is never answered across it, the top of the keyspace is
-/// never answered at all, and a root that is a leaf covers everything.
+/// (c) A hint serves exactly its leaf's range, `[low, fence)`: a key block
+/// that straddles a split point is never answered across it, the last
+/// leaf's hint serves the top of the keyspace too (its fence is the
+/// sentinel), and a root that is a leaf covers everything.
 #[test]
 fn a_hint_serves_its_range_and_nothing_else() {
     let rt = Runtime::new_virtual();
@@ -389,17 +404,18 @@ fn a_hint_serves_its_range_and_nothing_else() {
         );
     }
 
-    // `high` is exclusive and tops out at `u64::MAX`: that one key (never
-    // stored — it is the sentinel) is located by a walk every time.
+    // The last leaf's fence is the sentinel, `u64::MAX`, and it covers that
+    // one key too (never stored, but a get may ask for it): a walk the
+    // first time, the hint it recorded after that.
     let before = hits(&ctx);
     for _ in 0..3 {
         assert_eq!(located(&tree, &mut ctx, u64::MAX).0, right);
         assert_eq!(tree.get(&mut ctx, u64::MAX), None);
     }
-    assert_eq!(hits(&ctx) - before, 0);
-    // What those walks recorded serves the rest of the block.
+    assert_eq!(hits(&ctx) - before, 5);
+    // What that walk recorded serves the rest of the block.
     assert_eq!(located(&tree, &mut ctx, u64::MAX - 1).0, right);
-    assert_eq!(hits(&ctx) - before, 1);
+    assert_eq!(hits(&ctx) - before, 6);
 }
 
 /// (d) Two trees, one thread, the same keys: the table is shared, the

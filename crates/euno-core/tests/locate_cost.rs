@@ -21,10 +21,12 @@
 //! line 2, the other children on lines 3 and 4. One index level of this
 //! tree is the node's count (a new line), three or four probes of its
 //! separators (hits on the count's line, unless the search goes past the
-//! seventh) and the child word (always on a new line). A leaf segment is
-//! one line — its `seqno` copy, link word, three keys and three values —
-//! and a search of it bisects the three slots: two probes, the first of
-//! which is the line's first touch unless the segment's `seqno` copy was.
+//! seventh) and the child word (always on a new line). A walk reads no line
+//! of the leaf it finds: the operation checks the leaf's fence where it
+//! acts. A leaf segment is one line — its fence copy, link word, three keys
+//! and three values — and a search of it bisects the three slots: two
+//! probes, the first of which is the line's first touch unless the
+//! segment's fence copy was.
 
 use std::sync::Arc;
 
@@ -49,9 +51,10 @@ const LEVEL_4_PROBES: u64 = LEVEL + HIT; // 44
 const LEVEL_PAST_SEVEN: u64 = 3 * FIRST + 2 * HIT; // 54
 /// The root (one separator): count + 1 probe + either child.
 const ROOT: u64 = 2 * FIRST + HIT; // 35
-/// The root word on the way in, the leaf's `seqno` on the way out: the
-/// copy on the key's home segment, whose line is a new line.
-const ENDS: u64 = 2 * FIRST; // 32
+/// The root word on the way in, and nothing on the way out: the walk reads
+/// no line of the leaf (it read the home segment's copy of `seqno`, a new
+/// line, until the fence took its place: 32).
+const ENDS: u64 = FIRST; // 16
 /// Walks from the root, by the levels each search stops at (probes in
 /// search order): into the sparse region at two block boundaries — [4 2 3]
 /// [4 2 1 0] [4 2 3] [4 6 7], and [4 2 3] [4 2 1 0] [4 2 3] [4 2 1] two
@@ -60,21 +63,21 @@ const ENDS: u64 = 2 * FIRST; // 32
 /// block on; into the dense one — [4 6 5] [4 2 1] [4 6 7] [4 2 3]; and down
 /// the rightmost spine (nodes of eight to thirteen separators, every search
 /// past the seventh).
-const FROM_ROOT_SPARSE: u64 = ROOT + 2 * LEVEL + LEVEL_4_PROBES + LEVEL_PAST_SEVEN + ENDS; // 247
-const FROM_ROOT_SPARSE_NEXT: u64 = ROOT + 3 * LEVEL + LEVEL_4_PROBES + ENDS; // 234
-const FROM_ROOT_MEDIUM: u64 = ROOT + 2 * LEVEL_4_PROBES + LEVEL + LEVEL_PAST_SEVEN + ENDS; // 250
-const FROM_ROOT_MEDIUM_NEXT: u64 = ROOT + 2 * LEVEL_4_PROBES + 2 * LEVEL + ENDS; // 237
+const FROM_ROOT_SPARSE: u64 = ROOT + 2 * LEVEL + LEVEL_4_PROBES + LEVEL_PAST_SEVEN + ENDS; // 231
+const FROM_ROOT_SPARSE_NEXT: u64 = ROOT + 3 * LEVEL + LEVEL_4_PROBES + ENDS; // 218
+const FROM_ROOT_MEDIUM: u64 = ROOT + 2 * LEVEL_4_PROBES + LEVEL + LEVEL_PAST_SEVEN + ENDS; // 234
+const FROM_ROOT_MEDIUM_NEXT: u64 = ROOT + 2 * LEVEL_4_PROBES + 2 * LEVEL + ENDS; // 221
 /// The leaf after the one at the medium key — its index node's last
 /// child — is the next index node's first: the same two levels, a search
 /// of three probes, then four to the leftmost child.
-const FROM_ROOT_MEDIUM_AFTER: u64 = ROOT + 3 * LEVEL_4_PROBES + LEVEL + ENDS; // 240
-const FROM_ROOT_DENSE: u64 = ROOT + 3 * LEVEL + LEVEL_PAST_SEVEN + ENDS; // 244
-const FROM_ROOT_SPINE: u64 = ROOT + 4 * LEVEL_PAST_SEVEN + ENDS; // 283
+const FROM_ROOT_MEDIUM_AFTER: u64 = ROOT + 3 * LEVEL_4_PROBES + LEVEL + ENDS; // 224
+const FROM_ROOT_DENSE: u64 = ROOT + 3 * LEVEL + LEVEL_PAST_SEVEN + ENDS; // 228
+const FROM_ROOT_SPINE: u64 = ROOT + 4 * LEVEL_PAST_SEVEN + ENDS; // 267
 
 /// What finding a key's home segment is charged: `segment::HOME_ALU` — a
 /// multiply, a shift, a multiply and a shift. `locate` computes the home
-/// first, whichever rung answers: every rung reads the home segment's copy
-/// of `seqno`.
+/// first, whichever rung answers: a leaf hint is checked against the home
+/// segment's copy of the fence, and the operation's own check reads it.
 const HOME: u64 = 4;
 
 /// Thread-private memory, charged by hand: a table probe is a hit and two
@@ -98,19 +101,20 @@ const LOOKING: u64 = 5;
 /// A section that is run again charges one back-off quantum.
 const BACKOFF: u64 = 40;
 
-/// A leaf hit: the home, probe, generation, the leaf's `seqno` outside any
-/// section.
+/// A leaf hit: the home, probe, generation, the leaf's fence (the home
+/// segment's copy) outside any section.
 const LEAF_HIT: u64 = HOME + PROBE + GENERATION + HIT; // 15
 
 /// An episode-free read of a key that is there, in a section of its own
-/// (behind a leaf hit): `seqno` (the home segment's copy: its line's first
-/// touch), two probes and the value (hits: the same line), `seqno` again.
-/// The line that went is the value line, a first touch until keys and
-/// values shared a segment's line (44).
-const GET_TAIL: u64 = FIRST + 4 * HIT; // 28
-/// The same read behind a walk, inside the walk's own section, right after
-/// the walk's `seqno`: no `seqno` load of its own at either end.
-const GET_IN_WALK: u64 = GET_TAIL - FIRST - HIT; // 9
+/// (behind a leaf hit): the fence (the home segment's copy: its line's
+/// first touch), two probes and the value (hits: the same line). It read
+/// `seqno` again at the end until the fence took its place (28), and a
+/// value line as well until keys and values shared a segment's line (44).
+const GET_TAIL: u64 = FIRST + 3 * HIT; // 25
+/// The same read behind a walk, inside the walk's own section: no fence
+/// check (the walk proved the leaf covers the key), so the first probe is
+/// the line's first touch. (9 while the walk read `seqno` on that line.)
+const GET_IN_WALK: u64 = FIRST + 2 * HIT; // 22
 /// What every full segment before a spilled key's own adds to that: two
 /// probes, the first its line's first touch (all three records are below
 /// the key).
@@ -118,9 +122,9 @@ const GET_SPILL: u64 = FIRST + HIT; // 19
 /// An overwriting put on a calm leaf: the slot hash (3 ALU), the block word
 /// (1 load outside any region: a calm leaf has no CCM block, and claims no
 /// mark), then the lower region — `XBEGIN` 54, two first touches at 26
-/// (the home segment's line, for `seqno`, the read set; and again for the
-/// write set), three hits (two probes and the old value), `XEND` 16. The
-/// first touch that went is the value line's read (163).
+/// (the home segment's line, for the fence, the read set; and again for
+/// the write set), three hits (two probes and the old value), `XEND` 16.
+/// The first touch that went is the value line's read (163).
 const PUT_TAIL: u64 = 3 + HIT + 54 + 2 * 26 + 3 * HIT + 16; // 137
 /// The same for a put: a first touch in a region is 26.
 const PUT_SPILL: u64 = 26 + HIT; // 29
@@ -194,7 +198,7 @@ fn each_rung_of_locate_costs_what_the_arithmetic_says() {
     // holds the key's whole block, the leaf being its parent's last child.
     assert_eq!(
         locate(&tree, &mut ctx, sparse),
-        AROUND_A_WALK + FROM_ROOT_SPARSE + LOOKING + RECORD // 276
+        AROUND_A_WALK + FROM_ROOT_SPARSE + LOOKING + RECORD // 260
     );
     // The same key again: a leaf hit.
     assert_eq!(locate(&tree, &mut ctx, sparse), LEAF_HIT);
@@ -203,40 +207,40 @@ fn each_rung_of_locate_costs_what_the_arithmetic_says() {
     // five.
     assert_eq!(
         locate(&tree, &mut ctx, sparse + 512),
-        AROUND_A_HINTED_WALK + LEVEL + LEVEL_4_PROBES + FIRST // 121
+        AROUND_A_HINTED_WALK + LEVEL + LEVEL_4_PROBES // 105
     );
     // Two blocks on, both leaves of the block are mid-node: the first
     // visit files the parent, the second leaf is reached from it — one
     // level (2 lines, 3 hits).
     assert_eq!(
         locate(&tree, &mut ctx, sparse + 2_048),
-        AROUND_A_WALK + FROM_ROOT_SPARSE_NEXT + LOOKING + RECORD // 263
+        AROUND_A_WALK + FROM_ROOT_SPARSE_NEXT + LOOKING + RECORD // 247
     );
     assert_eq!(
         locate(&tree, &mut ctx, sparse + 2_048 + 512),
-        AROUND_A_HINTED_WALK + LEVEL + FIRST // 77
+        AROUND_A_HINTED_WALK + LEVEL // 61
     );
 
     // Keys 8 apart: a block is fourteen leaves and its anchor two levels up
     // (4 lines, 7 hits).
     assert_eq!(
         locate(&tree, &mut ctx, medium),
-        AROUND_A_WALK + FROM_ROOT_MEDIUM + LOOKING + RECORD // 279
+        AROUND_A_WALK + FROM_ROOT_MEDIUM + LOOKING + RECORD // 263
     );
     assert_eq!(
         locate(&tree, &mut ctx, medium + 64),
-        AROUND_A_HINTED_WALK + LEVEL + LEVEL_4_PROBES + FIRST // 121
+        AROUND_A_HINTED_WALK + LEVEL + LEVEL_4_PROBES // 105
     );
 
     // Adjacent keys: a block is 114 leaves and its anchor three levels up
     // (7 lines, 8 hits).
     assert_eq!(
         locate(&tree, &mut ctx, dense),
-        AROUND_A_WALK + FROM_ROOT_DENSE + LOOKING + RECORD // 273
+        AROUND_A_WALK + FROM_ROOT_DENSE + LOOKING + RECORD // 257
     );
     assert_eq!(
         locate(&tree, &mut ctx, dense + 8),
-        AROUND_A_HINTED_WALK + LEVEL + LEVEL_PAST_SEVEN + LEVEL + FIRST // 172
+        AROUND_A_HINTED_WALK + LEVEL + LEVEL_PAST_SEVEN + LEVEL // 156
     );
 
     // Past the last key: down the rightmost spine, where no level has a
@@ -244,7 +248,7 @@ fn each_rung_of_locate_costs_what_the_arithmetic_says() {
     // to file.
     assert_eq!(
         locate(&tree, &mut ctx, u64::MAX - 1),
-        AROUND_A_WALK + FROM_ROOT_SPINE + LOOKING // 309
+        AROUND_A_WALK + FROM_ROOT_SPINE + LOOKING // 293
     );
 }
 
@@ -258,7 +262,7 @@ fn each_rung_of_locate_costs_what_the_arithmetic_says() {
 fn a_second_way_anchor_hit_costs_one_alu_more_than_a_first_way_hit() {
     let rt = Runtime::new_virtual();
     let (tree, [_, medium, dense]) = build(&rt);
-    let first_way = AROUND_A_HINTED_WALK + LEVEL + LEVEL_4_PROBES + FIRST; // 121
+    let first_way = AROUND_A_HINTED_WALK + LEVEL + LEVEL_4_PROBES; // 105
     let (mut shared, mut apart) = (0, 0);
     // Every other block of the tree: each one's walk files an anchor.
     let others = (0..=dense >> 10).filter(|&b| b != medium >> 10);
@@ -287,24 +291,51 @@ fn an_uncontended_get_and_put_cost_their_rung_plus_a_fixed_tail() {
     let rt = Runtime::new_virtual();
     let (tree, [_, medium, _]) = build(&rt);
     let mut ctx = rt.thread(1);
-    let subtree_hit = AROUND_A_HINTED_WALK + LEVEL + LEVEL_4_PROBES + FIRST; // 121
+    let subtree_hit = AROUND_A_HINTED_WALK + LEVEL + LEVEL_4_PROBES; // 105
     let next = medium + 1024;
 
     // A get that a walk answers reads the leaf in the walk's section; one
     // behind a leaf hit, in a section of its own.
     assert_eq!(
         get(&tree, &mut ctx, medium),
-        AROUND_A_WALK + FROM_ROOT_MEDIUM + LOOKING + RECORD + GET_IN_WALK // 288
+        AROUND_A_WALK + FROM_ROOT_MEDIUM + LOOKING + RECORD + GET_IN_WALK // 285
     );
-    assert_eq!(get(&tree, &mut ctx, medium + 64), subtree_hit + GET_IN_WALK); // 130
-    assert_eq!(get(&tree, &mut ctx, medium + 64), LEAF_HIT + GET_TAIL); // 43
+    assert_eq!(get(&tree, &mut ctx, medium + 64), subtree_hit + GET_IN_WALK); // 127
+    assert_eq!(get(&tree, &mut ctx, medium + 64), LEAF_HIT + GET_TAIL); // 40
 
     assert_eq!(
         put(&tree, &mut ctx, next),
-        AROUND_A_WALK + FROM_ROOT_MEDIUM_NEXT + LOOKING + RECORD + PUT_TAIL // 403
+        AROUND_A_WALK + FROM_ROOT_MEDIUM_NEXT + LOOKING + RECORD + PUT_TAIL // 387
     );
-    assert_eq!(put(&tree, &mut ctx, medium + 128), subtree_hit + PUT_TAIL); // 258
+    assert_eq!(put(&tree, &mut ctx, medium + 128), subtree_hit + PUT_TAIL); // 242
     assert_eq!(put(&tree, &mut ctx, medium + 128), LEAF_HIT + PUT_TAIL); // 152
+}
+
+/// A put's walk reads no line of the leaf it finds: with the key's home
+/// line just written by another thread — hot, so a first touch of it pays
+/// the coherence transfer — the walk a put locates its leaf with costs what
+/// it costs on a quiet tree, to the cycle. A get answered inside the walk's
+/// section reads that line there, and pays the transfer.
+#[test]
+fn a_put_walk_reads_no_line_of_its_leaf() {
+    let rt = Runtime::new_virtual();
+    let (tree, [_, medium, _]) = build(&rt);
+    let transfer = CostModel::default().line_transfer;
+    let key = medium + 1024;
+    let walk = AROUND_A_WALK + FROM_ROOT_MEDIUM_NEXT + LOOKING + RECORD; // 250
+    let mut writer = rt.thread(3);
+    assert_eq!(put(&tree, &mut writer, key), walk + PUT_TAIL);
+    // Fresh threads — no hint for the key — that start after the write.
+    let fresh = |id| {
+        let mut ctx = rt.thread(id);
+        ctx.clock = writer.clock;
+        ctx
+    };
+    assert_eq!(locate(&tree, &mut fresh(4), key), walk);
+    // (A section that reads the hot line may also be failed by the storm
+    // model and run again: at least the transfer.)
+    let got = get(&tree, &mut fresh(5), key);
+    assert!(got >= walk + transfer + GET_IN_WALK, "{got}");
 }
 
 #[test]
@@ -332,7 +363,7 @@ fn a_key_costs_one_segment_whichever_segment_holds_it() {
     let mut homes = [0; DEFAULT_SEGS];
     for key in block..block + 8 {
         homes[home_segment(key, DEFAULT_SEGS)] += 1;
-        assert_eq!(get(&tree, &mut ctx, key), LEAF_HIT + GET_TAIL, "get {key}"); // 43
+        assert_eq!(get(&tree, &mut ctx, key), LEAF_HIT + GET_TAIL, "get {key}"); // 40
         assert_eq!(put(&tree, &mut ctx, key), LEAF_HIT + PUT_TAIL, "put {key}");
         // 152
     }
@@ -345,7 +376,7 @@ fn a_key_costs_one_segment_whichever_segment_holds_it() {
     get(&tree, &mut ctx, sparse);
     let start = ctx.clock;
     assert_eq!(tree.get(&mut ctx, absent), None);
-    assert_eq!(ctx.clock - start, LEAF_HIT + GET_TAIL); // 43
+    assert_eq!(ctx.clock - start, LEAF_HIT + GET_TAIL); // 40
 }
 
 #[test]
@@ -377,7 +408,7 @@ fn a_spilled_key_costs_one_segment_more_per_full_segment_before_it() {
     for key in [keys[6], keys[8]] {
         assert_eq!(
             second(&mut ctx, key, false),
-            LEAF_HIT + GET_TAIL + 2 * GET_SPILL // 81
+            LEAF_HIT + GET_TAIL + 2 * GET_SPILL // 78
         );
         assert_eq!(
             second(&mut ctx, key, true),
@@ -390,7 +421,7 @@ fn a_spilled_key_costs_one_segment_more_per_full_segment_before_it() {
     assert_eq!(tree.get(&mut ctx, keys[9]), None);
     let start = ctx.clock;
     assert_eq!(tree.get(&mut ctx, keys[9]), None);
-    assert_eq!(ctx.clock - start, LEAF_HIT + GET_TAIL + 3 * GET_SPILL); // 100
+    assert_eq!(ctx.clock - start, LEAF_HIT + GET_TAIL + 3 * GET_SPILL); // 97
 }
 
 /// The keys of one leaf, segment by segment.
@@ -415,29 +446,26 @@ fn section(keys: &[u64], from: u64) -> u64 {
 }
 
 /// A leaf step with the cursor at `from`: a section a segment — but
-/// `carried`, which the section that found the leaf read — and in the
-/// closing one `next` and the leaf's own `seqno` (hits: the last segment's
-/// line); one ALU operation a record kept and sorted. `successor` is what
-/// the closing section reads of the leaf after, where the scan goes on:
-/// its `seqno` (a first touch) and its segment 0, which the next step is
-/// handed.
-fn step(leaf: &LeafKeys, from: u64, carried: Option<usize>, successor: Option<&[u64]>) -> u64 {
-    let read = (leaf.iter().enumerate()).filter(|&(i, _)| Some(i) != carried);
+/// segment 0 where it is `carried`, read by the walk that found the leaf —
+/// and in the closing one, which reads the last two segments, `next` and
+/// the closing copy of `seqno` (hits: those segments' lines); one ALU
+/// operation a record kept and sorted. A step whose segment 0 was not
+/// carried reads it in an opening section that first loads the fence and
+/// the carried copy of `seqno` there (the fence the line's first touch).
+/// A step reads no line of the leaf after it: the next step opens there.
+fn step(leaf: &LeafKeys, from: u64, carried: bool) -> u64 {
+    let read = (leaf.iter().enumerate()).filter(|&(i, _)| !(carried && i == 0));
     let sections: u64 = read.map(|(_, keys)| section(keys, from)).sum();
+    let opening = if carried { 0 } else { 2 * HIT };
     let records: usize = leaf.iter().map(|keys| kept(keys, from)).sum();
-    let next = successor.map_or(0, |seg0| FIRST + HIT * loads(seg0, from));
-    sections + 2 * HIT + next + records as u64
+    sections + opening + 2 * HIT + records as u64
 }
 
 /// What a walk that found a leaf reads of it inside its own section, after
-/// the `seqno` copy on `home`: that segment's records at or above the
-/// cursor (hits), unless `home` is the last segment, which the closing
-/// section reads.
-fn carried_by_walk(leaf: &LeafKeys, from: u64, home: usize) -> (Option<usize>, u64) {
-    match home + 1 < DEFAULT_SEGS {
-        true => (Some(home), HIT * loads(&leaf[home], from)),
-        false => (None, 0),
-    }
+/// the descent: the carried copy of `seqno` (segment 0's line's first
+/// touch) and segment 0's records at or above the cursor (hits).
+fn carried_by_walk(leaf: &LeafKeys, from: u64) -> u64 {
+    FIRST + HIT * loads(&leaf[0], from)
 }
 
 #[test]
@@ -483,41 +511,42 @@ fn a_quiescent_scan_costs_its_rung_plus_a_fixed_step_per_leaf() {
             .eq((0..16).map(|i| from + 8 * i)));
         ctx.clock - start
     };
-    let walk = AROUND_A_WALK + FROM_ROOT_MEDIUM_AFTER + LOOKING + RECORD; // 269
+    let walk = AROUND_A_WALK + FROM_ROOT_MEDIUM_AFTER + LOOKING + RECORD; // 253
 
     // Sixteen records are two leaves: the first is located, the second
-    // comes with the first's closing section, its segment 0 carried, and —
-    // holding the seven records the scan still wants — reads no successor.
-    // The walk that locates the first reads the key's home segment inside
-    // its own section, after the `seqno` copy there, and the step skips
-    // it. The step the line went from (194, two leaves of eight) read a
-    // key line and a value line a segment, and its successor's `seqno` on
-    // a line no record was on.
-    let (carried, in_walk) = carried_by_walk(&leaves[0], from, home_segment(from, DEFAULT_SEGS));
-    let second = step(&leaves[1], from, Some(0), None); // 128
-    let first = step(&leaves[0], from, carried, Some(&leaves[1][0])); // 165
-    assert_eq!(scan(&mut ctx, from), walk + in_walk + first + second); // 577
-                                                                       // Behind a leaf hit the first step reads every segment itself.
-    let first = step(&leaves[0], from, None, Some(&leaves[1][0])); // 193
-    assert_eq!(scan(&mut ctx, from), LEAF_HIT + first + second); // 336
+    // opens where the first's closing section found it — and, holding the
+    // seven records the scan still wants, reads no successor. The walk that
+    // locates the first reads segment 0 inside its own section, with the
+    // carried copy of `seqno` there, and the step skips it. (The steps the
+    // line went from — 194 over two leaves of eight, with a key line and a
+    // value line a segment — read the successor's `seqno` in the closing
+    // section on a line no record was on.)
+    let in_walk = carried_by_walk(&leaves[0], from);
+    let second = step(&leaves[1], from, false);
+    let first = step(&leaves[0], from, true);
+    assert_eq!(scan(&mut ctx, from), walk + in_walk + first + second);
+    // Behind a leaf hit the first step opens as well.
+    let first = step(&leaves[0], from, false);
+    assert_eq!(scan(&mut ctx, from), LEAF_HIT + first + second);
 
     // From mid-leaf, four records in (another slot of the leaf-hint
     // table, the same subtree-hint block: the walk starts at the anchor
     // the first scan filed, two levels up) the scan ends in a third leaf.
     // Of the records below the cursor the keys are read and the values
     // not, and none is delivered or sorted — in the segment the walk
-    // carries as well; the second leaf's closing section reads the third's
-    // segment 0, and the third is read whole for its first two records.
-    // The line went from three leaves of eight at a fixed step (686).
+    // carries as well; the second and third leaves open where the step
+    // before found them, and the third is read whole for its first two
+    // records. The line went from three leaves of eight at a fixed step
+    // (686).
     let mid = from + 32;
     assert_eq!(mid >> 10, from >> 10);
-    let (carried, in_walk) = carried_by_walk(&leaves[0], mid, home_segment(mid, DEFAULT_SEGS));
-    let subtree_hit = AROUND_A_HINTED_WALK + LEVEL + LEVEL_4_PROBES + FIRST; // 121
-    let first = step(&leaves[0], mid, carried, Some(&leaves[1][0])); // 152
-    let second = step(&leaves[1], mid, Some(0), Some(&leaves[2][0])); // 147
-    let third = step(&leaves[2], mid, Some(0), None); // 143
+    let in_walk = carried_by_walk(&leaves[0], mid);
+    let subtree_hit = AROUND_A_HINTED_WALK + LEVEL + LEVEL_4_PROBES; // 105
+    let first = step(&leaves[0], mid, true);
+    let second = step(&leaves[1], mid, false);
+    let third = step(&leaves[2], mid, false);
     assert_eq!(
         scan(&mut ctx, mid),
-        subtree_hit + in_walk + first + second + third // 575
+        subtree_hit + in_walk + first + second + third
     );
 }

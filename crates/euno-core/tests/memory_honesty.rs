@@ -89,9 +89,9 @@ fn structural_and_ccm_bytes_are_the_nodes_the_tree_holds() {
         INDEX_BYTES
     );
     assert_eq!(std::mem::size_of::<Ccm>(), BLOCK_BYTES);
-    // Six segment lines, each a segment's `seqno` copy, link word, keys
-    // and values; the unpartitioned leaf's one segment is the same six
-    // lines. Neither carries a CCM line.
+    // Six segment lines, each a segment's fence copy, link word, keys and
+    // values; the unpartitioned leaf's one segment is the same six lines.
+    // Neither carries a CCM line.
     assert_eq!(std::mem::size_of::<DefaultLeaf>(), LEAF_BYTES);
     assert_eq!(std::mem::size_of::<EunoLeaf<1, 18>>(), LEAF_BYTES);
     // A single-threaded preload meets no conflict, so no leaf earns a
@@ -123,20 +123,22 @@ fn structural_and_ccm_bytes_are_the_nodes_the_tree_holds() {
 }
 
 /// A thread's first hint record allocates both tables — 1 024 leaf hints
-/// of 56 B and 1 024 anchors of 32 B — and no later record allocates.
+/// of 40 B (owner, block, and the hint's leaf, lower bound and retirement
+/// generation; 56 B while a hint also carried `seqno` and an upper bound)
+/// and 1 024 anchors of 32 B — and no later record allocates.
 #[test]
-fn a_threads_hint_tables_are_88_kib_whatever_the_leaf() {
+fn a_threads_hint_tables_are_72_kib_whatever_the_leaf() {
     let rt = Runtime::new_virtual();
     let mut ctx = rt.thread(1);
     let owner = fresh_owner();
     let counted = |ctx: &mut euno_htm::ThreadCtx, block: u64| {
         BYTES.with(|b| b.set(0));
         COUNTING.with(|c| c.set(true));
-        ctx.hint_record(owner, block, [block; 5]);
+        ctx.hint_record(owner, block, [block; 3]);
         ctx.anchor_record(owner, block, [block; 2]);
         COUNTING.with(|c| c.set(false));
         BYTES.with(|b| b.get())
     };
-    assert_eq!(counted(&mut ctx, 0), (56 + 32) << 10);
+    assert_eq!(counted(&mut ctx, 0), (40 + 32) << 10);
     assert_eq!(counted(&mut ctx, 1), 0);
 }

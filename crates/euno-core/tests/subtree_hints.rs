@@ -393,7 +393,7 @@ fn a_turned_away_hint_spends_no_try_of_the_walks_budget() {
     f.expect(left, (0, 0, 0), "first visit");
 
     fn overwrite_at_each_pass(rt: Arc<Runtime>, tree: Arc<EunoBTreeDefault>, key: u64, left: u64) {
-        probe::once_at("walk:seqno", move || {
+        probe::once_at("walk:leaf", move || {
             tree.put(&mut rt.thread(3), key, left);
             if left > 1 {
                 overwrite_at_each_pass(rt, tree, key, left - 1);

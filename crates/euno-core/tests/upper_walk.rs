@@ -1,6 +1,6 @@
-//! The upper stage end to end (DESIGN.md §4.4): the `(leaf, seqno)` pair
-//! `locate` hands over is a hint that the lower region re-checks, and the
-//! episode-free sections above the leaf are bounded.
+//! The upper stage end to end (DESIGN.md §4.4): the leaf `locate` hands
+//! over is a hint that the lower region re-checks against the leaf's fence,
+//! and the episode-free sections above the leaf are bounded.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -43,16 +43,14 @@ enum Op {
 
 type Model = Rc<RefCell<BTreeMap<u64, u64>>>;
 
-/// Address of the leaf `locate` hands over for `key`, and that leaf's copy
-/// of `seqno` on `key`'s home segment. (`paper()`'s upper region hands
-/// over the copy beside the fence; the copies are equal at every commit,
-/// unless a writer breaks the one-copy rule, and then the home copy is
-/// the one `key`'s lower region checks.)
+/// Address of the leaf `locate` hands over for `key`, and that leaf's
+/// `seqno` (the copy a scan step carries), which every split,
+/// reorganization and merge of it moves.
 fn located(tree: &EunoBTreeDefault, ctx: &mut ThreadCtx, key: u64) -> (usize, u64) {
     ctx.pinned(|ctx, g| {
         let found = tree.locate(ctx, g, key);
-        let home = found.leaf.seqno(home_segment(key, DEFAULT_SEGS));
-        (found.leaf as *const DefaultLeaf as usize, home.load_plain())
+        let seqno = found.leaf.seqno_carried().load_plain();
+        (found.leaf as *const DefaultLeaf as usize, seqno)
     })
 }
 
@@ -226,15 +224,18 @@ impl Stage {
     }
 }
 
-/// `op` on a key of a mid-chain leaf, with `between` landing after the
-/// operation's upper stage and before its lower region: the lower region
-/// must notice (`Lower::Inconsistent`), the operation must restart and
-/// answer as if it had run after the change, and nothing may land in the
-/// leaf the stale pair names.
+/// `op` on a key at the top of a mid-chain leaf, with `between` landing
+/// after the operation's upper stage and before its lower region. A split
+/// or merge takes the key's range from the leaf: the lower region must
+/// notice (`Lower::Inconsistent`), the operation must restart and answer
+/// as if it had run after the change, and nothing may land in the leaf
+/// the upper stage named. A reorganization moves records but not the
+/// range: the operation must go on with the leaf it was handed, refuse
+/// nothing, and answer as if it had run after the change.
 ///
 /// A `default()` get reads its leaf before any of that, and learns there
-/// that the pair is dead: it must go back to `locate` from the leaf read —
-/// without a conflict-control stage or a region on the dead pair first.
+/// that the leaf lost the key: it must go back to `locate` from the leaf
+/// read — without a conflict-control stage or a region on that leaf first.
 fn handover(cfg: EunoConfig, between: Between, op: Op) {
     let what = format!("read_opt={} {between:?} {op:?}", cfg.read_opt);
     let episode_free_get = cfg.read_opt && op == Op::Get;
@@ -276,11 +277,12 @@ fn handover(cfg: EunoConfig, between: Between, op: Op) {
     assert_eq!(got, want, "{what}");
     let marks = probe::take();
     let count = |tag| marks.iter().filter(|&&m| m == tag).count();
+    let refusals = usize::from(!matches!(between, Between::Reorg));
     if episode_free_get {
         assert_eq!(
             (count("leaf:moved"), count("lower:inconsistent")),
-            (1, 0),
-            "{what}: the leaf read must refuse the stale pair itself"
+            (refusals, 0),
+            "{what}: the leaf read must refuse a leaf that lost the key itself"
         );
         // From the interruption to the answer: no episode, and nothing
         // written outside one (the second pass is episode-free too).
@@ -294,9 +296,9 @@ fn handover(cfg: EunoConfig, between: Between, op: Op) {
         );
     } else {
         assert_eq!(
-            count("lower:inconsistent"),
-            1,
-            "{what}: the lower region must refuse the stale pair"
+            (count("lower:inconsistent"), count("leaf:moved")),
+            (refusals, 0),
+            "{what}: the lower region must refuse a leaf that lost the key"
         );
     }
 
@@ -345,7 +347,7 @@ fn split_between_locate_and_lower_region_restarts_the_op() {
 
 #[test]
 #[cfg_attr(not(debug_assertions), ignore = "probes are debug-only")]
-fn reorganization_between_locate_and_lower_region_restarts_the_op() {
+fn reorganization_between_locate_and_lower_region_keeps_the_leaf() {
     handover_all(Between::Reorg);
 }
 
@@ -356,27 +358,17 @@ fn merge_and_retirement_between_locate_and_lower_region_restarts_the_op() {
 }
 
 // ---------------------------------------------------------------------
-// The replicas: a structural change moves every copy of `seqno`
+// The replicas: a split moves every copy of the fence
 // ---------------------------------------------------------------------
 
 /// `op` on a key of the target leaf whose home segment is not segment 0,
-/// with `between` landing after the upper stage as in [`handover`], and
-/// `mutation` switched on while the operation and the interruption run.
-/// The interrupter finds its leaf by a key homed in segment 0, whose copy
-/// moves under the mutation too (a reorganization runs until it sees its
-/// key's `seqno` move). `Ok` iff the operation refused the stale pair,
-/// answered like the model and left the audit clean; `Err` says which
-/// failed.
-fn replicas(
-    cfg: EunoConfig,
-    between: Between,
-    op: Op,
-    mutation: Option<&'static str>,
-) -> Result<(), String> {
-    let what = format!(
-        "read_opt={} {between:?} {op:?}, mutation {mutation:?}",
-        cfg.read_opt
-    );
+/// with a split landing after the upper stage as in [`handover`], and
+/// `mutation` switched on while the operation and the split run. The
+/// interrupter finds its leaf by a key homed in segment 0. `Ok` iff the
+/// operation refused the leaf, answered like the model and left the audit
+/// clean; `Err` says which failed.
+fn replicas(cfg: EunoConfig, op: Op, mutation: Option<&'static str>) -> Result<(), String> {
+    let what = format!("read_opt={} {op:?}, mutation {mutation:?}", cfg.read_opt);
     let (stage, mut ctx) = Stage::new(cfg);
     let (tree, model) = (&stage.tree, &stage.model);
     let homed_away = |key: &u64| home_segment(*key, DEFAULT_SEGS) != 0;
@@ -396,7 +388,10 @@ fn replicas(
 
     probe::take();
     probe::mutate(mutation);
-    probe::once_at("locate:done", stage.interruption(between, by, 0, &what));
+    probe::once_at(
+        "locate:done",
+        stage.interruption(Between::Split, by, 0, &what),
+    );
     let got = match op {
         Op::Put => tree.put(&mut ctx, target, 7),
         _ => tree.get(&mut ctx, target),
@@ -414,41 +409,37 @@ fn replicas(
     }
     match (refused, faults.first()) {
         (true, None) => Ok(()),
-        (true, Some(fault)) => Err(format!("{what}: refused the stale pair, yet {fault}")),
-        (false, None) => Err(format!(
-            "{what}: trusted the stale pair, and nothing showed"
-        )),
-        (false, Some(fault)) => Err(format!("{what}: trusted the stale pair: {fault}")),
+        (true, Some(fault)) => Err(format!("{what}: refused the leaf, yet {fault}")),
+        (false, None) => Err(format!("{what}: kept the leaf, and nothing showed")),
+        (false, Some(fault)) => Err(format!("{what}: kept the leaf: {fault}")),
     }
 }
 
 /// The twin of the hand-over tests above for the replicas: with every
-/// copy bumped, an operation homed away from segment 0 refuses a pair a
-/// split or reorganization made stale, and answers right; with only copy
-/// 0 bumped, the copy it checks has not moved, it trusts the leaf, and a
-/// get of a key the split moved right answers `None`, a put lands left of
-/// its separator, and the audit finds the copies apart.
+/// fence copy written, an operation homed away from segment 0 refuses a
+/// leaf a split took its key from, and answers right; with only copy 0
+/// written, the copy it checks has not moved, it keeps the leaf, and a get
+/// of a key the split moved right answers `None`, a put lands right of the
+/// leaf's new fence, and the audit finds the copies apart.
 #[test]
 #[cfg_attr(not(debug_assertions), ignore = "probes are debug-only")]
-fn a_writer_that_bumps_one_seqno_copy_is_convicted() {
+fn a_writer_that_sets_one_fence_copy_is_convicted() {
     for cfg in [EunoConfig::paper(), EunoConfig::default()] {
-        for between in [Between::Split, Between::Reorg] {
-            for op in [Op::Get, Op::Put] {
-                assert_eq!(replicas(cfg.clone(), between, op, None), Ok(()));
-                let verdict = replicas(cfg.clone(), between, op, Some("seqno:bump-one-copy"))
-                    .expect_err("sound with one copy bumped");
-                assert!(verdict.contains("trusted the stale pair: "), "{verdict}");
-            }
+        for op in [Op::Get, Op::Put] {
+            assert_eq!(replicas(cfg.clone(), op, None), Ok(()));
+            let verdict = replicas(cfg.clone(), op, Some("fence:write-one-copy"))
+                .expect_err("sound with one copy written");
+            assert!(verdict.contains("kept the leaf: "), "{verdict}");
         }
     }
 }
 
 // ---------------------------------------------------------------------
-// The one-section get: a change between the walk's `seqno` and the leaf read
+// The one-section get: a change between the walk's descent and the leaf read
 // ---------------------------------------------------------------------
 
-/// What lands inside a walk's section, between its `seqno` load and the
-/// get's read of the leaf it found.
+/// What lands inside a walk's section, between its descent and the get's
+/// read of the leaf it found.
 #[derive(Clone, Copy, Debug)]
 enum Change {
     /// The key moves to a new right sibling.
@@ -465,7 +456,8 @@ enum Change {
 
 /// A `default()` get answered by a walk — from the root, or `anchored` from
 /// the subtree hint another key of the block filed — on a thread with no
-/// leaf hint for the key, with `change` landing at the walk's `seqno` (and
+/// leaf hint for the key, with `change` landing at the end of the walk's
+/// descent (and
 /// the key overwritten after it, so that an answer read before the change
 /// is wrong as well). Sound: the get answers like the model, and the
 /// section the change landed in does not answer — it runs again.
@@ -545,7 +537,7 @@ fn one_section_get(
 
     probe::take();
     probe::mutate(mutation);
-    probe::once_at("walk:seqno", interruption);
+    probe::once_at("walk:leaf", interruption);
     let retries = getter.stats.optimistic_retries;
     let got = tree.get(&mut getter, target);
     probe::mutate(None);
@@ -903,6 +895,22 @@ fn a_scans_sections_lose_a_key_without_the_closing_seqno_check() {
             Landing::Structural(Between::Reorg),
             read,
             Some("scan:skip-closing-seqno"),
+        );
+    }
+}
+
+/// The one-copy rule for `seqno`, which only scans read: a reorganization
+/// that bumps the carried copy alone leaves the closing copy where the
+/// step's carried read left it, the step trusts what it read, and the key
+/// that hopped into a segment already read is lost.
+#[test]
+#[cfg_attr(not(debug_assertions), ignore = "probes are debug-only")]
+fn a_writer_that_bumps_one_seqno_copy_is_convicted() {
+    for read in 1..4 {
+        scan_with_landing(
+            Landing::Structural(Between::Reorg),
+            read,
+            Some("seqno:bump-one-copy"),
         );
     }
 }

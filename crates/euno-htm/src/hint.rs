@@ -19,7 +19,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Payload words of an entry of the wide table and of the narrow one.
-pub const HINT_WORDS: usize = 5;
+pub const HINT_WORDS: usize = 3;
 pub const ANCHOR_WORDS: usize = 2;
 
 /// Entries per set of each table. The leaf-hint table is direct-mapped (a
@@ -35,7 +35,7 @@ pub type Hint = [u64; HINT_WORDS];
 /// What one entry of the narrow table carries.
 pub type Anchor = [u64; ANCHOR_WORDS];
 
-/// Entries per table (a power of two): 1 024 × 56 B = 56 KiB of [`Hint`]s
+/// Entries per table (a power of two): 1 024 × 40 B = 40 KiB of [`Hint`]s
 /// and 1 024 × 32 B = 32 KiB of [`Anchor`]s a thread. Swept together with
 /// the Euno-B+Tree's two key-block sizes; tables in DESIGN.md §4.4.
 const SLOTS: usize = 1024;
@@ -61,7 +61,7 @@ struct Slot<const WORDS: usize> {
 }
 
 /// How a set of `N` ways is aligned: a set that fills a cache line starts
-/// on one, a direct-mapped set of 56 B is packed.
+/// on one, a direct-mapped set of 40 B is packed.
 pub struct Ways<const N: usize>;
 
 pub trait SetAlign {
@@ -214,8 +214,8 @@ mod tests {
             None,
             "an unallocated table answers nothing"
         );
-        t.record(a, 7, [1, 2, 3, 4, 5]);
-        assert_eq!(t.probe(a, 7), (Some([1, 2, 3, 4, 5]), 1));
+        t.record(a, 7, [1, 2, 3]);
+        assert_eq!(t.probe(a, 7), (Some([1, 2, 3]), 1));
         assert_eq!(t.probe(a, 8).0, None, "neighbouring block");
         assert_eq!(t.probe(b, 7).0, None, "same block, other owner");
     }
@@ -352,22 +352,21 @@ mod tests {
 
     #[test]
     fn both_widths_are_one_table() {
-        // 56 KiB and 32 KiB, as when both were direct-mapped; a set of
-        // anchors is one line and sits on one.
-        assert_eq!(std::mem::size_of::<Set<HINT_WORDS, HINT_WAYS>>(), 56);
+        // 40 KiB and 32 KiB; a set of anchors is one line and sits on one.
+        assert_eq!(std::mem::size_of::<Set<HINT_WORDS, HINT_WAYS>>(), 40);
         assert_eq!(std::mem::size_of::<Set<ANCHOR_WORDS, ANCHOR_WAYS>>(), 64);
         assert_eq!(std::mem::align_of::<Set<ANCHOR_WORDS, ANCHOR_WAYS>>(), 64);
         let (mut hints, mut anchors) = (Table::default(), Anchors::default());
         anchors.reserve();
         hints.reserve();
-        assert_eq!(hints.sets.len() * 56, 56 << 10);
+        assert_eq!(hints.sets.len() * 40, 40 << 10);
         assert_eq!(anchors.sets.len() * 64, 32 << 10);
         assert_eq!(anchors.sets.as_ptr() as usize % 64, 0);
         let a = fresh_owner();
         assert_eq!(anchors.probe(a, 7).0, None, "reserved without a record");
-        hints.record(a, 7, [1, 2, 3, 4, 5]);
+        hints.record(a, 7, [1, 2, 3]);
         anchors.record(a, 7, [8, 9]);
-        assert_eq!(hints.probe(a, 7).0, Some([1, 2, 3, 4, 5]));
+        assert_eq!(hints.probe(a, 7).0, Some([1, 2, 3]));
         assert_eq!(anchors.probe(a, 7).0, Some([8, 9]));
     }
 }

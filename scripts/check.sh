@@ -148,14 +148,22 @@ inserts="$(cat crates/*/src/*.rs | grep -c 'fn internal_insert' || true)"
 ! grep -rn 'codes::' crates/*/src || { echo "one-copy: trace code points are back"; exit 1; }
 [[ $(grep -rlF 'AbortCause::Capacity =>' crates/*/src) == crates/euno-htm/src/abort.rs ]] \
     || { echo "one-copy: an AbortCause mapping outside abort.rs"; exit 1; }
-# One seqno writer (DESIGN.md §4.8): every segment carries a copy of its
-# leaf's `seqno`, and readers check whichever copy is on their line, so a
-# writer that bumped fewer than all of them would be trusted by the rest.
-# Every copy is written in `EunoLeaf::bump_seqno` and nowhere else.
-seqno_writes="$(grep -rnE '(write|store[a-z_]*)\(.*seqno' crates/euno-core/src || true)"
-bumps="$(awk '/fn bump_seqno/,/^    }$/' crates/euno-core/src/node.rs | grep -cE '(write|store[a-z_]*)\(.*seqno')"
-[[ $(grep -c . <<<"$seqno_writes") == 1 && $bumps == 1 ]] \
-    || { echo "one-copy: a seqno copy written outside EunoLeaf::bump_seqno"; echo "$seqno_writes"; exit 1; }
+# One seqno writer and one fence writer (DESIGN.md §4.4, §4.8): a leaf's
+# six fence copies — an operation checks the one on its key's line — are
+# written in `EunoLeaf::set_fence`, and its two copies of `seqno` — a scan
+# step brackets its sections with both — are bumped in
+# `EunoLeaf::bump_seqno`, and neither anywhere else in the crate's non-test
+# code: a writer that wrote fewer than all copies would be trusted by the
+# readers of the rest.
+NODE=crates/euno-core/src/node.rs
+CORE_SRC="$(awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t { print FILENAME ":" FNR ":" $0 }' crates/euno-core/src/*.rs)"
+for pair in seqno:bump_seqno fence:set_fence; do
+    word=${pair%%:*} writer=${pair#*:}
+    writes="$(grep -E "(write|store[a-z_]*)\(.*$word" <<<"$CORE_SRC" || true)"
+    inside="$(awk "/fn $writer/,/^    }\$/" "$NODE" | grep -cE "(write|store[a-z_]*)\(.*$word")"
+    [[ $inside -ge 1 && $(grep -c . <<<"$writes") == "$inside" ]] \
+        || { echo "one-copy: a $word copy written outside EunoLeaf::$writer"; echo "$writes"; exit 1; }
+done
 # One block-word writer (DESIGN.md §4.8): a leaf's CCM block is a line of
 # its own, installed once — by CAS at the leaf's first conflict, by plain
 # store on a leaf no thread can reach yet — and never replaced, so the
@@ -163,7 +171,6 @@ bumps="$(awk '/fn bump_seqno/,/^    }$/' crates/euno-core/src/node.rs | grep -cE
 # else, and the leaf's own words — on the segments' link words, or segment
 # 0's spare ones — are reached through node.rs alone.  The leaf holds no
 # `Ccm` by value: the block is the CCM.
-NODE=crates/euno-core/src/node.rs
 BLOCK_WRITE='block_cell\(\)\.(store|cas|fetch|swap)[a-z_]*\(|write\([^;]*block_cell\(\)'
 block_writes="$(grep -rnE "$BLOCK_WRITE" crates/euno-core/src || true)"
 installs="$(awk '/fn install_block/,/^    }$/' "$NODE" | grep -cE "$BLOCK_WRITE" || true)"
@@ -174,7 +181,7 @@ strays="$(grep -rnE 'block_cell\(\)|own_word\(|\.(link|spare)\(\)' crates/euno-c
 ! awk '/^pub struct EunoLeaf/,/^}$/' "$NODE" | grep -qw Ccm \
     || { echo "one-copy: EunoLeaf holds a Ccm by value"; exit 1; }
 # One segment layout (DESIGN.md §8): a segment is one line-aligned struct
-# — its `seqno` copy, a link word, the keys and the values — for every
+# — its fence copy, a link word, the keys and the values — for every
 # geometry, and it keeps no count: a free slot holds KEY_SENTINEL, and the
 # count is the index of the first one.
 SEG=crates/euno-core/src/segment.rs
@@ -182,7 +189,7 @@ SEG=crates/euno-core/src/segment.rs
     || { echo "one-copy: segment.rs lays out a second segment struct"; grep -n 'align(64)' "$SEG"; exit 1; }
 ! grep -nE '^\s*(pub(\([a-z]+\))? )?count\s*:' "$SEG" \
     || { echo "one-copy: a segment keeps a count word"; exit 1; }
-echo "one-copy (one bisect, in bptree.rs; no private index insert; one abort mapping; one seqno writer; one block-word writer, no Ccm in the leaf; one segment struct, no count word) OK"
+echo "one-copy (one bisect, in bptree.rs; no private index insert; one abort mapping; one seqno writer, one fence writer; one block-word writer, no Ccm in the leaf; one segment struct, no count word) OK"
 
 # Unsafe confined (DESIGN.md §4.4): nodes are read through bptree.rs's Guard,
 # so no tree crate says `unsafe`. Only the files that own memory may:
