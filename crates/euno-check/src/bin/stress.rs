@@ -193,7 +193,7 @@ fn main() {
                     println!(
                         "        t={:>9}us ops={} commits={} aborts={} \
                          fallbacks={} flips={} sweep(slices/merges)={}/{} \
-                         scan_locked_steps={} leaf_hints(hits/stale)={}/{} \
+                         scan_locked_steps={} leaf_hints(hits/stale/miss)={}/{}/{} \
                          subtree_hints(hits/unusable)={}/{}",
                         s.tick,
                         s.counters[Counter::Ops.index()],
@@ -209,6 +209,7 @@ fn main() {
                         s.counters[Counter::ScanLockedSteps.index()],
                         s.counters[Counter::LeafHintHits.index()],
                         s.counters[Counter::LeafHintStale.index()],
+                        s.counters[Counter::LeafHintMiss.index()],
                         s.counters[Counter::SubtreeHintHits.index()],
                         s.counters[Counter::SubtreeHintUnusable.index()],
                     );

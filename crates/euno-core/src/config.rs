@@ -40,11 +40,11 @@ pub struct EunoConfig {
     /// fallback cell in concurrent mode — whose result becomes the hint.
     /// The walk starts at the thread's *subtree hint* if it has one: the
     /// index node its last walk from the root found to hold the key's
-    /// neighbourhood. A get also reads its leaf episode-free, bracketed by the leaf's
-    /// `seqno`. Walk and leaf read are bounded: after a small private
-    /// budget of tries the walk ends on the paper's HTM upper region and
-    /// the get on an ordinary two-step get — which one get in 128 runs
-    /// outright (`GET_TWO_STEP_ONE_IN`). The lower region, the CCM and
+    /// neighbourhood. A get also reads its leaf episode-free, checked
+    /// against the leaf's fence on the key's home segment. Walk and leaf
+    /// read are bounded: after a small private budget of tries the walk
+    /// ends on the paper's HTM upper region and the get on an ordinary
+    /// two-step get. The lower region, the CCM and
     /// the split lock are the same either way, and scans take the one walk
     /// in [`crate::scan`]. On by default; off is [`EunoConfig::paper`],
     /// which neither probes nor records a hint.

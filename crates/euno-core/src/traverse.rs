@@ -13,7 +13,7 @@
 //!    walk's own section when a walk found it
 //!    ([`EunoBTree::locate_then`]), in a section of its own when a hint or
 //!    the HTM region did ([`EunoBTree::read_leaf`]) — and is done if that
-//!    holds (one in [`GET_TWO_STEP_ONE_IN`] does not try);
+//!    holds;
 //! 2. the conflict-control stage (outside any region,
 //!    [`EunoBTree::ccm_enter`] … [`EunoBTree::ccm_leave`]) — on a
 //!    protected leaf — takes the key's CCM lock bit, consults the mark
@@ -48,7 +48,6 @@ use std::convert::Infallible;
 use euno_htm::bptree::upper_bound;
 use euno_htm::euno_metrics::Counter;
 use euno_htm::{AbortCause, Anchor, RetryPolicy, ThreadCtx, TxCell, TxResult, TxWord, TOMBSTONE};
-use euno_rng::Rng;
 
 use crate::ccm::Ccm;
 use crate::node::{covers, EunoLeaf, Guard, NodeRef, INTERNAL_FANOUT};
@@ -80,27 +79,10 @@ const LOCATE_TRIES: u32 = 4;
 /// ninth try twice over); seed 3 is flat from 4 on.
 const GET_TRIES: u32 = 8;
 
-/// One `read_opt` get in this many — drawn from the thread's own RNG —
-/// skips the episode-free leaf read and runs as the two-step get it would
-/// fall back on: conflict-control stage, lower region. When it was added
-/// an uncontended get and an uncontended put were disjoint populations
-/// (every get ≥ 90 cycles cheaper than every put, nothing between), and
-/// the pooled median of a half-get, half-put workload was whichever kind
-/// the seed gave a 0.05 % majority: `virt-flat` p50 read 514–560 ns across
-/// seeds, with the sample 561.2–562.6 — the dearer value, every time.
-/// Since a calm leaf runs no conflict control (DESIGN.md §4.8) a put is
-/// ≈ 110 cycles cheaper and abuts the gets (p50 513.0–513.9 ns over seeds
-/// 1…7), so the gap the sample was put on has closed; what it still does
-/// is keep the fallback running everywhere rather than only under
-/// contention. On a bypassed leaf the sampled get feeds the detector
-/// nothing, like any calm operation there. Costs 2 cycles per get on
-/// average (−0.06 % `virt-flat` throughput); DESIGN.md §4.4 says when it
-/// can go.
-const GET_TWO_STEP_ONE_IN: u32 = 128;
-
 /// Keys per leaf-hint block: a hint is filed under `key >> 3`, so one
-/// entry serves the (up to) eight neighbouring keys its leaf covers. Swept
-/// together with the table's slot count (`euno_htm::hint`); DESIGN.md §4.4.
+/// entry serves the (up to) eight neighbouring keys its leaf covers, and a
+/// block astride two leaves is two entries. Swept together with the
+/// table's slot count (`euno_htm::hint`); DESIGN.md §4.4.
 const HINT_BLOCK_SHIFT: u32 = 3;
 
 /// Keys per subtree-hint block: a walk from the root files the index node
@@ -340,10 +322,11 @@ where
     /// Without `read_opt` this is the HTM upper region. With it, four
     /// rungs:
     ///
-    /// 1. **the thread's leaf hint** — what this thread's last walk for a
-    ///    key of the same block found: `(leaf, low, retirement
-    ///    generation)`. It is handed back if `key` is at or above `low`, no
-    ///    leaf has been retired since before that walk (checked first:
+    /// 1. **the thread's leaf hint** — of what this thread's walks for
+    ///    keys of the same block found, `(leaf, low, retirement
+    ///    generation)`, the entry with the greatest `low` at or below `key`
+    ///    (a block astride two leaves keeps one for each). It is handed back
+    ///    if no leaf has been retired since before its walk (checked first:
     ///    only then is the pointer safe to follow — the argument is at
     ///    [`EunoBTree::retire_generation`]), and `key` is below the leaf's
     ///    fence on the home segment: the leaf's lower bound has not moved,
@@ -399,14 +382,15 @@ where
         // operation's pin (for the hint about to be used) and precedes the
         // walk below (for the hint about to be recorded).
         let generation = self.retire_generation(ctx);
-        if let Some([bits, low, recorded_at]) = ctx.hint_probe(self.hint_owner, block) {
-            if low <= key {
+        match ctx.hint_probe(self.hint_owner, block, key) {
+            Some((way, [bits, low, recorded_at])) => {
                 // The generation first: only a hint it vouches for names
                 // memory that is still a leaf of this tree.
                 if recorded_at == generation || probe::mutated("hint:any-generation") {
                     let leaf = g.leaf(NodeRef::from_word(bits));
                     let fence = leaf.fence(home).load_direct(ctx);
                     if covers(fence, key) {
+                        ctx.hint_keep(way);
                         ctx.metric_add(Counter::LeafHintHits, 1);
                         let at = Located {
                             leaf,
@@ -419,6 +403,7 @@ where
                 }
                 ctx.metric_add(Counter::LeafHintStale, 1);
             }
+            None => ctx.metric_add(Counter::LeafHintMiss, 1),
         }
         let subtree_block = key >> SUBTREE_BLOCK_SHIFT;
         let mut from = ctx.anchor_probe(self.hint_owner, subtree_block);
@@ -498,12 +483,10 @@ where
     ) -> Option<u64> {
         let home = self.home(ctx, key);
         let mut force_split_lock = false;
+        let episode_free = req == Req::Get && self.cfg.read_opt;
         loop {
             // Step 1: upper stage. A `read_opt` get that a walk answers
             // reads its leaf inside the walk's section and is done there.
-            let episode_free = req == Req::Get
-                && self.cfg.read_opt
-                && ctx.rng().gen_range(0..GET_TWO_STEP_ONE_IN) != 0;
             let (located, answer) = match episode_free {
                 true => self.locate_then(ctx, g, key, home, |ctx, leaf| {
                     self.read_record(ctx, leaf, key, home)
@@ -731,14 +714,19 @@ mod tests {
             ctx.pinned(|ctx, g| {
                 hinted.pinned(|hinted, _: DefaultGuard| {
                     for i in 0..10_000 {
-                        let key = match i % 4 {
+                        let key = match i % 5 {
                             // Both ends of the keyspace; on, just below and just
-                            // above a stored key — where the separators are — and
+                            // above a stored key — where the separators are —
+                            // anywhere in a stored key's subtree-hint block, and
                             // anywhere at all.
                             _ if i < 2 => [0, u64::MAX][i],
                             0 => keys[rng.gen_range(0..keys.len())],
                             1 => keys[rng.gen_range(0..keys.len())].saturating_sub(1),
                             2 => keys[rng.gen_range(0..keys.len())] + 1,
+                            3 => {
+                                keys[rng.gen_range(0..keys.len())]
+                                    ^ rng.gen_range(0..1u64 << SUBTREE_BLOCK_SHIFT)
+                            }
                             _ => rng.gen_range(0..u64::MAX),
                         };
                         let want_key = want(key);

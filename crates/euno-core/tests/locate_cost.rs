@@ -86,15 +86,22 @@ const HOME: u64 = 4;
 const PROBE: u64 = HIT + 2;
 const RECORD: u64 = HIT;
 const GENERATION: u64 = HIT;
-/// The anchor table is two-way: a probe that compares the second way's
-/// tag — a hit there, or a miss — pays one ALU operation more, and no
-/// second hit (a set is one line).
+/// Both tables are two-way. The anchor table's probe stops at the way that
+/// hits: one that compares the second way's tag — a hit there, or a miss —
+/// pays one ALU operation more, and no second hit (a set is one line).
 const SECOND_WAY: u64 = 1;
+/// A leaf-hint probe compares both ways' tags, since a block may hold two
+/// entries — one ALU operation more, whatever it finds (a set is 80 B,
+/// charged as one line).
+const LEAF_PROBE: u64 = PROBE + SECOND_WAY;
+/// The first hit of a leaf hint since it was recorded marks it used: one
+/// store to the set.
+const KEEP: u64 = HIT;
 /// What a walk pays around the descent when both probes missed, and the
 /// leaf it ends on is filed; and when the anchor probe hit in its first
 /// way.
-const AROUND_A_WALK: u64 = HOME + PROBE + GENERATION + PROBE + SECOND_WAY + RECORD; // 21
-const AROUND_A_HINTED_WALK: u64 = HOME + PROBE + GENERATION + PROBE + RECORD; // 20
+const AROUND_A_WALK: u64 = HOME + LEAF_PROBE + GENERATION + PROBE + SECOND_WAY + RECORD; // 22
+const AROUND_A_HINTED_WALK: u64 = HOME + LEAF_PROBE + GENERATION + PROBE + RECORD; // 21
 /// A walk from the root may file an anchor: one containment test for each
 /// of the five levels (and the record, if it has one to file).
 const LOOKING: u64 = 5;
@@ -102,8 +109,8 @@ const LOOKING: u64 = 5;
 const BACKOFF: u64 = 40;
 
 /// A leaf hit: the home, probe, generation, the leaf's fence (the home
-/// segment's copy) outside any section.
-const LEAF_HIT: u64 = HOME + PROBE + GENERATION + HIT; // 15
+/// segment's copy) outside any section — and [`KEEP`] the first time.
+const LEAF_HIT: u64 = HOME + LEAF_PROBE + GENERATION + HIT; // 16
 
 /// An episode-free read of a key that is there, in a section of its own
 /// (behind a leaf hit): the fence (the home segment's copy: its line's
@@ -198,49 +205,50 @@ fn each_rung_of_locate_costs_what_the_arithmetic_says() {
     // holds the key's whole block, the leaf being its parent's last child.
     assert_eq!(
         locate(&tree, &mut ctx, sparse),
-        AROUND_A_WALK + FROM_ROOT_SPARSE + LOOKING + RECORD // 260
+        AROUND_A_WALK + FROM_ROOT_SPARSE + LOOKING + RECORD // 261
     );
-    // The same key again: a leaf hit.
+    // The same key again: a leaf hit, which keeps the hint the first time.
+    assert_eq!(locate(&tree, &mut ctx, sparse), LEAF_HIT + KEEP);
     assert_eq!(locate(&tree, &mut ctx, sparse), LEAF_HIT);
     // Eight keys on is another leaf-hint block, and another leaf: the
     // walk starts at the anchor — two levels (4 lines, 6 hits) in place of
     // five.
     assert_eq!(
         locate(&tree, &mut ctx, sparse + 512),
-        AROUND_A_HINTED_WALK + LEVEL + LEVEL_4_PROBES // 105
+        AROUND_A_HINTED_WALK + LEVEL + LEVEL_4_PROBES // 106
     );
     // Two blocks on, both leaves of the block are mid-node: the first
     // visit files the parent, the second leaf is reached from it — one
     // level (2 lines, 3 hits).
     assert_eq!(
         locate(&tree, &mut ctx, sparse + 2_048),
-        AROUND_A_WALK + FROM_ROOT_SPARSE_NEXT + LOOKING + RECORD // 247
+        AROUND_A_WALK + FROM_ROOT_SPARSE_NEXT + LOOKING + RECORD // 248
     );
     assert_eq!(
         locate(&tree, &mut ctx, sparse + 2_048 + 512),
-        AROUND_A_HINTED_WALK + LEVEL // 61
+        AROUND_A_HINTED_WALK + LEVEL // 62
     );
 
     // Keys 8 apart: a block is fourteen leaves and its anchor two levels up
     // (4 lines, 7 hits).
     assert_eq!(
         locate(&tree, &mut ctx, medium),
-        AROUND_A_WALK + FROM_ROOT_MEDIUM + LOOKING + RECORD // 263
+        AROUND_A_WALK + FROM_ROOT_MEDIUM + LOOKING + RECORD // 264
     );
     assert_eq!(
         locate(&tree, &mut ctx, medium + 64),
-        AROUND_A_HINTED_WALK + LEVEL + LEVEL_4_PROBES // 105
+        AROUND_A_HINTED_WALK + LEVEL + LEVEL_4_PROBES // 106
     );
 
     // Adjacent keys: a block is 114 leaves and its anchor three levels up
     // (7 lines, 8 hits).
     assert_eq!(
         locate(&tree, &mut ctx, dense),
-        AROUND_A_WALK + FROM_ROOT_DENSE + LOOKING + RECORD // 257
+        AROUND_A_WALK + FROM_ROOT_DENSE + LOOKING + RECORD // 258
     );
     assert_eq!(
         locate(&tree, &mut ctx, dense + 8),
-        AROUND_A_HINTED_WALK + LEVEL + LEVEL_PAST_SEVEN + LEVEL // 156
+        AROUND_A_HINTED_WALK + LEVEL + LEVEL_PAST_SEVEN + LEVEL // 157
     );
 
     // Past the last key: down the rightmost spine, where no level has a
@@ -248,7 +256,7 @@ fn each_rung_of_locate_costs_what_the_arithmetic_says() {
     // to file.
     assert_eq!(
         locate(&tree, &mut ctx, u64::MAX - 1),
-        AROUND_A_WALK + FROM_ROOT_SPINE + LOOKING // 293
+        AROUND_A_WALK + FROM_ROOT_SPINE + LOOKING // 294
     );
 }
 
@@ -262,7 +270,7 @@ fn each_rung_of_locate_costs_what_the_arithmetic_says() {
 fn a_second_way_anchor_hit_costs_one_alu_more_than_a_first_way_hit() {
     let rt = Runtime::new_virtual();
     let (tree, [_, medium, dense]) = build(&rt);
-    let first_way = AROUND_A_HINTED_WALK + LEVEL + LEVEL_4_PROBES; // 105
+    let first_way = AROUND_A_HINTED_WALK + LEVEL + LEVEL_4_PROBES; // 106
     let (mut shared, mut apart) = (0, 0);
     // Every other block of the tree: each one's walk files an anchor.
     let others = (0..=dense >> 10).filter(|&b| b != medium >> 10);
@@ -291,24 +299,33 @@ fn an_uncontended_get_and_put_cost_their_rung_plus_a_fixed_tail() {
     let rt = Runtime::new_virtual();
     let (tree, [_, medium, _]) = build(&rt);
     let mut ctx = rt.thread(1);
-    let subtree_hit = AROUND_A_HINTED_WALK + LEVEL + LEVEL_4_PROBES; // 105
+    let subtree_hit = AROUND_A_HINTED_WALK + LEVEL + LEVEL_4_PROBES; // 106
     let next = medium + 1024;
 
     // A get that a walk answers reads the leaf in the walk's section; one
-    // behind a leaf hit, in a section of its own.
+    // behind a leaf hit, in a section of its own (the first such hit keeps
+    // the hint).
     assert_eq!(
         get(&tree, &mut ctx, medium),
-        AROUND_A_WALK + FROM_ROOT_MEDIUM + LOOKING + RECORD + GET_IN_WALK // 285
+        AROUND_A_WALK + FROM_ROOT_MEDIUM + LOOKING + RECORD + GET_IN_WALK // 286
     );
-    assert_eq!(get(&tree, &mut ctx, medium + 64), subtree_hit + GET_IN_WALK); // 127
-    assert_eq!(get(&tree, &mut ctx, medium + 64), LEAF_HIT + GET_TAIL); // 40
+    assert_eq!(get(&tree, &mut ctx, medium + 64), subtree_hit + GET_IN_WALK); // 128
+    assert_eq!(
+        get(&tree, &mut ctx, medium + 64),
+        LEAF_HIT + KEEP + GET_TAIL
+    ); // 44
+    assert_eq!(get(&tree, &mut ctx, medium + 64), LEAF_HIT + GET_TAIL); // 41
 
     assert_eq!(
         put(&tree, &mut ctx, next),
-        AROUND_A_WALK + FROM_ROOT_MEDIUM_NEXT + LOOKING + RECORD + PUT_TAIL // 387
+        AROUND_A_WALK + FROM_ROOT_MEDIUM_NEXT + LOOKING + RECORD + PUT_TAIL // 388
     );
-    assert_eq!(put(&tree, &mut ctx, medium + 128), subtree_hit + PUT_TAIL); // 242
-    assert_eq!(put(&tree, &mut ctx, medium + 128), LEAF_HIT + PUT_TAIL); // 152
+    assert_eq!(put(&tree, &mut ctx, medium + 128), subtree_hit + PUT_TAIL); // 243
+    assert_eq!(
+        put(&tree, &mut ctx, medium + 128),
+        LEAF_HIT + KEEP + PUT_TAIL
+    ); // 156
+    assert_eq!(put(&tree, &mut ctx, medium + 128), LEAF_HIT + PUT_TAIL); // 153
 }
 
 /// A put's walk reads no line of the leaf it finds: with the key's home
@@ -322,7 +339,7 @@ fn a_put_walk_reads_no_line_of_its_leaf() {
     let (tree, [_, medium, _]) = build(&rt);
     let transfer = CostModel::default().line_transfer;
     let key = medium + 1024;
-    let walk = AROUND_A_WALK + FROM_ROOT_MEDIUM_NEXT + LOOKING + RECORD; // 250
+    let walk = AROUND_A_WALK + FROM_ROOT_MEDIUM_NEXT + LOOKING + RECORD; // 251
     let mut writer = rt.thread(3);
     assert_eq!(put(&tree, &mut writer, key), walk + PUT_TAIL);
     // Fresh threads — no hint for the key — that start after the write.
@@ -346,9 +363,9 @@ fn a_key_costs_one_segment_whichever_segment_holds_it() {
 
     // Where keys are adjacent a leaf's nine keys are one leaf-hint block
     // (eight keys) and a key more, one or two to a segment: once the leaf
-    // is found, each key of the block is a leaf hit and the same tail —
-    // the key in the sixth segment as the key in the first. (A thread of
-    // its own finds a block that lies in one leaf.)
+    // is found and its hint kept, each key of the block is a leaf hit and
+    // the same tail — the key in the sixth segment as the key in the
+    // first. (A thread of its own finds a block that lies in one leaf.)
     let block = (dense..dense + 64)
         .step_by(8)
         .find(|&block| {
@@ -360,12 +377,13 @@ fn a_key_costs_one_segment_whichever_segment_holds_it() {
         })
         .expect("a leaf-hint block inside one leaf");
     get(&tree, &mut ctx, block);
+    assert_eq!(get(&tree, &mut ctx, block), LEAF_HIT + KEEP + GET_TAIL); // 44
     let mut homes = [0; DEFAULT_SEGS];
     for key in block..block + 8 {
         homes[home_segment(key, DEFAULT_SEGS)] += 1;
-        assert_eq!(get(&tree, &mut ctx, key), LEAF_HIT + GET_TAIL, "get {key}"); // 40
+        assert_eq!(get(&tree, &mut ctx, key), LEAF_HIT + GET_TAIL, "get {key}"); // 41
         assert_eq!(put(&tree, &mut ctx, key), LEAF_HIT + PUT_TAIL, "put {key}");
-        // 152
+        // 153
     }
     assert!(homes.iter().all(|&n| (1..=2).contains(&n)), "{homes:?}");
 
@@ -374,9 +392,10 @@ fn a_key_costs_one_segment_whichever_segment_holds_it() {
     // loaded the value — the same count.
     let absent = sparse + 1;
     get(&tree, &mut ctx, sparse);
+    get(&tree, &mut ctx, sparse);
     let start = ctx.clock;
     assert_eq!(tree.get(&mut ctx, absent), None);
-    assert_eq!(ctx.clock - start, LEAF_HIT + GET_TAIL); // 40
+    assert_eq!(ctx.clock - start, LEAF_HIT + GET_TAIL); // 41
 }
 
 #[test]
@@ -394,34 +413,37 @@ fn a_spilled_key_costs_one_segment_more_per_full_segment_before_it() {
         tree.put(&mut ctx, key, key);
     }
     assert_eq!(tree.stats().leaves, 1);
-    // Each key is its own leaf-hint block: the first visit files the leaf.
-    let second = |ctx: &mut ThreadCtx, key: u64, put_it: bool| {
+    // Each key is its own leaf-hint block: the first visit files the leaf,
+    // the second keeps the hint, the third is a plain hit.
+    let third = |ctx: &mut ThreadCtx, key: u64, put_it: bool| {
+        get(&tree, ctx, key);
         get(&tree, ctx, key);
         match put_it {
             false => get(&tree, ctx, key),
             true => put(&tree, ctx, key),
         }
     };
-    assert_eq!(second(&mut ctx, keys[2], false), LEAF_HIT + GET_TAIL);
-    assert_eq!(second(&mut ctx, keys[2], true), LEAF_HIT + PUT_TAIL);
+    assert_eq!(third(&mut ctx, keys[2], false), LEAF_HIT + GET_TAIL);
+    assert_eq!(third(&mut ctx, keys[2], true), LEAF_HIT + PUT_TAIL);
     // Two full segments before it, first or last of its own.
     for key in [keys[6], keys[8]] {
         assert_eq!(
-            second(&mut ctx, key, false),
-            LEAF_HIT + GET_TAIL + 2 * GET_SPILL // 78
+            third(&mut ctx, key, false),
+            LEAF_HIT + GET_TAIL + 2 * GET_SPILL // 79
         );
         assert_eq!(
-            second(&mut ctx, key, true),
-            LEAF_HIT + PUT_TAIL + 2 * PUT_SPILL // 210
+            third(&mut ctx, key, true),
+            LEAF_HIT + PUT_TAIL + 2 * PUT_SPILL // 211
         );
     }
     // A key of that home that is not there stops where it would go: the
     // first segment on the path with room — three segments on, a line and
     // a probe, then its last slot where a hit loads the value.
     assert_eq!(tree.get(&mut ctx, keys[9]), None);
+    assert_eq!(tree.get(&mut ctx, keys[9]), None);
     let start = ctx.clock;
     assert_eq!(tree.get(&mut ctx, keys[9]), None);
-    assert_eq!(ctx.clock - start, LEAF_HIT + GET_TAIL + 3 * GET_SPILL); // 97
+    assert_eq!(ctx.clock - start, LEAF_HIT + GET_TAIL + 3 * GET_SPILL); // 98
 }
 
 /// The keys of one leaf, segment by segment.
@@ -511,7 +533,7 @@ fn a_quiescent_scan_costs_its_rung_plus_a_fixed_step_per_leaf() {
             .eq((0..16).map(|i| from + 8 * i)));
         ctx.clock - start
     };
-    let walk = AROUND_A_WALK + FROM_ROOT_MEDIUM_AFTER + LOOKING + RECORD; // 253
+    let walk = AROUND_A_WALK + FROM_ROOT_MEDIUM_AFTER + LOOKING + RECORD; // 254
 
     // Sixteen records are two leaves: the first is located, the second
     // opens where the first's closing section found it — and, holding the
@@ -525,9 +547,10 @@ fn a_quiescent_scan_costs_its_rung_plus_a_fixed_step_per_leaf() {
     let second = step(&leaves[1], from, false);
     let first = step(&leaves[0], from, true);
     assert_eq!(scan(&mut ctx, from), walk + in_walk + first + second);
-    // Behind a leaf hit the first step opens as well.
+    // Behind a leaf hit (its first: it keeps the hint) the first step opens
+    // as well.
     let first = step(&leaves[0], from, false);
-    assert_eq!(scan(&mut ctx, from), LEAF_HIT + first + second);
+    assert_eq!(scan(&mut ctx, from), LEAF_HIT + KEEP + first + second);
 
     // From mid-leaf, four records in (another slot of the leaf-hint
     // table, the same subtree-hint block: the walk starts at the anchor
@@ -541,7 +564,7 @@ fn a_quiescent_scan_costs_its_rung_plus_a_fixed_step_per_leaf() {
     let mid = from + 32;
     assert_eq!(mid >> 10, from >> 10);
     let in_walk = carried_by_walk(&leaves[0], mid);
-    let subtree_hit = AROUND_A_HINTED_WALK + LEVEL + LEVEL_4_PROBES; // 105
+    let subtree_hit = AROUND_A_HINTED_WALK + LEVEL + LEVEL_4_PROBES; // 106
     let first = step(&leaves[0], mid, true);
     let second = step(&leaves[1], mid, false);
     let third = step(&leaves[2], mid, false);

@@ -23,7 +23,10 @@ use euno_trace::{EpisodeKind, EventKind, TraceBuf};
 
 use crate::abort::{AbortCause, ConflictInfo, TxResult};
 use crate::bptree::Guard;
-use crate::hint::{Anchor, Hint, HintTable, ANCHOR_WAYS, ANCHOR_WORDS, HINT_WAYS, HINT_WORDS};
+use crate::hint::{
+    Anchor, Hint, HintTable, HintWay, Lru, SecondChance, ANCHOR_WAYS, ANCHOR_WORDS, HINT_WAYS,
+    HINT_WORDS,
+};
 use crate::line::{LineId, LineSet};
 use crate::runtime::{Backend, Mode, Runtime};
 use crate::stats::ThreadStats;
@@ -134,8 +137,8 @@ pub struct ThreadCtx {
     reclaim_ticks: u64,
     /// This thread's hint caches (see [`crate::hint`]): scratch like
     /// `spare`, both allocated by the first record into either.
-    hints: HintTable<HINT_WORDS, HINT_WAYS>,
-    anchors: HintTable<ANCHOR_WORDS, ANCHOR_WAYS>,
+    hints: HintTable<HINT_WORDS, HINT_WAYS, SecondChance>,
+    anchors: HintTable<ANCHOR_WORDS, ANCHOR_WAYS, Lru>,
     /// This thread's metrics shard (see `euno-metrics`): single-writer
     /// atomic counters the sampler reads concurrently.
     shard: Arc<euno_metrics::ThreadShard>,
@@ -406,22 +409,34 @@ impl ThreadCtx {
 
     // ================= hint caches =================
 
-    /// Look `(owner, block)` up in this thread's table of [`Hint`]s. The
-    /// memory is thread-private and uninstrumented, so the probe is charged
-    /// by hand: one cache hit — a set is at most one line — plus the hash
-    /// and the first tag compare, and one ALU operation for each further
-    /// way compared.
+    /// Look `key` up among `(owner, block)`'s entries in this thread's
+    /// table of [`Hint`]s: the one with the greatest lower bound at or
+    /// below `key`, if any. The memory is thread-private and
+    /// uninstrumented, so the probe is charged by hand: one cache hit — a
+    /// set is 80 B, packed, and charged as one line like the anchor
+    /// table's — plus the hash and a tag compare for each of the two ways.
     #[inline]
-    pub fn hint_probe(&mut self, owner: u64, block: u64) -> Option<Hint> {
-        let (words, compared) = self.hints.probe(owner, block);
+    pub fn hint_probe(&mut self, owner: u64, block: u64, key: u64) -> Option<(HintWay, Hint)> {
+        let (found, compared) = self.hints.probe(owner, block, key);
         self.charge_probe(compared);
-        words
+        found
     }
 
-    /// Record `words` for `(owner, block)`, replacing the set's entry for
-    /// it or its least recently recorded one. Charged one cache hit: the
-    /// set index was paid for by the probe that missed. The first record of
-    /// a thread — of either kind — allocates both tables.
+    /// Mark the hint [`ThreadCtx::hint_probe`] answered with as used, once
+    /// its owner has trusted it: the next record into its set passes it
+    /// over. Charged one cache hit if that stored a bit.
+    #[inline]
+    pub fn hint_keep(&mut self, at: HintWay) {
+        if self.hints.keep(at) {
+            self.clock += self.rt.cost.access_hit;
+        }
+    }
+
+    /// Record `words` for `(owner, block)` — over its entry with the same
+    /// lower bound, else by second chance ([`HintTable::record`]), which
+    /// may drop it. Charged one cache hit: the set index was paid for by
+    /// the probe that missed. The first record of a thread — of either
+    /// kind — allocates both tables.
     #[inline]
     pub fn hint_record(&mut self, owner: u64, block: u64, words: Hint) {
         self.clock += self.rt.cost.access_hit;
@@ -429,9 +444,12 @@ impl ThreadCtx {
         self.hints.record(owner, block, words);
     }
 
-    /// [`ThreadCtx::hint_probe`] on this thread's table of [`Anchor`]s.
-    /// The two tables share nothing but their implementation: an owner
-    /// files under block sizes of its own choosing in each.
+    /// The words last recorded for `(owner, block)` in this thread's table
+    /// of [`Anchor`]s, if they are still in its set. Charged like
+    /// [`ThreadCtx::hint_probe`], with a tag compare for each way up to the
+    /// one that hit (both on a miss). The two tables share nothing but
+    /// their implementation: an owner files under block sizes of its own
+    /// choosing in each.
     #[inline]
     pub fn anchor_probe(&mut self, owner: u64, block: u64) -> Option<Anchor> {
         let (words, compared) = self.anchors.probe(owner, block);
@@ -439,7 +457,9 @@ impl ThreadCtx {
         words
     }
 
-    /// [`ThreadCtx::hint_record`] on this thread's table of [`Anchor`]s.
+    /// Record `words` for `(owner, block)` in this thread's table of
+    /// [`Anchor`]s, replacing the set's entry for it or its least recently
+    /// recorded one. Charged like [`ThreadCtx::hint_record`].
     #[inline]
     pub fn anchor_record(&mut self, owner: u64, block: u64, words: Anchor) {
         self.clock += self.rt.cost.access_hit;

@@ -75,7 +75,7 @@ pub use ctx::{MetricsMark, ThreadCtx, Tx};
 pub use epoch::{CollectOutcome, Collector, Participant};
 pub use euno_metrics::AbortClass;
 pub use exec::{ExecOutcome, Path};
-pub use hint::{fresh_owner, Anchor, Hint};
+pub use hint::{fresh_owner, Anchor, Hint, HintWay};
 pub use line::{LineClass, LineId, LineSet, CACHE_LINE_BYTES};
 pub use lock::{slot_for_key, ControlBlock, LockWord, SpinBackoff};
 pub use map::{ConcurrentMap, MemoryReport, KEY_SENTINEL, TOMBSTONE};

@@ -107,13 +107,14 @@ define_metric_enum! {
         // and read the leaf under its split lock in an HTM region. The
         // optimistic re-tries themselves count in `optimistic_retries`.
         ScanLockedSteps => "scan_locked_steps",
-        // Leaf hints (the first rung of the Euno-B+Tree's upper stage):
-        // locates answered from the thread's own table, and hints that
-        // covered the key but were turned away because the leaf's `seqno`
-        // or the tree's retirement generation had moved. Misses are
-        // locates − hits.
+        // Leaf hints (the first rung of the Euno-B+Tree's upper stage).
+        // Every probe counts in exactly one of the three: answered from
+        // the thread's own table; an entry of the key's block at or below
+        // the key turned away because the tree's retirement generation or
+        // the leaf's fence had moved; no such entry in the table.
         LeafHintHits => "leaf_hint_hits",
         LeafHintStale => "leaf_hint_stale",
+        LeafHintMiss => "leaf_hint_miss",
         // Subtree hints (the second rung): leaf-hint misses whose walk
         // started at a remembered index node and ended in the key's leaf,
         // and such walks that came back without proof the key was still
