@@ -20,6 +20,8 @@
 //! inside it, and version words with hand-over-hand parent locking
 //! ([`masstree`]). DESIGN.md §4.9.
 
+#![forbid(unsafe_code)]
+
 pub mod htm_tree;
 pub mod masstree;
 pub mod node;

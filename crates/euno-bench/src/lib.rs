@@ -1,12 +1,11 @@
 //! # euno-bench — the paper's evaluation, regenerated
 //!
-//! Four binaries (`cargo run --release -p euno-bench --bin <name>`):
+//! Three binaries (`cargo run --release -p euno-bench --bin <name>`):
 //!
 //! | binary | what it runs |
 //! |---|---|
 //! | `figures` | every virtual-clock figure and table, from one table ([`figures::FIGURES`]) |
 //! | `engine_bench` | wall-clock cost of the episode machinery itself |
-//! | `serve_bench` | open-loop SLO sweep through the `euno-serve` front-end |
 //! | `report_check` | validates `BENCH_*.json` reports and trace exports |
 //!
 //! `figures [NAME…]` runs, by CSV stem:
@@ -30,6 +29,8 @@
 //! compares the CSVs with those recorded in `results/` instead. All honour
 //! `EUNO_BENCH_SCALE` for quick runs. Self-timed microbenches (plain
 //! `main()`, `harness = false`) live in `benches/`.
+
+#![forbid(unsafe_code)]
 
 pub mod common;
 pub mod figures;

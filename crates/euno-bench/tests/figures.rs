@@ -42,6 +42,38 @@ fn every_figure_emits_its_declared_rows_the_recorded_header_and_a_valid_report()
     }
 }
 
+/// `results/` holds a report for every figure of the table and for
+/// `engine_bench`, and nothing else, and each passes the schema.
+#[test]
+fn every_recorded_report_validates_and_has_a_producer() {
+    // The id `engine_bench` writes its report under.
+    const ENGINE: &str = "engine";
+    let dir = format!("{}/../../results", env!("CARGO_MANIFEST_DIR"));
+    let mut recorded = Vec::new();
+    for entry in std::fs::read_dir(&dir).expect(&dir) {
+        let name = entry.unwrap().file_name().into_string().unwrap();
+        let Some(id) = name
+            .strip_prefix("BENCH_")
+            .and_then(|n| n.strip_suffix(".json"))
+        else {
+            continue;
+        };
+        let text = std::fs::read_to_string(format!("{dir}/{name}")).unwrap();
+        validate_report(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert!(
+            id == ENGINE || FIGURES.iter().any(|f| f.id == id),
+            "{name}: neither the figure table nor engine_bench writes it"
+        );
+        recorded.push(id.to_string());
+    }
+    for id in FIGURES.iter().map(|f| f.id).chain([ENGINE]) {
+        assert!(
+            recorded.iter().any(|r| r == id),
+            "results/BENCH_{id}.json is missing"
+        );
+    }
+}
+
 /// Warm-up operations are rolled back out of the metric shard as well as
 /// out of `ctx.stats`: on HTM-B+Tree, which runs one region per
 /// operation, every measured get of YCSB-C ends in exactly one commit or

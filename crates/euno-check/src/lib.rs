@@ -18,6 +18,8 @@
 //!   (`cargo run -p euno-check --bin stress -- --threads 8 --ops 20000
 //!   --seed 1`).
 
+#![forbid(unsafe_code)]
+
 pub mod audit;
 pub mod history;
 pub mod lin;

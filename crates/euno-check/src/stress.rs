@@ -57,9 +57,9 @@ pub struct StressConfig {
     pub delete_pct: u32,
     /// Phased mix overrides: `(get, put, delete)` percentages applied in
     /// equal spans over each worker's op stream (empty = the stationary
-    /// mix above). Mirrors the serve harness's grow/shrink
-    /// `ChurnSchedule`, so splits and merges happen *during* the
-    /// measured traffic instead of settling into a steady state.
+    /// mix above). Grow and shrink phases in turn make splits and merges
+    /// happen *during* the measured traffic instead of settling into a
+    /// steady state.
     pub phases: Vec<(u32, u32, u32)>,
     /// `EunoConfig::rebalance_delete_threshold` of the Euno trees under
     /// test (the baselines have no deferred sweep).
@@ -143,8 +143,7 @@ impl StressConfig {
         }
     }
 
-    /// The phased churn schedule: two grow→shrink rounds matching the
-    /// serve harness's `ChurnSchedule::default_grow_shrink` (70 % put /
+    /// The phased churn schedule: two grow→shrink rounds (70 % put /
     /// 10 % delete, then 10 % put / 70 % delete, 20 % gets throughout),
     /// so the population swings and merge/split traffic arrives in
     /// bursts — the regime where a stale-phase reader would race the

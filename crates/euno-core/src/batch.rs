@@ -724,9 +724,9 @@ mod perf_probe {
                 single.as_nanos() as f64 / n
             );
 
-            // Mixed 50/50 get/put — the serve_bench getput mix. Groups
-            // are ~1 op at this keyspace, so this measures the upper
-            // stage + per-group overhead against the per-op episodes.
+            // Mixed 50/50 get/put. Groups are ~1 op at this keyspace, so
+            // this measures the upper stage + per-group overhead against
+            // the per-op episodes.
             let mut rng = SmallRng::seed_from_u64(11);
             let mut agg = BatchStats::default();
             let t0 = std::time::Instant::now();

@@ -32,12 +32,13 @@ pub struct EunoConfig {
     pub rebalance_delete_threshold: u64,
     /// No episode above the leaf. Every operation's upper stage
     /// ([`EunoBTree::locate`](crate::EunoBTree::locate)) first asks the
-    /// thread's own *leaf hint* — the `(leaf, seqno, key range)` its last
-    /// walk for a neighbouring key found, good for as long as the leaf's
-    /// `seqno` and the tree's retirement generation stand still — and
-    /// otherwise takes an episode-free validated walk — direct loads
-    /// under the epoch pin, checked against the TL2 version clock and the
-    /// fallback cell in concurrent mode — whose result becomes the hint.
+    /// thread's own *leaf hint* — the `(leaf, low, retirement generation)`
+    /// its last walk for a neighbouring key found, trusted while the
+    /// tree's retirement generation stands still and the key is below the
+    /// leaf's fence on its home segment — and otherwise takes an
+    /// episode-free validated walk — direct loads under the epoch pin,
+    /// checked against the TL2 version clock and the fallback cell in
+    /// concurrent mode — whose result becomes the hint.
     /// The walk starts at the thread's *subtree hint* if it has one: the
     /// index node its last walk from the root found to hold the key's
     /// neighbourhood. A get also reads its leaf episode-free, checked

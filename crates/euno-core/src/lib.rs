@@ -4,7 +4,7 @@
 //! under Contention Using HTM* (Wang et al., PPoPP 2017), implemented over
 //! the `euno-htm` engine:
 //!
-//! * split HTM regions glued by per-leaf version numbers ([`tree`]),
+//! * split HTM regions glued by the leaf's fence ([`tree`]),
 //! * segmented leaves whose write scheduler is a function of the key —
 //!   a home segment and a probe path, so a search reads one segment
 //!   ([`segment`], [`leaf_ops`]) — and sorted *reserved keys* buffers
@@ -24,6 +24,8 @@
 //! tree.put(&mut ctx, 42, 4200);
 //! assert_eq!(tree.get(&mut ctx, 42), Some(4200));
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod batch;
 pub mod ccm;

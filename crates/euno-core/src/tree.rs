@@ -36,7 +36,7 @@ use crate::segment::{KeyPad, Keys};
 /// Segments a leaf of the default geometry has ([`EunoBTreeDefault`]).
 pub const DEFAULT_SEGS: usize = 6;
 /// Slots a segment of the default geometry has: three keys and their
-/// values, the segment's `seqno` copy and its link word fill one line.
+/// values, the segment's fence copy and its link word fill one line.
 pub const DEFAULT_K: usize = 3;
 
 /// The Euno-B+Tree. `SEGS` segments of `K` slots per leaf (fanout =

@@ -144,7 +144,7 @@ fn maintenance_preserves_the_model() {
     let mut rng = SmallRng::seed_from_u64(0x3a14);
     for _ in 0..CASES {
         let ops = random_ops(&mut rng, 160, 400);
-        let maintain_every = rng.gen_range(10usize..60);
+        let sweep_every = rng.gen_range(10usize..60);
         for cfg in both() {
             let rt = Runtime::new_virtual();
             let tree = EunoBTreeDefault::with_config(Arc::clone(&rt), cfg);
@@ -163,7 +163,7 @@ fn maintenance_preserves_the_model() {
                         assert_eq!(got, expect);
                     }
                 }
-                if i % maintain_every == maintain_every - 1 {
+                if i % sweep_every == sweep_every - 1 {
                     tree.maintain(&mut ctx);
                     assert_eq!(tree.audit_quiescent(), Vec::<String>::new());
                 }

@@ -144,9 +144,6 @@ define_metric_enum! {
         EpochRetiredPending => "epoch_retired_pending",
         EpochRetiredPendingBytes => "epoch_retired_pending_bytes",
         EpochReclaimed => "epoch_reclaimed",
-        // Requests sitting in euno-serve shard queues (summed over shards)
-        // at sample time — the open-loop harness's backlog signal.
-        ServeQueueDepth => "serve_queue_depth",
     }
 }
 

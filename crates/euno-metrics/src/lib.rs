@@ -34,6 +34,8 @@
 //!   hotspot-shift marks, from which the *adaptation lag* (flip latency
 //!   after a programmed hotspot rotation) is derived.
 
+#![forbid(unsafe_code)]
+
 mod counters;
 mod flip;
 mod hist;

@@ -168,12 +168,6 @@ impl TimeSeries {
         (0..self.len).map(move |i| &self.snaps[(self.head + i) % cap])
     }
 
-    /// The last `n` retained snapshots, oldest first (failure-dump view).
-    pub fn last_n(&self, n: usize) -> impl Iterator<Item = &Snapshot> + '_ {
-        let skip = self.len.saturating_sub(n);
-        self.iter().skip(skip)
-    }
-
     /// Consecutive-snapshot windows, oldest first (`len - 1` of them).
     pub fn windows(&self) -> impl Iterator<Item = Window> + '_ {
         let cap = self.snaps.len();

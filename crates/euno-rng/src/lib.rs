@@ -16,6 +16,8 @@
 //! * [`Rng::gen_bool`],
 //! * generic `R: Rng` bounds for caller-supplied generators.
 
+#![forbid(unsafe_code)]
+
 /// Sources of raw 64-bit randomness.
 pub trait RngCore {
     fn next_u64(&mut self) -> u64;

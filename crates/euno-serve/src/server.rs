@@ -7,22 +7,23 @@
 //!    that shard's pool (pool exhausted / queue full ⇒ *shed*, the
 //!    overload signal), stages the payload and enqueues the slot index;
 //! 2. the shard worker drains up to `batch_max` requests per cycle.
-//!    With batching on, the point ops are key-sorted (stably) and run
-//!    through [`EunoBTree::apply_batch`]'s shared group-commit episodes;
-//!    scans and whatever the batch bails on run per-request. A batch
-//!    that keeps conflict-aborting halves the worker's drain width down
-//!    to per-request episodes, recovering one step per clean batch;
+//!    A drain wider than one key-sorts its point ops (stably) and runs
+//!    them through [`EunoBTree::apply_batch`]'s shared group-commit
+//!    episodes; scans and whatever the batch bails on run per-request.
+//!    A batch that keeps conflict-aborting halves the worker's drain
+//!    width down to per-request episodes, recovering one step per clean
+//!    batch;
 //! 3. completion: the worker stamps the latency — measured from the
 //!    request's **intended issue time**, so a backed-up queue counts
 //!    against the tail instead of being coordinated-omitted away — into
 //!    the server's metric registry, then flips the slot to DONE for its
 //!    [`Ticket`] holder, or recycles it when nobody will read it (a
-//!    detached request, or a ticket dropped unwaited).
+//!    ticket dropped unwaited).
 //!
 //! A worker that panics poisons its shard: the request it was running,
 //! the rest of its drain, and everything queued there then or later
-//! resolve to [`Reply::Failed`] (a detached one is counted in
-//! [`ServeSnapshot::failed`]), and the other shards serve on.
+//! resolve to [`Reply::Failed`] (counted in [`ServeSnapshot::failed`],
+//! whether or not a ticket still waits), and the other shards serve on.
 
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -33,7 +34,7 @@ use std::time::{Duration, Instant};
 
 use euno_core::{BatchOp, BatchScratch, EunoBTreeDefault, EunoConfig};
 use euno_htm::{ConcurrentMap, Runtime, KEY_SENTINEL, TOMBSTONE};
-use euno_metrics::{Counter, Gauge, LogHistogram, Registry, ThreadShard};
+use euno_metrics::{Counter, LogHistogram, Registry, ThreadShard};
 
 use crate::fault;
 use crate::queue::Queue;
@@ -54,16 +55,10 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Max requests one worker drain may execute as a group-commit batch.
     pub batch_max: usize,
-    /// Group-commit batching on/off (off = per-request episodes; the
-    /// serve_bench A/B axis).
-    pub batching: bool,
     /// Tree configuration for every shard. The default is the tree's own:
     /// no episode above the leaf, gets episode-free, in single-request
-    /// mode and in batches alike, so the batching A/B compares like
-    /// against like.
+    /// drains and in batches alike.
     pub tree_config: EunoConfig,
-    /// Run a maintenance sweep every N drain cycles (0 = never).
-    pub maintain_every: u64,
     /// Seed for the shard worker thread contexts.
     pub seed: u64,
 }
@@ -74,9 +69,7 @@ impl Default for ServeConfig {
             shards: 4,
             queue_capacity: 1024,
             batch_max: 32,
-            batching: true,
             tree_config: EunoConfig::default(),
-            maintain_every: 0,
             seed: 0xE05E,
         }
     }
@@ -130,8 +123,7 @@ pub(crate) struct Shard {
     pub pool: SlotPool,
     pub depth: AtomicUsize,
     pub stop: AtomicBool,
-    pub batching: AtomicBool,
-    pub batch_max: AtomicUsize,
+    pub batch_max: usize,
     pub batch_hist: Mutex<LogHistogram>,
     pub worker: Mutex<Option<std::thread::Thread>>,
     /// The worker panicked; it now fails every request it pops.
@@ -143,7 +135,6 @@ pub(crate) struct Shard {
     /// the submitters (enqueue/shed counters: racing writers, so
     /// `add_shared`).
     pub stats: Arc<ThreadShard>,
-    pub maintain_every: u64,
     pub seed: u64,
 }
 
@@ -243,14 +234,12 @@ impl EunoServer {
                 pool,
                 depth: AtomicUsize::new(0),
                 stop: AtomicBool::new(false),
-                batching: AtomicBool::new(cfg.batching),
-                batch_max: AtomicUsize::new(cfg.batch_max.max(1)),
+                batch_max: cfg.batch_max.max(1),
                 batch_hist: Mutex::new(LogHistogram::new()),
                 worker: Mutex::new(None),
                 poisoned: AtomicBool::new(false),
                 failed: AtomicU64::new(0),
                 stats: registry.register_shard(),
-                maintain_every: cfg.maintain_every,
                 seed: cfg.seed ^ (i as u64).wrapping_mul(0x9e37_79b9),
             }));
         }
@@ -275,33 +264,15 @@ impl EunoServer {
         }
     }
 
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Nanoseconds since the server's epoch — the time base for
-    /// [`EunoServer::submit_detached`]'s intended-issue stamps.
-    pub fn now_ns(&self) -> u64 {
+    /// Nanoseconds since the server's epoch — the time base of the
+    /// requests' issue stamps.
+    fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
-    }
-
-    /// The server-level metric registry (serve counters, latency
-    /// histogram, queue-depth gauge) — distinct from the per-shard tree
-    /// runtimes' registries.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
     }
 
     /// Per-shard tree runtimes, for harvesting engine-level stats.
     pub fn shard_runtimes(&self) -> impl Iterator<Item = &Arc<Runtime>> {
         self.shards.iter().map(|s| &s.rt)
-    }
-
-    /// Toggle group-commit batching on every shard (the A/B axis).
-    pub fn set_batching(&self, on: bool) {
-        for sh in &self.shards {
-            sh.batching.store(on, Ordering::Relaxed);
-        }
     }
 
     /// Requests currently sitting in shard queues.
@@ -310,13 +281,6 @@ impl EunoServer {
             .iter()
             .map(|s| s.depth.load(Ordering::Relaxed))
             .sum()
-    }
-
-    /// Publish instantaneous levels (queue depth) into the registry's
-    /// gauges — call right before sampling a time series.
-    pub fn publish_gauges(&self) {
-        self.registry
-            .set_gauge(Gauge::ServeQueueDepth, self.queue_depth() as u64);
     }
 
     fn raw_of(req: Request, issued_ns: u64) -> RawReq {
@@ -342,13 +306,13 @@ impl EunoServer {
         }
     }
 
-    fn enqueue(&self, shard: usize, raw: RawReq, detached: bool) -> Result<u32, Shed> {
+    fn enqueue(&self, shard: usize, raw: RawReq) -> Result<u32, Shed> {
         let sh = &self.shards[shard];
         let Some(idx) = sh.pool.acquire() else {
             sh.stats.add_shared(Counter::ServeShed, 1);
             return Err(Shed);
         };
-        sh.pool.stage(idx, raw, detached);
+        sh.pool.stage(idx, raw);
         if !sh.queue.push(idx) {
             sh.pool.release(idx);
             sh.stats.add_shared(Counter::ServeShed, 1);
@@ -374,15 +338,6 @@ impl EunoServer {
         self.ticket(shard, raw)
     }
 
-    /// Fire-and-forget submission for the open-loop harness: nobody
-    /// waits, the worker records the latency from `issued_ns` (intended
-    /// arrival, in [`EunoServer::now_ns`] units) and recycles the slot.
-    pub fn submit_detached(&self, req: Request, issued_ns: u64) -> Result<(), Shed> {
-        let raw = Self::raw_of(req, issued_ns);
-        let shard = shard_of(raw.key, self.shards.len());
-        self.enqueue(shard, raw, true).map(|_| ())
-    }
-
     fn submit_scan_fragment(&self, shard: usize, from: u64, len: u32) -> Result<Ticket<'_>, Shed> {
         let raw = RawReq {
             kind: K_SCAN,
@@ -394,7 +349,7 @@ impl EunoServer {
     }
 
     fn ticket(&self, shard: usize, raw: RawReq) -> Result<Ticket<'_>, Shed> {
-        let idx = self.enqueue(shard, raw, false)?;
+        let idx = self.enqueue(shard, raw)?;
         Ok(Ticket {
             slot: Leased {
                 shard: Arc::clone(&self.shards[shard]),
@@ -480,8 +435,7 @@ impl EunoServer {
         });
     }
 
-    /// Aggregate serve-level statistics since start (or the last
-    /// [`EunoServer::reset_stats`]).
+    /// Aggregate serve-level statistics since start.
     pub fn snapshot(&self) -> ServeSnapshot {
         let mut batch_hist = LogHistogram::new();
         for sh in &self.shards {
@@ -509,15 +463,6 @@ impl EunoServer {
                 .iter()
                 .filter(|s| s.poisoned.load(Ordering::Acquire))
                 .count(),
-        }
-    }
-
-    /// Zero the serve counters, latency histogram and batch-size
-    /// histograms — each load level of the open-loop sweep starts fresh.
-    pub fn reset_stats(&self) {
-        self.registry.reset();
-        for sh in &self.shards {
-            *sh.batch_hist.lock().unwrap() = LogHistogram::new();
         }
     }
 
@@ -560,7 +505,7 @@ pub struct ServeSnapshot {
     pub batch_hist: LogHistogram,
     /// Request latency in nanoseconds, from intended issue to completion.
     pub latency_ns: LogHistogram,
-    /// Requests resolved to [`Reply::Failed`], detached ones included.
+    /// Requests resolved to [`Reply::Failed`], dropped tickets included.
     pub failed: u64,
     /// Shards whose worker panicked.
     pub poisoned: usize,
@@ -594,7 +539,7 @@ fn finish_point(sh: &Shard, idx: u32, value: Option<u64>, now_ns: u64) {
 /// requests the drain had started and not finished fail, and so does
 /// every request queued then or later, until shutdown.
 fn worker_loop(sh: &Shard, epoch: Instant) {
-    let mut idxs: Vec<u32> = Vec::with_capacity(sh.batch_max.load(Ordering::Relaxed).max(1));
+    let mut idxs: Vec<u32> = Vec::with_capacity(sh.batch_max);
     if catch_unwind(AssertUnwindSafe(|| serve(sh, epoch, &mut idxs))).is_ok() {
         return;
     }
@@ -665,23 +610,19 @@ fn serve(sh: &Shard, epoch: Instant, idxs: &mut Vec<u32>) {
     let mut ops: Vec<BatchOp> = Vec::new();
     let mut results: Vec<Option<u64>> = Vec::new();
     let mut scratch = BatchScratch::default();
-    let mut eff = sh.batch_max.load(Ordering::Relaxed).max(1);
-    let mut cycles = 0u64;
+    let max = sh.batch_max;
+    let mut eff = max;
     let mut idle = 0u32;
     loop {
-        let batching = sh.batching.load(Ordering::Relaxed);
-        let max = sh.batch_max.load(Ordering::Relaxed).max(1);
-        let cap = if batching { eff.min(max) } else { 1 };
-        if !pop(sh, cap, idxs) {
+        if !pop(sh, eff, idxs) {
             if !pause(sh, &mut idle) {
                 break;
             }
             continue;
         }
         idle = 0;
-        cycles += 1;
 
-        if batching && idxs.len() > 1 {
+        if idxs.len() > 1 {
             sorted.clear();
             ops.clear();
             let mut scan_singles = 0u64;
@@ -750,12 +691,9 @@ fn serve(sh: &Shard, epoch: Instant, idxs: &mut Vec<u32>) {
             // A conflict-free width-1 drain is a clean batch: without this
             // a shard whose width collapsed to 1 could never widen again
             // (the batch branch above needs two requests in one drain).
-            if batching && eff < max && ctx.stats.aborts.conflicts() == conflicts_before {
+            if eff < max && ctx.stats.aborts.conflicts() == conflicts_before {
                 eff += 1;
             }
-        }
-        if sh.maintain_every > 0 && cycles.is_multiple_of(sh.maintain_every) {
-            sh.tree.maintain(&mut ctx);
         }
     }
 }

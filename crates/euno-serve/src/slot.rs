@@ -5,9 +5,8 @@
 //! Treiber free list, tagged against ABA), writes the request payload,
 //! and enqueues the slot *index*; the worker executes and writes the
 //! result back. Completion is observed either by the caller (blocking or
-//! polling on a [`Ticket`](crate::Ticket)) or not at all (*detached*
-//! requests — the open-loop harness's mode — and tickets dropped
-//! unwaited). Such a slot is flagged [`ABANDONED`]; the worker's finish
+//! polling on a [`Ticket`](crate::Ticket)) or not at all (a ticket
+//! dropped unwaited). Such a slot is flagged [`ABANDONED`]; the worker's finish
 //! and the ticket's drop each change the state word in one atomic step,
 //! so exactly one of them sees the other's mark and recycles the slot.
 //!
@@ -139,19 +138,13 @@ impl SlotPool {
         }
     }
 
-    /// Fill the payload and mark the slot pending — abandoned from the
-    /// start when `detached`. Caller owns the slot (just acquired);
-    /// ordering against the worker comes from the queue's release/acquire
-    /// edge on publish.
-    pub fn stage(&self, idx: u32, req: RawReq, detached: bool) {
+    /// Fill the payload and mark the slot pending. Caller owns the slot
+    /// (just acquired); ordering against the worker comes from the queue's
+    /// release/acquire edge on publish.
+    pub fn stage(&self, idx: u32, req: RawReq) {
         let slot = &self.slots[idx as usize];
         unsafe { *slot.req.get() = req };
-        let state = if detached {
-            PENDING | ABANDONED
-        } else {
-            PENDING
-        };
-        slot.state.store(state, Ordering::Release);
+        slot.state.store(PENDING, Ordering::Release);
     }
 
     /// Worker side: read the payload of a slot popped from the queue.
@@ -260,7 +253,6 @@ mod tests {
                 arg: 42,
                 issued_ns: 5,
             },
-            false,
         );
         assert_eq!(pool.state(idx), PENDING);
         let req = pool.read_req(idx);
@@ -285,24 +277,20 @@ mod tests {
         };
         // Worker first, then the ticket's drop.
         let idx = pool.acquire().unwrap();
-        pool.stage(idx, req, false);
+        pool.stage(idx, req);
         pool.start(idx);
         pool.complete(idx, None);
         assert_eq!(pool.state(idx), DONE);
         pool.abandon(idx);
         assert_eq!(pool.state(idx), FREE);
-        // The drop first, then the worker; and detached from the start.
-        for detached in [false, true] {
-            let idx = pool.acquire().unwrap();
-            pool.stage(idx, req, detached);
-            if !detached {
-                pool.abandon(idx);
-            }
-            pool.start(idx);
-            assert_eq!(pool.state(idx) & !ABANDONED, RUNNING);
-            pool.complete(idx, None);
-            assert_eq!(pool.state(idx), FREE);
-        }
+        // The drop first, then the worker.
+        let idx = pool.acquire().unwrap();
+        pool.stage(idx, req);
+        pool.abandon(idx);
+        pool.start(idx);
+        assert_eq!(pool.state(idx) & !ABANDONED, RUNNING);
+        pool.complete(idx, None);
+        assert_eq!(pool.state(idx), FREE);
     }
 
     #[test]
@@ -323,7 +311,6 @@ mod tests {
                                     arg: 0,
                                     issued_ns: 0,
                                 },
-                                false,
                             );
                             assert_eq!(pool.read_req(idx).key, u64::from(idx));
                             pool.release(idx);

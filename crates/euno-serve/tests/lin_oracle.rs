@@ -10,7 +10,7 @@
 //!
 //! Alongside it, a seeded determinism check: windows of distinct-key
 //! requests submitted concurrently must leave exactly the state a serial
-//! replay of the same seed leaves, with batching on or off.
+//! replay of the same seed leaves.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
@@ -81,12 +81,13 @@ fn record_history(srv: &EunoServer, threads: u32, ops: u64, seed: u64) -> Vec<Co
     h
 }
 
-fn check_serve(batching: bool, seed: u64) {
+#[test]
+fn batched_serve_history_is_linearizable() {
+    let seed = 0x5EED_0001;
     let srv = EunoServer::start(ServeConfig {
         shards: 2,
         queue_capacity: 256,
         batch_max: 16,
-        batching,
         ..ServeConfig::default()
     });
     let history = record_history(&srv, 4, 400, seed);
@@ -95,21 +96,11 @@ fn check_serve(batching: bool, seed: u64) {
     let verdict = check_history(&history, &BTreeMap::new(), true, DEFAULT_BUDGET);
     assert!(
         matches!(verdict, Verdict::Linearizable { .. }),
-        "serve front-end (batching={batching}, seed {seed:#x}): {verdict:?}"
+        "serve front-end (seed {seed:#x}): {verdict:?}"
     );
 }
 
-#[test]
-fn batched_serve_history_is_linearizable() {
-    check_serve(true, 0x5EED_0001);
-}
-
-#[test]
-fn single_serve_history_is_linearizable() {
-    check_serve(false, 0x5EED_0002);
-}
-
-/// Same seed, batching on vs off vs a serial model: identical final
+/// Concurrent windows against a serial model: identical final
 /// state. Each window holds distinct keys, so the requests commute and
 /// the outcome is deterministic even though a batched drain executes
 /// them key-sorted rather than in submission order.
@@ -120,67 +111,59 @@ fn batched_equals_serial_replay() {
     let windows = 200usize;
     let per_window = 24usize;
 
-    let run = |batching: bool| -> Vec<(u64, u64)> {
-        let srv = EunoServer::start(ServeConfig {
-            shards: 4,
-            queue_capacity: 64,
-            batch_max: 16,
-            batching,
-            ..ServeConfig::default()
-        });
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
-        for w in 0..windows {
-            // Distinct keys within the window (stride sampling).
-            let base = rng.gen_range(0..keys);
-            let stride = 2 * rng.gen_range(0..keys / 4) + 1; // odd → full cycle
-            let mut tickets = Vec::with_capacity(per_window);
-            for j in 0..per_window {
-                let key = (base + stride * j as u64) % keys;
-                let roll = rng.gen_range(0..3u64);
-                let req = match roll {
-                    0 => Request::Get { key },
-                    1 => Request::Put {
-                        key,
-                        value: (w as u64) << 16 | j as u64,
-                    },
-                    _ => Request::Delete { key },
-                };
-                match roll {
-                    1 => {
-                        model.insert(key, (w as u64) << 16 | j as u64);
-                    }
-                    2 => {
-                        model.remove(&key);
-                    }
-                    _ => {}
+    let srv = EunoServer::start(ServeConfig {
+        shards: 4,
+        queue_capacity: 64,
+        batch_max: 16,
+        ..ServeConfig::default()
+    });
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+    for w in 0..windows {
+        // Distinct keys within the window (stride sampling).
+        let base = rng.gen_range(0..keys);
+        let stride = 2 * rng.gen_range(0..keys / 4) + 1; // odd → full cycle
+        let mut tickets = Vec::with_capacity(per_window);
+        for j in 0..per_window {
+            let key = (base + stride * j as u64) % keys;
+            let roll = rng.gen_range(0..3u64);
+            let req = match roll {
+                0 => Request::Get { key },
+                1 => Request::Put {
+                    key,
+                    value: (w as u64) << 16 | j as u64,
+                },
+                _ => Request::Delete { key },
+            };
+            match roll {
+                1 => {
+                    model.insert(key, (w as u64) << 16 | j as u64);
                 }
-                let t = loop {
-                    match srv.submit(req) {
-                        Ok(t) => break t,
-                        Err(_) => std::thread::yield_now(),
-                    }
-                };
-                tickets.push(t);
+                2 => {
+                    model.remove(&key);
+                }
+                _ => {}
             }
-            for t in tickets {
-                t.wait();
-            }
+            let t = loop {
+                match srv.submit(req) {
+                    Ok(t) => break t,
+                    Err(_) => std::thread::yield_now(),
+                }
+            };
+            tickets.push(t);
         }
-        let mut out = Vec::new();
-        srv.scan(0, keys as usize, &mut out);
-        srv.shutdown();
-        assert_eq!(
-            out,
-            model.into_iter().collect::<Vec<_>>(),
-            "final state diverged from the serial model (batching={batching})"
-        );
-        out
-    };
-
-    let batched = run(true);
-    let single = run(false);
-    assert_eq!(batched, single);
+        for t in tickets {
+            t.wait();
+        }
+    }
+    let mut out = Vec::new();
+    srv.scan(0, keys as usize, &mut out);
+    srv.shutdown();
+    assert_eq!(
+        out,
+        model.into_iter().collect::<Vec<_>>(),
+        "final state diverged from the serial model"
+    );
 }
 
 /// The ticket clock must be monotonic across threads (sanity for the

@@ -78,18 +78,18 @@ fn a_panicking_worker_fails_its_requests_and_hangs_none() {
         assert!(matches!(reply, Reply::Value(None)) || *reply == failed);
     }
 
-    // Later requests: a ticket fails, a detached request is counted, a
-    // blocking call panics naming the shard, and the other shard serves.
+    // Later requests: a ticket fails, a dropped ticket's request is
+    // counted, a blocking call panics naming the shard, and the other
+    // shard serves.
     let later = srv.submit(Request::Get { key: bad_keys[0] }).unwrap();
     assert_eq!(later.wait(), failed);
     let before = srv.snapshot().failed;
-    srv.submit_detached(Request::Delete { key: bad_keys[1] }, srv.now_ns())
-        .unwrap();
+    drop(srv.submit(Request::Delete { key: bad_keys[1] }).unwrap());
     let start = Instant::now();
     while srv.snapshot().failed == before {
         assert!(
             start.elapsed() < TIMEOUT,
-            "the detached request never failed"
+            "the dropped ticket's request never failed"
         );
         std::thread::yield_now();
     }

@@ -5,8 +5,8 @@
 //! high-water marks, every leaf on the traffic's key range already split
 //! — submitting, draining and batch-executing more requests must not
 //! allocate: not on the client's enqueue path and not on the shard
-//! workers' drain/execute path. That property is what keeps the
-//! `serve_bench` knee a measure of episode cost rather than allocator
+//! workers' drain/execute path. That property is what keeps the serve
+//! tier's latency a measure of episode cost rather than allocator
 //! behaviour.
 //!
 //! The counter filters by thread: the submitting test thread opts in via
@@ -88,8 +88,8 @@ static COUNTER: CountingAlloc = CountingAlloc;
 
 const KEYS: u64 = 4_096;
 
-/// One round of mixed traffic: detached puts and gets over the preloaded
-/// range, then wait for the queues to drain so every allocation the
+/// One round of mixed traffic: puts and gets over the preloaded range,
+/// each ticket dropped at once (the worker recycles its slot), then wait for the queues to drain so every allocation the
 /// round could trigger lands inside the armed window.
 fn run_round(srv: &EunoServer, rounds: u64, salt: u64) {
     for i in 0..rounds {
@@ -102,7 +102,7 @@ fn run_round(srv: &EunoServer, rounds: u64, salt: u64) {
                     value: salt + i,
                 }
             };
-            while srv.submit_detached(req, 0).is_err() {
+            while srv.submit(req).is_err() {
                 std::thread::yield_now();
             }
         }
@@ -119,7 +119,6 @@ fn steady_state_serve_does_not_allocate() {
             shards: 2,
             queue_capacity: 256,
             batch_max: 16,
-            batching: true,
             tree_config,
             ..ServeConfig::default()
         });

@@ -9,13 +9,15 @@
 //! engine turns overlap × footprint collision into TSX-like aborts. See
 //! DESIGN.md §2 for why this substitution preserves the paper's figures.
 
+#![forbid(unsafe_code)]
+
 pub mod harness;
 pub mod metrics;
 pub mod report;
 pub mod sched;
 
 pub use harness::{apply_op, preload, run_concurrent, run_ops, run_virtual, RunConfig, SpanStart};
-pub use metrics::{RunMetrics, ServeInfo};
+pub use metrics::RunMetrics;
 pub use report::{profile_json, report_path_for, validate_report, Json, RunEntry, RunReport};
 pub use sched::{Driver, VirtualScheduler};
 

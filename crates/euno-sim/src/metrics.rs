@@ -4,39 +4,6 @@ use euno_htm::{CostModel, ThreadStats};
 use euno_metrics::{ExecStages, FlipEvent, LogHistogram, TimeSeries};
 use euno_trace::{LeafProfile, ThreadTrace};
 
-/// Service-layer telemetry for runs driven through `euno-serve` (the
-/// `serve_bench` harness): router/queue/batching counters that have no
-/// analogue in the direct-call harnesses. Plain data — `euno-sim` does
-/// not depend on `euno-serve`; the bench binary copies its
-/// `ServeSnapshot` into this struct.
-#[derive(Clone, Debug, Default)]
-pub struct ServeInfo {
-    /// Hash-partitioned shard count.
-    pub shards: usize,
-    /// Whether group-commit batching was enabled.
-    pub batching: bool,
-    /// Configured per-drain batch ceiling.
-    pub batch_max: usize,
-    /// Intended open-loop arrival rate (requests/sec); 0 for closed-loop.
-    pub offered_rate: f64,
-    pub enqueued: u64,
-    pub completed: u64,
-    /// Requests rejected at admission (queue or slot pool full).
-    pub shed: u64,
-    /// Multi-request drains executed through `apply_batch`.
-    pub batches: u64,
-    /// Requests executed inside those batches.
-    pub batched_ops: u64,
-    /// Requests executed as per-request episodes.
-    pub single_ops: u64,
-    /// Batch members that bailed to the serial singles path.
-    pub batch_bails: u64,
-    /// Adaptive-width halvings after conflict-heavy batches.
-    pub batch_shrinks: u64,
-    /// Distribution of drained batch sizes (log-bucketed).
-    pub batch_hist: LogHistogram,
-}
-
 /// Aggregated result of one experiment run (one point of one figure).
 #[derive(Clone, Debug)]
 pub struct RunMetrics {
@@ -80,8 +47,6 @@ pub struct RunMetrics {
     /// The hot-leaf contention profile, when the run asked for one
     /// ([`crate::harness::RunConfig::profile`]).
     pub profile: Option<LeafProfile>,
-    /// Service-layer counters, when the run went through `euno-serve`.
-    pub serve: Option<ServeInfo>,
 }
 
 impl RunMetrics {
@@ -145,7 +110,6 @@ impl RunMetrics {
             flips: Vec::new(),
             trace: None,
             profile: None,
-            serve: None,
         }
     }
 

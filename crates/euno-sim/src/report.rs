@@ -39,7 +39,8 @@ pub use euno_trace::Json;
 /// adaptation lags) validated when present.
 /// v4: `euno-serve` — metrics gained an optional `serve` section
 /// (router/queue/group-commit counters plus the drained-batch-size
-/// histogram from [`crate::metrics::ServeInfo`]) validated when present.
+/// histogram). The section was dropped later without a bump: it was
+/// optional, and nothing writes it any more.
 /// v5: two-path executor — v2's four keys are gone (named in DESIGN.md
 /// §11).
 pub const SCHEMA_VERSION: u64 = 5;
@@ -245,42 +246,7 @@ pub fn metrics_json(m: &RunMetrics) -> Json {
     if let Some(ts) = &m.timeseries {
         fields.push(("timeseries".into(), timeseries_json(m, ts)));
     }
-    if let Some(sv) = &m.serve {
-        fields.push(("serve".into(), serve_json(sv)));
-    }
     Json::Obj(fields)
-}
-
-/// The optional `serve` section (schema v4): the service-layer counters
-/// a `serve_bench` run produced — admission/shed accounting, the
-/// group-commit batch breakdown, and the drained-batch-size histogram
-/// the knee-curve analysis reads.
-pub fn serve_json(sv: &crate::metrics::ServeInfo) -> Json {
-    let h = &sv.batch_hist;
-    Json::Obj(vec![
-        ("shards".into(), Json::u64(sv.shards as u64)),
-        ("batching".into(), Json::Bool(sv.batching)),
-        ("batch_max".into(), Json::u64(sv.batch_max as u64)),
-        ("offered_rate".into(), Json::Num(sv.offered_rate)),
-        ("enqueued".into(), Json::u64(sv.enqueued)),
-        ("completed".into(), Json::u64(sv.completed)),
-        ("shed".into(), Json::u64(sv.shed)),
-        ("batches".into(), Json::u64(sv.batches)),
-        ("batched_ops".into(), Json::u64(sv.batched_ops)),
-        ("single_ops".into(), Json::u64(sv.single_ops)),
-        ("batch_bails".into(), Json::u64(sv.batch_bails)),
-        ("batch_shrinks".into(), Json::u64(sv.batch_shrinks)),
-        (
-            "batch_size".into(),
-            Json::Obj(vec![
-                ("count".into(), Json::u64(h.count())),
-                ("mean".into(), Json::Num(h.mean())),
-                ("p50".into(), Json::u64(h.quantile(0.50))),
-                ("max".into(), Json::u64(h.max())),
-                ("buckets".into(), buckets_json(h)),
-            ]),
-        ),
-    ])
 }
 
 /// The optional `timeseries` section: the Δ-tick sampler's windows (one
@@ -576,22 +542,6 @@ const TIMESERIES_POINT_KEYS: &[&str] = &["tick", "span", "counters", "gauges", "
 
 const ADAPTATION_KEYS: &[&str] = &["shifts", "answered", "lags", "mean_lag", "max_lag"];
 
-const SERVE_KEYS: &[&str] = &[
-    "shards",
-    "batching",
-    "batch_max",
-    "offered_rate",
-    "enqueued",
-    "completed",
-    "shed",
-    "batches",
-    "batched_ops",
-    "single_ops",
-    "batch_bails",
-    "batch_shrinks",
-    "batch_size",
-];
-
 const PROFILE_COUNTER_KEYS: &[&str] = &[
     "aborts",
     "lock_wait_cycles",
@@ -679,9 +629,6 @@ pub fn validate_report(text: &str) -> Result<(), String> {
         if let Some(ts) = metrics.get("timeseries") {
             validate_timeseries(ts, &format!("{at}.metrics.timeseries"))?;
         }
-        if let Some(sv) = metrics.get("serve") {
-            validate_serve(sv, &format!("{at}.metrics.serve"))?;
-        }
         if let Some(profile) = run.get("profile") {
             validate_profile(profile, &format!("{at}.profile"))?;
         }
@@ -725,38 +672,6 @@ fn validate_timeseries(ts: &Json, at: &str) -> Result<(), String> {
         require(ts, "adaptation", at)?,
         ADAPTATION_KEYS,
         &format!("{at}.adaptation"),
-    )?;
-    Ok(())
-}
-
-/// Check a run's optional `serve` section (schema v4): every counter
-/// present, accounting consistent (completions can't exceed admissions;
-/// a non-batching run must report zero batches), and a batch-size
-/// histogram whose buckets are present.
-fn validate_serve(sv: &Json, at: &str) -> Result<(), String> {
-    require_keys(sv, SERVE_KEYS, at)?;
-    let num = |key: &str| -> Result<f64, String> {
-        require(sv, key, at)?
-            .as_f64()
-            .ok_or(format!("{at}: {key} must be a number"))
-    };
-    let enqueued = num("enqueued")?;
-    let completed = num("completed")?;
-    if completed > enqueued {
-        return Err(format!(
-            "{at}: completed ({completed}) exceeds enqueued ({enqueued})"
-        ));
-    }
-    let batching = require(sv, "batching", at)?
-        .as_bool()
-        .ok_or(format!("{at}: batching must be a bool"))?;
-    if !batching && num("batches")? > 0.0 {
-        return Err(format!("{at}: non-batching run reports batches"));
-    }
-    require_keys(
-        require(sv, "batch_size", at)?,
-        &["count", "mean", "p50", "max", "buckets"],
-        &format!("{at}.batch_size"),
     )?;
     Ok(())
 }
@@ -987,57 +902,6 @@ mod tests {
         let adaptation = section.get("adaptation").unwrap();
         assert_eq!(adaptation.get("shifts").unwrap().as_f64(), Some(1.0));
         assert_eq!(adaptation.get("mean_lag").unwrap().as_f64(), Some(30.0));
-    }
-
-    #[test]
-    fn serve_section_serializes_and_validates() {
-        use crate::metrics::ServeInfo;
-        let mut report = sample_report();
-        let mut batch_hist = LogHistogram::new();
-        for size in [8u64, 8, 4, 1] {
-            batch_hist.record(size);
-        }
-        report.runs[0].metrics.serve = Some(ServeInfo {
-            shards: 4,
-            batching: true,
-            batch_max: 32,
-            offered_rate: 250_000.0,
-            enqueued: 1_000,
-            completed: 1_000,
-            shed: 12,
-            batches: 4,
-            batched_ops: 20,
-            single_ops: 980,
-            batch_bails: 1,
-            batch_shrinks: 0,
-            batch_hist,
-        });
-        let text = report.to_json().to_pretty();
-        validate_report(&text).unwrap();
-        let doc = Json::parse(&text).unwrap();
-        let sv = doc.get("runs").unwrap().as_arr().unwrap()[0]
-            .get("metrics")
-            .unwrap()
-            .get("serve")
-            .unwrap()
-            .clone();
-        assert_eq!(sv.get("shards").unwrap().as_u64(), Some(4));
-        assert_eq!(sv.get("batching").unwrap().as_bool(), Some(true));
-        assert_eq!(
-            sv.get("batch_size").unwrap().get("count").unwrap().as_u64(),
-            Some(4)
-        );
-        // Inconsistent accounting is rejected: more completions than
-        // admissions…
-        report.runs[0].metrics.serve.as_mut().unwrap().completed = 2_000;
-        let err = validate_report(&report.to_json().to_pretty()).unwrap_err();
-        assert!(err.contains("exceeds enqueued"), "unexpected: {err}");
-        // …and a non-batching run claiming batches.
-        let sv = report.runs[0].metrics.serve.as_mut().unwrap();
-        sv.completed = 1_000;
-        sv.batching = false;
-        let err = validate_report(&report.to_json().to_pretty()).unwrap_err();
-        assert!(err.contains("reports batches"), "unexpected: {err}");
     }
 
     #[test]

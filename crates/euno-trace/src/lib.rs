@@ -34,6 +34,8 @@
 //! container's crate registry is unreachable (DESIGN.md §6), so the
 //! whole stack stays dependency-free.
 
+#![forbid(unsafe_code)]
+
 pub mod event;
 pub mod export;
 pub mod json;

@@ -17,12 +17,12 @@
 //! }
 //! ```
 
-pub mod arrival;
+#![forbid(unsafe_code)]
+
 pub mod dist;
 pub mod spec;
 pub mod ycsb;
 
-pub use arrival::PoissonArrivals;
 pub use dist::{KeyDistribution, KeySampler};
-pub use spec::{ChurnSchedule, Op, OpMix, OpStream, Preload, WorkloadSpec};
+pub use spec::{Op, OpMix, OpStream, Preload, WorkloadSpec};
 pub use ycsb::{YcsbOp, YcsbSpec, YcsbStream, YcsbWorkload};

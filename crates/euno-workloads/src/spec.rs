@@ -114,26 +114,6 @@ impl WorkloadSpec {
         }
     }
 
-    /// The *churn* preset (ROADMAP 4b): delete-heavy traffic over a
-    /// half-populated uniform keyspace, meant to be driven through
-    /// [`ChurnSchedule`] so the tree alternates between grow and shrink
-    /// phases and merge/rebalance runs under load. The stationary mix
-    /// here is the schedule's long-run average.
-    pub fn churn(key_range: u64) -> Self {
-        WorkloadSpec {
-            key_range,
-            dist: KeyDistribution::Uniform,
-            mix: OpMix {
-                get: 0.20,
-                put: 0.40,
-                delete: 0.40,
-                scan: 0.0,
-            },
-            scan_len: 16,
-            preload: Preload::FirstN(key_range / 2),
-        }
-    }
-
     pub fn sampler(&self) -> KeySampler {
         self.mix.validate();
         KeySampler::new(&self.dist, self.key_range)
@@ -157,96 +137,6 @@ impl WorkloadSpec {
     }
 }
 
-/// A phased mix schedule for churn workloads: the run is divided into
-/// weighted phases, each with its own [`OpMix`], so the tree alternates
-/// between *grow* (put-heavy) and *shrink* (delete-heavy) regimes and
-/// structural maintenance — splits, merges, rebalances — runs while the
-/// measured traffic is in flight rather than only at preload time.
-///
-/// Drivers call [`ChurnSchedule::mix_at`] with the run-progress fraction
-/// (elapsed/total, or ops-issued/ops-planned) and install the returned
-/// mix on their stream via [`OpStream::set_mix`].
-#[derive(Clone, Debug)]
-pub struct ChurnSchedule {
-    /// `(mix, weight)` pairs; weights are relative phase durations.
-    phases: Vec<(OpMix, f64)>,
-    total_weight: f64,
-}
-
-impl ChurnSchedule {
-    pub fn new(phases: Vec<(OpMix, f64)>) -> Self {
-        assert!(!phases.is_empty(), "schedule needs at least one phase");
-        let mut total = 0.0;
-        for (mix, w) in &phases {
-            mix.validate();
-            assert!(*w > 0.0, "phase weights must be positive");
-            total += w;
-        }
-        ChurnSchedule {
-            phases,
-            total_weight: total,
-        }
-    }
-
-    /// The default grow/shrink cycle matching [`WorkloadSpec::churn`]'s
-    /// stationary average: two grow→shrink rounds, each a put-heavy
-    /// phase (70 % put / 10 % delete) followed by a delete-heavy one
-    /// (10 % put / 70 % delete), with 20 % gets throughout.
-    pub fn default_grow_shrink() -> Self {
-        let grow = OpMix {
-            get: 0.20,
-            put: 0.70,
-            delete: 0.10,
-            scan: 0.0,
-        };
-        let shrink = OpMix {
-            get: 0.20,
-            put: 0.10,
-            delete: 0.70,
-            scan: 0.0,
-        };
-        ChurnSchedule::new(vec![(grow, 1.0), (shrink, 1.0), (grow, 1.0), (shrink, 1.0)])
-    }
-
-    pub fn phase_count(&self) -> usize {
-        self.phases.len()
-    }
-
-    /// The mix in force at progress fraction `frac` ∈ [0, 1]. Values
-    /// outside the range clamp to the first/last phase.
-    pub fn mix_at(&self, frac: f64) -> OpMix {
-        let target = frac.clamp(0.0, 1.0) * self.total_weight;
-        let mut acc = 0.0;
-        for (mix, w) in &self.phases {
-            acc += w;
-            if target < acc {
-                return *mix;
-            }
-        }
-        self.phases[self.phases.len() - 1].0
-    }
-
-    /// The duration-weighted average mix — what a stationary preset
-    /// (e.g. [`WorkloadSpec::churn`]) should use to match this schedule's
-    /// long-run behaviour.
-    pub fn average_mix(&self) -> OpMix {
-        let mut avg = OpMix {
-            get: 0.0,
-            put: 0.0,
-            delete: 0.0,
-            scan: 0.0,
-        };
-        for (mix, w) in &self.phases {
-            let f = w / self.total_weight;
-            avg.get += mix.get * f;
-            avg.put += mix.put * f;
-            avg.delete += mix.delete * f;
-            avg.scan += mix.scan * f;
-        }
-        avg
-    }
-}
-
 /// A private per-thread operation stream. Deterministic for (spec, seed).
 pub struct OpStream {
     sampler: KeySampler,
@@ -267,13 +157,6 @@ impl OpStream {
             serial: 0,
             thread,
         }
-    }
-
-    /// Replace the operation mix mid-stream (phased schedules — see
-    /// [`ChurnSchedule`]). Key sampling and determinism are unaffected.
-    pub fn set_mix(&mut self, mix: OpMix) {
-        mix.validate();
-        self.mix = mix;
     }
 
     /// Generate the next operation.
@@ -400,49 +283,6 @@ mod tests {
         assert_eq!(a, b);
         let frac = a.len() as f64 / 100_000.0;
         assert!((frac - 0.25).abs() < 0.02, "fraction = {frac}");
-    }
-
-    #[test]
-    fn churn_schedule_phases_and_average() {
-        let s = ChurnSchedule::default_grow_shrink();
-        assert_eq!(s.phase_count(), 4);
-        // First quarter grows, second shrinks, and so on.
-        assert!(s.mix_at(0.10).put > s.mix_at(0.10).delete);
-        assert!(s.mix_at(0.30).delete > s.mix_at(0.30).put);
-        assert!(s.mix_at(0.60).put > s.mix_at(0.60).delete);
-        assert!(s.mix_at(0.99).delete > s.mix_at(0.99).put);
-        // Out-of-range clamps.
-        assert_eq!(s.mix_at(-1.0).put, s.mix_at(0.0).put);
-        assert_eq!(s.mix_at(2.0).delete, s.mix_at(1.0).delete);
-        // The long-run average is the stationary churn preset's mix.
-        let avg = s.average_mix();
-        let stationary = WorkloadSpec::churn(1000).mix;
-        assert!((avg.get - stationary.get).abs() < 1e-9);
-        assert!((avg.put - stationary.put).abs() < 1e-9);
-        assert!((avg.delete - stationary.delete).abs() < 1e-9);
-    }
-
-    #[test]
-    fn set_mix_switches_op_kinds() {
-        let mut s = OpStream::new(&WorkloadSpec::churn(1000), 0, 9);
-        s.set_mix(OpMix {
-            get: 0.0,
-            put: 1.0,
-            delete: 0.0,
-            scan: 0.0,
-        });
-        for _ in 0..100 {
-            assert!(matches!(s.next_op(), Op::Put { .. }));
-        }
-        s.set_mix(OpMix {
-            get: 0.0,
-            put: 0.0,
-            delete: 1.0,
-            scan: 0.0,
-        });
-        for _ in 0..100 {
-            assert!(matches!(s.next_op(), Op::Delete { .. }));
-        }
     }
 
     #[test]

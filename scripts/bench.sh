@@ -6,8 +6,8 @@
 # (euno-sim::report, DESIGN.md §11), a BENCH_<figure>.json next to it with
 # full provenance: workload spec, θ, thread count, seed, policy, cost-model
 # constants, git describe, per-cause abort counts, stage counters and
-# latency quantiles for every run.  The wall-clock engine and serve benches
-# follow.  Afterwards every report is validated against the schema by the
+# latency quantiles for every run.  The wall-clock engine bench follows.
+# Afterwards every report is validated against the schema by the
 # report_check binary — a drift fails the script.
 #
 # Usage: scripts/bench.sh [scale]
@@ -35,7 +35,6 @@ echo "# EUNO_BENCH_SCALE=$SCALE  $(date -u +%Y-%m-%dT%H:%M:%SZ)" | tee -a "$LOG"
 # Prints its own `=== <figure> ===` sections.
 cargo run --release -q -p euno-bench --bin figures -- --out "$OUT" 2>&1 | tee -a "$LOG"
 run engine_bench -- --csv "$OUT/engine.csv"
-run serve_bench -- --csv "$OUT/serve_knee.csv"
 
 echo | tee -a "$LOG"
 echo "=== report_check ===" | tee -a "$LOG"

@@ -287,27 +287,11 @@ grep -q "Euno-ReadOpt" "$SMOKE/ycsb.out" && grep -q "Euno-B+Tree" "$SMOKE/ycsb.o
     || { echo "read-path smoke: Euno-B+Tree / Euno-ReadOpt row missing"; exit 1; }
 echo "smoke-readpath (churn stress + read-mostly bench) OK"
 
-# Phased-churn stress: the grow/shrink schedule matching the serve
-# harness's ChurnSchedule — split bursts then merge bursts while the
-# other phase's readers are still in flight, judged by the same oracle.
+# Phased-churn stress: a grow/shrink schedule — split bursts then merge
+# bursts while the other phase's readers are still in flight, judged by
+# the same oracle.
 stress_both_euno --churn-phased --ops 3000 --seed 20170204 --duration 5
 echo "phased-churn stress + linearizability check OK"
-
-# Serve smoke: the sharded service front-end (router, per-shard queues,
-# group-commit batching) end to end.  serve_bench --smoke runs a reduced
-# open-loop sweep in both modes and emits a schema-v4 report whose runs
-# carry `serve` sections; report_check validates it.  The front-end's
-# correctness gates — the lin-oracle tests, the batch-width regression
-# and the steady-state zero-alloc guard in euno-serve — already ran under
-# the workspace-wide `cargo test` above, so this stage covers only the
-# measurement pipeline.
-cargo run --release -q -p euno-bench --bin serve_bench -- \
-    --smoke --csv "$SMOKE/serve.csv" | tee "$SMOKE/serve.out"
-grep -q "capacity knee" "$SMOKE/serve.out" \
-    || { echo "smoke-serve: knee summary missing"; exit 1; }
-cargo run --release -q -p euno-bench --bin report_check -- \
-    "$SMOKE/BENCH_serve.json"
-echo "smoke-serve (open-loop sweep + schema v4) OK"
 
 # Bounded-maintenance: the deferred re-balance sweep must stay sliced.
 # The integration test runs 16 logical threads on the virtual clock with
