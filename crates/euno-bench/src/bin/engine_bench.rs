@@ -120,10 +120,7 @@ fn raw_config(threads: usize, ops: u64, seed: u64) -> RunConfig {
         ops_per_thread: ops,
         seed,
         warmup_ops: 0,
-        trace_capacity: 0,
-        profile: false,
-        sample_every: 0,
-        sample_capacity: 0,
+        ..RunConfig::default()
     }
 }
 
@@ -227,10 +224,7 @@ fn run_tree_virtual(threads: usize, ops: u64, seed: u64) -> (WorkloadSpec, RunCo
         ops_per_thread: ops,
         seed,
         warmup_ops: 500,
-        trace_capacity: 0,
-        profile: false,
-        sample_every: 0,
-        sample_capacity: 0,
+        ..RunConfig::default()
     };
     let rt = Runtime::new_virtual();
     let map = System::EunoBTree.build(&rt);

@@ -2,8 +2,7 @@
 //! one process, from the table in `euno_bench::figures`:
 //! `figures [NAME…] [--out <dir>] [--check] [flags]` (`--help` lists them).
 //! Each figure prints under a `=== <stem> ===` section. `--out` writes
-//! `<dir>/<stem>.csv`, `BENCH_<id>.json` and, for a figure whose first row
-//! carries a time series, `<stem>.jsonl`. `--check` writes nothing: it
+//! `<dir>/<stem>.csv` and `BENCH_<id>.json`. `--check` writes nothing: it
 //! compares each CSV with `--out`'s (default `results/`, recorded at
 //! `EUNO_BENCH_SCALE=0.3`), lists every moved row by `system` and `x`, and
 //! exits 1 if any moved — on the virtual clock that is a behaviour change.
@@ -12,7 +11,6 @@ use std::process::ExitCode;
 
 use euno_bench::common::{csv_text, emit, Cli, Point};
 use euno_bench::figures::{find, Figure, FIGURES};
-use euno_sim::metrics_jsonl;
 
 fn main() -> ExitCode {
     let names: Vec<&str> = FIGURES.iter().map(|f| f.stem).collect();
@@ -31,7 +29,11 @@ fn main() -> ExitCode {
         if cli.check {
             moved += usize::from(check(fig, &points, dir));
         } else if cli.out.is_some() {
-            if let Err(e) = write(fig, &points, dir) {
+            let written = std::fs::create_dir_all(dir).and_then(|()| {
+                let csv = format!("{dir}/{}.csv", fig.stem);
+                emit(fig.id, fig.title, &csv, &points)
+            });
+            if let Err(e) = written {
                 eprintln!("FAIL writing {}: {e}", fig.stem);
                 return ExitCode::FAILURE;
             }
@@ -48,29 +50,6 @@ fn main() -> ExitCode {
         println!("{dir}/: {moved} of {total} CSVs differ from what is recorded");
         ExitCode::FAILURE
     }
-}
-
-/// The CSV, the run report, and the first row's time series if it has one.
-fn write(fig: &Figure, points: &[Point], dir: &str) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    emit(
-        fig.id,
-        fig.title,
-        &format!("{dir}/{}.csv", fig.stem),
-        points,
-    )?;
-    if let Some((p, ts)) = points
-        .first()
-        .and_then(|p| Some((p, p.metrics.timeseries.as_ref()?)))
-    {
-        let path = format!("{dir}/{}.jsonl", fig.stem);
-        std::fs::write(
-            &path,
-            metrics_jsonl(ts, &p.metrics.flips, p.metrics.tick_unit),
-        )?;
-        eprintln!("wrote {path}");
-    }
-    Ok(())
 }
 
 /// Compare the figure's CSV with the recorded one and list what moved;

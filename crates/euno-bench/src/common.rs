@@ -14,8 +14,8 @@ use euno_baselines::{HtmBTree, HtmMasstree, Masstree};
 use euno_core::{EunoBTreeDefault, EunoBTreeUnpartitioned, EunoConfig};
 use euno_htm::{AbortClass, ConcurrentMap, CostModel, Runtime};
 use euno_sim::{
-    chrome_trace, folded_rollup, preload, report_path_for, run_virtual, RunConfig, RunEntry,
-    RunMetrics, RunReport, DEFAULT_TRACE_CAPACITY,
+    preload, report_path_for, run_virtual, write_trace, RunConfig, RunEntry, RunMetrics, RunReport,
+    DEFAULT_TRACE_CAPACITY,
 };
 use euno_workloads::WorkloadSpec;
 
@@ -321,8 +321,8 @@ impl Cli {
     }
 
     /// Post-process one measured cell. The first traced cell is exported
-    /// to the `--trace` path (Chrome trace-event JSON, Perfetto-loadable)
-    /// with a `<path>.folded` flamegraph rollup next to it; then the raw
+    /// to the `--trace` path by [`write_trace`] (Chrome trace-event JSON,
+    /// Perfetto-loadable, with a `<path>.folded` rollup); then the raw
     /// trace is dropped from the metrics so a multi-cell sweep does not
     /// retain every cell's rings in memory. The (small) hot-leaf profile
     /// stays on the metrics for the run report.
@@ -337,17 +337,11 @@ impl Cli {
         else {
             return;
         };
-        let folded = format!("{path}.folded");
-        for (file, text) in [
-            (path, chrome_trace(&traces).to_pretty()),
-            (&folded, folded_rollup(&traces)),
-        ] {
-            if let Err(e) = std::fs::write(file, text) {
-                eprintln!("FAIL writing {file}: {e}");
-                std::process::exit(1);
-            }
+        if let Err(e) = write_trace(path, &traces) {
+            eprintln!("FAIL writing {path}: {e}");
+            std::process::exit(1);
         }
-        eprintln!("wrote {path} and {folded}");
+        eprintln!("wrote {path} and {path}.folded");
     }
 
     /// `--theta` if given, else the figure's default.

@@ -10,7 +10,7 @@ use std::cell::Cell;
 
 use euno_htm::{Backend, CostModel, Runtime, ThreadCtx};
 use euno_metrics::{adaptation_lags, AbortClass, Counter, ABORTS_HTM};
-use euno_sim::{apply_op, preload, run_ops, run_virtual, RunConfig, RunMetrics, SpanStart};
+use euno_sim::{apply_op, preload, run_ops, run_virtual, RunConfig, RunMetrics};
 use euno_workloads::{
     KeyDistribution, Op, OpMix, OpStream, WorkloadSpec, YcsbOp, YcsbStream, YcsbWorkload,
 };
@@ -418,7 +418,6 @@ fn fig14(fig: &Figure, cli: &Cli) -> Vec<Point> {
     // ~8 samples per rotation span, in the default ring (256): the
     // baseline's timeline is several times longer, and must fit too.
     cfg.sample_every = (period / 8).max(1);
-    cfg.sample_capacity = 0;
     println!(
         "== Figure 14: rotating-hotspot timeline, {} threads, {} keys, period {period} cycles ==",
         cfg.threads, spec.key_range
@@ -484,7 +483,7 @@ fn rotating(system: System, spec: &WorkloadSpec, cfg: &RunConfig, period: u64) -
     // Shifts stamped so far, each by the first thread past its boundary
     // (deterministic under the lowest-clock-first scheduler).
     let marked = Cell::new(0);
-    run_ops(&rt, cfg, SpanStart::AfterWarmup, |t| {
+    run_ops(&rt, cfg, |t| {
         let mut stream = OpStream::new(spec, t as u64, cfg.seed);
         let mut scan_buf = Vec::new();
         let (rt, map, marked) = (&rt, map.as_ref(), &marked);
@@ -531,7 +530,7 @@ fn ycsb(fig: &Figure, cli: &Cli) -> Vec<Point> {
             let map = system.build(&rt);
             preload(map.as_ref(), &rt, &spec.base);
             rt.reset_dynamics();
-            let mut m = run_ops(&rt, &cfg, SpanStart::AtLastWarmupOp, |t| {
+            let mut m = run_ops(&rt, &cfg, |t| {
                 let mut stream = YcsbStream::new(&spec, t as u64, cfg.threads as u64, cfg.seed);
                 let mut scan_buf = Vec::new();
                 let map = map.as_ref();

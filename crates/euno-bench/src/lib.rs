@@ -1,12 +1,11 @@
 //! # euno-bench — the paper's evaluation, regenerated
 //!
-//! Three binaries (`cargo run --release -p euno-bench --bin <name>`):
+//! Two binaries (`cargo run --release -p euno-bench --bin <name>`):
 //!
 //! | binary | what it runs |
 //! |---|---|
 //! | `figures` | every virtual-clock figure and table, from one table ([`figures::FIGURES`]) |
 //! | `engine_bench` | wall-clock cost of the episode machinery itself |
-//! | `report_check` | validates `BENCH_*.json` reports and trace exports |
 //!
 //! `figures [NAME…]` runs, by CSV stem:
 //!
@@ -25,8 +24,9 @@
 //! | `mem_overhead` | §5.7 — memory consumption analysis |
 //! | `sensitivity` | cost-model robustness sweep (beyond the paper) |
 //!
-//! `--out <dir>` writes each figure's CSV and `BENCH_<id>.json`; `--check`
-//! compares the CSVs with those recorded in `results/` instead. All honour
+//! `--out <dir>` writes each figure's CSV and `BENCH_<id>.json`, each
+//! report validated before it is written; `--check` compares the CSVs with
+//! those recorded in `results/` instead. All honour
 //! `EUNO_BENCH_SCALE` for quick runs. Self-timed microbenches (plain
 //! `main()`, `harness = false`) live in `benches/`.
 

@@ -126,7 +126,6 @@ fn golden_config() -> RunConfig {
         trace_capacity: 0,
         profile: false,
         sample_every: 0,
-        sample_capacity: 0,
     }
 }
 

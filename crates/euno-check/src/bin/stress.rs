@@ -27,7 +27,7 @@
 //! so that a row shows the oracle convicts its mutation twin.
 
 use euno_check::{run_all, StressConfig, Verdict};
-use euno_trace::{chrome_trace, folded_rollup};
+use euno_trace::write_trace;
 
 fn usage() -> ! {
     eprintln!(
@@ -111,16 +111,11 @@ fn main() {
 
     if let Some(path) = &trace_path {
         let r = &reports[0];
-        if let Err(e) = std::fs::write(path, chrome_trace(&r.traces).to_pretty()) {
+        if let Err(e) = write_trace(path, &r.traces) {
             eprintln!("FAIL writing {path}: {e}");
             std::process::exit(1);
         }
-        let folded = format!("{path}.folded");
-        if let Err(e) = std::fs::write(&folded, folded_rollup(&r.traces)) {
-            eprintln!("FAIL writing {folded}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("wrote {path} and {folded} ({} run)", r.tree);
+        eprintln!("wrote {path} and {path}.folded ({} run)", r.tree);
     }
 
     let mut failed = false;

@@ -916,7 +916,15 @@ mod tests {
         // its event ring, and the profile resolved engine addresses to
         // registered leaves.
         assert!(r.traces.len() >= 3, "workers + verifier rings expected");
-        assert!(r.traces.iter().all(|t| t.total > 0));
+        for t in &r.traces {
+            assert!(t.total > 0, "thread {} traced nothing", t.thread);
+            assert!(t.events.len() <= cfg.trace_capacity, "ring over capacity");
+            assert!(
+                t.events.windows(2).all(|w| w[0].ts <= w[1].ts),
+                "thread {} ring out of timestamp order",
+                t.thread
+            );
+        }
         let p = r.profile.expect("profile requested");
         assert!(p.events_seen > 0);
     }

@@ -59,8 +59,8 @@ impl FlipKind {
 /// One decoded flip-log entry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FlipEvent {
-    /// Virtual cycles (virtual mode) or wall µs (concurrent mode) of the
-    /// recording thread at the moment of the flip.
+    /// The recording thread's cycle clock at the moment of the flip
+    /// (virtual cycles on the virtual backend).
     pub tick: u64,
     /// Leaf address (0 for shift marks).
     pub addr: u64,

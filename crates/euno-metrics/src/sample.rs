@@ -15,9 +15,9 @@
 //! `sample()` therefore allocates nothing — a counting-allocator test
 //! pins this.
 //!
-//! **Tick units.** Virtual mode samples on the scheduler's virtual clock
-//! (Δ in cycles); concurrent mode samples on wall time (Δ in µs). The
-//! unit travels with the serialized timeseries so consumers never guess.
+//! **Tick units.** The virtual scheduler samples on its virtual clock
+//! (Δ in cycles), the only sampler there is. The unit travels with the
+//! serialized timeseries (`tick_unit`) so consumers never guess.
 
 use crate::counters::{Counter, Gauge};
 use crate::hist::LogHistogram;
@@ -26,7 +26,7 @@ use crate::registry::Registry;
 /// One cumulative snapshot of the registry.
 #[derive(Clone, Debug)]
 pub struct Snapshot {
-    /// Virtual cycles or wall µs, depending on the run mode.
+    /// The sampler's clock: virtual cycles.
     pub tick: u64,
     /// Cumulative counter totals (summed over shards), dense by
     /// [`Counter::index`].

@@ -2,7 +2,9 @@
 //!
 //! Schedules N logical threads on a virtual cycle clock so the Eunomia
 //! paper's 16-20-thread contention experiments can run (deterministically)
-//! on any host, plus a real-OS-thread runner for correctness stress tests.
+//! on any host. Real OS threads are driven elsewhere: by `euno-check`'s
+//! stress runner, `euno-bench`'s `engine_bench`, and the benchmark's wall
+//! pass.
 //!
 //! The scheduler always resumes the logical thread with the smallest
 //! virtual clock; operations overlap in virtual time, and the `euno-htm`
@@ -16,7 +18,7 @@ pub mod metrics;
 pub mod report;
 pub mod sched;
 
-pub use harness::{apply_op, preload, run_concurrent, run_ops, run_virtual, RunConfig, SpanStart};
+pub use harness::{apply_op, preload, run_ops, run_virtual, RunConfig};
 pub use metrics::RunMetrics;
 pub use report::{profile_json, report_path_for, validate_report, Json, RunEntry, RunReport};
 pub use sched::{Driver, VirtualScheduler};
@@ -24,7 +26,6 @@ pub use sched::{Driver, VirtualScheduler};
 // The trace toolkit, re-exported so bench binaries can export traces
 // without a separate dependency edge.
 pub use euno_trace::{
-    build_profile, chrome_trace, folded_rollup, metrics_jsonl, validate_chrome_trace,
-    validate_metrics_jsonl, LeafProfile, ThreadTrace, TraceBuf,
+    build_profile, chrome_trace, write_trace, LeafProfile, ThreadTrace, TraceBuf,
     DEFAULT_CAPACITY as DEFAULT_TRACE_CAPACITY,
 };

@@ -11,8 +11,8 @@ pub struct RunMetrics {
     pub threads: usize,
     /// Completed operations across all threads.
     pub total_ops: u64,
-    /// Makespan: virtual seconds (virtual mode) or wall seconds
-    /// (concurrent mode) from first op to last.
+    /// Makespan: virtual seconds ([`RunMetrics::from_virtual`]) or wall
+    /// seconds ([`RunMetrics::from_wall`]) from first op to last.
     pub elapsed_secs: f64,
     /// `total_ops / elapsed_secs` — the y-axis of Figures 1, 8, 10-12.
     pub throughput: f64,
@@ -30,12 +30,9 @@ pub struct RunMetrics {
     /// Executor stage counts (attempts/commits/fallbacks/...),
     /// aggregated from the run's `euno-metrics` thread shards.
     pub stages: ExecStages,
-    /// Registry snapshots sampled every Δ ticks, when the run asked for
-    /// them ([`crate::harness::RunConfig::sample_every`]).
+    /// Registry snapshots sampled every Δ virtual cycles, when the run
+    /// asked for them ([`crate::harness::RunConfig::sample_every`]).
     pub timeseries: Option<TimeSeries>,
-    /// Unit of [`Snapshot::tick`](euno_metrics::Snapshot) values in
-    /// `timeseries` and `flips`: `"cycles"` (virtual) or `"us"` (wall).
-    pub tick_unit: &'static str,
     /// CCM bypass flips and programmed shift marks recorded during the
     /// run, decoded from the registry's flip log.
     pub flips: Vec<FlipEvent>,
@@ -69,10 +66,10 @@ impl RunMetrics {
     }
 
     /// Build from a run's merged stats, its thread count, measured wall
-    /// time and the merged per-operation latency histogram (concurrent
-    /// mode). Pass `LogHistogram::new()` only when the harness genuinely
-    /// recorded no latencies — reports distinguish "no samples" from "not
-    /// wired".
+    /// time and the merged per-operation latency histogram (`engine_bench`'s
+    /// wall-clocked runs). Pass `LogHistogram::new()` only when the harness
+    /// genuinely recorded no latencies — reports distinguish "no samples"
+    /// from "not wired".
     pub fn from_wall(
         stats: ThreadStats,
         threads: usize,
@@ -80,9 +77,7 @@ impl RunMetrics {
         elapsed_secs: f64,
         latency: LogHistogram,
     ) -> Self {
-        let mut m = Self::build(stats, threads, stages, elapsed_secs.max(1e-9), latency);
-        m.tick_unit = "us";
-        m
+        Self::build(stats, threads, stages, elapsed_secs.max(1e-9), latency)
     }
 
     fn build(
@@ -106,7 +101,6 @@ impl RunMetrics {
             stages,
             latency,
             timeseries: None,
-            tick_unit: "cycles",
             flips: Vec::new(),
             trace: None,
             profile: None,

@@ -13,8 +13,7 @@
 //! implementation lives in `euno-trace` (shared with the Chrome trace
 //! exporter) and is re-exported here as [`Json`]. The format is
 //! documented in DESIGN.md §11 and checked by [`validate_report`], which
-//! `scripts/bench.sh` and the `report_check` binary run over every
-//! emitted report.
+//! [`RunReport::write`] applies to every report before writing it.
 
 use std::path::{Path, PathBuf};
 
@@ -343,7 +342,7 @@ pub fn timeseries_json(m: &RunMetrics, ts: &TimeSeries) -> Json {
         ),
     ]);
     Json::Obj(vec![
-        ("tick_unit".into(), Json::str(m.tick_unit)),
+        ("tick_unit".into(), Json::str("cycles")),
         ("delta".into(), Json::u64(ts.delta())),
         ("samples".into(), Json::u64(ts.len() as u64)),
         ("dropped".into(), Json::u64(ts.dropped())),
@@ -643,8 +642,8 @@ fn validate_timeseries(ts: &Json, at: &str) -> Result<(), String> {
     require_keys(ts, TIMESERIES_KEYS, at)?;
     require(ts, "tick_unit", at)?
         .as_str()
-        .filter(|u| *u == "cycles" || *u == "us")
-        .ok_or(format!("{at}: tick_unit must be \"cycles\" or \"us\""))?;
+        .filter(|u| *u == "cycles")
+        .ok_or(format!("{at}: tick_unit must be \"cycles\""))?;
     let points = require(ts, "points", at)?
         .as_arr()
         .ok_or(format!("{at}: points must be an array"))?;
@@ -891,7 +890,7 @@ mod tests {
             .get("timeseries")
             .unwrap()
             .clone();
-        assert_eq!(section.get("tick_unit").unwrap().as_str(), Some("us"));
+        assert_eq!(section.get("tick_unit").unwrap().as_str(), Some("cycles"));
         let points = section.get("points").unwrap().as_arr().unwrap();
         assert_eq!(points.len(), 1);
         let counters = points[0].get("counters").unwrap();

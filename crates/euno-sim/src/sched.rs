@@ -39,11 +39,11 @@ pub struct VirtualScheduler<'a> {
     /// traces land in [`RunMetrics::trace`].
     trace_capacity: Option<usize>,
     /// When set, the scheduler snapshots the runtime's metric registry
-    /// every `delta` virtual cycles into a ring of `capacity` snapshots;
-    /// the series lands in [`RunMetrics::timeseries`]. Sampling charges no
-    /// cycles and draws no randomness — the schedule is bit-identical with
-    /// it on or off.
-    sampling: Option<(u64, usize)>,
+    /// every this many virtual cycles into a ring of
+    /// [`TimeSeries::DEFAULT_CAPACITY`] snapshots; the series lands in
+    /// [`RunMetrics::timeseries`]. Sampling charges no cycles and draws no
+    /// randomness — the schedule is bit-identical with it on or off.
+    sampling: Option<u64>,
 }
 
 impl<'a> VirtualScheduler<'a> {
@@ -69,20 +69,16 @@ impl<'a> VirtualScheduler<'a> {
         self.trace_capacity = Some(capacity);
     }
 
-    /// Snapshot the metric registry every `delta` virtual cycles into a
-    /// ring of `capacity` snapshots (see [`RunMetrics::timeseries`]).
-    pub fn set_sampling(&mut self, delta: u64, capacity: usize) {
-        self.sampling = Some((delta, capacity));
+    /// Snapshot the metric registry every `delta` virtual cycles (see
+    /// [`RunMetrics::timeseries`]).
+    pub fn set_sampling(&mut self, delta: u64) {
+        self.sampling = Some(delta);
     }
 
     /// Register a logical thread with its own deterministic seed.
     pub fn add_thread(&mut self, seed: u64, driver: Driver<'a>) {
         let ctx = self.rt.thread(seed);
         self.threads.push((ctx, driver));
-    }
-
-    pub fn thread_count(&self) -> usize {
-        self.threads.len()
     }
 
     /// Run every thread to completion; returns aggregated metrics.
@@ -104,7 +100,7 @@ impl<'a> VirtualScheduler<'a> {
         let mut latency = LogHistogram::new();
         let mut series = self
             .sampling
-            .map(|(delta, cap)| TimeSeries::new(delta, cap));
+            .map(|delta| TimeSeries::new(delta, TimeSeries::DEFAULT_CAPACITY));
         while let Some(Reverse((start, i))) = heap.pop() {
             events += 1;
             if events.is_multiple_of(self.prune_every) {

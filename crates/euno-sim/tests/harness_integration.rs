@@ -4,7 +4,7 @@
 
 use euno_htm::euno_metrics::{ABORTS_HTM, ABORT_BUCKETS};
 use euno_htm::{ConcurrentMap, RetryPolicy, Runtime, ThreadCtx, TxCell};
-use euno_sim::{preload, run_concurrent, run_ops, run_virtual, RunConfig, SpanStart};
+use euno_sim::{preload, run_ops, run_virtual, RunConfig};
 use euno_workloads::{KeyDistribution, OpMix, Preload, WorkloadSpec};
 
 /// One cache line of slots. Conflict footprints derive from *real heap
@@ -198,44 +198,6 @@ fn hot_zipfian_produces_contention_in_the_toy() {
 }
 
 #[test]
-fn concurrent_harness_executes_all_ops() {
-    let rt = Runtime::new_concurrent();
-    let map = ToyMap::new(8192);
-    preload(&map, &rt, &toy_spec());
-    let cfg = RunConfig {
-        threads: 4,
-        ops_per_thread: 1_000,
-        seed: 9,
-        warmup_ops: 100,
-        ..RunConfig::default()
-    };
-    let m = run_concurrent(&map, &rt, &toy_spec(), &cfg);
-    assert_eq!(m.total_ops, 4_000);
-    assert!(m.elapsed_secs > 0.0);
-    // Wall-clock runs must carry a real latency histogram — one sample
-    // per measured op, monotone quantiles, non-degenerate tail.
-    // (Regression: from_wall used to fabricate an empty histogram.)
-    assert_eq!(m.latency.count(), 4_000);
-    assert!(m.latency.quantile(0.5) > 0);
-    let (p50, p99, p999) = (
-        m.latency.quantile(0.50),
-        m.latency.quantile(0.99),
-        m.latency.quantile(0.999),
-    );
-    assert!(p50 <= p99 && p99 <= p999);
-    assert!(m.latency.max() >= p999);
-    assert!(m.latency.mean() > 0.0);
-    // All threads passed the post-warmup barrier, so the merged stats
-    // must carry a real (non-None) measure mark.
-    assert!(m.stats.measure_start_cycles.is_some());
-    // Spot-check the map still answers (no corruption under threads).
-    let mut ctx = rt.thread(77);
-    for k in 0..50u64 {
-        let _ = map.get(&mut ctx, k);
-    }
-}
-
-#[test]
 fn tracing_does_not_perturb_the_virtual_schedule() {
     // The zero-overhead contract (DESIGN.md §13): installing a trace sink
     // must not change a single measured number — emission never charges
@@ -279,32 +241,6 @@ fn tracing_does_not_perturb_the_virtual_schedule() {
 }
 
 #[test]
-fn concurrent_tracing_collects_per_thread_rings() {
-    let rt = Runtime::new_concurrent();
-    let map = ToyMap::new(8192);
-    preload(&map, &rt, &toy_spec());
-    let cfg = RunConfig {
-        threads: 4,
-        ops_per_thread: 500,
-        seed: 13,
-        warmup_ops: 50,
-        trace_capacity: 1024,
-        ..RunConfig::default()
-    };
-    let m = run_concurrent(&map, &rt, &toy_spec(), &cfg);
-    let traces = m.trace.as_ref().unwrap();
-    assert_eq!(traces.len(), 4);
-    for t in traces {
-        assert!(t.total > 0);
-        assert!(t.events.len() <= 1024);
-        // Per-thread streams are timestamp-ordered.
-        for w in t.events.windows(2) {
-            assert!(w[0].ts <= w[1].ts);
-        }
-    }
-}
-
-#[test]
 fn an_aborting_warm_up_op_leaves_no_abort_behind() {
     // Warm-up is rolled back through one mark that covers both stores: the
     // thread's `ThreadStats` and its metric shard.
@@ -316,7 +252,7 @@ fn an_aborting_warm_up_op_leaves_no_abort_behind() {
         warmup_ops: 3,
         ..RunConfig::default()
     };
-    let m = run_ops(&rt, &cfg, SpanStart::AfterWarmup, |_| {
+    let m = run_ops(&rt, &cfg, |_| {
         |ctx: &mut ThreadCtx| {
             ctx.htm_execute(&fb, &RetryPolicy::default(), |tx| {
                 if !tx.is_fallback() {

@@ -19,8 +19,6 @@
 
 use std::collections::BTreeMap;
 
-use euno_metrics::{Counter, FlipEvent, Gauge, TimeSeries};
-
 use crate::event::{EpisodeKind, EventKind, OpKind};
 use crate::json::Json;
 use crate::ring::ThreadTrace;
@@ -276,132 +274,14 @@ pub fn validate_chrome_trace(text: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Serialize a metric time-series as JSON lines: one object per line,
-/// each self-describing via a `"kind"` tag, so consumers can stream the
-/// file without holding the run in memory (and `jq`/pandas load it
-/// directly).
-///
-/// Line kinds, in emission order:
-///
-/// * `header` — once, first: `tick_unit` ("cycles" or "us"), the sampler
-///   `delta`, sample/drop counts.
-/// * `window` — one per adjacent snapshot pair: `[t0, t1]` ticks, the
-///   nonzero counter *deltas* (zero counters elided to keep lines short),
-///   gauge levels at window close, latency event count, cumulative flip
-///   count at close.
-/// * `flip` — one per flip-log event, after all windows: tick, leaf
-///   address, kind name. Shift marks carry address 0.
-pub fn metrics_jsonl(ts: &TimeSeries, flips: &[FlipEvent], tick_unit: &str) -> String {
-    let mut out = String::new();
-    let mut line = |j: Json| {
-        out.push_str(&j.to_compact());
-        out.push('\n');
-    };
-    line(Json::Obj(vec![
-        field("kind", Json::str("header")),
-        field("tick_unit", Json::str(tick_unit)),
-        field("delta", Json::u64(ts.delta())),
-        field("samples", Json::u64(ts.len() as u64)),
-        field("dropped", Json::u64(ts.dropped())),
-        field("flips", Json::u64(flips.len() as u64)),
-    ]));
-    for w in ts.windows() {
-        let counters: Vec<(String, Json)> = Counter::ALL
-            .iter()
-            .filter(|c| w.counter(**c) != 0)
-            .map(|c| field(c.name(), Json::u64(w.counter(*c))))
-            .collect();
-        let gauges: Vec<(String, Json)> = Gauge::ALL
-            .iter()
-            .map(|g| field(g.name(), Json::u64(w.gauges[g.index()])))
-            .collect();
-        let latency_count: u64 = w.hist.iter().sum();
-        line(Json::Obj(vec![
-            field("kind", Json::str("window")),
-            field("t0", Json::u64(w.t0)),
-            field("t1", Json::u64(w.t1)),
-            field("counters", Json::Obj(counters)),
-            field("gauges", Json::Obj(gauges)),
-            field("latency_count", Json::u64(latency_count)),
-            field("flip_events", Json::u64(w.flip_events)),
-        ]));
-    }
-    for f in flips {
-        line(Json::Obj(vec![
-            field("kind", Json::str("flip")),
-            field("tick", Json::u64(f.tick)),
-            field("addr", hex(f.addr)),
-            field("flip", Json::str(f.kind.name())),
-        ]));
-    }
-    out
-}
-
-/// Check that `text` is a well-formed [`metrics_jsonl`] document: every
-/// line parses as a tagged JSON object, the first (and only the first)
-/// line is a `header` with a known `tick_unit`, window `t1` ticks are
-/// strictly increasing, and flip lines carry tick/addr/flip.
-pub fn validate_metrics_jsonl(text: &str) -> Result<(), String> {
-    let mut prev_t1: Option<u64> = None;
-    let mut saw_header = false;
-    for (i, raw) in text.lines().enumerate() {
-        let obj = Json::parse(raw).map_err(|e| format!("metrics jsonl line {i}: {e}"))?;
-        let kind = obj
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("metrics jsonl line {i}: missing \"kind\""))?;
-        match kind {
-            "header" => {
-                if i != 0 {
-                    return Err(format!("metrics jsonl line {i}: header must be first"));
-                }
-                saw_header = true;
-                let unit = obj
-                    .get("tick_unit")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| format!("metrics jsonl line {i}: header missing tick_unit"))?;
-                if unit != "cycles" && unit != "us" {
-                    return Err(format!("metrics jsonl line {i}: bad tick_unit {unit:?}"));
-                }
-                for key in ["delta", "samples", "dropped", "flips"] {
-                    obj.get(key)
-                        .ok_or_else(|| format!("metrics jsonl line {i}: header missing {key}"))?;
-                }
-            }
-            "window" => {
-                let t1 = obj
-                    .get("t1")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("metrics jsonl line {i}: window missing t1"))?;
-                if let Some(p) = prev_t1 {
-                    if t1 <= p {
-                        return Err(format!(
-                            "metrics jsonl line {i}: window ticks not strictly increasing \
-                             ({t1} after {p})"
-                        ));
-                    }
-                }
-                prev_t1 = Some(t1);
-                for key in ["t0", "counters", "gauges", "latency_count", "flip_events"] {
-                    obj.get(key)
-                        .ok_or_else(|| format!("metrics jsonl line {i}: window missing {key}"))?;
-                }
-            }
-            "flip" => {
-                for key in ["tick", "addr", "flip"] {
-                    obj.get(key)
-                        .ok_or_else(|| format!("metrics jsonl line {i}: flip missing {key}"))?;
-                }
-            }
-            other => {
-                return Err(format!("metrics jsonl line {i}: unknown kind {other:?}"));
-            }
-        }
-    }
-    if !saw_header {
-        return Err("metrics jsonl: empty document (no header line)".into());
-    }
-    Ok(())
+/// Write `traces` as a Chrome trace-event file at `path`, validated by
+/// [`validate_chrome_trace`] first, with its [`folded_rollup`] next to it
+/// at `<path>.folded`.
+pub fn write_trace(path: &str, traces: &[ThreadTrace]) -> std::io::Result<()> {
+    let chrome = chrome_trace(traces).to_pretty();
+    validate_chrome_trace(&chrome).map_err(std::io::Error::other)?;
+    std::fs::write(path, chrome)?;
+    std::fs::write(format!("{path}.folded"), folded_rollup(traces))
 }
 
 /// Cycle-weighted folded stacks (`stack;frame value`), deterministic
@@ -575,74 +455,6 @@ mod tests {
             validate_chrome_trace("{\"traceEvents\": [{\"name\": \"x\"}]}").is_err(),
             "events missing ph/ts/pid/tid must fail"
         );
-    }
-
-    #[test]
-    fn metrics_jsonl_roundtrips_and_validates() {
-        use euno_metrics::Registry;
-        let reg = Registry::new();
-        let shard = reg.register_shard();
-        let mut ts = TimeSeries::new(100, 16);
-        ts.sample(0, &reg);
-        shard.add(Counter::Ops, 5);
-        shard.add(Counter::Commits, 4);
-        shard.record_latency(37);
-        reg.record_flip(140, 0x4040, true);
-        ts.sample(100, &reg);
-        shard.add(Counter::Ops, 3);
-        ts.sample(200, &reg);
-        let flips = reg.flips().events();
-
-        let text = metrics_jsonl(&ts, &flips, "cycles");
-        validate_metrics_jsonl(&text).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        // header + 2 windows + 1 flip.
-        assert_eq!(lines.len(), 4, "{text}");
-        let header = Json::parse(lines[0]).unwrap();
-        assert_eq!(
-            header.get("tick_unit").and_then(Json::as_str),
-            Some("cycles")
-        );
-        assert_eq!(header.get("samples").and_then(Json::as_u64), Some(3));
-        let w0 = Json::parse(lines[1]).unwrap();
-        assert_eq!(w0.get("t1").and_then(Json::as_u64), Some(100));
-        let counters = w0.get("counters").unwrap();
-        assert_eq!(counters.get("ops").and_then(Json::as_u64), Some(5));
-        assert_eq!(counters.get("commits").and_then(Json::as_u64), Some(4));
-        // Zero counters are elided from window lines.
-        assert!(counters.get("fallbacks").is_none(), "{text}");
-        assert_eq!(w0.get("latency_count").and_then(Json::as_u64), Some(1));
-        assert_eq!(w0.get("flip_events").and_then(Json::as_u64), Some(1));
-        let flip = Json::parse(lines[3]).unwrap();
-        assert_eq!(flip.get("kind").and_then(Json::as_str), Some("flip"));
-        assert_eq!(flip.get("tick").and_then(Json::as_u64), Some(140));
-        assert_eq!(flip.get("addr").and_then(Json::as_str), Some("0x4040"));
-        assert_eq!(flip.get("flip").and_then(Json::as_str), Some("to_bypass"));
-    }
-
-    #[test]
-    fn metrics_jsonl_validator_rejects_junk() {
-        assert!(validate_metrics_jsonl("").is_err(), "empty doc");
-        assert!(validate_metrics_jsonl("not json\n").is_err());
-        assert!(
-            validate_metrics_jsonl("{\"kind\":\"window\",\"t1\":5}\n").is_err(),
-            "window before header"
-        );
-        let ok = "{\"kind\":\"header\",\"tick_unit\":\"us\",\"delta\":10,\
-                  \"samples\":0,\"dropped\":0,\"flips\":0}\n";
-        assert!(validate_metrics_jsonl(ok).is_ok());
-        let bad_unit = ok.replace("\"us\"", "\"seconds\"");
-        assert!(validate_metrics_jsonl(&bad_unit).is_err(), "bad tick_unit");
-        // Non-monotone window ticks fail.
-        let windows = format!(
-            "{ok}{}{}",
-            "{\"kind\":\"window\",\"t0\":0,\"t1\":20,\"counters\":{},\"gauges\":{},\
-             \"latency_count\":0,\"flip_events\":0}\n",
-            "{\"kind\":\"window\",\"t0\":20,\"t1\":20,\"counters\":{},\"gauges\":{},\
-             \"latency_count\":0,\"flip_events\":0}\n"
-        );
-        let err = validate_metrics_jsonl(&windows).unwrap_err();
-        assert!(err.contains("strictly increasing"), "{err}");
     }
 
     #[test]

@@ -83,54 +83,6 @@ impl Json {
         out
     }
 
-    /// Serialize on one line with no indentation — the JSON-lines record
-    /// form (`metrics_jsonl`), where one object per physical line is the
-    /// framing.
-    pub fn to_compact(&self) -> String {
-        let mut out = String::new();
-        self.write_compact(&mut out);
-        out
-    }
-
-    fn write_compact(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => {
-                if !n.is_finite() {
-                    out.push_str("null");
-                } else if n.fract() == 0.0 && n.abs() < 9e15 {
-                    let _ = std::fmt::Write::write_fmt(out, format_args!("{}", *n as i64));
-                } else {
-                    let _ = std::fmt::Write::write_fmt(out, format_args!("{n}"));
-                }
-            }
-            Json::Str(s) => Self::write_escaped(out, s),
-            Json::Arr(items) => {
-                out.push('[');
-                for (n, item) in items.iter().enumerate() {
-                    if n > 0 {
-                        out.push(',');
-                    }
-                    item.write_compact(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (n, (k, v)) in fields.iter().enumerate() {
-                    if n > 0 {
-                        out.push(',');
-                    }
-                    Self::write_escaped(out, k);
-                    out.push(':');
-                    v.write_compact(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-
     fn write(&self, out: &mut String, indent: usize) {
         match self {
             Json::Null => out.push_str("null"),

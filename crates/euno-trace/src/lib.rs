@@ -27,7 +27,9 @@
 //!   Perfetto / `chrome://tracing`, built on the in-tree [`Json`]
 //!   writer (no external deps);
 //! * [`export::folded_rollup`] — a plain-text, cycle-weighted
-//!   flamegraph-style rollup (`stack;frame value` lines).
+//!   flamegraph-style rollup (`stack;frame value` lines);
+//!   [`export::write_trace`] validates the Chrome export and writes it
+//!   with its rollup next to it.
 //!
 //! The JSON value type, writer and parser live here (in [`json`]) and
 //! are re-exported by `euno-sim` for the run-report pipeline; the
@@ -43,9 +45,7 @@ pub mod profile;
 pub mod ring;
 
 pub use event::{EpisodeKind, Event, EventKind, OpKind};
-pub use export::{
-    chrome_trace, folded_rollup, metrics_jsonl, validate_chrome_trace, validate_metrics_jsonl,
-};
+pub use export::{chrome_trace, folded_rollup, validate_chrome_trace, write_trace};
 pub use json::Json;
 pub use profile::{build_profile, LeafCounters, LeafProfile};
 pub use ring::{ThreadTrace, TraceBuf, DEFAULT_CAPACITY};

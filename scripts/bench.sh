@@ -7,8 +7,8 @@
 # full provenance: workload spec, θ, thread count, seed, policy, cost-model
 # constants, git describe, per-cause abort counts, stage counters and
 # latency quantiles for every run.  The wall-clock engine bench follows.
-# Afterwards every report is validated against the schema by the
-# report_check binary — a drift fails the script.
+# Every report is validated against the schema as it is written — a drift
+# fails the script.
 #
 # Usage: scripts/bench.sh [scale]
 #   scale defaults to $EUNO_BENCH_SCALE, then 0.3 — the scale the recorded
@@ -35,9 +35,3 @@ echo "# EUNO_BENCH_SCALE=$SCALE  $(date -u +%Y-%m-%dT%H:%M:%SZ)" | tee -a "$LOG"
 # Prints its own `=== <figure> ===` sections.
 cargo run --release -q -p euno-bench --bin figures -- --out "$OUT" 2>&1 | tee -a "$LOG"
 run engine_bench -- --csv "$OUT/engine.csv"
-
-echo | tee -a "$LOG"
-echo "=== report_check ===" | tee -a "$LOG"
-cargo run --release -q -p euno-bench --bin report_check -- "$OUT"/BENCH_*.json \
-    | tee -a "$LOG"
-echo "all run reports validate against the DESIGN.md §11 schema" | tee -a "$LOG"

@@ -44,8 +44,9 @@ echo "golden digest pinned at $GOLDEN"
 cargo build --release
 cargo test -q
 
-# Smoke-bench: one tiny figure run covering all four trees, then validate
-# the emitted run report against the DESIGN.md §11 schema.  Catches a
+# Smoke-bench: one tiny figure run covering all four trees, whose run
+# report is validated against the DESIGN.md §11 schema as it is written
+# (a report that fails it is not written and the run exits 1).  Catches a
 # broken measurement pipeline (empty latency, missing report keys) that
 # unit tests alone would miss.
 SMOKE="$(mktemp -d)"
@@ -70,39 +71,34 @@ stress_both_euno() {
 
 figures() { cargo run --release -q -p euno-bench --bin figures -- "$@"; }
 figures fig08_throughput --out "$SMOKE" --ops 300 --keys 20000 --threads 8 >/dev/null
-cargo run --release -q -p euno-bench --bin report_check -- \
-    "$SMOKE/BENCH_fig08.json"
 echo "smoke-bench report OK"
 
 # Trace smoke: the same figure with tracing + profiling on.  The report
-# must re-validate with its new per-run `profile` sections, and the
-# Chrome trace export must round-trip through the in-tree JSON parser
-# (DESIGN.md §13).  A small ring keeps the export cheap.  Then a thread
+# must carry per-run `profile` sections (validated as it is written), and
+# the Chrome trace export must round-trip through the in-tree JSON parser
+# (DESIGN.md §13; `write_trace` validates it before writing).  A small
+# ring keeps the export cheap.  Then a thread
 # sweep with profiling on: every figure runs its cells under the one
 # command line, so a figure that sweeps threads keeps every other flag.
 figures fig08_throughput --out "$SMOKE" --ops 300 --keys 20000 --threads 8 \
     --profile --trace "$SMOKE/trace.json" --trace-capacity 2048 >/dev/null
-cargo run --release -q -p euno-bench --bin report_check -- \
-    "$SMOKE/BENCH_fig08.json" | grep -E "profiled=[1-9]"
-cargo run --release -q -p euno-bench --bin report_check -- \
-    --trace "$SMOKE/trace.json"
+grep -q '"profile"' "$SMOKE/BENCH_fig08.json"
+test -s "$SMOKE/trace.json"
 test -s "$SMOKE/trace.json.folded"
 figures fig10_scalability --out "$SMOKE" --ops 50 --keys 2000 --profile \
     --trace-capacity 2048 >/dev/null 2>&1
-cargo run --release -q -p euno-bench --bin report_check -- \
-    "$SMOKE/BENCH_fig10.json" | grep -E "profiled=[1-9]"
+grep -q '"profile"' "$SMOKE/BENCH_fig10.json"
 echo "smoke-trace report + export + thread-sweep profile OK"
 
 # Engine smoke: a tiny wall-clock run of the episode machinery itself
-# (raw scenarios + the tree workload, virtual and concurrent modes), then
-# schema-validate its report.  Catches hot-path regressions that break the
-# bench harness rather than the trees — throughput here is NOT judged
-# (wall-clock numbers are meaningless at smoke sizes), only that every
-# scenario completes and emits a well-formed report.
+# (raw scenarios + the tree workload, virtual and concurrent modes), whose
+# report is schema-validated as it is written.  Catches hot-path
+# regressions that break the bench harness rather than the trees —
+# throughput here is NOT judged (wall-clock numbers are meaningless at
+# smoke sizes), only that every scenario completes and emits a
+# well-formed report.
 cargo run --release -q -p euno-bench --bin engine_bench -- \
     --csv "$SMOKE/engine.csv" --ops 2000 >/dev/null 2>"$SMOKE/engine.err"
-cargo run --release -q -p euno-bench --bin report_check -- \
-    "$SMOKE/BENCH_engine.json"
 echo "smoke-engine report OK"
 
 # Smoke-stm: the TL2 software backend on real threads.  The engine bench
@@ -236,9 +232,8 @@ dispatches="$(grep -rn 'backend()' crates/*/src | grep -vcE "$BACKENDS|^crates/e
 echo "one-seam (no hardware feature, no second executor, no mode branch outside virt/tl2/rtm; 14 entry-point dispatches) OK"
 
 # Metrics smoke: a tiny Figure 14 run (rotating-hotspot timeline) must
-# quantify an adaptation lag for at least one programmed shift, emit a
-# schema-v3 report with its timeseries sections (validated by
-# report_check) and the JSON-lines export next to the CSV.  The
+# quantify an adaptation lag for at least one programmed shift and emit a
+# report with its timeseries sections (validated as it is written).  The
 # counting-allocator harness that holds the sampling hot path
 # allocation-free (the "always-on, low-overhead" contract of DESIGN.md
 # §14, euno-metrics' zero_alloc_sample) ran under the tier-1 `cargo test`
@@ -246,9 +241,6 @@ echo "one-seam (no hardware feature, no second executor, no mode branch outside 
 EUNO_BENCH_SCALE=0.1 figures fig14_timeline --out "$SMOKE" >"$SMOKE/fig14.out"
 grep -qE "answered [1-9]+/" "$SMOKE/fig14.out" \
     || { echo "smoke-metrics: no adaptation lag quantified"; exit 1; }
-cargo run --release -q -p euno-bench --bin report_check -- \
-    "$SMOKE/BENCH_fig14.json"
-test -s "$SMOKE/fig14_timeline.jsonl"
 echo "smoke-metrics (fig14 timeline + schema v3; zero-alloc sampler ran in tier-1) OK"
 
 # Concurrent-correctness stage: real threads, recorded histories, the
@@ -413,8 +405,9 @@ echo "subtree-hints (split/root-growth/merge/rightmost-leaf/ascending/two-tree t
 # (`htm_execute`, `RetryPolicy`, `ctx.stats`, `ctx.metric`, tree
 # constructors).  Build it and run all six workloads shrunk to 1 s, twice
 # on one build: the A/A pass holds the virtual-clock workloads to the
-# BENCHMARK.json bounds.
-bash benchmark/run.sh --smoke --aa >/dev/null
+# BENCHMARK.json bounds.  The output is kept and printed on a failure.
+bash benchmark/run.sh --smoke --aa >"$SMOKE/benchmark.out" 2>&1 \
+    || { cat "$SMOKE/benchmark.out"; echo "benchmark smoke + A/A failed"; exit 1; }
 echo "benchmark smoke + A/A OK"
 
 # Mem-ceiling: the churn workload under an address-space limit, so
@@ -428,7 +421,9 @@ echo "benchmark smoke + A/A OK"
 # the no-op cargo invocation in run.sh too.
 MEM_CEILING_KB=262144
 ( ulimit -v "$MEM_CEILING_KB"
-  bash benchmark/run.sh --workload virt-scan-churn --seed 3 --seconds 10 --trace 0 >/dev/null )
+  bash benchmark/run.sh --workload virt-scan-churn --seed 3 --seconds 10 --trace 0 \
+      >"$SMOKE/mem-ceiling.out" 2>&1 ) \
+    || { cat "$SMOKE/mem-ceiling.out"; echo "mem-ceiling failed"; exit 1; }
 echo "mem-ceiling (virt-scan-churn under ${MEM_CEILING_KB} kB of address space) OK"
 
 # Recorded results: every virtual-clock CSV must regenerate byte for byte,

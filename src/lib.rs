@@ -39,8 +39,6 @@ pub mod prelude {
     pub use euno_core::{EunoBTree, EunoBTreeDefault, EunoBTreeUnpartitioned, EunoConfig};
     pub use euno_htm::{ConcurrentMap, CostModel, Mode, Runtime, ThreadCtx};
     pub use euno_serve::{EunoServer, Reply, Request, ServeConfig};
-    pub use euno_sim::{
-        preload, run_concurrent, run_virtual, RunConfig, RunMetrics, VirtualScheduler,
-    };
+    pub use euno_sim::{preload, run_virtual, RunConfig, RunMetrics, VirtualScheduler};
     pub use euno_workloads::{KeyDistribution, Op, OpMix, OpStream, Preload, WorkloadSpec};
 }

@@ -142,30 +142,3 @@ fn mixed_workload_with_deletes_keeps_scan_invariants() {
         }
     }
 }
-
-#[test]
-fn workload_harness_runs_concurrently() {
-    // End-to-end: the euno-sim concurrent runner over the Euno tree.
-    let rt = Runtime::new_concurrent();
-    let tree = EunoBTreeDefault::new(Arc::clone(&rt));
-    let spec = WorkloadSpec {
-        key_range: 10_000,
-        ..WorkloadSpec::paper_default(0.9)
-    };
-    preload(&tree, &rt, &spec);
-    let cfg = RunConfig {
-        threads: 4,
-        ops_per_thread: 2_000,
-        seed: 5,
-        warmup_ops: 100,
-        ..RunConfig::default()
-    };
-    let m = run_concurrent(&tree, &rt, &spec, &cfg);
-    assert_eq!(m.total_ops, 8_000);
-    assert!(m.throughput > 0.0);
-    // The audit still holds after a contended mixed run.
-    let mut ctx = rt.thread(77);
-    let mut out = Vec::new();
-    tree.scan(&mut ctx, 0, usize::MAX, &mut out);
-    assert!(out.windows(2).all(|w| w[0].0 < w[1].0));
-}
