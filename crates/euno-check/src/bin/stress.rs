@@ -2,12 +2,14 @@
 //! linearizability oracle, and structural audits over every tree.
 //!
 //! ```text
-//! stress [--storm] [--churn] [--churn-sweeps] [--churn-phased] [--threads N] [--ops N] [--seed N] [--keys N]
+//! stress [--storm] [--hot] [--churn] [--churn-sweeps] [--churn-phased] [--threads N] [--ops N] [--seed N] [--keys N]
 //!        [--scan-len N] [--preload N] [--duration SECS] [--no-maintain]
 //!        [--tree SUBSTR] [--trace PATH] [--profile] [--dump-events N] [--mutate TAG]
 //!
 //! `--storm` starts from the abort-storm preset (8 threads on 8 keys, the
-//! schedule that drives the executor past its retry budgets); `--churn`
+//! schedule that drives the executor past its retry budgets); `--hot`
+//! starts from the hot-range preset (8 threads on 16 adjacent keys, no
+//! scans: `Euno-ReadOpt` splits the contended leaf); `--churn`
 //! starts from the delete-heavy churn preset (continuous merges retiring
 //! leaves under live readers); `--churn-sweeps` is that preset with the
 //! Euno trees' rebalance threshold lowered, so foreground deletes carry
@@ -31,7 +33,7 @@ use euno_trace::write_trace;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: stress [--storm] [--churn] [--churn-sweeps] [--churn-phased] [--threads N] [--ops N] [--seed N] [--keys N] \
+        "usage: stress [--storm] [--hot] [--churn] [--churn-sweeps] [--churn-phased] [--threads N] [--ops N] [--seed N] [--keys N] \
          [--scan-len N] [--preload N] [--duration SECS] [--no-maintain] \
          [--tree SUBSTR] [--trace PATH] [--profile] [--dump-events N] [--mutate TAG]"
     );
@@ -58,6 +60,7 @@ fn main() {
         };
         match flag.as_str() {
             "--storm" => cfg = preset(&cfg, StressConfig::abort_storm()),
+            "--hot" => cfg = preset(&cfg, StressConfig::hot()),
             "--churn" => cfg = preset(&cfg, StressConfig::churn()),
             "--churn-sweeps" => cfg = preset(&cfg, StressConfig::churn_sweeps()),
             "--churn-phased" => cfg = preset(&cfg, StressConfig::churn_phased()),
@@ -188,7 +191,8 @@ fn main() {
                     println!(
                         "        t={:>9}us ops={} commits={} aborts={} \
                          fallbacks={} flips={} sweep(slices/merges)={}/{} \
-                         scan_locked_steps={} leaf_hints(hits/stale/miss)={}/{}/{} \
+                         scan_locked_steps={} contention_splits={} \
+                         leaf_hints(hits/stale/miss)={}/{}/{} \
                          subtree_hints(hits/unusable)={}/{}",
                         s.tick,
                         s.counters[Counter::Ops.index()],
@@ -202,6 +206,7 @@ fn main() {
                         s.counters[Counter::SweepSlices.index()],
                         s.counters[Counter::SweepMerges.index()],
                         s.counters[Counter::ScanLockedSteps.index()],
+                        s.counters[Counter::ContentionSplits.index()],
                         s.counters[Counter::LeafHintHits.index()],
                         s.counters[Counter::LeafHintStale.index()],
                         s.counters[Counter::LeafHintMiss.index()],

@@ -111,6 +111,26 @@ impl StressConfig {
         }
     }
 
+    /// The hot-range schedule: every worker on sixteen adjacent keys — one
+    /// leaf's worth — put-heavy and with no scans, so that `default()`'s
+    /// contention splits (which a scan vetoes for a few hundred operations
+    /// of its thread) cut that leaf up under the oracle while the
+    /// maintenance thread tries to merge it back. They need conflicts on a
+    /// protected leaf, which real threads meet far more rarely than the
+    /// virtual clock's: on a 2-vCPU host a run books about one split.
+    pub fn hot() -> Self {
+        StressConfig {
+            threads: 8,
+            ops_per_thread: 20_000,
+            key_range: 16,
+            preload: 16,
+            get_pct: 20,
+            put_pct: 70,
+            delete_pct: 10,
+            ..StressConfig::default()
+        }
+    }
+
     /// The churn schedule: delete-heavy traffic over a small key range
     /// with the maintenance thread on, so leaves empty out and merge
     /// continuously — every reader races real retirements and the epoch

@@ -137,6 +137,12 @@ impl Stage<'_, '_> {
         self.clear & (1 << slot) != 0
     }
 
+    /// The leaf was protected when the stage opened: same-record
+    /// contenders queued on its lock bits.
+    pub fn protected(&self) -> bool {
+        self.protected
+    }
+
     /// Algorithm 2 line 39, for a put: the leaf is protected and the key is
     /// new to its filter, so the put may insert — and an insert may split.
     pub fn may_insert(&self) -> bool {
@@ -495,15 +501,19 @@ where
         })
     }
 
-    /// Give a blockless, empty `leaf` a calm block with no marks: the state
-    /// a block whose verdict went back to bypass leaves its leaf in —
-    /// bypassed, yet claiming marks, each put by test-before-set with no
-    /// lock bit. Uninstrumented (tests, on a quiescent tree).
+    /// Put `leaf` on bypass, as a calm window would: its block back on
+    /// bypass, marks kept, if it has one; else — a blockless, empty leaf —
+    /// a calm block with no marks: the state a block whose verdict went
+    /// back to bypass leaves its leaf in — bypassed, yet claiming marks,
+    /// each put by test-before-set with no lock bit. Uninstrumented (tests,
+    /// on a quiescent tree).
     pub fn calm_block_plain(&self, leaf: &EunoLeaf<SEGS, K>) {
-        self.pinned(|g| {
-            assert!(leaf.ccm(g).is_none(), "the leaf already has a block");
-            let block = self.alloc_block(leaf, Ccm::new(0, true));
-            let _ = leaf.install_block(None, block.addr());
+        self.pinned(|g| match leaf.ccm(g) {
+            Some(ccm) => ccm.bypass.store_plain(1),
+            None => {
+                let block = self.alloc_block(leaf, Ccm::new(0, true));
+                let _ = leaf.install_block(None, block.addr());
+            }
         })
     }
 }

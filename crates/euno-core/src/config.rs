@@ -49,10 +49,20 @@ pub struct EunoConfig {
     /// the split lock are the same either way, and scans take the one walk
     /// in [`crate::scan`]. On by default; off is [`EunoConfig::paper`],
     /// which neither probes nor records a hint.
+    ///
+    /// The flag also carries the rule that leaf size follows contention: a
+    /// point operation that ran protected and still met a conflict splits
+    /// its leaf if the leaf holds more records than segments, unless its
+    /// thread scanned in its last few hundred operations
+    /// (`EunoBTree::split_if_contended`), and the re-balance sweep merges
+    /// no pair in which either leaf is protected.
     pub read_opt: bool,
 }
 
 impl Default for EunoConfig {
+    /// The library's tree: the paper's full system (every CCM bit and the
+    /// adaptive detector) plus `read_opt` — no episode above the leaf, and
+    /// leaves split while contended and merged only while calm.
     fn default() -> Self {
         EunoConfig {
             ccm_lock_bits: true,
@@ -156,7 +166,9 @@ mod tests {
 
     #[test]
     fn read_optimized_keeps_the_full_write_path() {
-        // `default()` is `paper()` plus the walk, nothing else.
+        // `default()` is `paper()` plus what `read_opt` carries — the walk,
+        // the leaf hints, and leaves that split while contended and merge
+        // only while calm — nothing else.
         let same = EunoConfig {
             read_opt: false,
             ..EunoConfig::default()

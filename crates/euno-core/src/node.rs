@@ -52,7 +52,7 @@
 
 use euno_htm::{
     LineClass, LockWord, ParentLinked, Runtime, SideBlock, ThreadCtx, Tx, TxCell, TxResult,
-    KEY_SENTINEL,
+    KEY_SENTINEL, TOMBSTONE,
 };
 
 pub use euno_htm::{IndexNode, NodeRef};
@@ -282,6 +282,20 @@ where
         let mut n = 0;
         for s in &self.segs {
             n += s.count_plain();
+            ctx.charge(ctx.runtime().cost.access_hit);
+        }
+        n
+    }
+
+    /// Live records — tombstones left out — from outside any region,
+    /// charged like [`Self::occupied_direct`]: a hint, which whoever acts
+    /// on it re-checks inside a region.
+    pub fn live_direct(&self, ctx: &mut ThreadCtx) -> usize {
+        let mut n = 0;
+        for s in &self.segs {
+            n += (0..s.count_plain())
+                .filter(|&i| s.val_cell(i).load_plain() != TOMBSTONE)
+                .count();
             ctx.charge(ctx.runtime().cost.access_hit);
         }
         n

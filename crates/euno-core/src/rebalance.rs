@@ -240,6 +240,7 @@ where
                 let right = g.leaf(view.next);
                 let right_view = self.view_leaf(ctx, right, &mut scratch);
                 if view.live + right_view.live <= Self::merge_bound()
+                    && !self.either_protected(g, left, right)
                     && self.try_merge(ctx, g, left, right)
                 {
                     merges += 1;
@@ -334,6 +335,24 @@ where
         merged
     }
 
+    /// Join only when calm (`read_opt` only): a pair in which either leaf's
+    /// CCM block is protected stays apart. A merge of a contended leaf
+    /// would put its records back onto fewer lines — undoing what
+    /// contention splits ([`EunoBTree::split_if_contended`]) spread — and
+    /// a merge-born hot leaf reorganizes under every insert. Plain loads:
+    /// the verdict is a hint either way, and the locked merge asks again.
+    fn either_protected(
+        &self,
+        g: Guard<'_, SEGS, K>,
+        left: &EunoLeaf<SEGS, K>,
+        right: &EunoLeaf<SEGS, K>,
+    ) -> bool {
+        self.cfg.read_opt
+            && [left, right]
+                .iter()
+                .any(|leaf| leaf.ccm(g).is_some_and(|ccm| !ccm.bypass_plain()))
+    }
+
     fn merge_locked(
         &self,
         ctx: &mut ThreadCtx,
@@ -341,6 +360,9 @@ where
         left: &EunoLeaf<SEGS, K>,
         right: &EunoLeaf<SEGS, K>,
     ) -> bool {
+        if self.either_protected(g, left, right) {
+            return false;
+        }
         // Union the mark bits BEFORE the merge becomes visible: a get for
         // an adopted key must never find the left leaf unmarked. Marks are
         // a monotone superset, so setting them early is safe even if the
@@ -624,6 +646,45 @@ mod tests {
             }
         }
         assert_eq!(t.collect_all_plain(), model.into_iter().collect::<Vec<_>>());
+    }
+
+    /// Join only when calm: under `default()` an underfull pair stays
+    /// apart while either leaf is protected and merges once it is calm;
+    /// `paper()` merges it protected or not.
+    #[test]
+    fn a_protected_leaf_is_merged_only_once_calm() {
+        for (cfg, joins_hot) in [(EunoConfig::default(), false), (EunoConfig::paper(), true)] {
+            let rt = Runtime::new_virtual();
+            let t = EunoBTreeDefault::with_config(Arc::clone(&rt), cfg);
+            let mut ctx = rt.thread(1);
+            for k in 0..200u64 {
+                t.put(&mut ctx, k, k);
+            }
+            for k in (0..200u64).filter(|k| k % 20 != 0) {
+                t.delete(&mut ctx, k);
+            }
+            let expected = t.collect_all_plain();
+            // The first two leaves: same parent, the right one not its
+            // leftmost child, both nearly empty.
+            let first_pair = |t: &EunoBTreeDefault| {
+                t.pinned(|g| {
+                    let a = first_leaf(t, g);
+                    (
+                        a as *const DefaultLeaf,
+                        next_leaf(g, a) as *const DefaultLeaf,
+                    )
+                })
+            };
+            let (a, b) = first_pair(&t);
+            t.pinned(|g| t.protect_plain(first_leaf(&t, g)));
+            t.maintain(&mut ctx);
+            assert_eq!(first_pair(&t) == (a, b), !joins_hot, "protected");
+            t.pinned(|g| t.calm_block_plain(first_leaf(&t, g)));
+            t.maintain(&mut ctx);
+            assert_ne!(first_pair(&t), (a, b), "calm");
+            assert_eq!(t.collect_all_plain(), expected);
+            assert_eq!(t.audit_quiescent(), Vec::<String>::new());
+        }
     }
 
     #[test]

@@ -107,6 +107,8 @@ where
         out: &mut Vec<(u64, u64)>,
         tries: u32,
     ) -> usize {
+        // What vetoes this thread's contention splits for a while.
+        ctx.note_scan();
         let start = out.len();
         let mut cursor = from;
         // Pinned throughout: hinted leaves must outlive merge retirements.

@@ -14,7 +14,8 @@ use crate::probe;
 use crate::segment::{KeyPad, Keys};
 use crate::tree::EunoBTree;
 use euno_htm::bptree::{promote, Linked};
-use euno_htm::{EventKind, Tx, TxResult, TxWord};
+use euno_htm::euno_metrics::Counter;
+use euno_htm::{EventKind, RetryPolicy, ThreadCtx, Tx, TxResult, TxWord};
 
 /// What a lower region carries from attempt to attempt: whether its
 /// caller holds the leaf's split lock, and the nodes the current attempt
@@ -50,6 +51,45 @@ where
             }
         }
         self.arenas.hand_back(&self.rt, unpublished);
+    }
+
+    /// Split `leaf` because it is contended, not full
+    /// ([`EunoBTree::split_if_contended`]): under its split lock, one HTM
+    /// region that re-reads the leaf and splits it if it is still live and
+    /// holds more records than segments. The lock is tried, not waited
+    /// for: whoever holds it is reorganizing, splitting, merging or
+    /// scanning this very leaf, and the next conflict here tries again.
+    pub(crate) fn contention_split(
+        &self,
+        ctx: &mut ThreadCtx,
+        g: Guard<'_, SEGS, K>,
+        leaf: &EunoLeaf<SEGS, K>,
+    ) {
+        if !leaf.split_lock().try_acquire(ctx) {
+            return;
+        }
+        let mut region = LowerRegion::new(true);
+        let out = ctx.htm_execute(&self.ctrl.fallback, &RetryPolicy::DBX, |tx| {
+            self.hand_back(g, &mut region.unpublished);
+            // A merge that retired the leaf before the lock was ours left
+            // its fence at 0; one that took its right neighbour in moved
+            // nothing this split trusts.
+            if tx.read(leaf.fence(0))? == 0 {
+                return Ok(false);
+            }
+            let records = self.peek_all(tx, leaf)?;
+            if records.len() <= SEGS {
+                return Ok(false);
+            }
+            // No key is pending: the leaf's least, which stays left, adds
+            // no mark to the right half's block.
+            self.split_leaf(tx, g, leaf, &records, records[0].0, &mut region)?;
+            Ok(true)
+        });
+        leaf.split_lock().release(ctx);
+        if out.value {
+            ctx.metric_add(Counter::ContentionSplits, 1);
+        }
     }
 
     /// §4.2.3: sort → split → reorganize. `records` holds the full sorted

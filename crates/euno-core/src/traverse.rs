@@ -93,6 +93,14 @@ const HINT_BLOCK_SHIFT: u32 = 3;
 /// (`euno_htm::hint`); DESIGN.md §4.4.
 const SUBTREE_BLOCK_SHIFT: u32 = 10;
 
+/// Operations a thread must have finished since its last range scan before
+/// a conflict of its own may split a leaf ([`EunoBTree::split_if_contended`]).
+/// A split adds a leaf to every later scan of its range — six more lines
+/// to read, most of them hot — so a thread that scans leaves the hot leaves
+/// as they are; a thread starts out as if it had just scanned. At 20 %
+/// scans (`virt-scan-churn`) no thread ever goes this long without one.
+const SPLIT_AFTER_SCAN_OPS: u64 = 256;
+
 /// What a [descent](EunoBTree::descend) found.
 pub(crate) struct Descent<'g, const SEGS: usize, const K: usize>
 where
@@ -521,6 +529,7 @@ where
             ctx.charge(self.rt.cost.alu * 3); // hash computation
             let (slots, claim) = ([slot], u64::from(req == Req::Put) << slot);
             let stage = self.ccm_enter(ctx, g, leaf, &slots, claim);
+            let protected = stage.protected();
             // Pre-lock if an insert may split (lines 39-40).
             let split_locked = req == Req::Put
                 && (stage.may_insert()
@@ -554,7 +563,11 @@ where
             if split_locked {
                 leaf.split_lock().release(ctx);
             }
-            self.ccm_leave(ctx, g, leaf, stage, upper_conflicts + lower_conflicts);
+            let conflicts = upper_conflicts + lower_conflicts;
+            self.ccm_leave(ctx, g, leaf, stage, conflicts);
+            if conflicts > 0 && protected {
+                self.split_if_contended(ctx, g, leaf);
+            }
 
             match outcome {
                 Lower::Done(v) => {
@@ -568,6 +581,31 @@ where
                     force_split_lock = true;
                 }
             }
+        }
+    }
+
+    /// Leaf size follows contention (`read_opt` only). The caller ran
+    /// protected on `leaf` — its lock bits queued same-record writers — and
+    /// still met a conflict: most likely a false one, records of other keys
+    /// on the lines it touched, and a split puts half of them on another
+    /// leaf's lines. A leaf with no more live records than segments is
+    /// left as it is: one record a line is as far as splitting spreads
+    /// them. The split-born half inherits the protected verdict, so a hot
+    /// range keeps splitting, conflict by conflict, until its leaves are
+    /// down to that. Vetoed for [`SPLIT_AFTER_SCAN_OPS`] operations after
+    /// the thread's last scan — a check of a thread-private counter, the
+    /// only cost a vetoed operation pays.
+    fn split_if_contended(
+        &self,
+        ctx: &mut ThreadCtx,
+        g: Guard<'_, SEGS, K>,
+        leaf: &EunoLeaf<SEGS, K>,
+    ) {
+        if !self.cfg.read_opt || ctx.ops_since_scan() < SPLIT_AFTER_SCAN_OPS {
+            return;
+        }
+        if leaf.live_direct(ctx) > SEGS {
+            self.contention_split(ctx, g, leaf);
         }
     }
 

@@ -199,6 +199,19 @@ impl Stage {
                             stage.delete(&mut other, key);
                         }
                     }
+                    // The sweep merges no protected leaf, and either may be
+                    // protected: by the test, or by conflicts this thread,
+                    // its clock behind the interrupted one's, met. Calm
+                    // them, as a quiet window would. (The merged-away
+                    // leaf's block is retired with it either way.)
+                    for keys in [sibling, group] {
+                        other.pinned(|other, g| {
+                            let leaf = tree.locate(other, g, keys[0]).leaf;
+                            if leaf.ccm(g).is_some() {
+                                tree.calm_block_plain(leaf);
+                            }
+                        });
+                    }
                     assert!(tree.maintain(&mut other) > 0, "{what}");
                     assert!(!chained(tree, leaf0), "{what}: the leaf was merged away");
                     // The interrupted operation's pin predates the unlink:

@@ -133,8 +133,12 @@ pub struct ThreadCtx {
     /// This thread's epoch-reclamation participant (see [`crate::epoch`]):
     /// trees pin it around every operation via [`ThreadCtx::pinned`].
     reclaim: crate::epoch::Participant,
-    /// Unpin counter driving the opportunistic collection cadence.
+    /// Unpin counter driving the opportunistic collection cadence — one
+    /// tick per operation, so also the thread's operation clock.
     reclaim_ticks: u64,
+    /// `reclaim_ticks` when this thread last ran a range scan
+    /// ([`ThreadCtx::note_scan`]); 0 at birth, as if it had just scanned.
+    scan_tick: u64,
     /// This thread's hint caches (see [`crate::hint`]): scratch like
     /// `spare`, both allocated by the first record into either.
     hints: HintTable<HINT_WORDS, HINT_WAYS, SecondChance>,
@@ -165,6 +169,7 @@ impl ThreadCtx {
             tracer: None,
             reclaim,
             reclaim_ticks: 0,
+            scan_tick: 0,
             hints: HintTable::default(),
             anchors: HintTable::default(),
             shard,
@@ -399,6 +404,21 @@ impl ThreadCtx {
             }
         }
         out
+    }
+
+    /// A tree is running a range scan on this thread: what
+    /// [`ThreadCtx::ops_since_scan`] counts from. Thread-private and
+    /// uncharged.
+    #[inline]
+    pub fn note_scan(&mut self) {
+        self.scan_tick = self.reclaim_ticks;
+    }
+
+    /// Operations (outermost unpins) this thread has finished since it last
+    /// noted a scan — or since it was created, which counts as one.
+    #[inline]
+    pub fn ops_since_scan(&self) -> u64 {
+        self.reclaim_ticks - self.scan_tick
     }
 
     /// Whether this thread currently holds an epoch pin.

@@ -107,6 +107,10 @@ define_metric_enum! {
         // and read the leaf under its split lock in an HTM region. The
         // optimistic re-tries themselves count in `optimistic_retries`.
         ScanLockedSteps => "scan_locked_steps",
+        // Leaves a point operation split because they kept conflicting
+        // while protected and held more records than segments (the
+        // `read_opt` contention split, `euno-core`'s `traverse`).
+        ContentionSplits => "contention_splits",
         // Leaf hints (the first rung of the Euno-B+Tree's upper stage).
         // Every probe counts in exactly one of the three: answered from
         // the thread's own table; an entry of the key's block at or below

@@ -1,12 +1,14 @@
-//! The census of a `virt-*` benchmark run: every counter the tree's
-//! runtime kept, per operation — the leaf-hint probes split into hits,
-//! stale entries and misses among them — and each operation kind's
-//! latency tail, over the very schedule that `benchmark/run.sh --workload
-//! <w> --seed <s> --seconds <n>` measures.
-//! The benchmark's generator and virtual pass are compiled in from
-//! `benchmark/src`, not copied, so the throughput printed beside the
-//! counts is the benchmark's `throughput_ops_s` bit for bit; if the two
-//! differ, this file has drifted from the benchmark.
+//! The census of a `virt-*` benchmark run: the run's gated end-to-end
+//! cells, every counter the tree's runtime kept, per operation — the
+//! leaf-hint probes split into hits, stale entries and misses among them —
+//! and each operation kind's mean and latency tail, over the very schedule
+//! that `benchmark/run.sh --workload <w> --seed <s> --seconds <n>`
+//! measures. The benchmark's generator and virtual pass are compiled in
+//! from `benchmark/src`, not copied, so the throughput, latencies and
+//! bytes per key printed first are the benchmark's `throughput_ops_s`,
+//! `lat_p50_ns`, `lat_p99_ns`, `lat_p999_ns` and `mem_bytes_per_key` bit
+//! for bit (its `setup_s` is wall time, and not here); if they differ,
+//! this file has drifted from the benchmark.
 //!
 //! ```sh
 //! cargo run --release --example virt_census -- virt-hot 1      # --seconds 10
@@ -21,7 +23,7 @@ use std::sync::Arc;
 
 use euno_core::{EunoBTreeDefault, EunoConfig};
 use euno_htm::euno_metrics::Counter;
-use euno_htm::Runtime;
+use euno_htm::{ConcurrentMap, Runtime};
 
 // The benchmark's virtual pass and what it needs, as the benchmark builds
 // them (it is a package of its own, outside the workspace).
@@ -79,22 +81,43 @@ fn main() {
         virt::WARMUP_PER_SECOND * seconds,
         virt::MEASURED_PER_SECOND * seconds,
     );
-    let pass = virt::run_pass(&tree, &rt, &streams, seed, warm, measured, false);
+    // Traced: a span per measured op gives each kind's exact mean. Spans
+    // read the clock and charge nothing, so the schedule is the untraced
+    // one the benchmark gates.
+    let pass = virt::run_pass(&tree, &rt, &streams, seed, warm, measured, true);
 
     let ops = (warm + measured) * virt::THREADS as u64;
+    let ns_per_cycle = 1e9 / rt.cost.freq_hz;
+    let mem_bytes_per_key =
+        tree.memory().total_live() as f64 / tree.stats().live_records.max(1) as f64;
     println!(
-        "{} seed {seed} --seconds {seconds}: throughput_ops_s {} lat_p999 {:.0} cycles, failed {}",
-        args[0],
-        pass.throughput,
-        pass.lat.quantile(0.999),
-        pass.failed
+        "{} seed {seed} --seconds {seconds}: failed {}",
+        args[0], pass.failed
     );
+    println!("  throughput_ops_s {}", pass.throughput);
+    for (name, q) in [("p50", 0.5), ("p99", 0.99), ("p999", 0.999)] {
+        println!("  lat_{name}_ns {}", pass.lat.quantile(q) * ns_per_cycle);
+    }
+    println!("  mem_bytes_per_key {mem_bytes_per_key}");
+    let total = |c: Counter| rt.metrics().total(c);
+    println!("  contention_splits {}", total(Counter::ContentionSplits));
     println!("measured latency by kind, cycles (op overhead included):");
-    for (name, lat) in ["get", "put", "delete", "scan"].iter().zip(&pass.lat_kind) {
+    for ((name, span), lat) in ["get", "put", "delete", "scan"]
+        .iter()
+        .zip(virt::OP_SPAN_NAMES)
+        .zip(&pass.lat_kind)
+    {
         if lat.count() > 0 {
+            let cycles: u64 = pass
+                .spans
+                .iter()
+                .filter(|s| s.name == span)
+                .map(|s| s.end - s.start)
+                .sum();
             println!(
-                "  {name:<7} {:>7} ops  p50 {:>6.0}  p99 {:>6.0}  p999 {:>6.0}  max {:>7}",
+                "  {name:<7} {:>7} ops  mean {:>7.1}  p50 {:>6.0}  p99 {:>6.0}  p999 {:>6.0}  max {:>7}",
                 lat.count(),
+                cycles as f64 / lat.count() as f64,
                 lat.quantile(0.5),
                 lat.quantile(0.99),
                 lat.quantile(0.999),
@@ -102,7 +125,6 @@ fn main() {
             );
         }
     }
-    let total = |c: Counter| rt.metrics().total(c);
     let probes: u64 = [
         Counter::LeafHintHits,
         Counter::LeafHintStale,

@@ -285,6 +285,17 @@ echo "smoke-readpath (churn stress + read-mostly bench) OK"
 stress_both_euno --churn-phased --ops 3000 --seed 20170204 --duration 5
 echo "phased-churn stress + linearizability check OK"
 
+# Contention splits: leaf size follows contention under default() — a
+# protected leaf that keeps conflicting splits down to a record a line
+# (none while the thread scanned lately, none under paper()), and the
+# sweep merges no protected leaf.  The virtual-clock test checks the split
+# leaves, the scan veto and the model; the --hot stress preset (8 threads
+# on 16 adjacent keys, no scans) then runs the split and the join rule on
+# real threads, with the maintenance thread sweeping, under the oracle.
+cargo test -q --release -p euno-core --test contention_split
+stress_both_euno --hot --seed 20261018 --duration 5
+echo "contention-splits (virtual-clock split test + hot-range stress) OK"
+
 # Bounded-maintenance: the deferred re-balance sweep must stay sliced.
 # The integration test runs 16 logical threads on the virtual clock with
 # the delete threshold lowered and fails if any single op exceeds 100 000
