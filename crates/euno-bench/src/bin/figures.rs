@@ -14,7 +14,7 @@ use euno_bench::figures::{find, Figure, FIGURES};
 
 fn main() -> ExitCode {
     let names: Vec<&str> = FIGURES.iter().map(|f| f.stem).collect();
-    let cli = Cli::parse(&["--out", "--check"], &names);
+    let cli = Cli::parse(&names);
     let figures: Vec<&Figure> = if cli.names.is_empty() {
         FIGURES.iter().collect()
     } else {

@@ -1,4 +1,4 @@
-//! Shared plumbing for the measuring binaries: system registry, run
+//! Shared plumbing for the `figures` binary: system registry, run
 //! orchestration, command line, table/CSV/report emission.
 //!
 //! Every virtual-clock figure follows the same recipe (the table in
@@ -162,14 +162,14 @@ pub(crate) fn measure_on(
 
 /// Global scale factor for op budgets: `EUNO_BENCH_SCALE` (default 1.0;
 /// the quick CI runs set 0.1).
-pub fn scale() -> f64 {
+fn scale() -> f64 {
     std::env::var("EUNO_BENCH_SCALE")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(1.0)
 }
 
-pub fn scaled(ops: u64) -> u64 {
+fn scaled(ops: u64) -> u64 {
     ((ops as f64 * scale()) as u64).max(200)
 }
 
@@ -186,30 +186,21 @@ pub fn fig_config(seed: u64, ops_per_thread: u64) -> RunConfig {
     }
 }
 
-/// The flags every measuring binary takes.
-const SHARED_FLAGS: &str = "\
+/// The flags `figures` takes.
+const FLAGS: &str = "\
 flags: --ops <n>             measured ops per thread (caps the warm-up too)
        --threads <n>         threads (a thread sweep keeps its own)
        --theta <f64>         Zipf skew of a figure that holds it fixed
        --keys <n>            key range
        --trace <path>        Chrome trace JSON of the first cell, + <path>.folded
        --trace-capacity <n>  per-thread ring size for --trace
-       --profile             hot-leaf contention table in the run report";
+       --profile             hot-leaf contention table in the run report
+       --out <dir>           write <dir>/<stem>.csv and BENCH_<id>.json
+       --check               compare with --out's CSVs (default results/); exit 1 if one moved";
 
-/// The flags a binary may take beside those; [`Cli::parse`] accepts the
-/// ones the binary names.
-const OWN_FLAGS: [&str; 4] = [
-    "--csv <path>          write the CSV, and BENCH_<id>.json beside it",
-    "--only <substr>       run only rows whose label contains it",
-    "--out <dir>           write <dir>/<stem>.csv and BENCH_<id>.json",
-    "--check               compare with --out's CSVs (default results/); exit 1 if one moved",
-];
-
-/// The command line of a measuring binary: [`SHARED_FLAGS`], and those of
-/// [`OWN_FLAGS`] the binary takes.
+/// The command line of `figures`: [`FLAGS`] and the figures to run.
 #[derive(Default)]
 pub struct Cli {
-    pub csv: Option<String>,
     pub out: Option<String>,
     pub check: bool,
     /// Positional arguments: the figures to run.
@@ -221,9 +212,6 @@ pub struct Cli {
     /// Key-range override: preload cost scales with the range, so smoke
     /// runs (scripts/check.sh) pass a small `--keys` to stay cheap.
     pub keys_override: Option<u64>,
-    /// Row filter: only run measurement points whose x-label contains this
-    /// substring (engine_bench).
-    pub only: Option<String>,
     /// Export the first measured cell's event trace as Chrome trace-event
     /// JSON to this path (plus a `<path>.folded` flamegraph rollup).
     pub trace: Option<String>,
@@ -237,21 +225,15 @@ pub struct Cli {
 }
 
 impl Cli {
-    /// Parse the process arguments: the shared flags, the binary's `own`
-    /// ones, and positional arguments from `names`. Anything else exits 2
-    /// with the usage text; `--help` prints it and exits 0.
-    pub fn parse(own: &[&str], names: &[&str]) -> Cli {
-        let why = match Cli::parse_args(std::env::args().skip(1), own, names) {
+    /// Parse the process arguments: [`FLAGS`], and positional arguments
+    /// from `names`. Anything else exits 2 with the usage text; `--help`
+    /// prints it and exits 0.
+    pub fn parse(names: &[&str]) -> Cli {
+        let why = match Cli::parse_args(std::env::args().skip(1), names) {
             Ok(cli) => return cli,
             Err(why) => why,
         };
-        let mut usage = SHARED_FLAGS.to_string();
-        for line in OWN_FLAGS
-            .iter()
-            .filter(|l| own.contains(&&l[..l.find(' ').unwrap()]))
-        {
-            let _ = write!(usage, "\n       {line}");
-        }
+        let mut usage = FLAGS.to_string();
         if !names.is_empty() {
             let _ = write!(usage, "\nnames: {} (default: all)", names.join(" "));
         }
@@ -267,7 +249,6 @@ impl Cli {
     /// (`--help`), `Err(Some(why))` is a bad command line.
     fn parse_args(
         mut args: impl Iterator<Item = String>,
-        own: &[&str],
         names: &[&str],
     ) -> Result<Cli, Option<String>> {
         fn value(flag: &str, v: Option<String>) -> Result<String, Option<String>> {
@@ -283,7 +264,6 @@ impl Cli {
         }
         let mut cli = Cli::default();
         while let Some(a) = args.next() {
-            let mine = own.contains(&a.as_str());
             match a.as_str() {
                 "--ops" => cli.ops_override = Some(number(&a, args.next())?),
                 "--threads" => cli.threads_override = Some(number(&a, args.next())?),
@@ -292,10 +272,8 @@ impl Cli {
                 "--trace-capacity" => cli.trace_capacity = Some(number(&a, args.next())?),
                 "--trace" => cli.trace = Some(value(&a, args.next())?),
                 "--profile" => cli.profile = true,
-                "--csv" if mine => cli.csv = Some(value(&a, args.next())?),
-                "--only" if mine => cli.only = Some(value(&a, args.next())?),
-                "--out" if mine => cli.out = Some(value(&a, args.next())?),
-                "--check" if mine => cli.check = true,
+                "--out" => cli.out = Some(value(&a, args.next())?),
+                "--check" => cli.check = true,
                 "--help" | "-h" => return Err(None),
                 name if names.contains(&name) => cli.names.push(a.clone()),
                 other => return Err(Some(format!("unknown argument {other}"))),

@@ -1,13 +1,8 @@
 //! # euno-bench — the paper's evaluation, regenerated
 //!
-//! Two binaries (`cargo run --release -p euno-bench --bin <name>`):
-//!
-//! | binary | what it runs |
-//! |---|---|
-//! | `figures` | every virtual-clock figure and table, from one table ([`figures::FIGURES`]) |
-//! | `engine_bench` | wall-clock cost of the episode machinery itself |
-//!
-//! `figures [NAME…]` runs, by CSV stem:
+//! One binary, `figures` (`cargo run --release -p euno-bench --bin
+//! figures`), runs every virtual-clock figure and table from one table
+//! ([`figures::FIGURES`]). `figures [NAME…]` runs, by CSV stem:
 //!
 //! | figure | reproduces |
 //! |---|---|
@@ -26,9 +21,9 @@
 //!
 //! `--out <dir>` writes each figure's CSV and `BENCH_<id>.json`, each
 //! report validated before it is written; `--check` compares the CSVs with
-//! those recorded in `results/` instead. All honour
-//! `EUNO_BENCH_SCALE` for quick runs. Self-timed microbenches (plain
-//! `main()`, `harness = false`) live in `benches/`.
+//! those recorded in `results/` instead. `EUNO_BENCH_SCALE` scales every
+//! op budget for quick runs. The engine's wall-clock cost is measured by
+//! the repo benchmark's layer ladder (`benchmark/`), not here.
 
 #![forbid(unsafe_code)]
 

@@ -42,14 +42,11 @@ fn every_figure_emits_its_declared_rows_the_recorded_header_and_a_valid_report()
     }
 }
 
-/// `results/` holds a report for every figure of the table and for
-/// `engine_bench`, each passing the schema, and nothing no producer writes:
-/// besides the reports, only the CSVs of the table and of `engine_bench`,
-/// `README.md` and `all_figures.log`.
+/// `results/` holds a report for every figure of the table, each passing
+/// the schema, and nothing the table does not write: besides the reports,
+/// only the table's CSVs, `README.md` and `all_figures.log`.
 #[test]
 fn every_recorded_report_validates_and_has_a_producer() {
-    // The id and CSV stem `engine_bench` writes under.
-    const ENGINE: &str = "engine";
     let dir = format!("{}/../../results", env!("CARGO_MANIFEST_DIR"));
     let mut recorded = Vec::new();
     for entry in std::fs::read_dir(&dir).expect(&dir) {
@@ -59,24 +56,21 @@ fn every_recorded_report_validates_and_has_a_producer() {
             .and_then(|n| n.strip_suffix(".json"))
         else {
             let produced = match name.strip_suffix(".csv") {
-                Some(stem) => stem == ENGINE || FIGURES.iter().any(|f| f.stem == stem),
+                Some(stem) => FIGURES.iter().any(|f| f.stem == stem),
                 None => name == "README.md" || name == "all_figures.log",
             };
-            assert!(
-                produced,
-                "{name}: neither the figure table nor engine_bench writes it"
-            );
+            assert!(produced, "{name}: the figure table does not write it");
             continue;
         };
         let text = std::fs::read_to_string(format!("{dir}/{name}")).unwrap();
         validate_report(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(
-            id == ENGINE || FIGURES.iter().any(|f| f.id == id),
-            "{name}: neither the figure table nor engine_bench writes it"
+            FIGURES.iter().any(|f| f.id == id),
+            "{name}: the figure table does not write it"
         );
         recorded.push(id.to_string());
     }
-    for id in FIGURES.iter().map(|f| f.id).chain([ENGINE]) {
+    for id in FIGURES.iter().map(|f| f.id) {
         assert!(
             recorded.iter().any(|r| r == id),
             "results/BENCH_{id}.json is missing"
@@ -113,13 +107,15 @@ fn figures(args: &[&str]) -> (Option<i32>, String) {
 
 #[test]
 fn an_unknown_flag_exits_2_with_the_usage_text() {
-    let (code, stderr) = figures(&["--no-such-flag"]);
-    assert_eq!(code, Some(2));
-    assert!(
-        stderr.contains("unknown argument --no-such-flag"),
-        "{stderr}"
-    );
-    assert!(stderr.contains("--out <dir>"), "{stderr}");
+    for flag in ["--no-such-flag", "--csv"] {
+        let (code, stderr) = figures(&[flag]);
+        assert_eq!(code, Some(2));
+        assert!(
+            stderr.contains(&format!("unknown argument {flag}")),
+            "{stderr}"
+        );
+        assert!(stderr.contains("--out <dir>"), "{stderr}");
+    }
 }
 
 #[test]

@@ -354,6 +354,10 @@ pub fn run_stress(
                         tree.scan(&mut ctx, key, cfg.scan_len as usize, &mut out);
                         rec.respond(OpOutput::Scan(out.clone()));
                     }
+                    // Counted as `VirtualScheduler` counts one: in the
+                    // thread's stats and on its metrics shard.
+                    ctx.stats.ops += 1;
+                    ctx.metric_add(Counter::Ops, 1);
                 }
                 drop(rec); // flush this thread's ops
                 (
@@ -623,6 +627,23 @@ mod tests {
             snapshots: Vec::new(),
         };
         assert_eq!(r.path_split(), (3, 5));
+    }
+
+    #[test]
+    fn every_worker_op_is_counted_in_stats_and_metrics() {
+        let cfg = StressConfig {
+            threads: 3,
+            ops_per_thread: 200,
+            key_range: 64,
+            preload: 32,
+            ..StressConfig::default()
+        };
+        assert_eq!(cfg.duration_ms, 0, "no duration cap: every op runs");
+        let report = &run_all(&cfg, Some("HTM-B+Tree"))[0];
+        let ops = u64::from(cfg.threads) * cfg.ops_per_thread;
+        assert_eq!(report.stats.ops, ops);
+        let last = report.snapshots.last().expect("a final snapshot");
+        assert_eq!(last.counters[Counter::Ops.index()], ops);
     }
 
     #[test]

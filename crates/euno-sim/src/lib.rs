@@ -3,8 +3,7 @@
 //! Schedules N logical threads on a virtual cycle clock so the Eunomia
 //! paper's 16-20-thread contention experiments can run (deterministically)
 //! on any host. Real OS threads are driven elsewhere: by `euno-check`'s
-//! stress runner, `euno-bench`'s `engine_bench`, and the benchmark's wall
-//! pass.
+//! stress runner and the benchmark's wall pass.
 //!
 //! The scheduler always resumes the logical thread with the smallest
 //! virtual clock; operations overlap in virtual time, and the `euno-htm`

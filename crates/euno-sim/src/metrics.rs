@@ -7,12 +7,11 @@ use euno_trace::{LeafProfile, ThreadTrace};
 /// Aggregated result of one experiment run (one point of one figure).
 #[derive(Clone, Debug)]
 pub struct RunMetrics {
-    /// Number of worker threads (virtual or OS).
+    /// Number of logical threads.
     pub threads: usize,
     /// Completed operations across all threads.
     pub total_ops: u64,
-    /// Makespan: virtual seconds ([`RunMetrics::from_virtual`]) or wall
-    /// seconds ([`RunMetrics::from_wall`]) from first op to last.
+    /// Makespan: virtual seconds from the first measured op to the last.
     pub elapsed_secs: f64,
     /// `total_ops / elapsed_secs` — the y-axis of Figures 1, 8, 10-12.
     pub throughput: f64,
@@ -61,32 +60,7 @@ impl RunMetrics {
     ) -> Self {
         let measure_start = stats.measure_start_cycles.unwrap_or(0);
         let span = makespan_cycles.saturating_sub(measure_start).max(1);
-        let elapsed = cost.cycles_to_secs(span);
-        Self::build(stats, threads, stages, elapsed, latency)
-    }
-
-    /// Build from a run's merged stats, its thread count, measured wall
-    /// time and the merged per-operation latency histogram (`engine_bench`'s
-    /// wall-clocked runs). Pass `LogHistogram::new()` only when the harness
-    /// genuinely recorded no latencies — reports distinguish "no samples"
-    /// from "not wired".
-    pub fn from_wall(
-        stats: ThreadStats,
-        threads: usize,
-        stages: ExecStages,
-        elapsed_secs: f64,
-        latency: LogHistogram,
-    ) -> Self {
-        Self::build(stats, threads, stages, elapsed_secs.max(1e-9), latency)
-    }
-
-    fn build(
-        stats: ThreadStats,
-        threads: usize,
-        stages: ExecStages,
-        elapsed_secs: f64,
-        latency: LogHistogram,
-    ) -> Self {
+        let elapsed_secs = cost.cycles_to_secs(span);
         let ops = stats.ops.max(1);
         RunMetrics {
             threads,
@@ -161,11 +135,12 @@ mod tests {
 
     #[test]
     fn zero_ops_does_not_divide_by_zero() {
-        let m = RunMetrics::from_wall(
+        let m = RunMetrics::from_virtual(
             ThreadStats::default(),
             1,
             ExecStages::default(),
-            0.0,
+            0,
+            &CostModel::default(),
             LogHistogram::new(),
         );
         assert_eq!(m.total_ops, 0);
@@ -179,12 +154,22 @@ mod tests {
             ops: 5_000_000,
             ..Default::default()
         };
-        let m = RunMetrics::from_wall(a, 1, ExecStages::default(), 1.0, LogHistogram::new());
+        // One virtual second: as many cycles as the clock ticks in one.
+        let cost = CostModel::default();
+        let second = cost.freq_hz as u64;
+        let m = RunMetrics::from_virtual(
+            a,
+            1,
+            ExecStages::default(),
+            second,
+            &cost,
+            LogHistogram::new(),
+        );
         assert!((m.mops() - 5.0).abs() < 1e-9);
     }
 
     #[test]
-    fn from_wall_carries_latency_histogram() {
+    fn from_virtual_carries_latency_histogram() {
         let mut h = LogHistogram::new();
         for v in [100u64, 200, 400, 100_000] {
             h.record(v);
@@ -193,7 +178,8 @@ mod tests {
             ops: 4,
             ..Default::default()
         };
-        let m = RunMetrics::from_wall(a, 1, ExecStages::default(), 0.5, h);
+        let cost = CostModel::default();
+        let m = RunMetrics::from_virtual(a, 1, ExecStages::default(), 1_150_000_000, &cost, h);
         assert_eq!(m.latency.count(), 4);
         let (p50, p99, p999) = (
             m.latency.quantile(0.5),

@@ -731,7 +731,8 @@ mod tests {
             backoffs: 2,
             ..Default::default()
         };
-        RunMetrics::from_wall(t, 1, stages, 0.001, hist)
+        // 1 ms of virtual time past the warm-up mark.
+        RunMetrics::from_virtual(t, 1, stages, 2_301_000, &CostModel::default(), hist)
     }
 
     fn sample_report() -> RunReport {

@@ -4,13 +4,16 @@
 //! counter, the run report's `aborts` key and the Chrome trace's `cause`.
 
 use euno_htm::euno_metrics::{AbortClass, ExecStages, LogHistogram, ABORTS_HTM};
-use euno_htm::{AbortCause, ConflictInfo, LineId, RetryPolicy, Runtime, ThreadStats, TxCell};
+use euno_htm::{
+    AbortCause, ConflictInfo, CostModel, LineId, RetryPolicy, Runtime, ThreadStats, TxCell,
+};
 use euno_sim::report::metrics_json;
 use euno_sim::{chrome_trace, Json, RunMetrics, TraceBuf};
 
 /// The run report's `aborts` section for one thread's stats.
 fn report_aborts(stats: ThreadStats) -> Json {
-    let m = RunMetrics::from_wall(stats, 1, ExecStages::default(), 1.0, LogHistogram::new());
+    let (cost, hist) = (CostModel::default(), LogHistogram::new());
+    let m = RunMetrics::from_virtual(stats, 1, ExecStages::default(), 1, &cost, hist);
     metrics_json(&m)
         .get("aborts")
         .cloned()

@@ -6,9 +6,9 @@
 # (euno-sim::report, DESIGN.md §11), a BENCH_<figure>.json next to it with
 # full provenance: workload spec, θ, thread count, seed, policy, cost-model
 # constants, git describe, per-cause abort counts, stage counters and
-# latency quantiles for every run.  The wall-clock engine bench follows.
-# Every report is validated against the schema as it is written — a drift
-# fails the script.
+# latency quantiles for every run.  Every report is validated against the
+# schema as it is written — a drift fails the script.  The engine's
+# wall-clock cost is the repo benchmark's to measure (benchmark/README.md).
 #
 # Usage: scripts/bench.sh [scale]
 #   scale defaults to $EUNO_BENCH_SCALE, then 0.3 — the scale the recorded
@@ -25,13 +25,7 @@ mkdir -p "$OUT"
 
 cargo build --release -p euno-bench
 
-run() { # run <binary> <args…>
-    echo "=== $1 ===" | tee -a "$LOG"
-    cargo run --release -q -p euno-bench --bin "$@" 2>&1 | tee -a "$LOG"
-}
-
 : >"$LOG"
 echo "# EUNO_BENCH_SCALE=$SCALE  $(date -u +%Y-%m-%dT%H:%M:%SZ)" | tee -a "$LOG"
 # Prints its own `=== <figure> ===` sections.
 cargo run --release -q -p euno-bench --bin figures -- --out "$OUT" 2>&1 | tee -a "$LOG"
-run engine_bench -- --csv "$OUT/engine.csv"

@@ -90,32 +90,18 @@ figures fig10_scalability --out "$SMOKE" --ops 50 --keys 2000 --profile \
 grep -q '"profile"' "$SMOKE/BENCH_fig10.json"
 echo "smoke-trace report + export + thread-sweep profile OK"
 
-# Engine smoke: a tiny wall-clock run of the episode machinery itself
-# (raw scenarios + the tree workload, virtual and concurrent modes), whose
-# report is schema-validated as it is written.  Catches hot-path
-# regressions that break the bench harness rather than the trees —
-# throughput here is NOT judged (wall-clock numbers are meaningless at
-# smoke sizes), only that every scenario completes and emits a
-# well-formed report.
-cargo run --release -q -p euno-bench --bin engine_bench -- \
-    --csv "$SMOKE/engine.csv" --ops 2000 >/dev/null 2>"$SMOKE/engine.err"
-echo "smoke-engine report OK"
-
-# Smoke-stm: the TL2 software backend on real threads.  The engine bench
-# must emit its engine-stm rows (the backend axis is load-bearing for
-# EXPERIMENTS.md) — and, from the same one build, its engine-rtm rows
-# wherever the binary itself says the CPU has RTM.  The dedicated
-# concurrent-correctness suites — hot cell (both backends), permuted
-# commit orders, transfer invariant, commit-path ABA (euno-htm's tl2_stm
-# and aba_regression) — ran at their checked-in sizes under the tier-1
-# `cargo test` above, in this same debug profile.
-grep -q "engine-stm" "$SMOKE/engine.csv" \
-    || { echo "smoke-stm: engine-stm rows missing from engine bench"; exit 1; }
-if ! grep -q "engine-rtm rows skipped" "$SMOKE/engine.err"; then
-    grep -q "engine-rtm" "$SMOKE/engine.csv" \
-        || { echo "smoke-stm: hw_rtm_available() but no engine-rtm rows"; exit 1; }
-fi
-echo "smoke-stm (TL2 + RTM backend rows; concurrent suites ran in tier-1) OK"
+# Hardware-rtm: the concurrent runtime elides on Intel RTM where CPUID
+# reports it and runs the TL2 software transactions elsewhere, and says
+# which.  The example exits 0 only if no cell transfer was lost, on
+# whichever backend it got; its first line must name the backend CPUID
+# calls for.  The dedicated concurrent-correctness suites — hot cell (both
+# backends), permuted commit orders, transfer invariant, commit-path ABA
+# (euno-htm's tl2_stm and aba_regression) — ran at their checked-in sizes
+# under the tier-1 `cargo test` above.
+cargo run --release -q --example hardware_rtm >"$SMOKE/rtm.out"
+grep -qxE 'backend: (Rtm \(CPU reports RTM: true\)|Stm \(CPU reports RTM: false\))' "$SMOKE/rtm.out" \
+    || { echo "hardware-rtm: backend is not the one CPUID calls for"; head -1 "$SMOKE/rtm.out"; exit 1; }
+echo "hardware-rtm ($(head -1 "$SMOKE/rtm.out"); no transfer lost) OK"
 
 # Held names: `Counter::Middles` and `ABORTS_MIDDLE` outlived the
 # executor's middle path only because the frozen `benchmark/` imports

@@ -4,8 +4,9 @@
 //! Scaling Concurrent Search Trees under Contention Using HTM*, PPoPP
 //! 2017) behind one dependency:
 //!
-//! * [`htm`] — the software HTM engine (TSX-like cache-line conflict
-//!   detection, two execution modes),
+//! * [`htm`] — the transactional engine and its three backends: the
+//!   virtual-time TSX model, TL2 software transactions on real threads,
+//!   and Intel RTM where the CPU has it,
 //! * [`tree`] — Euno-B+Tree, the paper's contribution,
 //! * [`baselines`] — HTM-B+Tree, Masstree, HTM-Masstree comparators,
 //! * [`workloads`] — YCSB-style key distributions and op mixes,
