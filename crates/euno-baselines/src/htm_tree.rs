@@ -32,7 +32,7 @@
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-use euno_htm::bptree::{promote, upper_bound, Linked, Propagate};
+use euno_htm::bptree::{promote, upper_bound, Linked, Propagate, Unpublished};
 use euno_htm::{
     ConcurrentMap, IndexNode, MemoryReport, NodeArenas, NodeRef, RetryPolicy, Runtime, ThreadCtx,
     Tx, TxCell, TxResult, KEY_SENTINEL, TOMBSTONE,
@@ -96,7 +96,7 @@ pub struct Split<'a, 't, V, const F: usize> {
     right: &'t Leaf<F>,
     sep: u64,
     path: &'a mut Vec<&'t IndexNode<F>>,
-    unpublished: &'a mut Vec<NodeRef>,
+    unpublished: &'a mut Unpublished,
 }
 
 /// HTM-B+Tree's policy: no version words, and a split climbs the
@@ -253,7 +253,7 @@ impl<V: Versions<F>, const F: usize> HtmTree<V, F> {
         leaf: &'t Leaf<F>,
         key: u64,
         path: &mut Vec<&'t IndexNode<F>>,
-        unpublished: &mut Vec<NodeRef>,
+        unpublished: &mut Unpublished,
     ) -> TxResult<&'t Leaf<F>> {
         let right: &'t Leaf<F> = self.arenas.leaves.alloc(Leaf::empty());
         right.register(&self.rt);
@@ -301,7 +301,7 @@ impl<V: Versions<F>, const F: usize> ConcurrentMap for HtmTree<V, F> {
         assert!(key < KEY_SENTINEL && value != TOMBSTONE);
         // Carried across the region's attempts: the path's storage, and
         // the nodes the last attempt allocated (handed back by the next).
-        let (mut path, mut unpublished) = (Vec::with_capacity(8), Vec::new());
+        let (mut path, mut unpublished) = (Vec::with_capacity(8), Unpublished::default());
         ctx.htm_execute(&self.ctrl.fallback, &RetryPolicy::DBX, |tx| {
             self.arenas.hand_back(&self.rt, &mut unpublished);
             path.clear();

@@ -220,24 +220,59 @@ where
     /// buffer, tombstones dropped — for a reorganization, a split or a
     /// merge, which rewrite the segments from it (scans sort in place on
     /// the caller's buffer instead). The buffer is the paper's *reserved
-    /// keys* — allocated for the reorganization and released right after
-    /// (its footprint is charged to the §5.7 transient accounting).
+    /// keys* — a leaf's worth, taken for the reorganization and released
+    /// right after (its footprint is charged to the §5.7 transient
+    /// accounting) — and lives on the stack ([`Reserved`]).
     pub(crate) fn peek_all(
         &self,
         tx: &mut Tx<'_>,
         leaf: &EunoLeaf<SEGS, K>,
-    ) -> TxResult<Vec<(u64, u64)>> {
-        let mut records = Vec::with_capacity(Self::capacity());
+    ) -> TxResult<Reserved<SEGS, K>> {
+        let mut records = Reserved {
+            records: [[(0, 0); K]; SEGS],
+            len: 0,
+        };
         for seg in &leaf.segs {
             seg.read_into(tx, &mut records)?;
         }
-        records.retain(|&(_, v)| v != TOMBSTONE);
         records.sort_unstable_by_key(|&(k, _)| k);
         // Merge-sort cost beyond the per-cell charges.
         tx.charge(self.rt.cost.alu * records.len() as u64);
-        let bytes = records.capacity() * 16;
+        let bytes = Self::capacity() * std::mem::size_of::<(u64, u64)>();
         self.reserved_bytes.allocated(bytes);
         self.reserved_bytes.freed(bytes);
         Ok(records)
+    }
+}
+
+/// A leaf's live records, as [`EunoBTree::peek_all`] gathers them: room
+/// for a full leaf, on the stack, so a split or a reorganization
+/// allocates nothing for its reserved keys. Tombstones are dropped as
+/// they come in.
+pub(crate) struct Reserved<const SEGS: usize, const K: usize> {
+    records: [[(u64, u64); K]; SEGS],
+    len: usize,
+}
+
+impl<const SEGS: usize, const K: usize> Extend<(u64, u64)> for Reserved<SEGS, K> {
+    fn extend<I: IntoIterator<Item = (u64, u64)>>(&mut self, iter: I) {
+        for record in iter.into_iter().filter(|&(_, v)| v != TOMBSTONE) {
+            self.records.as_flattened_mut()[self.len] = record;
+            self.len += 1;
+        }
+    }
+}
+
+impl<const SEGS: usize, const K: usize> std::ops::Deref for Reserved<SEGS, K> {
+    type Target = [(u64, u64)];
+
+    fn deref(&self) -> &[(u64, u64)] {
+        &self.records.as_flattened()[..self.len]
+    }
+}
+
+impl<const SEGS: usize, const K: usize> std::ops::DerefMut for Reserved<SEGS, K> {
+    fn deref_mut(&mut self) -> &mut [(u64, u64)] {
+        &mut self.records.as_flattened_mut()[..self.len]
     }
 }

@@ -412,7 +412,7 @@ where
             };
 
             // Gather both leaves' live records; verify they fit.
-            let mut records = self.peek_all(tx, left)?;
+            let mut records = self.peek_all(tx, left)?.to_vec();
             self.peek_all_into(tx, right, &mut records)?;
             records.retain(|&(_, v)| v != TOMBSTONE);
             records.sort_unstable_by_key(|&(k, _)| k);

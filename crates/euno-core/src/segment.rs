@@ -212,13 +212,13 @@ where
     }
 
     /// Read this segment's records into `out` (transactionally).
-    pub fn read_into(&self, tx: &mut Tx<'_>, out: &mut Vec<(u64, u64)>) -> TxResult<()> {
+    pub fn read_into(&self, tx: &mut Tx<'_>, out: &mut impl Extend<(u64, u64)>) -> TxResult<()> {
         for (key, val) in self.keys.iter().zip(&self.vals) {
             let k = tx.read(key)?;
             if k == KEY_SENTINEL {
                 break;
             }
-            out.push((k, tx.read(val)?));
+            out.extend([(k, tx.read(val)?)]);
         }
         Ok(())
     }

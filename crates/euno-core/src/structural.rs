@@ -13,7 +13,7 @@ use crate::node::{EunoLeaf, Guard, IndexNode, NodeRef, INTERNAL_FANOUT};
 use crate::probe;
 use crate::segment::{KeyPad, Keys};
 use crate::tree::EunoBTree;
-use euno_htm::bptree::{promote, Linked};
+use euno_htm::bptree::{promote, Linked, Unpublished};
 use euno_htm::euno_metrics::Counter;
 use euno_htm::{EventKind, RetryPolicy, ThreadCtx, Tx, TxResult, TxWord};
 
@@ -24,14 +24,14 @@ use euno_htm::{EventKind, RetryPolicy, ThreadCtx, Tx, TxResult, TxWord};
 /// else — what is listed when the region returns is in the tree.
 pub(crate) struct LowerRegion {
     pub split_locked: bool,
-    pub unpublished: Vec<NodeRef>,
+    pub unpublished: Unpublished,
 }
 
 impl LowerRegion {
     pub fn new(split_locked: bool) -> Self {
         LowerRegion {
             split_locked,
-            unpublished: Vec::new(),
+            unpublished: Unpublished::default(),
         }
     }
 }
@@ -44,8 +44,8 @@ where
     /// allocated go back to their arenas
     /// ([`euno_htm::NodeArenas::hand_back`]), and a split-born leaf's CCM
     /// block with its leaf.
-    pub(crate) fn hand_back(&self, g: Guard<'_, SEGS, K>, unpublished: &mut Vec<NodeRef>) {
-        for &node in unpublished.iter().filter(|n| n.is_leaf()) {
+    pub(crate) fn hand_back(&self, g: Guard<'_, SEGS, K>, unpublished: &mut Unpublished) {
+        for node in unpublished.iter().filter(|n| n.is_leaf()) {
             if let Some(block) = g.leaf(node).ccm(g) {
                 self.discard_block(block);
             }

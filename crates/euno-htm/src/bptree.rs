@@ -492,7 +492,7 @@ pub struct Linked<'a, 't, L, const F: usize, V> {
     pub rt: &'t Runtime,
     /// The tree's root word.
     pub root: &'t TxCell<u64>,
-    pub unpublished: &'a mut Vec<NodeRef>,
+    pub unpublished: &'a mut Unpublished,
     /// What an index node that took a separator owes its readers, told
     /// whether it split to take it (a version bump; nothing for a tree
     /// without versions).
@@ -547,6 +547,55 @@ where
     }
 }
 
+/// What an HTM attempt has allocated and not yet published — a split's
+/// new leaf, an index node for each level it splits, a new root — for the
+/// next attempt to [hand back](NodeArenas::hand_back). Inline up to
+/// [`UNPUBLISHED_INLINE`] nodes (a split that climbs seven levels), so a
+/// region that lists its nodes allocates nothing; a deeper climb spills.
+pub struct Unpublished {
+    len: usize,
+    inline: [NodeRef; UNPUBLISHED_INLINE],
+    spill: Vec<NodeRef>,
+}
+
+pub const UNPUBLISHED_INLINE: usize = 8;
+
+impl Default for Unpublished {
+    fn default() -> Self {
+        Unpublished {
+            len: 0,
+            inline: [NodeRef::NULL; UNPUBLISHED_INLINE],
+            spill: Vec::new(),
+        }
+    }
+}
+
+impl Unpublished {
+    pub fn push(&mut self, node: NodeRef) {
+        match self.inline.get_mut(self.len) {
+            Some(slot) => {
+                *slot = node;
+                self.len += 1;
+            }
+            None => self.spill.push(node),
+        }
+    }
+
+    /// The nodes listed, in the order they were.
+    pub fn iter(&self) -> impl Iterator<Item = NodeRef> + '_ {
+        self.inline[..self.len].iter().chain(&self.spill).copied()
+    }
+
+    /// Empty the list, yielding what it held.
+    pub fn drain(&mut self) -> impl Iterator<Item = NodeRef> + '_ {
+        let len = std::mem::take(&mut self.len);
+        self.inline[..len]
+            .iter()
+            .copied()
+            .chain(self.spill.drain(..))
+    }
+}
+
 /// The arenas owning a tree's nodes: leaves of its own type, index nodes
 /// of the shared one.
 pub struct NodeArenas<L, const F: usize> {
@@ -574,7 +623,7 @@ impl<L, const F: usize> NodeArenas<L, F> {
 
     /// A fresh registered index node, listed as `unpublished` until the
     /// attempt that allocated it commits.
-    pub fn alloc_index(&self, rt: &Runtime, unpublished: &mut Vec<NodeRef>) -> &IndexNode<F> {
+    pub fn alloc_index(&self, rt: &Runtime, unpublished: &mut Unpublished) -> &IndexNode<F> {
         let node = self.internals.alloc(IndexNode::empty());
         node.register(rt);
         unpublished.push(NodeRef::of_index(node));
@@ -588,8 +637,8 @@ impl<L, const F: usize> NodeArenas<L, F> {
     /// the last attempt allocated: they go back to their arenas, freed at
     /// once, with no reader to wait out. What is listed when the region
     /// returns is in the tree.
-    pub fn hand_back(&self, rt: &Runtime, unpublished: &mut Vec<NodeRef>) {
-        for node in unpublished.drain(..) {
+    pub fn hand_back(&self, rt: &Runtime, unpublished: &mut Unpublished) {
+        for node in unpublished.drain() {
             let addr = (node.0 & !1) as usize;
             if node.is_leaf() {
                 rt.forget_node_heat(addr, std::mem::size_of::<L>());

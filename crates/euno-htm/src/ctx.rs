@@ -721,21 +721,19 @@ impl ThreadCtx {
                 Ok(unsafe { (*ptr).load(Ordering::Acquire) })
             }
             EpisodeKind::HtmTx => {
-                // Read-your-writes from the buffer.
-                if let Some(&(_, v)) = self
-                    .ep
-                    .as_ref()
-                    .unwrap()
-                    .write_buf
-                    .iter()
-                    .rev()
-                    .find(|(p, _)| p.0 == ptr)
-                {
-                    self.clock += self.rt.cost.access_hit;
-                    self.stats.mem_accesses += 1;
-                    return Ok(v);
+                // Read-your-writes from the buffer — which holds a cell
+                // only if its line is in the write set, so the set (whose
+                // memo answers a repeat of the last line at once) spares
+                // most reads the scan.
+                let line = LineId::of_ptr(ptr);
+                if ep.writes.contains(line) {
+                    if let Some(&(_, v)) = ep.write_buf.iter().rev().find(|(p, _)| p.0 == ptr) {
+                        self.clock += self.rt.cost.access_hit;
+                        self.stats.mem_accesses += 1;
+                        return Ok(v);
+                    }
                 }
-                self.note_access(LineId::of_ptr(ptr), false)?;
+                self.note_access(line, false)?;
                 match self.rt.backend() {
                     Backend::Virtual => Ok(unsafe { (*ptr).load(Ordering::Relaxed) }),
                     Backend::Stm | Backend::Rtm => self.tl2_read(ptr),

@@ -83,17 +83,29 @@ const INLINE_LINES: usize = 16;
 /// Invariant: elements live in `spill` iff `spill` is non-empty (a spilled
 /// set that is `clear()`ed returns to the inline representation, keeping
 /// the spill buffer's capacity for reuse).
+///
+/// The set remembers the line it was last asked to insert (`last`, which
+/// is then always a member): an access to the same line again — the
+/// common case, a node's words read one after another — answers without
+/// a search. `clear` forgets it, and so does `mem::take`, which leaves a
+/// fresh set behind; the memo changes no answer, only how it is found.
 #[derive(Clone)]
 pub struct LineSet {
     inline_len: u8,
+    last: LineId,
     inline: [LineId; INLINE_LINES],
     spill: Vec<LineId>,
 }
+
+/// No line: the memo of a set that has none to remember (a line id is an
+/// address over 64, so `u64::MAX` names none).
+const NO_LINE: LineId = LineId(u64::MAX);
 
 impl LineSet {
     pub fn new() -> Self {
         LineSet {
             inline_len: 0,
+            last: NO_LINE,
             inline: [LineId(0); INLINE_LINES],
             spill: Vec::new(),
         }
@@ -112,27 +124,38 @@ impl LineSet {
     /// Insert a line; returns `true` if it was not present before.
     #[inline]
     pub fn insert(&mut self, line: LineId) -> bool {
+        if line == self.last {
+            return false;
+        }
+        self.last = line;
         if self.spill.is_empty() {
+            // A linear walk from the top: at most sixteen compares, and
+            // the shift below is a loop of the same length, not a
+            // `memmove` call.
             let n = self.inline_len as usize;
-            match self.inline[..n].binary_search(&line) {
-                Ok(_) => false,
-                Err(pos) => {
-                    if n < INLINE_LINES {
-                        self.inline.copy_within(pos..n, pos + 1);
-                        self.inline[pos] = line;
-                        self.inline_len += 1;
-                    } else {
-                        // Spill: move the inline elements (still sorted)
-                        // plus the newcomer into the vector.
-                        self.spill.reserve(INLINE_LINES + 1);
-                        self.spill.extend_from_slice(&self.inline[..pos]);
-                        self.spill.push(line);
-                        self.spill.extend_from_slice(&self.inline[pos..]);
-                        self.inline_len = 0;
-                    }
-                    true
-                }
+            let mut pos = n;
+            while pos > 0 && self.inline[pos - 1] > line {
+                pos -= 1;
             }
+            if pos > 0 && self.inline[pos - 1] == line {
+                return false;
+            }
+            if n < INLINE_LINES {
+                for i in (pos..n).rev() {
+                    self.inline[i + 1] = self.inline[i];
+                }
+                self.inline[pos] = line;
+                self.inline_len += 1;
+            } else {
+                // Spill: move the inline elements (still sorted) plus the
+                // newcomer into the vector.
+                self.spill.reserve(INLINE_LINES + 1);
+                self.spill.extend_from_slice(&self.inline[..pos]);
+                self.spill.push(line);
+                self.spill.extend_from_slice(&self.inline[pos..]);
+                self.inline_len = 0;
+            }
+            true
         } else {
             match self.spill.binary_search(&line) {
                 Ok(_) => false,
@@ -146,7 +169,7 @@ impl LineSet {
 
     #[inline]
     pub fn contains(&self, line: LineId) -> bool {
-        self.as_slice().binary_search(&line).is_ok()
+        line == self.last || self.as_slice().binary_search(&line).is_ok()
     }
 
     #[inline]
@@ -165,6 +188,7 @@ impl LineSet {
 
     pub fn clear(&mut self) {
         self.inline_len = 0;
+        self.last = NO_LINE;
         self.spill.clear();
     }
 
@@ -183,16 +207,7 @@ impl LineSet {
 
     /// First line present in both sets, if any. O(n + m) merge walk.
     pub fn first_intersection(&self, other: &LineSet) -> Option<LineId> {
-        let (mut i, mut j) = (0, 0);
-        let (a, b) = (self.as_slice(), other.as_slice());
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => return Some(a[i]),
-            }
-        }
-        None
+        common_lines(self.as_slice(), other.as_slice()).next()
     }
 
     /// Whether the two sets share any line.
@@ -200,28 +215,28 @@ impl LineSet {
     pub fn intersects(&self, other: &LineSet) -> bool {
         self.first_intersection(other).is_some()
     }
+}
 
-    /// All lines present in both sets, in line order. O(n + m) merge walk,
-    /// no allocation.
-    pub fn common_iter<'a>(&'a self, other: &'a LineSet) -> impl Iterator<Item = LineId> + 'a {
-        let (a, b) = (self.as_slice(), other.as_slice());
-        let (mut i, mut j) = (0, 0);
-        std::iter::from_fn(move || {
-            while i < a.len() && j < b.len() {
-                match a[i].cmp(&b[j]) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        let l = a[i];
-                        i += 1;
-                        j += 1;
-                        return Some(l);
-                    }
+/// All lines present in both sorted, deduplicated slices (a
+/// [`LineSet::as_slice`], a committed footprint), in line order. O(n + m)
+/// merge walk, no allocation.
+pub fn common_lines<'a>(a: &'a [LineId], b: &'a [LineId]) -> impl Iterator<Item = LineId> + 'a {
+    let (mut i, mut j) = (0, 0);
+    std::iter::from_fn(move || {
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    let l = a[i];
+                    i += 1;
+                    j += 1;
+                    return Some(l);
                 }
             }
-            None
-        })
-    }
+        }
+        None
+    })
 }
 
 impl Default for LineSet {
@@ -332,6 +347,60 @@ mod tests {
         let small: LineSet = [LineId(9), LineId(20), LineId(33)].into_iter().collect();
         assert_eq!(big.first_intersection(&small), Some(LineId(20)));
         assert_eq!(small.first_intersection(&big), Some(LineId(20)));
+    }
+
+    /// The memo of the last inserted line answers exactly what a search
+    /// would: random inserts (repeats of the last line among them),
+    /// membership probes, `clear` and `mem::take` against a `BTreeSet`,
+    /// across the spill boundary. After a `clear` or a `take` the memo
+    /// must not claim the line it remembered.
+    #[test]
+    fn lineset_memo_matches_btreeset() {
+        use euno_rng::{Rng, SmallRng};
+        use std::collections::BTreeSet;
+        let mut rng = SmallRng::seed_from_u64(0x3e30);
+        let mut set = LineSet::new();
+        let mut model = BTreeSet::new();
+        let mut last = None;
+        for step in 0..200_000u32 {
+            let roll = rng.gen_range(0u32..100);
+            let x = match last {
+                Some(l) if rng.gen_range(0u32..2) == 0 => l,
+                _ => rng.gen_range(0u64..48),
+            };
+            match roll {
+                0 => {
+                    set.clear();
+                    model.clear();
+                }
+                1 => {
+                    let taken = std::mem::take(&mut set);
+                    let had: Vec<u64> = taken.iter().map(|l| l.0).collect();
+                    assert_eq!(
+                        had,
+                        model.iter().copied().collect::<Vec<_>>(),
+                        "step {step}"
+                    );
+                    model.clear();
+                }
+                2..=29 => assert_eq!(set.contains(LineId(x)), model.contains(&x), "step {step}"),
+                _ => {
+                    assert_eq!(set.insert(LineId(x)), model.insert(x), "step {step}");
+                    last = Some(x);
+                }
+            }
+            if roll <= 1 {
+                if let Some(l) = last {
+                    assert!(
+                        !set.contains(LineId(l)),
+                        "step {step}: memo outlived the set"
+                    );
+                }
+            }
+            assert_eq!(set.len(), model.len(), "step {step}");
+        }
+        let got: Vec<u64> = set.iter().map(|l| l.0).collect();
+        assert_eq!(got, model.into_iter().collect::<Vec<_>>());
     }
 
     #[test]

@@ -18,7 +18,7 @@
 use std::collections::BTreeMap;
 use std::sync::{RwLock, RwLockReadGuard};
 
-use crate::line::{LineClass, LineId, LineSet};
+use crate::line::{common_lines, LineClass, LineId};
 
 /// Most parts one node is described by (a header, its records and a
 /// trailer).
@@ -158,8 +158,8 @@ impl NodeTableRead<'_> {
     /// report for this conflict" rule: unlike *smallest line id* (heap
     /// address order — sensitive to allocator placement), the answer is a
     /// deterministic function of the simulated schedule.
-    pub(crate) fn best_common_line(&self, a: &LineSet, b: &LineSet) -> Option<LineId> {
-        a.common_iter(b).min_by_key(|&line| self.rank_of(line))
+    pub(crate) fn best_common_line(&self, a: &[LineId], b: &[LineId]) -> Option<LineId> {
+        common_lines(a, b).min_by_key(|&line| self.rank_of(line))
     }
 
     /// Base address of the node the profiler attributes `addr` to.
@@ -172,6 +172,7 @@ impl NodeTableRead<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::line::LineSet;
     use LineClass::{Metadata, Record, Structure, Unknown};
 
     fn classes(r: &NodeTableRead<'_>, lines: std::ops::Range<u64>) -> Vec<LineClass> {
@@ -207,7 +208,10 @@ mod tests {
         assert_eq!(r.rank_of(LineId(14)), (u64::MAX, 14));
         let a: LineSet = [LineId(12), LineId(14), LineId(20)].into_iter().collect();
         let b: LineSet = [LineId(14), LineId(20), LineId(12)].into_iter().collect();
-        assert_eq!(r.best_common_line(&a, &b), Some(LineId(20)));
+        assert_eq!(
+            r.best_common_line(a.as_slice(), b.as_slice()),
+            Some(LineId(20))
+        );
     }
 
     #[test]

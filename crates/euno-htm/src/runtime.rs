@@ -356,22 +356,16 @@ mod tests {
         }
 
         /// Publish a committed episode and refresh the hot-line map.
-        pub(crate) fn virt_commit(&self, rec: EpisodeRecord) {
+        pub(crate) fn virt_commit(&self, rec: EpisodeRecord<'_>) {
             self.virt.lock().unwrap().commit(rec);
         }
 
         /// Cycles charged for cache-coherence transfers of recently-written hot
         /// lines (touched by another thread within the transfer horizon).
-        pub(crate) fn virt_transfer_charge(
-            &self,
-            footprint: impl Iterator<Item = LineId>,
-            now: u64,
-            me: u32,
-        ) -> u64 {
-            self.virt
-                .lock()
-                .unwrap()
-                .transfer_charge(footprint, now, me, self.cost.line_transfer)
+        pub(crate) fn virt_transfer_charge(&self, footprint: &[LineId], now: u64, me: u32) -> u64 {
+            let mut virt = self.virt.lock().unwrap();
+            virt.gather_heat(footprint, &[], me);
+            virt.transfer_charge(now, self.cost.line_transfer)
         }
     }
 
@@ -406,15 +400,13 @@ mod tests {
     #[test]
     fn window_conflict_detection_basic() {
         let rt = Runtime::new_virtual();
-        let reads: LineSet = [LineId(10)].into_iter().collect();
-        let writes: LineSet = [LineId(20)].into_iter().collect();
         rt.virt_commit(EpisodeRecord {
             start: 0,
             end: 100,
             thread: 0,
             op_key: Some(7),
-            reads,
-            writes,
+            reads: &[LineId(10)],
+            writes: &[LineId(20)],
         });
 
         // Overlapping reader of line 20 collides with the committed write.
@@ -442,8 +434,8 @@ mod tests {
             end: 100,
             thread: 1,
             op_key: None,
-            reads: [LineId(5)].into_iter().collect(),
-            writes: LineSet::new(),
+            reads: &[LineId(5)],
+            writes: &[],
         });
         let w: LineSet = [LineId(5)].into_iter().collect();
         let c = rt.virt_check(10, &LineSet::new(), Some(&w), None);
@@ -458,8 +450,8 @@ mod tests {
             end: 100,
             thread: 1,
             op_key: None,
-            reads: [LineId(5)].into_iter().collect(),
-            writes: [LineId(6)].into_iter().collect(),
+            reads: &[LineId(5)],
+            writes: &[LineId(6)],
         });
         // Optimistic read of line 5 (their read): fine.
         let r: LineSet = [LineId(5)].into_iter().collect();
@@ -478,8 +470,8 @@ mod tests {
                 end: i * 10 + 10,
                 thread: 0,
                 op_key: None,
-                reads: LineSet::new(),
-                writes: [LineId(i)].into_iter().collect(),
+                reads: &[],
+                writes: &[LineId(i)],
             });
         }
         assert_eq!(rt.virt_window_len(), 10);
@@ -510,19 +502,87 @@ mod tests {
             end: 100,
             thread: 1,
             op_key: None,
-            reads: LineSet::new(),
-            writes: [LineId(3)].into_iter().collect(),
+            reads: &[],
+            writes: &[LineId(3)],
         });
         let cost = rt.cost.line_transfer;
         // Another thread touching the line soon after pays a transfer.
-        let c = rt.virt_transfer_charge([LineId(3)].into_iter(), 150, 0);
+        let c = rt.virt_transfer_charge(&[LineId(3)], 150, 0);
         assert_eq!(c, cost);
         // The writer itself does not.
-        let c = rt.virt_transfer_charge([LineId(3)].into_iter(), 150, 1);
+        let c = rt.virt_transfer_charge(&[LineId(3)], 150, 1);
         assert_eq!(c, 0);
         // Long after the horizon: cold again.
-        let c = rt.virt_transfer_charge([LineId(3)].into_iter(), 10_000_000, 0);
+        let c = rt.virt_transfer_charge(&[LineId(3)], 10_000_000, 0);
         assert_eq!(c, 0);
+    }
+
+    /// The transfer charge and the storm probability read the footprint's
+    /// heat from one gather; recomputed here line by line from the heat
+    /// map, as the per-line loops the gather replaced did, they must agree
+    /// bit for bit — including the double count of a line that is both
+    /// read and written (ROADMAP item 19 changes that on purpose, and must
+    /// move this test when it does).
+    #[test]
+    fn gathered_heat_charges_and_storms_as_the_per_line_rules_do() {
+        let rt = Runtime::new_virtual();
+        let [a, b, c, d, e] = [11, 12, 13, 14, 15].map(LineId);
+        let write = |start, end, thread, lines: &[LineId]| {
+            rt.virt_commit(EpisodeRecord {
+                start,
+                end,
+                thread,
+                op_key: None,
+                reads: &[],
+                writes: lines,
+            });
+        };
+        write(0, 1_000, 1, &[a, b]);
+        write(1_000, 5_000, 2, &[b, c]); // b now has a write rate
+        write(5_000, 9_000, 1, &[b]);
+        write(9_000, 9_500, 0, &[d]); // the closing thread's own line
+        write(10_000, 60_000, 3, &[e]); // written after the episode starts
+        let reads: LineSet = [a, b, c, d, e].into_iter().collect();
+        let writes: LineSet = [b, e].into_iter().collect();
+        let (me, start, duration) = (0, 20_000, 1_700);
+
+        let mut virt = rt.virt.lock().unwrap();
+        virt.gather_heat(reads.as_slice(), writes.as_slice(), me);
+        let charge = virt.transfer_charge(start, rt.cost.line_transfer);
+        let (p_abort, latest) = virt.storm_probability(start, duration);
+
+        let (mut hot, mut log_survive, mut latest_ref) = (0u64, 0.0f64, None);
+        let l = duration as f64;
+        for line in reads.iter().chain(writes.iter()) {
+            let Some(heat) = virt.heat(line).filter(|h| h.thread != me) else {
+                continue;
+            };
+            // `TRANSFER_HORIZON`.
+            if heat.end + 20_000 > start {
+                hot += 1;
+            }
+            if heat.end <= start {
+                let since = (start - heat.end).max(1) as f64;
+                log_survive -= if heat.gap_ewma == u64::MAX {
+                    l / since
+                } else {
+                    let gap = heat.gap_ewma.max(1) as f64;
+                    (l / gap) * (-since / (20.0 * gap)).exp()
+                };
+                latest_ref = latest_ref.max(Some(heat.end));
+            }
+        }
+        assert_eq!(
+            hot, 6,
+            "a, c once; b and e, read and written, twice; d is mine"
+        );
+        assert_eq!(charge, hot * rt.cost.line_transfer);
+        assert_eq!(p_abort.to_bits(), (1.0 - log_survive.exp()).to_bits());
+        assert!(
+            p_abort > 0.0 && p_abort < 1.0,
+            "the storm has a real chance: {p_abort}"
+        );
+        assert_eq!((latest, latest_ref), (Some(9_000), Some(9_000)));
     }
 
     #[test]
@@ -539,16 +599,19 @@ mod tests {
                 end,
                 thread: 1,
                 op_key: None,
-                reads: LineSet::new(),
-                writes: lines.iter().copied().collect(),
+                reads: &[],
+                writes: lines,
             });
         };
         write(0, 50, &[LineId(5)]);
         write(60, 100, &[lo, hi]);
         let reads: LineSet = [LineId(5), lo, hi].into_iter().collect();
-        let virt = rt.virt.lock().unwrap();
+        let mut virt = rt.virt.lock().unwrap();
         // `u = 0` fires whenever any footprint line is hot.
-        let storm = |me| virt.storm_check(&reads, None, 100, 1_000, me, 0.0, &rt.nodes);
+        let mut storm = |me| {
+            virt.gather_heat(reads.as_slice(), &[], me);
+            virt.storm_check(100, 1_000, 0.0, &rt.nodes)
+        };
         let hit = Some((hi, LineClass::Record));
         assert_eq!(storm(0), hit, "latest write, first-registered node");
         assert_eq!(storm(1), None, "a thread's own writes are not a storm");

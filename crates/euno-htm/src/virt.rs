@@ -15,9 +15,8 @@
 use std::collections::VecDeque;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
-use euno_rng::Rng;
+use euno_rng::{Rng, SmallRng};
 use euno_trace::{EpisodeKind, EventKind};
 
 use crate::abort::{classify_conflict, AbortCause, ConflictInfo};
@@ -62,15 +61,18 @@ impl Hasher for FibHasher {
 
 type HashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FibHasher>>;
 
-/// One committed episode visible to later overlapping episodes.
-#[derive(Clone, Debug)]
-pub struct EpisodeRecord {
+/// One committed episode as handed to [`VirtState::commit`]: its
+/// interval, thread and op key, and its footprint as sorted, deduplicated
+/// lines (a [`LineSet::as_slice`]). The window keeps a copy of the lines,
+/// so the episode's own sets are cleared and reused, spill buffers and all.
+#[derive(Clone, Copy, Debug)]
+pub struct EpisodeRecord<'a> {
     pub start: u64,
     pub end: u64,
     pub thread: u32,
     pub op_key: Option<u64>,
-    pub reads: LineSet,
-    pub writes: LineSet,
+    pub reads: &'a [LineId],
+    pub writes: &'a [LineId],
 }
 
 /// Write-recency record for one cache line.
@@ -84,10 +86,18 @@ pub(crate) struct LineHeat {
 }
 
 /// A committed episode in the window, stamped with its commit sequence
-/// number (the key the line index refers to).
+/// number (the key the line index refers to). Its footprint is
+/// `reads + writes` lines of [`VirtState::lines`] from position `at`
+/// (counted from the start of the run, see [`VirtState::lines_base`]),
+/// reads first.
 struct WindowRec {
     seq: u64,
-    rec: EpisodeRecord,
+    end: u64,
+    op_key: Option<u64>,
+    at: u64,
+    thread: u32,
+    reads: u32,
+    writes: u32,
 }
 
 /// One committed access to a line: the episode's commit sequence number,
@@ -106,104 +116,210 @@ struct LineAccess {
     max_end: u64,
 }
 
-/// Accesses kept inline before an [`AccessList`] spills to the heap. A
-/// skewed workload touches a long tail of lines once or twice per window;
-/// two inline slots mean those lines never allocate, while the few hot
-/// lines (root, fallback word) spill once and then reuse the buffer.
+/// Accesses kept inline before an [`AccessList`] spills. A skewed
+/// workload touches a long tail of lines once or twice per window; two
+/// inline slots mean those lines never spill, while the few hot lines
+/// (root, fallback word, the leaf being filled) spill into a buffer of
+/// the [`Spills`].
 const INLINE_ACCESSES: usize = 2;
 
+/// [`AccessList::spill`] of a list that has not spilled.
+const NO_SPILL: u32 = u32::MAX;
+
 /// Access history of one line, in ascending-seq order (commit order), so
-/// a backward walk visits newest-first. Same inline/spill design as
-/// [`LineSet`]: elements live in `spill` iff it is non-empty.
+/// a backward walk visits newest-first. Up to [`INLINE_ACCESSES`] inline;
+/// beyond, all of them in the [`Spills`] buffer `spill` names. The list
+/// holds no heap pointer, so an index entry is 112 B and a table of them
+/// is cleared without visiting its entries.
+#[derive(Clone, Copy)]
 struct AccessList {
-    inline_len: u8,
+    /// Accesses held: inline while at most [`INLINE_ACCESSES`].
+    len: u32,
+    /// The [`Spills`] slot holding them once they are more, else
+    /// [`NO_SPILL`]. A list keeps its slot until its entry leaves the
+    /// index, though a sweep may shrink it back below the inline size.
+    spill: u32,
     inline: [LineAccess; INLINE_ACCESSES],
-    spill: Vec<LineAccess>,
 }
 
 impl Default for AccessList {
     fn default() -> Self {
         AccessList {
-            inline_len: 0,
+            len: 0,
+            spill: NO_SPILL,
             inline: [LineAccess {
                 seq: 0,
                 end: 0,
                 max_end: 0,
             }; INLINE_ACCESSES],
-            spill: Vec::new(),
         }
     }
 }
 
 impl AccessList {
     #[inline]
-    fn as_slice(&self) -> &[LineAccess] {
-        if self.spill.is_empty() {
-            &self.inline[..self.inline_len as usize]
+    fn as_slice<'a>(&'a self, spills: &'a Spills) -> &'a [LineAccess] {
+        if self.spill == NO_SPILL {
+            &self.inline[..self.len as usize]
         } else {
-            &self.spill
+            &spills.bufs[self.spill as usize]
         }
     }
 
     #[inline]
     fn is_empty(&self) -> bool {
-        self.inline_len == 0 && self.spill.is_empty()
+        self.len == 0
     }
 
-    /// Append one access, maintaining the prefix-maximum end.
-    fn push(&mut self, seq: u64, end: u64) {
-        let max_end = self.as_slice().last().map_or(end, |a| a.max_end.max(end));
+    /// Append one access, maintaining the prefix-maximum end. A list that
+    /// outgrows its inline slots takes a buffer from `spills`.
+    #[inline]
+    fn push(&mut self, seq: u64, end: u64, spills: &mut Spills) {
+        let n = self.len as usize;
+        let max_end = match n {
+            0 => end,
+            _ => self.as_slice(spills)[n - 1].max_end.max(end),
+        };
         let a = LineAccess { seq, end, max_end };
-        if self.spill.is_empty() {
-            let n = self.inline_len as usize;
+        self.len += 1;
+        if self.spill == NO_SPILL {
             if n < INLINE_ACCESSES {
                 self.inline[n] = a;
-                self.inline_len += 1;
                 return;
             }
-            self.spill.reserve(INLINE_ACCESSES + 1);
-            self.spill.extend_from_slice(&self.inline);
-            self.inline_len = 0;
+            self.spill = spills.take();
+            spills.bufs[self.spill as usize].extend_from_slice(&self.inline);
         }
-        self.spill.push(a);
+        spills.bufs[self.spill as usize].push(a);
     }
 
     /// Drop accesses older than `min_seq`, rebuilding the prefix maxima
     /// (the retained suffix's stored maxima still cover removed entries —
     /// correct but loose, and tight maxima are what make the early exit
-    /// bite). Keeps the spill buffer's capacity for reuse.
-    fn sweep(&mut self, min_seq: u64) {
-        if self.spill.is_empty() {
-            let mut k = 0usize;
-            for i in 0..self.inline_len as usize {
-                if self.inline[i].seq >= min_seq {
-                    self.inline[k] = self.inline[i];
-                    k += 1;
-                }
+    /// bite).
+    fn sweep(&mut self, min_seq: u64, spills: &mut Spills) {
+        let list: &mut [LineAccess] = match self.spill {
+            NO_SPILL => &mut self.inline[..self.len as usize],
+            slot => &mut spills.bufs[slot as usize],
+        };
+        let mut k = 0usize;
+        let mut running = 0u64;
+        for i in 0..list.len() {
+            if list[i].seq >= min_seq {
+                running = running.max(list[i].end);
+                list[k] = LineAccess {
+                    max_end: running,
+                    ..list[i]
+                };
+                k += 1;
             }
-            self.inline_len = k as u8;
-            let mut running = 0u64;
-            for a in &mut self.inline[..k] {
-                running = running.max(a.end);
-                a.max_end = running;
-            }
+        }
+        if self.spill != NO_SPILL {
+            spills.bufs[self.spill as usize].truncate(k);
+        }
+        self.len = k as u32;
+    }
+}
+
+/// The buffers spilled [`AccessList`]s keep their accesses in, named by
+/// slot. A lone-thread driver prunes its whole window at its own clock,
+/// so every index sweep empties the index and the next commits spill the
+/// same hot lines again: a slot that is given back keeps its buffer for
+/// the next list that spills — where each sweep used to free and re-grow
+/// them, most of a preload's allocations. Bounded by count and by
+/// capacity: at most [`SPILL_POOL_BUFFERS`] free slots keep a buffer, and
+/// those buffers hold at most [`SPILL_POOL_ACCESSES`] accesses between
+/// them (24 B each: 3 MiB); a buffer given back beyond either is freed.
+/// Which buffer a line gets decides its capacity and nothing else.
+#[derive(Default)]
+struct Spills {
+    bufs: Vec<Vec<LineAccess>>,
+    /// Free slots that keep their buffer, last given back first.
+    pooled: Vec<u32>,
+    /// Capacity of those buffers, summed.
+    pooled_accesses: usize,
+    /// Free slots without one.
+    bare: Vec<u32>,
+}
+
+const SPILL_POOL_BUFFERS: usize = 4096;
+const SPILL_POOL_ACCESSES: usize = 1 << 17;
+
+impl Spills {
+    /// A free slot with an empty buffer.
+    fn take(&mut self) -> u32 {
+        if let Some(slot) = self.pooled.pop() {
+            self.pooled_accesses -= self.bufs[slot as usize].capacity();
+            return slot;
+        }
+        self.bare.pop().unwrap_or_else(|| {
+            self.bufs.push(Vec::new());
+            (self.bufs.len() - 1) as u32
+        })
+    }
+
+    /// Give `slot` back: its buffer is emptied, and kept if the pool has
+    /// room for it.
+    fn give(&mut self, slot: u32) {
+        let buf = &mut self.bufs[slot as usize];
+        buf.clear();
+        let cap = buf.capacity();
+        if cap > 0
+            && self.pooled.len() < SPILL_POOL_BUFFERS
+            && self.pooled_accesses + cap <= SPILL_POOL_ACCESSES
+        {
+            self.pooled_accesses += cap;
+            self.pooled.push(slot);
         } else {
-            self.spill.retain(|a| a.seq >= min_seq);
-            let mut running = 0u64;
-            for a in self.spill.iter_mut() {
-                running = running.max(a.end);
-                a.max_end = running;
+            *buf = Vec::new();
+            self.bare.push(slot);
+        }
+    }
+
+    /// Give back the slots of an entry leaving the index.
+    fn give_entry(&mut self, e: &LineIndexEntry) {
+        for list in [&e.writers, &e.readers] {
+            if list.spill != NO_SPILL {
+                self.give(list.spill);
             }
+        }
+    }
+
+    /// Every slot is free again: the index they belonged to was cleared.
+    fn give_all(&mut self) {
+        self.pooled.clear();
+        self.pooled_accesses = 0;
+        self.bare.clear();
+        for slot in 0..self.bufs.len() as u32 {
+            self.give(slot);
         }
     }
 }
 
 /// Inverted-index entry for one cache line: which committed episodes
 /// wrote / read it.
-#[derive(Default)]
+#[derive(Clone, Copy, Default)]
 struct LineIndexEntry {
     writers: AccessList,
     readers: AccessList,
+}
+
+/// Every line of a footprint once, in line order, with whether it was
+/// read and whether written: a merge walk of the two sorted sets, so a
+/// line in both costs one index probe.
+fn each_line<'a>(
+    reads: &'a [LineId],
+    writes: &'a [LineId],
+) -> impl Iterator<Item = (LineId, bool, bool)> + 'a {
+    let (mut r, mut w) = (0, 0);
+    std::iter::from_fn(move || {
+        let (a, b) = (reads.get(r).copied(), writes.get(w).copied());
+        let read = a.is_some() && (b.is_none() || a <= b);
+        let written = b.is_some() && (a.is_none() || b <= a);
+        r += usize::from(read);
+        w += usize::from(written);
+        Some((if read { a } else { b }?, read, written))
+    })
 }
 
 /// Sweep the line index once this many entries refer to records already
@@ -224,12 +340,26 @@ pub(crate) struct VirtState {
     /// Recently committed episodes, ordered by commit sequence number
     /// (which is also start-time order under min-clock scheduling).
     window: VecDeque<WindowRec>,
+    /// The window records' footprints, oldest first, each record's reads
+    /// then its writes: one buffer instead of two line sets a record, so
+    /// a commit copies its lines and moves no set. Lines of records that
+    /// left the window are dropped from the front once they are the
+    /// larger part, and [`VirtState::drop_window_all`] packs the rest.
+    lines: Vec<LineId>,
+    /// Position (counted from the start of the run) of `lines[0]`.
+    lines_base: u64,
+    /// No window record ends after this: the largest end committed since
+    /// the window was last empty (records that left since may have ended
+    /// later than those still in it, so it is an upper bound).
+    window_ends_by: u64,
     /// Next commit sequence number.
     next_seq: u64,
     /// line → committed episodes touching it. Commit-time conflict
     /// detection probes only the episode's own footprint lines here —
     /// O(footprint × per-line history) instead of O(window) per check.
     line_index: HashMap<u64, LineIndexEntry>,
+    /// The index's spilled access lists.
+    spills: Spills,
     /// Upper bound on index entries referring to removed records; a sweep
     /// runs once it passes [`INDEX_SWEEP_STALE`].
     index_stale: usize,
@@ -239,6 +369,12 @@ pub(crate) struct VirtState {
     /// write interarrival gap. Drives both the cross-core line-transfer
     /// charge and the storm (write-rate) extrapolation.
     recent_writes: HashMap<u64, LineHeat>,
+    /// The closing episode's footprint heat, gathered once
+    /// ([`VirtState::gather_heat`]) for both the transfer charge and the
+    /// storm: each footprint line another thread last wrote, with that
+    /// heat, in footprint order — reads, then writes, so a line in both
+    /// is here twice, as the per-line loops it replaces counted it.
+    gathered: Vec<(LineId, LineHeat)>,
 }
 
 /// Cycles of history in `recent_writes` that count for hot-line charging.
@@ -272,6 +408,13 @@ impl LineHeat {
 }
 
 impl VirtState {
+    /// A window record's footprint: its reads and its writes.
+    #[inline]
+    fn footprint(&self, wr: &WindowRec) -> (&[LineId], &[LineId]) {
+        let at = (wr.at - self.lines_base) as usize;
+        self.lines[at..at + (wr.reads + wr.writes) as usize].split_at(wr.reads as usize)
+    }
+
     /// Check an episode's footprint against committed overlapping
     /// episodes — `reads` against their writes only (optimistic reads)
     /// when `writes` is `None`, the full TSX rules otherwise. Returns the
@@ -296,6 +439,12 @@ impl VirtState {
         writes: Option<&LineSet>,
         nodes: &NodeTable,
     ) -> Option<(LineId, LineClass, Option<u64>, u32)> {
+        // A collision needs a window record that ends after `start`: with
+        // none, no line needs probing — the per-line prefix maxima below
+        // make the same exit one line at a time.
+        if self.window_ends_by <= start {
+            return None;
+        }
         // `below` excludes candidates already found to be stale (their
         // record was pruned while its index entries survive) — a case the
         // scheduler's prune invariant (`start` never precedes the cutoff)
@@ -322,35 +471,34 @@ impl VirtState {
                         }
                     }
                 };
-                // Collision rules (TSX): my W ∩ their (R ∪ W), my R ∩ their W.
-                if let Some(w) = writes {
-                    for l in w.iter() {
-                        if let Some(e) = self.line_index.get(&l.0) {
-                            consider(e.writers.as_slice());
-                            consider(e.readers.as_slice());
-                        }
-                    }
-                }
-                for l in reads.iter() {
+                // Collision rules (TSX): my W ∩ their (R ∪ W), my R ∩ their W
+                // — one probe a line, as `best` only grows.
+                let writes = writes.map_or(&[][..], LineSet::as_slice);
+                for (l, _, written) in each_line(reads.as_slice(), writes) {
                     if let Some(e) = self.line_index.get(&l.0) {
-                        consider(e.writers.as_slice());
+                        consider(e.writers.as_slice(&self.spills));
+                        if written {
+                            consider(e.readers.as_slice(&self.spills));
+                        }
                     }
                 }
             }
             let cand = best?;
             match self.window.binary_search_by_key(&cand, |wr| wr.seq) {
                 Ok(i) => {
-                    let rec = &self.window[i].rec;
+                    let wr = &self.window[i];
+                    let (their_r, their_w) = self.footprint(wr);
                     let reg = nodes.read();
-                    let line = if let Some(w) = writes {
-                        reg.best_common_line(w, &rec.writes)
-                            .or_else(|| reg.best_common_line(w, &rec.reads))
-                            .or_else(|| reg.best_common_line(reads, &rec.writes))
+                    let mine_r = reads.as_slice();
+                    let line = if let Some(w) = writes.map(LineSet::as_slice) {
+                        reg.best_common_line(w, their_w)
+                            .or_else(|| reg.best_common_line(w, their_r))
+                            .or_else(|| reg.best_common_line(mine_r, their_w))
                     } else {
-                        reg.best_common_line(reads, &rec.writes)
+                        reg.best_common_line(mine_r, their_w)
                     };
                     let line = line.expect("indexed record must intersect the footprint");
-                    return Some((line, reg.class_of(line), rec.op_key, rec.thread));
+                    return Some((line, reg.class_of(line), wr.op_key, wr.thread));
                 }
                 // Stale index entry: the record was pruned. Skip it and
                 // look for the next-newest candidate.
@@ -360,8 +508,8 @@ impl VirtState {
     }
 
     /// Publish a committed episode and refresh the hot-line map.
-    pub(crate) fn commit(&mut self, rec: EpisodeRecord) {
-        self.heat_writes(&rec.writes, rec.end, rec.thread);
+    pub(crate) fn commit(&mut self, rec: EpisodeRecord<'_>) {
+        self.heat_writes(rec.writes, rec.end, rec.thread);
         // Opportunistic backstop pruning for drivers that never call
         // [`Runtime::virt_prune`] (ad-hoc tests, hand-rolled loops): any
         // future episode in a min-clock-ordered schedule starts no earlier
@@ -378,49 +526,81 @@ impl VirtState {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        for l in rec.writes.iter() {
-            self.line_index
-                .entry(l.0)
-                .or_default()
-                .writers
-                .push(seq, rec.end);
+        let spills = &mut self.spills;
+        for (l, read, written) in each_line(rec.reads, rec.writes) {
+            let e = self.line_index.entry(l.0).or_default();
+            if written {
+                e.writers.push(seq, rec.end, spills);
+            }
+            if read {
+                e.readers.push(seq, rec.end, spills);
+            }
         }
-        for l in rec.reads.iter() {
-            self.line_index
-                .entry(l.0)
-                .or_default()
-                .readers
-                .push(seq, rec.end);
-        }
-        self.window.push_back(WindowRec { seq, rec });
+        self.window_ends_by = self.window_ends_by.max(rec.end);
+        let at = self.lines_base + self.lines.len() as u64;
+        self.lines.extend_from_slice(rec.reads);
+        self.lines.extend_from_slice(rec.writes);
+        self.window.push_back(WindowRec {
+            seq,
+            end: rec.end,
+            op_key: rec.op_key,
+            at,
+            thread: rec.thread,
+            reads: rec.reads.len() as u32,
+            writes: rec.writes.len() as u32,
+        });
     }
 
     /// Pop window records (oldest-first) whose end is at or before
-    /// `cutoff`, stopping at the first survivor.
+    /// `cutoff`, stopping at the first survivor; then drop the popped
+    /// records' lines once they are the larger part of the buffer (so
+    /// each line is moved at most once on its way out).
     fn drop_window_prefix(&mut self, cutoff: u64) {
         while let Some(front) = self.window.front() {
-            if front.rec.end <= cutoff {
-                let wr = self.window.pop_front().unwrap();
-                self.index_stale += wr.rec.writes.len() + wr.rec.reads.len();
+            if front.end <= cutoff {
+                self.index_stale += (front.reads + front.writes) as usize;
+                self.window.pop_front();
             } else {
                 break;
             }
+        }
+        if self.window.is_empty() {
+            self.window_ends_by = 0;
+        }
+        let live_at = self
+            .window
+            .front()
+            .map_or(self.lines_base + self.lines.len() as u64, |wr| wr.at);
+        let dead = (live_at - self.lines_base) as usize;
+        if 2 * dead >= self.lines.len() {
+            self.lines.drain(..dead);
+            self.lines_base = live_at;
         }
     }
 
     /// Drop *every* window record ending at or before `cutoff` (the rare
     /// linear pass — pop_front alone can strand long-lived records behind
-    /// a long-running front entry).
+    /// a long-running front entry), and pack the survivors' lines.
     fn drop_window_all(&mut self, cutoff: u64) {
         let stale = &mut self.index_stale;
         self.window.retain(|wr| {
-            if wr.rec.end > cutoff {
+            if wr.end > cutoff {
                 true
             } else {
-                *stale += wr.rec.writes.len() + wr.rec.reads.len();
+                *stale += (wr.reads + wr.writes) as usize;
                 false
             }
         });
+        self.window_ends_by = self.window.iter().map(|wr| wr.end).max().unwrap_or(0);
+        let mut to = 0usize;
+        for wr in self.window.iter_mut() {
+            let from = (wr.at - self.lines_base) as usize;
+            let n = (wr.reads + wr.writes) as usize;
+            self.lines.copy_within(from..from + n, to);
+            wr.at = self.lines_base + to as u64;
+            to += n;
+        }
+        self.lines.truncate(to);
     }
 
     /// Drop index entries whose records left the window, once enough have
@@ -433,13 +613,30 @@ impl VirtState {
         if self.index_stale < INDEX_SWEEP_STALE {
             return;
         }
-        let min_seq = self.window.front().map_or(self.next_seq, |wr| wr.seq);
-        self.line_index.retain(|_, e| {
-            e.writers.sweep(min_seq);
-            e.readers.sweep(min_seq);
-            !e.writers.is_empty() || !e.readers.is_empty()
-        });
         self.index_stale = 0;
+        let Some(min_seq) = self.window.front().map(|wr| wr.seq) else {
+            // No record is live, so no entry is: what the sweep below
+            // would leave is an empty index.
+            self.clear_index();
+            return;
+        };
+        let spills = &mut self.spills;
+        self.line_index.retain(|_, e| {
+            e.writers.sweep(min_seq, spills);
+            e.readers.sweep(min_seq, spills);
+            if !e.writers.is_empty() || !e.readers.is_empty() {
+                return true;
+            }
+            spills.give_entry(e);
+            false
+        });
+    }
+
+    /// Empty the line index: the table keeps its capacity, and as its
+    /// entries own nothing, clearing it visits none of them.
+    fn clear_index(&mut self) {
+        self.line_index.clear();
+        self.spills.give_all();
     }
 
     /// Exact pruning driven by the scheduler: drop everything that cannot
@@ -462,7 +659,10 @@ impl VirtState {
     /// Drop all dynamics between experiment phases.
     pub(crate) fn clear(&mut self) {
         self.window.clear();
-        self.line_index.clear();
+        self.window_ends_by = 0;
+        self.lines_base += self.lines.len() as u64;
+        self.lines.clear();
+        self.clear_index();
         self.index_stale = 0;
         self.locks.clear();
         self.recent_writes.clear();
@@ -477,7 +677,32 @@ impl VirtState {
     pub(crate) fn forget_lines(&mut self, lines: std::ops::Range<u64>) {
         for line in lines {
             self.recent_writes.remove(&line);
-            self.line_index.remove(&line);
+            if let Some(e) = self.line_index.remove(&line) {
+                self.spills.give_entry(&e);
+            }
+        }
+    }
+
+    /// The heat map's record for `line` (tests recompute the gathered
+    /// charges from it line by line).
+    #[cfg(test)]
+    pub(crate) fn heat(&self, line: LineId) -> Option<LineHeat> {
+        self.recent_writes.get(&line.0).copied()
+    }
+
+    /// Gather the heat of a closing episode's footprint (`reads`, then
+    /// `writes`) for [`VirtState::transfer_charge`] and
+    /// [`VirtState::storm_check`]: one heat-map probe a footprint line
+    /// where each of them probed the map again. `me`'s own writes are
+    /// left out — neither charges a thread for its own lines.
+    pub(crate) fn gather_heat(&mut self, reads: &[LineId], writes: &[LineId], me: u32) {
+        self.gathered.clear();
+        for &line in reads.iter().chain(writes) {
+            if let Some(&heat) = self.recent_writes.get(&line.0) {
+                if heat.thread != me {
+                    self.gathered.push((line, heat));
+                }
+            }
         }
     }
 
@@ -492,17 +717,10 @@ impl VirtState {
     /// failing — reproducing TSX's retry livelock and the fallback convoy
     /// that drives the paper's throughput collapse; under low contention Δ
     /// is huge and the correction vanishes.
-    #[allow(clippy::too_many_arguments)] // episode scalars, not a config bag
-    pub(crate) fn storm_check(
-        &self,
-        reads: &LineSet,
-        writes: Option<&LineSet>,
-        start: u64,
-        duration: u64,
-        me: u32,
-        u: f64,
-        nodes: &NodeTable,
-    ) -> Option<(LineId, LineClass)> {
+    ///
+    /// Returns the abort probability over the gathered footprint
+    /// ([`VirtState::gather_heat`]) and the latest counted write.
+    pub(crate) fn storm_probability(&self, start: u64, duration: u64) -> (f64, Option<u64>) {
         let l = duration.max(1) as f64;
         // Survival probability across all hot lines in the footprint: the
         // line's write process is modelled as Poisson with rate
@@ -512,17 +730,8 @@ impl VirtState {
         // estimate (gap ≈ time since that write).
         let mut log_survive = 0.0f64;
         let mut latest_write: Option<u64> = None;
-        let lines = || {
-            reads
-                .iter()
-                .chain(writes.into_iter().flat_map(LineSet::iter))
-        };
         // A line counts if another thread last wrote it before `start`.
-        let heat_of = |line: LineId| {
-            let heat = self.recent_writes.get(&line.0)?;
-            (heat.thread != me && heat.end <= start).then_some(heat)
-        };
-        for heat in lines().filter_map(heat_of) {
+        for (_, heat) in self.gathered.iter().filter(|(_, h)| h.end <= start) {
             let since = (start - heat.end).max(1) as f64;
             let lambda = if heat.gap_ewma == u64::MAX {
                 l / since
@@ -533,7 +742,19 @@ impl VirtState {
             log_survive -= lambda;
             latest_write = latest_write.max(Some(heat.end));
         }
-        let p_abort = 1.0 - log_survive.exp();
+        (1.0 - log_survive.exp(), latest_write)
+    }
+
+    /// The storm's verdict for draw `u` (see
+    /// [`VirtState::storm_probability`]): the line it reports, if it fires.
+    pub(crate) fn storm_check(
+        &self,
+        start: u64,
+        duration: u64,
+        u: f64,
+        nodes: &NodeTable,
+    ) -> Option<(LineId, LineClass)> {
+        let (p_abort, latest_write) = self.storm_probability(start, duration);
         if !(p_abort > 0.0 && u < p_abort) {
             return None;
         }
@@ -542,8 +763,11 @@ impl VirtState {
         // not address order, so the reported line is layout-independent.
         // The node table is read only here, once the storm has fired.
         let reg = nodes.read();
-        let line = lines()
-            .filter(|&line| heat_of(line).map(|h| h.end) == latest_write)
+        let line = self
+            .gathered
+            .iter()
+            .filter(|(_, h)| h.end <= start && Some(h.end) == latest_write)
+            .map(|&(line, _)| line)
             .min_by_key(|&line| reg.rank_of(line))?;
         Some((line, reg.class_of(line)))
     }
@@ -551,31 +775,31 @@ impl VirtState {
     /// Fold `thread`'s writes at `end` into the heat map — a commit's, or an
     /// aborted attempt's speculative ones
     /// ([`ThreadCtx::virt_attempt_aborted`]).
-    pub(crate) fn heat_writes(&mut self, writes: &LineSet, end: u64, thread: u32) {
-        for l in writes.iter() {
-            let heat = LineHeat::update(self.recent_writes.get(&l.0).copied(), end, thread);
-            self.recent_writes.insert(l.0, heat);
-        }
-    }
-
-    /// Cycles charged for cache-coherence transfers of recently-written
-    /// hot lines (touched by another thread within the transfer horizon).
-    pub(crate) fn transfer_charge(
-        &self,
-        footprint: impl Iterator<Item = LineId>,
-        now: u64,
-        me: u32,
-        line_transfer_cost: u64,
-    ) -> u64 {
-        let mut hot = 0u64;
-        for l in footprint {
-            if let Some(heat) = self.recent_writes.get(&l.0) {
-                if heat.thread != me && heat.end + TRANSFER_HORIZON > now {
-                    hot += 1;
+    pub(crate) fn heat_writes(&mut self, writes: &[LineId], end: u64, thread: u32) {
+        use std::collections::hash_map::Entry;
+        for l in writes {
+            match self.recent_writes.entry(l.0) {
+                Entry::Occupied(mut e) => {
+                    let heat = LineHeat::update(Some(*e.get()), end, thread);
+                    e.insert(heat);
+                }
+                Entry::Vacant(e) => {
+                    e.insert(LineHeat::update(None, end, thread));
                 }
             }
         }
-        hot * line_transfer_cost
+    }
+
+    /// Cycles charged for cache-coherence transfers of the gathered
+    /// footprint's hot lines ([`VirtState::gather_heat`]): those another
+    /// thread wrote within the transfer horizon before `now`.
+    pub(crate) fn transfer_charge(&self, now: u64, line_transfer_cost: u64) -> u64 {
+        let hot = self
+            .gathered
+            .iter()
+            .filter(|(_, heat)| heat.end + TRANSFER_HORIZON > now)
+            .count();
+        hot as u64 * line_transfer_cost
     }
 }
 
@@ -671,96 +895,22 @@ impl ThreadCtx {
 
     // ----- publication ---------------------------------------------------
 
-    /// The one way anything enters the committed window: `[start, now]` on
-    /// this thread, with this footprint — taken, not copied (`mem::take` of
-    /// an inline LineSet is a memcpy; the record borrows no heap unless the
-    /// footprint spilled past the inline capacity).
-    fn virt_publish(
-        &self,
-        virt: &mut VirtState,
-        start: u64,
-        op_key: Option<u64>,
-        reads: &mut LineSet,
-        writes: &mut LineSet,
-    ) {
-        virt.commit(EpisodeRecord {
-            start,
-            end: self.clock,
-            thread: self.id,
-            op_key,
-            reads: std::mem::take(reads),
-            writes: std::mem::take(writes),
-        });
-    }
-
     /// Strong atomicity in virtual mode: a bare (outside any episode)
     /// direct write is published as a zero-width committed episode so it
     /// aborts overlapping transactions whose footprint contains the line —
     /// exactly what a coherence invalidation does to a TSX transaction.
     pub(crate) fn virt_publish_point_write(&mut self, line: LineId) {
-        let mut writes = LineSet::with_capacity(1);
-        writes.insert(line);
-        let start = self.clock.saturating_sub(self.rt.cost.cas);
-        let mut virt = self.rt.virt.lock().unwrap();
-        self.virt_publish(&mut virt, start, None, &mut LineSet::new(), &mut writes);
+        self.rt.virt.lock().unwrap().commit(EpisodeRecord {
+            start: self.clock.saturating_sub(self.rt.cost.cas),
+            end: self.clock,
+            thread: self.id,
+            op_key: None,
+            reads: &[],
+            writes: &[line],
+        });
     }
 
     // ----- episodes ------------------------------------------------------
-
-    /// Charge the closing episode for cache-coherence transfers of the hot
-    /// lines among `lines`; extends its interval.
-    fn virt_charge_transfer(
-        &mut self,
-        virt: &VirtState,
-        start: u64,
-        lines: impl Iterator<Item = LineId>,
-    ) {
-        self.clock += virt.transfer_charge(lines, start, self.id, self.rt.cost.line_transfer);
-    }
-
-    /// The newest committed overlapping episode colliding with `ep`'s
-    /// footprint (reads against writes only when `writes` is `None`).
-    fn virt_window_hit(
-        &self,
-        virt: &VirtState,
-        ep: &EpisodeState,
-        writes: Option<&LineSet>,
-    ) -> Option<ConflictInfo> {
-        let (line, class, other_key, other_thread) =
-            virt.check(ep.start, &ep.reads, writes, &self.rt.nodes)?;
-        Some(ConflictInfo {
-            line,
-            kind: classify_conflict(class, ep.op_key, other_key),
-            other_thread: Some(other_thread),
-        })
-    }
-
-    /// Statistical collision with wall-clock-concurrent writers the
-    /// serial order hides (see [`VirtState::storm_check`]); one draw from
-    /// the thread's RNG.
-    fn virt_storm_hit(
-        &mut self,
-        virt: &VirtState,
-        ep: &EpisodeState,
-        writes: Option<&LineSet>,
-    ) -> Option<ConflictInfo> {
-        let u: f64 = self.rng.gen();
-        let duration = self.clock.saturating_sub(ep.start);
-        let (line, class) = virt.storm_check(
-            &ep.reads,
-            writes,
-            ep.start,
-            duration,
-            self.id,
-            u,
-            &self.rt.nodes,
-        )?;
-        Some(ConflictInfo {
-            line,
-            kind: classify_conflict(class, ep.op_key, None),
-            other_thread: None,
-        })
-    }
 
     /// Close a non-transactional episode. An optimistic read is judged
     /// against the window — a collision with any overlapping committed
@@ -768,30 +918,27 @@ impl ThreadCtx {
     /// locked write or a fallback section is published, so overlapping
     /// optimistic readers (and transactions — strong atomicity, the
     /// subscribed lock line) observe it.
-    pub(crate) fn virt_close(&mut self, mut ep: Box<EpisodeState>) -> Option<ConflictInfo> {
-        let rt = Arc::clone(&self.rt);
+    pub(crate) fn virt_close(&mut self, ep: Box<EpisodeState>) -> Option<ConflictInfo> {
+        let ThreadCtx {
+            rt, clock, id, rng, ..
+        } = &mut *self;
         // One `virt` acquisition covers the transfer charge, the window
         // check and the storm draw (the episode-closing hot path used to
         // take the mutex once per step).
         let mut virt = rt.virt.lock().unwrap();
         let out = match ep.kind {
             EpisodeKind::OptimisticRead => {
-                self.virt_charge_transfer(&virt, ep.start, ep.reads.iter());
-                self.virt_window_hit(&virt, &ep, None)
-                    .or_else(|| self.virt_storm_hit(&virt, &ep, None))
+                virt.gather_heat(ep.reads.as_slice(), &[], *id);
+                *clock += virt.transfer_charge(ep.start, rt.cost.line_transfer);
+                virt.window_hit(&ep, None, &rt.nodes)
+                    .or_else(|| virt.storm_hit(&ep, *clock, rng, &rt.nodes))
             }
             EpisodeKind::LockedWrite | EpisodeKind::Fallback => {
                 if ep.kind == EpisodeKind::LockedWrite {
-                    let lines = ep.reads.iter().chain(ep.writes.iter());
-                    self.virt_charge_transfer(&virt, ep.start, lines);
+                    virt.gather_heat(ep.reads.as_slice(), ep.writes.as_slice(), *id);
+                    *clock += virt.transfer_charge(ep.start, rt.cost.line_transfer);
                 }
-                self.virt_publish(
-                    &mut virt,
-                    ep.start,
-                    ep.op_key,
-                    &mut ep.reads,
-                    &mut ep.writes,
-                );
+                virt.commit(ep.record(*clock, *id));
                 None
             }
             EpisodeKind::HtmTx => unreachable!("a transaction ends in htm_commit"),
@@ -803,8 +950,10 @@ impl ThreadCtx {
 
     /// Commit the open transaction against the window.
     pub(crate) fn virt_commit(&mut self) -> Result<(), AbortCause> {
-        let rt = Arc::clone(&self.rt);
-        let mut ep = self.ep.take().unwrap();
+        let ep = self.ep.take().unwrap();
+        let ThreadCtx {
+            rt, clock, id, rng, ..
+        } = &mut *self;
         // One `virt` acquisition covers the transfer charge, the window
         // check, the storm draw and the commit publish — the commit hot
         // path used to take the mutex once per step. On every abort path
@@ -814,10 +963,10 @@ impl ThreadCtx {
         let mut virt = rt.virt.lock().unwrap();
 
         // Cache-coherence charges for hot lines extend the interval first.
-        let lines = ep.reads.iter().chain(ep.writes.iter());
-        self.virt_charge_transfer(&virt, ep.start, lines);
+        virt.gather_heat(ep.reads.as_slice(), ep.writes.as_slice(), *id);
+        *clock += virt.transfer_charge(ep.start, rt.cost.line_transfer);
 
-        let cause = match self.virt_window_hit(&virt, &ep, Some(&ep.writes)) {
+        let cause = match virt.window_hit(&ep, Some(&ep.writes), &rt.nodes) {
             Some(ci) if Some(ci.line) == ep.fb_line => Some(AbortCause::FallbackLocked),
             Some(ci) => Some(AbortCause::Conflict(ci)),
             // Episodes running under a contender-serializing advisory lock
@@ -827,15 +976,13 @@ impl ThreadCtx {
             // interval-overlap check above still catches every genuinely
             // concurrent writer).
             None if ep.serialized => None,
-            None => self
-                .virt_storm_hit(&virt, &ep, Some(&ep.writes))
+            None => virt
+                .storm_hit(&ep, *clock, rng, &rt.nodes)
                 .map(AbortCause::Conflict),
         };
         let cause = cause.or_else(|| {
-            let p = rt
-                .cost
-                .spurious_probability(self.clock.saturating_sub(ep.start));
-            (p > 0.0 && self.rng.gen_bool(p.min(1.0))).then_some(AbortCause::Spurious)
+            let p = rt.cost.spurious_probability(clock.saturating_sub(ep.start));
+            (p > 0.0 && rng.gen_bool(p.min(1.0))).then_some(AbortCause::Spurious)
         });
         if let Some(cause) = cause {
             drop(virt);
@@ -847,13 +994,7 @@ impl ThreadCtx {
         for (p, v) in &ep.write_buf {
             unsafe { (*p.0).store(*v, Ordering::Relaxed) };
         }
-        self.virt_publish(
-            &mut virt,
-            ep.start,
-            ep.op_key,
-            &mut ep.reads,
-            &mut ep.writes,
-        );
+        virt.commit(ep.record(*clock, *id));
         drop(virt);
         self.recycle(ep);
         self.trace(EventKind::EpisodeCommit {
@@ -873,7 +1014,7 @@ impl ThreadCtx {
     pub(crate) fn virt_attempt_aborted(&mut self, cause: &AbortCause, wasted: u64) -> u64 {
         if let Some(ep) = self.ep.as_ref().filter(|ep| !ep.writes.is_empty()) {
             let mut virt = self.rt.virt.lock().unwrap();
-            virt.heat_writes(&ep.writes, self.clock, self.id);
+            virt.heat_writes(ep.writes.as_slice(), self.clock, self.id);
         }
         let refund = match cause {
             AbortCause::Conflict(_) => wasted / 2,
@@ -881,5 +1022,60 @@ impl ThreadCtx {
         };
         self.clock -= refund;
         refund
+    }
+}
+
+impl EpisodeState {
+    /// This episode as a committed record: `[start, end]` on `thread`,
+    /// with its footprint — which the window copies, so the sets are
+    /// cleared and reused with their capacity.
+    fn record(&self, end: u64, thread: u32) -> EpisodeRecord<'_> {
+        EpisodeRecord {
+            start: self.start,
+            end,
+            thread,
+            op_key: self.op_key,
+            reads: self.reads.as_slice(),
+            writes: self.writes.as_slice(),
+        }
+    }
+}
+
+impl VirtState {
+    /// The newest committed overlapping episode colliding with `ep`'s
+    /// footprint (reads against writes only when `writes` is `None`).
+    fn window_hit(
+        &self,
+        ep: &EpisodeState,
+        writes: Option<&LineSet>,
+        nodes: &NodeTable,
+    ) -> Option<ConflictInfo> {
+        let (line, class, other_key, other_thread) =
+            self.check(ep.start, &ep.reads, writes, nodes)?;
+        Some(ConflictInfo {
+            line,
+            kind: classify_conflict(class, ep.op_key, other_key),
+            other_thread: Some(other_thread),
+        })
+    }
+
+    /// Statistical collision with wall-clock-concurrent writers the
+    /// serial order hides (see [`VirtState::storm_probability`]), over the
+    /// footprint last gathered, for `ep` closing at `now`; one draw from
+    /// the thread's RNG.
+    fn storm_hit(
+        &self,
+        ep: &EpisodeState,
+        now: u64,
+        rng: &mut SmallRng,
+        nodes: &NodeTable,
+    ) -> Option<ConflictInfo> {
+        let u: f64 = rng.gen();
+        let (line, class) = self.storm_check(ep.start, now.saturating_sub(ep.start), u, nodes)?;
+        Some(ConflictInfo {
+            line,
+            kind: classify_conflict(class, ep.op_key, None),
+            other_thread: None,
+        })
     }
 }

@@ -93,6 +93,20 @@ const SCAN: usize = 4;
 /// reallocates inside the measured window.
 const PRUNE_EVERY: u64 = 256;
 
+/// How far behind the thread's clock a prune cuts the window.
+#[derive(Clone, Copy)]
+enum Prune {
+    /// Not at all (the concurrent backend has no window).
+    Never,
+    /// 100 000 cycles behind, as a scheduler whose slowest thread lags:
+    /// recent records (and their line-index entries) stay live across
+    /// sweeps.
+    Lagging,
+    /// At the clock itself, as every lone-thread driver (a preload) does:
+    /// each prune empties the window, and every sweep the line index.
+    AtClock,
+}
+
 /// A mixed bag of episodes: transactional RMWs round-robin over the cells
 /// plus a read-only scan every fourth episode, so both the write-set and
 /// read-set paths (and the commit-time window check for each) stay hot.
@@ -102,7 +116,7 @@ fn run_episodes(
     fb: &TxCell<u64>,
     cells: &[Padded],
     count: u64,
-    prune: bool,
+    prune: Prune,
 ) {
     let policy = RetryPolicy::default();
     for i in 0..count {
@@ -121,12 +135,12 @@ fn run_episodes(
                 tx.write(c, v + 1)
             });
         }
-        // The scheduler prunes with the minimum pending episode start,
-        // which trails the current clock; emulate that lag so recent
-        // window records (and their line-index entries) stay live across
-        // sweeps instead of being dropped and re-created.
-        if prune && i % PRUNE_EVERY == PRUNE_EVERY - 1 {
-            rt.virt_prune(ctx.clock.saturating_sub(100_000));
+        if i % PRUNE_EVERY == PRUNE_EVERY - 1 {
+            match prune {
+                Prune::Never => {}
+                Prune::Lagging => rt.virt_prune(ctx.clock.saturating_sub(100_000)),
+                Prune::AtClock => rt.virt_prune(ctx.clock),
+            }
         }
     }
 }
@@ -140,59 +154,62 @@ fn dump_trapped_sizes() {
     }
 }
 
-#[test]
-fn steady_state_episodes_do_not_allocate() {
-    let trap = std::env::var_os("EUNO_ALLOC_TRAP").is_some();
-
-    // ---- virtual mode: the deterministic engine behind every figure ----
-    let rt = Runtime::new_virtual();
-    let mut ctx = rt.thread(42);
-    let fb = TxCell::new(0u64);
-    let cells: Vec<Padded> = (0..CELLS).map(|_| Padded(TxCell::new(0))).collect();
-
-    // Warmup: fill the episode scratch pool, grow the window deque, the
-    // line index lists and the hot-line map to their steady high-water
-    // marks, and cross the index-sweep threshold many times.
-    run_episodes(&mut ctx, &rt, &fb, &cells, 200 * PRUNE_EVERY, true);
-
+/// Warm up, then count the allocations of `measured` more episodes.
+fn measured_allocs(
+    ctx: &mut ThreadCtx,
+    rt: &Runtime,
+    fb: &TxCell<u64>,
+    cells: &[Padded],
+    (warmup, measured): (u64, u64),
+    prune: Prune,
+) -> u64 {
+    run_episodes(ctx, rt, fb, cells, warmup, prune);
     COUNTING.with(|c| c.set(true));
     let before = ALLOCS.load(Ordering::Relaxed);
-    if trap {
+    if std::env::var_os("EUNO_ALLOC_TRAP").is_some() {
         TRAP.store(16, Ordering::Relaxed);
     }
-    run_episodes(&mut ctx, &rt, &fb, &cells, 40 * PRUNE_EVERY, true);
+    run_episodes(ctx, rt, fb, cells, measured, prune);
     TRAP.store(0, Ordering::Relaxed);
     let during = ALLOCS.load(Ordering::Relaxed) - before;
     COUNTING.with(|c| c.set(false));
     dump_trapped_sizes();
-    assert_eq!(
-        during, 0,
-        "virtual-mode steady state allocated {during} times in 10k episodes"
-    );
-    assert!(
-        ctx.exec_stages().commits >= 240 * PRUNE_EVERY,
-        "sanity: episodes actually committed (commits={})",
-        ctx.exec_stages().commits
-    );
+    during
+}
+
+#[test]
+fn steady_state_episodes_do_not_allocate() {
+    // ---- virtual mode: the deterministic engine behind every figure ----
+    // Warmup: fill the episode scratch pool, grow the window deque, the
+    // line index lists and the hot-line map to their steady high-water
+    // marks, and cross the index-sweep threshold many times. Once with
+    // the window pruned behind the clock, once at it: the regime of a
+    // lone-thread driver, where each sweep empties the line index and the
+    // hot lines' access lists must spill into recycled buffers.
+    for prune in [Prune::Lagging, Prune::AtClock] {
+        let rt = Runtime::new_virtual();
+        let mut ctx = rt.thread(42);
+        let fb = TxCell::new(0u64);
+        let cells: Vec<Padded> = (0..CELLS).map(|_| Padded(TxCell::new(0))).collect();
+        let phases = (200 * PRUNE_EVERY, 40 * PRUNE_EVERY);
+        let during = measured_allocs(&mut ctx, &rt, &fb, &cells, phases, prune);
+        assert_eq!(
+            during, 0,
+            "virtual-mode steady state allocated {during} times in 10k episodes"
+        );
+        assert!(
+            ctx.exec_stages().commits >= 240 * PRUNE_EVERY,
+            "sanity: episodes actually committed (commits={})",
+            ctx.exec_stages().commits
+        );
+    }
 
     // ---- concurrent mode: the NOrec software path, single thread ------
     let rt = Runtime::new(Backend::Stm, CostModel::default());
     let mut ctx = rt.thread(43);
     let fb = TxCell::new(0u64);
     let cells: Vec<Padded> = (0..CELLS).map(|_| Padded(TxCell::new(0))).collect();
-
-    run_episodes(&mut ctx, &rt, &fb, &cells, 30_000, false);
-
-    COUNTING.with(|c| c.set(true));
-    let before = ALLOCS.load(Ordering::Relaxed);
-    if trap {
-        TRAP.store(16, Ordering::Relaxed);
-    }
-    run_episodes(&mut ctx, &rt, &fb, &cells, 10_000, false);
-    TRAP.store(0, Ordering::Relaxed);
-    let during = ALLOCS.load(Ordering::Relaxed) - before;
-    COUNTING.with(|c| c.set(false));
-    dump_trapped_sizes();
+    let during = measured_allocs(&mut ctx, &rt, &fb, &cells, (30_000, 10_000), Prune::Never);
     assert_eq!(
         during, 0,
         "concurrent-mode steady state allocated {during} times in 10k episodes"

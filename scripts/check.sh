@@ -229,6 +229,17 @@ grep -qE "answered [1-9]+/" "$SMOKE/fig14.out" \
     || { echo "smoke-metrics: no adaptation lag quantified"; exit 1; }
 echo "smoke-metrics (fig14 timeline + schema v3; zero-alloc sampler ran in tier-1) OK"
 
+# Zero-alloc: the engine's allocation gates, in --release as well — the
+# benchmark's virtual preload is release code.  Steady-state episodes
+# allocate nothing, with the window pruned behind the clock and at it
+# (a lone-thread driver's regime, where every index sweep empties the
+# line index), and an ascending virtual preload stays within its budget
+# of allocations a put (the nodes a split creates and the tables'
+# growth; DESIGN.md §4.2 "Simulator wall cost").
+cargo test -q --release -p euno-htm --test zero_alloc
+cargo test -q --release -p euno-core --test zero_alloc_preload
+echo "zero-alloc (episode hot path at two prune lags + preload budget, in --release) OK"
+
 # Concurrent-correctness stage: real threads, recorded histories, the
 # linearizability oracle, and structural audits over all four trees.
 # Fixed seed for reproducibility; the wall-clock cap keeps the stage
