@@ -112,7 +112,7 @@ pub struct BatchStats {
     /// Ops that bailed out of shared episodes and re-ran individually.
     pub singles: u64,
     /// Conflict aborts across the upper stage and all shared episodes
-    /// (feeds the worker's adaptive batch sizing).
+    /// (the repo benchmark's ladder reports them per op).
     pub conflict_aborts: u64,
 }
 

@@ -30,16 +30,6 @@ pub enum AbortCause {
 }
 
 impl AbortCause {
-    /// Whether the TSX "retry" hint bit would be set: retrying may succeed.
-    /// Capacity aborts of a deterministic overflow would fail again, and
-    /// fallback-lock aborts should wait for the lock instead.
-    pub fn may_retry(self) -> bool {
-        matches!(
-            self,
-            AbortCause::Conflict(_) | AbortCause::Spurious | AbortCause::FallbackLocked
-        )
-    }
-
     /// The cause's bucket in the paper's taxonomy: the one mapping behind
     /// `AbortCounts`, the `ABORTS_HTM` counters, the run report's `aborts`
     /// keys and the trace's abort events.
@@ -142,18 +132,5 @@ mod tests {
             }));
         }
         assert_eq!((counts.conflicts(), counts.leaf_level_conflicts()), (5, 4));
-    }
-
-    #[test]
-    fn retry_hint_bits() {
-        assert!(AbortCause::Spurious.may_retry());
-        assert!(!AbortCause::Capacity.may_retry());
-        assert!(!AbortCause::Explicit(7).may_retry());
-        let ci = ConflictInfo {
-            line: LineId(1),
-            kind: AbortClass::TrueSameRecord,
-            other_thread: None,
-        };
-        assert!(AbortCause::Conflict(ci).may_retry());
     }
 }

@@ -137,7 +137,6 @@ define_metric_enum! {
         ServeBatchedOps => "serve_batched_ops",
         ServeSingleOps => "serve_single_ops",
         ServeBatchBails => "serve_batch_bails",
-        ServeBatchShrinks => "serve_batch_shrinks",
     }
 }
 

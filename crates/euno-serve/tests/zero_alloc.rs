@@ -120,7 +120,6 @@ fn steady_state_serve_does_not_allocate() {
             queue_capacity: 256,
             batch_max: 16,
             tree_config,
-            ..ServeConfig::default()
         });
         // Preload the whole traffic range: the measured phase only updates,
         // so no leaf splits and no fresh node allocations are legitimate.

@@ -112,7 +112,20 @@ HELD='Middles|ABORTS_MIDDLE'
     || { echo "held-names: a held counter name is used outside counters.rs"; exit 1; }
 grep -qE "$HELD" benchmark/src/counters.rs || ! grep -qE "$HELD" crates/euno-metrics/src/counters.rs \
     || { echo "held-names: benchmark/ dropped the held names; delete them from counters.rs"; exit 1; }
-echo "held-names (vestigial counters unused, and still needed) OK"
+# `ServeSnapshot::batch_shrinks` outlived the serve worker's drain-width
+# controller because `benchmark/src/serve.rs` reads it.  Under crates/*/src
+# only its declaration and the literal `0` that `snapshot()` sets may name
+# it (no counter may feed it), and it may not outlive that read.
+SHRINKS='batch_?shrinks'
+SRV=crates/euno-serve/src/server.rs
+! grep -rniE "$SHRINKS" crates/*/src \
+    | grep -vE "^$SRV:[0-9]+: *(pub batch_shrinks: u64|batch_shrinks: 0),\$" \
+    || { echo "held-names: batch_shrinks is set to something but 0"; exit 1; }
+[[ $(grep -cE '^ *batch_shrinks: 0,$' "$SRV") == 1 ]] \
+    || { echo "held-names: snapshot() no longer sets batch_shrinks to 0"; exit 1; }
+grep -qE "$SHRINKS" benchmark/src/serve.rs || ! grep -qiE "$SHRINKS" "$SRV" \
+    || { echo "held-names: benchmark/ stopped reading batch_shrinks; delete it from ServeSnapshot"; exit 1; }
+echo "held-names (vestigial counters and fields unused, and still needed) OK"
 
 # One copy: the B+tree's sequential phases are written once, in
 # euno-htm/src/bptree.rs (DESIGN.md §4.9).  A second bisect anywhere under
