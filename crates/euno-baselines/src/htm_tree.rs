@@ -69,7 +69,7 @@ pub trait Versions<const F: usize>: Sized {
     /// The region steps onto the node whose version word is `version` on
     /// the way down, and searches its keys next iff `search` (every index
     /// node, and the leaf of a point operation).
-    fn enter(_: &mut Tx<'_>, _version: &TxCell<u64>, _search: bool) -> TxResult<()> {
+    fn enter(_: &mut Tx<'_>, _version: &TxCell, _search: bool) -> TxResult<()> {
         Ok(())
     }
 
@@ -78,7 +78,7 @@ pub trait Versions<const F: usize>: Sized {
 
     /// A node with the version word `version` has taken an insert or a
     /// delete (`inserted`), or has split (`split`).
-    fn bump(_: &mut Tx<'_>, _version: &TxCell<u64>, _inserted: bool, _split: bool) -> TxResult<()> {
+    fn bump(_: &mut Tx<'_>, _version: &TxCell, _inserted: bool, _split: bool) -> TxResult<()> {
         Ok(())
     }
 
@@ -146,7 +146,7 @@ impl Versions<DEFAULT_FANOUT> for MasstreeVersions {
     /// fallback-path writer) forces an explicit abort, like hardware lock
     /// elision checking the elided lock. Then, before a search, the work
     /// of entering a Masstree node.
-    fn enter(tx: &mut Tx<'_>, version: &TxCell<u64>, search: bool) -> TxResult<()> {
+    fn enter(tx: &mut Tx<'_>, version: &TxCell, search: bool) -> TxResult<()> {
         if tx.read(version)? & LOCK_BIT != 0 {
             return tx.explicit_abort(0x10);
         }
@@ -162,7 +162,7 @@ impl Versions<DEFAULT_FANOUT> for MasstreeVersions {
 
     /// Transactional version-counter bump — the shared-metadata write that
     /// makes this design abort-prone.
-    fn bump(tx: &mut Tx<'_>, version: &TxCell<u64>, inserted: bool, split: bool) -> TxResult<()> {
+    fn bump(tx: &mut Tx<'_>, version: &TxCell, inserted: bool, split: bool) -> TxResult<()> {
         let mut next = tx.read(version)?;
         if inserted {
             next = next.wrapping_add(VINSERT_UNIT);

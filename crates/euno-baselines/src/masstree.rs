@@ -50,7 +50,7 @@ const VSPLIT_MASK: u64 = !0 << 33;
 /// its first probe succeeds; on real threads the clock calls are no-ops and
 /// the probe loop backs off like every other lock in the engine.
 pub(crate) trait Version {
-    fn cell(&self) -> &TxCell<u64>;
+    fn cell(&self) -> &TxCell;
 
     /// The word's virtual-lock identity: its address.
     fn vkey(&self) -> u64 {
@@ -112,14 +112,14 @@ pub(crate) trait Version {
     }
 }
 
-impl Version for TxCell<u64> {
-    fn cell(&self) -> &TxCell<u64> {
+impl Version for TxCell {
+    fn cell(&self) -> &TxCell {
         self
     }
 }
 
 /// The version word of whichever kind of node `node` points at.
-fn version_of(nodes: Guard<'_, F>, node: NodeRef) -> &TxCell<u64> {
+fn version_of(nodes: Guard<'_, F>, node: NodeRef) -> &TxCell {
     match node.is_leaf() {
         true => &nodes.leaf(node).version,
         false => &nodes.index_node(node).version,

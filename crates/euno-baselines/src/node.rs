@@ -33,24 +33,24 @@ pub type Guard<'t, const F: usize> = euno_htm::Guard<'t, Leaf<F>, F>;
 #[repr(C, align(64))]
 pub struct Leaf<const F: usize> {
     /// Number of occupied slots (including tombstoned records).
-    pub count: TxCell<u64>,
+    pub count: TxCell,
     /// Next-leaf link (NodeRef bits; 0 = end).
-    pub next: TxCell<u64>,
+    pub next: TxCell,
     /// Parent index node (NodeRef bits; 0 at the root).
-    pub parent: TxCell<u64>,
+    pub parent: TxCell,
     /// Masstree's version word.
-    pub version: TxCell<u64>,
+    pub version: TxCell,
     /// B-link fence: exclusive upper bound of this leaf's key range
     /// (`KEY_SENTINEL` = +∞). A traversal that lands here *after* a
     /// concurrent split detects the shrunken range by `key ≥ highkey`
     /// and retries — closing the stale-child-pointer race that version
     /// validation alone cannot see once the split has completed.
-    pub highkey: TxCell<u64>,
+    pub highkey: TxCell,
     _pad: [u64; 3],
     /// Sorted keys; unoccupied slots hold `KEY_SENTINEL`.
-    pub keys: [TxCell<u64>; F],
+    pub keys: [TxCell; F],
     /// Values parallel to `keys`; `TOMBSTONE` marks a deleted record.
-    pub vals: [TxCell<u64>; F],
+    pub vals: [TxCell; F],
 }
 
 impl<const F: usize> Leaf<F> {
@@ -177,7 +177,7 @@ pub(crate) fn empty_tree<const F: usize>(
 }
 
 impl<const F: usize> ParentLinked for Leaf<F> {
-    fn parent(&self) -> &TxCell<u64> {
+    fn parent(&self) -> &TxCell {
         &self.parent
     }
 }
@@ -185,7 +185,7 @@ impl<const F: usize> ParentLinked for Leaf<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use euno_htm::{IndexNode, LineId, TxWord};
+    use euno_htm::{IndexNode, LineId};
 
     #[test]
     fn leaf_layout_separates_header_from_records() {
@@ -222,7 +222,7 @@ mod tests {
             assert!(std::ptr::eq(g.leaf(lr), &l));
             assert!(std::ptr::eq(g.index_node(ir), &i));
         });
-        // TxWord roundtrip preserves the tag.
+        // The word a cell stores keeps the tag.
         let w = lr.to_word();
         assert_eq!(NodeRef::from_word(w), lr);
     }

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use euno_baselines::{HtmBTree, HtmMasstree, Masstree};
 use euno_htm::{ConcurrentMap, Runtime};
-use euno_rng::{Rng, SmallRng};
+use euno_rng::SmallRng;
 
 #[derive(Clone, Debug)]
 enum Op {

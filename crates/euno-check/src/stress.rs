@@ -20,7 +20,7 @@ use euno_baselines::{HtmBTree, HtmMasstree, Masstree};
 use euno_core::{EunoBTreeDefault, EunoConfig};
 use euno_htm::{ConcurrentMap, Runtime, ThreadStats};
 use euno_metrics::{sample_due, Counter, ExecStages, Snapshot, TimeSeries};
-use euno_rng::{Rng, SmallRng};
+use euno_rng::SmallRng;
 use euno_trace::{build_profile, LeafProfile, ThreadTrace, TraceBuf};
 
 use crate::audit::{IndexWatch, SeqnoWatch};

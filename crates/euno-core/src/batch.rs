@@ -45,7 +45,7 @@
 //!   (`lower_body` returns `NeedSplitLock` and the rest of the group
 //!   bails), so shared episodes stay split-free on the HTM path anyway.
 
-use euno_htm::{EventKind, RetryPolicy, ThreadCtx, TxWord};
+use euno_htm::{EventKind, RetryPolicy, ThreadCtx};
 
 use crate::ccm::Ccm;
 use crate::node::{EunoLeaf, Guard, NodeRef};
@@ -466,7 +466,7 @@ mod tests {
     use super::*;
     use crate::tree::EunoBTreeDefault;
     use euno_htm::{ConcurrentMap, Runtime};
-    use euno_rng::{Rng, SmallRng};
+    use euno_rng::SmallRng;
     use std::collections::BTreeMap;
     use std::sync::Arc;
 
@@ -651,7 +651,7 @@ mod perf_probe {
     use super::*;
     use crate::tree::EunoBTreeDefault;
     use euno_htm::{ConcurrentMap, Runtime};
-    use euno_rng::{Rng, SmallRng};
+    use euno_rng::SmallRng;
     use std::sync::Arc;
 
     #[test]

@@ -88,20 +88,20 @@ pub const ADAPTIVE_CONFLICT_RATE: f64 = 0.05;
 #[repr(C, align(64))]
 pub struct Ccm {
     /// Existence filter: bit per slot.
-    marks: TxCell<u64>,
+    marks: TxCell,
     /// Fine-grained advisory locks: bit per slot (Algorithm 2 lines 30-31).
     locks: LockWord,
     /// Adaptive detector: operations seen (monotone).
-    ops: TxCell<u64>,
+    ops: TxCell,
     /// Adaptive detector: conflict aborts seen (monotone).
-    conflicts: TxCell<u64>,
+    conflicts: TxCell,
     /// Snapshot of `conflicts` at the last window close; the next close
     /// decides on the delta.
-    window_base: TxCell<u64>,
+    window_base: TxCell,
     /// Closed-window counter; bumped by CAS by the unique closer.
-    epoch: TxCell<u64>,
+    epoch: TxCell,
     /// 1 ⇒ requests may bypass the CCM and leaf-lock pre-acquisition.
-    bypass: TxCell<u64>,
+    bypass: TxCell,
 }
 
 /// One conflict-control stage in flight on a leaf: what

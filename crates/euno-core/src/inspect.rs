@@ -7,7 +7,7 @@ use crate::ccm::Ccm;
 use crate::node::{EunoLeaf, Guard, NodeRef, INTERNAL_FANOUT};
 use crate::segment::{home_segment, KeyPad, Keys, Segment};
 use crate::tree::EunoBTree;
-use euno_htm::{TxWord, KEY_SENTINEL, TOMBSTONE};
+use euno_htm::{KEY_SENTINEL, TOMBSTONE};
 
 /// Stop collecting violations past this many — one is already a failed
 /// audit, and a structurally broken big tree could otherwise flood.
@@ -499,7 +499,7 @@ mod tests {
         use crate::ccm::Ccm;
         use crate::node::NodeRef;
         use crate::tree::{DEFAULT_K as K, DEFAULT_SEGS};
-        use euno_htm::{TxWord, KEY_SENTINEL};
+        use euno_htm::KEY_SENTINEL;
         let rt = Runtime::new_virtual();
         let t = EunoBTreeDefault::new(Arc::clone(&rt));
         let mut ctx = rt.thread(1);

@@ -45,7 +45,7 @@ where
         &self,
         home: usize,
         key: u64,
-        mut load: impl FnMut(&TxCell<u64>) -> Result<u64, E>,
+        mut load: impl FnMut(&TxCell) -> Result<u64, E>,
     ) -> Result<(usize, Probe), E> {
         let mut seg = home;
         loop {

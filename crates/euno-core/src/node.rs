@@ -122,7 +122,7 @@ where
     /// The leaf's own word `i` of [`Self::OWN_WORDS`]: the link word of
     /// segment `SEGS − 1 − i` while that is not segment 0 (whose link word
     /// is [`Self::seqno_carried`]), else a spare word, segment 0's first.
-    fn own_word(&self, i: usize) -> &TxCell<u64> {
+    fn own_word(&self, i: usize) -> &TxCell {
         match Self::LAST.checked_sub(i).filter(|&seg| seg > 0) {
             Some(seg) => self.segs[seg].link(),
             None => {
@@ -143,7 +143,7 @@ where
     /// hint and a group of `apply_batch` check, each on its key's home
     /// segment, the line it reads anyway. Written by splits and merges,
     /// inside their regions, all copies at once ([`Self::set_fence`]).
-    pub fn fence(&self, seg: usize) -> &TxCell<u64> {
+    pub fn fence(&self, seg: usize) -> &TxCell {
         self.segs[seg].fence_cell()
     }
 
@@ -165,24 +165,24 @@ where
     /// reorganization and merge — on segment 0's line: what the section
     /// that reads segment 0 for a scan step reads with it (the walk that
     /// found the leaf, or the step's opening section).
-    pub fn seqno_carried(&self) -> &TxCell<u64> {
+    pub fn seqno_carried(&self) -> &TxCell {
         self.segs[0].link()
     }
 
     /// The copy of `seqno` a scan step's closing section checks, beside
     /// `next` (one line before it where the leaf has more than two
     /// segments).
-    pub fn seqno_closing(&self) -> &TxCell<u64> {
+    pub fn seqno_closing(&self) -> &TxCell {
         self.own_word(1)
     }
 
     /// Next-leaf chain for range scans (NodeRef bits).
-    pub fn next(&self) -> &TxCell<u64> {
+    pub fn next(&self) -> &TxCell {
         self.own_word(0)
     }
 
     /// Parent internal node (NodeRef bits; 0 at the root).
-    pub fn parent(&self) -> &TxCell<u64> {
+    pub fn parent(&self) -> &TxCell {
         self.own_word(4)
     }
 
@@ -195,7 +195,7 @@ where
 
     /// The block word: 0 while the leaf has no CCM block, the block's
     /// address once [`Self::install_block`] has given it one.
-    fn block_cell(&self) -> &TxCell<u64> {
+    fn block_cell(&self) -> &TxCell {
         self.own_word(3)
     }
 
@@ -325,7 +325,7 @@ impl<const SEGS: usize, const K: usize> ParentLinked for EunoLeaf<SEGS, K>
 where
     Keys<K>: KeyPad,
 {
-    fn parent(&self) -> &TxCell<u64> {
+    fn parent(&self) -> &TxCell {
         EunoLeaf::parent(self)
     }
 }
@@ -364,7 +364,7 @@ mod tests {
         Keys<K>: KeyPad,
     {
         let l: Box<EunoLeaf<SEGS, K>> = Box::new(EunoLeaf::empty());
-        let line = |cell: &TxCell<u64>| cell.line();
+        let line = |cell: &TxCell| cell.line();
         let lines_of = |seg: &Segment<K>| -> std::collections::HashSet<LineId> {
             (0..K)
                 .flat_map(|j| [line(seg.key_cell(j)), line(seg.val_cell(j))])
@@ -385,7 +385,7 @@ mod tests {
             l.segs[closing..].iter().flat_map(lines_of).collect();
         assert!(closing_lines.contains(&line(l.seqno_closing())));
         assert!(closing_lines.contains(&line(l.next())));
-        let at = |cell: &TxCell<u64>| cell as *const TxCell<u64> as usize;
+        let at = |cell: &TxCell| cell as *const TxCell as usize;
         let words = [
             at(l.next()),
             at(l.parent()),
@@ -409,7 +409,7 @@ mod tests {
         // beside segment 0's records, the closing copy beside segment 4's
         // and `next` beside segment 5's — each read with those records.
         let l: Box<DefaultLeaf> = Box::new(EunoLeaf::empty());
-        let line = |cell: &TxCell<u64>| cell.line();
+        let line = |cell: &TxCell| cell.line();
         assert_eq!(line(l.seqno_carried()), line(l.segs[0].key_cell(0)));
         assert_eq!(line(l.seqno_closing()), line(l.segs[4].key_cell(0)));
         assert_eq!(line(l.next()), line(l.segs[5].key_cell(0)));

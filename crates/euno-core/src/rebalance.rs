@@ -63,9 +63,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use euno_htm::euno_metrics::Counter;
-use euno_htm::{
-    EventKind, LockWord, OwnLine, RetryPolicy, ThreadCtx, TxWord, KEY_SENTINEL, TOMBSTONE,
-};
+use euno_htm::{EventKind, LockWord, OwnLine, RetryPolicy, ThreadCtx, KEY_SENTINEL, TOMBSTONE};
 
 use crate::node::{EunoLeaf, Guard, NodeRef};
 use crate::probe;
@@ -475,8 +473,8 @@ mod tests {
     use std::sync::Arc;
 
     use euno_htm::euno_metrics::Counter;
-    use euno_htm::{ConcurrentMap, EventKind, RetryPolicy, Runtime, ThreadCtx, TraceBuf, TxWord};
-    use euno_rng::{Rng, SmallRng};
+    use euno_htm::{ConcurrentMap, EventKind, RetryPolicy, Runtime, ThreadCtx, TraceBuf};
+    use euno_rng::SmallRng;
 
     use super::{SLICE_PAIRS, SWEEP_IDLE};
     use crate::config::EunoConfig;

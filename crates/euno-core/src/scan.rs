@@ -21,7 +21,7 @@
 //! rung — split lock plus one HTM region — which is what bounds a scan.
 
 use euno_htm::euno_metrics::Counter;
-use euno_htm::{RetryPolicy, ThreadCtx, TxWord, KEY_SENTINEL, TOMBSTONE};
+use euno_htm::{RetryPolicy, ThreadCtx, KEY_SENTINEL, TOMBSTONE};
 
 use crate::node::{covers, EunoLeaf, Guard, NodeRef};
 use crate::probe;

@@ -59,19 +59,19 @@ pub struct Keys<const K: usize>;
 /// segments, and so fewer than six link words, can put its own words
 /// there ([`crate::EunoLeaf::split_lock`]).
 pub trait KeyPad {
-    type Spare: AsRef<[TxCell<u64>]> + Default + Send + Sync;
+    type Spare: AsRef<[TxCell]> + Default + Send + Sync;
 }
 
 impl KeyPad for Keys<3> {
-    type Spare = [TxCell<u64>; 0];
+    type Spare = [TxCell; 0];
 }
 
 impl KeyPad for Keys<6> {
-    type Spare = [TxCell<u64>; 2];
+    type Spare = [TxCell; 2];
 }
 
 impl KeyPad for Keys<18> {
-    type Spare = [TxCell<u64>; 5];
+    type Spare = [TxCell; 5];
 }
 
 /// One line-aligned segment: this segment's copy of the leaf's fence, one
@@ -83,10 +83,10 @@ pub struct Segment<const K: usize>
 where
     Keys<K>: KeyPad,
 {
-    fence: TxCell<u64>,
-    link: TxCell<u64>,
-    keys: [TxCell<u64>; K],
-    vals: [TxCell<u64>; K],
+    fence: TxCell,
+    link: TxCell,
+    keys: [TxCell; K],
+    vals: [TxCell; K],
     spare: <Keys<K> as KeyPad>::Spare,
 }
 
@@ -126,27 +126,27 @@ where
             .unwrap_or(K)
     }
 
-    pub fn key_cell(&self, i: usize) -> &TxCell<u64> {
+    pub fn key_cell(&self, i: usize) -> &TxCell {
         &self.keys[i]
     }
 
-    pub fn val_cell(&self, i: usize) -> &TxCell<u64> {
+    pub fn val_cell(&self, i: usize) -> &TxCell {
         &self.vals[i]
     }
 
     /// This segment's copy of the leaf's fence ([`crate::EunoLeaf::fence`]):
     /// `KEY_SENTINEL` until a split lowers it.
-    pub(crate) fn fence_cell(&self) -> &TxCell<u64> {
+    pub(crate) fn fence_cell(&self) -> &TxCell {
         &self.fence
     }
 
     /// The link word: one of the leaf's own words ([`crate::EunoLeaf`]).
-    pub(crate) fn link(&self) -> &TxCell<u64> {
+    pub(crate) fn link(&self) -> &TxCell {
         &self.link
     }
 
     /// The spare words ([`KeyPad`]).
-    pub(crate) fn spare(&self) -> &[TxCell<u64>] {
+    pub(crate) fn spare(&self) -> &[TxCell] {
         self.spare.as_ref()
     }
 
@@ -166,7 +166,7 @@ where
     pub fn search<E>(
         &self,
         key: u64,
-        mut load: impl FnMut(&TxCell<u64>) -> Result<u64, E>,
+        mut load: impl FnMut(&TxCell) -> Result<u64, E>,
     ) -> Result<Probe, E> {
         let (mut hit, mut last) = (false, None);
         let slot = lower_bound(K, key, |i| {

@@ -15,7 +15,7 @@ use crate::segment::{KeyPad, Keys};
 use crate::tree::EunoBTree;
 use euno_htm::bptree::{promote, Linked, Unpublished};
 use euno_htm::euno_metrics::Counter;
-use euno_htm::{EventKind, RetryPolicy, ThreadCtx, Tx, TxResult, TxWord};
+use euno_htm::{EventKind, RetryPolicy, ThreadCtx, Tx, TxResult};
 
 /// What a lower region carries from attempt to attempt: whether its
 /// caller holds the leaf's split lock, and the nodes the current attempt

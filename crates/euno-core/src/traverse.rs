@@ -47,7 +47,7 @@ use std::convert::Infallible;
 
 use euno_htm::bptree::upper_bound;
 use euno_htm::euno_metrics::Counter;
-use euno_htm::{AbortCause, Anchor, RetryPolicy, ThreadCtx, TxCell, TxResult, TxWord, TOMBSTONE};
+use euno_htm::{AbortCause, Anchor, RetryPolicy, ThreadCtx, TxCell, TxResult, TOMBSTONE};
 
 use crate::ccm::Ccm;
 use crate::node::{covers, EunoLeaf, Guard, NodeRef, INTERNAL_FANOUT};
@@ -200,7 +200,7 @@ where
         g: Guard<'g, SEGS, K>,
         key: u64,
         from: Option<Anchor>,
-        mut load: impl FnMut(&TxCell<u64>) -> TxResult<u64>,
+        mut load: impl FnMut(&TxCell) -> TxResult<u64>,
     ) -> TxResult<Option<Descent<'g, SEGS, K>>> {
         let (mut cur, low) = match from {
             Some([node, low]) => (NodeRef(node), low),
@@ -660,8 +660,8 @@ mod tests {
     use std::sync::Arc;
 
     use euno_htm::euno_metrics::Counter;
-    use euno_htm::{ConcurrentMap, RetryPolicy, Runtime, TxWord};
-    use euno_rng::{Rng, SmallRng};
+    use euno_htm::{ConcurrentMap, RetryPolicy, Runtime};
+    use euno_rng::SmallRng;
 
     use super::{Descent, SUBTREE_BLOCK_SHIFT};
     use crate::node::NodeRef;

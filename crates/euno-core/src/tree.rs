@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use euno_htm::{
     Arena, ConcurrentMap, MemoryReport, Runtime, ThreadCtx, TransientBytes, Tx, TxCell, TxResult,
-    TxWord, KEY_SENTINEL, TOMBSTONE,
+    KEY_SENTINEL, TOMBSTONE,
 };
 
 use crate::ccm::Ccm;
@@ -149,7 +149,7 @@ where
         self.ctrl.root.load_plain()
     }
 
-    pub(crate) fn fallback_cell(&self) -> &TxCell<u64> {
+    pub(crate) fn fallback_cell(&self) -> &TxCell {
         &self.ctrl.fallback
     }
 

@@ -9,7 +9,7 @@ use std::sync::{Arc, Barrier};
 
 use euno_core::{Ccm, DefaultGuard, DefaultLeaf, EunoBTreeDefault, EunoConfig};
 use euno_htm::{ConcurrentMap, Runtime, ThreadCtx};
-use euno_rng::{Rng, SmallRng};
+use euno_rng::SmallRng;
 use euno_sim::VirtualScheduler;
 
 const BOTH: [fn() -> EunoConfig; 2] = [EunoConfig::paper, EunoConfig::default];

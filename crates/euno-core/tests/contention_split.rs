@@ -11,7 +11,7 @@ use std::sync::Arc;
 use euno_core::{DefaultLeaf, EunoBTreeDefault, EunoConfig, DEFAULT_SEGS};
 use euno_htm::euno_metrics::Counter;
 use euno_htm::{ConcurrentMap, Runtime};
-use euno_rng::{Rng, SmallRng};
+use euno_rng::SmallRng;
 use euno_sim::VirtualScheduler;
 
 const THREADS: u64 = 16;

@@ -22,7 +22,7 @@ use std::sync::Arc;
 use euno_core::{EunoBTreeDefault, EunoConfig};
 use euno_htm::euno_metrics::Counter;
 use euno_htm::{ConcurrentMap, Runtime};
-use euno_rng::{Rng, SmallRng};
+use euno_rng::SmallRng;
 use euno_sim::VirtualScheduler;
 
 const THREADS: u64 = 16;

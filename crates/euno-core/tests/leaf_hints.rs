@@ -9,7 +9,7 @@ use std::sync::Arc;
 use euno_core::{probe, DefaultLeaf, EunoBTreeDefault, EunoConfig, NodeRef};
 use euno_htm::euno_metrics::Counter;
 use euno_htm::{ConcurrentMap, Runtime, ThreadCtx};
-use euno_rng::{Rng, SmallRng};
+use euno_rng::SmallRng;
 use euno_sim::VirtualScheduler;
 
 /// Preloaded keys are multiples of this, so every leaf has room for

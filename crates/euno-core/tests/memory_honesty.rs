@@ -15,7 +15,7 @@ use euno_core::{
     DEFAULT_SEGS, INTERNAL_FANOUT,
 };
 use euno_htm::{fresh_owner, ConcurrentMap, Runtime};
-use euno_rng::{Rng, SmallRng};
+use euno_rng::SmallRng;
 
 struct CountingAlloc;
 

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use euno_core::segment::home_segment;
 use euno_core::{EunoBTree, EunoBTreeDefault, EunoConfig, DEFAULT_K, DEFAULT_SEGS};
 use euno_htm::{ConcurrentMap, Runtime};
-use euno_rng::{Rng, SmallRng};
+use euno_rng::SmallRng;
 
 #[derive(Clone, Debug)]
 enum Op {

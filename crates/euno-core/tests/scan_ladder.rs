@@ -10,7 +10,7 @@ use std::time::Duration;
 use euno_core::{EunoBTreeDefault, EunoConfig};
 use euno_htm::euno_metrics::Counter;
 use euno_htm::{ConcurrentMap, Runtime};
-use euno_rng::{Rng, SmallRng};
+use euno_rng::SmallRng;
 use euno_sim::VirtualScheduler;
 
 /// The optimistic scan used to re-descend forever across a run of more

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use euno_core::{probe, DefaultLeaf, EunoBTreeDefault, EunoConfig, NodeRef};
 use euno_htm::euno_metrics::Counter;
 use euno_htm::{Backend, ConcurrentMap, CostModel, Runtime, ThreadCtx};
-use euno_rng::{Rng, SmallRng};
+use euno_rng::SmallRng;
 
 /// Preloaded keys are multiples of this: sixteen to a subtree-hint block,
 /// nine to a leaf once an ascending load has split it, so a block is two

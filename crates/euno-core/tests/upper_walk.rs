@@ -13,7 +13,7 @@ use euno_core::segment::home_segment;
 use euno_core::{probe, DefaultLeaf, EunoBTreeDefault, EunoConfig, NodeRef, DEFAULT_SEGS};
 use euno_htm::euno_metrics::Counter;
 use euno_htm::{Backend, ConcurrentMap, Runtime, ThreadCtx};
-use euno_rng::{Rng, SmallRng};
+use euno_rng::SmallRng;
 use euno_sim::VirtualScheduler;
 
 // ---------------------------------------------------------------------

@@ -25,24 +25,24 @@ use crate::ctx::{ThreadCtx, Tx};
 use crate::line::LineClass;
 use crate::map::KEY_SENTINEL;
 use crate::runtime::Runtime;
-use crate::word::{TxCell, TxWord};
+use crate::word::TxCell;
 
 /// The reads and writes a phase is run over.
 pub trait Access {
     type Error;
-    fn load(&mut self, cell: &TxCell<u64>) -> Result<u64, Self::Error>;
-    fn store(&mut self, cell: &TxCell<u64>, v: u64) -> Result<(), Self::Error>;
+    fn load(&mut self, cell: &TxCell) -> Result<u64, Self::Error>;
+    fn store(&mut self, cell: &TxCell, v: u64) -> Result<(), Self::Error>;
 }
 
 /// Inside an HTM region: transactional reads, buffered writes.
 impl Access for Tx<'_> {
     type Error = AbortCause;
     #[inline]
-    fn load(&mut self, cell: &TxCell<u64>) -> Result<u64, AbortCause> {
+    fn load(&mut self, cell: &TxCell) -> Result<u64, AbortCause> {
         self.read(cell)
     }
     #[inline]
-    fn store(&mut self, cell: &TxCell<u64>, v: u64) -> Result<(), AbortCause> {
+    fn store(&mut self, cell: &TxCell, v: u64) -> Result<(), AbortCause> {
         self.write(cell, v)
     }
 }
@@ -52,11 +52,11 @@ impl Access for Tx<'_> {
 impl Access for ThreadCtx {
     type Error = Infallible;
     #[inline]
-    fn load(&mut self, cell: &TxCell<u64>) -> Result<u64, Infallible> {
+    fn load(&mut self, cell: &TxCell) -> Result<u64, Infallible> {
         Ok(cell.load_direct(self))
     }
     #[inline]
-    fn store(&mut self, cell: &TxCell<u64>, v: u64) -> Result<(), Infallible> {
+    fn store(&mut self, cell: &TxCell, v: u64) -> Result<(), Infallible> {
         cell.store_direct(self, v);
         Ok(())
     }
@@ -111,9 +111,9 @@ pub fn lower_bound<E>(
 #[allow(clippy::too_many_arguments)]
 pub fn insert_at<A: Access>(
     a: &mut A,
-    count: &TxCell<u64>,
-    keys: &[TxCell<u64>],
-    vals: &[TxCell<u64>],
+    count: &TxCell,
+    keys: &[TxCell],
+    vals: &[TxCell],
     n: usize,
     at: usize,
     key: u64,
@@ -135,9 +135,9 @@ pub fn insert_at<A: Access>(
 #[inline]
 pub fn sorted_insert<A: Access>(
     a: &mut A,
-    count: &TxCell<u64>,
-    keys: &[TxCell<u64>],
-    vals: &[TxCell<u64>],
+    count: &TxCell,
+    keys: &[TxCell],
+    vals: &[TxCell],
     n: usize,
     key: u64,
     val: u64,
@@ -162,15 +162,15 @@ pub fn sorted_insert<A: Access>(
 #[repr(C, align(64))]
 pub struct IndexNode<const F: usize> {
     /// Number of separator keys.
-    pub count: TxCell<u64>,
-    pub keys: [TxCell<u64>; F],
+    pub count: TxCell,
+    pub keys: [TxCell; F],
     /// Leftmost child.
-    pub child0: TxCell<u64>,
+    pub child0: TxCell,
     /// Parent index node (NodeRef bits; 0 at the root).
-    pub parent: TxCell<u64>,
+    pub parent: TxCell,
     /// Masstree's version word.
-    pub version: TxCell<u64>,
-    pub children: [TxCell<u64>; F],
+    pub version: TxCell,
+    pub children: [TxCell; F],
 }
 
 impl<const F: usize> IndexNode<F> {
@@ -191,7 +191,7 @@ impl<const F: usize> IndexNode<F> {
 
     /// The cell of child `i` of `count + 1`, as a search numbers them.
     #[inline]
-    pub fn child(&self, i: usize) -> &TxCell<u64> {
+    pub fn child(&self, i: usize) -> &TxCell {
         match i {
             0 => &self.child0,
             i => &self.children[i - 1],
@@ -260,7 +260,7 @@ impl<const F: usize> IndexNode<F> {
 
 /// A leaf that keeps a pointer to the index node above it.
 pub trait ParentLinked {
-    fn parent(&self) -> &TxCell<u64>;
+    fn parent(&self) -> &TxCell;
 }
 
 /// A tagged node pointer stored in cells: bit 0 set ⇒ leaf (of whatever
@@ -288,13 +288,14 @@ impl NodeRef {
     pub fn is_leaf(self) -> bool {
         self.0 & 1 == 1
     }
-}
 
-impl TxWord for NodeRef {
-    fn to_word(self) -> u64 {
+    #[inline]
+    pub fn to_word(self) -> u64 {
         self.0
     }
-    fn from_word(w: u64) -> Self {
+
+    #[inline]
+    pub fn from_word(w: u64) -> Self {
         NodeRef(w)
     }
 }
@@ -388,7 +389,7 @@ impl<'g, L: SideBlock, const F: usize> Guard<'g, L, F> {
 
 impl<'g, L: ParentLinked, const F: usize> Guard<'g, L, F> {
     /// The node's parent-pointer cell, whatever its kind.
-    pub fn parent_cell(self, node: NodeRef) -> &'g TxCell<u64> {
+    pub fn parent_cell(self, node: NodeRef) -> &'g TxCell {
         match node.is_leaf() {
             true => self.leaf(node).parent(),
             false => &self.index_node(node).parent,
@@ -491,7 +492,7 @@ pub struct Linked<'a, 't, L, const F: usize, V> {
     pub arenas: &'t NodeArenas<L, F>,
     pub rt: &'t Runtime,
     /// The tree's root word.
-    pub root: &'t TxCell<u64>,
+    pub root: &'t TxCell,
     pub unpublished: &'a mut Unpublished,
     /// What an index node that took a separator owes its readers, told
     /// whether it split to take it (a version bump; nothing for a tree
@@ -666,7 +667,7 @@ mod tests {
         let node: Box<IndexNode<16>> = Box::new(IndexNode::empty());
         assert_eq!(std::mem::size_of::<IndexNode<16>>(), 320);
         assert_eq!(std::mem::align_of::<IndexNode<16>>(), 64);
-        let line = |cell: &TxCell<u64>| cell.line().0 - node.count.line().0;
+        let line = |cell: &TxCell| cell.line().0 - node.count.line().0;
         assert_eq!(node.count.raw_ptr() as usize % 64, 0, "count opens line 0");
         assert!(node.keys[..7].iter().all(|k| line(k) == 0));
         assert!(node.keys[7..15].iter().all(|k| line(k) == 1));

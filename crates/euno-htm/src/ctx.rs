@@ -30,7 +30,7 @@ use crate::hint::{
 use crate::line::{LineId, LineSet};
 use crate::runtime::{Backend, Mode, Runtime};
 use crate::stats::ThreadStats;
-use crate::word::{TxCell, TxWord};
+use crate::word::TxCell;
 
 /// Raw cell pointer usable across the engine's internal logs.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -267,12 +267,12 @@ impl ThreadCtx {
     }
 
     /// Flush a committed episode's batched executor counters to the shard
-    /// in a single pass: commit counters (total, per-backend) plus the
-    /// retry-loop accumulators. The retry loop counts attempts / backoffs
+    /// in a single pass: the commit counter plus the retry-loop
+    /// accumulators. The retry loop counts attempts / backoffs
     /// / per-cause aborts in plain executor locals, so the per-iteration
     /// hot path costs no shard traffic at all; only episode completion
     /// touches the atomics, and a first-try commit — the common case — is
-    /// three counter bumps.
+    /// two counter bumps.
     #[inline]
     pub(crate) fn metric_commit_episode(
         &self,
@@ -283,7 +283,6 @@ impl ThreadCtx {
         use euno_metrics::Counter as C;
         let s = &self.shard;
         s.add(C::Commits, 1);
-        s.add(self.rt.backend().commit_counter(), 1);
         s.add(C::Attempts, u64::from(attempts));
         if attempts == 1 {
             // First-try commit: no aborts, no backoffs (each implies a
@@ -778,7 +777,7 @@ impl ThreadCtx {
 
     /// Wait until the fallback lock is free: out its virtual hold, then —
     /// on real threads — out the cell itself.
-    pub(crate) fn fb_wait_free(&mut self, fb: &TxCell<u64>) {
+    pub(crate) fn fb_wait_free(&mut self, fb: &TxCell) {
         self.vlock_wait(fb.raw_ptr() as u64);
         let mut backoff = crate::lock::SpinBackoff::new();
         while fb.raw().load(Ordering::Acquire) != 0 {
@@ -789,7 +788,7 @@ impl ThreadCtx {
     /// Open a software transaction attempt subscribed to the fallback
     /// lock: its word joins the read set, so a fallback acquisition aborts
     /// us.
-    pub(crate) fn tx_begin(&mut self, fb: &TxCell<u64>) -> Result<(), AbortCause> {
+    pub(crate) fn tx_begin(&mut self, fb: &TxCell) -> Result<(), AbortCause> {
         self.episode_begin(EpisodeKind::HtmTx);
         let ptr = fb.raw_ptr();
         let line = LineId::of_ptr(ptr);
@@ -803,7 +802,7 @@ impl ThreadCtx {
         }
     }
 
-    pub(crate) fn fb_acquire(&mut self, fb: &TxCell<u64>) {
+    pub(crate) fn fb_acquire(&mut self, fb: &TxCell) {
         let addr = fb.raw_ptr() as u64;
         let waited = self.vlock_wait(addr);
         match self.rt.backend() {
@@ -819,7 +818,7 @@ impl ThreadCtx {
         });
     }
 
-    pub(crate) fn fb_release(&mut self, fb: &TxCell<u64>) {
+    pub(crate) fn fb_release(&mut self, fb: &TxCell) {
         self.charge(self.rt.cost.lock_release);
         let addr = fb.raw_ptr() as u64;
         match self.rt.backend() {
@@ -847,7 +846,7 @@ impl ThreadCtx {
     /// Validate an episode-free optimistic read section against `snap`
     /// ([`ThreadCtx::tl2_validate`]). Virtual mode always validates here —
     /// its collision detection runs at episode close.
-    pub fn optimistic_validate(&mut self, fb: &TxCell<u64>, snap: u64) -> bool {
+    pub fn optimistic_validate(&mut self, fb: &TxCell, snap: u64) -> bool {
         match self.rt.backend() {
             Backend::Virtual => true,
             Backend::Stm | Backend::Rtm => self.tl2_validate(fb, snap),
@@ -874,7 +873,7 @@ impl ThreadCtx {
 
     /// Put the fallback lock's line into the open fallback episode's write
     /// footprint so overlapping transactions observe the serialization.
-    pub(crate) fn fallback_mark(&mut self, fb: &TxCell<u64>) {
+    pub(crate) fn fallback_mark(&mut self, fb: &TxCell) {
         let ep = self.ep.as_mut().unwrap();
         let line = LineId::of_ptr(fb.raw_ptr());
         ep.writes.insert(line);
@@ -899,14 +898,14 @@ pub struct Tx<'a> {
 impl<'a> Tx<'a> {
     /// Transactionally read a cell.
     #[inline]
-    pub fn read<T: TxWord>(&mut self, cell: &TxCell<T>) -> TxResult<T> {
-        self.ctx.tx_read(cell.raw_ptr()).map(T::from_word)
+    pub fn read(&mut self, cell: &TxCell) -> TxResult<u64> {
+        self.ctx.tx_read(cell.raw_ptr())
     }
 
     /// Transactionally write a cell (buffered until commit).
     #[inline]
-    pub fn write<T: TxWord>(&mut self, cell: &TxCell<T>, v: T) -> TxResult<()> {
-        self.ctx.tx_write(cell.raw_ptr(), v.to_word())
+    pub fn write(&mut self, cell: &TxCell, v: u64) -> TxResult<()> {
+        self.ctx.tx_write(cell.raw_ptr(), v)
     }
 
     /// `XABORT imm8`: explicitly abort this attempt.
@@ -953,7 +952,7 @@ mod tests {
     use super::*;
 
     #[repr(align(64))]
-    struct Aligned(TxCell<u64>);
+    struct Aligned(TxCell);
 
     /// Regression: a read-only transaction has no commit-time validation,
     /// so its snapshot consistency rests entirely on the read path's

@@ -67,7 +67,7 @@ impl<R> ExecOutcome<R> {
 /// One region execution in flight: the stage composition over a fallback
 /// cell and a retry policy.
 struct Executor<'e> {
-    fb: &'e TxCell<u64>,
+    fb: &'e TxCell,
     policy: &'e RetryPolicy,
     attempt_start: u64,
 }
@@ -139,7 +139,7 @@ impl Executor<'_> {
 
     /// Run `lock_step` — wait out the fallback lock, or take it — and
     /// attribute what it waited to the fallback-wait stage.
-    fn await_fallback(&self, ctx: &mut ThreadCtx, lock_step: fn(&mut ThreadCtx, &TxCell<u64>)) {
+    fn await_fallback(&self, ctx: &mut ThreadCtx, lock_step: fn(&mut ThreadCtx, &TxCell)) {
         let wait_before = ctx.stats.cycles_lock_wait;
         lock_step(ctx, self.fb);
         let waited = ctx.stats.cycles_lock_wait - wait_before;
@@ -245,7 +245,7 @@ impl ThreadCtx {
     /// `Err` on the fallback path.
     pub fn htm_execute<R>(
         &mut self,
-        fb: &TxCell<u64>,
+        fb: &TxCell,
         policy: &RetryPolicy,
         body: impl FnMut(&mut Tx<'_>) -> TxResult<R>,
     ) -> ExecOutcome<R> {
@@ -384,7 +384,7 @@ mod tests {
         // never share a cache line (unaligned small boxes can, depending on
         // allocator state).
         #[repr(align(64))]
-        struct Padded(TxCell<u64>);
+        struct Padded(TxCell);
         let x = Box::new(Padded(TxCell::new(0u64)));
         let y = Box::new(Padded(TxCell::new(0u64)));
         assert_ne!(x.0.line(), y.0.line());
@@ -406,7 +406,7 @@ mod tests {
         );
         let mut ctx = rt.thread(1);
         let fb = TxCell::new(0u64);
-        let cells: Vec<Box<TxCell<u64>>> = (0..64).map(|_| Box::new(TxCell::new(0u64))).collect();
+        let cells: Vec<Box<TxCell>> = (0..64).map(|_| Box::new(TxCell::new(0u64))).collect();
         let distinct: std::collections::HashSet<_> = cells.iter().map(|c| c.line()).collect();
         assert!(distinct.len() > 2);
         let out = ctx.htm_execute(&fb, &RetryPolicy::default(), |tx| {
@@ -584,8 +584,7 @@ mod tests {
 
     /// The stage counts the report is built from are maintained by the
     /// executor on the thread's metrics shard — exactly once per stage
-    /// transition, including the per-backend commit and per-cause abort
-    /// breakdowns.
+    /// transition, including the per-cause abort breakdown.
     #[test]
     fn executor_maintains_shard_stage_counters_exactly_once() {
         use euno_metrics::Counter as C;
@@ -609,16 +608,13 @@ mod tests {
         assert_eq!(ctx.metric(C::Fallbacks), 1);
         assert_eq!(ctx.metric(C::Commits), 0);
 
-        // A clean commit lands in the total and the per-backend counter
-        // exactly once.
+        // A clean commit lands in the total exactly once.
         let out = ctx.htm_execute(&fb, &RetryPolicy::default(), |tx| {
             let v = tx.read(&cell)?;
             tx.write(&cell, v + 1)
         });
         assert_eq!(out.path, Path::Htm);
         assert_eq!(ctx.metric(C::Commits), 1);
-        assert_eq!(ctx.metric(C::CommitsVirtual), 1);
-        assert_eq!(ctx.metric(C::CommitsStm), 0);
         assert_eq!(ctx.metric(C::Attempts), 2);
     }
 

@@ -84,7 +84,7 @@ pub use rtm::hw_rtm_available;
 pub use runtime::{Backend, Mode, OwnLine, Runtime};
 pub use stats::{AbortCounts, ThreadStats};
 pub use tl2::VersionTable;
-pub use word::{TxCell, TxWord};
+pub use word::TxCell;
 
 // Trace-layer types, re-exported so downstream crates can install ring
 // buffers and build profiles without depending on euno-trace directly.

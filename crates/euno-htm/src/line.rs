@@ -356,7 +356,7 @@ mod tests {
     /// must not claim the line it remembered.
     #[test]
     fn lineset_memo_matches_btreeset() {
-        use euno_rng::{Rng, SmallRng};
+        use euno_rng::SmallRng;
         use std::collections::BTreeSet;
         let mut rng = SmallRng::seed_from_u64(0x3e30);
         let mut set = LineSet::new();

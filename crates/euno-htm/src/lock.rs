@@ -84,7 +84,7 @@ pub fn slot_for_key(key: u64, nslots: u32) -> u32 {
 /// address.
 #[repr(transparent)]
 #[derive(Default)]
-pub struct LockWord(TxCell<u64>);
+pub struct LockWord(TxCell);
 
 impl LockWord {
     fn addr(&self) -> u64 {
@@ -189,9 +189,9 @@ impl LockWord {
 #[repr(C, align(64))]
 pub struct ControlBlock {
     /// Root node pointer bits.
-    pub root: TxCell<u64>,
+    pub root: TxCell,
     /// Global fallback lock for HTM regions.
-    pub fallback: TxCell<u64>,
+    pub fallback: TxCell,
     /// Serializes root replacement in lock-based trees.
     pub root_lock: LockWord,
 }

@@ -150,7 +150,7 @@ fn abort_cause(st: u32) -> AbortCause {
 #[cfg(target_arch = "x86_64")]
 pub(crate) fn attempt<R>(
     ctx: &mut ThreadCtx,
-    fb: &TxCell<u64>,
+    fb: &TxCell,
     body: &mut impl FnMut(&mut Tx<'_>) -> TxResult<R>,
 ) -> Result<R, AbortCause> {
     debug_assert_eq!(ctx.runtime().backend(), Backend::Rtm);
@@ -200,7 +200,7 @@ pub(crate) fn attempt<R>(
 #[cfg(not(target_arch = "x86_64"))]
 pub(crate) fn attempt<R>(
     _: &mut ThreadCtx,
-    _: &TxCell<u64>,
+    _: &TxCell,
     _: &mut impl FnMut(&mut Tx<'_>) -> TxResult<R>,
 ) -> Result<R, AbortCause> {
     unreachable!("the RTM backend resolves to STM off x86-64")

@@ -55,16 +55,6 @@ impl Backend {
             Backend::Stm | Backend::Rtm => Mode::Concurrent,
         }
     }
-
-    /// The per-backend commit counter.
-    #[inline]
-    pub(crate) fn commit_counter(self) -> euno_metrics::Counter {
-        match self {
-            Backend::Virtual => euno_metrics::Counter::CommitsVirtual,
-            Backend::Stm => euno_metrics::Counter::CommitsStm,
-            Backend::Rtm => euno_metrics::Counter::CommitsRtm,
-        }
-    }
 }
 
 /// A word on a cache line of its own. Every writing commit on every

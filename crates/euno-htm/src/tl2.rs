@@ -415,7 +415,7 @@ impl ThreadCtx {
 
     /// Take the fallback cell: win it, then wait out every write-back that
     /// was already under way.
-    pub(crate) fn tl2_fb_lock(&mut self, fb: &TxCell<u64>) {
+    pub(crate) fn tl2_fb_lock(&mut self, fb: &TxCell) {
         let mut backoff = SpinBackoff::new();
         loop {
             // SeqCst CAS: the quiesce below is a total-order
@@ -484,7 +484,7 @@ impl ThreadCtx {
     /// *completed* since the snapshot is caught the same way
     /// ([`ThreadCtx::tl2_fb_unlock`] bumps `rt.seq` before clearing the
     /// cell); an *active* one by the cell check.
-    pub(crate) fn tl2_validate(&self, fb: &TxCell<u64>, snap: u64) -> bool {
+    pub(crate) fn tl2_validate(&self, fb: &TxCell, snap: u64) -> bool {
         fb.raw().load(Ordering::Acquire) == 0 && self.rt.seq.load(Ordering::SeqCst) == snap
     }
 }

@@ -16,7 +16,7 @@ use std::collections::VecDeque;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::Ordering;
 
-use euno_rng::{Rng, SmallRng};
+use euno_rng::SmallRng;
 use euno_trace::{EpisodeKind, EventKind};
 
 use crate::abort::{classify_conflict, AbortCause, ConflictInfo};
@@ -881,7 +881,7 @@ impl ThreadCtx {
     /// wait until the holder's modeled release time plus one losing CAS
     /// observation, so a contended acquisition is accounted as on real
     /// threads — one losing + one winning CAS.
-    pub(crate) fn virt_acquire_mask(&mut self, word: &TxCell<u64>, mask: u64, vkey: u64) {
+    pub(crate) fn virt_acquire_mask(&mut self, word: &TxCell, mask: u64, vkey: u64) {
         let free_at = self.rt.vlock_free_at(vkey, self.clock);
         if free_at > self.clock {
             // The losing CAS advances the clock too; only the residual
@@ -1070,7 +1070,7 @@ impl VirtState {
         rng: &mut SmallRng,
         nodes: &NodeTable,
     ) -> Option<ConflictInfo> {
-        let u: f64 = rng.gen();
+        let u = rng.gen_f64();
         let (line, class) = self.storm_check(ep.start, now.saturating_sub(ep.start), u, nodes)?;
         Some(ConflictInfo {
             line,

@@ -6,7 +6,9 @@
 //!
 //! * The paper's workload uses 8-byte keys and 8-byte values (§5.1), and
 //!   all tree bookkeeping (counts, versions, bit vectors, node pointers)
-//!   fits a machine word, so a single cell width covers everything.
+//!   fits a machine word, so a cell holds a `u64`, takes no type parameter
+//!   (a node pointer goes through [`NodeRef::to_word`](crate::NodeRef::to_word)),
+//!   and is `Send` and `Sync` because its `AtomicU64` is.
 //! * Conflict detection is *address based*: a cell's cache line is derived
 //!   from its own address, so arrays of cells inside a node share lines
 //!   exactly like the C++ layout the paper measured — false sharing is
@@ -27,55 +29,23 @@
 //! program (reads may mix); the trees in this workspace follow that
 //! discipline and it is asserted in debug builds of the engine.
 
-use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::ctx::ThreadCtx;
 use crate::line::LineId;
 use crate::lock::LockWord;
 
-/// Types storable in a [`TxCell`]: anything losslessly convertible to a
-/// 64-bit word.
-pub trait TxWord: Copy {
-    fn to_word(self) -> u64;
-    fn from_word(w: u64) -> Self;
-}
-
-macro_rules! impl_txword_int {
-    ($($t:ty),*) => {$(
-        impl TxWord for $t {
-            #[inline]
-            fn to_word(self) -> u64 { self as u64 }
-            #[inline]
-            fn from_word(w: u64) -> Self { w as $t }
-        }
-    )*};
-}
-impl_txword_int!(u64, u32, u16, u8, usize, i64, i32);
-
-impl TxWord for bool {
-    #[inline]
-    fn to_word(self) -> u64 {
-        self as u64
-    }
-    #[inline]
-    fn from_word(w: u64) -> Self {
-        w != 0
-    }
-}
-
 /// A word-sized shared cell participating in HTM conflict detection.
 #[repr(transparent)]
-pub struct TxCell<T: TxWord> {
+#[derive(Default)]
+pub struct TxCell {
     raw: AtomicU64,
-    _marker: PhantomData<T>,
 }
 
-impl<T: TxWord> TxCell<T> {
-    pub fn new(v: T) -> Self {
+impl TxCell {
+    pub fn new(v: u64) -> Self {
         TxCell {
-            raw: AtomicU64::new(v.to_word()),
-            _marker: PhantomData,
+            raw: AtomicU64::new(v),
         }
     }
 
@@ -96,48 +66,43 @@ impl<T: TxWord> TxCell<T> {
     }
 
     #[inline]
-    fn cas(w: &AtomicU64, old: T, new: T) -> bool {
-        w.compare_exchange(
-            old.to_word(),
-            new.to_word(),
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        )
-        .is_ok()
+    fn cas(w: &AtomicU64, old: u64, new: u64) -> bool {
+        w.compare_exchange(old, new, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok()
     }
 
     /// Uninstrumented load. For single-threaded setup, assertions and
     /// statistics only — charges no cycles and records no footprint.
     #[inline]
-    pub fn load_plain(&self) -> T {
-        T::from_word(self.raw.load(Ordering::Acquire))
+    pub fn load_plain(&self) -> u64 {
+        self.raw.load(Ordering::Acquire)
     }
 
     /// Uninstrumented store. For single-threaded setup only.
     #[inline]
-    pub fn store_plain(&self, v: T) {
-        self.raw.store(v.to_word(), Ordering::Release)
+    pub fn store_plain(&self, v: u64) {
+        self.raw.store(v, Ordering::Release)
     }
 
     /// Direct (non-transactional) load: immediate, charged, recorded in the
     /// current episode's read footprint if one is open.
     #[inline]
-    pub fn load_direct(&self, ctx: &mut ThreadCtx) -> T {
-        T::from_word(ctx.direct_load(self.raw_ptr()))
+    pub fn load_direct(&self, ctx: &mut ThreadCtx) -> u64 {
+        ctx.direct_load(self.raw_ptr())
     }
 
     /// Direct (non-transactional) store. Strongly atomic with respect to
     /// running transactions.
     #[inline]
-    pub fn store_direct(&self, ctx: &mut ThreadCtx, v: T) {
+    pub fn store_direct(&self, ctx: &mut ThreadCtx, v: u64) {
         ctx.direct_write(self.raw_ptr(), false, |w| {
-            (w.store(v.to_word(), Ordering::Release), true)
+            (w.store(v, Ordering::Release), true)
         })
     }
 
     /// Direct compare-and-swap; returns whether the swap happened.
     #[inline]
-    pub fn cas_direct(&self, ctx: &mut ThreadCtx, old: T, new: T) -> bool {
+    pub fn cas_direct(&self, ctx: &mut ThreadCtx, old: u64, new: u64) -> bool {
         ctx.direct_write(self.raw_ptr(), true, |w| {
             let ok = Self::cas(w, old, new);
             (ok, ok)
@@ -152,16 +117,16 @@ impl<T: TxWord> TxCell<T> {
     /// invalidated physically, but an optimistic protocol validating the
     /// *value* sees nothing.
     #[inline]
-    pub fn store_direct_quiet(&self, ctx: &mut ThreadCtx, v: T) {
+    pub fn store_direct_quiet(&self, ctx: &mut ThreadCtx, v: u64) {
         ctx.direct_write(self.raw_ptr(), false, |w| {
-            (w.store(v.to_word(), Ordering::Release), false)
+            (w.store(v, Ordering::Release), false)
         })
     }
 
     /// Quiet counterpart of [`TxCell::cas_direct`]; see
     /// [`TxCell::store_direct_quiet`].
     #[inline]
-    pub fn cas_direct_quiet(&self, ctx: &mut ThreadCtx, old: T, new: T) -> bool {
+    pub fn cas_direct_quiet(&self, ctx: &mut ThreadCtx, old: u64, new: u64) -> bool {
         ctx.direct_write(self.raw_ptr(), true, |w| (Self::cas(w, old, new), false))
     }
 
@@ -188,48 +153,26 @@ impl<T: TxWord> TxCell<T> {
             (w.fetch_add(n, Ordering::AcqRel), true)
         })
     }
-}
 
-impl TxCell<u64> {
     /// This word as an advisory lock: for a lock that lives among a node's
     /// other words rather than in a field of its own (a Euno leaf's split
     /// lock rides a key line's spare words).
     #[inline]
     pub fn as_lock(&self) -> &LockWord {
-        // Safety: `LockWord` is `repr(transparent)` over `TxCell<u64>`.
-        unsafe { &*(self as *const TxCell<u64> as *const LockWord) }
+        // SAFETY: `LockWord` is `repr(transparent)` over `TxCell`: one layout.
+        unsafe { &*(self as *const TxCell as *const LockWord) }
     }
 }
 
-impl<T: TxWord + std::fmt::Debug> std::fmt::Debug for TxCell<T> {
+impl std::fmt::Debug for TxCell {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "TxCell({:?})", self.load_plain())
     }
 }
 
-impl<T: TxWord + Default> Default for TxCell<T> {
-    fn default() -> Self {
-        TxCell::new(T::default())
-    }
-}
-
-// Safety: the cell is just an atomic word; all shared access goes through
-// atomics or the engine's validated protocols.
-unsafe impl<T: TxWord> Send for TxCell<T> {}
-unsafe impl<T: TxWord> Sync for TxCell<T> {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn roundtrip_integers() {
-        assert_eq!(u64::from_word(42u64.to_word()), 42);
-        assert_eq!(u32::from_word(7u32.to_word()), 7);
-        assert_eq!(i64::from_word((-3i64).to_word()), -3);
-        assert!(bool::from_word(true.to_word()));
-        assert!(!bool::from_word(false.to_word()));
-    }
 
     #[test]
     fn plain_load_store() {
@@ -244,15 +187,15 @@ mod tests {
         // repr(transparent) over AtomicU64: arrays of cells are contiguous,
         // so 8 consecutive cells share at most two cache lines — the layout
         // property the whole false-sharing analysis rests on.
-        assert_eq!(std::mem::size_of::<TxCell<u64>>(), 8);
-        let arr: [TxCell<u64>; 8] = Default::default();
+        assert_eq!(std::mem::size_of::<TxCell>(), 8);
+        let arr: [TxCell; 8] = Default::default();
         let distinct: std::collections::HashSet<_> = arr.iter().map(|c| c.line()).collect();
         assert!(distinct.len() <= 2);
     }
 
     #[test]
     fn adjacent_cells_share_lines() {
-        let arr: Vec<TxCell<u64>> = (0..16).map(TxCell::new).collect();
+        let arr: Vec<TxCell> = (0..16).map(TxCell::new).collect();
         // At least one pair of neighbours must share a line.
         assert!((1..16).any(|i| arr[i].line() == arr[i - 1].line()));
     }

@@ -38,14 +38,14 @@ use euno_htm::{Arena, Guard, RetryPolicy, Runtime, TxCell};
 /// has the same size class as the retired node (the allocator reuses the
 /// chunk immediately in practice; the test bounds the attempts).
 struct Node {
-    cell: TxCell<u64>,
+    cell: TxCell,
 }
 
 const STALE_VALUE: u64 = 42;
 const REUSE_TRIES: usize = 10_000;
 
 #[repr(align(64))]
-struct Padded(TxCell<u64>);
+struct Padded(TxCell);
 
 #[test]
 fn reader_aborts_on_reused_line_with_equal_bytes() {

@@ -12,7 +12,7 @@ use euno_htm::bptree::{
     insert_at, lower_bound, promote, sorted_insert, upper_bound, Access, Propagate,
 };
 use euno_htm::{Guard, IndexNode, NodeArenas, NodeRef, TxCell};
-use euno_rng::{Rng, SmallRng};
+use euno_rng::SmallRng;
 
 /// Plain loads and stores, counted.
 #[derive(Default)]
@@ -23,22 +23,22 @@ struct Counting {
 
 impl Access for Counting {
     type Error = Infallible;
-    fn load(&mut self, cell: &TxCell<u64>) -> Result<u64, Infallible> {
+    fn load(&mut self, cell: &TxCell) -> Result<u64, Infallible> {
         self.loads += 1;
         Ok(cell.load_plain())
     }
-    fn store(&mut self, cell: &TxCell<u64>, v: u64) -> Result<(), Infallible> {
+    fn store(&mut self, cell: &TxCell, v: u64) -> Result<(), Infallible> {
         self.stores += 1;
         cell.store_plain(v);
         Ok(())
     }
 }
 
-fn cells(n: usize) -> Vec<TxCell<u64>> {
+fn cells(n: usize) -> Vec<TxCell> {
     (0..n).map(|_| TxCell::new(u64::MAX)).collect()
 }
 
-fn values(cells: &[TxCell<u64>], n: usize) -> Vec<u64> {
+fn values(cells: &[TxCell], n: usize) -> Vec<u64> {
     cells[..n].iter().map(|c| c.load_plain()).collect()
 }
 
@@ -237,7 +237,7 @@ fn an_index_split_promotes_the_middle_key_and_reports_every_moved_child() {
 /// The hooks of a tree without parent pointers or locks: a path stack.
 struct PathStack<'t, const F: usize> {
     nodes: &'t NodeArenas<u64, F>,
-    root: &'t TxCell<u64>,
+    root: &'t TxCell,
     path: Vec<&'t IndexNode<F>>,
     grown: usize,
     splits: usize,

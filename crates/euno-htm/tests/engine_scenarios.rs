@@ -98,7 +98,7 @@ fn capacity_threshold_is_exact() {
     let fb = TxCell::new(0u64);
     // 64-byte aligned structs: one line each.
     #[repr(align(64))]
-    struct Padded(TxCell<u64>);
+    struct Padded(TxCell);
     let cells: Vec<Padded> = (0..8).map(|_| Padded(TxCell::new(0))).collect();
 
     // Writing 4 distinct lines commits…
@@ -129,7 +129,7 @@ fn storm_heat_raises_abort_probability() {
     let rt = Runtime::new_virtual();
     let fb = TxCell::new(0u64);
     #[repr(align(64))]
-    struct Hot(TxCell<u64>);
+    struct Hot(TxCell);
     let hot = Hot(TxCell::new(0));
 
     // Six writers hammer the hot line in min-clock order.
@@ -230,12 +230,12 @@ fn fresh_runtimes_are_reproducible() {
         let rt = Runtime::new_virtual();
         let fb = TxCell::new(0u64);
         #[repr(align(64))]
-        struct Padded(TxCell<u64>);
+        struct Padded(TxCell);
         let cells: Vec<Padded> = (0..4).map(|_| Padded(TxCell::new(0))).collect();
         let mut ctxs: Vec<ThreadCtx> = (0..5).map(|i| rt.thread(i * 31)).collect();
         for _ in 0..400 {
             min_clock_step(&mut ctxs, |_, ctx| {
-                let i = (euno_rng::Rng::gen_range(ctx.rng(), 0..4usize)) % 4;
+                let i = (ctx.rng().gen_range(0..4usize)) % 4;
                 ctx.htm_execute(&fb, &RetryPolicy::default(), |tx| {
                     let v = tx.read(&cells[i].0)?;
                     tx.write(&cells[i].0, v + 1)

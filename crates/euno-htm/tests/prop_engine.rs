@@ -2,7 +2,7 @@
 //! the transactional executor. Cases are generated from seeded `euno-rng`
 //! streams so every run explores the same (large) sample deterministically.
 
-use euno_rng::{Rng, SmallRng};
+use euno_rng::SmallRng;
 
 use euno_htm::{LineClass, LineId, LineSet, RetryPolicy, Runtime, TxCell};
 
@@ -108,7 +108,7 @@ fn virtual_transactions_apply_exactly_once() {
             .collect();
         let rt = Runtime::new_virtual();
         let fb = TxCell::new(0u64);
-        let cells: Vec<TxCell<u64>> = (0..8).map(|_| TxCell::new(0)).collect();
+        let cells: Vec<TxCell> = (0..8).map(|_| TxCell::new(0)).collect();
         let mut ctxs: Vec<_> = (0..threads).map(|i| rt.thread(i as u64)).collect();
         let mut expect = [0u64; 8];
         for (idx, n) in &adds {

@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use euno_htm::{Collector, Participant};
-use euno_rng::{Rng, SmallRng};
+use euno_rng::SmallRng;
 
 /// Per-participant published state, shared with retire closures: the pin
 /// "generation" uniquely identifies one continuous enter…exit span, so a

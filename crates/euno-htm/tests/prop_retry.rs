@@ -6,7 +6,7 @@
 //! failures reproduce deterministically.
 
 use euno_htm::{AbortCause, AbortClass, ConflictInfo, Decision, LineId, RetryCounts, RetryPolicy};
-use euno_rng::{Rng, SmallRng};
+use euno_rng::SmallRng;
 
 fn conflict() -> AbortCause {
     AbortCause::Conflict(ConflictInfo {

@@ -10,7 +10,7 @@ use std::time::Instant;
 use euno_htm::{RetryPolicy, Runtime, TxCell};
 
 #[repr(align(64))]
-struct Padded(TxCell<u64>);
+struct Padded(TxCell);
 
 fn cells(n: usize) -> Vec<Padded> {
     (0..n).map(|_| Padded(TxCell::new(0))).collect()

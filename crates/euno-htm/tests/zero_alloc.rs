@@ -80,7 +80,7 @@ static COUNTER: CountingAlloc = CountingAlloc;
 
 /// One counter per cache line, as a tree leaf slot would be.
 #[repr(align(64))]
-struct Padded(TxCell<u64>);
+struct Padded(TxCell);
 
 const CELLS: usize = 8;
 const SCAN: usize = 4;
@@ -113,7 +113,7 @@ enum Prune {
 fn run_episodes(
     ctx: &mut ThreadCtx,
     rt: &Runtime,
-    fb: &TxCell<u64>,
+    fb: &TxCell,
     cells: &[Padded],
     count: u64,
     prune: Prune,
@@ -158,7 +158,7 @@ fn dump_trapped_sizes() {
 fn measured_allocs(
     ctx: &mut ThreadCtx,
     rt: &Runtime,
-    fb: &TxCell<u64>,
+    fb: &TxCell,
     cells: &[Padded],
     (warmup, measured): (u64, u64),
     prune: Prune,

@@ -55,10 +55,6 @@ define_metric_enum! {
         Fallbacks => "fallbacks",
         Backoffs => "backoffs",
         CcmBypassFlips => "ccm_bypass_flips",
-        // Per-backend commit refinement.
-        CommitsVirtual => "commits_virtual",
-        CommitsStm => "commits_stm",
-        CommitsRtm => "commits_rtm",
         // Aborts by cause, in `AbortClass` order (see `ABORTS_HTM`).
         AbortsHtmTrueSameRecord => "aborts_htm_true_same_record",
         AbortsHtmFalseDifferentRecord => "aborts_htm_false_different_record",

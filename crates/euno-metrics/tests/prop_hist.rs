@@ -3,7 +3,7 @@
 //! seed loops, no external proptest).
 
 use euno_metrics::LogHistogram;
-use euno_rng::{Rng, SmallRng};
+use euno_rng::SmallRng;
 
 /// Exact quantile on the model: value at ceil(q·n)-th sample (1-based).
 fn model_quantile(sorted: &[u64], q: f64) -> u64 {

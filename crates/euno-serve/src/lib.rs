@@ -74,7 +74,7 @@ mod tests {
     fn batching_matches_unbatched_under_concurrency() {
         // Same seeded client traffic against drains of up to 8 (batched)
         // and drains of one (never batched).
-        use euno_rng::{Rng, SmallRng};
+        use euno_rng::SmallRng;
         let run = |batch_max: usize| -> Vec<(u64, u64)> {
             let srv = tiny(2, batch_max);
             srv.preload_dense(64, |k| k);

@@ -17,7 +17,7 @@ use std::sync::atomic::Ordering;
 
 use euno_check::history::{OpKind, OpOutput};
 use euno_check::{check_history, new_sink, CompletedOp, Verdict, DEFAULT_BUDGET};
-use euno_rng::{Rng, SmallRng};
+use euno_rng::SmallRng;
 use euno_serve::{EunoServer, Reply, Request, ServeConfig};
 
 fn mix64(mut x: u64) -> u64 {

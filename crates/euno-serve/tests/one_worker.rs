@@ -13,7 +13,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use euno_metrics::{AbortClass, Counter, ABORTS_HTM};
-use euno_rng::{Rng, SmallRng};
+use euno_rng::SmallRng;
 use euno_serve::{EunoServer, Reply, Request, ServeConfig, Ticket};
 
 const CLIENTS: u64 = 4;

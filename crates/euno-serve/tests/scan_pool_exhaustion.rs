@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use euno_rng::{Rng, SmallRng};
+use euno_rng::SmallRng;
 use euno_serve::{EunoServer, ServeConfig};
 
 const SCANNERS: u64 = 4;

@@ -181,11 +181,11 @@ mod tests {
     /// One counter per cache line, so "cold" access patterns really are
     /// conflict-free.
     #[repr(align(64))]
-    struct PaddedCell(TxCell<u64>);
+    struct PaddedCell(TxCell);
 
     /// Toy shared structure: an HTM-protected counter array.
     struct Counters {
-        fb: TxCell<u64>,
+        fb: TxCell,
         cells: Vec<PaddedCell>,
     }
 
@@ -285,7 +285,7 @@ mod tests {
                             return false;
                         }
                         left -= 1;
-                        let i = (euno_rng::Rng::gen_range(ctx.rng(), 0..8usize)) % 8;
+                        let i = (ctx.rng().gen_range(0..8usize)) % 8;
                         c.bump(ctx, i);
                         true
                     }),

@@ -14,12 +14,12 @@ use euno_workloads::{KeyDistribution, OpMix, Preload, WorkloadSpec};
 /// align(64))`). Aligning makes the abort pattern a pure function of slot
 /// indices, which the end-to-end determinism test below relies on.
 #[repr(align(64))]
-struct SlotLine([TxCell<u64>; 8]);
+struct SlotLine([TxCell; 8]);
 
 /// A deliberately naive HTM-protected open-addressing table: enough map to
 /// exercise the harness without pulling in the tree crates.
 struct ToyMap {
-    fb: TxCell<u64>,
+    fb: TxCell,
     keys: Vec<SlotLine>,
     vals: Vec<SlotLine>,
     capacity: usize,
@@ -41,11 +41,11 @@ impl ToyMap {
         }
     }
 
-    fn key_at(&self, i: usize) -> &TxCell<u64> {
+    fn key_at(&self, i: usize) -> &TxCell {
         &self.keys[i / 8].0[i % 8]
     }
 
-    fn val_at(&self, i: usize) -> &TxCell<u64> {
+    fn val_at(&self, i: usize) -> &TxCell {
         &self.vals[i / 8].0[i % 8]
     }
 

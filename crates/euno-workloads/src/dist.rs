@@ -14,7 +14,7 @@
 //! All samplers draw from a caller-supplied RNG so every thread has a
 //! private, deterministic stream (the paper's "intra-thread locality").
 
-use euno_rng::Rng;
+use euno_rng::SmallRng;
 
 /// A key distribution over `0..n`.
 #[derive(Clone, Debug)]
@@ -126,12 +126,12 @@ impl KeySampler {
     }
 
     /// Draw one key in `0..n`.
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> u64 {
+    pub fn sample(&self, rng: &mut SmallRng) -> u64 {
         match &self.kind {
             SamplerKind::Uniform => rng.gen_range(0..self.n),
             SamplerKind::Zipfian(t) => t.sample(self.n, rng),
             SamplerKind::SelfSimilar { exponent } => {
-                let u: f64 = rng.gen();
+                let u = rng.gen_f64();
                 let k = (self.n as f64 * u.powf(*exponent)) as u64;
                 k.min(self.n - 1)
             }
@@ -144,7 +144,7 @@ impl KeySampler {
                 // Stretch the Poisson lattice over the key space, smoothing
                 // with a uniform jitter so neighbouring keys (not just
                 // lattice points) receive traffic.
-                let x = poisson(*lambda, rng) as f64 + rng.gen::<f64>();
+                let x = poisson(*lambda, rng) as f64 + rng.gen_f64();
                 let key = x * self.n as f64 / (2.0 * lambda);
                 (key as u64).min(self.n - 1)
             }
@@ -167,8 +167,8 @@ impl ZipfianTable {
         }
     }
 
-    fn sample<R: Rng>(&self, n: u64, rng: &mut R) -> u64 {
-        let u: f64 = rng.gen();
+    fn sample(&self, n: u64, rng: &mut SmallRng) -> u64 {
+        let u = rng.gen_f64();
         let uz = u * self.zetan;
         let rank = if uz < 1.0 {
             0
@@ -203,10 +203,10 @@ fn fnv_hash(mut x: u64) -> u64 {
 }
 
 /// Box–Muller standard normal deviate.
-fn standard_normal<R: Rng>(rng: &mut R) -> f64 {
+fn standard_normal(rng: &mut SmallRng) -> f64 {
     loop {
-        let u1: f64 = rng.gen();
-        let u2: f64 = rng.gen();
+        let u1 = rng.gen_f64();
+        let u2 = rng.gen_f64();
         if u1 > f64::EPSILON {
             return (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
         }
@@ -215,13 +215,13 @@ fn standard_normal<R: Rng>(rng: &mut R) -> f64 {
 
 /// Poisson sampler: Knuth's product method for small λ, normal
 /// approximation (continuity-corrected) for large λ.
-fn poisson<R: Rng>(lambda: f64, rng: &mut R) -> u64 {
+fn poisson(lambda: f64, rng: &mut SmallRng) -> u64 {
     if lambda < 30.0 {
         let l = (-lambda).exp();
         let mut k = 0u64;
         let mut p = 1.0;
         loop {
-            p *= rng.gen::<f64>();
+            p *= rng.gen_f64();
             if p <= l {
                 return k;
             }
@@ -236,7 +236,6 @@ fn poisson<R: Rng>(lambda: f64, rng: &mut R) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use euno_rng::SmallRng;
 
     const N: u64 = 100_000;
     const SAMPLES: usize = 200_000;

@@ -4,7 +4,7 @@
 //! a get/put mix (default 50 %/50 %), optional deletes and range scans,
 //! and one private deterministic stream per thread.
 
-use euno_rng::{Rng, SmallRng};
+use euno_rng::SmallRng;
 
 use crate::dist::{KeyDistribution, KeySampler};
 
@@ -162,7 +162,7 @@ impl OpStream {
     /// Generate the next operation.
     pub fn next_op(&mut self) -> Op {
         let key = self.sampler.sample(&mut self.rng);
-        let r: f64 = self.rng.gen();
+        let r = self.rng.gen_f64();
         self.serial += 1;
         let m = &self.mix;
         if r < m.get {

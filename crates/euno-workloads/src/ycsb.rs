@@ -15,7 +15,7 @@
 //! | E (short ranges) | 95 % scan / 5 % insert  | zipfian |
 //! | F (read-modify-write) | 50 % read / 50 % RMW | zipfian |
 
-use euno_rng::{Rng, SmallRng};
+use euno_rng::SmallRng;
 
 use crate::dist::{KeyDistribution, KeySampler};
 use crate::spec::{Op, OpMix, Preload, WorkloadSpec};
@@ -166,7 +166,7 @@ impl YcsbStream {
 
     pub fn next_op(&mut self) -> YcsbOp {
         self.serial += 1;
-        let r: f64 = self.rng.gen();
+        let r = self.rng.gen_f64();
         let m = &self.spec.base.mix;
         let latest = self.spec.workload == YcsbWorkload::D;
         if r < m.get {

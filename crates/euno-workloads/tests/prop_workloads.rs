@@ -1,7 +1,7 @@
 //! Randomized property tests for the workload generators, driven by
 //! seeded `euno-rng` parameter sweeps.
 
-use euno_rng::{Rng, SmallRng};
+use euno_rng::SmallRng;
 
 use euno_workloads::{KeyDistribution, KeySampler, OpMix, OpStream, Preload, WorkloadSpec};
 
@@ -9,21 +9,21 @@ fn random_distribution(rng: &mut SmallRng) -> KeyDistribution {
     match rng.gen_range(0u32..6) {
         0 => KeyDistribution::Uniform,
         1 => KeyDistribution::Zipfian {
-            theta: rng.gen::<f64>() * 0.999,
+            theta: rng.gen_f64() * 0.999,
             scramble: false,
         },
         2 => KeyDistribution::Zipfian {
-            theta: rng.gen::<f64>() * 0.999,
+            theta: rng.gen_f64() * 0.999,
             scramble: true,
         },
         3 => KeyDistribution::SelfSimilar {
-            h: 0.01 + rng.gen::<f64>() * 0.48,
+            h: 0.01 + rng.gen_f64() * 0.48,
         },
         4 => KeyDistribution::Normal {
-            sd_fraction: 0.001 + rng.gen::<f64>() * 0.199,
+            sd_fraction: 0.001 + rng.gen_f64() * 0.199,
         },
         _ => KeyDistribution::Poisson {
-            lambda: 1.0 + rng.gen::<f64>() * 499.0,
+            lambda: 1.0 + rng.gen_f64() * 499.0,
         },
     }
 }
@@ -35,7 +35,7 @@ fn samples_in_range() {
     for _ in 0..64 {
         let dist = random_distribution(&mut meta);
         let n = meta.gen_range(1u64..100_000);
-        let seed = meta.gen::<u64>();
+        let seed = meta.next_u64();
         let s = KeySampler::new(&dist, n);
         let mut rng = SmallRng::seed_from_u64(seed);
         for _ in 0..200 {
@@ -50,7 +50,7 @@ fn samplers_deterministic() {
     let mut meta = SmallRng::seed_from_u64(0xde7e);
     for _ in 0..64 {
         let dist = random_distribution(&mut meta);
-        let seed = meta.gen::<u64>();
+        let seed = meta.next_u64();
         let s = KeySampler::new(&dist, 10_000);
         let mut a = SmallRng::seed_from_u64(seed);
         let mut b = SmallRng::seed_from_u64(seed);
@@ -65,9 +65,9 @@ fn samplers_deterministic() {
 fn op_streams_respect_spec() {
     let mut meta = SmallRng::seed_from_u64(0x09f7);
     for _ in 0..64 {
-        let get = meta.gen::<f64>();
-        let scan_weight = meta.gen::<f64>() * 0.3;
-        let seed = meta.gen::<u64>();
+        let get = meta.gen_f64();
+        let scan_weight = meta.gen_f64() * 0.3;
+        let seed = meta.next_u64();
         let thread = meta.gen_range(0u64..32);
         let put = (1.0 - get) * (1.0 - scan_weight);
         let scan = (1.0 - get) * scan_weight;

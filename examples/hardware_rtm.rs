@@ -29,10 +29,9 @@ fn report(what: &str, rt: &Runtime) {
     let m = rt.metrics();
     println!("{what}");
     println!(
-        "  commits             {} (rtm {}, stm {})",
+        "  commits             {} (rtm_active {})",
         m.total(Counter::Commits),
-        m.total(Counter::CommitsRtm),
-        m.total(Counter::CommitsStm)
+        rt.rtm_active()
     );
     println!("  fallback executions {}", m.total(Counter::Fallbacks));
     let causes: Vec<String> = ABORTS_HTM
@@ -63,7 +62,7 @@ fn main() {
     let fallback = TxCell::new(0u64);
     // Start away from zero so the transfer arithmetic never saturates.
     let base = 1_000_000u64;
-    let cells: Vec<TxCell<u64>> = (0..8).map(|_| TxCell::new(base)).collect();
+    let cells: Vec<TxCell> = (0..8).map(|_| TxCell::new(base)).collect();
     let iterations = 100_000u64;
     std::thread::scope(|s| {
         for t in 0..THREADS {

@@ -184,7 +184,13 @@ SEG=crates/euno-core/src/segment.rs
     || { echo "one-copy: segment.rs lays out a second segment struct"; grep -n 'align(64)' "$SEG"; exit 1; }
 ! grep -nE '^\s*(pub(\([a-z]+\))? )?count\s*:' "$SEG" \
     || { echo "one-copy: a segment keeps a count word"; exit 1; }
-echo "one-copy (one bisect, in bptree.rs; no private index insert; one abort mapping; one seqno writer, one fence writer; one block-word writer, no Ccm in the leaf; one segment struct, no count word) OK"
+# One word type and one generator: a cell is a `u64` (`TxCell` takes no
+# type argument, no `TxWord` trait converts into it), and euno-rng's
+# `SmallRng` carries its draws as its own methods — no `rand`-shaped trait
+# comes back beside it.
+! grep -rnE 'trait TxWord|TxCell<|trait (Rng|RngCore|SeedableRng|Standard)\b' crates/*/src \
+    || { echo "one-copy: a second word type or a rand-shaped generator trait is back"; exit 1; }
+echo "one-copy (one bisect, in bptree.rs; no private index insert; one abort mapping; one seqno writer, one fence writer; one block-word writer, no Ccm in the leaf; one segment struct, no count word; one cell word, one generator type) OK"
 
 # Unsafe confined (DESIGN.md §4.4): nodes are read through bptree.rs's Guard,
 # so no tree crate says `unsafe`. Only the files that own memory may:
@@ -196,7 +202,54 @@ OWNS+='|crates/euno-serve/src/(slot|queue)'           # the slot pool's hand-off
     || { echo "unsafe-confined: unsafe outside the files that own memory"; exit 1; }
 [[ $(grep -cw unsafe crates/euno-htm/src/bptree.rs) == 1 ]] \
     || { echo "unsafe-confined: bptree.rs keeps one cast"; exit 1; }
-echo "unsafe-confined (no unsafe in euno-core, euno-baselines or euno-serve's server) OK"
+# A cell is one `u64` word, `Send` and `Sync` by its `AtomicU64`: word.rs
+# keeps the `as_lock` cast and no `unsafe impl`.
+[[ $(grep -cw unsafe crates/euno-htm/src/word.rs) == 1 ]] \
+    || { echo "unsafe-confined: word.rs keeps one cast (as_lock)"; grep -nw unsafe crates/euno-htm/src/word.rs; exit 1; }
+echo "unsafe-confined (no unsafe in euno-core, euno-baselines or euno-serve's server; one cast each in bptree.rs and word.rs) OK"
+
+# Docs: a backticked code name in DESIGN.md or README.md — an identifier or
+# a path of them, maybe with `()` or generic arguments — must name
+# something under crates/, src/, tests/, examples/, benchmark/src or
+# scripts/ (an identifier in a .rs / .sh / .toml file, or a file's stem),
+# so a removal that leaves its name in the text fails here.  This file is
+# not searched: it names what must stay gone.  DOCS_ALLOW holds the spans
+# the text may keep although nothing defines them: external names, and
+# history — each with what removed it.
+DOCS_ALLOW=(
+    criterion parking_lot          # external crates the workspace replaced (DESIGN.md §6)
+    no_std                         # a Rust attribute, not a name of ours
+    EunoConfig::middle_path        # the executor's middle path, its knobs,
+    RetryPolicy::middle_retries    #   figure and report key (DESIGN.md §4.3)
+    fig13_threepath middle_rate
+    EunoLeaf::seqno_beside_fence   # the upper region's pair section, replaced
+    seqno_beside_fence PAIR_ROUNDS #   by the fence check (DESIGN.md §4.4, §8)
+    GET_TWO_STEP_ONE_IN            # the sampled two-step get (DESIGN.md §4.4)
+    get_read_opt                   # the first episode-free get, now `locate` + leaf read
+    scan_chain scan_read_opt       # the two scans before the one walk (DESIGN.md §4.7)
+    serve_bench                    # the wall-clock serve sweep (DESIGN.md §15)
+)
+DOCS_SRC=(crates src tests examples benchmark/src scripts)
+known="$( {
+    grep -rhowE '[A-Za-z_][A-Za-z0-9_]*' "${DOCS_SRC[@]}" \
+        --include='*.rs' --include='*.sh' --include='*.toml' --exclude=check.sh
+    find "${DOCS_SRC[@]}" -type f -printf '%f\n' | sed 's/\..*//'
+} | sort -u)"
+dangling="$(perl -0777 -ne '
+    (my $text = $_) =~ s/^```.*?^```//gms;
+    while ($text =~ /`([^`]+)`/g) {
+        my $span = $1;
+        next unless $span =~ /^[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_][A-Za-z0-9_]*)*(<[^<>]*>)?(\(\))?$/;
+        print "$ARGV\t$span\t$_\n" for $span =~ /[A-Za-z_][A-Za-z0-9_]*/g;
+    }' DESIGN.md README.md \
+    | awk -F'\t' -v allow="${DOCS_ALLOW[*]}" '
+        BEGIN { n = split(allow, a, " "); for (i = 1; i <= n; i++) ok[a[i]] = 1 }
+        NR == FNR { known[$0] = 1; next }
+        !($3 in known) && !($2 in ok) { print $1 ": `" $2 "`" }' <(printf '%s\n' "$known") - \
+    | sort -u)"
+[[ -z $dangling ]] \
+    || { echo "docs: backticked names that resolve nowhere (fix the text, or list them in DOCS_ALLOW with what removed them):"; echo "$dangling"; exit 1; }
+echo "docs (every backticked code name in DESIGN.md and README.md resolves, ${#DOCS_ALLOW[@]} allowed) OK"
 
 # One seam: which engine runs a transaction is decided once, in
 # `Runtime::new`, as a `Backend`; each backend's protocol is one module of
@@ -205,17 +258,16 @@ echo "unsafe-confined (no unsafe in euno-core, euno-baselines or euno-serve's se
 # those three modules nothing under crates/*/src branches on `mode()`,
 # `rtm_active()` or a per-access hardware flag (euno-sim's
 # `assert_eq!(rt.mode(), …)` is not a branch).  What shared code holds is
-# one dispatch on `backend()` per engine entry point — fourteen lines:
+# one dispatch on `backend()` per engine entry point — thirteen lines:
 #   ctx.rs   note_access (an optimistic section's footprint is kept only
 #            where it is consulted), publish_direct_write, close_episode
 #            (optimistic / locked-write / fallback), tx_begin, tx_read,
 #            htm_commit, attempt_aborted, fb_acquire, fb_release,
-#            optimistic_snapshot, optimistic_validate — and
-#            metric_commit_episode's `commit_counter()` lookup;
+#            optimistic_snapshot, optimistic_validate;
 #   exec.rs  the attempt (software episode or hardware transaction);
 #   lock.rs  LockWord's one blocking acquire.
 # Beside them: `Runtime::forget_node_heat` on the field itself, the
-# `Backend::mode` / `commit_counter` tables, and the two lock-clock
+# `Backend::mode` table, and the two lock-clock
 # primitives every lock spelling is written over (`ThreadCtx::
 # vlock_free_at`, `vlock_hold`), which dispatch inside virt.rs.
 BACKENDS='^crates/euno-htm/src/(virt|tl2|rtm)\.rs:'
@@ -226,9 +278,9 @@ BACKENDS='^crates/euno-htm/src/(virt|tl2|rtm)\.rs:'
         | grep -vE "$BACKENDS" \
     || { echo "one-seam: a branch on the mode outside the backend modules"; exit 1; }
 dispatches="$(grep -rn 'backend()' crates/*/src | grep -vcE "$BACKENDS|^crates/euno-htm/src/runtime.rs:")"
-[[ $dispatches == 14 ]] \
-    || { echo "one-seam: $dispatches backend() dispatches in shared code, 14 listed"; grep -rn 'backend()' crates/*/src | grep -vE "$BACKENDS"; exit 1; }
-echo "one-seam (no hardware feature, no second executor, no mode branch outside virt/tl2/rtm; 14 entry-point dispatches) OK"
+[[ $dispatches == 13 ]] \
+    || { echo "one-seam: $dispatches backend() dispatches in shared code, 13 listed"; grep -rn 'backend()' crates/*/src | grep -vE "$BACKENDS"; exit 1; }
+echo "one-seam (no hardware feature, no second executor, no mode branch outside virt/tl2/rtm; 13 entry-point dispatches) OK"
 
 # Metrics smoke: a tiny Figure 14 run (rotating-hotspot timeline) must
 # quantify an adaptation lag for at least one programmed shift and emit a

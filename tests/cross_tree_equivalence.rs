@@ -22,8 +22,8 @@ fn backends() -> [Arc<Runtime>; 3] {
     ]
 }
 
-/// What the silicon (or its stand-in) did for one tree: commits by
-/// backend, aborts by cause, fallback executions.
+/// What the silicon (or its stand-in) did for one tree: which backend ran,
+/// commits, aborts by cause, fallback executions.
 fn print_counters(what: &str, rt: &Runtime) {
     let m = rt.metrics();
     let aborts: Vec<String> = ABORTS_HTM
@@ -32,10 +32,9 @@ fn print_counters(what: &str, rt: &Runtime) {
         .map(|&c| format!("{}={}", c.name(), m.total(c)))
         .collect();
     println!(
-        "{what}: rtm_active={} commits_rtm={} commits_stm={} fallbacks={} aborts[{}]",
+        "{what}: rtm_active={} commits={} fallbacks={} aborts[{}]",
         rt.rtm_active(),
-        m.total(Counter::CommitsRtm),
-        m.total(Counter::CommitsStm),
+        m.total(Counter::Commits),
         m.total(Counter::Fallbacks),
         aborts.join(" ")
     );
