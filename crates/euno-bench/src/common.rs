@@ -198,7 +198,7 @@ flags: --ops <n>             measured ops per thread (caps the warm-up too)
        --out <dir>           write <dir>/<stem>.csv and BENCH_<id>.json
        --check               compare with --out's CSVs (default results/); exit 1 if one moved";
 
-/// The command line of `figures`: [`FLAGS`] and the figures to run.
+/// The command line of `figures`: `FLAGS` and the figures to run.
 #[derive(Default)]
 pub struct Cli {
     pub out: Option<String>,
@@ -225,7 +225,7 @@ pub struct Cli {
 }
 
 impl Cli {
-    /// Parse the process arguments: [`FLAGS`], and positional arguments
+    /// Parse the process arguments: `FLAGS`, and positional arguments
     /// from `names`. Anything else exits 2 with the usage text; `--help`
     /// prints it and exits 0.
     pub fn parse(names: &[&str]) -> Cli {

@@ -21,7 +21,7 @@
 //!    above the fence (found by the group's episode, or already by an
 //!    early get's leaf read, which then keeps its cell out of the group),
 //!    an insert that would split — *bails to singles*: the
-//!    op re-runs through the ordinary [`traverse`](EunoBTree::traverse)
+//!    op re-runs through the ordinary `traverse`
 //!    path at the end of the batch.
 //!
 //! Safety notes mirroring the single-op path:
@@ -29,7 +29,7 @@
 //! * The whole batch runs under one epoch pin, so leaf pointers handed
 //!   from upper to lower episodes survive concurrent merges.
 //! * The group's conflict-control stage is the single-op one
-//!   ([`EunoBTree::ccm_enter`] … [`EunoBTree::ccm_leave`]) over the
+//!   (`EunoBTree::ccm_enter` … `EunoBTree::ccm_leave`) over the
 //!   group's *deduplicated* slot set (two ops can hash to one slot;
 //!   re-acquiring a held CCM bit would self-deadlock), opened before the
 //!   episode and closed after it.

@@ -9,7 +9,7 @@
 //!
 //! * **birth** — installed by CAS, at most once per leaf: under the
 //!   adaptive detector at the leaf's first recorded conflict
-//!   ([`EunoBTree::ccm_leave`]), with every mark set (the leaf may hold
+//!   (`EunoBTree::ccm_leave`), with every mark set (the leaf may hold
 //!   records that bypassed inserters put there without a mark, and some may
 //!   be landing as the block goes in), protected if that operation met two
 //!   conflicts or more and bypassed otherwise — one conflict is below the
@@ -46,8 +46,8 @@
 //! window, calm operations on a bypassed leaf feed nothing (DESIGN.md §4.8
 //! has the state machine).
 //!
-//! The whole stage is the [`EunoBTree::ccm_enter`] /
-//! [`EunoBTree::ccm_leave`] pair; the single-op traversal and the batch's
+//! The whole stage is the `EunoBTree::ccm_enter` /
+//! `EunoBTree::ccm_leave` pair; the single-op traversal and the batch's
 //! leaf group both run it through that pair and through nothing else.
 //!
 //! Mark bits here are *monotone within a block's lifetime*: deletion does
@@ -105,8 +105,8 @@ pub struct Ccm {
 }
 
 /// One conflict-control stage in flight on a leaf: what
-/// [`EunoBTree::ccm_enter`] found and took, to be handed back to
-/// [`EunoBTree::ccm_leave`].
+/// `EunoBTree::ccm_enter` found and took, to be handed back to
+/// `EunoBTree::ccm_leave`.
 #[must_use = "a stage that is not left keeps its lock bits"]
 pub struct Stage<'s, 'g> {
     /// The leaf's block when the stage opened; `None` ⇒ bypassed.

@@ -104,7 +104,7 @@ where
     /// Every index node's `(address, lower bound)` — the bound being what
     /// the separators above the node give it (`0` down the leftmost
     /// spine). For a **quiescent** tree. Subtree hints
-    /// ([`EunoBTree::descend`]) follow a remembered index node without a
+    /// (`EunoBTree::descend`) follow a remembered index node without a
     /// version check, which is sound only while no node of one snapshot is
     /// missing from a later one or has a different bound there; `euno-check`'s
     /// `IndexWatch` compares snapshots for exactly that.
@@ -171,7 +171,7 @@ where
     /// * **placement** — every record, tombstones included, sits in a
     ///   segment on its key's probe path with every segment before it on
     ///   that path full, its segment is sorted, and the leaf's own search
-    ///   ([`EunoLeaf::find`], over plain loads) ends on it: a get or put
+    ///   (`EunoLeaf::find`, over plain loads) ends on it: a get or put
     ///   reads one segment and may stop there;
     /// * if mark bits are enabled, each CCM block's marks are a superset
     ///   of its leaf's live keys' slots (a get must never miss a present

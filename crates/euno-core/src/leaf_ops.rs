@@ -4,7 +4,7 @@
 //! Every key has a **probe path** over the leaf's segments — its
 //! [home](home_segment), then the segments after it, cyclically — and
 //! lives in the first segment on that path that had room when it was
-//! placed. An insert takes that segment ([`EunoLeaf::find`] has just
+//! placed. An insert takes that segment (`EunoLeaf::find` has just
 //! named it); a leaf whose path is full first *reorganizes* — merges into
 //! the transient sorted buffer (the paper's *reserved keys*), drops
 //! tombstones, and re-places every record by the same rule — and splits

@@ -26,7 +26,7 @@
 //!   writes: an HTM region that read one would abort under every put to
 //!   that segment, which is why the upper region reads no leaf word at all
 //!   ([`crate::EunoBTree::locate`]). The block word is written once in the
-//!   leaf's life ([`EunoLeaf::install_block`]), by a quiet CAS, and read
+//!   leaf's life (`EunoLeaf::install_block`), by a quiet CAS, and read
 //!   inside a region only by a split, plainly, on a line that region
 //!   writes anyway. The split lock is not quiet: it shares a line that
 //!   every region and scan section over its segment reads, so each acquire
@@ -34,11 +34,11 @@
 //!   overlapping it (DESIGN.md §4.8, "Layout", has the measured cost);
 //! * `seqno` is for scans alone, and only splits, reorganizations and
 //!   merges write it: they bump both copies at once
-//!   ([`EunoLeaf::bump_seqno`]) before any record moves, so the copies are
+//!   (`EunoLeaf::bump_seqno`) before any record moves, so the copies are
 //!   equal at every commit and a step that read one copy before its
 //!   sections and the other after them knows whether any record of the
 //!   leaf changed segment in between. Splits and merges write all six
-//!   fence copies at once ([`EunoLeaf::set_fence`]), the same way.
+//!   fence copies at once (`EunoLeaf::set_fence`), the same way.
 //!
 //! Records live **spread over the segments at all times**, each in the
 //! first segment on its key's probe path that had room
@@ -139,10 +139,10 @@ where
     /// leaf's lower bound never changes while it lives (a split keeps the
     /// lower half, a merge the left leaf), so a leaf an upper stage found
     /// for `key` covers it exactly while `key` is below its fence
-    /// ([`covers`]): what the lower region, the episode-free get, the leaf
+    /// (`covers`): what the lower region, the episode-free get, the leaf
     /// hint and a group of `apply_batch` check, each on its key's home
     /// segment, the line it reads anyway. Written by splits and merges,
-    /// inside their regions, all copies at once ([`Self::set_fence`]).
+    /// inside their regions, all copies at once (`Self::set_fence`).
     pub fn fence(&self, seg: usize) -> &TxCell {
         self.segs[seg].fence_cell()
     }

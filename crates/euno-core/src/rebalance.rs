@@ -14,7 +14,7 @@
 //!   key 0); arming while one is pending is a no-op;
 //! * every applied delete that sees an armed sweep tries the tree-global
 //!   sweep token and, if it wins, runs one **slice**: re-find the leaf
-//!   covering the resume key, examine at most [`SLICE_PAIRS`] adjacent
+//!   covering the resume key, examine at most `SLICE_PAIRS` adjacent
 //!   pairs, store the key the next slice resumes at (or idle at the end
 //!   of the chain), release the token. A delete that loses the try-lock
 //!   does nothing — no foreground operation ever waits for the sweep;

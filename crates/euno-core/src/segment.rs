@@ -152,7 +152,7 @@ where
 
     /// The one search of a segment: lower bound of `key` among the `K`
     /// slots, over whatever `load` the caller reads with (transactional
-    /// read, direct load, plain load) — as [`EunoBTree::descend`] is over
+    /// read, direct load, plain load) — as `EunoBTree::descend` is over
     /// the index. A free slot's sentinel sorts above every key, so the
     /// bisection needs no count. The last probe that did not go right is
     /// the slot the search ends on, so whether it holds `key` costs no
@@ -161,8 +161,6 @@ where
     /// otherwise. Every load is bounded by `K`, so an unvalidated loader
     /// that observes a torn state gets a wrong answer, never a crash (its
     /// caller validates the whole read afterwards and retries).
-    ///
-    /// [`EunoBTree::descend`]: crate::EunoBTree::descend
     pub fn search<E>(
         &self,
         key: u64,

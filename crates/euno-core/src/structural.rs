@@ -4,7 +4,7 @@
 //! Splits run in the *sorting-split-reorganizing* style: the caller has
 //! already drained the leaf into the sorted reserved buffer; each half is
 //! re-placed over its node's segments by the probe-path rule
-//! ([`EunoBTree::redistribute`]), so both nodes keep every key findable in
+//! (`EunoBTree::redistribute`), so both nodes keep every key findable in
 //! one segment. Splits propagate upward through parent pointers, all
 //! inside the lower region so index edits stay atomic.
 

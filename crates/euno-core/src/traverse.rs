@@ -11,11 +11,11 @@
 //!    the leaf over (a hint checks the fence it is trusted on).
 //!    A `read_opt` get reads the leaf episode-free as well — inside the
 //!    walk's own section when a walk found it
-//!    ([`EunoBTree::locate_then`]), in a section of its own when a hint or
-//!    the HTM region did ([`EunoBTree::read_leaf`]) — and is done if that
+//!    (`EunoBTree::locate_then`), in a section of its own when a hint or
+//!    the HTM region did (`EunoBTree::read_leaf`) — and is done if that
 //!    holds;
 //! 2. the conflict-control stage (outside any region,
-//!    [`EunoBTree::ccm_enter`] … [`EunoBTree::ccm_leave`]) — on a
+//!    `EunoBTree::ccm_enter` … `EunoBTree::ccm_leave`) — on a
 //!    protected leaf — takes the key's CCM lock bit, consults the mark
 //!    bit, and pre-acquires the split lock for inserts into near-full
 //!    leaves; on a leaf without a CCM block it is one load, on a bypassed
@@ -336,18 +336,18 @@ where
     ///    (a block astride two leaves keeps one for each). It is handed back
     ///    if no leaf has been retired since before its walk (checked first:
     ///    only then is the pointer safe to follow — the argument is at
-    ///    [`EunoBTree::retire_generation`]), and `key` is below the leaf's
+    ///    `EunoBTree::retire_generation`), and `key` is below the leaf's
     ///    fence on the home segment: the leaf's lower bound has not moved,
     ///    so the leaf covers `key`. No section, no episode, no index line;
     /// 2. **the thread's subtree hint** — the [`Anchor`] this thread's last
     ///    walk from the root for a key of the same (wider) block returned:
     ///    the episode-free walk of rung 3 starts there instead of at the
     ///    root, and what it finds is taken iff the walk narrowed (the
-    ///    argument is at [`EunoBTree::descend`]); if not, the hint is
+    ///    argument is at `EunoBTree::descend`); if not, the hint is
     ///    dropped and the same section walks on from the root — a hint
     ///    turned away is the table's miss, not a writer's doing, and costs
     ///    no retry, no back-off and no try;
-    /// 3. up to [`LOCATE_TRIES`] episode-free walks (rung 2's included) — a
+    /// 3. up to `LOCATE_TRIES` episode-free walks (rung 2's included) — a
     ///    validated section proves the descent atomic, i.e. the leaf
     ///    covered `key` when the walk read the pointer to it. The walk
     ///    reads no line of the leaf;

@@ -15,11 +15,11 @@
 //! node is charged `size_of::<T>()`: tree nodes are flat arrays of cells
 //! and own no heap storage.
 
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::epoch::Collector;
+use crate::hash::FibSet;
 
 /// Byte counters, shared with deferred-free closures via `Arc` so a
 /// reclamation that runs after the arena has dropped still settles the
@@ -36,9 +36,10 @@ struct ArenaCounters {
 
 /// An allocation registry for nodes of type `T` with epoch-deferred frees.
 pub struct Arena<T> {
-    /// Addresses of the nodes still linked. Retirement removes the entry
-    /// (detecting double-retires); `Drop` frees what is left.
-    nodes: Mutex<HashSet<usize>>,
+    /// The nodes still linked, each by its address over `align_of::<T>()`
+    /// ([`Arena::key`]). Retirement removes the entry (detecting
+    /// double-retires); `Drop` frees what is left.
+    nodes: Mutex<FibSet<usize>>,
     counters: Arc<ArenaCounters>,
     _owns: std::marker::PhantomData<T>,
 }
@@ -59,10 +60,19 @@ impl<T> Default for Arena<T> {
 impl<T> Arena<T> {
     pub fn new() -> Self {
         Arena {
-            nodes: Mutex::new(HashSet::new()),
+            nodes: Mutex::default(),
             counters: Arc::new(ArenaCounters::default()),
             _owns: std::marker::PhantomData,
         }
+    }
+
+    /// A node's key in the registry: its address over its alignment.
+    /// Distinct nodes have distinct keys, and — unlike the addresses of
+    /// line-aligned nodes, whose low bits are all zero — the keys spread
+    /// over the whole table under the multiply hash ([`crate::hash`]).
+    #[inline]
+    fn key(node: *const T) -> usize {
+        node as usize / std::mem::align_of::<T>()
     }
 
     /// Allocate a node. The reference is valid until the node is retired
@@ -72,7 +82,7 @@ impl<T> Arena<T> {
     pub fn alloc(&self, value: T) -> &T {
         let bytes = std::mem::size_of::<T>();
         let ptr = Box::into_raw(Box::new(value));
-        self.nodes.lock().unwrap().insert(ptr as usize);
+        self.nodes.lock().unwrap().insert(Self::key(ptr));
         self.counters.live_bytes.fetch_add(bytes, Ordering::Relaxed);
         // Safety: the allocation is stable until retirement, and retirement
         // defers the free past any pinned reader's lifetime.
@@ -90,7 +100,7 @@ impl<T> Arena<T> {
         T: Send,
     {
         let addr = node as usize;
-        if !self.nodes.lock().unwrap().remove(&addr) {
+        if !self.nodes.lock().unwrap().remove(&Self::key(node)) {
             debug_assert!(false, "double retire or foreign pointer: {addr:#x}");
             return false;
         }
@@ -123,7 +133,7 @@ impl<T> Arena<T> {
     /// not hold.
     pub fn discard(&self, node: *const T) -> bool {
         let addr = node as usize;
-        if !self.nodes.lock().unwrap().remove(&addr) {
+        if !self.nodes.lock().unwrap().remove(&Self::key(node)) {
             debug_assert!(false, "discard of a retired or foreign pointer: {addr:#x}");
             return false;
         }
@@ -153,7 +163,7 @@ impl<T> Arena<T> {
     /// Whether `node` is one of this arena's live (allocated, not yet
     /// retired or discarded) nodes.
     pub fn holds(&self, node: *const T) -> bool {
-        self.nodes.lock().unwrap().contains(&(node as usize))
+        self.nodes.lock().unwrap().contains(&Self::key(node))
     }
 
     pub fn node_count(&self) -> usize {
@@ -166,10 +176,11 @@ impl<T> Drop for Arena<T> {
         // Poison-tolerant: a panic inside `retire` (e.g. the double-retire
         // debug assertion) must not turn cleanup into an abort.
         let nodes = self.nodes.lock().unwrap_or_else(|e| e.into_inner());
-        for &addr in nodes.iter() {
-            // Safety: each address came from Box::into_raw, retired nodes
-            // were removed from the map, so every entry is freed exactly
-            // once here.
+        for &key in nodes.iter() {
+            // Safety: each key is an address from Box::into_raw over the
+            // alignment it is a multiple of, retired nodes were removed
+            // from the map, so every entry is freed exactly once here.
+            let addr = key * std::mem::align_of::<T>();
             unsafe { drop(Box::from_raw(addr as *mut T)) };
         }
     }

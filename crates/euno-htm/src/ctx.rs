@@ -23,6 +23,7 @@ use euno_trace::{EpisodeKind, EventKind, TraceBuf};
 
 use crate::abort::{AbortCause, ConflictInfo, TxResult};
 use crate::bptree::Guard;
+use crate::hash::KeyFilter;
 use crate::hint::{
     Anchor, Hint, HintTable, HintWay, Lru, SecondChance, ANCHOR_WAYS, ANCHOR_WORDS, HINT_WAYS,
     HINT_WORDS,
@@ -56,6 +57,14 @@ pub(crate) struct EpisodeState {
     /// so reuse of retired memory with equal bytes cannot validate.
     pub(crate) ver_log: Vec<(LineId, u64)>,
     pub(crate) write_buf: Vec<(CellPtr, u64)>,
+    /// The addresses of the cells in `write_buf`, as a filter: a cell it
+    /// does not hold is not buffered, so a read of it needs no
+    /// read-your-writes scan.
+    pub(crate) buffered: KeyFilter<BUFFERED_FILTER_WORDS>,
+    /// A transaction on the virtual backend (set by `tx_begin`): its
+    /// reads and writes of a footprint set's memo line take the repeat-line
+    /// path of [`ThreadCtx::tx_read`] / [`ThreadCtx::tx_write`].
+    pub(crate) virt_tx: bool,
     /// Commit scratch: sorted, deduplicated version-table slot indices of
     /// the write footprint (kept per-episode so steady-state commits
     /// allocate nothing).
@@ -80,11 +89,20 @@ impl EpisodeState {
             writes: LineSet::with_capacity(8),
             ver_log: Vec::with_capacity(32),
             write_buf: Vec::with_capacity(8),
+            buffered: KeyFilter::default(),
+            virt_tx: false,
             wslots: Vec::with_capacity(8),
             fb_line: None,
             fb_ptr: None,
             serialized: false,
         })
+    }
+
+    /// Buffer a transactional write of `v` to the cell at `ptr`.
+    #[inline]
+    fn buffer(&mut self, ptr: *const AtomicU64, v: u64) {
+        self.write_buf.push((CellPtr(ptr), v));
+        self.buffered.insert(ptr as u64);
     }
 
     /// Re-arm a recycled episode. The footprints and logs were cleared by
@@ -97,8 +115,13 @@ impl EpisodeState {
         self.fb_line = None;
         self.fb_ptr = None;
         self.serialized = false;
+        self.virt_tx = false;
     }
 }
+
+/// Words of [`EpisodeState::buffered`]: 256 bits, against a write buffer
+/// that holds a few cells for a put and 72 for a split.
+const BUFFERED_FILTER_WORDS: usize = 4;
 
 /// A thread's telemetry at one instant (see [`ThreadCtx::metrics_mark`]).
 pub struct MetricsMark {
@@ -146,6 +169,9 @@ pub struct ThreadCtx {
     /// This thread's metrics shard (see `euno-metrics`): single-writer
     /// atomic counters the sampler reads concurrently.
     shard: Arc<euno_metrics::ThreadShard>,
+    /// The thread's last read of the virtual lock table: (generation,
+    /// key, entry) — see [`ThreadCtx::vlock_free_at`].
+    pub(crate) vlock_memo: (u64, u64, u64),
 }
 
 /// Run a reclamation pass every this many operation unpins per thread:
@@ -173,6 +199,7 @@ impl ThreadCtx {
             hints: HintTable::default(),
             anchors: HintTable::default(),
             shard,
+            vlock_memo: (u64::MAX, 0, 0),
         }
     }
 
@@ -553,10 +580,22 @@ impl ThreadCtx {
         );
     }
 
+    /// A load outside any transaction. A load of the open episode's read
+    /// memo line is what [`ThreadCtx::note_access`] would charge as a
+    /// repeat — one hit, no insert, no capacity verdict (this is no
+    /// transaction) — so it is charged here without the walk. An
+    /// optimistic section off the virtual backend records no read, so its
+    /// memo never names a line and it is charged there as a first touch.
     #[inline]
     pub(crate) fn direct_load(&mut self, ptr: *const AtomicU64) -> u64 {
         self.debug_assert_not_transactional();
-        let _ = self.note_access(LineId::of_ptr(ptr), false);
+        let line = LineId::of_ptr(ptr);
+        if self.ep.as_ref().is_some_and(|ep| ep.reads.is_last(line)) {
+            self.stats.mem_accesses += 1;
+            self.clock += self.rt.cost.access_hit;
+        } else {
+            let _ = self.note_access(line, false);
+        }
         unsafe { (*ptr).load(Ordering::Acquire) }
     }
 
@@ -627,6 +666,7 @@ impl ThreadCtx {
         ep.writes.clear();
         ep.ver_log.clear();
         ep.write_buf.clear();
+        ep.buffered.clear();
         ep.wslots.clear();
         self.spare = Some(ep);
     }
@@ -705,6 +745,14 @@ impl ThreadCtx {
 
     // ================= transactional accesses =================
 
+    /// A transactional read. The repeat-line path first: a virtual
+    /// transaction reading a cell it has not buffered on its read set's
+    /// memo line is what the full path charges as a repeat — no
+    /// read-your-writes hit, an insert that finds the line, one hit, and
+    /// a capacity verdict that cannot change, as the sets do not grow (an
+    /// access that overflowed one ended the attempt: bodies pass its
+    /// error on).
+    #[inline]
     pub(crate) fn tx_read(&mut self, ptr: *const AtomicU64) -> Result<u64, AbortCause> {
         // No software episode inside a region: the body is running in a
         // hardware transaction — the silicon buffers, detects and rolls
@@ -712,40 +760,55 @@ impl ThreadCtx {
         let Some(ep) = self.ep.as_ref() else {
             return Ok(self.rtm_read(ptr));
         };
-        match ep.kind {
-            EpisodeKind::Fallback | EpisodeKind::LockedWrite | EpisodeKind::OptimisticRead => {
-                // Serialized / in-place paths read directly (still
-                // footprint-recorded and charged).
-                let _ = self.note_access(LineId::of_ptr(ptr), false);
-                Ok(unsafe { (*ptr).load(Ordering::Acquire) })
-            }
-            EpisodeKind::HtmTx => {
-                // Read-your-writes from the buffer — which holds a cell
-                // only if its line is in the write set, so the set (whose
-                // memo answers a repeat of the last line at once) spares
-                // most reads the scan.
-                let line = LineId::of_ptr(ptr);
-                if ep.writes.contains(line) {
-                    if let Some(&(_, v)) = ep.write_buf.iter().rev().find(|(p, _)| p.0 == ptr) {
-                        self.clock += self.rt.cost.access_hit;
-                        self.stats.mem_accesses += 1;
-                        return Ok(v);
-                    }
+        let line = LineId::of_ptr(ptr);
+        if ep.virt_tx && ep.reads.is_last(line) && !ep.buffered.may_contain(ptr as u64) {
+            self.stats.mem_accesses += 1;
+            self.clock += self.rt.cost.access_hit;
+        } else {
+            match ep.kind {
+                EpisodeKind::Fallback | EpisodeKind::LockedWrite | EpisodeKind::OptimisticRead => {
+                    // Serialized / in-place paths read directly (still
+                    // footprint-recorded and charged).
+                    let _ = self.note_access(line, false);
+                    return Ok(unsafe { (*ptr).load(Ordering::Acquire) });
                 }
-                self.note_access(line, false)?;
-                match self.rt.backend() {
-                    Backend::Virtual => Ok(unsafe { (*ptr).load(Ordering::Relaxed) }),
-                    Backend::Stm | Backend::Rtm => self.tl2_read(ptr),
+                EpisodeKind::HtmTx => {
+                    // Read-your-writes from the buffer — which holds a
+                    // cell only if the filter of buffered cells does and
+                    // its line is in the write set — newest write first.
+                    if ep.buffered.may_contain(ptr as u64) && ep.writes.contains(line) {
+                        if let Some(&(_, v)) = ep.write_buf.iter().rev().find(|(p, _)| p.0 == ptr) {
+                            self.clock += self.rt.cost.access_hit;
+                            self.stats.mem_accesses += 1;
+                            return Ok(v);
+                        }
+                    }
+                    self.note_access(line, false)?;
+                    match self.rt.backend() {
+                        Backend::Virtual => {}
+                        Backend::Stm | Backend::Rtm => return self.tl2_read(ptr),
+                    }
                 }
             }
         }
+        Ok(unsafe { (*ptr).load(Ordering::Relaxed) })
     }
 
+    /// A transactional write, with the repeat-line path of
+    /// [`ThreadCtx::tx_read`]: a virtual transaction writing its write
+    /// set's memo line is charged one hit and buffered.
+    #[inline]
     pub(crate) fn tx_write(&mut self, ptr: *const AtomicU64, v: u64) -> Result<(), AbortCause> {
-        let Some(ep) = self.ep.as_ref() else {
+        let Some(ep) = self.ep.as_mut() else {
             self.rtm_write(ptr, v);
             return Ok(());
         };
+        if ep.virt_tx && ep.writes.is_last(LineId::of_ptr(ptr)) {
+            ep.buffer(ptr, v);
+            self.stats.mem_accesses += 1;
+            self.clock += self.rt.cost.access_hit;
+            return Ok(());
+        }
         match ep.kind {
             EpisodeKind::Fallback | EpisodeKind::LockedWrite => {
                 // Direct (unbuffered) write: invalidates TL2 readers that
@@ -758,7 +821,7 @@ impl ThreadCtx {
             }
             EpisodeKind::HtmTx => {
                 self.note_access(LineId::of_ptr(ptr), true)?;
-                self.ep.as_mut().unwrap().write_buf.push((CellPtr(ptr), v));
+                self.ep.as_mut().unwrap().buffer(ptr, v);
                 Ok(())
             }
         }
@@ -797,7 +860,10 @@ impl ThreadCtx {
         ep.fb_ptr = Some(CellPtr(ptr));
         ep.reads.insert(line);
         match self.rt.backend() {
-            Backend::Virtual => Ok(()),
+            Backend::Virtual => {
+                ep.virt_tx = true;
+                Ok(())
+            }
             Backend::Stm | Backend::Rtm => self.tl2_begin(ptr),
         }
     }
@@ -832,7 +898,7 @@ impl ThreadCtx {
     // ============ episode-free optimistic-read validation ============
 
     /// Snapshot for an episode-free optimistic read
-    /// ([`ThreadCtx::tl2_snapshot`]). Virtual mode needs no snapshot —
+    /// (`ThreadCtx::tl2_snapshot`). Virtual mode needs no snapshot —
     /// episodes are physically serialized, and the read set is checked
     /// against the committed window by
     /// [`ThreadCtx::episode_end_optimistic`].
@@ -844,7 +910,7 @@ impl ThreadCtx {
     }
 
     /// Validate an episode-free optimistic read section against `snap`
-    /// ([`ThreadCtx::tl2_validate`]). Virtual mode always validates here —
+    /// (`ThreadCtx::tl2_validate`). Virtual mode always validates here —
     /// its collision detection runs at episode close.
     pub fn optimistic_validate(&mut self, fb: &TxCell, snap: u64) -> bool {
         match self.rt.backend() {
@@ -950,6 +1016,7 @@ impl<'a> Tx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::CostModel;
 
     #[repr(align(64))]
     struct Aligned(TxCell);
@@ -987,5 +1054,136 @@ mod tests {
             "read-only tx observed old `a` next to new `b` — torn snapshot"
         );
         reader.episode_abort();
+    }
+
+    /// Every access charged by the rules, whichever path takes it: a
+    /// transactional read of a buffered cell is one hit and returns the
+    /// newest buffered value; any other access is a first touch (a plain
+    /// one in an optimistic section) if it adds its line to the episode's
+    /// set, else one hit; a transactional access that overflows a set
+    /// aborts with `Capacity`; a load outside any episode is one hit.
+    /// Random transactions, optimistic sections and bare loads over six
+    /// lines, half of the accesses on the last line touched, so the
+    /// repeat-line paths and the filter of buffered cells carry most of
+    /// them. Off the virtual backend an optimistic section records no
+    /// line, so every load in it is a plain first touch.
+    #[test]
+    fn accesses_charge_as_the_rules_do_on_every_path() {
+        use std::collections::{BTreeMap, BTreeSet};
+        #[repr(align(64))]
+        struct Line([TxCell; 8]);
+        for backend in [Backend::Virtual, Backend::Stm] {
+            let cost = CostModel {
+                write_capacity_lines: 3,
+                read_capacity_lines: 5,
+                spurious_abort_per_cycle: 0.0,
+                ..CostModel::default()
+            };
+            let rt = Runtime::new(backend, cost.clone());
+            let mut ctx = rt.thread(7);
+            let lines: Vec<Line> = (0..6u64)
+                .map(|l| Line(std::array::from_fn(|i| TxCell::new(l * 8 + i as u64))))
+                .collect();
+            let cell = |c: usize| lines[c / 8].0[c % 8].raw_ptr();
+            let mut mem: Vec<u64> = (0..48).collect();
+            let fb = Aligned(TxCell::new(0));
+            let mut rng = SmallRng::seed_from_u64(0xfa57);
+            let mut last = 0usize;
+            let mut pick = |rng: &mut SmallRng| {
+                last = if rng.gen_bool(0.5) {
+                    last / 8 * 8 + rng.gen_range(0usize..8)
+                } else {
+                    rng.gen_range(0usize..48)
+                };
+                last
+            };
+            let virt = backend == Backend::Virtual;
+            let (mut commits, mut capacity, mut buffered_reads) = (0, 0, 0);
+            for round in 0..4_000 {
+                let kind = rng.gen_range(0u32..3);
+                let mut reads = BTreeSet::new();
+                let mut writes = BTreeSet::new();
+                let mut buf: BTreeMap<usize, u64> = BTreeMap::new();
+                match kind {
+                    0 => {
+                        ctx.tx_begin(&fb.0).unwrap();
+                        reads.insert(LineId::of_ptr(fb.0.raw_ptr()));
+                    }
+                    1 => ctx.episode_begin(EpisodeKind::OptimisticRead),
+                    _ => {}
+                }
+                let mut aborted = false;
+                for _ in 0..rng.gen_range(1u32..24) {
+                    let c = pick(&mut rng);
+                    let line = LineId::of_ptr(cell(c));
+                    let (clock, accesses) = (ctx.clock, ctx.stats.mem_accesses);
+                    let first = if kind == 1 {
+                        cost.plain_first_touch
+                    } else {
+                        cost.line_first_touch
+                    };
+                    let charge = |newly: bool| if newly { first } else { cost.access_hit };
+                    let over = |r: &BTreeSet<_>, w: &BTreeSet<_>| {
+                        w.len() > cost.write_capacity_lines || r.len() > cost.read_capacity_lines
+                    };
+                    let (got, want, cycles) = match kind {
+                        0 if rng.gen_bool(0.5) => {
+                            let got = ctx.tx_read(cell(c));
+                            if let Some(&v) = buf.get(&c) {
+                                buffered_reads += 1;
+                                (got, Ok(v), cost.access_hit)
+                            } else {
+                                let newly = reads.insert(line);
+                                let want = match over(&reads, &writes) {
+                                    true => Err(AbortCause::Capacity),
+                                    false => Ok(mem[c]),
+                                };
+                                (got, want, charge(newly))
+                            }
+                        }
+                        0 => {
+                            let v = rng.next_u64();
+                            let got = ctx.tx_write(cell(c), v).map(|()| v);
+                            let newly = writes.insert(line);
+                            let want = match over(&reads, &writes) {
+                                true => Err(AbortCause::Capacity),
+                                false => Ok(v),
+                            };
+                            buf.insert(c, v);
+                            (got, want, charge(newly))
+                        }
+                        1 => {
+                            let newly = !virt || reads.insert(line);
+                            (Ok(ctx.direct_load(cell(c))), Ok(mem[c]), charge(newly))
+                        }
+                        _ => (Ok(ctx.direct_load(cell(c))), Ok(mem[c]), cost.access_hit),
+                    };
+                    assert_eq!(got, want, "{backend:?} round {round}");
+                    assert_eq!(ctx.clock - clock, cycles, "{backend:?} round {round}");
+                    assert_eq!(ctx.stats.mem_accesses - accesses, 1);
+                    if got.is_err() {
+                        capacity += 1;
+                        aborted = true;
+                        break;
+                    }
+                }
+                match kind {
+                    0 if aborted || rng.gen_bool(0.25) => ctx.episode_abort(),
+                    0 => {
+                        ctx.htm_commit().unwrap();
+                        commits += 1;
+                        for (&c, &v) in &buf {
+                            mem[c] = v;
+                        }
+                    }
+                    1 => assert_eq!(ctx.episode_end_optimistic(), None),
+                    _ => {}
+                }
+                for (c, &v) in mem.iter().enumerate() {
+                    assert_eq!(lines[c / 8].0[c % 8].load_plain(), v);
+                }
+            }
+            assert!(commits > 300 && capacity > 100 && buffered_reads > 300);
+        }
     }
 }

@@ -7,7 +7,7 @@
 //! the full evaluation can run anywhere:
 //!
 //! * **Cache-line-granularity conflict detection.** Footprints are sets of
-//!   real 64-byte line addresses ([`line`]), so false sharing between
+//!   real 64-byte line addresses ([`line`](mod@line)), so false sharing between
 //!   adjacent records and shared metadata — the paper's dominant abort
 //!   source — emerges from the actual memory layout.
 //! * **TSX abort semantics.** Conflict / capacity / explicit / spurious
@@ -54,6 +54,7 @@ pub mod cost;
 pub mod ctx;
 pub mod epoch;
 pub mod exec;
+pub(crate) mod hash;
 pub mod hint;
 pub mod line;
 pub mod lock;

@@ -74,7 +74,7 @@ const INLINE_LINES: usize = 16;
 ///
 /// Transactional footprints are tiny (a handful of lines for a tree
 /// traversal, a few dozen for a node split), so the set keeps up to
-/// [`INLINE_LINES`] entries in a sorted inline array — zero heap traffic
+/// `INLINE_LINES` entries in a sorted inline array — zero heap traffic
 /// on the episode hot path — and spills to a sorted `Vec` only above
 /// that. Either representation keeps iteration ordered and deterministic,
 /// which matters because the virtual-time simulator must be bit-for-bit
@@ -112,7 +112,7 @@ impl LineSet {
     }
 
     /// A set that can hold `cap` lines before (re)allocating. Capacities
-    /// up to [`INLINE_LINES`] cost nothing.
+    /// up to `INLINE_LINES` cost nothing.
     pub fn with_capacity(cap: usize) -> Self {
         let mut s = Self::new();
         if cap > INLINE_LINES {
@@ -165,6 +165,13 @@ impl LineSet {
                 }
             }
         }
+    }
+
+    /// Whether `line` is the one the set was last asked to insert (and so
+    /// a member): a repeat insert of it would answer `false` at once.
+    #[inline]
+    pub fn is_last(&self, line: LineId) -> bool {
+        line == self.last
     }
 
     #[inline]

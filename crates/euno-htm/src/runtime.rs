@@ -103,6 +103,10 @@ pub struct Runtime {
     /// The virtual backend's committed window, lock clock and line heat
     /// (empty on the other two).
     pub(crate) virt: Mutex<VirtState>,
+    /// Bumped whenever the virtual lock table may have changed — a hold,
+    /// a prune that trimmed it, a reset — so a thread's remembered read of
+    /// it (`ThreadCtx::vlock_free_at`) knows when it is void.
+    pub(crate) vlock_gen: AtomicU64,
     /// Line → registered node, populated by trees at node allocation:
     /// answers conflict classification, profiler attribution and the
     /// deterministic line ranks for conflict-line selection — which is why
@@ -140,6 +144,7 @@ impl Runtime {
             vlocks: crate::tl2::VersionTable::new(),
             wb_active: OwnLine(AtomicU64::new(0)),
             virt: Mutex::default(),
+            vlock_gen: AtomicU64::new(0),
             nodes: NodeTable::default(),
             epoch: crate::epoch::Collector::new(),
             metrics: euno_metrics::Registry::new(),
@@ -305,7 +310,10 @@ impl Runtime {
     /// Reset all engine state between experiment phases (keeps the node
     /// table — the tree nodes are still alive).
     pub fn reset_dynamics(&self) {
-        self.virt.lock().unwrap().clear();
+        let mut virt = self.virt.lock().unwrap();
+        virt.clear();
+        self.vlock_changed();
+        drop(virt);
         // Preload / warmup traffic must not leak into measured metric
         // totals; registered threads keep their shard handles.
         self.metrics.reset();
@@ -333,7 +341,7 @@ mod tests {
             writes: Option<&LineSet>,
             my_key: Option<u64>,
         ) -> Option<ConflictInfo> {
-            let virt = self.virt.lock().unwrap();
+            let mut virt = self.virt.lock().unwrap();
             let (line, class, other_key, other_thread) =
                 virt.check(start, reads, writes, &self.nodes)?;
             drop(virt);

@@ -3,7 +3,7 @@
 //! The paper's analysis figures (2 and 9) plot *aborts per operation broken
 //! down by cause*, and §2.3 quotes the fraction of CPU cycles wasted in
 //! aborted attempts (">94 % of total CPU cycles when θ = 0.9"). Each
-//! [`ThreadStats`](ThreadStats) tracks exactly those quantities; the
+//! [`ThreadStats`] tracks exactly those quantities; the
 //! simulator merges them into one per run.
 
 use std::ops::{Index, IndexMut};

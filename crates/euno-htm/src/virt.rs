@@ -2,7 +2,7 @@
 //! a cycle-charged clock per logical thread, and conflicts derived from
 //! interval overlap × cache-line footprint intersection. Everything that
 //! model consists of is here — the committed-episode window with its line
-//! index ([`VirtState`]), the storm extrapolation, the line-heat map
+//! index (`VirtState`), the storm extrapolation, the line-heat map
 //! behind the transfer charge, the virtual lock clock
 //! ([`ThreadCtx::vlock_free_at`] / [`ThreadCtx::vlock_hold`]) and the
 //! `virt_*` halves of the entry points [`crate::ctx`] dispatches from.
@@ -13,7 +13,6 @@
 //! [`Backend::Virtual`]: crate::runtime::Backend::Virtual
 
 use std::collections::VecDeque;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::Ordering;
 
 use euno_rng::SmallRng;
@@ -21,47 +20,13 @@ use euno_trace::{EpisodeKind, EventKind};
 
 use crate::abort::{classify_conflict, AbortCause, ConflictInfo};
 use crate::ctx::{EpisodeState, ThreadCtx};
+use crate::hash::{FibMap as HashMap, KeyFilter};
 use crate::line::{LineClass, LineId, LineSet};
 use crate::registry::NodeTable;
 use crate::runtime::{Backend, Runtime};
 use crate::word::TxCell;
 
-/// Multiply-based hasher for the engine's `u64`-keyed maps (line ids,
-/// lock keys). The default SipHash costs more than the lookups it guards
-/// on the episode hot path — several line-keyed probes per commit — and
-/// HashDoS resistance buys nothing against keys derived from our own
-/// allocations. One odd-constant multiply (Fibonacci hashing) spreads
-/// sequential line ids across the high bits hashbrown uses for its
-/// control tags. Deterministic, so map *behaviour* is reproducible — and
-/// nothing schedule-visible iterates these maps, so bucket order never
-/// reaches the run report either way.
-#[derive(Default)]
-struct FibHasher(u64);
-
-impl Hasher for FibHasher {
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        // 2^64 / phi, forced odd — the classic Fibonacci multiplier.
-        self.0 = n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // Not reached by u64 keys; fold bytes so any other key type still
-        // hashes sanely.
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        }
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type HashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FibHasher>>;
-
-/// One committed episode as handed to [`VirtState::commit`]: its
+/// One committed episode as handed to `VirtState::commit`: its
 /// interval, thread and op key, and its footprint as sorted, deduplicated
 /// lines (a [`LineSet::as_slice`]). The window keeps a copy of the lines,
 /// so the episode's own sets are cleared and reused, spill buffers and all.
@@ -322,6 +287,20 @@ fn each_line<'a>(
     })
 }
 
+/// Words of [`VirtState::pending_lines`]: 4 096 bits, which a lone
+/// thread's pending records between two prunes fill to a few percent.
+const PENDING_FILTER_WORDS: usize = 64;
+
+/// Which threads have written heat since the map was last cleared: the
+/// map holds no entry by any other.
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+enum HeatWriters {
+    #[default]
+    Nobody,
+    One(u32),
+    Many,
+}
+
 /// Sweep the line index once this many entries refer to records already
 /// removed from the window. Amortizes the O(index) sweep across at least
 /// as many removals.
@@ -357,11 +336,23 @@ pub(crate) struct VirtState {
     /// line → committed episodes touching it. Commit-time conflict
     /// detection probes only the episode's own footprint lines here —
     /// O(footprint × per-line history) instead of O(window) per check.
+    /// Built on demand: a commit only appends its record to the window,
+    /// and the records from [`VirtState::indexed_to`] on are indexed by
+    /// the first check that needs the index ([`VirtState::index_pending`]),
+    /// so a record pruned before any check reads it is never indexed.
     line_index: HashMap<u64, LineIndexEntry>,
+    /// Every record with a smaller seq is indexed, or left the window
+    /// before it was; the window's records from this seq on are pending.
+    indexed_to: u64,
+    /// The pending records' lines, as a filter: a forgotten line that it
+    /// does not hold is in no pending record, so forgetting it needs no
+    /// index build ([`VirtState::forget_lines`]).
+    pending_lines: KeyFilter<PENDING_FILTER_WORDS>,
     /// The index's spilled access lists.
     spills: Spills,
-    /// Upper bound on index entries referring to removed records; a sweep
-    /// runs once it passes [`INDEX_SWEEP_STALE`].
+    /// Upper bound on index entries referring to removed records (a
+    /// record that leaves the window unindexed leaves none); a sweep runs
+    /// once it passes [`INDEX_SWEEP_STALE`].
     index_stale: usize,
     /// Advisory-lock table: lock key → virtual time it is held until.
     locks: HashMap<u64, u64>,
@@ -369,6 +360,9 @@ pub(crate) struct VirtState {
     /// write interarrival gap. Drives both the cross-core line-transfer
     /// charge and the storm (write-rate) extrapolation.
     recent_writes: HashMap<u64, LineHeat>,
+    /// Who wrote the entries of `recent_writes`: while that is only the
+    /// closing thread, [`VirtState::gather_heat`] has nothing to gather.
+    heat_writers: HeatWriters,
     /// The closing episode's footprint heat, gathered once
     /// ([`VirtState::gather_heat`]) for both the transfer charge and the
     /// storm: each footprint line another thread last wrote, with that
@@ -407,14 +401,17 @@ impl LineHeat {
     }
 }
 
-impl VirtState {
-    /// A window record's footprint: its reads and its writes.
+impl WindowRec {
+    /// This record's footprint, its reads and its writes, in the window's
+    /// line buffer `lines`, whose first line is at position `lines_base`.
     #[inline]
-    fn footprint(&self, wr: &WindowRec) -> (&[LineId], &[LineId]) {
-        let at = (wr.at - self.lines_base) as usize;
-        self.lines[at..at + (wr.reads + wr.writes) as usize].split_at(wr.reads as usize)
+    fn footprint<'a>(&self, lines: &'a [LineId], lines_base: u64) -> (&'a [LineId], &'a [LineId]) {
+        let at = (self.at - lines_base) as usize;
+        lines[at..at + (self.reads + self.writes) as usize].split_at(self.reads as usize)
     }
+}
 
+impl VirtState {
     /// Check an episode's footprint against committed overlapping
     /// episodes — `reads` against their writes only (optimistic reads)
     /// when `writes` is `None`, the full TSX rules otherwise. Returns the
@@ -433,7 +430,7 @@ impl VirtState {
     /// the report does not depend on heap addresses (see
     /// [`NodeTableRead::best_common_line`](crate::registry::NodeTableRead::best_common_line)).
     pub(crate) fn check(
-        &self,
+        &mut self,
         start: u64,
         reads: &LineSet,
         writes: Option<&LineSet>,
@@ -445,6 +442,7 @@ impl VirtState {
         if self.window_ends_by <= start {
             return None;
         }
+        self.index_pending();
         // `below` excludes candidates already found to be stale (their
         // record was pruned while its index entries survive) — a case the
         // scheduler's prune invariant (`start` never precedes the cutoff)
@@ -487,7 +485,7 @@ impl VirtState {
             match self.window.binary_search_by_key(&cand, |wr| wr.seq) {
                 Ok(i) => {
                     let wr = &self.window[i];
-                    let (their_r, their_w) = self.footprint(wr);
+                    let (their_r, their_w) = wr.footprint(&self.lines, self.lines_base);
                     let reg = nodes.read();
                     let mine_r = reads.as_slice();
                     let line = if let Some(w) = writes.map(LineSet::as_slice) {
@@ -526,15 +524,8 @@ impl VirtState {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        let spills = &mut self.spills;
-        for (l, read, written) in each_line(rec.reads, rec.writes) {
-            let e = self.line_index.entry(l.0).or_default();
-            if written {
-                e.writers.push(seq, rec.end, spills);
-            }
-            if read {
-                e.readers.push(seq, rec.end, spills);
-            }
+        for l in rec.reads.iter().chain(rec.writes) {
+            self.pending_lines.insert(l.0);
         }
         self.window_ends_by = self.window_ends_by.max(rec.end);
         let at = self.lines_base + self.lines.len() as u64;
@@ -551,6 +542,46 @@ impl VirtState {
         });
     }
 
+    /// Index the pending records (from [`VirtState::indexed_to`] on), in
+    /// seq order, so every list stays in ascending-seq order: the index
+    /// then holds what indexing each record at its commit would have,
+    /// less the entries of records that left the window unread — which a
+    /// check skips as stale anyway.
+    fn index_pending(&mut self) {
+        if self.indexed_to == self.next_seq {
+            return;
+        }
+        let from = self.window.partition_point(|wr| wr.seq < self.indexed_to);
+        let VirtState {
+            window,
+            lines,
+            lines_base,
+            line_index,
+            spills,
+            ..
+        } = self;
+        for wr in window.range(from..) {
+            let (reads, writes) = wr.footprint(lines, *lines_base);
+            for (l, read, written) in each_line(reads, writes) {
+                let e = line_index.entry(l.0).or_default();
+                if written {
+                    e.writers.push(wr.seq, wr.end, spills);
+                }
+                if read {
+                    e.readers.push(wr.seq, wr.end, spills);
+                }
+            }
+        }
+        self.nothing_pending();
+    }
+
+    /// No record is pending any more: every one was indexed, or left the
+    /// window unindexed.
+    fn nothing_pending(&mut self) {
+        self.indexed_to = self.next_seq;
+        self.pending_lines.clear();
+    }
+
     /// Pop window records (oldest-first) whose end is at or before
     /// `cutoff`, stopping at the first survivor; then drop the popped
     /// records' lines once they are the larger part of the buffer (so
@@ -558,7 +589,9 @@ impl VirtState {
     fn drop_window_prefix(&mut self, cutoff: u64) {
         while let Some(front) = self.window.front() {
             if front.end <= cutoff {
-                self.index_stale += (front.reads + front.writes) as usize;
+                if front.seq < self.indexed_to {
+                    self.index_stale += (front.reads + front.writes) as usize;
+                }
                 self.window.pop_front();
             } else {
                 break;
@@ -566,6 +599,7 @@ impl VirtState {
         }
         if self.window.is_empty() {
             self.window_ends_by = 0;
+            self.nothing_pending();
         }
         let live_at = self
             .window
@@ -582,16 +616,21 @@ impl VirtState {
     /// linear pass — pop_front alone can strand long-lived records behind
     /// a long-running front entry), and pack the survivors' lines.
     fn drop_window_all(&mut self, cutoff: u64) {
-        let stale = &mut self.index_stale;
+        let (stale, indexed_to) = (&mut self.index_stale, self.indexed_to);
         self.window.retain(|wr| {
             if wr.end > cutoff {
                 true
             } else {
-                *stale += (wr.reads + wr.writes) as usize;
+                if wr.seq < indexed_to {
+                    *stale += (wr.reads + wr.writes) as usize;
+                }
                 false
             }
         });
         self.window_ends_by = self.window.iter().map(|wr| wr.end).max().unwrap_or(0);
+        if self.window.is_empty() {
+            self.nothing_pending();
+        }
         let mut to = 0usize;
         for wr in self.window.iter_mut() {
             let from = (wr.at - self.lines_base) as usize;
@@ -641,7 +680,9 @@ impl VirtState {
 
     /// Exact pruning driven by the scheduler: drop everything that cannot
     /// affect any episode starting at or after `before`.
-    pub(crate) fn prune(&mut self, before: u64) {
+    /// Returns whether it dropped lock-table entries, which a remembered
+    /// lock-clock read ([`ThreadCtx::vlock_free_at`]) must not outlive.
+    pub(crate) fn prune(&mut self, before: u64) -> bool {
         self.drop_window_prefix(before);
         if self.window.len() > 4096 {
             self.drop_window_all(before);
@@ -651,9 +692,11 @@ impl VirtState {
             self.recent_writes
                 .retain(|_, heat| heat.end + 1_000_000 > before);
         }
-        if self.locks.len() > 1 << 14 {
+        let retain_locks = self.locks.len() > 1 << 14;
+        if retain_locks {
             self.locks.retain(|_, &mut until| until > before);
         }
+        retain_locks
     }
 
     /// Drop all dynamics between experiment phases.
@@ -663,9 +706,11 @@ impl VirtState {
         self.lines_base += self.lines.len() as u64;
         self.lines.clear();
         self.clear_index();
+        self.nothing_pending();
         self.index_stale = 0;
         self.locks.clear();
         self.recent_writes.clear();
+        self.heat_writers = HeatWriters::Nobody;
     }
 
     /// Forget what the simulation remembers about `lines`: a node was just
@@ -674,7 +719,16 @@ impl VirtState {
     /// were the newcomer to inherit them, whether a fresh leaf starts hot
     /// would depend on heap layout, and a run would no longer repeat under
     /// ASLR (`virt-scan-churn` once its sweeps free leaves: ±0.1 %).
+    ///
+    /// A pending record's lines are forgotten with the rest: if the
+    /// filter says one of `lines` may be among them, the pending records
+    /// are indexed first, so the loop below removes their entries too.
     pub(crate) fn forget_lines(&mut self, lines: std::ops::Range<u64>) {
+        if self.indexed_to < self.next_seq
+            && lines.clone().any(|l| self.pending_lines.may_contain(l))
+        {
+            self.index_pending();
+        }
         for line in lines {
             self.recent_writes.remove(&line);
             if let Some(e) = self.line_index.remove(&line) {
@@ -695,8 +749,17 @@ impl VirtState {
     /// [`VirtState::storm_check`]: one heat-map probe a footprint line
     /// where each of them probed the map again. `me`'s own writes are
     /// left out — neither charges a thread for its own lines.
+    ///
+    /// While `me` is the only thread that has written heat since the last
+    /// [`VirtState::clear`], every entry is its own — entries are only
+    /// ever removed otherwise — so the gather is empty without a probe.
     pub(crate) fn gather_heat(&mut self, reads: &[LineId], writes: &[LineId], me: u32) {
         self.gathered.clear();
+        if matches!(self.heat_writers, HeatWriters::Nobody)
+            || self.heat_writers == HeatWriters::One(me)
+        {
+            return;
+        }
         for &line in reads.iter().chain(writes) {
             if let Some(&heat) = self.recent_writes.get(&line.0) {
                 if heat.thread != me {
@@ -720,7 +783,13 @@ impl VirtState {
     ///
     /// Returns the abort probability over the gathered footprint
     /// ([`VirtState::gather_heat`]) and the latest counted write.
+    ///
+    /// An empty gather returns `(0.0, None)` at once, which is what the
+    /// loop below computes for it: `1 − e⁰` is exactly zero.
     pub(crate) fn storm_probability(&self, start: u64, duration: u64) -> (f64, Option<u64>) {
+        if self.gathered.is_empty() {
+            return (0.0, None);
+        }
         let l = duration.max(1) as f64;
         // Survival probability across all hot lines in the footprint: the
         // line's write process is modelled as Poisson with rate
@@ -777,6 +846,14 @@ impl VirtState {
     /// ([`ThreadCtx::virt_attempt_aborted`]).
     pub(crate) fn heat_writes(&mut self, writes: &[LineId], end: u64, thread: u32) {
         use std::collections::hash_map::Entry;
+        if writes.is_empty() {
+            return;
+        }
+        self.heat_writers = match self.heat_writers {
+            HeatWriters::Nobody => HeatWriters::One(thread),
+            HeatWriters::One(t) if t == thread => HeatWriters::One(t),
+            _ => HeatWriters::Many,
+        };
         for l in writes {
             match self.recent_writes.entry(l.0) {
                 Entry::Occupied(mut e) => {
@@ -808,7 +885,10 @@ impl Runtime {
     /// any episode starting at or after `before`. The scheduler calls this
     /// with the minimum pending start time.
     pub fn virt_prune(&self, before: u64) {
-        self.virt.lock().unwrap().prune(before);
+        let mut virt = self.virt.lock().unwrap();
+        if virt.prune(before) {
+            self.vlock_changed();
+        }
     }
 
     /// Current number of live window entries (observability/tests).
@@ -823,15 +903,17 @@ impl Runtime {
     }
 
     /// Virtual time at which the lock `key` becomes free (≥ `now`).
+    #[cfg(test)]
     pub(crate) fn vlock_free_at(&self, key: u64, now: u64) -> u64 {
-        self.virt
-            .lock()
-            .unwrap()
-            .locks
-            .get(&key)
-            .copied()
-            .unwrap_or(0)
-            .max(now)
+        self.vlock_read(key).1.max(now)
+    }
+
+    /// The lock table's entry for `key` (0 when it has none), with the
+    /// generation it was read at.
+    fn vlock_read(&self, key: u64) -> (u64, u64) {
+        let virt = self.virt.lock().unwrap();
+        let gen = self.vlock_gen.load(Ordering::Acquire);
+        (gen, virt.locks.get(&key).copied().unwrap_or(0))
     }
 
     /// Record that `key` is held until `until`.
@@ -839,6 +921,15 @@ impl Runtime {
         let mut virt = self.virt.lock().unwrap();
         let slot = virt.locks.entry(key).or_insert(0);
         *slot = (*slot).max(until);
+        self.vlock_changed();
+    }
+
+    /// The lock table may have changed: every remembered read of it
+    /// ([`ThreadCtx::vlock_free_at`]) is void. Called with the `virt`
+    /// mutex held, after the change, so a read taken under the mutex
+    /// either sees the change or carries an older generation.
+    pub(crate) fn vlock_changed(&self) {
+        self.vlock_gen.fetch_add(1, Ordering::Release);
     }
 }
 
@@ -855,11 +946,29 @@ impl ThreadCtx {
     /// Virtual time at which lock `key` is released: at most the thread's
     /// clock when it is free — which, off the virtual backend, it always
     /// is (real threads wait by spinning).
-    pub fn vlock_free_at(&self, key: u64) -> u64 {
+    pub fn vlock_free_at(&mut self, key: u64) -> u64 {
         match self.rt.backend() {
-            Backend::Virtual => self.rt.vlock_free_at(key, self.clock),
+            Backend::Virtual => self.virt_lock_free_at(key),
             Backend::Stm | Backend::Rtm => 0,
         }
+    }
+
+    /// [`ThreadCtx::vlock_free_at`] on the virtual backend. The thread
+    /// remembers its last lock-table read as (generation, key, entry):
+    /// while no hold, prune or reset has moved the runtime's generation
+    /// since, the table still holds that entry for that key, so a repeat
+    /// of the read needs neither the mutex nor the probe.
+    #[inline]
+    fn virt_lock_free_at(&mut self, key: u64) -> u64 {
+        let (gen, memo_key, until) = self.vlock_memo;
+        let until = if memo_key == key && gen == self.rt.vlock_gen.load(Ordering::Acquire) {
+            until
+        } else {
+            let (gen, until) = self.rt.vlock_read(key);
+            self.vlock_memo = (gen, key, until);
+            until
+        };
+        until.max(self.clock)
     }
 
     /// Advance the clock to lock `key`'s virtual release time and account
@@ -882,7 +991,7 @@ impl ThreadCtx {
     /// observation, so a contended acquisition is accounted as on real
     /// threads — one losing + one winning CAS.
     pub(crate) fn virt_acquire_mask(&mut self, word: &TxCell, mask: u64, vkey: u64) {
-        let free_at = self.rt.vlock_free_at(vkey, self.clock);
+        let free_at = self.virt_lock_free_at(vkey);
         if free_at > self.clock {
             // The losing CAS advances the clock too; only the residual
             // gap to the release time is spent waiting.
@@ -1045,7 +1154,7 @@ impl VirtState {
     /// The newest committed overlapping episode colliding with `ep`'s
     /// footprint (reads against writes only when `writes` is `None`).
     fn window_hit(
-        &self,
+        &mut self,
         ep: &EpisodeState,
         writes: Option<&LineSet>,
         nodes: &NodeTable,
@@ -1077,5 +1186,219 @@ impl VirtState {
             kind: classify_conflict(class, ep.op_key, None),
             other_thread: None,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::line::common_lines;
+    use std::collections::BTreeMap;
+
+    /// A committed record as the reference keeps it: the footprint it
+    /// committed, and the part of it no `forget_lines` has erased since.
+    struct Committed {
+        end: u64,
+        op_key: Option<u64>,
+        thread: u32,
+        reads: Vec<LineId>,
+        writes: Vec<LineId>,
+        live_reads: Vec<LineId>,
+        live_writes: Vec<LineId>,
+    }
+
+    /// The newest window record that overlaps `start` and collides with
+    /// the footprint under the TSX rules, found by scanning the whole
+    /// window; the line reported from its committed footprint, as the
+    /// index's resolution does.
+    fn window_scan(
+        virt: &VirtState,
+        committed: &BTreeMap<u64, Committed>,
+        start: u64,
+        reads: &LineSet,
+        writes: Option<&LineSet>,
+        nodes: &NodeTable,
+    ) -> Option<(LineId, LineClass, Option<u64>, u32)> {
+        let reg = nodes.read();
+        let best = |a: &[LineId], b: &[LineId]| common_lines(a, b).min_by_key(|&l| reg.rank_of(l));
+        let meets = |a: &[LineId], b: &[LineId]| common_lines(a, b).next().is_some();
+        let (r, w) = (reads.as_slice(), writes.map_or(&[][..], LineSet::as_slice));
+        for wr in virt.window.iter().rev() {
+            let c = &committed[&wr.seq];
+            if c.end <= start
+                || !(meets(w, &c.live_writes)
+                    || meets(w, &c.live_reads)
+                    || meets(r, &c.live_writes))
+            {
+                continue;
+            }
+            let line = match writes {
+                Some(_) => best(w, &c.writes)
+                    .or_else(|| best(w, &c.reads))
+                    .or_else(|| best(r, &c.writes)),
+                None => best(r, &c.writes),
+            }
+            .unwrap();
+            return Some((line, reg.class_of(line), c.op_key, c.thread));
+        }
+        None
+    }
+
+    /// The line index is built on demand — at a check that gets past its
+    /// interval exit, or at a `forget_lines` whose lines the pending
+    /// records may hold — and a record pruned before either is never
+    /// indexed. Every check must still answer what a scan of the whole
+    /// window answers: two to four threads committing overlapping
+    /// intervals over 48 lines (40 of them in five registered nodes,
+    /// ranked against address order), checks with and without writes,
+    /// prunes at random horizons (in stretches where checks are rare, so
+    /// that they drop records never indexed), forgets of line ranges that
+    /// pending records hold, and clears.
+    #[test]
+    fn the_on_demand_index_answers_as_a_window_scan_does() {
+        let nodes = NodeTable::default();
+        for n in (0..5usize).rev() {
+            let parts = [(0, LineClass::Record), (4 * 64, LineClass::Metadata)];
+            nodes.register(n * 8 * 64, 8 * 64, &parts, None);
+        }
+        let mut rng = SmallRng::seed_from_u64(0x1de7);
+        let random_set = |rng: &mut SmallRng, most: u64| -> LineSet {
+            (0..rng.gen_range(0..most + 1))
+                .map(|_| LineId(rng.gen_range(0u64..48)))
+                .collect()
+        };
+        let mut virt = VirtState::default();
+        let mut committed: BTreeMap<u64, Committed> = BTreeMap::new();
+        let mut clocks = [0u64; 4];
+        let (mut hits, mut misses, mut pending_forgets, mut unindexed_pruned) = (0, 0, 0, 0);
+        for step in 0..40_000u32 {
+            let threads = [2, 3, 4][(step / 4_000 % 3) as usize];
+            let t = rng.gen_range(0..threads);
+            let mut roll = rng.gen_range(0u32..100);
+            // Every other stretch checks and forgets rarely, so prunes
+            // drop records that nothing indexed.
+            let quiet = step / 2_000 % 2 == 1;
+            if quiet && !(85..93).contains(&roll) && roll < 99 && rng.gen_bool(0.95) {
+                roll = 0;
+            }
+            match roll {
+                0..=44 => {
+                    let (reads, writes) = (random_set(&mut rng, 6), random_set(&mut rng, 4));
+                    let start = clocks[t];
+                    let end = start + rng.gen_range(1u64..400);
+                    clocks[t] = end + rng.gen_range(0u64..50);
+                    let op_key = rng.gen_bool(0.5).then(|| rng.gen_range(0u64..8));
+                    committed.insert(
+                        virt.next_seq,
+                        Committed {
+                            end,
+                            op_key,
+                            thread: t as u32,
+                            reads: reads.as_slice().to_vec(),
+                            writes: writes.as_slice().to_vec(),
+                            live_reads: reads.as_slice().to_vec(),
+                            live_writes: writes.as_slice().to_vec(),
+                        },
+                    );
+                    virt.commit(EpisodeRecord {
+                        start,
+                        end,
+                        thread: t as u32,
+                        op_key,
+                        reads: reads.as_slice(),
+                        writes: writes.as_slice(),
+                    });
+                }
+                45..=84 => {
+                    let start = clocks[t].saturating_sub(rng.gen_range(0u64..600));
+                    let reads = random_set(&mut rng, 8);
+                    let writes = rng.gen_bool(0.5).then(|| random_set(&mut rng, 4));
+                    let want =
+                        window_scan(&virt, &committed, start, &reads, writes.as_ref(), &nodes);
+                    let got = virt.check(start, &reads, writes.as_ref(), &nodes);
+                    assert_eq!(got, want, "step {step}");
+                    if got.is_some() {
+                        hits += 1;
+                    } else {
+                        misses += 1;
+                    }
+                }
+                85..=92 => {
+                    let before = clocks[..threads].iter().min().unwrap();
+                    let pending = virt.next_seq - virt.indexed_to;
+                    virt.prune(before.saturating_sub(rng.gen_range(0u64..800)));
+                    let still = virt.window.iter().filter(|wr| wr.seq >= virt.indexed_to);
+                    unindexed_pruned += pending - still.count() as u64;
+                }
+                93..=98 => {
+                    // Half the ranges start at a line of the newest record.
+                    let newest = committed.values().next_back();
+                    let lo = match newest.and_then(|c| c.reads.first().or(c.writes.first())) {
+                        Some(l) if rng.gen_bool(0.5) => l.0.saturating_sub(rng.gen_range(0u64..3)),
+                        _ => rng.gen_range(0u64..48),
+                    };
+                    let lines = lo..lo + rng.gen_range(1u64..7);
+                    let pending_holds = virt.window.iter().any(|wr| {
+                        let c = &committed[&wr.seq];
+                        wr.seq >= virt.indexed_to
+                            && c.reads
+                                .iter()
+                                .chain(&c.writes)
+                                .any(|l| lines.contains(&l.0))
+                    });
+                    pending_forgets += u32::from(pending_holds);
+                    virt.forget_lines(lines.clone());
+                    for c in committed.values_mut() {
+                        c.live_reads.retain(|l| !lines.contains(&l.0));
+                        c.live_writes.retain(|l| !lines.contains(&l.0));
+                    }
+                }
+                _ => {
+                    virt.clear();
+                    committed.clear();
+                }
+            }
+            committed.retain(|seq, _| virt.window.binary_search_by_key(seq, |wr| wr.seq).is_ok());
+        }
+        assert!(
+            hits > 1_000 && misses > 1_000,
+            "{hits} hits, {misses} misses"
+        );
+        assert!(
+            pending_forgets > 100,
+            "{pending_forgets} forgets of pending lines"
+        );
+        assert!(
+            unindexed_pruned > 400,
+            "{unindexed_pruned} records never indexed"
+        );
+    }
+
+    /// A thread remembers its last lock-table read, and must see every
+    /// change to the table since: another thread's hold, a reset, and a
+    /// prune that trims the table (it does so past 16 384 entries).
+    #[test]
+    fn a_remembered_lock_clock_sees_holds_resets_and_trims() {
+        let rt = Runtime::new_virtual();
+        let (mut reader, mut holder) = (rt.thread(1), rt.thread(2));
+        let key = 0x4000;
+        assert_eq!(reader.vlock_free_at(key), 0);
+        holder.clock = 500;
+        holder.vlock_hold(key);
+        assert_eq!(reader.vlock_free_at(key), 500, "another thread's hold");
+        assert_eq!(reader.vlock_free_at(key), 500, "and again, remembered");
+        rt.reset_dynamics();
+        assert_eq!(reader.vlock_free_at(key), 0, "a reset");
+
+        holder.clock = 100;
+        holder.vlock_hold(key);
+        holder.clock = 10_000;
+        for k in 0..(1u64 << 14) {
+            holder.vlock_hold(0x10_0000 + k);
+        }
+        assert_eq!(reader.vlock_free_at(key), 100);
+        rt.virt_prune(200);
+        assert_eq!(reader.vlock_free_at(key), 0, "a prune that trims the table");
+        assert_eq!(reader.vlock_free_at(0x10_0000), 10_000, "what it kept");
     }
 }

@@ -92,7 +92,7 @@ impl LogHistogram {
         self.max
     }
 
-    /// Approximate quantile (`q` in [0,1]): the floor of the bucket where
+    /// Approximate quantile (`q` in `[0, 1]`): the floor of the bucket where
     /// the cumulative count crosses `q·count` — except in the **terminal**
     /// (highest non-empty) bucket, where the exact observed maximum is
     /// returned. Without that, `quantile(1.0)` under-reported the max by

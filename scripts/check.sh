@@ -251,6 +251,13 @@ dangling="$(perl -0777 -ne '
     || { echo "docs: backticked names that resolve nowhere (fix the text, or list them in DOCS_ALLOW with what removed them):"; echo "$dangling"; exit 1; }
 echo "docs (every backticked code name in DESIGN.md and README.md resolves, ${#DOCS_ALLOW[@]} allowed) OK"
 
+# API docs: rustdoc over every workspace crate with its warnings as
+# errors, so an intra-doc link that resolves nowhere, or from public
+# documentation to a private item, fails here rather than in a reader's
+# browser.  `--keep-going` reports every crate's errors in one run.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --keep-going -q
+echo "api-docs (rustdoc with -D warnings over the workspace) OK"
+
 # One seam: which engine runs a transaction is decided once, in
 # `Runtime::new`, as a `Backend`; each backend's protocol is one module of
 # euno-htm (virt.rs / tl2.rs / rtm.rs; DESIGN.md §4.1).  No build option
