@@ -99,6 +99,12 @@ use euno_workloads::WorkloadSpec;
 /// the parent differs in that entry's lines only.
 const GOLDEN_DIGEST: &str = "af53bd8594ecddb4";
 
+/// Expected digest of the same run of `System::EunoReadOpt` alone
+/// (`EunoConfig::default()`), normalised alike. It moves with what moves
+/// the benchmark's `virt-*` rows — the walk, the leaf hints, the
+/// contention splits — which `GOLDEN_DIGEST` does not see.
+const GOLDEN_DEFAULT_DIGEST: &str = "989c2d70ab6fe197";
+
 fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -194,6 +200,31 @@ fn fixed_seed_run_reports_are_byte_identical_to_golden_digest() {
          If (and only if) the change is intentionally semantic, update \
          GOLDEN_DIGEST to {digest}.\n--- normalized report was {} bytes ---",
         text.len()
+    );
+
+    // `EunoConfig::default()` — the tree the benchmark, the server and the
+    // examples run, and which the digest above does not cover — under its
+    // own digest, on the same workload and with the same normalisation.
+    let mut report = RunReport::new(
+        "golden",
+        "Golden determinism gate: the default tree, fixed seed",
+        CostModel::default(),
+    );
+    report.runs.push(RunEntry {
+        system: System::EunoReadOpt.label().to_string(),
+        x: "golden".to_string(),
+        spec: spec.clone(),
+        cfg: cfg.clone(),
+        metrics: measure(System::EunoReadOpt, &spec, &cfg),
+        extra: Vec::new(),
+    });
+    let text = normalized_report_text(&report);
+    let digest = format!("{:016x}", fnv1a64(text.as_bytes()));
+    assert_eq!(
+        digest, GOLDEN_DEFAULT_DIGEST,
+        "virtual-mode schedule of `EunoConfig::default()` changed: update \
+         GOLDEN_DEFAULT_DIGEST to {digest} only for an intentionally \
+         semantic change"
     );
 
     // Within-process determinism: two further runs of one system agree

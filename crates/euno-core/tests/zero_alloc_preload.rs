@@ -3,15 +3,13 @@
 //! An ascending load of even keys, pruned at the loading thread's own
 //! clock every 64 puts as the repo benchmark's `preload_even` does, is the
 //! regime every lone-thread driver runs in: each prune drops the whole
-//! committed window, so the line index is swept empty again and again.
-//! What a put may allocate there is the nodes a split creates and the
-//! engine tables' amortized growth; the per-episode bookkeeping (index
-//! access lists, footprints, split scratch) must come from buffers that
-//! are reused. Counting allocations and reallocations alike, as the
-//! allocator below does, 60 000 puts measured 0.19 a put — the leaves,
-//! index nodes and node-table entries splits create — against 2.45
-//! before the line index recycled its spill buffers, and 0.42 with that
-//! alone, before a split's scratch moved onto the stack.
+//! committed window again and again. What a put may allocate there is
+//! the nodes a split creates and the engine tables' amortized growth; the
+//! per-episode bookkeeping (footprints, split scratch) must come from
+//! buffers that are reused. Counting allocations and reallocations alike,
+//! as the allocator below does, 60 000 puts measure 0.15 a put — the
+//! leaves, index nodes and node-table entries splits create — against
+//! 2.45 before that bookkeeping reused its buffers.
 //!
 //! Single `#[test]` on purpose: the allocation counter is process-global,
 //! so a concurrently scheduled second test would pollute the window.

@@ -60,7 +60,7 @@ pub(crate) struct EpisodeState {
     /// The addresses of the cells in `write_buf`, as a filter: a cell it
     /// does not hold is not buffered, so a read of it needs no
     /// read-your-writes scan.
-    pub(crate) buffered: KeyFilter<BUFFERED_FILTER_WORDS>,
+    pub(crate) buffered: KeyFilter,
     /// A transaction on the virtual backend (set by `tx_begin`): its
     /// reads and writes of a footprint set's memo line take the repeat-line
     /// path of [`ThreadCtx::tx_read`] / [`ThreadCtx::tx_write`].
@@ -118,10 +118,6 @@ impl EpisodeState {
         self.virt_tx = false;
     }
 }
-
-/// Words of [`EpisodeState::buffered`]: 256 bits, against a write buffer
-/// that holds a few cells for a put and 72 for a split.
-const BUFFERED_FILTER_WORDS: usize = 4;
 
 /// A thread's telemetry at one instant (see [`ThreadCtx::metrics_mark`]).
 pub struct MetricsMark {

@@ -53,26 +53,21 @@ pub(crate) type FibMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefaul
 /// A `HashSet` under [`FibHasher`].
 pub(crate) type FibSet<K> = std::collections::HashSet<K, BuildHasherDefault<FibHasher>>;
 
-/// A fixed-size one-hash Bloom filter over `u64` keys: `64 × W` bits, no
-/// heap. [`KeyFilter::may_contain`] answers `false` only for a key never
+/// A 256-bit one-hash Bloom filter over `u64` keys, no heap: sized for
+/// a write buffer, which holds a few cells for a put and 72 for a split,
+/// and for a point operation's footprint of a few lines (a larger set
+/// costs false positives, never a wrong answer).
+/// [`KeyFilter::may_contain`] answers `false` only for a key never
 /// inserted since the last [`KeyFilter::clear`], so a `false` may skip a
 /// search and a `true` must still do it. The bit is the product's top
-/// bits, which every bit of the key reaches.
-#[derive(Clone, Copy)]
-pub(crate) struct KeyFilter<const W: usize>([u64; W]);
+/// eight bits, which every bit of the key reaches.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct KeyFilter([u64; 4]);
 
-impl<const W: usize> Default for KeyFilter<W> {
-    fn default() -> Self {
-        KeyFilter([0; W])
-    }
-}
-
-impl<const W: usize> KeyFilter<W> {
+impl KeyFilter {
     #[inline]
     fn bit(key: u64) -> (usize, u64) {
-        let bits = (64 * W) as u64;
-        debug_assert!(bits.is_power_of_two());
-        let b = key.wrapping_mul(FIB) >> (64 - bits.trailing_zeros());
+        let b = key.wrapping_mul(FIB) >> 56;
         ((b / 64) as usize, 1 << (b % 64))
     }
 
@@ -90,7 +85,7 @@ impl<const W: usize> KeyFilter<W> {
 
     #[inline]
     pub(crate) fn clear(&mut self) {
-        self.0 = [0; W];
+        self.0 = [0; 4];
     }
 }
 
@@ -100,7 +95,7 @@ mod tests {
 
     #[test]
     fn a_filter_has_no_false_negatives_and_forgets_on_clear() {
-        let mut f = KeyFilter::<4>::default();
+        let mut f = KeyFilter::default();
         let keys: Vec<u64> = (0..40).map(|i| 0x7f00_0000 + i * 8).collect();
         assert!(keys.iter().all(|&k| !f.may_contain(k)));
         for &k in &keys {

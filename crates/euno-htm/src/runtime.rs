@@ -341,10 +341,11 @@ mod tests {
             writes: Option<&LineSet>,
             my_key: Option<u64>,
         ) -> Option<ConflictInfo> {
-            let mut virt = self.virt.lock().unwrap();
             let (line, class, other_key, other_thread) =
-                virt.check(start, reads, writes, &self.nodes)?;
-            drop(virt);
+                self.virt
+                    .lock()
+                    .unwrap()
+                    .check(start, reads, writes, &self.nodes)?;
             let kind = classify_conflict(class, my_key, other_key);
             Some(ConflictInfo {
                 line,

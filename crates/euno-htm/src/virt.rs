@@ -1,9 +1,9 @@
 //! The virtual-time backend ([`Backend::Virtual`]): one scheduler thread,
 //! a cycle-charged clock per logical thread, and conflicts derived from
 //! interval overlap × cache-line footprint intersection. Everything that
-//! model consists of is here — the committed-episode window with its line
-//! index (`VirtState`), the storm extrapolation, the line-heat map
-//! behind the transfer charge, the virtual lock clock
+//! model consists of is here — the committed-episode window and its
+//! newest-first conflict check (`VirtState`), the storm extrapolation,
+//! the line-heat map behind the transfer charge, the virtual lock clock
 //! ([`ThreadCtx::vlock_free_at`] / [`ThreadCtx::vlock_hold`]) and the
 //! `virt_*` halves of the entry points [`crate::ctx`] dispatches from.
 //! The clock charges per instrumented access, so a change here moves
@@ -13,6 +13,7 @@
 //! [`Backend::Virtual`]: crate::runtime::Backend::Virtual
 
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::atomic::Ordering;
 
 use euno_rng::SmallRng;
@@ -21,7 +22,7 @@ use euno_trace::{EpisodeKind, EventKind};
 use crate::abort::{classify_conflict, AbortCause, ConflictInfo};
 use crate::ctx::{EpisodeState, ThreadCtx};
 use crate::hash::{FibMap as HashMap, KeyFilter};
-use crate::line::{LineClass, LineId, LineSet};
+use crate::line::{common_lines, LineClass, LineId, LineSet};
 use crate::registry::NodeTable;
 use crate::runtime::{Backend, Runtime};
 use crate::word::TxCell;
@@ -51,10 +52,10 @@ pub(crate) struct LineHeat {
 }
 
 /// A committed episode in the window, stamped with its commit sequence
-/// number (the key the line index refers to). Its footprint is
-/// `reads + writes` lines of [`VirtState::lines`] from position `at`
-/// (counted from the start of the run, see [`VirtState::lines_base`]),
-/// reads first.
+/// number (what a forget is ordered against, see
+/// [`VirtState::forgets`]). Its footprint is `reads + writes` lines of
+/// [`VirtState::lines`] from position `at` (counted from the start of the
+/// run, see [`VirtState::lines_base`]), reads first.
 struct WindowRec {
     seq: u64,
     end: u64,
@@ -65,232 +66,6 @@ struct WindowRec {
     writes: u32,
 }
 
-/// One committed access to a line: the episode's commit sequence number,
-/// its end time, and the running maximum end over this entry and every
-/// older one in the same list. Commit order is *not* end order (a
-/// later-committing episode can end earlier), so a backward walk cannot
-/// stop at the first `end <= start` — but it *can* stop once the prefix
-/// maximum is `<= start`, because then no older access can overlap
-/// either. That early exit is what keeps the no-conflict case O(1) even
-/// while stale entries (records already pruned from the window) await the
-/// amortized sweep.
-#[derive(Clone, Copy)]
-struct LineAccess {
-    seq: u64,
-    end: u64,
-    max_end: u64,
-}
-
-/// Accesses kept inline before an [`AccessList`] spills. A skewed
-/// workload touches a long tail of lines once or twice per window; two
-/// inline slots mean those lines never spill, while the few hot lines
-/// (root, fallback word, the leaf being filled) spill into a buffer of
-/// the [`Spills`].
-const INLINE_ACCESSES: usize = 2;
-
-/// [`AccessList::spill`] of a list that has not spilled.
-const NO_SPILL: u32 = u32::MAX;
-
-/// Access history of one line, in ascending-seq order (commit order), so
-/// a backward walk visits newest-first. Up to [`INLINE_ACCESSES`] inline;
-/// beyond, all of them in the [`Spills`] buffer `spill` names. The list
-/// holds no heap pointer, so an index entry is 112 B and a table of them
-/// is cleared without visiting its entries.
-#[derive(Clone, Copy)]
-struct AccessList {
-    /// Accesses held: inline while at most [`INLINE_ACCESSES`].
-    len: u32,
-    /// The [`Spills`] slot holding them once they are more, else
-    /// [`NO_SPILL`]. A list keeps its slot until its entry leaves the
-    /// index, though a sweep may shrink it back below the inline size.
-    spill: u32,
-    inline: [LineAccess; INLINE_ACCESSES],
-}
-
-impl Default for AccessList {
-    fn default() -> Self {
-        AccessList {
-            len: 0,
-            spill: NO_SPILL,
-            inline: [LineAccess {
-                seq: 0,
-                end: 0,
-                max_end: 0,
-            }; INLINE_ACCESSES],
-        }
-    }
-}
-
-impl AccessList {
-    #[inline]
-    fn as_slice<'a>(&'a self, spills: &'a Spills) -> &'a [LineAccess] {
-        if self.spill == NO_SPILL {
-            &self.inline[..self.len as usize]
-        } else {
-            &spills.bufs[self.spill as usize]
-        }
-    }
-
-    #[inline]
-    fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Append one access, maintaining the prefix-maximum end. A list that
-    /// outgrows its inline slots takes a buffer from `spills`.
-    #[inline]
-    fn push(&mut self, seq: u64, end: u64, spills: &mut Spills) {
-        let n = self.len as usize;
-        let max_end = match n {
-            0 => end,
-            _ => self.as_slice(spills)[n - 1].max_end.max(end),
-        };
-        let a = LineAccess { seq, end, max_end };
-        self.len += 1;
-        if self.spill == NO_SPILL {
-            if n < INLINE_ACCESSES {
-                self.inline[n] = a;
-                return;
-            }
-            self.spill = spills.take();
-            spills.bufs[self.spill as usize].extend_from_slice(&self.inline);
-        }
-        spills.bufs[self.spill as usize].push(a);
-    }
-
-    /// Drop accesses older than `min_seq`, rebuilding the prefix maxima
-    /// (the retained suffix's stored maxima still cover removed entries —
-    /// correct but loose, and tight maxima are what make the early exit
-    /// bite).
-    fn sweep(&mut self, min_seq: u64, spills: &mut Spills) {
-        let list: &mut [LineAccess] = match self.spill {
-            NO_SPILL => &mut self.inline[..self.len as usize],
-            slot => &mut spills.bufs[slot as usize],
-        };
-        let mut k = 0usize;
-        let mut running = 0u64;
-        for i in 0..list.len() {
-            if list[i].seq >= min_seq {
-                running = running.max(list[i].end);
-                list[k] = LineAccess {
-                    max_end: running,
-                    ..list[i]
-                };
-                k += 1;
-            }
-        }
-        if self.spill != NO_SPILL {
-            spills.bufs[self.spill as usize].truncate(k);
-        }
-        self.len = k as u32;
-    }
-}
-
-/// The buffers spilled [`AccessList`]s keep their accesses in, named by
-/// slot. A lone-thread driver prunes its whole window at its own clock,
-/// so every index sweep empties the index and the next commits spill the
-/// same hot lines again: a slot that is given back keeps its buffer for
-/// the next list that spills — where each sweep used to free and re-grow
-/// them, most of a preload's allocations. Bounded by count and by
-/// capacity: at most [`SPILL_POOL_BUFFERS`] free slots keep a buffer, and
-/// those buffers hold at most [`SPILL_POOL_ACCESSES`] accesses between
-/// them (24 B each: 3 MiB); a buffer given back beyond either is freed.
-/// Which buffer a line gets decides its capacity and nothing else.
-#[derive(Default)]
-struct Spills {
-    bufs: Vec<Vec<LineAccess>>,
-    /// Free slots that keep their buffer, last given back first.
-    pooled: Vec<u32>,
-    /// Capacity of those buffers, summed.
-    pooled_accesses: usize,
-    /// Free slots without one.
-    bare: Vec<u32>,
-}
-
-const SPILL_POOL_BUFFERS: usize = 4096;
-const SPILL_POOL_ACCESSES: usize = 1 << 17;
-
-impl Spills {
-    /// A free slot with an empty buffer.
-    fn take(&mut self) -> u32 {
-        if let Some(slot) = self.pooled.pop() {
-            self.pooled_accesses -= self.bufs[slot as usize].capacity();
-            return slot;
-        }
-        self.bare.pop().unwrap_or_else(|| {
-            self.bufs.push(Vec::new());
-            (self.bufs.len() - 1) as u32
-        })
-    }
-
-    /// Give `slot` back: its buffer is emptied, and kept if the pool has
-    /// room for it.
-    fn give(&mut self, slot: u32) {
-        let buf = &mut self.bufs[slot as usize];
-        buf.clear();
-        let cap = buf.capacity();
-        if cap > 0
-            && self.pooled.len() < SPILL_POOL_BUFFERS
-            && self.pooled_accesses + cap <= SPILL_POOL_ACCESSES
-        {
-            self.pooled_accesses += cap;
-            self.pooled.push(slot);
-        } else {
-            *buf = Vec::new();
-            self.bare.push(slot);
-        }
-    }
-
-    /// Give back the slots of an entry leaving the index.
-    fn give_entry(&mut self, e: &LineIndexEntry) {
-        for list in [&e.writers, &e.readers] {
-            if list.spill != NO_SPILL {
-                self.give(list.spill);
-            }
-        }
-    }
-
-    /// Every slot is free again: the index they belonged to was cleared.
-    fn give_all(&mut self) {
-        self.pooled.clear();
-        self.pooled_accesses = 0;
-        self.bare.clear();
-        for slot in 0..self.bufs.len() as u32 {
-            self.give(slot);
-        }
-    }
-}
-
-/// Inverted-index entry for one cache line: which committed episodes
-/// wrote / read it.
-#[derive(Clone, Copy, Default)]
-struct LineIndexEntry {
-    writers: AccessList,
-    readers: AccessList,
-}
-
-/// Every line of a footprint once, in line order, with whether it was
-/// read and whether written: a merge walk of the two sorted sets, so a
-/// line in both costs one index probe.
-fn each_line<'a>(
-    reads: &'a [LineId],
-    writes: &'a [LineId],
-) -> impl Iterator<Item = (LineId, bool, bool)> + 'a {
-    let (mut r, mut w) = (0, 0);
-    std::iter::from_fn(move || {
-        let (a, b) = (reads.get(r).copied(), writes.get(w).copied());
-        let read = a.is_some() && (b.is_none() || a <= b);
-        let written = b.is_some() && (a.is_none() || b <= a);
-        r += usize::from(read);
-        w += usize::from(written);
-        Some((if read { a } else { b }?, read, written))
-    })
-}
-
-/// Words of [`VirtState::pending_lines`]: 4 096 bits, which a lone
-/// thread's pending records between two prunes fill to a few percent.
-const PENDING_FILTER_WORDS: usize = 64;
-
 /// Which threads have written heat since the map was last cleared: the
 /// map holds no entry by any other.
 #[derive(Clone, Copy, Default, PartialEq, Eq)]
@@ -300,11 +75,6 @@ enum HeatWriters {
     One(u32),
     Many,
 }
-
-/// Sweep the line index once this many entries refer to records already
-/// removed from the window. Amortizes the O(index) sweep across at least
-/// as many removals.
-const INDEX_SWEEP_STALE: usize = 4096;
 
 /// Virtual-mode shared state. Guarded by a mutex for `Send`/`Sync`, but in
 /// virtual mode all access is from the single scheduler thread, so the lock
@@ -333,27 +103,14 @@ pub(crate) struct VirtState {
     window_ends_by: u64,
     /// Next commit sequence number.
     next_seq: u64,
-    /// line → committed episodes touching it. Commit-time conflict
-    /// detection probes only the episode's own footprint lines here —
-    /// O(footprint × per-line history) instead of O(window) per check.
-    /// Built on demand: a commit only appends its record to the window,
-    /// and the records from [`VirtState::indexed_to`] on are indexed by
-    /// the first check that needs the index ([`VirtState::index_pending`]),
-    /// so a record pruned before any check reads it is never indexed.
-    line_index: HashMap<u64, LineIndexEntry>,
-    /// Every record with a smaller seq is indexed, or left the window
-    /// before it was; the window's records from this seq on are pending.
-    indexed_to: u64,
-    /// The pending records' lines, as a filter: a forgotten line that it
-    /// does not hold is in no pending record, so forgetting it needs no
-    /// index build ([`VirtState::forget_lines`]).
-    pending_lines: KeyFilter<PENDING_FILTER_WORDS>,
-    /// The index's spilled access lists.
-    spills: Spills,
-    /// Upper bound on index entries referring to removed records (a
-    /// record that leaves the window unindexed leaves none); a sweep runs
-    /// once it passes [`INDEX_SWEEP_STALE`].
-    index_stale: usize,
+    /// The [`VirtState::forget_lines`] calls made while the window held
+    /// records, oldest first: the [`VirtState::next_seq`] at the call and
+    /// the lines forgotten. A window record's line is *live* unless a
+    /// forget newer than the record covers it ([`VirtState::live`]); only
+    /// live lines collide. A forget no newer than the oldest window
+    /// record covers no record, so it leaves with the records
+    /// ([`VirtState::retire_forgets`]).
+    forgets: Vec<(u64, Range<u64>)>,
     /// Advisory-lock table: lock key → virtual time it is held until.
     locks: HashMap<u64, u64>,
     /// Per-line write heat: last writer end/thread plus an EWMA of the
@@ -420,89 +177,73 @@ impl VirtState {
     /// the line and its class come from one view of it and a clean episode
     /// never touches its lock.
     ///
-    /// The conflicting record is the *newest* (largest-seq) overlapping
-    /// record whose footprint intersects — exactly what the old
-    /// newest-first window scan returned — found here by probing the line
-    /// index with only the episode's own lines. The reported line within
-    /// that record follows the priority order my W ∩ their W, then
+    /// The conflicting record is the *newest* (largest-seq) window record
+    /// that ends after `start` and whose live footprint
+    /// ([`VirtState::live`]) collides: my W ∩ their (R ∪ W), or
+    /// my R ∩ their W. The reported line within that record comes from
+    /// its committed footprint, in the priority order my W ∩ their W, then
     /// my W ∩ their R, then my R ∩ their W; within one priority level the
     /// lowest-[`LineRank`](crate::registry::LineRank) common line wins, so
     /// the report does not depend on heap addresses (see
     /// [`NodeTableRead::best_common_line`](crate::registry::NodeTableRead::best_common_line)).
     pub(crate) fn check(
-        &mut self,
+        &self,
         start: u64,
         reads: &LineSet,
         writes: Option<&LineSet>,
         nodes: &NodeTable,
     ) -> Option<(LineId, LineClass, Option<u64>, u32)> {
-        // A collision needs a window record that ends after `start`: with
-        // none, no line needs probing — the per-line prefix maxima below
-        // make the same exit one line at a time.
+        // A collision needs a window record that ends after `start`.
         if self.window_ends_by <= start {
             return None;
         }
-        self.index_pending();
-        // `below` excludes candidates already found to be stale (their
-        // record was pruned while its index entries survive) — a case the
-        // scheduler's prune invariant (`start` never precedes the cutoff)
-        // makes unreachable, but ad-hoc drivers can construct.
-        let mut below = u64::MAX;
-        loop {
-            let mut best: Option<u64> = None;
+        let mine_r = reads.as_slice();
+        let mine_w = writes.map_or(&[][..], LineSet::as_slice);
+        // The lines their writes may meet (all of mine), and those their
+        // reads may (my writes): a record with no line in these filters
+        // shares none under the rules, and needs no merge walk.
+        let (mut mine, mut written) = (KeyFilter::default(), KeyFilter::default());
+        mine_r.iter().for_each(|l| mine.insert(l.0));
+        mine_w.iter().for_each(|l| {
+            mine.insert(l.0);
+            written.insert(l.0);
+        });
+        // Newest first: commit order is not end order (a later-committing
+        // episode can end earlier), so every record is looked at.
+        let wr = self.window.iter().rev().find(|wr| {
+            if wr.end <= start {
+                return false;
+            }
+            let (their_r, their_w) = wr.footprint(&self.lines, self.lines_base);
+            if !their_w.iter().any(|l| mine.may_contain(l.0))
+                && !their_r.iter().any(|l| written.may_contain(l.0))
             {
-                // Newest overlapping entry in one per-line history list.
-                let mut consider = |list: &[LineAccess]| {
-                    for a in list.iter().rev() {
-                        if a.max_end <= start {
-                            break; // nothing here or older can overlap
-                        }
-                        if a.seq >= below {
-                            continue;
-                        }
-                        if best.is_some_and(|b| a.seq <= b) {
-                            break; // walking descending seq: no improvement left
-                        }
-                        if a.end > start {
-                            best = Some(a.seq);
-                            break;
-                        }
-                    }
-                };
-                // Collision rules (TSX): my W ∩ their (R ∪ W), my R ∩ their W
-                // — one probe a line, as `best` only grows.
-                let writes = writes.map_or(&[][..], LineSet::as_slice);
-                for (l, _, written) in each_line(reads.as_slice(), writes) {
-                    if let Some(e) = self.line_index.get(&l.0) {
-                        consider(e.writers.as_slice(&self.spills));
-                        if written {
-                            consider(e.readers.as_slice(&self.spills));
-                        }
-                    }
-                }
+                return false;
             }
-            let cand = best?;
-            match self.window.binary_search_by_key(&cand, |wr| wr.seq) {
-                Ok(i) => {
-                    let wr = &self.window[i];
-                    let (their_r, their_w) = wr.footprint(&self.lines, self.lines_base);
-                    let reg = nodes.read();
-                    let mine_r = reads.as_slice();
-                    let line = if let Some(w) = writes.map(LineSet::as_slice) {
-                        reg.best_common_line(w, their_w)
-                            .or_else(|| reg.best_common_line(w, their_r))
-                            .or_else(|| reg.best_common_line(mine_r, their_w))
-                    } else {
-                        reg.best_common_line(mine_r, their_w)
-                    };
-                    let line = line.expect("indexed record must intersect the footprint");
-                    return Some((line, reg.class_of(line), wr.op_key, wr.thread));
-                }
-                // Stale index entry: the record was pruned. Skip it and
-                // look for the next-newest candidate.
-                Err(_) => below = cand,
-            }
-        }
+            let meets =
+                |a: &[LineId], b: &[LineId]| common_lines(a, b).any(|l| self.live(wr.seq, l));
+            meets(mine_w, their_w) || meets(mine_w, their_r) || meets(mine_r, their_w)
+        })?;
+        let (their_r, their_w) = wr.footprint(&self.lines, self.lines_base);
+        let reg = nodes.read();
+        let line = reg
+            .best_common_line(mine_w, their_w)
+            .or_else(|| reg.best_common_line(mine_w, their_r))
+            .or_else(|| reg.best_common_line(mine_r, their_w))
+            .expect("a colliding record shares a line with the footprint");
+        Some((line, reg.class_of(line), wr.op_key, wr.thread))
+    }
+
+    /// Whether `line` of the window record `seq` is still live: no
+    /// [`VirtState::forget_lines`] since the record's commit covered it.
+    #[inline]
+    fn live(&self, seq: u64, line: LineId) -> bool {
+        !self
+            .forgets
+            .iter()
+            .rev()
+            .take_while(|(at, _)| *at > seq)
+            .any(|(_, lines)| lines.contains(&line.0))
     }
 
     /// Publish a committed episode and refresh the hot-line map.
@@ -520,13 +261,9 @@ impl VirtState {
             if self.window.len() >= 4096 {
                 self.drop_window_all(cutoff);
             }
-            self.maybe_sweep_index();
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        for l in rec.reads.iter().chain(rec.writes) {
-            self.pending_lines.insert(l.0);
-        }
         self.window_ends_by = self.window_ends_by.max(rec.end);
         let at = self.lines_base + self.lines.len() as u64;
         self.lines.extend_from_slice(rec.reads);
@@ -542,65 +279,18 @@ impl VirtState {
         });
     }
 
-    /// Index the pending records (from [`VirtState::indexed_to`] on), in
-    /// seq order, so every list stays in ascending-seq order: the index
-    /// then holds what indexing each record at its commit would have,
-    /// less the entries of records that left the window unread — which a
-    /// check skips as stale anyway.
-    fn index_pending(&mut self) {
-        if self.indexed_to == self.next_seq {
-            return;
-        }
-        let from = self.window.partition_point(|wr| wr.seq < self.indexed_to);
-        let VirtState {
-            window,
-            lines,
-            lines_base,
-            line_index,
-            spills,
-            ..
-        } = self;
-        for wr in window.range(from..) {
-            let (reads, writes) = wr.footprint(lines, *lines_base);
-            for (l, read, written) in each_line(reads, writes) {
-                let e = line_index.entry(l.0).or_default();
-                if written {
-                    e.writers.push(wr.seq, wr.end, spills);
-                }
-                if read {
-                    e.readers.push(wr.seq, wr.end, spills);
-                }
-            }
-        }
-        self.nothing_pending();
-    }
-
-    /// No record is pending any more: every one was indexed, or left the
-    /// window unindexed.
-    fn nothing_pending(&mut self) {
-        self.indexed_to = self.next_seq;
-        self.pending_lines.clear();
-    }
-
     /// Pop window records (oldest-first) whose end is at or before
     /// `cutoff`, stopping at the first survivor; then drop the popped
     /// records' lines once they are the larger part of the buffer (so
     /// each line is moved at most once on its way out).
     fn drop_window_prefix(&mut self, cutoff: u64) {
-        while let Some(front) = self.window.front() {
-            if front.end <= cutoff {
-                if front.seq < self.indexed_to {
-                    self.index_stale += (front.reads + front.writes) as usize;
-                }
-                self.window.pop_front();
-            } else {
-                break;
-            }
+        while self.window.front().is_some_and(|wr| wr.end <= cutoff) {
+            self.window.pop_front();
         }
         if self.window.is_empty() {
             self.window_ends_by = 0;
-            self.nothing_pending();
         }
+        self.retire_forgets();
         let live_at = self
             .window
             .front()
@@ -616,21 +306,9 @@ impl VirtState {
     /// linear pass — pop_front alone can strand long-lived records behind
     /// a long-running front entry), and pack the survivors' lines.
     fn drop_window_all(&mut self, cutoff: u64) {
-        let (stale, indexed_to) = (&mut self.index_stale, self.indexed_to);
-        self.window.retain(|wr| {
-            if wr.end > cutoff {
-                true
-            } else {
-                if wr.seq < indexed_to {
-                    *stale += (wr.reads + wr.writes) as usize;
-                }
-                false
-            }
-        });
+        self.window.retain(|wr| wr.end > cutoff);
         self.window_ends_by = self.window.iter().map(|wr| wr.end).max().unwrap_or(0);
-        if self.window.is_empty() {
-            self.nothing_pending();
-        }
+        self.retire_forgets();
         let mut to = 0usize;
         for wr in self.window.iter_mut() {
             let from = (wr.at - self.lines_base) as usize;
@@ -642,40 +320,12 @@ impl VirtState {
         self.lines.truncate(to);
     }
 
-    /// Drop index entries whose records left the window, once enough have
-    /// accumulated. Entries are in ascending-seq order, so everything
-    /// before the oldest live seq is a removable prefix; entries for
-    /// records removed out of the middle (by [`VirtState::drop_window_all`])
-    /// linger until the live horizon passes them, which is harmless — the
-    /// checker skips candidates it cannot resolve.
-    fn maybe_sweep_index(&mut self) {
-        if self.index_stale < INDEX_SWEEP_STALE {
-            return;
-        }
-        self.index_stale = 0;
-        let Some(min_seq) = self.window.front().map(|wr| wr.seq) else {
-            // No record is live, so no entry is: what the sweep below
-            // would leave is an empty index.
-            self.clear_index();
-            return;
-        };
-        let spills = &mut self.spills;
-        self.line_index.retain(|_, e| {
-            e.writers.sweep(min_seq, spills);
-            e.readers.sweep(min_seq, spills);
-            if !e.writers.is_empty() || !e.readers.is_empty() {
-                return true;
-            }
-            spills.give_entry(e);
-            false
-        });
-    }
-
-    /// Empty the line index: the table keeps its capacity, and as its
-    /// entries own nothing, clearing it visits none of them.
-    fn clear_index(&mut self) {
-        self.line_index.clear();
-        self.spills.give_all();
+    /// Drop the forgets that cover no window record: those no newer than
+    /// the oldest one — all of them once the window is empty.
+    fn retire_forgets(&mut self) {
+        let oldest = self.window.front().map_or(u64::MAX, |wr| wr.seq);
+        let old = self.forgets.partition_point(|&(at, _)| at <= oldest);
+        self.forgets.drain(..old);
     }
 
     /// Exact pruning driven by the scheduler: drop everything that cannot
@@ -687,7 +337,6 @@ impl VirtState {
         if self.window.len() > 4096 {
             self.drop_window_all(before);
         }
-        self.maybe_sweep_index();
         if self.recent_writes.len() > 1 << 16 {
             self.recent_writes
                 .retain(|_, heat| heat.end + 1_000_000 > before);
@@ -705,35 +354,29 @@ impl VirtState {
         self.window_ends_by = 0;
         self.lines_base += self.lines.len() as u64;
         self.lines.clear();
-        self.clear_index();
-        self.nothing_pending();
-        self.index_stale = 0;
+        self.forgets.clear();
         self.locks.clear();
         self.recent_writes.clear();
         self.heat_writers = HeatWriters::Nobody;
     }
 
     /// Forget what the simulation remembers about `lines`: a node was just
-    /// allocated there. Heat and commit history are keyed by address, and
-    /// a freed node's address comes back whenever the allocator pleases —
-    /// were the newcomer to inherit them, whether a fresh leaf starts hot
-    /// would depend on heap layout, and a run would no longer repeat under
-    /// ASLR (`virt-scan-churn` once its sweeps free leaves: ±0.1 %).
+    /// allocated there, or retired ([`Runtime::forget_node_heat`]). Heat
+    /// and commit history are keyed by address, and a freed node's address
+    /// comes back whenever the allocator pleases — were the newcomer to
+    /// inherit them, whether a fresh leaf starts hot would depend on heap
+    /// layout, and a run would no longer repeat under ASLR
+    /// (`virt-scan-churn` once its sweeps free leaves: ±0.1 %).
     ///
-    /// A pending record's lines are forgotten with the rest: if the
-    /// filter says one of `lines` may be among them, the pending records
-    /// are indexed first, so the loop below removes their entries too.
-    pub(crate) fn forget_lines(&mut self, lines: std::ops::Range<u64>) {
-        if self.indexed_to < self.next_seq
-            && lines.clone().any(|l| self.pending_lines.may_contain(l))
-        {
-            self.index_pending();
-        }
-        for line in lines {
+    /// The window's records keep their footprints: the forget is listed,
+    /// and their forgotten lines collide no more ([`VirtState::live`]).
+    /// Records committed after it collide on these lines as on any other.
+    pub(crate) fn forget_lines(&mut self, lines: Range<u64>) {
+        for line in lines.clone() {
             self.recent_writes.remove(&line);
-            if let Some(e) = self.line_index.remove(&line) {
-                self.spills.give_entry(&e);
-            }
+        }
+        if !self.window.is_empty() {
+            self.forgets.push((self.next_seq, lines));
         }
     }
 
@@ -1154,7 +797,7 @@ impl VirtState {
     /// The newest committed overlapping episode colliding with `ep`'s
     /// footprint (reads against writes only when `writes` is `None`).
     fn window_hit(
-        &mut self,
+        &self,
         ep: &EpisodeState,
         writes: Option<&LineSet>,
         nodes: &NodeTable,
@@ -1192,7 +835,6 @@ impl VirtState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::line::common_lines;
     use std::collections::BTreeMap;
 
     /// A committed record as the reference keeps it: the footprint it
@@ -1207,11 +849,17 @@ mod tests {
         live_writes: Vec<LineId>,
     }
 
-    /// The newest window record that overlaps `start` and collides with
-    /// the footprint under the TSX rules, found by scanning the whole
-    /// window; the line reported from its committed footprint, as the
-    /// index's resolution does.
-    fn window_scan(
+    /// Whether a footprint (`r`, `w`) collides with another (`their_r`,
+    /// `their_w`) under the TSX rules.
+    fn collides(r: &[LineId], w: &[LineId], their_r: &[LineId], their_w: &[LineId]) -> bool {
+        let meets = |a, b| common_lines(a, b).next().is_some();
+        meets(w, their_w) || meets(w, their_r) || meets(r, their_w)
+    }
+
+    /// The newest window record that overlaps `start` and whose live
+    /// footprint, erased at each forget, collides with the footprint; the
+    /// line reported from its committed footprint.
+    fn eager_scan(
         virt: &VirtState,
         committed: &BTreeMap<u64, Committed>,
         start: u64,
@@ -1221,41 +869,32 @@ mod tests {
     ) -> Option<(LineId, LineClass, Option<u64>, u32)> {
         let reg = nodes.read();
         let best = |a: &[LineId], b: &[LineId]| common_lines(a, b).min_by_key(|&l| reg.rank_of(l));
-        let meets = |a: &[LineId], b: &[LineId]| common_lines(a, b).next().is_some();
         let (r, w) = (reads.as_slice(), writes.map_or(&[][..], LineSet::as_slice));
-        for wr in virt.window.iter().rev() {
-            let c = &committed[&wr.seq];
-            if c.end <= start
-                || !(meets(w, &c.live_writes)
-                    || meets(w, &c.live_reads)
-                    || meets(r, &c.live_writes))
-            {
-                continue;
-            }
-            let line = match writes {
-                Some(_) => best(w, &c.writes)
-                    .or_else(|| best(w, &c.reads))
-                    .or_else(|| best(r, &c.writes)),
-                None => best(r, &c.writes),
-            }
-            .unwrap();
-            return Some((line, reg.class_of(line), c.op_key, c.thread));
+        let c = virt
+            .window
+            .iter()
+            .rev()
+            .map(|wr| &committed[&wr.seq])
+            .find(|c| c.end > start && collides(r, w, &c.live_reads, &c.live_writes))?;
+        let line = match writes {
+            Some(_) => best(w, &c.writes)
+                .or_else(|| best(w, &c.reads))
+                .or_else(|| best(r, &c.writes)),
+            None => best(r, &c.writes),
         }
-        None
+        .unwrap();
+        Some((line, reg.class_of(line), c.op_key, c.thread))
     }
 
-    /// The line index is built on demand — at a check that gets past its
-    /// interval exit, or at a `forget_lines` whose lines the pending
-    /// records may hold — and a record pruned before either is never
-    /// indexed. Every check must still answer what a scan of the whole
-    /// window answers: two to four threads committing overlapping
-    /// intervals over 48 lines (40 of them in five registered nodes,
-    /// ranked against address order), checks with and without writes,
-    /// prunes at random horizons (in stretches where checks are rare, so
-    /// that they drop records never indexed), forgets of line ranges that
-    /// pending records hold, and clears.
+    /// A forget leaves the window's footprints as they were committed and
+    /// is listed instead; the check must answer what erasing the forgotten
+    /// lines from every record at once would: two to four threads
+    /// committing overlapping intervals over 48 lines (40 of them in five
+    /// registered nodes, ranked against address order), checks with and
+    /// without writes, prunes at random horizons, forgets of line ranges
+    /// (half of them at a line of the newest record), and clears.
     #[test]
-    fn the_on_demand_index_answers_as_a_window_scan_does() {
+    fn the_window_check_answers_as_eager_forgetting_does() {
         let nodes = NodeTable::default();
         for n in (0..5usize).rev() {
             let parts = [(0, LineClass::Record), (4 * 64, LineClass::Metadata)];
@@ -1270,18 +909,11 @@ mod tests {
         let mut virt = VirtState::default();
         let mut committed: BTreeMap<u64, Committed> = BTreeMap::new();
         let mut clocks = [0u64; 4];
-        let (mut hits, mut misses, mut pending_forgets, mut unindexed_pruned) = (0, 0, 0, 0);
+        let (mut hits, mut misses, mut erasing_forgets, mut forgotten_only) = (0, 0, 0, 0);
         for step in 0..40_000u32 {
             let threads = [2, 3, 4][(step / 4_000 % 3) as usize];
             let t = rng.gen_range(0..threads);
-            let mut roll = rng.gen_range(0u32..100);
-            // Every other stretch checks and forgets rarely, so prunes
-            // drop records that nothing indexed.
-            let quiet = step / 2_000 % 2 == 1;
-            if quiet && !(85..93).contains(&roll) && roll < 99 && rng.gen_bool(0.95) {
-                roll = 0;
-            }
-            match roll {
+            match rng.gen_range(0u32..100) {
                 0..=44 => {
                     let (reads, writes) = (random_set(&mut rng, 6), random_set(&mut rng, 4));
                     let start = clocks[t];
@@ -1314,7 +946,7 @@ mod tests {
                     let reads = random_set(&mut rng, 8);
                     let writes = rng.gen_bool(0.5).then(|| random_set(&mut rng, 4));
                     let want =
-                        window_scan(&virt, &committed, start, &reads, writes.as_ref(), &nodes);
+                        eager_scan(&virt, &committed, start, &reads, writes.as_ref(), &nodes);
                     let got = virt.check(start, &reads, writes.as_ref(), &nodes);
                     assert_eq!(got, want, "step {step}");
                     if got.is_some() {
@@ -1322,13 +954,22 @@ mod tests {
                     } else {
                         misses += 1;
                     }
+                    // A record that overlaps and shares lines with the
+                    // footprint, every one of them forgotten.
+                    let (r, w) = (
+                        reads.as_slice(),
+                        writes.as_ref().map_or(&[][..], LineSet::as_slice),
+                    );
+                    forgotten_only += u32::from(virt.window.iter().any(|wr| {
+                        let c = &committed[&wr.seq];
+                        c.end > start
+                            && collides(r, w, &c.reads, &c.writes)
+                            && !collides(r, w, &c.live_reads, &c.live_writes)
+                    }));
                 }
                 85..=92 => {
                     let before = clocks[..threads].iter().min().unwrap();
-                    let pending = virt.next_seq - virt.indexed_to;
                     virt.prune(before.saturating_sub(rng.gen_range(0u64..800)));
-                    let still = virt.window.iter().filter(|wr| wr.seq >= virt.indexed_to);
-                    unindexed_pruned += pending - still.count() as u64;
                 }
                 93..=98 => {
                     // Half the ranges start at a line of the newest record.
@@ -1338,15 +979,11 @@ mod tests {
                         _ => rng.gen_range(0u64..48),
                     };
                     let lines = lo..lo + rng.gen_range(1u64..7);
-                    let pending_holds = virt.window.iter().any(|wr| {
-                        let c = &committed[&wr.seq];
-                        wr.seq >= virt.indexed_to
-                            && c.reads
-                                .iter()
-                                .chain(&c.writes)
-                                .any(|l| lines.contains(&l.0))
-                    });
-                    pending_forgets += u32::from(pending_holds);
+                    let erases = committed
+                        .values()
+                        .flat_map(|c| c.live_reads.iter().chain(&c.live_writes))
+                        .any(|l| lines.contains(&l.0));
+                    erasing_forgets += u32::from(erases);
                     virt.forget_lines(lines.clone());
                     for c in committed.values_mut() {
                         c.live_reads.retain(|l| !lines.contains(&l.0));
@@ -1365,13 +1002,77 @@ mod tests {
             "{hits} hits, {misses} misses"
         );
         assert!(
-            pending_forgets > 100,
-            "{pending_forgets} forgets of pending lines"
+            erasing_forgets >= 100,
+            "{erasing_forgets} forgets erased a line of a window record"
         );
         assert!(
-            unindexed_pruned > 400,
-            "{unindexed_pruned} records never indexed"
+            forgotten_only >= 100,
+            "{forgotten_only} checks met a record on forgotten lines only"
         );
+    }
+
+    /// The forget list keeps only what covers a window record. Two threads
+    /// commit with a forget every third commit, and prune behind the
+    /// slower clock at a random lag, now and then at both clocks (which
+    /// empties the window); a rare long record holds the window's front,
+    /// so that it grows until prunes take the linear pass. After each
+    /// prune, every forget kept is newer than the oldest window record,
+    /// and an empty window keeps none.
+    #[test]
+    fn the_forget_list_retires_with_the_window() {
+        let mut rng = SmallRng::seed_from_u64(0xf06e7);
+        let mut virt = VirtState::default();
+        let mut clocks = [0u64; 2];
+        let (mut kept, mut emptied, mut linear) = (0u32, 0u32, 0u32);
+        for step in 0..200_000u32 {
+            let t = step as usize % 2;
+            let start = clocks[t];
+            let end = match rng.gen_range(0u32..20_000) {
+                0 => start + 300_000,
+                _ => start + rng.gen_range(1u64..400),
+            };
+            clocks[t] = start + rng.gen_range(1u64..100);
+            let line = [LineId(rng.gen_range(0u64..64))];
+            virt.commit(EpisodeRecord {
+                start,
+                end,
+                thread: t as u32,
+                op_key: None,
+                reads: &[],
+                writes: &line,
+            });
+            if step % 3 == 0 {
+                let lo = rng.gen_range(0u64..64);
+                virt.forget_lines(lo..lo + 2);
+            }
+            if step % 16 == 15 {
+                let before = match step % 1024 {
+                    1023 => clocks[0].max(clocks[1]) + 400,
+                    _ => clocks[0]
+                        .min(clocks[1])
+                        .saturating_sub(rng.gen_range(0u64..100_000)),
+                };
+                linear += u32::from(virt.window.len() > 4096);
+                virt.prune(before);
+                match virt.window.front() {
+                    Some(oldest) => {
+                        let stale = virt.forgets.iter().find(|&&(at, _)| at <= oldest.seq);
+                        assert!(stale.is_none(), "step {step}: {stale:?} kept");
+                        kept += u32::from(!virt.forgets.is_empty());
+                    }
+                    None => {
+                        assert!(
+                            virt.forgets.is_empty(),
+                            "step {step}: an empty window's forgets"
+                        );
+                        emptied += 1;
+                    }
+                }
+            }
+        }
+        assert!(kept >= 1_000, "{kept} prunes kept forgets");
+        assert!(emptied >= 50, "{emptied} prunes emptied the window");
+        assert!(linear >= 10, "{linear} prunes took the linear pass");
     }
 
     /// A thread remembers its last lock-table read, and must see every

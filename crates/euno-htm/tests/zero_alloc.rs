@@ -2,8 +2,8 @@
 //!
 //! The engine's per-episode state (read/write line sets, the NOrec write
 //! log, retry bookkeeping) lives in a per-thread scratch pool and is
-//! recycled across episodes; the virtual-mode window and line index reuse
-//! their buffers across prune/sweep cycles. After a warmup long enough to
+//! recycled across episodes; the virtual-mode window and its line buffer
+//! reuse their capacity across prunes. After a warmup long enough to
 //! reach every structure's high-water mark, running more episodes must
 //! perform **no heap allocation at all** — the property that makes engine
 //! wall-clock throughput allocation-independent. This test installs a
@@ -11,7 +11,7 @@
 //!
 //! On failure, re-run with `EUNO_ALLOC_TRAP=1` to print the sizes of the
 //! first measured-phase allocations — usually enough to identify the
-//! structure that grew (window deque, an index list, a line set spill).
+//! structure that grew (window deque, its line buffer, a line set spill).
 //!
 //! Single `#[test]` on purpose: the allocation counter is process-global,
 //! so a concurrently scheduled second test would pollute the measured
@@ -86,7 +86,7 @@ const CELLS: usize = 8;
 const SCAN: usize = 4;
 
 /// Episodes between prune calls. The steady-state length of the window
-/// (and so of the per-line index lists) depends on this cadence, so the
+/// (and so of its line buffer) depends on this cadence, so the
 /// warmup and measured phases must use episode counts divisible by it:
 /// otherwise the phase boundary widens one prune gap, the window briefly
 /// overshoots its warmup high-water mark, and the deque legitimately
@@ -99,11 +99,10 @@ enum Prune {
     /// Not at all (the concurrent backend has no window).
     Never,
     /// 100 000 cycles behind, as a scheduler whose slowest thread lags:
-    /// recent records (and their line-index entries) stay live across
-    /// sweeps.
+    /// recent records stay live across prunes.
     Lagging,
     /// At the clock itself, as every lone-thread driver (a preload) does:
-    /// each prune empties the window, and every sweep the line index.
+    /// each prune empties the window.
     AtClock,
 }
 
@@ -180,12 +179,11 @@ fn measured_allocs(
 #[test]
 fn steady_state_episodes_do_not_allocate() {
     // ---- virtual mode: the deterministic engine behind every figure ----
-    // Warmup: fill the episode scratch pool, grow the window deque, the
-    // line index lists and the hot-line map to their steady high-water
-    // marks, and cross the index-sweep threshold many times. Once with
-    // the window pruned behind the clock, once at it: the regime of a
-    // lone-thread driver, where each sweep empties the line index and the
-    // hot lines' access lists must spill into recycled buffers.
+    // Warmup: fill the episode scratch pool, and grow the window deque,
+    // its line buffer and the hot-line map to their steady high-water
+    // marks. Once with the window pruned behind the clock, once at it:
+    // the regime of a lone-thread driver, where each prune empties the
+    // window and the next commits refill the buffers it kept.
     for prune in [Prune::Lagging, Prune::AtClock] {
         let rt = Runtime::new_virtual();
         let mut ctx = rt.thread(42);

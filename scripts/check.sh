@@ -190,7 +190,11 @@ SEG=crates/euno-core/src/segment.rs
 # comes back beside it.
 ! grep -rnE 'trait TxWord|TxCell<|trait (Rng|RngCore|SeedableRng|Standard)\b' crates/*/src \
     || { echo "one-copy: a second word type or a rand-shaped generator trait is back"; exit 1; }
-echo "one-copy (one bisect, in bptree.rs; no private index insert; one abort mapping; one seqno writer, one fence writer; one block-word writer, no Ccm in the leaf; one segment struct, no count word; one cell word, one generator type) OK"
+# One conflict window (DESIGN.md §4.2): the check scans the committed
+# window newest first, and no per-line index shadows it.
+! grep -rnE 'struct (AccessList|Spills)\b|line_index' crates/euno-htm/src \
+    || { echo "one-copy: a per-line conflict index is back beside the window"; exit 1; }
+echo "one-copy (one bisect, in bptree.rs; no private index insert; one abort mapping; one seqno writer, one fence writer; one block-word writer, no Ccm in the leaf; one segment struct, no count word; one cell word, one generator type; no line index beside the window) OK"
 
 # Unsafe confined (DESIGN.md §4.4): nodes are read through bptree.rs's Guard,
 # so no tree crate says `unsafe`. Only the files that own memory may:
@@ -304,8 +308,8 @@ echo "smoke-metrics (fig14 timeline + schema v3; zero-alloc sampler ran in tier-
 # Zero-alloc: the engine's allocation gates, in --release as well — the
 # benchmark's virtual preload is release code.  Steady-state episodes
 # allocate nothing, with the window pruned behind the clock and at it
-# (a lone-thread driver's regime, where every index sweep empties the
-# line index), and an ascending virtual preload stays within its budget
+# (a lone-thread driver's regime, where every prune empties the
+# window), and an ascending virtual preload stays within its budget
 # of allocations a put (the nodes a split creates and the tables'
 # growth; DESIGN.md §4.2 "Simulator wall cost").
 cargo test -q --release -p euno-htm --test zero_alloc
