@@ -49,6 +49,8 @@ pub struct Arena<T> {
 // in Drop for still-live nodes); shared access to the `T`s is governed by
 // the engine's protocols, which require T: Sync.
 unsafe impl<T: Send + Sync> Send for Arena<T> {}
+// Safety: as for `Send`: `&Arena` hands out `&T` (needs `T: Sync`) and its
+// frees may run on any thread (needs `T: Send`); the registry is a `Mutex`.
 unsafe impl<T: Send + Sync> Sync for Arena<T> {}
 
 impl<T> Default for Arena<T> {
@@ -177,10 +179,10 @@ impl<T> Drop for Arena<T> {
         // debug assertion) must not turn cleanup into an abort.
         let nodes = self.nodes.lock().unwrap_or_else(|e| e.into_inner());
         for &key in nodes.iter() {
+            let addr = key * std::mem::align_of::<T>();
             // Safety: each key is an address from Box::into_raw over the
             // alignment it is a multiple of, retired nodes were removed
             // from the map, so every entry is freed exactly once here.
-            let addr = key * std::mem::align_of::<T>();
             unsafe { drop(Box::from_raw(addr as *mut T)) };
         }
     }
@@ -283,6 +285,8 @@ mod tests {
         for i in 0..10_000 {
             a.alloc(i);
         }
+        // Safety: `ptr` is the first node, which nothing retires, so the
+        // arena keeps it until `a` drops at the end of this test.
         assert_eq!(unsafe { *ptr }, 42, "early allocation must not move");
         assert_eq!(*first, 42);
     }

@@ -592,6 +592,9 @@ impl ThreadCtx {
         } else {
             let _ = self.note_access(line, false);
         }
+        // Safety: every caller passes `TxCell::raw_ptr` of a cell it
+        // borrows for the call (word.rs, `Tx`), so `ptr` is a live,
+        // aligned `AtomicU64`.
         unsafe { (*ptr).load(Ordering::Acquire) }
     }
 
@@ -614,6 +617,9 @@ impl ThreadCtx {
         }
         let line = LineId::of_ptr(ptr);
         let _ = self.note_access(line, true);
+        // Safety: every caller passes `TxCell::raw_ptr` of a cell it
+        // borrows for the call (word.rs, `Tx`), so `ptr` is a live,
+        // aligned `AtomicU64`.
         let (out, publish) = op(unsafe { &*ptr });
         if publish {
             self.publish_direct_write(line);
@@ -766,6 +772,8 @@ impl ThreadCtx {
                     // Serialized / in-place paths read directly (still
                     // footprint-recorded and charged).
                     let _ = self.note_access(line, false);
+                    // Safety: `Tx::read` passes `TxCell::raw_ptr` of a
+                    // cell the body borrows: a live, aligned `AtomicU64`.
                     return Ok(unsafe { (*ptr).load(Ordering::Acquire) });
                 }
                 EpisodeKind::HtmTx => {
@@ -787,6 +795,8 @@ impl ThreadCtx {
                 }
             }
         }
+        // Safety: `Tx::read` passes `TxCell::raw_ptr` of a cell the body
+        // borrows: a live, aligned `AtomicU64`.
         Ok(unsafe { (*ptr).load(Ordering::Relaxed) })
     }
 

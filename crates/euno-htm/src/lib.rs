@@ -47,6 +47,8 @@
 //! assert_eq!(counter.load_plain(), 1);
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod abort;
 pub mod arena;
 pub mod bptree;

@@ -166,6 +166,8 @@ pub(crate) fn attempt<R>(
     // Subscribe: the lock word joins the read set, so a concurrent
     // fallback acquisition aborts us; if already held, bail now.
     if fb.raw().load(Ordering::Relaxed) != 0 {
+        // SAFETY: RTM is present (as for `xbegin`), and we are inside the
+        // transaction it started.
         unsafe { insn::xabort_ff() };
     }
     match body(&mut Tx { ctx }) {
@@ -184,10 +186,14 @@ pub(crate) fn attempt<R>(
                 let s = seq.load(Ordering::Relaxed);
                 seq.store(s + 1, Ordering::Relaxed);
             }
+            // SAFETY: on the started path, so transactionally executing:
+            // an abort would have returned from `xbegin` with a status.
             unsafe { insn::xend() };
             Ok(v)
         }
         Err(_) => {
+            // SAFETY: RTM is present (as for `xbegin`); outside a
+            // transaction `xabort` is a no-op.
             unsafe { insn::xabort_01() };
             // Unreachable inside a transaction; defensive exit for
             // the no-RTM-in-flight case (xabort is a no-op there).
@@ -221,6 +227,8 @@ impl ThreadCtx {
     #[inline(always)]
     pub(crate) fn rtm_read(&self, ptr: *const AtomicU64) -> u64 {
         debug_assert_eq!(self.rt.backend(), Backend::Rtm, "Tx::read outside a region");
+        // SAFETY: `Tx::read` passes `TxCell::raw_ptr` of a cell the body
+        // borrows: a live, aligned `AtomicU64`.
         unsafe { (*ptr).load(Ordering::Relaxed) }
     }
 
@@ -234,6 +242,8 @@ impl ThreadCtx {
             "Tx::write outside a region"
         );
         self.hw_wrote = true;
+        // SAFETY: `Tx::write` passes `TxCell::raw_ptr` of a cell the body
+        // borrows: a live, aligned `AtomicU64`.
         unsafe { (*ptr).store(v, Ordering::Relaxed) };
     }
 }

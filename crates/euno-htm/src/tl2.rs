@@ -155,6 +155,8 @@ impl ThreadCtx {
     /// commit (`tl2_commit` step 4).
     pub(crate) fn tl2_begin(&mut self, fb: *const AtomicU64) -> Result<(), AbortCause> {
         self.ep.as_mut().unwrap().rv = self.rt.seq.load(Ordering::SeqCst);
+        // Safety: `fb` is `TxCell::raw_ptr` of the fallback lock cell that
+        // `tx_begin` borrows for this call.
         if unsafe { (*fb).load(Ordering::Acquire) } != 0 {
             return Err(AbortCause::FallbackLocked);
         }
@@ -179,6 +181,8 @@ impl ThreadCtx {
         // read-only transaction must abort as soon as the subscribed lock
         // is taken, not just at its next clock extension.
         if let Some(fb) = self.ep.as_ref().unwrap().fb_ptr {
+            // Safety: `fb_ptr` is the fallback lock cell `tx_begin` was
+            // given, which the executor borrows for the whole attempt.
             if unsafe { (*fb.0).load(Ordering::Acquire) } != 0 {
                 return Err(AbortCause::FallbackLocked);
             }
@@ -190,6 +194,8 @@ impl ThreadCtx {
         let (w1, v) = loop {
             let w1 = self.rt.vlocks.load(slot);
             if !VersionTable::is_locked(w1) {
+                // Safety: `Tx::read` passes `TxCell::raw_ptr` of a cell the
+                // body borrows: a live, aligned `AtomicU64`.
                 let v = unsafe { (*ptr).load(Ordering::Acquire) };
                 if self.rt.vlocks.load(slot) == w1 {
                     break (w1, v);
@@ -334,6 +340,8 @@ impl ThreadCtx {
 
         // 4. The subscribed fallback lock must still be free.
         if let Some(fb) = ep.fb_ptr {
+            // Safety: `fb_ptr` is the fallback lock cell `tx_begin` was
+            // given, which the executor borrows for the whole attempt.
             if unsafe { (*fb.0).load(Ordering::SeqCst) } != 0 {
                 Self::abort_writeback(&self.rt, &ep);
                 self.ep = Some(ep);
@@ -366,6 +374,10 @@ impl ThreadCtx {
 
         // 7. Write back and release each slot at the new version.
         for (p, v) in &ep.write_buf {
+            // Safety: each entry is a cell this attempt's body wrote through
+            // `Tx::write`; the epoch pin around the operation keeps its node
+            // from being freed (see `CellPtr`), and the attempt is still
+            // inside that operation.
             unsafe { (*p.0).store(*v, Ordering::Release) };
         }
         for &slot in ep.wslots.iter() {

@@ -744,6 +744,10 @@ impl ThreadCtx {
 
         // Commit: apply the buffer, publish the footprint.
         for (p, v) in &ep.write_buf {
+            // Safety: each entry is a cell this attempt's body wrote through
+            // `Tx::write`; the epoch pin around the operation keeps its node
+            // from being freed (see `CellPtr`), and the attempt is still
+            // inside that operation.
             unsafe { (*p.0).store(*v, Ordering::Relaxed) };
         }
         virt.commit(ep.record(*clock, *id));

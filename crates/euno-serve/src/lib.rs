@@ -4,8 +4,8 @@
 //! scales them *horizontally* (a Fibonacci-hash keyspace router over N
 //! independent [`EunoBTreeDefault`](euno_core::EunoBTreeDefault) shards,
 //! each with its own runtime and worker thread) and *vertically*
-//! (per-shard request queues whose workers drain up to `batch_max`
-//! requests into one group-commit episode batch via
+//! (per-shard bounded request channels whose workers drain up to
+//! `batch_max` requests into one group-commit episode batch via
 //! [`EunoBTree::apply_batch`](euno_core::EunoBTree::apply_batch),
 //! amortizing the per-episode fixed costs that dominate small
 //! operations).
@@ -14,14 +14,17 @@
 //! awaitable containers: submission returns a [`Ticket`] the caller may
 //! block on ([`Ticket::wait`]) or poll ([`Ticket::poll`]), or drop to
 //! give the reply up: the request still runs, the worker records its
-//! latency, and the worker recycles the request slot itself.
+//! latency, and the worker recycles the reply slot itself. As in scc,
+//! the caller writes only safe code, and so does the crate: it is
+//! `forbid(unsafe_code)`, its queues are `std`'s.
 //!
 //! See DESIGN.md §15 for the architecture and the fallback-to-singles
 //! batching policy; the tier is measured by the repo benchmark's
 //! `serve-sat` and `serve-open` workloads.
 
+#![forbid(unsafe_code)]
+
 pub mod fault;
-mod queue;
 mod router;
 mod server;
 mod slot;

@@ -3,9 +3,10 @@
 //!
 //! Request lifecycle:
 //!
-//! 1. a client routes its key through [`shard_of`], acquires a slot from
-//!    that shard's pool (pool exhausted / queue full ⇒ *shed*, the
-//!    overload signal), stages the payload and enqueues the slot index;
+//! 1. a client routes its key through [`shard_of`], acquires a reply slot
+//!    from that shard's pool (pool exhausted ⇒ *shed*, the overload
+//!    signal) and sends the request with the slot's index down the
+//!    shard's bounded channel, which holds one entry per slot;
 //! 2. the shard worker drains up to `batch_max` requests per cycle.
 //!    A drain wider than one key-sorts its point ops (stably) and runs
 //!    them through [`EunoBTree::apply_batch`]'s shared group-commit
@@ -28,7 +29,8 @@
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -37,11 +39,8 @@ use euno_htm::{ConcurrentMap, Runtime, KEY_SENTINEL, TOMBSTONE};
 use euno_metrics::{Counter, LogHistogram, Registry, ThreadShard};
 
 use crate::fault;
-use crate::queue::Queue;
 use crate::router::{merge_scans, shard_of};
-use crate::slot::{
-    RawReq, SlotPool, ABANDONED, DONE, FAILED, K_DELETE, K_GET, K_PUT, K_SCAN, RUNNING,
-};
+use crate::slot::{SlotPool, ABANDONED, DONE, FAILED, RUNNING};
 
 /// Server shape. `Default` is the smallest production-flavoured setup:
 /// 4 shards, 1024-deep queues, batches of up to 32.
@@ -49,9 +48,9 @@ use crate::slot::{
 pub struct ServeConfig {
     /// Independent trees behind the router.
     pub shards: usize,
-    /// Per-shard request queue capacity (rounded up to a power of two).
-    /// The slot pool has the same size: queue full and pool empty are
-    /// both surfaced as shedding.
+    /// Per-shard request queue capacity, exact. The slot pool has the
+    /// same size, so a request that holds a slot always finds room in the
+    /// queue: only an empty pool sheds.
     pub queue_capacity: usize,
     /// Max requests one worker drain may execute as a group-commit batch.
     pub batch_max: usize,
@@ -110,22 +109,42 @@ pub enum Reply {
     },
 }
 
-/// The server refused the request: its shard's queue or slot pool is
-/// full. Back off and retry — this is the overload signal the open-loop
-/// harness counts.
+/// The server refused the request: its shard's slot pool is empty. Back
+/// off and retry — this is the overload signal the open-loop harness
+/// counts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Shed;
+
+/// Request kinds on the queue.
+const K_GET: u8 = 0;
+const K_PUT: u8 = 1;
+const K_DELETE: u8 = 2;
+const K_SCAN: u8 = 3;
+
+/// The wire format of one request on a shard's queue.
+#[derive(Clone, Copy, Debug)]
+struct RawReq {
+    kind: u8,
+    key: u64,
+    /// Put value / scan length.
+    arg: u64,
+    /// Nanoseconds since the server's epoch at *intended* issue time.
+    issued_ns: u64,
+}
+
+/// A queued request and the index of the slot its reply goes to.
+type Job = (u32, RawReq);
 
 pub(crate) struct Shard {
     pub id: usize,
     pub rt: Arc<Runtime>,
     pub tree: EunoBTreeDefault,
-    pub queue: Queue,
+    /// The sending end of the shard's queue; the worker owns the other.
+    queue: SyncSender<Job>,
     pub pool: SlotPool,
     pub depth: AtomicUsize,
     pub stop: AtomicBool,
     pub batch_max: usize,
-    pub worker: Mutex<Option<std::thread::Thread>>,
     /// The worker panicked; it now fails every request it pops.
     pub poisoned: AtomicBool,
     /// Requests resolved to [`Reply::Failed`].
@@ -162,6 +181,7 @@ pub struct Ticket<'s> {
 struct Leased {
     shard: Arc<Shard>,
     idx: u32,
+    scan: bool,
 }
 
 impl Drop for Leased {
@@ -188,15 +208,13 @@ impl Ticket<'_> {
                 std::thread::yield_now();
             }
         }
-        let Leased { shard, idx } = &self.slot;
+        let Leased { shard, idx, scan } = &self.slot;
         if shard.pool.state(*idx) == FAILED {
-            return Reply::Failed { shard: shard.id };
-        }
-        let (value, scan) = shard.pool.take_result(*idx);
-        if shard.pool.read_req(*idx).kind == K_SCAN {
-            Reply::Scan(scan)
+            Reply::Failed { shard: shard.id }
+        } else if *scan {
+            Reply::Scan(shard.pool.take_scan(*idx))
         } else {
-            Reply::Value(value)
+            Reply::Value(shard.pool.value(*idx))
         }
     }
 }
@@ -216,16 +234,15 @@ impl EunoServer {
         let registry = Arc::new(Registry::new());
         let epoch = Instant::now();
         let mut shards = Vec::with_capacity(cfg.shards);
+        let mut workers = Vec::with_capacity(cfg.shards);
         for i in 0..cfg.shards {
             let rt = Runtime::new_concurrent();
             let tree = EunoBTreeDefault::with_config(Arc::clone(&rt), cfg.tree_config.clone());
-            let queue = Queue::new(cfg.queue_capacity);
             let pool = SlotPool::new(cfg.queue_capacity);
-            // Admission invariant: a free slot may not find a full queue —
-            // the queue (rounded up to a power of two) must hold at least
-            // one entry per pool slot.
-            assert!(queue.capacity() >= pool.capacity());
-            shards.push(Arc::new(Shard {
+            // One queue entry per slot: a request that holds a slot always
+            // finds room.
+            let (queue, rx) = sync_channel(pool.capacity());
+            let sh = Arc::new(Shard {
                 id: i,
                 rt,
                 tree,
@@ -234,25 +251,19 @@ impl EunoServer {
                 depth: AtomicUsize::new(0),
                 stop: AtomicBool::new(false),
                 batch_max: cfg.batch_max.max(1),
-                worker: Mutex::new(None),
                 poisoned: AtomicBool::new(false),
                 failed: AtomicU64::new(0),
                 stats: registry.register_shard(),
-            }));
-        }
-        let workers = shards
-            .iter()
-            .enumerate()
-            .map(|(i, sh)| {
-                let sh = Arc::clone(sh);
-                let handle = std::thread::Builder::new()
+            });
+            let worker = Arc::clone(&sh);
+            workers.push(
+                std::thread::Builder::new()
                     .name(format!("euno-serve-{i}"))
-                    .spawn(move || worker_loop(&sh, epoch))
-                    .expect("spawn shard worker");
-                *shards[i].worker.lock().unwrap() = Some(handle.thread().clone());
-                handle
-            })
-            .collect();
+                    .spawn(move || worker_loop(&worker, &rx, epoch))
+                    .expect("spawn shard worker"),
+            );
+            shards.push(sh);
+        }
         EunoServer {
             shards,
             workers,
@@ -309,18 +320,12 @@ impl EunoServer {
             sh.stats.add_shared(Counter::ServeShed, 1);
             return Err(Shed);
         };
-        sh.pool.stage(idx, raw);
-        if !sh.queue.push(idx) {
-            sh.pool.release(idx);
-            sh.stats.add_shared(Counter::ServeShed, 1);
-            return Err(Shed);
-        }
+        sh.pool.stage(idx);
+        sh.depth.fetch_add(1, Ordering::Relaxed);
+        sh.queue
+            .try_send((idx, raw))
+            .expect("a request that holds a slot finds room in its shard's queue");
         sh.stats.add_shared(Counter::ServeEnqueued, 1);
-        if sh.depth.fetch_add(1, Ordering::Relaxed) == 0 {
-            if let Some(t) = sh.worker.lock().unwrap().as_ref() {
-                t.unpark();
-            }
-        }
         Ok(idx)
     }
 
@@ -351,6 +356,7 @@ impl EunoServer {
             slot: Leased {
                 shard: Arc::clone(&self.shards[shard]),
                 idx,
+                scan: raw.kind == K_SCAN,
             },
             server: PhantomData,
         })
@@ -470,9 +476,6 @@ impl Drop for EunoServer {
     fn drop(&mut self) {
         for sh in &self.shards {
             sh.stop.store(true, Ordering::Release);
-            if let Some(t) = sh.worker.lock().unwrap().as_ref() {
-                t.unpark();
-            }
         }
         for w in self.workers.drain(..) {
             let _ = w.join();
@@ -520,10 +523,8 @@ fn to_batch_op(r: &RawReq) -> BatchOp {
     }
 }
 
-fn finish_point(sh: &Shard, idx: u32, value: Option<u64>, now_ns: u64) {
-    let req = sh.pool.read_req(idx);
-    sh.stats
-        .record_latency(now_ns.saturating_sub(req.issued_ns));
+fn finish_point(sh: &Shard, (idx, r): Job, value: Option<u64>, now_ns: u64) {
+    sh.stats.record_latency(now_ns.saturating_sub(r.issued_ns));
     sh.stats.add(Counter::ServeCompleted, 1);
     sh.pool.complete(idx, value);
 }
@@ -531,22 +532,19 @@ fn finish_point(sh: &Shard, idx: u32, value: Option<u64>, now_ns: u64) {
 /// A shard's worker: serve until shutdown. A panic poisons the shard: the
 /// requests the drain had started and not finished fail, and so does
 /// every request queued then or later, until shutdown.
-fn worker_loop(sh: &Shard, epoch: Instant) {
-    let mut idxs: Vec<u32> = Vec::with_capacity(sh.batch_max);
-    if catch_unwind(AssertUnwindSafe(|| serve(sh, epoch, &mut idxs))).is_ok() {
+fn worker_loop(sh: &Shard, rx: &Receiver<Job>, epoch: Instant) {
+    let mut jobs: Vec<Job> = Vec::with_capacity(sh.batch_max);
+    if catch_unwind(AssertUnwindSafe(|| serve(sh, rx, epoch, &mut jobs))).is_ok() {
         return;
     }
     sh.poisoned.store(true, Ordering::Release);
-    idxs.retain(|&idx| sh.pool.state(idx) & !ABANDONED == RUNNING);
-    let mut idle = 0;
+    jobs.retain(|&(idx, _)| sh.pool.state(idx) & !ABANDONED == RUNNING);
     loop {
-        for &idx in &idxs {
+        for &(idx, _) in &jobs {
             fail(sh, idx);
         }
-        while !pop(sh, usize::MAX, &mut idxs) {
-            if !pause(sh, &mut idle) {
-                return;
-            }
+        if !pop(sh, rx, usize::MAX, &mut jobs) {
+            return;
         }
     }
 }
@@ -557,86 +555,80 @@ fn fail(sh: &Shard, idx: u32) {
     sh.pool.fail(idx);
 }
 
-/// Pop up to `cap` queued requests into `idxs`, marking each running.
-/// Whether there was any.
-fn pop(sh: &Shard, cap: usize, idxs: &mut Vec<u32>) -> bool {
-    idxs.clear();
-    while idxs.len() < cap {
-        let Some(idx) = sh.queue.pop() else { break };
+/// Wait for a queued request, then pop it and up to `cap - 1` more into
+/// `jobs`, marking each running: `false` once the server is stopping.
+fn pop(sh: &Shard, rx: &Receiver<Job>, cap: usize, jobs: &mut Vec<Job>) -> bool {
+    jobs.clear();
+    let Some(first) = next(sh, rx) else {
+        return false;
+    };
+    jobs.push(first);
+    jobs.extend(rx.try_iter().take(cap - 1));
+    for &(idx, _) in jobs.iter() {
         sh.pool.start(idx);
-        idxs.push(idx);
     }
-    if idxs.is_empty() {
-        return false;
-    }
-    sh.depth.fetch_sub(idxs.len(), Ordering::Relaxed);
+    sh.depth.fetch_sub(jobs.len(), Ordering::Relaxed);
     true
 }
 
-/// An idle worker's wait for work: `false` once the server is stopping.
-fn pause(sh: &Shard, idle: &mut u32) -> bool {
-    if sh.stop.load(Ordering::Acquire) {
-        return false;
-    }
-    *idle += 1;
-    if *idle < 64 {
+/// Polls an idle worker makes, yielding between them, before it blocks.
+const IDLE_YIELDS: u32 = 64;
+/// How long a blocked worker waits before it looks at the stop flag.
+const IDLE_WAIT: Duration = Duration::from_micros(200);
+
+/// An idle worker's wait for the next request: poll and yield, then
+/// block. `None` once the queue is empty and the server is stopping.
+fn next(sh: &Shard, rx: &Receiver<Job>) -> Option<Job> {
+    for _ in 0..IDLE_YIELDS {
+        if let Ok(job) = rx.try_recv() {
+            return Some(job);
+        }
         std::thread::yield_now();
-    } else {
-        std::thread::park_timeout(Duration::from_micros(200));
     }
-    true
+    loop {
+        match rx.recv_timeout(IDLE_WAIT) {
+            Ok(job) => return Some(job),
+            Err(RecvTimeoutError::Timeout) if !sh.stop.load(Ordering::Acquire) => {}
+            Err(_) => return None,
+        }
+    }
 }
 
-/// The request in slot `idx`, as the worker takes it.
-fn take(sh: &Shard, idx: u32) -> RawReq {
-    let r = sh.pool.read_req(idx);
-    fault::take(r.key);
-    r
-}
-
-fn serve(sh: &Shard, epoch: Instant, idxs: &mut Vec<u32>) {
+fn serve(sh: &Shard, rx: &Receiver<Job>, epoch: Instant, jobs: &mut Vec<Job>) {
     let mut ctx = sh
         .rt
         .thread(WORKER_SEED ^ (sh.id as u64).wrapping_mul(0x9e37_79b9));
-    // (op, slot index, arrival position) — the position makes the
-    // unstable sort stable, which keeps same-key requests in submission
-    // order without the allocating stable sort.
-    let mut sorted: Vec<(BatchOp, u32, u32)> = Vec::new();
+    // (op, position in the drain) — the position makes the unstable sort
+    // stable, which keeps same-key requests in submission order without
+    // the allocating stable sort.
+    let mut sorted: Vec<(BatchOp, u32)> = Vec::new();
     let mut ops: Vec<BatchOp> = Vec::new();
     let mut results: Vec<Option<u64>> = Vec::new();
     let mut scratch = BatchScratch::default();
-    let mut idle = 0u32;
-    loop {
-        if !pop(sh, sh.batch_max, idxs) {
-            if !pause(sh, &mut idle) {
-                break;
-            }
-            continue;
-        }
-        idle = 0;
-
-        if idxs.len() > 1 {
+    while pop(sh, rx, sh.batch_max, jobs) {
+        if jobs.len() > 1 {
             sorted.clear();
             ops.clear();
             let mut scan_singles = 0u64;
-            for &idx in idxs.iter() {
-                let r = take(sh, idx);
+            for (pos, &job) in jobs.iter().enumerate() {
+                let r = job.1;
+                fault::take(r.key);
                 if r.kind == K_SCAN {
-                    exec_scan(sh, &mut ctx, idx, &r, epoch);
+                    exec_scan(sh, &mut ctx, job, epoch);
                     scan_singles += 1;
                 } else {
-                    sorted.push((to_batch_op(&r), idx, sorted.len() as u32));
+                    sorted.push((to_batch_op(&r), pos as u32));
                 }
             }
             if !sorted.is_empty() {
-                sorted.sort_unstable_by_key(|&(op, _, pos)| (op.key(), pos));
-                ops.extend(sorted.iter().map(|&(op, _, _)| op));
+                sorted.sort_unstable_by_key(|&(op, pos)| (op.key(), pos));
+                ops.extend(sorted.iter().map(|&(op, _)| op));
                 let bstats = sh
                     .tree
                     .apply_batch(&mut ctx, &ops, &mut results, &mut scratch);
                 let now = epoch.elapsed().as_nanos() as u64;
-                for (&(_, idx, _), &value) in sorted.iter().zip(results.iter()) {
-                    finish_point(sh, idx, value, now);
+                for (&(_, pos), &value) in sorted.iter().zip(results.iter()) {
+                    finish_point(sh, jobs[pos as usize], value, now);
                 }
                 sh.stats.add(Counter::ServeBatches, 1);
                 sh.stats
@@ -650,17 +642,18 @@ fn serve(sh: &Shard, epoch: Instant, idxs: &mut Vec<u32>) {
                 sh.stats.add(Counter::ServeSingleOps, scan_singles);
             }
         } else {
-            let idx = idxs[0];
-            let r = take(sh, idx);
+            let job = jobs[0];
+            let r = job.1;
+            fault::take(r.key);
             match r.kind {
-                K_SCAN => exec_scan(sh, &mut ctx, idx, &r, epoch),
+                K_SCAN => exec_scan(sh, &mut ctx, job, epoch),
                 _ => {
                     let value = match r.kind {
                         K_GET => sh.tree.get(&mut ctx, r.key),
                         K_PUT => sh.tree.put(&mut ctx, r.key, r.arg),
                         _ => sh.tree.delete(&mut ctx, r.key),
                     };
-                    finish_point(sh, idx, value, epoch.elapsed().as_nanos() as u64);
+                    finish_point(sh, job, value, epoch.elapsed().as_nanos() as u64);
                 }
             }
             sh.stats.add(Counter::ServeSingleOps, 1);
@@ -668,9 +661,12 @@ fn serve(sh: &Shard, epoch: Instant, idxs: &mut Vec<u32>) {
     }
 }
 
-fn exec_scan(sh: &Shard, ctx: &mut euno_htm::ThreadCtx, idx: u32, r: &RawReq, epoch: Instant) {
-    let buf = sh.pool.scan_buf(idx);
-    buf.clear();
-    sh.tree.scan(ctx, r.key, r.arg as usize, buf);
-    finish_point(sh, idx, None, epoch.elapsed().as_nanos() as u64);
+fn exec_scan(sh: &Shard, ctx: &mut euno_htm::ThreadCtx, job: Job, epoch: Instant) {
+    let (idx, r) = job;
+    {
+        let mut buf = sh.pool.scan_buf(idx);
+        buf.clear();
+        sh.tree.scan(ctx, r.key, r.arg as usize, &mut buf);
+    }
+    finish_point(sh, job, None, epoch.elapsed().as_nanos() as u64);
 }

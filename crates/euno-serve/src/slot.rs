@@ -1,21 +1,24 @@
-//! Pooled request/completion slots.
+//! Pooled reply slots.
 //!
-//! A slot is the rendezvous between a submitting client and the shard
-//! worker: the client acquires one from the per-shard pool (lock-free
-//! Treiber free list, tagged against ABA), writes the request payload,
-//! and enqueues the slot *index*; the worker executes and writes the
-//! result back. Completion is observed either by the caller (blocking or
-//! polling on a [`Ticket`](crate::Ticket)) or not at all (a ticket
-//! dropped unwaited). Such a slot is flagged [`ABANDONED`]; the worker's finish
-//! and the ticket's drop each change the state word in one atomic step,
-//! so exactly one of them sees the other's mark and recycles the slot.
+//! A slot is where a shard worker leaves a request's reply for the
+//! client that submitted it: the client acquires one from the per-shard
+//! pool (lock-free Treiber free list, tagged against ABA) and sends the
+//! slot's index with the request down the shard's queue; the worker
+//! executes it and writes the result back. Completion is observed either
+//! by the caller (blocking or polling on a [`Ticket`](crate::Ticket)) or
+//! not at all (a ticket dropped unwaited). Such a slot is flagged
+//! [`ABANDONED`]; the worker's finish and the ticket's drop each change
+//! the state word in one atomic step, so exactly one of them sees the
+//! other's mark and recycles the slot.
 //!
 //! The pool is sized at construction and never grows: running out of
 //! slots is the overload signal (the server sheds the request). Nothing
-//! on the acquire/publish/complete/release path allocates.
+//! on the acquire/complete/release path allocates.
 
-use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+use euno_htm::TOMBSTONE;
 
 /// Slot lifecycle states.
 pub(crate) const FREE: u32 = 0;
@@ -29,30 +32,17 @@ pub(crate) const FAILED: u32 = 4;
 /// so finishing the slot recycles it.
 pub(crate) const ABANDONED: u32 = 8;
 
-/// Request kinds as stored in a slot.
-pub(crate) const K_GET: u8 = 0;
-pub(crate) const K_PUT: u8 = 1;
-pub(crate) const K_DELETE: u8 = 2;
-pub(crate) const K_SCAN: u8 = 3;
-
-/// The wire-format of one request inside a slot.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct RawReq {
-    pub kind: u8,
-    pub key: u64,
-    /// Put value / scan length.
-    pub arg: u64,
-    /// Nanoseconds since the server's epoch at *intended* issue time.
-    pub issued_ns: u64,
-}
-
-pub(crate) struct Slot {
+struct Slot {
     state: AtomicU32,
     /// Free-list link, `index + 1` (0 = end of list).
     next_free: AtomicU32,
-    req: UnsafeCell<RawReq>,
-    result: UnsafeCell<Option<u64>>,
-    scan_buf: UnsafeCell<Vec<(u64, u64)>>,
+    /// A point request's reply; `TOMBSTONE` for `None`, which no put may
+    /// store. Ordered by the `state` word's release/acquire edge.
+    result: AtomicU64,
+    /// A scan's records. One side owns the slot at a time (the worker
+    /// until it finishes, then the waiter), so the lock is never
+    /// contended.
+    scan_buf: Mutex<Vec<(u64, u64)>>,
 }
 
 pub(crate) struct SlotPool {
@@ -60,13 +50,6 @@ pub(crate) struct SlotPool {
     /// `(version << 32) | (index + 1)`; low word 0 = empty.
     head: AtomicU64,
 }
-
-// Safety: the UnsafeCell payloads follow a strict ownership hand-off —
-// submitter (exclusive, post-acquire) → worker (via the queue's
-// release/acquire edge) → waiter (via the DONE release/acquire edge) —
-// so no two threads access a slot's cells concurrently.
-unsafe impl Sync for SlotPool {}
-unsafe impl Send for SlotPool {}
 
 impl SlotPool {
     pub fn new(n: usize) -> Self {
@@ -76,14 +59,8 @@ impl SlotPool {
                 state: AtomicU32::new(FREE),
                 // Initial free list threads straight through the array.
                 next_free: AtomicU32::new(if i + 1 < n { i as u32 + 2 } else { 0 }),
-                req: UnsafeCell::new(RawReq {
-                    kind: K_GET,
-                    key: 0,
-                    arg: 0,
-                    issued_ns: 0,
-                }),
-                result: UnsafeCell::new(None),
-                scan_buf: UnsafeCell::new(Vec::new()),
+                result: AtomicU64::new(TOMBSTONE),
+                scan_buf: Mutex::new(Vec::new()),
             })
             .collect();
         SlotPool {
@@ -138,21 +115,14 @@ impl SlotPool {
         }
     }
 
-    /// Fill the payload and mark the slot pending. Caller owns the slot
-    /// (just acquired); ordering against the worker comes from the queue's
-    /// release/acquire edge on publish.
-    pub fn stage(&self, idx: u32, req: RawReq) {
-        let slot = &self.slots[idx as usize];
-        unsafe { *slot.req.get() = req };
-        slot.state.store(PENDING, Ordering::Release);
+    /// Mark a just-acquired slot pending, before its request is queued.
+    pub fn stage(&self, idx: u32) {
+        self.slots[idx as usize]
+            .state
+            .store(PENDING, Ordering::Release);
     }
 
-    /// Worker side: read the payload of a slot popped from the queue.
-    pub fn read_req(&self, idx: u32) -> RawReq {
-        unsafe { *self.slots[idx as usize].req.get() }
-    }
-
-    /// Worker side: the slot was popped from the queue.
+    /// Worker side: the slot's request was popped from the queue.
     pub fn start(&self, idx: u32) {
         let _ = self.slots[idx as usize].state.fetch_update(
             Ordering::Relaxed,
@@ -161,16 +131,20 @@ impl SlotPool {
         );
     }
 
-    /// Worker side: exclusive access to the slot's reusable scan buffer
-    /// (the worker owns the slot between queue pop and completion).
-    #[allow(clippy::mut_from_ref)]
-    pub fn scan_buf(&self, idx: u32) -> &mut Vec<(u64, u64)> {
-        unsafe { &mut *self.slots[idx as usize].scan_buf.get() }
+    /// The slot's scan buffer: the worker's between popping the request
+    /// and completing it, the waiter's after.
+    pub fn scan_buf(&self, idx: u32) -> MutexGuard<'_, Vec<(u64, u64)>> {
+        self.slots[idx as usize]
+            .scan_buf
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Worker side: publish the result and flip the slot to DONE.
     pub fn complete(&self, idx: u32, value: Option<u64>) {
-        unsafe { *self.slots[idx as usize].result.get() = value };
+        self.slots[idx as usize]
+            .result
+            .store(value.unwrap_or(TOMBSTONE), Ordering::Relaxed);
         self.finish(idx, DONE);
     }
 
@@ -207,15 +181,18 @@ impl SlotPool {
         self.slots[idx as usize].state.load(Ordering::Acquire)
     }
 
-    /// Waiter side: consume the result of a DONE slot (point value plus
-    /// the scan buffer contents, if any). The slot stays the waiter's
-    /// until it [`abandon`](SlotPool::abandon)s it.
-    pub fn take_result(&self, idx: u32) -> (Option<u64>, Vec<(u64, u64)>) {
+    /// Waiter side: the point result of a DONE slot. The slot stays the
+    /// waiter's until it [`abandon`](SlotPool::abandon)s it.
+    pub fn value(&self, idx: u32) -> Option<u64> {
         debug_assert_eq!(self.state(idx), DONE);
-        let slot = &self.slots[idx as usize];
-        let value = unsafe { *slot.result.get() };
-        let scan = unsafe { std::mem::take(&mut *slot.scan_buf.get()) };
-        (value, scan)
+        let v = self.slots[idx as usize].result.load(Ordering::Relaxed);
+        (v != TOMBSTONE).then_some(v)
+    }
+
+    /// Waiter side: the records of a DONE scan slot.
+    pub fn take_scan(&self, idx: u32) -> Vec<(u64, u64)> {
+        debug_assert_eq!(self.state(idx), DONE);
+        std::mem::take(&mut *self.scan_buf(idx))
     }
 }
 
@@ -245,39 +222,30 @@ mod tests {
     fn lifecycle_roundtrip() {
         let pool = SlotPool::new(2);
         let idx = pool.acquire().unwrap();
-        pool.stage(
-            idx,
-            RawReq {
-                kind: K_PUT,
-                key: 7,
-                arg: 42,
-                issued_ns: 5,
-            },
-        );
+        pool.stage(idx);
         assert_eq!(pool.state(idx), PENDING);
-        let req = pool.read_req(idx);
-        assert_eq!((req.kind, req.key, req.arg), (K_PUT, 7, 42));
+        pool.start(idx);
+        pool.scan_buf(idx).push((7, 42));
         pool.complete(idx, Some(41));
         assert_eq!(pool.state(idx), DONE);
-        let (v, scan) = pool.take_result(idx);
-        assert_eq!(v, Some(41));
-        assert!(scan.is_empty());
+        assert_eq!(pool.value(idx), Some(41));
+        assert_eq!(pool.take_scan(idx), [(7, 42)]);
         pool.abandon(idx);
         assert_eq!(pool.state(idx), FREE);
+        // `None` survives the round trip through the result word.
+        let idx = pool.acquire().unwrap();
+        pool.stage(idx);
+        pool.complete(idx, None);
+        assert_eq!(pool.value(idx), None);
+        assert!(pool.take_scan(idx).is_empty());
     }
 
     #[test]
     fn an_abandoned_slot_is_recycled_by_whoever_finishes_second() {
         let pool = SlotPool::new(1);
-        let req = RawReq {
-            kind: K_GET,
-            key: 1,
-            arg: 0,
-            issued_ns: 0,
-        };
         // Worker first, then the ticket's drop.
         let idx = pool.acquire().unwrap();
-        pool.stage(idx, req);
+        pool.stage(idx);
         pool.start(idx);
         pool.complete(idx, None);
         assert_eq!(pool.state(idx), DONE);
@@ -285,7 +253,7 @@ mod tests {
         assert_eq!(pool.state(idx), FREE);
         // The drop first, then the worker.
         let idx = pool.acquire().unwrap();
-        pool.stage(idx, req);
+        pool.stage(idx);
         pool.abandon(idx);
         pool.start(idx);
         assert_eq!(pool.state(idx) & !ABANDONED, RUNNING);
@@ -297,22 +265,16 @@ mod tests {
     fn concurrent_acquire_release_is_exclusive() {
         let pool = SlotPool::new(8);
         std::thread::scope(|s| {
-            for _ in 0..4 {
+            for t in 0..4u64 {
                 let pool = &pool;
                 s.spawn(move || {
-                    for _ in 0..2_000 {
+                    for i in 0..2_000u64 {
                         if let Some(idx) = pool.acquire() {
-                            // Exclusive ownership: stage must read back.
-                            pool.stage(
-                                idx,
-                                RawReq {
-                                    kind: K_GET,
-                                    key: u64::from(idx),
-                                    arg: 0,
-                                    issued_ns: 0,
-                                },
-                            );
-                            assert_eq!(pool.read_req(idx).key, u64::from(idx));
+                            // Exclusive ownership: the result must read back.
+                            let tag = t << 32 | i;
+                            pool.stage(idx);
+                            pool.complete(idx, Some(tag));
+                            assert_eq!(pool.value(idx), Some(tag));
                             pool.release(idx);
                         } else {
                             std::thread::yield_now();

@@ -1,9 +1,11 @@
 //! Scatter-gather scans while every shard's slot pool runs dry: three
-//! shards of two slots each, four scanners holding a fragment's slot on
-//! one shard while they wait for one on the next, and two point writers
-//! competing for the same slots. Every scan must complete, within a
-//! bounded wait, with the merged `len` smallest records at or above its
-//! start.
+//! shards of two slots each, then of three, four scanners holding a
+//! fragment's slot on one shard while they wait for one on the next, and
+//! two point writers competing for the same slots. Every scan must
+//! complete, within a bounded wait, with the merged `len` smallest
+//! records at or above its start. A shard's queue holds exactly one
+//! entry per slot (three is not rounded up), so no submit may find it
+//! full: every client thread must finish without a panic.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -20,9 +22,15 @@ const TIMEOUT: Duration = Duration::from_secs(20);
 
 #[test]
 fn scans_complete_while_the_slot_pools_run_dry() {
+    for queue_capacity in [2, 3] {
+        run(queue_capacity);
+    }
+}
+
+fn run(queue_capacity: usize) {
     let srv = Arc::new(EunoServer::start(ServeConfig {
         shards: 3,
-        queue_capacity: 2,
+        queue_capacity,
         batch_max: 2,
         ..ServeConfig::default()
     }));
@@ -41,9 +49,10 @@ fn scans_complete_while_the_slot_pools_run_dry() {
         })
         .collect();
     let (tx, rx) = mpsc::channel();
+    let mut scanners = Vec::new();
     for s in 0..SCANNERS {
         let (srv, tx) = (Arc::clone(&srv), tx.clone());
-        std::thread::spawn(move || {
+        scanners.push(std::thread::spawn(move || {
             let mut rng = SmallRng::seed_from_u64(0x5CA9 + s);
             let mut out = Vec::new();
             for _ in 0..SCANS_EACH {
@@ -53,23 +62,28 @@ fn scans_complete_while_the_slot_pools_run_dry() {
                 let n = srv.scan(from, len as usize, &mut out);
                 tx.send((from, len, n, out.clone())).unwrap();
             }
-        });
+        }));
     }
     drop(tx);
     for _ in 0..SCANNERS * SCANS_EACH {
-        let (from, len, n, out) = rx.recv_timeout(TIMEOUT).expect("a scan hung");
+        let (from, len, n, out) = rx
+            .recv_timeout(TIMEOUT)
+            .unwrap_or_else(|e| panic!("capacity {queue_capacity}: a scan hung or panicked ({e})"));
         let want: Vec<(u64, u64)> = (from..from + len).map(|k| (k, k * 3)).collect();
         assert_eq!(
             (n, out),
             (len as usize, want),
-            "scan from {from}, {len} records"
+            "capacity {queue_capacity}: scan from {from}, {len} records"
         );
     }
     stop.store(true, Ordering::Relaxed);
-    for w in writers {
-        w.join().unwrap();
+    for t in writers.into_iter().chain(scanners) {
+        t.join().expect("a client thread panicked");
     }
     let snap = srv.snapshot();
-    assert!(snap.shed > 0, "the pools never ran dry");
+    assert!(
+        snap.shed > 0,
+        "capacity {queue_capacity}: the pools never ran dry"
+    );
     assert_eq!(snap.failed, 0);
 }

@@ -25,6 +25,8 @@
 //! assert_eq!(tree.get(&mut ctx, 1), Some(100));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use euno_baselines as baselines;
 pub use euno_check as check;
 pub use euno_core as tree;
