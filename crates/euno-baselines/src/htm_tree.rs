@@ -568,7 +568,7 @@ mod tests {
                 let idx = (0..ctxs.len()).min_by_key(|&i| (ctxs[i].clock, i)).unwrap();
                 t.put(&mut ctxs[idx], round % 8, round);
             }
-            let aborts: u64 = ctxs.iter().map(|c| c.stats.aborts.total()).sum();
+            let aborts: u64 = ctxs.iter().map(|c| c.counts().aborts()).sum();
             assert!(aborts > 0, "8 threads updating one leaf must conflict");
             // And the structure stayed correct throughout.
             let mut ctx = rt.thread(99);
@@ -632,7 +632,7 @@ mod tests {
                     t.get(&mut ctxs[idx], round % 8);
                 }
             }
-            let aborts: u64 = ctxs.iter().map(|c| c.stats.aborts.total()).sum();
+            let aborts: u64 = ctxs.iter().map(|c| c.counts().aborts()).sum();
             assert!(aborts > 0, "version-word sharing must abort transactions");
         }
 

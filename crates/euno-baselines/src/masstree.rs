@@ -768,7 +768,7 @@ mod tests {
             retries + lock_wait > 0,
             "overlapping inserts/reads must retry or convoy"
         );
-        let aborts: u64 = ctxs.iter().map(|c| c.stats.aborts.total()).sum();
+        let aborts: u64 = ctxs.iter().map(|c| c.counts().aborts()).sum();
         assert_eq!(aborts, 0, "Masstree uses no HTM: no HTM aborts");
     }
 }

@@ -35,7 +35,7 @@ fn race_ascending_puts(rt: &Arc<Runtime>, tree: &dyn ConcurrentMap) -> u64 {
     for key in 0..THREADS * PUTS_PER_THREAD {
         assert_eq!(tree.get(&mut ctx, key), Some(key + 1), "key {key}");
     }
-    ctxs.iter().map(|c| c.stats.aborts.total()).sum()
+    ctxs.iter().map(|c| c.counts().aborts()).sum()
 }
 
 /// Nodes of a quiescent tree reachable from `root` by a plain walk, index

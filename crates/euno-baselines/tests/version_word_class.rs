@@ -48,13 +48,12 @@ fn a_version_word_collision_on_different_keys_is_false_metadata() {
     let readers: Vec<_> = ctxs.iter().skip(1).step_by(2).collect();
     let on_header: u64 = readers
         .iter()
-        .map(|c| c.stats.aborts[AbortClass::FalseMetadata])
+        .map(|c| c.counts()[AbortClass::FalseMetadata])
         .sum();
     let on_records: u64 = readers
         .iter()
         .map(|c| {
-            c.stats.aborts[AbortClass::FalseDifferentRecord]
-                + c.stats.aborts[AbortClass::TrueSameRecord]
+            c.counts()[AbortClass::FalseDifferentRecord] + c.counts()[AbortClass::TrueSameRecord]
         })
         .sum();
     assert!(on_header > 0, "no reader met a version bump");

@@ -13,6 +13,7 @@ use std::sync::Arc;
 use euno_baselines::{HtmBTree, HtmMasstree, Masstree};
 use euno_core::{EunoBTreeDefault, EunoBTreeUnpartitioned, EunoConfig};
 use euno_htm::{AbortClass, ConcurrentMap, CostModel, Runtime};
+use euno_metrics::Counter;
 use euno_sim::{
     preload, report_path_for, run_virtual, write_trace, RunConfig, RunEntry, RunMetrics, RunReport,
     DEFAULT_TRACE_CAPACITY,
@@ -406,7 +407,7 @@ pub fn csv_text(points: &[Point]) -> String {
                 class,
                 AbortClass::UnclassifiedConflict | AbortClass::Explicit
             ) {
-                let _ = write!(out, ",{:.4}", m.stats.aborts[class] as f64 / ops);
+                let _ = write!(out, ",{:.4}", m.counts[class] as f64 / ops);
             }
         }
         let _ = writeln!(
@@ -423,7 +424,7 @@ pub fn csv_text(points: &[Point]) -> String {
             m.latency.max(),
             m.stats.cycles_backoff,
             m.stats.cycles_fallback_wait,
-            m.stages.ccm_bypass_flips,
+            m.counts[Counter::CcmBypassFlips],
         );
     }
     out

@@ -325,7 +325,7 @@ impl Sweep {
             for &(system, label) in self.systems {
                 let mut m = measure(system, &spec, &cfg);
                 cli.post_cell(&mut m);
-                let a = &m.stats.aborts;
+                let a = &m.counts;
                 let pct = |n: u64| 100.0 * n as f64 / a.conflicts().max(1) as f64;
                 eprintln!(
                     "{x:<16} {label:<14} {:>6.2} Mops/s {:>7.3} aborts/op (true {:.0}%, \
@@ -540,7 +540,7 @@ fn ycsb(fig: &Figure, cli: &Cli) -> Vec<Point> {
                         ctx.charge(ctx.runtime().cost.op_overhead);
                         let v = map.get(ctx, key).unwrap_or(0);
                         map.put(ctx, key, (v + delta) & 0x7fff_ffff_ffff_ffff);
-                        ctx.stats.ops += 1;
+                        ctx.metric_add(Counter::Ops, 1);
                     }
                 }
             });

@@ -5,6 +5,7 @@ use std::process::Command;
 
 use euno_bench::common::{csv_text, report, Cli};
 use euno_bench::figures::{find, FIGURES};
+use euno_metrics::Counter;
 use euno_sim::validate_report;
 
 /// A few ops a thread (and as few warm-up ops) over a few dozen keys.
@@ -89,9 +90,12 @@ fn ycsb_warm_up_stays_out_of_the_stage_counters() {
         .iter()
         .find(|p| p.system == "HTM-B+Tree" && p.x.starts_with("YCSB-C"))
         .unwrap();
-    let stages = &c.metrics.stages;
+    let counts = &c.metrics.counts;
     assert!(c.cfg.warmup_ops > 0);
-    assert_eq!(stages.commits + stages.fallbacks, c.metrics.total_ops);
+    assert_eq!(
+        counts[Counter::Commits] + counts[Counter::Fallbacks],
+        c.metrics.total_ops
+    );
 }
 
 fn figures(args: &[&str]) -> (Option<i32>, String) {

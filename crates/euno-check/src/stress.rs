@@ -18,8 +18,8 @@ use std::time::{Duration, Instant};
 
 use euno_baselines::{HtmBTree, HtmMasstree, Masstree};
 use euno_core::{EunoBTreeDefault, EunoConfig};
-use euno_htm::{ConcurrentMap, Runtime, ThreadStats};
-use euno_metrics::{sample_due, Counter, ExecStages, Snapshot, TimeSeries};
+use euno_htm::{ConcurrentMap, Runtime};
+use euno_metrics::{sample_due, Counter, Counts, Snapshot, TimeSeries};
 use euno_rng::SmallRng;
 use euno_trace::{build_profile, LeafProfile, ThreadTrace, TraceBuf};
 
@@ -225,11 +225,10 @@ pub struct StressReport {
     pub traces: Vec<ThreadTrace>,
     /// Hot-leaf contention profile, when `StressConfig::profile` is set.
     pub profile: Option<LeafProfile>,
-    /// Engine counters merged across every worker thread.
-    pub stats: ThreadStats,
-    /// Executor stage counts merged across every worker thread — how the
-    /// run's regions split across the HTM and fallback paths.
-    pub stages: ExecStages,
+    /// Every count of the workers' metric shards, merged: ops, the stage
+    /// counts — how the run's regions split across the HTM and fallback
+    /// paths — and aborts by class.
+    pub counts: Counts,
     /// Tail of the metrics sampler's snapshot ring (wall-µs ticks). On a
     /// linearizability failure the binary dumps these next to the trace
     /// tails: the counter deltas in the last few windows usually say
@@ -248,7 +247,10 @@ impl StressReport {
     /// fallback execution is not a commit, so neither is derived from the
     /// other.
     pub fn path_split(&self) -> (u64, u64) {
-        (self.stages.commits, self.stages.fallbacks)
+        (
+            self.counts[Counter::Commits],
+            self.counts[Counter::Fallbacks],
+        )
     }
 }
 
@@ -295,8 +297,7 @@ pub fn run_stress(
     let deadline = (cfg.duration_ms > 0).then(|| start + Duration::from_millis(cfg.duration_ms));
     let stop = AtomicBool::new(false);
     let mut traces: Vec<ThreadTrace> = Vec::new();
-    let mut stats = ThreadStats::default();
-    let mut stages = ExecStages::default();
+    let mut counts = Counts::default();
     let mut snapshots: Vec<Snapshot> = Vec::new();
 
     std::thread::scope(|s| {
@@ -354,16 +355,12 @@ pub fn run_stress(
                         tree.scan(&mut ctx, key, cfg.scan_len as usize, &mut out);
                         rec.respond(OpOutput::Scan(out.clone()));
                     }
-                    // Counted as `VirtualScheduler` counts one: in the
-                    // thread's stats and on its metrics shard.
-                    ctx.stats.ops += 1;
                     ctx.metric_add(Counter::Ops, 1);
                 }
                 drop(rec); // flush this thread's ops
                 (
                     ctx.take_tracer().map(|b| b.into_thread_trace()),
-                    ctx.stats.clone(),
-                    ctx.exec_stages(),
+                    ctx.counts(),
                 )
             }));
         }
@@ -425,10 +422,9 @@ pub fn run_stress(
         };
 
         for h in workers {
-            let (trace, worker_stats, worker_stages) = h.join().expect("stress worker panicked");
+            let (trace, worker_counts) = h.join().expect("stress worker panicked");
             traces.extend(trace);
-            stats.merge(&worker_stats);
-            stages.merge(&worker_stages);
+            counts.merge(&worker_counts);
         }
         stop.store(true, Ordering::Relaxed);
         if let Some(h) = maintainer {
@@ -507,8 +503,7 @@ pub fn run_stress(
         quiescent_findings,
         traces,
         profile,
-        stats,
-        stages,
+        counts,
         snapshots,
     }
 }
@@ -603,6 +598,9 @@ mod tests {
         // A storm can put more regions on the fallback than commit
         // speculatively; deriving the HTM share as `commits − fallbacks`
         // (fallback executions were never counted as commits) wraps here.
+        let mut counts = Counts::default();
+        counts[Counter::Commits] = 3;
+        counts[Counter::Fallbacks] = 5;
         let r = StressReport {
             tree: "storm",
             threads: 8,
@@ -618,12 +616,7 @@ mod tests {
             quiescent_findings: 0,
             traces: Vec::new(),
             profile: None,
-            stats: ThreadStats::default(),
-            stages: ExecStages {
-                commits: 3,
-                fallbacks: 5,
-                ..ExecStages::default()
-            },
+            counts,
             snapshots: Vec::new(),
         };
         assert_eq!(r.path_split(), (3, 5));
@@ -641,7 +634,7 @@ mod tests {
         assert_eq!(cfg.duration_ms, 0, "no duration cap: every op runs");
         let report = &run_all(&cfg, Some("HTM-B+Tree"))[0];
         let ops = u64::from(cfg.threads) * cfg.ops_per_thread;
-        assert_eq!(report.stats.ops, ops);
+        assert_eq!(report.counts[Counter::Ops], ops);
         let last = report.snapshots.last().expect("a final snapshot");
         assert_eq!(last.counters[Counter::Ops.index()], ops);
     }
@@ -870,20 +863,17 @@ mod tests {
             }
         }
 
-        let mut stats = ThreadStats::default();
-        let mut stages = ExecStages::default();
+        let mut counts = Counts::default();
         drop(recs);
         for ctx in ctxs {
-            stats.merge(&ctx.stats);
-            stages.merge(&ctx.exec_stages());
+            counts.merge(&ctx.counts());
         }
+        let (commits, fallbacks) = (counts[Counter::Commits], counts[Counter::Fallbacks]);
         assert!(
-            stages.fallbacks > 0 && stages.commits > 0,
+            fallbacks > 0 && commits > 0,
             "virtual abort storm never mixed the two paths \
-             (commits {}, aborts {}, fallbacks {})",
-            stages.commits,
-            stats.aborts.total(),
-            stages.fallbacks
+             (commits {commits}, aborts {}, fallbacks {fallbacks})",
+            counts.aborts(),
         );
 
         let history = std::mem::take(&mut *sink.lock().unwrap());

@@ -240,7 +240,7 @@ mod tests {
                 t.put(&mut ctx, k, k);
             }
             assert!(
-                ctx.stats.aborts[AbortClass::Spurious] > 20,
+                ctx.counts()[AbortClass::Spurious] > 20,
                 "the load met no aborts"
             );
             let stats = t.stats();

@@ -8,6 +8,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Barrier};
 
 use euno_core::{Ccm, DefaultGuard, DefaultLeaf, EunoBTreeDefault, EunoConfig};
+use euno_htm::euno_metrics::Counter;
 use euno_htm::{ConcurrentMap, Runtime, ThreadCtx};
 use euno_rng::SmallRng;
 use euno_sim::VirtualScheduler;
@@ -197,7 +198,7 @@ fn a_hot_leaf_is_protected_and_the_rest_of_the_tree_is_not() {
                                 "get {key}"
                             );
                         }
-                        ctx.stats.ops += 1;
+                        ctx.metric_add(Counter::Ops, 1);
                         if hot {
                             hot_done.set(hot_done.get() + 1);
                         }

@@ -96,7 +96,7 @@ fn no_foreground_op_pays_for_the_whole_sweep() {
                         assert!(sh.scan_buf.iter().copied().eq(want.map(|(&k, &v)| (k, v))));
                     }
                 }
-                ctx.stats.ops += 1;
+                ctx.metric_add(Counter::Ops, 1);
                 sh.longest_op = sh.longest_op.max(ctx.clock - start);
                 let pending = tree.sweep_pending();
                 sh.sweeps_finished += u64::from(sh.sweep_was_pending && !pending);

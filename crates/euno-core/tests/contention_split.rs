@@ -72,7 +72,7 @@ fn run(cfg: EunoConfig, scan_every: Option<u64>) -> Run {
                     let want = model.borrow().get(&key).copied();
                     assert_eq!(tree.get(ctx, key), want, "get {key}");
                 }
-                ctx.stats.ops += 1;
+                ctx.metric_add(Counter::Ops, 1);
                 done < OPS_EACH
             }),
         );

@@ -107,7 +107,7 @@ fn run(cfg: EunoConfig, shape: Shape, leaked_allocations: usize) -> Vec<(u64, us
                         tree.scan(ctx, key, 16, &mut scan_buf);
                     }
                 }
-                ctx.stats.ops += 1;
+                ctx.metric_add(Counter::Ops, 1);
                 cycles
                     .borrow_mut()
                     .push((ctx.clock - start, ctx.runtime().virt_heat_len()));

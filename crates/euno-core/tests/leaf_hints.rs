@@ -559,7 +559,7 @@ fn hot_leaf_under_the_scheduler_is_exact_bounded_and_mostly_hits() {
                     // The preloaded keys (multiples of four) stay.
                     _ => assert_eq!(tree.delete(ctx, key | 1), model.remove(&(key | 1))),
                 }
-                ctx.stats.ops += 1;
+                ctx.metric_add(Counter::Ops, 1);
                 longest.set(longest.get().max(ctx.clock - start));
                 if hot {
                     hot_hits.set(hot_hits.get() + hits(ctx) - hits_before);
@@ -641,7 +641,7 @@ fn every_leaf_hint_probe_is_a_hit_a_stale_entry_or_a_miss() {
                     } else {
                         tree.delete(ctx, key);
                     }
-                    ctx.stats.ops += 1;
+                    ctx.metric_add(Counter::Ops, 1);
                     done += 1;
                     done < 6_000
                 }),

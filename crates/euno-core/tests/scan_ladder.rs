@@ -97,7 +97,7 @@ fn scan_across_a_write_hot_leaf_is_exact_and_bounded() {
                 } else {
                     assert_eq!(tree.delete(ctx, key), model.remove(&key));
                 }
-                ctx.stats.ops += 1;
+                ctx.metric_add(Counter::Ops, 1);
                 scans_done.get() < SCANS
             }),
         );
@@ -120,7 +120,7 @@ fn scan_across_a_write_hot_leaf_is_exact_and_bounded() {
                     out.iter().copied().eq(want.map(|(&k, &v)| (k, v))),
                     "scan from {from}: {out:?}"
                 );
-                ctx.stats.ops += 1;
+                ctx.metric_add(Counter::Ops, 1);
                 scans_done.set(scans_done.get() + 1);
                 scans_done.get() < SCANS
             }),

@@ -10,6 +10,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use euno_core::EunoBTreeDefault;
+use euno_htm::euno_metrics::Counter;
 use euno_htm::{Backend, ConcurrentMap, CostModel, Runtime};
 use euno_sim::VirtualScheduler;
 use euno_workloads::{KeyDistribution, Op, OpMix, OpStream, Preload, WorkloadSpec};
@@ -91,7 +92,7 @@ fn scan_tail(op_overhead: u64) -> (u64, u64) {
                         scans.borrow_mut().push(ctx.clock - start);
                     }
                 }
-                ctx.stats.ops += 1;
+                ctx.metric_add(Counter::Ops, 1);
                 left -= 1;
                 left > 0
             }),

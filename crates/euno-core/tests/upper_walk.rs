@@ -1126,7 +1126,7 @@ fn get_from_a_write_hot_leaf_is_exact_and_bounded() {
                 } else {
                     assert_eq!(tree.delete(ctx, key), model.remove(&key));
                 }
-                ctx.stats.ops += 1;
+                ctx.metric_add(Counter::Ops, 1);
                 gets_done.get() < HOT_GETS
             }),
         );
@@ -1147,7 +1147,7 @@ fn get_from_a_write_hot_leaf_is_exact_and_bounded() {
                         .max(ctx.stats.optimistic_retries - retries),
                 );
                 assert_eq!(got, model.borrow().get(&key).copied(), "get {key}");
-                ctx.stats.ops += 1;
+                ctx.metric_add(Counter::Ops, 1);
                 gets_done.set(gets_done.get() + 1);
                 gets_done.get() < HOT_GETS
             }),

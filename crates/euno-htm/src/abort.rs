@@ -31,8 +31,8 @@ pub enum AbortCause {
 
 impl AbortCause {
     /// The cause's bucket in the paper's taxonomy: the one mapping behind
-    /// `AbortCounts`, the `ABORTS_HTM` counters, the run report's `aborts`
-    /// keys and the trace's abort events.
+    /// the `ABORTS_HTM` counters, the run report's `aborts` keys and the
+    /// trace's abort events.
     pub fn class(self) -> AbortClass {
         match self {
             AbortCause::Conflict(ci) => ci.kind,
@@ -117,7 +117,7 @@ mod tests {
     fn leaf_level_attribution() {
         // Every conflict but one on the interior index is at the leaf
         // level (the paper reports >90 % there, §2.3).
-        let mut counts = crate::stats::AbortCounts::default();
+        let mut counts = euno_metrics::Counts::default();
         for kind in [
             AbortClass::TrueSameRecord,
             AbortClass::FalseDifferentRecord,
@@ -125,11 +125,12 @@ mod tests {
             AbortClass::FalseStructure,
             AbortClass::UnclassifiedConflict,
         ] {
-            counts.record(AbortCause::Conflict(ConflictInfo {
+            let cause = AbortCause::Conflict(ConflictInfo {
                 line: LineId(1),
                 kind,
                 other_thread: None,
-            }));
+            });
+            counts[euno_metrics::ABORTS_HTM[cause.class().index()]] += 1;
         }
         assert_eq!((counts.conflicts(), counts.leaf_level_conflicts()), (5, 4));
     }

@@ -243,10 +243,10 @@ impl ThreadCtx {
         self.shard.get(c)
     }
 
-    /// This thread's executor-stage counters (attempts/commits/fallbacks/…)
-    /// as one struct, read from the metrics shard.
-    pub fn exec_stages(&self) -> euno_metrics::ExecStages {
-        self.shard.exec_stages()
+    /// Every counter of this thread's shard: the counts a run merges into
+    /// its report (ops, stage counts, aborts by class, …).
+    pub fn counts(&self) -> euno_metrics::Counts {
+        self.shard.counts()
     }
 
     /// Record one operation latency (virtual cycles or wall µs) into this
@@ -254,6 +254,11 @@ impl ThreadCtx {
     #[inline]
     pub fn metric_record_latency(&self, v: u64) {
         self.shard.record_latency(v);
+    }
+
+    /// This thread's shard histogram (see [`ThreadCtx::metric_record_latency`]).
+    pub fn latency(&self) -> euno_metrics::LogHistogram {
+        self.shard.histogram()
     }
 
     /// Snapshot this thread's telemetry — its [`ThreadStats`] and its

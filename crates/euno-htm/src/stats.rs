@@ -1,30 +1,29 @@
-//! Per-thread and aggregated execution statistics.
+//! A thread's cycle books and access proxies.
 //!
-//! The paper's analysis figures (2 and 9) plot *aborts per operation broken
-//! down by cause*, and §2.3 quotes the fraction of CPU cycles wasted in
-//! aborted attempts (">94 % of total CPU cycles when θ = 0.9"). Each
-//! [`ThreadStats`] tracks exactly those quantities; the
-//! simulator merges them into one per run.
-
-use std::ops::{Index, IndexMut};
+//! §2.3 quotes the fraction of CPU cycles wasted in aborted attempts
+//! (">94 % of total CPU cycles when θ = 0.9"); §5.2 compares instruction
+//! counts. [`ThreadStats`] keeps the cycles and accesses behind those
+//! numbers. Every *count* a run reports — operations, attempts, commits,
+//! fallbacks, backoffs, aborts by cause (Figures 2 and 9) — lives in the
+//! thread's `euno-metrics` shard instead: read one with
+//! [`ThreadCtx::metric`](crate::ThreadCtx::metric), all of them with
+//! [`ThreadCtx::counts`](crate::ThreadCtx::counts).
 
 use euno_metrics::AbortClass;
 
 use crate::abort::AbortCause;
 
-/// Counters kept by one (virtual or OS) thread. Plain integers — each
-/// thread owns its counters; aggregation happens after the run.
-///
-/// Stage **counts** (attempts, commits, fallbacks, backoffs, CCM
-/// flips) live in the thread's `euno-metrics` shard, not here — read them
-/// via [`ThreadCtx::exec_stages`](crate::ThreadCtx::exec_stages). This
-/// struct keeps what the shard does not: cycle accounting, the abort-cause
-/// taxonomy, and memory/CAS instruction proxies.
+/// Cycle accounting and instruction proxies kept by one (virtual or OS)
+/// thread. Plain integers — each thread owns its books; aggregation happens
+/// after the run.
 #[derive(Clone, Debug, Default)]
 pub struct ThreadStats {
-    /// Completed top-level operations (get/put/delete/scan).
+    /// Held for the frozen benchmark, which bumps it per op: nothing in
+    /// the workspace reads it. Operations count in `Counter::Ops`.
     pub ops: u64,
-    /// Aborts by cause.
+    /// Held for the frozen benchmark, which reads its total: aborts count
+    /// by class on the shard (`ABORTS_HTM`), which is what every report
+    /// reads.
     pub aborts: AbortCounts,
     /// Optimistic-episode retries (Masstree-style version-validation
     /// failures; not HTM aborts).
@@ -60,58 +59,24 @@ pub struct ThreadStats {
     pub episode_pool_allocs: u64,
 }
 
-/// Abort tallies following the paper's taxonomy, one per [`AbortClass`].
+/// Abort tallies by [`AbortClass`], held beside the shard's for the
+/// frozen benchmark (see [`ThreadStats::aborts`]).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AbortCounts([u64; AbortClass::COUNT]);
 
 impl AbortCounts {
     pub fn record(&mut self, cause: AbortCause) {
-        self[cause.class()] += 1;
-    }
-
-    /// All conflict-caused aborts (the taxonomy of Figure 2).
-    pub fn conflicts(&self) -> u64 {
-        AbortClass::ALL
-            .iter()
-            .filter(|c| c.is_conflict())
-            .map(|&c| self[c])
-            .sum()
-    }
-
-    /// Conflicts attributable to the leaf level (record + metadata), as in
-    /// the ">90 % of conflicts occur in the leaf level" measurement.
-    pub fn leaf_level_conflicts(&self) -> u64 {
-        self.conflicts() - self[AbortClass::FalseStructure]
+        self.0[cause.class().index()] += 1;
     }
 
     pub fn total(&self) -> u64 {
         self.0.iter().sum()
     }
-
-    pub fn merge(&mut self, other: &AbortCounts) {
-        for (a, b) in self.0.iter_mut().zip(other.0) {
-            *a += b;
-        }
-    }
-}
-
-impl Index<AbortClass> for AbortCounts {
-    type Output = u64;
-    fn index(&self, class: AbortClass) -> &u64 {
-        &self.0[class.index()]
-    }
-}
-
-impl IndexMut<AbortClass> for AbortCounts {
-    fn index_mut(&mut self, class: AbortClass) -> &mut u64 {
-        &mut self.0[class.index()]
-    }
 }
 
 impl ThreadStats {
+    /// Add `other`'s books to these (the two held counts are not merged).
     pub fn merge(&mut self, other: &ThreadStats) {
-        self.ops += other.ops;
-        self.aborts.merge(&other.aborts);
         self.optimistic_retries += other.optimistic_retries;
         self.cycles_total += other.cycles_total;
         // Earliest measurement start among threads that *have* one. A bare
@@ -128,15 +93,6 @@ impl ThreadStats {
         self.mem_accesses += other.mem_accesses;
         self.cas_ops += other.cas_ops;
         self.episode_pool_allocs += other.episode_pool_allocs;
-    }
-
-    /// HTM aborts per completed operation (Figures 2 and 9 y-axis).
-    pub fn aborts_per_op(&self) -> f64 {
-        if self.ops == 0 {
-            0.0
-        } else {
-            self.aborts.total() as f64 / self.ops as f64
-        }
     }
 
     /// Fraction of cycles burnt in aborted attempts (§2.3: >94 % at θ=0.9).
@@ -169,37 +125,31 @@ mod tests {
         a.record(conflict(AbortClass::TrueSameRecord));
         a.record(conflict(AbortClass::FalseDifferentRecord));
         a.record(conflict(AbortClass::FalseDifferentRecord));
-        a.record(conflict(AbortClass::FalseMetadata));
-        a.record(conflict(AbortClass::FalseStructure));
         a.record(AbortCause::Capacity);
         a.record(AbortCause::Explicit(3));
-        a.record(AbortCause::Spurious);
         a.record(AbortCause::FallbackLocked);
-        assert_eq!(a[AbortClass::TrueSameRecord], 1);
-        assert_eq!(a[AbortClass::FalseDifferentRecord], 2);
-        assert_eq!(a.conflicts(), 5);
-        assert_eq!(a.leaf_level_conflicts(), 4);
-        assert_eq!(a.total(), 9);
+        let bucket = |c: AbortClass| a.0[c.index()];
+        assert_eq!(bucket(AbortClass::FalseDifferentRecord), 2);
+        assert_eq!(bucket(AbortClass::Explicit), 1);
+        assert_eq!(a.total(), 6);
     }
 
     #[test]
     fn merge_adds_counters() {
         let mut a = ThreadStats {
-            ops: 10,
             cycles_total: 1000,
             cycles_wasted: 400,
             ..Default::default()
         };
-        let mut b = ThreadStats {
-            ops: 5,
+        let b = ThreadStats {
             cycles_total: 500,
+            mem_accesses: 7,
             ..Default::default()
         };
-        b.aborts.record(AbortCause::Capacity);
         a.merge(&b);
-        assert_eq!(a.ops, 15);
         assert_eq!(a.cycles_total, 1500);
-        assert_eq!(a.aborts[AbortClass::Capacity], 1);
+        assert_eq!(a.cycles_wasted, 400);
+        assert_eq!(a.mem_accesses, 7);
     }
 
     #[test]
@@ -244,14 +194,9 @@ mod tests {
     #[test]
     fn derived_ratios() {
         let mut s = ThreadStats::default();
-        assert_eq!(s.aborts_per_op(), 0.0);
         assert_eq!(s.wasted_cycle_fraction(), 0.0);
-        s.ops = 4;
-        s.aborts.record(AbortCause::Spurious);
-        s.aborts.record(AbortCause::Spurious);
         s.cycles_total = 100;
         s.cycles_wasted = 94;
-        assert!((s.aborts_per_op() - 0.5).abs() < 1e-12);
         assert!((s.wasted_cycle_fraction() - 0.94).abs() < 1e-12);
     }
 }

@@ -21,6 +21,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use euno_htm::euno_metrics::Counter;
 use euno_htm::{Backend, CostModel, RetryPolicy, Runtime, ThreadCtx, TxCell};
 
 /// Forwards to the system allocator, counting every allocation and
@@ -196,9 +197,9 @@ fn steady_state_episodes_do_not_allocate() {
             "virtual-mode steady state allocated {during} times in 10k episodes"
         );
         assert!(
-            ctx.exec_stages().commits >= 240 * PRUNE_EVERY,
+            ctx.metric(Counter::Commits) >= 240 * PRUNE_EVERY,
             "sanity: episodes actually committed (commits={})",
-            ctx.exec_stages().commits
+            ctx.metric(Counter::Commits)
         );
     }
 

@@ -1,5 +1,5 @@
 //! The fixed metric vocabulary: counters, gauges, the abort taxonomy and
-//! the executor-stage aggregate the run report serializes.
+//! the [`Counts`] value every report reads its counts from.
 //!
 //! Names returned by [`Counter::name`] / [`Gauge::name`] /
 //! [`AbortClass::name`] are *canonical*: the run-report sections, the
@@ -43,11 +43,13 @@ macro_rules! define_metric_enum {
 define_metric_enum! {
     /// Monotone event counters, sharded per thread.
     ///
-    /// The first block mirrors the executor stage counters the run report
-    /// has serialized since schema v1 (same names, same semantics:
-    /// fallback executions are not commits). The remaining blocks are
-    /// finer-grained views that only surface in the time-series section
-    /// and the fig14 timeline.
+    /// The first block is what the run report's `total_ops` and `stages`
+    /// section serialize (same names since schema v1; fallback executions
+    /// are not commits). `Ops` counts completed top-level operations: the
+    /// driver that runs one bumps it once, and the virtual scheduler sees
+    /// an op end through it. The remaining blocks are finer-grained views
+    /// that only surface in the time-series section and the fig14
+    /// timeline.
     Counter {
         Ops => "ops",
         Attempts => "attempts",
@@ -201,37 +203,64 @@ pub const ABORTS_MIDDLE: [Counter; ABORT_BUCKETS] = [
     Counter::AbortsMiddleFallbackLocked,
 ];
 
-/// The executor stage counters as a plain value struct — what
-/// `RunMetrics` carries and the run report's stage section serializes.
-/// Field names are the canonical counter names.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ExecStages {
-    pub attempts: u64,
-    pub commits: u64,
-    pub fallbacks: u64,
-    pub backoffs: u64,
-    pub ccm_bypass_flips: u64,
+/// Counter values summed over one or more shards — a thread's, a run's,
+/// a registry's. Every count a run reports is read from one of these:
+/// indexed by [`Counter`], and by [`AbortClass`] for that class's aborts
+/// (its [`ABORTS_HTM`] counter).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Counts(pub(crate) [u64; Counter::COUNT]);
+
+impl Default for Counts {
+    fn default() -> Self {
+        Counts([0; Counter::COUNT])
+    }
 }
 
-impl ExecStages {
-    pub fn merge(&mut self, other: &ExecStages) {
-        self.attempts += other.attempts;
-        self.commits += other.commits;
-        self.fallbacks += other.fallbacks;
-        self.backoffs += other.backoffs;
-        self.ccm_bypass_flips += other.ccm_bypass_flips;
+impl Counts {
+    pub fn merge(&mut self, other: &Counts) {
+        for (a, b) in self.0.iter_mut().zip(other.0) {
+            *a += b;
+        }
     }
 
-    /// Extract the stage view from a dense counter vector (a shard or a
-    /// registry total).
-    pub fn from_counters(c: &[u64; Counter::COUNT]) -> Self {
-        ExecStages {
-            attempts: c[Counter::Attempts.index()],
-            commits: c[Counter::Commits.index()],
-            fallbacks: c[Counter::Fallbacks.index()],
-            backoffs: c[Counter::Backoffs.index()],
-            ccm_bypass_flips: c[Counter::CcmBypassFlips.index()],
-        }
+    /// Aborts of every class.
+    pub fn aborts(&self) -> u64 {
+        AbortClass::ALL.iter().map(|&c| self[c]).sum()
+    }
+
+    /// All conflict-caused aborts (the taxonomy of Figure 2).
+    pub fn conflicts(&self) -> u64 {
+        AbortClass::ALL
+            .iter()
+            .filter(|c| c.is_conflict())
+            .map(|&c| self[c])
+            .sum()
+    }
+
+    /// Conflicts attributable to the leaf level (record + metadata), as in
+    /// the ">90 % of conflicts occur in the leaf level" measurement.
+    pub fn leaf_level_conflicts(&self) -> u64 {
+        self.conflicts() - self[AbortClass::FalseStructure]
+    }
+}
+
+impl std::ops::Index<Counter> for Counts {
+    type Output = u64;
+    fn index(&self, c: Counter) -> &u64 {
+        &self.0[c.index()]
+    }
+}
+
+impl std::ops::IndexMut<Counter> for Counts {
+    fn index_mut(&mut self, c: Counter) -> &mut u64 {
+        &mut self.0[c.index()]
+    }
+}
+
+impl std::ops::Index<AbortClass> for Counts {
+    type Output = u64;
+    fn index(&self, class: AbortClass) -> &u64 {
+        &self[ABORTS_HTM[class.index()]]
     }
 }
 
@@ -262,28 +291,21 @@ mod tests {
     }
 
     #[test]
-    fn stage_extraction_round_trips() {
-        let mut c = [0u64; Counter::COUNT];
-        c[Counter::Attempts.index()] = 10;
-        c[Counter::Commits.index()] = 7;
-        c[Counter::Fallbacks.index()] = 1;
-        c[Counter::Backoffs.index()] = 5;
-        c[Counter::CcmBypassFlips.index()] = 4;
-        let s = ExecStages::from_counters(&c);
-        assert_eq!(
-            s,
-            ExecStages {
-                attempts: 10,
-                commits: 7,
-                fallbacks: 1,
-                backoffs: 5,
-                ccm_bypass_flips: 4,
-            }
-        );
-        let mut acc = ExecStages::default();
-        acc.merge(&s);
-        acc.merge(&s);
-        assert_eq!(acc.attempts, 20);
-        assert_eq!(acc.ccm_bypass_flips, 8);
+    fn counts_index_by_counter_and_abort_class() {
+        let mut c = Counts::default();
+        c[Counter::Commits] = 7;
+        c[Counter::AbortsHtmTrueSameRecord] = 1;
+        c[Counter::AbortsHtmFalseDifferentRecord] = 2;
+        c[Counter::AbortsHtmFalseMetadata] = 1;
+        c[Counter::AbortsHtmFalseStructure] = 1;
+        c[Counter::AbortsHtmCapacity] = 4;
+        assert_eq!(c[AbortClass::Capacity], 4);
+        assert_eq!(c.conflicts(), 5);
+        assert_eq!(c.leaf_level_conflicts(), 4);
+        assert_eq!(c.aborts(), 9);
+        let mut acc = Counts::default();
+        acc.merge(&c);
+        acc.merge(&c);
+        assert_eq!((acc[Counter::Commits], acc.aborts()), (14, 18));
     }
 }

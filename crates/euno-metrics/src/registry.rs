@@ -11,15 +11,15 @@
 //! *not* promised within a snapshot (a sampler may see a commit before
 //! its attempt); windows are therefore reported per-counter.
 //!
-//! **Rollback.** The warmup harness discards warmup operations by cloning
-//! `ThreadStats` around each op and restoring on completion; shards get
-//! the symmetric treatment via [`ThreadShard::mark`] /
-//! [`ThreadShard::restore`] — a fixed-size copy, no allocation.
+//! **Rollback.** The warmup harness discards warmup operations by marking
+//! the thread's counters before each op and restoring them after it:
+//! [`ThreadShard::mark`] / [`ThreadShard::restore`] — a fixed-size copy,
+//! no allocation.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::counters::{Counter, ExecStages, Gauge};
+use crate::counters::{Counter, Counts, Gauge};
 use crate::flip::{FlipKind, FlipLog};
 use crate::hist::LogHistogram;
 
@@ -97,13 +97,25 @@ impl ThreadShard {
     }
 
     /// Dense copy of all counters (sampler / aggregation read path).
-    pub fn counter_values(&self) -> [u64; Counter::COUNT] {
+    fn counter_values(&self) -> [u64; Counter::COUNT] {
         std::array::from_fn(|i| self.counters[i].load(Ordering::Relaxed))
     }
 
-    /// The executor-stage view of this shard.
-    pub fn exec_stages(&self) -> ExecStages {
-        ExecStages::from_counters(&self.counter_values())
+    /// Every counter of this shard.
+    pub fn counts(&self) -> Counts {
+        Counts(self.counter_values())
+    }
+
+    /// This shard's latency histogram, with its exactly tracked sum and
+    /// max (bucket counts alone only approximate them).
+    pub fn histogram(&self) -> LogHistogram {
+        let buckets = std::array::from_fn(|i| self.hist_buckets[i].load(Ordering::Relaxed));
+        let mut h = LogHistogram::from_bucket_counts(&buckets);
+        h.set_exact(
+            self.hist_sum.load(Ordering::Relaxed),
+            self.hist_max.load(Ordering::Relaxed),
+        );
+        h
     }
 
     /// Save counter state before a warmup op (fixed-size copy, no alloc).
@@ -177,18 +189,11 @@ impl Registry {
 
     /// Dense totals over all shards.
     pub fn totals(&self) -> [u64; Counter::COUNT] {
-        let mut out = [0u64; Counter::COUNT];
+        let mut out = Counts::default();
         for s in self.shards.lock().unwrap().iter() {
-            for (acc, cell) in out.iter_mut().zip(s.counter_values().iter()) {
-                *acc += cell;
-            }
+            out.merge(&s.counts());
         }
-        out
-    }
-
-    /// The executor-stage aggregate over all shards.
-    pub fn exec_stages(&self) -> ExecStages {
-        ExecStages::from_counters(&self.totals())
+        out.0
     }
 
     pub fn set_gauge(&self, g: Gauge, v: u64) {
@@ -226,18 +231,7 @@ impl Registry {
     pub fn merged_histogram(&self) -> LogHistogram {
         let mut out = LogHistogram::new();
         for s in self.shards.lock().unwrap().iter() {
-            let mut buckets = [0u64; LogHistogram::BUCKETS];
-            for (b, cell) in buckets.iter_mut().zip(s.hist_buckets.iter()) {
-                *b = cell.load(Ordering::Relaxed);
-            }
-            let mut h = LogHistogram::from_bucket_counts(&buckets);
-            // Restore the exact sum/max the shard tracked (from_bucket_counts
-            // only approximates them).
-            h = h.with_exact(
-                s.hist_sum.load(Ordering::Relaxed),
-                s.hist_max.load(Ordering::Relaxed),
-            );
-            out.merge(&h);
+            out.merge(&s.histogram());
         }
         out
     }
@@ -281,15 +275,6 @@ impl std::fmt::Debug for Registry {
     }
 }
 
-impl LogHistogram {
-    /// Replace the approximated sum/max with exactly-tracked values (used
-    /// when rebuilding a shard histogram whose sum/max atomics are known).
-    fn with_exact(mut self, sum: u64, max: u64) -> LogHistogram {
-        self.set_exact(sum, max);
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,10 +287,10 @@ mod tests {
         s.add(Counter::Commits, 2);
         s.add(Counter::Fallbacks, 1);
         assert_eq!(s.get(Counter::Attempts), 3);
-        let stages = s.exec_stages();
-        assert_eq!(stages.attempts, 3);
-        assert_eq!(stages.commits, 2);
-        assert_eq!(stages.fallbacks, 1);
+        let counts = s.counts();
+        assert_eq!(counts[Counter::Attempts], 3);
+        assert_eq!(counts[Counter::Commits], 2);
+        assert_eq!(counts[Counter::Fallbacks], 1);
         assert_eq!(reg.total(Counter::Commits), 2);
     }
 
@@ -333,7 +318,7 @@ mod tests {
         a.add(Counter::Ops, 10);
         b.add(Counter::Ops, 5);
         assert_eq!(reg.total(Counter::Ops), 15);
-        assert_eq!(reg.exec_stages().attempts, 0);
+        assert_eq!(reg.total(Counter::Attempts), 0);
         reg.reset();
         assert_eq!(reg.total(Counter::Ops), 0);
         // Handles stay live after reset.

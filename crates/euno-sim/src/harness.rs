@@ -1,9 +1,12 @@
 //! Experiment harness: preload a tree, run a YCSB-style workload against
 //! any [`ConcurrentMap`] on the virtual clock, return the metrics a paper
-//! figure plots.
+//! figure plots. Every count a run reports lives on its threads' metric
+//! shards: the driver that runs an op ([`apply_op`], a figure's composite
+//! op) counts it there once, with `Counter::Ops`.
 
 use std::sync::Arc;
 
+use euno_htm::euno_metrics::Counter;
 use euno_htm::{ConcurrentMap, Mode, Runtime, ThreadCtx};
 use euno_trace::{build_profile, EventKind, OpKind};
 use euno_workloads::{Op, OpStream, WorkloadSpec};
@@ -109,13 +112,13 @@ pub fn apply_op(
         }
     }
     ctx.trace(EventKind::OpEnd);
-    ctx.stats.ops += 1;
+    ctx.metric_add(Counter::Ops, 1);
 }
 
 /// Drive `cfg.threads` logical threads on `rt`'s virtual clock, each
 /// running `cfg.warmup_ops` unmeasured, then `cfg.ops_per_thread` measured
 /// calls of the op closure `thread_ops(t)` builds for it (the closure
-/// counts each op in `ctx.stats.ops`), with the trace rings, sampler and
+/// counts each op in `Counter::Ops`), with the trace rings, sampler and
 /// hot-leaf profile `cfg` asks for. The driver loop under [`run_virtual`]
 /// and under every figure that composes its own operations.
 pub fn run_ops<'a, F: FnMut(&mut ThreadCtx) + 'a>(
@@ -137,7 +140,7 @@ pub fn run_ops<'a, F: FnMut(&mut ThreadCtx) + 'a>(
         let step = move |ctx: &mut ThreadCtx| {
             if warmup_left > 0 {
                 // A warm-up op keeps its clock contribution (it shapes the
-                // schedule) while `ctx.stats` and the thread's metric shard
+                // schedule) while the thread's metric shard and `ctx.stats`
                 // are rolled back, so the measured metrics only cover
                 // steady state; the last one opens the measured span.
                 warmup_left -= 1;

@@ -1,7 +1,7 @@
 //! Run-level metrics: what each paper figure plots.
 
 use euno_htm::{CostModel, ThreadStats};
-use euno_metrics::{ExecStages, FlipEvent, LogHistogram, TimeSeries};
+use euno_metrics::{Counter, Counts, FlipEvent, LogHistogram, TimeSeries};
 use euno_trace::{LeafProfile, ThreadTrace};
 
 /// Aggregated result of one experiment run (one point of one figure).
@@ -15,7 +15,7 @@ pub struct RunMetrics {
     pub elapsed_secs: f64,
     /// `total_ops / elapsed_secs` — the y-axis of Figures 1, 8, 10-12.
     pub throughput: f64,
-    /// `stats.aborts.total() / total_ops`; `stats.aborts` breaks it down
+    /// `counts.aborts() / total_ops`; `counts[AbortClass]` breaks it down
     /// by cause — Figures 2 and 9.
     pub aborts_per_op: f64,
     /// Fraction of cycles burnt in aborted attempts (§2.3).
@@ -24,18 +24,19 @@ pub struct RunMetrics {
     pub accesses_per_op: f64,
     /// Fallback-path executions per op.
     pub fallbacks_per_op: f64,
-    /// The run's threads' raw counters, merged.
+    /// The run's threads' cycle books and access proxies, merged.
     pub stats: ThreadStats,
-    /// Executor stage counts (attempts/commits/fallbacks/...),
-    /// aggregated from the run's `euno-metrics` thread shards.
-    pub stages: ExecStages,
+    /// Every count of the run — ops, stage counts, aborts by class —
+    /// merged from the run's own `euno-metrics` thread shards.
+    pub counts: Counts,
     /// Registry snapshots sampled every Δ virtual cycles, when the run
     /// asked for them ([`crate::harness::RunConfig::sample_every`]).
     pub timeseries: Option<TimeSeries>,
     /// CCM bypass flips and programmed shift marks recorded during the
     /// run, decoded from the registry's flip log.
     pub flips: Vec<FlipEvent>,
-    /// Per-operation virtual-cycle latency distribution (merged).
+    /// Per-operation virtual-cycle latency distribution: the run's shard
+    /// histograms, merged.
     pub latency: LogHistogram,
     /// Collected per-thread event traces, when the run had tracing on
     /// ([`crate::harness::RunConfig::trace_capacity`]).
@@ -46,14 +47,14 @@ pub struct RunMetrics {
 }
 
 impl RunMetrics {
-    /// Build from a run's merged stats, its thread count and its makespan
-    /// in cycles (virtual mode). The measured span is the makespan minus
-    /// the earliest warm-up mark (cycle 0 when no thread warmed up), so
-    /// warm-up cycles never dilute throughput.
+    /// Build from a run's merged stats and counts, its thread count and
+    /// its makespan in cycles (virtual mode). The measured span is the
+    /// makespan minus the earliest warm-up mark (cycle 0 when no thread
+    /// warmed up), so warm-up cycles never dilute throughput.
     pub fn from_virtual(
         stats: ThreadStats,
         threads: usize,
-        stages: ExecStages,
+        counts: Counts,
         makespan_cycles: u64,
         cost: &CostModel,
         latency: LogHistogram,
@@ -61,18 +62,19 @@ impl RunMetrics {
         let measure_start = stats.measure_start_cycles.unwrap_or(0);
         let span = makespan_cycles.saturating_sub(measure_start).max(1);
         let elapsed_secs = cost.cycles_to_secs(span);
-        let ops = stats.ops.max(1);
+        let total_ops = counts[Counter::Ops];
+        let ops = total_ops.max(1) as f64;
         RunMetrics {
             threads,
-            total_ops: stats.ops,
+            total_ops,
             elapsed_secs,
-            throughput: stats.ops as f64 / elapsed_secs,
-            aborts_per_op: stats.aborts_per_op(),
+            throughput: total_ops as f64 / elapsed_secs,
+            aborts_per_op: counts.aborts() as f64 / ops,
             wasted_cycle_fraction: stats.wasted_cycle_fraction(),
-            accesses_per_op: stats.mem_accesses as f64 / ops as f64,
-            fallbacks_per_op: stages.fallbacks as f64 / ops as f64,
+            accesses_per_op: stats.mem_accesses as f64 / ops,
+            fallbacks_per_op: counts[Counter::Fallbacks] as f64 / ops,
             stats,
-            stages,
+            counts,
             latency,
             timeseries: None,
             flips: Vec::new(),
@@ -90,7 +92,6 @@ impl RunMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use euno_htm::AbortClass;
 
     fn merged(threads: &[ThreadStats]) -> ThreadStats {
         let mut stats = ThreadStats::default();
@@ -100,26 +101,31 @@ mod tests {
         stats
     }
 
+    fn ops(n: u64) -> Counts {
+        let mut c = Counts::default();
+        c[Counter::Ops] = n;
+        c
+    }
+
     #[test]
     fn metrics_aggregate_two_threads() {
         let a = ThreadStats {
-            ops: 100,
             cycles_total: 1000,
             cycles_wasted: 100,
             mem_accesses: 400,
             ..Default::default()
         };
-        let mut b = ThreadStats {
-            ops: 100,
+        let b = ThreadStats {
             cycles_total: 1000,
             ..Default::default()
         };
-        b.aborts[AbortClass::Capacity] = 10;
+        let mut counts = ops(200);
+        counts[Counter::AbortsHtmCapacity] = 10;
         let cost = CostModel::default();
         let m = RunMetrics::from_virtual(
             merged(&[a, b]),
             2,
-            ExecStages::default(),
+            counts,
             2_300_000,
             &cost,
             LogHistogram::new(),
@@ -138,7 +144,7 @@ mod tests {
         let m = RunMetrics::from_virtual(
             ThreadStats::default(),
             1,
-            ExecStages::default(),
+            Counts::default(),
             0,
             &CostModel::default(),
             LogHistogram::new(),
@@ -150,17 +156,13 @@ mod tests {
 
     #[test]
     fn mops_unit() {
-        let a = ThreadStats {
-            ops: 5_000_000,
-            ..Default::default()
-        };
         // One virtual second: as many cycles as the clock ticks in one.
         let cost = CostModel::default();
         let second = cost.freq_hz as u64;
         let m = RunMetrics::from_virtual(
-            a,
+            ThreadStats::default(),
             1,
-            ExecStages::default(),
+            ops(5_000_000),
             second,
             &cost,
             LogHistogram::new(),
@@ -174,12 +176,9 @@ mod tests {
         for v in [100u64, 200, 400, 100_000] {
             h.record(v);
         }
-        let a = ThreadStats {
-            ops: 4,
-            ..Default::default()
-        };
         let cost = CostModel::default();
-        let m = RunMetrics::from_virtual(a, 1, ExecStages::default(), 1_150_000_000, &cost, h);
+        let m =
+            RunMetrics::from_virtual(ThreadStats::default(), 1, ops(4), 1_150_000_000, &cost, h);
         assert_eq!(m.latency.count(), 4);
         let (p50, p99, p999) = (
             m.latency.quantile(0.5),
@@ -197,7 +196,6 @@ mod tests {
         // higher than the naive makespan-only number.
         let cost = CostModel::default();
         let mk = |start: u64| ThreadStats {
-            ops: 1_000,
             measure_start_cycles: Some(start),
             ..Default::default()
         };
@@ -205,18 +203,14 @@ mod tests {
             RunMetrics::from_virtual(
                 merged(threads),
                 threads.len(),
-                ExecStages::default(),
+                ops(1_000 * threads.len() as u64),
                 2_300_000,
                 &cost,
                 LogHistogram::new(),
             )
         };
         let warmed = run(&[mk(400_000), mk(500_000)]);
-        let unwarmed = ThreadStats {
-            ops: 1_000,
-            ..Default::default()
-        };
-        let naive = run(&[unwarmed.clone(), unwarmed]);
+        let naive = run(&[ThreadStats::default(), ThreadStats::default()]);
         assert_eq!(
             warmed.stats.measure_start_cycles,
             Some(400_000),

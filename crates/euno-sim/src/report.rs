@@ -17,9 +17,9 @@
 
 use std::path::{Path, PathBuf};
 
-use euno_htm::{AbortClass, AbortCounts, CostModel};
+use euno_htm::{AbortClass, CostModel};
 use euno_metrics::{
-    adaptation_lags, approx_quantile_from_buckets, Counter, Gauge, LogHistogram, TimeSeries,
+    adaptation_lags, approx_quantile_from_buckets, Counter, Counts, Gauge, LogHistogram, TimeSeries,
 };
 use euno_trace::{LeafCounters, LeafProfile};
 use euno_workloads::{KeyDistribution, WorkloadSpec};
@@ -33,7 +33,7 @@ pub use euno_trace::Json;
 /// v2: three-path executor — three `stages` keys and one rate for its
 /// footprint-locked third path.
 /// v3: `euno-metrics` — stage counts now come from the always-on metric
-/// registry ([`RunMetrics::stages`]); metrics gained an optional
+/// registry ([`RunMetrics::counts`]); metrics gained an optional
 /// `timeseries` section (Δ-tick sampler windows, CCM flip events and
 /// adaptation lags) validated when present.
 /// v4: `euno-serve` — metrics gained an optional `serve` section
@@ -154,13 +154,13 @@ fn cost_json(c: &CostModel) -> Json {
     ])
 }
 
-fn aborts_json(a: &AbortCounts, ops: u64) -> Json {
+fn aborts_json(a: &Counts, ops: u64) -> Json {
     let ops = ops.max(1) as f64;
     let by_class = AbortClass::ALL.map(|c| (c.name().into(), Json::u64(a[c])));
     let mut fields = Vec::from(by_class);
     fields.extend([
-        ("total".into(), Json::u64(a.total())),
-        ("per_op".into(), Json::Num(a.total() as f64 / ops)),
+        ("total".into(), Json::u64(a.aborts())),
+        ("per_op".into(), Json::Num(a.aborts() as f64 / ops)),
         (
             "leaf_level_conflicts".into(),
             Json::u64(a.leaf_level_conflicts()),
@@ -179,16 +179,17 @@ fn buckets_json(h: &LogHistogram) -> Json {
 /// the memory audit) can embed metrics into their own documents.
 pub fn metrics_json(m: &RunMetrics) -> Json {
     let s = &m.stats;
-    let st = &m.stages;
+    let c = &m.counts;
     let lat = &m.latency;
-    let attempts = st.attempts.max(1) as f64;
+    let attempts = c[Counter::Attempts].max(1) as f64;
+    let count = |k: Counter| Json::u64(c[k]);
     let mut fields = vec![
         ("threads".into(), Json::u64(m.threads as u64)),
         ("total_ops".into(), Json::u64(m.total_ops)),
         ("elapsed_secs".into(), Json::Num(m.elapsed_secs)),
         ("throughput".into(), Json::Num(m.throughput)),
         ("throughput_mops".into(), Json::Num(m.mops())),
-        ("aborts".into(), aborts_json(&m.stats.aborts, m.total_ops)),
+        ("aborts".into(), aborts_json(c, m.total_ops)),
         ("aborts_per_op".into(), Json::Num(m.aborts_per_op)),
         (
             "wasted_cycle_fraction".into(),
@@ -198,22 +199,22 @@ pub fn metrics_json(m: &RunMetrics) -> Json {
         ("fallbacks_per_op".into(), Json::Num(m.fallbacks_per_op)),
         (
             "fallback_rate".into(),
-            Json::Num(st.fallbacks as f64 / attempts),
+            Json::Num(c[Counter::Fallbacks] as f64 / attempts),
         ),
         (
             "stages".into(),
             Json::Obj(vec![
-                ("attempts".into(), Json::u64(st.attempts)),
-                ("commits".into(), Json::u64(st.commits)),
-                ("fallbacks".into(), Json::u64(st.fallbacks)),
-                ("backoffs".into(), Json::u64(st.backoffs)),
+                ("attempts".into(), count(Counter::Attempts)),
+                ("commits".into(), count(Counter::Commits)),
+                ("fallbacks".into(), count(Counter::Fallbacks)),
+                ("backoffs".into(), count(Counter::Backoffs)),
                 ("cycles_backoff".into(), Json::u64(s.cycles_backoff)),
                 ("cycles_lock_wait".into(), Json::u64(s.cycles_lock_wait)),
                 (
                     "cycles_fallback_wait".into(),
                     Json::u64(s.cycles_fallback_wait),
                 ),
-                ("ccm_bypass_flips".into(), Json::u64(st.ccm_bypass_flips)),
+                ("ccm_bypass_flips".into(), count(Counter::CcmBypassFlips)),
                 ("optimistic_retries".into(), Json::u64(s.optimistic_retries)),
                 ("cycles_total".into(), Json::u64(s.cycles_total)),
                 ("cycles_wasted".into(), Json::u64(s.cycles_wasted)),
@@ -711,7 +712,7 @@ fn validate_profile(profile: &Json, at: &str) -> Result<(), String> {
 mod tests {
     use super::*;
     use euno_htm::ThreadStats;
-    use euno_metrics::{ExecStages, FlipEvent, FlipKind, LogHistogram, Registry};
+    use euno_metrics::{FlipEvent, FlipKind, LogHistogram, Registry};
 
     fn sample_metrics() -> RunMetrics {
         let mut hist = LogHistogram::new();
@@ -719,20 +720,18 @@ mod tests {
             hist.record(v);
         }
         let t = ThreadStats {
-            ops: 4,
             cycles_backoff: 80,
             cycles_total: 50_000,
             measure_start_cycles: Some(1_000),
             ..Default::default()
         };
-        let stages = ExecStages {
-            attempts: 6,
-            commits: 4,
-            backoffs: 2,
-            ..Default::default()
-        };
+        let mut counts = Counts::default();
+        counts[Counter::Ops] = 4;
+        counts[Counter::Attempts] = 6;
+        counts[Counter::Commits] = 4;
+        counts[Counter::Backoffs] = 2;
         // 1 ms of virtual time past the warm-up mark.
-        RunMetrics::from_virtual(t, 1, stages, 2_301_000, &CostModel::default(), hist)
+        RunMetrics::from_virtual(t, 1, counts, 2_301_000, &CostModel::default(), hist)
     }
 
     fn sample_report() -> RunReport {

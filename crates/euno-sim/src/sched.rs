@@ -19,13 +19,14 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use euno_htm::{Mode, Runtime, ThreadCtx, ThreadStats};
-use euno_metrics::{sample_due, Counter, ExecStages, LogHistogram, TimeSeries};
+use euno_metrics::{sample_due, Counter, Counts, LogHistogram, TimeSeries};
 use euno_trace::{EventKind, ThreadTrace, TraceBuf};
 
 use crate::metrics::RunMetrics;
 
-/// A per-thread operation driver: run ONE operation; return `false` when
-/// the thread has no more work.
+/// A per-thread operation driver: run ONE operation, counting it with
+/// `ctx.metric_add(Counter::Ops, 1)` if it is to be measured; return
+/// `false` when the thread has no more work.
 pub type Driver<'a> = Box<dyn FnMut(&mut ThreadCtx) -> bool + 'a>;
 
 /// Builder/executor for one virtual-time run.
@@ -97,7 +98,6 @@ impl<'a> VirtualScheduler<'a> {
 
         let mut events: u64 = 0;
         let mut makespan: u64 = 0;
-        let mut latency = LogHistogram::new();
         let mut series = self
             .sampling
             .map(|delta| TimeSeries::new(delta, TimeSeries::DEFAULT_CAPACITY));
@@ -119,13 +119,12 @@ impl<'a> VirtualScheduler<'a> {
             let (ctx, driver) = &mut self.threads[i];
             debug_assert_eq!(ctx.clock, start);
             ctx.trace(EventKind::SchedStep { clock: start });
-            let ops_before = ctx.stats.ops;
+            let ops_before = ctx.metric(Counter::Ops);
             let more = driver(ctx);
-            if ctx.stats.ops > ops_before {
-                // One event = one operation: its latency is the clock span
-                // (includes retries, lock waits, fallback serialization).
-                latency.record(ctx.clock - start);
-                ctx.metric_add(Counter::Ops, ctx.stats.ops - ops_before);
+            if ctx.metric(Counter::Ops) > ops_before {
+                // The driver counted an op: its latency is the event's
+                // clock span (includes retries, lock waits, fallback
+                // serialization).
                 ctx.metric_record_latency(ctx.clock - start);
             }
             makespan = makespan.max(ctx.clock);
@@ -137,17 +136,19 @@ impl<'a> VirtualScheduler<'a> {
         }
 
         let mut traces: Vec<ThreadTrace> = Vec::new();
-        // Stage counts come from the scheduler's own thread shards (never
-        // registry totals, which could include contexts other callers
-        // registered on the same runtime).
-        let mut stages = ExecStages::default();
+        // Counts and latencies come from the scheduler's own thread shards
+        // (never registry totals, which could include contexts other
+        // callers registered on the same runtime).
+        let mut counts = Counts::default();
+        let mut latency = LogHistogram::new();
         let mut stats = ThreadStats::default();
         for (ctx, _) in &mut self.threads {
             ctx.finish();
             if let Some(buf) = ctx.take_tracer() {
                 traces.push(buf.into_thread_trace());
             }
-            stages.merge(&ctx.exec_stages());
+            counts.merge(&ctx.counts());
+            latency.merge(&ctx.latency());
             stats.merge(&ctx.stats);
         }
         if let Some(ts) = series.as_mut() {
@@ -159,7 +160,7 @@ impl<'a> VirtualScheduler<'a> {
         let mut m = RunMetrics::from_virtual(
             stats,
             self.threads.len(),
-            stages,
+            counts,
             makespan,
             &self.rt.cost,
             latency,
@@ -202,7 +203,7 @@ mod tests {
                 let v = tx.read(&self.cells[i].0)?;
                 tx.write(&self.cells[i].0, v + 1)
             });
-            ctx.stats.ops += 1;
+            ctx.metric_add(Counter::Ops, 1);
         }
     }
 
@@ -244,6 +245,35 @@ mod tests {
     }
 
     #[test]
+    fn an_op_counted_on_the_shard_alone_is_measured() {
+        // The scheduler sees an op end through `Counter::Ops` and nothing
+        // else: a driver that only charges cycles and bumps that counter
+        // gets every op counted, in the report and the registry, with one
+        // latency each.
+        let rt = Runtime::new_virtual();
+        let mut sched = VirtualScheduler::new(Arc::clone(&rt));
+        for t in 0..3u64 {
+            let mut left = 40 + t;
+            sched.add_thread(
+                t,
+                Box::new(move |ctx| {
+                    ctx.charge(100 + t);
+                    ctx.metric_add(Counter::Ops, 1);
+                    left -= 1;
+                    left > 0
+                }),
+            );
+        }
+        let m = sched.run();
+        let ops = 40 + 41 + 42;
+        assert_eq!(m.total_ops, ops);
+        assert_eq!(m.counts[Counter::Ops], ops);
+        assert_eq!(rt.metrics().total(Counter::Ops), ops);
+        assert_eq!(m.latency.count(), ops);
+        assert_eq!(m.latency.max(), 102);
+    }
+
+    #[test]
     fn hot_cell_causes_aborts_cold_cells_do_not() {
         let (hot, _) = run_once(8, 200, true, 2);
         let (cold, _) = run_once(8, 200, false, 2);
@@ -263,7 +293,7 @@ mod tests {
         assert_eq!(va, vb);
         assert_eq!(a.total_ops, b.total_ops);
         assert_eq!(a.stats.cycles_total, b.stats.cycles_total);
-        assert_eq!(a.stats.aborts.total(), b.stats.aborts.total());
+        assert_eq!(a.counts, b.counts);
         assert_eq!(a.elapsed_secs, b.elapsed_secs);
     }
 
@@ -292,7 +322,7 @@ mod tests {
                 );
             }
             let m = sched.run();
-            m.stats.cycles_total ^ m.stats.aborts.total()
+            m.stats.cycles_total ^ m.counts.aborts()
         }
         assert_ne!(run_rng(7), run_rng(8));
     }

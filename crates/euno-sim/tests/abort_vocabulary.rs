@@ -1,19 +1,19 @@
 //! The abort taxonomy is defined once, as `euno_metrics::AbortClass`, and
 //! every telemetry channel files an abort under the same class and name:
-//! `AbortCause::class`, the `AbortCounts` slot, the `ABORTS_HTM` shard
-//! counter, the run report's `aborts` key and the Chrome trace's `cause`.
+//! `AbortCause::class`, the `ABORTS_HTM` shard counter, the run report's
+//! `aborts` key and the Chrome trace's `cause`.
 
-use euno_htm::euno_metrics::{AbortClass, ExecStages, LogHistogram, ABORTS_HTM};
+use euno_htm::euno_metrics::{AbortClass, Counts, LogHistogram, ABORTS_HTM};
 use euno_htm::{
     AbortCause, ConflictInfo, CostModel, LineId, RetryPolicy, Runtime, ThreadStats, TxCell,
 };
 use euno_sim::report::metrics_json;
 use euno_sim::{chrome_trace, Json, RunMetrics, TraceBuf};
 
-/// The run report's `aborts` section for one thread's stats.
-fn report_aborts(stats: ThreadStats) -> Json {
+/// The run report's `aborts` section for one thread's counts.
+fn report_aborts(counts: Counts) -> Json {
     let (cost, hist) = (CostModel::default(), LogHistogram::new());
-    let m = RunMetrics::from_virtual(stats, 1, ExecStages::default(), 1, &cost, hist);
+    let m = RunMetrics::from_virtual(ThreadStats::default(), 1, counts, 1, &cost, hist);
     metrics_json(&m)
         .get("aborts")
         .cloned()
@@ -47,13 +47,13 @@ fn abort_vocabulary_lines_up() {
     );
     for cause in causes {
         let class = cause.class();
-        let mut stats = ThreadStats::default();
-        stats.aborts.record(cause);
-        assert_eq!((stats.aborts[class], stats.aborts.total()), (1, 1));
+        let mut counts = Counts::default();
+        counts[ABORTS_HTM[class.index()]] += 1;
+        assert_eq!((counts[class], counts.aborts()), (1, 1));
         let counter = ABORTS_HTM[class.index()].name();
         let bucket = counter.strip_prefix("aborts_htm_").unwrap();
         assert!(class.name().contains(bucket), "{counter} counts {class:?}");
-        let aborts = report_aborts(stats);
+        let aborts = report_aborts(counts);
         for other in AbortClass::ALL {
             let n = aborts.get(other.name()).and_then(Json::as_u64);
             assert_eq!(n, Some(u64::from(other == class)), "{cause:?}");
@@ -86,7 +86,7 @@ fn abort_vocabulary_lines_up() {
     let explicit = AbortClass::Explicit;
     assert_eq!(causes, [explicit.name()]);
     assert_eq!(ctx.metric(ABORTS_HTM[explicit.index()]), 1);
-    let reported = report_aborts(ctx.stats.clone())
+    let reported = report_aborts(ctx.counts())
         .get(explicit.name())
         .and_then(Json::as_u64);
     assert_eq!(reported, Some(1));

@@ -167,7 +167,7 @@ fn virtual_harness_is_deterministic_end_to_end() {
         (
             m.total_ops,
             m.stats.cycles_total,
-            m.stats.aborts.total(),
+            m.counts.aborts(),
             m.latency.quantile(0.99),
             m.elapsed_secs.to_bits(),
         )
@@ -190,7 +190,7 @@ fn hot_zipfian_produces_contention_in_the_toy() {
     };
     let m = run_virtual(&map, &rt, &toy_spec(), &cfg);
     assert!(
-        m.stats.aborts.total() > 0,
+        m.counts.aborts() > 0,
         "16 threads on 512 hot keys in one table must conflict"
     );
     // Tail latency shows the convoys the mean hides.
@@ -222,7 +222,7 @@ fn tracing_does_not_perturb_the_virtual_schedule() {
     let traced = run(4096);
     assert_eq!(plain.total_ops, traced.total_ops);
     assert_eq!(plain.stats.cycles_total, traced.stats.cycles_total);
-    assert_eq!(plain.stats.aborts.total(), traced.stats.aborts.total());
+    assert_eq!(plain.counts.aborts(), traced.counts.aborts());
     assert_eq!(plain.elapsed_secs.to_bits(), traced.elapsed_secs.to_bits());
     assert_eq!(
         plain.latency.quantile(0.999),
@@ -264,7 +264,7 @@ fn an_aborting_warm_up_op_leaves_no_abort_behind() {
         }
     });
     assert_eq!(cell.load_plain(), 6, "every warm-up op ran");
-    assert_eq!(m.stats.aborts.total(), 0);
+    assert_eq!(m.counts.aborts(), 0);
     let totals = rt.metrics().totals();
     assert_eq!(ABORTS_HTM.map(|c| totals[c.index()]), [0; ABORT_BUCKETS]);
 }

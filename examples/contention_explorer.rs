@@ -101,27 +101,27 @@ fn main() {
     println!("aborts/op       {:.4}", m.aborts_per_op);
     println!(
         "  true same-record    {:>10}",
-        m.stats.aborts[AbortClass::TrueSameRecord]
+        m.counts[AbortClass::TrueSameRecord]
     );
     println!(
         "  false diff-record   {:>10}",
-        m.stats.aborts[AbortClass::FalseDifferentRecord]
+        m.counts[AbortClass::FalseDifferentRecord]
     );
     println!(
         "  false metadata      {:>10}",
-        m.stats.aborts[AbortClass::FalseMetadata]
+        m.counts[AbortClass::FalseMetadata]
     );
     println!(
         "  false structure     {:>10}",
-        m.stats.aborts[AbortClass::FalseStructure]
+        m.counts[AbortClass::FalseStructure]
     );
     println!(
         "  capacity/spurious   {:>10}",
-        m.stats.aborts[AbortClass::Capacity] + m.stats.aborts[AbortClass::Spurious]
+        m.counts[AbortClass::Capacity] + m.counts[AbortClass::Spurious]
     );
     println!(
         "  fallback-locked     {:>10}",
-        m.stats.aborts[AbortClass::FallbackLocked]
+        m.counts[AbortClass::FallbackLocked]
     );
     println!("wasted cycles   {:.1}%", 100.0 * m.wasted_cycle_fraction);
     println!("accesses/op     {:.1}", m.accesses_per_op);

@@ -17,6 +17,7 @@
 use std::io::{self, BufRead, IsTerminal, Write};
 use std::sync::Arc;
 
+use eunomia::htm::euno_metrics::Counter;
 use eunomia::prelude::*;
 
 fn main() {
@@ -40,7 +41,13 @@ fn main() {
             Err(_) => break,
         };
         let mut parts = line.split_whitespace();
-        let reply = match parts.next() {
+        let cmd = parts.next();
+        if matches!(cmd, Some("put" | "get" | "del" | "scan")) {
+            // A driver counts the operations it serves on its thread's
+            // metric shard, where the engine keeps every other count.
+            ctx.metric_add(Counter::Ops, 1);
+        }
+        let reply = match cmd {
             Some("put") => match (parts.next(), parts.next()) {
                 (Some(k), Some(v)) => match (k.parse(), v.parse()) {
                     (Ok(k), Ok(v)) => match tree.put(&mut ctx, k, v) {
@@ -80,13 +87,13 @@ fn main() {
                 _ => "ERR scan <from> <n>".into(),
             },
             Some("stats") => {
-                let stages = ctx.exec_stages();
+                let counts = ctx.counts();
                 format!(
                     "ops={} commits={} aborts={} fallbacks={} mem={}B",
-                    ctx.stats.ops,
-                    stages.commits,
-                    ctx.stats.aborts.total(),
-                    stages.fallbacks,
+                    counts[Counter::Ops],
+                    counts[Counter::Commits],
+                    counts.aborts(),
+                    counts[Counter::Fallbacks],
                     tree.memory().total_live(),
                 )
             }

@@ -7,6 +7,7 @@
 
 use std::sync::Arc;
 
+use eunomia::htm::euno_metrics::Counter;
 use eunomia::prelude::*;
 
 fn main() {
@@ -34,15 +35,16 @@ fn main() {
     println!("scan from 5000: {out:?}");
     assert_eq!(out[0], (5_000, 5_000 * 5_000));
 
-    // The engine accounts everything the paper measures; the episode
-    // stage counts live in the always-on metrics registry.
-    let stages = ctx.exec_stages();
+    // The engine accounts everything the paper measures: every count
+    // (commits, aborts by class, fallbacks, …) on the thread's shard of
+    // the always-on metrics registry, the cycle books in `ctx.stats`.
+    let commits = ctx.metric(Counter::Commits);
     println!(
-        "ops={} htm-commits={} aborts/op={:.4} mem-accesses/op={:.1} virtual-cycles={}",
-        ctx.stats.ops + 10_003, // puts/gets above don't bump ops by themselves
-        stages.commits,
-        ctx.stats.aborts_per_op(),
-        ctx.stats.mem_accesses as f64 / stages.commits.max(1) as f64,
+        "htm-commits={} aborts={} fallbacks={} mem-accesses/commit={:.1} virtual-cycles={}",
+        commits,
+        ctx.counts().aborts(),
+        ctx.metric(Counter::Fallbacks),
+        ctx.stats.mem_accesses as f64 / commits.max(1) as f64,
         ctx.clock,
     );
     let mem = tree.memory();

@@ -125,6 +125,21 @@ SRV=crates/euno-serve/src/server.rs
     || { echo "held-names: snapshot() no longer sets batch_shrinks to 0"; exit 1; }
 grep -qE "$SHRINKS" benchmark/src/serve.rs || ! grep -qiE "$SHRINKS" "$SRV" \
     || { echo "held-names: benchmark/ stopped reading batch_shrinks; delete it from ServeSnapshot"; exit 1; }
+# `ThreadStats::ops` and `ThreadStats::aborts` outlived their readers the
+# same way: every count a run reports is on the thread's metric shard
+# (DESIGN.md §14), and only the frozen benchmark still writes `stats.ops`
+# and reads `stats.aborts.total()`.  No `stats.ops` anywhere else,
+# `stats.aborts` only in the executor's one `record` line, and neither may
+# outlive the benchmark's use.
+! grep -rnE 'stats\.ops\b' crates src tests examples --include='*.rs' \
+    || { echo "held-names: stats.ops is named outside benchmark/ (count ops with Counter::Ops)"; exit 1; }
+! grep -rnE 'stats\.aborts\b' crates src tests examples --include='*.rs' \
+    | grep -vE '^crates/euno-htm/src/exec\.rs:[0-9]+: +ctx\.stats\.aborts\.record\(cause\);$' \
+    || { echo "held-names: stats.aborts is named outside exec.rs's record line (read the shard's counts)"; exit 1; }
+for field in ops aborts; do
+    grep -rqE "stats\.$field\b" benchmark/src \
+        || { echo "held-names: benchmark/ stopped naming stats.$field; delete it from ThreadStats"; exit 1; }
+done
 echo "held-names (vestigial counters and fields unused, and still needed) OK"
 
 # One copy: the B+tree's sequential phases are written once, in

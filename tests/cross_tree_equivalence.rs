@@ -315,11 +315,12 @@ fn stress_oracle_passes_every_tree_on_rtm() {
     assert_eq!(reports.len(), 5);
     for r in &reports {
         println!(
-            "{}: {:?}, paths h/f {:?}, aborts {:?}",
+            "{}: {:?}, paths h/f {:?}, aborts {} (conflicts {})",
             r.tree,
             r.verdict,
             r.path_split(),
-            r.stats.aborts
+            r.counts.aborts(),
+            r.counts.conflicts()
         );
         assert!(matches!(r.verdict, Verdict::Linearizable { .. }), "{r:?}");
         assert!(

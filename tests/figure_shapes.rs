@@ -65,11 +65,11 @@ fn htm_btree_collapses_past_theta_06() {
 fn abort_taxonomy_matches_paper_analysis() {
     let (rt, tree) = fresh(HtmBTree::<16>::new);
     let m = measure(&tree, &rt, 0.9, 16);
-    let conflicts = m.stats.aborts.conflicts().max(1) as f64;
-    let false_frac = (m.stats.aborts[AbortClass::FalseDifferentRecord]
-        + m.stats.aborts[AbortClass::FalseMetadata]) as f64
+    let conflicts = m.counts.conflicts().max(1) as f64;
+    let false_frac = (m.counts[AbortClass::FalseDifferentRecord]
+        + m.counts[AbortClass::FalseMetadata]) as f64
         / conflicts;
-    let leaf_frac = m.stats.aborts.leaf_level_conflicts() as f64 / conflicts;
+    let leaf_frac = m.counts.leaf_level_conflicts() as f64 / conflicts;
     assert!(
         false_frac > 0.5,
         "false conflicts must dominate, got {false_frac:.2}"
@@ -88,7 +88,7 @@ fn abort_taxonomy_matches_paper_analysis() {
         "contention must burn a large cycle share under θ=0.9, got {lost:.2}"
     );
     assert!(
-        m.stats.aborts[AbortClass::TrueSameRecord] > 0,
+        m.counts[AbortClass::TrueSameRecord] > 0,
         "true conflicts must exist under a hot zipfian"
     );
 }
@@ -287,7 +287,7 @@ fn virtual_runs_are_deterministic() {
         (
             m.total_ops,
             m.stats.cycles_total,
-            m.stats.aborts.total(),
+            m.counts.aborts(),
             m.stats.mem_accesses,
         )
     };
