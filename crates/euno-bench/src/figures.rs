@@ -412,9 +412,7 @@ fn fig14(fig: &Figure, cli: &Cli) -> Vec<Point> {
     let cost = CostModel::default();
     let calib = rotating(System::EunoBTree, &spec, &cfg, u64::MAX);
     // The calibration run's makespan in cycles, warm-up included.
-    let makespan = (calib.elapsed_secs / cost.cycles_to_secs(1)).round() as u64
-        + calib.stats.measure_start_cycles.unwrap_or(0);
-    let period = (makespan / ROTATIONS).max(1);
+    let period = (calib.window.end / ROTATIONS).max(1);
     // ~8 samples per rotation span, in the default ring (256): the
     // baseline's timeline is several times longer, and must fit too.
     cfg.sample_every = (period / 8).max(1);

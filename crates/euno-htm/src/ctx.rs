@@ -119,12 +119,6 @@ impl EpisodeState {
     }
 }
 
-/// A thread's telemetry at one instant (see [`ThreadCtx::metrics_mark`]).
-pub struct MetricsMark {
-    stats: ThreadStats,
-    shard: euno_metrics::ShardMark,
-}
-
 /// Per-thread execution handle. Create via [`Runtime::thread`].
 pub struct ThreadCtx {
     pub(crate) rt: Arc<Runtime>,
@@ -259,23 +253,6 @@ impl ThreadCtx {
     /// This thread's shard histogram (see [`ThreadCtx::metric_record_latency`]).
     pub fn latency(&self) -> euno_metrics::LogHistogram {
         self.shard.histogram()
-    }
-
-    /// Snapshot this thread's telemetry — its [`ThreadStats`] and its
-    /// shard's counters together — so a warm-up span can be rolled back
-    /// with [`ThreadCtx::metrics_restore`].
-    pub fn metrics_mark(&self) -> MetricsMark {
-        MetricsMark {
-            stats: self.stats.clone(),
-            shard: self.shard.mark(),
-        }
-    }
-
-    /// Roll `stats` and the shard's counters back to a
-    /// [`ThreadCtx::metrics_mark`].
-    pub fn metrics_restore(&mut self, mark: MetricsMark) {
-        self.stats = mark.stats;
-        self.shard.restore(&mark.shard);
     }
 
     /// Record one CCM bypass-state flip: directional counters on the shard

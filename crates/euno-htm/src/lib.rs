@@ -74,7 +74,7 @@ pub use abort::{classify_conflict, AbortCause, ConflictInfo, TxResult};
 pub use arena::{Arena, TransientBytes};
 pub use bptree::{Access, Guard, IndexNode, NodeArenas, NodeRef, ParentLinked, SideBlock};
 pub use cost::CostModel;
-pub use ctx::{MetricsMark, ThreadCtx, Tx};
+pub use ctx::{ThreadCtx, Tx};
 pub use epoch::{CollectOutcome, Collector, Participant};
 pub use euno_metrics::AbortClass;
 pub use exec::{ExecOutcome, Path};

@@ -424,6 +424,27 @@ mod tests {
     }
 
     #[test]
+    fn a_record_that_starts_after_the_checker_ends_still_collides() {
+        // DESIGN.md §9, rule 1: the check tests only that a record ends
+        // after the checking episode starts. Here the record runs at
+        // [500, 600), wholly after a reader that runs at [50, 100), yet
+        // it ran first in the serial order, and the window is the only
+        // validation a virtual episode gets, so the reader aborts.
+        let rt = Runtime::new_virtual();
+        rt.virt_commit(EpisodeRecord {
+            start: 500,
+            end: 600,
+            thread: 2,
+            op_key: None,
+            reads: &[],
+            writes: &[LineId(20)],
+        });
+        let r: LineSet = [LineId(20)].into_iter().collect();
+        let c = rt.virt_check(50, &r, Some(&LineSet::new()), None);
+        assert_eq!(c.map(|c| c.other_thread), Some(Some(2)));
+    }
+
+    #[test]
     fn writer_collides_with_committed_reader() {
         // TSX aborts a running reader when a writer intrudes; in the model
         // the later-executing writer takes the abort instead — same count.

@@ -28,15 +28,9 @@ pub struct ThreadStats {
     /// Optimistic-episode retries (Masstree-style version-validation
     /// failures; not HTM aborts).
     pub optimistic_retries: u64,
-    /// Total virtual cycles consumed by this thread.
+    /// Total virtual cycles consumed by this thread: its clock, stamped by
+    /// [`ThreadCtx::finish`](crate::ThreadCtx::finish).
     pub cycles_total: u64,
-    /// Thread clock at the moment measurement began (after warmup); the
-    /// harness subtracts it from the makespan so warmup cycles don't
-    /// dilute throughput. `None` until the thread finishes warmup — the
-    /// merge below must not treat "never warmed up" as "warmed up at
-    /// cycle 0", or merging into a default accumulator silently disables
-    /// the warmup subtraction.
-    pub measure_start_cycles: Option<u64>,
     /// Virtual cycles consumed inside attempts that later aborted, plus
     /// rollback penalties and backoff — the "wasted work" of §2.3.
     pub cycles_wasted: u64,
@@ -79,13 +73,6 @@ impl ThreadStats {
     pub fn merge(&mut self, other: &ThreadStats) {
         self.optimistic_retries += other.optimistic_retries;
         self.cycles_total += other.cycles_total;
-        // Earliest measurement start among threads that *have* one. A bare
-        // `min` over plain u64s would let a `Default` accumulator (0) win
-        // and erase every real warmup mark.
-        self.measure_start_cycles = match (self.measure_start_cycles, other.measure_start_cycles) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
         self.cycles_wasted += other.cycles_wasted;
         self.cycles_lock_wait += other.cycles_lock_wait;
         self.cycles_backoff += other.cycles_backoff;
@@ -93,6 +80,23 @@ impl ThreadStats {
         self.mem_accesses += other.mem_accesses;
         self.cas_ops += other.cas_ops;
         self.episode_pool_allocs += other.episode_pool_allocs;
+    }
+
+    /// The books kept after `earlier`, a copy of these same books (each
+    /// only grows); the two held counts are left at 0.
+    pub fn since(&self, earlier: &ThreadStats) -> ThreadStats {
+        ThreadStats {
+            optimistic_retries: self.optimistic_retries - earlier.optimistic_retries,
+            cycles_total: self.cycles_total - earlier.cycles_total,
+            cycles_wasted: self.cycles_wasted - earlier.cycles_wasted,
+            cycles_lock_wait: self.cycles_lock_wait - earlier.cycles_lock_wait,
+            cycles_backoff: self.cycles_backoff - earlier.cycles_backoff,
+            cycles_fallback_wait: self.cycles_fallback_wait - earlier.cycles_fallback_wait,
+            mem_accesses: self.mem_accesses - earlier.mem_accesses,
+            cas_ops: self.cas_ops - earlier.cas_ops,
+            episode_pool_allocs: self.episode_pool_allocs - earlier.episode_pool_allocs,
+            ..ThreadStats::default()
+        }
     }
 
     /// Fraction of cycles burnt in aborted attempts (§2.3: >94 % at θ=0.9).
@@ -153,31 +157,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_into_default_keeps_measure_start() {
-        // Regression: `min(0, t)` used to pin the merged measure start to
-        // the Default accumulator's 0, disabling warmup subtraction.
-        let warmed = ThreadStats {
-            measure_start_cycles: Some(12_345),
-            ..Default::default()
-        };
-        let mut acc = ThreadStats::default();
-        acc.merge(&warmed);
-        assert_eq!(acc.measure_start_cycles, Some(12_345));
-
-        // Two warmed threads: earliest start wins.
-        let earlier = ThreadStats {
-            measure_start_cycles: Some(7_000),
-            ..Default::default()
-        };
-        acc.merge(&earlier);
-        assert_eq!(acc.measure_start_cycles, Some(7_000));
-
-        // Merging an un-warmed thread must not erase the mark.
-        acc.merge(&ThreadStats::default());
-        assert_eq!(acc.measure_start_cycles, Some(7_000));
-    }
-
-    #[test]
     fn merge_adds_stage_cycle_counters() {
         let mut a = ThreadStats::default();
         let b = ThreadStats {
@@ -189,6 +168,29 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.cycles_backoff, 240);
         assert_eq!(a.cycles_fallback_wait, 110);
+    }
+
+    #[test]
+    fn since_keeps_what_followed_the_mark() {
+        let mark = ThreadStats {
+            cycles_total: 4_000,
+            cycles_wasted: 300,
+            cas_ops: 9,
+            ..Default::default()
+        };
+        let mut end = mark.clone();
+        end.merge(&ThreadStats {
+            cycles_total: 6_000,
+            cycles_wasted: 1_000,
+            mem_accesses: 70,
+            ..Default::default()
+        });
+        let d = end.since(&mark);
+        assert_eq!(
+            (d.cycles_total, d.cycles_wasted, d.mem_accesses, d.cas_ops),
+            (6_000, 1_000, 70, 0)
+        );
+        assert!((d.wasted_cycle_fraction() - 1.0 / 6.0).abs() < 1e-12);
     }
 
     #[test]

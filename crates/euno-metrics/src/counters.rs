@@ -223,6 +223,12 @@ impl Counts {
         }
     }
 
+    /// What was counted after `earlier`, a reading of the same shards
+    /// (counters only grow).
+    pub fn since(&self, earlier: &Counts) -> Counts {
+        Counts(std::array::from_fn(|i| self.0[i] - earlier.0[i]))
+    }
+
     /// Aborts of every class.
     pub fn aborts(&self) -> u64 {
         AbortClass::ALL.iter().map(|&c| self[c]).sum()

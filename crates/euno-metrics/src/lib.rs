@@ -45,5 +45,5 @@ mod sample;
 pub use counters::*;
 pub use flip::{adaptation_lags, AdaptationLag, FlipEvent, FlipKind, FlipLog};
 pub use hist::{approx_quantile_from_buckets, LogHistogram};
-pub use registry::{Registry, ShardMark, ThreadShard};
+pub use registry::{Registry, ThreadShard};
 pub use sample::{sample_due, Snapshot, TimeSeries, Window};

@@ -10,11 +10,6 @@
 //! monotone, never-torn value per counter. Cross-counter consistency is
 //! *not* promised within a snapshot (a sampler may see a commit before
 //! its attempt); windows are therefore reported per-counter.
-//!
-//! **Rollback.** The warmup harness discards warmup operations by marking
-//! the thread's counters before each op and restoring them after it:
-//! [`ThreadShard::mark`] / [`ThreadShard::restore`] — a fixed-size copy,
-//! no allocation.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -33,14 +28,6 @@ pub struct ThreadShard {
     hist_count: AtomicU64,
     hist_sum: AtomicU64,
     hist_max: AtomicU64,
-}
-
-/// Saved shard state for warmup rollback (counters only: the harness
-/// never records latency for warmup operations, so the histogram needs no
-/// mark).
-#[derive(Clone)]
-pub struct ShardMark {
-    counters: [u64; Counter::COUNT],
 }
 
 impl ThreadShard {
@@ -116,20 +103,6 @@ impl ThreadShard {
             self.hist_max.load(Ordering::Relaxed),
         );
         h
-    }
-
-    /// Save counter state before a warmup op (fixed-size copy, no alloc).
-    pub fn mark(&self) -> ShardMark {
-        ShardMark {
-            counters: self.counter_values(),
-        }
-    }
-
-    /// Roll counters back to a [`mark`](ThreadShard::mark).
-    pub fn restore(&self, mark: &ShardMark) {
-        for (cell, &v) in self.counters.iter().zip(mark.counters.iter()) {
-            cell.store(v, Ordering::Relaxed);
-        }
     }
 
     fn reset(&self) {
@@ -324,19 +297,6 @@ mod tests {
         // Handles stay live after reset.
         a.add(Counter::Ops, 1);
         assert_eq!(reg.total(Counter::Ops), 1);
-    }
-
-    #[test]
-    fn mark_restore_rolls_back_counters() {
-        let reg = Registry::new();
-        let s = reg.register_shard();
-        s.add(Counter::Commits, 5);
-        let mark = s.mark();
-        s.add(Counter::Commits, 7);
-        s.add(Counter::Fallbacks, 1);
-        s.restore(&mark);
-        assert_eq!(s.get(Counter::Commits), 5);
-        assert_eq!(s.get(Counter::Fallbacks), 0);
     }
 
     #[test]

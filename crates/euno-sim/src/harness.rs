@@ -119,8 +119,10 @@ pub fn apply_op(
 /// running `cfg.warmup_ops` unmeasured, then `cfg.ops_per_thread` measured
 /// calls of the op closure `thread_ops(t)` builds for it (the closure
 /// counts each op in `Counter::Ops`), with the trace rings, sampler and
-/// hot-leaf profile `cfg` asks for. The driver loop under [`run_virtual`]
-/// and under every figure that composes its own operations.
+/// hot-leaf profile `cfg` asks for. A thread's warm-up ends in one mark
+/// ([`VirtualScheduler::set_warmup`]); the run reports what follows it.
+/// The driver loop under [`run_virtual`] and under every figure that
+/// composes its own operations.
 pub fn run_ops<'a, F: FnMut(&mut ThreadCtx) + 'a>(
     rt: &Arc<Runtime>,
     cfg: &RunConfig,
@@ -134,24 +136,11 @@ pub fn run_ops<'a, F: FnMut(&mut ThreadCtx) + 'a>(
     if cfg.sample_every > 0 {
         sched.set_sampling(cfg.sample_every);
     }
+    sched.set_warmup(cfg.warmup_ops);
     for t in 0..cfg.threads {
         let mut op = thread_ops(t);
-        let (mut warmup_left, mut left) = (cfg.warmup_ops, cfg.ops_per_thread);
+        let mut left = cfg.warmup_ops + cfg.ops_per_thread;
         let step = move |ctx: &mut ThreadCtx| {
-            if warmup_left > 0 {
-                // A warm-up op keeps its clock contribution (it shapes the
-                // schedule) while the thread's metric shard and `ctx.stats`
-                // are rolled back, so the measured metrics only cover
-                // steady state; the last one opens the measured span.
-                warmup_left -= 1;
-                let mark = ctx.metrics_mark();
-                op(ctx);
-                ctx.metrics_restore(mark);
-                if warmup_left == 0 {
-                    ctx.stats.measure_start_cycles = Some(ctx.clock);
-                }
-                return true;
-            }
             if left == 0 {
                 return false;
             }

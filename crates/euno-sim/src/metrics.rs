@@ -1,5 +1,7 @@
 //! Run-level metrics: what each paper figure plots.
 
+use std::ops::Range;
+
 use euno_htm::{CostModel, ThreadStats};
 use euno_metrics::{Counter, Counts, FlipEvent, LogHistogram, TimeSeries};
 use euno_trace::{LeafProfile, ThreadTrace};
@@ -11,20 +13,27 @@ pub struct RunMetrics {
     pub threads: usize,
     /// Completed operations across all threads.
     pub total_ops: u64,
-    /// Makespan: virtual seconds from the first measured op to the last.
+    /// The measured span in virtual cycles: from the earliest thread's
+    /// warm-up mark (0 when no thread warms up) to the makespan, when the
+    /// last op ends.
+    pub window: Range<u64>,
+    /// `window`'s length in virtual seconds.
     pub elapsed_secs: f64,
     /// `total_ops / elapsed_secs` — the y-axis of Figures 1, 8, 10-12.
     pub throughput: f64,
     /// `counts.aborts() / total_ops`; `counts[AbortClass]` breaks it down
     /// by cause — Figures 2 and 9.
     pub aborts_per_op: f64,
-    /// Fraction of cycles burnt in aborted attempts (§2.3).
+    /// Fraction of the measured cycles burnt in aborted attempts (§2.3):
+    /// `stats.cycles_wasted / stats.cycles_total`.
     pub wasted_cycle_fraction: f64,
     /// Mean instrumented memory accesses per op (instruction proxy, §5.2).
     pub accesses_per_op: f64,
     /// Fallback-path executions per op.
     pub fallbacks_per_op: f64,
-    /// The run's threads' cycle books and access proxies, merged.
+    /// The run's threads' cycle books and access proxies since their
+    /// warm-up marks, merged: `cycles_total` is the measured clock, summed
+    /// over the threads.
     pub stats: ThreadStats,
     /// Every count of the run — ops, stage counts, aborts by class —
     /// merged from the run's own `euno-metrics` thread shards.
@@ -47,26 +56,24 @@ pub struct RunMetrics {
 }
 
 impl RunMetrics {
-    /// Build from a run's merged stats and counts, its thread count and
-    /// its makespan in cycles (virtual mode). The measured span is the
-    /// makespan minus the earliest warm-up mark (cycle 0 when no thread
-    /// warmed up), so warm-up cycles never dilute throughput.
+    /// Build from a run's measured stats and counts, its thread count and
+    /// its measured span in cycles (virtual mode), so warm-up cycles
+    /// never dilute throughput.
     pub fn from_virtual(
         stats: ThreadStats,
         threads: usize,
         counts: Counts,
-        makespan_cycles: u64,
+        window: Range<u64>,
         cost: &CostModel,
         latency: LogHistogram,
     ) -> Self {
-        let measure_start = stats.measure_start_cycles.unwrap_or(0);
-        let span = makespan_cycles.saturating_sub(measure_start).max(1);
-        let elapsed_secs = cost.cycles_to_secs(span);
+        let elapsed_secs = cost.cycles_to_secs((window.end - window.start).max(1));
         let total_ops = counts[Counter::Ops];
         let ops = total_ops.max(1) as f64;
         RunMetrics {
             threads,
             total_ops,
+            window,
             elapsed_secs,
             throughput: total_ops as f64 / elapsed_secs,
             aborts_per_op: counts.aborts() as f64 / ops,
@@ -126,7 +133,7 @@ mod tests {
             merged(&[a, b]),
             2,
             counts,
-            2_300_000,
+            0..2_300_000,
             &cost,
             LogHistogram::new(),
         );
@@ -145,7 +152,7 @@ mod tests {
             ThreadStats::default(),
             1,
             Counts::default(),
-            0,
+            0..0,
             &CostModel::default(),
             LogHistogram::new(),
         );
@@ -163,7 +170,7 @@ mod tests {
             ThreadStats::default(),
             1,
             ops(5_000_000),
-            second,
+            0..second,
             &cost,
             LogHistogram::new(),
         );
@@ -177,8 +184,14 @@ mod tests {
             h.record(v);
         }
         let cost = CostModel::default();
-        let m =
-            RunMetrics::from_virtual(ThreadStats::default(), 1, ops(4), 1_150_000_000, &cost, h);
+        let m = RunMetrics::from_virtual(
+            ThreadStats::default(),
+            1,
+            ops(4),
+            0..1_150_000_000,
+            &cost,
+            h,
+        );
         assert_eq!(m.latency.count(), 4);
         let (p50, p99, p999) = (
             m.latency.quantile(0.5),
@@ -187,40 +200,5 @@ mod tests {
         );
         assert!(p50 <= p99 && p99 <= p999);
         assert_eq!(m.latency.max(), 100_000);
-    }
-
-    #[test]
-    fn warmup_subtraction_uses_earliest_real_mark() {
-        // Two warmed threads plus the makespan: the measured span is
-        // makespan − min(measure_start), so throughput must be strictly
-        // higher than the naive makespan-only number.
-        let cost = CostModel::default();
-        let mk = |start: u64| ThreadStats {
-            measure_start_cycles: Some(start),
-            ..Default::default()
-        };
-        let run = |threads: &[ThreadStats]| {
-            RunMetrics::from_virtual(
-                merged(threads),
-                threads.len(),
-                ops(1_000 * threads.len() as u64),
-                2_300_000,
-                &cost,
-                LogHistogram::new(),
-            )
-        };
-        let warmed = run(&[mk(400_000), mk(500_000)]);
-        let naive = run(&[ThreadStats::default(), ThreadStats::default()]);
-        assert_eq!(
-            warmed.stats.measure_start_cycles,
-            Some(400_000),
-            "merged stats must keep the warmup mark (regression: min-with-0 pinned it to 0)"
-        );
-        assert!(
-            warmed.throughput > naive.throughput * 1.15,
-            "warmup subtraction must change the throughput: {} vs {}",
-            warmed.throughput,
-            naive.throughput
-        );
     }
 }

@@ -218,13 +218,7 @@ pub fn metrics_json(m: &RunMetrics) -> Json {
                 ("optimistic_retries".into(), Json::u64(s.optimistic_retries)),
                 ("cycles_total".into(), Json::u64(s.cycles_total)),
                 ("cycles_wasted".into(), Json::u64(s.cycles_wasted)),
-                (
-                    "measure_start_cycles".into(),
-                    match s.measure_start_cycles {
-                        Some(v) => Json::u64(v),
-                        None => Json::Null,
-                    },
-                ),
+                ("measure_start_cycles".into(), Json::u64(m.window.start)),
                 ("mem_accesses".into(), Json::u64(s.mem_accesses)),
                 ("cas_ops".into(), Json::u64(s.cas_ops)),
             ]),
@@ -722,7 +716,6 @@ mod tests {
         let t = ThreadStats {
             cycles_backoff: 80,
             cycles_total: 50_000,
-            measure_start_cycles: Some(1_000),
             ..Default::default()
         };
         let mut counts = Counts::default();
@@ -731,7 +724,7 @@ mod tests {
         counts[Counter::Commits] = 4;
         counts[Counter::Backoffs] = 2;
         // 1 ms of virtual time past the warm-up mark.
-        RunMetrics::from_virtual(t, 1, counts, 2_301_000, &CostModel::default(), hist)
+        RunMetrics::from_virtual(t, 1, counts, 1_000..2_301_000, &CostModel::default(), hist)
     }
 
     fn sample_report() -> RunReport {

@@ -25,8 +25,8 @@ use euno_trace::{EventKind, ThreadTrace, TraceBuf};
 use crate::metrics::RunMetrics;
 
 /// A per-thread operation driver: run ONE operation, counting it with
-/// `ctx.metric_add(Counter::Ops, 1)` if it is to be measured; return
-/// `false` when the thread has no more work.
+/// `ctx.metric_add(Counter::Ops, 1)` (a measured op's latency is recorded
+/// only then); return `false` when the thread has no more work.
 pub type Driver<'a> = Box<dyn FnMut(&mut ThreadCtx) -> bool + 'a>;
 
 /// Builder/executor for one virtual-time run.
@@ -45,6 +45,8 @@ pub struct VirtualScheduler<'a> {
     /// [`RunMetrics::timeseries`]. Sampling charges no cycles and draws no
     /// randomness — the schedule is bit-identical with it on or off.
     sampling: Option<u64>,
+    /// Each thread's first this many driver calls are its warm-up.
+    warmup: u64,
 }
 
 impl<'a> VirtualScheduler<'a> {
@@ -60,6 +62,7 @@ impl<'a> VirtualScheduler<'a> {
             prune_every: 64,
             trace_capacity: None,
             sampling: None,
+            warmup: 0,
         }
     }
 
@@ -74,6 +77,13 @@ impl<'a> VirtualScheduler<'a> {
     /// [`RunMetrics::timeseries`]).
     pub fn set_sampling(&mut self, delta: u64) {
         self.sampling = Some(delta);
+    }
+
+    /// Make each thread's first `ops` driver calls its warm-up: they run
+    /// on the clock and shape the schedule, and the thread's mark, taken
+    /// when they end, opens its measured span (see [`RunMetrics`]).
+    pub fn set_warmup(&mut self, ops: u64) {
+        self.warmup = ops;
     }
 
     /// Register a logical thread with its own deterministic seed.
@@ -96,6 +106,12 @@ impl<'a> VirtualScheduler<'a> {
             heap.push(Reverse((ctx.clock, i)));
         }
 
+        let mut warm_left = vec![self.warmup; self.threads.len()];
+        // A thread's mark: its counts and cycle books when its warm-up
+        // ends. The run reports each thread's books at its end minus its
+        // mark, so a warm-up op keeps everything it did — clock, counts,
+        // cycle books — and none of it is measured.
+        let mut marks: Vec<Option<(Counts, ThreadStats)>> = vec![None; self.threads.len()];
         let mut events: u64 = 0;
         let mut makespan: u64 = 0;
         let mut series = self
@@ -118,13 +134,20 @@ impl<'a> VirtualScheduler<'a> {
             }
             let (ctx, driver) = &mut self.threads[i];
             debug_assert_eq!(ctx.clock, start);
+            if warm_left[i] == 0 && marks[i].is_none() {
+                ctx.finish(); // stamps the clock into the books
+                marks[i] = Some((ctx.counts(), ctx.stats.clone()));
+            }
             ctx.trace(EventKind::SchedStep { clock: start });
             let ops_before = ctx.metric(Counter::Ops);
             let more = driver(ctx);
-            if ctx.metric(Counter::Ops) > ops_before {
-                // The driver counted an op: its latency is the event's
-                // clock span (includes retries, lock waits, fallback
-                // serialization).
+            if warm_left[i] > 0 {
+                warm_left[i] -= 1;
+            } else if ctx.metric(Counter::Ops) > ops_before {
+                // The driver counted a measured op: its latency is the
+                // event's clock span (includes retries, lock waits,
+                // fallback serialization). A histogram's max cannot be
+                // subtracted at a mark, so a warm-up op records none.
                 ctx.metric_record_latency(ctx.clock - start);
             }
             makespan = makespan.max(ctx.clock);
@@ -142,14 +165,20 @@ impl<'a> VirtualScheduler<'a> {
         let mut counts = Counts::default();
         let mut latency = LogHistogram::new();
         let mut stats = ThreadStats::default();
-        for (ctx, _) in &mut self.threads {
+        // The measured span opens at the earliest mark; a thread that
+        // stopped before its mark measured nothing.
+        let mut measure_start = makespan;
+        for ((ctx, _), mark) in self.threads.iter_mut().zip(&marks) {
             ctx.finish();
             if let Some(buf) = ctx.take_tracer() {
                 traces.push(buf.into_thread_trace());
             }
-            counts.merge(&ctx.counts());
             latency.merge(&ctx.latency());
-            stats.merge(&ctx.stats);
+            if let Some((marked_counts, marked_stats)) = mark {
+                measure_start = measure_start.min(marked_stats.cycles_total);
+                counts.merge(&ctx.counts().since(marked_counts));
+                stats.merge(&ctx.stats.since(marked_stats));
+            }
         }
         if let Some(ts) = series.as_mut() {
             // Settle snapshot at the makespan so the series always closes
@@ -161,7 +190,7 @@ impl<'a> VirtualScheduler<'a> {
             stats,
             self.threads.len(),
             counts,
-            makespan,
+            measure_start..makespan,
             &self.rt.cost,
             latency,
         );
@@ -271,6 +300,35 @@ mod tests {
         assert_eq!(rt.metrics().total(Counter::Ops), ops);
         assert_eq!(m.latency.count(), ops);
         assert_eq!(m.latency.max(), 102);
+    }
+
+    #[test]
+    fn the_measured_span_opens_at_the_earliest_mark() {
+        // Two threads of two warm-up ops and three measured ones, at 100
+        // and 300 cycles an op: marks at cycles 200 and 600. Each thread
+        // keeps its warm-up on its shard; the run reports what followed
+        // its own mark, and its span opens at the earlier one.
+        let rt = Runtime::new_virtual();
+        let mut sched = VirtualScheduler::new(Arc::clone(&rt));
+        sched.set_warmup(2);
+        for cost in [100, 300] {
+            let mut left = 5;
+            sched.add_thread(
+                cost,
+                Box::new(move |ctx| {
+                    ctx.charge(cost);
+                    ctx.metric_add(Counter::Ops, 1);
+                    left -= 1;
+                    left > 0
+                }),
+            );
+        }
+        let m = sched.run();
+        assert_eq!(m.window, 200..1_500);
+        assert_eq!(m.total_ops, 6);
+        assert_eq!(rt.metrics().total(Counter::Ops), 10);
+        assert_eq!(m.stats.cycles_total, 300 + 900);
+        assert_eq!((m.latency.count(), m.latency.max()), (6, 300));
     }
 
     #[test]

@@ -13,7 +13,7 @@ use euno_sim::{chrome_trace, Json, RunMetrics, TraceBuf};
 /// The run report's `aborts` section for one thread's counts.
 fn report_aborts(counts: Counts) -> Json {
     let (cost, hist) = (CostModel::default(), LogHistogram::new());
-    let m = RunMetrics::from_virtual(ThreadStats::default(), 1, counts, 1, &cost, hist);
+    let m = RunMetrics::from_virtual(ThreadStats::default(), 1, counts, 0..1, &cost, hist);
     metrics_json(&m)
         .get("aborts")
         .cloned()

@@ -2,7 +2,7 @@
 //! metrics plumbing, latency collection and end-to-end determinism over a
 //! minimal `ConcurrentMap`.
 
-use euno_htm::euno_metrics::{ABORTS_HTM, ABORT_BUCKETS};
+use euno_htm::euno_metrics::ABORTS_HTM;
 use euno_htm::{ConcurrentMap, RetryPolicy, Runtime, ThreadCtx, TxCell};
 use euno_sim::{preload, run_ops, run_virtual, RunConfig};
 use euno_workloads::{KeyDistribution, OpMix, Preload, WorkloadSpec};
@@ -242,8 +242,9 @@ fn tracing_does_not_perturb_the_virtual_schedule() {
 
 #[test]
 fn an_aborting_warm_up_op_leaves_no_abort_behind() {
-    // Warm-up is rolled back through one mark that covers both stores: the
-    // thread's `ThreadStats` and its metric shard.
+    // A warm-up op keeps what it did — its aborts stay on the thread's
+    // shard — and the report, which takes each thread's books since the
+    // mark that ends its warm-up, counts none of them.
     let rt = Runtime::new_virtual();
     let (fb, cell) = (TxCell::new(0u64), TxCell::new(0u64));
     let cfg = RunConfig {
@@ -265,6 +266,7 @@ fn an_aborting_warm_up_op_leaves_no_abort_behind() {
     });
     assert_eq!(cell.load_plain(), 6, "every warm-up op ran");
     assert_eq!(m.counts.aborts(), 0);
+    assert_eq!((m.stats.cycles_wasted, m.stats.cycles_total), (0, 0));
     let totals = rt.metrics().totals();
-    assert_eq!(ABORTS_HTM.map(|c| totals[c.index()]), [0; ABORT_BUCKETS]);
+    assert_eq!(ABORTS_HTM.map(|c| totals[c.index()]).iter().sum::<u64>(), 6);
 }

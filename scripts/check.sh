@@ -39,8 +39,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 # with the first seven separators changes what a level costs.
 GOLDEN="$(sed -n 's/^const GOLDEN_DIGEST: &str = "\(.*\)";$/\1/p' \
     crates/euno-bench/tests/golden_determinism.rs)"
-[[ -n $GOLDEN ]] || { echo "golden digest constant not found"; exit 1; }
-echo "golden digest pinned at $GOLDEN"
+GOLDEN_DEFAULT="$(sed -n 's/^const GOLDEN_DEFAULT_DIGEST: &str = "\(.*\)";$/\1/p' \
+    crates/euno-bench/tests/golden_determinism.rs)"
+[[ -n $GOLDEN && -n $GOLDEN_DEFAULT ]] || { echo "golden digest constant not found"; exit 1; }
+echo "golden digest pinned at $GOLDEN (paper()) and $GOLDEN_DEFAULT (default())"
 cargo build --release
 cargo test -q
 
@@ -158,6 +160,11 @@ inserts="$(cat crates/*/src/*.rs | grep -c 'fn internal_insert' || true)"
 ! grep -rn 'codes::' crates/*/src || { echo "one-copy: trace code points are back"; exit 1; }
 [[ $(grep -rlF 'AbortCause::Capacity =>' crates/*/src) == crates/euno-htm/src/abort.rs ]] \
     || { echo "one-copy: an AbortCause mapping outside abort.rs"; exit 1; }
+# A run's measured window is each thread's books at its end minus one
+# mark taken when its warm-up ends (DESIGN.md §14): nothing rolls a
+# thread's books back.
+! grep -rnE 'metrics_restore|ShardMark' crates/*/src \
+    || { echo "one-copy: a warm-up rollback is back"; exit 1; }
 # One seqno writer and one fence writer (DESIGN.md §4.4, §4.8): a leaf's
 # six fence copies — an operation checks the one on its key's line — are
 # written in `EunoLeaf::set_fence`, and its two copies of `seqno` — a scan

@@ -263,6 +263,24 @@ fn adaptive_recovers_the_ccm_cost_at_low_skew() {
     );
 }
 
+/// Figure 13's top rung: `+Walk` — the library default,
+/// `EunoConfig::default()`, whose upper stage opens no episode — runs
+/// above `+Adaptive`, the paper's tree, at high and at low skew (recorded:
+/// 48.49 vs 34.99 M ops/s at θ = 0.9, 49.17 vs 37.24 at θ = 0.2).
+#[test]
+fn walk_rung_beats_adaptive_at_high_and_low_skew() {
+    for theta in [0.9, 0.2] {
+        let (rt, walk) = fresh(|rt| EunoBTreeDefault::with_config(rt, EunoConfig::default()));
+        let walk = measure(&walk, &rt, theta, 16).throughput;
+        let (rt, adaptive) = fresh(paper_euno);
+        let adaptive = measure(&adaptive, &rt, theta, 16).throughput;
+        assert!(
+            walk > adaptive,
+            "θ = {theta}: +Walk {walk:.0} not above +Adaptive {adaptive:.0}"
+        );
+    }
+}
+
 /// §5.7: the Eunomia auxiliaries cost little memory.
 #[test]
 fn memory_overhead_is_small() {
