@@ -110,7 +110,8 @@ const GOLDEN_DIGEST: &str = "c70b64efcdff6ba3";
 /// Expected digest of the same run of `System::EunoReadOpt` alone
 /// (`EunoConfig::default()`), normalised alike. It moves with what moves
 /// the benchmark's `virt-*` rows — the walk, the leaf hints, the
-/// contention splits — which `GOLDEN_DIGEST` does not see.
+/// contention splits — which `GOLDEN_DIGEST` does not see. With
+/// `GOLDEN_DUMP` set, its normalised text goes to `$GOLDEN_DUMP.default`.
 /// `9f81ebfa63481705` (was `989c2d70ab6fe197`) since the warm-up mark,
 /// for the same reason and in the same two lines (wasted share 0.0039 →
 /// 0.0049).
@@ -230,6 +231,9 @@ fn fixed_seed_run_reports_are_byte_identical_to_golden_digest() {
         extra: Vec::new(),
     });
     let text = normalized_report_text(&report);
+    if let Ok(dst) = std::env::var("GOLDEN_DUMP") {
+        std::fs::write(format!("{dst}.default"), &text).unwrap();
+    }
     let digest = format!("{:016x}", fnv1a64(text.as_bytes()));
     assert_eq!(
         digest, GOLDEN_DEFAULT_DIGEST,

@@ -11,6 +11,10 @@
 //! leaves, index nodes and node-table entries splits create — against
 //! 2.45 before that bookkeeping reused its buffers.
 //!
+//! The same preload pins its own charges: `reset_dynamics` discards them
+//! before any report or digest sees them, so nothing else would notice a
+//! change to what a preload costs on the virtual clock.
+//!
 //! Single `#[test]` on purpose: the allocation counter is process-global,
 //! so a concurrently scheduled second test would pollute the window.
 
@@ -20,6 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use euno_core::EunoBTreeDefault;
+use euno_htm::euno_metrics::{Counter, ABORTS_HTM};
 use euno_htm::{ConcurrentMap, Runtime};
 
 struct CountingAlloc;
@@ -59,6 +64,12 @@ static COUNTER: CountingAlloc = CountingAlloc;
 const PUTS: u64 = 60_000;
 const PRUNE_EVERY: u64 = 64;
 const BUDGET_PER_PUT: f64 = 0.25;
+/// The preload's clock, instrumented accesses, HTM attempts, commits,
+/// aborts and leaves, as the engine charged them when its contention model
+/// moved behind one surface (`euno_htm::virt`); a change that means to
+/// move no virtual cycle keeps every one.
+const CHARGED: (u64, u64, u64, u64, u64, usize) =
+    (24_319_127, 1_989_514, 66_681, 66_665, 16, 6_666);
 
 #[test]
 fn a_virtual_preload_stays_within_its_allocation_budget() {
@@ -84,4 +95,14 @@ fn a_virtual_preload_stays_within_its_allocation_budget() {
         per_put <= BUDGET_PER_PUT,
         "{per_put:.3} allocations a put, budget {BUDGET_PER_PUT}"
     );
+    let aborts = ABORTS_HTM.iter().map(|&c| ctx.metric(c)).sum();
+    let charged = (
+        ctx.clock,
+        ctx.stats.mem_accesses,
+        ctx.metric(Counter::Attempts),
+        ctx.metric(Counter::Commits),
+        aborts,
+        tree.stats().leaves,
+    );
+    assert_eq!(charged, CHARGED, "what the preload charged");
 }

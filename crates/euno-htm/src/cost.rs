@@ -14,6 +14,10 @@
 //! to hundreds, a transactional abort restores register state and refetches
 //! code, and `XBEGIN`/`XEND` cost a few tens of cycles each.
 
+use euno_trace::EpisodeKind;
+
+use crate::abort::AbortCause;
+
 /// Cycle charges for every instrumented event. All fields are public so
 /// experiments can explore sensitivity (see the ablation benches).
 #[derive(Clone, Debug)]
@@ -120,6 +124,28 @@ impl CostModel {
     #[inline]
     pub fn cycles_to_secs(&self, cycles: u64) -> f64 {
         cycles as f64 / self.freq_hz
+    }
+
+    /// One instrumented access: its cycles, and whether it ends the
+    /// transaction. Adding its line to the open episode's footprint
+    /// (`newly`) is a first touch, plain in an optimistic section; any
+    /// other access is a hit. A transaction whose sets have come to
+    /// `(reads, writes)` lines aborts once either passes its capacity.
+    #[inline]
+    pub(crate) fn access(
+        &self,
+        kind: Option<EpisodeKind>,
+        newly: bool,
+        (reads, writes): (usize, usize),
+    ) -> (u64, Result<(), AbortCause>) {
+        let cycles = match kind {
+            Some(EpisodeKind::OptimisticRead) if newly => self.plain_first_touch,
+            Some(_) if newly => self.line_first_touch,
+            _ => self.access_hit,
+        };
+        let over = kind == Some(EpisodeKind::HtmTx)
+            && (writes > self.write_capacity_lines || reads > self.read_capacity_lines);
+        (cycles, (!over).then_some(()).ok_or(AbortCause::Capacity))
     }
 
     /// Probability that a transaction of `duration` cycles suffers a

@@ -79,7 +79,7 @@ pub(crate) struct EpisodeState {
 }
 
 impl EpisodeState {
-    fn new(kind: EpisodeKind, start: u64) -> Box<Self> {
+    pub(crate) fn new(kind: EpisodeKind, start: u64) -> Box<Self> {
         Box::new(EpisodeState {
             kind,
             start,
@@ -499,13 +499,13 @@ impl ThreadCtx {
 
     // ================= footprint & charging =================
 
-    /// Record one instrumented access; charges cycles; enforces HTM
-    /// capacity limits.
+    /// Record one instrumented access in the open episode's footprint,
+    /// and account it.
     #[inline]
     fn note_access(&mut self, line: LineId, is_write: bool) -> Result<(), AbortCause> {
-        self.stats.mem_accesses += 1;
-        let cost = &self.rt.cost;
-        if let Some(ep) = self.ep.as_mut() {
+        let virt = self.rt.backend() == Backend::Virtual;
+        let newly = match self.ep.as_mut() {
+            None => false,
             // Only the virtual backend consults an optimistic section's
             // footprint — on real threads `episode_end_optimistic`
             // recycles it unread; staleness is the caller's version
@@ -515,35 +515,27 @@ impl ThreadCtx {
             // access is charged as a first touch — optimistic descents
             // touch mostly fresh lines, and real-thread cycle counts are
             // diagnostic, not the simulation clock.
-            if ep.kind == EpisodeKind::OptimisticRead && self.rt.backend() != Backend::Virtual {
-                self.clock += cost.plain_first_touch;
-                return Ok(());
-            }
-            let newly = if is_write {
-                ep.writes.insert(line)
-            } else {
-                ep.reads.insert(line)
-            };
-            // An optimistic read section executes plain loads — no
-            // transactional read-set insertion on a fresh line — so it
-            // pays the cheaper plain first touch. The footprint is still
-            // recorded: virtual-mode conflict-window detection needs it.
-            let first_touch = if ep.kind == EpisodeKind::OptimisticRead {
-                cost.plain_first_touch
-            } else {
-                cost.line_first_touch
-            };
-            self.clock += if newly { first_touch } else { cost.access_hit };
-            if ep.kind == EpisodeKind::HtmTx
-                && (ep.writes.len() > cost.write_capacity_lines
-                    || ep.reads.len() > cost.read_capacity_lines)
-            {
-                return Err(AbortCause::Capacity);
-            }
-        } else {
-            self.clock += cost.access_hit;
-        }
-        Ok(())
+            Some(ep) if ep.kind == EpisodeKind::OptimisticRead && !virt => true,
+            Some(ep) if is_write => ep.writes.insert(line),
+            Some(ep) => ep.reads.insert(line),
+        };
+        self.account(newly)
+    }
+
+    /// Account one instrumented access — a first touch if it added its
+    /// line to the open episode's footprint (`newly`) — as
+    /// [`CostModel::access`] charges it. Every path an access takes ends
+    /// here, a repeat of the open episode's memo line included.
+    ///
+    /// [`CostModel::access`]: crate::cost::CostModel::access
+    #[inline]
+    fn account(&mut self, newly: bool) -> Result<(), AbortCause> {
+        self.stats.mem_accesses += 1;
+        let ep = self.ep.as_ref();
+        let sets = ep.map_or((0, 0), |ep| (ep.reads.len(), ep.writes.len()));
+        let (cycles, verdict) = self.rt.cost.access(ep.map(|ep| ep.kind), newly, sets);
+        self.clock += cycles;
+        verdict
     }
 
     // ================= direct (non-transactional) accesses =================
@@ -568,12 +560,11 @@ impl ThreadCtx {
     pub(crate) fn direct_load(&mut self, ptr: *const AtomicU64) -> u64 {
         self.debug_assert_not_transactional();
         let line = LineId::of_ptr(ptr);
-        if self.ep.as_ref().is_some_and(|ep| ep.reads.is_last(line)) {
-            self.stats.mem_accesses += 1;
-            self.clock += self.rt.cost.access_hit;
+        let _ = if self.ep.as_ref().is_some_and(|ep| ep.reads.is_last(line)) {
+            self.account(false)
         } else {
-            let _ = self.note_access(line, false);
-        }
+            self.note_access(line, false)
+        };
         // Safety: every caller passes `TxCell::raw_ptr` of a cell it
         // borrows for the call (word.rs, `Tx`), so `ptr` is a live,
         // aligned `AtomicU64`.
@@ -687,7 +678,10 @@ impl ThreadCtx {
     /// a Masstree reader would observe); in concurrent mode the caller's
     /// own version protocol detects staleness and this returns `None`.
     pub fn episode_end_optimistic(&mut self) -> Option<ConflictInfo> {
-        let out = self.close_episode(EpisodeKind::OptimisticRead);
+        let out = match self.end_episode(None) {
+            Err(AbortCause::Conflict(ci)) => Some(ci),
+            _ => None,
+        };
         match &out {
             None => self.trace(EventKind::EpisodeCommit {
                 kind: EpisodeKind::OptimisticRead,
@@ -708,21 +702,36 @@ impl ThreadCtx {
         self.trace(EventKind::EpisodeCommit {
             kind: EpisodeKind::LockedWrite,
         });
-        self.close_episode(EpisodeKind::LockedWrite);
+        let _ = self.end_episode(None);
     }
 
-    /// The one way a non-transactional episode ends. On real threads there
-    /// is nothing to do at the close: every direct write was published
-    /// line by line as it landed ([`ThreadCtx::direct_write`]), and an
-    /// optimistic reader validates through its own version protocol.
-    fn close_episode(&mut self, kind: EpisodeKind) -> Option<ConflictInfo> {
-        let ep = self.ep.take().expect("no open episode");
-        debug_assert_eq!(ep.kind, kind);
+    /// The one way an episode ends, and its one dispatch on the backend.
+    /// With `aborted` — an HTM attempt's abort cause and wasted cycles —
+    /// the episode is discarded and the answer is the refund. Without, it
+    /// closes: a transaction commits or answers its abort (keeping its
+    /// episode for the `aborted` end that follows), an optimistic section
+    /// answers a conflict, a locked write or fallback section publishes.
+    /// On real threads only a commit is left to do: every direct write was
+    /// published as it landed ([`ThreadCtx::direct_write`]), an optimistic
+    /// reader validates by its own protocol, and a hardware attempt opens
+    /// no software episode.
+    pub(crate) fn end_episode(
+        &mut self,
+        aborted: Option<(&AbortCause, u64)>,
+    ) -> Result<u64, AbortCause> {
+        let Some(ep) = self.ep.take() else {
+            assert!(aborted.is_some(), "no open episode");
+            return Ok(0);
+        };
         match self.rt.backend() {
-            Backend::Virtual => self.virt_close(ep),
+            Backend::Virtual => self.virt_end(ep, aborted),
             Backend::Stm | Backend::Rtm => {
+                if aborted.is_none() && ep.kind == EpisodeKind::HtmTx {
+                    self.ep = Some(ep);
+                    return self.tl2_commit().map(|()| 0);
+                }
                 self.recycle(ep);
-                None
+                Ok(0)
             }
         }
     }
@@ -746,8 +755,7 @@ impl ThreadCtx {
         };
         let line = LineId::of_ptr(ptr);
         if ep.virt_tx && ep.reads.is_last(line) && !ep.buffered.may_contain(ptr as u64) {
-            self.stats.mem_accesses += 1;
-            self.clock += self.rt.cost.access_hit;
+            self.account(false)?;
         } else {
             match ep.kind {
                 EpisodeKind::Fallback | EpisodeKind::LockedWrite | EpisodeKind::OptimisticRead => {
@@ -764,8 +772,7 @@ impl ThreadCtx {
                     // its line is in the write set — newest write first.
                     if ep.buffered.may_contain(ptr as u64) && ep.writes.contains(line) {
                         if let Some(&(_, v)) = ep.write_buf.iter().rev().find(|(p, _)| p.0 == ptr) {
-                            self.clock += self.rt.cost.access_hit;
-                            self.stats.mem_accesses += 1;
+                            self.account(false)?;
                             return Ok(v);
                         }
                     }
@@ -793,9 +800,7 @@ impl ThreadCtx {
         };
         if ep.virt_tx && ep.writes.is_last(LineId::of_ptr(ptr)) {
             ep.buffer(ptr, v);
-            self.stats.mem_accesses += 1;
-            self.clock += self.rt.cost.access_hit;
-            return Ok(());
+            return self.account(false);
         }
         match ep.kind {
             EpisodeKind::Fallback | EpisodeKind::LockedWrite => {
@@ -812,15 +817,6 @@ impl ThreadCtx {
                 self.ep.as_mut().unwrap().buffer(ptr, v);
                 Ok(())
             }
-        }
-    }
-
-    // ================= HTM commit =================
-
-    pub(crate) fn htm_commit(&mut self) -> Result<(), AbortCause> {
-        match self.rt.backend() {
-            Backend::Virtual => self.virt_commit(),
-            Backend::Stm | Backend::Rtm => self.tl2_commit(),
         }
     }
 
@@ -876,7 +872,7 @@ impl ThreadCtx {
         self.charge(self.rt.cost.lock_release);
         let addr = fb.raw_ptr() as u64;
         match self.rt.backend() {
-            Backend::Virtual => self.rt.vlock_hold(addr, self.clock),
+            Backend::Virtual => self.rt.virt.lock_hold(addr, self.clock),
             Backend::Stm | Backend::Rtm => self.tl2_fb_unlock(),
         }
         fb.raw().store(0, Ordering::Release);
@@ -913,18 +909,6 @@ impl ThreadCtx {
     // expose the episode-state manipulations its stages need without
     // leaking `EpisodeState` itself.
 
-    /// The attempt begun at `attempt_start` aborted with `cause`: discard
-    /// its episode and return the cycles it wasted.
-    pub(crate) fn attempt_aborted(&mut self, cause: &AbortCause, attempt_start: u64) -> u64 {
-        let wasted = self.clock - attempt_start;
-        let refund = match self.rt.backend() {
-            Backend::Virtual => self.virt_attempt_aborted(cause, wasted),
-            Backend::Stm | Backend::Rtm => 0,
-        };
-        self.episode_abort();
-        wasted - refund
-    }
-
     /// Put the fallback lock's line into the open fallback episode's write
     /// footprint so overlapping transactions observe the serialization.
     pub(crate) fn fallback_mark(&mut self, fb: &TxCell) {
@@ -937,7 +921,7 @@ impl ThreadCtx {
     /// Close the fallback episode: publish its section (virtual mode) so
     /// overlapping transactions abort on the subscribed lock line.
     pub(crate) fn fallback_publish(&mut self) {
-        self.close_episode(EpisodeKind::Fallback);
+        let _ = self.end_episode(None);
         self.trace(EventKind::EpisodeCommit {
             kind: EpisodeKind::Fallback,
         });
@@ -1158,7 +1142,7 @@ mod tests {
                 match kind {
                     0 if aborted || rng.gen_bool(0.25) => ctx.episode_abort(),
                     0 => {
-                        ctx.htm_commit().unwrap();
+                        ctx.end_episode(None).unwrap();
                         commits += 1;
                         for (&c, &v) in &buf {
                             mem[c] = v;

@@ -163,7 +163,7 @@ impl Executor<'_> {
         let v = body(&mut Tx { ctx })?;
         let xend = ctx.runtime().cost.xend;
         ctx.charge(xend);
-        ctx.htm_commit()?;
+        ctx.end_episode(None)?;
         Ok(v)
     }
 
@@ -188,7 +188,8 @@ impl Executor<'_> {
             cause: cause.class(),
             line_addr,
         });
-        let wasted_attempt = ctx.attempt_aborted(&cause, self.attempt_start);
+        let wasted = ctx.clock - self.attempt_start;
+        let wasted_attempt = wasted - ctx.end_episode(Some((&cause, wasted))).unwrap_or(0);
         let penalty = ctx.runtime().cost.abort_penalty;
         ctx.charge(penalty);
         if matches!(cause, AbortCause::Conflict(_)) {

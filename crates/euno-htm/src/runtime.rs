@@ -6,12 +6,12 @@
 //! epoch collector and the metric registry.
 
 use std::sync::atomic::AtomicU64;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crate::cost::CostModel;
 use crate::line::{LineClass, LineId, CACHE_LINE_BYTES};
 use crate::registry::NodeTable;
-use crate::virt::VirtState;
+use crate::virt::VirtModel;
 
 /// Which clock a runtime's threads run on — a view derived from its
 /// [`Backend`] ([`Backend::mode`]).
@@ -100,18 +100,14 @@ pub struct Runtime {
     /// to zero before issuing direct writes — the two places that must not
     /// observe a half-applied write buffer.
     pub(crate) wb_active: OwnLine<AtomicU64>,
-    /// The virtual backend's committed window, lock clock and line heat
-    /// (empty on the other two).
-    pub(crate) virt: Mutex<VirtState>,
-    /// Bumped whenever the virtual lock table may have changed — a hold,
-    /// a prune that trimmed it, a reset — so a thread's remembered read of
-    /// it (`ThreadCtx::vlock_free_at`) knows when it is void.
-    pub(crate) vlock_gen: AtomicU64,
+    /// The virtual backend's contention model: its committed window, line
+    /// heat and lock clock (empty on the other two).
+    pub(crate) virt: VirtModel,
     /// Line → registered node, populated by trees at node allocation:
     /// answers conflict classification, profiler attribution and the
     /// deterministic line ranks for conflict-line selection — which is why
-    /// the episode-closing paths in `ctx.rs` pass it into
-    /// [`VirtState::check`] / [`VirtState::storm_check`].
+    /// the virtual backend's episode close passes it into
+    /// [`VirtModel::close`].
     pub(crate) nodes: NodeTable,
     /// Epoch collector for deferred node reclamation: trees pin around
     /// every operation ([`crate::ctx::ThreadCtx::pinned`]) and hand
@@ -139,12 +135,11 @@ impl Runtime {
         };
         Arc::new(Runtime {
             backend,
+            virt: VirtModel::new(cost.clone()),
             cost,
             seq: OwnLine(AtomicU64::new(0)),
             vlocks: crate::tl2::VersionTable::new(),
             wb_active: OwnLine(AtomicU64::new(0)),
-            virt: Mutex::default(),
-            vlock_gen: AtomicU64::new(0),
             nodes: NodeTable::default(),
             epoch: crate::epoch::Collector::new(),
             metrics: euno_metrics::Registry::new(),
@@ -239,7 +234,7 @@ impl Runtime {
     /// address-carrying trace events (conflict lines, lock cells, CCM
     /// words) inside the node to `base`. Replaces whatever was registered
     /// on the same lines (a freed node whose memory was reused), and in
-    /// virtual mode starts those lines cold (`VirtState::forget_lines`).
+    /// virtual mode starts those lines cold (`VirtModel::forget`).
     pub fn register_node(
         &self,
         base: usize,
@@ -270,16 +265,10 @@ impl Runtime {
     /// (`virt-scan-churn` under ASLR: one of two values, 0.1 % apart). The
     /// registration itself stays: pinned readers may still touch the node.
     pub fn forget_node_heat(&self, base: usize, bytes: usize) {
-        match self.backend {
-            Backend::Virtual => {
-                let line = CACHE_LINE_BYTES as u64;
-                let (lo, hi) = (base as u64, (base + bytes) as u64);
-                self.virt
-                    .lock()
-                    .unwrap()
-                    .forget_lines(lo / line..hi.div_ceil(line));
-            }
-            Backend::Stm | Backend::Rtm => {}
+        if self.backend == Backend::Virtual {
+            let line = CACHE_LINE_BYTES as u64;
+            let (lo, hi) = (base as u64, (base + bytes) as u64);
+            self.virt.forget(lo / line..hi.div_ceil(line));
         }
     }
 
@@ -310,10 +299,7 @@ impl Runtime {
     /// Reset all engine state between experiment phases (keeps the node
     /// table — the tree nodes are still alive).
     pub fn reset_dynamics(&self) {
-        let mut virt = self.virt.lock().unwrap();
-        virt.clear();
-        self.vlock_changed();
-        drop(virt);
+        self.virt.clear();
         // Preload / warmup traffic must not leak into measured metric
         // totals; registered threads keep their shard handles.
         self.metrics.reset();
@@ -323,50 +309,11 @@ impl Runtime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::abort::{classify_conflict, ConflictInfo};
-    use crate::line::LineSet;
-    use crate::virt::EpisodeRecord;
-
-    // One-call-one-lock wrappers over [`VirtState`] for the tests below;
-    // the episode-closing paths in `virt.rs` run every step under a single
-    // acquisition of their own.
-    impl Runtime {
-        /// Check an episode's footprint against committed overlapping episodes.
-        /// `check_reads_against_writes` only (optimistic reads) when
-        /// `writes` is `None`. Returns the first collision found, classified.
-        pub(crate) fn virt_check(
-            &self,
-            start: u64,
-            reads: &LineSet,
-            writes: Option<&LineSet>,
-            my_key: Option<u64>,
-        ) -> Option<ConflictInfo> {
-            let (line, class, other_key, other_thread) =
-                self.virt
-                    .lock()
-                    .unwrap()
-                    .check(start, reads, writes, &self.nodes)?;
-            let kind = classify_conflict(class, my_key, other_key);
-            Some(ConflictInfo {
-                line,
-                kind,
-                other_thread: Some(other_thread),
-            })
-        }
-
-        /// Publish a committed episode and refresh the hot-line map.
-        pub(crate) fn virt_commit(&self, rec: EpisodeRecord<'_>) {
-            self.virt.lock().unwrap().commit(rec);
-        }
-
-        /// Cycles charged for cache-coherence transfers of recently-written hot
-        /// lines (touched by another thread within the transfer horizon).
-        pub(crate) fn virt_transfer_charge(&self, footprint: &[LineId], now: u64, me: u32) -> u64 {
-            let mut virt = self.virt.lock().unwrap();
-            virt.gather_heat(footprint, &[], me);
-            virt.transfer_charge(now, self.cost.line_transfer)
-        }
-    }
+    use crate::abort::AbortCause;
+    use crate::ctx::EpisodeState;
+    use crate::virt::Closing;
+    use euno_rng::SmallRng;
+    use euno_trace::EpisodeKind;
 
     #[test]
     fn register_and_classify() {
@@ -396,213 +343,50 @@ mod tests {
         assert_eq!(rt.object_base_of(&*v as *const _ as u64), None);
     }
 
-    #[test]
-    fn window_conflict_detection_basic() {
-        let rt = Runtime::new_virtual();
-        rt.virt_commit(EpisodeRecord {
-            start: 0,
-            end: 100,
-            thread: 0,
-            op_key: Some(7),
-            reads: &[LineId(10)],
-            writes: &[LineId(20)],
-        });
-
-        // Overlapping reader of line 20 collides with the committed write.
-        let r: LineSet = [LineId(20)].into_iter().collect();
-        let w = LineSet::new();
-        let c = rt.virt_check(50, &r, Some(&w), Some(9));
-        assert!(c.is_some());
-        assert_eq!(c.unwrap().other_thread, Some(0));
-
-        // Non-overlapping (starts after the episode ended): no conflict.
-        assert!(rt.virt_check(100, &r, Some(&w), Some(9)).is_none());
-
-        // Overlapping but disjoint lines: no conflict.
-        let r2: LineSet = [LineId(99)].into_iter().collect();
-        assert!(rt.virt_check(50, &r2, Some(&w), Some(9)).is_none());
+    /// Close `ep` on the runtime's model at `now` for `thread`.
+    fn close(rt: &Runtime, ep: &EpisodeState, thread: u32, now: u64) -> Option<AbortCause> {
+        let mut rng = SmallRng::seed_from_u64(7);
+        rt.virt
+            .close(Closing::Episode(ep), now, thread, &mut rng, &rt.nodes)
+            .1
     }
 
-    #[test]
-    fn a_record_that_starts_after_the_checker_ends_still_collides() {
-        // DESIGN.md §9, rule 1: the check tests only that a record ends
-        // after the checking episode starts. Here the record runs at
-        // [500, 600), wholly after a reader that runs at [50, 100), yet
-        // it ran first in the serial order, and the window is the only
-        // validation a virtual episode gets, so the reader aborts.
-        let rt = Runtime::new_virtual();
-        rt.virt_commit(EpisodeRecord {
-            start: 500,
-            end: 600,
-            thread: 2,
-            op_key: None,
-            reads: &[],
-            writes: &[LineId(20)],
-        });
-        let r: LineSet = [LineId(20)].into_iter().collect();
-        let c = rt.virt_check(50, &r, Some(&LineSet::new()), None);
-        assert_eq!(c.map(|c| c.other_thread), Some(Some(2)));
-    }
-
-    #[test]
-    fn writer_collides_with_committed_reader() {
-        // TSX aborts a running reader when a writer intrudes; in the model
-        // the later-executing writer takes the abort instead — same count.
-        let rt = Runtime::new_virtual();
-        rt.virt_commit(EpisodeRecord {
-            start: 0,
-            end: 100,
-            thread: 1,
-            op_key: None,
-            reads: &[LineId(5)],
-            writes: &[],
-        });
-        let w: LineSet = [LineId(5)].into_iter().collect();
-        let c = rt.virt_check(10, &LineSet::new(), Some(&w), None);
-        assert!(c.is_some());
-    }
-
-    #[test]
-    fn optimistic_read_only_checks_writes() {
-        let rt = Runtime::new_virtual();
-        rt.virt_commit(EpisodeRecord {
-            start: 0,
-            end: 100,
-            thread: 1,
-            op_key: None,
-            reads: &[LineId(5)],
-            writes: &[LineId(6)],
-        });
-        // Optimistic read of line 5 (their read): fine.
-        let r: LineSet = [LineId(5)].into_iter().collect();
-        assert!(rt.virt_check(10, &r, None, None).is_none());
-        // Optimistic read of line 6 (their write): retry.
-        let r: LineSet = [LineId(6)].into_iter().collect();
-        assert!(rt.virt_check(10, &r, None, None).is_some());
+    /// Publish `thread`'s fallback section over `[start, end)`.
+    fn publish(rt: &Runtime, thread: u32, start: u64, end: u64, writes: &[LineId]) {
+        let mut ep = EpisodeState::new(EpisodeKind::Fallback, start);
+        writes.iter().for_each(|&l| _ = ep.writes.insert(l));
+        assert_eq!(close(rt, &ep, thread, end), None);
     }
 
     #[test]
     fn prune_discards_expired_records() {
         let rt = Runtime::new_virtual();
         for i in 0..10 {
-            rt.virt_commit(EpisodeRecord {
-                start: i * 10,
-                end: i * 10 + 10,
-                thread: 0,
-                op_key: None,
-                reads: &[],
-                writes: &[LineId(i)],
-            });
+            publish(&rt, 0, i * 10, i * 10 + 10, &[LineId(i)]);
         }
         assert_eq!(rt.virt_window_len(), 10);
         rt.virt_prune(55);
         assert!(rt.virt_window_len() <= 5);
         // Remaining entries still catch conflicts.
-        let w: LineSet = [LineId(9)].into_iter().collect();
-        assert!(rt.virt_check(91, &LineSet::new(), Some(&w), None).is_some());
+        let mut ep = EpisodeState::new(EpisodeKind::HtmTx, 91);
+        ep.writes.insert(LineId(9));
+        ep.serialized = true;
+        assert!(
+            matches!(close(&rt, &ep, 1, 95), Some(AbortCause::Conflict(ci)) if ci.other_thread == Some(0))
+        );
     }
 
     #[test]
     fn vlock_hold_and_query() {
         let rt = Runtime::new_virtual();
-        assert_eq!(rt.vlock_free_at(42, 100), 100);
-        rt.vlock_hold(42, 500);
-        assert_eq!(rt.vlock_free_at(42, 100), 500);
-        assert_eq!(rt.vlock_free_at(42, 900), 900);
+        let free_at = |now: u64| rt.virt.lock_read(42).1.max(now);
+        assert_eq!(free_at(100), 100);
+        rt.virt.lock_hold(42, 500);
+        assert_eq!(free_at(100), 500);
+        assert_eq!(free_at(900), 900);
         // Holds never shrink.
-        rt.vlock_hold(42, 300);
-        assert_eq!(rt.vlock_free_at(42, 100), 500);
-    }
-
-    #[test]
-    fn transfer_charge_for_hot_lines() {
-        let rt = Runtime::new_virtual();
-        rt.virt_commit(EpisodeRecord {
-            start: 0,
-            end: 100,
-            thread: 1,
-            op_key: None,
-            reads: &[],
-            writes: &[LineId(3)],
-        });
-        let cost = rt.cost.line_transfer;
-        // Another thread touching the line soon after pays a transfer.
-        let c = rt.virt_transfer_charge(&[LineId(3)], 150, 0);
-        assert_eq!(c, cost);
-        // The writer itself does not.
-        let c = rt.virt_transfer_charge(&[LineId(3)], 150, 1);
-        assert_eq!(c, 0);
-        // Long after the horizon: cold again.
-        let c = rt.virt_transfer_charge(&[LineId(3)], 10_000_000, 0);
-        assert_eq!(c, 0);
-    }
-
-    /// The transfer charge and the storm probability read the footprint's
-    /// heat from one gather; recomputed here line by line from the heat
-    /// map, as the per-line loops the gather replaced did, they must agree
-    /// bit for bit — including the double count of a line that is both
-    /// read and written (ROADMAP item 19 changes that on purpose, and must
-    /// move this test when it does).
-    #[test]
-    fn gathered_heat_charges_and_storms_as_the_per_line_rules_do() {
-        let rt = Runtime::new_virtual();
-        let [a, b, c, d, e] = [11, 12, 13, 14, 15].map(LineId);
-        let write = |start, end, thread, lines: &[LineId]| {
-            rt.virt_commit(EpisodeRecord {
-                start,
-                end,
-                thread,
-                op_key: None,
-                reads: &[],
-                writes: lines,
-            });
-        };
-        write(0, 1_000, 1, &[a, b]);
-        write(1_000, 5_000, 2, &[b, c]); // b now has a write rate
-        write(5_000, 9_000, 1, &[b]);
-        write(9_000, 9_500, 0, &[d]); // the closing thread's own line
-        write(10_000, 60_000, 3, &[e]); // written after the episode starts
-        let reads: LineSet = [a, b, c, d, e].into_iter().collect();
-        let writes: LineSet = [b, e].into_iter().collect();
-        let (me, start, duration) = (0, 20_000, 1_700);
-
-        let mut virt = rt.virt.lock().unwrap();
-        virt.gather_heat(reads.as_slice(), writes.as_slice(), me);
-        let charge = virt.transfer_charge(start, rt.cost.line_transfer);
-        let (p_abort, latest) = virt.storm_probability(start, duration);
-
-        let (mut hot, mut log_survive, mut latest_ref) = (0u64, 0.0f64, None);
-        let l = duration as f64;
-        for line in reads.iter().chain(writes.iter()) {
-            let Some(heat) = virt.heat(line).filter(|h| h.thread != me) else {
-                continue;
-            };
-            // `TRANSFER_HORIZON`.
-            if heat.end + 20_000 > start {
-                hot += 1;
-            }
-            if heat.end <= start {
-                let since = (start - heat.end).max(1) as f64;
-                log_survive -= if heat.gap_ewma == u64::MAX {
-                    l / since
-                } else {
-                    let gap = heat.gap_ewma.max(1) as f64;
-                    (l / gap) * (-since / (20.0 * gap)).exp()
-                };
-                latest_ref = latest_ref.max(Some(heat.end));
-            }
-        }
-        assert_eq!(
-            hot, 6,
-            "a, c once; b and e, read and written, twice; d is mine"
-        );
-        assert_eq!(charge, hot * rt.cost.line_transfer);
-        assert_eq!(p_abort.to_bits(), (1.0 - log_survive.exp()).to_bits());
-        assert!(
-            p_abort > 0.0 && p_abort < 1.0,
-            "the storm has a real chance: {p_abort}"
-        );
-        assert_eq!((latest, latest_ref), (Some(9_000), Some(9_000)));
+        rt.virt.lock_hold(42, 300);
+        assert_eq!(free_at(100), 500);
     }
 
     #[test]
@@ -613,27 +397,28 @@ mod tests {
         rt.register_node(0x2000, 64, &[(0, LineClass::Record)], false);
         rt.register_node(0x1000, 64, &[(0, LineClass::Record)], false);
         let (lo, hi) = (LineId(0x1000 / 64), LineId(0x2000 / 64));
-        let write = |start, end, lines: &[LineId]| {
-            rt.virt_commit(EpisodeRecord {
-                start,
-                end,
-                thread: 1,
-                op_key: None,
-                reads: &[],
-                writes: lines,
-            });
+        publish(&rt, 1, 0, 50, &[LineId(5)]);
+        publish(&rt, 1, 60, 100, &[lo, hi]);
+        // Written as the read starts, which runs 1 000 cycles: the
+        // storm fires surely, on whichever thread did not write.
+        let mut ep = EpisodeState::new(EpisodeKind::OptimisticRead, 100);
+        [LineId(5), lo, hi]
+            .into_iter()
+            .for_each(|l| _ = ep.reads.insert(l));
+        let hit = close(&rt, &ep, 0, 1_100);
+        let Some(AbortCause::Conflict(ci)) = hit else {
+            panic!("{hit:?}")
         };
-        write(0, 50, &[LineId(5)]);
-        write(60, 100, &[lo, hi]);
-        let reads: LineSet = [LineId(5), lo, hi].into_iter().collect();
-        let mut virt = rt.virt.lock().unwrap();
-        // `u = 0` fires whenever any footprint line is hot.
-        let mut storm = |me| {
-            virt.gather_heat(reads.as_slice(), &[], me);
-            virt.storm_check(100, 1_000, 0.0, &rt.nodes)
-        };
-        let hit = Some((hi, LineClass::Record));
-        assert_eq!(storm(0), hit, "latest write, first-registered node");
-        assert_eq!(storm(1), None, "a thread's own writes are not a storm");
+        assert_eq!(ci.other_thread, None, "a storm names no thread");
+        assert_eq!(
+            (ci.line, rt.class_of(ci.line)),
+            (hi, LineClass::Record),
+            "latest write, first-registered node"
+        );
+        assert_eq!(
+            close(&rt, &ep, 1, 1_100),
+            None,
+            "a thread's own writes are not a storm"
+        );
     }
 }

@@ -295,12 +295,13 @@ echo "api-docs (rustdoc with -D warnings over the workspace) OK"
 # those three modules nothing under crates/*/src branches on `mode()`,
 # `rtm_active()` or a per-access hardware flag (euno-sim's
 # `assert_eq!(rt.mode(), …)` is not a branch).  What shared code holds is
-# one dispatch on `backend()` per engine entry point — thirteen lines:
+# one dispatch on `backend()` per engine entry point — eleven lines:
 #   ctx.rs   note_access (an optimistic section's footprint is kept only
-#            where it is consulted), publish_direct_write, close_episode
-#            (optimistic / locked-write / fallback), tx_begin, tx_read,
-#            htm_commit, attempt_aborted, fb_acquire, fb_release,
-#            optimistic_snapshot, optimistic_validate;
+#            where it is consulted), publish_direct_write, end_episode
+#            (every episode's one end: an optimistic read, a locked write,
+#            a fallback section, a transaction's commit, an aborted
+#            attempt and its refund), tx_begin, tx_read, fb_acquire,
+#            fb_release, optimistic_snapshot, optimistic_validate;
 #   exec.rs  the attempt (software episode or hardware transaction);
 #   lock.rs  LockWord's one blocking acquire.
 # Beside them: `Runtime::forget_node_heat` on the field itself, the
@@ -315,9 +316,9 @@ BACKENDS='^crates/euno-htm/src/(virt|tl2|rtm)\.rs:'
         | grep -vE "$BACKENDS" \
     || { echo "one-seam: a branch on the mode outside the backend modules"; exit 1; }
 dispatches="$(grep -rn 'backend()' crates/*/src | grep -vcE "$BACKENDS|^crates/euno-htm/src/runtime.rs:")"
-[[ $dispatches == 13 ]] \
-    || { echo "one-seam: $dispatches backend() dispatches in shared code, 13 listed"; grep -rn 'backend()' crates/*/src | grep -vE "$BACKENDS"; exit 1; }
-echo "one-seam (no hardware feature, no second executor, no mode branch outside virt/tl2/rtm; 13 entry-point dispatches) OK"
+[[ $dispatches == 11 ]] \
+    || { echo "one-seam: $dispatches backend() dispatches in shared code, 11 listed"; grep -rn 'backend()' crates/*/src | grep -vE "$BACKENDS"; exit 1; }
+echo "one-seam (no hardware feature, no second executor, no mode branch outside virt/tl2/rtm; 11 entry-point dispatches) OK"
 
 # Metrics smoke: a tiny Figure 14 run (rotating-hotspot timeline) must
 # quantify an adaptation lag for at least one programmed shift and emit a
