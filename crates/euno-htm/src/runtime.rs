@@ -343,37 +343,125 @@ mod tests {
         assert_eq!(rt.object_base_of(&*v as *const _ as u64), None);
     }
 
-    /// Close `ep` on the runtime's model at `now` for `thread`.
-    fn close(rt: &Runtime, ep: &EpisodeState, thread: u32, now: u64) -> Option<AbortCause> {
+    /// Close `ep` on the runtime's model at `now` for `thread`: the cycles
+    /// charged and the verdict.
+    fn close(rt: &Runtime, ep: &EpisodeState, thread: u32, now: u64) -> (u64, Option<AbortCause>) {
         let mut rng = SmallRng::seed_from_u64(7);
         rt.virt
             .close(Closing::Episode(ep), now, thread, &mut rng, &rt.nodes)
-            .1
+    }
+
+    /// An episode of `kind` begun at `start`, over `reads` and `writes`.
+    fn episode(
+        kind: EpisodeKind,
+        start: u64,
+        reads: &[LineId],
+        writes: &[LineId],
+    ) -> Box<EpisodeState> {
+        let mut ep = EpisodeState::new(kind, start);
+        reads.iter().for_each(|&l| _ = ep.reads.insert(l));
+        writes.iter().for_each(|&l| _ = ep.writes.insert(l));
+        ep
     }
 
     /// Publish `thread`'s fallback section over `[start, end)`.
-    fn publish(rt: &Runtime, thread: u32, start: u64, end: u64, writes: &[LineId]) {
-        let mut ep = EpisodeState::new(EpisodeKind::Fallback, start);
-        writes.iter().for_each(|&l| _ = ep.writes.insert(l));
-        assert_eq!(close(rt, &ep, thread, end), None);
+    fn publish(
+        rt: &Runtime,
+        thread: u32,
+        start: u64,
+        end: u64,
+        reads: &[LineId],
+        writes: &[LineId],
+    ) {
+        let ep = episode(EpisodeKind::Fallback, start, reads, writes);
+        assert_eq!(close(rt, &ep, thread, end), (0, None));
+    }
+
+    /// The window check's verdict on `thread`'s serialized transaction (no
+    /// storm draw) over `[start, now)`; clean, it is published.
+    fn tx(
+        rt: &Runtime,
+        thread: u32,
+        start: u64,
+        now: u64,
+        reads: &[LineId],
+        writes: &[LineId],
+    ) -> Option<AbortCause> {
+        let mut ep = episode(EpisodeKind::HtmTx, start, reads, writes);
+        ep.serialized = true;
+        close(rt, &ep, thread, now).1
+    }
+
+    /// The thread of the window record `verdict` collided with.
+    fn other(verdict: Option<AbortCause>) -> Option<u32> {
+        match verdict {
+            Some(AbortCause::Conflict(ci)) => ci.other_thread,
+            v => panic!("not a window conflict: {v:?}"),
+        }
+    }
+
+    #[test]
+    fn window_conflict_detection_basic() {
+        let rt = Runtime::new_virtual();
+        publish(&rt, 0, 0, 100, &[LineId(10)], &[LineId(20)]);
+
+        // Overlapping reader of line 20 collides with the committed write.
+        let r = [LineId(20)];
+        assert_eq!(other(tx(&rt, 1, 50, 60, &r, &[])), Some(0));
+
+        // Non-overlapping (starts after the episode ended): no conflict.
+        assert_eq!(tx(&rt, 1, 100, 110, &r, &[]), None);
+
+        // Overlapping but disjoint lines: no conflict.
+        assert_eq!(tx(&rt, 1, 50, 60, &[LineId(99)], &[]), None);
+    }
+
+    #[test]
+    fn a_record_that_starts_after_the_checker_ends_still_collides() {
+        // DESIGN.md §9, rule 1: the check tests only that a record ends
+        // after the checking episode starts. Here the record runs at
+        // [500, 600), wholly after a reader that runs at [50, 100), yet
+        // it ran first in the serial order, and the window is the only
+        // validation a virtual episode gets, so the reader aborts.
+        let rt = Runtime::new_virtual();
+        publish(&rt, 2, 500, 600, &[], &[LineId(20)]);
+        assert_eq!(other(tx(&rt, 1, 50, 100, &[LineId(20)], &[])), Some(2));
+    }
+
+    #[test]
+    fn writer_collides_with_committed_reader() {
+        // TSX aborts a running reader when a writer intrudes; in the model
+        // the later-executing writer takes the abort instead — same count.
+        let rt = Runtime::new_virtual();
+        publish(&rt, 1, 0, 100, &[LineId(5)], &[]);
+        assert_eq!(other(tx(&rt, 2, 10, 20, &[], &[LineId(5)])), Some(1));
+    }
+
+    #[test]
+    fn optimistic_read_only_checks_writes() {
+        let rt = Runtime::new_virtual();
+        publish(&rt, 1, 0, 100, &[LineId(5)], &[LineId(6)]);
+        let read = |line| {
+            let ep = episode(EpisodeKind::OptimisticRead, 10, &[line], &[]);
+            close(&rt, &ep, 2, 20).1
+        };
+        // Optimistic read of line 5 (their read): fine.
+        assert_eq!(read(LineId(5)), None);
+        // Optimistic read of line 6 (their write): retry.
+        assert_eq!(other(read(LineId(6))), Some(1));
     }
 
     #[test]
     fn prune_discards_expired_records() {
         let rt = Runtime::new_virtual();
         for i in 0..10 {
-            publish(&rt, 0, i * 10, i * 10 + 10, &[LineId(i)]);
+            publish(&rt, 0, i * 10, i * 10 + 10, &[], &[LineId(i)]);
         }
         assert_eq!(rt.virt_window_len(), 10);
         rt.virt_prune(55);
         assert!(rt.virt_window_len() <= 5);
         // Remaining entries still catch conflicts.
-        let mut ep = EpisodeState::new(EpisodeKind::HtmTx, 91);
-        ep.writes.insert(LineId(9));
-        ep.serialized = true;
-        assert!(
-            matches!(close(&rt, &ep, 1, 95), Some(AbortCause::Conflict(ci)) if ci.other_thread == Some(0))
-        );
+        assert_eq!(other(tx(&rt, 1, 91, 95, &[], &[LineId(9)])), Some(0));
     }
 
     #[test]
@@ -390,6 +478,81 @@ mod tests {
     }
 
     #[test]
+    fn transfer_charge_for_hot_lines() {
+        let rt = Runtime::new_virtual();
+        publish(&rt, 1, 0, 100, &[], &[LineId(3)]);
+        let cost = rt.cost.line_transfer;
+        let charge = |now, me| {
+            let ep = episode(EpisodeKind::OptimisticRead, now, &[LineId(3)], &[]);
+            close(&rt, &ep, me, now + 10).0
+        };
+        // Another thread touching the line soon after pays a transfer.
+        assert_eq!(charge(150, 0), cost);
+        // The writer itself does not.
+        assert_eq!(charge(150, 1), 0);
+        // Long after the horizon: cold again.
+        assert_eq!(charge(10_000_000, 0), 0);
+    }
+
+    /// The transfer charge and the storm probability read the footprint's
+    /// heat from one gather; recomputed here line by line from the heat
+    /// map, as the per-line loops the gather replaced did, they must agree
+    /// bit for bit — including the double count of a line that is both
+    /// read and written (ROADMAP item 19 changes that on purpose, and must
+    /// move this test when it does).
+    #[test]
+    fn gathered_heat_charges_and_storms_as_the_per_line_rules_do() {
+        let rt = Runtime::new_virtual();
+        let [a, b, c, d, e] = [11, 12, 13, 14, 15].map(LineId);
+        publish(&rt, 1, 0, 1_000, &[], &[a, b]);
+        publish(&rt, 2, 1_000, 5_000, &[], &[b, c]); // b now has a write rate
+        publish(&rt, 1, 5_000, 9_000, &[], &[b]);
+        publish(&rt, 0, 9_000, 9_500, &[], &[d]); // the closing thread's own line
+        publish(&rt, 3, 10_000, 60_000, &[], &[e]); // written after the episode starts
+        let (reads, writes) = ([a, b, c, d, e], [b, e]);
+        let (me, start, duration) = (0, 20_000, 1_700);
+
+        let mut ep = episode(EpisodeKind::HtmTx, start, &reads, &writes);
+        ep.serialized = true;
+        let (charge, verdict) = close(&rt, &ep, me, start + 1_000);
+        assert_eq!(other(verdict), Some(3), "e's record ends after the start");
+        let (p_abort, latest) = rt.virt.storm_probability(start, duration);
+
+        let (mut hot, mut log_survive, mut latest_ref) = (0u64, 0.0f64, None);
+        let l = duration as f64;
+        for &line in reads.iter().chain(writes.iter()) {
+            let Some((end, _, gap_ewma)) = rt.virt.heat(line).filter(|h| h.1 != me) else {
+                continue;
+            };
+            // `TRANSFER_HORIZON`.
+            if end + 20_000 > start {
+                hot += 1;
+            }
+            if end <= start {
+                let since = (start - end).max(1) as f64;
+                log_survive -= if gap_ewma == u64::MAX {
+                    l / since
+                } else {
+                    let gap = gap_ewma.max(1) as f64;
+                    (l / gap) * (-since / (20.0 * gap)).exp()
+                };
+                latest_ref = latest_ref.max(Some(end));
+            }
+        }
+        assert_eq!(
+            hot, 6,
+            "a, c once; b and e, read and written, twice; d is mine"
+        );
+        assert_eq!(charge, hot * rt.cost.line_transfer);
+        assert_eq!(p_abort.to_bits(), (1.0 - log_survive.exp()).to_bits());
+        assert!(
+            p_abort > 0.0 && p_abort < 1.0,
+            "the storm has a real chance: {p_abort}"
+        );
+        assert_eq!((latest, latest_ref), (Some(9_000), Some(9_000)));
+    }
+
+    #[test]
     fn storm_reports_latest_write_and_breaks_ties_on_rank() {
         let rt = Runtime::new_virtual();
         // The higher address registers first: rank order reverses
@@ -397,15 +560,12 @@ mod tests {
         rt.register_node(0x2000, 64, &[(0, LineClass::Record)], false);
         rt.register_node(0x1000, 64, &[(0, LineClass::Record)], false);
         let (lo, hi) = (LineId(0x1000 / 64), LineId(0x2000 / 64));
-        publish(&rt, 1, 0, 50, &[LineId(5)]);
-        publish(&rt, 1, 60, 100, &[lo, hi]);
+        publish(&rt, 1, 0, 50, &[], &[LineId(5)]);
+        publish(&rt, 1, 60, 100, &[], &[lo, hi]);
         // Written as the read starts, which runs 1 000 cycles: the
         // storm fires surely, on whichever thread did not write.
-        let mut ep = EpisodeState::new(EpisodeKind::OptimisticRead, 100);
-        [LineId(5), lo, hi]
-            .into_iter()
-            .for_each(|l| _ = ep.reads.insert(l));
-        let hit = close(&rt, &ep, 0, 1_100);
+        let ep = episode(EpisodeKind::OptimisticRead, 100, &[LineId(5), lo, hi], &[]);
+        let hit = close(&rt, &ep, 0, 1_100).1;
         let Some(AbortCause::Conflict(ci)) = hit else {
             panic!("{hit:?}")
         };
@@ -416,7 +576,7 @@ mod tests {
             "latest write, first-registered node"
         );
         assert_eq!(
-            close(&rt, &ep, 1, 1_100),
+            close(&rt, &ep, 1, 1_100).1,
             None,
             "a thread's own writes are not a storm"
         );

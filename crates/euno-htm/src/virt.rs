@@ -686,6 +686,24 @@ impl VirtState {
     }
 }
 
+#[cfg(test)]
+impl VirtModel {
+    /// The storm's abort probability and latest counted write over the
+    /// footprint last closed, for an episode of `duration` from `start`.
+    pub(crate) fn storm_probability(&self, start: u64, duration: u64) -> (f64, Option<u64>) {
+        let s = self.state.lock().unwrap();
+        s.storm_probability(start, duration)
+    }
+
+    /// A line's heat: the end and thread of its last write, and the
+    /// write-gap EWMA (`u64::MAX` before a second write).
+    pub(crate) fn heat(&self, line: LineId) -> Option<(u64, u32, u64)> {
+        let s = self.state.lock().unwrap();
+        let h = s.recent_writes.get(&line.0)?;
+        Some((h.end, h.thread, h.gap_ewma))
+    }
+}
+
 impl Runtime {
     /// Drop window entries and hot-line records that can no longer affect
     /// any episode starting at or after `before`. The scheduler calls this
@@ -1242,12 +1260,7 @@ mod tests {
 
         /// The storm's probability for the footprint last closed.
         fn p_storm(&self, start: u64, duration: u64) -> f64 {
-            self.model
-                .state
-                .lock()
-                .unwrap()
-                .storm_probability(start, duration)
-                .0
+            self.model.storm_probability(start, duration).0
         }
     }
 
