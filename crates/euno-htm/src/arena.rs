@@ -35,23 +35,39 @@ struct ArenaCounters {
 }
 
 /// An allocation registry for nodes of type `T` with epoch-deferred frees.
+///
+/// An arena is `Send` and `Sync` exactly when `T` is both, as an
+/// `Arc<T>` is: `&Arena` hands out `&T` to any thread (needs `T: Sync`),
+/// and a node is freed on whichever thread collects it (needs `T: Send`).
+///
+/// ```
+/// fn send_sync<T: Send + Sync>() {}
+/// send_sync::<euno_htm::Arena<u64>>();
+/// ```
+///
+/// A `T` shared without synchronisation makes no `Sync` arena:
+///
+/// ```compile_fail
+/// fn sync<T: Sync>() {}
+/// sync::<euno_htm::Arena<std::cell::Cell<u64>>>();
+/// ```
+///
+/// and a `T` bound to its thread makes no `Send` one:
+///
+/// ```compile_fail
+/// fn send<T: Send>() {}
+/// send::<euno_htm::Arena<std::rc::Rc<u64>>>();
+/// ```
 pub struct Arena<T> {
     /// The nodes still linked, each by its address over `align_of::<T>()`
     /// ([`Arena::key`]). Retirement removes the entry (detecting
     /// double-retires); `Drop` frees what is left.
     nodes: Mutex<FibSet<usize>>,
     counters: Arc<ArenaCounters>,
-    _owns: std::marker::PhantomData<T>,
+    /// The arena owns its `T`s and shares them across threads: its auto
+    /// traits are `Arc<T>`'s (above).
+    _owns: std::marker::PhantomData<Arc<T>>,
 }
-
-// Safety: the raw addresses are uniquely owned by the arena (created from
-// Box::into_raw, freed exactly once — either by a deferred-free closure or
-// in Drop for still-live nodes); shared access to the `T`s is governed by
-// the engine's protocols, which require T: Sync.
-unsafe impl<T: Send + Sync> Send for Arena<T> {}
-// Safety: as for `Send`: `&Arena` hands out `&T` (needs `T: Sync`) and its
-// frees may run on any thread (needs `T: Send`); the registry is a `Mutex`.
-unsafe impl<T: Send + Sync> Sync for Arena<T> {}
 
 impl<T> Default for Arena<T> {
     fn default() -> Self {

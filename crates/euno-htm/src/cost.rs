@@ -130,7 +130,10 @@ impl CostModel {
     /// transaction. Adding its line to the open episode's footprint
     /// (`newly`) is a first touch, plain in an optimistic section; any
     /// other access is a hit. A transaction whose sets have come to
-    /// `(reads, writes)` lines aborts once either passes its capacity.
+    /// `(reads, writes)` lines aborts once either passes its capacity. A
+    /// hit grows no set, and an attempt ends at the access that overflowed
+    /// one, so a running attempt's hit always answers `Ok`: the engine
+    /// charges it `access_hit` without asking (`ThreadCtx::account`).
     #[inline]
     pub(crate) fn access(
         &self,

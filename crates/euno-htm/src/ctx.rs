@@ -61,10 +61,6 @@ pub(crate) struct EpisodeState {
     /// does not hold is not buffered, so a read of it needs no
     /// read-your-writes scan.
     pub(crate) buffered: KeyFilter,
-    /// A transaction on the virtual backend (set by `tx_begin`): its
-    /// reads and writes of a footprint set's memo line take the repeat-line
-    /// path of [`ThreadCtx::tx_read`] / [`ThreadCtx::tx_write`].
-    pub(crate) virt_tx: bool,
     /// Commit scratch: sorted, deduplicated version-table slot indices of
     /// the write footprint (kept per-episode so steady-state commits
     /// allocate nothing).
@@ -90,7 +86,6 @@ impl EpisodeState {
             ver_log: Vec::with_capacity(32),
             write_buf: Vec::with_capacity(8),
             buffered: KeyFilter::default(),
-            virt_tx: false,
             wslots: Vec::with_capacity(8),
             fb_line: None,
             fb_ptr: None,
@@ -115,7 +110,6 @@ impl EpisodeState {
         self.fb_line = None;
         self.fb_ptr = None;
         self.serialized = false;
-        self.virt_tx = false;
     }
 }
 
@@ -500,22 +494,29 @@ impl ThreadCtx {
     // ================= footprint & charging =================
 
     /// Record one instrumented access in the open episode's footprint,
-    /// and account it.
+    /// and account it. Every instrumented access — a direct load or
+    /// write, a transactional read or write — is recorded here; the
+    /// memo of [`LineSet::insert`] is the one test for a repeat of the
+    /// line last touched.
     #[inline]
     fn note_access(&mut self, line: LineId, is_write: bool) -> Result<(), AbortCause> {
-        let virt = self.rt.backend() == Backend::Virtual;
         let newly = match self.ep.as_mut() {
             None => false,
             // Only the virtual backend consults an optimistic section's
             // footprint — on real threads `episode_end_optimistic`
             // recycles it unread; staleness is the caller's version
             // protocol. Skip the read-set insert: big optimistic episodes
-            // (batched chunk descents) would otherwise spill the inline
-            // `LineSet` and pay a sorted-insert memmove per access. Every
-            // access is charged as a first touch — optimistic descents
-            // touch mostly fresh lines, and real-thread cycle counts are
-            // diagnostic, not the simulation clock.
-            Some(ep) if ep.kind == EpisodeKind::OptimisticRead && !virt => true,
+            // (batched chunk descents) would otherwise pay a sorted
+            // insert per access into a set nobody reads. Every access is
+            // charged as a first touch — optimistic descents touch mostly
+            // fresh lines, and real-thread cycle counts are diagnostic,
+            // not the simulation clock.
+            Some(ep)
+                if ep.kind == EpisodeKind::OptimisticRead
+                    && self.rt.backend() != Backend::Virtual =>
+            {
+                true
+            }
             Some(ep) if is_write => ep.writes.insert(line),
             Some(ep) => ep.reads.insert(line),
         };
@@ -524,13 +525,20 @@ impl ThreadCtx {
 
     /// Account one instrumented access — a first touch if it added its
     /// line to the open episode's footprint (`newly`) — as
-    /// [`CostModel::access`] charges it. Every path an access takes ends
-    /// here, a repeat of the open episode's memo line included.
+    /// [`CostModel::access`] charges it. Every access ends here, a
+    /// read-your-writes hit included. A repeat is one hit and nothing
+    /// else: it grows no set, so its capacity verdict is the last
+    /// access's, and an access that overflowed a set ended its attempt
+    /// (bodies pass its error on).
     ///
     /// [`CostModel::access`]: crate::cost::CostModel::access
     #[inline]
     fn account(&mut self, newly: bool) -> Result<(), AbortCause> {
         self.stats.mem_accesses += 1;
+        if !newly {
+            self.clock += self.rt.cost.access_hit;
+            return Ok(());
+        }
         let ep = self.ep.as_ref();
         let sets = ep.map_or((0, 0), |ep| (ep.reads.len(), ep.writes.len()));
         let (cycles, verdict) = self.rt.cost.access(ep.map(|ep| ep.kind), newly, sets);
@@ -550,25 +558,13 @@ impl ThreadCtx {
         );
     }
 
-    /// A load outside any transaction. A load of the open episode's read
-    /// memo line is what [`ThreadCtx::note_access`] would charge as a
-    /// repeat — one hit, no insert, no capacity verdict (this is no
-    /// transaction) — so it is charged here without the walk. An
-    /// optimistic section off the virtual backend records no read, so its
-    /// memo never names a line and it is charged there as a first touch.
+    /// A load outside any transaction: recorded and charged (no
+    /// capacity verdict — this is no transaction), then read.
     #[inline]
     pub(crate) fn direct_load(&mut self, ptr: *const AtomicU64) -> u64 {
         self.debug_assert_not_transactional();
-        let line = LineId::of_ptr(ptr);
-        let _ = if self.ep.as_ref().is_some_and(|ep| ep.reads.is_last(line)) {
-            self.account(false)
-        } else {
-            self.note_access(line, false)
-        };
-        // Safety: every caller passes `TxCell::raw_ptr` of a cell it
-        // borrows for the call (word.rs, `Tx`), so `ptr` is a live,
-        // aligned `AtomicU64`.
-        unsafe { (*ptr).load(Ordering::Acquire) }
+        let _ = self.note_access(LineId::of_ptr(ptr), false);
+        load(ptr)
     }
 
     /// Every direct write is this routine: account the access (and, for a
@@ -738,13 +734,9 @@ impl ThreadCtx {
 
     // ================= transactional accesses =================
 
-    /// A transactional read. The repeat-line path first: a virtual
-    /// transaction reading a cell it has not buffered on its read set's
-    /// memo line is what the full path charges as a repeat — no
-    /// read-your-writes hit, an insert that finds the line, one hit, and
-    /// a capacity verdict that cannot change, as the sets do not grow (an
-    /// access that overflowed one ended the attempt: bodies pass its
-    /// error on).
+    /// A transactional read. A serialized or in-place episode reads
+    /// directly; a software transaction reads its own newest buffered
+    /// write of the cell, else records the line and reads the cell.
     #[inline]
     pub(crate) fn tx_read(&mut self, ptr: *const AtomicU64) -> Result<u64, AbortCause> {
         // No software episode inside a region: the body is running in a
@@ -753,55 +745,38 @@ impl ThreadCtx {
         let Some(ep) = self.ep.as_ref() else {
             return Ok(self.rtm_read(ptr));
         };
-        let line = LineId::of_ptr(ptr);
-        if ep.virt_tx && ep.reads.is_last(line) && !ep.buffered.may_contain(ptr as u64) {
-            self.account(false)?;
-        } else {
-            match ep.kind {
-                EpisodeKind::Fallback | EpisodeKind::LockedWrite | EpisodeKind::OptimisticRead => {
-                    // Serialized / in-place paths read directly (still
-                    // footprint-recorded and charged).
-                    let _ = self.note_access(line, false);
-                    // Safety: `Tx::read` passes `TxCell::raw_ptr` of a
-                    // cell the body borrows: a live, aligned `AtomicU64`.
-                    return Ok(unsafe { (*ptr).load(Ordering::Acquire) });
+        match ep.kind {
+            EpisodeKind::Fallback | EpisodeKind::LockedWrite | EpisodeKind::OptimisticRead => {
+                Ok(self.direct_load(ptr))
+            }
+            EpisodeKind::HtmTx => {
+                let line = LineId::of_ptr(ptr);
+                // Read-your-writes from the buffer — which holds a cell
+                // only if the filter of buffered cells does and its line
+                // is in the write set — newest write first.
+                if ep.buffered.may_contain(ptr as u64) && ep.writes.contains(line) {
+                    if let Some(&(_, v)) = ep.write_buf.iter().rev().find(|(p, _)| p.0 == ptr) {
+                        self.account(false)?;
+                        return Ok(v);
+                    }
                 }
-                EpisodeKind::HtmTx => {
-                    // Read-your-writes from the buffer — which holds a
-                    // cell only if the filter of buffered cells does and
-                    // its line is in the write set — newest write first.
-                    if ep.buffered.may_contain(ptr as u64) && ep.writes.contains(line) {
-                        if let Some(&(_, v)) = ep.write_buf.iter().rev().find(|(p, _)| p.0 == ptr) {
-                            self.account(false)?;
-                            return Ok(v);
-                        }
-                    }
-                    self.note_access(line, false)?;
-                    match self.rt.backend() {
-                        Backend::Virtual => {}
-                        Backend::Stm | Backend::Rtm => return self.tl2_read(ptr),
-                    }
+                self.note_access(line, false)?;
+                match self.rt.backend() {
+                    Backend::Virtual => Ok(load(ptr)),
+                    Backend::Stm | Backend::Rtm => self.tl2_read(ptr),
                 }
             }
         }
-        // Safety: `Tx::read` passes `TxCell::raw_ptr` of a cell the body
-        // borrows: a live, aligned `AtomicU64`.
-        Ok(unsafe { (*ptr).load(Ordering::Relaxed) })
     }
 
-    /// A transactional write, with the repeat-line path of
-    /// [`ThreadCtx::tx_read`]: a virtual transaction writing its write
-    /// set's memo line is charged one hit and buffered.
+    /// A transactional write: direct in a serialized section, buffered
+    /// until commit in a software transaction.
     #[inline]
     pub(crate) fn tx_write(&mut self, ptr: *const AtomicU64, v: u64) -> Result<(), AbortCause> {
-        let Some(ep) = self.ep.as_mut() else {
+        let Some(ep) = self.ep.as_ref() else {
             self.rtm_write(ptr, v);
             return Ok(());
         };
-        if ep.virt_tx && ep.writes.is_last(LineId::of_ptr(ptr)) {
-            ep.buffer(ptr, v);
-            return self.account(false);
-        }
         match ep.kind {
             EpisodeKind::Fallback | EpisodeKind::LockedWrite => {
                 // Direct (unbuffered) write: invalidates TL2 readers that
@@ -844,10 +819,7 @@ impl ThreadCtx {
         ep.fb_ptr = Some(CellPtr(ptr));
         ep.reads.insert(line);
         match self.rt.backend() {
-            Backend::Virtual => {
-                ep.virt_tx = true;
-                Ok(())
-            }
+            Backend::Virtual => Ok(()),
             Backend::Stm | Backend::Rtm => self.tl2_begin(ptr),
         }
     }
@@ -926,6 +898,15 @@ impl ThreadCtx {
             kind: EpisodeKind::Fallback,
         });
     }
+}
+
+/// The one raw load of a cell in the shared core.
+#[inline]
+fn load(ptr: *const AtomicU64) -> u64 {
+    // Safety: every caller passes `TxCell::raw_ptr` of a cell it borrows
+    // for the call (word.rs, `Tx`), so `ptr` is a live, aligned
+    // `AtomicU64`.
+    unsafe { (*ptr).load(Ordering::Acquire) }
 }
 
 /// Handle for transactional reads/writes inside [`ThreadCtx::htm_execute`].
@@ -1036,8 +1017,8 @@ mod tests {
     /// aborts with `Capacity`; a load outside any episode is one hit.
     /// Random transactions, optimistic sections and bare loads over six
     /// lines, half of the accesses on the last line touched, so the
-    /// repeat-line paths and the filter of buffered cells carry most of
-    /// them. Off the virtual backend an optimistic section records no
+    /// footprint sets' memo and the filter of buffered cells carry most
+    /// of them. Off the virtual backend an optimistic section records no
     /// line, so every load in it is a plain first touch.
     #[test]
     fn accesses_charge_as_the_rules_do_on_every_path() {

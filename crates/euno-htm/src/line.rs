@@ -64,25 +64,16 @@ pub enum LineClass {
     Unknown,
 }
 
-/// Lines stored inline before a [`LineSet`] spills to the heap. Sixteen
-/// covers a deep tree traversal (root→leaf reads, the fallback-lock line,
-/// a couple of metadata words) with room to spare; node splits and long
-/// scans are the rare episodes that spill.
-const INLINE_LINES: usize = 16;
-
-/// A small, allocation-free set of cache lines.
+/// A sorted set of cache lines.
 ///
-/// Transactional footprints are tiny (a handful of lines for a tree
-/// traversal, a few dozen for a node split), so the set keeps up to
-/// `INLINE_LINES` entries in a sorted inline array — zero heap traffic
-/// on the episode hot path — and spills to a sorted `Vec` only above
-/// that. Either representation keeps iteration ordered and deterministic,
-/// which matters because the virtual-time simulator must be bit-for-bit
-/// reproducible for a given seed.
-///
-/// Invariant: elements live in `spill` iff `spill` is non-empty (a spilled
-/// set that is `clear()`ed returns to the inline representation, keeping
-/// the spill buffer's capacity for reuse).
+/// Transactional footprints are small (a handful of lines for a tree
+/// traversal, a few dozen for a node split), so the set is one sorted
+/// `Vec`: an insert walks down from the top and shifts in place, and
+/// intersections are O(n + m) merge walks. Iteration is ordered and
+/// deterministic, which matters because the virtual-time simulator must
+/// be bit-for-bit reproducible for a given seed. `clear` keeps the
+/// buffer's capacity, so a set reused across episodes stops allocating
+/// once it has held its largest footprint.
 ///
 /// The set remembers the line it was last asked to insert (`last`, which
 /// is then always a member): an access to the same line again — the
@@ -91,10 +82,8 @@ const INLINE_LINES: usize = 16;
 /// fresh set behind; the memo changes no answer, only how it is found.
 #[derive(Clone)]
 pub struct LineSet {
-    inline_len: u8,
     last: LineId,
-    inline: [LineId; INLINE_LINES],
-    spill: Vec<LineId>,
+    lines: Vec<LineId>,
 }
 
 /// No line: the memo of a set that has none to remember (a line id is an
@@ -103,22 +92,15 @@ const NO_LINE: LineId = LineId(u64::MAX);
 
 impl LineSet {
     pub fn new() -> Self {
-        LineSet {
-            inline_len: 0,
-            last: NO_LINE,
-            inline: [LineId(0); INLINE_LINES],
-            spill: Vec::new(),
-        }
+        Self::with_capacity(0)
     }
 
-    /// A set that can hold `cap` lines before (re)allocating. Capacities
-    /// up to `INLINE_LINES` cost nothing.
+    /// A set that can hold `cap` lines before (re)allocating.
     pub fn with_capacity(cap: usize) -> Self {
-        let mut s = Self::new();
-        if cap > INLINE_LINES {
-            s.spill.reserve(cap);
+        LineSet {
+            last: NO_LINE,
+            lines: Vec::with_capacity(cap),
         }
-        s
     }
 
     /// Insert a line; returns `true` if it was not present before.
@@ -128,64 +110,27 @@ impl LineSet {
             return false;
         }
         self.last = line;
-        if self.spill.is_empty() {
-            // A linear walk from the top: at most sixteen compares, and
-            // the shift below is a loop of the same length, not a
-            // `memmove` call.
-            let n = self.inline_len as usize;
-            let mut pos = n;
-            while pos > 0 && self.inline[pos - 1] > line {
-                pos -= 1;
-            }
-            if pos > 0 && self.inline[pos - 1] == line {
-                return false;
-            }
-            if n < INLINE_LINES {
-                for i in (pos..n).rev() {
-                    self.inline[i + 1] = self.inline[i];
-                }
-                self.inline[pos] = line;
-                self.inline_len += 1;
-            } else {
-                // Spill: move the inline elements (still sorted) plus the
-                // newcomer into the vector.
-                self.spill.reserve(INLINE_LINES + 1);
-                self.spill.extend_from_slice(&self.inline[..pos]);
-                self.spill.push(line);
-                self.spill.extend_from_slice(&self.inline[pos..]);
-                self.inline_len = 0;
-            }
-            true
-        } else {
-            match self.spill.binary_search(&line) {
-                Ok(_) => false,
-                Err(pos) => {
-                    self.spill.insert(pos, line);
-                    true
-                }
-            }
+        // A walk from the top: footprints are small and mostly grow
+        // upward, so it stops after a compare or two.
+        let mut pos = self.lines.len();
+        while pos > 0 && self.lines[pos - 1] > line {
+            pos -= 1;
         }
-    }
-
-    /// Whether `line` is the one the set was last asked to insert (and so
-    /// a member): a repeat insert of it would answer `false` at once.
-    #[inline]
-    pub fn is_last(&self, line: LineId) -> bool {
-        line == self.last
+        if pos > 0 && self.lines[pos - 1] == line {
+            return false;
+        }
+        self.lines.insert(pos, line);
+        true
     }
 
     #[inline]
     pub fn contains(&self, line: LineId) -> bool {
-        line == self.last || self.as_slice().binary_search(&line).is_ok()
+        line == self.last || self.lines.binary_search(&line).is_ok()
     }
 
     #[inline]
     pub fn len(&self) -> usize {
-        if self.spill.is_empty() {
-            self.inline_len as usize
-        } else {
-            self.spill.len()
-        }
+        self.lines.len()
     }
 
     #[inline]
@@ -194,22 +139,17 @@ impl LineSet {
     }
 
     pub fn clear(&mut self) {
-        self.inline_len = 0;
         self.last = NO_LINE;
-        self.spill.clear();
+        self.lines.clear();
     }
 
     pub fn iter(&self) -> impl Iterator<Item = LineId> + '_ {
-        self.as_slice().iter().copied()
+        self.lines.iter().copied()
     }
 
     #[inline]
     pub fn as_slice(&self) -> &[LineId] {
-        if self.spill.is_empty() {
-            &self.inline[..self.inline_len as usize]
-        } else {
-            &self.spill
-        }
+        &self.lines
     }
 
     /// First line present in both sets, if any. O(n + m) merge walk.
@@ -322,9 +262,9 @@ mod tests {
     #[test]
     fn lineset_spills_and_returns_inline_after_clear() {
         let mut s = LineSet::new();
-        // Descending inserts exercise the shift path; cross the inline
-        // boundary by a few elements.
-        let n = INLINE_LINES + 5;
+        // Descending inserts, each at the front; 21 lines, past the 16
+        // that sets once held inline.
+        let n = 21;
         for i in (0..n).rev() {
             assert!(s.insert(LineId(i as u64 * 3)));
         }
@@ -333,13 +273,13 @@ mod tests {
         assert!(v.windows(2).all(|w| w[0] < w[1]), "iteration stays sorted");
         for i in 0..n {
             assert!(s.contains(LineId(i as u64 * 3)));
-            assert!(!s.insert(LineId(i as u64 * 3)), "dedup across the spill");
+            assert!(!s.insert(LineId(i as u64 * 3)), "dedup on a grown set");
         }
         assert!(!s.contains(LineId(1)));
         s.clear();
         assert!(s.is_empty());
         assert_eq!(s.as_slice(), &[] as &[LineId]);
-        // Refills inline after the clear.
+        // Refills from empty after the clear.
         assert!(s.insert(LineId(7)));
         assert_eq!(s.len(), 1);
         assert_eq!(s.as_slice(), &[LineId(7)]);
@@ -347,10 +287,8 @@ mod tests {
 
     #[test]
     fn lineset_intersection_across_representations() {
-        // One spilled set, one inline set, intersecting in the middle.
-        let big: LineSet = (0..INLINE_LINES as u64 + 8)
-            .map(|x| LineId(x * 2))
-            .collect();
+        // A 24-line set and a 3-line one, intersecting in the middle.
+        let big: LineSet = (0..24u64).map(|x| LineId(x * 2)).collect();
         let small: LineSet = [LineId(9), LineId(20), LineId(33)].into_iter().collect();
         assert_eq!(big.first_intersection(&small), Some(LineId(20)));
         assert_eq!(small.first_intersection(&big), Some(LineId(20)));
@@ -359,7 +297,7 @@ mod tests {
     /// The memo of the last inserted line answers exactly what a search
     /// would: random inserts (repeats of the last line among them),
     /// membership probes, `clear` and `mem::take` against a `BTreeSet`,
-    /// across the spill boundary. After a `clear` or a `take` the memo
+    /// on sets of up to 48 lines. After a `clear` or a `take` the memo
     /// must not claim the line it remembered.
     #[test]
     fn lineset_memo_matches_btreeset() {

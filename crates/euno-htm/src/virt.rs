@@ -399,7 +399,7 @@ impl VirtState {
     /// `op_key`, with its footprint as sorted, deduplicated lines (a
     /// [`LineSet::as_slice`](crate::line::LineSet::as_slice)), and heat its
     /// writes. The window keeps a copy of the lines, so the episode's own
-    /// sets are cleared and reused, spill buffers and all.
+    /// sets are cleared and reused, buffers and all.
     fn commit(
         &mut self,
         start: u64,
@@ -1264,6 +1264,8 @@ mod tests {
         }
     }
 
+    /// W∩R: TSX aborts a running reader when a writer intrudes; here the
+    /// later-executing writer takes the abort instead — the same count.
     fn footprints_collide_unless_both_read() {
         let mut b = Bench::new();
         b.publish(1, 0, 100, &[10], &[20]);

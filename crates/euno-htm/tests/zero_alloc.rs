@@ -11,7 +11,7 @@
 //!
 //! On failure, re-run with `EUNO_ALLOC_TRAP=1` to print the sizes of the
 //! first measured-phase allocations — usually enough to identify the
-//! structure that grew (window deque, its line buffer, a line set spill).
+//! structure that grew (window deque, its line buffer, a line set).
 //!
 //! Single `#[test]` on purpose: the allocation counter is process-global,
 //! so a concurrently scheduled second test would pollute the measured
@@ -85,6 +85,10 @@ struct Padded(TxCell);
 
 const CELLS: usize = 8;
 const SCAN: usize = 4;
+/// Cells (one line each) a wide scan reads: a read set past the 16
+/// lines a footprint set once held inline, so its buffer's capacity
+/// must be kept across episodes too.
+const WIDE: usize = 40;
 
 /// Episodes between prune calls. The steady-state length of the window
 /// (and so of its line buffer) depends on this cadence, so the
@@ -109,7 +113,8 @@ enum Prune {
 
 /// A mixed bag of episodes: transactional RMWs round-robin over the cells
 /// plus a read-only scan every fourth episode, so both the write-set and
-/// read-set paths (and the commit-time window check for each) stay hot.
+/// read-set paths (and the commit-time window check for each) stay hot;
+/// every sixteenth episode's scan is a wide one, over [`WIDE`] cells.
 fn run_episodes(
     ctx: &mut ThreadCtx,
     rt: &Runtime,
@@ -121,9 +126,10 @@ fn run_episodes(
     let policy = RetryPolicy::default();
     for i in 0..count {
         if i % 4 == 3 {
+            let scan = if i % 16 == 15 { WIDE } else { SCAN };
             ctx.htm_execute(fb, &policy, |tx| {
                 let mut acc = 0u64;
-                for c in &cells[..SCAN] {
+                for c in &cells[..scan] {
                     acc = acc.wrapping_add(tx.read(&c.0)?);
                 }
                 Ok(acc)
@@ -189,7 +195,7 @@ fn steady_state_episodes_do_not_allocate() {
         let rt = Runtime::new_virtual();
         let mut ctx = rt.thread(42);
         let fb = TxCell::new(0u64);
-        let cells: Vec<Padded> = (0..CELLS).map(|_| Padded(TxCell::new(0))).collect();
+        let cells: Vec<Padded> = (0..WIDE).map(|_| Padded(TxCell::new(0))).collect();
         let phases = (200 * PRUNE_EVERY, 40 * PRUNE_EVERY);
         let during = measured_allocs(&mut ctx, &rt, &fb, &cells, phases, prune);
         assert_eq!(
@@ -207,7 +213,7 @@ fn steady_state_episodes_do_not_allocate() {
     let rt = Runtime::new(Backend::Stm, CostModel::default());
     let mut ctx = rt.thread(43);
     let fb = TxCell::new(0u64);
-    let cells: Vec<Padded> = (0..CELLS).map(|_| Padded(TxCell::new(0))).collect();
+    let cells: Vec<Padded> = (0..WIDE).map(|_| Padded(TxCell::new(0))).collect();
     let during = measured_allocs(&mut ctx, &rt, &fb, &cells, (30_000, 10_000), Prune::Never);
     assert_eq!(
         during, 0,

@@ -230,13 +230,15 @@ OWNS+='|crates/euno-htm/src/bptree'                   # Guard's one checked cast
 # Each of those files keeps the count it has; every one of them states its
 # argument, as `clippy::undocumented_unsafe_blocks` (denied in euno-htm's
 # lib.rs) checks. A cell is one `u64` word, `Send` and `Sync` by its
-# `AtomicU64`: word.rs keeps the `as_lock` cast and no `unsafe impl`.
-for pin in bptree:1 word:1 arena:7 ctx:5 tl2:5 rtm:10 virt:1; do
+# `AtomicU64`: word.rs keeps the `as_lock` cast and no `unsafe impl`. An
+# arena is `Send` and `Sync` by its `PhantomData<Arc<T>>`, and has no
+# `unsafe impl` either; ctx.rs loads a cell in one place.
+for pin in bptree:1 word:1 arena:5 ctx:3 tl2:5 rtm:10 virt:1; do
     f=crates/euno-htm/src/${pin%:*}.rs
     [[ $(grep -cw unsafe "$f") == "${pin#*:}" ]] \
         || { echo "unsafe-confined: $f says unsafe $(grep -cw unsafe "$f") times, not ${pin#*:}"; grep -nw unsafe "$f"; exit 1; }
 done
-echo "unsafe-confined (unsafe only in euno-htm, pinned per file: bptree 1, word 1, arena 7, ctx 5, tl2 5, rtm 10, virt 1) OK"
+echo "unsafe-confined (unsafe only in euno-htm, pinned per file: bptree 1, word 1, arena 5, ctx 3, tl2 5, rtm 10, virt 1) OK"
 
 # Docs: a backticked code name in DESIGN.md or README.md — an identifier or
 # a path of them, maybe with `()` or generic arguments — must name
@@ -315,10 +317,16 @@ BACKENDS='^crates/euno-htm/src/(virt|tl2|rtm)\.rs:'
 ! grep -rnE '\b(if|match|while)\b.*(\bmode\(\)|rtm_active\(\)|hw_txn)|(\bmode\(\)|rtm_active\(\)|hw_txn) *[!=]=' crates/*/src \
         | grep -vE "$BACKENDS" \
     || { echo "one-seam: a branch on the mode outside the backend modules"; exit 1; }
+# One footprint set and one access path (DESIGN.md §4.2): a `LineSet` is
+# one sorted vector, and every access is recorded by `note_access`, so no
+# inline bound, repeat-line test or virtual-transaction flag stays beside
+# them.
+! grep -rnwE 'virt_tx|is_last|INLINE_LINES' crates/euno-htm/src \
+    || { echo "one-seam: a second footprint representation or access path is back"; exit 1; }
 dispatches="$(grep -rn 'backend()' crates/*/src | grep -vcE "$BACKENDS|^crates/euno-htm/src/runtime.rs:")"
 [[ $dispatches == 11 ]] \
     || { echo "one-seam: $dispatches backend() dispatches in shared code, 11 listed"; grep -rn 'backend()' crates/*/src | grep -vE "$BACKENDS"; exit 1; }
-echo "one-seam (no hardware feature, no second executor, no mode branch outside virt/tl2/rtm; 11 entry-point dispatches) OK"
+echo "one-seam (no hardware feature, no second executor, no mode branch outside virt/tl2/rtm; one footprint set, one access path; 11 entry-point dispatches) OK"
 
 # Metrics smoke: a tiny Figure 14 run (rotating-hotspot timeline) must
 # quantify an adaptation lag for at least one programmed shift and emit a
