@@ -429,6 +429,29 @@ mod tests {
     }
 
     #[test]
+    fn writer_collides_with_committed_reader() {
+        // TSX aborts a running reader when a writer intrudes; in the model
+        // the later-executing writer takes the abort instead — same count.
+        let rt = Runtime::new_virtual();
+        publish(&rt, 1, 0, 100, &[LineId(5)], &[]);
+        assert_eq!(other(tx(&rt, 2, 10, 20, &[], &[LineId(5)])), Some(1));
+    }
+
+    #[test]
+    fn optimistic_read_only_checks_writes() {
+        let rt = Runtime::new_virtual();
+        publish(&rt, 1, 0, 100, &[LineId(5)], &[LineId(6)]);
+        let read = |line| {
+            let ep = episode(EpisodeKind::OptimisticRead, 10, &[line], &[]);
+            close(&rt, &ep, 2, 20).1
+        };
+        // Optimistic read of line 5 (their read): fine.
+        assert_eq!(read(LineId(5)), None);
+        // Optimistic read of line 6 (their write): retry.
+        assert_eq!(other(read(LineId(6))), Some(1));
+    }
+
+    #[test]
     fn prune_discards_expired_records() {
         let rt = Runtime::new_virtual();
         for i in 0..10 {
